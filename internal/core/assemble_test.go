@@ -224,62 +224,50 @@ func TestStreamRequestDocParity(t *testing.T) {
 	}
 }
 
-// TestStreamResponseParityE2E posts identical packed requests to a streaming
-// server and to a buffered one (streaming disabled via BufferedDispatch)
-// and requires byte-identical responses — including per-item faults, slow
-// entries that force the reorder window to park, and spi:id overrides.
+// TestStreamResponseParityE2E posts packed requests to a streaming server
+// and to a buffered one (streaming disabled via BufferedDispatch) and
+// requires both to answer with the bytes pinned under testdata/parity/ —
+// including per-item faults, slow entries that force the reorder window to
+// park, and spi:id overrides.
 func TestStreamResponseParityE2E(t *testing.T) {
-	streamed := newSystem(t, nil)
-	buffered := newSystem(t, func(s *ServerConfig, _ *ClientConfig) {
-		s.BufferedDispatch = true
-	})
-	if !streamed.server.canStream() {
-		t.Fatal("streamed system not on the streaming path")
-	}
-	if buffered.server.canStream() {
-		t.Fatal("buffered system unexpectedly on the streaming path")
-	}
+	systems := paritySystems(t, parityFeatures{name: "bare"})
 
-	docs := []string{
+	docs := []struct{ name, doc string }{
 		// slow entries first so later echoes complete before the window head.
-		testEnv11 + `<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
+		{"e2e-slow-first", testEnv11 + `<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
 			`<m:slow xmlns:m="urn:spi:Echo" spi:id="0" spi:service="Echo"><p>first</p></m:slow>` +
 			`<m:slow xmlns:m="urn:spi:Echo" spi:id="1" spi:service="Echo"><p>second</p></m:slow>` +
 			`<m:echo xmlns:m="urn:spi:Echo" spi:id="2" spi:service="Echo"><msg>a&amp;b</msg><n xsi:type="xsd:int" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xmlns:xsd="http://www.w3.org/2001/XMLSchema">5</n></m:echo>` +
 			`<m:fail xmlns:m="urn:spi:Echo" spi:id="3" spi:service="Echo"/>` +
 			`<m:GetWeather xmlns:m="urn:spi:WeatherService" spi:id="4" spi:service="WeatherService"><CityName>Oslo</CityName></m:GetWeather>` +
-			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`,
+			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`},
 		// spi:id values out of order relative to slots.
-		testEnv11 + `<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
+		{"e2e-id-override", testEnv11 + `<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
 			`<m:echo xmlns:m="urn:spi:Echo" spi:id="9" spi:service="Echo"><msg>nine</msg></m:echo>` +
 			`<m:echo xmlns:m="urn:spi:Echo" spi:id="1" spi:service="Echo"><msg>one</msg></m:echo>` +
 			`<m:noSuchOp xmlns:m="urn:spi:Echo" spi:id="5" spi:service="Echo"/>` +
-			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`,
+			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`},
 		// Single unfaulted entry.
-		testEnv11 + `<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
+		{"e2e-solo", testEnv11 + `<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
 			`<m:echo xmlns:m="urn:spi:Echo" spi:id="0" spi:service="Echo"><msg>solo</msg></m:echo>` +
-			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`,
+			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`},
 	}
-	for i, doc := range docs {
-		sResp, err := streamed.client.http.Post("/services/", "text/xml", []byte(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bResp, err := buffered.client.http.Post("/services/", "text/xml", []byte(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sResp.StatusCode != bResp.StatusCode {
-			t.Errorf("doc %d: status %d (streamed) != %d (buffered)", i, sResp.StatusCode, bResp.StatusCode)
-		}
-		if sc, bc := sResp.Header.Get("Content-Type"), bResp.Header.Get("Content-Type"); sc != bc {
-			t.Errorf("doc %d: content-type %q != %q", i, sc, bc)
-		}
-		if !bytes.Equal(sResp.Body, bResp.Body) {
-			t.Errorf("doc %d: response bytes diverge:\nstreamed: %s\nbuffered: %s", i, sResp.Body, bResp.Body)
-		}
-		if !strings.Contains(string(sResp.Body), "Parallel_Response") {
-			t.Errorf("doc %d: response is not packed: %s", i, sResp.Body)
+	for _, d := range docs {
+		for i, ps := range systems {
+			resp, err := ps.sys.client.http.Post("/services/", "text/xml", []byte(d.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != 200 {
+				t.Errorf("%s (%s): status %d, want 200", d.name, ps.path, resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != soap.V11.ContentType() {
+				t.Errorf("%s (%s): content-type %q", d.name, ps.path, ct)
+			}
+			if !strings.Contains(string(resp.Body), "Parallel_Response") {
+				t.Errorf("%s (%s): response is not packed: %s", d.name, ps.path, resp.Body)
+			}
+			parityGolden(t, i, d.name+"_11.xml", resp.Body)
 		}
 	}
 }

@@ -32,7 +32,14 @@ import (
 // the shared -update flag.
 func corpusGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	path := filepath.Join("testdata", "faultcorpus", name)
+	testdataGolden(t, "faultcorpus", name, got)
+}
+
+// testdataGolden compares got against testdata/<dir>/<name>, rewriting the
+// file instead when -update is set.
+func testdataGolden(t *testing.T, dir, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", dir, name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"testing"
 
@@ -13,12 +12,12 @@ import (
 	"repro/internal/xmltext"
 )
 
-// This file is the differential suite for the unified fast path: every
-// feature combination that used to force buffered dispatch now streams, and
-// the only acceptable difference from an explicit BufferedDispatch server is
-// none at all — responses must match byte for byte, across WSSE, the
-// per-entry differential cache, entry interceptors, both SOAP versions, and
-// single, packed and fault-producing bodies.
+// This file is the parity suite for the unified fast path: every feature
+// combination that used to force buffered dispatch now streams, and the
+// responses must match the goldens under testdata/parity/ — captured from
+// the buffered pipeline — byte for byte, across WSSE, the per-entry
+// differential cache, entry interceptors, both SOAP versions, and single,
+// packed and fault-producing bodies.
 
 // parityFeatures is one cell of the server-feature matrix.
 type parityFeatures struct {
@@ -128,105 +127,163 @@ func parityDoc(t *testing.T, v soap.Version, sign bool, body ...*xmldom.Element)
 	return out
 }
 
+// paritySystems starts the servers one feature cell is asserted on. The
+// goldens under testdata/parity/ were captured from the buffered server
+// (listed first, so it is the one -update writes from).
+func paritySystems(t *testing.T, f parityFeatures) []paritySystem {
+	t.Helper()
+	streamed := newSystem(t, parityConfig(f, false))
+	buffered := newSystem(t, parityConfig(f, true))
+	if !streamed.server.canStream() {
+		t.Fatalf("%s: server fell off the streaming path", f.name)
+	}
+	if buffered.server.canStream() {
+		t.Fatal("BufferedDispatch server still streams")
+	}
+	return []paritySystem{{"buffered", buffered}, {"streamed", streamed}}
+}
+
+type paritySystem struct {
+	path string
+	sys  *system
+}
+
+// parityGolden pins one response body under testdata/parity/. Only the
+// first system of a paritySystems list (index 0) rewrites it on -update;
+// the others are always compared.
+func parityGolden(t *testing.T, index int, name string, got []byte) {
+	t.Helper()
+	if *updateGolden && index > 0 {
+		return
+	}
+	testdataGolden(t, "parity", name, got)
+}
+
+// parityCase is one request shape of the parity suite. The response to it
+// must not depend on the feature cell, so one golden per SOAP version
+// serves every cell that runs the case.
+type parityCase struct {
+	name   string
+	target string
+	status int
+	body   func(t *testing.T) []*xmldom.Element
+}
+
+var parityCases = []parityCase{
+	{"single", "/services/Echo", 200, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityEcho(t, "echo", "hello & <world>")}
+	}},
+	{"single-fault", "/services/Echo", 500, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityEcho(t, "fail", "x")}
+	}},
+	{"single-unknown-op", "/services/Echo", 500, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityEcho(t, "noSuchOp", "x")}
+	}},
+	{"packed", "/services/", 200, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityPacked(
+			parityEcho(t, "echo", "one"),
+			parityEcho(t, "echo", "two"),
+			parityEcho(t, "slow", "three"),
+		)}
+	}},
+	{"packed-item-faults", "/services/", 200, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityPacked(
+			parityEcho(t, "echo", "ok"),
+			parityEcho(t, "fail", "boom"),
+			parityEcho(t, "noSuchOp", "x"),
+		)}
+	}},
+	{"packed-empty", "/services/", 500, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityPacked()}
+	}},
+	{"extra-body-entries", "/services/Echo", 500, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityEcho(t, "echo", "a"), parityEcho(t, "echo", "b")}
+	}},
+}
+
+// parityEntryCases only run in cells with the entry interceptors on: they
+// are the requests the deny and rewrite hooks react to.
+var parityEntryCases = []parityCase{
+	{"packed-denied-entry", "/services/", 200, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityPacked(
+			parityEcho(t, "echo", "fine"),
+			parityEcho(t, "deny", "nope"),
+		)}
+	}},
+	{"packed-rewritten-entry", "/services/", 200, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityPacked(
+			parityEcho(t, "echo", "rewrite-me"),
+		)}
+	}},
+}
+
 func TestUnifiedFastPathParity(t *testing.T) {
 	for _, f := range parityMatrix {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			streamed := newSystem(t, parityConfig(f, false))
-			buffered := newSystem(t, parityConfig(f, true))
-			if !streamed.server.canStream() {
-				t.Fatalf("%s: server fell off the streaming path", f.name)
+			systems := paritySystems(t, f)
+			cases := parityCases
+			if f.entry {
+				cases = append(cases[:len(cases):len(cases)], parityEntryCases...)
 			}
-			if buffered.server.canStream() {
-				t.Fatal("BufferedDispatch server still streams")
-			}
-
 			for _, v := range []soap.Version{soap.V11, soap.V12} {
-				// Each case builds the body fresh per round so signatures
-				// (nonces) regenerate, while the entries themselves repeat —
-				// round two exercises the differential cache's hit path.
-				cases := []struct {
-					name   string
-					target string
-					body   func(t *testing.T) []*xmldom.Element
-				}{
-					{"single", "/services/Echo", func(t *testing.T) []*xmldom.Element {
-						return []*xmldom.Element{parityEcho(t, "echo", "hello & <world>")}
-					}},
-					{"single-fault", "/services/Echo", func(t *testing.T) []*xmldom.Element {
-						return []*xmldom.Element{parityEcho(t, "fail", "x")}
-					}},
-					{"single-unknown-op", "/services/Echo", func(t *testing.T) []*xmldom.Element {
-						return []*xmldom.Element{parityEcho(t, "noSuchOp", "x")}
-					}},
-					{"packed", "/services/", func(t *testing.T) []*xmldom.Element {
-						return []*xmldom.Element{parityPacked(
-							parityEcho(t, "echo", "one"),
-							parityEcho(t, "echo", "two"),
-							parityEcho(t, "slow", "three"),
-						)}
-					}},
-					{"packed-item-faults", "/services/", func(t *testing.T) []*xmldom.Element {
-						return []*xmldom.Element{parityPacked(
-							parityEcho(t, "echo", "ok"),
-							parityEcho(t, "fail", "boom"),
-							parityEcho(t, "noSuchOp", "x"),
-						)}
-					}},
-					{"packed-empty", "/services/", func(t *testing.T) []*xmldom.Element {
-						return []*xmldom.Element{parityPacked()}
-					}},
-					{"extra-body-entries", "/services/Echo", func(t *testing.T) []*xmldom.Element {
-						return []*xmldom.Element{parityEcho(t, "echo", "a"), parityEcho(t, "echo", "b")}
-					}},
-				}
-				if f.entry {
-					cases = append(cases,
-						struct {
-							name   string
-							target string
-							body   func(t *testing.T) []*xmldom.Element
-						}{"packed-denied-entry", "/services/", func(t *testing.T) []*xmldom.Element {
-							return []*xmldom.Element{parityPacked(
-								parityEcho(t, "echo", "fine"),
-								parityEcho(t, "deny", "nope"),
-							)}
-						}},
-						struct {
-							name   string
-							target string
-							body   func(t *testing.T) []*xmldom.Element
-						}{"packed-rewritten-entry", "/services/", func(t *testing.T) []*xmldom.Element {
-							return []*xmldom.Element{parityPacked(
-								parityEcho(t, "echo", "rewrite-me"),
-							)}
-						}},
-					)
-				}
 				for _, tc := range cases {
-					name := fmt.Sprintf("%v/%s", v, tc.name)
+					// Each round builds the body afresh so signatures (nonces)
+					// regenerate, while the entries themselves repeat — round
+					// two exercises the differential cache's hit path.
 					for round := 0; round < 2; round++ {
-						doc := parityDoc(t, v, f.wsse, tc.body(t)...)
-						sCode, sBody := postDoc(t, streamed, tc.target, v, doc)
-						bCode, bBody := postDoc(t, buffered, tc.target, v, doc)
-						if sCode != bCode {
-							t.Errorf("%s round %d: status streamed %d buffered %d", name, round, sCode, bCode)
-						}
-						if !bytes.Equal(sBody, bBody) {
-							t.Errorf("%s round %d: responses diverge\nstreamed: %s\nbuffered: %s",
-								name, round, sBody, bBody)
+						for i, ps := range systems {
+							doc := parityDoc(t, v, f.wsse, tc.body(t)...)
+							code, body := postDoc(t, ps.sys, tc.target, v, doc)
+							if code != tc.status {
+								t.Errorf("%v/%s round %d (%s): status %d, want %d", v, tc.name, round, ps.path, code, tc.status)
+							}
+							parityGolden(t, i, tc.name+"_"+corpusSuffix(v), body)
 						}
 					}
+				}
+			}
+			if f.diff {
+				// The per-entry cache must see both rounds: a miss, then a hit
+				// (the buffered whole-body cache never hits under WSSE nonces).
+				ps := systems[len(systems)-1]
+				if st := ps.sys.server.Stats(); st.DiffHits == 0 || st.DiffMisses == 0 {
+					t.Errorf("%s: diff cache hits %d misses %d, want both rounds exercised", ps.path, st.DiffHits, st.DiffMisses)
 				}
 			}
 		})
 	}
 }
 
-// TestStreamedWSSERejectsTamper pins the security property of concurrent
-// verification: a signed batch whose body was altered in flight must fail
-// with the same fault on both paths, even though the streaming server may
-// already have executed entries by the time the signature check lands.
+// parityTamperBodies are the signed requests the tamper and replay tests
+// alter: a packed batch and a single call.
+var parityTamperBodies = []parityCase{
+	{"packed", "/services/", 500, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityPacked(
+			parityEcho(t, "echo", "tamper-target"),
+			parityEcho(t, "echo", "bystander"),
+		)}
+	}},
+	{"single", "/services/Echo", 500, func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityEcho(t, "echo", "tamper-target")}
+	}},
+}
+
+// tamperDoc signs the request and then alters its body in flight.
+func tamperDoc(t *testing.T, v soap.Version, tc parityCase) []byte {
+	t.Helper()
+	doc := parityDoc(t, v, true, tc.body(t)...)
+	tampered := bytes.Replace(doc, []byte("tamper-target"), []byte("tamper-forgery"), 1)
+	if bytes.Equal(doc, tampered) {
+		t.Fatal("tamper marker not found in document")
+	}
+	return tampered
+}
+
+// TestStreamedWSSERejectsTamper pins the security property of header
+// verification: a signed request whose body was altered in flight — or that
+// is replayed verbatim — is answered with the same whole-message fault for
+// a packed batch and for a single call, in both SOAP versions.
 func TestStreamedWSSERejectsTamper(t *testing.T) {
 	for _, f := range []parityFeatures{
 		{name: "wsse", wsse: true},
@@ -234,36 +291,26 @@ func TestStreamedWSSERejectsTamper(t *testing.T) {
 	} {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			streamed := newSystem(t, parityConfig(f, false))
-			buffered := newSystem(t, parityConfig(f, true))
-			for _, build := range []func(t *testing.T) []*xmldom.Element{
-				func(t *testing.T) []*xmldom.Element {
-					return []*xmldom.Element{parityPacked(
-						parityEcho(t, "echo", "tamper-target"),
-						parityEcho(t, "echo", "bystander"),
-					)}
-				},
-				func(t *testing.T) []*xmldom.Element {
-					return []*xmldom.Element{parityEcho(t, "echo", "tamper-target")}
-				},
-			} {
-				doc := parityDoc(t, soap.V11, true, build(t)...)
-				tampered := bytes.Replace(doc, []byte("tamper-target"), []byte("tamper-forgery"), 1)
-				if bytes.Equal(doc, tampered) {
-					t.Fatal("tamper marker not found in document")
-				}
-				target := "/services/Echo"
-				if bytes.Contains(doc, []byte(ElemParallelMethod)) {
-					target = "/services/"
-				}
-				sCode, sBody := postDoc(t, streamed, target, soap.V11, tampered)
-				bCode, bBody := postDoc(t, buffered, target, soap.V11, tampered)
-				if sCode != bCode || !bytes.Equal(sBody, bBody) {
-					t.Errorf("tampered responses diverge: streamed %d %s\nbuffered %d %s",
-						sCode, sBody, bCode, bBody)
-				}
-				if !bytes.Contains(sBody, []byte("signature mismatch")) {
-					t.Errorf("tampered request not rejected: %d %s", sCode, sBody)
+			systems := paritySystems(t, f)
+			for _, v := range []soap.Version{soap.V11, soap.V12} {
+				for _, tc := range parityTamperBodies {
+					for i, ps := range systems {
+						code, body := postDoc(t, ps.sys, tc.target, v, tamperDoc(t, v, tc))
+						if code != 500 || !bytes.Contains(body, []byte("signature mismatch")) {
+							t.Errorf("%v/%s (%s): tampered request not rejected: %d %s", v, tc.name, ps.path, code, body)
+						}
+						parityGolden(t, i, "wsse-tamper_"+corpusSuffix(v), body)
+
+						doc := parityDoc(t, v, true, tc.body(t)...)
+						if code, body := postDoc(t, ps.sys, tc.target, v, doc); code != 200 {
+							t.Fatalf("%v/%s (%s): first delivery failed: %d %s", v, tc.name, ps.path, code, body)
+						}
+						code, body = postDoc(t, ps.sys, tc.target, v, doc)
+						if code != 500 || !bytes.Contains(body, []byte("replayed nonce")) {
+							t.Errorf("%v/%s (%s): replayed request not rejected: %d %s", v, tc.name, ps.path, code, body)
+						}
+						parityGolden(t, i, "wsse-replay_"+corpusSuffix(v), body)
+					}
 				}
 			}
 		})
