@@ -8,7 +8,7 @@ GO ?= go
 ## check: the full gate — build, vet, race-enabled shuffled tests,
 ## pool-lifecycle tests under -race, the gateway differential/chaos suite
 ## under -race, the cluster control-plane tier under -race, the transport
-## tier (pipelining + C10k soak) under -race, the unified-fast-path parity
+## tier (pipelining + C10k soak) under -race, the dispatch-pipeline parity
 ## suite under -race, the encode-path escape audit, the docs link audit,
 ## and the perf-regression gate vs the baseline chain.
 check:
@@ -72,14 +72,15 @@ race-transport:
 		./internal/httpx ./internal/core ./internal/gateway
 	$(GO) test -race -run='TestSoakC10kPipelined' .
 
-## race-streamfeatures: the unified fast path under the race detector —
-## streamed-vs-buffered byte parity across WSSE × differential cache ×
-## entry interceptors, the concurrent WSSE verification goroutine, the
-## sharded LRU, and the tamper-rejection property. Extra runs because the
-## verify goroutine races entry dispatch by design.
+## race-streamfeatures: the one dispatch pipeline under the race detector —
+## golden byte parity across WSSE × differential cache × entry interceptors,
+## the verify-then-execute hold on signed batches (zero operations run on a
+## tampered or replayed one), the entry-interceptor chain, and the sharded
+## LRU. Extra runs because packed entries race the decode loop and the
+## reorder window by design.
 race-streamfeatures:
 	$(GO) test -race -count=2 \
-		-run='TestUnifiedFastPathParity|TestStreamedWSSERejectsTamper|TestStreamResponseParity|TestDifferentialDeserialization|TestDiffCacheLRU|TestStreamPathActive' \
+		-run='TestUnifiedFastPathParity|TestStreamedWSSERejectsTamper|TestRejectedSignedBatchRunsNothing|TestMustUnderstandBatchRunsNothing|TestStreamResponseParity|TestEntryInterceptor|TestDifferentialDeserialization|TestDiffCacheLRU' \
 		./internal/core
 
 ## bench: the paper's experiments as testing.B benchmarks.
@@ -101,7 +102,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDiffSubtree$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultRoundTrip$$' -fuzztime=10s ./internal/fault
 
-## bench-check: snapshot the key benchmarks to BENCH_pr9.json (perf guard).
+## bench-check: snapshot the key benchmarks to BENCH_local.json (gitignored;
+## pass -out BENCH_prN.json to benchcheck to record a PR's baseline).
 bench-check:
 	$(GO) run ./cmd/benchcheck
 
@@ -112,7 +114,7 @@ bench-check:
 ## step-function regressions.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json -tolerance 35
+		-baseline BENCH_pr9.json,BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:

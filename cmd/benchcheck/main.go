@@ -5,8 +5,10 @@
 //
 // Usage:
 //
-//	benchcheck                 # writes BENCH_pr9.json
-//	benchcheck -out FILE.json  # custom path
+//	benchcheck                 # writes BENCH_local.json (gitignored scratch)
+//	benchcheck -out BENCH_prN.json
+//	                           # a PR's snapshot, named explicitly so a
+//	                           # bare run never overwrites a committed one
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
 //	benchcheck -baseline BENCH_pr3.json,BENCH_pr2.json -tolerance 10
 //	                           # compare mode: exit non-zero when a
@@ -79,7 +81,7 @@ func measure(name string, fn func(b *testing.B)) Result {
 
 func main() {
 	testing.Init() // registers test.benchtime before we touch it
-	out := flag.String("out", "BENCH_pr9.json", "output JSON path")
+	out := flag.String("out", "BENCH_local.json", "output JSON path")
 	benchtime := flag.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	baseline := flag.String("baseline", "", "comma-separated baseline chain to compare against, first file wins per benchmark (empty disables)")
 	tolerance := flag.Float64("tolerance", 10, "allowed regression percent vs the baseline")
@@ -219,9 +221,10 @@ func main() {
 	endToEnd("e2e/serial-echo", bench.EnvOptions{}, false)
 	endToEnd("e2e/packed-echo-16", bench.EnvOptions{}, true)
 	endToEnd("e2e/packed-echo-16-traced", bench.EnvOptions{Tracer: trace.New(8192)}, true)
-	// The unified-fast-path row: WS-Security verification plus the
-	// differential cache, both riding the streaming path. The gap to bare
-	// e2e/packed-echo-16 is the price of those features per batch.
+	// The feature-cost row: WS-Security verification (entries held until
+	// the signature checks out) plus the per-entry differential cache. The
+	// gap to bare e2e/packed-echo-16 is the price of those features per
+	// batch.
 	endToEnd("e2e/packed-echo-16-wsse-diff", bench.EnvOptions{WSSecurity: true, DiffDeserialization: true}, true)
 
 	// --- gateway scatter–gather ---------------------------------------

@@ -47,10 +47,6 @@ type EnvOptions struct {
 	// DiffDeserialization enables the §2.2 server-side differential
 	// deserialization cache ([4]/[11]).
 	DiffDeserialization bool
-	// BufferedDispatch forces the server off the streaming fast path onto
-	// full-buffer decode — the explicit opt-out, used by the unified-fast-path
-	// experiment to price what the old interceptor fallback cost.
-	BufferedDispatch bool
 	// AdaptiveAppStage swaps the fixed application pool for the
 	// SEDA-controlled adaptive one (floor 2, ceiling AppWorkers).
 	AdaptiveAppStage bool
@@ -109,7 +105,6 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 		AppWorkers:                  opt.AppWorkers,
 		Coupled:                     opt.Coupled,
 		DifferentialDeserialization: opt.DiffDeserialization,
-		BufferedDispatch:            opt.BufferedDispatch,
 		AdaptiveAppStage:            opt.AdaptiveAppStage,
 		AdmissionTimeout:            opt.AdmissionTimeout,
 		Tracer:                      opt.Tracer,

@@ -2,15 +2,11 @@ package bench
 
 import "fmt"
 
-// RunUnifiedFastPath prices the re-unified streaming path (PR 9): before it,
-// enabling WS-Security or differential deserialization silently dropped the
-// server onto buffered full-tree dispatch; now both stream, and only the
-// explicit BufferedDispatch opt-out (or a whole-tree Interceptor) buffers.
-// The experiment runs the packed M=16 echo workload — the acceptance
-// workload of the change — through each feature combination on the
-// streaming path and through the buffered opt-out, so the table shows both
-// what the features cost on the fast path (target: WSSE+diff within ~1.15×
-// of bare streaming) and what falling off it would cost.
+// RunUnifiedFastPath prices the server's entry-granular features on its one
+// dispatch pipeline. The experiment runs the packed M=16 echo workload
+// through each combination of WS-Security and differential deserialization,
+// so the table shows what the features cost on top of bare streaming
+// (target: WSSE+diff within ~1.15× of bare).
 func RunUnifiedFastPath(reps int) (*AblationResult, error) {
 	if reps <= 0 {
 		reps = 5
@@ -18,7 +14,7 @@ func RunUnifiedFastPath(reps int) (*AblationResult, error) {
 	const m = 16
 	payload := "aaaaaaaaaa" // 10 B, the Figure 5 regime
 	result := &AblationResult{Title: fmt.Sprintf(
-		"Unified fast path: packed echo (M=%d, 10 B payloads), streaming vs buffered opt-out", m)}
+		"Unified fast path: packed echo (M=%d, 10 B payloads), feature cost on the streaming pipeline", m)}
 
 	type variant struct {
 		name string
@@ -31,12 +27,9 @@ func RunUnifiedFastPath(reps int) (*AblationResult, error) {
 		{"streaming + diff deser", EnvOptions{DiffDeserialization: true},
 			"per-entry subtree cache, hits skip tokenizing"},
 		{"streaming + WSSE", EnvOptions{WSSecurity: true},
-			"signature verified concurrently with dispatch"},
+			"entries decoded as they stream, executed once the signature verifies"},
 		{"streaming + WSSE + diff", EnvOptions{WSSecurity: true, DiffDeserialization: true},
-			"both features, still streaming (was: buffered)"},
-		{"buffered opt-out + WSSE + diff", EnvOptions{
-			WSSecurity: true, DiffDeserialization: true, BufferedDispatch: true},
-			"the old fallback path, for comparison"},
+			"both features together"},
 	}
 
 	for _, v := range variants {

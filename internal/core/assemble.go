@@ -12,11 +12,12 @@ import (
 	"repro/internal/xmltext"
 )
 
-// DOM-free packed assembly. The buffered path builds a Parallel_Response
-// element tree per message and serializes it once at the end; the streaming
-// assembler here writes the same bytes directly into a pooled emitter, one
-// entry at a time, as workers complete. Differential tests pin the two
-// paths byte-identical under randomized worker completion orders.
+// DOM-free packed assembly. buildPackedResponse (still the plan
+// dispatcher's assembler) builds a Parallel_Response element tree per
+// message and serializes it once at the end; the streaming assembler here
+// writes the same bytes directly into a pooled emitter, one entry at a
+// time, as workers complete. Differential tests pin the two byte-identical
+// under randomized worker completion orders.
 
 var (
 	namePackResponse = xmltext.Name{Prefix: PrefixPack, Local: ElemParallelResponse}
@@ -95,7 +96,7 @@ func (a *packedAssembler) encodeEntry(r *rpcResult, serviceNS func(service strin
 			a.faultCodes.NoteSOAP(r.fault)
 		}
 		// Per-item faults use the SOAP 1.1 layout regardless of envelope
-		// version, as the buffered path's Fault.Element does.
+		// version, as Fault.Element does.
 		r.fault.AppendElementFor(a.em, soap.V11, xmltext.Attr{Name: attrID, Value: id})
 		a.encDur += time.Since(start)
 		return nil

@@ -56,7 +56,7 @@ func sampleResults() []*rpcResult {
 	}
 }
 
-// assembleStreamed replays dispatchPackedStream's assembly loop: results are
+// assembleStreamed replays dispatchPacked's assembly loop: results are
 // delivered into the collector from another goroutine in the given order
 // while the reorder window drains contiguous completed slots, then the
 // closed fragment bytes are returned.
@@ -224,13 +224,12 @@ func TestStreamRequestDocParity(t *testing.T) {
 	}
 }
 
-// TestStreamResponseParityE2E posts packed requests to a streaming server
-// and to a buffered one (streaming disabled via BufferedDispatch) and
-// requires both to answer with the bytes pinned under testdata/parity/ —
-// including per-item faults, slow entries that force the reorder window to
-// park, and spi:id overrides.
+// TestStreamResponseParityE2E posts packed requests and requires the bytes
+// pinned under testdata/parity/ (captured from the since-deleted buffered
+// pipeline) — including per-item faults, slow entries that force the
+// reorder window to park, and spi:id overrides.
 func TestStreamResponseParityE2E(t *testing.T) {
-	systems := paritySystems(t, parityFeatures{name: "bare"})
+	sys := newSystem(t, nil)
 
 	docs := []struct{ name, doc string }{
 		// slow entries first so later echoes complete before the window head.
@@ -253,21 +252,19 @@ func TestStreamResponseParityE2E(t *testing.T) {
 			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`},
 	}
 	for _, d := range docs {
-		for i, ps := range systems {
-			resp, err := ps.sys.client.http.Post("/services/", "text/xml", []byte(d.doc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != 200 {
-				t.Errorf("%s (%s): status %d, want 200", d.name, ps.path, resp.StatusCode)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != soap.V11.ContentType() {
-				t.Errorf("%s (%s): content-type %q", d.name, ps.path, ct)
-			}
-			if !strings.Contains(string(resp.Body), "Parallel_Response") {
-				t.Errorf("%s (%s): response is not packed: %s", d.name, ps.path, resp.Body)
-			}
-			parityGolden(t, i, d.name+"_11.xml", resp.Body)
+		resp, err := sys.client.http.Post("/services/", "text/xml", []byte(d.doc))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if resp.StatusCode != 200 {
+			t.Errorf("%s: status %d, want 200", d.name, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != soap.V11.ContentType() {
+			t.Errorf("%s: content-type %q", d.name, ct)
+		}
+		if !strings.Contains(string(resp.Body), "Parallel_Response") {
+			t.Errorf("%s: response is not packed: %s", d.name, resp.Body)
+		}
+		parityGolden(t, d.name+"_11.xml", resp.Body)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -586,70 +587,107 @@ func TestProtocolWorkerLimit(t *testing.T) {
 	}
 }
 
-func TestInterceptorChain(t *testing.T) {
+func TestEntryInterceptorOrder(t *testing.T) {
+	// Configured order is call order, and a replacement threads through to
+	// the hooks behind it.
 	var order []string
-	mk := func(name string) Interceptor {
-		return func(env *soap.Envelope, info *RequestInfo, next Dispatcher) (*soap.Envelope, *soap.Fault) {
-			order = append(order, name+"-in")
-			resp, fault := next(env)
-			order = append(order, name+"-out")
-			return resp, fault
+	mk := func(name string) EntryInterceptor {
+		return func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
+			order = append(order, name+":"+entry.Name.Local)
+			if name == "first" {
+				repl := entry.Clone()
+				repl.Name.Local = "echo"
+				return repl, nil
+			}
+			return nil, nil
 		}
 	}
-	var sawInfo *RequestInfo
-	capture := func(env *soap.Envelope, info *RequestInfo, next Dispatcher) (*soap.Envelope, *soap.Fault) {
-		sawInfo = info
-		return next(env)
+	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
+		s.EntryInterceptors = []EntryInterceptor{mk("first"), mk("second"), mk("third")}
+	})
+	res, err := sys.client.Call("Echo", "renamed", soapenc.F("m", "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || !soapenc.Equal(res[0].Value, "x") {
+		t.Errorf("results = %v", res)
+	}
+	want := []string{"first:renamed", "second:echo", "third:echo"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+func TestEntryInterceptorReject(t *testing.T) {
+	reject := func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
+		if entry.Name.Local == "fail" {
+			return nil, soap.ClientFault("blocked by policy")
+		}
+		return nil, nil
 	}
 	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
-		s.Interceptors = []Interceptor{mk("outer"), mk("inner"), capture}
+		s.EntryInterceptors = []EntryInterceptor{reject}
+	})
+	blocked := func(err error) bool {
+		var f *soap.Fault
+		return errors.As(err, &f) && f.Code == soap.FaultClient && strings.Contains(f.String, "blocked by policy")
+	}
+
+	// Single call: the rejection is the message fault, and nothing ran.
+	if _, err := sys.client.Call("Echo", "fail"); !blocked(err) {
+		t.Errorf("single: err = %v", err)
+	}
+	if st := sys.server.Stats(); st.Requests != 0 || st.Faults != 1 {
+		t.Errorf("single: Requests %d Faults %d, want 0 and 1", st.Requests, st.Faults)
+	}
+
+	// Batch: the rejection is that entry's per-item fault; its companion
+	// runs, the rejected entry does not.
+	batch := sys.client.NewBatch()
+	ok := batch.Add("Echo", "echo", soapenc.F("m", "x"))
+	bad := batch.Add("Echo", "fail")
+	if err := batch.Send(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := ok.Wait(); err != nil || !soapenc.Equal(res[0].Value, "x") {
+		t.Errorf("batch companion = %v %v", res, err)
+	}
+	if _, err := bad.Wait(); !blocked(err) {
+		t.Errorf("batch: err = %v", err)
+	}
+	if st := sys.server.Stats(); st.Requests != 1 || st.ItemFaults != 1 || st.Faults != 1 {
+		t.Errorf("batch: Requests %d ItemFaults %d Faults %d, want 1, 1 and 1", st.Requests, st.ItemFaults, st.Faults)
+	}
+}
+
+func TestEntryInterceptorInfo(t *testing.T) {
+	var mu sync.Mutex
+	var saw []EntryInfo
+	capture := func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
+		mu.Lock()
+		saw = append(saw, *info)
+		mu.Unlock()
+		return nil, nil
+	}
+	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
+		s.EntryInterceptors = []EntryInterceptor{capture}
 	})
 	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "x")); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"outer-in", "inner-in", "inner-out", "outer-out"}
-	if len(order) != 4 {
-		t.Fatalf("order = %v", order)
+	batch := sys.client.NewBatch()
+	batch.Add("Echo", "echo", soapenc.F("m", "a"))
+	batch.Add("WeatherService", "GetWeather", soapenc.F("CityName", "Oslo"))
+	if err := batch.Send(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	want := []EntryInfo{
+		{Target: "/services/Echo", DefaultService: "Echo", Version: soap.V11},
+		{Target: "/services", Version: soap.V11, Index: 0, Packed: true},
+		{Target: "/services", Version: soap.V11, Index: 1, Packed: true},
 	}
-	if sawInfo == nil || sawInfo.DefaultService != "Echo" || sawInfo.Target != "/services/Echo" {
-		t.Errorf("info = %+v", sawInfo)
-	}
-}
-
-func TestInterceptorShortCircuit(t *testing.T) {
-	reject := func(env *soap.Envelope, info *RequestInfo, next Dispatcher) (*soap.Envelope, *soap.Fault) {
-		return nil, soap.ClientFault("blocked by policy")
-	}
-	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
-		s.Interceptors = []Interceptor{reject}
-	})
-	_, err := sys.client.Call("Echo", "echo")
-	var f *soap.Fault
-	if !errors.As(err, &f) || !strings.Contains(f.String, "blocked by policy") {
-		t.Errorf("err = %v", err)
-	}
-	// The terminal dispatcher never ran.
-	if sys.server.Stats().Requests != 0 {
-		t.Error("request executed despite short-circuit")
-	}
-}
-
-func TestInterceptorNilResponseBecomesFault(t *testing.T) {
-	broken := func(env *soap.Envelope, info *RequestInfo, next Dispatcher) (*soap.Envelope, *soap.Fault) {
-		return nil, nil
-	}
-	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
-		s.Interceptors = []Interceptor{broken}
-	})
-	_, err := sys.client.Call("Echo", "echo")
-	var f *soap.Fault
-	if !errors.As(err, &f) || f.Code != soap.FaultServer {
-		t.Errorf("err = %v", err)
+	if !reflect.DeepEqual(saw, want) {
+		t.Errorf("info = %+v\nwant %+v", saw, want)
 	}
 }
 

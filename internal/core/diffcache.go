@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/soap"
 	"repro/internal/xmldom"
 )
 
@@ -19,16 +17,13 @@ import (
 // Where [4] checkpoints parser state to skip the unchanged prefix of a
 // similar message, this implementation takes the limiting (and very
 // common in benchmarks and polling workloads) case of byte-identical
-// subtrees. Two granularities share one store:
-//
-//   - per-entry (streaming path): each body subtree — a Parallel_Method
-//     child, or a single call's entry — is keyed by a hash of its raw span
-//     mixed with the ancestor start tags that govern its namespace
-//     resolution. A packed message with 60 repeated entries and 4 novel
-//     ones re-parses only the 4; hits clone the cached subtree into the
-//     request arena without tokenizing the span at all.
-//   - whole-body (buffered opt-out path): the parsed document of each
-//     recently-seen request, keyed by a hash of the full raw body.
+// subtrees: each body subtree — a Parallel_Method child, or a single call's
+// entry — is keyed by a hash of its raw span mixed with the ancestor start
+// tags that govern its namespace resolution. A packed message with 60
+// repeated entries and 4 novel ones re-parses only the 4; hits clone the
+// cached subtree into the request arena without tokenizing the span at all.
+// Header blocks are outside every key, so per-message WS-Security nonces do
+// not cost hits.
 //
 // Cached trees are immutable once stored, so hits clone them outside any
 // critical section; the store itself is an LRU sharded eight ways by key
@@ -75,7 +70,7 @@ func (d *diffCache) shard(key [sha256.Size]byte) *diffShard {
 }
 
 // lookup returns the cached immutable tree for key, or nil. The caller
-// clones it outside the lock (into an arena on the streaming path).
+// clones it (into the request arena) outside the lock.
 func (d *diffCache) lookup(key [sha256.Size]byte) *xmldom.Element {
 	s := d.shard(key)
 	s.mu.Lock()
@@ -169,28 +164,26 @@ func contextSum(tags ...[]byte) [sha256.Size]byte {
 	return sum
 }
 
-// decode parses body, consulting the cache at whole-body granularity —
-// the buffered dispatch path, which holds the complete raw body anyway.
-// The returned envelope is always private to the caller (a clone on
-// hits), since dispatch mutates the tree.
-func (d *diffCache) decode(body []byte) (*soap.Envelope, error) {
-	key := sha256.Sum256(body)
-	if root := d.lookup(key); root != nil {
-		return soap.FromElement(root.Clone())
+// parse returns the subtree for one raw body-entry span under the ancestor
+// context ctxSum: a clone of the cached parse on a hit (the span is not
+// tokenized at all), a fresh parse on a miss. attach hooks the subtree into
+// the request document. A miss is stored as a clone taken after attaching:
+// that bakes the inherited namespace declarations onto the stored copy, so
+// a future hit resolves identically without its ancestors.
+func (d *diffCache) parse(ctxSum [sha256.Size]byte, raw []byte, arena *xmldom.Arena, attach func(*xmldom.Element)) (*xmldom.Element, error) {
+	key := subtreeKey(ctxSum, raw)
+	if cached := d.lookup(key); cached != nil {
+		el := cached.CloneInArena(arena)
+		attach(el)
+		return el, nil
 	}
-
-	parsed, err := xmldom.Parse(bytes.NewReader(body))
+	el, err := xmldom.ParseBytesInArena(raw, arena)
 	if err != nil {
 		return nil, err
 	}
-	env, err := soap.FromElement(parsed)
-	if err != nil {
-		return nil, err
-	}
-
-	// Store a pristine copy: the caller's tree gets mutated by dispatch.
-	d.insert(key, parsed.Clone())
-	return env, nil
+	attach(el)
+	d.insert(key, el.Clone())
+	return el, nil
 }
 
 // stats returns (hits, misses).

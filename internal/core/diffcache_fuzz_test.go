@@ -11,7 +11,7 @@ import (
 // path of the differential cache and checks the invariant the streaming
 // server relies on: for any span that parses at all, the tree recovered
 // through the cache (insert a clone, look it up, clone into a fresh arena —
-// exactly what dispatchPackedStream does on a hit) serializes to the same
+// exactly what diffCache.parse does on a hit) serializes to the same
 // bytes as a direct cache-off parse of the span. Any divergence would mean
 // cache hits could silently change what a service method sees.
 func FuzzDiffSubtree(f *testing.F) {

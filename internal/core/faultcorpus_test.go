@@ -217,7 +217,7 @@ func TestFaultCorpusMustUnderstand(t *testing.T) {
 func TestFaultCorpusWSSEReject(t *testing.T) {
 	// A tampered body under a WSSE verifier is rejected at the header
 	// processing stage with a Client fault carrying the verifier's error.
-	sys := newSystem(t, parityConfig(parityFeatures{wsse: true}, false))
+	sys := newSystem(t, parityConfig(parityFeatures{wsse: true}))
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		doc := parityDoc(t, v, true, parityEcho(t, "echo", "tamper-target"))
 		tampered := bytes.Replace(doc, []byte("tamper-target"), []byte("tamper-forgery"), 1)

@@ -5,48 +5,14 @@ import (
 	"repro/internal/xmldom"
 )
 
-// The interceptor chain mirrors the architecture the paper built on:
+// The entry-interceptor chain mirrors the architecture the paper built on:
 // "Due to the handler chains model, which is the Axis's architecture, we
 // implemented our technique as server handlers. So, services code need
 // not be modified." (§3.6). In this implementation the pack/plan
-// dispatcher plays the role of the terminal handler, and user-supplied
-// interceptors wrap it the way Axis handlers wrapped the pivot — for
+// dispatcher plays the role of the pivot, and user-supplied entry
+// interceptors run in front of it the way Axis request handlers did — for
 // logging, metering, validation, or request rewriting — again with no
 // change to service code.
-
-// RequestInfo describes the message an interceptor is seeing.
-type RequestInfo struct {
-	// Target is the HTTP request target, e.g. "/services/Echo".
-	Target string
-	// DefaultService is the service addressed by the URL ("" on the pack
-	// endpoint).
-	DefaultService string
-	// Version is the request's SOAP version.
-	Version soap.Version
-}
-
-// Dispatcher continues processing an envelope and produces the response
-// envelope or a fault.
-type Dispatcher func(env *soap.Envelope) (*soap.Envelope, *soap.Fault)
-
-// Interceptor wraps envelope dispatch. It may inspect or replace the
-// request envelope, short-circuit with its own response or fault, and
-// inspect or replace the response on the way out.
-type Interceptor func(env *soap.Envelope, info *RequestInfo, next Dispatcher) (*soap.Envelope, *soap.Fault)
-
-// buildChain composes the configured interceptors (first configured is
-// outermost) around the terminal dispatcher.
-func buildChain(interceptors []Interceptor, info *RequestInfo, terminal Dispatcher) Dispatcher {
-	next := terminal
-	for i := len(interceptors) - 1; i >= 0; i-- {
-		ic := interceptors[i]
-		inner := next
-		next = func(env *soap.Envelope) (*soap.Envelope, *soap.Fault) {
-			return ic(env, info, inner)
-		}
-	}
-	return next
-}
 
 // EntryInfo describes one body entry as an EntryInterceptor sees it.
 type EntryInfo struct {
@@ -64,48 +30,14 @@ type EntryInfo struct {
 	Packed bool
 }
 
-// EntryInterceptor is the entry-granular interceptor hook: it runs once
-// per packed entry (and once for a single call) on both dispatch paths,
-// which is what lets it ride the streaming fast path — each entry is
-// intercepted as its subtree closes, before the rest of the envelope has
-// even been parsed. It may inspect the entry, replace it (return a
-// non-nil element), or reject it with a fault: for a packed entry the
-// fault becomes that entry's per-item fault, for a single call the
-// message fault. Unlike Interceptor it never sees the whole envelope and
-// has no response-side hook; interceptors that need either keep the
-// legacy type and the buffered path.
+// EntryInterceptor is the server's handler-chain hook: it runs once per
+// packed entry (and once for a single call), as the entry's subtree closes
+// — for a packed message, before the rest of the envelope has even been
+// parsed. It may inspect the entry, replace it (return a non-nil element),
+// or reject it with a fault: for a packed entry the fault becomes that
+// entry's per-item fault, for a single call the message fault. It never
+// sees the whole envelope and has no response-side hook.
 type EntryInterceptor func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault)
-
-// EntrySafe adapts a legacy whole-envelope Interceptor onto the
-// entry-granular hook, for interceptors that declare themselves
-// entry-safe: they act only on the request side (inspect, rewrite,
-// meter, reject) and treat each body entry independently. The adapter
-// presents each entry as a synthetic single-entry envelope; whatever the
-// interceptor passes to next becomes the (possibly rewritten) entry, and
-// next echoes the request envelope back so request-side post-processing
-// still runs. Response rewriting and short-circuit responses are outside
-// the entry-safe contract: a short-circuit response is discarded (the
-// original entry proceeds), and only a fault short-circuits dispatch.
-func EntrySafe(ic Interceptor) EntryInterceptor {
-	return func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
-		env := &soap.Envelope{Version: info.Version, Body: []*xmldom.Element{entry}}
-		rinfo := &RequestInfo{Target: info.Target, DefaultService: info.DefaultService, Version: info.Version}
-		var repl *xmldom.Element
-		next := func(env *soap.Envelope) (*soap.Envelope, *soap.Fault) {
-			if len(env.Body) > 0 {
-				repl = env.Body[0]
-			}
-			return env, nil
-		}
-		if _, fault := ic(env, rinfo, next); fault != nil {
-			return nil, fault
-		}
-		if repl == entry {
-			return nil, nil
-		}
-		return repl, nil
-	}
-}
 
 // runEntryInterceptors applies the configured entry interceptors in
 // order, threading replacements through. On fault the entry is returned

@@ -74,30 +74,18 @@ type ServerConfig struct {
 	PathPrefix string
 
 	// HeaderProcessors handle recognised header blocks (e.g. WS-Security).
+	// Configuring any makes the server authenticate before it acts: the
+	// entries of a packed message are decoded as they stream in, but none
+	// executes until the whole document has been read and every header
+	// block has been verified.
 	HeaderProcessors []HeaderProcessor
 
-	// Interceptors wrap envelope dispatch, first entry outermost — the
-	// Axis handler-chain architecture the paper's implementation plugged
-	// into (§3.6). They run after header processing, around the
-	// pack/plan/single dispatcher. Because they see (and may rewrite) the
-	// whole envelope, configuring any forces the buffered dispatch path;
-	// entry-safe interceptors should use EntryInterceptors (or the
-	// EntrySafe adapter) to keep the streaming fast path.
-	Interceptors []Interceptor
-
-	// EntryInterceptors run once per body entry — each Parallel_Method
-	// child, or the single call — on both dispatch paths, first entry
-	// outermost. Unlike Interceptors they do not gate the streaming fast
-	// path: each entry is intercepted as its subtree closes. A fault from
-	// one becomes the entry's per-item fault inside a packed response (the
-	// message fault for a single call).
+	// EntryInterceptors are the server's handler chain (§3.6): they run
+	// once per body entry — each Parallel_Method child, or the single call —
+	// as its subtree closes, first entry outermost. A fault from one becomes
+	// the entry's per-item fault inside a packed response (the message fault
+	// for a single call).
 	EntryInterceptors []EntryInterceptor
-
-	// BufferedDispatch forces the buffered (parse-whole-envelope) dispatch
-	// path even when the streaming path could serve the request — the
-	// explicit opt-out for deployments that need whole-tree envelope
-	// inspection without configuring an Interceptor.
-	BufferedDispatch bool
 
 	// MaxBodyBytes caps request bodies; zero means the httpx default.
 	MaxBodyBytes int64
@@ -117,10 +105,10 @@ type ServerConfig struct {
 	WriteTimeout time.Duration
 
 	// DifferentialDeserialization enables the §2.2 related-work
-	// server-side optimization ([4]/[11]): repeated byte-identical
-	// request bodies reuse a cached parse instead of re-tokenizing.
+	// server-side optimization ([4]/[11]): repeated byte-identical body
+	// entries reuse a cached parse instead of re-tokenizing.
 	DifferentialDeserialization bool
-	// DiffCacheSize bounds the differential cache (default 256 messages).
+	// DiffCacheSize bounds the differential cache (default 256 entries).
 	DiffCacheSize int
 
 	// AdmissionTimeout bounds how long a request waits for space in the
@@ -190,8 +178,8 @@ type ServerStats struct {
 	EncodePhase   metrics.Summary
 
 	// EncodeIO is the byte and time volume of the response-encode stage
-	// (encode.bytes / encode.ns), across both the buffered and the
-	// streamed assemblers.
+	// (encode.bytes / encode.ns), across the envelope encoder and the
+	// streamed packed assembler.
 	EncodeIO metrics.StageIOSummary
 
 	// Operations holds per-operation execution timings, keyed
@@ -471,21 +459,17 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 		ctx = trace.NewContext(ctx, tid)
 	}
 
-	// Zero-allocation fast path: arena-backed decode with streaming packed
-	// dispatch. Requires buffered-envelope features to be off (see
-	// canStream); responses are byte-identical with the path below.
-	if s.canStream() {
-		return s.handleStream(ctx, req, defaultService)
-	}
+	// Arena-backed streaming decode. The request arena is released when the
+	// response bytes have been assembled; everything that outlives the
+	// exchange (decoded params, header clones, response elements) is copied
+	// out by then.
+	arena := xmldom.AcquireArena()
+	defer xmldom.ReleaseArena(arena)
 
 	parseStart := time.Now()
-	var env *soap.Envelope
-	var err error
-	if s.diff != nil {
-		env, err = s.diff.decode(req.Body)
-	} else {
-		env, err = soap.Decode(bytes.NewReader(req.Body))
-	}
+	d := soap.AcquireStreamDecoder(req.Body, arena)
+	defer d.Release()
+	err := d.ReadPreamble()
 	parseDur := time.Since(parseStart)
 	s.phaseParse.Record(parseDur)
 	if tr.Enabled() {
@@ -498,43 +482,32 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 			// SOAP 1.1 §4.4: unrecognized envelope version.
 			return s.faultResponse(&soap.Fault{Code: soap.FaultVersionMismatch, String: vm.Error()}, soap.V11)
 		}
-		return s.faultResponse(soap.ClientFault("malformed envelope: %v", err), soap.V11)
+		return s.faultResponse(malformedFault(err), soap.V11)
 	}
+	env := d.Envelope()
 	s.envelopes.Add(1)
 
-	if fault := s.processHeaders(env, req.Body); fault != nil {
-		return s.faultResponse(fault, env.Version)
-	}
+	// Header verification waits until the body has been consumed: the
+	// processors' canonical input is the verbatim body spans the decoder tees
+	// out, and a malformed envelope outranks any header fault. Packed entries
+	// cross into application-stage workers that can outlive the request
+	// (degrade path); the arena-backed header elements must not.
+	headers := cloneHeaders(env.Header)
 
 	// Apply the client's propagated deadline budget, shortened by the
 	// grace period so a degraded (partial) response still reaches the
 	// client before its own deadline fires.
 	if budget := deadlineBudget(req); budget > 0 {
-		grace := s.cfg.DeadlineGrace
-		if grace <= 0 {
-			grace = budget / 5
-			if grace > 100*time.Millisecond {
-				grace = 100 * time.Millisecond
-			}
-		}
-		if budget > grace {
-			budget -= grace
-		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
+		ctx, cancel = context.WithTimeout(ctx, s.shortenBudget(budget))
 		defer cancel()
 	}
 
 	dispatchStart := time.Now()
-	dispatcher := func(env *soap.Envelope) (*soap.Envelope, *soap.Fault) {
-		return s.dispatch(ctx, env, defaultService, req.Target)
-	}
-	if len(s.cfg.Interceptors) > 0 {
-		info := &RequestInfo{Target: req.Target, DefaultService: defaultService, Version: env.Version}
-		dispatcher = buildChain(s.cfg.Interceptors, info, dispatcher)
-	}
-	respEnv, fault := dispatcher(env)
-	dispatchDur := time.Since(dispatchStart)
+	resp, respEnv, encInDispatch, fault := s.dispatch(ctx, d, headers, defaultService, req.Target)
+	// Encoding interleaved with the dispatch (the packed assembler) is
+	// attributed to the encode phase, not the dispatch phase.
+	dispatchDur := time.Since(dispatchStart) - encInDispatch
 	s.phaseDispatch.Record(dispatchDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageDispatch,
@@ -543,14 +516,15 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	if fault != nil {
 		return s.faultResponse(fault, env.Version)
 	}
-	if respEnv == nil {
-		return s.faultResponse(soap.ServerFault("interceptor returned no response"), env.Version)
+	encodeStart, encodeDur := dispatchStart, encInDispatch
+	if resp == nil {
+		// Not packed: encode the response envelope, in the version the
+		// request used. (A packed response was assembled during dispatch.)
+		respEnv.Version = env.Version
+		encodeStart = time.Now()
+		resp = s.envelopeResponse(200, respEnv)
+		encodeDur = time.Since(encodeStart)
 	}
-	// Reply in the version the request used.
-	respEnv.Version = env.Version
-	encodeStart := time.Now()
-	resp := s.envelopeResponse(200, respEnv)
-	encodeDur := time.Since(encodeStart)
 	s.phaseEncode.Record(encodeDur)
 	s.encodeIO.Observe(len(resp.Body), encodeDur)
 	if tr.Enabled() {
@@ -558,6 +532,27 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 			ID: -1, Op: req.Target, Start: encodeStart, Service: encodeDur})
 	}
 	return resp
+}
+
+// malformedFault is the whole-message fault for a request document that
+// does not parse as a SOAP envelope.
+func malformedFault(err error) *soap.Fault {
+	return soap.ClientFault("malformed envelope: %v", err)
+}
+
+// shortenBudget applies the DeadlineGrace policy to a propagated budget.
+func (s *Server) shortenBudget(budget time.Duration) time.Duration {
+	grace := s.cfg.DeadlineGrace
+	if grace <= 0 {
+		grace = budget / 5
+		if grace > 100*time.Millisecond {
+			grace = 100 * time.Millisecond
+		}
+	}
+	if budget > grace {
+		budget -= grace
+	}
+	return budget
 }
 
 // traceID parses the SPI-Trace header; zero means absent or malformed.
@@ -659,30 +654,19 @@ func (s *Server) serviceFromPath(target string) (string, bool) {
 	return name, true
 }
 
-// processHeaders runs header processors and enforces mustUnderstand on the
-// buffered path. raw is the request document; the canonical body handed to
-// processors is the verbatim spans of its body entries, scanned from raw —
-// the same bytes the streaming path tees out of its decoder, so signature
-// verification covers identical input no matter which path served the
-// request.
-func (s *Server) processHeaders(env *soap.Envelope, raw []byte) *soap.Fault {
+// verifyHeaders runs header processors over the canonical body — the
+// verbatim wire spans of the body entries, which the (finished) decoder
+// recorded — then enforces mustUnderstand: a mustUnderstand block nobody
+// recognises is a MustUnderstand fault, per SOAP 1.1 §4.2.3. Processor
+// faults take precedence.
+func (s *Server) verifyHeaders(env *soap.Envelope, d *soap.StreamDecoder) *soap.Fault {
+	if len(env.Header) == 0 {
+		return nil
+	}
 	var bodyBytes []byte
 	if len(s.cfg.HeaderProcessors) > 0 {
-		var err error
-		bodyBytes, err = soap.AppendRawBodyEntries(nil, raw)
-		if err != nil {
-			// Unreachable in practice: the envelope already parsed once.
-			return soap.ClientFault("malformed envelope: %v", err)
-		}
+		bodyBytes = canonicalFromSpans(d.BodySpans())
 	}
-	return s.verifyHeaders(env, bodyBytes)
-}
-
-// verifyHeaders runs header processors over the already-computed canonical
-// body, then enforces mustUnderstand: a mustUnderstand block nobody
-// recognises is a MustUnderstand fault, per SOAP 1.1 §4.2.3. Processors
-// run first in both dispatch paths, so their faults take precedence.
-func (s *Server) verifyHeaders(env *soap.Envelope, bodyBytes []byte) *soap.Fault {
 	understood := make(map[*xmldom.Element]bool)
 	for _, h := range env.Header {
 		for _, p := range s.cfg.HeaderProcessors {
@@ -736,39 +720,70 @@ func deadlineBudget(req *httpx.Request) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
-// dispatch interprets the body and executes the request(s). This is the
-// server-side dispatcher of §3.5 plus the assembler of §3.4. target is the
-// HTTP request target, threaded through for EntryInterceptor info.
-func (s *Server) dispatch(ctx context.Context, env *soap.Envelope, defaultService, target string) (*soap.Envelope, *soap.Fault) {
-	if len(env.Body) != 1 {
-		return nil, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+// dispatch decodes the body and executes the request(s): the server-side
+// dispatcher of §3.5. A packed body streams entry by entry and comes back
+// as a ready HTTP response assembled incrementally (dispatchPacked, which
+// also reports the time it spent encoding, for phase attribution). Anything
+// else completes the envelope — consulting the per-entry differential
+// cache — verifies the headers, runs the entry interceptors once, and
+// returns the single or plan response envelope for handle to encode.
+// target is the HTTP request target, for EntryInterceptor info.
+func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, *soap.Envelope, time.Duration, *soap.Fault) {
+	entry, err := d.NextEntryStart()
+	if err != nil {
+		return nil, nil, 0, malformedFault(err)
 	}
-	entry := env.Body[0]
-
-	rctx := &registry.Context{Ctx: ctx, RequestHeaders: env.Header}
-
-	var einfo *EntryInfo
-	if len(s.cfg.EntryInterceptors) > 0 {
-		einfo = &EntryInfo{Target: target, DefaultService: defaultService, Version: env.Version}
-	}
-
-	if isPackedRequest(entry) {
+	rctx := &registry.Context{Ctx: ctx, RequestHeaders: headers}
+	if entry != nil && isPackedRequest(entry) {
 		s.packed.Add(1)
-		return s.dispatchPacked(ctx, entry, rctx, defaultService, einfo)
+		resp, encDur, fault := s.dispatchPacked(ctx, d, entry, rctx, defaultService, target)
+		return resp, nil, encDur, fault
 	}
-	if einfo != nil {
-		// Single call (plain or plan): the entry hook runs exactly once,
-		// mirroring the streaming path.
-		repl, fault := runEntryInterceptors(s.cfg.EntryInterceptors, entry, einfo)
-		if fault != nil {
-			return nil, fault
+	// Not packed: nothing to overlap, so finish decoding first.
+	if entry != nil {
+		if s.diff != nil {
+			raw, err := d.CompleteEntrySpan(entry)
+			if err != nil {
+				return nil, nil, 0, malformedFault(err)
+			}
+			rootTag, bodyTag := d.RawContext()
+			_, err = s.diff.parse(contextSum(rootTag, bodyTag), raw, d.Arena(),
+				func(el *xmldom.Element) { d.ReplaceEntry(entry, el) })
+			if err != nil {
+				return nil, nil, 0, malformedFault(err)
+			}
+		} else if err := d.CompleteEntry(entry); err != nil {
+			return nil, nil, 0, malformedFault(err)
 		}
-		entry = repl
 	}
+	env, err := d.Finish()
+	if err != nil {
+		return nil, nil, 0, malformedFault(err)
+	}
+	// Verify headers now that the document is known well-formed.
+	if fault := s.verifyHeaders(env, d); fault != nil {
+		return nil, nil, 0, fault
+	}
+	if len(env.Body) != 1 {
+		return nil, nil, 0, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+	}
+	entry = env.Body[0]
+	if len(s.cfg.EntryInterceptors) > 0 {
+		var fault *soap.Fault
+		entry, fault = runEntryInterceptors(s.cfg.EntryInterceptors, entry,
+			&EntryInfo{Target: target, DefaultService: defaultService, Version: env.Version})
+		if fault != nil {
+			return nil, nil, 0, fault
+		}
+	}
+	var respEnv *soap.Envelope
+	var fault *soap.Fault
 	if isPlanBody(entry) {
-		return s.dispatchPlan(ctx, entry, rctx, defaultService)
+		respEnv, fault = s.dispatchPlan(ctx, entry, rctx, defaultService)
+	} else {
+		respEnv, fault = s.dispatchSingle(ctx, entry, rctx, defaultService)
 	}
-	return s.dispatchSingle(ctx, entry, rctx, defaultService)
+	return nil, respEnv, 0, fault
 }
 
 // submitApp enqueues one application-stage task, applying the admission
@@ -861,109 +876,6 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 	respEl, err := encodeResponseElement(ns, req.op, res.results)
 	if err != nil {
 		return nil, soap.ServerFault("encoding response: %v", err)
-	}
-	out := soap.New()
-	out.Header = rctx.ResponseHeaders()
-	out.AddBody(respEl)
-	return out, nil
-}
-
-// packedDone carries one finished execution back to the protocol thread
-// with the slot it belongs to in the response.
-type packedDone struct {
-	slot int
-	res  *rpcResult
-}
-
-// dispatchPacked fans a Parallel_Method message out to the application
-// stage and assembles the packed response. The protocol goroutine sleeps
-// until the last worker finishes — the sleep/wake handoff of §3.3 — or
-// until the envelope's deadline fires, in which case it degrades: slots
-// whose work has not completed become per-item Server.Timeout faults while
-// completed companions keep their real results. The done channel is
-// buffered to len(entries) so abandoned workers complete their sends
-// harmlessly after the protocol thread has moved on.
-func (s *Server) dispatchPacked(ctx context.Context, pm *xmldom.Element, rctx *registry.Context, defaultService string, einfo *EntryInfo) (*soap.Envelope, *soap.Fault) {
-	entries := pm.ChildElements()
-	if len(entries) == 0 {
-		return nil, soap.ClientFault("%s has no requests", ElemParallelMethod)
-	}
-
-	results := make([]*rpcResult, len(entries))
-	reqs := make([]*rpcRequest, len(entries))
-	done := make(chan packedDone, len(entries))
-	pending := 0
-	for i, el := range entries {
-		if einfo != nil {
-			ei := *einfo
-			ei.Index, ei.Packed = i, true
-			repl, fault := runEntryInterceptors(s.cfg.EntryInterceptors, el, &ei)
-			if fault != nil {
-				results[i] = &rpcResult{id: i, fault: fault}
-				continue
-			}
-			el = repl
-		}
-		req, fault := decodeRequestElement(el, defaultService, i)
-		if fault != nil {
-			results[i] = &rpcResult{id: i, fault: fault}
-			continue
-		}
-		reqs[i] = req
-		if s.cfg.Coupled || s.appPool == nil {
-			// Traditional architecture: execute serially on this thread,
-			// degrading the remainder once the deadline has passed.
-			if ctx.Err() != nil {
-				results[i] = s.abandonResult(ctx, req)
-				continue
-			}
-			results[i] = s.execute(ctx, req, rctx)
-			continue
-		}
-		slot, r := i, req
-		task := s.appTask(ctx, r, func() { done <- packedDone{slot, s.execute(ctx, r, rctx)} })
-		if err := s.submitApp(task); err != nil {
-			sf := s.admissionFault(err)
-			results[i] = &rpcResult{id: req.id, service: req.service, op: req.op, fault: sf}
-			continue
-		}
-		pending++
-	}
-	for pending > 0 {
-		select {
-		case d := <-done:
-			results[d.slot] = d.res
-			pending--
-		case <-ctx.Done():
-			// Degrade: take whatever has already completed, then turn the
-			// unfinished slots into per-item deadline faults.
-			for drained := false; !drained; {
-				select {
-				case d := <-done:
-					results[d.slot] = d.res
-					pending--
-				default:
-					drained = true
-				}
-			}
-			for i, r := range results {
-				if r == nil {
-					results[i] = s.abandonResult(ctx, reqs[i])
-				}
-			}
-			pending = 0
-		}
-	}
-
-	for _, r := range results {
-		if r.fault != nil {
-			s.itemFaults.Add(1)
-			s.faultCodes.NoteSOAP(r.fault)
-		}
-	}
-	respEl, err := buildPackedResponse(results, s.namespaceOf)
-	if err != nil {
-		return nil, soap.ServerFault("assembling packed response: %v", err)
 	}
 	out := soap.New()
 	out.Header = rctx.ResponseHeaders()

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/soap"
 	"repro/internal/soapenc"
-	"repro/internal/xmldom"
 )
 
 const testEnv11 = `<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/">`
@@ -28,57 +27,6 @@ func postRaw(t *testing.T, sys *system, doc string) (int, *soap.Envelope) {
 	return resp.StatusCode, env
 }
 
-// TestStreamPathActive pins the gate: everything streams except
-// whole-envelope interceptors and the explicit opt-out. Differential
-// deserialization, header processors and entry interceptors all run at
-// entry/token granularity on the streaming path.
-func TestStreamPathActive(t *testing.T) {
-	mk := func(mutate func(*ServerConfig)) *Server {
-		cfg := ServerConfig{Container: newEchoContainer(t)}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		srv, err := NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return srv
-	}
-	if !mk(nil).canStream() {
-		t.Error("default config does not stream")
-	}
-	if !mk(func(c *ServerConfig) { c.DifferentialDeserialization = true }).canStream() {
-		t.Error("differential deserialization fell off the streaming path")
-	}
-	if !mk(func(c *ServerConfig) { c.HeaderProcessors = []HeaderProcessor{nopHeaderProcessor{}} }).canStream() {
-		t.Error("header processors fell off the streaming path")
-	}
-	if !mk(func(c *ServerConfig) {
-		c.EntryInterceptors = []EntryInterceptor{func(e *xmldom.Element, _ *EntryInfo) (*xmldom.Element, *soap.Fault) {
-			return nil, nil
-		}}
-	}).canStream() {
-		t.Error("entry interceptors fell off the streaming path")
-	}
-	passthrough := func(env *soap.Envelope, info *RequestInfo, next Dispatcher) (*soap.Envelope, *soap.Fault) {
-		return next(env)
-	}
-	if mk(func(c *ServerConfig) { c.Interceptors = []Interceptor{passthrough} }).canStream() {
-		t.Error("whole-envelope interceptors did not disable streaming")
-	}
-	if mk(func(c *ServerConfig) { c.BufferedDispatch = true }).canStream() {
-		t.Error("BufferedDispatch did not disable streaming")
-	}
-}
-
-type nopHeaderProcessor struct{}
-
-func (nopHeaderProcessor) HeaderName() (string, string) { return "urn:nop", "nop" }
-func (nopHeaderProcessor) ProcessHeader(_ *xmldom.Element, _ []byte) error {
-	return nil
-}
-
 // TestStreamArenaIsolationE2E is the end-to-end leak check: many sequential
 // and concurrent packed requests with distinct payloads over one server,
 // every response carrying exactly its own request's values. Arena recycling
@@ -86,9 +34,6 @@ func (nopHeaderProcessor) ProcessHeader(_ *xmldom.Element, _ []byte) error {
 // another's response. Run with -race to catch pool misuse.
 func TestStreamArenaIsolationE2E(t *testing.T) {
 	sys := newSystem(t, nil)
-	if !sys.server.canStream() {
-		t.Fatal("test system not on the streaming path")
-	}
 	const rounds, width = 20, 8
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -123,13 +68,13 @@ func TestStreamArenaIsolationE2E(t *testing.T) {
 	}
 	wg.Wait()
 	if st := sys.server.Stats(); st.PackedMessages == 0 {
-		t.Error("no packed messages recorded — fast path untested")
+		t.Error("no packed messages recorded — packed dispatch untested")
 	}
 }
 
-// TestStreamMalformedTailFault checks response parity on documents whose
-// envelope breaks after well-formed packed entries: the client still sees
-// the buffered path's whole-message malformed-envelope fault.
+// TestStreamMalformedTailFault checks documents whose envelope breaks after
+// well-formed packed entries: the client still sees the whole-message
+// malformed-envelope fault.
 func TestStreamMalformedTailFault(t *testing.T) {
 	sys := newSystem(t, nil)
 	pack := `<spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
@@ -154,9 +99,9 @@ func TestStreamMalformedTailFault(t *testing.T) {
 	}
 }
 
-// TestStreamExtraBodyEntryFault checks the count-parity error: a packed
-// entry followed by a second body entry yields the buffered path's
-// "expected exactly one body entry" fault.
+// TestStreamExtraBodyEntryFault checks the count error: a packed entry
+// followed by a second body entry yields the "expected exactly one body
+// entry" fault.
 func TestStreamExtraBodyEntryFault(t *testing.T) {
 	sys := newSystem(t, nil)
 	doc := testEnv11 + `<SOAP-ENV:Body>` +
@@ -175,13 +120,10 @@ func TestStreamExtraBodyEntryFault(t *testing.T) {
 	}
 }
 
-// TestStreamCoupledPacked runs the streaming path in coupled mode, where
+// TestStreamCoupledPacked runs a packed message in coupled mode, where
 // entries execute serially on the protocol thread as they are decoded.
 func TestStreamCoupledPacked(t *testing.T) {
 	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) { s.Coupled = true })
-	if !sys.server.canStream() {
-		t.Fatal("coupled system should still stream")
-	}
 	batch := sys.client.NewBatch()
 	c1 := batch.Add("Echo", "echo", soapenc.F("a", "1"))
 	c2 := batch.Add("Echo", "fail")

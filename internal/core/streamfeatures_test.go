@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
 	"repro/internal/wsse"
@@ -12,12 +15,13 @@ import (
 	"repro/internal/xmltext"
 )
 
-// This file is the parity suite for the unified fast path: every feature
-// combination that used to force buffered dispatch now streams, and the
-// responses must match the goldens under testdata/parity/ — captured from
-// the buffered pipeline — byte for byte, across WSSE, the per-entry
+// This file is the parity suite for the server's one dispatch pipeline:
+// under every feature combination the responses must match the goldens
+// under testdata/parity/ byte for byte — across WSSE, the per-entry
 // differential cache, entry interceptors, both SOAP versions, and single,
-// packed and fault-producing bodies.
+// packed and fault-producing bodies. The goldens were captured from the
+// buffered whole-envelope pipeline before it was deleted, so they pin the
+// streaming server to what that oracle answered.
 
 // parityFeatures is one cell of the server-feature matrix.
 type parityFeatures struct {
@@ -39,7 +43,7 @@ var parityMatrix = []parityFeatures{
 var paritySecret = []byte("parity-shared-secret")
 
 // parityEntryInterceptors: one rejecting hook and one rewriting hook, both
-// deterministic so streamed and buffered dispatch see identical behaviour.
+// deterministic.
 func parityEntryInterceptors() []EntryInterceptor {
 	deny := func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
 		if entry.Name.Local == "deny" {
@@ -64,9 +68,8 @@ func parityEntryInterceptors() []EntryInterceptor {
 	return []EntryInterceptor{deny, rewrite}
 }
 
-func parityConfig(f parityFeatures, buffered bool) func(*ServerConfig, *ClientConfig) {
+func parityConfig(f parityFeatures) func(*ServerConfig, *ClientConfig) {
 	return func(s *ServerConfig, c *ClientConfig) {
-		s.BufferedDispatch = buffered
 		s.DifferentialDeserialization = f.diff
 		if f.wsse {
 			s.HeaderProcessors = []HeaderProcessor{&wsse.Verifier{
@@ -103,7 +106,7 @@ func parityPacked(entries ...*xmldom.Element) *xmldom.Element {
 
 // parityDoc serializes a request document, signing it when sign is set. The
 // signature covers canonicalBody — the same bytes the wire carries, which
-// is exactly what the streaming server verifies from its raw spans.
+// is exactly what the server verifies from its raw spans.
 func parityDoc(t *testing.T, v soap.Version, sign bool, body ...*xmldom.Element) []byte {
 	t.Helper()
 	env := soap.New()
@@ -127,35 +130,9 @@ func parityDoc(t *testing.T, v soap.Version, sign bool, body ...*xmldom.Element)
 	return out
 }
 
-// paritySystems starts the servers one feature cell is asserted on. The
-// goldens under testdata/parity/ were captured from the buffered server
-// (listed first, so it is the one -update writes from).
-func paritySystems(t *testing.T, f parityFeatures) []paritySystem {
+// parityGolden pins one response body under testdata/parity/.
+func parityGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	streamed := newSystem(t, parityConfig(f, false))
-	buffered := newSystem(t, parityConfig(f, true))
-	if !streamed.server.canStream() {
-		t.Fatalf("%s: server fell off the streaming path", f.name)
-	}
-	if buffered.server.canStream() {
-		t.Fatal("BufferedDispatch server still streams")
-	}
-	return []paritySystem{{"buffered", buffered}, {"streamed", streamed}}
-}
-
-type paritySystem struct {
-	path string
-	sys  *system
-}
-
-// parityGolden pins one response body under testdata/parity/. Only the
-// first system of a paritySystems list (index 0) rewrites it on -update;
-// the others are always compared.
-func parityGolden(t *testing.T, index int, name string, got []byte) {
-	t.Helper()
-	if *updateGolden && index > 0 {
-		return
-	}
 	testdataGolden(t, "parity", name, got)
 }
 
@@ -221,7 +198,7 @@ func TestUnifiedFastPathParity(t *testing.T) {
 	for _, f := range parityMatrix {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			systems := paritySystems(t, f)
+			sys := newSystem(t, parityConfig(f))
 			cases := parityCases
 			if f.entry {
 				cases = append(cases[:len(cases):len(cases)], parityEntryCases...)
@@ -232,23 +209,20 @@ func TestUnifiedFastPathParity(t *testing.T) {
 					// regenerate, while the entries themselves repeat — round
 					// two exercises the differential cache's hit path.
 					for round := 0; round < 2; round++ {
-						for i, ps := range systems {
-							doc := parityDoc(t, v, f.wsse, tc.body(t)...)
-							code, body := postDoc(t, ps.sys, tc.target, v, doc)
-							if code != tc.status {
-								t.Errorf("%v/%s round %d (%s): status %d, want %d", v, tc.name, round, ps.path, code, tc.status)
-							}
-							parityGolden(t, i, tc.name+"_"+corpusSuffix(v), body)
+						doc := parityDoc(t, v, f.wsse, tc.body(t)...)
+						code, body := postDoc(t, sys, tc.target, v, doc)
+						if code != tc.status {
+							t.Errorf("%v/%s round %d: status %d, want %d", v, tc.name, round, code, tc.status)
 						}
+						parityGolden(t, tc.name+"_"+corpusSuffix(v), body)
 					}
 				}
 			}
 			if f.diff {
 				// The per-entry cache must see both rounds: a miss, then a hit
-				// (the buffered whole-body cache never hits under WSSE nonces).
-				ps := systems[len(systems)-1]
-				if st := ps.sys.server.Stats(); st.DiffHits == 0 || st.DiffMisses == 0 {
-					t.Errorf("%s: diff cache hits %d misses %d, want both rounds exercised", ps.path, st.DiffHits, st.DiffMisses)
+				// — WSSE nonces notwithstanding.
+				if st := sys.server.Stats(); st.DiffHits == 0 || st.DiffMisses == 0 {
+					t.Errorf("diff cache hits %d misses %d, want both rounds exercised", st.DiffHits, st.DiffMisses)
 				}
 			}
 		})
@@ -291,29 +265,109 @@ func TestStreamedWSSERejectsTamper(t *testing.T) {
 	} {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			systems := paritySystems(t, f)
+			sys := newSystem(t, parityConfig(f))
 			for _, v := range []soap.Version{soap.V11, soap.V12} {
 				for _, tc := range parityTamperBodies {
-					for i, ps := range systems {
-						code, body := postDoc(t, ps.sys, tc.target, v, tamperDoc(t, v, tc))
-						if code != 500 || !bytes.Contains(body, []byte("signature mismatch")) {
-							t.Errorf("%v/%s (%s): tampered request not rejected: %d %s", v, tc.name, ps.path, code, body)
-						}
-						parityGolden(t, i, "wsse-tamper_"+corpusSuffix(v), body)
-
-						doc := parityDoc(t, v, true, tc.body(t)...)
-						if code, body := postDoc(t, ps.sys, tc.target, v, doc); code != 200 {
-							t.Fatalf("%v/%s (%s): first delivery failed: %d %s", v, tc.name, ps.path, code, body)
-						}
-						code, body = postDoc(t, ps.sys, tc.target, v, doc)
-						if code != 500 || !bytes.Contains(body, []byte("replayed nonce")) {
-							t.Errorf("%v/%s (%s): replayed request not rejected: %d %s", v, tc.name, ps.path, code, body)
-						}
-						parityGolden(t, i, "wsse-replay_"+corpusSuffix(v), body)
+					code, body := postDoc(t, sys, tc.target, v, tamperDoc(t, v, tc))
+					if code != 500 || !bytes.Contains(body, []byte("signature mismatch")) {
+						t.Errorf("%v/%s: tampered request not rejected: %d %s", v, tc.name, code, body)
 					}
+					parityGolden(t, "wsse-tamper_"+corpusSuffix(v), body)
+
+					doc := parityDoc(t, v, true, tc.body(t)...)
+					if code, body := postDoc(t, sys, tc.target, v, doc); code != 200 {
+						t.Fatalf("%v/%s: first delivery failed: %d %s", v, tc.name, code, body)
+					}
+					code, body = postDoc(t, sys, tc.target, v, doc)
+					if code != 500 || !bytes.Contains(body, []byte("replayed nonce")) {
+						t.Errorf("%v/%s: replayed request not rejected: %d %s", v, tc.name, code, body)
+					}
+					parityGolden(t, "wsse-replay_"+corpusSuffix(v), body)
 				}
 			}
 		})
+	}
+}
+
+// TestRejectedSignedBatchRunsNothing pins authenticate-then-act: a signed
+// packed batch that fails header verification — body tampered in flight, or
+// a replayed nonce — executes none of its entries. The response is only
+// written after verification, so the handler-side counter and
+// Stats().Requests are final by the time it is read: no sleeps.
+func TestRejectedSignedBatchRunsNothing(t *testing.T) {
+	for _, diff := range []bool{false, true} {
+		for _, coupled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("diff=%v/coupled=%v", diff, coupled), func(t *testing.T) {
+				var ran atomic.Int64
+				sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
+					parityConfig(parityFeatures{wsse: true, diff: diff})(s, c)
+					s.Coupled = coupled
+					echo, _ := s.Container.Service("Echo")
+					echo.MustRegister("count", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
+						ran.Add(1)
+						return params, nil
+					}, "counts its executions")
+				})
+				counted := func(t *testing.T) []*xmldom.Element {
+					return []*xmldom.Element{parityPacked(
+						parityEcho(t, "count", "tamper-target"),
+						parityEcho(t, "count", "bystander"),
+					)}
+				}
+				for _, v := range []soap.Version{soap.V11, soap.V12} {
+					tampered := tamperDoc(t, v, parityCase{body: counted})
+					code, body := postDoc(t, sys, "/services/", v, tampered)
+					if code != 500 {
+						t.Errorf("%v: tampered batch status %d, want 500", v, code)
+					}
+					parityGolden(t, "wsse-tamper_"+corpusSuffix(v), body)
+					if n, reqs := ran.Load(), sys.server.Stats().Requests; n != 0 || reqs != 0 {
+						t.Fatalf("%v: tampered batch ran %d operations (Requests %d), want 0", v, n, reqs)
+					}
+				}
+				for _, v := range []soap.Version{soap.V11, soap.V12} {
+					before := sys.server.Stats().Requests
+					doc := parityDoc(t, v, true, counted(t)...)
+					if code, body := postDoc(t, sys, "/services/", v, doc); code != 200 {
+						t.Fatalf("%v: first delivery failed: %d %s", v, code, body)
+					}
+					if n, reqs := ran.Swap(0), sys.server.Stats().Requests-before; n != 2 || reqs != 2 {
+						t.Fatalf("%v: verified batch ran %d operations (Requests +%d), want 2", v, n, reqs)
+					}
+					code, body := postDoc(t, sys, "/services/", v, doc)
+					if code != 500 {
+						t.Errorf("%v: replayed batch status %d, want 500", v, code)
+					}
+					parityGolden(t, "wsse-replay_"+corpusSuffix(v), body)
+					if n, reqs := ran.Load(), sys.server.Stats().Requests-before; n != 0 || reqs != 2 {
+						t.Fatalf("%v: replayed batch ran %d operations (Requests +%d), want 0 and +2", v, n, reqs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMustUnderstandBatchRunsNothing is the same property without any
+// processor configured: a packed batch carrying a mustUnderstand header
+// nobody recognises is rejected before any of its entries executes.
+func TestMustUnderstandBatchRunsNothing(t *testing.T) {
+	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		doc := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `">` +
+			`<SOAP-ENV:Header><x:token xmlns:x="urn:corpus" SOAP-ENV:mustUnderstand="1"/></SOAP-ENV:Header>` +
+			`<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
+			`<m:echo xmlns:m="urn:spi:Echo" spi:id="0" spi:service="Echo"/>` +
+			`<m:echo xmlns:m="urn:spi:Echo" spi:id="1" spi:service="Echo"/>` +
+			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`
+		code, body := postDoc(t, sys, "/services/", v, []byte(doc))
+		if code != 500 {
+			t.Errorf("%v: status %d, want 500", v, code)
+		}
+		corpusGolden(t, "must_understand_"+corpusSuffix(v), body)
+		if reqs := sys.server.Stats().Requests; reqs != 0 {
+			t.Fatalf("%v: rejected batch ran %d operations, want 0", v, reqs)
+		}
 	}
 }
 

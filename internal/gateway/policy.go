@@ -110,41 +110,27 @@ func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
 		sh.entries = append(sh.entries, e)
 	}
 	switch g.cfg.Policy {
-	case LeastLoaded:
+	case LeastLoaded, Weighted:
 		// Snapshot in-flight ENTRY counts once and add this batch's own
 		// assignments on top, so one request doesn't dog-pile the backend
 		// that merely happened to be idle at the first entry. Entries, not
 		// sub-batches: a 1-entry shard and a 5-entry shard are one exchange
 		// each but very different amounts of outstanding work.
-		load := make([]int64, len(candidates))
-		for i, b := range candidates {
-			load[i] = b.entriesInflight.Load()
-		}
-		for _, e := range entries {
-			if e.Fault != nil {
-				continue
-			}
-			min := 0
-			for i := 1; i < len(candidates); i++ {
-				if load[i] < load[min] {
-					min = i
-				}
-			}
-			place(e, candidates[min])
-			load[min]++
-		}
-	case Weighted:
-		// Lowest load-per-effective-weight wins: compare
-		// (load+1)/effWeight by cross-multiplication, keeping the
+		//
+		// Lowest load-per-effective-weight wins, scanning first-min:
+		// compare (load+1)/effWeight by cross-multiplication, keeping the
 		// assignment loop in exact integer arithmetic. The +1 counts the
-		// entry being placed, so with equal effective weights the ordering
-		// — and therefore every pick, scanning first-min like LeastLoaded —
-		// is identical to LeastLoaded (pinned by TestDifferentialWeighted).
+		// entry being placed. LeastLoaded is the same loop with every
+		// effective weight 1, where the comparison reduces to load[i] <
+		// load[min] (pinned by TestDifferentialWeighted).
 		load := make([]int64, len(candidates))
 		eff := make([]int64, len(candidates))
 		for i, b := range candidates {
 			load[i] = b.entriesInflight.Load()
-			eff[i] = b.effectiveWeight()
+			eff[i] = 1
+			if g.cfg.Policy == Weighted {
+				eff[i] = b.effectiveWeight()
+			}
 		}
 		for _, e := range entries {
 			if e.Fault != nil {

@@ -332,6 +332,12 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 // upstream-unavailable (Server.Busy on the wire) — the work never produced
 // a response, and re-sending the entry is the client's call.
 func shardFault(ctx context.Context, e *core.ScatterEntry, err error) *soap.Fault {
+	// The exchange's connection deadline is the context's deadline, and its
+	// i/o timeout can surface a moment before the context's own timer has
+	// run: once the deadline has passed, let the context say so.
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		<-ctx.Done()
+	}
 	if ctx.Err() != nil {
 		return degradeFault(ctx, e)
 	}

@@ -11,7 +11,7 @@ import (
 
 // StreamDecoder decodes a SOAP envelope incrementally: the preamble
 // (root, headers, Body start) first, then one body entry — or one child of
-// a body entry — at a time. The server's packed-request fast path uses it
+// a body entry — at a time. The server's packed-request dispatch uses it
 // to hand each Parallel_Method entry to the application stage as soon as
 // its subtree closes, instead of waiting for the whole envelope.
 //
@@ -76,7 +76,7 @@ func NewStreamDecoder(r io.Reader, a *xmldom.Arena) *StreamDecoder {
 }
 
 // streamDecoderPool recycles StreamDecoders (and, through them, pooled
-// tokenizers) across requests on the server's streaming fast path.
+// tokenizers) across requests on the server's decode path.
 var streamDecoderPool = sync.Pool{New: func() any { return &StreamDecoder{} }}
 
 // AcquireStreamDecoder is NewStreamDecoder over an in-memory document on
@@ -485,45 +485,11 @@ func (d *StreamDecoder) wrapTokenErr(err error) error {
 
 var errEmptyEnvelope = fmt.Errorf("empty document")
 
-// AppendRawBodyEntries appends the verbatim byte spans of doc's top-level
-// Body entries to dst and returns it. This is the canonical body as header
-// processors see it on the streaming path (BodySpans concatenated); the
-// buffered dispatch path calls it so signature verification covers the
-// same bytes no matter which path a request took. The scan tokenizes the
-// whole document (tail included) but builds DOM nodes only for the
-// preamble.
-func AppendRawBodyEntries(dst []byte, doc []byte) ([]byte, error) {
-	d := AcquireStreamDecoder(doc, nil)
-	defer d.Release()
-	if err := d.ReadPreamble(); err != nil {
-		return dst, err
-	}
-	for {
-		el, err := d.NextEntryStart()
-		if err != nil {
-			return dst, err
-		}
-		if el == nil {
-			break
-		}
-		if _, err := d.CompleteEntrySpan(el); err != nil {
-			return dst, err
-		}
-	}
-	if _, err := d.Finish(); err != nil {
-		return dst, err
-	}
-	for _, s := range d.BodySpans() {
-		dst = append(dst, s...)
-	}
-	return dst, nil
-}
-
 // DecodeArena is Decode with arena allocation: the whole tree is parsed
-// into a before envelope interpretation. It is the buffered counterpart of
-// StreamDecoder for paths (differential cache, canonicalization) that need
-// the complete document up front, and the fast path for clients decoding
-// responses they fully consume before releasing the arena.
+// into a before envelope interpretation. It is the whole-document
+// counterpart of StreamDecoder, for callers that need the complete tree up
+// front — clients decoding responses they fully consume before releasing
+// the arena.
 func DecodeArena(r io.Reader, a *xmldom.Arena) (*Envelope, error) {
 	root, err := xmldom.ParseInArena(r, a)
 	if err != nil {

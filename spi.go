@@ -233,16 +233,9 @@ type (
 	// TemplateCacheStats counts client template-cache behaviour (the
 	// ClientConfig.TemplateCache optimization).
 	TemplateCacheStats = msgcache.Stats
-	// Interceptor wraps server envelope dispatch — the Axis handler-chain
-	// extension point (ServerConfig.Interceptors).
-	Interceptor = core.Interceptor
-	// InterceptorDispatcher continues processing inside an Interceptor.
-	InterceptorDispatcher = core.Dispatcher
-	// RequestInfo describes the message an Interceptor is seeing.
-	RequestInfo = core.RequestInfo
-	// EntryInterceptor hooks each body entry on the streaming fast path
-	// (ServerConfig.EntryInterceptors); unlike Interceptor it does not
-	// force buffered dispatch.
+	// EntryInterceptor hooks each body entry as the server decodes it —
+	// the Axis handler-chain extension point
+	// (ServerConfig.EntryInterceptors).
 	EntryInterceptor = core.EntryInterceptor
 	// EntryInfo describes the entry an EntryInterceptor is seeing.
 	EntryInfo = core.EntryInfo
@@ -255,10 +248,6 @@ type (
 // DefaultRetryPolicy returns the recommended retry policy: 3 attempts,
 // 20ms base delay doubling to a 2s cap, 20% jitter.
 func DefaultRetryPolicy() *RetryPolicy { return core.DefaultRetryPolicy() }
-
-// EntrySafe adapts an entry-safe whole-envelope Interceptor onto the
-// entry-granular hook, keeping it on the streaming fast path.
-func EntrySafe(ic Interceptor) EntryInterceptor { return core.EntrySafe(ic) }
 
 // NewClient builds a client.
 func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
