@@ -3,18 +3,20 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults docs-check
+.PHONY: check build vet test race race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults docs-check
 
-## check: the full gate — build, vet, race-enabled shuffled tests,
-## pool-lifecycle tests under -race, the gateway differential/chaos suite
-## under -race, the cluster control-plane tier under -race, the transport
-## tier (pipelining + C10k soak) under -race, the dispatch-pipeline parity
-## suite under -race, the encode-path escape audit, the docs link audit,
-## and the perf-regression gate vs the baseline chain.
+## check: the full gate — build, vet, race-enabled shuffled tests, the
+## lock-free latency recorder under -race, pool-lifecycle tests under
+## -race, the gateway differential/chaos suite under -race, the cluster
+## control-plane tier under -race, the transport tier (pipelining + C10k
+## soak) under -race, the dispatch-pipeline parity suite under -race, the
+## encode-path escape audit, the docs link audit, and the perf-regression
+## gate vs the baseline chain.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
+	$(MAKE) race-metrics
 	$(MAKE) race-pools
 	$(MAKE) race-gateway
 	$(MAKE) race-controlplane
@@ -38,6 +40,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## race-metrics: the latency recorder has no lock to hide behind — writers,
+## Snapshot and Reset race on bare atomics, so its suite gets extra runs.
+race-metrics:
+	$(GO) test -race -count=3 ./internal/metrics
 
 ## race-pools: hammer the recycled-memory surfaces (arena, buffer pool,
 ## interning, streaming decode) under the race detector with extra runs.
@@ -109,12 +116,14 @@ bench-check:
 
 ## bench-gate: fail if the key benchmarks regressed vs the baseline chain
 ## (first file that records a benchmark wins, so each benchmark keeps the
-## baseline of the PR that introduced it). Short benchtime keeps the gate
-## fast; the wide tolerance absorbs machine noise while still catching
-## step-function regressions.
+## baseline of the PR that introduced it). BENCH_pr13.json heads the chain:
+## it is the first snapshot that says which machine it was taken on, and it
+## re-records every row on the box the gate runs on. Short benchtime keeps
+## the gate fast; the wide tolerance absorbs machine noise while still
+## catching step-function regressions.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr9.json,BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json -tolerance 35
+		-baseline BENCH_pr13.json,BENCH_pr9.json,BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:

@@ -35,6 +35,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/metrics"
 	"repro/internal/msgcache"
 	"repro/internal/netsim"
 	"repro/internal/soap"
@@ -58,7 +59,31 @@ type Result struct {
 type Report struct {
 	GoVersion string   `json:"go_version"`
 	Benchtime string   `json:"benchtime"`
+	Machine   Machine  `json:"machine"`
 	Results   []Result `json:"results"`
+}
+
+// Machine says what a snapshot was measured on: ns/op from two different
+// boxes do not gate each other (snapshots before PR 13 carry none).
+type Machine struct {
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	Kernel     string `json:"kernel"`
+}
+
+func readMachine() Machine {
+	m := Machine{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), CPUModel: "unknown", Kernel: "unknown"}
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		if _, rest, ok := strings.Cut(string(raw), "model name"); ok {
+			line, _, _ := strings.Cut(rest, "\n")
+			m.CPUModel = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), ":"))
+		}
+	}
+	if raw, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
+		m.Kernel = strings.TrimSpace(string(raw))
+	}
+	return m
 }
 
 func measure(name string, fn func(b *testing.B)) Result {
@@ -92,7 +117,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	report := Report{Benchtime: benchtime.String()}
+	report := Report{Benchtime: benchtime.String(), Machine: readMachine()}
 	add := func(r Result) { report.Results = append(report.Results, r) }
 
 	// --- codec micro-benchmarks ---------------------------------------
@@ -190,6 +215,52 @@ func main() {
 			tr.Record(span)
 		}
 	}))
+
+	// --- latency telemetry ---------------------------------------------
+	// What every operation execution and every envelope pays to be timed:
+	// record must stay at 0 allocs/op, and a snapshot must cost the same
+	// however many samples went in.
+	add(measure("metrics/record", func(b *testing.B) {
+		var rec metrics.Recorder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rec.Record(time.Duration(i) * time.Microsecond)
+		}
+	}))
+	add(measure("metrics/record-parallel", func(b *testing.B) {
+		// The application stage's shape: 32 workers, 4 operations.
+		var recs [4]metrics.Recorder
+		const workers = 32
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < b.N; i += workers {
+					recs[w%len(recs)].Record(time.Duration(i) * time.Microsecond)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}))
+	for _, tc := range []struct {
+		name    string
+		samples int
+	}{{"metrics/snapshot-after-1k", 1000}, {"metrics/snapshot-after-1M", 1_000_000}} {
+		var rec metrics.Recorder
+		for i := 0; i < tc.samples; i++ {
+			rec.Record(time.Duration(i) * time.Microsecond)
+		}
+		add(measure(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if rec.Snapshot().Count != tc.samples {
+					b.Fatal("snapshot lost samples")
+				}
+			}
+		}))
+	}
 
 	// --- end-to-end hot paths -----------------------------------------
 	arg := soapenc.F("data", strings.Repeat("a", 10))
@@ -442,10 +513,16 @@ func compare(spec string, cur Report, tolerance float64) error {
 		if err := json.Unmarshal(blob, &base); err != nil {
 			return fmt.Errorf("baseline %s: %w", path, err)
 		}
+		adopted := 0
 		for _, r := range base.Results {
 			if _, ok := byName[r.Name]; !ok {
 				byName[r.Name] = r
+				adopted++
 			}
+		}
+		if adopted > 0 && base.Machine != cur.Machine {
+			fmt.Printf("note: %d baseline(s) come from %s, measured on another machine or on none it records (%+v)\n",
+				adopted, path, base.Machine)
 		}
 	}
 	limit := 1 + tolerance/100

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -214,15 +213,14 @@ type Server struct {
 	phaseEncode   metrics.Recorder
 	encodeIO      metrics.StageIO
 
-	// Per-operation execution timings. Keyed by a struct so the hot-path
-	// lookup never builds a "Service.operation" string; Stats renders the
-	// dotted form only when a snapshot is taken.
-	opMu    sync.Mutex
-	opStats map[opKey]*metrics.Recorder
+	// Per-operation execution timings, copy-on-write: an execution finds its
+	// recorder with one atomic load and a pointer-keyed lookup, and only the
+	// first execution of an operation publishes a new map. The container
+	// never drops an operation, so the map is bounded by what is deployed.
+	opStats atomic.Pointer[opRecorders]
 }
 
-// opKey identifies one operation of one service.
-type opKey struct{ service, op string }
+type opRecorders map[*registry.Operation]*metrics.Recorder
 
 // NewServer builds a server from the configuration.
 func NewServer(cfg ServerConfig) (*Server, error) {
@@ -242,6 +240,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.PathPrefix += "/"
 	}
 	s := &Server{cfg: cfg}
+	s.opStats.Store(&opRecorders{})
 	if !cfg.Coupled {
 		if cfg.AdaptiveAppStage {
 			min := cfg.AppWorkersMin
@@ -392,31 +391,32 @@ func (s *Server) Stats() ServerStats {
 	st.DispatchPhase = s.phaseDispatch.Snapshot()
 	st.EncodePhase = s.phaseEncode.Snapshot()
 	st.EncodeIO = s.encodeIO.Snapshot()
-	s.opMu.Lock()
-	if len(s.opStats) > 0 {
-		st.Operations = make(map[string]metrics.Summary, len(s.opStats))
-		for k, r := range s.opStats {
-			st.Operations[k.service+"."+k.op] = r.Snapshot()
+	if ops := *s.opStats.Load(); len(ops) > 0 {
+		st.Operations = make(map[string]metrics.Summary, len(ops))
+		for op, r := range ops {
+			st.Operations[op.Service+"."+op.Name] = r.Snapshot()
 		}
 	}
-	s.opMu.Unlock()
 	return st
 }
 
 // recordOp accumulates one operation execution time.
-func (s *Server) recordOp(service, op string, d time.Duration) {
-	key := opKey{service, op}
-	s.opMu.Lock()
-	if s.opStats == nil {
-		s.opStats = make(map[opKey]*metrics.Recorder)
+func (s *Server) recordOp(op *registry.Operation, d time.Duration) {
+	for {
+		cur := s.opStats.Load()
+		if r := (*cur)[op]; r != nil {
+			r.Record(d)
+			return
+		}
+		// First execution of op: publish a copy that has it, then look
+		// again — whether this goroutine's copy won or another's did.
+		next := make(opRecorders, len(*cur)+1)
+		for k, r := range *cur {
+			next[k] = r
+		}
+		next[op] = &metrics.Recorder{}
+		s.opStats.CompareAndSwap(cur, &next)
 	}
-	r := s.opStats[key]
-	if r == nil {
-		r = &metrics.Recorder{}
-		s.opStats[key] = r
-	}
-	s.opMu.Unlock()
-	r.Record(d)
 }
 
 // handle is the protocol-stage entry point: it runs on the connection's
@@ -925,7 +925,7 @@ func (s *Server) execute(ctx context.Context, req *rpcRequest, rctx *registry.Co
 	if cancel == nil {
 		// No per-operation deadline: invoke inline.
 		results, fault := registry.Invoke(op, invCtx, req.params)
-		s.recordOp(req.service, req.op, time.Since(execStart))
+		s.recordOp(op, time.Since(execStart))
 		return s.finishExecute(res, rctx, invCtx, results, fault)
 	}
 	// Per-operation watchdog: invoke on a helper goroutine so an
@@ -944,13 +944,13 @@ func (s *Server) execute(ctx context.Context, req *rpcRequest, rctx *registry.Co
 		// Classify the outcome before cancel(): cancelling first would make
 		// finishExecute read a context error we caused ourselves and rewrite
 		// a genuine application fault as Server.Cancelled.
-		s.recordOp(req.service, req.op, time.Since(execStart))
+		s.recordOp(op, time.Since(execStart))
 		out := s.finishExecute(res, rctx, invCtx, o.results, o.fault)
 		cancel()
 		return out
 	case <-opCtx.Done():
 		cancel()
-		s.recordOp(req.service, req.op, time.Since(execStart))
+		s.recordOp(op, time.Since(execStart))
 		if errors.Is(ctx.Err(), context.Canceled) {
 			s.resil.Cancellations.Inc()
 			res.fault = fault.ToSOAP(fault.Cancelledf(

@@ -6,13 +6,16 @@ import (
 	"time"
 )
 
-// Histogram accumulates duration samples into power-of-two buckets. Unlike
-// Recorder it never allocates per sample and every operation is a handful
-// of atomic adds, so it is safe to leave on a hot path (the per-stage
-// latency instrumentation records into histograms on every hop). Bucket i
-// holds samples whose nanosecond count has bit length i, i.e. the range
-// [2^(i-1), 2^i); quantiles are therefore exact to within a factor of two,
-// which is enough to tell a 100µs parse stage from a 10ms one.
+// Histogram accumulates duration samples into power-of-two buckets, 552
+// bytes whatever the sample count. It never allocates per sample and every
+// operation is a handful of atomic adds, so it is safe to leave on a hot
+// path (the per-stage latency instrumentation records into histograms on
+// every hop).
+// Bucket i holds samples whose nanosecond count has bit length i, i.e. the
+// range [2^(i-1), 2^i). Count, Sum, Mean, Min and Max are exact; quantiles
+// are the bucket's upper bound, so they overstate the nearest-rank sample
+// by up to a factor of two — enough to tell a 100µs parse stage from a
+// 10ms one.
 //
 // The zero value is ready. Safe for concurrent use.
 type Histogram struct {
@@ -38,12 +41,7 @@ func (h *Histogram) Observe(d time.Duration) {
 			break
 		}
 	}
-	for {
-		cur := h.max.Load()
-		if cur >= ns || h.max.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
+	atomicMax(&h.max, ns)
 }
 
 // HistogramSummary is a point-in-time digest of a Histogram. Quantiles are
@@ -83,14 +81,11 @@ func (h *Histogram) Snapshot() HistogramSummary {
 // quantile returns the upper bound of the bucket containing the p-quantile
 // sample (nearest rank), clamped to the observed maximum.
 func quantile(counts *[65]int64, total int64, p float64, max time.Duration) time.Duration {
-	rank := int64(p*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
+	target := rank(p, total)
 	var cum int64
 	for i, c := range counts {
 		cum += c
-		if cum >= rank {
+		if cum >= target {
 			if i == 0 {
 				return 0
 			}
@@ -118,12 +113,7 @@ func (g *Gauge) Set(n int64) {
 		return
 	}
 	g.v.Store(n)
-	for {
-		cur := g.peak.Load()
-		if cur >= n || g.peak.CompareAndSwap(cur, n) {
-			return
-		}
-	}
+	atomicMax(&g.peak, n)
 }
 
 // Add adjusts the current value by delta and returns the new value.
@@ -132,12 +122,8 @@ func (g *Gauge) Add(delta int64) int64 {
 		return 0
 	}
 	n := g.v.Add(delta)
-	for {
-		cur := g.peak.Load()
-		if cur >= n || g.peak.CompareAndSwap(cur, n) {
-			return n
-		}
-	}
+	atomicMax(&g.peak, n)
+	return n
 }
 
 // Load returns the current value.

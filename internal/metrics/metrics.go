@@ -8,8 +8,9 @@ package metrics
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -108,17 +109,63 @@ func (s StageIOSummary) String() string {
 	return fmt.Sprintf("bytes=%d ns=%d", s.Bytes, s.Ns)
 }
 
-// Recorder accumulates duration samples. Safe for concurrent use.
+// Recorder accumulates duration samples in constant memory: a log-linear
+// histogram with 32 sub-buckets per power of two, one bucket for every
+// non-negative nanosecond count (15 KiB, fixed at compile time; no sample
+// is retained). Count, Total, Min, Max and Mean are exact. P50/P90/P99 are
+// the midpoint of the bucket holding the nearest-rank sample, clamped to
+// [Min, Max]: exact below 64 ns, within 1/64 (under 1.6 %) of that sample
+// above. Record is lock-free and allocation-free — two atomic adds and two
+// loads unless the sample is a new extreme — and Snapshot costs the same
+// after a million samples as after ten.
+//
+// The zero value is ready. Safe for concurrent use; a Snapshot that
+// overlaps a Record may have that sample in Total, Min and Max but not yet
+// in Count, and a Reset that overlaps one may keep part of it.
 type Recorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
+	buckets [recorderBuckets]atomic.Int64
+	sum     atomic.Int64
+	max     atomic.Int64
+	minInv  atomic.Int64 // math.MaxInt64 − min, so the zero value is "nothing yet"
 }
 
-// Record adds one sample.
+const (
+	recorderSubBits = 5 // 32 sub-buckets per octave
+	recorderBuckets = (64 - recorderSubBits) << recorderSubBits
+)
+
+// recorderBucket maps a nanosecond count to its bucket. Counts below 64
+// get a bucket each; above, the top six significant bits select it.
+func recorderBucket(ns int64) int {
+	e := bits.Len64(uint64(ns)) - (recorderSubBits + 1)
+	if e <= 0 {
+		return int(ns)
+	}
+	return e<<recorderSubBits + int(ns>>uint(e))
+}
+
+// recorderBucketMid is the midpoint of bucket i's value range.
+func recorderBucketMid(i int) time.Duration {
+	e := i>>recorderSubBits - 1
+	if e <= 0 {
+		return time.Duration(i)
+	}
+	mantissa := int64(i&(1<<recorderSubBits-1) | 1<<recorderSubBits)
+	return time.Duration(mantissa<<uint(e) + 1<<uint(e-1))
+}
+
+// Record adds one sample. Negative durations count as zero.
 func (r *Recorder) Record(d time.Duration) {
-	r.mu.Lock()
-	r.samples = append(r.samples, d)
-	r.mu.Unlock()
+	ns := int64(d)
+	if ns < 0 {
+		ns = 0
+	}
+	// The bucket goes last and Snapshot reads buckets first, so every
+	// sample a snapshot counts is already inside its Min, Max and Total.
+	atomicMax(&r.max, ns)
+	atomicMax(&r.minInv, math.MaxInt64-ns)
+	r.sum.Add(ns)
+	r.buckets[recorderBucket(ns)].Add(1)
 }
 
 // Time runs fn and records its wall-clock duration.
@@ -132,12 +179,16 @@ func (r *Recorder) Time(fn func()) time.Duration {
 
 // Reset discards all samples.
 func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.samples = r.samples[:0]
-	r.mu.Unlock()
+	for i := range r.buckets {
+		r.buckets[i].Store(0)
+	}
+	r.sum.Store(0)
+	r.max.Store(0)
+	r.minInv.Store(0)
 }
 
-// Summary is a statistical digest of the recorded samples.
+// Summary is a statistical digest of a sample set. From Summarize every
+// field is exact; from a Recorder the quantiles carry its stated bound.
 type Summary struct {
 	Count int
 	Total time.Duration
@@ -149,15 +200,42 @@ type Summary struct {
 	P99   time.Duration
 }
 
-// Snapshot computes the summary of the samples recorded so far.
+// Snapshot digests the samples recorded so far, in time proportional to
+// the bucket count, not the sample count.
 func (r *Recorder) Snapshot() Summary {
-	r.mu.Lock()
-	samples := append([]time.Duration(nil), r.samples...)
-	r.mu.Unlock()
-	return Summarize(samples)
+	var counts [recorderBuckets]int64
+	var n int64
+	for i := range r.buckets {
+		counts[i] = r.buckets[i].Load()
+		n += counts[i]
+	}
+	if n == 0 {
+		return Summary{}
+	}
+	s := Summary{
+		Count: int(n),
+		Total: time.Duration(r.sum.Load()),
+		Min:   time.Duration(math.MaxInt64 - r.minInv.Load()),
+		Max:   time.Duration(r.max.Load()),
+	}
+	s.Mean = s.Total / time.Duration(n)
+	quantiles := [...]*time.Duration{&s.P50, &s.P90, &s.P99}
+	ranks := [...]int64{rank(0.50, n), rank(0.90, n), rank(0.99, n)}
+	// The counts add up to n and no rank exceeds n, so the walk ends at
+	// the bucket of the largest sample at the latest.
+	var cum int64
+	for i, next := 0, 0; next < len(ranks); i++ {
+		cum += counts[i]
+		for next < len(ranks) && cum >= ranks[next] {
+			*quantiles[next] = min(max(recorderBucketMid(i), s.Min), s.Max)
+			next++
+		}
+	}
+	return s
 }
 
-// Summarize computes a Summary over a sample set.
+// Summarize computes the exact Summary of a sample set: the oracle the
+// Recorder's bucketed quantiles are tested against.
 func Summarize(samples []time.Duration) Summary {
 	s := Summary{Count: len(samples)}
 	if len(samples) == 0 {
@@ -168,29 +246,31 @@ func Summarize(samples []time.Duration) Summary {
 	for _, d := range sorted {
 		s.Total += d
 	}
+	n := int64(len(sorted))
 	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	s.Mean = s.Total / time.Duration(len(sorted))
-	s.P50 = percentile(sorted, 0.50)
-	s.P90 = percentile(sorted, 0.90)
-	s.P99 = percentile(sorted, 0.99)
+	s.Max = sorted[n-1]
+	s.Mean = s.Total / time.Duration(n)
+	s.P50 = sorted[rank(0.50, n)-1]
+	s.P90 = sorted[rank(0.90, n)-1]
+	s.P99 = sorted[rank(0.99, n)-1]
 	return s
 }
 
-// percentile returns the p-quantile of an ascending sample set using the
-// nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+// rank is the 1-based nearest-rank position of the p-quantile among n
+// ordered samples, ⌈p·n⌉ kept inside [1, n]. Summarize, Recorder and
+// Histogram all pick their quantile sample with it.
+func rank(p float64, n int64) int64 {
+	return min(max(int64(math.Ceil(p*float64(n))), 1), n)
+}
+
+// atomicMax raises a to n when n is larger.
+func atomicMax(a *atomic.Int64, n int64) {
+	for {
+		cur := a.Load()
+		if cur >= n || a.CompareAndSwap(cur, n) {
+			return
+		}
 	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // SummaryExport is the cross-process shape of a Summary: integer
@@ -233,6 +313,6 @@ func (s Summary) String() string {
 	if s.Count == 0 {
 		return "no samples"
 	}
-	return fmt.Sprintf("n=%d mean=%.3fms min=%.3fms p50=%.3fms p90=%.3fms max=%.3fms",
-		s.Count, Millis(s.Mean), Millis(s.Min), Millis(s.P50), Millis(s.P90), Millis(s.Max))
+	return fmt.Sprintf("n=%d mean=%.3fms min=%.3fms p50=%.3fms p90=%.3fms p99=%.3fms max=%.3fms",
+		s.Count, Millis(s.Mean), Millis(s.Min), Millis(s.P50), Millis(s.P90), Millis(s.P99), Millis(s.Max))
 }

@@ -34,8 +34,8 @@ func TestBasicStats(t *testing.T) {
 	if s.Mean != 5500*time.Microsecond {
 		t.Errorf("mean = %v", s.Mean)
 	}
-	if s.P50 != 5*time.Millisecond {
-		t.Errorf("p50 = %v", s.P50)
+	if !withinRecorderBound(s.P50, 5*time.Millisecond) {
+		t.Errorf("p50 = %v, want 5ms within 1/64", s.P50)
 	}
 	if s.Total != 55*time.Millisecond {
 		t.Errorf("total = %v", s.Total)
