@@ -23,8 +23,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -165,6 +168,52 @@ func main() {
 			var buf bytes.Buffer
 			if err := env.Encode(&buf); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}))
+	// The packed request's two spellings, through the server's streaming
+	// decode walk. The long form is what gateway sub-batches, coalesced
+	// batches and clients older than the batch-default framing send, so its
+	// cost stays gated next to the form the client sends now.
+	for _, tc := range []struct {
+		name string
+		doc  []byte
+	}{
+		{"soap/decode-16-entry-long", packedEchoDoc(16, true)},
+		{"soap/decode-16-entry-default", packedEchoDoc(16, false)},
+	} {
+		add(measure(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, err := streamDecodePacked(tc.doc); err != nil || n != 16 {
+					b.Fatalf("decoded %d entries: %v", n, err)
+				}
+			}
+		}))
+	}
+	add(measure("client/encode-batch-16", func(b *testing.B) {
+		// Batch.Send against a connection that swallows the request and
+		// answers from memory with a whole-message fault, the cheapest
+		// reply there is to read: what is left is NewBatch, 16 Adds, the
+		// streamed request document and its one write.
+		client, err := core.NewClient(core.ClientConfig{
+			Dial:      func() (net.Conn, error) { return &faultConn{}, nil },
+			KeepAlive: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
+		arg := soapenc.F("data", strings.Repeat("a", 10))
+		var f *soap.Fault
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			batch := client.NewBatch()
+			for j := 0; j < 16; j++ {
+				batch.Add("Echo", "echo", arg)
+			}
+			if err := batch.Send(); !errors.As(err, &f) {
+				b.Fatalf("want the canned fault, got %v", err)
 			}
 		}
 	}))
@@ -568,6 +617,97 @@ func pctDelta(cur, base float64) float64 {
 	}
 	return (cur - base) / base * 100
 }
+
+// packedEchoDoc is a Parallel_Method of n Echo.echo calls with a 10-byte
+// payload, as Batch writes it (see internal/core/testdata/wire/) or, with
+// long set, as it wrote it before the batch-default framing: namespace,
+// correlation id and service restated on every entry.
+func packedEchoDoc(n int, long bool) []byte {
+	var b strings.Builder
+	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?><SOAP-ENV:Envelope` +
+		` xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"` +
+		` xmlns:SOAP-ENC="http://schemas.xmlsoap.org/soap/encoding/"` +
+		` xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"` +
+		` xmlns:xsd="http://www.w3.org/2001/XMLSchema"><SOAP-ENV:Body>` +
+		`<spi:Parallel_Method xmlns:spi="` + core.NSPack + `"`)
+	if !long {
+		b.WriteString(` xmlns:m="urn:spi:Echo" spi:service="Echo"`)
+	}
+	b.WriteString(`>`)
+	for i := 0; i < n; i++ {
+		b.WriteString(`<m:echo`)
+		if long {
+			fmt.Fprintf(&b, ` xmlns:m="urn:spi:Echo" spi:id="%d" spi:service="Echo"`, i)
+		}
+		b.WriteString(`><data xsi:type="xsd:string">aaaaaaaaaa</data></m:echo>`)
+	}
+	b.WriteString(`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+	return []byte(b.String())
+}
+
+// streamDecodePacked walks a packed request the way the server's dispatch
+// does — preamble, Parallel_Method start, one NextChild per entry, finish —
+// and returns the number of entries.
+func streamDecodePacked(doc []byte) (int, error) {
+	arena := xmldom.AcquireArena()
+	defer xmldom.ReleaseArena(arena)
+	d := soap.AcquireStreamDecoder(doc, arena)
+	defer d.Release()
+	if err := d.ReadPreamble(); err != nil {
+		return 0, err
+	}
+	pm, err := d.NextEntryStart()
+	if err != nil || pm == nil {
+		return 0, fmt.Errorf("no body entry: %v", err)
+	}
+	n := 0
+	for {
+		el, err := d.NextChild(pm)
+		if err != nil {
+			return n, err
+		}
+		if el == nil {
+			break
+		}
+		n++
+	}
+	_, err = d.Finish()
+	return n, err
+}
+
+// faultConn swallows what is written to it and answers each request with
+// one canned whole-message fault.
+type faultConn struct{ pending []byte }
+
+var cannedFault = func() []byte {
+	body := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"><SOAP-ENV:Body>` +
+		`<SOAP-ENV:Fault><faultcode>SOAP-ENV:Server</faultcode><faultstring>canned</faultstring></SOAP-ENV:Fault>` +
+		`</SOAP-ENV:Body></SOAP-ENV:Envelope>`
+	return []byte(fmt.Sprintf("HTTP/1.1 500 Internal Server Error\r\nContent-Type: text/xml; charset=utf-8\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+}()
+
+func (c *faultConn) Write(b []byte) (int, error) {
+	if len(c.pending) == 0 {
+		c.pending = cannedFault
+	}
+	return len(b), nil
+}
+
+func (c *faultConn) Read(b []byte) (int, error) {
+	if len(c.pending) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(b, c.pending)
+	c.pending = c.pending[n:]
+	return n, nil
+}
+
+func (*faultConn) Close() error                     { return nil }
+func (*faultConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
+func (*faultConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
+func (*faultConn) SetDeadline(time.Time) error      { return nil }
+func (*faultConn) SetReadDeadline(time.Time) error  { return nil }
+func (*faultConn) SetWriteDeadline(time.Time) error { return nil }
 
 // sampleEnvelope serializes a packed envelope with n echo entries.
 func sampleEnvelope(n int) []byte {

@@ -142,18 +142,21 @@ func (a *packedAssembler) finish(v soap.Version, headers []*xmldom.Element) (*ht
 	return resp, nil
 }
 
-// appendRequestEntry streams one RPC request element — the DOM-free form
-// of encodeRequestElement plus, when id >= 0, the packed-entry correlation
-// attributes buildPackedRequest sets.
-func appendRequestEntry(em *xmltext.Emitter, ns, op string, params []soapenc.Field, id int, service string) error {
-	em.Start(xmltext.Name{Prefix: "m", Local: op})
-	em.Attr(nameXmlnsM, ns)
-	if id >= 0 {
-		var tmp [24]byte
-		em.Attr(attrID, xmltext.Intern(strconv.AppendInt(tmp[:0], int64(id), 10)))
-		em.Attr(attrService, service)
+// appendRequestEntry streams one RPC request element — the one writer of
+// every request this client sends — under the framing rule: an entry carries
+// only what differs from def, the default its batch declared on
+// Parallel_Method (xmlns:m, spi:service), and never spi:id, because ids are
+// positional. A single call is the degenerate case, a zero def and no
+// service: it declares its own namespace and is addressed by URL.
+func appendRequestEntry(em *xmltext.Emitter, e, def *batchEntry) error {
+	em.Start(xmltext.Name{Prefix: "m", Local: e.op})
+	if e.ns != def.ns {
+		em.Attr(nameXmlnsM, e.ns)
 	}
-	if err := soapenc.EncodeParamsTo(em, params); err != nil {
+	if e.service != def.service {
+		em.Attr(attrService, e.service)
+	}
+	if err := soapenc.EncodeParamsTo(em, e.params); err != nil {
 		return err
 	}
 	em.End()

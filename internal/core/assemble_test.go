@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -136,7 +138,7 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 				tag := fmt.Sprintf("g%d-r%d", g, round)
 				results := []*rpcResult{
 					{id: 0, service: "Echo", op: "echo", results: []soapenc.Field{soapenc.F("tag", tag)}},
-					{id: 1, service: "Echo", op: "echo", results: []soapenc.Field{soapenc.F("n", int64(g*100 + round))}},
+					{id: 1, service: "Echo", op: "echo", results: []soapenc.Field{soapenc.F("n", int64(g*100+round))}},
 					{id: 2, service: "Echo", op: "fail", fault: &soap.Fault{Code: soap.FaultServer, String: "boom " + tag}},
 				}
 				dom, err := buildPackedResponse(results, testNS)
@@ -155,71 +157,150 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStreamRequestDocParity pins the client's DOM-free request encoders —
-// Batch.encodeRequest and the single-call appendRequestEntry path — to the
-// bytes of the DOM path (buildPackedRequest / encodeRequestElement wrapped
-// in an Envelope).
+// requestShapes are the batches the request-framing tests encode: what a
+// batch shares (namespace, service) is hoisted onto Parallel_Method, so the
+// interesting axes are how much is shared and who sets the default.
+var requestShapes = []struct {
+	name  string
+	wire  bool // pinned under testdata/wire/
+	calls func() []batchEntry
+}{
+	{"echo16", true, func() []batchEntry {
+		// Figure 5's regime: one service, one operation, sixteen times.
+		calls := make([]batchEntry, 16)
+		for i := range calls {
+			calls[i] = batchEntry{service: "Echo", op: "echo",
+				params: []soapenc.Field{soapenc.F("data", fmt.Sprintf("payload-%02d", i))}}
+		}
+		return calls
+	}},
+	{"travel", true, func() []batchEntry {
+		// The travel agent's step 1 and 3 queries in one message: every
+		// entry a different service, so every entry but the first overrides.
+		var calls []batchEntry
+		for _, v := range []string{"Airline1", "Airline2", "Airline3"} {
+			calls = append(calls, batchEntry{service: v, op: "QueryFlights", params: []soapenc.Field{
+				soapenc.F("from", "Beijing"), soapenc.F("to", "São Paulo")}})
+		}
+		for _, v := range []string{"Hotel1", "Hotel2", "Hotel3"} {
+			calls = append(calls, batchEntry{service: v, op: "QueryRooms", params: []soapenc.Field{
+				soapenc.F("city", "São Paulo"), soapenc.F("nights", int32(3))}})
+		}
+		return calls
+	}},
+	{"mixed", false, func() []batchEntry {
+		return []batchEntry{
+			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "x<y&z\""), soapenc.F("n", int64(9))}},
+			{service: "WeatherService", op: "GetWeather", params: []soapenc.Field{soapenc.F("CityName", "São Paulo")}},
+			{service: "Echo", op: "slow"},
+			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("blob", []byte("raw\x00bytes")), soapenc.F("flag", false)}},
+		}
+	}},
+	{"solo", false, func() []batchEntry {
+		return []batchEntry{{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "alone")}}}
+	}},
+	{"odd-first", false, func() []batchEntry {
+		// The first entry sets the default, so an outlier in front makes
+		// every other entry override it.
+		return []batchEntry{
+			{service: "WeatherService", op: "GetWeather", params: []soapenc.Field{soapenc.F("CityName", "Oslo")}},
+			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "a")}},
+			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "b")}},
+		}
+	}},
+	{"shared-namespace", false, func() []batchEntry {
+		// Two services under one namespace (Define): only spi:service varies.
+		return []batchEntry{
+			{service: "EchoA", op: "echo", params: []soapenc.Field{soapenc.F("msg", "a")}},
+			{service: "EchoB", op: "echo", params: []soapenc.Field{soapenc.F("msg", "b")}},
+		}
+	}},
+}
+
+// framingClient returns a client that never dials, for encoding requests.
+func framingClient(t *testing.T, v soap.Version) *Client {
+	t.Helper()
+	c, err := NewClient(ClientConfig{
+		Dial:   func() (net.Conn, error) { return nil, errors.New("framing client does not dial") },
+		SOAP12: v == soap.V12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Define("WeatherService", "urn:weather:v2")
+	c.Define("EchoA", "urn:shared")
+	c.Define("EchoB", "urn:shared")
+	return c
+}
+
+// TestStreamRequestDocParity pins the client's one request-entry writer —
+// appendRequestEntry under Batch.encodeRequest and under the single-call
+// path — to the bytes of its DOM twin (buildPackedRequest /
+// encodeRequestElement wrapped in an Envelope) for every batch shape in
+// both envelope versions, and the documents marked wire to the request
+// goldens under testdata/wire/.
 func TestStreamRequestDocParity(t *testing.T) {
-	sys := newSystem(t, nil)
-	sys.client.Define("WeatherService", "urn:weather:v2")
-
-	params := [][]soapenc.Field{
-		{soapenc.F("msg", "x<y&z\""), soapenc.F("n", int64(9))},
-		{soapenc.F("CityName", "São Paulo")},
-		nil,
-		{soapenc.F("blob", []byte("raw\x00bytes")), soapenc.F("flag", false)},
-	}
-	b := sys.client.NewBatch()
-	b.Add("Echo", "echo", params[0]...)
-	b.Add("WeatherService", "GetWeather", params[1]...)
-	b.Add("Echo", "slow", params[2]...)
-	b.Add("Echo", "echo", params[3]...)
-
-	doc, release, err := b.encodeRequest(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-
-	pm, err := b.buildPackedElement()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := soap.New()
-	env.Body = []*xmldom.Element{pm}
-	var buf bytes.Buffer
-	if err := env.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(doc) != buf.String() {
-		t.Errorf("packed request diverges:\nstreamed: %s\nbuffered: %s", doc, buf.Bytes())
-	}
-
-	// Single-call path, both envelope versions.
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		client := framingClient(t, v)
+		for _, shape := range requestShapes {
+			b := client.NewBatch()
+			for _, c := range shape.calls() {
+				b.Add(c.service, c.op, c.params...)
+			}
+			doc, release, err := b.encodeRequest(context.Background(), client.packTarget())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm, err := buildPackedRequest(b.entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := soap.New()
+			env.Version = v
+			env.Body = []*xmldom.Element{pm}
+			var buf bytes.Buffer
+			if err := env.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if string(doc) != buf.String() {
+				t.Errorf("%v/%s: packed request diverges:\nstreamed: %s\nbuffered: %s", v, shape.name, doc, buf.Bytes())
+			}
+			if bytes.Contains(doc, []byte("spi:id")) {
+				t.Errorf("%v/%s: a Batch wrote a correlation id: %s", v, shape.name, doc)
+			}
+			if shape.wire {
+				testdataGolden(t, "wire", shape.name+"_"+corpusSuffix(v), doc)
+			}
+			release()
+		}
+
+		// Single-call path: the same writer with nothing to inherit.
+		call := batchEntry{ns: "urn:spi:Echo", op: "echo",
+			params: []soapenc.Field{soapenc.F("msg", "x<y&z\""), soapenc.F("n", int64(9))}}
 		enc := soap.NewStreamEncoder()
 		enc.Begin(v, nil)
-		if err := appendRequestEntry(enc.Emitter(), "urn:spi:Echo", "echo", params[0], -1, ""); err != nil {
+		if err := appendRequestEntry(enc.Emitter(), &call, &batchEntry{}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := enc.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		el, err := encodeRequestElement("urn:spi:Echo", "echo", params[0])
+		el, err := encodeRequestElement(call.ns, call.op, call.params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		denv := soap.New()
 		denv.Version = v
 		denv.Body = []*xmldom.Element{el}
-		buf.Reset()
+		var buf bytes.Buffer
 		if err := denv.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != buf.String() {
 			t.Errorf("single request (%v) diverges:\nstreamed: %s\nbuffered: %s", v, got, buf.Bytes())
 		}
+		testdataGolden(t, "wire", "single_"+corpusSuffix(v), got)
 		enc.Release()
 	}
 }

@@ -387,7 +387,8 @@ func (c *Client) exchangeCall(ctx context.Context, target, service, op string, p
 	}
 	enc := soap.NewStreamEncoder()
 	enc.Begin(c.version(), nil)
-	if err := appendRequestEntry(enc.Emitter(), c.NamespaceOf(service), op, params, -1, ""); err != nil {
+	call := batchEntry{ns: c.NamespaceOf(service), op: op, params: params}
+	if err := appendRequestEntry(enc.Emitter(), &call, &batchEntry{}); err != nil {
 		enc.Release()
 		return nil, nil, fmt.Errorf("core: encoding %s.%s: %w", service, op, err)
 	}
@@ -531,11 +532,12 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 		defer cancel()
 	}
 
+	target := b.client.packTarget()
 	if len(b.client.cfg.HeaderProviders) > 0 {
 		// Header providers may vary their blocks per attempt (nonces,
 		// timestamps), so the DOM fallback re-runs them inside the retry
 		// loop, exactly as before.
-		pm, err := b.buildPackedElement()
+		pm, err := buildPackedRequest(b.entries)
 		if err != nil {
 			b.resolveAll(nil, err)
 			return err
@@ -544,7 +546,7 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 		var respEnv *soap.Envelope
 		var release func()
 		err = b.client.withRetry(ctx, b.allIdempotent(), func() error {
-			env, rel, rerr := b.client.exchange(ctx, b.client.packTarget(), []*xmldom.Element{pm})
+			env, rel, rerr := b.client.exchange(ctx, target, []*xmldom.Element{pm})
 			respEnv, release = env, rel
 			return rerr
 		})
@@ -559,7 +561,7 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 
 	// DOM-free fast path: stream every entry into one pooled request
 	// document, encoded once and re-sent verbatim on retries.
-	doc, encRelease, err := b.encodeRequest(ctx)
+	doc, encRelease, err := b.encodeRequest(ctx, target)
 	if err != nil {
 		b.resolveAll(nil, err)
 		return err
@@ -568,7 +570,7 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 	var respEnv *soap.Envelope
 	var release func()
 	err = b.client.withRetry(ctx, b.allIdempotent(), func() error {
-		env, rel, rerr := b.client.postPooled(ctx, b.client.packTarget(), doc)
+		env, rel, rerr := b.client.postPooled(ctx, target, doc)
 		respEnv, release = env, rel
 		return rerr
 	})
@@ -583,10 +585,11 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 }
 
 // encodeRequest streams the whole packed request document into a pooled
-// buffer: envelope preamble, Parallel_Method, and each entry with its
-// correlation attributes — no element tree is built. The returned bytes
-// are valid until the returned release runs.
-func (b *Batch) encodeRequest(ctx context.Context) ([]byte, func(), error) {
+// buffer: envelope preamble, Parallel_Method carrying the first entry's
+// namespace and service as the batch default, and each entry under
+// appendRequestEntry's rule — no element tree is built. target is where it
+// will be POSTed. The bytes are valid until the returned release runs.
+func (b *Batch) encodeRequest(ctx context.Context, target string) ([]byte, func(), error) {
 	tr := b.client.cfg.Tracer
 	var packStart time.Time
 	if tr.Enabled() {
@@ -595,10 +598,14 @@ func (b *Batch) encodeRequest(ctx context.Context) ([]byte, func(), error) {
 	enc := soap.NewStreamEncoder()
 	enc.Begin(b.client.version(), nil)
 	em := enc.Emitter()
+	def := &b.entries[0]
 	em.Start(namePackMethod)
 	em.Attr(nameXmlnsSpi, NSPack)
-	for i, e := range b.entries {
-		if err := appendRequestEntry(em, e.ns, e.op, e.params, i, e.service); err != nil {
+	em.Attr(nameXmlnsM, def.ns)
+	em.Attr(attrService, def.service)
+	for i := range b.entries {
+		e := &b.entries[i]
+		if err := appendRequestEntry(em, e, def); err != nil {
 			enc.Release()
 			return nil, nil, fmt.Errorf("core: encoding %s.%s: %w", e.service, e.op, err)
 		}
@@ -611,24 +618,9 @@ func (b *Batch) encodeRequest(ctx context.Context) ([]byte, func(), error) {
 	}
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientPack,
-			ID: -1, Op: b.client.packTarget(), Start: packStart, Service: time.Since(packStart)})
+			ID: -1, Op: target, Start: packStart, Service: time.Since(packStart)})
 	}
 	return doc, enc.Release, nil
-}
-
-// buildPackedElement is the DOM form of encodeRequest's body: it builds
-// each entry element and assembles the Parallel_Method tree, with the
-// same first-error-wins semantics and error text.
-func (b *Batch) buildPackedElement() (*xmldom.Element, error) {
-	entries := make([]*packedEntry, len(b.entries))
-	for i, e := range b.entries {
-		el, err := encodeRequestElement(e.ns, e.op, e.params)
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding %s.%s: %w", e.service, e.op, err)
-		}
-		entries[i] = &packedEntry{service: e.service, element: el}
-	}
-	return buildPackedRequest(entries), nil
 }
 
 // dispatchResponse routes a decoded packed response to the pending calls.
@@ -760,8 +752,8 @@ func (c *Client) exchange(ctx context.Context, target string, body []*xmldom.Ele
 // detached (detachFault) before they escape.
 func (c *Client) postPooled(ctx context.Context, target string, doc []byte) (*soap.Envelope, func(), error) {
 	c.envelopes.Add(1)
-	extra := make([]string, 0, 6)
-	extra = append(extra, "SOAPAction", `""`)
+	var fields [6]string // three name/value pairs at most: no heap slice
+	extra := append(fields[:0], "SOAPAction", `""`)
 	if deadline, ok := ctx.Deadline(); ok {
 		if budget := time.Until(deadline); budget > 0 {
 			extra = append(extra, HeaderDeadline, strconv.FormatInt(budget.Milliseconds(), 10))

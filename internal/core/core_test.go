@@ -311,17 +311,17 @@ func TestFigure4WireFormat(t *testing.T) {
 	// Golden test for the packed request message of the paper's Figure 4:
 	// two weather queries (Beijing, Shanghai) in one envelope whose body is
 	// a Parallel_Method element with two child request elements.
-	entries := []*packedEntry{}
+	var entries []batchEntry
 	for _, city := range []string{"Beijing, China", "Shanghai, China"} {
-		el, err := encodeRequestElement("urn:spi:WeatherService", "GetWeather",
-			[]soapenc.Field{soapenc.F("CityName", city), soapenc.F("CountryName", "China")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, &packedEntry{service: "WeatherService", element: el})
+		entries = append(entries, batchEntry{service: "WeatherService", ns: "urn:spi:WeatherService", op: "GetWeather",
+			params: []soapenc.Field{soapenc.F("CityName", city), soapenc.F("CountryName", "China")}})
+	}
+	pm, err := buildPackedRequest(entries)
+	if err != nil {
+		t.Fatal(err)
 	}
 	env := soap.New()
-	env.AddBody(buildPackedRequest(entries))
+	env.AddBody(pm)
 	var buf strings.Builder
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -331,10 +331,10 @@ func TestFigure4WireFormat(t *testing.T) {
 	for _, want := range []string{
 		`SOAP-ENV:Envelope`,
 		`xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"`,
-		`<spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">`,
-		`spi:id="0"`,
-		`spi:id="1"`,
-		`spi:service="WeatherService"`,
+		`<spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack" xmlns:m="urn:spi:WeatherService" spi:service="WeatherService">`,
+		// As in the figure, the entries are bare RPC elements: what the
+		// batch shares lives on Parallel_Method, and ids are positional.
+		`<m:GetWeather><CityName`,
 		`<CityName xsi:type="xsd:string">Beijing, China</CityName>`,
 		`<CityName xsi:type="xsd:string">Shanghai, China</CityName>`,
 	} {
@@ -355,7 +355,10 @@ func TestFigure4WireFormat(t *testing.T) {
 	if len(kids) != 2 {
 		t.Fatalf("packed children = %d", len(kids))
 	}
-	req, fault := decodeRequestElement(kids[1], "", 99)
+	if strings.Contains(doc, "spi:id") {
+		t.Errorf("Figure 4 message carries a correlation id:\n%s", doc)
+	}
+	req, fault := decodeRequestElement(kids[1], packDefaultService(parsed.Body[0], ""), 1)
 	if fault != nil {
 		t.Fatal(fault)
 	}
@@ -909,7 +912,13 @@ func TestAdaptiveAppStage(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
+	// A worker delivers its result before the stage counts the task as
+	// completed, so the response can beat the last increment: wait for it.
 	st := sys.server.Stats()
+	for deadline := time.Now().Add(2 * time.Second); st.AppStage.Completed < 24 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = sys.server.Stats()
+	}
 	if st.AppStage.Completed < 24 {
 		t.Errorf("app stage completed = %d", st.AppStage.Completed)
 	}

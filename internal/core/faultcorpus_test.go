@@ -80,20 +80,16 @@ func corpusSingleDoc(t *testing.T, v soap.Version, op string, params ...soapenc.
 // blocking park operation, ids 0 and 1.
 func corpusPackedDoc(t *testing.T, v soap.Version) []byte {
 	t.Helper()
-	fast, err := encodeRequestElement("urn:spi:Echo", "echo", []soapenc.Field{soapenc.F("m", "quick")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stuck, err := encodeRequestElement("urn:spi:Echo", "park", nil)
+	pm, err := buildPackedRequest([]batchEntry{
+		{service: "Echo", ns: "urn:spi:Echo", op: "echo", params: []soapenc.Field{soapenc.F("m", "quick")}},
+		{service: "Echo", ns: "urn:spi:Echo", op: "park"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := soap.New()
 	env.Version = v
-	env.AddBody(buildPackedRequest([]*packedEntry{
-		{service: "Echo", element: fast},
-		{service: "Echo", element: stuck},
-	}))
+	env.AddBody(pm)
 	var buf bytes.Buffer
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,403 @@
+package core
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/registry"
+	"repro/internal/soap"
+	"repro/internal/soapenc"
+	"repro/internal/xmldom"
+)
+
+// The request-framing acceptance suite. A packed request may spell what its
+// entries share — namespace, target service — on Parallel_Method (what the
+// client sends since the batch-default framing) or on every entry (the long
+// form: what it sent before, and what gateway sub-batches, coalesced
+// batches and third-party clients still send), and may mix the two. The
+// server's answer depends on what the batch means, never on how it was
+// spelled: every form of one batch must produce the same committed bytes
+// under testdata/parity/, in every feature cell.
+
+// framingForm is one spelling of a packed request.
+type framingForm struct {
+	name   string
+	target string
+	pm     string // the Parallel_Method element
+}
+
+const (
+	framingPM   = `<spi:Parallel_Method xmlns:spi="` + NSPack + `"`
+	framingEnd  = `</spi:Parallel_Method>`
+	echoNS      = ` xmlns:m="urn:spi:Echo"`
+	weatherNS   = ` xmlns:m="urn:spi:WeatherService"`
+	toEcho      = ` spi:service="Echo"`
+	toWeather   = ` spi:service="WeatherService"`
+	echoArgs    = `><message>first</message></m:echo>`
+	weatherArgs = `><CityName>Beijing</CityName></m:GetWeather>`
+)
+
+// framingForms spell one batch — Echo.echo(first), then
+// WeatherService.GetWeather(Beijing), the batch of testdata/packed1x.xml —
+// every accepted way. All of them answer with parity/framing_1x.xml.
+var framingForms = []framingForm{
+	{"long", "/services/", framingPM + `>` +
+		`<m:echo` + echoNS + ` spi:id="0"` + toEcho + echoArgs +
+		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd},
+	// The client's form: the first entry's namespace and service are the
+	// batch default, the second entry overrides both.
+	{"default", "/services/", framingPM + echoNS + toEcho + `>` +
+		`<m:echo` + echoArgs +
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+	// The default need not be the first entry's.
+	{"default-is-second", "/services/", framingPM + weatherNS + toWeather + `>` +
+		`<m:echo` + echoNS + toEcho + echoArgs +
+		`<m:GetWeather` + weatherArgs + framingEnd},
+	// Ids restated where they equal the slot change nothing.
+	{"ids-restated", "/services/", framingPM + echoNS + toEcho + `>` +
+		`<m:echo spi:id="0"` + echoArgs +
+		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd},
+	// Precedence: entry spi:service > Parallel_Method spi:service > URL.
+	{"default-over-url", "/services/WeatherService", framingPM + echoNS + toEcho + `>` +
+		`<m:echo` + echoArgs +
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+	{"url-default", "/services/Echo", framingPM + echoNS + `>` +
+		`<m:echo` + echoArgs +
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+	// Service hoisted, namespaces left on the entries.
+	{"service-only", "/services/", framingPM + toEcho + `>` +
+		`<m:echo` + echoNS + echoArgs +
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+}
+
+// framingIDForms give the first entry an explicit id that is not its slot:
+// the response echoes it (parity/framing-ids_1x.xml).
+var framingIDForms = []framingForm{
+	{"long", "/services/", framingPM + `>` +
+		`<m:echo` + echoNS + ` spi:id="7"` + toEcho + echoArgs +
+		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd},
+	{"default", "/services/", framingPM + echoNS + toEcho + `>` +
+		`<m:echo spi:id="7"` + echoArgs +
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+}
+
+// framingNoServiceForms leave the first entry with no service from any of
+// the three places: it alone faults (parity/framing-no-service_1x.xml).
+var framingNoServiceForms = []framingForm{
+	{"long", "/services/", framingPM + `>` +
+		`<m:echo` + echoNS + ` spi:id="0"` + echoArgs +
+		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd},
+	{"default", "/services/", framingPM + echoNS + `>` +
+		`<m:echo` + echoArgs +
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+}
+
+func TestPackedFramingAcceptance(t *testing.T) {
+	batches := []struct {
+		golden string
+		forms  []framingForm
+	}{
+		{"framing", framingForms},
+		{"framing-ids", framingIDForms},
+		{"framing-no-service", framingNoServiceForms},
+	}
+	for _, f := range []parityFeatures{
+		{name: "bare"},
+		{name: "diff", diff: true},
+		{name: "wsse", wsse: true},
+		{name: "wsse-diff", wsse: true, diff: true},
+	} {
+		f := f
+		t.Run(f.name, func(t *testing.T) {
+			sys := newSystem(t, parityConfig(f))
+			for _, v := range []soap.Version{soap.V11, soap.V12} {
+				for _, b := range batches {
+					for _, form := range b.forms {
+						pm, err := xmldom.ParseString(form.pm)
+						if err != nil {
+							t.Fatalf("%s/%s: %v", b.golden, form.name, err)
+						}
+						// Round two repeats the entries (fresh signature), so
+						// the differential cache answers from its hit path.
+						for round := 0; round < 2; round++ {
+							doc := parityDoc(t, v, f.wsse, pm)
+							code, body := postDoc(t, sys, form.target, v, doc)
+							if code != 200 {
+								t.Errorf("%v/%s/%s round %d: status %d", v, b.golden, form.name, round, code)
+							}
+							parityGolden(t, b.golden+"_"+corpusSuffix(v), body)
+						}
+					}
+				}
+				if f.wsse {
+					continue
+				}
+				// The request goldens themselves, byte for byte: what the
+				// client sent before this framing, and what it sends now.
+				for _, name := range []string{"packed11-long.xml", "packed11.xml"} {
+					if v == soap.V12 {
+						name = strings.Replace(name, "11", "12", 1)
+					}
+					doc, err := os.ReadFile(filepath.Join("testdata", name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					code, body := postDoc(t, sys, "/services/", v, doc)
+					if code != 200 {
+						t.Errorf("%s: status %d", name, code)
+					}
+					parityGolden(t, "framing_"+corpusSuffix(v), body)
+				}
+			}
+			if f.diff {
+				if st := sys.server.Stats(); st.DiffHits == 0 || st.DiffMisses == 0 {
+					t.Errorf("diff cache hits %d misses %d, want both exercised", st.DiffHits, st.DiffMisses)
+				}
+			}
+		})
+	}
+}
+
+// TestDiffCacheKeyedByBatchDefault: with the namespace and service hoisted,
+// two batches can carry byte-identical entries and still mean different
+// calls. The differential cache keys an entry by its ancestors' start tags
+// as well as its own bytes, so neither batch may be answered from the
+// other's parse.
+func TestDiffCacheKeyedByBatchDefault(t *testing.T) {
+	var mu sync.Mutex
+	var seen []string
+	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
+		s.DifferentialDeserialization = true
+		s.EntryInterceptors = []EntryInterceptor{func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
+			mu.Lock()
+			seen = append(seen, entry.Namespace())
+			mu.Unlock()
+			return nil, nil
+		}}
+		mirror := s.Container.MustAddService("Mirror", "urn:spi:Mirror", "answers echo in its own namespace")
+		mirror.MustRegister("echo", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
+			return params, nil
+		}, "identity")
+	})
+	entry := `<m:echo><data>same bytes</data></m:echo>`
+	post := func(ns, service string) string {
+		doc := testEnv11 + `<SOAP-ENV:Body>` + framingPM + ` xmlns:m="` + ns + `" spi:service="` + service + `">` +
+			entry + framingEnd + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`
+		code, body := postDoc(t, sys, "/services/", soap.V11, []byte(doc))
+		if code != 200 {
+			t.Fatalf("%s/%s: status %d: %s", ns, service, code, body)
+		}
+		return string(body)
+	}
+
+	first := post("urn:spi:Echo", "Echo")
+	if !strings.Contains(first, `<m:echoResponse xmlns:m="urn:spi:Echo"`) {
+		t.Fatalf("Echo batch answered by the wrong service: %s", first)
+	}
+	// Same entry bytes, another service: must run on Mirror.
+	if got := post("urn:spi:Echo", "Mirror"); !strings.Contains(got, `<m:echoResponse xmlns:m="urn:spi:Mirror"`) {
+		t.Errorf("batch defaulting to Mirror answered by: %s", got)
+	}
+	// Same entry bytes, another namespace: the interceptor must see it.
+	post("urn:example:other", "Echo")
+	if st := sys.server.Stats(); st.DiffHits != 0 || st.DiffMisses != 3 {
+		t.Errorf("diff cache hits %d misses %d: batches differing only in their default shared an entry", st.DiffHits, st.DiffMisses)
+	}
+	// And the cache still works within one default.
+	if again := post("urn:spi:Echo", "Echo"); again != first {
+		t.Errorf("repeat of the first batch diverged:\n got: %s\nwant: %s", again, first)
+	}
+	if st := sys.server.Stats(); st.DiffHits != 1 {
+		t.Errorf("diff cache hits %d after a verbatim repeat, want 1", st.DiffHits)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"urn:spi:Echo", "urn:spi:Echo", "urn:example:other", "urn:spi:Echo"}
+	if strings.Join(seen, " ") != strings.Join(want, " ") {
+		t.Errorf("entry namespaces seen %v, want %v", seen, want)
+	}
+}
+
+// TestPackAnnotationsRequireBinding: spi:id, spi:service and the batch
+// default on Parallel_Method are the pack interface's only when the spi
+// prefix resolves to its namespace where they stand. Under another binding
+// none of them is honoured: the entry gets a per-item Client fault, under its
+// positional id.
+func TestPackAnnotationsRequireBinding(t *testing.T) {
+	sys := newSystem(t, nil)
+	post := func(target, pm string) string {
+		doc := testEnv11 + `<SOAP-ENV:Body>` + pm + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`
+		code, body := postDoc(t, sys, target, soap.V11, []byte(doc))
+		if code != 200 {
+			t.Fatalf("status %d: %s", code, body)
+		}
+		return string(body)
+	}
+	for _, tc := range []struct{ name, target, pm, want, never string }{
+		{"entry spi:id rebound", "/services/Echo",
+			framingPM + `><m:echo` + echoNS + ` xmlns:spi="urn:other" spi:id="7"/>` + framingEnd,
+			`<SOAP-ENV:Fault spi:id="0"><faultcode>SOAP-ENV:Client</faultcode><faultstring>request "echo": spi:id attribute in wrong namespace`,
+			`spi:id="7"`},
+		{"entry spi:service rebound", "/services/Echo",
+			framingPM + `><m:echo` + echoNS + ` xmlns:spi="urn:other" spi:id="7" spi:service="Echo"/>` + framingEnd,
+			`<SOAP-ENV:Fault spi:id="0"><faultcode>SOAP-ENV:Client</faultcode><faultstring>request "echo": spi:service attribute in wrong namespace`,
+			`spi:id="7"`},
+		// Parallel_Method under another prefix, spi bound elsewhere: its
+		// spi:service is not a batch default, and takes the URL's with it.
+		{"batch default rebound", "/services/Echo",
+			`<p:Parallel_Method xmlns:p="` + NSPack + `" xmlns:spi="urn:other" spi:service="WeatherService"><m:echo` + echoNS + `/></p:Parallel_Method>`,
+			`<faultstring>request "echo" names no service`, `echoResponse`},
+		// An entry naming its own service never needed the default.
+		{"batch default rebound, entry bound", "/services/",
+			`<p:Parallel_Method xmlns:p="` + NSPack + `" xmlns:spi="urn:other" spi:service="WeatherService">` +
+				`<m:echo` + echoNS + ` xmlns:spi="` + NSPack + `" spi:service="Echo"/></p:Parallel_Method>`,
+			`<m:echoResponse xmlns:m="urn:spi:Echo" spi:id="0"/>`, `Fault`},
+	} {
+		got := post(tc.target, tc.pm)
+		if !strings.Contains(got, tc.want) || strings.Contains(got, tc.never) {
+			t.Errorf("%s:\n got: %s\nwant substring: %s\n  and never: %s", tc.name, got, tc.want, tc.never)
+		}
+	}
+
+	// Plan steps go through the same resolve.
+	plan := `<spi:Execution_Plan xmlns:spi="` + NSPack + `"><m:echo` + echoNS + ` xmlns:spi="urn:other" spi:id="7"/></spi:Execution_Plan>`
+	doc := testEnv11 + `<SOAP-ENV:Body>` + plan + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`
+	code, body := postDoc(t, sys, "/services/Echo", soap.V11, []byte(doc))
+	if code != 500 || !strings.Contains(string(body), `step "echo": spi:id attribute in wrong namespace`) {
+		t.Errorf("plan step with a rebound spi:id: %d %s", code, body)
+	}
+}
+
+// duplicateIDDoc is entry 0 claiming id 1 by attribute and entry 1 claiming
+// it by position — one hand-written spi:id away from what a Batch sends.
+func duplicateIDDoc(v soap.Version) []byte {
+	return []byte(`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `"><SOAP-ENV:Body>` +
+		framingPM + echoNS + toEcho + `>` +
+		`<m:echo spi:id="1"><data>claims one</data></m:echo>` +
+		`<m:echo><data>sits at one</data></m:echo>` +
+		framingEnd + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+}
+
+// TestFaultCorpusDuplicateID: two entries with one effective id would be
+// answered with two spi:id="1" children, which the client's own
+// decodePackedResponse refuses wholesale. The server decides it once, as a
+// whole-message Client fault, before any response byte.
+func TestFaultCorpusDuplicateID(t *testing.T) {
+	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		code, body := postCorpus(t, sys, "/services/", v, duplicateIDDoc(v))
+		if code != 500 {
+			t.Errorf("%s: status = %d, want 500", v, code)
+		}
+		corpusGolden(t, "duplicate_id_"+corpusSuffix(v), body)
+
+		// The scatter parse decides the same thing, to the byte.
+		sr, fault := ParseScatterRequest(duplicateIDDoc(v), "")
+		if fault == nil {
+			t.Fatalf("%s: ParseScatterRequest accepted colliding ids", v)
+		}
+		resp := GatewayFaultResponse(fault, sr.Version)
+		if resp.StatusCode != 500 || string(resp.Body) != string(body) {
+			t.Errorf("%s: gateway would answer %d %s\ndirect server said %s", v, resp.StatusCode, resp.Body, body)
+		}
+		resp.Release()
+	}
+}
+
+func TestDuplicateIDFault(t *testing.T) {
+	for _, tc := range []struct {
+		ids  []int
+		want string
+	}{
+		{[]int{0, 1, 2, 3}, ""},
+		{[]int{3, 2, 1, 0}, ""},
+		{[]int{9, 1, 5}, ""},
+		{[]int{1, 1}, "duplicate spi:id 1"},
+		{[]int{0, 1, 2, 0}, "duplicate spi:id 0"},
+		{[]int{40, 7, 40}, "duplicate spi:id 40"},
+		{nil, ""},
+	} {
+		fault := duplicateIDFault(len(tc.ids), func(slot int) int { return tc.ids[slot] })
+		switch {
+		case tc.want == "" && fault != nil:
+			t.Errorf("%v: unexpected fault %v", tc.ids, fault)
+		case tc.want != "" && (fault == nil || fault.String != tc.want || fault.Code != soap.FaultClient):
+			t.Errorf("%v: fault %v, want Client %q", tc.ids, fault, tc.want)
+		}
+	}
+}
+
+// TestScatterFramingParity: the gateway's scatter parse normalizes every
+// accepted spelling of a batch to one — the long form, which is why the
+// backend hop's bytes did not change with the client's framing — so forms
+// that mean the same batch yield byte-identical sub-batches, and therefore
+// byte-identical gathered responses.
+func TestScatterFramingParity(t *testing.T) {
+	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		for _, forms := range [][]framingForm{framingForms, framingIDForms} {
+			var wantSubs [2]string
+			var wantGathered string
+			for _, form := range forms {
+				pm, err := xmldom.ParseString(form.pm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				doc := parityDoc(t, v, false, pm)
+				urlService := strings.TrimPrefix(form.target, "/services/")
+				sr, fault := ParseScatterRequest(doc, urlService)
+				if fault != nil {
+					t.Fatalf("%v/%s: %v", v, form.name, fault)
+				}
+				// One entry per backend, as a two-backend round-robin shards.
+				ids := make([]int, len(sr.Entries))
+				col := NewGatherCollector(ids)
+				for i, e := range sr.Entries {
+					ids[i] = e.ID
+					sub, err := BuildSubBatch(sr.Version, sr.Headers, []*ScatterEntry{e})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wantSubs[i] == "" {
+						wantSubs[i] = string(sub)
+					} else if string(sub) != wantSubs[i] {
+						t.Errorf("%v/%s: sub-batch %d diverges from the %s form's:\n got: %s\nwant: %s",
+							v, form.name, i, forms[0].name, sub, wantSubs[i])
+					}
+					code, body := postDoc(t, sys, "/services", v, sub)
+					if code != 200 {
+						t.Fatalf("%v/%s: backend answered %d: %s", v, form.name, code, body)
+					}
+					segs, _, err := SplitGatherResponse(body)
+					if err != nil || len(segs) != 1 {
+						t.Fatalf("%v/%s: split: %v (%d segments)", v, form.name, err, len(segs))
+					}
+					col.Deliver(e.Slot, segs[0])
+				}
+				resp, _, err := col.Assemble(context.Background(), v, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gathered := string(resp.Body)
+				resp.Release()
+				if wantGathered == "" {
+					wantGathered = gathered
+				} else if gathered != wantGathered {
+					t.Errorf("%v/%s: gathered response diverges:\n got: %s\nwant: %s", v, form.name, gathered, wantGathered)
+				}
+				// And it is what a direct server answers for the same form.
+				_, direct := postDoc(t, sys, form.target, v, doc)
+				if gathered != string(direct) {
+					t.Errorf("%v/%s: gathered response is not the direct server's:\n got: %s\nwant: %s", v, form.name, gathered, direct)
+				}
+			}
+			if !strings.Contains(wantSubs[1], `<m:GetWeather xmlns:m="urn:spi:WeatherService" spi:id="1" spi:service="WeatherService"`) {
+				t.Errorf("%v: sub-batch entry is not in the long form: %s", v, wantSubs[1])
+			}
+		}
+	}
+}

@@ -95,6 +95,7 @@ func ParseScatterRequest(body []byte, defaultService string) (*ScatterRequest, *
 		return sr, soap.ClientFault("%s has no requests", ElemParallelMethod)
 	}
 	sr.Entries = make([]*ScatterEntry, len(children))
+	defaultService = packDefaultService(entry, defaultService)
 	for i, el := range children {
 		se := &ScatterEntry{Slot: i, ID: i}
 		req, fault := decodeRequestElement(el, defaultService, i)
@@ -106,16 +107,21 @@ func ParseScatterRequest(body []byte, defaultService string) (*ScatterRequest, *
 			se.ID = req.id
 			se.Service = req.service
 			se.Op = req.op
-			// Clone detaches the element from the arena and pulls inherited
-			// namespace declarations down, so it serializes standalone.
-			c := el.Clone()
-			c.SetAttr(attrID, strconv.Itoa(req.id))
-			c.SetAttr(attrService, req.service)
-			se.Element = c
+			// The clone detaches the element from the arena and pulls inherited
+			// namespace declarations down, so it serializes standalone — in
+			// the long form, whether the client spelled namespace and
+			// annotations on the entry or left them to Parallel_Method.
+			lead := make([]xmltext.Attr, 0, 3)
+			if uri, ok := el.ResolvePrefix(el.Name.Prefix); ok && el.Name.Prefix != "" {
+				lead = append(lead, xmltext.Attr{Name: xmltext.Name{Prefix: "xmlns", Local: el.Name.Prefix}, Value: uri})
+			}
+			lead = append(lead, xmltext.Attr{Name: attrID, Value: strconv.Itoa(req.id)},
+				xmltext.Attr{Name: attrService, Value: req.service})
+			se.Element = el.CloneLeading(lead...)
 		}
 		sr.Entries[i] = se
 	}
-	return sr, nil
+	return sr, duplicateIDFault(len(children), func(slot int) int { return sr.Entries[slot].ID })
 }
 
 // BuildSubBatch serializes one backend's share of the entries as a packed

@@ -31,19 +31,15 @@ func goldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
 			env.AddBody(el)
 			return env
 		}
-		a, err := encodeRequestElement("urn:spi:Echo", "echo", []soapenc.Field{soapenc.F("message", "first")})
+		pm, err := buildPackedRequest([]batchEntry{
+			{service: "Echo", ns: "urn:spi:Echo", op: "echo", params: []soapenc.Field{soapenc.F("message", "first")}},
+			{service: "WeatherService", ns: "urn:spi:WeatherService", op: "GetWeather",
+				params: []soapenc.Field{soapenc.F("CityName", "Beijing")}},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := encodeRequestElement("urn:spi:WeatherService", "GetWeather",
-			[]soapenc.Field{soapenc.F("CityName", "Beijing")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.AddBody(buildPackedRequest([]*packedEntry{
-			{service: "Echo", element: a},
-			{service: "WeatherService", element: b},
-		}))
+		env.AddBody(pm)
 		return env
 	}
 	fault := func(v soap.Version) *soap.Envelope {

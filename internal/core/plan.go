@@ -425,15 +425,8 @@ func decodePlanStep(el *xmldom.Element, defaultService string, idx, total int) (
 	// walk children manually.
 	node := &planNode{waitsOn: make(map[int]bool)}
 	req := &rpcRequest{id: idx, service: defaultService, op: el.Name.Local}
-	if v, ok := el.Attr(attrService); ok {
-		req.service = v
-	}
-	if v, ok := el.Attr(attrID); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return nil, soap.ClientFault("step %q: bad spi:id %q", el.Name.Local, v)
-		}
-		req.id = n
+	if fault := req.annotate(el, "step"); fault != nil {
+		return nil, fault
 	}
 	if req.service == "" {
 		return nil, soap.ClientFault("step %q names no service", el.Name.Local)

@@ -69,24 +69,32 @@ func encodeResponseElement(serviceNS, op string, results []soapenc.Field) (*xmld
 	return encodeRequestElement(serviceNS, op+"Response", results)
 }
 
-// buildPackedRequest assembles the Parallel_Method body element from a list
-// of request elements. Each child is annotated with its correlation id and
-// target service — this is the client-side assembler of §3.4.
-func buildPackedRequest(reqs []*packedEntry) *xmldom.Element {
-	pm := xmldom.NewElement(xmltext.Name{Prefix: PrefixPack, Local: ElemParallelMethod})
+// buildPackedRequest is the DOM twin of Batch.encodeRequest's body, byte for
+// byte: the client-side assembler of §3.4 under appendRequestEntry's framing
+// rule. Parallel_Method declares the first entry's xmlns:m and spi:service
+// as the batch default; an entry restates either only where it differs, and
+// none carries spi:id — ids are positional. entries is non-empty.
+func buildPackedRequest(entries []batchEntry) (*xmldom.Element, error) {
+	def := &entries[0]
+	pm := xmldom.NewElement(namePackMethod)
 	pm.DeclareNamespace(PrefixPack, NSPack)
-	for i, r := range reqs {
-		r.element.SetAttr(attrID, strconv.Itoa(i))
-		r.element.SetAttr(attrService, r.service)
-		pm.AddChild(r.element)
+	pm.DeclareNamespace("m", def.ns)
+	pm.SetAttr(attrService, def.service)
+	for i := range entries {
+		e := &entries[i]
+		el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: e.op})
+		if e.ns != def.ns {
+			el.DeclareNamespace("m", e.ns)
+		}
+		if e.service != def.service {
+			el.SetAttr(attrService, e.service)
+		}
+		if err := soapenc.EncodeParams(el, e.params); err != nil {
+			return nil, fmt.Errorf("core: encoding %s.%s: %w", e.service, e.op, err)
+		}
+		pm.AddChild(el)
 	}
-	return pm
-}
-
-// packedEntry pairs a request element with its target service.
-type packedEntry struct {
-	service string
-	element *xmldom.Element
+	return pm, nil
 }
 
 // isPackedRequest reports whether a body entry is a Parallel_Method element.
@@ -100,24 +108,83 @@ func isPackedResponse(el *xmldom.Element) bool {
 	return el.Is(NSPack, ElemParallelResponse)
 }
 
-// decodeRequestElement interprets one RPC request element. defaultService
-// is used when the element carries no spi:service attribute (plain,
-// unpacked requests addressed by URL); id is the positional fallback when
-// no spi:id attribute is present.
-func decodeRequestElement(el *xmldom.Element, defaultService string, id int) (*rpcRequest, *soap.Fault) {
-	req := &rpcRequest{id: id, service: defaultService, op: el.Name.Local}
-	if v, ok := el.Attr(attrService); ok {
-		if uri, resolved := el.ResolvePrefix(attrService.Prefix); !resolved || uri != NSPack {
-			return nil, soap.ClientFault("request %q: spi:service attribute in wrong namespace", el.Name.Local)
-		}
-		req.service = v
+// annotate overlays the pack annotations of el — a request entry, a plan
+// step, or Parallel_Method itself, whose spi:service is the batch default —
+// onto req, preset by the caller to what applies in their absence. They are
+// matched by their conventional prefix, so where either appears that prefix
+// must resolve to NSPack: under any other binding it is somebody else's
+// attribute, neither an id to echo nor a service to route to.
+func (req *rpcRequest) annotate(el *xmldom.Element, kind string) *soap.Fault {
+	service, hasService := el.Attr(attrService)
+	id, hasID := el.Attr(attrID)
+	if !hasService && !hasID {
+		return nil
 	}
-	if v, ok := el.Attr(attrID); ok {
-		n, err := strconv.Atoi(v)
+	if uri, ok := el.ResolvePrefix(PrefixPack); !ok || uri != NSPack {
+		name := attrService
+		if !hasService {
+			name = attrID
+		}
+		return soap.ClientFault("%s %q: %s attribute in wrong namespace", kind, el.Name.Local, name)
+	}
+	if hasService {
+		req.service = service
+	}
+	if hasID {
+		n, err := strconv.Atoi(id)
 		if err != nil || n < 0 {
-			return nil, soap.ClientFault("request %q: bad spi:id %q", el.Name.Local, v)
+			return soap.ClientFault("%s %q: bad spi:id %q", kind, el.Name.Local, id)
 		}
 		req.id = n
+	}
+	return nil
+}
+
+// packDefaultService is the one precedence chain for the service an entry of
+// pm runs on when it names none itself (its own spi:service outranks both,
+// in decodeRequestElement): Parallel_Method's spi:service, then the URL's.
+// A mis-bound spi:service on pm leaves no default at all, so the entries
+// that relied on it fault per item instead of running somewhere unintended.
+func packDefaultService(pm *xmldom.Element, urlService string) string {
+	def := rpcRequest{service: urlService}
+	if def.annotate(pm, "batch") != nil {
+		return ""
+	}
+	return def.service
+}
+
+// duplicateIDFault is the whole-message Client fault for a batch in which
+// two slots share an effective correlation id (explicit spi:id, else the
+// slot, as id reports it): the response would carry the id twice, and the
+// client's decodePackedResponse refuses such a response wholesale. The
+// all-positional batch a Batch sends clears the first loop, allocating nothing.
+func duplicateIDFault(n int, id func(slot int) int) *soap.Fault {
+	positional := true
+	for i := 0; i < n && positional; i++ {
+		positional = id(i) == i
+	}
+	if positional {
+		return nil
+	}
+	seen := make(map[int]bool, n)
+	for i := 0; i < n; i++ {
+		v := id(i)
+		if seen[v] {
+			return soap.ClientFault("duplicate spi:id %d", v)
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
+// decodeRequestElement interprets one RPC request element. defaultService
+// is used when the element carries no spi:service attribute (the URL's for
+// plain requests, packDefaultService for packed entries); id is the
+// positional fallback when no spi:id attribute is present.
+func decodeRequestElement(el *xmldom.Element, defaultService string, id int) (*rpcRequest, *soap.Fault) {
+	req := &rpcRequest{id: id, service: defaultService, op: el.Name.Local}
+	if fault := req.annotate(el, "request"); fault != nil {
+		return nil, fault
 	}
 	if req.service == "" {
 		return nil, soap.ClientFault("request %q names no service", el.Name.Local)

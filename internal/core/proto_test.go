@@ -58,11 +58,20 @@ func TestDecodeRequestElementNoService(t *testing.T) {
 	}
 }
 
+// packedWithID builds a one-entry batch whose entry carries the given
+// explicit spi:id (the client itself never writes one).
+func packedWithID(t *testing.T, id string) *xmldom.Element {
+	t.Helper()
+	pm, err := buildPackedRequest([]batchEntry{{service: "S", ns: "urn:s", op: "op"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.ChildElements()[0].SetAttr(attrID, id)
+	return pm
+}
+
 func TestDecodeRequestElementBadID(t *testing.T) {
-	el := mustRequestElement(t, "urn:s", "op")
-	pm := buildPackedRequest([]*packedEntry{{service: "S", element: el}})
-	el.SetAttr(attrID, "not-a-number")
-	wire := reparse(t, pm).ChildElements()[0]
+	wire := reparse(t, packedWithID(t, "not-a-number")).ChildElements()[0]
 	_, fault := decodeRequestElement(wire, "", 0)
 	if fault == nil || !strings.Contains(fault.String, "bad spi:id") {
 		t.Errorf("fault = %v", fault)
@@ -70,10 +79,7 @@ func TestDecodeRequestElementBadID(t *testing.T) {
 }
 
 func TestDecodeRequestNegativeID(t *testing.T) {
-	el := mustRequestElement(t, "urn:s", "op")
-	pm := buildPackedRequest([]*packedEntry{{service: "S", element: el}})
-	el.SetAttr(attrID, "-3")
-	wire := reparse(t, pm).ChildElements()[0]
+	wire := reparse(t, packedWithID(t, "-3")).ChildElements()[0]
 	if _, fault := decodeRequestElement(wire, "", 0); fault == nil {
 		t.Error("negative id accepted")
 	}

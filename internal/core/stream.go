@@ -27,12 +27,12 @@ import (
 //     still decodes its entries as they stream, but holds every execution
 //     until verification has passed: authenticate, then act.
 //
-// Whole-message faults (malformed envelope, header rejection) are decided
-// before any response byte is emitted. The one side-effect caveat: on a
-// message with nothing to verify, entries that closed before a late syntax
-// error have already executed when the malformed-envelope fault goes out
-// (idempotency is the application's concern, as with any at-least-once
-// delivery).
+// Whole-message faults (malformed envelope, header rejection, two entries
+// claiming one correlation id) are decided before any response byte is
+// emitted. The one side-effect caveat: on a message with nothing to verify,
+// entries that closed before a late syntax error or a colliding spi:id have
+// already executed when the whole-message fault goes out (idempotency is the
+// application's concern, as with any at-least-once delivery).
 
 // cloneHeaders deep-copies header blocks off the request arena. Clone also
 // pulls inherited namespace declarations onto the copies, so they resolve
@@ -166,6 +166,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 		ctxSum = contextSum(rootTag, bodyTag, d.EntryStartTag())
 	}
 	attach := func(el *xmldom.Element) { pm.AddChild(el) }
+	entryService := packDefaultService(pm, defaultService)
 	var einfo *EntryInfo
 	if len(s.cfg.EntryInterceptors) > 0 {
 		einfo = &EntryInfo{Target: target, DefaultService: defaultService, Version: v, Packed: true}
@@ -203,7 +204,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 			}
 			el = repl
 		}
-		req, fault := decodeRequestElement(el, defaultService, i)
+		req, fault := decodeRequestElement(el, entryService, i)
 		reqs = append(reqs, req)
 		if fault != nil {
 			col.fill(i, &rpcResult{id: i, fault: fault})
@@ -238,7 +239,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 
 	// Header verification, now that the document is known well-formed.
 	// Fault precedence is header fault > extra-entry fault > empty batch >
-	// per-item dispatch faults.
+	// duplicate correlation id > per-item dispatch faults.
 	if fault := s.verifyHeaders(env, d); fault != nil {
 		return nil, asm.encDur, fault
 	}
@@ -247,6 +248,14 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	}
 	if len(reqs) == 0 {
 		return nil, asm.encDur, soap.ClientFault("%s has no requests", ElemParallelMethod)
+	}
+	if dup := duplicateIDFault(len(reqs), func(slot int) int {
+		if reqs[slot] == nil {
+			return slot // faulted before it could run: answered positionally
+		}
+		return reqs[slot].id
+	}); dup != nil {
+		return nil, asm.encDur, dup
 	}
 	if verifyFirst {
 		for i, req := range reqs {

@@ -103,8 +103,16 @@ func randomPayload(rng *rand.Rand) string {
 // spi:service attribute (the bare pack endpoint has no default service, so
 // an entry without one faults — also covered deliberately below).
 func randomEntry(rng *rand.Rand, withService bool) string {
+	return randomEntryIn(rng, withService, false)
+}
+
+// randomEntryIn is randomEntry for a batch whose Parallel_Method may have
+// hoisted the namespace: hoisted entries mostly leave xmlns:m to it.
+func randomEntryIn(rng *rand.Rand, withService, hoisted bool) string {
 	var attrs strings.Builder
-	attrs.WriteString(` xmlns:m="urn:spi:Echo"`)
+	if !hoisted || rng.Intn(4) == 0 {
+		attrs.WriteString(` xmlns:m="urn:spi:Echo"`)
+	}
 	service := "Echo"
 	if r := rng.Intn(10); r == 0 {
 		service = "Ghost" // unknown service: per-item Client fault
@@ -144,10 +152,16 @@ func randomEntry(rng *rand.Rand, withService bool) string {
 
 // packedDoc wraps entries in a packed envelope of the given version.
 func packedDoc(v soap.Version, entries []string) []byte {
+	return packedDocWith(v, "", entries)
+}
+
+// packedDocWith is packedDoc with extra Parallel_Method attributes — the
+// batch-default framing: a hoisted xmlns:m and/or spi:service.
+func packedDocWith(v soap.Version, pmAttrs string, entries []string) []byte {
 	var b strings.Builder
 	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>`)
 	b.WriteString(`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `">`)
-	b.WriteString(`<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">`)
+	b.WriteString(`<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack"` + pmAttrs + `>`)
 	for _, e := range entries {
 		b.WriteString(e)
 	}
@@ -182,12 +196,27 @@ func TestDifferentialPackedRandomized(t *testing.T) {
 						target = "/services/Echo"
 						withService = rng.Intn(2) == 0
 					}
+					// Half the documents use the batch-default framing: the
+					// namespace hoisted onto Parallel_Method, and a default
+					// service there that outranks the URL's — sometimes an
+					// unknown one, so every inheriting entry faults alike.
+					pmAttrs, hoisted := "", rng.Intn(2) == 0
+					if hoisted {
+						pmAttrs = ` xmlns:m="urn:spi:Echo"`
+						switch rng.Intn(4) {
+						case 0:
+							pmAttrs += ` spi:service="Ghost"`
+						case 1, 2:
+							pmAttrs += ` spi:service="Echo"`
+							withService = rng.Intn(2) == 0
+						}
+					}
 					n := rng.Intn(9) // 0 entries: "has no requests" fault parity
 					entries := make([]string, n)
 					for j := range entries {
-						entries[j] = randomEntry(rng, withService)
+						entries[j] = randomEntryIn(rng, withService, hoisted)
 					}
-					doc := packedDoc(v, entries)
+					doc := packedDocWith(v, pmAttrs, entries)
 					label := fmt.Sprintf("seed=%d doc=%d target=%s", seed, i, target)
 					diffReplies(t, label, doc,
 						post(t, dc, target, v.ContentType(), doc),
@@ -287,6 +316,8 @@ func TestDifferentialWholeMessageFaults(t *testing.T) {
 		{"garbage", []byte("this is not xml at all")},
 		{"truncated", []byte(`<?xml version="1.0"?><SOAP-ENV:Envelope xmlns:SOAP-ENV="` + soap.V11.Namespace() + `"><SOAP-ENV:Body>`)},
 		{"version-mismatch", []byte(`<?xml version="1.0"?><E:Envelope xmlns:E="urn:not-soap"><E:Body></E:Body></E:Envelope>`)},
+		{"duplicate-id", packedDocWith(soap.V11, ` xmlns:m="urn:spi:Echo" spi:service="Echo"`,
+			[]string{`<m:echo spi:id="1"><p>claims one</p></m:echo>`, `<m:echo><p>sits at one</p></m:echo>`})},
 		{"empty-pack", packedDoc(soap.V11, nil)},
 		{"empty-pack-12", packedDoc(soap.V12, nil)},
 		{"two-body-entries", []byte(`<?xml version="1.0"?><SOAP-ENV:Envelope xmlns:SOAP-ENV="` + soap.V11.Namespace() + `"><SOAP-ENV:Body>` + single + single + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`)},

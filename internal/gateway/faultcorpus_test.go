@@ -72,6 +72,38 @@ func TestFaultCorpusNoBackend(t *testing.T) {
 	}
 }
 
+func TestFaultCorpusDuplicateID(t *testing.T) {
+	// Entry 0 claims id 1 by attribute, entry 1 by position: answered as is,
+	// the response would carry the id twice. The gateway's scatter parse
+	// rejects the whole message before anything is sent to a backend, with
+	// the bytes a direct server answers (internal/core's duplicate_id_*).
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		f := newFarm(t, 2, nil)
+		doc := packedDocWith(v, ` xmlns:m="urn:spi:Echo" spi:service="Echo"`, []string{
+			`<m:echo spi:id="1"><data>claims one</data></m:echo>`,
+			`<m:echo><data>sits at one</data></m:echo>`,
+		})
+		resp, err := f.raw().Post("/services/", v.ContentType(), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 500 {
+			t.Errorf("%s: status = %d, want 500", v, resp.StatusCode)
+		}
+		gwCorpusGolden(t, "gw_duplicate_id_"+gwCorpusSuffix(v), resp.Body)
+		direct, err := os.ReadFile(filepath.Join("..", "core", "testdata", "faultcorpus", "duplicate_id_"+gwCorpusSuffix(v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Body, direct) {
+			t.Errorf("%s: gateway and direct server disagree\ngateway: %s\n direct: %s", v, resp.Body, direct)
+		}
+		if st := f.gw.Stats(); st.Scattered != 0 {
+			t.Errorf("%s: %d sub-batches went out for a rejected message", v, st.Scattered)
+		}
+	}
+}
+
 // silentBackend accepts connections and reads forever without ever
 // answering — the shape of a backend that wedged after accept.
 func silentBackend(t *testing.T) *netsim.Link {

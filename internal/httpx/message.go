@@ -322,7 +322,7 @@ func writeRequestFramed(w io.Writer, r *Request, closeConn bool) error {
 // request without pre-set framing fields: request line, the fields in
 // order, Content-Length, then Connection: close when requested. The header
 // block comes from a pooled buffer and goes to the kernel together with
-// the body in one writev-shaped write.
+// the body in one write (see writeBlock).
 func writeRequestFast(w io.Writer, r *Request, closeConn bool) error {
 	bp := headerBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
@@ -350,25 +350,14 @@ func writeRequestFast(w io.Writer, r *Request, closeConn bool) error {
 	}
 	b = append(b, '\r', '\n')
 
-	var err error
-	if len(r.Body) > 0 {
-		bufs := net.Buffers{b, r.Body}
-		_, err = bufs.WriteTo(w)
-	} else {
-		_, err = w.Write(b)
-	}
-	if cap(b) <= maxPooledResponseHeader {
-		*bp = b[:0]
-		headerBufPool.Put(bp)
-	}
-	return err
+	return writeBlock(w, bp, b, r.Body)
 }
 
 // WriteResponse serializes the response to w with Content-Length framing.
 // Responses that carry no framing- or connection-related fields of their
 // own — every response this stack's SOAP layer produces — take a fast path
 // that assembles the header block in a pooled buffer and hands header and
-// body to the kernel in a single writev-shaped write, instead of cloning
+// body to the kernel in a single write (see writeBlock), instead of cloning
 // the header and copying the body through a bufio.Writer.
 func WriteResponse(w io.Writer, r *Response, closeConn bool) error {
 	if !r.Header.Has("Content-Length") && !r.Header.Has("Connection") && !r.Header.Has("Transfer-Encoding") {
@@ -391,8 +380,8 @@ var headerBufPool = sync.Pool{
 // a response without pre-set Content-Length/Connection/Transfer-Encoding
 // fields: status line, the fields in order, Content-Length first among the
 // appended ones, then Connection: close when requested. Header bytes come
-// from a pooled buffer and the body is written from its own slice, so a
-// packed SOAP reply goes out without a single copy.
+// from a pooled buffer; on a writev-capable connection the body is written
+// from its own slice, so a packed SOAP reply goes out without a single copy.
 func writeResponseFast(w io.Writer, r *Response, closeConn bool) error {
 	bp := headerBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
@@ -424,20 +413,47 @@ func writeResponseFast(w io.Writer, r *Response, closeConn bool) error {
 	}
 	b = append(b, '\r', '\n')
 
+	return writeBlock(w, bp, b, r.Body)
+}
+
+// writeBlock sends a finished header block b (backed by the pooled *bp) and
+// the body as one write, then recycles the block. net.Buffers is one writev
+// only on a bare *net.TCPConn or *net.UnixConn; through any wrapper (a
+// netsim conn, a counting or TLS conn) it degrades to a Write per slice —
+// two segments under TCP_NODELAY and a second read wake-up at the peer. There
+// the body is appended to the block instead, as long as the block stays
+// small enough to go back to the pool; a larger body keeps its zero-copy
+// second write.
+func writeBlock(w io.Writer, bp *[]byte, b, body []byte) error {
 	var err error
-	if len(r.Body) > 0 {
-		bufs := net.Buffers{b, r.Body}
-		_, err = bufs.WriteTo(w)
-	} else {
+	switch {
+	case len(body) == 0:
 		_, err = w.Write(b)
+	case !writesBuffers(w) && len(b)+len(body) <= maxPooledResponseHeader:
+		b = append(b, body...)
+		_, err = w.Write(b)
+	default:
+		bufs := net.Buffers{b, body}
+		_, err = bufs.WriteTo(w)
 	}
 	// WriteTo may shrink bufs but never the backing arrays; keep the
-	// header buffer for reuse unless it grew past the pool cap.
+	// block for reuse unless it grew past the pool cap.
 	if cap(b) <= maxPooledResponseHeader {
 		*bp = b[:0]
 		headerBufPool.Put(bp)
 	}
 	return err
+}
+
+// writesBuffers reports whether net.Buffers.WriteTo reaches w as a single
+// writev: the net package's own conn types (the ones the servers and
+// clients here can be handed bare) do that, nothing else can.
+func writesBuffers(w io.Writer) bool {
+	switch w.(type) {
+	case *net.TCPConn, *net.UnixConn:
+		return true
+	}
+	return false
 }
 
 // WriteResponseChunked serializes the response with chunked

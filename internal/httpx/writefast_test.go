@@ -3,6 +3,7 @@ package httpx
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -194,5 +195,73 @@ func TestWriteResponseFastOversizedNotPooled(t *testing.T) {
 	r.Header.Set("X-Big", strings.Repeat("v", maxPooledResponseHeader))
 	if got, want := fastBytes(t, r, false), framedBytes(t, r, false); got != want {
 		t.Error("oversized header block diverged from framed path")
+	}
+}
+
+// writeCounter is a connection wrapper as the fast paths see one: a plain
+// io.Writer that net.Buffers cannot writev through.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestFastWritesAreSingleWrites: behind a wrapper the fast paths used to
+// issue two Writes per message — header block, then body — i.e. two
+// segments under TCP_NODELAY. Both directions must now hand a message that
+// fits a poolable block to the connection in one Write, with unchanged
+// bytes, and keep the zero-copy second write for a body that does not fit.
+func TestFastWritesAreSingleWrites(t *testing.T) {
+	for _, tc := range []struct {
+		body   int
+		writes int
+	}{
+		{0, 1},
+		{417, 1}, // a single-call SOAP envelope
+		{maxPooledResponseHeader / 2, 1},
+		{maxPooledResponseHeader, 2}, // with its header block, past the pool cap
+		{128 << 10, 2},               // 8 x 16 KiB packed
+	} {
+		body := bytes.Repeat([]byte("x"), tc.body)
+
+		req := NewRequest("POST", "/services/Echo", body)
+		req.Header.Set("Content-Type", "text/xml; charset=utf-8")
+		req.Header.Set("SOAPAction", `""`)
+		var got writeCounter
+		if err := WriteRequest(&got, req, false); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := writeRequestFramed(&want, req, false); err != nil {
+			t.Fatal(err)
+		}
+		if got.writes != tc.writes || got.String() != want.String() {
+			t.Errorf("request, %d-byte body: %d writes (want %d), bytes equal: %v",
+				tc.body, got.writes, tc.writes, got.String() == want.String())
+		}
+
+		resp := NewResponse(200, body)
+		resp.Header.Set("Content-Type", "text/xml; charset=utf-8")
+		got = writeCounter{}
+		if err := WriteResponse(&got, resp, false); err != nil {
+			t.Fatal(err)
+		}
+		if got.writes != tc.writes || got.String() != framedBytes(t, resp, false) {
+			t.Errorf("response, %d-byte body: %d writes (want %d), bytes equal: %v",
+				tc.body, got.writes, tc.writes, got.String() == framedBytes(t, resp, false))
+		}
+	}
+}
+
+// TestFastWriteKeepsWritevOnTCP: a bare TCP connection still gets header
+// block and body as net.Buffers (one writev), never a copy of the body.
+func TestFastWriteKeepsWritevOnTCP(t *testing.T) {
+	var tcp *net.TCPConn
+	if !writesBuffers(tcp) || writesBuffers(&writeCounter{}) {
+		t.Error("writev capability misjudged")
 	}
 }
