@@ -17,17 +17,23 @@ import (
 // The request-framing acceptance suite. A packed request may spell what its
 // entries share — namespace, target service — on Parallel_Method (what the
 // client sends since the batch-default framing) or on every entry (the long
-// form: what it sent before, and what gateway sub-batches, coalesced
-// batches and third-party clients still send), and may mix the two. The
-// server's answer depends on what the batch means, never on how it was
-// spelled: every form of one batch must produce the same committed bytes
-// under testdata/parity/, in every feature cell.
+// form: what it sent before, and what coalesced batches and third-party
+// clients still send), and may mix the two. What runs depends on what the
+// batch means, never on how it was spelled; the one thing a spelling decides
+// is the response's own framing, which mirrors the xmlns:m Parallel_Method
+// declared. So the forms of one batch fall into groups by that declaration,
+// and every form of a group must produce the same committed bytes under
+// testdata/parity/, in every feature cell.
 
 // framingForm is one spelling of a packed request.
 type framingForm struct {
 	name   string
 	target string
 	pm     string // the Parallel_Method element
+	// declares names the xmlns:m Parallel_Method itself declares, as the
+	// golden's suffix: "" for none — the long form, answered with the bytes
+	// every server before the mirrored default answered with.
+	declares string
 }
 
 const (
@@ -43,57 +49,63 @@ const (
 
 // framingForms spell one batch — Echo.echo(first), then
 // WeatherService.GetWeather(Beijing), the batch of testdata/packed1x.xml —
-// every accepted way. All of them answer with parity/framing_1x.xml.
+// every accepted way. Those that declare no xmlns:m on Parallel_Method
+// answer with parity/framing_1x.xml, the others with
+// parity/framing-echo_1x.xml or parity/framing-weather_1x.xml.
 var framingForms = []framingForm{
 	{"long", "/services/", framingPM + `>` +
 		`<m:echo` + echoNS + ` spi:id="0"` + toEcho + echoArgs +
-		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd, ""},
 	// The client's form: the first entry's namespace and service are the
 	// batch default, the second entry overrides both.
 	{"default", "/services/", framingPM + echoNS + toEcho + `>` +
 		`<m:echo` + echoArgs +
-		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd, "-echo"},
 	// The default need not be the first entry's.
 	{"default-is-second", "/services/", framingPM + weatherNS + toWeather + `>` +
 		`<m:echo` + echoNS + toEcho + echoArgs +
-		`<m:GetWeather` + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherArgs + framingEnd, "-weather"},
 	// Ids restated where they equal the slot change nothing.
 	{"ids-restated", "/services/", framingPM + echoNS + toEcho + `>` +
 		`<m:echo spi:id="0"` + echoArgs +
-		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd, "-echo"},
+	// A hybrid: the default declared, and restated by the entry it fits.
+	{"default-restated", "/services/", framingPM + echoNS + toEcho + `>` +
+		`<m:echo` + echoNS + toEcho + echoArgs +
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd, "-echo"},
 	// Precedence: entry spi:service > Parallel_Method spi:service > URL.
 	{"default-over-url", "/services/WeatherService", framingPM + echoNS + toEcho + `>` +
 		`<m:echo` + echoArgs +
-		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd, "-echo"},
 	{"url-default", "/services/Echo", framingPM + echoNS + `>` +
 		`<m:echo` + echoArgs +
-		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd, "-echo"},
 	// Service hoisted, namespaces left on the entries.
 	{"service-only", "/services/", framingPM + toEcho + `>` +
 		`<m:echo` + echoNS + echoArgs +
-		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd, ""},
 }
 
 // framingIDForms give the first entry an explicit id that is not its slot:
-// the response echoes it (parity/framing-ids_1x.xml).
+// the response echoes it (parity/framing-ids{,-echo}_1x.xml).
 var framingIDForms = []framingForm{
 	{"long", "/services/", framingPM + `>` +
 		`<m:echo` + echoNS + ` spi:id="7"` + toEcho + echoArgs +
-		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd, ""},
 	{"default", "/services/", framingPM + echoNS + toEcho + `>` +
 		`<m:echo spi:id="7"` + echoArgs +
-		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd, "-echo"},
 }
 
 // framingNoServiceForms leave the first entry with no service from any of
-// the three places: it alone faults (parity/framing-no-service_1x.xml).
+// the three places: it alone faults (parity/framing-no-service{,-echo}_1x.xml).
 var framingNoServiceForms = []framingForm{
 	{"long", "/services/", framingPM + `>` +
 		`<m:echo` + echoNS + ` spi:id="0"` + echoArgs +
-		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd, ""},
 	{"default", "/services/", framingPM + echoNS + `>` +
 		`<m:echo` + echoArgs +
-		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd},
+		`<m:GetWeather` + weatherNS + toWeather + weatherArgs + framingEnd, "-echo"},
 }
 
 func TestPackedFramingAcceptance(t *testing.T) {
@@ -129,7 +141,7 @@ func TestPackedFramingAcceptance(t *testing.T) {
 							if code != 200 {
 								t.Errorf("%v/%s/%s round %d: status %d", v, b.golden, form.name, round, code)
 							}
-							parityGolden(t, b.golden+"_"+corpusSuffix(v), body)
+							parityGolden(t, b.golden+form.declares+"_"+corpusSuffix(v), body)
 						}
 					}
 				}
@@ -137,8 +149,12 @@ func TestPackedFramingAcceptance(t *testing.T) {
 					continue
 				}
 				// The request goldens themselves, byte for byte: what the
-				// client sent before this framing, and what it sends now.
-				for _, name := range []string{"packed11-long.xml", "packed11.xml"} {
+				// client sent before the batch-default framing, and what it
+				// sends now.
+				for _, req := range []struct{ name, golden string }{
+					{"packed11-long.xml", "framing"}, {"packed11.xml", "framing-echo"},
+				} {
+					name := req.name
 					if v == soap.V12 {
 						name = strings.Replace(name, "11", "12", 1)
 					}
@@ -150,7 +166,7 @@ func TestPackedFramingAcceptance(t *testing.T) {
 					if code != 200 {
 						t.Errorf("%s: status %d", name, code)
 					}
-					parityGolden(t, "framing_"+corpusSuffix(v), body)
+					parityGolden(t, req.golden+"_"+corpusSuffix(v), body)
 				}
 			}
 			if f.diff {

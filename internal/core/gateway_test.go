@@ -306,3 +306,29 @@ func TestRetryableErrorBridge(t *testing.T) {
 		t.Fatal("caller's own expiry must not be retryable")
 	}
 }
+
+// roundRobinShards deals a parsed request's entries out in turn, as the
+// gateway's round-robin policy shards them over k idle backends.
+func roundRobinShards(sr *ScatterRequest, k int) [][]*ScatterEntry {
+	shards := make([][]*ScatterEntry, k)
+	for i, e := range sr.Entries {
+		shards[i%k] = append(shards[i%k], e)
+	}
+	return shards
+}
+
+// TestSubBatchWire pins the document a backend actually parses: the first of
+// the two sub-batches the gateway cuts from testdata/wire/echo16_1x.xml.
+func TestSubBatchWire(t *testing.T) {
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		sr, fault := ParseScatterRequest(wireDoc(t, "echo16", v), "")
+		if fault != nil {
+			t.Fatal(fault)
+		}
+		sub, err := BuildSubBatch(sr.Version, sr.Headers, roundRobinShards(sr, 2)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		testdataGolden(t, "wire", "subbatch_"+corpusSuffix(v), sub)
+	}
+}

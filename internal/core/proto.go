@@ -256,7 +256,9 @@ func decodePackedResponse(el *xmldom.Element) (map[int]*rpcResult, error) {
 		}
 		res := &slab[i]
 		res.id = id
-		if child.Is(soap.NSEnvelope, "Fault") {
+		// A per-item fault is written under the envelope's own prefix, so it
+		// lands in whichever envelope namespace the response uses.
+		if ns := child.Namespace(); child.Name.Local == "Fault" && (ns == soap.NSEnvelope || ns == soap.NSEnvelope12) {
 			res.fault = faultFromElement(child)
 		} else {
 			fields, err := soapenc.DecodeParams(child)
