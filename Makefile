@@ -116,14 +116,14 @@ bench-check:
 
 ## bench-gate: fail if the key benchmarks regressed vs the baseline chain
 ## (first file that records a benchmark wins, so each benchmark keeps the
-## baseline of the PR that introduced it). BENCH_pr14.json heads the chain;
+## baseline of the PR that introduced it). BENCH_pr15.json heads the chain;
 ## like BENCH_pr13.json (the first snapshot that says which machine it was
 ## taken on) it re-records every row on the box the gate runs on. Short benchtime keeps
 ## the gate fast; the wide tolerance absorbs machine noise while still
 ## catching step-function regressions.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr14.json,BENCH_pr13.json,BENCH_pr9.json,BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json -tolerance 35
+		-baseline BENCH_pr15.json,BENCH_pr14.json,BENCH_pr13.json,BENCH_pr9.json,BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:

@@ -22,6 +22,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -38,6 +39,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/httpx"
 	"repro/internal/metrics"
 	"repro/internal/msgcache"
 	"repro/internal/netsim"
@@ -217,6 +219,81 @@ func main() {
 			}
 		}
 	}))
+	// The gateway's two hops for the 16-entry request a Batch sends, cut for
+	// two round-robin backends: the sub-batch it writes for one of them, that
+	// document through a backend's decode walk, the backend's reply split
+	// into segments, and sixteen segments gathered back into the one
+	// Parallel_Response the client reads.
+	{
+		fatal := func(what string, err error) {
+			fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", what, err)
+			os.Exit(1)
+		}
+		sr, fault := core.ParseScatterRequest(packedEchoDoc(16, false), "")
+		if fault != nil {
+			fatal("parsing the scatter request", fault)
+		}
+		var shard []*core.ScatterEntry
+		for i := 0; i < len(sr.Entries); i += 2 {
+			shard = append(shard, sr.Entries[i])
+		}
+		subDoc, err := core.BuildSubBatch(sr.Version, sr.Headers, shard)
+		if err != nil {
+			fatal("building the sub-batch", err)
+		}
+		env, err := bench.NewEnv(bench.EnvOptions{Coupled: true})
+		if err != nil {
+			fatal("starting a backend", err)
+		}
+		resp := env.Server.HandleHTTP(context.Background(), httpx.NewRequest("POST", "/services", subDoc))
+		reply := append([]byte(nil), resp.Body...)
+		resp.Release()
+		env.Close()
+		segs, _, err := sr.SplitResponse(reply)
+		if err != nil || len(segs) != len(shard) {
+			fatal("splitting the backend's reply", fmt.Errorf("%d segments: %v", len(segs), err))
+		}
+
+		add(measure("core/subbatch-build-8of16", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildSubBatch(sr.Version, sr.Headers, shard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+		add(measure("soap/decode-subbatch-8", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, err := streamDecodePacked(subDoc); err != nil || n != 8 {
+					b.Fatalf("decoded %d entries: %v", n, err)
+				}
+			}
+		}))
+		add(measure("core/gather-split-8", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sr.SplitResponse(reply); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+		add(measure("core/encode-packed-response-16", func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col := sr.NewCollector()
+				for slot := range sr.Entries {
+					col.Deliver(slot, segs[slot/2])
+				}
+				resp, _, err := col.Assemble(ctx, sr.Version, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp.Release()
+			}
+		}))
+	}
 	add(measure("msgcache/render-hit", func(b *testing.B) {
 		c := msgcache.New()
 		params := []soapenc.Field{soapenc.F("message", "hello"), soapenc.F("count", int32(3))}

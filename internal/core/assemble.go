@@ -12,12 +12,11 @@ import (
 	"repro/internal/xmltext"
 )
 
-// DOM-free packed assembly. buildPackedResponse (still the plan
-// dispatcher's assembler) builds a Parallel_Response element tree per
-// message and serializes it once at the end; the streaming assembler here
-// writes the same bytes directly into a pooled emitter, one entry at a
-// time, as workers complete. Differential tests pin the two byte-identical
-// under randomized worker completion orders.
+// DOM-free packed assembly: the one writer of Parallel_Response. The server's
+// packed and plan dispatchers and the gateway's gather write their entries —
+// results, per-item faults, segments spliced from backend replies — straight
+// into a pooled emitter, in slot order. Differential tests pin the bytes to
+// the DOM oracle under randomized worker completion orders.
 
 var (
 	namePackResponse = xmltext.Name{Prefix: PrefixPack, Local: ElemParallelResponse}
@@ -34,18 +33,35 @@ var (
 // worker has finished.
 type packedAssembler struct {
 	em         *xmltext.Emitter
+	defaultNS  string        // xmlns:m declared on Parallel_Response; "" for none
 	next       int           // reorder-window head: first unencoded slot
 	encDur     time.Duration // time spent encoding, for phase attribution
 	itemFaults int
-	faultCodes *fault.Counters // server's per-wire-code tallies; nil in tests
+	faultCodes *fault.Counters // server's per-wire-code tallies; nil elsewhere
 	failed     error           // first soapenc error; encoding stops once set
 }
 
-func newPackedAssembler() *packedAssembler {
-	a := &packedAssembler{em: xmltext.AcquireEmitter()}
+// newPackedAssembler opens a Parallel_Response under appendRequestEntry's
+// framing rule, in the response direction: the batch default is the xmlns:m
+// the request's Parallel_Method declared (requestDefaultNS), and an entry
+// restates its namespace only where it differs. With no default every entry
+// declares its own, so a client that never heard of the rule is answered as
+// it always was.
+func newPackedAssembler(defaultNS string) *packedAssembler {
+	a := &packedAssembler{em: xmltext.AcquireEmitter(), defaultNS: defaultNS}
 	a.em.Start(namePackResponse)
 	a.em.Attr(nameXmlnsSpi, NSPack)
+	if defaultNS != "" {
+		a.em.Attr(nameXmlnsM, defaultNS)
+	}
 	return a
+}
+
+// requestDefaultNS is the response default a packed request asks for: the
+// xmlns:m on Parallel_Method itself, not one inherited from further out, so
+// that server, gateway and backend all read the same default off one start tag.
+func requestDefaultNS(pm *xmldom.Element) string {
+	return pm.AttrValue(nameXmlnsM)
 }
 
 // release returns the fragment buffer to the pool. Idempotent: finish sets
@@ -82,31 +98,24 @@ func (a *packedAssembler) drain(col *streamCollector, serviceNS func(service str
 	}
 }
 
-// encodeEntry writes one response entry, byte-identical to the
-// buildPackedResponse child for the same result: a per-item SOAP 1.1 Fault
-// or <m:opResponse xmlns:m="ns" spi:id="..">, attributes in DOM SetAttr
-// order.
+// encodeEntry writes one response entry: a per-item fault, or
+// <m:opResponse spi:id="..">, xmlns:m in front where the service's namespace
+// is not the batch default. Every entry carries spi:id: clients route by it.
 func (a *packedAssembler) encodeEntry(r *rpcResult, serviceNS func(service string) string) error {
-	start := time.Now()
-	var tmp [24]byte
-	id := xmltext.Intern(strconv.AppendInt(tmp[:0], int64(r.id), 10))
 	if r.fault != nil {
-		a.itemFaults++
-		if a.faultCodes != nil {
-			a.faultCodes.NoteSOAP(r.fault)
-		}
-		// Per-item faults use the SOAP 1.1 layout regardless of envelope
-		// version, as Fault.Element does.
-		r.fault.AppendElementFor(a.em, soap.V11, xmltext.Attr{Name: attrID, Value: id})
-		a.encDur += time.Since(start)
+		a.fault(r.id, r.fault)
 		return nil
 	}
+	start := time.Now()
+	var tmp [24]byte
 	var local [96]byte
 	op := append(local[:0], r.op...)
 	op = append(op, "Response"...)
 	a.em.Start(xmltext.Name{Prefix: "m", Local: xmltext.Intern(op)})
-	a.em.Attr(nameXmlnsM, serviceNS(r.service))
-	a.em.Attr(attrID, id)
+	if ns := serviceNS(r.service); ns != a.defaultNS {
+		a.em.Attr(nameXmlnsM, ns)
+	}
+	a.em.AttrRaw(attrID, strconv.AppendInt(tmp[:0], int64(r.id), 10))
 	err := soapenc.EncodeParamsTo(a.em, r.results)
 	if err == nil {
 		a.em.End()
@@ -115,30 +124,47 @@ func (a *packedAssembler) encodeEntry(r *rpcResult, serviceNS func(service strin
 	return err
 }
 
+// fault writes a per-item fault entry. Per-item faults use the SOAP 1.1
+// layout regardless of envelope version, as Fault.Element does.
+func (a *packedAssembler) fault(id int, f *soap.Fault) {
+	start := time.Now()
+	a.itemFaults++
+	if a.faultCodes != nil {
+		a.faultCodes.NoteSOAP(f)
+	}
+	var tmp [24]byte
+	f.AppendElementFor(a.em, soap.V11, xmltext.Attr{Name: attrID,
+		Value: xmltext.Intern(strconv.AppendInt(tmp[:0], int64(id), 10))})
+	a.encDur += time.Since(start)
+}
+
 // finish closes the Parallel_Response fragment, wraps it in an envelope
 // with the response headers, and returns the HTTP response backed by a
-// pooled buffer that is released after the bytes hit the wire.
-func (a *packedAssembler) finish(v soap.Version, headers []*xmldom.Element) (*httpx.Response, error) {
+// pooled buffer that is released after the bytes hit the wire. Header blocks
+// come as elements or, from the gateway, as bytes cut out of backend replies.
+func (a *packedAssembler) finish(v soap.Version, headers []*xmldom.Element, rawHeader []byte) (*httpx.Response, error) {
 	start := time.Now()
+	defer func() { a.encDur += time.Since(start) }()
 	a.em.End() // Parallel_Response
 	if err := a.em.Finish(); err != nil {
-		a.encDur += time.Since(start)
 		return nil, err
 	}
 	enc := soap.NewStreamEncoder()
-	enc.Begin(v, headers)
+	if rawHeader != nil {
+		enc.BeginRawHeader(v, rawHeader)
+	} else {
+		enc.Begin(v, headers)
+	}
 	enc.Emitter().Raw(a.em.Bytes())
 	body, err := enc.Finish()
 	a.release()
 	if err != nil {
 		enc.Release()
-		a.encDur += time.Since(start)
 		return nil, err
 	}
 	resp := httpx.NewResponse(200, body)
 	resp.Header.Set("Content-Type", v.ContentType())
 	resp.SetRelease(enc.Release)
-	a.encDur += time.Since(start)
 	return resp, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,42 @@ import (
 // buildPackedResponse (under randomized worker completion orders), the
 // streamed packed request against buildPackedRequest, and the full streamed
 // server response against the buffered server's bytes end to end.
+
+// buildPackedResponse is the assembler's oracle: the Parallel_Response
+// element built as a tree — the server-side assembler of §3.4 as the server
+// first had it — under the same framing rule. It declares defaultNS ("" for
+// none) as the batch's xmlns:m; a child restates its namespace only where it
+// differs, and every child carries its spi:id. Faulted entries become
+// per-item SOAP-ENV:Fault children.
+func buildPackedResponse(results []*rpcResult, serviceNS func(service string) string, defaultNS string) (*xmldom.Element, error) {
+	pr := xmldom.NewElement(namePackResponse)
+	pr.DeclareNamespace(PrefixPack, NSPack)
+	if defaultNS != "" {
+		pr.DeclareNamespace("m", defaultNS)
+	}
+	for _, r := range results {
+		var child *xmldom.Element
+		if r.fault != nil {
+			child = r.fault.Element()
+		} else {
+			child = xmldom.NewElement(xmltext.Name{Prefix: "m", Local: r.op + "Response"})
+			if ns := serviceNS(r.service); ns != defaultNS {
+				child.DeclareNamespace("m", ns)
+			}
+			if err := soapenc.EncodeParams(child, r.results); err != nil {
+				return nil, err
+			}
+		}
+		child.SetAttr(attrID, strconv.Itoa(r.id))
+		pr.AddChild(child)
+	}
+	return pr, nil
+}
+
+// responseDefaults are the batch defaults the oracle comparisons run under:
+// none, the namespace most sample results share, one that a single result
+// has, and one nobody has.
+var responseDefaults = []string{"", "urn:spi:Echo", "urn:spi:WeatherService", "urn:spi:Nobody"}
 
 // testNS resolves service namespaces the way the echo container does.
 func testNS(service string) string { return "urn:spi:" + service }
@@ -62,13 +99,13 @@ func sampleResults() []*rpcResult {
 // delivered into the collector from another goroutine in the given order
 // while the reorder window drains contiguous completed slots, then the
 // closed fragment bytes are returned.
-func assembleStreamed(t *testing.T, results []*rpcResult, order []int) string {
+func assembleStreamed(t *testing.T, results []*rpcResult, order []int, defaultNS string) string {
 	t.Helper()
 	col := newStreamCollector()
 	for range results {
 		col.addSlot()
 	}
-	asm := newPackedAssembler()
+	asm := newPackedAssembler(defaultNS)
 	defer asm.release()
 
 	go func() {
@@ -97,12 +134,6 @@ func assembleStreamed(t *testing.T, results []*rpcResult, order []int) string {
 
 func TestStreamAssemblerFragmentParity(t *testing.T) {
 	results := sampleResults()
-	dom, err := buildPackedResponse(results, testNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := dom.String()
-
 	orders := [][]int{
 		{0, 1, 2, 3, 4, 5, 6},
 		{6, 5, 4, 3, 2, 1, 0}, // head delivered last: window parks on slot 0
@@ -111,13 +142,20 @@ func TestStreamAssemblerFragmentParity(t *testing.T) {
 		order := rand.New(rand.NewSource(seed)).Perm(len(results))
 		orders = append(orders, order)
 	}
-	for _, order := range orders {
-		got := assembleStreamed(t, results, order)
-		if got != want {
-			t.Fatalf("fragment diverges for delivery order %v:\nstreamed: %s\nbuffered: %s", order, got, want)
+	for _, def := range responseDefaults {
+		dom, err := buildPackedResponse(results, testNS, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dom.String()
+		for _, order := range orders {
+			got := assembleStreamed(t, results, order, def)
+			if got != want {
+				t.Fatalf("fragment diverges for default %q, delivery order %v:\nstreamed: %s\nbuffered: %s", def, order, got, want)
+			}
 		}
 	}
-	if asm := newPackedAssembler(); asm.itemFaults != 0 {
+	if asm := newPackedAssembler(""); asm.itemFaults != 0 {
 		t.Errorf("fresh assembler itemFaults = %d", asm.itemFaults)
 	} else {
 		asm.release()
@@ -141,12 +179,13 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 					{id: 1, service: "Echo", op: "echo", results: []soapenc.Field{soapenc.F("n", int64(g*100+round))}},
 					{id: 2, service: "Echo", op: "fail", fault: &soap.Fault{Code: soap.FaultServer, String: "boom " + tag}},
 				}
-				dom, err := buildPackedResponse(results, testNS)
+				def := responseDefaults[round%len(responseDefaults)]
+				dom, err := buildPackedResponse(results, testNS, def)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got := assembleStreamed(t, results, rng.Perm(len(results)))
+				got := assembleStreamed(t, results, rng.Perm(len(results)), def)
 				if want := dom.String(); got != want {
 					t.Errorf("round %s diverged:\nstreamed: %s\nbuffered: %s", tag, got, want)
 					return

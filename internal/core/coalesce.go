@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strconv"
 
 	"repro/internal/httpx"
 	"repro/internal/registry"
@@ -36,9 +35,9 @@ type SingleCall struct {
 	// Version is the request's envelope version; the coalesced batch and
 	// the spliced response both use it.
 	Version soap.Version
-	// Entry is the request element prepared for sharding. Its ID and
-	// spi:id/spi:service annotations are assigned at flush time via
-	// SealID, once the entry's position in its batch is known.
+	// Entry is the request element prepared for sharding. Its slot and id
+	// are assigned at flush time via SealID, once the entry's position in
+	// its batch is known.
 	Entry *ScatterEntry
 }
 
@@ -73,23 +72,22 @@ func ParseSingleCall(body []byte, defaultService string, reg *registry.Container
 	if fault != nil {
 		return nil
 	}
-	// Clone detaches the element from the arena and pulls inherited
-	// namespace declarations down, so it serializes standalone inside the
-	// synthetic batch.
+	// The copy brings along the declarations in scope around it that the
+	// synthetic batch's own document does not make, so it resolves there as
+	// it did here whatever its neighbours declare.
+	el := detachEntry(entry)
+	el.Attrs = subBatchScope(el.Attrs, entry.Parent, env.Version, false)
 	return &SingleCall{
 		Version: env.Version,
-		Entry:   &ScatterEntry{Service: req.service, Op: req.op, Element: entry.Clone()},
+		Entry:   &ScatterEntry{Service: req.service, Op: req.op, Element: el},
 	}
 }
 
 // SealID assigns a coalesced entry's slot and correlation id once its
-// batch is sealed, annotating the element exactly as ParseScatterRequest
-// does for explicitly packed entries (spi:id first, then spi:service).
+// batch is sealed; BuildSubBatch writes the annotations.
 func (e *ScatterEntry) SealID(id int) {
 	e.Slot = id
 	e.ID = id
-	e.Element.SetAttr(attrID, strconv.Itoa(id))
-	e.Element.SetAttr(attrService, e.Service)
 }
 
 // entryIDAttr is the serialized spi:id attribute prefix inside a start

@@ -77,19 +77,23 @@ func corpusSingleDoc(t *testing.T, v soap.Version, op string, params ...soapenc.
 }
 
 // corpusPackedDoc frames a two-entry packed request: a fast echo plus the
-// blocking park operation, ids 0 and 1.
+// blocking park operation, ids 0 and 1. It is spelled in the long form,
+// which declares no batch default: the corpus pins what a fault looks like,
+// and the response-framing table what a declared default does to the
+// entries around one.
 func corpusPackedDoc(t *testing.T, v soap.Version) []byte {
 	t.Helper()
-	pm, err := buildPackedRequest([]batchEntry{
-		{service: "Echo", ns: "urn:spi:Echo", op: "echo", params: []soapenc.Field{soapenc.F("m", "quick")}},
-		{service: "Echo", ns: "urn:spi:Echo", op: "park"},
-	})
+	quick, err := encodeRequestElement("urn:spi:Echo", "echo", []soapenc.Field{soapenc.F("m", "quick")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	park, err := encodeRequestElement("urn:spi:Echo", "park", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := soap.New()
 	env.Version = v
-	env.AddBody(pm)
+	env.AddBody(parityPacked(quick, park))
 	var buf bytes.Buffer
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)

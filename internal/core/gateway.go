@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -17,9 +18,9 @@ import (
 // Scatter–gather support for the SPI gateway (package gateway): parsing a
 // packed envelope into shardable entries, building per-backend sub-batches,
 // splitting backend replies back into per-entry byte segments, and
-// reassembling them — through the same reorder-window assembler the server
-// uses — into one packed response that is byte-identical to what a single
-// direct server would have produced.
+// reassembling them — through the same assembler the server uses — into one
+// packed response that is byte-identical to what a single direct server
+// would have produced.
 //
 // Byte identity is why replies are spliced as raw segments instead of being
 // re-serialized through the DOM: parse→serialize is not the identity on
@@ -27,8 +28,13 @@ import (
 // serializes as <a/>, while the server's typed encoder deliberately emits
 // <a></a> for empty string results). The server's response framing is
 // deterministic — same prefixes, same attribute order, same namespace
-// declarations for both SOAP versions — so the gateway can anchor on exact
-// byte markers and never touch the entry bytes in between.
+// declarations for both SOAP versions — so the gateway can walk exact byte
+// markers and never touch the entry bytes in between.
+//
+// Both hops the gateway writes follow appendRequestEntry's framing rule: a
+// sub-batch declares the client's own batch default, so the backends answer
+// under it and the gathered Parallel_Response can declare it once over
+// segments that were never edited.
 
 // ScatterEntry is one Parallel_Method entry prepared for sharding.
 type ScatterEntry struct {
@@ -42,13 +48,16 @@ type ScatterEntry struct {
 	// Service and Op name the target operation (empty on faulted entries).
 	Service string
 	Op      string
-	// Element is the request element, detached from the parse arena and
-	// annotated with the effective spi:id and spi:service, ready to drop
-	// into a sub-batch. Nil when Fault is set.
+	// Element is the request element, detached from the parse arena, with
+	// its own attributes less the pack annotations, which BuildSubBatch
+	// restates where needed. Nil when Fault is set.
 	Element *xmldom.Element
 	// Fault is set when the entry failed to decode; the gateway answers
 	// such entries locally with the exact fault a direct server emits.
 	Fault *soap.Fault
+	// batch is the packed request the entry was cut from, whose default its
+	// sub-batch declares; nil for a coalesced single call.
+	batch *ScatterRequest
 }
 
 // ScatterRequest is a parsed packed request ready for sharding.
@@ -64,6 +73,17 @@ type ScatterRequest struct {
 	// Packed reports whether the body was a Parallel_Method at all; a
 	// false value means the request should be proxied whole.
 	Packed bool
+	// DefaultNS is the xmlns:m the client's Parallel_Method declared ("" for
+	// none): the response's batch default, whichever shards answer and even
+	// if none does. DefaultService is what an entry naming no service runs
+	// on: Parallel_Method's spi:service, else the URL's. Sub-batches declare
+	// both.
+	DefaultNS      string
+	DefaultService string
+	// scope is what else was in scope at the client's Parallel_Method that a
+	// sub-batch does not declare by itself; restated once per sub-batch so
+	// the entries' QNames keep resolving.
+	scope []xmltext.Attr
 }
 
 // ParseScatterRequest decodes a packed request for sharding. The returned
@@ -85,20 +105,24 @@ func ParseScatterRequest(body []byte, defaultService string) (*ScatterRequest, *
 	if len(env.Body) != 1 {
 		return sr, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
 	}
-	entry := env.Body[0]
-	if !isPackedRequest(entry) {
+	pm := env.Body[0]
+	if !isPackedRequest(pm) {
 		return sr, nil
 	}
 	sr.Packed = true
-	children := entry.ChildElements()
+	children := pm.ChildElements()
 	if len(children) == 0 {
 		return sr, soap.ClientFault("%s has no requests", ElemParallelMethod)
 	}
+	sr.DefaultNS = requestDefaultNS(pm)
+	sr.DefaultService = packDefaultService(pm, defaultService)
+	// The nearest m in scope is Parallel_Method's own when it declares one,
+	// and then it travels as the default, not in the scope.
+	sr.scope = subBatchScope(nil, pm, env.Version, sr.DefaultNS != "")
 	sr.Entries = make([]*ScatterEntry, len(children))
-	defaultService = packDefaultService(entry, defaultService)
 	for i, el := range children {
-		se := &ScatterEntry{Slot: i, ID: i}
-		req, fault := decodeRequestElement(el, defaultService, i)
+		se := &ScatterEntry{Slot: i, ID: i, batch: sr}
+		req, fault := decodeRequestElement(el, sr.DefaultService, i)
 		if fault != nil {
 			// The server answers undecodable entries with a positional id,
 			// even when the entry carried a valid explicit spi:id.
@@ -107,129 +131,252 @@ func ParseScatterRequest(body []byte, defaultService string) (*ScatterRequest, *
 			se.ID = req.id
 			se.Service = req.service
 			se.Op = req.op
-			// The clone detaches the element from the arena and pulls inherited
-			// namespace declarations down, so it serializes standalone — in
-			// the long form, whether the client spelled namespace and
-			// annotations on the entry or left them to Parallel_Method.
-			lead := make([]xmltext.Attr, 0, 3)
-			if uri, ok := el.ResolvePrefix(el.Name.Prefix); ok && el.Name.Prefix != "" {
-				lead = append(lead, xmltext.Attr{Name: xmltext.Name{Prefix: "xmlns", Local: el.Name.Prefix}, Value: uri})
-			}
-			lead = append(lead, xmltext.Attr{Name: attrID, Value: strconv.Itoa(req.id)},
-				xmltext.Attr{Name: attrService, Value: req.service})
-			se.Element = el.CloneLeading(lead...)
+			se.Element = detachEntry(el)
 		}
 		sr.Entries[i] = se
 	}
 	return sr, duplicateIDFault(len(children), func(slot int) int { return sr.Entries[slot].ID })
 }
 
-// BuildSubBatch serializes one backend's share of the entries as a packed
-// request document. The bytes are freshly allocated and stable, so a
-// failed sub-batch can be re-sent verbatim to another backend.
-func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*ScatterEntry) ([]byte, error) {
-	env := soap.New()
-	env.Version = v
-	for _, h := range headers {
-		env.AddHeader(h)
+// detachEntry copies a request element off its arena, verbatim but for the
+// pack annotations: whoever writes the copy into a batch restates those for
+// the slot and the default it lands under.
+func detachEntry(el *xmldom.Element) *xmldom.Element {
+	c := el.CloneInArena(nil)
+	own := c.Attrs[:0]
+	for _, a := range c.Attrs {
+		if a.Name != attrID && a.Name != attrService {
+			own = append(own, a)
+		}
 	}
-	pm := xmldom.NewElement(namePackMethod)
-	pm.DeclareNamespace(PrefixPack, NSPack)
-	for _, e := range entries {
-		pm.AddChild(e.Element)
-	}
-	env.AddBody(pm)
-	// The Writer path escapes attribute values (entity references were
-	// decoded at parse time), unlike the emitter fast path, which assumes
-	// producer-controlled escape-free attributes.
-	var buf bytes.Buffer
-	if err := env.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	c.Attrs = own
+	return c
 }
 
-// Byte anchors of the server's canonical packed-response serialization.
-// The SOAP-ENV prefix is the same for both envelope versions (only the
-// namespace URI differs), so these are version-independent.
+// subBatchDecls are the namespace declarations every sub-batch document
+// makes by itself, besides the envelope's own.
+var subBatchDecls = map[string]string{
+	soap.PrefixEncoding: soap.NSEncoding, soap.PrefixXSI: soap.NSXSI, soap.PrefixXSD: soap.NSXSD, PrefixPack: NSPack,
+}
+
+// subBatchScope appends to attrs the namespace declarations in scope at el —
+// nearest binding first, none that attrs already binds — then drops those a
+// sub-batch document in version v makes identically by itself and, with
+// skipM, xmlns:m.
+func subBatchScope(attrs []xmltext.Attr, el *xmldom.Element, v soap.Version, skipM bool) []xmltext.Attr {
+	for ; el != nil; el = el.Parent {
+	next:
+		for _, a := range el.Attrs {
+			if a.Name.Prefix != "xmlns" && a.Name != (xmltext.Name{Local: "xmlns"}) {
+				continue
+			}
+			for _, b := range attrs {
+				if b.Name == a.Name {
+					continue next
+				}
+			}
+			attrs = append(attrs, a)
+		}
+	}
+	kept := attrs[:0]
+	for _, a := range attrs {
+		if p := a.Name.Local; a.Name.Prefix == "xmlns" && (subBatchDecls[p] == a.Value ||
+			p == soap.PrefixEnvelope && a.Value == v.Namespace() || p == "m" && skipM) {
+			continue
+		}
+		kept = append(kept, a)
+	}
+	return kept
+}
+
+// BuildSubBatch serializes one backend's share of the entries as a packed
+// request document, streamed under the framing rule. Entries cut from a
+// packed request inherit what the client's Parallel_Method gave them: the
+// sub-batch declares the same xmlns:m and default service and restates the
+// rest of the scope on Body (an xmlns:m the client declared further out is
+// not a batch default, and must not become one here); an entry adds
+// spi:service only where it differs and spi:id only where its id is not its
+// slot in this document. Coalesced single calls declare no default, so each
+// response segment is complete by itself. The bytes are freshly allocated and
+// stable, so a failed sub-batch can be re-sent verbatim to another backend.
+func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*ScatterEntry) ([]byte, error) {
+	var def ScatterRequest
+	if len(entries) > 0 && entries[0].batch != nil {
+		def = *entries[0].batch
+	}
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(v, headers)
+	em := enc.Emitter()
+	for _, a := range def.scope {
+		em.Attr(a.Name, a.Value)
+	}
+	em.Start(namePackMethod)
+	em.Attr(nameXmlnsSpi, NSPack)
+	if def.DefaultNS != "" {
+		em.Attr(nameXmlnsM, def.DefaultNS)
+	}
+	if def.DefaultService != "" {
+		em.Attr(attrService, def.DefaultService)
+	}
+	var tmp [24]byte
+	for slot, e := range entries {
+		em.Start(e.Element.Name)
+		for _, a := range e.Element.Attrs {
+			em.Attr(a.Name, a.Value)
+		}
+		if e.ID != slot {
+			em.AttrRaw(attrID, strconv.AppendInt(tmp[:0], int64(e.ID), 10))
+		}
+		if e.Service != def.DefaultService {
+			em.Attr(attrService, e.Service)
+		}
+		for _, n := range e.Element.Children {
+			xmldom.AppendNode(n, em)
+		}
+		em.End()
+	}
+	em.End()
+	doc, err := enc.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), doc...), nil
+}
+
+// Byte markers of the server's canonical packed-response serialization. The
+// SOAP-ENV prefix is the same for both envelope versions (only the namespace
+// URI differs), so these are version-independent.
 var (
-	gatherBodyOpen   = []byte(`<SOAP-ENV:Body><` + PrefixPack + `:` + ElemParallelResponse + ` xmlns:` + PrefixPack + `="` + NSPack + `">`)
-	gatherBodyClose  = []byte(`</` + PrefixPack + `:` + ElemParallelResponse + `></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
-	gatherHeaderOpen = []byte(`<SOAP-ENV:Header>`)
-	gatherHeaderEnd  = []byte(`</SOAP-ENV:Header>`)
+	gatherPreamble    = [][]byte{[]byte(`<?xml `), []byte(`<SOAP-ENV:Envelope `)}
+	gatherHeaderOpen  = []byte(`<SOAP-ENV:Header>`)
+	gatherHeaderEnd   = []byte(`</SOAP-ENV:Header>`)
+	gatherBodyOpen    = []byte(`<SOAP-ENV:Body><` + PrefixPack + `:` + ElemParallelResponse + ` xmlns:` + PrefixPack + `="` + NSPack + `"`)
+	gatherDefaultOpen = []byte(` xmlns:m="`)
+	gatherBodyClose   = []byte(`</` + PrefixPack + `:` + ElemParallelResponse + `></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
 )
+
+var errShape = errors.New("core: backend response is not a packed response")
 
 // SplitGatherResponse slices a backend's packed-response document into its
 // per-entry byte segments plus the raw contents of its Header element (nil
 // when absent). Segments are copies: the response body they came from may
 // be pooled and recycled by the transport.
 func SplitGatherResponse(body []byte) (segments [][]byte, rawHeader []byte, err error) {
-	i := bytes.Index(body, gatherBodyOpen)
-	if i < 0 {
-		return nil, nil, fmt.Errorf("core: backend response is not a packed response")
-	}
-	if !bytes.HasSuffix(body, gatherBodyClose) {
-		return nil, nil, fmt.Errorf("core: backend packed response has an unexpected tail")
-	}
-	if h := bytes.Index(body[:i], gatherHeaderOpen); h >= 0 {
-		end := bytes.Index(body[h:i], gatherHeaderEnd)
-		if end < 0 {
-			return nil, nil, fmt.Errorf("core: backend response header is malformed")
-		}
-		rawHeader = append([]byte(nil), body[h+len(gatherHeaderOpen):h+end]...)
-	}
-	children := body[i+len(gatherBodyOpen) : len(body)-len(gatherBodyClose)]
-	segments, err = splitTopLevelElements(children)
+	segments, rawHeader, _, err = splitGather(body)
+	return segments, rawHeader, err
+}
+
+// SplitResponse is SplitGatherResponse for the reply to one of sr's
+// sub-batches. A reply that declares a default must mirror the one the
+// sub-batch declared: under any other, its segments would be spliced into
+// the gathered response under a namespace they were not written for. One
+// that declares none (a backend older than the mirrored default) is made of
+// entries that each declare their own, which splice anywhere.
+func (sr *ScatterRequest) SplitResponse(body []byte) (segments [][]byte, rawHeader []byte, err error) {
+	segments, rawHeader, def, err := splitGather(body)
 	if err != nil {
 		return nil, nil, err
+	}
+	var tmp [64]byte
+	if want := xmltext.AppendEscAttr(tmp[:0], sr.DefaultNS); len(def) > 0 && !bytes.Equal(def, want) {
+		return nil, nil, fmt.Errorf("core: backend answered under default namespace %q, the sub-batch declared %q", def, want)
 	}
 	return segments, rawHeader, nil
 }
 
+// splitGather walks the document from its first byte — XML declaration,
+// Envelope start tag, Header if any, then Body opening directly onto
+// Parallel_Response — so no marker is ever matched inside content. def is
+// the xmlns:m Parallel_Response declares, as serialized and aliasing body;
+// empty when it declares none.
+func splitGather(body []byte) (segments [][]byte, rawHeader, def []byte, err error) {
+	rest := body
+	for _, open := range gatherPreamble {
+		if !bytes.HasPrefix(rest, open) {
+			return nil, nil, nil, errShape
+		}
+		gt, _, _, err := scanTag(rest, 0)
+		if err != nil {
+			return nil, nil, nil, errShape
+		}
+		rest = rest[gt+1:]
+	}
+	if bytes.HasPrefix(rest, gatherHeaderOpen) {
+		end, err := elementEnd(rest, 0)
+		if err != nil || !bytes.HasSuffix(rest[:end], gatherHeaderEnd) {
+			return nil, nil, nil, fmt.Errorf("core: backend response header is malformed")
+		}
+		rawHeader = append([]byte(nil), rest[len(gatherHeaderOpen):end-len(gatherHeaderEnd)]...)
+		rest = rest[end:]
+	}
+	if !bytes.HasPrefix(rest, gatherBodyOpen) {
+		return nil, nil, nil, errShape
+	}
+	rest = rest[len(gatherBodyOpen):]
+	if bytes.HasPrefix(rest, gatherDefaultOpen) {
+		rest = rest[len(gatherDefaultOpen):]
+		q := bytes.IndexByte(rest, '"')
+		if q < 0 {
+			return nil, nil, nil, errShape
+		}
+		def, rest = rest[:q], rest[q+1:]
+	}
+	if !bytes.HasPrefix(rest, []byte(">")) {
+		return nil, nil, nil, errShape
+	}
+	if !bytes.HasSuffix(rest, gatherBodyClose) {
+		return nil, nil, nil, fmt.Errorf("core: backend packed response has an unexpected tail")
+	}
+	segments, err = splitTopLevelElements(rest[1 : len(rest)-len(gatherBodyClose)])
+	return segments, rawHeader, def, err
+}
+
 // splitTopLevelElements divides a well-formed element sequence into one
-// copied byte segment per top-level element. The input comes from the
-// server's own emitter, so text never contains a raw '<', attribute values
-// are double-quoted, and the only markup to skip inside a tag is a quoted
-// string. Comments and PIs do not occur but are tolerated at depth.
+// copied byte segment per top-level element.
 func splitTopLevelElements(b []byte) ([][]byte, error) {
 	var out [][]byte
-	start, depth := 0, 0
-	for pos := 0; pos < len(b); {
+	for pos := 0; ; {
 		lt := bytes.IndexByte(b[pos:], '<')
 		if lt < 0 {
-			if depth != 0 {
-				return nil, fmt.Errorf("core: truncated packed response entry")
-			}
-			break
+			return out, nil
 		}
-		pos += lt
-		if depth == 0 {
-			start = pos
-		}
-		gt, selfClosing, closing, err := scanTag(b, pos)
+		end, err := elementEnd(b, pos+lt)
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, append([]byte(nil), b[pos+lt:end]...))
+		pos = end
+	}
+}
+
+// elementEnd returns the index just past the element whose start tag opens
+// at b[pos]. The input comes from the server's own emitter, so text never
+// contains a raw '<', attribute values are double-quoted, and the only
+// markup to skip inside a tag is a quoted string; balance is checked, tag
+// names are not. Comments and PIs do not occur but are tolerated at depth.
+func elementEnd(b []byte, pos int) (int, error) {
+	for depth := 0; ; {
+		lt := bytes.IndexByte(b[pos:], '<')
+		if lt < 0 {
+			return 0, fmt.Errorf("core: truncated packed response entry")
+		}
+		gt, selfClosing, closing, err := scanTag(b, pos+lt)
+		if err != nil {
+			return 0, err
+		}
 		switch {
 		case closing:
-			depth--
-			if depth < 0 {
-				return nil, fmt.Errorf("core: unbalanced packed response entry")
+			if depth--; depth < 0 {
+				return 0, fmt.Errorf("core: unbalanced packed response entry")
 			}
-		case selfClosing:
-			// depth unchanged
-		default:
+		case !selfClosing:
 			depth++
 		}
-		pos = gt + 1
-		if depth == 0 {
-			out = append(out, append([]byte(nil), b[start:pos]...))
+		if pos = gt + 1; depth == 0 {
+			return pos, nil
 		}
 	}
-	if depth != 0 {
-		return nil, fmt.Errorf("core: truncated packed response entry")
-	}
-	return out, nil
 }
 
 // scanTag finds the '>' ending the tag that starts at b[pos] (which is
@@ -277,11 +424,15 @@ func RetryableError(err error, idempotent bool) bool {
 
 // GatherCollector accumulates per-slot response segments (or faults) as
 // backend sub-batches complete, in any order, and reassembles them into
-// the packed response through the same reorder-window loop the server's
-// streaming assembler uses. Slots are write-once: late deliveries after a
-// slot was degraded are dropped, exactly like detached server workers.
+// the packed response through the server's own assembler. Slots are
+// write-once: late deliveries after a slot was degraded are dropped,
+// exactly like detached server workers.
 type GatherCollector struct {
 	ids []int // effective spi:id per slot, for fault entries
+	// defaultNS is the default the gathered Parallel_Response declares and
+	// entries the operations behind the slots; unset when made from bare ids.
+	defaultNS string
+	entries   []*ScatterEntry
 
 	mu       sync.Mutex
 	segments [][]byte
@@ -292,7 +443,8 @@ type GatherCollector struct {
 }
 
 // NewGatherCollector returns a collector for len(ids) slots; ids[slot] is
-// the effective correlation id used when a slot resolves to a fault.
+// the effective correlation id used when a slot resolves to a fault. The
+// response it assembles declares no batch default.
 func NewGatherCollector(ids []int) *GatherCollector {
 	return &GatherCollector{
 		ids:      ids,
@@ -301,6 +453,18 @@ func NewGatherCollector(ids []int) *GatherCollector {
 		filled:   make([]bool, len(ids)),
 		wake:     make(chan struct{}, 1),
 	}
+}
+
+// NewCollector returns the collector for sr's response: one slot per entry,
+// under the default the client's Parallel_Method declared.
+func (sr *ScatterRequest) NewCollector() *GatherCollector {
+	ids := make([]int, len(sr.Entries))
+	for i, e := range sr.Entries {
+		ids[i] = e.ID
+	}
+	c := NewGatherCollector(ids)
+	c.defaultNS, c.entries = sr.DefaultNS, sr.Entries
+	return c
 }
 
 func (c *GatherCollector) nudge() {
@@ -367,16 +531,24 @@ func (c *GatherCollector) rawHeader() []byte {
 	return out
 }
 
-// Assemble drains slots in order into the packed-response fragment,
-// parking on the reorder window's head until it fills or ctx expires.
-// On expiry every unfilled slot is degraded to the per-item fault
-// degrade(slot) supplies — the gateway's analogue of the server
-// abandoning unfinished workers. Returns the finished HTTP response and
-// the number of per-item faults it contains.
+// Assemble drains slots in order into the packed response, parking on the
+// reorder window's head until it fills or ctx expires. On expiry every
+// unfilled slot is degraded to the per-item fault degrade(slot) supplies —
+// the gateway's analogue of the server abandoning unfinished workers; a nil
+// degrade supplies that very fault, AbandonFault. Returns the finished HTTP
+// response and the number of per-item faults it contains.
 func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade func(slot int) *soap.Fault) (*httpx.Response, int, error) {
-	asm := newPackedAssembler()
+	if degrade == nil {
+		degrade = func(slot int) *soap.Fault {
+			if c.entries == nil {
+				return AbandonFault(ctx, "", "")
+			}
+			return AbandonFault(ctx, c.entries[slot].Service, c.entries[slot].Op)
+		}
+	}
+	asm := newPackedAssembler(c.defaultNS)
 	defer asm.release()
-	for slot := 0; slot < len(c.ids); slot++ {
+	for slot := range c.ids {
 		for {
 			c.mu.Lock()
 			ok := c.filled[slot]
@@ -384,12 +556,7 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 			c.mu.Unlock()
 			if ok {
 				if f != nil {
-					asm.itemFaults++
-					var tmp [24]byte
-					id := xmltext.Intern(strconv.AppendInt(tmp[:0], int64(c.ids[slot]), 10))
-					// Per-item faults use the SOAP 1.1 layout regardless of
-					// envelope version, like every packed-response fault.
-					f.AppendElementFor(asm.em, soap.V11, xmltext.Attr{Name: attrID, Value: id})
+					asm.fault(c.ids[slot], f)
 				} else {
 					asm.em.Raw(seg)
 				}
@@ -409,22 +576,8 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 			}
 		}
 	}
-	asm.em.End() // Parallel_Response
-	if err := asm.em.Finish(); err != nil {
-		return nil, asm.itemFaults, err
-	}
-	enc := soap.NewStreamEncoder()
-	enc.BeginRawHeader(v, c.rawHeader())
-	enc.Emitter().Raw(asm.em.Bytes())
-	body, err := enc.Finish()
-	if err != nil {
-		enc.Release()
-		return nil, asm.itemFaults, err
-	}
-	resp := httpx.NewResponse(200, body)
-	resp.Header.Set("Content-Type", v.ContentType())
-	resp.SetRelease(enc.Release)
-	return resp, asm.itemFaults, nil
+	resp, err := asm.finish(v, nil, c.rawHeader())
+	return resp, asm.itemFaults, err
 }
 
 // GatewayFaultResponse renders a whole-message fault exactly as a direct

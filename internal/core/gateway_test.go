@@ -5,8 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/soap"
 	"repro/internal/xmldom"
@@ -14,10 +17,11 @@ import (
 )
 
 // buildServerResponse renders the packed response a direct server would
-// produce for the given results, headers included.
-func buildServerResponse(t *testing.T, v soap.Version, results []*rpcResult, headers []*xmldom.Element) []byte {
+// produce for the given results under the batch default def, headers
+// included.
+func buildServerResponse(t *testing.T, v soap.Version, results []*rpcResult, headers []*xmldom.Element, def string) []byte {
 	t.Helper()
-	pr, err := buildPackedResponse(results, testNS)
+	pr, err := buildPackedResponse(results, testNS, def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,51 +48,59 @@ func buildServerResponse(t *testing.T, v soap.Version, results []*rpcResult, hea
 	return out
 }
 
+// collectorFor returns the collector a gateway gathers these results'
+// segments into: the one of a request that declared def.
+func collectorFor(results []*rpcResult, def string) *GatherCollector {
+	sr := &ScatterRequest{DefaultNS: def}
+	for i, r := range results {
+		sr.Entries = append(sr.Entries, &ScatterEntry{Slot: i, ID: r.id, Service: r.service, Op: r.op})
+	}
+	return sr.NewCollector()
+}
+
 // TestSplitGatherResponseRoundTrip pins the raw-splice invariant the whole
 // gateway rests on: splitting a server's packed response into segments and
 // reassembling them through the GatherCollector reproduces the original
-// document byte for byte, for both SOAP versions and under randomized
-// delivery orders.
+// document byte for byte, for both SOAP versions, every batch default and
+// under randomized delivery orders.
 func TestSplitGatherResponseRoundTrip(t *testing.T) {
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
-		results := sampleResults()
-		direct := buildServerResponse(t, v, results, nil)
+		for _, def := range responseDefaults {
+			results := sampleResults()
+			direct := buildServerResponse(t, v, results, nil, def)
 
-		segs, rawHeader, err := SplitGatherResponse(direct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rawHeader != nil {
-			t.Fatalf("unexpected header bytes: %q", rawHeader)
-		}
-		if len(segs) != len(results) {
-			t.Fatalf("got %d segments, want %d", len(segs), len(results))
-		}
-
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 20; trial++ {
-			ids := make([]int, len(results))
-			for i, r := range results {
-				ids[i] = r.id
-			}
-			col := NewGatherCollector(ids)
-			order := rng.Perm(len(segs))
-			go func() {
-				for _, slot := range order {
-					col.Deliver(slot, segs[slot])
-				}
-			}()
-			resp, faults, err := col.Assemble(context.Background(), v, nil)
+			segs, rawHeader, err := (&ScatterRequest{DefaultNS: def}).SplitResponse(direct)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if faults != 0 {
-				t.Fatalf("spliced segments counted as faults: %d", faults)
+			if rawHeader != nil {
+				t.Fatalf("unexpected header bytes: %q", rawHeader)
 			}
-			if !bytes.Equal(resp.Body, direct) {
-				t.Fatalf("reassembly diverges (v=%v):\n got %s\nwant %s", v, resp.Body, direct)
+			if len(segs) != len(results) {
+				t.Fatalf("got %d segments, want %d", len(segs), len(results))
 			}
-			resp.Release()
+
+			rng := rand.New(rand.NewSource(7))
+			for trial := 0; trial < 20; trial++ {
+				col := collectorFor(results, def)
+				order := rng.Perm(len(segs))
+				go func() {
+					for _, slot := range order {
+						col.Deliver(slot, segs[slot])
+					}
+				}()
+				resp, faults, err := col.Assemble(context.Background(), v, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if faults != 0 {
+					t.Fatalf("spliced segments counted as faults: %d", faults)
+				}
+				if !bytes.Equal(resp.Body, direct) {
+					t.Fatalf("reassembly diverges (v=%v, default %q):\n got %s\nwant %s", v, def, resp.Body, direct)
+				}
+				resp.Release()
+			}
 		}
 	}
 }
@@ -99,7 +111,7 @@ func TestSplitGatherResponseHeader(t *testing.T) {
 	h.DeclareNamespace("h", "urn:hdr")
 	h.SetText("token<&>")
 	results := sampleResults()
-	direct := buildServerResponse(t, soap.V11, results, []*xmldom.Element{h})
+	direct := buildServerResponse(t, soap.V11, results, []*xmldom.Element{h}, "")
 
 	segs, rawHeader, err := SplitGatherResponse(direct)
 	if err != nil {
@@ -137,11 +149,11 @@ func TestGatherCollectorFaultsAndDegrade(t *testing.T) {
 		{id: 2, service: "Echo", op: "slow", fault: &soap.Fault{
 			Code: FaultCodeTimeout, String: "deadline expired before Echo.slow finished"}},
 	}
-	direct := buildServerResponse(t, soap.V11, results, nil)
+	direct := buildServerResponse(t, soap.V11, results, nil, "")
 
 	// Slot 0 arrives as a spliced segment, slot 1 fails locally, slot 2
 	// never arrives and is degraded at the deadline.
-	okOnly := buildServerResponse(t, soap.V11, results[:1], nil)
+	okOnly := buildServerResponse(t, soap.V11, results[:1], nil, "")
 	segs, _, err := SplitGatherResponse(okOnly)
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +178,112 @@ func TestGatherCollectorFaultsAndDegrade(t *testing.T) {
 	}
 	if !bytes.Equal(resp.Body, direct) {
 		t.Fatalf("fault assembly diverges:\n got %s\nwant %s", resp.Body, direct)
+	}
+}
+
+// TestGatherCollectorNilDegrade: with no degrade callback — which is how
+// benchmark/trace.go calls Assemble — a collector whose context has expired
+// answers the open slots itself, with the fault a server abandoning the same
+// operation writes (abandonResult). The contexts are dead on arrival, so
+// nothing here waits.
+func TestGatherCollectorNilDegrade(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	for _, tc := range []struct {
+		ctx  context.Context
+		code string
+	}{{cancelled, FaultCodeCancelled}, {expired, FaultCodeTimeout}} {
+		results := []*rpcResult{
+			{id: 0, service: "Echo", op: "echo"},
+			{id: 1, service: "Echo", op: "slow", fault: AbandonFault(tc.ctx, "Echo", "slow")},
+			{id: 2, service: "WeatherService", op: "GetWeather", fault: AbandonFault(tc.ctx, "WeatherService", "GetWeather")},
+		}
+		if results[1].fault.Code != tc.code {
+			t.Fatalf("AbandonFault code %q, want %q", results[1].fault.Code, tc.code)
+		}
+		direct := buildServerResponse(t, soap.V11, results, nil, "urn:spi:Echo")
+		segs, _, err := SplitGatherResponse(buildServerResponse(t, soap.V11, results[:1], nil, "urn:spi:Echo"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := collectorFor(results, "urn:spi:Echo")
+		col.Deliver(0, segs[0])
+		resp, faults, err := col.Assemble(tc.ctx, soap.V11, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faults != 2 || !bytes.Equal(resp.Body, direct) {
+			t.Errorf("%s: %d faults, assembled\n got %s\nwant %s", tc.code, faults, resp.Body, direct)
+		}
+		resp.Release()
+
+		// A collector made from bare ids knows no operation names, but it
+		// degrades all the same.
+		resp, faults, err = NewGatherCollector([]int{0, 1}).Assemble(tc.ctx, soap.V11, nil)
+		if err != nil || faults != 2 || !bytes.Contains(resp.Body, []byte(":"+tc.code+"</faultcode>")) {
+			t.Errorf("%s: bare collector: %d faults, err %v: %s", tc.code, faults, err, resp.Body)
+		}
+		resp.Release()
+	}
+}
+
+// TestSplitGatherResponseShape: the split walks the reply from its first
+// byte and accepts exactly the server's own framing, so a marker inside a
+// header block or an entry is never taken for the real one, and a reply
+// under another default than the sub-batch declared is refused.
+func TestSplitGatherResponseShape(t *testing.T) {
+	const (
+		decl     = `<?xml version="1.0" encoding="UTF-8"?>`
+		envelope = `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + soap.NSEnvelope + `" xmlns:xsd="x>y">`
+		open     = `<SOAP-ENV:Body><spi:Parallel_Response xmlns:spi="` + NSPack + `"`
+		entry    = `<m:echoResponse spi:id="0"><v>1</v></m:echoResponse>`
+		tail     = `</spi:Parallel_Response></SOAP-ENV:Body></SOAP-ENV:Envelope>`
+		echo     = ` xmlns:m="urn:spi:Echo"`
+	)
+	// A header block that quotes a whole packed response, nested Header and all.
+	decoy := `<h:log xmlns:h="urn:h"><SOAP-ENV:Envelope><SOAP-ENV:Header></SOAP-ENV:Header>` + open + `><decoy/>` + tail + `</h:log>`
+	for _, tc := range []struct {
+		name, doc, def string
+		segments       int
+		header, err    string
+	}{
+		{name: "default", doc: decl + envelope + open + echo + `>` + entry + entry + tail, def: "urn:spi:Echo", segments: 2},
+		{name: "no default", doc: decl + envelope + open + `>` + entry + tail, segments: 1},
+		{name: "no declaration", doc: envelope + open + `>` + entry + tail, err: "not a packed response"},
+		{name: "header", doc: decl + envelope + `<SOAP-ENV:Header>` + decoy + `</SOAP-ENV:Header>` + open + echo + `>` + entry + tail,
+			def: "urn:spi:Echo", segments: 1, header: decoy},
+		{name: "escaped default", doc: decl + envelope + open + ` xmlns:m="urn:a&amp;b"` + `>` + entry + tail, def: "urn:a&b", segments: 1},
+		{name: "other default", doc: decl + envelope + open + ` xmlns:m="urn:spi:Other"` + `>` + entry + tail, def: "urn:spi:Echo",
+			err: `answered under default namespace "urn:spi:Other", the sub-batch declared "urn:spi:Echo"`},
+		{name: "default not asked for", doc: decl + envelope + open + echo + `>` + entry + tail, err: `the sub-batch declared ""`},
+		// A backend older than the mirrored default: its entries each declare
+		// their own namespace, so they splice under any default.
+		{name: "default not mirrored", doc: decl + envelope + open + `><m:echoResponse xmlns:m="urn:spi:Echo" spi:id="0"/>` + tail, def: "urn:spi:Echo", segments: 1},
+		{name: "marker only inside an entry", doc: decl + envelope + `<SOAP-ENV:Body><wrap>` + open + `>` + entry + `</spi:Parallel_Response></wrap>` + tail,
+			err: "not a packed response"},
+		{name: "marker only inside the header", doc: decl + envelope + `<SOAP-ENV:Header>` + decoy + `</SOAP-ENV:Header><SOAP-ENV:Body><other/>` + tail,
+			err: "not a packed response"},
+		{name: "extra attribute", doc: decl + envelope + open + echo + ` x="1">` + entry + tail, def: "urn:spi:Echo", err: "not a packed response"},
+		{name: "fault envelope", doc: decl + envelope + `<SOAP-ENV:Body><SOAP-ENV:Fault/></SOAP-ENV:Body></SOAP-ENV:Envelope>`, err: "not a packed response"},
+		{name: "unclosed header", doc: decl + envelope + `<SOAP-ENV:Header><h>` + open + `>` + entry + tail, err: "header is malformed"},
+		{name: "trailing bytes", doc: decl + envelope + open + `>` + entry + tail + `<!-- -->`, err: "unexpected tail"},
+		{name: "truncated entry", doc: decl + envelope + open + `>` + `<m:echoResponse><v>` + tail, err: "packed response entry"},
+		{name: "not xml", doc: "HTTP/1.1 502 Bad Gateway", err: "not a packed response"},
+		{name: "empty", doc: "", err: "not a packed response"},
+	} {
+		segs, raw, err := (&ScatterRequest{DefaultNS: tc.def}).SplitResponse([]byte(tc.doc))
+		switch {
+		case tc.err != "":
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.err)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case len(segs) != tc.segments || string(raw) != tc.header:
+			t.Errorf("%s: %d segments, header %q; want %d, %q", tc.name, len(segs), raw, tc.segments, tc.header)
+		}
 	}
 }
 
@@ -200,13 +318,13 @@ func TestParseScatterRequest(t *testing.T) {
 	if e := sr.Entries[3]; e.Fault == nil || !strings.Contains(e.Fault.String, "names no service") {
 		t.Fatalf("entry 3: %+v fault=%v", e, e.Fault)
 	}
-	// The annotated clone must re-serialize with the effective id attached.
-	var buf bytes.Buffer
-	if err := sr.Entries[0].Element.Serialize(&buf); err != nil {
-		t.Fatal(err)
+	// The detached copy keeps what the entry said for itself and leaves the
+	// pack annotations to whoever writes it into a batch.
+	if got, want := sr.Entries[1].Element.String(), `<m:echo xmlns:m="urn:spi:Echo"><data>&lt;x&gt;</data></m:echo>`; got != want {
+		t.Fatalf("entry 1 detached as %s, want %s", got, want)
 	}
-	if !strings.Contains(buf.String(), `spi:id="0"`) || !strings.Contains(buf.String(), `spi:service="Echo"`) {
-		t.Fatalf("entry 0 not annotated: %s", buf.String())
+	if sr.DefaultNS != "" || sr.DefaultService != "" {
+		t.Fatalf("request declares no default, parsed %q / %q", sr.DefaultNS, sr.DefaultService)
 	}
 
 	for _, c := range []struct{ doc, want string }{
@@ -318,7 +436,8 @@ func roundRobinShards(sr *ScatterRequest, k int) [][]*ScatterEntry {
 }
 
 // TestSubBatchWire pins the document a backend actually parses: the first of
-// the two sub-batches the gateway cuts from testdata/wire/echo16_1x.xml.
+// the two sub-batches the gateway cuts from testdata/wire/echo16_1x.xml. In
+// the long form it was 3369 bytes, 2.3 times the whole sixteen-entry request.
 func TestSubBatchWire(t *testing.T) {
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		sr, fault := ParseScatterRequest(wireDoc(t, "echo16", v), "")
@@ -330,5 +449,94 @@ func TestSubBatchWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		testdataGolden(t, "wire", "subbatch_"+corpusSuffix(v), sub)
+		if len(sub) > 1100 {
+			t.Errorf("%v: sub-batch of 8 entries out of 16 is %d bytes, want <= 1100", v, len(sub))
+		}
+	}
+}
+
+// TestSubBatchByteBudget: a sub-batch inherits instead of restating, so it is
+// never larger than the client document it was cut from, and with a single
+// backend the sub-batch of a request a Batch wrote is that request.
+func TestSubBatchByteBudget(t *testing.T) {
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		packed := "packed" + strings.TrimSuffix(corpusSuffix(v), ".xml")
+		for _, name := range []string{"wire/echo16_" + corpusSuffix(v), "wire/travel_" + corpusSuffix(v), packed + ".xml", packed + "-long.xml"} {
+			doc, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, fault := ParseScatterRequest(doc, "")
+			if fault != nil {
+				t.Fatalf("%s: %v", name, fault)
+			}
+			for _, k := range []int{1, 2, 4} {
+				for i, shard := range roundRobinShards(sr, k) {
+					if len(shard) == 0 {
+						continue
+					}
+					sub, err := BuildSubBatch(sr.Version, sr.Headers, shard)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(sub) > len(doc) {
+						t.Errorf("%s: sub-batch %d of %d is %d bytes, the request %d: %s", name, i, k, len(sub), len(doc), sub)
+					}
+					if k == 1 && !strings.HasSuffix(name, "-long.xml") && !bytes.Equal(sub, doc) {
+						t.Errorf("%s: the only sub-batch is not the request:\n got %s\nwant %s", name, sub, doc)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSubBatchScope: what an entry inherited from the client's document it
+// still inherits at the backend. The prefixes its xsi:type QNames use are
+// declared on the client's Envelope and Parallel_Method, under names the
+// sub-batch's own preamble does not declare; and an xmlns:m the entries
+// inherit from the Envelope is not a batch default — Parallel_Method did not
+// declare it — so it may not become one in the sub-batch either. It is
+// restated on Body, and the gathered response is the direct server's.
+func TestSubBatchScope(t *testing.T) {
+	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		doc := []byte(`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `" xmlns:x="` + soap.NSXSD + `" xmlns:m="urn:spi:Echo"><SOAP-ENV:Body>` +
+			framingPM + toEcho + ` xmlns:i="` + soap.NSXSI + `">` +
+			`<m:echo><n i:type="x:int">5</n></m:echo><m:echo><n i:type="x:int">6</n></m:echo>` +
+			framingEnd + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+		code, direct := postDoc(t, sys, "/services/", v, doc)
+		if code != 200 || !bytes.Contains(direct, []byte(`<m:echoResponse xmlns:m="urn:spi:Echo" spi:id="1"><n xsi:type="xsd:int">6</n>`)) {
+			t.Fatalf("%v: direct server answered %d %s", v, code, direct)
+		}
+		sr, fault := ParseScatterRequest(doc, "")
+		if fault != nil {
+			t.Fatal(fault)
+		}
+		col := sr.NewCollector()
+		for _, e := range sr.Entries {
+			sub, err := BuildSubBatch(sr.Version, sr.Headers, []*ScatterEntry{e})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := `<SOAP-ENV:Body xmlns:i="` + soap.NSXSI + `" xmlns:x="` + soap.NSXSD + `" xmlns:m="urn:spi:Echo">` + framingPM + toEcho + `><m:echo`
+			if !bytes.Contains(sub, []byte(want)) {
+				t.Errorf("%v: scope not restated once, on Body:\n got %s\nwant …%s…", v, sub, want)
+			}
+			_, body := postDoc(t, sys, "/services", v, sub)
+			segs, _, err := sr.SplitResponse(body)
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("%v: split: %v (%d segments): %s", v, err, len(segs), body)
+			}
+			col.Deliver(e.Slot, segs[0])
+		}
+		resp, _, err := col.Assemble(context.Background(), v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Body, direct) {
+			t.Errorf("%v: gathered response is not the direct server's:\n got %s\nwant %s", v, resp.Body, direct)
+		}
+		resp.Release()
 	}
 }

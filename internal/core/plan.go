@@ -6,8 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/fault"
+	"repro/internal/httpx"
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
@@ -254,11 +256,14 @@ type planDep struct {
 // the application stage as their dependencies resolve. When ctx's deadline
 // fires before the plan drains, the assembled response degrades: finished
 // steps keep their results and unfinished ones become per-item
-// Server.Timeout faults, like a packed message.
-func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *registry.Context, defaultService string) (*soap.Envelope, *soap.Fault) {
+// Server.Timeout faults, like a packed message. The response is a
+// Parallel_Response in version v with no batch default (a plan has no
+// Parallel_Method to declare one); like dispatchPacked it comes back
+// assembled, with the time spent encoding it.
+func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (*httpx.Response, time.Duration, *soap.Fault) {
 	entries := plan.ChildElements()
 	if len(entries) == 0 {
-		return nil, soap.ClientFault("%s has no steps", ElemExecutionPlan)
+		return nil, 0, soap.ClientFault("%s has no steps", ElemExecutionPlan)
 	}
 	s.packed.Add(1)
 
@@ -266,7 +271,7 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 	for i, el := range entries {
 		node, fault := decodePlanStep(el, defaultService, i, len(entries))
 		if fault != nil {
-			return nil, fault
+			return nil, 0, fault
 		}
 		nodes[i] = node
 	}
@@ -373,7 +378,7 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 		}
 	}
 	if len(roots) == 0 {
-		return nil, soap.ClientFault("%s has a dependency cycle", ElemExecutionPlan)
+		return nil, 0, soap.ClientFault("%s has a dependency cycle", ElemExecutionPlan)
 	}
 	for _, idx := range roots {
 		schedule(idx)
@@ -396,26 +401,24 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 	final := make([]*rpcResult, len(results))
 	copy(final, results)
 	mu.Unlock()
+
+	asm := newPackedAssembler("")
+	asm.faultCodes = &s.faultCodes
+	defer asm.release()
 	for i, r := range final {
 		if r == nil {
-			final[i] = s.abandonResult(ctx, nodes[i].req)
+			r = s.abandonResult(ctx, nodes[i].req)
+		}
+		if err := asm.encodeEntry(r, s.namespaceOf); err != nil {
+			return nil, asm.encDur, soap.ServerFault("assembling plan response: %v", err)
 		}
 	}
-
-	for _, r := range final {
-		if r.fault != nil {
-			s.itemFaults.Add(1)
-			s.faultCodes.NoteSOAP(r.fault)
-		}
-	}
-	respEl, err := buildPackedResponse(final, s.namespaceOf)
+	s.itemFaults.Add(int64(asm.itemFaults))
+	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil)
 	if err != nil {
-		return nil, soap.ServerFault("assembling plan response: %v", err)
+		return encodeFailureResponse(), asm.encDur, nil
 	}
-	out := soap.New()
-	out.Header = rctx.ResponseHeaders()
-	out.AddBody(respEl)
-	return out, nil
+	return resp, asm.encDur, nil
 }
 
 // decodePlanStep interprets one step element, extracting reference

@@ -197,32 +197,6 @@ func decodeRequestElement(el *xmldom.Element, defaultService string, id int) (*r
 	return req, nil
 }
 
-// buildPackedResponse assembles the Parallel_Response body element from the
-// per-request outcomes — the server-side assembler of §3.4. Results keep
-// the order of results[]; each child carries its spi:id. Faulted entries
-// become per-item SOAP-ENV:Fault children, so one failed operation does not
-// poison its batch.
-func buildPackedResponse(results []*rpcResult, serviceNS func(service string) string) (*xmldom.Element, error) {
-	pr := xmldom.NewElement(xmltext.Name{Prefix: PrefixPack, Local: ElemParallelResponse})
-	pr.DeclareNamespace(PrefixPack, NSPack)
-	for _, r := range results {
-		var child *xmldom.Element
-		if r.fault != nil {
-			child = r.fault.Element()
-		} else {
-			ns := serviceNS(r.service)
-			var err error
-			child, err = encodeResponseElement(ns, r.op, r.results)
-			if err != nil {
-				return nil, err
-			}
-		}
-		child.SetAttr(attrID, strconv.Itoa(r.id))
-		pr.AddChild(child)
-	}
-	return pr, nil
-}
-
 // decodePackedResponse splits a Parallel_Response into per-id outcomes for
 // the client-side dispatcher of §3.5. The map is keyed by correlation id.
 func decodePackedResponse(el *xmldom.Element) (map[int]*rpcResult, error) {

@@ -105,29 +105,32 @@ func TestPackedResponseOrderAndIDs(t *testing.T) {
 		{id: 0, service: "S", op: "op", results: []soapenc.Field{soapenc.F("v", "zero")}},
 		{id: 1, service: "S", op: "op", fault: soap.ClientFault("broken")},
 	}
-	pr, err := buildPackedResponse(results, func(string) string { return "urn:s" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := reparse(t, pr)
-	if !isPackedResponse(wire) {
-		t.Fatal("not recognized as packed response")
-	}
-	decoded, err := decodePackedResponse(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 3 {
-		t.Fatalf("decoded %d entries", len(decoded))
-	}
-	if !soapenc.Equal(decoded[2].results[0].Value, "two") {
-		t.Errorf("id 2 = %v", decoded[2].results)
-	}
-	if !soapenc.Equal(decoded[0].results[0].Value, "zero") {
-		t.Errorf("id 0 = %v", decoded[0].results)
-	}
-	if decoded[1].fault == nil || decoded[1].fault.String != "broken" {
-		t.Errorf("id 1 fault = %v", decoded[1].fault)
+	// With and without the namespace hoisted onto Parallel_Response.
+	for _, def := range []string{"", "urn:s"} {
+		pr, err := buildPackedResponse(results, func(string) string { return "urn:s" }, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := reparse(t, pr)
+		if !isPackedResponse(wire) {
+			t.Fatal("not recognized as packed response")
+		}
+		decoded, err := decodePackedResponse(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(decoded) != 3 {
+			t.Fatalf("decoded %d entries", len(decoded))
+		}
+		if !soapenc.Equal(decoded[2].results[0].Value, "two") {
+			t.Errorf("id 2 = %v", decoded[2].results)
+		}
+		if !soapenc.Equal(decoded[0].results[0].Value, "zero") {
+			t.Errorf("id 0 = %v", decoded[0].results)
+		}
+		if decoded[1].fault == nil || decoded[1].fault.String != "broken" {
+			t.Errorf("id 1 fault = %v", decoded[1].fault)
+		}
 	}
 }
 

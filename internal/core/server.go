@@ -518,8 +518,9 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	}
 	encodeStart, encodeDur := dispatchStart, encInDispatch
 	if resp == nil {
-		// Not packed: encode the response envelope, in the version the
-		// request used. (A packed response was assembled during dispatch.)
+		// A single call: encode the response envelope, in the version the
+		// request used. (Packed and plan responses were assembled during
+		// dispatch.)
 		respEnv.Version = env.Version
 		encodeStart = time.Now()
 		resp = s.envelopeResponse(200, respEnv)
@@ -725,8 +726,9 @@ func deadlineBudget(req *httpx.Request) time.Duration {
 // as a ready HTTP response assembled incrementally (dispatchPacked, which
 // also reports the time it spent encoding, for phase attribution). Anything
 // else completes the envelope — consulting the per-entry differential
-// cache — verifies the headers, runs the entry interceptors once, and
-// returns the single or plan response envelope for handle to encode.
+// cache — verifies the headers and runs the entry interceptors once; a plan
+// then comes back assembled like a packed body, a single call as the
+// response envelope for handle to encode.
 // target is the HTTP request target, for EntryInterceptor info.
 func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, *soap.Envelope, time.Duration, *soap.Fault) {
 	entry, err := d.NextEntryStart()
@@ -776,13 +778,11 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 			return nil, nil, 0, fault
 		}
 	}
-	var respEnv *soap.Envelope
-	var fault *soap.Fault
 	if isPlanBody(entry) {
-		respEnv, fault = s.dispatchPlan(ctx, entry, rctx, defaultService)
-	} else {
-		respEnv, fault = s.dispatchSingle(ctx, entry, rctx, defaultService)
+		resp, encDur, fault := s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
+		return resp, nil, encDur, fault
 	}
+	respEnv, fault := s.dispatchSingle(ctx, entry, rctx, defaultService)
 	return nil, respEnv, 0, fault
 }
 
@@ -811,25 +811,38 @@ func (s *Server) admissionFault(err error) *soap.Fault {
 	return soap.ServerFault("application stage unavailable: %v", err)
 }
 
-// abandonResult fabricates the per-item fault for work the protocol thread
-// stopped waiting on: Server.Timeout when the envelope deadline expired,
-// Server.Cancelled when the caller went away. The worker (if it started)
-// keeps running detached; its handler sees the cancelled Context and
-// should abort.
-func (s *Server) abandonResult(ctx context.Context, req *rpcRequest) *rpcResult {
-	res := &rpcResult{id: req.id, service: req.service, op: req.op}
+// AbandonFault is the per-item fault for work nobody waits on any longer:
+// Server.Timeout when ctx's deadline expired, Server.Cancelled when the
+// caller went away. The server's abandoned workers and the gateway's
+// degraded slots both answer with it, so the bytes are the same wherever
+// the wait was given up.
+func AbandonFault(ctx context.Context, service, op string) *soap.Fault {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return fault.ToSOAP(fault.Timeoutf(
+			"deadline expired before %s.%s finished", service, op).
+			With(fault.KeyOp, service+"."+op))
+	}
+	return fault.ToSOAP(fault.Cancelledf(
+		"caller cancelled before %s.%s finished", service, op).
+		With(fault.KeyOp, service+"."+op))
+}
+
+// abandonFault is AbandonFault, counted.
+func (s *Server) abandonFault(ctx context.Context, service, op string) *soap.Fault {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		s.resil.Timeouts.Inc()
-		res.fault = fault.ToSOAP(fault.Timeoutf(
-			"deadline expired before %s.%s finished", req.service, req.op).
-			With(fault.KeyOp, req.service+"."+req.op))
 	} else {
 		s.resil.Cancellations.Inc()
-		res.fault = fault.ToSOAP(fault.Cancelledf(
-			"caller cancelled before %s.%s finished", req.service, req.op).
-			With(fault.KeyOp, req.service+"."+req.op))
 	}
-	return res
+	return AbandonFault(ctx, service, op)
+}
+
+// abandonResult fabricates the result for work the protocol thread stopped
+// waiting on. The worker (if it started) keeps running detached; its handler
+// sees the cancelled Context and should abort.
+func (s *Server) abandonResult(ctx context.Context, req *rpcRequest) *rpcResult {
+	return &rpcResult{id: req.id, service: req.service, op: req.op,
+		fault: s.abandonFault(ctx, req.service, req.op)}
 }
 
 // dispatchSingle executes a traditional one-request envelope.
@@ -974,19 +987,8 @@ func (s *Server) execute(ctx context.Context, req *rpcRequest, rctx *registry.Co
 // "context deadline exceeded".
 func (s *Server) finishExecute(res *rpcResult, rctx, invCtx *registry.Context, results []soapenc.Field, sf *soap.Fault) *rpcResult {
 	if sf != nil {
-		if sf.Code == soap.FaultServer {
-			switch invCtx.Context().Err() {
-			case context.DeadlineExceeded:
-				s.resil.Timeouts.Inc()
-				sf = fault.ToSOAP(fault.Timeoutf(
-					"deadline expired before %s.%s finished", res.service, res.op).
-					With(fault.KeyOp, res.service+"."+res.op))
-			case context.Canceled:
-				s.resil.Cancellations.Inc()
-				sf = fault.ToSOAP(fault.Cancelledf(
-					"caller cancelled before %s.%s finished", res.service, res.op).
-					With(fault.KeyOp, res.service+"."+res.op))
-			}
+		if ictx := invCtx.Context(); sf.Code == soap.FaultServer && ictx.Err() != nil {
+			sf = s.abandonFault(ictx, res.service, res.op)
 		}
 		res.fault = sf
 		return res

@@ -147,7 +147,7 @@ func (c *streamCollector) waitSlot(ctx context.Context, slot int) (degraded bool
 // orders.
 func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *xmldom.Element, rctx *registry.Context, defaultService, target string) (*httpx.Response, time.Duration, *soap.Fault) {
 	col := newStreamCollector()
-	asm := newPackedAssembler()
+	asm := newPackedAssembler(requestDefaultNS(pm))
 	asm.faultCodes = &s.faultCodes
 	defer asm.release()
 	// reqs[i] stays nil for a slot that faulted before it could run.
@@ -290,7 +290,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))
 
-	resp, err := asm.finish(v, rctx.ResponseHeaders())
+	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil)
 	if err != nil {
 		return encodeFailureResponse(), asm.encDur, nil
 	}

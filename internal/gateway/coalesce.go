@@ -308,7 +308,7 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, defaultServi
 	case out = <-call.done:
 	case <-memberCtx.Done():
 		g.degraded.Inc()
-		df := degradeFault(memberCtx, sc.Entry)
+		df := core.AbandonFault(memberCtx, sc.Entry.Service, sc.Entry.Op)
 		g.faultCodes.NoteSOAP(df)
 		out = callOutcome{fault: df}
 	}

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -223,6 +224,128 @@ func TestDifferentialPackedRandomized(t *testing.T) {
 						post(t, gc, target, v.ContentType(), doc))
 				}
 			})
+		}
+	}
+}
+
+// framingSpellings are one batch — five Echo calls, one of them to an
+// operation nobody registered — spelled the three ways a client may: with
+// the batch default on Parallel_Method (what a Batch sends), in the long
+// form (everything on every entry, no default), and as a hybrid that
+// declares the default and restates it on some entries.
+func framingSpellings(v soap.Version, napMs int) map[string][]byte {
+	ops := []struct{ name, params string }{
+		{"echo", `<p0>a &amp; b</p0>`}, {"empty", ""}, {"ghostOp", ""},
+		{"nap", fmt.Sprintf(`<ms xmlns:xsi="%s" xmlns:xsd="%s" xsi:type="xsd:int">%d</ms>`, soap.NSXSI, soap.NSXSD, napMs)},
+		{"echo", ""},
+	}
+	const ns, svc = ` xmlns:m="urn:spi:Echo"`, ` spi:service="Echo"`
+	spell := func(attrs func(i int) string) []string {
+		entries := make([]string, len(ops))
+		for i, op := range ops {
+			entries[i] = fmt.Sprintf("<m:%s%s>%s</m:%s>", op.name, attrs(i), op.params, op.name)
+		}
+		return entries
+	}
+	return map[string][]byte{
+		"default": packedDocWith(v, ns+svc, spell(func(int) string { return "" })),
+		"long":    packedDoc(v, spell(func(i int) string { return fmt.Sprintf(`%s spi:id="%d"%s`, ns, i, svc) })),
+		"hybrid": packedDocWith(v, ns+svc, spell(func(i int) string {
+			return []string{"", ns, svc, ns + svc, ` spi:id="4"`}[i]
+		})),
+	}
+}
+
+// TestDifferentialFramingSpellings: under every spelling and any number of
+// backends the gateway's reply is the direct server's — the batch default
+// mirrored onto Parallel_Response when the request declared one, today's
+// long-form bytes when it did not.
+func TestDifferentialFramingSpellings(t *testing.T) {
+	const hoisted = `<spi:Parallel_Response xmlns:spi="http://spi.ict.ac.cn/pack" xmlns:m="urn:spi:Echo"><m:echoResponse spi:id="0">`
+	for _, k := range []int{1, 2, 4} {
+		for _, v := range []soap.Version{soap.V11, soap.V12} {
+			t.Run(fmt.Sprintf("backends=%d/%s", k, v), func(t *testing.T) {
+				t.Parallel()
+				d := newDirect(t)
+				f := newFarm(t, k, nil)
+				dc := &httpx.Client{Dial: d.link.Dial, KeepAlive: true, Timeout: 10 * time.Second}
+				gc := f.raw()
+				defer dc.Close()
+				defer gc.Close()
+				for name, doc := range framingSpellings(v, 3) {
+					want := post(t, dc, "/services", v.ContentType(), doc)
+					diffReplies(t, name, doc, want, post(t, gc, "/services", v.ContentType(), doc))
+					if got := bytes.Contains(want.body, []byte(hoisted)); got != (name != "long") {
+						t.Errorf("%s: reply declares the batch default: %v\n%s", name, got, want.body)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDifferentialDeadlineDegrade: when the propagated deadline expires on an
+// entry, the gateway's degraded reply is the direct server's degraded reply,
+// under every spelling — whether it is the backend or the gateway itself
+// that gives up on the slot.
+func TestDifferentialDeadlineDegrade(t *testing.T) {
+	d := newDirect(t)
+	f := newFarm(t, 2, nil)
+	dc := &httpx.Client{Dial: d.link.Dial, KeepAlive: true, Timeout: 10 * time.Second}
+	gc := f.raw()
+	defer dc.Close()
+	defer gc.Close()
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		for name, doc := range framingSpellings(v, 5000) {
+			deadline := func(c *httpx.Client) reply {
+				resp, err := c.Post("/services", v.ContentType(), doc, core.HeaderDeadline, "300")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Release()
+				return reply{resp.StatusCode, resp.Header.Get("Content-Type"), append([]byte(nil), resp.Body...)}
+			}
+			want := deadline(dc)
+			if !bytes.Contains(want.body, []byte("deadline expired before Echo.nap finished")) {
+				t.Fatalf("%v/%s: direct server did not degrade: %s", v, name, want.body)
+			}
+			diffReplies(t, fmt.Sprintf("%v/%s", v, name), doc, want, deadline(gc))
+		}
+	}
+}
+
+// TestAllShardsFailedMirrorsDefault: the response default comes from the
+// request alone, so the gateway declares it even when no backend ever
+// answered — and the client's futures all resolve, each with its own fault.
+func TestAllShardsFailedMirrorsDefault(t *testing.T) {
+	f := newFarm(t, 2, func(cfg *Config) { cfg.Retry = &core.RetryPolicy{MaxAttempts: 1} })
+	for _, l := range f.links {
+		l.FailDials(1 << 20)
+	}
+	gc := f.raw()
+	defer gc.Close()
+	for name, doc := range framingSpellings(soap.V11, 3) {
+		got := post(t, gc, "/services", soap.V11.ContentType(), doc)
+		open := `<spi:Parallel_Response xmlns:spi="http://spi.ict.ac.cn/pack" xmlns:m="urn:spi:Echo"><SOAP-ENV:Fault spi:id="0">`
+		if name == "long" {
+			open = `<spi:Parallel_Response xmlns:spi="http://spi.ict.ac.cn/pack"><SOAP-ENV:Fault spi:id="0">`
+		}
+		if got.status != 200 || !bytes.Contains(got.body, []byte(open)) {
+			t.Errorf("%s: %d %s", name, got.status, got.body)
+		}
+	}
+	batch := f.client(t, nil).NewBatch()
+	var calls []*core.Call
+	for i := 0; i < 4; i++ {
+		calls = append(calls, batch.Add("Echo", "echo"))
+	}
+	if err := batch.Send(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range calls {
+		var fl *soap.Fault
+		if _, err := c.Wait(); !errors.As(err, &fl) || fl.Code != core.FaultCodeBusy {
+			t.Errorf("call %d: %v, want a %s fault", i, err, core.FaultCodeBusy)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"io"
 	"net"
@@ -162,6 +163,47 @@ func TestFaultCorpusDeadlineDegrade(t *testing.T) {
 			t.Errorf("%s: status = %d, want 200 (degraded, not failed)", v, resp.StatusCode)
 		}
 		gwCorpusGolden(t, "gw_deadline_degrade_"+gwCorpusSuffix(v), resp.Body)
+	}
+}
+
+func TestFaultCorpusDefaultMismatch(t *testing.T) {
+	// A backend that answers a sub-batch under another batch default than
+	// the sub-batch declared: its segments were written for a namespace the
+	// gathered response does not declare, so none is spliced. The shard has
+	// failed; its slots get the per-item busy fault naming what was wrong.
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		link := netsim.NewLink(netsim.Fast())
+		lis, err := link.Listen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canned := []byte(`<?xml version="1.0" encoding="UTF-8"?><SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `"><SOAP-ENV:Body>` +
+			`<spi:Parallel_Response xmlns:spi="` + core.NSPack + `" xmlns:m="urn:spi:Other">` +
+			`<m:echoResponse spi:id="0"/><m:echoResponse spi:id="1"/></spi:Parallel_Response></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+		impostor := &httpx.Server{Handler: func(ctx context.Context, req *httpx.Request) *httpx.Response {
+			resp := httpx.NewResponse(200, canned)
+			resp.Header.Set("Content-Type", v.ContentType())
+			return resp
+		}}
+		go impostor.Serve(lis)
+		f := newFarm(t, 0, func(cfg *Config) {
+			cfg.Backends = []BackendConfig{{Name: "b0", Dial: link.Dial}}
+			cfg.Retry = &core.RetryPolicy{MaxAttempts: 1}
+		})
+		t.Cleanup(func() { impostor.Close(); link.Close() })
+
+		doc := packedDocWith(v, ` xmlns:m="urn:spi:Echo" spi:service="Echo"`, []string{`<m:echo/>`, `<m:echo/>`})
+		resp, err := f.raw().Post("/services/", v.ContentType(), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 {
+			t.Errorf("%s: status = %d, want 200 (degraded, not failed)", v, resp.StatusCode)
+		}
+		gwCorpusGolden(t, "gw_default_mismatch_"+gwCorpusSuffix(v), resp.Body)
+		if st := f.gw.Stats(); st.ItemFaults != 2 {
+			t.Errorf("%s: %d item faults, want 2", v, st.ItemFaults)
+		}
 	}
 }
 

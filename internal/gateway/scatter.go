@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -177,11 +176,7 @@ func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *cor
 		defer cancel()
 	}
 
-	ids := make([]int, len(sr.Entries))
-	for i, e := range sr.Entries {
-		ids[i] = e.ID
-	}
-	col := core.NewGatherCollector(ids)
+	col := sr.NewCollector()
 	for _, e := range sr.Entries {
 		if e.Fault != nil {
 			g.faultCodes.NoteSOAP(e.Fault)
@@ -201,7 +196,8 @@ func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *cor
 	gatherStart := time.Now()
 	resp, itemFaults, err := col.Assemble(ctx, sr.Version, func(slot int) *soap.Fault {
 		g.degraded.Inc()
-		df := degradeFault(ctx, sr.Entries[slot])
+		// The fault a direct server abandoning the same entry answers with.
+		df := core.AbandonFault(ctx, sr.Entries[slot].Service, sr.Entries[slot].Op)
 		g.faultCodes.NoteSOAP(df)
 		return df
 	})
@@ -217,20 +213,6 @@ func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *cor
 			ID: -1, Op: req.Target, Start: gatherStart, Service: time.Since(gatherStart)})
 	}
 	return resp
-}
-
-// degradeFault is the per-item fault for a slot the gateway stopped
-// waiting on — byte-identical to the direct server abandoning the same
-// entry (abandonResult).
-func degradeFault(ctx context.Context, e *core.ScatterEntry) *soap.Fault {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return fault.ToSOAP(fault.Timeoutf(
-			"deadline expired before %s.%s finished", e.Service, e.Op).
-			With(fault.KeyOp, e.Service+"."+e.Op))
-	}
-	return fault.ToSOAP(fault.Cancelledf(
-		"caller cancelled before %s.%s finished", e.Service, e.Op).
-		With(fault.KeyOp, e.Service+"."+e.Op))
 }
 
 // allIdempotent reports whether every operation in the shard is marked
@@ -290,7 +272,7 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 		attempts = 3
 	}
 	for attempt := 1; ; attempt++ {
-		segs, rawHeader, err := g.exchange(ctx, b, sr.Version, doc, len(shard))
+		segs, rawHeader, err := g.exchange(ctx, b, sr, doc, len(shard))
 		if err == nil {
 			b.noteSuccess()
 			col.AddHeader(b.index, rawHeader)
@@ -339,7 +321,7 @@ func shardFault(ctx context.Context, e *core.ScatterEntry, err error) *soap.Faul
 		<-ctx.Done()
 	}
 	if ctx.Err() != nil {
-		return degradeFault(ctx, e)
+		return core.AbandonFault(ctx, e.Service, e.Op)
 	}
 	return fault.ToSOAP(fault.Upstreamf(
 		"no backend available for %s.%s: %v", e.Service, e.Op, err).
@@ -361,9 +343,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// exchange performs one sub-batch POST against a backend and splits the
-// reply into per-entry segments.
-func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc []byte, want int) (segments [][]byte, rawHeader []byte, err error) {
+// exchange performs one POST of a sub-batch of sr against a backend and
+// splits the reply into per-entry segments.
+func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequest, doc []byte, want int) (segments [][]byte, rawHeader []byte, err error) {
 	tr := g.cfg.Tracer
 	start := time.Now()
 	b.exchanges.Inc()
@@ -390,7 +372,7 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 	if id := trace.FromContext(ctx); id != 0 {
 		extra = append(extra, core.HeaderTrace, strconv.FormatUint(id, 10))
 	}
-	resp, err := b.client.PostCtx(ctx, g.packTarget(), v.ContentType(), doc, extra...)
+	resp, err := b.client.PostCtx(ctx, g.packTarget(), sr.Version.ContentType(), doc, extra...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -403,7 +385,7 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 		}
 		return nil, nil, fmt.Errorf("gateway: backend %s answered HTTP %d", b.name, resp.StatusCode)
 	}
-	segments, rawHeader, err = core.SplitGatherResponse(resp.Body)
+	segments, rawHeader, err = sr.SplitResponse(resp.Body)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -429,10 +411,9 @@ func (g *Gateway) proxy(ctx context.Context, req *httpx.Request) *httpx.Response
 		}
 	}
 	b.exchanges.Inc()
-	n := b.inflight.Add(1)
+	b.inflight.Add(1)
 	b.entriesInflight.Add(1)
 	defer func() { b.inflight.Add(-1); b.entriesInflight.Add(-1) }()
-	_ = n
 	resp, err := b.client.DoCtx(ctx, out)
 	if err != nil {
 		b.noteFailure(g.cfg.FailureThreshold, g.cfg.ReprobeAfter)

@@ -231,32 +231,18 @@ func (e *Element) SetText(s string) {
 
 // Clone returns a deep copy of the subtree rooted at e. The clone's Parent
 // is nil; namespace declarations inherited from ancestors of e are copied
-// onto the clone so resolution keeps working when the subtree is re-homed.
-func (e *Element) Clone() *Element { return e.CloneLeading() }
-
-// CloneLeading is Clone with lead as the copy's first attributes, replacing
-// any of e's own that share a name: lead, then e's remaining attributes in
-// document order, then the inherited namespace declarations, nearest
-// ancestor first. Callers that re-home a subtree under a fixed attribute
-// layout (the gateway's sub-batch entries) get it whatever order, and on
-// whichever ancestor, the source spelled those attributes. The list is sized
-// once, at an upper bound, rather than grown a declaration at a time.
-func (e *Element) CloneLeading(lead ...xmltext.Attr) *Element {
-	n := len(lead) + len(e.Attrs)
+// onto the clone, nearest ancestor first, so resolution keeps working when
+// the subtree is re-homed. The attribute list is sized once, at an upper
+// bound, rather than grown a declaration at a time.
+func (e *Element) Clone() *Element {
+	n := len(e.Attrs)
 	for anc := e.Parent; anc != nil; anc = anc.Parent {
 		n += len(anc.Attrs)
 	}
 	c := &Element{Name: e.Name}
 	if n > 0 {
-		c.Attrs = append(make([]xmltext.Attr, 0, n), lead...)
+		c.Attrs = append(make([]xmltext.Attr, 0, n), e.Attrs...)
 	}
-	// e's own attribute names are distinct, so one already present is lead's.
-	for _, a := range e.Attrs {
-		if _, led := c.Attr(a.Name); !led {
-			c.Attrs = append(c.Attrs, a)
-		}
-	}
-	// Preserve inherited namespace bindings that the subtree may rely on.
 	for anc := e.Parent; anc != nil; anc = anc.Parent {
 		for _, a := range anc.Attrs {
 			decl := a.Name.Prefix == "xmlns" || (a.Name.Prefix == "" && a.Name.Local == "xmlns")

@@ -158,39 +158,25 @@ func TestCloneCarriesNamespaces(t *testing.T) {
 	}
 }
 
-func TestCloneLeading(t *testing.T) {
-	// The same element spelled two ways: attributes on the element itself,
-	// or left to an ancestor. Leading with a fixed list gives one layout.
-	own := mustParse(t, `<r xmlns:a="urn:a"><p><m:c xmlns:m="urn:m" id="7" extra="x" svc="S"><leaf/></m:c></p></r>`)
-	hoisted := mustParse(t, `<r xmlns:a="urn:a"><p xmlns:m="urn:m" svc="S"><m:c extra="x"><leaf/></m:c></p></r>`)
-	lead := []xmltext.Attr{
-		{Name: xmltext.Name{Prefix: "xmlns", Local: "m"}, Value: "urn:m"},
-		{Name: xmltext.Name{Local: "id"}, Value: "7"},
-		{Name: xmltext.Name{Local: "svc"}, Value: "S"},
+func TestCloneAttributeList(t *testing.T) {
+	root := mustParse(t, `<r xmlns:a="urn:a"><p xmlns:m="urn:m" svc="S"><m:c extra="x"><leaf/></m:c></p></r>`)
+	src := root.ChildElements()[0].ChildElements()[0]
+	c := src.Clone()
+	// Own attributes first, then inherited declarations, nearest ancestor
+	// first; non-declaration attributes of ancestors (svc on <p>) stay behind.
+	if got, want := c.String(), `<m:c extra="x" xmlns:m="urn:m" xmlns:a="urn:a"><leaf/></m:c>`; got != want {
+		t.Errorf("clone = %s\nwant    %s", got, want)
 	}
-	const want = `<m:c xmlns:m="urn:m" id="7" svc="S" extra="x" xmlns:a="urn:a"><leaf/></m:c>`
-	for name, root := range map[string]*Element{"own": own, "hoisted": hoisted} {
-		src := root.ChildElements()[0].ChildElements()[0]
-		c := src.CloneLeading(lead...)
-		if got := c.String(); got != want {
-			t.Errorf("%s: clone = %s\nwant    %s", name, got, want)
-		}
-		if c.Parent != nil || c.ChildElements()[0].Parent != c {
-			t.Errorf("%s: clone not detached or children not re-parented", name)
-		}
-		// Non-declaration attributes of ancestors (svc on <p>) stay behind,
-		// and the attribute list was sized once.
-		if n := len(c.Attrs); n != 5 || cap(c.Attrs) < n {
-			t.Errorf("%s: %d attrs (cap %d), want 5", name, n, cap(c.Attrs))
-		}
-		allocs := testing.AllocsPerRun(50, func() { src.CloneLeading(lead...) })
-		// One for the element, one for its attribute list, and one element
-		// plus one child list per subtree level — never one per declaration.
-		if allocs > 4 {
-			t.Errorf("%s: CloneLeading allocates %.0f times, want <= 4", name, allocs)
-		}
+	if c.Parent != nil || c.ChildElements()[0].Parent != c {
+		t.Error("clone not detached or children not re-parented")
 	}
-	// With nothing to lead with it is Clone, which keeps a bare element bare.
+	// One allocation for the element, one for its attribute list, and one
+	// element plus one child list per subtree level — never one per
+	// declaration.
+	if allocs := testing.AllocsPerRun(50, func() { src.Clone() }); allocs > 4 {
+		t.Errorf("Clone allocates %.0f times, want <= 4", allocs)
+	}
+	// A bare element stays bare.
 	if c := mustParse(t, `<r><c/></r>`).ChildElements()[0].Clone(); c.Attrs != nil {
 		t.Errorf("attribute-free clone carries %v", c.Attrs)
 	}
