@@ -1,0 +1,356 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/httpx"
+	"repro/internal/netsim"
+	"repro/internal/soap"
+	"repro/internal/soapenc"
+	"repro/internal/wsse"
+)
+
+// One reader table, every reader. A peer may spell the envelope around the
+// same body in several ways — with or without the XML declaration, behind a
+// byte order mark, with SOAP-ENC declared on the Envelope, on the operation
+// element or on the array that uses it — and every reader in the stack must
+// decode each spelling to the same values: the server's stream decoder
+// (bare, through the differential cache's hit path, and under a WS-Security
+// signature made over the body alone), the client's single and packed
+// response decoders, and the gateway's ParseScatterRequest, ParseSingleCall,
+// SplitResponse/GatherCollector and SpliceSingleResponse.
+
+const (
+	readerXMLDecl = `<?xml version="1.0" encoding="UTF-8"?>`
+	readerEncDecl = ` xmlns:SOAP-ENC="` + soap.NSEncoding + `"`
+)
+
+// readerShape is one spelling: what precedes the Envelope start tag and
+// which element declares SOAP-ENC.
+type readerShape struct {
+	name    string
+	prolog  string
+	onEnv   bool
+	onOp    bool
+	onArray bool
+}
+
+var readerShapes = []readerShape{
+	// What every writer emitted before PR 16: declaration, four namespaces.
+	{name: "pre-16 preamble", prolog: readerXMLDecl, onEnv: true},
+	{name: "no declaration", onEnv: true},
+	{name: "SOAP-ENC on the operation element", onOp: true},
+	{name: "SOAP-ENC on the array element", onArray: true},
+}
+
+// readerWant is what every spelling carries.
+var readerWant = []soapenc.Field{
+	soapenc.F("msg", "hi"),
+	soapenc.F("list", soapenc.Array{int64(1), "two"}),
+}
+
+func (sh readerShape) envelope(v soap.Version, header, body string) []byte {
+	s := sh.prolog + `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `"`
+	if sh.onEnv {
+		s += readerEncDecl
+	}
+	s += ` xmlns:xsi="` + soap.NSXSI + `" xmlns:xsd="` + soap.NSXSD + `">`
+	if header != "" {
+		s += `<SOAP-ENV:Header>` + header + `</SOAP-ENV:Header>`
+	}
+	return []byte(s + `<SOAP-ENV:Body>` + body + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+}
+
+// entry spells one Echo request or response element carrying readerWant;
+// attrs are the pack annotations, if any.
+func (sh readerShape) entry(local, attrs string) string {
+	op, arr := "", ""
+	if sh.onOp {
+		op = readerEncDecl
+	}
+	if sh.onArray {
+		arr = readerEncDecl
+	}
+	return `<m:` + local + ` xmlns:m="urn:spi:Echo"` + op + attrs + `><msg xsi:type="xsd:string">hi</msg>` +
+		`<list` + arr + ` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType[2]">` +
+		`<item xsi:type="xsd:int">1</item><item xsi:type="xsd:string">two</item></list></m:` + local + `>`
+}
+
+func (sh readerShape) packedRequest() string {
+	return `<spi:Parallel_Method xmlns:spi="` + NSPack + `">` +
+		sh.entry("echo", ` spi:id="0" spi:service="Echo"`) + sh.entry("echo", ` spi:id="1" spi:service="Echo"`) +
+		`</spi:Parallel_Method>`
+}
+
+func (sh readerShape) packedResponse() string {
+	return `<spi:Parallel_Response xmlns:spi="` + NSPack + `">` +
+		sh.entry("echoResponse", ` spi:id="0"`) + sh.entry("echoResponse", ` spi:id="1"`) +
+		`</spi:Parallel_Response>`
+}
+
+func readerCheck(t *testing.T, what string, got []soapenc.Field) {
+	t.Helper()
+	if len(got) != len(readerWant) {
+		t.Errorf("%s: decoded %d values, want %d: %v", what, len(got), len(readerWant), got)
+		return
+	}
+	for i, w := range readerWant {
+		if got[i].Name != w.Name || !soapenc.Equal(got[i].Value, w.Value) {
+			t.Errorf("%s: value %d = %s %#v, want %s %#v", what, i, got[i].Name, got[i].Value, w.Name, w.Value)
+		}
+	}
+}
+
+// readerCheckSingle decodes a single-call response document.
+func readerCheckSingle(t *testing.T, what string, code int, body []byte) {
+	t.Helper()
+	env, err := soap.Decode(bytes.NewReader(body))
+	if err != nil || code != 200 || len(env.Body) != 1 {
+		t.Errorf("%s: HTTP %d, %v: %s", what, code, err, body)
+		return
+	}
+	got, err := soapenc.DecodeParams(env.Body[0])
+	if err != nil {
+		t.Errorf("%s: %v: %s", what, err, body)
+		return
+	}
+	readerCheck(t, what, got)
+}
+
+// readerCheckPacked decodes a packed response document of n entries.
+func readerCheckPacked(t *testing.T, what string, code int, body []byte, n int) {
+	t.Helper()
+	env, err := soap.Decode(bytes.NewReader(body))
+	if err != nil || code != 200 || len(env.Body) != 1 {
+		t.Errorf("%s: HTTP %d, %v: %s", what, code, err, body)
+		return
+	}
+	results, err := decodePackedResponse(env.Body[0])
+	if err != nil || len(results) != n {
+		t.Errorf("%s: %d results, want %d, %v: %s", what, len(results), n, err, body)
+		return
+	}
+	for id, r := range results {
+		if r.fault != nil {
+			t.Errorf("%s: entry %d faulted: %v", what, id, r.fault)
+			continue
+		}
+		readerCheck(t, what, r.results)
+	}
+}
+
+// readerSign returns the serialized wsse header blocks for a body.
+func readerSign(t *testing.T, body string) string {
+	t.Helper()
+	blocks, err := (&wsse.Signer{Username: "alice", Secret: paritySecret}).MakeHeaders([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, b := range blocks {
+		sb.WriteString(b.String())
+	}
+	return sb.String()
+}
+
+func TestReaderTableServer(t *testing.T) {
+	cells := []struct {
+		name   string
+		signed bool
+		mutate func(*ServerConfig, *ClientConfig)
+	}{
+		{name: "stream decoder"},
+		{name: "diffcache", mutate: func(s *ServerConfig, _ *ClientConfig) { s.DifferentialDeserialization = true }},
+		{name: "wsse", signed: true, mutate: func(s *ServerConfig, _ *ClientConfig) {
+			s.HeaderProcessors = []HeaderProcessor{&wsse.Verifier{Secrets: map[string][]byte{"alice": paritySecret}}}
+		}},
+	}
+	for _, cell := range cells {
+		sys := newSystem(t, cell.mutate)
+		for _, v := range []soap.Version{soap.V11, soap.V12} {
+			for _, sh := range readerShapes {
+				what := cell.name + "/" + v.String() + "/" + sh.name
+				single, packed := sh.entry("echo", ""), sh.packedRequest()
+				// Twice: the second pass is the differential cache's hit path.
+				for pass := 0; pass < 2; pass++ {
+					var hs, hp string
+					if cell.signed {
+						// A fresh nonce each time, over the body bytes alone:
+						// the signature does not see the envelope's spelling.
+						hs, hp = readerSign(t, single), readerSign(t, packed)
+					}
+					code, body := postDoc(t, sys, "/services/Echo", v, sh.envelope(v, hs, single))
+					readerCheckSingle(t, what+"/single", code, body)
+					code, body = postDoc(t, sys, "/services", v, sh.envelope(v, hp, packed))
+					readerCheckPacked(t, what+"/packed", code, body, 2)
+				}
+			}
+		}
+		if st := sys.server.Stats(); cell.name == "diffcache" && st.DiffHits == 0 {
+			t.Errorf("diffcache cell never took the hit path: %+v", st)
+		}
+	}
+}
+
+// cannedClient returns a client whose every POST is answered with the
+// document docs holds for its target.
+func cannedClient(t *testing.T, v soap.Version, docs map[string][]byte) *Client {
+	t.Helper()
+	link := netsim.NewLink(netsim.Fast())
+	lis, err := link.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &httpx.Server{Handler: func(_ context.Context, req *httpx.Request) *httpx.Response {
+		resp := httpx.NewResponse(200, docs[req.Target])
+		resp.Header.Set("Content-Type", v.ContentType())
+		return resp
+	}}
+	go srv.Serve(lis)
+	cli, err := NewClient(ClientConfig{Dial: link.Dial, Timeout: 5 * time.Second, SOAP12: v == soap.V12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cli.Close()
+		srv.Close()
+		link.Close()
+	})
+	return cli
+}
+
+func TestReaderTableClient(t *testing.T) {
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		for _, sh := range readerShapes {
+			what := v.String() + "/" + sh.name
+			cli := cannedClient(t, v, map[string][]byte{
+				"/services/Echo": sh.envelope(v, "", sh.entry("echoResponse", "")),
+				"/services":      sh.envelope(v, "", sh.packedResponse()),
+			})
+			got, err := cli.Call("Echo", "echo")
+			if err != nil {
+				t.Errorf("%s: Call: %v", what, err)
+			} else {
+				readerCheck(t, what+"/single", got)
+			}
+			b := cli.NewBatch()
+			calls := []*Call{b.Add("Echo", "echo"), b.Add("Echo", "echo")}
+			if err := b.Send(); err != nil {
+				t.Errorf("%s: Send: %v", what, err)
+				continue
+			}
+			for _, c := range calls {
+				got, err := c.Wait()
+				if err != nil {
+					t.Errorf("%s: Wait: %v", what, err)
+					continue
+				}
+				readerCheck(t, what+"/packed", got)
+			}
+		}
+	}
+}
+
+func TestReaderTableGateway(t *testing.T) {
+	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		for _, sh := range readerShapes {
+			what := v.String() + "/" + sh.name
+
+			// Request side: the entries a gateway cuts out of either kind of
+			// request still mean the same at the backend.
+			sr, fault := ParseScatterRequest(sh.envelope(v, "", sh.packedRequest()), "")
+			if fault != nil || len(sr.Entries) != 2 {
+				t.Fatalf("%s: ParseScatterRequest: %v", what, fault)
+			}
+			sub, err := BuildSubBatch(sr.Version, sr.Headers, sr.Entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, body := postDoc(t, sys, "/services", v, sub)
+			readerCheckPacked(t, what+"/scatter", code, body, 2)
+
+			sc := ParseSingleCall(sh.envelope(v, "", sh.entry("echo", "")), "Echo", nil)
+			if sc == nil || sc.Version != v {
+				t.Fatalf("%s: ParseSingleCall rejected the call", what)
+			}
+			sc.Entry.SealID(0)
+			if sub, err = BuildSubBatch(v, nil, []*ScatterEntry{sc.Entry}); err != nil {
+				t.Fatal(err)
+			}
+			code, body = postDoc(t, sys, "/services", v, sub)
+			readerCheckPacked(t, what+"/coalesce", code, body, 1)
+
+			// Response side: segments cut out of a backend's reply still
+			// resolve in the envelope the gateway frames around them.
+			if sh.prolog != readerXMLDecl {
+				continue // splitGather demands the declaration until the writers stop sending it
+			}
+			segs, rawHeader, err := (&ScatterRequest{}).SplitResponse(sh.envelope(v, "", sh.packedResponse()))
+			if err != nil || len(segs) != 2 {
+				t.Fatalf("%s: SplitResponse: %d segments, %v", what, len(segs), err)
+			}
+			col := NewGatherCollector([]int{0, 1})
+			col.AddHeader(0, rawHeader)
+			col.Deliver(0, segs[0])
+			col.Deliver(1, segs[1])
+			resp, _, err := col.Assemble(context.Background(), v, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			readerCheckPacked(t, what+"/gather", resp.StatusCode, resp.Body, 2)
+			resp.Release()
+			resp, isFault := SpliceSingleResponse(v, segs[1], nil)
+			if isFault {
+				t.Errorf("%s: splice reported a fault", what)
+			}
+			readerCheckSingle(t, what+"/splice", resp.StatusCode, resp.Body)
+			resp.Release()
+		}
+	}
+}
+
+// TestReaderTablePre16Fixtures: the request documents every writer emitted
+// before PR 16, kept verbatim under testdata/wire/pre16/, are still accepted
+// by the server and by the gateway's scatter parser.
+func TestReaderTablePre16Fixtures(t *testing.T) {
+	sys := newSystem(t, respFramingConfig(parityFeatures{name: "bare"}))
+	files, err := filepath.Glob(filepath.Join("testdata", "wire", "pre16", "*.xml"))
+	if err != nil || len(files) != 8 {
+		t.Fatalf("pre-16 fixtures: %d files, %v", len(files), err)
+	}
+	for _, path := range files {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(path)
+		v := soap.V11
+		if strings.HasSuffix(name, "_12.xml") {
+			v = soap.V12
+		}
+		if !bytes.HasPrefix(doc, []byte(readerXMLDecl+`<SOAP-ENV:Envelope xmlns:SOAP-ENV="`+v.Namespace()+`"`+readerEncDecl)) {
+			t.Errorf("%s is not a pre-16 document: %.120s", name, doc)
+		}
+		target := "/services"
+		if strings.HasPrefix(name, "single_") {
+			target = "/services/Echo"
+		}
+		code, body := postDoc(t, sys, target, v, doc)
+		env, err := soap.Decode(bytes.NewReader(body))
+		if code != 200 || err != nil || env.Fault() != nil || bytes.Contains(body, []byte("Fault")) {
+			t.Errorf("%s: server answered HTTP %d, %v: %s", name, code, err, body)
+		}
+		if target == "/services" {
+			if sr, fault := ParseScatterRequest(doc, ""); fault != nil || !sr.Packed {
+				t.Errorf("%s: ParseScatterRequest: %v", name, fault)
+			}
+		}
+	}
+}
