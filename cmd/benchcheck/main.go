@@ -10,14 +10,11 @@
 //	                           # a PR's snapshot, named explicitly so a
 //	                           # bare run never overwrites a committed one
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
-//	benchcheck -baseline BENCH_pr3.json,BENCH_pr2.json -tolerance 10
+//	benchcheck -baseline BENCH_pr16.json -tolerance 10
 //	                           # compare mode: exit non-zero when a
-//	                           # benchmark regressed more than 10% in
-//	                           # ns/op or allocs/op vs the baseline
-//	                           # chain; each benchmark compares against
-//	                           # the first file in the chain that has it,
-//	                           # so benchmarks introduced mid-sequence
-//	                           # keep their original baseline
+//	                           # benchmark's allocs/op or bytes/op grew
+//	                           # more than 10% vs the baseline; ns/op is
+//	                           # printed, not judged
 package main
 
 import (
@@ -249,7 +246,8 @@ func main() {
 		reply := append([]byte(nil), resp.Body...)
 		resp.Release()
 		env.Close()
-		segs, _, err := sr.SplitResponse(reply)
+		split, err := sr.SplitResponse(reply)
+		segs := split.Segments
 		if err != nil || len(segs) != len(shard) {
 			fatal("splitting the backend's reply", fmt.Errorf("%d segments: %v", len(segs), err))
 		}
@@ -273,7 +271,7 @@ func main() {
 		add(measure("core/gather-split-8", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sr.SplitResponse(reply); err != nil {
+				if _, err := sr.SplitResponse(reply); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -294,27 +292,11 @@ func main() {
 			}
 		}))
 	}
-	add(measure("msgcache/render-hit", func(b *testing.B) {
-		c := msgcache.New()
-		params := []soapenc.Field{soapenc.F("message", "hello"), soapenc.F("count", int32(3))}
-		if _, ok, err := c.Render("Echo", "urn:spi:Echo", "echo", params); err != nil || !ok {
-			b.Fatalf("prime: ok=%v err=%v", ok, err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Render("Echo", "urn:spi:Echo", "echo", params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
 	add(measure("msgcache/render-to-hit", func(b *testing.B) {
-		// The zero-alloc form: splice onto a pooled emitter instead of
-		// returning a fresh byte slice. allocs/op here must stay 0.
+		// Splice onto a pooled emitter; the first iteration builds the
+		// template. allocs/op here must stay 0.
 		c := msgcache.New()
 		params := []soapenc.Field{soapenc.F("message", "hello"), soapenc.F("count", int32(3))}
-		if _, ok, err := c.Render("Echo", "urn:spi:Echo", "echo", params); err != nil || !ok {
-			b.Fatalf("prime: ok=%v err=%v", ok, err)
-		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			em := xmltext.AcquireEmitter()
@@ -616,14 +598,14 @@ func main() {
 	}
 }
 
-// compare checks the report against a baseline chain: any benchmark whose
-// ns/op or allocs/op regressed by more than tolerance percent fails the
-// run. The chain is a comma-separated list of snapshots; each benchmark is
-// compared against the first file that records it, so a benchmark
-// introduced in PR N keeps its PR N baseline even after later snapshots
-// supersede the file for everything else. Benchmarks present on only one
-// side are reported but do not fail — snapshots gain benchmarks as the
-// codebase grows.
+// compare checks the report against a baseline: any benchmark whose
+// allocs/op or bytes/op grew by more than tolerance percent fails the run.
+// Both repeat from run to run on any machine; ns/op is printed beside them
+// and not judged, because on the shared 2-vCPU box it moves by half between
+// minutes with no code change. The spec is a comma-separated list of
+// snapshots; each benchmark is compared against the first file that records
+// it. Benchmarks present on only one side are reported but do not fail —
+// snapshots gain benchmarks as the codebase grows.
 func compare(spec string, cur Report, tolerance float64) error {
 	byName := make(map[string]Result)
 	for _, path := range strings.Split(spec, ",") {
@@ -639,21 +621,15 @@ func compare(spec string, cur Report, tolerance float64) error {
 		if err := json.Unmarshal(blob, &base); err != nil {
 			return fmt.Errorf("baseline %s: %w", path, err)
 		}
-		adopted := 0
 		for _, r := range base.Results {
 			if _, ok := byName[r.Name]; !ok {
 				byName[r.Name] = r
-				adopted++
 			}
-		}
-		if adopted > 0 && base.Machine != cur.Machine {
-			fmt.Printf("note: %d baseline(s) come from %s, measured on another machine or on none it records (%+v)\n",
-				adopted, path, base.Machine)
 		}
 	}
 	limit := 1 + tolerance/100
 	var failures []string
-	fmt.Printf("\ncompare vs %s (tolerance %.0f%%):\n", spec, tolerance)
+	fmt.Printf("\ncompare vs %s (allocs/op and bytes/op within %.0f%%; ns/op shown, not judged):\n", spec, tolerance)
 	for _, r := range cur.Results {
 		b, ok := byName[r.Name]
 		if !ok {
@@ -661,20 +637,17 @@ func compare(spec string, cur Report, tolerance float64) error {
 			continue
 		}
 		delete(byName, r.Name)
-		nsDelta := pctDelta(r.NsPerOp, b.NsPerOp)
-		allocDelta := pctDelta(float64(r.AllocsPerOp), float64(b.AllocsPerOp))
 		verdict := "ok"
-		if b.NsPerOp > 0 && r.NsPerOp > b.NsPerOp*limit {
-			verdict = "REGRESSION(ns/op)"
-			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%)",
-				r.Name, b.NsPerOp, r.NsPerOp, nsDelta))
-		} else if b.AllocsPerOp > 0 && float64(r.AllocsPerOp) > float64(b.AllocsPerOp)*limit {
+		if b.AllocsPerOp > 0 && float64(r.AllocsPerOp) > float64(b.AllocsPerOp)*limit {
 			verdict = "REGRESSION(allocs/op)"
-			failures = append(failures, fmt.Sprintf("%s: %d -> %d allocs/op (%+.1f%%)",
-				r.Name, b.AllocsPerOp, r.AllocsPerOp, allocDelta))
+			failures = append(failures, fmt.Sprintf("%s: %d -> %d allocs/op", r.Name, b.AllocsPerOp, r.AllocsPerOp))
+		} else if b.BytesPerOp > 0 && float64(r.BytesPerOp) > float64(b.BytesPerOp)*limit {
+			verdict = "REGRESSION(bytes/op)"
+			failures = append(failures, fmt.Sprintf("%s: %d -> %d bytes/op", r.Name, b.BytesPerOp, r.BytesPerOp))
 		}
-		fmt.Printf("  %-32s ns/op %+7.1f%%  allocs/op %+7.1f%%  %s\n",
-			r.Name, nsDelta, allocDelta, verdict)
+		fmt.Printf("  %-32s allocs/op %+7.1f%%  bytes/op %+7.1f%%  (ns/op %+7.1f%%)  %s\n", r.Name,
+			pctDelta(float64(r.AllocsPerOp), float64(b.AllocsPerOp)), pctDelta(float64(r.BytesPerOp), float64(b.BytesPerOp)),
+			pctDelta(r.NsPerOp, b.NsPerOp), verdict)
 	}
 	for name := range byName {
 		fmt.Printf("  %-32s dropped (present only in baseline)\n", name)
@@ -701,12 +674,7 @@ func pctDelta(cur, base float64) float64 {
 // correlation id and service restated on every entry.
 func packedEchoDoc(n int, long bool) []byte {
 	var b strings.Builder
-	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?><SOAP-ENV:Envelope` +
-		` xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"` +
-		` xmlns:SOAP-ENC="http://schemas.xmlsoap.org/soap/encoding/"` +
-		` xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"` +
-		` xmlns:xsd="http://www.w3.org/2001/XMLSchema"><SOAP-ENV:Body>` +
-		`<spi:Parallel_Method xmlns:spi="` + core.NSPack + `"`)
+	b.WriteString(`<spi:Parallel_Method xmlns:spi="` + core.NSPack + `"`)
 	if !long {
 		b.WriteString(` xmlns:m="urn:spi:Echo" spi:service="Echo"`)
 	}
@@ -718,8 +686,18 @@ func packedEchoDoc(n int, long bool) []byte {
 		}
 		b.WriteString(`><data xsi:type="xsd:string">aaaaaaaaaa</data></m:echo>`)
 	}
-	b.WriteString(`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
-	return []byte(b.String())
+	b.WriteString(`</spi:Parallel_Method>`)
+	// The envelope around it is the encoder's own, so it cannot drift from
+	// what the client puts on the wire.
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(soap.V11, nil)
+	enc.Emitter().RawString(b.String())
+	doc, err := enc.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return append([]byte(nil), doc...)
 }
 
 // streamDecodePacked walks a packed request the way the server's dispatch

@@ -155,6 +155,9 @@ func (a *packedAssembler) finish(v soap.Version, headers []*xmldom.Element, rawH
 	} else {
 		enc.Begin(v, headers)
 	}
+	if a.em.Marked() {
+		enc.Emitter().Mark()
+	}
 	enc.Emitter().Raw(a.em.Bytes())
 	body, err := enc.Finish()
 	a.release()

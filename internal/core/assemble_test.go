@@ -235,6 +235,13 @@ var requestShapes = []struct {
 			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("blob", []byte("raw\x00bytes")), soapenc.F("flag", false)}},
 		}
 	}},
+	{"array", false, func() []batchEntry {
+		// The one value that needs xmlns:SOAP-ENC on the Envelope.
+		return []batchEntry{
+			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "plain")}},
+			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("list", soapenc.Array{int64(1), "two", soapenc.Array{}})}},
+		}
+	}},
 	{"solo", false, func() []batchEntry {
 		return []batchEntry{{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "alone")}}}
 	}},
@@ -306,6 +313,9 @@ func TestStreamRequestDocParity(t *testing.T) {
 			}
 			if bytes.Contains(doc, []byte("spi:id")) {
 				t.Errorf("%v/%s: a Batch wrote a correlation id: %s", v, shape.name, doc)
+			}
+			if declares := bytes.Contains(doc, []byte(readerEncDecl)); declares != (shape.name == "array") || bytes.HasPrefix(doc, []byte("<?xml")) {
+				t.Errorf("%v/%s: declares SOAP-ENC: %v; or leads with an XML declaration: %.80s", v, shape.name, declares, doc)
 			}
 			if shape.wire {
 				testdataGolden(t, "wire", shape.name+"_"+corpusSuffix(v), doc)

@@ -165,8 +165,9 @@ func DecodeEntryFault(segment []byte) *soap.Fault {
 // become the whole-message HTTP 500 fault in the request's version —
 // rendered through the same encoder as the server's own faultResponse, so
 // the bytes match a direct server faulting the same call. The second
-// return value reports that fault case.
-func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte) (*httpx.Response, bool) {
+// return value reports that fault case. encoding says the reply the segment
+// was cut from declared SOAP-ENC (GatherReply.Encoding), so this one does.
+func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte, encoding bool) (*httpx.Response, bool) {
 	seg := StripEntryID(segment)
 	if IsEntryFault(seg) {
 		f := DecodeEntryFault(seg)
@@ -177,6 +178,9 @@ func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte) (*httpx.Res
 	}
 	enc := soap.NewStreamEncoder()
 	enc.BeginRawHeader(v, rawHeader)
+	if encoding {
+		enc.Emitter().Mark()
+	}
 	enc.Emitter().Raw(seg)
 	body, err := enc.Finish()
 	if err != nil {

@@ -154,9 +154,10 @@ func detachEntry(el *xmldom.Element) *xmldom.Element {
 }
 
 // subBatchDecls are the namespace declarations every sub-batch document
-// makes by itself, besides the envelope's own.
+// makes by itself, besides the envelope's own. SOAP-ENC is not one: a
+// sub-batch restates it only when the client's scope had it.
 var subBatchDecls = map[string]string{
-	soap.PrefixEncoding: soap.NSEncoding, soap.PrefixXSI: soap.NSXSI, soap.PrefixXSD: soap.NSXSD, PrefixPack: NSPack,
+	soap.PrefixXSI: soap.NSXSI, soap.PrefixXSD: soap.NSXSD, PrefixPack: NSPack,
 }
 
 // subBatchScope appends to attrs the namespace declarations in scope at el —
@@ -248,7 +249,10 @@ func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*Scatter
 // SOAP-ENV prefix is the same for both envelope versions (only the namespace
 // URI differs), so these are version-independent.
 var (
-	gatherPreamble    = [][]byte{[]byte(`<?xml `), []byte(`<SOAP-ENV:Envelope `)}
+	gatherBOM         = []byte("\xEF\xBB\xBF")
+	gatherXMLDecl     = []byte(`<?xml `)
+	gatherEnvelope    = []byte(`<SOAP-ENV:Envelope `)
+	gatherEncoding    = []byte(` xmlns:` + soap.PrefixEncoding + `="`)
 	gatherHeaderOpen  = []byte(`<SOAP-ENV:Header>`)
 	gatherHeaderEnd   = []byte(`</SOAP-ENV:Header>`)
 	gatherBodyOpen    = []byte(`<SOAP-ENV:Body><` + PrefixPack + `:` + ElemParallelResponse + ` xmlns:` + PrefixPack + `="` + NSPack + `"`)
@@ -258,78 +262,102 @@ var (
 
 var errShape = errors.New("core: backend response is not a packed response")
 
+// GatherReply is a backend's packed-response document cut for splicing.
+type GatherReply struct {
+	// Segments holds one byte segment per entry, in document order. They are
+	// copies: the response body they came from may be pooled and recycled by
+	// the transport.
+	Segments [][]byte
+	// RawHeader is the raw contents of the reply's Header element, nil when
+	// it had none.
+	RawHeader []byte
+	// Encoding reports that the reply's Envelope declared SOAP-ENC, so its
+	// segments may use the prefix and whatever frames them must declare it
+	// too (GatherCollector.DeclareEncoding, SpliceSingleResponse). A backend
+	// declares it only for a reply that holds an array; one older than that
+	// rule declares it always.
+	Encoding bool
+	// def is the xmlns:m Parallel_Response declares, as serialized and
+	// aliasing the reply; empty when it declares none.
+	def []byte
+}
+
 // SplitGatherResponse slices a backend's packed-response document into its
 // per-entry byte segments plus the raw contents of its Header element (nil
-// when absent). Segments are copies: the response body they came from may
-// be pooled and recycled by the transport.
+// when absent).
 func SplitGatherResponse(body []byte) (segments [][]byte, rawHeader []byte, err error) {
-	segments, rawHeader, _, err = splitGather(body)
-	return segments, rawHeader, err
+	r, err := splitGather(body)
+	return r.Segments, r.RawHeader, err
 }
 
-// SplitResponse is SplitGatherResponse for the reply to one of sr's
-// sub-batches. A reply that declares a default must mirror the one the
-// sub-batch declared: under any other, its segments would be spliced into
-// the gathered response under a namespace they were not written for. One
-// that declares none (a backend older than the mirrored default) is made of
-// entries that each declare their own, which splice anywhere.
-func (sr *ScatterRequest) SplitResponse(body []byte) (segments [][]byte, rawHeader []byte, err error) {
-	segments, rawHeader, def, err := splitGather(body)
+// SplitResponse is splitGather for the reply to one of sr's sub-batches. A
+// reply that declares a default must mirror the one the sub-batch declared:
+// under any other, its segments would be spliced into the gathered response
+// under a namespace they were not written for. One that declares none (a
+// backend older than the mirrored default) is made of entries that each
+// declare their own, which splice anywhere.
+func (sr *ScatterRequest) SplitResponse(body []byte) (GatherReply, error) {
+	r, err := splitGather(body)
 	if err != nil {
-		return nil, nil, err
+		return GatherReply{}, err
 	}
 	var tmp [64]byte
-	if want := xmltext.AppendEscAttr(tmp[:0], sr.DefaultNS); len(def) > 0 && !bytes.Equal(def, want) {
-		return nil, nil, fmt.Errorf("core: backend answered under default namespace %q, the sub-batch declared %q", def, want)
+	if want := xmltext.AppendEscAttr(tmp[:0], sr.DefaultNS); len(r.def) > 0 && !bytes.Equal(r.def, want) {
+		return GatherReply{}, fmt.Errorf("core: backend answered under default namespace %q, the sub-batch declared %q", r.def, want)
 	}
-	return segments, rawHeader, nil
+	return r, nil
 }
 
-// splitGather walks the document from its first byte — XML declaration,
-// Envelope start tag, Header if any, then Body opening directly onto
-// Parallel_Response — so no marker is ever matched inside content. def is
-// the xmlns:m Parallel_Response declares, as serialized and aliasing body;
-// empty when it declares none.
-func splitGather(body []byte) (segments [][]byte, rawHeader, def []byte, err error) {
-	rest := body
-	for _, open := range gatherPreamble {
-		if !bytes.HasPrefix(rest, open) {
-			return nil, nil, nil, errShape
-		}
+// splitGather walks the document from its first byte — an XML declaration if
+// the backend still writes one, Envelope start tag, Header if any, then Body
+// opening directly onto Parallel_Response — so no marker is ever matched
+// inside content.
+func splitGather(body []byte) (r GatherReply, err error) {
+	rest := bytes.TrimPrefix(body, gatherBOM)
+	if bytes.HasPrefix(rest, gatherXMLDecl) {
 		gt, _, _, err := scanTag(rest, 0)
 		if err != nil {
-			return nil, nil, nil, errShape
+			return r, errShape
 		}
 		rest = rest[gt+1:]
 	}
+	if !bytes.HasPrefix(rest, gatherEnvelope) {
+		return r, errShape
+	}
+	gt, _, _, err := scanTag(rest, 0)
+	if err != nil {
+		return r, errShape
+	}
+	r.Encoding = bytes.Contains(rest[:gt], gatherEncoding)
+	rest = rest[gt+1:]
 	if bytes.HasPrefix(rest, gatherHeaderOpen) {
 		end, err := elementEnd(rest, 0)
 		if err != nil || !bytes.HasSuffix(rest[:end], gatherHeaderEnd) {
-			return nil, nil, nil, fmt.Errorf("core: backend response header is malformed")
+			return r, fmt.Errorf("core: backend response header is malformed")
 		}
-		rawHeader = append([]byte(nil), rest[len(gatherHeaderOpen):end-len(gatherHeaderEnd)]...)
+		r.RawHeader = append([]byte(nil), rest[len(gatherHeaderOpen):end-len(gatherHeaderEnd)]...)
 		rest = rest[end:]
 	}
 	if !bytes.HasPrefix(rest, gatherBodyOpen) {
-		return nil, nil, nil, errShape
+		return r, errShape
 	}
 	rest = rest[len(gatherBodyOpen):]
 	if bytes.HasPrefix(rest, gatherDefaultOpen) {
 		rest = rest[len(gatherDefaultOpen):]
 		q := bytes.IndexByte(rest, '"')
 		if q < 0 {
-			return nil, nil, nil, errShape
+			return r, errShape
 		}
-		def, rest = rest[:q], rest[q+1:]
+		r.def, rest = rest[:q], rest[q+1:]
 	}
 	if !bytes.HasPrefix(rest, []byte(">")) {
-		return nil, nil, nil, errShape
+		return r, errShape
 	}
 	if !bytes.HasSuffix(rest, gatherBodyClose) {
-		return nil, nil, nil, fmt.Errorf("core: backend packed response has an unexpected tail")
+		return r, fmt.Errorf("core: backend packed response has an unexpected tail")
 	}
-	segments, err = splitTopLevelElements(rest[1 : len(rest)-len(gatherBodyClose)])
-	return segments, rawHeader, def, err
+	r.Segments, err = splitTopLevelElements(rest[1 : len(rest)-len(gatherBodyClose)])
+	return r, err
 }
 
 // splitTopLevelElements divides a well-formed element sequence into one
@@ -439,6 +467,7 @@ type GatherCollector struct {
 	faults   []*soap.Fault
 	filled   []bool
 	headers  map[int][]byte // backend index -> raw header bytes
+	encoding bool           // a contributing reply's Envelope declared SOAP-ENC
 	wake     chan struct{}
 }
 
@@ -512,6 +541,15 @@ func (c *GatherCollector) AddHeader(backend int, raw []byte) {
 	c.mu.Unlock()
 }
 
+// DeclareEncoding records that a reply whose segments are being delivered
+// declared SOAP-ENC on its Envelope (GatherReply.Encoding): the gathered
+// Envelope then declares it too, and otherwise does not.
+func (c *GatherCollector) DeclareEncoding() {
+	c.mu.Lock()
+	c.encoding = true
+	c.mu.Unlock()
+}
+
 // rawHeader merges the recorded header sections.
 func (c *GatherCollector) rawHeader() []byte {
 	c.mu.Lock()
@@ -576,6 +614,11 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 			}
 		}
 	}
+	c.mu.Lock()
+	if c.encoding {
+		asm.em.Mark()
+	}
+	c.mu.Unlock()
 	resp, err := asm.finish(v, nil, c.rawHeader())
 	return resp, asm.itemFaults, err
 }

@@ -45,9 +45,15 @@ var readerShapes = []readerShape{
 	// What every writer emitted before PR 16: declaration, four namespaces.
 	{name: "pre-16 preamble", prolog: readerXMLDecl, onEnv: true},
 	{name: "no declaration", onEnv: true},
+	{name: "BOM, no declaration", prolog: "\xEF\xBB\xBF", onEnv: true},
 	{name: "SOAP-ENC on the operation element", onOp: true},
 	{name: "SOAP-ENC on the array element", onArray: true},
 }
+
+// readerUnbound uses SOAP-ENC:Array with the prefix bound nowhere: every
+// reader answers with a Client fault or an error, none with a panic or with
+// values decoded some other way.
+var readerUnbound = readerShape{name: "SOAP-ENC bound nowhere"}
 
 // readerWant is what every spelling carries.
 var readerWant = []soapenc.Field{
@@ -289,24 +295,28 @@ func TestReaderTableGateway(t *testing.T) {
 
 			// Response side: segments cut out of a backend's reply still
 			// resolve in the envelope the gateway frames around them.
-			if sh.prolog != readerXMLDecl {
-				continue // splitGather demands the declaration until the writers stop sending it
-			}
-			segs, rawHeader, err := (&ScatterRequest{}).SplitResponse(sh.envelope(v, "", sh.packedResponse()))
-			if err != nil || len(segs) != 2 {
-				t.Fatalf("%s: SplitResponse: %d segments, %v", what, len(segs), err)
+			reply, err := (&ScatterRequest{}).SplitResponse(sh.envelope(v, "", sh.packedResponse()))
+			if err != nil || len(reply.Segments) != 2 || reply.Encoding != sh.onEnv {
+				t.Fatalf("%s: SplitResponse: %d segments, encoding %v, %v", what, len(reply.Segments), reply.Encoding, err)
 			}
 			col := NewGatherCollector([]int{0, 1})
-			col.AddHeader(0, rawHeader)
-			col.Deliver(0, segs[0])
-			col.Deliver(1, segs[1])
+			col.AddHeader(0, reply.RawHeader)
+			if reply.Encoding {
+				col.DeclareEncoding()
+			}
+			col.Deliver(0, reply.Segments[0])
+			col.Deliver(1, reply.Segments[1])
 			resp, _, err := col.Assemble(context.Background(), v, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			readerCheckPacked(t, what+"/gather", resp.StatusCode, resp.Body, 2)
+			// The gathered Envelope declares SOAP-ENC iff the reply's did.
+			if got := bytes.Contains(resp.Body[:bytes.IndexByte(resp.Body, '>')], []byte(readerEncDecl)); got != sh.onEnv {
+				t.Errorf("%s: gathered Envelope declares SOAP-ENC: %v, the reply's: %v", what, got, sh.onEnv)
+			}
 			resp.Release()
-			resp, isFault := SpliceSingleResponse(v, segs[1], nil)
+			resp, isFault := SpliceSingleResponse(v, reply.Segments[1], nil, reply.Encoding)
 			if isFault {
 				t.Errorf("%s: splice reported a fault", what)
 			}
@@ -350,6 +360,129 @@ func TestReaderTablePre16Fixtures(t *testing.T) {
 		if target == "/services" {
 			if sr, fault := ParseScatterRequest(doc, ""); fault != nil || !sr.Packed {
 				t.Errorf("%s: ParseScatterRequest: %v", name, fault)
+			}
+		}
+	}
+}
+
+func TestReaderTableUnboundPrefix(t *testing.T) {
+	sh := readerUnbound
+	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		// Server: a whole-message Client fault for the single call, a per-item
+		// one for each packed entry.
+		code, body := postDoc(t, sys, "/services/Echo", v, sh.envelope(v, "", sh.entry("echo", "")))
+		env, err := soap.Decode(bytes.NewReader(body))
+		if code != 500 || err != nil || env.Fault() == nil || env.Fault().Code != soap.FaultClient {
+			t.Errorf("%v: single call: HTTP %d, %v: %s", v, code, err, body)
+		}
+		code, body = postDoc(t, sys, "/services", v, sh.envelope(v, "", sh.packedRequest()))
+		if env, err = soap.Decode(bytes.NewReader(body)); code != 200 || err != nil {
+			t.Fatalf("%v: packed: HTTP %d, %v: %s", v, code, err, body)
+		}
+		results, err := decodePackedResponse(env.Body[0])
+		if err != nil || len(results) != 2 {
+			t.Fatalf("%v: packed: %d results, %v", v, len(results), err)
+		}
+		for id, r := range results {
+			if r.fault == nil || r.fault.Code != soap.FaultClient {
+				t.Errorf("%v: packed entry %d: %+v, want a Client fault", v, id, r)
+			}
+		}
+
+		// Gateway: the scatter parser faults the entries the same way, and a
+		// call it cannot decode is not coalesced.
+		sr, fault := ParseScatterRequest(sh.envelope(v, "", sh.packedRequest()), "")
+		if fault != nil || len(sr.Entries) != 2 {
+			t.Fatalf("%v: ParseScatterRequest: %v", v, fault)
+		}
+		for _, e := range sr.Entries {
+			if e.Fault == nil || e.Fault.Code != soap.FaultClient {
+				t.Errorf("%v: scatter entry %d: fault %v, want Client", v, e.Slot, e.Fault)
+			}
+		}
+		if sc := ParseSingleCall(sh.envelope(v, "", sh.entry("echo", "")), "Echo", nil); sc != nil {
+			t.Errorf("%v: ParseSingleCall coalesced an undecodable call", v)
+		}
+
+		// Client: an error from either decoder.
+		cli := cannedClient(t, v, map[string][]byte{
+			"/services/Echo": sh.envelope(v, "", sh.entry("echoResponse", "")),
+			"/services":      sh.envelope(v, "", sh.packedResponse()),
+		})
+		if got, err := cli.Call("Echo", "echo"); err == nil {
+			t.Errorf("%v: Call decoded %v", v, got)
+		}
+		b := cli.NewBatch()
+		call := b.Add("Echo", "echo")
+		b.Add("Echo", "echo")
+		_ = b.Send()
+		if got, err := call.Wait(); err == nil {
+			t.Errorf("%v: Batch decoded %v", v, got)
+		}
+	}
+}
+
+// TestEnvelopeDeclaresEncodingOnDemand drives the writers end to end: a call
+// or batch carrying an array round-trips through every client encode path
+// (streamed, template cache, DOM under header providers) and both server
+// response paths (single envelope, packed assembler), and a response Envelope
+// declares SOAP-ENC exactly when an array is inside it.
+func TestEnvelopeDeclaresEncodingOnDemand(t *testing.T) {
+	list := soapenc.Array{int64(1), "two", soapenc.Array{true}}
+	configs := map[string]func(*ServerConfig, *ClientConfig){
+		"streamed":       nil,
+		"template cache": func(_ *ServerConfig, c *ClientConfig) { c.TemplateCache = true },
+		"wsse": func(s *ServerConfig, c *ClientConfig) {
+			s.HeaderProcessors = []HeaderProcessor{&wsse.Verifier{Secrets: map[string][]byte{"alice": paritySecret}}}
+			c.HeaderProviders = []HeaderProvider{&wsse.Signer{Username: "alice", Secret: paritySecret}}
+		},
+		"soap 1.2": func(_ *ServerConfig, c *ClientConfig) { c.SOAP12 = true },
+	}
+	for name, mutate := range configs {
+		sys := newSystem(t, mutate)
+		for _, params := range [][]soapenc.Field{
+			{soapenc.F("msg", "plain")},
+			{soapenc.F("msg", "with"), soapenc.F("list", list)},
+		} {
+			got, err := sys.client.Call("Echo", "echo", params...)
+			if err != nil || len(got) != len(params) {
+				t.Fatalf("%s: Call(%v) = %v, %v", name, params, got, err)
+			}
+			for i := range params {
+				if !soapenc.Equal(got[i].Value, params[i].Value) {
+					t.Errorf("%s: Call: value %d = %#v, want %#v", name, i, got[i].Value, params[i].Value)
+				}
+			}
+			b := sys.client.NewBatch()
+			calls := []*Call{b.Add("Echo", "echo", params...), b.Add("Echo", "echo", soapenc.F("n", int64(1)))}
+			if err := b.Send(); err != nil {
+				t.Fatalf("%s: Send: %v", name, err)
+			}
+			if got, err := calls[0].Wait(); err != nil || len(got) != len(params) || !soapenc.Equal(got[len(got)-1].Value, params[len(params)-1].Value) {
+				t.Errorf("%s: batch entry = %v, %v", name, got, err)
+			}
+		}
+	}
+
+	sys := newSystem(t, nil)
+	sh := readerShape{onArray: true} // the request scopes SOAP-ENC itself; the response cannot lean on it
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		for _, tc := range []struct {
+			name, target, body string
+			array              bool
+		}{
+			{"single, array", "/services/Echo", sh.entry("echo", ""), true},
+			{"single, scalar", "/services/Echo", `<m:echo xmlns:m="urn:spi:Echo"><n xsi:type="xsd:int">1</n></m:echo>`, false},
+			{"packed, array", "/services", sh.packedRequest(), true},
+			{"packed, scalar", "/services", `<spi:Parallel_Method xmlns:spi="` + NSPack + `" xmlns:m="urn:spi:Echo" spi:service="Echo"><m:echo/></spi:Parallel_Method>`, false},
+		} {
+			code, body := postDoc(t, sys, tc.target, v, sh.envelope(v, "", tc.body))
+			if code != 200 || bytes.HasPrefix(body, []byte("<?xml")) {
+				t.Fatalf("%v/%s: HTTP %d: %.80s", v, tc.name, code, body)
+			}
+			if got := bytes.Contains(body[:bytes.IndexByte(body, '>')], []byte(readerEncDecl)); got != tc.array {
+				t.Errorf("%v/%s: response Envelope declares SOAP-ENC: %v, holds an array: %v\n%s", v, tc.name, got, tc.array, body)
 			}
 		}
 	}

@@ -269,6 +269,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.httpSrv = &httpx.Server{
 		Handler:      s.handle,
+		Rejects:      &s.faultCodes,
 		MaxBodyBytes: cfg.MaxBodyBytes,
 		MaxPipeline:  cfg.PipelineWindow,
 		ReadTimeout:  cfg.ReadTimeout,

@@ -228,3 +228,40 @@ func soapFaultAs(err error, f **soap.Fault) bool {
 	}
 	return false
 }
+
+// TestServerRejectsAmbiguousFraming: a request whose length two parsers could
+// read differently never reaches the SOAP layer — HTTP 400, connection
+// closed, and one "HTTP.400" on the server's fault-code counters per reject.
+func TestServerRejectsAmbiguousFraming(t *testing.T) {
+	sys := newSystem(t, nil)
+	for i, fields := range []string{
+		"Content-Length: 4\r\nTransfer-Encoding: chunked\r\n",
+		"Content-Length: 2\r\nContent-Length: 3\r\n",
+	} {
+		conn, err := sys.link.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := "POST /services/Echo HTTP/1.1\r\nHost: s\r\nContent-Type: text/xml\r\n" + fields + "\r\n0\r\n\r\n"
+		if _, err := conn.Write([]byte(wire)); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		status, err := br.ReadString('\n')
+		if err != nil || !strings.HasPrefix(status, "HTTP/1.1 400 ") {
+			t.Fatalf("case %d: status line %q, %v", i, status, err)
+		}
+		rest, err := io.ReadAll(br) // returns only because the server closes
+		if err != nil || !strings.Contains(string(rest), "Connection: close\r\n") {
+			t.Errorf("case %d: %q, %v; want Connection: close and EOF", i, rest, err)
+		}
+		conn.Close()
+	}
+	st := sys.server.Stats()
+	if len(st.FaultCodes) != 1 || st.FaultCodes[0].Code != "HTTP.400" || st.FaultCodes[0].Count != 2 {
+		t.Errorf("FaultCodes = %+v, want HTTP.400 × 2", st.FaultCodes)
+	}
+	if st.Envelopes != 0 {
+		t.Errorf("%d envelopes reached the SOAP layer", st.Envelopes)
+	}
+}

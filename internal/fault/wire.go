@@ -146,6 +146,7 @@ const (
 	slotVersionMismatch
 	slotMustUnderstand
 	slotOther
+	slotReject
 	numSlots
 )
 
@@ -155,7 +156,7 @@ var slotNames = [numSlots]string{
 	WireTimeout, WireBusy, WireCancelled,
 	soap.FaultClient, soap.FaultServer,
 	soap.FaultVersionMismatch, soap.FaultMustUnderstand,
-	"other",
+	"other", "HTTP.400",
 }
 
 func slotOf(code string) wireSlot {
@@ -191,6 +192,15 @@ func (c *Counters) NoteSOAP(sf *soap.Fault) {
 		return
 	}
 	c.slots[slotOf(sf.Code)].Add(1)
+}
+
+// NoteReject records one request the transport refused with HTTP 400 before
+// any envelope was read — a protocol reject with no SOAP fault to its name,
+// counted as "HTTP.400". A nil receiver counts nothing.
+func (c *Counters) NoteReject() {
+	if c != nil {
+		c.slots[slotReject].Add(1)
+	}
 }
 
 // Note records one taxonomy fault by its wire mapping.

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,7 +13,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/httpx"
 	"repro/internal/netsim"
+	"repro/internal/services"
 	"repro/internal/soap"
+	"repro/internal/soapenc"
 )
 
 // The differential suite pins the gateway's headline guarantee: a packed
@@ -280,6 +283,165 @@ func TestDifferentialFramingSpellings(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// travelSearchDoc is the travel agent's search step as a Batch writes it: a
+// flight query to each airline and a room query to each hotel, whose replies
+// carry arrays, with a scalar echo first so that with several backends some
+// shard's reply has no array in it.
+func travelSearchDoc(v soap.Version) []byte {
+	const str = ` xmlns:xsi="` + soap.NSXSI + `" xmlns:xsd="` + soap.NSXSD + `" xsi:type="xsd:string"`
+	entries := []string{`<m:echo><p0>no array here</p0></m:echo>`}
+	for i := 0; i < services.NumAirlines; i++ {
+		name := services.AirlineService(i)
+		entries = append(entries, fmt.Sprintf(`<m:QueryFlights xmlns:m="urn:spi:%s" spi:service="%s"><from%s>Beijing</from><to%s>São Paulo</to></m:QueryFlights>`, name, name, str, str))
+	}
+	for i := 0; i < services.NumHotels; i++ {
+		name := services.HotelService(i)
+		entries = append(entries, fmt.Sprintf(`<m:QueryRooms xmlns:m="urn:spi:%s" spi:service="%s"><city%s>São Paulo</city></m:QueryRooms>`, name, name, str))
+	}
+	return packedDocWith(v, ` xmlns:m="urn:spi:Echo" spi:service="Echo"`, entries)
+}
+
+// declaresEncoding reports whether a reply's Envelope declares SOAP-ENC.
+func declaresEncoding(body []byte) bool {
+	return bytes.Contains(body[:bytes.IndexByte(body, '>')+1], []byte(` xmlns:SOAP-ENC="`+soap.NSEncoding+`"`))
+}
+
+// TestDifferentialArrays: replies that carry arrays need SOAP-ENC declared
+// around them, and the gathered Envelope declares it exactly when the direct
+// server's does — when some shard's reply did — whichever backends the
+// array-bearing entries landed on; the bytes are the direct server's.
+func TestDifferentialArrays(t *testing.T) {
+	// What a direct server answered the SOAP 1.1 search with before PR 16,
+	// XML declaration included.
+	const travelReplyPre16 = 4451
+	for _, k := range []int{1, 2, 4} {
+		for _, v := range []soap.Version{soap.V11, soap.V12} {
+			t.Run(fmt.Sprintf("backends=%d/%s", k, v), func(t *testing.T) {
+				t.Parallel()
+				d := newDirect(t)
+				f := newFarm(t, k, nil)
+				dc := &httpx.Client{Dial: d.link.Dial, KeepAlive: true, Timeout: 10 * time.Second}
+				gc := f.raw()
+				defer dc.Close()
+				defer gc.Close()
+				for name, tc := range map[string]struct {
+					doc   []byte
+					array bool
+				}{
+					"travel search": {travelSearchDoc(v), true},
+					"scalars only":  {framingSpellings(v, 1)["default"], false},
+				} {
+					want := post(t, dc, "/services", v.ContentType(), tc.doc)
+					diffReplies(t, name, tc.doc, want, post(t, gc, "/services", v.ContentType(), tc.doc))
+					if want.status != 200 || declaresEncoding(want.body) != tc.array || bytes.HasPrefix(want.body, []byte("<?xml")) {
+						t.Errorf("%s: HTTP %d, Envelope declares SOAP-ENC: %v, want %v\n%s", name, want.status, declaresEncoding(want.body), tc.array, want.body)
+					}
+					if tc.array && v == soap.V11 && len(want.body) > travelReplyPre16-38 {
+						t.Errorf("%s: reply is %d bytes, want at most %d (the pre-16 reply less its XML declaration)", name, len(want.body), travelReplyPre16-38)
+					}
+				}
+				// The values survive the trip: client → gateway → backends.
+				b := f.client(t, func(c *core.ClientConfig) { c.SOAP12 = v == soap.V12 }).NewBatch()
+				flights := b.Add(services.AirlineService(1), "QueryFlights", soapenc.F("from", "Beijing"), soapenc.F("to", "Lima"))
+				list := b.Add("Echo", "echo", soapenc.F("list", soapenc.Array{int64(1), "two"}))
+				if err := b.Send(); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := flights.Wait(); err != nil || len(got) != 1 || len(got[0].Value.(soapenc.Array)) != 3 {
+					t.Errorf("QueryFlights through the gateway: %v, %v", got, err)
+				}
+				if got, err := list.Wait(); err != nil || len(got) != 1 || !soapenc.Equal(got[0].Value, soapenc.Array{int64(1), "two"}) {
+					t.Errorf("array echoed through the gateway: %v, %v", got, err)
+				}
+			})
+		}
+	}
+}
+
+// pre16Backend serves what a backend older than PR 16 wrote: the same
+// documents behind an XML declaration, SOAP-ENC declared on every Envelope.
+func pre16Backend(tb testing.TB) *netsim.Link {
+	tb.Helper()
+	srv, err := core.NewServer(core.ServerConfig{Container: testContainer(tb), AppWorkers: 8, AppQueue: 64})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const decl, env, enc = `<?xml version="1.0" encoding="UTF-8"?>`, `<SOAP-ENV:Envelope xmlns:SOAP-ENV="`, ` xmlns:SOAP-ENC="` + soap.NSEncoding + `"`
+	old := &httpx.Server{Handler: func(ctx context.Context, req *httpx.Request) *httpx.Response {
+		resp := srv.HandleHTTP(ctx, req)
+		defer resp.Release()
+		body := string(resp.Body)
+		if !strings.Contains(body[:strings.IndexByte(body, '>')], enc) {
+			q := len(env) + strings.IndexByte(body[len(env):], '"') + 1
+			body = body[:q] + enc + body[q:]
+		}
+		out := httpx.NewResponse(resp.StatusCode, []byte(decl+body))
+		out.Header.Set("Content-Type", resp.Header.Get("Content-Type"))
+		return out
+	}}
+	link := netsim.NewLink(netsim.Fast())
+	lis, err := link.Listen()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go old.Serve(lis)
+	tb.Cleanup(func() { old.Close(); srv.Close(); link.Close() })
+	return link
+}
+
+// TestMixedVersionBackends: this step upgrades gateways before backends, so a
+// new gateway fronts pre-16 backends, alone and beside new ones. Their replies
+// splice into a valid response that declares SOAP-ENC (they always did),
+// carrying the direct server's values; a single call is relayed as they
+// wrote it.
+func TestMixedVersionBackends(t *testing.T) {
+	d := newDirect(t)
+	dc := &httpx.Client{Dial: d.link.Dial, KeepAlive: true, Timeout: 10 * time.Second}
+	defer dc.Close()
+	for _, fleet := range []string{"old", "old+new", "old+new, coalescing"} {
+		f := newFarm(t, 1, func(cfg *Config) {
+			cfg.Backends[0] = BackendConfig{Name: "pre16", Dial: pre16Backend(t).Dial}
+			if fleet != "old" {
+				cfg.Backends = append(cfg.Backends, BackendConfig{Name: "new", Dial: newDirect(t).link.Dial})
+			}
+			if strings.HasSuffix(fleet, "coalescing") {
+				cfg.Coalesce = CoalesceConfig{Enabled: true, FlushWindow: time.Millisecond}
+			}
+		})
+		gc := f.raw()
+		for _, v := range []soap.Version{soap.V11, soap.V12} {
+			for name, doc := range map[string][]byte{"travel search": travelSearchDoc(v), "scalars only": framingSpellings(v, 1)["default"]} {
+				want := post(t, dc, "/services", v.ContentType(), doc)
+				got := post(t, gc, "/services", v.ContentType(), doc)
+				if got.status != 200 || !declaresEncoding(got.body) {
+					t.Fatalf("%s/%v/%s: HTTP %d, declares SOAP-ENC: %v\n%s", fleet, v, name, got.status, declaresEncoding(got.body), got.body)
+				}
+				// Same document but for the one declaration the old replies
+				// brought with them.
+				if strip := bytes.Replace(got.body, []byte(` xmlns:SOAP-ENC="`+soap.NSEncoding+`"`), nil, 1); !declaresEncoding(want.body) && !bytes.Equal(strip, want.body) {
+					t.Errorf("%s/%v/%s: beyond the SOAP-ENC declaration the reply is not the direct server's\n got %s\nwant %s", fleet, v, name, got.body, want.body)
+				} else if declaresEncoding(want.body) && !bytes.Equal(got.body, want.body) {
+					t.Errorf("%s/%v/%s: reply is not the direct server's\n got %s\nwant %s", fleet, v, name, got.body, want.body)
+				}
+				if _, err := soap.Decode(bytes.NewReader(got.body)); err != nil {
+					t.Errorf("%s/%v/%s: reply does not parse: %v", fleet, v, name, err)
+				}
+			}
+		}
+		gc.Close()
+		// Single calls with an array in the reply: passthrough relays the old
+		// backend's bytes verbatim, the coalescer re-frames a segment cut from
+		// them; either way the client decodes the array.
+		cli := f.client(t, nil)
+		for i := 0; i < 4; i++ {
+			got, err := cli.Call(services.HotelService(0), "QueryRooms", soapenc.F("city", "Lima"))
+			if err != nil || len(got) != 1 || len(got[0].Value.(soapenc.Array)) != 3 {
+				t.Errorf("%s: QueryRooms call %d: %v, %v", fleet, i, got, err)
+			}
 		}
 	}
 }

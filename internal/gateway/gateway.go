@@ -194,6 +194,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.httpSrv = &httpx.Server{
 		Handler:      g.Handle,
+		Rejects:      &g.faultCodes,
 		MaxBodyBytes: cfg.MaxBodyBytes,
 	}
 	if cfg.AdminService {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/netsim"
 	"repro/internal/registry"
+	"repro/internal/services"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
 )
@@ -49,6 +50,10 @@ func testContainer(tb testing.TB) *registry.Container {
 		return []soapenc.Field{soapenc.F("slept", ms)}, nil
 	}, "sleeps ms milliseconds — randomizes completion order")
 	echo.MarkIdempotent("echo", "empty", "none", "nap")
+	// The travel agent's vendors: their search replies carry arrays.
+	if _, err := services.DeployTravel(c, services.Options{}); err != nil {
+		tb.Fatal(err)
+	}
 	return c
 }
 

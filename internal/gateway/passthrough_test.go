@@ -1,7 +1,9 @@
 package gateway
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -137,5 +139,42 @@ func TestPassthroughDeadBackend(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(r.body), "backend exchange failed: ") {
 		t.Errorf("body = %q, want the proxy path's 502 text", r.body)
+	}
+}
+
+// TestPassthroughRejectsAmbiguousFraming: the passthrough relays bodies it
+// never parses, so a request two parsers could frame differently must die at
+// the gateway's own reader — 400, connection closed, counted — and never
+// reach a backend.
+func TestPassthroughRejectsAmbiguousFraming(t *testing.T) {
+	f := newFarm(t, 1, func(cfg *Config) { cfg.Passthrough = true })
+	for i, fields := range []string{
+		"Content-Length: 4\r\nTransfer-Encoding: chunked\r\n",
+		"Content-Length: 2\r\nContent-Length: 3\r\n",
+	} {
+		conn, err := f.gwLink.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := "POST /services/Echo HTTP/1.1\r\nHost: gw\r\nContent-Type: text/xml\r\n" + fields + "\r\n0\r\n\r\n"
+		if _, err := conn.Write([]byte(wire)); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		resp, err := httpx.ReadResponse(br, 0)
+		if err != nil || resp.StatusCode != 400 || resp.Header.Get("Connection") != "close" {
+			t.Fatalf("case %d: %+v, %v; want 400 and Connection: close", i, resp, err)
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Errorf("case %d: connection still open after the 400: %v", i, err)
+		}
+		conn.Close()
+	}
+	st := f.gw.Stats()
+	if len(st.FaultCodes) != 1 || st.FaultCodes[0].Code != "HTTP.400" || st.FaultCodes[0].Count != 2 {
+		t.Errorf("FaultCodes = %+v, want HTTP.400 × 2", st.FaultCodes)
+	}
+	if st.Envelopes != 0 || st.Proxied != 0 || st.Passthrough != 0 {
+		t.Errorf("a rejected request was handled: %+v", st)
 	}
 }

@@ -240,6 +240,9 @@ type resultSink interface {
 	// that answered, keyed by backend index. Called before the shard's
 	// Deliver calls.
 	AddHeader(backend int, raw []byte)
+	// DeclareEncoding notes, before the shard's Deliver calls, that the
+	// reply declared SOAP-ENC, so whatever frames its segments must too.
+	DeclareEncoding()
 	// Deliver hands a slot its raw packed-response segment.
 	Deliver(slot int, segment []byte)
 	// Fail resolves a slot with a per-item fault.
@@ -272,12 +275,15 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 		attempts = 3
 	}
 	for attempt := 1; ; attempt++ {
-		segs, rawHeader, err := g.exchange(ctx, b, sr, doc, len(shard))
+		reply, err := g.exchange(ctx, b, sr, doc, len(shard))
 		if err == nil {
 			b.noteSuccess()
-			col.AddHeader(b.index, rawHeader)
+			col.AddHeader(b.index, reply.RawHeader)
+			if reply.Encoding {
+				col.DeclareEncoding()
+			}
 			for k, e := range shard {
-				col.Deliver(e.Slot, segs[k])
+				col.Deliver(e.Slot, reply.Segments[k])
 			}
 			return
 		}
@@ -345,7 +351,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // exchange performs one POST of a sub-batch of sr against a backend and
 // splits the reply into per-entry segments.
-func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequest, doc []byte, want int) (segments [][]byte, rawHeader []byte, err error) {
+func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequest, doc []byte, want int) (core.GatherReply, error) {
 	tr := g.cfg.Tracer
 	start := time.Now()
 	b.exchanges.Inc()
@@ -374,25 +380,25 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequ
 	}
 	resp, err := b.client.PostCtx(ctx, g.packTarget(), sr.Version.ContentType(), doc, extra...)
 	if err != nil {
-		return nil, nil, err
+		return core.GatherReply{}, err
 	}
 	defer resp.Release()
 	if resp.StatusCode != 200 {
 		// A whole-message fault for a gateway-built sub-batch (the backend
 		// rejected what we sent); surface it for retry classification.
 		if f := core.DecodeBackendFault(resp.Body); f != nil {
-			return nil, nil, f
+			return core.GatherReply{}, f
 		}
-		return nil, nil, fmt.Errorf("gateway: backend %s answered HTTP %d", b.name, resp.StatusCode)
+		return core.GatherReply{}, fmt.Errorf("gateway: backend %s answered HTTP %d", b.name, resp.StatusCode)
 	}
-	segments, rawHeader, err = sr.SplitResponse(resp.Body)
+	reply, err := sr.SplitResponse(resp.Body)
 	if err != nil {
-		return nil, nil, err
+		return core.GatherReply{}, err
 	}
-	if len(segments) != want {
-		return nil, nil, fmt.Errorf("gateway: backend %s returned %d entries for %d requests", b.name, len(segments), want)
+	if len(reply.Segments) != want {
+		return core.GatherReply{}, fmt.Errorf("gateway: backend %s returned %d entries for %d requests", b.name, len(reply.Segments), want)
 	}
-	return segments, rawHeader, nil
+	return reply, nil
 }
 
 // proxy forwards a request whole to one backend and relays the reply —

@@ -3,7 +3,6 @@ package httpx
 import (
 	"bufio"
 	"io"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -104,34 +103,29 @@ func ReadRequestPooled(br *bufio.Reader, maxBody int64) (*Request, func(), error
 	}
 	req := &Request{Method: method, Target: target, Proto: proto, Header: h}
 
+	chunked, n, err := bodyFraming(&h)
+	if err != nil {
+		return nil, noop, err
+	}
 	// Pooled fast path: Content-Length framing within the pooling cap.
-	if cl := h.Get("Content-Length"); cl != "" && !h.hasToken("Transfer-Encoding", "chunked") {
-		n, err := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
-		if err != nil || n < 0 {
-			return nil, noop, protoErrf("bad Content-Length %q", cl)
+	if !chunked && n >= 0 && n <= maxPooledBody && n <= maxBody {
+		bp := acquireBody(int(n))
+		if _, err := io.ReadFull(br, *bp); err != nil {
+			releaseBody(bp)
+			return nil, noop, protoErrf("short body: %v", err)
 		}
-		if n > maxBody {
-			return nil, noop, protoErrf("body of %d bytes exceeds limit %d", n, maxBody)
-		}
-		if n <= maxPooledBody {
-			bp := acquireBody(int(n))
-			if _, err := io.ReadFull(br, *bp); err != nil {
+		req.Body = *bp
+		released := false
+		return req, func() {
+			if !released {
+				released = true
+				req.Body = nil
 				releaseBody(bp)
-				return nil, noop, protoErrf("short body: %v", err)
 			}
-			req.Body = *bp
-			released := false
-			return req, func() {
-				if !released {
-					released = true
-					req.Body = nil
-					releaseBody(bp)
-				}
-			}, nil
-		}
+		}, nil
 	}
 	// Chunked, oversized or absent body: the regular unpooled path.
-	body, err := readBody(br, &h, maxBody, false)
+	body, err := readBody(br, chunked, n, maxBody, false)
 	if err != nil {
 		return nil, noop, err
 	}

@@ -144,6 +144,7 @@ func (c *Client) acquire(ctx context.Context) (func(), error) {
 type persistConn struct {
 	conn net.Conn
 	br   *bufio.Reader
+	host string // peerHost(conn), formatted once per connection
 }
 
 // errClientClosed is returned by Do after Close.
@@ -258,7 +259,7 @@ func (c *Client) roundTrip(ctx context.Context, pc *persistConn, req *Request) (
 			<-watcherDone
 		}()
 	}
-	if err := WriteRequest(pc.conn, req, !c.KeepAlive); err != nil {
+	if err := writeRequest(pc.conn, req, !c.KeepAlive, pc.host); err != nil {
 		return nil, fmt.Errorf("httpx: write request: %w", err)
 	}
 	resp, err := ReadResponse(pc.br, c.MaxBodyBytes)
@@ -292,7 +293,7 @@ func (c *Client) getConn(ctx context.Context, reused *bool) (*persistConn, error
 	if err != nil {
 		return nil, &DialError{Err: err}
 	}
-	return &persistConn{conn: conn, br: bufio.NewReaderSize(conn, 16<<10)}, nil
+	return &persistConn{conn: conn, br: bufio.NewReaderSize(conn, 16<<10), host: peerHost(conn)}, nil
 }
 
 func (c *Client) putConn(pc *persistConn) {

@@ -1,0 +1,131 @@
+package httpx
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/fault"
+)
+
+// TestBodyFraming feeds raw header blocks to all three message readers. A
+// message whose length two parsers could read differently — the shapes
+// request smuggling is made of — is a ProtocolError (errors.Is
+// fault.Protocol) from each; everything else reads to the same body.
+func TestBodyFraming(t *testing.T) {
+	const chunked5 = "5\r\nhello\r\n0\r\n\r\n"
+	for _, tc := range []struct {
+		name, fields, payload string
+		body, err             string
+	}{
+		{name: "Content-Length", fields: "Content-Length: 5\r\n", payload: "hello", body: "hello"},
+		{name: "chunked", fields: "Transfer-Encoding: chunked\r\n", payload: chunked5, body: "hello"},
+		{name: "mixed-case names and token", fields: "transfer-ENCODING: Chunked\r\n", payload: chunked5, body: "hello"},
+		{name: "chunked among tokens", fields: "Transfer-Encoding: gzip , chunked\r\n", payload: chunked5, body: "hello"},
+		{name: "Content-Length twice, equal", fields: "Content-Length: 5\r\ncontent-length: 5\r\n", payload: "hello", body: "hello"},
+		{name: "Content-Length 0", fields: "Content-Length: 0\r\n", payload: "", body: ""},
+		{name: "Content-Length and Transfer-Encoding", fields: "Content-Length: 5\r\nTransfer-Encoding: chunked\r\n", payload: chunked5,
+			err: "both Transfer-Encoding and Content-Length"},
+		{name: "Transfer-Encoding and Content-Length", fields: "Transfer-Encoding: chunked\r\nContent-Length: 16\r\n", payload: chunked5,
+			err: "both Transfer-Encoding and Content-Length"},
+		{name: "Content-Length and an unknown coding", fields: "Content-Length: 5\r\nTransfer-Encoding: identity\r\n", payload: "hello",
+			err: "both Transfer-Encoding and Content-Length"},
+		{name: "Content-Length twice, differing", fields: "Content-Length: 5\r\nContent-Length: 6\r\n", payload: "hello!",
+			err: "conflicting Content-Length fields: 5 and 6"},
+		{name: "signed Content-Length", fields: "Content-Length: +5\r\n", payload: "hello", err: `bad Content-Length "+5"`},
+		{name: "negative Content-Length", fields: "Content-Length: -1\r\n", err: `bad Content-Length "-1"`},
+		{name: "Content-Length list", fields: "Content-Length: 5, 5\r\n", payload: "hello", err: `bad Content-Length "5, 5"`},
+		{name: "empty Content-Length", fields: "Content-Length:\r\n", err: `bad Content-Length ""`},
+		{name: "Content-Length overflow", fields: "Content-Length: 99999999999999999999\r\n", err: "bad Content-Length"},
+	} {
+		reader := func(wire string) *bufio.Reader { return bufio.NewReader(strings.NewReader(wire)) }
+		request := "POST /services/Echo HTTP/1.1\r\nHost: x\r\n" + tc.fields + "\r\n" + tc.payload
+		response := "HTTP/1.1 200 OK\r\n" + tc.fields + "\r\n" + tc.payload
+		check := func(which string, body []byte, err error) {
+			t.Helper()
+			var pe *ProtocolError
+			switch {
+			case tc.err == "" && (err != nil || string(body) != tc.body):
+				t.Errorf("%s/%s: body %q, %v; want %q", tc.name, which, body, err, tc.body)
+			case tc.err != "" && (!errors.As(err, &pe) || !strings.Contains(pe.Msg, tc.err) ||
+				!errors.Is(err, fault.Protocol) || !errors.Is(err, fault.Defect)):
+				t.Errorf("%s/%s: err = %v, want a fault.Protocol ProtocolError with %q", tc.name, which, err, tc.err)
+			}
+		}
+		var body []byte
+		req, err := ReadRequest(reader(request), 0)
+		if err == nil {
+			body = req.Body
+		}
+		check("ReadRequest", body, err)
+		body = nil
+		req, release, err := ReadRequestPooled(reader(request), 0)
+		if err == nil {
+			body = append(body, req.Body...)
+		}
+		release()
+		check("ReadRequestPooled", body, err)
+		body = nil
+		resp, err := ReadResponse(reader(response), 0)
+		if err == nil {
+			body = resp.Body
+		}
+		check("ReadResponse", body, err)
+	}
+}
+
+// TestServerRejectsAmbiguousFraming: over a socket, both shapes are answered
+// 400 with the connection closed and the reject counted, on the serial loop
+// and behind a pipelined request alike, and the handler never sees them.
+func TestServerRejectsAmbiguousFraming(t *testing.T) {
+	var rejects fault.Counters
+	var handled atomic.Int32
+	srv := &Server{MaxPipeline: 4, Rejects: &rejects, Handler: func(_ context.Context, req *Request) *Response {
+		handled.Add(1)
+		return NewResponse(200, req.Body)
+	}}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	good := "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nok"
+	smuggle := "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\nGET /admin HTTP/1.1\r\n\r\n"
+	twoLengths := "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nokX"
+	for i, wire := range []string{smuggle, twoLengths, good + smuggle, good + twoLengths} {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(wire)); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		if strings.HasPrefix(wire, good) {
+			if resp, err := ReadResponse(br, 0); err != nil || resp.StatusCode != 200 || string(resp.Body) != "ok" {
+				t.Fatalf("case %d: the request ahead of the reject: %+v, %v", i, resp, err)
+			}
+		}
+		resp, err := ReadResponse(br, 0)
+		if err != nil || resp.StatusCode != 400 || !resp.Header.hasToken("Connection", "close") {
+			t.Fatalf("case %d: %+v, %v; want 400 and Connection: close", i, resp, err)
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Errorf("case %d: connection still open after the 400: %v", i, err)
+		}
+		conn.Close()
+		if got := rejects.Snapshot(); len(got) != 1 || got[0].Code != "HTTP.400" || got[0].Count != int64(i+1) {
+			t.Errorf("case %d: reject counter = %+v", i, got)
+		}
+	}
+	if n := handled.Load(); n != 2 {
+		t.Errorf("handler ran %d times, want 2 (the well-framed requests only)", n)
+	}
+}

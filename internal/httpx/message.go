@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/fault"
 )
 
 // Limits protecting the parser from hostile or broken peers.
@@ -124,6 +126,12 @@ type ProtocolError struct {
 // Error implements the error interface.
 func (e *ProtocolError) Error() string { return "httpx: " + e.Msg }
 
+// Is files a malformed message under the error core's taxonomy: a protocol
+// reject, of the Defect class (errors.Is(err, fault.Protocol)).
+func (e *ProtocolError) Is(target error) bool {
+	return target == fault.Protocol || target == fault.Defect
+}
+
 func protoErrf(format string, args ...any) error {
 	return &ProtocolError{Msg: fmt.Sprintf(format, args...)}
 }
@@ -184,28 +192,53 @@ func readHeader(br *bufio.Reader, budget *int) (Header, error) {
 	}
 }
 
-// readBody reads a message body framed by Content-Length or chunked
-// encoding. A message with neither has no body (requests) — responses
-// close-delimit instead, handled by the caller.
-func readBody(br *bufio.Reader, h *Header, maxBody int64, closeDelimited bool) ([]byte, error) {
-	if h.hasToken("Transfer-Encoding", "chunked") {
-		return readChunked(br, maxBody)
+// bodyFraming decides how a message's body is delimited: chunked, or by a
+// Content-Length (-1 when there is none). It refuses what two parsers could
+// frame differently — the request-smuggling shapes of RFC 9112 §6.3, which
+// matter here because the gateway relays bytes to a backend that parses them
+// again: Transfer-Encoding together with Content-Length, Content-Length
+// fields that disagree, and a Content-Length that is not plain digits
+// ("+5" is a number to strconv.ParseInt, not to the next hop).
+func bodyFraming(h *Header) (chunked bool, length int64, err error) {
+	length = -1
+	coded := false
+	for _, f := range h.fields {
+		switch {
+		case strings.EqualFold(f.name, "Transfer-Encoding"):
+			coded = true
+		case strings.EqualFold(f.name, "Content-Length"):
+			n, err := strconv.ParseUint(f.value, 10, 63)
+			if err != nil {
+				return false, 0, protoErrf("bad Content-Length %q", f.value)
+			}
+			if length >= 0 && int64(n) != length {
+				return false, 0, protoErrf("conflicting Content-Length fields: %d and %d", length, n)
+			}
+			length = int64(n)
+		}
 	}
-	if cl := h.Get("Content-Length"); cl != "" {
-		n, err := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
-		if err != nil || n < 0 {
-			return nil, protoErrf("bad Content-Length %q", cl)
-		}
-		if n > maxBody {
-			return nil, protoErrf("body of %d bytes exceeds limit %d", n, maxBody)
-		}
-		body := make([]byte, n)
+	if coded && length >= 0 {
+		return false, 0, protoErrf("both Transfer-Encoding and Content-Length")
+	}
+	return coded && h.hasToken("Transfer-Encoding", "chunked"), length, nil
+}
+
+// readBody reads a message body framed as bodyFraming found it. A message
+// with neither framing has no body (requests) — responses close-delimit
+// instead.
+func readBody(br *bufio.Reader, chunked bool, length, maxBody int64, closeDelimited bool) ([]byte, error) {
+	switch {
+	case chunked:
+		return readChunked(br, maxBody)
+	case length > maxBody:
+		return nil, protoErrf("body of %d bytes exceeds limit %d", length, maxBody)
+	case length >= 0:
+		body := make([]byte, length)
 		if _, err := io.ReadFull(br, body); err != nil {
 			return nil, protoErrf("short body: %v", err)
 		}
 		return body, nil
-	}
-	if closeDelimited {
+	case closeDelimited:
 		body, err := io.ReadAll(io.LimitReader(br, maxBody+1))
 		if err != nil {
 			return nil, err
@@ -240,7 +273,11 @@ func ReadRequest(br *bufio.Reader, maxBody int64) (*Request, error) {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	body, err := readBody(br, &h, maxBody, false)
+	chunked, length, err := bodyFraming(&h)
+	if err != nil {
+		return nil, err
+	}
+	body, err := readBody(br, chunked, length, maxBody, false)
 	if err != nil {
 		return nil, err
 	}
@@ -276,8 +313,11 @@ func ReadResponse(br *bufio.Reader, maxBody int64) (*Response, error) {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	closeDelimited := !h.Has("Content-Length") && !h.hasToken("Transfer-Encoding", "chunked")
-	body, err := readBody(br, &h, maxBody, closeDelimited)
+	chunked, length, err := bodyFraming(&h)
+	if err != nil {
+		return nil, err
+	}
+	body, err := readBody(br, chunked, length, maxBody, true)
 	if err != nil {
 		return nil, err
 	}
@@ -288,23 +328,45 @@ func ReadResponse(br *bufio.Reader, maxBody int64) (*Response, error) {
 // Content-Length and emits Connection: close when close is requested.
 // Requests without framing- or connection-related fields of their own —
 // every request this stack's SOAP client produces — take the same pooled
-// single-write fast path as responses.
+// single-write fast path as responses. Host is the caller's to set here;
+// Client fills it in from the connection it writes to.
 func WriteRequest(w io.Writer, r *Request, closeConn bool) error {
-	if !r.Header.Has("Content-Length") && !r.Header.Has("Connection") && !r.Header.Has("Transfer-Encoding") {
-		return writeRequestFast(w, r, closeConn)
+	return writeRequest(w, r, closeConn, "")
+}
+
+// writeRequest is WriteRequest for a known peer: host, when not empty and
+// the request names none itself, goes out as the Host field every HTTP/1.1
+// request must carry (RFC 9112 §3.2), first after the request line.
+func writeRequest(w io.Writer, r *Request, closeConn bool, host string) error {
+	if r.Header.Has("Host") {
+		host = ""
 	}
-	return writeRequestFramed(w, r, closeConn)
+	if !r.Header.Has("Content-Length") && !r.Header.Has("Connection") && !r.Header.Has("Transfer-Encoding") {
+		return writeRequestFast(w, r, closeConn, host)
+	}
+	return writeRequestFramed(w, r, closeConn, host)
+}
+
+// peerHost is the Host a request over conn carries: the address dialed.
+func peerHost(conn net.Conn) string {
+	if a := conn.RemoteAddr(); a != nil {
+		return a.String()
+	}
+	return ""
 }
 
 // writeRequestFramed is the cloning reference path: it works for any
 // header set, at the cost of a header clone and a buffered copy.
-func writeRequestFramed(w io.Writer, r *Request, closeConn bool) error {
+func writeRequestFramed(w io.Writer, r *Request, closeConn bool, host string) error {
 	bw := bufio.NewWriterSize(w, 8<<10)
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.1"
 	}
 	fmt.Fprintf(bw, "%s %s %s\r\n", r.Method, r.Target, proto)
+	if host != "" {
+		fmt.Fprintf(bw, "Host: %s\r\n", host)
+	}
 	h := r.Header.Clone()
 	h.Set("Content-Length", strconv.Itoa(len(r.Body)))
 	if closeConn {
@@ -319,11 +381,11 @@ func writeRequestFramed(w io.Writer, r *Request, closeConn bool) error {
 }
 
 // writeRequestFast emits exactly the bytes writeRequestFramed would for a
-// request without pre-set framing fields: request line, the fields in
+// request without pre-set framing fields: request line, Host, the fields in
 // order, Content-Length, then Connection: close when requested. The header
 // block comes from a pooled buffer and goes to the kernel together with
 // the body in one write (see writeBlock).
-func writeRequestFast(w io.Writer, r *Request, closeConn bool) error {
+func writeRequestFast(w io.Writer, r *Request, closeConn bool, host string) error {
 	bp := headerBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	proto := r.Proto
@@ -336,6 +398,11 @@ func writeRequestFast(w io.Writer, r *Request, closeConn bool) error {
 	b = append(b, ' ')
 	b = append(b, proto...)
 	b = append(b, '\r', '\n')
+	if host != "" {
+		b = append(b, "Host: "...)
+		b = append(b, host...)
+		b = append(b, '\r', '\n')
+	}
 	for _, f := range r.Header.fields {
 		b = append(b, f.name...)
 		b = append(b, ':', ' ')

@@ -31,6 +31,7 @@ type pipeConn struct {
 	owner *Client
 	conn  net.Conn
 	br    *bufio.Reader
+	host  string // peerHost(conn)
 
 	// wmu serializes request writes; the FIFO append happens under it so
 	// queue order always matches wire order.
@@ -133,7 +134,7 @@ func (c *Client) getPipeConn(ctx context.Context, reused *bool) (*pipeConn, erro
 	if err != nil {
 		return nil, &DialError{Err: err}
 	}
-	pc := &pipeConn{owner: c, conn: conn, br: bufio.NewReaderSize(conn, 16<<10)}
+	pc := &pipeConn{owner: c, conn: conn, br: bufio.NewReaderSize(conn, 16<<10), host: peerHost(conn)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -177,7 +178,7 @@ func (c *Client) pipeRoundTrip(ctx context.Context, pc *pipeConn, req *Request) 
 	pc.queue = append(pc.queue, call)
 	pc.inflight.Add(1)
 	pc.mu.Unlock()
-	werr := WriteRequest(pc.conn, req, false)
+	werr := writeRequest(pc.conn, req, false, pc.host)
 	pc.wmu.Unlock()
 	if werr != nil {
 		pc.fail(fmt.Errorf("httpx: write request: %w", werr))

@@ -95,6 +95,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first *Request,
 			if err != io.EOF && errors.As(err, &pe) {
 				// The 400 must not jump the queue: enqueue it like an
 				// exchange so every accepted request answers first.
+				s.Rejects.NoteReject()
 				ex := &pipeExchange{protoErr: pe, done: make(chan struct{})}
 				close(ex.done)
 				queue <- ex

@@ -9,6 +9,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // Handler processes one request and returns the response to send. Handlers
@@ -63,6 +65,9 @@ type Server struct {
 	// either way, so enabling this costs them one buffered-byte check per
 	// exchange.
 	MaxPipeline int
+	// Rejects, if set, counts every request refused with a 400 before it
+	// reached the Handler (a ProtocolError: malformed or ambiguously framed).
+	Rejects *fault.Counters
 	// AccessLog, if set, observes every completed exchange.
 	AccessLog func(remote net.Addr, req *Request, status int, elapsed time.Duration)
 
@@ -239,6 +244,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			var pe *ProtocolError
 			if errors.As(err, &pe) {
+				s.Rejects.NoteReject()
 				resp := NewResponse(400, []byte(pe.Msg+"\n"))
 				resp.Header.Set("Content-Type", "text/plain")
 				_ = WriteResponse(conn, resp, true)

@@ -2,6 +2,7 @@ package httpx
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -107,9 +108,12 @@ func TestWriteResponseGate(t *testing.T) {
 // TestWriteRequestFastParity pins the request fast path to the framed
 // reference, and the gate that keeps self-framed requests off it.
 func TestWriteRequestFastParity(t *testing.T) {
-	framed := func(r *Request, closeConn bool) string {
+	framed := func(r *Request, closeConn bool, host string) string {
 		var buf bytes.Buffer
-		if err := writeRequestFramed(&buf, r, closeConn); err != nil {
+		if r.Header.Has("Host") {
+			host = "" // writeRequest's rule: a request that names its host keeps it
+		}
+		if err := writeRequestFramed(&buf, r, closeConn, host); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -123,16 +127,33 @@ func TestWriteRequestFastParity(t *testing.T) {
 	cases[0].Header.Set("SOAPAction", `""`)
 	proto10 := NewRequest("POST", "/x", []byte("b"))
 	proto10.Proto = "HTTP/1.0"
-	cases = append(cases, proto10)
+	ownHost := NewRequest("POST", "/x", []byte("b"))
+	ownHost.Header.Set("host", "virtual.example")
+	cases = append(cases, proto10, ownHost)
 
 	for i, r := range cases {
 		for _, closeConn := range []bool{false, true} {
-			var buf bytes.Buffer
-			if err := WriteRequest(&buf, r, closeConn); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := buf.String(), framed(r, closeConn); got != want {
-				t.Errorf("case %d closeConn=%v:\nfast:   %q\nframed: %q", i, closeConn, got, want)
+			for _, host := range []string{"", "127.0.0.1:18080"} {
+				var buf bytes.Buffer
+				if err := writeRequest(&buf, r, closeConn, host); err != nil {
+					t.Fatal(err)
+				}
+				got := buf.String()
+				if want := framed(r, closeConn, host); got != want {
+					t.Errorf("case %d closeConn=%v host=%q:\nfast:   %q\nframed: %q", i, closeConn, host, got, want)
+				}
+				// Exactly one Host whenever one is known, right after the
+				// request line when it is the connection's.
+				wantHosts := 0
+				if host != "" || r == ownHost {
+					wantHosts = 1
+				}
+				if n := strings.Count(strings.ToLower(got), "\r\nhost: "); n != wantHosts {
+					t.Errorf("case %d host=%q: %d Host fields in %q", i, host, n, got)
+				}
+				if line, _, _ := strings.Cut(got, "\r\n"); host != "" && r != ownHost && !strings.HasPrefix(got[len(line):], "\r\nHost: "+host+"\r\n") {
+					t.Errorf("case %d: Host does not follow the request line: %q", i, got)
+				}
 			}
 		}
 	}
@@ -236,7 +257,7 @@ func TestFastWritesAreSingleWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want bytes.Buffer
-		if err := writeRequestFramed(&want, req, false); err != nil {
+		if err := writeRequestFramed(&want, req, false, ""); err != nil {
 			t.Fatal(err)
 		}
 		if got.writes != tc.writes || got.String() != want.String() {
@@ -263,5 +284,35 @@ func TestFastWriteKeepsWritevOnTCP(t *testing.T) {
 	var tcp *net.TCPConn
 	if !writesBuffers(tcp) || writesBuffers(&writeCounter{}) {
 		t.Error("writev capability misjudged")
+	}
+}
+
+// TestClientSendsHost: every request a Client writes names the peer it was
+// dialed to (RFC 9112 §3.2), on the serial and the pipelined path alike, and
+// the server reads it back as one more field.
+func TestClientSendsHost(t *testing.T) {
+	for _, pipeline := range []bool{false, true} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts := make(chan string, 4)
+		srv := &Server{MaxPipeline: 4, Handler: func(_ context.Context, req *Request) *Response {
+			hosts <- strings.Join(req.Header.Values("Host"), "|")
+			return NewResponse(200, nil)
+		}}
+		go srv.Serve(l)
+		addr := l.Addr().String()
+		c := &Client{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }, KeepAlive: true, Pipeline: pipeline}
+		for i := 0; i < 2; i++ {
+			if _, err := c.Post("/x", "text/plain", []byte("b")); err != nil {
+				t.Fatal(err)
+			}
+			if got := <-hosts; got != addr {
+				t.Errorf("pipeline=%v: Host = %q, want %q", pipeline, got, addr)
+			}
+		}
+		c.Close()
+		srv.Close()
 	}
 }

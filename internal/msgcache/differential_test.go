@@ -64,7 +64,7 @@ func TestDifferentialRenderMatchesFullSerialization(t *testing.T) {
 		}
 		wantDoc := fullSerialize(t, ns, op, params)
 		for pass := 0; pass < 2; pass++ { // pass 0 may build, pass 1 must hit
-			got, ok, err := cache.Render("Diff", ns, op, params)
+			got, ok, err := render(cache, "Diff", ns, op, params)
 			if err != nil {
 				t.Fatalf("round %d pass %d: Render error: %v (params %+v)", round, pass, err, params)
 			}
@@ -90,7 +90,7 @@ func TestDifferentialUncacheableShapes(t *testing.T) {
 		{soapenc.F("nested", &soapenc.Struct{Fields: []soapenc.Field{soapenc.F("x", int32(1))}})},
 		{soapenc.F("nil", nil)},
 	} {
-		_, ok, err := cache.Render("Diff", "urn:spi:Diff", "op", params)
+		_, ok, err := render(cache, "Diff", "urn:spi:Diff", "op", params)
 		if err != nil {
 			t.Fatalf("uncacheable shape errored instead of declining: %v", err)
 		}

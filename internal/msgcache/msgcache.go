@@ -105,23 +105,12 @@ type Template struct {
 	segments [][]byte // len(params)+1 segments around the holes
 }
 
-// Render splices the parameter values into the template. Values are
-// escaped for text content exactly as the full serializer would.
-func (t *Template) Render(params []soapenc.Field) ([]byte, error) {
-	em := xmltext.AcquireEmitter()
-	defer xmltext.ReleaseEmitter(em)
-	if err := t.RenderTo(em, params); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), em.Bytes()...), nil
-}
-
 // RenderTo splices the parameter values into the template directly onto an
-// emitter — the allocation-free form of Render: segments are appended
-// verbatim and scalars are formatted into a stack scratch buffer, exactly
-// as soapenc's streaming encoder writes them, so the bytes match a full
-// serialization. The rendered document is em.Bytes(), valid until the
-// emitter is released or reused.
+// emitter, allocation-free: segments are appended verbatim and scalars are
+// escaped or formatted into a stack scratch buffer, exactly as soapenc's
+// streaming encoder writes them, so the bytes match a full serialization.
+// The rendered document is em.Bytes(), valid until the emitter is released
+// or reused.
 func (t *Template) RenderTo(em *xmltext.Emitter, params []soapenc.Field) error {
 	if len(params) != len(t.segments)-1 {
 		return fmt.Errorf("msgcache: template has %d holes, got %d params",
@@ -196,25 +185,10 @@ func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits, Misses: c.misses, Uncached: c.uncached, Templates: len(c.templates)}
 }
 
-// Render produces the serialized request envelope for a call, using a
-// cached template when one exists. ok reports whether the call was
-// cacheable at all; when ok is false the caller must serialize normally.
-func (c *Cache) Render(service, namespace, op string, params []soapenc.Field) (doc []byte, ok bool, err error) {
-	tmpl, err := c.lookup(service, namespace, op, params)
-	if tmpl == nil || err != nil {
-		return nil, false, err
-	}
-	out, err := tmpl.Render(params)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
-}
-
-// RenderTo is Render onto a caller-supplied emitter — with a pooled
-// emitter the steady-state hit path allocates nothing. ok reports whether
-// the call was cacheable; when false nothing was written and the caller
-// must serialize normally.
+// RenderTo writes the serialized request envelope for a call onto em, using
+// a cached template when one exists — with a pooled emitter the steady-state
+// hit path allocates nothing. ok reports whether the call was cacheable at
+// all; when false nothing was written and the caller must serialize normally.
 func (c *Cache) RenderTo(em *xmltext.Emitter, service, namespace, op string, params []soapenc.Field) (ok bool, err error) {
 	tmpl, err := c.lookup(service, namespace, op, params)
 	if tmpl == nil || err != nil {

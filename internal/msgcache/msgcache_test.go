@@ -32,6 +32,14 @@ func fullSerialize(t testing.TB, namespace, op string, params []soapenc.Field) [
 	return buf.Bytes()
 }
 
+// render is RenderTo onto a fresh emitter, returning a copy of the document.
+func render(c *Cache, service, namespace, op string, params []soapenc.Field) ([]byte, bool, error) {
+	em := xmltext.AcquireEmitter()
+	defer xmltext.ReleaseEmitter(em)
+	ok, err := c.RenderTo(em, service, namespace, op, params)
+	return append([]byte(nil), em.Bytes()...), ok, err
+}
+
 func TestTemplateMatchesFullSerialization(t *testing.T) {
 	c := New()
 	paramSets := [][]soapenc.Field{
@@ -41,7 +49,7 @@ func TestTemplateMatchesFullSerialization(t *testing.T) {
 		{soapenc.F("city", ""), soapenc.F("days", int64(0))},
 	}
 	for i, params := range paramSets {
-		got, ok, err := c.Render("Weather", "urn:w", "GetWeather", params)
+		got, ok, err := render(c, "Weather", "urn:w", "GetWeather", params)
 		if err != nil || !ok {
 			t.Fatalf("render %d: ok=%v err=%v", i, ok, err)
 		}
@@ -70,7 +78,7 @@ func TestScalarTypesRoundTrip(t *testing.T) {
 		{soapenc.F("g32", int32(-7))},
 	}
 	for _, params := range cases {
-		got, ok, err := c.Render("S", "urn:s", "op", params)
+		got, ok, err := render(c, "S", "urn:s", "op", params)
 		if err != nil || !ok {
 			t.Fatalf("render %v: ok=%v err=%v", params, ok, err)
 		}
@@ -85,11 +93,11 @@ func TestIntWidthGetsDistinctTemplates(t *testing.T) {
 	c := New()
 	small := []soapenc.Field{soapenc.F("n", int64(1))}
 	big := []soapenc.Field{soapenc.F("n", int64(math.MaxInt32)+1)}
-	g1, _, err := c.Render("S", "urn:s", "op", small)
+	g1, _, err := render(c, "S", "urn:s", "op", small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _, err := c.Render("S", "urn:s", "op", big)
+	g2, _, err := render(c, "S", "urn:s", "op", big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +117,7 @@ func TestUncacheableShapes(t *testing.T) {
 		{soapenc.F("nil", nil)},
 		{soapenc.F("bytes", []byte("x"))},
 	} {
-		_, ok, err := c.Render("S", "urn:s", "op", params)
+		_, ok, err := render(c, "S", "urn:s", "op", params)
 		if err != nil {
 			t.Fatalf("render: %v", err)
 		}
@@ -124,10 +132,10 @@ func TestUncacheableShapes(t *testing.T) {
 
 func TestDistinctOperationsDistinctTemplates(t *testing.T) {
 	c := New()
-	c.Render("A", "urn:a", "op1", []soapenc.Field{soapenc.F("x", "1")})
-	c.Render("A", "urn:a", "op2", []soapenc.Field{soapenc.F("x", "1")})
-	c.Render("B", "urn:b", "op1", []soapenc.Field{soapenc.F("x", "1")})
-	c.Render("A", "urn:a", "op1", []soapenc.Field{soapenc.F("y", "1")}) // different name
+	render(c, "A", "urn:a", "op1", []soapenc.Field{soapenc.F("x", "1")})
+	render(c, "A", "urn:a", "op2", []soapenc.Field{soapenc.F("x", "1")})
+	render(c, "B", "urn:b", "op1", []soapenc.Field{soapenc.F("x", "1")})
+	render(c, "A", "urn:a", "op1", []soapenc.Field{soapenc.F("y", "1")}) // different name
 	if st := c.Stats(); st.Templates != 4 {
 		t.Errorf("templates = %d, want 4", st.Templates)
 	}
@@ -136,7 +144,7 @@ func TestDistinctOperationsDistinctTemplates(t *testing.T) {
 func TestRenderedDocumentParses(t *testing.T) {
 	c := New()
 	params := []soapenc.Field{soapenc.F("q", "a<b&c"), soapenc.F("n", int64(9))}
-	doc, ok, err := c.Render("S", "urn:s", "op", params)
+	doc, ok, err := render(c, "S", "urn:s", "op", params)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -162,7 +170,7 @@ func TestConcurrentRender(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				params := []soapenc.Field{soapenc.F("x", strings.Repeat("y", i+1))}
-				if _, ok, err := c.Render("S", "urn:s", "op", params); err != nil || !ok {
+				if _, ok, err := render(c, "S", "urn:s", "op", params); err != nil || !ok {
 					t.Errorf("render: ok=%v err=%v", ok, err)
 					return
 				}
@@ -197,7 +205,7 @@ func TestQuickCacheEqualsFull(t *testing.T) {
 					params[i] = soapenc.F(name, r.Intn(2) == 0)
 				}
 			}
-			got, ok, err := c.Render("S", "urn:s", "op", params)
+			got, ok, err := render(c, "S", "urn:s", "op", params)
 			if err != nil || !ok {
 				return false
 			}
@@ -235,13 +243,13 @@ func BenchmarkFullSerialization(b *testing.B) {
 func BenchmarkTemplateRender(b *testing.B) {
 	c := New()
 	params := []soapenc.Field{soapenc.F("city", "Beijing"), soapenc.F("days", int64(3))}
-	if _, ok, err := c.Render("Weather", "urn:w", "GetWeather", params); err != nil || !ok {
+	if _, ok, err := render(c, "Weather", "urn:w", "GetWeather", params); err != nil || !ok {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Render("Weather", "urn:w", "GetWeather", params); err != nil {
+		if _, _, err := render(c, "Weather", "urn:w", "GetWeather", params); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"strings"
 	"sync"
 
 	"repro/internal/xmldom"
@@ -11,14 +12,17 @@ import (
 // without building the xmldom tree that Envelope.Encode constructs and
 // throws away per message. Its output is byte-identical to Envelope.Encode
 // for the same logical envelope — golden and differential tests pin this —
-// so the two paths are interchangeable on the wire.
+// so the two paths are interchangeable on the wire. Neither writes an XML
+// declaration (the HTTP Content-Type already names the charset), and both
+// declare SOAP-ENC only when the envelope's content uses the prefix.
 //
 // Lifecycle: NewStreamEncoder → Begin → body writes → Finish → (use bytes)
 // → Release. The byte slice returned by Finish aliases the pooled buffer
 // and is invalidated by Release; callers that need the bytes past Release
 // must copy them first. A StreamEncoder must not be used after Release.
 type StreamEncoder struct {
-	em *xmltext.Emitter
+	em    *xmltext.Emitter
+	encAt int // offset in em of the Envelope tag's xmlns:SOAP-ENC slot
 }
 
 var streamEncoderPool = sync.Pool{New: func() any { return new(StreamEncoder) }}
@@ -71,21 +75,16 @@ var (
 	nameXMLLang  = xmltext.Name{Prefix: "xml", Local: "lang"}
 )
 
-// Begin writes the declaration, the envelope start tag with the standard
-// namespace declarations (same order as Envelope.Element), the optional
-// Header with its blocks, and opens the Body.
+// Begin writes the envelope start tag with the namespace declarations every
+// body relies on (same order as Envelope.Element), the optional Header with
+// its blocks, and opens the Body. SOAP-ENC is not among them: Finish adds it
+// when something written in between used the prefix.
 func (enc *StreamEncoder) Begin(v Version, headers []*xmldom.Element) {
-	em := enc.em
-	em.Declaration()
-	em.Start(nameEnvelope)
-	em.Attr(nameXmlnsEnv, v.Namespace())
-	em.Attr(nameXmlnsEnc, NSEncoding)
-	em.Attr(nameXmlnsXSI, NSXSI)
-	em.Attr(nameXmlnsXSD, NSXSD)
+	em := enc.open(v)
 	if len(headers) > 0 {
 		em.Start(nameHeader)
 		for _, b := range headers {
-			b.AppendTo(em)
+			appendElement(em, b)
 		}
 		em.End()
 	}
@@ -97,13 +96,7 @@ func (enc *StreamEncoder) Begin(v Version, headers []*xmldom.Element) {
 // sections straight out of backend responses. Empty raw omits the Header
 // element, exactly as Begin does for a nil slice.
 func (enc *StreamEncoder) BeginRawHeader(v Version, raw []byte) {
-	em := enc.em
-	em.Declaration()
-	em.Start(nameEnvelope)
-	em.Attr(nameXmlnsEnv, v.Namespace())
-	em.Attr(nameXmlnsEnc, NSEncoding)
-	em.Attr(nameXmlnsXSI, NSXSI)
-	em.Attr(nameXmlnsXSD, NSXSD)
+	em := enc.open(v)
 	if len(raw) > 0 {
 		em.Start(nameHeader)
 		em.Raw(raw)
@@ -112,20 +105,76 @@ func (enc *StreamEncoder) BeginRawHeader(v Version, raw []byte) {
 	em.Start(nameBody)
 }
 
+// open starts the Envelope tag and notes where xmlns:SOAP-ENC belongs in it.
+func (enc *StreamEncoder) open(v Version) *xmltext.Emitter {
+	em := enc.em
+	em.Start(nameEnvelope)
+	em.Attr(nameXmlnsEnv, v.Namespace())
+	enc.encAt = em.Len()
+	em.Attr(nameXmlnsXSI, NSXSI)
+	em.Attr(nameXmlnsXSD, NSXSD)
+	return em
+}
+
 // WriteBodyElement streams one already-built body entry. DOM-free callers
 // write through Emitter instead.
 func (enc *StreamEncoder) WriteBodyElement(el *xmldom.Element) {
-	el.AppendTo(enc.em)
+	appendElement(enc.em, el)
 }
 
-// Finish closes Body and Envelope and returns the document bytes. The
-// slice is owned by the encoder: valid until Release.
+// appendElement streams a DOM subtree, marking the emitter when the subtree
+// leans on a SOAP-ENC declaration from outside itself.
+func appendElement(em *xmltext.Emitter, el *xmldom.Element) {
+	if !em.Marked() && usesEncoding(el) {
+		em.Mark()
+	}
+	el.AppendTo(em)
+}
+
+// usesEncoding reports whether the subtree at el uses the SOAP-ENC prefix —
+// in an element or attribute name, or leading a QName attribute value such as
+// xsi:type="SOAP-ENC:Array" — outside any element that declares it itself.
+func usesEncoding(el *xmldom.Element) bool {
+	if _, declares := el.Attr(nameXmlnsEnc); declares {
+		return false
+	}
+	if el.Name.Prefix == PrefixEncoding {
+		return true
+	}
+	for _, a := range el.Attrs {
+		if a.Name.Prefix == PrefixEncoding || strings.HasPrefix(a.Value, PrefixEncoding+":") {
+			return true
+		}
+	}
+	for _, c := range el.Children {
+		if ce, ok := c.(*xmldom.Element); ok && usesEncoding(ce) {
+			return true
+		}
+	}
+	return false
+}
+
+// encodingDecl is the one declaration an Envelope makes only on demand: the
+// array encoder is its only user, and most messages carry no array.
+const encodingDecl = ` xmlns:` + PrefixEncoding + `="` + NSEncoding + `"`
+
+// Finish closes Body and Envelope and returns the document bytes. If the
+// emitter was marked — soapenc's array encoder, a DOM subtree or a spliced
+// reply that relies on the prefix — xmlns:SOAP-ENC is put where the Envelope
+// start tag has always carried it, after xmlns:SOAP-ENV. The slice is owned
+// by the encoder: valid until Release.
 func (enc *StreamEncoder) Finish() ([]byte, error) {
 	em := enc.em
 	em.End() // Body
 	em.End() // Envelope
 	if err := em.Finish(); err != nil {
 		return nil, err
+	}
+	if em.Marked() {
+		em.Extend(len(encodingDecl))
+		doc := em.Bytes()
+		copy(doc[enc.encAt+len(encodingDecl):], doc[enc.encAt:])
+		copy(doc[enc.encAt:], encodingDecl)
 	}
 	return em.Bytes(), nil
 }
@@ -136,7 +185,7 @@ func (enc *StreamEncoder) Finish() ([]byte, error) {
 func (enc *StreamEncoder) EncodeEnvelope(env *Envelope) ([]byte, error) {
 	enc.Begin(env.Version, env.Header)
 	for _, e := range env.Body {
-		e.AppendTo(enc.em)
+		appendElement(enc.em, e)
 	}
 	return enc.Finish()
 }
@@ -175,7 +224,7 @@ func (f *Fault) AppendElementFor(em *xmltext.Emitter, v Version, extra ...xmltex
 		em.End()
 	}
 	if f.Detail != nil {
-		f.Detail.AppendTo(em)
+		appendElement(em, f.Detail)
 	}
 	em.End()
 }
@@ -208,6 +257,9 @@ func (f *Fault) appendElement12(em *xmltext.Emitter, extra []xmltext.Attr) {
 		em.End()
 	}
 	if f.Detail != nil {
+		if usesEncoding(f.Detail) {
+			em.Mark()
+		}
 		em.Start(nameDetail12)
 		for _, n := range f.Detail.Children {
 			xmldom.AppendNode(n, em)

@@ -3,6 +3,7 @@ package soap
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,6 +61,35 @@ func sampleEnvelopes() map[string]*Envelope {
 		empty := New()
 		empty.Version = v
 		out[fmt.Sprintf("empty-body-%v", v)] = empty
+
+		// SOAP-ENC in use — by a body entry, by a header block, by a fault
+		// detail — and in use only under an element that declares it itself:
+		// both writers must reach the same verdict on the Envelope's
+		// declaration.
+		array := func(declare bool) *xmldom.Element {
+			el := newBodyEntry("search", "flights")
+			list := el.AddElement(xmltext.Name{Local: "list"})
+			if declare {
+				list.DeclareNamespace(PrefixEncoding, NSEncoding)
+			}
+			list.SetAttr(xmltext.Name{Prefix: PrefixXSI, Local: "type"}, PrefixEncoding+":Array")
+			list.SetAttr(xmltext.Name{Prefix: PrefixEncoding, Local: "arrayType"}, "xsd:anyType[0]")
+			return el
+		}
+		for name, build := range map[string]func(env *Envelope){
+			"array-body":   func(env *Envelope) { env.AddBody(array(false)) },
+			"array-scoped": func(env *Envelope) { env.AddBody(array(true)) },
+			"array-header": func(env *Envelope) { env.AddHeader(array(false)); env.AddBody(newBodyEntry("echo", "x")) },
+			"array-second": func(env *Envelope) { env.AddBody(newBodyEntry("echo", "x")); env.AddBody(array(false)) },
+		} {
+			env := New()
+			env.Version = v
+			build(env)
+			out[fmt.Sprintf("%s-%v", name, v)] = env
+		}
+		arrayDetail := xmldom.NewElement(xmltext.Name{Local: "detail"})
+		arrayDetail.AddChild(array(false))
+		out[fmt.Sprintf("array-fault-%v", v)] = (&Fault{String: "with an array", Detail: arrayDetail}).EnvelopeFor(v)
 	}
 	return out
 }
@@ -82,6 +112,13 @@ func TestStreamEncoderParity(t *testing.T) {
 			}
 			if !bytes.Equal(got, buf.Bytes()) {
 				t.Fatalf("stream output diverged:\ndom:    %s\nstream: %s", buf.Bytes(), got)
+			}
+			if bytes.HasPrefix(got, []byte("<?xml")) {
+				t.Errorf("a writer emitted an XML declaration: %.60s", got)
+			}
+			uses := strings.HasPrefix(name, "array-") && !strings.HasPrefix(name, "array-scoped")
+			if declares := bytes.Contains(got[:bytes.IndexByte(got, '>')], []byte(encodingDecl)); declares != uses {
+				t.Errorf("Envelope declares SOAP-ENC: %v, content uses it unscoped: %v\n%s", declares, uses, got)
 			}
 		})
 	}

@@ -11,6 +11,7 @@ package soap
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
@@ -27,8 +28,8 @@ const (
 	// NSXSD is the XML Schema datatypes namespace (xsd:int, xsd:string, ...).
 	NSXSD = "http://www.w3.org/2001/XMLSchema"
 
-	// PrefixEnvelope is the conventional envelope prefix, matching the
-	// gSOAP/Axis output shown in the paper's Figure 4.
+	// PrefixEnvelope is the conventional envelope prefix, the one the
+	// gSOAP/Axis output in the paper's Figure 4 uses.
 	PrefixEnvelope = "SOAP-ENV"
 	// PrefixEncoding is the conventional encoding prefix.
 	PrefixEncoding = "SOAP-ENC"
@@ -62,14 +63,20 @@ func (env *Envelope) AddBody(entry *xmldom.Element) {
 	env.Body = append(env.Body, entry)
 }
 
-// Element builds the full DOM for the envelope. The standard namespace
-// declarations (SOAP-ENV, SOAP-ENC, xsi, xsd) are placed on the root, again
-// matching the toolkit output reproduced in the paper's Figure 4. SOAP 1.2
-// envelopes differ only in the envelope namespace bound to the prefix.
+// Element builds the full DOM for the envelope. The root declares SOAP-ENV,
+// xsi and xsd, which every typed body uses, and SOAP-ENC — between SOAP-ENV
+// and xsi, where the toolkits of the paper's Figure 4 put it — only when a
+// header block or body entry uses that prefix without declaring it itself:
+// an envelope declares what its content uses. This departs from the Axis and
+// gSOAP bytes Figure 4 reproduces, which declared all four on every message;
+// readers accept either. SOAP 1.2 envelopes differ only in the envelope
+// namespace bound to the prefix.
 func (env *Envelope) Element() *xmldom.Element {
 	root := xmldom.NewElement(xmltext.Name{Prefix: PrefixEnvelope, Local: "Envelope"})
 	root.DeclareNamespace(PrefixEnvelope, env.Version.Namespace())
-	root.DeclareNamespace(PrefixEncoding, NSEncoding)
+	if slices.ContainsFunc(env.Header, usesEncoding) || slices.ContainsFunc(env.Body, usesEncoding) {
+		root.DeclareNamespace(PrefixEncoding, NSEncoding)
+	}
 	root.DeclareNamespace(PrefixXSI, NSXSI)
 	root.DeclareNamespace(PrefixXSD, NSXSD)
 	if len(env.Header) > 0 {
@@ -85,9 +92,11 @@ func (env *Envelope) Element() *xmldom.Element {
 	return root
 }
 
-// Encode serializes the envelope as a complete XML document to w.
+// Encode serializes the envelope to w. No XML declaration is written: it
+// would restate what Content-Type's charset says on every message, and WS-I
+// Basic Profile obliges receivers to accept one, not senders to send it.
 func (env *Envelope) Encode(w io.Writer) error {
-	return env.Element().WriteDocument(w)
+	return env.Element().Serialize(w)
 }
 
 // Decode parses a SOAP 1.1 envelope from r.

@@ -25,8 +25,8 @@ func TestEnvelopeEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := b.String()
-	if !strings.Contains(doc, `<?xml version="1.0"`) {
-		t.Error("missing XML declaration")
+	if !strings.HasPrefix(doc, "<"+PrefixEnvelope+":Envelope ") {
+		t.Errorf("document does not open on the Envelope (no writer emits an XML declaration): %.60s", doc)
 	}
 	if !strings.Contains(doc, PrefixEnvelope+":Envelope") {
 		t.Error("missing envelope element")
@@ -179,19 +179,37 @@ func TestMustUnderstandHeaders(t *testing.T) {
 }
 
 func TestFigureStyleEnvelopeShape(t *testing.T) {
-	// The serialized envelope must carry the four standard namespace
-	// declarations the paper's Figure 4 shows on the root element.
-	env := New()
-	env.AddBody(xmldom.NewElement(xmltext.Name{Local: "Op"}))
-	doc := env.Element().String()
-	for _, want := range []string{
-		`xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"`,
-		`xmlns:SOAP-ENC="http://schemas.xmlsoap.org/soap/encoding/"`,
-		`xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"`,
-		`xmlns:xsd="http://www.w3.org/2001/XMLSchema"`,
+	// The root carries the declarations the paper's Figure 4 shows, in that
+	// order — SOAP-ENC among them only when the content uses the prefix.
+	const (
+		envDecl = ` xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"`
+		encDecl = ` xmlns:SOAP-ENC="http://schemas.xmlsoap.org/soap/encoding/"`
+		rest    = ` xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xmlns:xsd="http://www.w3.org/2001/XMLSchema">`
+	)
+	plain := xmldom.NewElement(xmltext.Name{Local: "Op"})
+	array := xmldom.NewElement(xmltext.Name{Local: "Op"})
+	array.AddElement(xmltext.Name{Local: "list"}).SetAttr(xmltext.Name{Prefix: PrefixXSI, Local: "type"}, "SOAP-ENC:Array")
+	scoped := array.Clone()
+	scoped.ChildElements()[0].DeclareNamespace(PrefixEncoding, NSEncoding)
+	for _, tc := range []struct {
+		name string
+		body *xmldom.Element
+		want string
+	}{
+		{"no array", plain, envDecl + rest},
+		{"array", array, envDecl + encDecl + rest},
+		{"array declaring the prefix itself", scoped, envDecl + rest},
 	} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("envelope missing %s:\n%s", want, doc)
+		env := New()
+		env.AddBody(tc.body)
+		if doc := env.Element().String(); !strings.HasPrefix(doc, "<SOAP-ENV:Envelope"+tc.want) {
+			t.Errorf("%s: envelope does not open with %s:\n%s", tc.name, tc.want, doc)
 		}
+		enc := NewStreamEncoder()
+		doc, err := enc.EncodeEnvelope(env)
+		if err != nil || !strings.HasPrefix(string(doc), "<SOAP-ENV:Envelope"+tc.want) {
+			t.Errorf("%s: streamed envelope (%v) does not open with %s:\n%s", tc.name, err, tc.want, doc)
+		}
+		enc.Release()
 	}
 }

@@ -77,17 +77,22 @@ func TestDecodeUnknownTypeAnnotationFallsBack(t *testing.T) {
 	}
 }
 
-func TestDecodeUnresolvablePrefixFallsBack(t *testing.T) {
-	// xsi:type with an undeclared prefix cannot be resolved; the decoder
-	// falls back to structural interpretation rather than failing.
-	doc := `<p xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="ghost:Thing">text</p>`
-	el, err := xmldom.ParseString(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(el)
-	if err != nil || got != "text" {
-		t.Errorf("decoded = %#v, %v", got, err)
+func TestDecodeUnresolvablePrefixFails(t *testing.T) {
+	// xsi:type with an undeclared prefix names no type at all. Guessing
+	// structurally would turn a SOAP-ENC:Array whose declaration was lost in
+	// framing into a struct of items, so the decoder refuses instead.
+	for _, doc := range []string{
+		`<p xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="ghost:Thing">text</p>`,
+		`<p xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xmlns:xsd="http://www.w3.org/2001/XMLSchema"` +
+			` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType[1]"><item xsi:type="xsd:int">1</item></p>`,
+	} {
+		el, err := xmldom.ParseString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Decode(el); err == nil || !strings.Contains(err.Error(), "not bound to a namespace") {
+			t.Errorf("decoded = %#v, %v; want an unbound-prefix error", got, err)
+		}
 	}
 }
 

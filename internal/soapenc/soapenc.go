@@ -129,8 +129,9 @@ var (
 )
 
 // Encode appends a child element with the given name carrying v to parent.
-// The standard prefixes (xsd, xsi, SOAP-ENC) must be in scope, which they
-// are inside any envelope built by package soap. It returns the new element.
+// The xsd and xsi prefixes must be in scope, which they are inside any
+// envelope built by package soap — as is SOAP-ENC once the envelope holds an
+// Array. It returns the new element.
 func Encode(parent *xmldom.Element, name string, v Value) (*xmldom.Element, error) {
 	el := parent.AddElement(xmltext.Name{Local: name})
 	if err := encodeInto(el, v); err != nil {
@@ -228,7 +229,10 @@ func Decode(el *xmldom.Element) (Value, error) {
 			}
 		}
 	}
-	ts, ok := typeOf(el)
+	ts, ok, err := typeOf(el)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
 		// No xsi:type: decide structurally.
 		if hasElementChild(el) {
@@ -266,8 +270,10 @@ func hasElementChild(el *xmldom.Element) bool {
 type typeRef struct{ ns, local string }
 
 // typeOf resolves the element's xsi:type attribute to a (namespace, local)
-// pair.
-func typeOf(el *xmldom.Element) (typeRef, bool) {
+// pair. A QName whose prefix is bound nowhere is an error, not an untyped
+// element: a SOAP-ENC:Array cut loose from its declaration would otherwise
+// decode as a struct of items.
+func typeOf(el *xmldom.Element) (typeRef, bool, error) {
 	for _, a := range el.Attrs {
 		if a.Name.Local != "type" || !resolvesTo(el, a.Name.Prefix, soap.NSXSI) {
 			continue
@@ -275,11 +281,12 @@ func typeOf(el *xmldom.Element) (typeRef, bool) {
 		qn := xmltext.ParseName(strings.TrimSpace(a.Value))
 		uri, ok := el.ResolvePrefix(qn.Prefix)
 		if !ok {
-			return typeRef{}, false
+			return typeRef{}, false, fmt.Errorf("soapenc: xsi:type %q on <%s>: prefix %q is not bound to a namespace",
+				a.Value, el.Name.Local, qn.Prefix)
 		}
-		return typeRef{ns: uri, local: qn.Local}, true
+		return typeRef{ns: uri, local: qn.Local}, true, nil
 	}
-	return typeRef{}, false
+	return typeRef{}, false, nil
 }
 
 func resolvesTo(el *xmldom.Element, prefix, wantNS string) bool {

@@ -18,8 +18,9 @@ import (
 var nameItem = xmltext.Name{Local: "item"}
 
 // EncodeTo emits `<name>` carrying v into em, byte-identical to Encode
-// followed by serialization. The standard prefixes (xsd, xsi, SOAP-ENC)
-// must be in scope at the insertion point, as inside any SOAP envelope.
+// followed by serialization. The xsd and xsi prefixes must be in scope at the
+// insertion point, as inside any SOAP envelope; an Array marks em so that
+// whoever frames the document (soap.StreamEncoder.Finish) declares SOAP-ENC.
 func EncodeTo(em *xmltext.Emitter, name string, v Value) error {
 	return encodeTo(em, xmltext.Name{Local: name}, v)
 }
@@ -80,6 +81,7 @@ func encodeTo(em *xmltext.Emitter, name xmltext.Name, v Value) error {
 		em.Attr(xsiTypeAttr, "xsd:dateTime")
 		em.Raw(v.UTC().AppendFormat(tmp[:0], time.RFC3339Nano))
 	case Array:
+		em.Mark() // the one user of SOAP-ENC: the Envelope declares it on demand
 		em.Attr(xsiTypeAttr, "SOAP-ENC:Array")
 		at := append(tmp[:0], "xsd:anyType["...)
 		at = strconv.AppendInt(at, int64(len(v)), 10)

@@ -193,3 +193,25 @@ func BenchmarkEncodeParamsToStream(b *testing.B) {
 		xmltext.ReleaseEmitter(em)
 	}
 }
+
+// TestArrayMarksEmitter: the array branch is the one user of the SOAP-ENC
+// prefix, and it says so on the emitter, so the envelope encoder framing the
+// document knows to declare it; nothing else does.
+func TestArrayMarksEmitter(t *testing.T) {
+	for _, tc := range []struct {
+		v    Value
+		want bool
+	}{
+		{"text", false}, {int64(1), false}, {NewStruct(F("k", "v")), false}, {nil, false},
+		{Array{}, true}, {NewStruct(F("k", Array{"deep"})), true},
+	} {
+		em := xmltext.AcquireEmitter()
+		if err := EncodeTo(em, "p", tc.v); err != nil {
+			t.Fatal(err)
+		}
+		if em.Marked() != tc.want {
+			t.Errorf("%#v: emitter marked = %v, want %v", tc.v, em.Marked(), tc.want)
+		}
+		xmltext.ReleaseEmitter(em)
+	}
+}

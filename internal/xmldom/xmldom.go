@@ -339,12 +339,14 @@ func (e *Element) Serialize(w io.Writer) error {
 	return xw.Flush()
 }
 
-// WriteDocument serializes e as a full document with the XML declaration.
+// WriteDocument serializes e as a full document with the XML declaration,
+// for documents that travel without a Content-Type charset to say the same
+// (the WSDL a GET returns). SOAP envelopes are written by Serialize.
 func (e *Element) WriteDocument(w io.Writer) error {
-	xw := xmltext.NewWriter(w)
-	xw.Declaration()
-	e.writeTo(xw)
-	return xw.Flush()
+	if _, err := io.WriteString(w, `<?xml version="1.0" encoding="UTF-8"?>`); err != nil {
+		return err
+	}
+	return e.Serialize(w)
 }
 
 // WriteIndented serializes e with indentation, for human-facing output.

@@ -21,6 +21,7 @@ type Emitter struct {
 	buf    []byte
 	stack  []Name
 	inOpen bool
+	marked bool
 	err    error
 }
 
@@ -55,8 +56,19 @@ func (e *Emitter) Reset() {
 	e.buf = e.buf[:0]
 	e.stack = e.stack[:0]
 	e.inOpen = false
+	e.marked = false
 	e.err = nil
 }
+
+// Mark leaves a one-bit note on the document for whoever frames it: a body
+// writer that used something its enclosing scope must declare sets it, and
+// the framer reads it back with Marked once the body is written. Package
+// soap uses it for the SOAP-ENC prefix, which an Envelope declares only when
+// an array encoder (or a spliced reply that relied on it) asked for it.
+func (e *Emitter) Mark() { e.marked = true }
+
+// Marked reports whether Mark was called since the last Reset.
+func (e *Emitter) Marked() bool { return e.marked }
 
 // Err returns the first error encountered, if any.
 func (e *Emitter) Err() error { return e.err }
@@ -101,18 +113,6 @@ func (e *Emitter) appendName(name Name) {
 		e.buf = append(e.buf, ':')
 	}
 	e.buf = append(e.buf, name.Local...)
-}
-
-// Declaration writes the standard XML 1.0 declaration. It must come first.
-func (e *Emitter) Declaration() {
-	if e.err != nil {
-		return
-	}
-	if len(e.stack) > 0 || e.inOpen {
-		e.setErr(fmt.Errorf("xmltext: declaration not at start of document"))
-		return
-	}
-	e.buf = append(e.buf, `<?xml version="1.0" encoding="UTF-8"?>`...)
 }
 
 // Start opens an element. The '>' is emitted lazily so an immediately

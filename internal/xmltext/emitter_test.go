@@ -12,7 +12,7 @@ import (
 // op is one writer instruction, applied to both Writer and Emitter so the
 // parity tests drive the two implementations through identical sequences.
 type emitOp struct {
-	kind  string // "decl", "start", "attr", "end", "text", "comment"
+	kind  string // "start", "attr", "end", "text", "comment"
 	name  Name
 	value string
 }
@@ -25,9 +25,6 @@ func applyOps(t *testing.T, ops []emitOp) (writerOut string, writerErr error, em
 	defer ReleaseEmitter(e)
 	for _, op := range ops {
 		switch op.kind {
-		case "decl":
-			w.Declaration()
-			e.Declaration()
 		case "start":
 			w.StartElement(op.name)
 			e.Start(op.name)
@@ -63,8 +60,7 @@ func TestEmitterParityDocuments(t *testing.T) {
 			{kind: "text", value: "hello"},
 			{kind: "end"},
 		}},
-		{"declaration and nesting", []emitOp{
-			{kind: "decl"},
+		{"envelope nesting", []emitOp{
 			{kind: "start", name: name("SOAP-ENV", "Envelope")},
 			{kind: "attr", name: name("xmlns", "SOAP-ENV"), value: "http://schemas.xmlsoap.org/soap/envelope/"},
 			{kind: "start", name: name("SOAP-ENV", "Body")},
@@ -142,10 +138,6 @@ func TestEmitterParityErrors(t *testing.T) {
 			{kind: "comment", value: "a--b"},
 		}},
 		{"unclosed element at flush", []emitOp{{kind: "start", name: name("", "a")}}},
-		{"declaration mid-document", []emitOp{
-			{kind: "start", name: name("", "a")},
-			{kind: "decl"},
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.desc, func(t *testing.T) {
@@ -270,7 +262,6 @@ func TestEmitterPoolRecycling(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				e := AcquireEmitter()
-				e.Declaration()
 				e.Start(Name{Prefix: "SOAP-ENV", Local: "Envelope"})
 				e.Start(Name{Prefix: "SOAP-ENV", Local: "Body"})
 				payload := fmt.Sprintf("w%d-r%d", seed, i)
@@ -282,7 +273,7 @@ func TestEmitterPoolRecycling(t *testing.T) {
 				if err := e.Finish(); err != nil {
 					t.Errorf("finish: %v", err)
 				}
-				want := `<?xml version="1.0" encoding="UTF-8"?><SOAP-ENV:Envelope><SOAP-ENV:Body><data>` +
+				want := `<SOAP-ENV:Envelope><SOAP-ENV:Body><data>` +
 					payload + `</data></SOAP-ENV:Body></SOAP-ENV:Envelope>`
 				if got := string(e.Bytes()); got != want {
 					t.Errorf("pooled emitter corrupted: got %q want %q", got, want)
@@ -329,7 +320,6 @@ func BenchmarkEmitterEnvelope(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := AcquireEmitter()
-		e.Declaration()
 		e.Start(Name{Prefix: "SOAP-ENV", Local: "Envelope"})
 		e.Start(Name{Prefix: "SOAP-ENV", Local: "Body"})
 		for j := 0; j < 16; j++ {
@@ -347,4 +337,24 @@ func BenchmarkEmitterEnvelope(b *testing.B) {
 		}
 		ReleaseEmitter(e)
 	}
+}
+
+// TestEmitterMark: the framing note survives whatever is emitted after it
+// and a pooled emitter comes back without it.
+func TestEmitterMark(t *testing.T) {
+	e := AcquireEmitter()
+	if e.Marked() {
+		t.Fatal("fresh emitter is marked")
+	}
+	e.Start(Name{Local: "a"})
+	e.Mark()
+	e.End()
+	if !e.Marked() || string(e.Bytes()) != "<a/>" {
+		t.Fatalf("marked = %v, bytes %q", e.Marked(), e.Bytes())
+	}
+	ReleaseEmitter(e)
+	if e = AcquireEmitter(); e.Marked() {
+		t.Fatal("mark survived the pool")
+	}
+	ReleaseEmitter(e)
 }

@@ -23,6 +23,8 @@ const (
 	MaxAttrs = 1024
 )
 
+var utf8BOM = []byte("\xEF\xBB\xBF")
+
 // Tokenizer reads a stream of XML tokens from an io.Reader.
 //
 // The zero value is not usable; call NewTokenizer. A Tokenizer checks
@@ -270,7 +272,13 @@ func (t *Tokenizer) readText() (Token, error) {
 		// Outside the root element only whitespace is allowed. Checked on
 		// the raw bytes: this run is discarded either way, so it never
 		// needs to become a string at all.
-		if !IsWhitespace(t.buf) {
+		text := t.buf
+		if t.off == int64(len(text)) {
+			// The document's first bytes: a UTF-8 byte order mark may lead
+			// them (the encoding declaration it stands in for is optional).
+			text = bytes.TrimPrefix(text, utf8BOM)
+		}
+		if !IsWhitespace(text) {
 			return Token{}, t.syntaxErr("character data outside root element")
 		}
 		// Skip it and continue with the following markup or EOF.

@@ -281,3 +281,31 @@ func TestTokenizeAttrValueNormalization(t *testing.T) {
 		t.Errorf("normalized value = %q, want %q", got, "one two three")
 	}
 }
+
+// TestTokenizerByteOrderMark: a UTF-8 byte order mark may stand where the
+// XML declaration would, and nowhere else.
+func TestTokenizerByteOrderMark(t *testing.T) {
+	const bom = "\xEF\xBB\xBF"
+	for _, tc := range []struct {
+		doc string
+		ok  bool
+	}{
+		{bom + `<a>x</a>`, true},
+		{bom + `<?xml version="1.0"?><a/>`, true},
+		{bom + " \n<a/>", true},
+		{bom + bom + `<a/>`, false},
+		{" " + bom + `<a/>`, false},
+		{`<a/>` + bom, false},
+		{bom + `x<a/>`, false},
+	} {
+		tk := AcquireTokenizer([]byte(tc.doc))
+		var err error
+		for err == nil {
+			_, err = tk.Next()
+		}
+		ReleaseTokenizer(tk)
+		if (err == io.EOF) != tc.ok {
+			t.Errorf("%q: %v, want accepted: %v", tc.doc, err, tc.ok)
+		}
+	}
+}

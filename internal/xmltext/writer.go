@@ -70,16 +70,6 @@ func (w *Writer) writeByte(c byte) {
 	w.setErr(w.w.WriteByte(c))
 }
 
-// Declaration writes the standard XML 1.0 declaration. It must come first.
-func (w *Writer) Declaration() {
-	if len(w.stack) > 0 || w.inOpenTag {
-		w.setErr(fmt.Errorf("xmltext: declaration not at start of document"))
-		return
-	}
-	w.writeString(`<?xml version="1.0" encoding="UTF-8"?>`)
-	w.startedDoc = true
-}
-
 // flushOpenTag completes a pending start tag. selfClose selects "/>".
 func (w *Writer) flushOpenTag(selfClose bool) {
 	if !w.inOpenTag {
