@@ -10,8 +10,8 @@ GO ?= go
 ## -race, the gateway differential/chaos suite under -race, the cluster
 ## control-plane tier under -race, the transport tier (pipelining + C10k
 ## soak) under -race, the dispatch-pipeline parity suite under -race, the
-## encode-path escape audit, the docs link audit, and the perf-regression
-## gate vs the baseline chain.
+## encode-path escape audit, the docs link audit, and the allocation gate vs
+## the recorded baseline.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -114,16 +114,16 @@ fuzz-smoke:
 bench-check:
 	$(GO) run ./cmd/benchcheck
 
-## bench-gate: fail if the key benchmarks regressed vs the baseline chain
-## (first file that records a benchmark wins, so each benchmark keeps the
-## baseline of the PR that introduced it). BENCH_pr15.json heads the chain;
-## like BENCH_pr13.json (the first snapshot that says which machine it was
-## taken on) it re-records every row on the box the gate runs on. Short benchtime keeps
-## the gate fast; the wide tolerance absorbs machine noise while still
-## catching step-function regressions.
+## bench-gate: fail if a key benchmark's allocs/op or bytes/op grew past the
+## tolerance vs BENCH_pr16.json, the one baseline, recorded on the box the gate
+## runs on. Both counts repeat from run to run; ns/op is printed beside them
+## and not judged — on the shared 2-vCPU box it moves by half between minutes
+## with no code change, and the gate failed five runs in a row on untouched
+## rows while it was. Timing regressions are the benchmark's job
+## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr15.json,BENCH_pr14.json,BENCH_pr13.json,BENCH_pr9.json,BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json -tolerance 35
+		-baseline BENCH_pr16.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:

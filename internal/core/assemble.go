@@ -159,13 +159,20 @@ func (a *packedAssembler) finish(v soap.Version, headers []*xmldom.Element, rawH
 		enc.Emitter().Mark()
 	}
 	enc.Emitter().Raw(a.em.Bytes())
-	body, err := enc.Finish()
 	a.release()
+	return encodedResponse(200, v, enc)
+}
+
+// encodedResponse finishes enc's document as the body of an HTTP response in
+// version v. The body aliases enc's pooled buffer, which the transport
+// releases (Response.Release) once the bytes have been written.
+func encodedResponse(status int, v soap.Version, enc *soap.StreamEncoder) (*httpx.Response, error) {
+	body, err := enc.Finish()
 	if err != nil {
 		enc.Release()
 		return nil, err
 	}
-	resp := httpx.NewResponse(200, body)
+	resp := httpx.NewResponse(status, body)
 	resp.Header.Set("Content-Type", v.ContentType())
 	resp.SetRelease(enc.Release)
 	return resp, nil

@@ -307,10 +307,7 @@ func (c *Client) callOnce(ctx context.Context, service, op string, params []soap
 		// Template-cache fast path: splice values into the cached
 		// serialized envelope on a pooled emitter, skipping DOM
 		// construction and the render copy entirely.
-		var packStart time.Time
-		if tr.Enabled() {
-			packStart = time.Now()
-		}
+		packStart := tr.Now()
 		em := xmltext.AcquireEmitter()
 		ok, terr := c.templates.RenderTo(em, service, c.NamespaceOf(service), op, params)
 		if terr != nil {
@@ -345,10 +342,7 @@ func (c *Client) callOnce(ctx context.Context, service, op string, params []soap
 	if len(respEnv.Body) != 1 {
 		return nil, fmt.Errorf("core: response has %d body entries", len(respEnv.Body))
 	}
-	var unpackStart time.Time
-	if tr.Enabled() {
-		unpackStart = time.Now()
-	}
+	unpackStart := tr.Now()
 	results, err := soapenc.DecodeParams(respEnv.Body[0])
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientUnpack,
@@ -380,11 +374,7 @@ func (c *Client) exchangeCall(ctx context.Context, target, service, op string, p
 		}
 		return c.exchange(ctx, target, []*xmldom.Element{reqEl})
 	}
-	tr := c.cfg.Tracer
-	var packStart time.Time
-	if tr.Enabled() {
-		packStart = time.Now()
-	}
+	packStart := c.cfg.Tracer.Now()
 	enc := soap.NewStreamEncoder()
 	enc.Begin(c.version(), nil)
 	call := batchEntry{ns: c.NamespaceOf(service), op: op, params: params}
@@ -392,18 +382,23 @@ func (c *Client) exchangeCall(ctx context.Context, target, service, op string, p
 		enc.Release()
 		return nil, nil, fmt.Errorf("core: encoding %s.%s: %w", service, op, err)
 	}
+	return c.postEncoded(ctx, target, enc, packStart)
+}
+
+// postEncoded finishes the request document in enc, records the client.pack
+// stage that began at packStart (when tracing is on), posts the document and
+// recycles enc.
+func (c *Client) postEncoded(ctx context.Context, target string, enc *soap.StreamEncoder, packStart time.Time) (*soap.Envelope, func(), error) {
+	defer enc.Release()
 	doc, err := enc.Finish()
 	if err != nil {
-		enc.Release()
 		return nil, nil, fmt.Errorf("core: encoding envelope: %w", err)
 	}
-	if tr.Enabled() {
+	if tr := c.cfg.Tracer; tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientPack,
 			ID: -1, Op: target, Start: packStart, Service: time.Since(packStart)})
 	}
-	respEnv, release, perr := c.postPooled(ctx, target, doc)
-	enc.Release()
-	return respEnv, release, perr
+	return c.postPooled(ctx, target, doc)
 }
 
 // Call is a pending invocation: a future resolved when its response (or
@@ -532,36 +527,22 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 		defer cancel()
 	}
 
+	// The request streams into one pooled document, encoded once and re-sent
+	// verbatim on retries — unless header providers are configured: they need
+	// the element tree, and may vary their blocks per attempt (nonces,
+	// timestamps), so the DOM twin re-runs them inside the retry loop.
 	target := b.client.packTarget()
+	var pm *xmldom.Element
+	var doc []byte
+	var err error
 	if len(b.client.cfg.HeaderProviders) > 0 {
-		// Header providers may vary their blocks per attempt (nonces,
-		// timestamps), so the DOM fallback re-runs them inside the retry
-		// loop, exactly as before.
-		pm, err := buildPackedRequest(b.entries)
-		if err != nil {
-			b.resolveAll(nil, err)
-			return err
+		pm, err = buildPackedRequest(b.entries)
+	} else {
+		var encRelease func()
+		if doc, encRelease, err = b.encodeRequest(ctx, target); err == nil {
+			defer encRelease()
 		}
-		b.client.batches.Add(1)
-		var respEnv *soap.Envelope
-		var release func()
-		err = b.client.withRetry(ctx, b.allIdempotent(), func() error {
-			env, rel, rerr := b.client.exchange(ctx, target, []*xmldom.Element{pm})
-			respEnv, release = env, rel
-			return rerr
-		})
-		b.client.noteOutcome(err)
-		if err != nil {
-			b.resolveAll(nil, err)
-			return err
-		}
-		defer release()
-		return b.dispatchResponse(ctx, respEnv)
 	}
-
-	// DOM-free fast path: stream every entry into one pooled request
-	// document, encoded once and re-sent verbatim on retries.
-	doc, encRelease, err := b.encodeRequest(ctx, target)
 	if err != nil {
 		b.resolveAll(nil, err)
 		return err
@@ -569,12 +550,14 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 	b.client.batches.Add(1)
 	var respEnv *soap.Envelope
 	var release func()
-	err = b.client.withRetry(ctx, b.allIdempotent(), func() error {
-		env, rel, rerr := b.client.postPooled(ctx, target, doc)
-		respEnv, release = env, rel
+	err = b.client.withRetry(ctx, b.allIdempotent(), func() (rerr error) {
+		if pm != nil {
+			respEnv, release, rerr = b.client.exchange(ctx, target, []*xmldom.Element{pm})
+		} else {
+			respEnv, release, rerr = b.client.postPooled(ctx, target, doc)
+		}
 		return rerr
 	})
-	encRelease()
 	b.client.noteOutcome(err)
 	if err != nil {
 		b.resolveAll(nil, err)
@@ -591,10 +574,7 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 // will be POSTed. The bytes are valid until the returned release runs.
 func (b *Batch) encodeRequest(ctx context.Context, target string) ([]byte, func(), error) {
 	tr := b.client.cfg.Tracer
-	var packStart time.Time
-	if tr.Enabled() {
-		packStart = time.Now()
-	}
+	packStart := tr.Now()
 	enc := soap.NewStreamEncoder()
 	enc.Begin(b.client.version(), nil)
 	em := enc.Emitter()
@@ -639,10 +619,7 @@ func (b *Batch) dispatchResponse(ctx context.Context, respEnv *soap.Envelope) er
 		return err
 	}
 	tr := b.client.cfg.Tracer
-	var unpackStart time.Time
-	if tr.Enabled() {
-		unpackStart = time.Now()
-	}
+	unpackStart := tr.Now()
 	results, err := decodePackedResponse(respEnv.Body[0])
 	if err != nil {
 		b.resolveAll(nil, err)
@@ -710,11 +687,7 @@ func (c *Client) version() soap.Version {
 // is decoded from a pooled arena; the caller runs the returned release
 // once it is done with the response envelope.
 func (c *Client) exchange(ctx context.Context, target string, body []*xmldom.Element) (*soap.Envelope, func(), error) {
-	tr := c.cfg.Tracer
-	var packStart time.Time
-	if tr.Enabled() {
-		packStart = time.Now()
-	}
+	packStart := c.cfg.Tracer.Now()
 	env := soap.New()
 	env.Version = c.version()
 	env.Body = body
@@ -729,18 +702,11 @@ func (c *Client) exchange(ctx context.Context, target string, body []*xmldom.Ele
 		}
 	}
 	enc := soap.NewStreamEncoder()
-	doc, err := enc.EncodeEnvelope(env)
-	if err != nil {
-		enc.Release()
-		return nil, nil, fmt.Errorf("core: encoding envelope: %w", err)
+	enc.Begin(env.Version, env.Header)
+	for _, e := range body {
+		enc.WriteBodyElement(e)
 	}
-	if tr.Enabled() {
-		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientPack,
-			ID: -1, Op: target, Start: packStart, Service: time.Since(packStart)})
-	}
-	respEnv, release, perr := c.postPooled(ctx, target, doc)
-	enc.Release()
-	return respEnv, release, perr
+	return c.postEncoded(ctx, target, enc, packStart)
 }
 
 // postPooled ships a fully-serialized envelope and decodes the reply into

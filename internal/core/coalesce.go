@@ -182,13 +182,9 @@ func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte, encoding bo
 		enc.Emitter().Mark()
 	}
 	enc.Emitter().Raw(seg)
-	body, err := enc.Finish()
+	resp, err := encodedResponse(200, v, enc)
 	if err != nil {
-		enc.Release()
 		return encodeFailureResponse(), true
 	}
-	resp := httpx.NewResponse(200, body)
-	resp.Header.Set("Content-Type", v.ContentType())
-	resp.SetRelease(enc.Release)
 	return resp, false
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/httpx"
 	"repro/internal/soap"
@@ -264,22 +265,15 @@ var errShape = errors.New("core: backend response is not a packed response")
 
 // GatherReply is a backend's packed-response document cut for splicing.
 type GatherReply struct {
-	// Segments holds one byte segment per entry, in document order. They are
-	// copies: the response body they came from may be pooled and recycled by
-	// the transport.
-	Segments [][]byte
-	// RawHeader is the raw contents of the reply's Header element, nil when
-	// it had none.
+	// Segments holds one copied byte segment per entry, in document order;
+	// RawHeader the contents of the reply's Header element, nil without one.
+	Segments  [][]byte
 	RawHeader []byte
-	// Encoding reports that the reply's Envelope declared SOAP-ENC, so its
-	// segments may use the prefix and whatever frames them must declare it
-	// too (GatherCollector.DeclareEncoding, SpliceSingleResponse). A backend
-	// declares it only for a reply that holds an array; one older than that
-	// rule declares it always.
+	// Encoding reports that the reply's Envelope declared SOAP-ENC, so what
+	// frames its segments must too: a backend declares it for a reply that
+	// holds an array, one older than that rule always.
 	Encoding bool
-	// def is the xmlns:m Parallel_Response declares, as serialized and
-	// aliasing the reply; empty when it declares none.
-	def []byte
+	def      []byte // Parallel_Response's xmlns:m as serialized; aliases the reply
 }
 
 // SplitGatherResponse slices a backend's packed-response document into its
@@ -315,11 +309,7 @@ func (sr *ScatterRequest) SplitResponse(body []byte) (GatherReply, error) {
 func splitGather(body []byte) (r GatherReply, err error) {
 	rest := bytes.TrimPrefix(body, gatherBOM)
 	if bytes.HasPrefix(rest, gatherXMLDecl) {
-		gt, _, _, err := scanTag(rest, 0)
-		if err != nil {
-			return r, errShape
-		}
-		rest = rest[gt+1:]
+		rest = rest[bytes.IndexByte(rest, '>')+1:]
 	}
 	if !bytes.HasPrefix(rest, gatherEnvelope) {
 		return r, errShape
@@ -467,8 +457,8 @@ type GatherCollector struct {
 	faults   []*soap.Fault
 	filled   []bool
 	headers  map[int][]byte // backend index -> raw header bytes
-	encoding bool           // a contributing reply's Envelope declared SOAP-ENC
 	wake     chan struct{}
+	encoding atomic.Bool // a contributing reply's Envelope declared SOAP-ENC
 }
 
 // NewGatherCollector returns a collector for len(ids) slots; ids[slot] is
@@ -544,11 +534,7 @@ func (c *GatherCollector) AddHeader(backend int, raw []byte) {
 // DeclareEncoding records that a reply whose segments are being delivered
 // declared SOAP-ENC on its Envelope (GatherReply.Encoding): the gathered
 // Envelope then declares it too, and otherwise does not.
-func (c *GatherCollector) DeclareEncoding() {
-	c.mu.Lock()
-	c.encoding = true
-	c.mu.Unlock()
-}
+func (c *GatherCollector) DeclareEncoding() { c.encoding.Store(true) }
 
 // rawHeader merges the recorded header sections.
 func (c *GatherCollector) rawHeader() []byte {
@@ -614,11 +600,9 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 			}
 		}
 	}
-	c.mu.Lock()
-	if c.encoding {
+	if c.encoding.Load() {
 		asm.em.Mark()
 	}
-	c.mu.Unlock()
 	resp, err := asm.finish(v, nil, c.rawHeader())
 	return resp, asm.itemFaults, err
 }
@@ -626,14 +610,5 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 // GatewayFaultResponse renders a whole-message fault exactly as a direct
 // server would: the fault envelope in the requested version under HTTP 500.
 func GatewayFaultResponse(f *soap.Fault, v soap.Version) *httpx.Response {
-	enc := soap.NewStreamEncoder()
-	body, err := enc.EncodeEnvelope(f.EnvelopeFor(v))
-	if err != nil {
-		enc.Release()
-		return encodeFailureResponse()
-	}
-	resp := httpx.NewResponse(500, body)
-	resp.Header.Set("Content-Type", v.ContentType())
-	resp.SetRelease(enc.Release)
-	return resp
+	return envelopeResponse(500, f.EnvelopeFor(v))
 }

@@ -524,7 +524,7 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 		// dispatch.)
 		respEnv.Version = env.Version
 		encodeStart = time.Now()
-		resp = s.envelopeResponse(200, respEnv)
+		resp = envelopeResponse(200, respEnv)
 		encodeDur = time.Since(encodeStart)
 	}
 	s.phaseEncode.Record(encodeDur)
@@ -1016,22 +1016,21 @@ func (s *Server) namespaceOf(service string) string {
 func (s *Server) faultResponse(f *soap.Fault, v soap.Version) *httpx.Response {
 	s.faults.Add(1)
 	s.faultCodes.NoteSOAP(f)
-	return s.envelopeResponse(500, f.EnvelopeFor(v))
+	return envelopeResponse(500, f.EnvelopeFor(v))
 }
 
-// envelopeResponse serializes an envelope into a pooled buffer. The
-// response body aliases that buffer; the transport releases it (via
-// Response.Release) once the bytes have been written to the connection.
-func (s *Server) envelopeResponse(status int, env *soap.Envelope) *httpx.Response {
+// envelopeResponse serializes an envelope as the HTTP response with the
+// given status (see encodedResponse for the buffer's lifetime).
+func envelopeResponse(status int, env *soap.Envelope) *httpx.Response {
 	enc := soap.NewStreamEncoder()
-	body, err := enc.EncodeEnvelope(env)
+	enc.Begin(env.Version, env.Header)
+	for _, e := range env.Body {
+		enc.WriteBodyElement(e)
+	}
+	resp, err := encodedResponse(status, env.Version, enc)
 	if err != nil {
-		enc.Release()
 		return encodeFailureResponse()
 	}
-	resp := httpx.NewResponse(status, body)
-	resp.Header.Set("Content-Type", env.Version.ContentType())
-	resp.SetRelease(enc.Release)
 	return resp
 }
 
