@@ -562,6 +562,13 @@ func main() {
 		{"transport/pipelined-10k-conns", 10_000, 2},
 	} {
 		f, err := bench.NewTransportFleet(tc.conns, 8)
+		if err == nil {
+			// One sweep before measuring: the first exchange on each
+			// connection allocates its buffers, and whether that lands
+			// inside the measured iterations would otherwise depend on how
+			// many of them the benchtime allows — bytes/op is judged.
+			err = f.Sweep(tc.calls)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 			os.Exit(1)

@@ -109,7 +109,7 @@ func main() {
 	mu.Lock()
 	raw := wire.String()
 	mu.Unlock()
-	if i := strings.Index(raw, "<?xml"); i >= 0 {
+	if i := strings.Index(raw, "<SOAP-ENV:Envelope"); i >= 0 {
 		fmt.Println("the packed SOAP request on the wire:")
 		fmt.Println(raw[i:])
 	}

@@ -135,16 +135,19 @@ func appendElement(em *xmltext.Emitter, el *xmldom.Element) {
 // in an element or attribute name, or leading a QName attribute value such as
 // xsi:type="SOAP-ENC:Array" — outside any element that declares it itself.
 func usesEncoding(el *xmldom.Element) bool {
-	if _, declares := el.Attr(nameXmlnsEnc); declares {
-		return false
-	}
-	if el.Name.Prefix == PrefixEncoding {
-		return true
-	}
-	for _, a := range el.Attrs {
-		if a.Name.Prefix == PrefixEncoding || strings.HasPrefix(a.Value, PrefixEncoding+":") {
-			return true
+	uses := el.Name.Prefix == PrefixEncoding
+	for i := range el.Attrs {
+		switch a := &el.Attrs[i]; {
+		case a.Name.Prefix == "xmlns":
+			if a.Name.Local == PrefixEncoding {
+				return false
+			}
+		case a.Name.Prefix == PrefixEncoding || strings.HasPrefix(a.Value, PrefixEncoding+":"):
+			uses = true
 		}
+	}
+	if uses {
+		return true
 	}
 	for _, c := range el.Children {
 		if ce, ok := c.(*xmldom.Element); ok && usesEncoding(ce) {
