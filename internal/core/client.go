@@ -702,10 +702,7 @@ func (c *Client) exchange(ctx context.Context, target string, body []*xmldom.Ele
 		}
 	}
 	enc := soap.NewStreamEncoder()
-	enc.Begin(env.Version, env.Header)
-	for _, e := range body {
-		enc.WriteBodyElement(e)
-	}
+	enc.WriteEnvelope(env)
 	return c.postEncoded(ctx, target, enc, packStart)
 }
 

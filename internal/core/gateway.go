@@ -250,7 +250,6 @@ func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*Scatter
 // SOAP-ENV prefix is the same for both envelope versions (only the namespace
 // URI differs), so these are version-independent.
 var (
-	gatherBOM         = []byte("\xEF\xBB\xBF")
 	gatherXMLDecl     = []byte(`<?xml `)
 	gatherEnvelope    = []byte(`<SOAP-ENV:Envelope `)
 	gatherEncoding    = []byte(` xmlns:` + soap.PrefixEncoding + `="`)
@@ -307,7 +306,7 @@ func (sr *ScatterRequest) SplitResponse(body []byte) (GatherReply, error) {
 // opening directly onto Parallel_Response — so no marker is ever matched
 // inside content.
 func splitGather(body []byte) (r GatherReply, err error) {
-	rest := bytes.TrimPrefix(body, gatherBOM)
+	rest := bytes.TrimPrefix(body, xmltext.UTF8BOM)
 	if bytes.HasPrefix(rest, gatherXMLDecl) {
 		rest = rest[bytes.IndexByte(rest, '>')+1:]
 	}

@@ -1023,10 +1023,7 @@ func (s *Server) faultResponse(f *soap.Fault, v soap.Version) *httpx.Response {
 // given status (see encodedResponse for the buffer's lifetime).
 func envelopeResponse(status int, env *soap.Envelope) *httpx.Response {
 	enc := soap.NewStreamEncoder()
-	enc.Begin(env.Version, env.Header)
-	for _, e := range env.Body {
-		enc.WriteBodyElement(e)
-	}
+	enc.WriteEnvelope(env)
 	resp, err := encodedResponse(status, env.Version, enc)
 	if err != nil {
 		return encodeFailureResponse()

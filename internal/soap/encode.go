@@ -182,14 +182,20 @@ func (enc *StreamEncoder) Finish() ([]byte, error) {
 	return em.Bytes(), nil
 }
 
-// EncodeEnvelope serializes a whole envelope, the drop-in replacement for
-// Envelope.Encode into a fresh buffer. The returned bytes are valid until
-// Release.
-func (enc *StreamEncoder) EncodeEnvelope(env *Envelope) ([]byte, error) {
+// WriteEnvelope writes a whole envelope but for Finish: Begin with its
+// headers, then every body entry.
+func (enc *StreamEncoder) WriteEnvelope(env *Envelope) {
 	enc.Begin(env.Version, env.Header)
 	for _, e := range env.Body {
 		appendElement(enc.em, e)
 	}
+}
+
+// EncodeEnvelope serializes a whole envelope, the drop-in replacement for
+// Envelope.Encode into a fresh buffer. The returned bytes are valid until
+// Release.
+func (enc *StreamEncoder) EncodeEnvelope(env *Envelope) ([]byte, error) {
+	enc.WriteEnvelope(env)
 	return enc.Finish()
 }
 

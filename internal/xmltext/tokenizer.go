@@ -23,7 +23,8 @@ const (
 	MaxAttrs = 1024
 )
 
-var utf8BOM = []byte("\xEF\xBB\xBF")
+// UTF8BOM is the byte order mark a UTF-8 document may begin with.
+var UTF8BOM = []byte("\xEF\xBB\xBF")
 
 // Tokenizer reads a stream of XML tokens from an io.Reader.
 //
@@ -276,7 +277,7 @@ func (t *Tokenizer) readText() (Token, error) {
 		if t.off == int64(len(text)) {
 			// The document's first bytes: a UTF-8 byte order mark may lead
 			// them (the encoding declaration it stands in for is optional).
-			text = bytes.TrimPrefix(text, utf8BOM)
+			text = bytes.TrimPrefix(text, UTF8BOM)
 		}
 		if !IsWhitespace(text) {
 			return Token{}, t.syntaxErr("character data outside root element")
