@@ -19,8 +19,9 @@ import (
 // One reader table, every reader. A peer may spell the envelope around the
 // same body in several ways — with or without the XML declaration, behind a
 // byte order mark, with SOAP-ENC declared on the Envelope, on the operation
-// element or on the array that uses it — and every reader in the stack must
-// decode each spelling to the same values: the server's stream decoder
+// element or on the array that uses it, with its strings typed, untyped or
+// some of each, with xsi and xsd declared or (around strings alone) not — and
+// every reader in the stack must decode each spelling to the same values: the server's stream decoder
 // (bare, through the differential cache's hit path, and under a WS-Security
 // signature made over the body alone), the client's single and packed
 // response decoders, and the gateway's ParseScatterRequest, ParseSingleCall,
@@ -31,20 +32,28 @@ const (
 	readerEncDecl = ` xmlns:SOAP-ENC="` + soap.NSEncoding + `"`
 )
 
-// readerShape is one spelling: what precedes the Envelope start tag and
-// which element declares SOAP-ENC.
+// readerShape is one spelling: what precedes the Envelope start tag, which
+// element declares SOAP-ENC, and how string leaves are written.
 type readerShape struct {
 	name    string
 	prolog  string
 	onEnv   bool
 	onOp    bool
 	onArray bool
+	// untyped leaves xsi:type off every string, mixed off the array's string
+	// item alone. bare is a body of untyped strings and nothing else, under
+	// an Envelope that declares neither xsi nor xsd.
+	untyped, mixed, bare bool
 }
 
 var readerShapes = []readerShape{
 	// What every writer emitted before PR 16: declaration, four namespaces.
 	{name: "pre-16 preamble", prolog: readerXMLDecl, onEnv: true},
+	// And before PR 17: every string typed, xsi and xsd always declared.
 	{name: "no declaration", onEnv: true},
+	{name: "untyped strings, xsi and xsd declared", onEnv: true, untyped: true},
+	{name: "typed and untyped strings mixed", onEnv: true, mixed: true},
+	{name: "untyped strings, xsi and xsd not declared", bare: true},
 	{name: "BOM, no declaration", prolog: "\xEF\xBB\xBF", onEnv: true},
 	{name: "SOAP-ENC on the operation element", onOp: true},
 	{name: "SOAP-ENC on the array element", onArray: true},
@@ -55,10 +64,25 @@ var readerShapes = []readerShape{
 // values decoded some other way.
 var readerUnbound = readerShape{name: "SOAP-ENC bound nowhere"}
 
-// readerWant is what every spelling carries.
-var readerWant = []soapenc.Field{
-	soapenc.F("msg", "hi"),
-	soapenc.F("list", soapenc.Array{int64(1), "two"}),
+// readerWant is what every spelling carries but the bare one, which carries
+// readerWantBare: strings that an untyped leaf must not turn into anything
+// else.
+var (
+	readerWant = []soapenc.Field{
+		soapenc.F("msg", "hi"),
+		soapenc.F("list", soapenc.Array{int64(1), "two"}),
+	}
+	readerWantBare = []soapenc.Field{
+		soapenc.F("msg", "hi"), soapenc.F("n", "123"), soapenc.F("flag", "true"),
+		soapenc.F("pad", "  "), soapenc.F("none", ""),
+	}
+)
+
+func (sh readerShape) want() []soapenc.Field {
+	if sh.bare {
+		return readerWantBare
+	}
+	return readerWant
 }
 
 func (sh readerShape) envelope(v soap.Version, header, body string) []byte {
@@ -66,16 +90,30 @@ func (sh readerShape) envelope(v soap.Version, header, body string) []byte {
 	if sh.onEnv {
 		s += readerEncDecl
 	}
-	s += ` xmlns:xsi="` + soap.NSXSI + `" xmlns:xsd="` + soap.NSXSD + `">`
+	if !sh.bare {
+		s += ` xmlns:xsi="` + soap.NSXSI + `" xmlns:xsd="` + soap.NSXSD + `"`
+	}
+	s += `>`
 	if header != "" {
 		s += `<SOAP-ENV:Header>` + header + `</SOAP-ENV:Header>`
 	}
 	return []byte(s + `<SOAP-ENV:Body>` + body + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`)
 }
 
-// entry spells one Echo request or response element carrying readerWant;
+// entry spells one Echo request or response element carrying sh.want();
 // attrs are the pack annotations, if any.
 func (sh readerShape) entry(local, attrs string) string {
+	if sh.bare {
+		return `<m:` + local + ` xmlns:m="urn:spi:Echo"` + attrs + `><msg>hi</msg><n>123</n><flag>true</flag>` +
+			`<pad>  </pad><none></none></m:` + local + `>`
+	}
+	msgType, itemType := ` xsi:type="xsd:string"`, ` xsi:type="xsd:string"`
+	if sh.untyped {
+		msgType = ""
+	}
+	if sh.untyped || sh.mixed {
+		itemType = ""
+	}
 	op, arr := "", ""
 	if sh.onOp {
 		op = readerEncDecl
@@ -83,9 +121,9 @@ func (sh readerShape) entry(local, attrs string) string {
 	if sh.onArray {
 		arr = readerEncDecl
 	}
-	return `<m:` + local + ` xmlns:m="urn:spi:Echo"` + op + attrs + `><msg xsi:type="xsd:string">hi</msg>` +
+	return `<m:` + local + ` xmlns:m="urn:spi:Echo"` + op + attrs + `><msg` + msgType + `>hi</msg>` +
 		`<list` + arr + ` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType[2]">` +
-		`<item xsi:type="xsd:int">1</item><item xsi:type="xsd:string">two</item></list></m:` + local + `>`
+		`<item xsi:type="xsd:int">1</item><item` + itemType + `>two</item></list></m:` + local + `>`
 }
 
 func (sh readerShape) packedRequest() string {
@@ -100,21 +138,22 @@ func (sh readerShape) packedResponse() string {
 		`</spi:Parallel_Response>`
 }
 
-func readerCheck(t *testing.T, what string, got []soapenc.Field) {
+func (sh readerShape) check(t *testing.T, what string, got []soapenc.Field) {
 	t.Helper()
-	if len(got) != len(readerWant) {
-		t.Errorf("%s: decoded %d values, want %d: %v", what, len(got), len(readerWant), got)
+	want := sh.want()
+	if len(got) != len(want) {
+		t.Errorf("%s: decoded %d values, want %d: %v", what, len(got), len(want), got)
 		return
 	}
-	for i, w := range readerWant {
+	for i, w := range want {
 		if got[i].Name != w.Name || !soapenc.Equal(got[i].Value, w.Value) {
 			t.Errorf("%s: value %d = %s %#v, want %s %#v", what, i, got[i].Name, got[i].Value, w.Name, w.Value)
 		}
 	}
 }
 
-// readerCheckSingle decodes a single-call response document.
-func readerCheckSingle(t *testing.T, what string, code int, body []byte) {
+// checkSingle decodes a single-call response document.
+func (sh readerShape) checkSingle(t *testing.T, what string, code int, body []byte) {
 	t.Helper()
 	env, err := soap.Decode(bytes.NewReader(body))
 	if err != nil || code != 200 || len(env.Body) != 1 {
@@ -126,11 +165,11 @@ func readerCheckSingle(t *testing.T, what string, code int, body []byte) {
 		t.Errorf("%s: %v: %s", what, err, body)
 		return
 	}
-	readerCheck(t, what, got)
+	sh.check(t, what, got)
 }
 
-// readerCheckPacked decodes a packed response document of n entries.
-func readerCheckPacked(t *testing.T, what string, code int, body []byte, n int) {
+// checkPacked decodes a packed response document of n entries.
+func (sh readerShape) checkPacked(t *testing.T, what string, code int, body []byte, n int) {
 	t.Helper()
 	env, err := soap.Decode(bytes.NewReader(body))
 	if err != nil || code != 200 || len(env.Body) != 1 {
@@ -147,7 +186,7 @@ func readerCheckPacked(t *testing.T, what string, code int, body []byte, n int) 
 			t.Errorf("%s: entry %d faulted: %v", what, id, r.fault)
 			continue
 		}
-		readerCheck(t, what, r.results)
+		sh.check(t, what, r.results)
 	}
 }
 
@@ -192,9 +231,9 @@ func TestReaderTableServer(t *testing.T) {
 						hs, hp = readerSign(t, single), readerSign(t, packed)
 					}
 					code, body := postDoc(t, sys, "/services/Echo", v, sh.envelope(v, hs, single))
-					readerCheckSingle(t, what+"/single", code, body)
+					sh.checkSingle(t, what+"/single", code, body)
 					code, body = postDoc(t, sys, "/services", v, sh.envelope(v, hp, packed))
-					readerCheckPacked(t, what+"/packed", code, body, 2)
+					sh.checkPacked(t, what+"/packed", code, body, 2)
 				}
 			}
 		}
@@ -243,7 +282,7 @@ func TestReaderTableClient(t *testing.T) {
 			if err != nil {
 				t.Errorf("%s: Call: %v", what, err)
 			} else {
-				readerCheck(t, what+"/single", got)
+				sh.check(t, what+"/single", got)
 			}
 			b := cli.NewBatch()
 			calls := []*Call{b.Add("Echo", "echo"), b.Add("Echo", "echo")}
@@ -257,7 +296,7 @@ func TestReaderTableClient(t *testing.T) {
 					t.Errorf("%s: Wait: %v", what, err)
 					continue
 				}
-				readerCheck(t, what+"/packed", got)
+				sh.check(t, what+"/packed", got)
 			}
 		}
 	}
@@ -280,7 +319,7 @@ func TestReaderTableGateway(t *testing.T) {
 				t.Fatal(err)
 			}
 			code, body := postDoc(t, sys, "/services", v, sub)
-			readerCheckPacked(t, what+"/scatter", code, body, 2)
+			sh.checkPacked(t, what+"/scatter", code, body, 2)
 
 			sc := ParseSingleCall(sh.envelope(v, "", sh.entry("echo", "")), "Echo", nil)
 			if sc == nil || sc.Version != v {
@@ -291,7 +330,7 @@ func TestReaderTableGateway(t *testing.T) {
 				t.Fatal(err)
 			}
 			code, body = postDoc(t, sys, "/services", v, sub)
-			readerCheckPacked(t, what+"/coalesce", code, body, 1)
+			sh.checkPacked(t, what+"/coalesce", code, body, 1)
 
 			// Response side: segments cut out of a backend's reply still
 			// resolve in the envelope the gateway frames around them.
@@ -310,7 +349,7 @@ func TestReaderTableGateway(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			readerCheckPacked(t, what+"/gather", resp.StatusCode, resp.Body, 2)
+			sh.checkPacked(t, what+"/gather", resp.StatusCode, resp.Body, 2)
 			// The gathered Envelope declares SOAP-ENC iff the reply's did.
 			if got := bytes.Contains(resp.Body[:bytes.IndexByte(resp.Body, '>')], []byte(readerEncDecl)); got != sh.onEnv {
 				t.Errorf("%s: gathered Envelope declares SOAP-ENC: %v, the reply's: %v", what, got, sh.onEnv)
@@ -320,7 +359,7 @@ func TestReaderTableGateway(t *testing.T) {
 			if isFault {
 				t.Errorf("%s: splice reported a fault", what)
 			}
-			readerCheckSingle(t, what+"/splice", resp.StatusCode, resp.Body)
+			sh.checkSingle(t, what+"/splice", resp.StatusCode, resp.Body)
 			resp.Release()
 		}
 	}
@@ -328,12 +367,28 @@ func TestReaderTableGateway(t *testing.T) {
 
 // TestReaderTablePre16Fixtures: the request documents every writer emitted
 // before PR 16, kept verbatim under testdata/wire/pre16/, are still accepted
-// by the server and by the gateway's scatter parser.
+// by the server and by the gateway's scatter parser, and answered with the
+// values today's spelling of the same request gets.
 func TestReaderTablePre16Fixtures(t *testing.T) {
+	readerFixtures(t, "pre16", readerXMLDecl, readerEncDecl+readerSchemaDecls)
+}
+
+// TestReaderTablePre17Fixtures: likewise the documents of before PR 17, whose
+// strings are typed and whose Envelope always declares xsi and xsd.
+func TestReaderTablePre17Fixtures(t *testing.T) {
+	readerFixtures(t, "pre17", "", readerSchemaDecls)
+}
+
+const readerSchemaDecls = ` xmlns:xsi="` + soap.NSXSI + `" xmlns:xsd="` + soap.NSXSD + `"`
+
+// readerFixtures posts every document under testdata/wire/<dir>/ — each must
+// open with prolog and declare decls after SOAP-ENV — beside its twin in
+// testdata/wire/, and compares what the two replies decode to.
+func readerFixtures(t *testing.T, dir, prolog, decls string) {
 	sys := newSystem(t, respFramingConfig(parityFeatures{name: "bare"}))
-	files, err := filepath.Glob(filepath.Join("testdata", "wire", "pre16", "*.xml"))
+	files, err := filepath.Glob(filepath.Join("testdata", "wire", dir, "*.xml"))
 	if err != nil || len(files) != 8 {
-		t.Fatalf("pre-16 fixtures: %d files, %v", len(files), err)
+		t.Fatalf("%s fixtures: %d files, %v", dir, len(files), err)
 	}
 	for _, path := range files {
 		doc, err := os.ReadFile(path)
@@ -345,17 +400,40 @@ func TestReaderTablePre16Fixtures(t *testing.T) {
 		if strings.HasSuffix(name, "_12.xml") {
 			v = soap.V12
 		}
-		if !bytes.HasPrefix(doc, []byte(readerXMLDecl+`<SOAP-ENV:Envelope xmlns:SOAP-ENV="`+v.Namespace()+`"`+readerEncDecl)) {
-			t.Errorf("%s is not a pre-16 document: %.120s", name, doc)
+		if !bytes.HasPrefix(doc, []byte(prolog+`<SOAP-ENV:Envelope xmlns:SOAP-ENV="`+v.Namespace()+`"`+decls+`>`)) {
+			t.Errorf("%s is not a %s document: %.120s", name, dir, doc)
 		}
 		target := "/services"
 		if strings.HasPrefix(name, "single_") {
 			target = "/services/Echo"
 		}
-		code, body := postDoc(t, sys, target, v, doc)
-		env, err := soap.Decode(bytes.NewReader(body))
-		if code != 200 || err != nil || env.Fault() != nil || bytes.Contains(body, []byte("Fault")) {
-			t.Errorf("%s: server answered HTTP %d, %v: %s", name, code, err, body)
+		values := func(doc []byte) (out [][]soapenc.Field) {
+			code, body := postDoc(t, sys, target, v, doc)
+			env, err := soap.Decode(bytes.NewReader(body))
+			if code != 200 || err != nil || len(env.Body) != 1 || bytes.Contains(body, []byte("Fault")) {
+				t.Fatalf("%s: server answered HTTP %d, %v: %s", name, code, err, body)
+			}
+			entries := env.Body
+			if isPackedResponse(entries[0]) {
+				entries = entries[0].ChildElements()
+			}
+			for _, el := range entries {
+				fields, err := soapenc.DecodeParams(el)
+				if err != nil {
+					t.Fatalf("%s: %v: %s", name, err, body)
+				}
+				out = append(out, fields)
+			}
+			return out
+		}
+		got, want := values(doc), values(wireDoc(t, strings.TrimSuffix(name, "_"+corpusSuffix(v)), v))
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("%s: %d entries answered, today's spelling gets %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !soapenc.Equal(&soapenc.Struct{Fields: got[i]}, &soapenc.Struct{Fields: want[i]}) {
+				t.Errorf("%s: entry %d = %v, today's spelling gets %v", name, i, got[i], want[i])
+			}
 		}
 		if target == "/services" {
 			if sr, fault := ParseScatterRequest(doc, ""); fault != nil || !sr.Packed {

@@ -466,8 +466,10 @@ func TestShutdownTimeoutForcesClose(t *testing.T) {
 }
 
 func TestAccessLog(t *testing.T) {
-	var mu sync.Mutex
-	var logged []int
+	// The callback runs after the response is on the wire, so the client can
+	// have its reply before the entry exists: wait for each entry, sized so
+	// the server never blocks on the test.
+	logged := make(chan int, 3)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -475,24 +477,27 @@ func TestAccessLog(t *testing.T) {
 	srv := &Server{
 		Handler: echoHandler,
 		AccessLog: func(remote net.Addr, req *Request, status int, elapsed time.Duration) {
-			mu.Lock()
-			logged = append(logged, status)
-			mu.Unlock()
+			logged <- status
 		},
 	}
 	go srv.Serve(l)
 	defer srv.Close()
 	c := tcpClient(l.Addr().String(), false)
 	defer c.Close()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < cap(logged); i++ {
 		if _, err := c.Post("/", "text/plain", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(logged) != 3 || logged[0] != 200 {
-		t.Errorf("access log = %v", logged)
+	for i := 0; i < cap(logged); i++ {
+		select {
+		case status := <-logged:
+			if status != 200 {
+				t.Errorf("access log entry %d: status %d", i, status)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("access log has %d entries, want %d", i, cap(logged))
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package soapenc
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/soap"
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
@@ -214,4 +216,74 @@ func TestArrayMarksEmitter(t *testing.T) {
 		}
 		xmltext.ReleaseEmitter(em)
 	}
+}
+
+// TestClosedSetRoundTrip is the round-trip property over the closed value set,
+// whole envelopes through both writers: the DOM and the stream encoder write
+// the same bytes — declarations on the Envelope tag included — and what they
+// write decodes back to the value that went in. The strings are the ones a
+// reader deciding by spelling alone could take for something else.
+func TestClosedSetRoundTrip(t *testing.T) {
+	values := []Value{
+		"", " ", " \t\r\n ", "123", "-7", "true", "false", "1.5", "NaN", "2006-01-02T15:04:05Z", "aGk=",
+		" padded ", "a<b&c", nil, true, 2.5, []byte("blob"), time.Date(2006, 1, 2, 15, 4, 5, 0, time.UTC),
+		int64(math.MaxInt32), int64(math.MaxInt32) + 1, int64(math.MinInt32), int64(math.MinInt32) - 1,
+		int64(math.MaxInt64), int64(math.MinInt64),
+		Array{}, Array{"", " ", "123", "true"}, Array{"two", int64(2), nil, Array{"deep"}},
+		NewStruct(F("empty", ""), F("blank", "  "), F("digits", "123"), F("flag", "true")),
+		NewStruct(F("n", int64(1)), F("s", "x"), F("list", Array{"y"}), F("none", nil)),
+	}
+	check := func(params []Field) {
+		t.Helper()
+		op := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: "op"})
+		op.DeclareNamespace("m", "urn:t")
+		if err := EncodeParams(op, params); err != nil {
+			t.Fatal(err)
+		}
+		env := soap.New()
+		env.AddBody(op)
+		var dom strings.Builder
+		if err := env.Encode(&dom); err != nil {
+			t.Fatal(err)
+		}
+
+		enc := soap.NewStreamEncoder()
+		defer enc.Release()
+		enc.Begin(soap.V11, nil)
+		em := enc.Emitter()
+		em.Start(op.Name)
+		em.Attr(xmltext.Name{Prefix: "xmlns", Local: "m"}, "urn:t")
+		if err := EncodeParamsTo(em, params); err != nil {
+			t.Fatal(err)
+		}
+		em.End()
+		stream, err := enc.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(stream) != dom.String() {
+			t.Fatalf("%#v: writers diverge:\ndom:    %s\nstream: %s", params, dom.String(), stream)
+		}
+
+		back, err := soap.Decode(strings.NewReader(dom.String()))
+		if err != nil {
+			t.Fatalf("%s: %v", stream, err)
+		}
+		got, err := DecodeParams(back.Body[0])
+		if err != nil {
+			t.Fatalf("%s: %v", stream, err)
+		}
+		if !Equal(&Struct{Fields: got}, &Struct{Fields: params}) {
+			t.Errorf("%#v came back as %#v\n%s", params, got, stream)
+		}
+	}
+	for _, v := range values {
+		check([]Field{F("p", v)})
+	}
+	// And all of them in one message.
+	var all []Field
+	for i, v := range values {
+		all = append(all, F("p"+strconv.Itoa(i), v))
+	}
+	check(all)
 }
