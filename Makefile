@@ -115,7 +115,7 @@ bench-check:
 	$(GO) run ./cmd/benchcheck
 
 ## bench-gate: fail if a key benchmark's allocs/op or bytes/op grew past the
-## tolerance vs BENCH_pr16.json, the one baseline, recorded on the box the gate
+## tolerance vs BENCH_pr17.json, the one baseline, recorded on the box the gate
 ## runs on. Both counts repeat from run to run; ns/op is printed beside them
 ## and not judged — on the shared 2-vCPU box it moves by half between minutes
 ## with no code change, and the gate failed five runs in a row on untouched
@@ -123,7 +123,7 @@ bench-check:
 ## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr16.json -tolerance 35
+		-baseline BENCH_pr17.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:

@@ -10,7 +10,7 @@
 //	                           # a PR's snapshot, named explicitly so a
 //	                           # bare run never overwrites a committed one
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
-//	benchcheck -baseline BENCH_pr16.json -tolerance 10
+//	benchcheck -baseline BENCH_pr17.json -tolerance 10
 //	                           # compare mode: exit non-zero when a
 //	                           # benchmark's allocs/op or bytes/op grew
 //	                           # more than 10% vs the baseline; ns/op is
@@ -186,6 +186,32 @@ func main() {
 			for i := 0; i < b.N; i++ {
 				if n, err := streamDecodePacked(tc.doc); err != nil || n != 16 {
 					b.Fatalf("decoded %d entries: %v", n, err)
+				}
+			}
+		}))
+	}
+	// The sixteen parameters of that request through soapenc.DecodeParams,
+	// spelled the old way and today's: an untyped leaf is a string without
+	// resolving xsi and xsd for it first.
+	for _, tc := range []struct {
+		name  string
+		typed bool
+	}{
+		{"soapenc/decode-16-typed-strings", true},
+		{"soapenc/decode-16-untyped-strings", false},
+	} {
+		env, err := soap.Decode(bytes.NewReader(packedEchoDocTyped(16, false, tc.typed)))
+		if err != nil {
+			panic(err)
+		}
+		entries := env.Body[0].ChildElements()
+		add(measure(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, el := range entries {
+					if p, err := soapenc.DecodeParams(el); err != nil || len(p) != 1 {
+						b.Fatalf("decoded %v: %v", p, err)
+					}
 				}
 			}
 		}))
@@ -679,7 +705,12 @@ func pctDelta(cur, base float64) float64 {
 // payload, as Batch writes it (see internal/core/testdata/wire/) or, with
 // long set, as it wrote it before the batch-default framing: namespace,
 // correlation id and service restated on every entry.
-func packedEchoDoc(n int, long bool) []byte {
+func packedEchoDoc(n int, long bool) []byte { return packedEchoDocTyped(n, long, false) }
+
+// packedEchoDocTyped is packedEchoDoc with, when typed is set, every string
+// saying it is one under an Envelope that declares xsi and xsd: the spelling
+// of before the untyped-string rule, which peers may still send.
+func packedEchoDocTyped(n int, long, typed bool) []byte {
 	var b strings.Builder
 	b.WriteString(`<spi:Parallel_Method xmlns:spi="` + core.NSPack + `"`)
 	if !long {
@@ -691,7 +722,11 @@ func packedEchoDoc(n int, long bool) []byte {
 		if long {
 			fmt.Fprintf(&b, ` xmlns:m="urn:spi:Echo" spi:id="%d" spi:service="Echo"`, i)
 		}
-		b.WriteString(`><data xsi:type="xsd:string">aaaaaaaaaa</data></m:echo>`)
+		if typed {
+			b.WriteString(`><data xsi:type="xsd:string">aaaaaaaaaa</data></m:echo>`)
+		} else {
+			b.WriteString(`><data>aaaaaaaaaa</data></m:echo>`)
+		}
 	}
 	b.WriteString(`</spi:Parallel_Method>`)
 	// The envelope around it is the encoder's own, so it cannot drift from
@@ -699,6 +734,9 @@ func packedEchoDoc(n int, long bool) []byte {
 	enc := soap.NewStreamEncoder()
 	defer enc.Release()
 	enc.Begin(soap.V11, nil)
+	if typed {
+		enc.Emitter().Mark(soap.DeclXSI | soap.DeclXSD)
+	}
 	enc.Emitter().RawString(b.String())
 	doc, err := enc.Finish()
 	if err != nil {

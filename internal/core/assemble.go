@@ -155,9 +155,7 @@ func (a *packedAssembler) finish(v soap.Version, headers []*xmldom.Element, rawH
 	} else {
 		enc.Begin(v, headers)
 	}
-	if a.em.Marked() {
-		enc.Emitter().Mark()
-	}
+	enc.Emitter().Mark(a.em.Marked())
 	enc.Emitter().Raw(a.em.Bytes())
 	a.release()
 	return encodedResponse(200, v, enc)

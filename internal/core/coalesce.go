@@ -165,9 +165,10 @@ func DecodeEntryFault(segment []byte) *soap.Fault {
 // become the whole-message HTTP 500 fault in the request's version —
 // rendered through the same encoder as the server's own faultResponse, so
 // the bytes match a direct server faulting the same call. The second
-// return value reports that fault case. encoding says the reply the segment
-// was cut from declared SOAP-ENC (GatherReply.Encoding), so this one does.
-func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte, encoding bool) (*httpx.Response, bool) {
+// return value reports that fault case. decls is what the Envelope of the
+// reply the segment was cut from declared on demand (GatherReply.Decls), so
+// this one declares it too.
+func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte, decls soap.Decls) (*httpx.Response, bool) {
 	seg := StripEntryID(segment)
 	if IsEntryFault(seg) {
 		f := DecodeEntryFault(seg)
@@ -178,9 +179,7 @@ func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte, encoding bo
 	}
 	enc := soap.NewStreamEncoder()
 	enc.BeginRawHeader(v, rawHeader)
-	if encoding {
-		enc.Emitter().Mark()
-	}
+	enc.Emitter().Mark(decls)
 	enc.Emitter().Raw(seg)
 	resp, err := encodedResponse(200, v, enc)
 	if err != nil {

@@ -155,7 +155,7 @@ func TestSpliceSingleResponseParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, isFault := SpliceSingleResponse(v, seg, nil, false)
+			resp, isFault := SpliceSingleResponse(v, seg, nil, 0)
 			if isFault || resp.StatusCode != 200 {
 				t.Fatalf("splice: fault=%v status=%d", isFault, resp.StatusCode)
 			}
@@ -181,7 +181,7 @@ func TestSpliceSingleResponseParity(t *testing.T) {
 			fEnc.Release()
 
 			wantFault := GatewayFaultResponse(f, v)
-			resp, isFault = SpliceSingleResponse(v, fseg, nil, false)
+			resp, isFault = SpliceSingleResponse(v, fseg, nil, 0)
 			if !isFault || resp.StatusCode != 500 {
 				t.Fatalf("fault splice: fault=%v status=%d", isFault, resp.StatusCode)
 			}

@@ -273,6 +273,31 @@ func TestFaultCorpusVersionMismatch(t *testing.T) {
 	corpusGolden(t, "version_mismatch.xml", body)
 }
 
+func TestFaultCorpusUnboundTypePrefix(t *testing.T) {
+	// A value typed through a prefix its envelope binds nowhere — what an
+	// on-demand writer that forgot a declaration would send — is a Client
+	// fault, whole-message for a single call and per item in a batch; it used
+	// to decode as the string it annotates. Likewise xsi:nil.
+	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		open := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `" xmlns:xsd="` + soap.NSXSD + `"><SOAP-ENV:Body>`
+		const end = `</SOAP-ENV:Body></SOAP-ENV:Envelope>`
+		code, body := postCorpus(t, sys, "/services/Echo", v,
+			[]byte(open+`<m:echo xmlns:m="urn:spi:Echo"><n xsi:type="xsd:int">5</n></m:echo>`+end))
+		if code != 500 {
+			t.Errorf("%s: status = %d, want 500", v, code)
+		}
+		corpusGolden(t, "unbound_xsi_"+corpusSuffix(v), body)
+		code, body = postCorpus(t, sys, "/services", v, []byte(open+
+			`<spi:Parallel_Method xmlns:spi="`+NSPack+`" xmlns:m="urn:spi:Echo" spi:service="Echo">`+
+			`<m:echo><msg>fine</msg></m:echo><m:echo><none xsi:nil="true"/></m:echo></spi:Parallel_Method>`+end))
+		if code != 200 {
+			t.Errorf("%s: packed status = %d, want 200", v, code)
+		}
+		corpusGolden(t, "unbound_xsi_packed_"+corpusSuffix(v), body)
+	}
+}
+
 func corpusSuffix(v soap.Version) string {
 	if v == soap.V12 {
 		return "12.xml"

@@ -381,7 +381,7 @@ func TestScatterFramingParity(t *testing.T) {
 					if code != 200 {
 						t.Fatalf("%v/%s: backend answered %d: %s", v, form.name, code, body)
 					}
-					segs, _, err := splitReply(sr, body)
+					segs, err := splitInto(col, sr, body)
 					if err != nil || len(segs) != 1 {
 						t.Fatalf("%v/%s: split: %v (%d segments)", v, form.name, err, len(segs))
 					}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/httpx"
 	"repro/internal/soap"
@@ -154,17 +153,11 @@ func detachEntry(el *xmldom.Element) *xmldom.Element {
 	return c
 }
 
-// subBatchDecls are the namespace declarations every sub-batch document
-// makes by itself, besides the envelope's own. SOAP-ENC is not one: a
-// sub-batch restates it only when the client's scope had it.
-var subBatchDecls = map[string]string{
-	soap.PrefixXSI: soap.NSXSI, soap.PrefixXSD: soap.NSXSD, PrefixPack: NSPack,
-}
-
 // subBatchScope appends to attrs the namespace declarations in scope at el —
 // nearest binding first, none that attrs already binds — then drops those a
-// sub-batch document in version v makes identically by itself and, with
-// skipM, xmlns:m.
+// sub-batch document in version v makes identically by itself (SOAP-ENV and
+// spi; SOAP-ENC, xsi and xsd are restated, so a sub-batch has them exactly
+// when the client's scope did) and, with skipM, xmlns:m.
 func subBatchScope(attrs []xmltext.Attr, el *xmldom.Element, v soap.Version, skipM bool) []xmltext.Attr {
 	for ; el != nil; el = el.Parent {
 	next:
@@ -182,7 +175,7 @@ func subBatchScope(attrs []xmltext.Attr, el *xmldom.Element, v soap.Version, ski
 	}
 	kept := attrs[:0]
 	for _, a := range attrs {
-		if p := a.Name.Local; a.Name.Prefix == "xmlns" && (subBatchDecls[p] == a.Value ||
+		if p := a.Name.Local; a.Name.Prefix == "xmlns" && (p == PrefixPack && a.Value == NSPack ||
 			p == soap.PrefixEnvelope && a.Value == v.Namespace() || p == "m" && skipM) {
 			continue
 		}
@@ -252,7 +245,6 @@ func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*Scatter
 var (
 	gatherXMLDecl     = []byte(`<?xml `)
 	gatherEnvelope    = []byte(`<SOAP-ENV:Envelope `)
-	gatherEncoding    = []byte(` xmlns:` + soap.PrefixEncoding + `="`)
 	gatherHeaderOpen  = []byte(`<SOAP-ENV:Header>`)
 	gatherHeaderEnd   = []byte(`</SOAP-ENV:Header>`)
 	gatherBodyOpen    = []byte(`<SOAP-ENV:Body><` + PrefixPack + `:` + ElemParallelResponse + ` xmlns:` + PrefixPack + `="` + NSPack + `"`)
@@ -268,11 +260,11 @@ type GatherReply struct {
 	// RawHeader the contents of the reply's Header element, nil without one.
 	Segments  [][]byte
 	RawHeader []byte
-	// Encoding reports that the reply's Envelope declared SOAP-ENC, so what
-	// frames its segments must too: a backend declares it for a reply that
-	// holds an array, one older than that rule always.
-	Encoding bool
-	def      []byte // Parallel_Response's xmlns:m as serialized; aliases the reply
+	// Decls is what the reply's Envelope declared on demand — SOAP-ENC, xsi,
+	// xsd — so what frames its segments must too: a backend declares each for
+	// a reply that uses it, one older than that rule always.
+	Decls soap.Decls
+	def   []byte // Parallel_Response's xmlns:m as serialized; aliases the reply
 }
 
 // SplitGatherResponse slices a backend's packed-response document into its
@@ -317,7 +309,7 @@ func splitGather(body []byte) (r GatherReply, err error) {
 	if err != nil {
 		return r, errShape
 	}
-	r.Encoding = bytes.Contains(rest[:gt], gatherEncoding)
+	r.Decls = soap.TagDecls(rest[:gt])
 	rest = rest[gt+1:]
 	if bytes.HasPrefix(rest, gatherHeaderOpen) {
 		end, err := elementEnd(rest, 0)
@@ -456,8 +448,8 @@ type GatherCollector struct {
 	faults   []*soap.Fault
 	filled   []bool
 	headers  map[int][]byte // backend index -> raw header bytes
+	decls    soap.Decls     // what contributing replies' Envelopes declared
 	wake     chan struct{}
-	encoding atomic.Bool // a contributing reply's Envelope declared SOAP-ENC
 }
 
 // NewGatherCollector returns a collector for len(ids) slots; ids[slot] is
@@ -530,10 +522,14 @@ func (c *GatherCollector) AddHeader(backend int, raw []byte) {
 	c.mu.Unlock()
 }
 
-// DeclareEncoding records that a reply whose segments are being delivered
-// declared SOAP-ENC on its Envelope (GatherReply.Encoding): the gathered
-// Envelope then declares it too, and otherwise does not.
-func (c *GatherCollector) DeclareEncoding() { c.encoding.Store(true) }
+// Declare records what the Envelope of a reply whose segments are being
+// delivered declared on demand (GatherReply.Decls): the gathered Envelope
+// declares the union over its replies, and nothing besides.
+func (c *GatherCollector) Declare(d soap.Decls) {
+	c.mu.Lock()
+	c.decls |= d
+	c.mu.Unlock()
+}
 
 // rawHeader merges the recorded header sections.
 func (c *GatherCollector) rawHeader() []byte {
@@ -599,9 +595,9 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 			}
 		}
 	}
-	if c.encoding.Load() {
-		asm.em.Mark()
-	}
+	c.mu.Lock()
+	asm.em.Mark(c.decls)
+	c.mu.Unlock()
 	resp, err := asm.finish(v, nil, c.rawHeader())
 	return resp, asm.itemFaults, err
 }

@@ -69,12 +69,13 @@ func TestSplitGatherResponseRoundTrip(t *testing.T) {
 			results := sampleResults()
 			direct := buildServerResponse(t, v, results, nil, def)
 
-			segs, rawHeader, err := splitReply(&ScatterRequest{DefaultNS: def}, direct)
+			reply, err := (&ScatterRequest{DefaultNS: def}).SplitResponse(direct)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rawHeader != nil {
-				t.Fatalf("unexpected header bytes: %q", rawHeader)
+			segs := reply.Segments
+			if reply.RawHeader != nil {
+				t.Fatalf("unexpected header bytes: %q", reply.RawHeader)
 			}
 			if len(segs) != len(results) {
 				t.Fatalf("got %d segments, want %d", len(segs), len(results))
@@ -83,6 +84,7 @@ func TestSplitGatherResponseRoundTrip(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 20; trial++ {
 				col := collectorFor(results, def)
+				col.Declare(reply.Decls)
 				order := rng.Perm(len(segs))
 				go func() {
 					for _, slot := range order {
@@ -120,12 +122,16 @@ func TestSplitGatherResponseHeader(t *testing.T) {
 	if len(rawHeader) == 0 {
 		t.Fatal("header bytes not extracted")
 	}
+	if reply, _ := splitGather(direct); reply.Decls != soap.DeclXSI|soap.DeclXSD {
+		t.Fatalf("reply declares %03b on demand, want xsi and xsd", reply.Decls)
+	}
 	ids := make([]int, len(results))
 	for i, r := range results {
 		ids[i] = r.id
 	}
 	col := NewGatherCollector(ids)
 	col.AddHeader(0, rawHeader)
+	col.Declare(soap.DeclXSI | soap.DeclXSD)
 	for slot, seg := range segs {
 		col.Deliver(slot, seg)
 	}
@@ -428,6 +434,14 @@ func TestRetryableErrorBridge(t *testing.T) {
 	}
 }
 
+// splitInto is splitReply for tests that gather what they split: like the
+// gateway's sendShard, it declares on col what the reply's Envelope declared.
+func splitInto(col *GatherCollector, sr *ScatterRequest, body []byte) (segments [][]byte, err error) {
+	r, err := sr.SplitResponse(body)
+	col.Declare(r.Decls)
+	return r.Segments, err
+}
+
 // splitReply is SplitResponse unpacked, for tests that do not look at what the
 // reply's Envelope declared.
 func splitReply(sr *ScatterRequest, body []byte) (segments [][]byte, rawHeader []byte, err error) {
@@ -459,31 +473,43 @@ func TestSubBatchWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		testdataGolden(t, "wire", "subbatch_"+corpusSuffix(v), sub)
-		// 1024 before the envelope stopped restating its preamble; a client
-		// that still sends it (the pre-16 fixture) costs its sub-batches the
-		// SOAP-ENC it declared, restated on Body, and nothing else.
-		if want := map[soap.Version]int{soap.V11: 927, soap.V12: 925}[v]; len(sub) != want {
+		// 1024 before the envelope stopped restating its preamble, 927 while
+		// every string said it was one. A client that still writes either way
+		// (the pre-16 and pre-17 fixtures) costs its sub-batches what it
+		// declared — SOAP-ENC, xsi, xsd — restated on Body, and its typed
+		// strings, and nothing else.
+		if want := map[soap.Version]int{soap.V11: 652, soap.V12: 650}[v]; len(sub) != want {
 			t.Errorf("%v: sub-batch of 8 entries out of 16 is %d bytes, want %d", v, len(sub), want)
 		}
-		old, err := os.ReadFile(filepath.Join("testdata", "wire", "pre16", "echo16_"+corpusSuffix(v)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr, fault = ParseScatterRequest(old, ""); fault != nil {
-			t.Fatal(fault)
-		}
-		if sub, err = BuildSubBatch(sr.Version, sr.Headers, roundRobinShards(sr, 2)[0]); err != nil {
-			t.Fatal(err)
-		}
-		if want := map[soap.Version]int{soap.V11: 986, soap.V12: 984}[v]; len(sub) != want || !bytes.Contains(sub, []byte(`<SOAP-ENV:Body`+readerEncDecl+`><spi:Parallel_Method`)) {
-			t.Errorf("%v: sub-batch of the pre-16 request is %d bytes, want %d with SOAP-ENC restated on Body: %s", v, len(sub), want, sub)
+		for _, old := range []struct {
+			dir, restated string
+			size          map[soap.Version]int
+		}{
+			{"pre16", readerEncDecl + readerSchemaDecls, map[soap.Version]int{soap.V11: 986, soap.V12: 984}},
+			{"pre17", readerSchemaDecls, map[soap.Version]int{soap.V11: 927, soap.V12: 925}},
+		} {
+			doc, err := os.ReadFile(filepath.Join("testdata", "wire", old.dir, "echo16_"+corpusSuffix(v)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sr, fault = ParseScatterRequest(doc, ""); fault != nil {
+				t.Fatal(fault)
+			}
+			if sub, err = BuildSubBatch(sr.Version, sr.Headers, roundRobinShards(sr, 2)[0]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(sub, []byte(`<SOAP-ENV:Envelope xmlns:SOAP-ENV="`+v.Namespace()+`"><SOAP-ENV:Body`+old.restated+`><spi:Parallel_Method`)) || len(sub) != old.size[v] {
+				t.Errorf("%v: sub-batch of the %s request is %d bytes, want %d with%s restated on Body: %s", v, old.dir, len(sub), old.size[v], old.restated, sub)
+			}
 		}
 	}
 }
 
 // TestSubBatchByteBudget: a sub-batch inherits instead of restating, so it is
 // never larger than the client document it was cut from, and with a single
-// backend the sub-batch of a request a Batch wrote is that request.
+// backend the sub-batch of a request a Batch wrote is that request — with
+// what its Envelope declared on demand moved to Body, where a sub-batch
+// restates the client's scope.
 func TestSubBatchByteBudget(t *testing.T) {
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		packed := "packed" + strings.TrimSuffix(corpusSuffix(v), ".xml")
@@ -508,8 +534,12 @@ func TestSubBatchByteBudget(t *testing.T) {
 					if len(sub) > len(doc) {
 						t.Errorf("%s: sub-batch %d of %d is %d bytes, the request %d: %s", name, i, k, len(sub), len(doc), sub)
 					}
-					if k == 1 && !strings.HasSuffix(name, "-long.xml") && !bytes.Equal(sub, doc) {
-						t.Errorf("%s: the only sub-batch is not the request:\n got %s\nwant %s", name, sub, doc)
+					want := doc
+					if tag := doc[:bytes.IndexByte(doc, '>')]; soap.TagDecls(tag) != 0 {
+						want = bytes.Replace(doc, []byte(readerSchemaDecls+`><SOAP-ENV:Body>`), []byte(`><SOAP-ENV:Body`+readerSchemaDecls+`>`), 1)
+					}
+					if k == 1 && !strings.HasSuffix(name, "-long.xml") && !bytes.Equal(sub, want) {
+						t.Errorf("%s: the only sub-batch is not the request:\n got %s\nwant %s", name, sub, want)
 					}
 				}
 			}
@@ -550,7 +580,7 @@ func TestSubBatchScope(t *testing.T) {
 				t.Errorf("%v: scope not restated once, on Body:\n got %s\nwant …%s…", v, sub, want)
 			}
 			_, body := postDoc(t, sys, "/services", v, sub)
-			segs, _, err := splitReply(sr, body)
+			segs, err := splitInto(col, sr, body)
 			if err != nil || len(segs) != 1 {
 				t.Fatalf("%v: split: %v (%d segments): %s", v, err, len(segs), body)
 			}

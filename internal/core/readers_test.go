@@ -6,14 +6,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/httpx"
 	"repro/internal/netsim"
+	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
 	"repro/internal/wsse"
+	"repro/internal/xmldom"
+	"repro/internal/xmltext"
 )
 
 // One reader table, every reader. A peer may spell the envelope around the
@@ -41,9 +45,13 @@ type readerShape struct {
 	onOp    bool
 	onArray bool
 	// untyped leaves xsi:type off every string, mixed off the array's string
-	// item alone. bare is a body of untyped strings and nothing else, under
-	// an Envelope that declares neither xsi nor xsd.
-	untyped, mixed, bare bool
+	// item alone.
+	untyped, mixed bool
+	// params, when set, is what an entry carries in place of readerWant's
+	// spelling; bare is an Envelope that declares neither xsi nor xsd, noXSI
+	// one that declares xsd alone.
+	params      string
+	bare, noXSI bool
 }
 
 var readerShapes = []readerShape{
@@ -53,20 +61,26 @@ var readerShapes = []readerShape{
 	{name: "no declaration", onEnv: true},
 	{name: "untyped strings, xsi and xsd declared", onEnv: true, untyped: true},
 	{name: "typed and untyped strings mixed", onEnv: true, mixed: true},
-	{name: "untyped strings, xsi and xsd not declared", bare: true},
+	{name: "untyped strings, xsi and xsd not declared", bare: true,
+		params: `<msg>hi</msg><n>123</n><flag>true</flag><pad>  </pad><none></none>`},
 	{name: "BOM, no declaration", prolog: "\xEF\xBB\xBF", onEnv: true},
 	{name: "SOAP-ENC on the operation element", onOp: true},
 	{name: "SOAP-ENC on the array element", onArray: true},
 }
 
-// readerUnbound uses SOAP-ENC:Array with the prefix bound nowhere: every
-// reader answers with a Client fault or an error, none with a panic or with
-// values decoded some other way.
-var readerUnbound = readerShape{name: "SOAP-ENC bound nowhere"}
+// readerUnbound use a prefix bound nowhere — SOAP-ENC in an Array's type, xsi
+// in the name of a type or nil attribute, which is what an on-demand writer
+// that forgot to declare it would send: every reader answers with a Client
+// fault or an error, none with a panic or with values decoded some other way.
+var readerUnbound = []readerShape{
+	{name: "SOAP-ENC bound nowhere"},
+	{name: "xsi:type, xsi bound nowhere", noXSI: true, params: `<n xsi:type="xsd:int">5</n>`},
+	{name: "xsi:nil, xsi bound nowhere", bare: true, params: `<msg>hi</msg><none xsi:nil="true"/>`},
+}
 
-// readerWant is what every spelling carries but the bare one, which carries
-// readerWantBare: strings that an untyped leaf must not turn into anything
-// else.
+// readerWant is what every spelling carries but the bare one, whose params
+// spell readerWantBare: strings that an untyped leaf must not turn into
+// anything else.
 var (
 	readerWant = []soapenc.Field{
 		soapenc.F("msg", "hi"),
@@ -85,13 +99,27 @@ func (sh readerShape) want() []soapenc.Field {
 	return readerWant
 }
 
+// decls is what sh.envelope declares of the prefixes writers declare on demand.
+func (sh readerShape) decls() (d soap.Decls) {
+	if sh.onEnv {
+		d |= soap.DeclEncoding
+	}
+	if !sh.bare {
+		d |= soap.DeclXSI | soap.DeclXSD
+	}
+	return d
+}
+
 func (sh readerShape) envelope(v soap.Version, header, body string) []byte {
 	s := sh.prolog + `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `"`
 	if sh.onEnv {
 		s += readerEncDecl
 	}
-	if !sh.bare {
-		s += ` xmlns:xsi="` + soap.NSXSI + `" xmlns:xsd="` + soap.NSXSD + `"`
+	switch {
+	case sh.noXSI:
+		s += ` xmlns:xsd="` + soap.NSXSD + `"`
+	case !sh.bare:
+		s += readerSchemaDecls
 	}
 	s += `>`
 	if header != "" {
@@ -103,9 +131,8 @@ func (sh readerShape) envelope(v soap.Version, header, body string) []byte {
 // entry spells one Echo request or response element carrying sh.want();
 // attrs are the pack annotations, if any.
 func (sh readerShape) entry(local, attrs string) string {
-	if sh.bare {
-		return `<m:` + local + ` xmlns:m="urn:spi:Echo"` + attrs + `><msg>hi</msg><n>123</n><flag>true</flag>` +
-			`<pad>  </pad><none></none></m:` + local + `>`
+	if sh.params != "" {
+		return `<m:` + local + ` xmlns:m="urn:spi:Echo"` + attrs + `>` + sh.params + `</m:` + local + `>`
 	}
 	msgType, itemType := ` xsi:type="xsd:string"`, ` xsi:type="xsd:string"`
 	if sh.untyped {
@@ -335,14 +362,12 @@ func TestReaderTableGateway(t *testing.T) {
 			// Response side: segments cut out of a backend's reply still
 			// resolve in the envelope the gateway frames around them.
 			reply, err := (&ScatterRequest{}).SplitResponse(sh.envelope(v, "", sh.packedResponse()))
-			if err != nil || len(reply.Segments) != 2 || reply.Encoding != sh.onEnv {
-				t.Fatalf("%s: SplitResponse: %d segments, encoding %v, %v", what, len(reply.Segments), reply.Encoding, err)
+			if err != nil || len(reply.Segments) != 2 || reply.Decls != sh.decls() {
+				t.Fatalf("%s: SplitResponse: %d segments, declarations %03b, %v", what, len(reply.Segments), reply.Decls, err)
 			}
 			col := NewGatherCollector([]int{0, 1})
 			col.AddHeader(0, reply.RawHeader)
-			if reply.Encoding {
-				col.DeclareEncoding()
-			}
+			col.Declare(reply.Decls)
 			col.Deliver(0, reply.Segments[0])
 			col.Deliver(1, reply.Segments[1])
 			resp, _, err := col.Assemble(context.Background(), v, nil)
@@ -350,12 +375,12 @@ func TestReaderTableGateway(t *testing.T) {
 				t.Fatal(err)
 			}
 			sh.checkPacked(t, what+"/gather", resp.StatusCode, resp.Body, 2)
-			// The gathered Envelope declares SOAP-ENC iff the reply's did.
-			if got := bytes.Contains(resp.Body[:bytes.IndexByte(resp.Body, '>')], []byte(readerEncDecl)); got != sh.onEnv {
-				t.Errorf("%s: gathered Envelope declares SOAP-ENC: %v, the reply's: %v", what, got, sh.onEnv)
+			// The gathered Envelope declares on demand what the reply's did.
+			if got := soap.TagDecls(resp.Body[:bytes.IndexByte(resp.Body, '>')]); got != sh.decls() {
+				t.Errorf("%s: gathered Envelope declares %03b, the reply's %03b (bits: SOAP-ENC, xsi, xsd)", what, got, sh.decls())
 			}
 			resp.Release()
-			resp, isFault := SpliceSingleResponse(v, reply.Segments[1], nil, reply.Encoding)
+			resp, isFault := SpliceSingleResponse(v, reply.Segments[1], nil, reply.Decls)
 			if isFault {
 				t.Errorf("%s: splice reported a fault", what)
 			}
@@ -444,72 +469,168 @@ func readerFixtures(t *testing.T, dir, prolog, decls string) {
 }
 
 func TestReaderTableUnboundPrefix(t *testing.T) {
-	sh := readerUnbound
 	sys := newSystem(t, nil)
-	for _, v := range []soap.Version{soap.V11, soap.V12} {
-		// Server: a whole-message Client fault for the single call, a per-item
-		// one for each packed entry.
-		code, body := postDoc(t, sys, "/services/Echo", v, sh.envelope(v, "", sh.entry("echo", "")))
-		env, err := soap.Decode(bytes.NewReader(body))
-		if code != 500 || err != nil || env.Fault() == nil || env.Fault().Code != soap.FaultClient {
-			t.Errorf("%v: single call: HTTP %d, %v: %s", v, code, err, body)
-		}
-		code, body = postDoc(t, sys, "/services", v, sh.envelope(v, "", sh.packedRequest()))
-		if env, err = soap.Decode(bytes.NewReader(body)); code != 200 || err != nil {
-			t.Fatalf("%v: packed: HTTP %d, %v: %s", v, code, err, body)
-		}
-		results, err := decodePackedResponse(env.Body[0])
-		if err != nil || len(results) != 2 {
-			t.Fatalf("%v: packed: %d results, %v", v, len(results), err)
-		}
-		for id, r := range results {
-			if r.fault == nil || r.fault.Code != soap.FaultClient {
-				t.Errorf("%v: packed entry %d: %+v, want a Client fault", v, id, r)
+	for _, sh := range readerUnbound {
+		for _, v := range []soap.Version{soap.V11, soap.V12} {
+			// Server: a whole-message Client fault for the single call, a per-item
+			// one for each packed entry.
+			code, body := postDoc(t, sys, "/services/Echo", v, sh.envelope(v, "", sh.entry("echo", "")))
+			env, err := soap.Decode(bytes.NewReader(body))
+			if code != 500 || err != nil || env.Fault() == nil || env.Fault().Code != soap.FaultClient {
+				t.Errorf("%s/%v: single call: HTTP %d, %v: %s", sh.name, v, code, err, body)
 			}
-		}
-
-		// Gateway: the scatter parser faults the entries the same way, and a
-		// call it cannot decode is not coalesced.
-		sr, fault := ParseScatterRequest(sh.envelope(v, "", sh.packedRequest()), "")
-		if fault != nil || len(sr.Entries) != 2 {
-			t.Fatalf("%v: ParseScatterRequest: %v", v, fault)
-		}
-		for _, e := range sr.Entries {
-			if e.Fault == nil || e.Fault.Code != soap.FaultClient {
-				t.Errorf("%v: scatter entry %d: fault %v, want Client", v, e.Slot, e.Fault)
+			code, body = postDoc(t, sys, "/services", v, sh.envelope(v, "", sh.packedRequest()))
+			if env, err = soap.Decode(bytes.NewReader(body)); code != 200 || err != nil {
+				t.Fatalf("%s/%v: packed: HTTP %d, %v: %s", sh.name, v, code, err, body)
 			}
-		}
-		if sc := ParseSingleCall(sh.envelope(v, "", sh.entry("echo", "")), "Echo", nil); sc != nil {
-			t.Errorf("%v: ParseSingleCall coalesced an undecodable call", v)
-		}
+			results, err := decodePackedResponse(env.Body[0])
+			if err != nil || len(results) != 2 {
+				t.Fatalf("%s/%v: packed: %d results, %v", sh.name, v, len(results), err)
+			}
+			for id, r := range results {
+				if r.fault == nil || r.fault.Code != soap.FaultClient {
+					t.Errorf("%s/%v: packed entry %d: %+v, want a Client fault", sh.name, v, id, r)
+				}
+			}
 
-		// Client: an error from either decoder.
-		cli := cannedClient(t, v, map[string][]byte{
-			"/services/Echo": sh.envelope(v, "", sh.entry("echoResponse", "")),
-			"/services":      sh.envelope(v, "", sh.packedResponse()),
-		})
-		if got, err := cli.Call("Echo", "echo"); err == nil {
-			t.Errorf("%v: Call decoded %v", v, got)
-		}
-		b := cli.NewBatch()
-		call := b.Add("Echo", "echo")
-		b.Add("Echo", "echo")
-		_ = b.Send()
-		if got, err := call.Wait(); err == nil {
-			t.Errorf("%v: Batch decoded %v", v, got)
+			// Gateway: the scatter parser faults the entries the same way, and a
+			// call it cannot decode is not coalesced.
+			sr, fault := ParseScatterRequest(sh.envelope(v, "", sh.packedRequest()), "")
+			if fault != nil || len(sr.Entries) != 2 {
+				t.Fatalf("%s/%v: ParseScatterRequest: %v", sh.name, v, fault)
+			}
+			for _, e := range sr.Entries {
+				if e.Fault == nil || e.Fault.Code != soap.FaultClient {
+					t.Errorf("%s/%v: scatter entry %d: fault %v, want Client", sh.name, v, e.Slot, e.Fault)
+				}
+			}
+			if sc := ParseSingleCall(sh.envelope(v, "", sh.entry("echo", "")), "Echo", nil); sc != nil {
+				t.Errorf("%s/%v: ParseSingleCall coalesced an undecodable call", sh.name, v)
+			}
+
+			// Client: an error from either decoder.
+			cli := cannedClient(t, v, map[string][]byte{
+				"/services/Echo": sh.envelope(v, "", sh.entry("echoResponse", "")),
+				"/services":      sh.envelope(v, "", sh.packedResponse()),
+			})
+			if got, err := cli.Call("Echo", "echo"); err == nil {
+				t.Errorf("%s/%v: Call decoded %v", sh.name, v, got)
+			}
+			b := cli.NewBatch()
+			call := b.Add("Echo", "echo")
+			b.Add("Echo", "echo")
+			_ = b.Send()
+			if got, err := call.Wait(); err == nil {
+				t.Errorf("%s/%v: Batch decoded %v", sh.name, v, got)
+			}
 		}
 	}
 }
 
-// TestEnvelopeDeclaresEncodingOnDemand drives the writers end to end: a call
-// or batch carrying an array round-trips through every client encode path
-// (streamed, template cache, DOM under header providers) and both server
-// response paths (single envelope, packed assembler), and a response Envelope
-// declares SOAP-ENC exactly when an array is inside it.
+// wireLog is the request and response documents of every exchange a
+// recorded system served, in order.
+type wireLog struct {
+	mu   sync.Mutex
+	docs [][2][]byte
+}
+
+func (l *wireLog) last() (req, resp []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	d := l.docs[len(l.docs)-1]
+	return d[0], d[1]
+}
+
+// newRecordedSystem is newSystem with the server behind a front that keeps
+// what crossed the wire.
+func newRecordedSystem(t *testing.T, mutate func(*ServerConfig, *ClientConfig)) (*system, *wireLog) {
+	t.Helper()
+	link := netsim.NewLink(netsim.Fast())
+	lis, err := link.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := ServerConfig{Container: newEchoContainer(t), AppWorkers: 8, AppQueue: 64}
+	ccfg := ClientConfig{Dial: link.Dial, Timeout: 5 * time.Second}
+	if mutate != nil {
+		mutate(&scfg, &ccfg)
+	}
+	srv, err := NewServer(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &wireLog{}
+	front := &httpx.Server{Handler: func(ctx context.Context, req *httpx.Request) *httpx.Response {
+		resp := srv.HandleHTTP(ctx, req)
+		log.mu.Lock()
+		log.docs = append(log.docs, [2][]byte{bytes.Clone(req.Body), bytes.Clone(resp.Body)})
+		log.mu.Unlock()
+		return resp
+	}}
+	go front.Serve(lis)
+	cli, err := NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cli.Close()
+		front.Close()
+		srv.Close()
+		link.Close()
+	})
+	return &system{client: cli, server: srv, link: link}, log
+}
+
+// usedDecls is what an Envelope around these values has to declare, worked out
+// from the values alone: xsi for a nil, xsi and xsd for anything typed,
+// SOAP-ENC besides for an array, nothing for a string.
+func usedDecls(params []soapenc.Field) (d soap.Decls) {
+	for _, p := range params {
+		switch v := p.Value.(type) {
+		case string:
+		case nil:
+			d |= soap.DeclXSI
+		case *soapenc.Struct:
+			d |= usedDecls(v.Fields)
+		case soapenc.Array:
+			d |= soap.DeclEncoding | soap.DeclXSI | soap.DeclXSD
+			for _, item := range v {
+				d |= usedDecls([]soapenc.Field{{Value: item}})
+			}
+		default:
+			d |= soap.DeclXSI | soap.DeclXSD
+		}
+	}
+	return d
+}
+
+// envelopeDecls is what a document's Envelope start tag declares on demand.
+func envelopeDecls(doc []byte) soap.Decls {
+	return soap.TagDecls(doc[:bytes.IndexByte(doc, '>')])
+}
+
+// TestEnvelopeDeclaresEncodingOnDemand drives the writers end to end: calls
+// and batches of strings, a nil, a typed scalar and an array go through every
+// client encode path (streamed, template cache, DOM under header providers)
+// and both server response paths (single envelope, packed assembler), faults
+// with and without a detail come back, and each Envelope on the wire, request
+// and response, declares SOAP-ENC, xsi and xsd exactly when something inside
+// it uses that prefix: xsi for a typed or nil value, xsd for a type, SOAP-ENC
+// for an array, none of them for strings.
 func TestEnvelopeDeclaresEncodingOnDemand(t *testing.T) {
-	list := soapenc.Array{int64(1), "two", soapenc.Array{true}}
+	typed := soap.DeclXSI | soap.DeclXSD
+	detail := xmldom.NewElement(xmltext.Name{Local: "detail"})
+	if _, err := soapenc.Encode(detail, "retryAfter", int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	withFaults := func(s *ServerConfig) {
+		echo, _ := s.Container.Service("Echo")
+		echo.MustRegister("failDetail", func(*registry.Context, []soapenc.Field) ([]soapenc.Field, error) {
+			return nil, &soap.Fault{Code: soap.FaultServer, String: "detailed failure", Detail: detail.Clone()}
+		}, "faults with a typed detail")
+	}
 	configs := map[string]func(*ServerConfig, *ClientConfig){
-		"streamed":       nil,
+		"streamed":       func(*ServerConfig, *ClientConfig) {},
 		"template cache": func(_ *ServerConfig, c *ClientConfig) { c.TemplateCache = true },
 		"wsse": func(s *ServerConfig, c *ClientConfig) {
 			s.HeaderProcessors = []HeaderProcessor{&wsse.Verifier{Secrets: map[string][]byte{"alice": paritySecret}}}
@@ -517,50 +638,95 @@ func TestEnvelopeDeclaresEncodingOnDemand(t *testing.T) {
 		},
 		"soap 1.2": func(_ *ServerConfig, c *ClientConfig) { c.SOAP12 = true },
 	}
+	values := map[string][]soapenc.Field{
+		"strings":             {soapenc.F("msg", "plain"), soapenc.F("blank", ""), soapenc.F("digits", "123")},
+		"struct":              {soapenc.F("who", soapenc.NewStruct(soapenc.F("first", "a"), soapenc.F("last", "b")))},
+		"nil":                 {soapenc.F("msg", "with"), soapenc.F("none", nil)},
+		"int":                 {soapenc.F("msg", "with"), soapenc.F("n", int64(1))},
+		"long":                {soapenc.F("n", int64(1)<<40)},
+		"array":               {soapenc.F("msg", "with"), soapenc.F("list", soapenc.Array{int64(1), "two", soapenc.Array{true}})},
+		"strings in an array": {soapenc.F("list", soapenc.Array{"one", "two"})},
+	}
 	for name, mutate := range configs {
-		sys := newSystem(t, mutate)
-		for _, params := range [][]soapenc.Field{
-			{soapenc.F("msg", "plain")},
-			{soapenc.F("msg", "with"), soapenc.F("list", list)},
-		} {
-			got, err := sys.client.Call("Echo", "echo", params...)
-			if err != nil || len(got) != len(params) {
-				t.Fatalf("%s: Call(%v) = %v, %v", name, params, got, err)
+		sys, log := newRecordedSystem(t, func(s *ServerConfig, c *ClientConfig) { withFaults(s); mutate(s, c) })
+		check := func(what string, want soap.Decls) {
+			t.Helper()
+			req, resp := log.last()
+			if got := envelopeDecls(req); got != want {
+				t.Errorf("%s/%s: request Envelope declares %03b, uses %03b (bits: SOAP-ENC, xsi, xsd)\n%s", name, what, got, want, req)
 			}
-			for i := range params {
-				if !soapenc.Equal(got[i].Value, params[i].Value) {
-					t.Errorf("%s: Call: value %d = %#v, want %#v", name, i, got[i].Value, params[i].Value)
+			if got := envelopeDecls(resp); got != want {
+				t.Errorf("%s/%s: response Envelope declares %03b, uses %03b (bits: SOAP-ENC, xsi, xsd)\n%s", name, what, got, want, resp)
+			}
+		}
+		for what, params := range values {
+			// Twice: the second call of a shape is the template cache's hit.
+			for pass := 0; pass < 2; pass++ {
+				got, err := sys.client.Call("Echo", "echo", params...)
+				if err != nil || !soapenc.Equal(&soapenc.Struct{Fields: got}, &soapenc.Struct{Fields: params}) {
+					t.Fatalf("%s/%s: Call(%v) = %v, %v", name, what, params, got, err)
 				}
+				check(what+"/call", usedDecls(params))
 			}
 			b := sys.client.NewBatch()
-			calls := []*Call{b.Add("Echo", "echo", params...), b.Add("Echo", "echo", soapenc.F("n", int64(1)))}
+			calls := []*Call{b.Add("Echo", "echo", soapenc.F("msg", "plain")), b.Add("Echo", "echo", params...)}
 			if err := b.Send(); err != nil {
-				t.Fatalf("%s: Send: %v", name, err)
+				t.Fatalf("%s/%s: Send: %v", name, what, err)
 			}
-			if got, err := calls[0].Wait(); err != nil || len(got) != len(params) || !soapenc.Equal(got[len(got)-1].Value, params[len(params)-1].Value) {
-				t.Errorf("%s: batch entry = %v, %v", name, got, err)
+			if got, err := calls[1].Wait(); err != nil || !soapenc.Equal(&soapenc.Struct{Fields: got}, &soapenc.Struct{Fields: params}) {
+				t.Errorf("%s/%s: batch entry = %v, %v", name, what, got, err)
+			}
+			check(what+"/batch", usedDecls(params))
+		}
+
+		// Faults: none uses a prefix but the one whose detail holds a typed
+		// value, whole-message or per item.
+		for op, want := range map[string]soap.Decls{"fail": 0, "failDetail": typed} {
+			if _, err := sys.client.Call("Echo", op); err == nil {
+				t.Fatalf("%s: %s did not fault", name, op)
+			}
+			if _, resp := log.last(); envelopeDecls(resp) != want {
+				t.Errorf("%s/%s: fault Envelope declares %03b, uses %03b\n%s", name, op, envelopeDecls(resp), want, resp)
+			}
+			b := sys.client.NewBatch()
+			b.Add("Echo", "echo", soapenc.F("msg", "plain"))
+			failed := b.Add("Echo", op)
+			if err := b.Send(); err != nil {
+				t.Fatalf("%s/%s: Send: %v", name, op, err)
+			}
+			if _, err := failed.Wait(); err == nil {
+				t.Fatalf("%s: packed %s did not fault", name, op)
+			}
+			if _, resp := log.last(); envelopeDecls(resp) != want {
+				t.Errorf("%s/%s: packed response with the fault declares %03b, uses %03b\n%s", name, op, envelopeDecls(resp), want, resp)
 			}
 		}
 	}
 
+	// A response cannot lean on what the request scoped for itself: this
+	// request declares SOAP-ENC on the array element, xsi and xsd on Body.
 	sys := newSystem(t, nil)
-	sh := readerShape{onArray: true} // the request scopes SOAP-ENC itself; the response cannot lean on it
+	sh := readerShape{onArray: true}
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		for _, tc := range []struct {
 			name, target, body string
-			array              bool
+			want               soap.Decls
 		}{
-			{"single, array", "/services/Echo", sh.entry("echo", ""), true},
-			{"single, scalar", "/services/Echo", `<m:echo xmlns:m="urn:spi:Echo"><n xsi:type="xsd:int">1</n></m:echo>`, false},
-			{"packed, array", "/services", sh.packedRequest(), true},
-			{"packed, scalar", "/services", `<spi:Parallel_Method xmlns:spi="` + NSPack + `" xmlns:m="urn:spi:Echo" spi:service="Echo"><m:echo/></spi:Parallel_Method>`, false},
+			{"single, array", "/services/Echo", sh.entry("echo", ""), typed | soap.DeclEncoding},
+			{"single, scalar", "/services/Echo", `<m:echo xmlns:m="urn:spi:Echo"><n xsi:type="xsd:int">1</n></m:echo>`, typed},
+			{"single, nil", "/services/Echo", `<m:echo xmlns:m="urn:spi:Echo"><n xsi:nil="1"/></m:echo>`, soap.DeclXSI},
+			{"single, typed string", "/services/Echo", `<m:echo xmlns:m="urn:spi:Echo"><s xsi:type="xsd:string">1</s></m:echo>`, 0},
+			{"packed, array", "/services", sh.packedRequest(), typed | soap.DeclEncoding},
+			{"packed, no values", "/services", `<spi:Parallel_Method xmlns:spi="` + NSPack + `" xmlns:m="urn:spi:Echo" spi:service="Echo"><m:echo/></spi:Parallel_Method>`, 0},
 		} {
-			code, body := postDoc(t, sys, tc.target, v, sh.envelope(v, "", tc.body))
+			doc := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `"><SOAP-ENV:Body` + readerSchemaDecls + `>` +
+				tc.body + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`
+			code, body := postDoc(t, sys, tc.target, v, []byte(doc))
 			if code != 200 || bytes.HasPrefix(body, []byte("<?xml")) {
 				t.Fatalf("%v/%s: HTTP %d: %.80s", v, tc.name, code, body)
 			}
-			if got := bytes.Contains(body[:bytes.IndexByte(body, '>')], []byte(readerEncDecl)); got != tc.array {
-				t.Errorf("%v/%s: response Envelope declares SOAP-ENC: %v, holds an array: %v\n%s", v, tc.name, got, tc.array, body)
+			if got := envelopeDecls(body); got != tc.want {
+				t.Errorf("%v/%s: response Envelope declares %03b, uses %03b (bits: SOAP-ENC, xsi, xsd)\n%s", v, tc.name, got, tc.want, body)
 			}
 		}
 	}

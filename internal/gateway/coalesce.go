@@ -76,9 +76,9 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 type callOutcome struct {
 	segment []byte // raw packed-response entry (copied, caller-owned)
 	header  []byte // raw response-header bytes from the answering backend
-	// encoding: the answering backend's reply declared SOAP-ENC.
-	encoding bool
-	fault    *soap.Fault
+	// decls: what the answering backend's reply Envelope declared on demand.
+	decls soap.Decls
+	fault *soap.Fault
 }
 
 // pendingCall is one parked single call awaiting its batch.
@@ -243,12 +243,12 @@ func (co *coalescer) close() {
 // One sink serves one shard goroutine, so the header recorded by AddHeader
 // belongs to the backend that answered this sink's slots.
 type coalesceSink struct {
-	calls    []*pendingCall // indexed by batch slot
-	header   []byte
-	encoding bool
+	calls  []*pendingCall // indexed by batch slot
+	header []byte
+	decls  soap.Decls
 }
 
-func (s *coalesceSink) DeclareEncoding() { s.encoding = true }
+func (s *coalesceSink) Declare(d soap.Decls) { s.decls |= d }
 
 func (s *coalesceSink) AddHeader(_ int, raw []byte) {
 	if len(raw) > 0 {
@@ -257,7 +257,7 @@ func (s *coalesceSink) AddHeader(_ int, raw []byte) {
 }
 
 func (s *coalesceSink) Deliver(slot int, segment []byte) {
-	s.calls[slot].deliver(callOutcome{segment: segment, header: s.header, encoding: s.encoding})
+	s.calls[slot].deliver(callOutcome{segment: segment, header: s.header, decls: s.decls})
 }
 
 func (s *coalesceSink) Fail(slot int, f *soap.Fault) {
@@ -325,7 +325,7 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, defaultServi
 		g.faults.Inc()
 		return core.GatewayFaultResponse(out.fault, sc.Version)
 	}
-	resp, isFault := core.SpliceSingleResponse(sc.Version, out.segment, out.header, out.encoding)
+	resp, isFault := core.SpliceSingleResponse(sc.Version, out.segment, out.header, out.decls)
 	if isFault {
 		g.faults.Inc()
 	}

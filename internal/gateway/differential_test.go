@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -305,15 +306,28 @@ func travelSearchDoc(v soap.Version) []byte {
 	return packedDocWith(v, ` xmlns:m="urn:spi:Echo" spi:service="Echo"`, entries)
 }
 
-// declaresEncoding reports whether a reply's Envelope declares SOAP-ENC.
-func declaresEncoding(body []byte) bool {
-	return bytes.Contains(body[:bytes.IndexByte(body, '>')+1], []byte(` xmlns:SOAP-ENC="`+soap.NSEncoding+`"`))
+// stringsOnlyDoc is a batch whose replies hold nothing but strings, the empty
+// one included: no reply to it uses a prefix an Envelope declares on demand.
+func stringsOnlyDoc(v soap.Version) []byte {
+	var entries []string
+	for _, p := range []string{"one", "", " 3 ", "true", "a &amp; b"} {
+		entries = append(entries, `<m:echo><p0>`+p+`</p0><p1>second</p1></m:echo>`)
+	}
+	return packedDocWith(v, ` xmlns:m="urn:spi:Echo" spi:service="Echo"`, entries)
 }
 
-// TestDifferentialArrays: replies that carry arrays need SOAP-ENC declared
-// around them, and the gathered Envelope declares it exactly when the direct
-// server's does — when some shard's reply did — whichever backends the
-// array-bearing entries landed on; the bytes are the direct server's.
+// envelopeDecls is what a reply's Envelope start tag declares on demand.
+func envelopeDecls(body []byte) soap.Decls {
+	return soap.TagDecls(body[:bytes.IndexByte(body, '>')])
+}
+
+const typedDecls = soap.DeclXSI | soap.DeclXSD
+
+// TestDifferentialArrays: a reply needs declared around it the prefixes its
+// values use — SOAP-ENC, xsi and xsd for an array, xsi and xsd for an int,
+// none for strings — and the gathered Envelope declares each exactly when the
+// direct server's does — when some shard's reply did — whichever backends the
+// entries landed on; the bytes are the direct server's.
 func TestDifferentialArrays(t *testing.T) {
 	// What a direct server answered the SOAP 1.1 search with before PR 16,
 	// XML declaration included.
@@ -329,18 +343,22 @@ func TestDifferentialArrays(t *testing.T) {
 				defer dc.Close()
 				defer gc.Close()
 				for name, tc := range map[string]struct {
-					doc   []byte
-					array bool
+					doc  []byte
+					want soap.Decls
 				}{
-					"travel search": {travelSearchDoc(v), true},
-					"scalars only":  {framingSpellings(v, 1)["default"], false},
+					"travel search": {travelSearchDoc(v), typedDecls | soap.DeclEncoding},
+					"an int":        {framingSpellings(v, 1)["default"], typedDecls},
+					"strings only":  {stringsOnlyDoc(v), 0},
 				} {
 					want := post(t, dc, "/services", v.ContentType(), tc.doc)
 					diffReplies(t, name, tc.doc, want, post(t, gc, "/services", v.ContentType(), tc.doc))
-					if want.status != 200 || declaresEncoding(want.body) != tc.array || bytes.HasPrefix(want.body, []byte("<?xml")) {
-						t.Errorf("%s: HTTP %d, Envelope declares SOAP-ENC: %v, want %v\n%s", name, want.status, declaresEncoding(want.body), tc.array, want.body)
+					if want.status != 200 || envelopeDecls(want.body) != tc.want || bytes.HasPrefix(want.body, []byte("<?xml")) {
+						t.Errorf("%s: HTTP %d, Envelope declares %03b, want %03b (bits: SOAP-ENC, xsi, xsd)\n%s", name, want.status, envelopeDecls(want.body), tc.want, want.body)
 					}
-					if tc.array && v == soap.V11 && len(want.body) > travelReplyPre16-38 {
+					if bytes.Contains(want.body, []byte(`"xsd:string"`)) {
+						t.Errorf("%s: a string in the reply states its type:\n%s", name, want.body)
+					}
+					if name == "travel search" && v == soap.V11 && len(want.body) > travelReplyPre16-38 {
 						t.Errorf("%s: reply is %d bytes, want at most %d (the pre-16 reply less its XML declaration)", name, len(want.body), travelReplyPre16-38)
 					}
 				}
@@ -362,24 +380,44 @@ func TestDifferentialArrays(t *testing.T) {
 	}
 }
 
-// pre16Backend serves what a backend older than PR 16 wrote: the same
-// documents behind an XML declaration, SOAP-ENC declared on every Envelope.
-func pre16Backend(tb testing.TB) *netsim.Link {
+var (
+	untypedLeaf  = regexp.MustCompile(`<(\w+)>([^<]*)</(\w+)>`)
+	envelopeOpen = regexp.MustCompile(`^<SOAP-ENV:Envelope xmlns:SOAP-ENV="[^"]*"`)
+)
+
+// oldBackend serves what a backend older than PR 17 wrote — the same
+// documents with every string leaf typed, under an Envelope that always
+// declares xsi and xsd — or, with pre16, one older than PR 16: behind an XML
+// declaration besides, SOAP-ENC declared on every Envelope too.
+func oldBackend(tb testing.TB, pre16 bool) *netsim.Link {
 	tb.Helper()
 	srv, err := core.NewServer(core.ServerConfig{Container: testContainer(tb), AppWorkers: 8, AppQueue: 64})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	const decl, env, enc = `<?xml version="1.0" encoding="UTF-8"?>`, `<SOAP-ENV:Envelope xmlns:SOAP-ENV="`, ` xmlns:SOAP-ENC="` + soap.NSEncoding + `"`
 	old := &httpx.Server{Handler: func(ctx context.Context, req *httpx.Request) *httpx.Response {
 		resp := srv.HandleHTTP(ctx, req)
 		defer resp.Release()
-		body := string(resp.Body)
-		if !strings.Contains(body[:strings.IndexByte(body, '>')], enc) {
-			q := len(env) + strings.IndexByte(body[len(env):], '"') + 1
-			body = body[:q] + enc + body[q:]
+		body := untypedLeaf.ReplaceAllStringFunc(string(resp.Body), func(leaf string) string {
+			if m := untypedLeaf.FindStringSubmatch(leaf); m[1] == m[3] && !strings.HasPrefix(m[1], "fault") {
+				return `<` + m[1] + ` xsi:type="xsd:string">` + m[2] + `</` + m[1] + `>`
+			}
+			return leaf
+		})
+		tag := body[:strings.IndexByte(body, '>')]
+		decls := soap.DeclXSI | soap.DeclXSD | envelopeDecls([]byte(body))
+		prolog := ""
+		if pre16 {
+			decls |= soap.DeclEncoding
+			prolog = `<?xml version="1.0" encoding="UTF-8"?>`
 		}
-		out := httpx.NewResponse(resp.StatusCode, []byte(decl+body))
+		var all string
+		for i, d := range []string{` xmlns:SOAP-ENC="` + soap.NSEncoding + `"`, ` xmlns:xsi="` + soap.NSXSI + `"`, ` xmlns:xsd="` + soap.NSXSD + `"`} {
+			if decls&(1<<i) != 0 {
+				all += d
+			}
+		}
+		out := httpx.NewResponse(resp.StatusCode, []byte(prolog+envelopeOpen.FindString(tag)+all+body[len(tag):]))
 		out.Header.Set("Content-Type", resp.Header.Get("Content-Type"))
 		return out
 	}}
@@ -393,19 +431,28 @@ func pre16Backend(tb testing.TB) *netsim.Link {
 	return link
 }
 
-// TestMixedVersionBackends: this step upgrades gateways before backends, so a
-// new gateway fronts pre-16 backends, alone and beside new ones. Their replies
-// splice into a valid response that declares SOAP-ENC (they always did),
-// carrying the direct server's values; a single call is relayed as they
-// wrote it.
+// TestMixedVersionBackends: PR 16's step upgrades gateways before backends,
+// and PR 17's needs no order at all, so a new gateway fronts backends older
+// than either, alone and beside new ones. Their replies splice into a valid
+// response that declares what they declared (they always did) and never less
+// than the direct server's, carrying the direct server's values — its bytes,
+// once the strings an old backend typed are untyped again; a single call is
+// relayed as they wrote it.
 func TestMixedVersionBackends(t *testing.T) {
 	d := newDirect(t)
 	dc := &httpx.Client{Dial: d.link.Dial, KeepAlive: true, Timeout: 10 * time.Second}
 	defer dc.Close()
-	for _, fleet := range []string{"old", "old+new", "old+new, coalescing"} {
+	// normal strips what an old backend's reply has over a new one's.
+	normal := func(body []byte) []byte {
+		tag := body[:bytes.IndexByte(body, '>')]
+		out := append(envelopeOpen.Find(tag), body[len(tag):]...)
+		return bytes.ReplaceAll(out, []byte(` xsi:type="xsd:string"`), nil)
+	}
+	for _, fleet := range []string{"pre16", "pre16+new", "pre16+new, coalescing", "pre17", "pre17+new", "pre17+new, coalescing"} {
+		pre16 := strings.HasPrefix(fleet, "pre16")
 		f := newFarm(t, 1, func(cfg *Config) {
-			cfg.Backends[0] = BackendConfig{Name: "pre16", Dial: pre16Backend(t).Dial}
-			if fleet != "old" {
+			cfg.Backends[0] = BackendConfig{Name: "old", Dial: oldBackend(t, pre16).Dial}
+			if strings.Contains(fleet, "+new") {
 				cfg.Backends = append(cfg.Backends, BackendConfig{Name: "new", Dial: newDirect(t).link.Dial})
 			}
 			if strings.HasSuffix(fleet, "coalescing") {
@@ -414,21 +461,32 @@ func TestMixedVersionBackends(t *testing.T) {
 		})
 		gc := f.raw()
 		for _, v := range []soap.Version{soap.V11, soap.V12} {
-			for name, doc := range map[string][]byte{"travel search": travelSearchDoc(v), "scalars only": framingSpellings(v, 1)["default"]} {
+			for name, doc := range map[string][]byte{"travel search": travelSearchDoc(v), "an int": framingSpellings(v, 1)["default"], "strings only": stringsOnlyDoc(v)} {
 				want := post(t, dc, "/services", v.ContentType(), doc)
 				got := post(t, gc, "/services", v.ContentType(), doc)
-				if got.status != 200 || !declaresEncoding(got.body) {
-					t.Fatalf("%s/%v/%s: HTTP %d, declares SOAP-ENC: %v\n%s", fleet, v, name, got.status, declaresEncoding(got.body), got.body)
+				// The old backend answered at least the first entry, so the
+				// reply declares what its replies always do.
+				least := typedDecls | envelopeDecls(want.body)
+				if pre16 {
+					least |= soap.DeclEncoding
 				}
-				// Same document but for the one declaration the old replies
-				// brought with them.
-				if strip := bytes.Replace(got.body, []byte(` xmlns:SOAP-ENC="`+soap.NSEncoding+`"`), nil, 1); !declaresEncoding(want.body) && !bytes.Equal(strip, want.body) {
-					t.Errorf("%s/%v/%s: beyond the SOAP-ENC declaration the reply is not the direct server's\n got %s\nwant %s", fleet, v, name, got.body, want.body)
-				} else if declaresEncoding(want.body) && !bytes.Equal(got.body, want.body) {
-					t.Errorf("%s/%v/%s: reply is not the direct server's\n got %s\nwant %s", fleet, v, name, got.body, want.body)
+				if got.status != 200 || envelopeDecls(got.body) != least {
+					t.Fatalf("%s/%v/%s: HTTP %d, Envelope declares %03b, want %03b (bits: SOAP-ENC, xsi, xsd)\n%s", fleet, v, name, got.status, envelopeDecls(got.body), least, got.body)
 				}
-				if _, err := soap.Decode(bytes.NewReader(got.body)); err != nil {
-					t.Errorf("%s/%v/%s: reply does not parse: %v", fleet, v, name, err)
+				if !bytes.Equal(normal(got.body), normal(want.body)) {
+					t.Errorf("%s/%v/%s: beyond declarations and typed strings the reply is not the direct server's\n got %s\nwant %s", fleet, v, name, got.body, want.body)
+				}
+				genv, err := soap.Decode(bytes.NewReader(got.body))
+				if err != nil {
+					t.Fatalf("%s/%v/%s: reply does not parse: %v", fleet, v, name, err)
+				}
+				wenv, _ := soap.Decode(bytes.NewReader(want.body))
+				for i, el := range genv.Body[0].ChildElements() {
+					g, gerr := soapenc.DecodeParams(el)
+					w, werr := soapenc.DecodeParams(wenv.Body[0].ChildElements()[i])
+					if gerr != nil || werr != nil || !soapenc.Equal(&soapenc.Struct{Fields: g}, &soapenc.Struct{Fields: w}) {
+						t.Errorf("%s/%v/%s: entry %d decodes to %v (%v), the direct server's to %v (%v)", fleet, v, name, i, g, gerr, w, werr)
+					}
 				}
 			}
 		}

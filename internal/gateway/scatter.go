@@ -240,9 +240,10 @@ type resultSink interface {
 	// that answered, keyed by backend index. Called before the shard's
 	// Deliver calls.
 	AddHeader(backend int, raw []byte)
-	// DeclareEncoding notes, before the shard's Deliver calls, that the
-	// reply declared SOAP-ENC, so whatever frames its segments must too.
-	DeclareEncoding()
+	// Declare notes, before the shard's Deliver calls, what the reply's
+	// Envelope declared on demand (SOAP-ENC, xsi, xsd), so whatever frames
+	// its segments declares it too.
+	Declare(d soap.Decls)
 	// Deliver hands a slot its raw packed-response segment.
 	Deliver(slot int, segment []byte)
 	// Fail resolves a slot with a per-item fault.
@@ -279,9 +280,7 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 		if err == nil {
 			b.noteSuccess()
 			col.AddHeader(b.index, reply.RawHeader)
-			if reply.Encoding {
-				col.DeclareEncoding()
-			}
+			col.Declare(reply.Decls)
 			for k, e := range shard {
 				col.Deliver(e.Slot, reply.Segments[k])
 			}

@@ -64,6 +64,48 @@ func TestTemplateMatchesFullSerialization(t *testing.T) {
 	}
 }
 
+// TestTemplateDeclaresOnDemand: a template follows the encoder. One built
+// for strings alone declares neither xsi nor xsd, one with an int in it
+// declares both, each matches a full serialization byte for byte, and
+// rendering a cached shape allocates nothing.
+func TestTemplateDeclaresOnDemand(t *testing.T) {
+	c := New()
+	for name, tc := range map[string]struct {
+		params []soapenc.Field
+		want   soap.Decls
+	}{
+		"strings": {[]soapenc.Field{soapenc.F("city", "Beijing"), soapenc.F("country", "")}, 0},
+		"an int":  {[]soapenc.Field{soapenc.F("city", "Beijing"), soapenc.F("days", int64(3))}, soap.DeclXSI | soap.DeclXSD},
+	} {
+		got, ok, err := render(c, "Weather", "urn:w", "GetWeather", tc.params)
+		if err != nil || !ok {
+			t.Fatalf("%s: render: ok=%v err=%v", name, ok, err)
+		}
+		if want := fullSerialize(t, "urn:w", "GetWeather", tc.params); string(got) != string(want) {
+			t.Errorf("%s:\ncache: %s\nfull:  %s", name, got, want)
+		}
+		if decls := soap.TagDecls(got[:bytes.IndexByte(got, '>')]); decls != tc.want {
+			t.Errorf("%s: template Envelope declares %03b, want %03b (bits: SOAP-ENC, xsi, xsd)\n%s", name, decls, tc.want, got)
+		}
+		if bytes.Contains(got, []byte(`"xsd:string"`)) {
+			t.Errorf("%s: a string states its type: %s", name, got)
+		}
+		em := xmltext.AcquireEmitter()
+		if allocs := testing.AllocsPerRun(100, func() {
+			em.Reset()
+			if ok, err := c.RenderTo(em, "Weather", "urn:w", "GetWeather", tc.params); err != nil || !ok {
+				t.Fatalf("%s: render: ok=%v err=%v", name, ok, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: rendering a cached shape allocates %v times", name, allocs)
+		}
+		xmltext.ReleaseEmitter(em)
+	}
+	if st := c.Stats(); st.Templates != 2 {
+		t.Errorf("strings and a typed call share a template: %+v", st)
+	}
+}
+
 func TestScalarTypesRoundTrip(t *testing.T) {
 	c := New()
 	cases := [][]soapenc.Field{

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 
@@ -14,15 +15,16 @@ import (
 // for the same logical envelope — golden and differential tests pin this —
 // so the two paths are interchangeable on the wire. Neither writes an XML
 // declaration (the HTTP Content-Type already names the charset), and both
-// declare SOAP-ENC only when the envelope's content uses the prefix.
+// declare SOAP-ENC, xsi and xsd each only when the envelope's content uses
+// that prefix: a message of strings alone declares SOAP-ENV and nothing else.
 //
 // Lifecycle: NewStreamEncoder → Begin → body writes → Finish → (use bytes)
 // → Release. The byte slice returned by Finish aliases the pooled buffer
 // and is invalidated by Release; callers that need the bytes past Release
 // must copy them first. A StreamEncoder must not be used after Release.
 type StreamEncoder struct {
-	em    *xmltext.Emitter
-	encAt int // offset in em of the Envelope tag's xmlns:SOAP-ENC slot
+	em     *xmltext.Emitter
+	declAt int // offset in em where the Envelope tag's on-demand declarations go
 }
 
 var streamEncoderPool = sync.Pool{New: func() any { return new(StreamEncoder) }}
@@ -57,9 +59,6 @@ var (
 	nameBody      = xmltext.Name{Prefix: PrefixEnvelope, Local: "Body"}
 	nameFault     = xmltext.Name{Prefix: PrefixEnvelope, Local: "Fault"}
 	nameXmlnsEnv  = xmltext.Name{Prefix: "xmlns", Local: PrefixEnvelope}
-	nameXmlnsEnc  = xmltext.Name{Prefix: "xmlns", Local: PrefixEncoding}
-	nameXmlnsXSI  = xmltext.Name{Prefix: "xmlns", Local: PrefixXSI}
-	nameXmlnsXSD  = xmltext.Name{Prefix: "xmlns", Local: PrefixXSD}
 	nameFaultcode = xmltext.Name{Local: "faultcode"}
 	nameFaultstr  = xmltext.Name{Local: "faultstring"}
 	nameFaultact  = xmltext.Name{Local: "faultactor"}
@@ -75,10 +74,9 @@ var (
 	nameXMLLang  = xmltext.Name{Prefix: "xml", Local: "lang"}
 )
 
-// Begin writes the envelope start tag with the namespace declarations every
-// body relies on (same order as Envelope.Element), the optional Header with
-// its blocks, and opens the Body. SOAP-ENC is not among them: Finish adds it
-// when something written in between used the prefix.
+// Begin writes the envelope start tag declaring SOAP-ENV, the optional Header
+// with its blocks, and opens the Body. SOAP-ENC, xsi and xsd are not declared
+// here: Finish adds each that something written in between used.
 func (enc *StreamEncoder) Begin(v Version, headers []*xmldom.Element) {
 	em := enc.open(v)
 	if len(headers) > 0 {
@@ -105,14 +103,13 @@ func (enc *StreamEncoder) BeginRawHeader(v Version, raw []byte) {
 	em.Start(nameBody)
 }
 
-// open starts the Envelope tag and notes where xmlns:SOAP-ENC belongs in it.
+// open starts the Envelope tag and notes where the on-demand declarations
+// belong in it.
 func (enc *StreamEncoder) open(v Version) *xmltext.Emitter {
 	em := enc.em
 	em.Start(nameEnvelope)
 	em.Attr(nameXmlnsEnv, v.Namespace())
-	enc.encAt = em.Len()
-	em.Attr(nameXmlnsXSI, NSXSI)
-	em.Attr(nameXmlnsXSD, NSXSD)
+	enc.declAt = em.Len()
 	return em
 }
 
@@ -122,50 +119,107 @@ func (enc *StreamEncoder) WriteBodyElement(el *xmldom.Element) {
 	appendElement(enc.em, el)
 }
 
-// appendElement streams a DOM subtree, marking the emitter when the subtree
-// leans on a SOAP-ENC declaration from outside itself.
+// appendElement streams a DOM subtree, marking the emitter with the on-demand
+// prefixes the subtree leans on a declaration from outside itself for.
 func appendElement(em *xmltext.Emitter, el *xmldom.Element) {
-	if !em.Marked() && usesEncoding(el) {
-		em.Mark()
+	if em.Marked() != allDecls {
+		em.Mark(usedDecls(el))
 	}
 	el.AppendTo(em)
 }
 
-// usesEncoding reports whether the subtree at el uses the SOAP-ENC prefix —
-// in an element or attribute name, or leading a QName attribute value such as
-// xsi:type="SOAP-ENC:Array" — outside any element that declares it itself.
-func usesEncoding(el *xmldom.Element) bool {
-	uses := el.Name.Prefix == PrefixEncoding
-	for i := range el.Attrs {
-		switch a := &el.Attrs[i]; {
-		case a.Name.Prefix == "xmlns":
-			if a.Name.Local == PrefixEncoding {
-				return false
-			}
-		case a.Name.Prefix == PrefixEncoding || strings.HasPrefix(a.Value, PrefixEncoding+":"):
-			uses = true
-		}
-	}
-	if uses {
-		return true
-	}
-	for _, c := range el.Children {
-		if ce, ok := c.(*xmldom.Element); ok && usesEncoding(ce) {
-			return true
-		}
-	}
-	return false
+// Decls is a set of the namespace prefixes an Envelope declares only on
+// demand. Writers pass it around as marks on their emitter; the gateway reads
+// it off a backend reply's Envelope start tag (TagDecls) and carries it to the
+// envelope it frames around that reply's entries.
+type Decls = xmltext.Marks
+
+const (
+	DeclEncoding Decls = 1 << iota // SOAP-ENC: arrays
+	DeclXSI                        // xsi: xsi:type and xsi:nil
+	DeclXSD                        // xsd: the type names
+
+	allDecls = DeclEncoding | DeclXSI | DeclXSD
+)
+
+// onDemand lists the declarations in the order an Envelope start tag carries
+// them, after xmlns:SOAP-ENV — where the toolkits of the paper's Figure 4,
+// which declared all of them on every message, put them. Entry i is bit i of
+// a Decls.
+var onDemand = [...]struct{ prefix, ns string }{
+	{PrefixEncoding, NSEncoding}, {PrefixXSI, NSXSI}, {PrefixXSD, NSXSD},
 }
 
-// encodingDecl is the one declaration an Envelope makes only on demand: the
-// array encoder is its only user, and most messages carry no array.
-const encodingDecl = ` xmlns:` + PrefixEncoding + `="` + NSEncoding + `"`
+// declText is the serialized declarations of every Decls value.
+var declText = func() (t [allDecls + 1]string) {
+	for set := range t {
+		for i, d := range onDemand {
+			if set&(1<<i) != 0 {
+				t[set] += ` xmlns:` + d.prefix + `="` + d.ns + `"`
+			}
+		}
+	}
+	return t
+}()
 
-// Finish closes Body and Envelope and returns the document bytes. If the
-// emitter was marked — soapenc's array encoder, a DOM subtree or a spliced
-// reply that relies on the prefix — xmlns:SOAP-ENC is put where the Envelope
-// start tag has always carried it, after xmlns:SOAP-ENV. The slice is owned
-// by the encoder: valid until Release.
+// declOf returns the bit of an on-demand prefix, zero for any other.
+func declOf(prefix string) Decls {
+	switch prefix {
+	case PrefixXSI:
+		return DeclXSI
+	case PrefixXSD:
+		return DeclXSD
+	case PrefixEncoding:
+		return DeclEncoding
+	}
+	return 0
+}
+
+// usedDecls returns, in one walk, the on-demand prefixes the subtree at el
+// uses — in an element or attribute name, or leading a QName attribute value
+// such as xsi:type="xsd:int" — outside any element that declares that prefix
+// itself.
+func usedDecls(el *xmldom.Element) Decls {
+	uses, own := declOf(el.Name.Prefix), Decls(0)
+	for i := range el.Attrs {
+		a := &el.Attrs[i]
+		if a.Name.Prefix == "xmlns" {
+			own |= declOf(a.Name.Local)
+			continue
+		}
+		uses |= declOf(a.Name.Prefix)
+		if c := strings.IndexByte(a.Value, ':'); c > 0 {
+			uses |= declOf(a.Value[:c])
+		}
+	}
+	for _, c := range el.Children {
+		if ce, ok := c.(*xmldom.Element); ok {
+			uses |= usedDecls(ce)
+		}
+	}
+	return uses &^ own
+}
+
+// TagDecls returns the on-demand prefixes a serialized start tag declares.
+func TagDecls(tag []byte) (d Decls) {
+	const xmlns = ` xmlns:`
+	for {
+		i := bytes.Index(tag, []byte(xmlns))
+		if i < 0 {
+			return d
+		}
+		tag = tag[i+len(xmlns):]
+		if eq := bytes.IndexByte(tag, '='); eq > 0 {
+			d |= declOf(string(tag[:eq]))
+		}
+	}
+}
+
+// Finish closes Body and Envelope and returns the document bytes. Whatever
+// the emitter was marked with — by soapenc's typed-value encoder, a DOM
+// subtree, or the gateway for a spliced reply that relies on it — is declared
+// where the Envelope start tag has always carried it, after xmlns:SOAP-ENV.
+// The slice is owned by the encoder: valid until Release.
 func (enc *StreamEncoder) Finish() ([]byte, error) {
 	em := enc.em
 	em.End() // Body
@@ -173,11 +227,11 @@ func (enc *StreamEncoder) Finish() ([]byte, error) {
 	if err := em.Finish(); err != nil {
 		return nil, err
 	}
-	if em.Marked() {
-		em.Extend(len(encodingDecl))
+	if decl := declText[em.Marked()&allDecls]; decl != "" {
+		em.Extend(len(decl))
 		doc := em.Bytes()
-		copy(doc[enc.encAt+len(encodingDecl):], doc[enc.encAt:])
-		copy(doc[enc.encAt:], encodingDecl)
+		copy(doc[enc.declAt+len(decl):], doc[enc.declAt:])
+		copy(doc[enc.declAt:], decl)
 	}
 	return em.Bytes(), nil
 }
@@ -266,9 +320,7 @@ func (f *Fault) appendElement12(em *xmltext.Emitter, extra []xmltext.Attr) {
 		em.End()
 	}
 	if f.Detail != nil {
-		if usesEncoding(f.Detail) {
-			em.Mark()
-		}
+		em.Mark(usedDecls(f.Detail))
 		em.Start(nameDetail12)
 		for _, n := range f.Detail.Children {
 			xmldom.AppendNode(n, em)

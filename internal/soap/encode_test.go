@@ -20,6 +20,24 @@ func newBodyEntry(op, payload string) *xmldom.Element {
 	return el
 }
 
+// plainEntry is a body entry of untyped string leaves: it uses no prefix but
+// its own.
+func plainEntry(op, payload string) *xmldom.Element {
+	el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: op})
+	el.DeclareNamespace("m", "urn:spi:Echo")
+	el.AddElement(xmltext.Name{Local: "data"}).SetText(payload)
+	return el
+}
+
+// sampleDecls is what each sample's Envelope must declare on demand, by the
+// sample's name less its version suffix; samples not listed use typed values
+// and no array: xsi and xsd.
+var sampleDecls = map[string]Decls{
+	"fault": 0, "fault-min": 0, "empty-body": 0, "strings": 0, "strings-header": 0,
+	"nil": DeclXSI, "xsi-attr": DeclXSI, "xsd-qname": DeclXSD, "xsi-scoped": DeclXSD,
+	"array-body": allDecls, "array-header": allDecls, "array-second": allDecls, "array-fault": allDecls,
+}
+
 func sampleEnvelopes() map[string]*Envelope {
 	out := map[string]*Envelope{}
 	for _, v := range []Version{V11, V12} {
@@ -87,6 +105,47 @@ func sampleEnvelopes() map[string]*Envelope {
 			build(env)
 			out[fmt.Sprintf("%s-%v", name, v)] = env
 		}
+		// xsi and xsd, each in use alone, not at all, or under its own
+		// declaration; in a header block over a body of strings; in a fault
+		// detail.
+		for name, build := range map[string]func(env *Envelope){
+			"strings": func(env *Envelope) { env.AddBody(plainEntry("echo", "x")) },
+			"strings-header": func(env *Envelope) {
+				hdr := plainEntry("Trace", "t")
+				hdr.SetAttr(xmltext.Name{Prefix: PrefixEnvelope, Local: "mustUnderstand"}, "0")
+				env.AddHeader(hdr)
+				env.AddBody(plainEntry("echo", "x"))
+			},
+			"typed-header": func(env *Envelope) { env.AddHeader(newBodyEntry("Trace", "t")); env.AddBody(plainEntry("echo", "x")) },
+			"nil": func(env *Envelope) {
+				el := plainEntry("echo", "x")
+				el.AddElement(xmltext.Name{Local: "none"}).SetAttr(xmltext.Name{Prefix: PrefixXSI, Local: "nil"}, "true")
+				env.AddBody(el)
+			},
+			"xsi-attr": func(env *Envelope) {
+				el := plainEntry("echo", "x")
+				el.SetAttr(xmltext.Name{Prefix: PrefixXSI, Local: "schemaLocation"}, "urn:spi:Echo echo.xsd")
+				env.AddBody(el)
+			},
+			"xsd-qname": func(env *Envelope) {
+				el := plainEntry("echo", "x")
+				el.ChildElements()[0].SetAttr(xmltext.Name{Local: "base"}, "xsd:token")
+				env.AddBody(el)
+			},
+			"xsi-scoped": func(env *Envelope) {
+				el := newBodyEntry("echo", "x")
+				el.DeclareNamespace(PrefixXSI, NSXSI)
+				env.AddBody(el)
+			},
+		} {
+			env := New()
+			env.Version = v
+			build(env)
+			out[fmt.Sprintf("%s-%v", name, v)] = env
+		}
+		typedDetail := xmldom.NewElement(xmltext.Name{Local: "detail"})
+		typedDetail.AddChild(newBodyEntry("cause", "typed"))
+		out[fmt.Sprintf("typed-fault-%v", v)] = (&Fault{String: "with a typed detail", Detail: typedDetail}).EnvelopeFor(v)
 		arrayDetail := xmldom.NewElement(xmltext.Name{Local: "detail"})
 		arrayDetail.AddChild(array(false))
 		out[fmt.Sprintf("array-fault-%v", v)] = (&Fault{String: "with an array", Detail: arrayDetail}).EnvelopeFor(v)
@@ -116,9 +175,16 @@ func TestStreamEncoderParity(t *testing.T) {
 			if bytes.HasPrefix(got, []byte("<?xml")) {
 				t.Errorf("a writer emitted an XML declaration: %.60s", got)
 			}
-			uses := strings.HasPrefix(name, "array-") && !strings.HasPrefix(name, "array-scoped")
-			if declares := bytes.Contains(got[:bytes.IndexByte(got, '>')], []byte(encodingDecl)); declares != uses {
-				t.Errorf("Envelope declares SOAP-ENC: %v, content uses it unscoped: %v\n%s", declares, uses, got)
+			want, listed := sampleDecls[name[:strings.LastIndexByte(name, '-')]]
+			if !listed {
+				want = DeclXSI | DeclXSD
+			}
+			tag := got[:bytes.IndexByte(got, '>')]
+			if declares := TagDecls(tag); declares != want {
+				t.Errorf("Envelope declares %03b, content uses unscoped %03b (bits: SOAP-ENC, xsi, xsd)\n%s", declares, want, got)
+			}
+			if !bytes.HasSuffix(tag, []byte(`"`+env.Version.Namespace()+`"`+declText[want])) {
+				t.Errorf("on-demand declarations are not in Figure 4's order after SOAP-ENV: %s", tag)
 			}
 		})
 	}

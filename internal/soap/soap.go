@@ -11,7 +11,6 @@ package soap
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
@@ -64,21 +63,28 @@ func (env *Envelope) AddBody(entry *xmldom.Element) {
 }
 
 // Element builds the full DOM for the envelope. The root declares SOAP-ENV,
-// xsi and xsd, which every typed body uses, and SOAP-ENC — between SOAP-ENV
-// and xsi, where the toolkits of the paper's Figure 4 put it — only when a
-// header block or body entry uses that prefix without declaring it itself:
-// an envelope declares what its content uses. This departs from the Axis and
-// gSOAP bytes Figure 4 reproduces, which declared all four on every message;
-// readers accept either. SOAP 1.2 envelopes differ only in the envelope
-// namespace bound to the prefix.
+// and then SOAP-ENC, xsi and xsd — in that order, where the toolkits of the
+// paper's Figure 4 put them — each only when a header block or body entry
+// uses that prefix without declaring it itself: an envelope declares what its
+// content uses, and a body of untyped strings uses none of them. This departs
+// from the Axis and gSOAP bytes Figure 4 reproduces, which declared all four
+// on every message; readers accept either. SOAP 1.2 envelopes differ only in
+// the envelope namespace bound to the prefix.
 func (env *Envelope) Element() *xmldom.Element {
 	root := xmldom.NewElement(xmltext.Name{Prefix: PrefixEnvelope, Local: "Envelope"})
 	root.DeclareNamespace(PrefixEnvelope, env.Version.Namespace())
-	if slices.ContainsFunc(env.Header, usesEncoding) || slices.ContainsFunc(env.Body, usesEncoding) {
-		root.DeclareNamespace(PrefixEncoding, NSEncoding)
+	var used Decls
+	for _, el := range env.Header {
+		used |= usedDecls(el)
 	}
-	root.DeclareNamespace(PrefixXSI, NSXSI)
-	root.DeclareNamespace(PrefixXSD, NSXSD)
+	for _, el := range env.Body {
+		used |= usedDecls(el)
+	}
+	for i, d := range onDemand {
+		if used&(1<<i) != 0 {
+			root.DeclareNamespace(d.prefix, d.ns)
+		}
+	}
 	if len(env.Header) > 0 {
 		hdr := root.AddElement(xmltext.Name{Prefix: PrefixEnvelope, Local: "Header"})
 		for _, b := range env.Header {

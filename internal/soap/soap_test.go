@@ -180,25 +180,32 @@ func TestMustUnderstandHeaders(t *testing.T) {
 
 func TestFigureStyleEnvelopeShape(t *testing.T) {
 	// The root carries the declarations the paper's Figure 4 shows, in that
-	// order — SOAP-ENC among them only when the content uses the prefix.
+	// order — each but SOAP-ENV only when the content uses the prefix.
 	const (
 		envDecl = ` xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"`
 		encDecl = ` xmlns:SOAP-ENC="http://schemas.xmlsoap.org/soap/encoding/"`
-		rest    = ` xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xmlns:xsd="http://www.w3.org/2001/XMLSchema">`
+		xsiDecl = ` xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"`
+		xsdDecl = ` xmlns:xsd="http://www.w3.org/2001/XMLSchema"`
 	)
 	plain := xmldom.NewElement(xmltext.Name{Local: "Op"})
+	typed := xmldom.NewElement(xmltext.Name{Local: "Op"})
+	typed.AddElement(xmltext.Name{Local: "n"}).SetAttr(xmltext.Name{Prefix: PrefixXSI, Local: "type"}, "xsd:int")
 	array := xmldom.NewElement(xmltext.Name{Local: "Op"})
 	array.AddElement(xmltext.Name{Local: "list"}).SetAttr(xmltext.Name{Prefix: PrefixXSI, Local: "type"}, "SOAP-ENC:Array")
 	scoped := array.Clone()
 	scoped.ChildElements()[0].DeclareNamespace(PrefixEncoding, NSEncoding)
+	full := array.Clone()
+	full.ChildElements()[0].SetAttr(xmltext.Name{Prefix: PrefixEncoding, Local: "arrayType"}, "xsd:anyType[0]")
 	for _, tc := range []struct {
 		name string
 		body *xmldom.Element
 		want string
 	}{
-		{"no array", plain, envDecl + rest},
-		{"array", array, envDecl + encDecl + rest},
-		{"array declaring the prefix itself", scoped, envDecl + rest},
+		{"strings", plain, envDecl + ">"},
+		{"typed value", typed, envDecl + xsiDecl + xsdDecl + ">"},
+		{"bare array", array, envDecl + encDecl + xsiDecl + ">"},
+		{"array declaring the prefix itself", scoped, envDecl + xsiDecl + ">"},
+		{"array as soapenc writes it", full, envDecl + encDecl + xsiDecl + xsdDecl + ">"},
 	} {
 		env := New()
 		env.AddBody(tc.body)

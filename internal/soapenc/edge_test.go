@@ -85,6 +85,13 @@ func TestDecodeUnresolvablePrefixFails(t *testing.T) {
 		`<p xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="ghost:Thing">text</p>`,
 		`<p xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xmlns:xsd="http://www.w3.org/2001/XMLSchema"` +
 			` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType[1]"><item xsi:type="xsd:int">1</item></p>`,
+		// The attribute-name half: a type or nil whose own prefix is bound
+		// nowhere — what an on-demand writer that forgot to declare xsi would
+		// send — used to be skipped, and 5 came back as the string "5".
+		`<p xmlns:xsd="http://www.w3.org/2001/XMLSchema" xsi:type="xsd:int">5</p>`,
+		`<p xsi:nil="true"/>`,
+		`<p xsi:nil="false">kept</p>`,
+		`<p><n ghost:type="xsd:int">5</n></p>`,
 	} {
 		el, err := xmldom.ParseString(doc)
 		if err != nil {
@@ -105,12 +112,17 @@ func TestDecodeXsiNilVariants(t *testing.T) {
 			t.Errorf("%s decoded = %#v, %v", variant, got, err)
 		}
 	}
-	// nil="false" does not nullify.
-	doc := `<p xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:nil="false">kept</p>`
-	el, _ := xmldom.ParseString(doc)
-	got, err := Decode(el)
-	if err != nil || got != "kept" {
-		t.Errorf("nil=false decoded = %#v, %v", got, err)
+	// nil="false" does not nullify, and an unprefixed nil or type is in no
+	// namespace: somebody else's attribute.
+	for _, doc := range []string{
+		`<p xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:nil="false">kept</p>`,
+		`<p nil="true" type="xsd:int">kept</p>`,
+	} {
+		el, _ := xmldom.ParseString(doc)
+		got, err := Decode(el)
+		if err != nil || got != "kept" {
+			t.Errorf("%s decoded = %#v, %v", doc, got, err)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 // an RPC parameter can take on the wire:
 //
 //	nil        -> xsi:nil="true"
-//	string     -> xsd:string
+//	string     -> untyped leaf
 //	bool       -> xsd:boolean
 //	int64      -> xsd:int / xsd:long (narrowest that fits)
 //	float64    -> xsd:double
@@ -15,9 +15,12 @@
 //	Array      -> SOAP-ENC:Array of items
 //	*Struct    -> untyped element with named child fields
 //
-// Decoding dispatches on xsi:type; elements without one fall back to
-// structure (child elements present -> *Struct, otherwise string), which is
-// how the loosely-typed toolkits of the era behaved.
+// A value states its type only when its spelling cannot: decoding dispatches
+// on xsi:type, and an element without one is decided by structure (child
+// elements present -> *Struct, otherwise string), which is how the
+// loosely-typed toolkits of the era behaved — so the writers leave a string
+// untyped, and a message of strings uses neither the xsi nor the xsd prefix.
+// A peer's xsd:string is read as before.
 package soapenc
 
 import (
@@ -98,28 +101,12 @@ func (s *Struct) GetBool(name string) bool {
 	return b
 }
 
-// xsiType returns the xsd type name (without prefix) for a value, or ""
-// for values encoded structurally.
-func xsiType(v Value) string {
-	switch v.(type) {
-	case string:
-		return "string"
-	case bool:
-		return "boolean"
-	case float64:
-		return "double"
-	case []byte:
-		return "base64Binary"
-	case time.Time:
-		return "dateTime"
+// intType returns the narrowest xsd integer type that holds n.
+func intType(n int64) string {
+	if n >= math.MinInt32 && n <= math.MaxInt32 {
+		return "int"
 	}
-	if n, ok := v.(int64); ok {
-		if n >= math.MinInt32 && n <= math.MaxInt32 {
-			return "int"
-		}
-		return "long"
-	}
-	return ""
+	return "long"
 }
 
 var (
@@ -129,9 +116,10 @@ var (
 )
 
 // Encode appends a child element with the given name carrying v to parent.
-// The xsd and xsi prefixes must be in scope, which they are inside any
-// envelope built by package soap — as is SOAP-ENC once the envelope holds an
-// Array. It returns the new element.
+// The prefixes it uses — xsi and xsd for a typed value, SOAP-ENC for an Array,
+// none for a string — must be in scope, which they are inside any envelope
+// built by package soap: it declares what its content uses. It returns the
+// new element.
 func Encode(parent *xmldom.Element, name string, v Value) (*xmldom.Element, error) {
 	el := parent.AddElement(xmltext.Name{Local: name})
 	if err := encodeInto(el, v); err != nil {
@@ -145,13 +133,12 @@ func encodeInto(el *xmldom.Element, v Value) error {
 	case nil:
 		el.SetAttr(xsiNilAttr, "true")
 	case string:
-		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":string")
 		el.SetText(v)
 	case bool:
 		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":boolean")
 		el.SetText(strconv.FormatBool(v))
 	case int64:
-		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":"+xsiType(v))
+		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":"+intType(v))
 		el.SetText(strconv.FormatInt(v, 10))
 	case int:
 		return encodeInto(el, int64(v))
@@ -223,10 +210,15 @@ func parseDouble(s string) (float64, error) {
 func Decode(el *xmldom.Element) (Value, error) {
 	// xsi:nil
 	for _, a := range el.Attrs {
-		if a.Name.Local == "nil" && resolvesTo(el, a.Name.Prefix, soap.NSXSI) {
-			if a.Value == "true" || a.Value == "1" {
-				return nil, nil
-			}
+		if a.Name.Local != "nil" {
+			continue
+		}
+		isXSI, err := inXSI(el, a)
+		if err != nil {
+			return nil, err
+		}
+		if isXSI && (a.Value == "true" || a.Value == "1") {
+			return nil, nil
 		}
 	}
 	ts, ok, err := typeOf(el)
@@ -275,7 +267,12 @@ type typeRef struct{ ns, local string }
 // decode as a struct of items.
 func typeOf(el *xmldom.Element) (typeRef, bool, error) {
 	for _, a := range el.Attrs {
-		if a.Name.Local != "type" || !resolvesTo(el, a.Name.Prefix, soap.NSXSI) {
+		if a.Name.Local != "type" {
+			continue
+		}
+		if isXSI, err := inXSI(el, a); err != nil {
+			return typeRef{}, false, err
+		} else if !isXSI {
 			continue
 		}
 		qn := xmltext.ParseName(strings.TrimSpace(a.Value))
@@ -289,9 +286,17 @@ func typeOf(el *xmldom.Element) (typeRef, bool, error) {
 	return typeRef{}, false, nil
 }
 
-func resolvesTo(el *xmldom.Element, prefix, wantNS string) bool {
-	uri, ok := el.ResolvePrefix(prefix)
-	return ok && uri == wantNS
+// inXSI reports whether attribute a of el — a type or a nil — is in the
+// schema-instance namespace. A prefix bound nowhere is an error, the
+// attribute-name half of typeOf's rule: an xsi:type="xsd:int" whose envelope
+// forgot to declare xsi would otherwise decode as the string it annotates.
+func inXSI(el *xmldom.Element, a xmltext.Attr) (bool, error) {
+	uri, ok := el.ResolvePrefix(a.Name.Prefix)
+	if !ok && a.Name.Prefix != "" {
+		return false, fmt.Errorf("soapenc: attribute %s on <%s>: prefix %q is not bound to a namespace",
+			a.Name, el.Name.Local, a.Name.Prefix)
+	}
+	return ok && uri == soap.NSXSI, nil
 }
 
 func decodeXSD(el *xmldom.Element, local string) (Value, error) {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/soap"
 	"repro/internal/xmltext"
 )
 
@@ -18,9 +19,10 @@ import (
 var nameItem = xmltext.Name{Local: "item"}
 
 // EncodeTo emits `<name>` carrying v into em, byte-identical to Encode
-// followed by serialization. The xsd and xsi prefixes must be in scope at the
-// insertion point, as inside any SOAP envelope; an Array marks em so that
-// whoever frames the document (soap.StreamEncoder.Finish) declares SOAP-ENC.
+// followed by serialization. Every prefix it writes it also marks on em —
+// xsi and xsd for a typed value, xsi for nil, SOAP-ENC besides for an Array,
+// none for a string — so that whoever frames the document
+// (soap.StreamEncoder.Finish) declares exactly those.
 func EncodeTo(em *xmltext.Emitter, name string, v Value) error {
 	return encodeTo(em, xmltext.Name{Local: name}, v)
 }
@@ -53,12 +55,13 @@ func encodeTo(em *xmltext.Emitter, name xmltext.Name, v Value) error {
 	em.Start(name)
 	switch v := v.(type) {
 	case nil:
-		em.Attr(xsiNilAttr, "true")
+		writeNil(em)
 	case string:
-		em.Attr(xsiTypeAttr, "xsd:string")
+		// A value states its type only when its spelling cannot: every reader
+		// takes an untyped leaf for a string.
 		em.Text(v)
 	case bool:
-		em.Attr(xsiTypeAttr, "xsd:boolean")
+		writeType(em, "xsd:boolean")
 		if v {
 			em.RawString("true")
 		} else {
@@ -66,23 +69,24 @@ func encodeTo(em *xmltext.Emitter, name xmltext.Name, v Value) error {
 		}
 	case int64:
 		if v >= math.MinInt32 && v <= math.MaxInt32 {
-			em.Attr(xsiTypeAttr, "xsd:int")
+			writeType(em, "xsd:int")
 		} else {
-			em.Attr(xsiTypeAttr, "xsd:long")
+			writeType(em, "xsd:long")
 		}
 		em.Raw(strconv.AppendInt(tmp[:0], v, 10))
 	case float64:
-		em.Attr(xsiTypeAttr, "xsd:double")
+		writeType(em, "xsd:double")
 		em.Raw(AppendDouble(tmp[:0], v))
 	case []byte:
-		em.Attr(xsiTypeAttr, "xsd:base64Binary")
+		writeType(em, "xsd:base64Binary")
 		base64.StdEncoding.Encode(em.Extend(base64.StdEncoding.EncodedLen(len(v))), v)
 	case time.Time:
-		em.Attr(xsiTypeAttr, "xsd:dateTime")
+		writeType(em, "xsd:dateTime")
 		em.Raw(v.UTC().AppendFormat(tmp[:0], time.RFC3339Nano))
 	case Array:
-		em.Mark() // the one user of SOAP-ENC: the Envelope declares it on demand
-		em.Attr(xsiTypeAttr, "SOAP-ENC:Array")
+		em.Mark(soap.DeclEncoding)
+		writeType(em, "SOAP-ENC:Array") // arrayType below is the xsd: QName
+
 		at := append(tmp[:0], "xsd:anyType["...)
 		at = strconv.AppendInt(at, int64(len(v)), 10)
 		at = append(at, ']')
@@ -94,7 +98,7 @@ func encodeTo(em *xmltext.Emitter, name xmltext.Name, v Value) error {
 		}
 	case *Struct:
 		if v == nil {
-			em.Attr(xsiNilAttr, "true")
+			writeNil(em)
 			break
 		}
 		for _, f := range v.Fields {
@@ -110,6 +114,17 @@ func encodeTo(em *xmltext.Emitter, name xmltext.Name, v Value) error {
 	}
 	em.End()
 	return nil
+}
+
+// writeType writes xsi:type and marks the two prefixes a typed value uses.
+func writeType(em *xmltext.Emitter, qname string) {
+	em.Mark(soap.DeclXSI | soap.DeclXSD)
+	em.Attr(xsiTypeAttr, qname)
+}
+
+func writeNil(em *xmltext.Emitter) {
+	em.Mark(soap.DeclXSI)
+	em.Attr(xsiNilAttr, "true")
 }
 
 // AppendDouble is formatDouble in append form, exported for template

@@ -196,23 +196,27 @@ func BenchmarkEncodeParamsToStream(b *testing.B) {
 	}
 }
 
-// TestArrayMarksEmitter: the array branch is the one user of the SOAP-ENC
-// prefix, and it says so on the emitter, so the envelope encoder framing the
-// document knows to declare it; nothing else does.
+// TestArrayMarksEmitter: a value marks on the emitter exactly the prefixes it
+// wrote — a string none, nil xsi, a typed scalar xsi and xsd, an array all
+// three — so the envelope encoder framing the document knows what to declare.
 func TestArrayMarksEmitter(t *testing.T) {
+	typed := soap.DeclXSI | soap.DeclXSD
 	for _, tc := range []struct {
 		v    Value
-		want bool
+		want soap.Decls
 	}{
-		{"text", false}, {int64(1), false}, {NewStruct(F("k", "v")), false}, {nil, false},
-		{Array{}, true}, {NewStruct(F("k", Array{"deep"})), true},
+		{"text", 0}, {"", 0}, {NewStruct(F("k", "v")), 0}, {NewStruct(), 0},
+		{nil, soap.DeclXSI}, {(*Struct)(nil), soap.DeclXSI}, {NewStruct(F("k", nil)), soap.DeclXSI},
+		{int64(1), typed}, {int64(math.MaxInt64), typed}, {true, typed}, {2.5, typed}, {[]byte("b"), typed},
+		{time.Unix(0, 0), typed}, {NewStruct(F("k", "v"), F("n", 1)), typed},
+		{Array{}, typed | soap.DeclEncoding}, {NewStruct(F("k", Array{"deep"})), typed | soap.DeclEncoding},
 	} {
 		em := xmltext.AcquireEmitter()
 		if err := EncodeTo(em, "p", tc.v); err != nil {
 			t.Fatal(err)
 		}
 		if em.Marked() != tc.want {
-			t.Errorf("%#v: emitter marked = %v, want %v", tc.v, em.Marked(), tc.want)
+			t.Errorf("%#v: emitter marked %03b, want %03b (bits: SOAP-ENC, xsi, xsd)", tc.v, em.Marked(), tc.want)
 		}
 		xmltext.ReleaseEmitter(em)
 	}

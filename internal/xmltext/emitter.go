@@ -21,9 +21,15 @@ type Emitter struct {
 	buf    []byte
 	stack  []Name
 	inOpen bool
-	marked bool
+	marks  Marks
 	err    error
 }
+
+// Marks is a small set of notes, one bit each, that a body writer leaves on
+// an Emitter for whoever frames the document. The bits mean what writer and
+// framer agree they mean: package soap names one per namespace prefix an
+// Envelope declares only on demand.
+type Marks uint8
 
 // maxPooledEmitter caps the buffer capacity retained by the pool, so one
 // pathological response does not pin a huge buffer forever.
@@ -56,19 +62,19 @@ func (e *Emitter) Reset() {
 	e.buf = e.buf[:0]
 	e.stack = e.stack[:0]
 	e.inOpen = false
-	e.marked = false
+	e.marks = 0
 	e.err = nil
 }
 
-// Mark leaves a one-bit note on the document for whoever frames it: a body
-// writer that used something its enclosing scope must declare sets it, and
-// the framer reads it back with Marked once the body is written. Package
-// soap uses it for the SOAP-ENC prefix, which an Envelope declares only when
-// an array encoder (or a spliced reply that relied on it) asked for it.
-func (e *Emitter) Mark() { e.marked = true }
+// Mark adds m to the notes on the document: a body writer that used something
+// its enclosing scope must declare says so, and the framer reads the union
+// back with Marked once the body is written. Package soap uses it for the
+// SOAP-ENC, xsi and xsd prefixes, each of which an Envelope declares only
+// when a typed value (or a spliced reply that relied on it) asked for it.
+func (e *Emitter) Mark(m Marks) { e.marks |= m }
 
-// Marked reports whether Mark was called since the last Reset.
-func (e *Emitter) Marked() bool { return e.marked }
+// Marked returns everything marked since the last Reset.
+func (e *Emitter) Marked() Marks { return e.marks }
 
 // Err returns the first error encountered, if any.
 func (e *Emitter) Err() error { return e.err }

@@ -339,22 +339,24 @@ func BenchmarkEmitterEnvelope(b *testing.B) {
 	}
 }
 
-// TestEmitterMark: the framing note survives whatever is emitted after it
-// and a pooled emitter comes back without it.
+// TestEmitterMark: the framing notes accumulate, survive whatever is emitted
+// after them, and a pooled emitter comes back without them.
 func TestEmitterMark(t *testing.T) {
 	e := AcquireEmitter()
-	if e.Marked() {
+	if e.Marked() != 0 {
 		t.Fatal("fresh emitter is marked")
 	}
 	e.Start(Name{Local: "a"})
-	e.Mark()
+	e.Mark(1)
+	e.Mark(4)
+	e.Mark(1)
 	e.End()
-	if !e.Marked() || string(e.Bytes()) != "<a/>" {
-		t.Fatalf("marked = %v, bytes %q", e.Marked(), e.Bytes())
+	if e.Marked() != 5 || string(e.Bytes()) != "<a/>" {
+		t.Fatalf("marked = %b, bytes %q", e.Marked(), e.Bytes())
 	}
 	ReleaseEmitter(e)
-	if e = AcquireEmitter(); e.Marked() {
-		t.Fatal("mark survived the pool")
+	if e = AcquireEmitter(); e.Marked() != 0 {
+		t.Fatal("marks survived the pool")
 	}
 	ReleaseEmitter(e)
 }
