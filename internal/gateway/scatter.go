@@ -258,8 +258,17 @@ type resultSink interface {
 // Fail — before sendShard returns.
 func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterRequest, shard []*core.ScatterEntry, col resultSink) {
 	// assign reserved these entries on b; release from whichever backend
-	// holds the reservation when the shard resolves (failover moves it).
-	defer func() { b.entriesInflight.Add(int64(-len(shard))) }()
+	// holds the reservation (failover moves it) once the shard's outcome is
+	// known and before its slots resolve: the slots resolving is what lets
+	// the response go, and the next request's assign must not still see it.
+	reserved := true
+	release := func() {
+		if reserved {
+			reserved = false
+			b.entriesInflight.Add(int64(-len(shard)))
+		}
+	}
+	defer release()
 	doc, err := core.BuildSubBatch(sr.Version, sr.Headers, shard)
 	if err != nil {
 		f := soap.ServerFault("building sub-batch: %v", err)
@@ -279,6 +288,7 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 		reply, err := g.exchange(ctx, b, sr, doc, len(shard))
 		if err == nil {
 			b.noteSuccess()
+			release()
 			col.AddHeader(b.index, reply.RawHeader)
 			col.Declare(reply.Decls)
 			for k, e := range shard {
@@ -287,15 +297,9 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 			return
 		}
 		b.noteFailure(g.cfg.FailureThreshold, g.cfg.ReprobeAfter)
-		if attempt >= attempts || ctx.Err() != nil || !core.RetryableError(err, idem) {
-			for _, e := range shard {
-				sf := shardFault(ctx, e, err)
-				g.faultCodes.NoteSOAP(sf)
-				col.Fail(e.Slot, sf)
-			}
-			return
-		}
-		if sleepCtx(ctx, p.Backoff(attempt)) != nil {
+		if attempt >= attempts || ctx.Err() != nil || !core.RetryableError(err, idem) ||
+			sleepCtx(ctx, p.Backoff(attempt)) != nil {
+			release()
 			for _, e := range shard {
 				sf := shardFault(ctx, e, err)
 				g.faultCodes.NoteSOAP(sf)

@@ -329,3 +329,19 @@ func BenchmarkStreamEncodePacked16(b *testing.B) {
 		enc.Release()
 	}
 }
+
+// TestTagDecls: the gateway's reading of a backend reply's Envelope tag finds
+// exactly the on-demand declarations it makes, wherever they sit among the
+// others, and allocates nothing doing so.
+func TestTagDecls(t *testing.T) {
+	const env = `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + NSEnvelope + `"`
+	for set := Decls(0); set <= allDecls; set++ {
+		tag := []byte(env + declText[set] + ` xmlns:m="urn:spi:Echo" xmlns:xsdx="urn:not-xsd"`)
+		if got := TagDecls(tag); got != set {
+			t.Errorf("%s: read %03b, want %03b", tag, got, set)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { TagDecls(tag) }); allocs != 0 {
+			t.Errorf("%s: %v allocations", tag, allocs)
+		}
+	}
+}

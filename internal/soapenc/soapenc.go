@@ -101,12 +101,13 @@ func (s *Struct) GetBool(name string) bool {
 	return b
 }
 
-// intType returns the narrowest xsd integer type that holds n.
+// intType returns the QName of the narrowest xsd integer type that holds n,
+// for both writers.
 func intType(n int64) string {
 	if n >= math.MinInt32 && n <= math.MaxInt32 {
-		return "int"
+		return soap.PrefixXSD + ":int"
 	}
-	return "long"
+	return soap.PrefixXSD + ":long"
 }
 
 var (
@@ -138,7 +139,7 @@ func encodeInto(el *xmldom.Element, v Value) error {
 		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":boolean")
 		el.SetText(strconv.FormatBool(v))
 	case int64:
-		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":"+intType(v))
+		el.SetAttr(xsiTypeAttr, intType(v))
 		el.SetText(strconv.FormatInt(v, 10))
 	case int:
 		return encodeInto(el, int64(v))

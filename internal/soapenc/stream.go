@@ -68,11 +68,7 @@ func encodeTo(em *xmltext.Emitter, name xmltext.Name, v Value) error {
 			em.RawString("false")
 		}
 	case int64:
-		if v >= math.MinInt32 && v <= math.MaxInt32 {
-			writeType(em, "xsd:int")
-		} else {
-			writeType(em, "xsd:long")
-		}
+		writeType(em, intType(v))
 		em.Raw(strconv.AppendInt(tmp[:0], v, 10))
 	case float64:
 		writeType(em, "xsd:double")
@@ -86,7 +82,6 @@ func encodeTo(em *xmltext.Emitter, name xmltext.Name, v Value) error {
 	case Array:
 		em.Mark(soap.DeclEncoding)
 		writeType(em, "SOAP-ENC:Array") // arrayType below is the xsd: QName
-
 		at := append(tmp[:0], "xsd:anyType["...)
 		at = strconv.AppendInt(at, int64(len(v)), 10)
 		at = append(at, ']')
