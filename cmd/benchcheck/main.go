@@ -272,6 +272,64 @@ func main() {
 			}
 		}
 	}))
+	add(measure("client/encode-batch-16-signed", func(b *testing.B) {
+		// The same Send from a client with a header provider, one that makes
+		// nothing: what is left beside the row above is handing the provider
+		// the body and framing its block in front of it.
+		client, err := core.NewClient(core.ClientConfig{
+			Dial:            func() (net.Conn, error) { return &faultConn{}, nil },
+			KeepAlive:       true,
+			HeaderProviders: []core.HeaderProvider{fixedProvider{}},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
+		arg := soapenc.F("data", strings.Repeat("a", 10))
+		var f *soap.Fault
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			batch := client.NewBatch()
+			for j := 0; j < 16; j++ {
+				batch.Add("Echo", "echo", arg)
+			}
+			if err := batch.Send(); !errors.As(err, &f) {
+				b.Fatalf("want the canned fault, got %v", err)
+			}
+		}
+	}))
+	// The server's two whole-message answers: one single call through
+	// HandleHTTP on the staged server (decode, one application-stage hand-off,
+	// the response document), and a whole-message fault rendered on its own.
+	{
+		env, err := bench.NewEnv(bench.EnvOptions{})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchcheck: starting a server: %v\n", err)
+			os.Exit(1)
+		}
+		single := []byte(`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + soap.NSEnvelope + `"><SOAP-ENV:Body>` +
+			`<m:echo xmlns:m="urn:spi:Echo"><data>` + strings.Repeat("a", 10) + `</data></m:echo></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+		add(measure("core/handle-single-echo", func(b *testing.B) {
+			ctx := context.Background()
+			req := httpx.NewRequest("POST", "/services/Echo", single)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resp := env.Server.HandleHTTP(ctx, req)
+				if resp.StatusCode != 200 {
+					b.Fatalf("HTTP %d: %s", resp.StatusCode, resp.Body)
+				}
+				resp.Release()
+			}
+		}))
+		env.Close()
+	}
+	add(measure("core/fault-response", func(b *testing.B) {
+		f := soap.ClientFault("expected exactly one body entry, got %d", 2)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.GatewayFaultResponse(f, soap.V11).Release()
+		}
+	}))
 	// The gateway's two hops for the 16-entry request a Batch sends, cut for
 	// two round-robin backends: the sub-batch it writes for one of them, that
 	// document through a backend's decode walk, the backend's reply split
@@ -828,6 +886,19 @@ func (*faultConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
 func (*faultConn) SetDeadline(time.Time) error      { return nil }
 func (*faultConn) SetReadDeadline(time.Time) error  { return nil }
 func (*faultConn) SetWriteDeadline(time.Time) error { return nil }
+
+// fixedProvider is a header provider that makes nothing: the same block for
+// every message.
+type fixedProvider struct{}
+
+var fixedBlock = func() []*xmldom.Element {
+	h := xmldom.NewElement(xmltext.Name{Prefix: "t", Local: "Token"})
+	h.DeclareNamespace("t", "urn:bench:token")
+	h.SetText("fixed")
+	return []*xmldom.Element{h}
+}()
+
+func (fixedProvider) MakeHeaders([]byte) ([]*xmldom.Element, error) { return fixedBlock, nil }
 
 // sampleEnvelope serializes a packed envelope with n echo entries.
 func sampleEnvelope(n int) []byte {
