@@ -3,15 +3,15 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults docs-check
+.PHONY: check build vet test race race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter docs-check
 
 ## check: the full gate — build, vet, race-enabled shuffled tests, the
 ## lock-free latency recorder under -race, pool-lifecycle tests under
 ## -race, the gateway differential/chaos suite under -race, the cluster
 ## control-plane tier under -race, the transport tier (pipelining + C10k
 ## soak) under -race, the dispatch-pipeline parity suite under -race, the
-## encode-path escape audit, the docs link audit, and the allocation gate vs
-## the recorded baseline.
+## encode-path escape audit, the fault-literal and one-writer audits, the docs
+## link audit, and the allocation gate vs the recorded baseline.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -24,6 +24,7 @@ check:
 	$(MAKE) race-streamfeatures
 	$(MAKE) vet-escapes
 	$(MAKE) vet-faults
+	$(MAKE) vet-onewriter
 	$(MAKE) docs-check
 	$(MAKE) bench-gate
 
@@ -115,7 +116,7 @@ bench-check:
 	$(GO) run ./cmd/benchcheck
 
 ## bench-gate: fail if a key benchmark's allocs/op or bytes/op grew past the
-## tolerance vs BENCH_pr17.json, the one baseline, recorded on the box the gate
+## tolerance vs BENCH_pr18.json, the one baseline, recorded on the box the gate
 ## runs on. Both counts repeat from run to run; ns/op is printed beside them
 ## and not judged — on the shared 2-vCPU box it moves by half between minutes
 ## with no code change, and the gate failed five runs in a row on untouched
@@ -123,7 +124,7 @@ bench-check:
 ## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr17.json -tolerance 35
+		-baseline BENCH_pr18.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:
@@ -158,3 +159,21 @@ vet-faults:
 		exit 1; \
 	fi; \
 	echo "vet-faults: fault-code literals confined to internal/fault"
+
+## vet-onewriter: the one-body-writer audit. Every document internal/core
+## sends is streamed by the entry writers (appendRequestEntry,
+## appendResponseEntry, Fault.AppendElementFor) into a pooled emitter; nothing
+## on a message path builds a tree to serialise it. The soap package's DOM API
+## stays for the control plane and as its own parity reference — this keeps a
+## second writer from growing back in core. Tests are exempt (they build
+## documents by hand on purpose).
+vet-onewriter:
+	@out=$$(grep -nE 'xmldom\.NewElement|\.AddElement\(|soap\.New\(\)|EnvelopeFor|WriteEnvelope' \
+		internal/core/*.go 2>/dev/null | grep -v '_test\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "vet-onewriter: internal/core builds a tree to serialise it:"; \
+		echo "$$out"; \
+		echo "stream the entry into the emitter instead (see assemble.go)"; \
+		exit 1; \
+	fi; \
+	echo "vet-onewriter: internal/core writes every body through the streamed entry writers"

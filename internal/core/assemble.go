@@ -98,30 +98,42 @@ func (a *packedAssembler) drain(col *streamCollector, serviceNS func(service str
 	}
 }
 
-// encodeEntry writes one response entry: a per-item fault, or
-// <m:opResponse spi:id="..">, xmlns:m in front where the service's namespace
-// is not the batch default. Every entry carries spi:id: clients route by it.
+// encodeEntry writes one response entry: a per-item fault, or the operation's
+// response under the batch default. Every entry carries spi:id: clients route
+// by it.
 func (a *packedAssembler) encodeEntry(r *rpcResult, serviceNS func(service string) string) error {
 	if r.fault != nil {
 		a.fault(r.id, r.fault)
 		return nil
 	}
 	start := time.Now()
+	err := appendResponseEntry(a.em, r, serviceNS(r.service), a.defaultNS, r.id)
+	a.encDur += time.Since(start)
+	return err
+}
+
+// appendResponseEntry streams <m:opResponse> with r's results — the one writer
+// of every operation response this server sends. xmlns:m goes in front where
+// ns is not the default in scope, then spi:id unless id is negative. A single
+// call's response is the degenerate case, as in appendRequestEntry: no default
+// and no id, since there is no batch to route within.
+func appendResponseEntry(em *xmltext.Emitter, r *rpcResult, ns, defaultNS string, id int) error {
 	var tmp [24]byte
 	var local [96]byte
 	op := append(local[:0], r.op...)
 	op = append(op, "Response"...)
-	a.em.Start(xmltext.Name{Prefix: "m", Local: xmltext.Intern(op)})
-	if ns := serviceNS(r.service); ns != a.defaultNS {
-		a.em.Attr(nameXmlnsM, ns)
+	em.Start(xmltext.Name{Prefix: "m", Local: xmltext.Intern(op)})
+	if ns != defaultNS {
+		em.Attr(nameXmlnsM, ns)
 	}
-	a.em.AttrRaw(attrID, strconv.AppendInt(tmp[:0], int64(r.id), 10))
-	err := soapenc.EncodeParamsTo(a.em, r.results)
-	if err == nil {
-		a.em.End()
+	if id >= 0 {
+		em.AttrRaw(attrID, strconv.AppendInt(tmp[:0], int64(id), 10))
 	}
-	a.encDur += time.Since(start)
-	return err
+	if err := soapenc.EncodeParamsTo(em, r.results); err != nil {
+		return err
+	}
+	em.End()
+	return nil
 }
 
 // fault writes a per-item fault entry. Per-item faults use the SOAP 1.1
@@ -150,15 +162,25 @@ func (a *packedAssembler) finish(v soap.Version, headers []*xmldom.Element, rawH
 		return nil, err
 	}
 	enc := soap.NewStreamEncoder()
+	frameFragment(enc, v, headers, rawHeader, a.em)
+	a.release()
+	return encodedResponse(200, v, enc)
+}
+
+// frameFragment opens in enc the envelope around a finished body fragment:
+// the header blocks — elements, or bytes already serialized — then the
+// fragment's bytes, and whatever on-demand declarations its writer marked for
+// Finish to make. The server frames a Parallel_Response this way once the
+// handlers' header blocks are known, a client with header providers its
+// request body once they have signed it.
+func frameFragment(enc *soap.StreamEncoder, v soap.Version, headers []*xmldom.Element, rawHeader []byte, frag *xmltext.Emitter) {
 	if rawHeader != nil {
 		enc.BeginRawHeader(v, rawHeader)
 	} else {
 		enc.Begin(v, headers)
 	}
-	enc.Emitter().Mark(a.em.Marked())
-	enc.Emitter().Raw(a.em.Bytes())
-	a.release()
-	return encodedResponse(200, v, enc)
+	enc.Emitter().Mark(frag.Marked())
+	enc.Emitter().Raw(frag.Bytes())
 }
 
 // encodedResponse finishes enc's document as the body of an HTTP response in

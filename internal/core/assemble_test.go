@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,10 +17,10 @@ import (
 )
 
 // These tests pin the DOM-free encode paths byte-identical to the buffered
-// DOM paths they replace: the streamed Parallel_Response assembler against
-// buildPackedResponse (under randomized worker completion orders), the
-// streamed packed request against buildPackedRequest, and the full streamed
-// server response against the buffered server's bytes end to end.
+// DOM paths they replaced: the streamed Parallel_Response assembler against
+// buildPackedResponse (under randomized worker completion orders), and the
+// full streamed server response against the buffered server's bytes end to
+// end.
 
 // buildPackedResponse is the assembler's oracle: the Parallel_Response
 // element built as a tree — the server-side assembler of §3.4 as the server
@@ -196,15 +193,15 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 	wg.Wait()
 }
 
-// requestShapes are the batches the request-framing tests encode: what a
+// requestShapes are the batches whose request documents testdata/wire/ pins
+// (TestRequestDocumentGoldens): what a
 // batch shares (namespace, service) is hoisted onto Parallel_Method, so the
 // interesting axes are how much is shared and who sets the default.
 var requestShapes = []struct {
 	name  string
-	wire  bool // pinned under testdata/wire/
 	calls func() []batchEntry
 }{
-	{"echo16", true, func() []batchEntry {
+	{"echo16", func() []batchEntry {
 		// Figure 5's regime: one service, one operation, sixteen times.
 		calls := make([]batchEntry, 16)
 		for i := range calls {
@@ -213,7 +210,7 @@ var requestShapes = []struct {
 		}
 		return calls
 	}},
-	{"travel", true, func() []batchEntry {
+	{"travel", func() []batchEntry {
 		// The travel agent's step 1 and 3 queries in one message: every
 		// entry a different service, so every entry but the first overrides.
 		var calls []batchEntry
@@ -227,7 +224,7 @@ var requestShapes = []struct {
 		}
 		return calls
 	}},
-	{"mixed", false, func() []batchEntry {
+	{"mixed", func() []batchEntry {
 		return []batchEntry{
 			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "x<y&z\""), soapenc.F("n", int64(9))}},
 			{service: "WeatherService", op: "GetWeather", params: []soapenc.Field{soapenc.F("CityName", "São Paulo")}},
@@ -235,17 +232,17 @@ var requestShapes = []struct {
 			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("blob", []byte("raw\x00bytes")), soapenc.F("flag", false)}},
 		}
 	}},
-	{"array", false, func() []batchEntry {
+	{"array", func() []batchEntry {
 		// The one value that needs xmlns:SOAP-ENC on the Envelope.
 		return []batchEntry{
 			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "plain")}},
 			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("list", soapenc.Array{int64(1), "two", soapenc.Array{}})}},
 		}
 	}},
-	{"solo", false, func() []batchEntry {
+	{"solo", func() []batchEntry {
 		return []batchEntry{{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "alone")}}}
 	}},
-	{"odd-first", false, func() []batchEntry {
+	{"odd-first", func() []batchEntry {
 		// The first entry sets the default, so an outlier in front makes
 		// every other entry override it.
 		return []batchEntry{
@@ -254,104 +251,13 @@ var requestShapes = []struct {
 			{service: "Echo", op: "echo", params: []soapenc.Field{soapenc.F("msg", "b")}},
 		}
 	}},
-	{"shared-namespace", false, func() []batchEntry {
+	{"shared-namespace", func() []batchEntry {
 		// Two services under one namespace (Define): only spi:service varies.
 		return []batchEntry{
 			{service: "EchoA", op: "echo", params: []soapenc.Field{soapenc.F("msg", "a")}},
 			{service: "EchoB", op: "echo", params: []soapenc.Field{soapenc.F("msg", "b")}},
 		}
 	}},
-}
-
-// framingClient returns a client that never dials, for encoding requests.
-func framingClient(t *testing.T, v soap.Version) *Client {
-	t.Helper()
-	c, err := NewClient(ClientConfig{
-		Dial:   func() (net.Conn, error) { return nil, errors.New("framing client does not dial") },
-		SOAP12: v == soap.V12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Define("WeatherService", "urn:weather:v2")
-	c.Define("EchoA", "urn:shared")
-	c.Define("EchoB", "urn:shared")
-	return c
-}
-
-// TestStreamRequestDocParity pins the client's one request-entry writer —
-// appendRequestEntry under Batch.encodeRequest and under the single-call
-// path — to the bytes of its DOM twin (buildPackedRequest /
-// encodeRequestElement wrapped in an Envelope) for every batch shape in
-// both envelope versions, and the documents marked wire to the request
-// goldens under testdata/wire/.
-func TestStreamRequestDocParity(t *testing.T) {
-	for _, v := range []soap.Version{soap.V11, soap.V12} {
-		client := framingClient(t, v)
-		for _, shape := range requestShapes {
-			b := client.NewBatch()
-			for _, c := range shape.calls() {
-				b.Add(c.service, c.op, c.params...)
-			}
-			doc, release, err := b.encodeRequest(context.Background(), client.packTarget())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pm, err := buildPackedRequest(b.entries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env := soap.New()
-			env.Version = v
-			env.Body = []*xmldom.Element{pm}
-			var buf bytes.Buffer
-			if err := env.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if string(doc) != buf.String() {
-				t.Errorf("%v/%s: packed request diverges:\nstreamed: %s\nbuffered: %s", v, shape.name, doc, buf.Bytes())
-			}
-			if bytes.Contains(doc, []byte("spi:id")) {
-				t.Errorf("%v/%s: a Batch wrote a correlation id: %s", v, shape.name, doc)
-			}
-			if declares := bytes.Contains(doc, []byte(readerEncDecl)); declares != (shape.name == "array") || bytes.HasPrefix(doc, []byte("<?xml")) {
-				t.Errorf("%v/%s: declares SOAP-ENC: %v; or leads with an XML declaration: %.80s", v, shape.name, declares, doc)
-			}
-			if shape.wire {
-				testdataGolden(t, "wire", shape.name+"_"+corpusSuffix(v), doc)
-			}
-			release()
-		}
-
-		// Single-call path: the same writer with nothing to inherit.
-		call := batchEntry{ns: "urn:spi:Echo", op: "echo",
-			params: []soapenc.Field{soapenc.F("msg", "x<y&z\""), soapenc.F("n", int64(9))}}
-		enc := soap.NewStreamEncoder()
-		enc.Begin(v, nil)
-		if err := appendRequestEntry(enc.Emitter(), &call, &batchEntry{}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := enc.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		el, err := encodeRequestElement(call.ns, call.op, call.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		denv := soap.New()
-		denv.Version = v
-		denv.Body = []*xmldom.Element{el}
-		var buf bytes.Buffer
-		if err := denv.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != buf.String() {
-			t.Errorf("single request (%v) diverges:\nstreamed: %s\nbuffered: %s", v, got, buf.Bytes())
-		}
-		testdataGolden(t, "wire", "single_"+corpusSuffix(v), got)
-		enc.Release()
-	}
 }
 
 // TestStreamResponseParityE2E posts packed requests and requires the bytes

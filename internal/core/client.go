@@ -34,8 +34,10 @@ const HeaderDeadline = "SPI-Deadline"
 const HeaderTrace = "SPI-Trace"
 
 // HeaderProvider contributes header blocks to outgoing envelopes — the
-// client-side extension point WS-Security plugs into. body is the canonical
-// serialization of the body entries, available for signing.
+// client-side extension point WS-Security plugs into. body is the wire bytes
+// of the body entries, exactly as the document about to be posted carries
+// them, available for signing. It is valid only during the call. MakeHeaders
+// runs once per attempt, so a retry goes out under fresh blocks.
 type HeaderProvider interface {
 	MakeHeaders(body []byte) ([]*xmldom.Element, error)
 }
@@ -280,9 +282,14 @@ func (c *Client) CallCtx(ctx context.Context, service, op string, params ...soap
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.CallTimeout)
 		defer cancel()
 	}
+	req, err := c.newCallRequest(ctx, service, op, params)
+	if err != nil {
+		return nil, err
+	}
+	defer req.release()
 	var results []soapenc.Field
-	err := c.withRetry(ctx, c.isIdempotent(service, op), func() error {
-		r, rerr := c.callOnce(ctx, service, op, params)
+	err = c.withRetry(ctx, c.isIdempotent(service, op), func() error {
+		r, rerr := c.callOnce(ctx, &req, service, op)
 		results = r
 		return rerr
 	})
@@ -296,38 +303,8 @@ func (c *Client) CallCtx(ctx context.Context, service, op string, params ...soap
 // callOnce performs one attempt of a single-message call. The response is
 // decoded from a pooled arena released before return; everything handed to
 // the caller (decoded params, detached faults) is copied off it by then.
-func (c *Client) callOnce(ctx context.Context, service, op string, params []soapenc.Field) ([]soapenc.Field, error) {
-	target := c.cfg.PathPrefix + service
-	tr := c.cfg.Tracer
-
-	var respEnv *soap.Envelope
-	var release func()
-	var err error
-	if c.templates != nil {
-		// Template-cache fast path: splice values into the cached
-		// serialized envelope on a pooled emitter, skipping DOM
-		// construction and the render copy entirely.
-		packStart := tr.Now()
-		em := xmltext.AcquireEmitter()
-		ok, terr := c.templates.RenderTo(em, service, c.NamespaceOf(service), op, params)
-		if terr != nil {
-			xmltext.ReleaseEmitter(em)
-			return nil, fmt.Errorf("core: template for %s.%s: %w", service, op, terr)
-		}
-		if ok {
-			if tr.Enabled() {
-				tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientPack,
-					ID: -1, Op: service + "." + op, Start: packStart, Service: time.Since(packStart)})
-			}
-			respEnv, release, err = c.postPooled(ctx, target, em.Bytes())
-			xmltext.ReleaseEmitter(em)
-		} else {
-			xmltext.ReleaseEmitter(em)
-			respEnv, release, err = c.exchangeCall(ctx, target, service, op, params)
-		}
-	} else {
-		respEnv, release, err = c.exchangeCall(ctx, target, service, op, params)
-	}
+func (c *Client) callOnce(ctx context.Context, req *request, service, op string) ([]soapenc.Field, error) {
+	respEnv, release, err := c.post(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -342,6 +319,7 @@ func (c *Client) callOnce(ctx context.Context, service, op string, params []soap
 	if len(respEnv.Body) != 1 {
 		return nil, fmt.Errorf("core: response has %d body entries", len(respEnv.Body))
 	}
+	tr := c.cfg.Tracer
 	unpackStart := tr.Now()
 	results, err := soapenc.DecodeParams(respEnv.Body[0])
 	if tr.Enabled() {
@@ -362,43 +340,115 @@ func (c *Client) traceCtx(ctx context.Context) context.Context {
 	return trace.NewContext(ctx, tr.Begin())
 }
 
-// exchangeCall serializes one RPC request. Without header providers the
-// request document streams straight into a pooled buffer — no DOM is
-// built; with them it falls back to the DOM path, which providers need
-// for the canonical body serialization.
-func (c *Client) exchangeCall(ctx context.Context, target, service, op string, params []soapenc.Field) (*soap.Envelope, func(), error) {
-	if len(c.cfg.HeaderProviders) > 0 {
-		reqEl, err := encodeRequestElement(c.NamespaceOf(service), op, params)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: encoding %s.%s: %w", service, op, err)
-		}
-		return c.exchange(ctx, target, []*xmldom.Element{reqEl})
-	}
-	packStart := c.cfg.Tracer.Now()
-	enc := soap.NewStreamEncoder()
-	enc.Begin(c.version(), nil)
-	call := batchEntry{ns: c.NamespaceOf(service), op: op, params: params}
-	if err := appendRequestEntry(enc.Emitter(), &call, &batchEntry{}); err != nil {
-		enc.Release()
-		return nil, nil, fmt.Errorf("core: encoding %s.%s: %w", service, op, err)
-	}
-	return c.postEncoded(ctx, target, enc, packStart)
+// request is one request document of this client: its body is written once,
+// by the entry writers, and posted as often as the retry policy asks. A
+// client without header providers writes the body straight into the envelope,
+// so the document is done when the body is. With providers the body goes to a
+// fragment of its own — its bytes are what they sign, and their blocks precede
+// it on the wire — and every attempt frames that fragment under blocks made
+// for it: a nonce is good for one message.
+type request struct {
+	target string
+	enc    *soap.StreamEncoder
+	body   *xmltext.Emitter // the fragment providers sign; nil without providers
+	doc    []byte           // the finished document, in enc's buffer
 }
 
-// postEncoded finishes the request document in enc, records the client.pack
-// stage that began at packStart (when tracing is on), posts the document and
-// recycles enc.
-func (c *Client) postEncoded(ctx context.Context, target string, enc *soap.StreamEncoder, packStart time.Time) (*soap.Envelope, func(), error) {
-	defer enc.Release()
-	doc, err := enc.Finish()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: encoding envelope: %w", err)
+// release recycles the request's buffers; doc is invalid from then on.
+func (r *request) release() {
+	r.enc.Release()
+	xmltext.ReleaseEmitter(r.body)
+}
+
+// newRequest encodes a request bound for target, whose body entries write
+// streams. The caller releases it.
+func (c *Client) newRequest(ctx context.Context, target string, write func(em *xmltext.Emitter) error) (request, error) {
+	packStart := c.cfg.Tracer.Now()
+	r := request{target: target, enc: soap.NewStreamEncoder()}
+	em := r.enc.Emitter()
+	if len(c.cfg.HeaderProviders) > 0 {
+		r.body = xmltext.AcquireEmitter()
+		em = r.body
+	} else {
+		r.enc.Begin(c.version(), nil)
 	}
+	err := write(em)
+	if err == nil {
+		if r.body != nil {
+			err = r.body.Finish()
+		} else {
+			r.doc, err = r.enc.Finish()
+		}
+		if err != nil {
+			err = fmt.Errorf("core: encoding envelope: %w", err)
+		}
+	}
+	if err != nil {
+		r.release()
+		return request{}, err
+	}
+	c.notePack(ctx, target, packStart)
+	return r, nil
+}
+
+// newCallRequest encodes a single call: the request entry with nothing to
+// inherit, or the template cache's splice of the same bytes.
+func (c *Client) newCallRequest(ctx context.Context, service, op string, params []soapenc.Field) (request, error) {
+	target := c.cfg.PathPrefix + service
+	if c.templates != nil {
+		// Template-cache fast path: splice values into the cached
+		// serialized envelope, skipping the entry writer entirely.
+		packStart := c.cfg.Tracer.Now()
+		enc := soap.NewStreamEncoder()
+		ok, err := c.templates.RenderTo(enc.Emitter(), service, c.NamespaceOf(service), op, params)
+		if ok {
+			c.notePack(ctx, target, packStart)
+			return request{target: target, enc: enc, doc: enc.Emitter().Bytes()}, nil
+		}
+		enc.Release()
+		if err != nil {
+			return request{}, fmt.Errorf("core: template for %s.%s: %w", service, op, err)
+		}
+	}
+	call := batchEntry{ns: c.NamespaceOf(service), op: op, params: params}
+	return c.newRequest(ctx, target, func(em *xmltext.Emitter) error {
+		if err := appendRequestEntry(em, &call, &batchEntry{}); err != nil {
+			return fmt.Errorf("core: encoding %s.%s: %w", service, op, err)
+		}
+		return nil
+	})
+}
+
+// notePack records the client.pack stage that began at start, when tracing.
+func (c *Client) notePack(ctx context.Context, op string, start time.Time) {
 	if tr := c.cfg.Tracer; tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientPack,
-			ID: -1, Op: target, Start: packStart, Service: time.Since(packStart)})
+			ID: -1, Op: op, Start: start, Service: time.Since(start)})
 	}
-	return c.postPooled(ctx, target, doc)
+}
+
+// post is one attempt: with header providers it has them sign the body and
+// frames it under their blocks first, then it posts the document.
+func (c *Client) post(ctx context.Context, r *request) (*soap.Envelope, func(), error) {
+	if r.body != nil {
+		packStart := c.cfg.Tracer.Now()
+		var blocks []*xmldom.Element
+		for _, p := range c.cfg.HeaderProviders {
+			made, err := p.MakeHeaders(r.body.Bytes())
+			if err != nil {
+				return nil, nil, fmt.Errorf("core: header provider: %w", err)
+			}
+			blocks = append(blocks, made...)
+		}
+		r.enc.Emitter().Reset()
+		frameFragment(r.enc, c.version(), blocks, nil, r.body)
+		var err error
+		if r.doc, err = r.enc.Finish(); err != nil {
+			return nil, nil, fmt.Errorf("core: encoding envelope: %w", err)
+		}
+		c.notePack(ctx, r.target, packStart)
+	}
+	return c.postPooled(ctx, r.target, r.doc)
 }
 
 // Call is a pending invocation: a future resolved when its response (or
@@ -520,64 +570,13 @@ func (b *Batch) SendCtx(ctx context.Context) error {
 	if len(b.calls) == 0 {
 		return fmt.Errorf("core: empty batch")
 	}
-	ctx = b.client.traceCtx(ctx)
-	if _, has := ctx.Deadline(); !has && b.client.cfg.BatchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.client.cfg.BatchTimeout)
-		defer cancel()
-	}
-
-	// The request streams into one pooled document, encoded once and re-sent
-	// verbatim on retries — unless header providers are configured: they need
-	// the element tree, and may vary their blocks per attempt (nonces,
-	// timestamps), so the DOM twin re-runs them inside the retry loop.
-	target := b.client.packTarget()
-	var pm *xmldom.Element
-	var doc []byte
-	var err error
-	if len(b.client.cfg.HeaderProviders) > 0 {
-		pm, err = buildPackedRequest(b.entries)
-	} else {
-		var encRelease func()
-		if doc, encRelease, err = b.encodeRequest(ctx, target); err == nil {
-			defer encRelease()
-		}
-	}
-	if err != nil {
-		b.resolveAll(nil, err)
-		return err
-	}
-	b.client.batches.Add(1)
-	var respEnv *soap.Envelope
-	var release func()
-	err = b.client.withRetry(ctx, b.allIdempotent(), func() (rerr error) {
-		if pm != nil {
-			respEnv, release, rerr = b.client.exchange(ctx, target, []*xmldom.Element{pm})
-		} else {
-			respEnv, release, rerr = b.client.postPooled(ctx, target, doc)
-		}
-		return rerr
-	})
-	b.client.noteOutcome(err)
-	if err != nil {
-		b.resolveAll(nil, err)
-		return err
-	}
-	defer release()
-	return b.dispatchResponse(ctx, respEnv)
+	return b.client.sendPacked(ctx, b.calls, b.writeBody)
 }
 
-// encodeRequest streams the whole packed request document into a pooled
-// buffer: envelope preamble, Parallel_Method carrying the first entry's
-// namespace and service as the batch default, and each entry under
-// appendRequestEntry's rule — no element tree is built. target is where it
-// will be POSTed. The bytes are valid until the returned release runs.
-func (b *Batch) encodeRequest(ctx context.Context, target string) ([]byte, func(), error) {
-	tr := b.client.cfg.Tracer
-	packStart := tr.Now()
-	enc := soap.NewStreamEncoder()
-	enc.Begin(b.client.version(), nil)
-	em := enc.Emitter()
+// writeBody streams Parallel_Method carrying the first entry's namespace and
+// service as the batch default, and each entry under appendRequestEntry's
+// rule: the client-side assembler of §3.4.
+func (b *Batch) writeBody(em *xmltext.Emitter) error {
 	def := &b.entries[0]
 	em.Start(namePackMethod)
 	em.Attr(nameXmlnsSpi, NSPack)
@@ -586,56 +585,80 @@ func (b *Batch) encodeRequest(ctx context.Context, target string) ([]byte, func(
 	for i := range b.entries {
 		e := &b.entries[i]
 		if err := appendRequestEntry(em, e, def); err != nil {
-			enc.Release()
-			return nil, nil, fmt.Errorf("core: encoding %s.%s: %w", e.service, e.op, err)
+			return fmt.Errorf("core: encoding %s.%s: %w", e.service, e.op, err)
 		}
 	}
 	em.End()
-	doc, err := enc.Finish()
-	if err != nil {
-		enc.Release()
-		return nil, nil, fmt.Errorf("core: encoding envelope: %w", err)
-	}
-	if tr.Enabled() {
-		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientPack,
-			ID: -1, Op: target, Start: packStart, Service: time.Since(packStart)})
-	}
-	return doc, enc.Release, nil
+	return nil
 }
 
-// dispatchResponse routes a decoded packed response to the pending calls.
-// respEnv may be arena-backed (released by the caller after return), so
-// every fault handed to a future is detached first.
-func (b *Batch) dispatchResponse(ctx context.Context, respEnv *soap.Envelope) error {
-	if f := respEnv.Fault(); f != nil {
-		b.client.faults.Add(1)
-		cf := fault.Classify(detachFault(f))
-		b.resolveAll(nil, cf)
-		return cf
+// sendPacked is the exchange of a Batch or a Plan: one document, whose body
+// write streams, posted to the pack endpoint under the retry policy, and the
+// Parallel_Response routed to calls by correlation id. Whatever fails the
+// message as a whole resolves every call with that error and is returned;
+// per-call faults are delivered through the calls alone. The response may be
+// arena-backed, so every fault handed on is detached first.
+func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmltext.Emitter) error) (err error) {
+	defer func() {
+		if err != nil {
+			for _, call := range calls {
+				call.resolve(nil, err)
+			}
+		}
+	}()
+	ctx = c.traceCtx(ctx)
+	if _, has := ctx.Deadline(); !has && c.cfg.BatchTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.BatchTimeout)
+		defer cancel()
 	}
-	if len(respEnv.Body) != 1 || !isPackedResponse(respEnv.Body[0]) {
-		err := fmt.Errorf("core: response is not a %s", ElemParallelResponse)
-		b.resolveAll(nil, err)
+	req, err := c.newRequest(ctx, c.packTarget(), write)
+	if err != nil {
 		return err
 	}
-	tr := b.client.cfg.Tracer
+	defer req.release()
+	c.batches.Add(1)
+	// Retrying a packed message after a transport failure that may have
+	// executed it takes every operation in it marked idempotent.
+	idempotent := true
+	for _, call := range calls {
+		idempotent = idempotent && c.isIdempotent(call.Service, call.Op)
+	}
+	var respEnv *soap.Envelope
+	var release func()
+	err = c.withRetry(ctx, idempotent, func() (rerr error) {
+		respEnv, release, rerr = c.post(ctx, &req)
+		return rerr
+	})
+	c.noteOutcome(err)
+	if err != nil {
+		return err
+	}
+	defer release()
+	if f := respEnv.Fault(); f != nil {
+		c.faults.Add(1)
+		return fault.Classify(detachFault(f))
+	}
+	if len(respEnv.Body) != 1 || !isPackedResponse(respEnv.Body[0]) {
+		return fmt.Errorf("core: response is not a %s", ElemParallelResponse)
+	}
+	tr := c.cfg.Tracer
 	unpackStart := tr.Now()
 	results, err := decodePackedResponse(respEnv.Body[0])
 	if err != nil {
-		b.resolveAll(nil, err)
 		return err
 	}
 	// Client-side dispatcher: route each entry to its pending call.
-	for id, call := range b.calls {
+	for id, call := range calls {
 		res, ok := results[id]
 		switch {
 		case !ok:
 			call.resolve(nil, fmt.Errorf("core: no response for packed call %d (%s.%s)", id, call.Service, call.Op))
 		case res.fault != nil:
-			b.client.faults.Add(1)
+			c.faults.Add(1)
 			cf := fault.Classify(detachFault(res.fault))
 			if errors.Is(cf, fault.Timeout) {
-				b.client.resil.Timeouts.Inc()
+				c.resil.Timeouts.Inc()
 			}
 			call.resolve(nil, cf)
 		default:
@@ -644,27 +667,9 @@ func (b *Batch) dispatchResponse(ctx context.Context, respEnv *soap.Envelope) er
 	}
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientUnpack,
-			ID: -1, Op: fmt.Sprintf("batch[%d]", len(b.calls)), Start: unpackStart, Service: time.Since(unpackStart)})
+			ID: -1, Op: fmt.Sprintf("batch[%d]", len(calls)), Start: unpackStart, Service: time.Since(unpackStart)})
 	}
 	return nil
-}
-
-func (b *Batch) resolveAll(results []soapenc.Field, err error) {
-	for _, call := range b.calls {
-		call.resolve(results, err)
-	}
-}
-
-// allIdempotent reports whether every entry's operation was marked
-// idempotent — the condition for retrying a packed message after a
-// transport failure that may have executed it.
-func (b *Batch) allIdempotent() bool {
-	for _, call := range b.calls {
-		if !b.client.isIdempotent(call.Service, call.Op) {
-			return false
-		}
-	}
-	return true
 }
 
 // packTarget is the URL packed messages are POSTed to: the bare services
@@ -679,31 +684,6 @@ func (c *Client) version() soap.Version {
 		return soap.V12
 	}
 	return soap.V11
-}
-
-// exchange performs one envelope round trip through the DOM encode path
-// (header providers need the element tree for canonical serialization).
-// The serialized document still goes out of a pooled buffer and the reply
-// is decoded from a pooled arena; the caller runs the returned release
-// once it is done with the response envelope.
-func (c *Client) exchange(ctx context.Context, target string, body []*xmldom.Element) (*soap.Envelope, func(), error) {
-	packStart := c.cfg.Tracer.Now()
-	env := soap.New()
-	env.Version = c.version()
-	env.Body = body
-	if len(c.cfg.HeaderProviders) > 0 {
-		canonical := canonicalBody(env)
-		for _, p := range c.cfg.HeaderProviders {
-			blocks, err := p.MakeHeaders(canonical)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: header provider: %w", err)
-			}
-			env.Header = append(env.Header, blocks...)
-		}
-	}
-	enc := soap.NewStreamEncoder()
-	enc.WriteEnvelope(env)
-	return c.postEncoded(ctx, target, enc, packStart)
 }
 
 // postPooled ships a fully-serialized envelope and decodes the reply into

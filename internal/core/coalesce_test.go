@@ -125,17 +125,14 @@ func TestIsEntryFault(t *testing.T) {
 }
 
 // TestSpliceSingleResponseParity pins the splice against the server's own
-// encoders: an op segment re-frames to the exact bytes envelopeResponse
-// produces for the same element, and a fault segment re-renders to the
+// encoders: an op segment re-frames to the exact bytes the server
+// answers a single call with, and a fault segment re-renders to the
 // exact whole-message fault bytes, in both envelope versions.
 func TestSpliceSingleResponseParity(t *testing.T) {
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		t.Run(fmt.Sprint(v), func(t *testing.T) {
 			// Success: what a backend's packed response carries for slot 3...
-			respEl, err := encodeResponseElement("urn:spi:Echo", "echo", []soapenc.Field{soapenc.F("data", "v")})
-			if err != nil {
-				t.Fatal(err)
-			}
+			respEl := mustResponseElement(t, "urn:spi:Echo", "echo", soapenc.F("data", "v"))
 			segEnc := soap.NewStreamEncoder()
 			em := segEnc.Emitter()
 			respEl.AppendTo(em)

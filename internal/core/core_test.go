@@ -289,11 +289,8 @@ func TestSingleRequestOnPackEndpoint(t *testing.T) {
 	// A plain (unpacked) request POSTed to the pack endpoint resolves its
 	// service by body namespace.
 	sys := newSystem(t, nil)
-	reqEl, err := encodeRequestElement("urn:spi:Echo", "echo", []soapenc.Field{soapenc.F("m", "x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, release, err := sys.client.exchange(context.Background(), sys.client.packTarget(), []*xmldom.Element{reqEl})
+	doc := soapRequestBody(t, soap.V11, "echo", soapenc.F("m", "x"))
+	env, release, err := sys.client.postPooled(context.Background(), sys.client.packTarget(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,12 +316,8 @@ func TestFigure4WireFormat(t *testing.T) {
 		entries = append(entries, batchEntry{service: "WeatherService", ns: "urn:spi:WeatherService", op: "GetWeather",
 			params: []soapenc.Field{soapenc.F("CityName", city), soapenc.F("CountryName", "China")}})
 	}
-	pm, err := buildPackedRequest(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
 	env := soap.New()
-	env.AddBody(pm)
+	env.AddBody(mustPackedRequest(t, entries...))
 	var buf strings.Builder
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)

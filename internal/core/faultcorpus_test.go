@@ -62,13 +62,9 @@ func testdataGolden(t *testing.T, dir, name string, got []byte) {
 // Echo service.
 func corpusSingleDoc(t *testing.T, v soap.Version, op string, params ...soapenc.Field) []byte {
 	t.Helper()
-	el, err := encodeRequestElement("urn:spi:Echo", op, params)
-	if err != nil {
-		t.Fatal(err)
-	}
 	env := soap.New()
 	env.Version = v
-	env.AddBody(el)
+	env.AddBody(mustRequestElement(t, "urn:spi:Echo", op, params...))
 	var buf bytes.Buffer
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -83,17 +79,10 @@ func corpusSingleDoc(t *testing.T, v soap.Version, op string, params ...soapenc.
 // entries around one.
 func corpusPackedDoc(t *testing.T, v soap.Version) []byte {
 	t.Helper()
-	quick, err := encodeRequestElement("urn:spi:Echo", "echo", []soapenc.Field{soapenc.F("m", "quick")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	park, err := encodeRequestElement("urn:spi:Echo", "park", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	env := soap.New()
 	env.Version = v
-	env.AddBody(parityPacked(quick, park))
+	env.AddBody(parityPacked(mustRequestElement(t, "urn:spi:Echo", "echo", soapenc.F("m", "quick")),
+		mustRequestElement(t, "urn:spi:Echo", "park")))
 	var buf bytes.Buffer
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -603,7 +603,15 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 }
 
 // GatewayFaultResponse renders a whole-message fault exactly as a direct
-// server would: the fault envelope in the requested version under HTTP 500.
+// server does: the fault streamed as the one body entry of an envelope in the
+// requested version, under HTTP 500, per the SOAP HTTP binding.
 func GatewayFaultResponse(f *soap.Fault, v soap.Version) *httpx.Response {
-	return envelopeResponse(500, f.EnvelopeFor(v))
+	enc := soap.NewStreamEncoder()
+	enc.Begin(v, nil)
+	f.AppendElementFor(enc.Emitter(), v)
+	resp, err := encodedResponse(500, v, enc)
+	if err != nil {
+		return encodeFailureResponse()
+	}
+	return resp
 }

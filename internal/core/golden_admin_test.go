@@ -45,10 +45,7 @@ func adminGoldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
 		}
 		out["admin_getstats_req"+v.tag+".xml"] = getReq
 
-		respEl, err := encodeResponseElement(admin.Namespace, admin.OpGetStats, admin.StatsFields(stats))
-		if err != nil {
-			t.Fatal(err)
-		}
+		respEl := mustResponseElement(t, admin.Namespace, admin.OpGetStats, admin.StatsFields(stats)...)
 		getResp := soap.New()
 		getResp.Version = v.ver
 		getResp.AddBody(respEl)
@@ -61,11 +58,8 @@ func adminGoldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
 		}
 		out["admin_setstate_req"+v.tag+".xml"] = setReq
 
-		setEl, err := encodeResponseElement(admin.Namespace, admin.OpSetState,
-			[]soapenc.Field{soapenc.F("weight", int64(4)), soapenc.F("draining", true)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		setEl := mustResponseElement(t, admin.Namespace, admin.OpSetState,
+			soapenc.F("weight", int64(4)), soapenc.F("draining", true))
 		setResp := soap.New()
 		setResp.Version = v.ver
 		setResp.AddBody(setEl)

@@ -23,23 +23,14 @@ func goldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
 		env := soap.New()
 		env.Version = v
 		if !packed {
-			el, err := encodeRequestElement("urn:spi:Echo", "echo",
-				[]soapenc.Field{soapenc.F("message", "hello"), soapenc.F("count", int32(3))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			env.AddBody(el)
+			env.AddBody(mustRequestElement(t, "urn:spi:Echo", "echo",
+				soapenc.F("message", "hello"), soapenc.F("count", int32(3))))
 			return env
 		}
-		pm, err := buildPackedRequest([]batchEntry{
-			{service: "Echo", ns: "urn:spi:Echo", op: "echo", params: []soapenc.Field{soapenc.F("message", "first")}},
-			{service: "WeatherService", ns: "urn:spi:WeatherService", op: "GetWeather",
-				params: []soapenc.Field{soapenc.F("CityName", "Beijing")}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.AddBody(pm)
+		env.AddBody(mustPackedRequest(t,
+			batchEntry{service: "Echo", ns: "urn:spi:Echo", op: "echo", params: []soapenc.Field{soapenc.F("message", "first")}},
+			batchEntry{service: "WeatherService", ns: "urn:spi:WeatherService", op: "GetWeather",
+				params: []soapenc.Field{soapenc.F("CityName", "Beijing")}}))
 		return env
 	}
 	fault := func(v soap.Version) *soap.Envelope {

@@ -426,6 +426,17 @@ var retriedKinds = []struct {
 			t.Fatalf("second entry = %v, %v", got, err)
 		}
 	}},
+	{"plan", func(t *testing.T, c *Client) {
+		p := c.NewPlan()
+		first := p.Add("Echo", "echo", soapenc.F("msg", "again"))
+		second := p.Add("Echo", "echo", soapenc.F("msg", first.Ref("msg")), soapenc.F("n", int64(2)))
+		if err := p.Send(); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		if got, err := second.Wait(); err != nil || len(got) != 2 || !soapenc.Equal(got[0].Value, "again") {
+			t.Fatalf("second step = %v, %v", got, err)
+		}
+	}},
 }
 
 // unencodable is a value no writer has a spelling for.

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/httpx"
 	"repro/internal/registry"
 	"repro/internal/soap"
@@ -53,6 +52,8 @@ const ElemExecutionPlan = "Execution_Plan"
 const elemRef = "ref"
 
 var (
+	namePlan   = xmltext.Name{Prefix: PrefixPack, Local: ElemExecutionPlan}
+	nameRef    = xmltext.Name{Prefix: PrefixPack, Local: elemRef}
 	attrStep   = xmltext.Name{Prefix: PrefixPack, Local: "step"}
 	attrResult = xmltext.Name{Prefix: PrefixPack, Local: "result"}
 )
@@ -72,17 +73,12 @@ func isPlanBody(el *xmldom.Element) bool {
 // Like Batch it is single-goroutine for construction; futures may be
 // awaited anywhere.
 type Plan struct {
-	client   *Client
-	steps    []*planStep
+	client *Client
+	// steps and calls are parallel slices indexed by step.
+	steps    []batchEntry
+	calls    []*Call
 	sent     bool
 	buildErr error
-}
-
-type planStep struct {
-	service string
-	op      string
-	params  []soapenc.Field
-	call    *Call
 }
 
 // StepHandle names one step of a plan: a future for its results plus a
@@ -119,7 +115,8 @@ func (p *Plan) Add(service, op string, params ...soapenc.Field) *StepHandle {
 			}
 		}
 	}
-	p.steps = append(p.steps, &planStep{service: service, op: op, params: params, call: h.Call})
+	p.steps = append(p.steps, batchEntry{service: service, op: op, ns: p.client.NamespaceOf(service), params: params})
+	p.calls = append(p.calls, h.Call)
 	p.client.calls.Add(1)
 	return h
 }
@@ -145,93 +142,48 @@ func (p *Plan) SendCtx(ctx context.Context) error {
 	if len(p.steps) == 0 {
 		return fmt.Errorf("core: empty plan")
 	}
-	resolveAll := func(err error) {
-		for _, s := range p.steps {
-			s.call.resolve(nil, err)
-		}
-	}
-	if p.buildErr != nil {
-		resolveAll(p.buildErr)
-		return p.buildErr
-	}
-	ctx = p.client.traceCtx(ctx)
-	if _, has := ctx.Deadline(); !has && p.client.cfg.BatchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.client.cfg.BatchTimeout)
-		defer cancel()
-	}
-
-	body, err := p.encode()
-	if err != nil {
-		resolveAll(err)
-		return err
-	}
-	p.client.batches.Add(1)
-	respEnv, release, err := p.client.exchange(ctx, p.client.packTarget(), []*xmldom.Element{body})
-	p.client.noteOutcome(err)
-	if err != nil {
-		resolveAll(err)
-		return err
-	}
-	defer release()
-	if f := respEnv.Fault(); f != nil {
-		p.client.faults.Add(1)
-		cf := fault.Classify(detachFault(f))
-		resolveAll(cf)
-		return cf
-	}
-	if len(respEnv.Body) != 1 || !isPackedResponse(respEnv.Body[0]) {
-		err := fmt.Errorf("core: plan response is not a %s", ElemParallelResponse)
-		resolveAll(err)
-		return err
-	}
-	results, err := decodePackedResponse(respEnv.Body[0])
-	if err != nil {
-		resolveAll(err)
-		return err
-	}
-	for id, s := range p.steps {
-		res, ok := results[id]
-		switch {
-		case !ok:
-			s.call.resolve(nil, fmt.Errorf("core: no response for plan step %d (%s.%s)", id, s.service, s.op))
-		case res.fault != nil:
-			p.client.faults.Add(1)
-			s.call.resolve(nil, fault.Classify(detachFault(res.fault)))
-		default:
-			s.call.resolve(res.results, nil)
-		}
-	}
-	return nil
+	return p.client.sendPacked(ctx, p.calls, p.writeBody)
 }
 
-// encode builds the Execution_Plan body element.
-func (p *Plan) encode() (*xmldom.Element, error) {
-	root := xmldom.NewElement(xmltext.Name{Prefix: PrefixPack, Local: ElemExecutionPlan})
-	root.DeclareNamespace(PrefixPack, NSPack)
-	for i, s := range p.steps {
-		el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: s.op})
-		el.DeclareNamespace("m", p.client.NamespaceOf(s.service))
-		el.SetAttr(attrID, strconv.Itoa(i))
-		el.SetAttr(attrService, s.service)
+// writeBody streams the Execution_Plan body element. A step states its
+// namespace, id and service in full — a plan declares no default — and a
+// parameter that refers to an earlier result is an spi:ref leaf in place of a
+// value.
+func (p *Plan) writeBody(em *xmltext.Emitter) error {
+	if p.buildErr != nil {
+		return p.buildErr
+	}
+	var tmp [24]byte
+	em.Start(namePlan)
+	em.Attr(nameXmlnsSpi, NSPack)
+	for i := range p.steps {
+		s := &p.steps[i]
+		em.Start(xmltext.Name{Prefix: "m", Local: s.op})
+		em.Attr(nameXmlnsM, s.ns)
+		em.AttrRaw(attrID, strconv.AppendInt(tmp[:0], int64(i), 10))
+		em.Attr(attrService, s.service)
 		for _, param := range s.params {
-			if param.Name == "" {
-				return nil, fmt.Errorf("core: plan step %d has a parameter with no name", i)
-			}
-			if ref, ok := param.Value.(*planRef); ok {
-				wrap := el.AddElement(xmltext.Name{Local: param.Name})
-				refEl := wrap.AddElement(xmltext.Name{Prefix: PrefixPack, Local: elemRef})
-				refEl.SetAttr(attrStep, strconv.Itoa(ref.step))
-				refEl.SetAttr(attrResult, ref.result)
-				continue
-			}
-			if _, err := soapenc.Encode(el, param.Name, param.Value); err != nil {
-				return nil, fmt.Errorf("core: plan step %d param %q: %w", i, param.Name, err)
+			ref, isRef := param.Value.(*planRef)
+			switch {
+			case param.Name == "":
+				return fmt.Errorf("core: plan step %d has a parameter with no name", i)
+			case isRef:
+				em.Start(xmltext.Name{Local: param.Name})
+				em.Start(nameRef)
+				em.AttrRaw(attrStep, strconv.AppendInt(tmp[:0], int64(ref.step), 10))
+				em.Attr(attrResult, ref.result)
+				em.End()
+				em.End()
+			default:
+				if err := soapenc.EncodeTo(em, param.Name, param.Value); err != nil {
+					return fmt.Errorf("core: plan step %d param %q: %w", i, param.Name, err)
+				}
 			}
 		}
-		root.AddChild(el)
+		em.End()
 	}
-	return root, nil
+	em.End()
+	return nil
 }
 
 // ---- server side ----

@@ -53,50 +53,6 @@ type rpcResult struct {
 	headers []*xmldom.Element // response header blocks contributed
 }
 
-// encodeRequestElement builds the RPC request element
-// <m:op xmlns:m="serviceNS">params...</m:op>.
-func encodeRequestElement(serviceNS, op string, params []soapenc.Field) (*xmldom.Element, error) {
-	el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: op})
-	el.DeclareNamespace("m", serviceNS)
-	if err := soapenc.EncodeParams(el, params); err != nil {
-		return nil, err
-	}
-	return el, nil
-}
-
-// encodeResponseElement builds <m:opResponse xmlns:m="serviceNS">.
-func encodeResponseElement(serviceNS, op string, results []soapenc.Field) (*xmldom.Element, error) {
-	return encodeRequestElement(serviceNS, op+"Response", results)
-}
-
-// buildPackedRequest is the DOM twin of Batch.encodeRequest's body, byte for
-// byte: the client-side assembler of §3.4 under appendRequestEntry's framing
-// rule. Parallel_Method declares the first entry's xmlns:m and spi:service
-// as the batch default; an entry restates either only where it differs, and
-// none carries spi:id — ids are positional. entries is non-empty.
-func buildPackedRequest(entries []batchEntry) (*xmldom.Element, error) {
-	def := &entries[0]
-	pm := xmldom.NewElement(namePackMethod)
-	pm.DeclareNamespace(PrefixPack, NSPack)
-	pm.DeclareNamespace("m", def.ns)
-	pm.SetAttr(attrService, def.service)
-	for i := range entries {
-		e := &entries[i]
-		el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: e.op})
-		if e.ns != def.ns {
-			el.DeclareNamespace("m", e.ns)
-		}
-		if e.service != def.service {
-			el.SetAttr(attrService, e.service)
-		}
-		if err := soapenc.EncodeParams(el, e.params); err != nil {
-			return nil, fmt.Errorf("core: encoding %s.%s: %w", e.service, e.op, err)
-		}
-		pm.AddChild(el)
-	}
-	return pm, nil
-}
-
 // isPackedRequest reports whether a body entry is a Parallel_Method element.
 func isPackedRequest(el *xmldom.Element) bool {
 	return el.Is(NSPack, ElemParallelMethod)

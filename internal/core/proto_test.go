@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -10,13 +11,48 @@ import (
 	"repro/internal/xmltext"
 )
 
-func mustRequestElement(t *testing.T, ns, op string, params ...soapenc.Field) *xmldom.Element {
+// writtenEntry streams one body entry through write — the writers this
+// package sends with — and reads it back as a tree, for the tests that take a
+// document apart or put one together by hand.
+func writtenEntry(t *testing.T, write func(em *xmltext.Emitter) error) *xmldom.Element {
 	t.Helper()
-	el, err := encodeRequestElement(ns, op, params)
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(soap.V11, nil)
+	if err := write(enc.Emitter()); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := enc.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return el
+	env, err := soap.Decode(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env.Body[0]
+}
+
+// mustRequestElement is a single call's request entry.
+func mustRequestElement(t *testing.T, ns, op string, params ...soapenc.Field) *xmldom.Element {
+	t.Helper()
+	return writtenEntry(t, func(em *xmltext.Emitter) error {
+		return appendRequestEntry(em, &batchEntry{ns: ns, op: op, params: params}, &batchEntry{})
+	})
+}
+
+// mustResponseElement is a single call's response entry.
+func mustResponseElement(t *testing.T, ns, op string, results ...soapenc.Field) *xmldom.Element {
+	t.Helper()
+	return writtenEntry(t, func(em *xmltext.Emitter) error {
+		return appendResponseEntry(em, &rpcResult{op: op, results: results}, ns, "", -1)
+	})
+}
+
+// mustPackedRequest is the Parallel_Method a Batch of entries sends.
+func mustPackedRequest(t *testing.T, entries ...batchEntry) *xmldom.Element {
+	t.Helper()
+	return writtenEntry(t, (&Batch{entries: entries}).writeBody)
 }
 
 // reparse round-trips an element through serialization inside an envelope,
@@ -62,10 +98,7 @@ func TestDecodeRequestElementNoService(t *testing.T) {
 // explicit spi:id (the client itself never writes one).
 func packedWithID(t *testing.T, id string) *xmldom.Element {
 	t.Helper()
-	pm, err := buildPackedRequest([]batchEntry{{service: "S", ns: "urn:s", op: "op"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm := mustPackedRequest(t, batchEntry{service: "S", ns: "urn:s", op: "op"})
 	pm.ChildElements()[0].SetAttr(attrID, id)
 	return pm
 }
@@ -193,10 +226,7 @@ func TestIsPackedPredicates(t *testing.T) {
 }
 
 func TestEncodeResponseElementName(t *testing.T) {
-	el, err := encodeResponseElement("urn:s", "GetWeather", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	el := mustResponseElement(t, "urn:s", "GetWeather")
 	if el.Name.Local != "GetWeatherResponse" {
 		t.Errorf("response element = %s", el.Name)
 	}

@@ -444,4 +444,9 @@ func TestPlanDeadlineDegradesPerStep(t *testing.T) {
 	if _, err := stuck.Wait(); !IsTimeoutFault(err) {
 		t.Errorf("stuck step err = %v, want Server.Timeout fault", err)
 	}
+	// A plan's response is routed by the function a batch's is, so the step
+	// that timed out counts where a timed-out batch entry does.
+	if got := sys.client.Stats().Resilience.Timeouts; got != 1 {
+		t.Errorf("client Timeouts = %d, want 1", got)
+	}
 }

@@ -33,8 +33,8 @@ type HeaderProcessor interface {
 	// this processor understands.
 	HeaderName() (ns, local string)
 	// ProcessHeader validates/consumes one matching header block. body is
-	// the canonical serialization of the envelope's body entries, for
-	// signature verification.
+	// the wire bytes of the body entries, cut verbatim out of the request
+	// document, for signature verification.
 	ProcessHeader(block *xmldom.Element, body []byte) error
 }
 
@@ -505,10 +505,11 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	}
 
 	dispatchStart := time.Now()
-	resp, respEnv, encInDispatch, fault := s.dispatch(ctx, d, headers, defaultService, req.Target)
-	// Encoding interleaved with the dispatch (the packed assembler) is
+	resp, encodeDur, fault := s.dispatch(ctx, d, headers, defaultService, req.Target)
+	// The response is encoded inside the dispatch — at its tail for a single
+	// call, interleaved with it by the packed assembler — and that time is
 	// attributed to the encode phase, not the dispatch phase.
-	dispatchDur := time.Since(dispatchStart) - encInDispatch
+	dispatchDur := time.Since(dispatchStart) - encodeDur
 	s.phaseDispatch.Record(dispatchDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageDispatch,
@@ -517,21 +518,11 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	if fault != nil {
 		return s.faultResponse(fault, env.Version)
 	}
-	encodeStart, encodeDur := dispatchStart, encInDispatch
-	if resp == nil {
-		// A single call: encode the response envelope, in the version the
-		// request used. (Packed and plan responses were assembled during
-		// dispatch.)
-		respEnv.Version = env.Version
-		encodeStart = time.Now()
-		resp = envelopeResponse(200, respEnv)
-		encodeDur = time.Since(encodeStart)
-	}
 	s.phaseEncode.Record(encodeDur)
 	s.encodeIO.Observe(len(resp.Body), encodeDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageAssemble,
-			ID: -1, Op: req.Target, Start: encodeStart, Service: encodeDur})
+			ID: -1, Op: req.Target, Start: dispatchStart.Add(dispatchDur), Service: encodeDur})
 	}
 	return resp
 }
@@ -692,21 +683,6 @@ func (s *Server) verifyHeaders(env *soap.Envelope, d *soap.StreamDecoder) *soap.
 	return nil
 }
 
-// canonicalBody serializes the body entries compactly and in place — the
-// byte string header signatures cover. A signer (our client) serializes
-// entries exactly as it transmits them, and the server verifies against
-// the verbatim wire spans of the received body entries, so the canonical
-// form IS the wire form: no re-homing, no cloning, no second namespace
-// context. Entries whose prefixes resolve through the standard envelope
-// declarations serialize identically on both sides (ours always do).
-func canonicalBody(env *soap.Envelope) []byte {
-	var buf bytes.Buffer
-	for _, e := range env.Body {
-		_ = e.Serialize(&buf)
-	}
-	return buf.Bytes()
-}
-
 // deadlineBudget parses the SPI-Deadline header: the client's remaining
 // deadline budget in integer milliseconds. Zero means no budget was
 // propagated (or it was malformed, which is treated as absent).
@@ -723,52 +699,51 @@ func deadlineBudget(req *httpx.Request) time.Duration {
 }
 
 // dispatch decodes the body and executes the request(s): the server-side
-// dispatcher of §3.5. A packed body streams entry by entry and comes back
-// as a ready HTTP response assembled incrementally (dispatchPacked, which
-// also reports the time it spent encoding, for phase attribution). Anything
-// else completes the envelope — consulting the per-entry differential
-// cache — verifies the headers and runs the entry interceptors once; a plan
-// then comes back assembled like a packed body, a single call as the
-// response envelope for handle to encode.
+// dispatcher of §3.5. Whatever the body holds, the answer comes back as a
+// ready HTTP response in the request's version, with the time spent encoding
+// it, for phase attribution. A packed body streams entry by entry and is
+// assembled incrementally (dispatchPacked). Anything else completes the
+// envelope — consulting the per-entry differential cache — verifies the
+// headers and runs the entry interceptors once; a plan is then assembled like
+// a packed body, a single call's response streamed once it has run.
 // target is the HTTP request target, for EntryInterceptor info.
-func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, *soap.Envelope, time.Duration, *soap.Fault) {
+func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, time.Duration, *soap.Fault) {
 	entry, err := d.NextEntryStart()
 	if err != nil {
-		return nil, nil, 0, malformedFault(err)
+		return nil, 0, malformedFault(err)
 	}
 	rctx := &registry.Context{Ctx: ctx, RequestHeaders: headers}
 	if entry != nil && isPackedRequest(entry) {
 		s.packed.Add(1)
-		resp, encDur, fault := s.dispatchPacked(ctx, d, entry, rctx, defaultService, target)
-		return resp, nil, encDur, fault
+		return s.dispatchPacked(ctx, d, entry, rctx, defaultService, target)
 	}
 	// Not packed: nothing to overlap, so finish decoding first.
 	if entry != nil {
 		if s.diff != nil {
 			raw, err := d.CompleteEntrySpan(entry)
 			if err != nil {
-				return nil, nil, 0, malformedFault(err)
+				return nil, 0, malformedFault(err)
 			}
 			rootTag, bodyTag := d.RawContext()
 			_, err = s.diff.parse(contextSum(rootTag, bodyTag), raw, d.Arena(),
 				func(el *xmldom.Element) { d.ReplaceEntry(entry, el) })
 			if err != nil {
-				return nil, nil, 0, malformedFault(err)
+				return nil, 0, malformedFault(err)
 			}
 		} else if err := d.CompleteEntry(entry); err != nil {
-			return nil, nil, 0, malformedFault(err)
+			return nil, 0, malformedFault(err)
 		}
 	}
 	env, err := d.Finish()
 	if err != nil {
-		return nil, nil, 0, malformedFault(err)
+		return nil, 0, malformedFault(err)
 	}
 	// Verify headers now that the document is known well-formed.
 	if fault := s.verifyHeaders(env, d); fault != nil {
-		return nil, nil, 0, fault
+		return nil, 0, fault
 	}
 	if len(env.Body) != 1 {
-		return nil, nil, 0, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+		return nil, 0, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
 	}
 	entry = env.Body[0]
 	if len(s.cfg.EntryInterceptors) > 0 {
@@ -776,15 +751,13 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 		entry, fault = runEntryInterceptors(s.cfg.EntryInterceptors, entry,
 			&EntryInfo{Target: target, DefaultService: defaultService, Version: env.Version})
 		if fault != nil {
-			return nil, nil, 0, fault
+			return nil, 0, fault
 		}
 	}
 	if isPlanBody(entry) {
-		resp, encDur, fault := s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
-		return resp, nil, encDur, fault
+		return s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
 	}
-	respEnv, fault := s.dispatchSingle(ctx, entry, rctx, defaultService)
-	return nil, respEnv, 0, fault
+	return s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
 }
 
 // submitApp enqueues one application-stage task, applying the admission
@@ -846,8 +819,10 @@ func (s *Server) abandonResult(ctx context.Context, req *rpcRequest) *rpcResult 
 		fault: s.abandonFault(ctx, req.service, req.op)}
 }
 
-// dispatchSingle executes a traditional one-request envelope.
-func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx *registry.Context, defaultService string) (*soap.Envelope, *soap.Fault) {
+// dispatchSingle executes a traditional one-request envelope and streams its
+// response in version v: the operation's header blocks, then the one entry
+// through the writer the packed assembler uses.
+func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (*httpx.Response, time.Duration, *soap.Fault) {
 	service := defaultService
 	if service == "" {
 		// Pack endpoint used for a plain request: resolve by namespace.
@@ -857,7 +832,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 	}
 	req, fault := decodeRequestElement(entry, service, 0)
 	if fault != nil {
-		return nil, fault
+		return nil, 0, fault
 	}
 	var res *rpcResult
 	if s.cfg.Coupled || s.appPool == nil || (s.adminState != nil && req.service == admin.ServiceName) {
@@ -875,7 +850,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		done := make(chan *rpcResult, 1)
 		task := s.appTask(ctx, req, func() { done <- s.execute(ctx, req, rctx) })
 		if err := s.submitApp(task); err != nil {
-			return nil, s.admissionFault(err)
+			return nil, 0, s.admissionFault(err)
 		}
 		select {
 		case res = <-done:
@@ -884,17 +859,20 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		}
 	}
 	if res.fault != nil {
-		return nil, res.fault
+		return nil, 0, res.fault
 	}
-	ns := s.namespaceOf(req.service)
-	respEl, err := encodeResponseElement(ns, req.op, res.results)
+	start := time.Now()
+	enc := soap.NewStreamEncoder()
+	enc.Begin(v, rctx.ResponseHeaders())
+	if err := appendResponseEntry(enc.Emitter(), res, s.namespaceOf(req.service), "", -1); err != nil {
+		enc.Release()
+		return nil, time.Since(start), soap.ServerFault("encoding response: %v", err)
+	}
+	resp, err := encodedResponse(200, v, enc)
 	if err != nil {
-		return nil, soap.ServerFault("encoding response: %v", err)
+		resp = encodeFailureResponse()
 	}
-	out := soap.New()
-	out.Header = rctx.ResponseHeaders()
-	out.AddBody(respEl)
-	return out, nil
+	return resp, time.Since(start), nil
 }
 
 // execute resolves and invokes one operation. In staged mode it is called
@@ -1011,24 +989,11 @@ func (s *Server) namespaceOf(service string) string {
 	return NSPack
 }
 
-// faultResponse wraps a fault in an envelope with HTTP 500, per the SOAP
-// HTTP binding, in the requested envelope version.
+// faultResponse answers with a whole-message fault, counted.
 func (s *Server) faultResponse(f *soap.Fault, v soap.Version) *httpx.Response {
 	s.faults.Add(1)
 	s.faultCodes.NoteSOAP(f)
-	return envelopeResponse(500, f.EnvelopeFor(v))
-}
-
-// envelopeResponse serializes an envelope as the HTTP response with the
-// given status (see encodedResponse for the buffer's lifetime).
-func envelopeResponse(status int, env *soap.Envelope) *httpx.Response {
-	enc := soap.NewStreamEncoder()
-	enc.WriteEnvelope(env)
-	resp, err := encodedResponse(status, env.Version, enc)
-	if err != nil {
-		return encodeFailureResponse()
-	}
-	return resp
+	return GatewayFaultResponse(f, v)
 }
 
 // encodeFailureResponse is the plain-text 500 returned when response

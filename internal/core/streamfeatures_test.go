@@ -85,11 +85,7 @@ func parityConfig(f parityFeatures) func(*ServerConfig, *ClientConfig) {
 // parityEcho builds <m:op xmlns:m="urn:spi:Echo"><data ...>text</data></m:op>.
 func parityEcho(t *testing.T, op, text string) *xmldom.Element {
 	t.Helper()
-	el, err := encodeRequestElement("urn:spi:Echo", op, []soapenc.Field{soapenc.F("data", text)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return el
+	return mustRequestElement(t, "urn:spi:Echo", op, soapenc.F("data", text))
 }
 
 // parityPacked wraps entries into a Parallel_Method with spi:id/spi:service.
@@ -105,29 +101,34 @@ func parityPacked(entries ...*xmldom.Element) *xmldom.Element {
 }
 
 // parityDoc serializes a request document, signing it when sign is set. The
-// signature covers canonicalBody — the same bytes the wire carries, which
-// is exactly what the server verifies from its raw spans.
+// signature covers the body entries as the unsigned document carries them —
+// the same bytes the signed one does, which is exactly what the server
+// verifies from its raw spans.
 func parityDoc(t *testing.T, v soap.Version, sign bool, body ...*xmldom.Element) []byte {
 	t.Helper()
 	env := soap.New()
 	env.Version = v
 	env.Body = body
+	encode := func() []byte {
+		enc := soap.NewStreamEncoder()
+		defer enc.Release()
+		doc, err := enc.EncodeEnvelope(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Clone(doc)
+	}
+	doc := encode()
 	if sign {
 		signer := &wsse.Signer{Username: "alice", Secret: paritySecret}
-		blocks, err := signer.MakeHeaders(canonicalBody(env))
+		blocks, err := signer.MakeHeaders(wireBody(t, doc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		env.Header = blocks
+		doc = encode()
 	}
-	enc := soap.NewStreamEncoder()
-	doc, err := enc.EncodeEnvelope(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := append([]byte(nil), doc...)
-	enc.Release()
-	return out
+	return doc
 }
 
 // parityGolden pins one response body under testdata/parity/.

@@ -113,6 +113,37 @@ func TestTracePackedBatchSpans(t *testing.T) {
 	}
 }
 
+func TestTracePlanSpans(t *testing.T) {
+	// A plan takes the client path a batch does: one client.pack, client.send
+	// and client.unpack span for the message, under the id its server spans
+	// carry.
+	tr := trace.New(256)
+	sys := newSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
+		sc.Tracer = tr
+		cc.Tracer = tr
+	})
+	p := sys.client.NewPlan()
+	a := p.Add("Echo", "echo", soapenc.F("m", "hi"))
+	p.Add("Echo", "echo", soapenc.F("m", a.Ref("m")))
+	if err := p.Send(); err != nil {
+		t.Fatal(err)
+	}
+	byStage := spansByStage(tr.Snapshot())
+	for _, stage := range []string{trace.StageClientPack, trace.StageClientSend, trace.StageClientUnpack, trace.StageDispatch} {
+		if len(byStage[stage]) != 1 {
+			t.Errorf("stage %s: %d spans, want 1", stage, len(byStage[stage]))
+		}
+	}
+	id := byStage[trace.StageDispatch][0].Trace
+	for _, spans := range byStage {
+		for _, s := range spans {
+			if s.Trace != id || id == 0 {
+				t.Errorf("stage %s span has trace id %d, the dispatch span %d", s.Stage, s.Trace, id)
+			}
+		}
+	}
+}
+
 func TestTraceDisabledRecordsNothing(t *testing.T) {
 	// The default configuration (no tracer) must work exactly as before and
 	// emit no SPI-Trace header.

@@ -26,11 +26,7 @@ func soapRequestBody(t *testing.T, v soap.Version, op string, params ...soapenc.
 	t.Helper()
 	env := soap.New()
 	env.Version = v
-	el, err := encodeRequestElement("urn:spi:Echo", op, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.AddBody(el)
+	env.AddBody(mustRequestElement(t, "urn:spi:Echo", op, params...))
 	var buf bytes.Buffer
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)
