@@ -78,9 +78,10 @@ func (p *recordingProvider) last(t *testing.T, want int) []byte {
 	return p.bodies[want-1]
 }
 
-// recordingClient returns a client with framingClient's namespaces whose
-// every POST is logged and answered with a whole-message fault: the tests
-// that use it look at what went out, not at what came back.
+// recordingClient returns a client, with the namespaces the request shapes
+// lean on defined, whose every POST is logged and answered with a
+// whole-message fault: the tests that use it look at what went out, not at
+// what came back.
 func recordingClient(t *testing.T, v soap.Version, providers ...HeaderProvider) (*Client, *sentLog) {
 	t.Helper()
 	link := netsim.NewLink(netsim.Fast())

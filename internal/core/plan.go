@@ -148,7 +148,7 @@ func (p *Plan) SendCtx(ctx context.Context) error {
 // writeBody streams the Execution_Plan body element. A step states its
 // namespace, id and service in full — a plan declares no default — and a
 // parameter that refers to an earlier result is an spi:ref leaf in place of a
-// value.
+// value. A reference Add refused fails the plan here, before a byte is written.
 func (p *Plan) writeBody(em *xmltext.Emitter) error {
 	if p.buildErr != nil {
 		return p.buildErr
