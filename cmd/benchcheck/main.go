@@ -10,7 +10,7 @@
 //	                           # a PR's snapshot, named explicitly so a
 //	                           # bare run never overwrites a committed one
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
-//	benchcheck -baseline BENCH_pr17.json -tolerance 10
+//	benchcheck -baseline BENCH_pr18.json -tolerance 10
 //	                           # compare mode: exit non-zero when a
 //	                           # benchmark's allocs/op or bytes/op grew
 //	                           # more than 10% vs the baseline; ns/op is
