@@ -352,6 +352,10 @@ type request struct {
 	enc    *soap.StreamEncoder
 	body   *xmltext.Emitter // the fragment providers sign; nil without providers
 	doc    []byte           // the finished document, in enc's buffer
+	// packStart is when the fragment's writing began, until the first attempt
+	// has taken it: that attempt's client.pack span covers the body as well
+	// as its framing, so an attempt records one span with providers or without.
+	packStart time.Time
 }
 
 // release recycles the request's buffers; doc is invalid from then on.
@@ -387,7 +391,11 @@ func (c *Client) newRequest(ctx context.Context, target string, write func(em *x
 		r.release()
 		return request{}, err
 	}
-	c.notePack(ctx, target, packStart)
+	if r.body != nil {
+		r.packStart = packStart
+	} else {
+		c.notePack(ctx, target, packStart)
+	}
 	return r, nil
 }
 
@@ -431,7 +439,11 @@ func (c *Client) notePack(ctx context.Context, op string, start time.Time) {
 // frames it under their blocks first, then it posts the document.
 func (c *Client) post(ctx context.Context, r *request) (*soap.Envelope, func(), error) {
 	if r.body != nil {
-		packStart := c.cfg.Tracer.Now()
+		packStart := r.packStart
+		r.packStart = time.Time{}
+		if packStart.IsZero() {
+			packStart = c.cfg.Tracer.Now()
+		}
 		var blocks []*xmldom.Element
 		for _, p := range c.cfg.HeaderProviders {
 			made, err := p.MakeHeaders(r.body.Bytes())

@@ -17,6 +17,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
+	"repro/internal/trace"
 	"repro/internal/wsse"
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
@@ -349,11 +350,13 @@ func TestSignedRetrySignsEachAttempt(t *testing.T) {
 			t.Run(v.String()+"/"+kind.name, func(t *testing.T) {
 				var firstTry bytes.Buffer
 				var slept []time.Duration
+				tr := trace.New(64)
 				signed := &countingSigner{Signer: wsse.Signer{Username: "alice", Secret: paritySecret}}
 				sys, log := newRecordedSystem(t, func(s *ServerConfig, c *ClientConfig) {
 					s.HeaderProcessors = []HeaderProcessor{&wsse.Verifier{Secrets: map[string][]byte{"alice": paritySecret}}}
 					c.HeaderProviders = []HeaderProvider{signed}
 					c.SOAP12 = v == soap.V12
+					c.Tracer = tr
 					c.Retry = &RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Sleep: instantSleep(&slept)}
 					dial, dials := c.Dial, 0
 					c.Dial = func() (net.Conn, error) {
@@ -371,6 +374,9 @@ func TestSignedRetrySignsEachAttempt(t *testing.T) {
 				}
 				if signed.calls != 2 {
 					t.Errorf("MakeHeaders ran %d times over 2 attempts", signed.calls)
+				}
+				if packs := len(spansByStage(tr.Snapshot())[trace.StageClientPack]); packs != 2 {
+					t.Errorf("%d client.pack spans over 2 attempts", packs)
 				}
 				_, first, ok := bytes.Cut(firstTry.Bytes(), []byte("\r\n\r\n"))
 				if !ok {

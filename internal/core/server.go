@@ -505,11 +505,11 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	}
 
 	dispatchStart := time.Now()
-	resp, encodeDur, fault := s.dispatch(ctx, d, headers, defaultService, req.Target)
+	resp, encode, fault := s.dispatch(ctx, d, headers, defaultService, req.Target)
 	// The response is encoded inside the dispatch — at its tail for a single
 	// call, interleaved with it by the packed assembler — and that time is
 	// attributed to the encode phase, not the dispatch phase.
-	dispatchDur := time.Since(dispatchStart) - encodeDur
+	dispatchDur := time.Since(dispatchStart) - encode.dur
 	s.phaseDispatch.Record(dispatchDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageDispatch,
@@ -518,11 +518,14 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	if fault != nil {
 		return s.faultResponse(fault, env.Version)
 	}
-	s.phaseEncode.Record(encodeDur)
-	s.encodeIO.Observe(len(resp.Body), encodeDur)
+	s.phaseEncode.Record(encode.dur)
+	s.encodeIO.Observe(len(resp.Body), encode.dur)
 	if tr.Enabled() {
+		if encode.start.IsZero() {
+			encode.start = dispatchStart
+		}
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageAssemble,
-			ID: -1, Op: req.Target, Start: dispatchStart.Add(dispatchDur), Service: encodeDur})
+			ID: -1, Op: req.Target, Start: encode.start, Service: encode.dur})
 	}
 	return resp
 }
@@ -698,6 +701,15 @@ func deadlineBudget(req *httpx.Request) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
+// encodeTime is the time a dispatch spent encoding its response: from start
+// when the encoding ran on its own, after the operation (a single call); with
+// no start of its own when it was interleaved with the entries' runs (a packed
+// body, a plan), which the trace then shows from the dispatch's start.
+type encodeTime struct {
+	start time.Time
+	dur   time.Duration
+}
+
 // dispatch decodes the body and executes the request(s): the server-side
 // dispatcher of §3.5. Whatever the body holds, the answer comes back as a
 // ready HTTP response in the request's version, with the time spent encoding
@@ -707,43 +719,44 @@ func deadlineBudget(req *httpx.Request) time.Duration {
 // headers and runs the entry interceptors once; a plan is then assembled like
 // a packed body, a single call's response streamed once it has run.
 // target is the HTTP request target, for EntryInterceptor info.
-func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, time.Duration, *soap.Fault) {
+func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, encodeTime, *soap.Fault) {
 	entry, err := d.NextEntryStart()
 	if err != nil {
-		return nil, 0, malformedFault(err)
+		return nil, encodeTime{}, malformedFault(err)
 	}
 	rctx := &registry.Context{Ctx: ctx, RequestHeaders: headers}
 	if entry != nil && isPackedRequest(entry) {
 		s.packed.Add(1)
-		return s.dispatchPacked(ctx, d, entry, rctx, defaultService, target)
+		resp, encodeDur, fault := s.dispatchPacked(ctx, d, entry, rctx, defaultService, target)
+		return resp, encodeTime{dur: encodeDur}, fault
 	}
 	// Not packed: nothing to overlap, so finish decoding first.
 	if entry != nil {
 		if s.diff != nil {
 			raw, err := d.CompleteEntrySpan(entry)
 			if err != nil {
-				return nil, 0, malformedFault(err)
+				return nil, encodeTime{}, malformedFault(err)
 			}
 			rootTag, bodyTag := d.RawContext()
 			_, err = s.diff.parse(contextSum(rootTag, bodyTag), raw, d.Arena(),
 				func(el *xmldom.Element) { d.ReplaceEntry(entry, el) })
 			if err != nil {
-				return nil, 0, malformedFault(err)
+				return nil, encodeTime{}, malformedFault(err)
 			}
 		} else if err := d.CompleteEntry(entry); err != nil {
-			return nil, 0, malformedFault(err)
+			return nil, encodeTime{}, malformedFault(err)
 		}
 	}
 	env, err := d.Finish()
 	if err != nil {
-		return nil, 0, malformedFault(err)
+		return nil, encodeTime{}, malformedFault(err)
 	}
 	// Verify headers now that the document is known well-formed.
 	if fault := s.verifyHeaders(env, d); fault != nil {
-		return nil, 0, fault
+		return nil, encodeTime{}, fault
 	}
 	if len(env.Body) != 1 {
-		return nil, 0, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+		return nil, encodeTime{}, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
 	}
 	entry = env.Body[0]
 	if len(s.cfg.EntryInterceptors) > 0 {
@@ -751,11 +764,12 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 		entry, fault = runEntryInterceptors(s.cfg.EntryInterceptors, entry,
 			&EntryInfo{Target: target, DefaultService: defaultService, Version: env.Version})
 		if fault != nil {
-			return nil, 0, fault
+			return nil, encodeTime{}, fault
 		}
 	}
 	if isPlanBody(entry) {
-		return s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
+		resp, encodeDur, fault := s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
+		return resp, encodeTime{dur: encodeDur}, fault
 	}
 	return s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
 }
@@ -822,7 +836,7 @@ func (s *Server) abandonResult(ctx context.Context, req *rpcRequest) *rpcResult 
 // dispatchSingle executes a traditional one-request envelope and streams its
 // response in version v: the operation's header blocks, then the one entry
 // through the writer the packed assembler uses.
-func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (*httpx.Response, time.Duration, *soap.Fault) {
+func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (*httpx.Response, encodeTime, *soap.Fault) {
 	service := defaultService
 	if service == "" {
 		// Pack endpoint used for a plain request: resolve by namespace.
@@ -832,7 +846,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 	}
 	req, fault := decodeRequestElement(entry, service, 0)
 	if fault != nil {
-		return nil, 0, fault
+		return nil, encodeTime{}, fault
 	}
 	var res *rpcResult
 	if s.cfg.Coupled || s.appPool == nil || (s.adminState != nil && req.service == admin.ServiceName) {
@@ -850,7 +864,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		done := make(chan *rpcResult, 1)
 		task := s.appTask(ctx, req, func() { done <- s.execute(ctx, req, rctx) })
 		if err := s.submitApp(task); err != nil {
-			return nil, 0, s.admissionFault(err)
+			return nil, encodeTime{}, s.admissionFault(err)
 		}
 		select {
 		case res = <-done:
@@ -859,20 +873,20 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		}
 	}
 	if res.fault != nil {
-		return nil, 0, res.fault
+		return nil, encodeTime{}, res.fault
 	}
 	start := time.Now()
 	enc := soap.NewStreamEncoder()
 	enc.Begin(v, rctx.ResponseHeaders())
 	if err := appendResponseEntry(enc.Emitter(), res, s.namespaceOf(req.service), "", -1); err != nil {
 		enc.Release()
-		return nil, time.Since(start), soap.ServerFault("encoding response: %v", err)
+		return nil, encodeTime{start, time.Since(start)}, soap.ServerFault("encoding response: %v", err)
 	}
 	resp, err := encodedResponse(200, v, enc)
 	if err != nil {
 		resp = encodeFailureResponse()
 	}
-	return resp, time.Since(start), nil
+	return resp, encodeTime{start, time.Since(start)}, nil
 }
 
 // execute resolves and invokes one operation. In staged mode it is called

@@ -9,6 +9,7 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/soapenc"
 	"repro/internal/trace"
+	"repro/internal/xmldom"
 )
 
 // spansByStage indexes a snapshot for assertion convenience.
@@ -18,6 +19,18 @@ func spansByStage(spans []trace.Span) map[string][]trace.Span {
 		out[s.Stage] = append(out[s.Stage], s)
 	}
 	return out
+}
+
+// spansWithApp is spansByStage of tr's snapshot once n server.app spans are in
+// it: a worker records its span after it has handed the result over, so the
+// response can reach the client before the last of them is there.
+func spansWithApp(tr *trace.Tracer, n int) map[string][]trace.Span {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		byStage := spansByStage(tr.Snapshot())
+		if len(byStage[trace.StageApp]) >= n || time.Now().After(deadline) {
+			return byStage
+		}
+	}
 }
 
 func TestTraceSingleCallFullPath(t *testing.T) {
@@ -31,13 +44,17 @@ func TestTraceSingleCallFullPath(t *testing.T) {
 	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "hi")); err != nil {
 		t.Fatal(err)
 	}
-	byStage := spansByStage(tr.Snapshot())
+	byStage := spansWithApp(tr, 1)
 	for _, stage := range []string{trace.StageClientPack, trace.StageClientSend,
 		trace.StageProtocol, trace.StageDispatch, trace.StageApp,
 		trace.StageAssemble, trace.StageClientUnpack} {
 		if len(byStage[stage]) != 1 {
 			t.Errorf("stage %s: %d spans, want 1", stage, len(byStage[stage]))
 		}
+	}
+	// A single call's response is encoded once the operation has run.
+	if asm, app := byStage[trace.StageAssemble], byStage[trace.StageApp]; len(asm) == 1 && len(app) == 1 && !asm[0].Start.After(app[0].Start) {
+		t.Errorf("server.assemble starts at %v, the operation at %v", asm[0].Start, app[0].Start)
 	}
 	var id uint64
 	for _, spans := range byStage {
@@ -71,7 +88,7 @@ func TestTracePackedBatchSpans(t *testing.T) {
 	if err := b.Send(); err != nil {
 		t.Fatal(err)
 	}
-	byStage := spansByStage(tr.Snapshot())
+	byStage := spansWithApp(tr, n)
 	app := byStage[trace.StageApp]
 	if len(app) != n {
 		t.Fatalf("server.app spans = %d, want %d (one per packed request)", len(app), n)
@@ -101,6 +118,7 @@ func TestTracePackedBatchSpans(t *testing.T) {
 	if got := len(byStage[trace.StageDispatch]); got != 1 {
 		t.Errorf("server.dispatch spans = %d, want 1", got)
 	}
+	wantAssembleFromDispatchStart(t, byStage)
 	// The queue gauge was sampled during fan-out.
 	found := false
 	for _, g := range tr.Gauges() {
@@ -134,6 +152,7 @@ func TestTracePlanSpans(t *testing.T) {
 			t.Errorf("stage %s: %d spans, want 1", stage, len(byStage[stage]))
 		}
 	}
+	wantAssembleFromDispatchStart(t, byStage)
 	id := byStage[trace.StageDispatch][0].Trace
 	for _, spans := range byStage {
 		for _, s := range spans {
@@ -141,6 +160,41 @@ func TestTracePlanSpans(t *testing.T) {
 				t.Errorf("stage %s span has trace id %d, the dispatch span %d", s.Stage, s.Trace, id)
 			}
 		}
+	}
+}
+
+// wantAssembleFromDispatchStart checks the one server.assemble span of a
+// packed or plan response: its encoding is interleaved with the entries' runs,
+// so the span carries the encode time from where the dispatch began.
+func wantAssembleFromDispatchStart(t *testing.T, byStage map[string][]trace.Span) {
+	t.Helper()
+	asm, dispatch := byStage[trace.StageAssemble], byStage[trace.StageDispatch]
+	if len(asm) != 1 || len(dispatch) != 1 || !asm[0].Start.Equal(dispatch[0].Start) {
+		t.Errorf("server.assemble spans %+v, want one starting with server.dispatch %+v", asm, dispatch)
+	}
+}
+
+func TestTraceSignedPackSpans(t *testing.T) {
+	// A client with header providers writes the body once and frames it per
+	// attempt; an attempt still records one client.pack span, as it does
+	// without providers, whatever it sends.
+	for _, kind := range retriedKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			tr := trace.New(256)
+			sys := newSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
+				cc.Tracer = tr
+				cc.HeaderProviders = []HeaderProvider{headerProviderFunc(func([]byte) ([]*xmldom.Element, error) {
+					return nil, nil
+				})}
+			})
+			kind.send(t, sys.client)
+			byStage := spansByStage(tr.Snapshot())
+			for _, stage := range []string{trace.StageClientPack, trace.StageClientSend, trace.StageClientUnpack} {
+				if len(byStage[stage]) != 1 {
+					t.Errorf("stage %s: %d spans, want 1", stage, len(byStage[stage]))
+				}
+			}
+		})
 	}
 }
 
@@ -167,7 +221,7 @@ func TestTraceServerOnlyBeginsOwnTrace(t *testing.T) {
 	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "x")); err != nil {
 		t.Fatal(err)
 	}
-	byStage := spansByStage(tr.Snapshot())
+	byStage := spansWithApp(tr, 1)
 	if len(byStage[trace.StageClientPack]) != 0 || len(byStage[trace.StageClientSend]) != 0 {
 		t.Error("client spans recorded despite untraced client")
 	}
@@ -198,6 +252,7 @@ func TestDebugStatsEndpoint(t *testing.T) {
 	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "x")); err != nil {
 		t.Fatal(err)
 	}
+	spansWithApp(tr, 1)
 	hc := &httpx.Client{Dial: sys.link.Dial}
 	defer hc.Close()
 	resp, err := hc.Do(httpx.NewRequest("GET", "/spi/stats", nil))
