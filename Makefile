@@ -3,11 +3,12 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter docs-check
+.PHONY: check build vet test race race-stage race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter docs-check
 
 ## check: the full gate — build, vet, race-enabled shuffled tests, the
-## lock-free latency recorder under -race, pool-lifecycle tests under
-## -race, the gateway differential/chaos suite under -race, the cluster
+## application-stage pool's 30-run census, the lock-free latency recorder
+## under -race, pool-lifecycle tests under -race, the gateway
+## differential/chaos suite under -race, the cluster
 ## control-plane tier under -race, the transport tier (pipelining + C10k
 ## soak) under -race, the dispatch-pipeline parity suite under -race, the
 ## encode-path escape audit, the fault-literal and one-writer audits, the docs
@@ -16,6 +17,7 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
+	$(MAKE) race-stage
 	$(MAKE) race-metrics
 	$(MAKE) race-pools
 	$(MAKE) race-gateway
@@ -41,6 +43,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## race-stage: the application-stage pool's census — thirty shuffled runs
+## under the race detector on one and on two Ps. The package is one queue and
+## its tests park and wake goroutines on purpose, so a test that fails once
+## in thirty here has a cause to remove, not a run to repeat.
+race-stage:
+	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 ./internal/stage
 
 ## race-metrics: the latency recorder has no lock to hide behind — writers,
 ## Snapshot and Reset race on bare atomics, so its suite gets extra runs.

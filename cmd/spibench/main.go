@@ -147,7 +147,6 @@ func main() {
 			bench.RunStagedVsCoupled,
 			bench.RunConnectionReuse,
 			bench.RunPoolWidth,
-			bench.RunAdaptiveStage,
 			bench.RunAutoBatch,
 		} {
 			r, err := f(*reps)

@@ -155,48 +155,6 @@ func RunPoolWidth(reps int) (*AblationResult, error) {
 	return result, nil
 }
 
-// RunAdaptiveStage contrasts the fixed application pool with the
-// SEDA-controlled adaptive pool (the resource-controller mechanism of the
-// paper's reference [5]) under a bursty packed workload: the adaptive pool
-// should reach comparable latency while provisioning threads on demand.
-func RunAdaptiveStage(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
-	const m = 32
-	const work = 2 * time.Millisecond
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Ablation: SEDA adaptive pool vs fixed pool (packed M=%d bursts, %v work/op)", m, work)}
-
-	for _, adaptive := range []bool{false, true} {
-		env, err := NewEnv(EnvOptions{AppWorkers: 32, AdaptiveAppStage: adaptive, WorkTime: work})
-		if err != nil {
-			return nil, err
-		}
-		ms, err := measure(1, reps, func() error {
-			// A burst, a pause, a burst — the shape SEDA's controller is
-			// built for.
-			if err := packedRun(env.Client, m, "x"); err != nil {
-				return err
-			}
-			time.Sleep(2 * time.Millisecond)
-			return packedRun(env.Client, m, "x")
-		})
-		workers := env.Server.Stats().AppStage.Workers
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		name, note := "fixed pool (32 workers always)", ""
-		if adaptive {
-			name = "adaptive pool (2..32 workers)"
-			note = fmt.Sprintf("%d workers live at end of run", workers)
-		}
-		result.Rows = append(result.Rows, AblationRow{Name: name, Millis: ms, Note: note})
-	}
-	return result, nil
-}
-
 // RunAutoBatch compares explicit packing against the automatic batcher
 // (the paper's future-work interface) and against plain concurrent calls,
 // for M concurrent client goroutines.

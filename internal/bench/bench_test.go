@@ -262,24 +262,6 @@ func TestAutoBatchAblation(t *testing.T) {
 	}
 }
 
-func TestAdaptiveStageAblation(t *testing.T) {
-	skipTiming(t)
-	r, err := RunAdaptiveStage(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	fixed, adaptive := r.Rows[0].Millis, r.Rows[1].Millis
-	// The adaptive pool must stay in the same performance class as the
-	// fixed pool (SEDA's claim is equal service with demand-driven
-	// provisioning, not a speedup).
-	if adaptive > fixed*3 {
-		t.Errorf("adaptive pool %.2fms far slower than fixed %.2fms", adaptive, fixed)
-	}
-}
-
 func TestBreakdownExperiment(t *testing.T) {
 	skipTiming(t)
 	r, err := RunBreakdown(32, 10, 2)

@@ -47,9 +47,6 @@ type EnvOptions struct {
 	// DiffDeserialization enables the §2.2 server-side differential
 	// deserialization cache ([4]/[11]).
 	DiffDeserialization bool
-	// AdaptiveAppStage swaps the fixed application pool for the
-	// SEDA-controlled adaptive one (floor 2, ceiling AppWorkers).
-	AdaptiveAppStage bool
 	// Retry applies a client-side retry policy (nil: no retries), for the
 	// fault-injection experiment.
 	Retry *core.RetryPolicy
@@ -105,7 +102,6 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 		AppWorkers:                  opt.AppWorkers,
 		Coupled:                     opt.Coupled,
 		DifferentialDeserialization: opt.DiffDeserialization,
-		AdaptiveAppStage:            opt.AdaptiveAppStage,
 		AdmissionTimeout:            opt.AdmissionTimeout,
 		Tracer:                      opt.Tracer,
 	}

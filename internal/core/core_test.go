@@ -888,42 +888,6 @@ func TestDiffCacheLRU(t *testing.T) {
 	}
 }
 
-func TestAdaptiveAppStage(t *testing.T) {
-	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
-		s.AdaptiveAppStage = true
-		s.AppWorkersMin = 1
-		s.AppWorkers = 16
-	})
-	// Drive a packed burst of slow operations: the controller should grow
-	// the stage, and the requests must all succeed.
-	b := sys.client.NewBatch()
-	var calls []*Call
-	for i := 0; i < 24; i++ {
-		calls = append(calls, b.Add("Echo", "slow"))
-	}
-	if err := b.Send(); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range calls {
-		if _, err := c.Wait(); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-	}
-	// A worker delivers its result before the stage counts the task as
-	// completed, so the response can beat the last increment: wait for it.
-	st := sys.server.Stats()
-	for deadline := time.Now().Add(2 * time.Second); st.AppStage.Completed < 24 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		st = sys.server.Stats()
-	}
-	if st.AppStage.Completed < 24 {
-		t.Errorf("app stage completed = %d", st.AppStage.Completed)
-	}
-	if st.AppStage.Workers < 1 || st.AppStage.Workers > 16 {
-		t.Errorf("adaptive workers = %d, want within [1,16]", st.AppStage.Workers)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Error("server without container accepted")

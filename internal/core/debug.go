@@ -58,7 +58,7 @@ func (s *Server) handleDebug(req *httpx.Request) *httpx.Response {
 
 func (s *Server) handleStats() *httpx.Response {
 	snap := statsSnapshot{Server: s.Stats()}
-	if s.appPool != nil {
+	if s.staged() {
 		snap.AppOccupancy = snap.Server.AppStage.Occupancy()
 		snap.AppQueueLen = s.appPool.QueueLen()
 	}

@@ -244,8 +244,6 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 	var wg sync.WaitGroup
 	wg.Add(len(nodes))
 
-	coupled := s.cfg.Coupled || s.appPool == nil
-
 	var schedule func(idx int)
 	runNode := func(idx int) {
 		defer wg.Done()
@@ -300,7 +298,7 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 		}
 	}
 	schedule = func(idx int) {
-		if coupled {
+		if !s.staged() {
 			runNode(idx)
 			return
 		}
@@ -308,10 +306,12 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 		// must never block on a full queue, or all workers could block on
 		// each other. On overload the step runs inline on the current
 		// goroutine instead (bounded by the plan's chain depth).
-		switch err := s.appPool.TrySubmit(func() { runNode(idx) }); err {
+		task := s.appTask(ctx, nodes[idx].req, func() { runNode(idx) })
+		s.sampleAppQueue()
+		switch err := s.appPool.TrySubmit(task); err {
 		case nil:
 		case stage.ErrQueueFull:
-			runNode(idx)
+			task()
 		default:
 			mu.Lock()
 			results[idx] = &rpcResult{id: nodes[idx].req.id, service: nodes[idx].req.service,

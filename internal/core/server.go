@@ -45,17 +45,10 @@ type ServerConfig struct {
 
 	// AppWorkers is the application-stage pool width (default 32). This is
 	// the second, independent thread pool of §3.3 that executes service
-	// operations. With AdaptiveAppStage it becomes the ceiling.
+	// operations.
 	AppWorkers int
 	// AppQueue is the application-stage queue depth (default 1024).
 	AppQueue int
-	// AdaptiveAppStage replaces the fixed pool with a SEDA-style
-	// controller-managed pool that grows under queue pressure and shrinks
-	// when idle, between AppWorkersMin and AppWorkers (SEDA §4.2, the
-	// paper's reference [5]).
-	AdaptiveAppStage bool
-	// AppWorkersMin is the adaptive pool's floor (default 2).
-	AppWorkersMin int
 
 	// ProtocolWorkers, when > 0, bounds the number of requests in protocol
 	// processing simultaneously, modelling the first-stage thread pool.
@@ -192,11 +185,10 @@ type ServerStats struct {
 type Server struct {
 	cfg        ServerConfig
 	httpSrv    *httpx.Server
-	appPool    stage.Executor
-	controller *stage.Controller // nil unless AdaptiveAppStage
-	protSem    chan struct{}     // nil when ProtocolWorkers == 0
-	diff       *diffCache        // nil unless DifferentialDeserialization
-	adminState *admin.State      // nil unless AdminService
+	appPool    *stage.Pool   // nil iff Coupled
+	protSem    chan struct{} // nil when ProtocolWorkers == 0
+	diff       *diffCache    // nil unless DifferentialDeserialization
+	adminState *admin.State  // nil unless AdminService
 
 	envelopes  atomic.Int64
 	requests   atomic.Int64
@@ -242,24 +234,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{cfg: cfg}
 	s.opStats.Store(&opRecorders{})
 	if !cfg.Coupled {
-		if cfg.AdaptiveAppStage {
-			min := cfg.AppWorkersMin
-			if min <= 0 {
-				min = 2
-			}
-			pool, err := stage.NewAdaptivePool("app", min, cfg.AppWorkers, cfg.AppQueue)
-			if err != nil {
-				return nil, err
-			}
-			s.appPool = pool
-			s.controller = stage.NewController(pool)
-		} else {
-			pool, err := stage.NewPool("app", cfg.AppWorkers, cfg.AppQueue)
-			if err != nil {
-				return nil, err
-			}
-			s.appPool = pool
+		pool, err := stage.NewPool("app", cfg.AppWorkers, cfg.AppQueue)
+		if err != nil {
+			return nil, err
 		}
+		s.appPool = pool
 	}
 	if cfg.ProtocolWorkers > 0 {
 		s.protSem = make(chan struct{}, cfg.ProtocolWorkers)
@@ -363,10 +342,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 }
 
 func (s *Server) closePools() {
-	if s.controller != nil {
-		s.controller.Stop()
-	}
-	if s.appPool != nil {
+	if s.staged() {
 		s.appPool.Close()
 	}
 }
@@ -380,8 +356,8 @@ func (s *Server) Stats() ServerStats {
 		Faults:         s.faults.Load(),
 		ItemFaults:     s.itemFaults.Load(),
 	}
-	if s.appPool != nil {
-		st.AppStage = s.appPool.PoolStats()
+	if s.staged() {
+		st.AppStage = s.appPool.Stats()
 	}
 	if s.diff != nil {
 		st.DiffHits, st.DiffMisses = s.diff.stats()
@@ -774,13 +750,24 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 	return s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
 }
 
+// staged reports whether operations run on the application stage rather than
+// inline on the protocol goroutine. NewServer builds the pool iff !Coupled,
+// so the pool's presence is that one fact.
+func (s *Server) staged() bool { return s.appPool != nil }
+
+// sampleAppQueue samples the application queue's depth into the tracer's
+// app.queue gauge, ahead of a submit.
+func (s *Server) sampleAppQueue() {
+	if tr := s.cfg.Tracer; tr.Enabled() {
+		tr.Gauge("app.queue").Set(int64(s.appPool.QueueLen()))
+	}
+}
+
 // submitApp enqueues one application-stage task, applying the admission
 // timeout when configured. With no timeout the submit blocks until queue
 // space frees (the seed behaviour).
 func (s *Server) submitApp(task stage.Task) error {
-	if tr := s.cfg.Tracer; tr.Enabled() {
-		tr.Gauge("app.queue").Set(int64(s.appPool.QueueLen()))
-	}
+	s.sampleAppQueue()
 	if s.cfg.AdmissionTimeout > 0 {
 		return s.appPool.SubmitTimeout(task, s.cfg.AdmissionTimeout)
 	}
@@ -849,7 +836,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		return nil, encodeTime{}, fault
 	}
 	var res *rpcResult
-	if s.cfg.Coupled || s.appPool == nil || (s.adminState != nil && req.service == admin.ServiceName) {
+	if !s.staged() || (s.adminState != nil && req.service == admin.ServiceName) {
 		// Traditional coupled architecture: execute on the protocol thread.
 		// Control-plane (Admin) operations take the same inline path even
 		// when staged: they only read counters or flip atomics, and they

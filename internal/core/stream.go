@@ -302,7 +302,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 // traditional coupled architecture — serially right here on the protocol
 // thread, degrading the remainder once the deadline has passed.
 func (s *Server) startEntry(ctx context.Context, col *streamCollector, rctx *registry.Context, i int, req *rpcRequest) {
-	if s.cfg.Coupled || s.appPool == nil {
+	if !s.staged() {
 		if ctx.Err() != nil {
 			col.fill(i, s.abandonResult(ctx, req))
 			return

@@ -33,6 +33,17 @@ func spansWithApp(tr *trace.Tracer, n int) map[string][]trace.Span {
 	}
 }
 
+// sampledAppQueue reports whether tr holds the app.queue gauge, which exists
+// once a submit to the application stage has sampled the queue's depth.
+func sampledAppQueue(tr *trace.Tracer) bool {
+	for _, g := range tr.Gauges() {
+		if g.Name == "app.queue" {
+			return true
+		}
+	}
+	return false
+}
+
 func TestTraceSingleCallFullPath(t *testing.T) {
 	// One tracer shared by client and server: a single call must leave one
 	// span at every hop of the request path, all under the same trace id.
@@ -120,13 +131,7 @@ func TestTracePackedBatchSpans(t *testing.T) {
 	}
 	wantAssembleFromDispatchStart(t, byStage)
 	// The queue gauge was sampled during fan-out.
-	found := false
-	for _, g := range tr.Gauges() {
-		if g.Name == "app.queue" {
-			found = true
-		}
-	}
-	if !found {
+	if !sampledAppQueue(tr) {
 		t.Error("no app.queue gauge was recorded during packed dispatch")
 	}
 }
@@ -160,6 +165,55 @@ func TestTracePlanSpans(t *testing.T) {
 				t.Errorf("stage %s span has trace id %d, the dispatch span %d", s.Stage, s.Trace, id)
 			}
 		}
+	}
+}
+
+func TestTracePlanStepAppSpans(t *testing.T) {
+	// A plan step goes to the application stage the way a packed entry does:
+	// through appTask, so each step leaves one server.app span with its own
+	// id and operation, and scheduling it samples the queue gauge.
+	tr := trace.New(256)
+	sys := newSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
+		sc.Tracer = tr
+		cc.Tracer = tr
+	})
+	p := sys.client.NewPlan()
+	a := p.Add("Echo", "echo", soapenc.F("m", "hi"))
+	b := p.Add("Echo", "echo", soapenc.F("m", a.Ref("m")))
+	p.Add("Echo", "echo", soapenc.F("m", b.Ref("m")))
+	if err := p.Send(); err != nil {
+		t.Fatal(err)
+	}
+	byStage := spansWithApp(tr, 3)
+	app := byStage[trace.StageApp]
+	if len(app) != 3 {
+		t.Fatalf("server.app spans = %d, want 3 (one per plan step)", len(app))
+	}
+	dispatch := byStage[trace.StageDispatch]
+	if len(dispatch) != 1 {
+		t.Fatalf("server.dispatch spans = %d, want 1", len(dispatch))
+	}
+	seen := make(map[int]bool)
+	for _, s := range app {
+		seen[s.ID] = true
+		if s.ID < 0 || s.ID > 2 {
+			t.Errorf("app span id = %d, want a step index in [0,3)", s.ID)
+		}
+		if s.Op != "Echo.echo" {
+			t.Errorf("app span Op = %q, want Echo.echo", s.Op)
+		}
+		if s.Trace != dispatch[0].Trace {
+			t.Errorf("app span trace id = %d, the dispatch span's %d", s.Trace, dispatch[0].Trace)
+		}
+		if s.Queue < 0 || s.Service < 0 {
+			t.Errorf("app span Queue = %v, Service = %v, want a queue-wait / service split", s.Queue, s.Service)
+		}
+	}
+	if len(seen) != 3 {
+		t.Errorf("distinct step ids = %d, want 3", len(seen))
+	}
+	if !sampledAppQueue(tr) {
+		t.Error("no app.queue gauge was sampled while scheduling the plan's steps")
 	}
 }
 

@@ -54,14 +54,3 @@ func TestQueueLenObservesBacklog(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
-
-func TestAdaptivePoolQueueLen(t *testing.T) {
-	p, err := NewAdaptivePool("aq", 1, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if got := p.QueueLen(); got != 0 {
-		t.Errorf("idle QueueLen = %d, want 0", got)
-	}
-}

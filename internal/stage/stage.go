@@ -26,27 +26,6 @@ import (
 // Task is one unit of work executed by a pool worker.
 type Task func()
 
-// Executor is the submission surface shared by the fixed Pool and the
-// SEDA-controlled AdaptivePool, letting the server swap pool policies.
-type Executor interface {
-	// Submit enqueues a task, blocking while the queue is full.
-	Submit(Task) error
-	// TrySubmit enqueues without blocking, returning ErrQueueFull on a
-	// full queue.
-	TrySubmit(Task) error
-	// SubmitTimeout enqueues, blocking at most timeout while the queue is
-	// full; it returns ErrQueueFull once the timeout expires (admission
-	// control: overload is shed instead of queueing without bound).
-	SubmitTimeout(Task, time.Duration) error
-	// PoolStats snapshots the pool counters.
-	PoolStats() Stats
-	// QueueLen returns the instantaneous queue length — the cheap probe
-	// the observability layer samples into its queue-depth gauge.
-	QueueLen() int
-	// Close drains accepted tasks and stops the workers.
-	Close()
-}
-
 // ErrClosed is returned by Submit after Close has begun.
 var ErrClosed = errors.New("stage: pool closed")
 
@@ -57,7 +36,7 @@ var ErrQueueFull = errors.New("stage: queue full")
 type Stats struct {
 	Submitted int64 // tasks accepted
 	Completed int64 // tasks finished (including panicked ones)
-	Rejected  int64 // TrySubmit failures
+	Rejected  int64 // submits given up on a full queue
 	Panics    int64 // tasks that panicked
 	Workers   int   // configured worker count
 	QueueCap  int   // configured queue capacity
@@ -182,24 +161,11 @@ func (p *Pool) run(task Task) {
 // Submit enqueues a task, blocking while the queue is full. It returns
 // ErrClosed if the pool is closed (including while blocked waiting for
 // space). A nil return guarantees the task will run.
-func (p *Pool) Submit(task Task) error {
-	if task == nil {
-		return errors.New("stage: nil task")
-	}
-	p.mu.Lock()
-	for len(p.queue) >= p.queueCap && !p.closed {
-		p.notAll.Wait()
-	}
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.queue = append(p.queue, task)
-	p.notAll.Broadcast()
-	p.mu.Unlock()
-	p.submitted.Add(1)
-	return nil
-}
+func (p *Pool) Submit(task Task) error { return p.enqueue(task, forever) }
+
+// TrySubmit enqueues a task without blocking; it returns ErrQueueFull when
+// the queue is at capacity (overload shedding).
+func (p *Pool) TrySubmit(task Task) error { return p.enqueue(task, 0) }
 
 // SubmitTimeout enqueues a task, blocking at most timeout while the queue
 // is full. It returns ErrQueueFull when space does not free up in time and
@@ -207,16 +173,32 @@ func (p *Pool) Submit(task Task) error {
 // of the server's resilience layer. A timeout <= 0 degenerates to
 // TrySubmit.
 func (p *Pool) SubmitTimeout(task Task, timeout time.Duration) error {
+	if timeout < 0 {
+		timeout = 0
+	}
+	return p.enqueue(task, timeout)
+}
+
+// forever is enqueue's wait for Submit: no deadline.
+const forever time.Duration = -1
+
+// enqueue is the one way into the queue. While the queue is full it waits
+// for space: not at all (wait == 0), until wait has passed, or until the pool
+// closes (forever). Giving up on a full queue counts as Rejected; finding the
+// pool closed does not.
+func (p *Pool) enqueue(task Task, wait time.Duration) error {
 	if task == nil {
 		return errors.New("stage: nil task")
 	}
-	if timeout <= 0 {
-		return p.TrySubmit(task)
+	var deadline time.Time
+	if wait > 0 {
+		deadline = time.Now().Add(wait)
 	}
-	deadline := time.Now().Add(timeout)
 	p.mu.Lock()
 	for len(p.queue) >= p.queueCap && !p.closed {
-		if !waitUntil(p.notAll, deadline) {
+		if wait == forever {
+			p.notAll.Wait()
+		} else if wait == 0 || !waitUntil(p.notAll, deadline) {
 			p.mu.Unlock()
 			p.rejected.Add(1)
 			return ErrQueueFull
@@ -249,29 +231,6 @@ func waitUntil(cond *sync.Cond, deadline time.Time) bool {
 	return time.Now().Before(deadline)
 }
 
-// TrySubmit enqueues a task without blocking; it returns ErrQueueFull when
-// the queue is at capacity (overload shedding).
-func (p *Pool) TrySubmit(task Task) error {
-	if task == nil {
-		return errors.New("stage: nil task")
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	if len(p.queue) >= p.queueCap {
-		p.mu.Unlock()
-		p.rejected.Add(1)
-		return ErrQueueFull
-	}
-	p.queue = append(p.queue, task)
-	p.notAll.Broadcast()
-	p.mu.Unlock()
-	p.submitted.Add(1)
-	return nil
-}
-
 // Close stops accepting tasks, lets queued tasks drain, and waits for all
 // workers to exit. It is idempotent and safe to call concurrently.
 func (p *Pool) Close() {
@@ -281,9 +240,6 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 	p.wg.Wait()
 }
-
-// PoolStats implements Executor.
-func (p *Pool) PoolStats() Stats { return p.Stats() }
 
 // QueueLen returns the current queue length.
 func (p *Pool) QueueLen() int {
@@ -308,28 +264,3 @@ func (p *Pool) Stats() Stats {
 		Busy:      p.busy.Load(),
 	}
 }
-
-// Barrier tracks a batch of tasks fanned out to a pool and lets the
-// submitting goroutine sleep until every task has completed — the paper's
-// protocol-thread sleep/wake handoff. It is a counting completion latch.
-type Barrier struct {
-	wg sync.WaitGroup
-}
-
-// Go submits fn to the pool as part of the batch. If submission fails the
-// error is returned and the batch is not grown.
-func (b *Barrier) Go(p Executor, fn func()) error {
-	b.wg.Add(1)
-	err := p.Submit(func() {
-		defer b.wg.Done()
-		fn()
-	})
-	if err != nil {
-		b.wg.Done()
-		return err
-	}
-	return nil
-}
-
-// Wait blocks until every task submitted through Go has completed.
-func (b *Barrier) Wait() { b.wg.Wait() }

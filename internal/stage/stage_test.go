@@ -174,35 +174,6 @@ func TestBadConfig(t *testing.T) {
 	MustPool("bad", 0, 0)
 }
 
-func TestBarrier(t *testing.T) {
-	p := MustPool("barrier", 4, 16)
-	defer p.Close()
-	var n atomic.Int32
-	var b Barrier
-	for i := 0; i < 25; i++ {
-		if err := b.Go(p, func() {
-			time.Sleep(time.Millisecond)
-			n.Add(1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.Wait()
-	if n.Load() != 25 {
-		t.Errorf("barrier released with %d/25 tasks done", n.Load())
-	}
-}
-
-func TestBarrierSubmitFailure(t *testing.T) {
-	p := MustPool("closed-barrier", 1, 0)
-	p.Close()
-	var b Barrier
-	if err := b.Go(p, func() {}); err != ErrClosed {
-		t.Errorf("Go on closed pool = %v", err)
-	}
-	b.Wait() // must not hang
-}
-
 func TestSubmitBlockedDuringCloseReturnsErr(t *testing.T) {
 	p := MustPool("race", 1, 0)
 	block := make(chan struct{})

@@ -74,20 +74,3 @@ func TestSubmitTimeoutClosedPool(t *testing.T) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
-
-func TestAdaptiveSubmitTimeout(t *testing.T) {
-	p, err := NewAdaptivePool("adaptive-admit", 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	block := make(chan struct{})
-	defer close(block)
-	started := make(chan struct{})
-	p.Submit(func() { close(started); <-block })
-	<-started // the worker holds this task; the queue is truly empty now
-	waitFor(t, func() bool { return p.TrySubmit(func() {}) == ErrQueueFull })
-	if err := p.SubmitTimeout(func() {}, 10*time.Millisecond); err != ErrQueueFull {
-		t.Fatalf("adaptive err = %v, want ErrQueueFull", err)
-	}
-}
