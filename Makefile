@@ -112,6 +112,7 @@ figures:
 ## fuzz-smoke: run each fuzz target briefly against the codec layer.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenizer$$' -fuzztime=10s ./internal/xmltext
+	$(GO) test -run='^$$' -fuzz='^FuzzCharData$$' -fuzztime=10s ./internal/xmltext
 	$(GO) test -run='^$$' -fuzz='^FuzzParseEnvelope$$' -fuzztime=10s ./internal/soap
 	$(GO) test -run='^$$' -fuzz='^FuzzReadResponse$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRequestStream$$' -fuzztime=10s ./internal/httpx
@@ -125,7 +126,7 @@ bench-check:
 	$(GO) run ./cmd/benchcheck
 
 ## bench-gate: fail if a key benchmark's allocs/op or bytes/op grew past the
-## tolerance vs BENCH_pr18.json, the one baseline, recorded on the box the gate
+## tolerance vs BENCH_pr22.json, the one baseline, recorded on the box the gate
 ## runs on. Both counts repeat from run to run; ns/op is printed beside them
 ## and not judged — on the shared 2-vCPU box it moves by half between minutes
 ## with no code change, and the gate failed five runs in a row on untouched
@@ -133,7 +134,7 @@ bench-check:
 ## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr18.json -tolerance 35
+		-baseline BENCH_pr22.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:

@@ -10,7 +10,7 @@
 //	                           # a PR's snapshot, named explicitly so a
 //	                           # bare run never overwrites a committed one
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
-//	benchcheck -baseline BENCH_pr18.json -tolerance 10
+//	benchcheck -baseline BENCH_pr22.json -tolerance 10
 //	                           # compare mode: exit non-zero when a
 //	                           # benchmark's allocs/op or bytes/op grew
 //	                           # more than 10% vs the baseline; ns/op is
@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"runtime"
@@ -219,6 +220,73 @@ func main() {
 				}
 			}
 		}))
+	}
+	// The large-payload regime: a packed response of eight 16 KiB strings in
+	// which one byte in 32 is one of <&>", as the benchmark's payload pool is.
+	// Written through the streamed entry writer the server uses; read back in
+	// the spelling that writer picks (one CDATA section a value) and in the
+	// escaped spelling a third party or an older peer sends.
+	{
+		values := denseValues(8, 16<<10)
+		// encode writes the document into enc, whose emitter it resets first
+		// so that one encoder — and one grown buffer — serves a whole row.
+		encode := func(enc *soap.StreamEncoder, charData func(em *xmltext.Emitter, s string)) []byte {
+			em := enc.Emitter()
+			em.Reset()
+			enc.Begin(soap.V11, nil)
+			em.Start(xmltext.Name{Prefix: core.PrefixPack, Local: core.ElemParallelResponse})
+			em.Attr(xmltext.Name{Prefix: "xmlns", Local: core.PrefixPack}, core.NSPack)
+			em.Attr(xmltext.Name{Prefix: "xmlns", Local: "m"}, "urn:spi:Echo")
+			for _, v := range values {
+				em.Start(xmltext.Name{Prefix: "m", Local: "echoResponse"})
+				em.Start(xmltext.Name{Local: "data"})
+				charData(em, v)
+				em.End()
+				em.End()
+			}
+			em.End()
+			doc, err := enc.Finish()
+			if err != nil {
+				panic(err)
+			}
+			return doc
+		}
+		enc := soap.NewStreamEncoder()
+		add(measure("soap/encode-8x16k", func(b *testing.B) {
+			// The buffer's one growth to 128 KiB is paid before the clock
+			// starts: spread over b.N it would make bytes/op a function of
+			// the benchtime.
+			encode(enc, (*xmltext.Emitter).Text)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				encode(enc, (*xmltext.Emitter).Text)
+			}
+		}))
+		sections := bytes.Clone(encode(enc, (*xmltext.Emitter).Text))
+		escaped := bytes.Clone(encode(enc, func(em *xmltext.Emitter, s string) {
+			em.RawString(xmltext.EscapeText(s))
+		}))
+		enc.Release()
+		for _, tc := range []struct {
+			name string
+			doc  []byte
+		}{
+			{"soap/decode-8x16k", sections},
+			{"soap/decode-8x16k-escaped", escaped},
+		} {
+			if cdata := bytes.Count(tc.doc, []byte("<![CDATA[")); (cdata == len(values)) == strings.HasSuffix(tc.name, "escaped") {
+				panic(fmt.Sprintf("%s: %d CDATA sections in the document", tc.name, cdata))
+			}
+			add(measure(tc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if n, err := streamDecodePacked(tc.doc); err != nil || n != len(values) {
+						b.Fatalf("decoded %d entries: %v", n, err)
+					}
+				}
+			}))
+		}
 	}
 	// The sixteen parameters of that request through soapenc.DecodeParams,
 	// spelled the old way and today's: an untyped leaf is a string without
@@ -821,6 +889,23 @@ func packedEchoDoc(n int, long, typed bool) []byte {
 		panic(err)
 	}
 	return append([]byte(nil), doc...)
+}
+
+// denseValues makes n strings of size bytes each, printable ASCII with one
+// byte in 32 drawn from <&>" — the density of the benchmark's payload pool.
+func denseValues(n, size int) []string {
+	rng := rand.New(rand.NewSource(1))
+	out := make([]string, n)
+	for i := range out {
+		b := make([]byte, size)
+		for j := range b {
+			if b[j] = byte('a' + rng.Intn(26)); rng.Intn(32) == 0 {
+				b[j] = `<&>"`[rng.Intn(4)]
+			}
+		}
+		out[i] = string(b)
+	}
+	return out
 }
 
 // streamDecodePacked walks a packed request the way the server's dispatch

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/soap"
 	"repro/internal/soapenc"
+	"repro/internal/wsse"
+	"repro/internal/xmldom"
 )
 
 // The character-data acceptance suite. A value that is mostly markup
@@ -164,4 +166,86 @@ func TestCharDataPre22Fixtures(t *testing.T) {
 		}
 	}
 	charDataAcceptance(t, "pre22")
+}
+
+// TestCharDataGoldens pins what the writers send for the same calls today —
+// the client's single call and batch as the far side of the connection
+// received them, and the server's answer to the batch — and runs those
+// documents through the same acceptance as the pre-22 ones.
+func TestCharDataGoldens(t *testing.T) {
+	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		client, log := recordingClient(t, v)
+		_, err := client.Call("Echo", "echo", charDataParams...)
+		wantRecordedFault(t, "single", err)
+		testdataGolden(t, "wire", "chardata-single_"+corpusSuffix(v), log.last(t, 1))
+
+		b := client.NewBatch()
+		for _, c := range charDataCalls() {
+			b.Add(c.service, c.op, c.params...)
+		}
+		wantRecordedFault(t, "packed", b.Send())
+		packed := log.last(t, 2)
+		testdataGolden(t, "wire", "chardata-packed_"+corpusSuffix(v), packed)
+
+		code, body := postDoc(t, sys, "/services", v, packed)
+		if code != 200 {
+			t.Fatalf("%v: packed request: HTTP %d: %s", v, code, body)
+		}
+		testdataGolden(t, "wire", "chardata-response_"+corpusSuffix(v), body)
+		// The markup-like value goes out in one section, in both directions;
+		// the one that holds the terminator never does.
+		for _, doc := range [][]byte{packed, body} {
+			if !bytes.Contains(doc, []byte("<markup><![CDATA[</m:echoResponse>")) || !bytes.Contains(doc, []byte("<terminator>a]]&gt;b")) {
+				t.Errorf("%v: values are not in their shorter spelling: %s", v, doc)
+			}
+		}
+	}
+	charDataAcceptance(t, "")
+}
+
+// TestSignedCharDataSection: the signature covers the body as it stands on
+// the wire, so a value spelled as a CDATA section verifies as written — from
+// the client's own signer and from a document signed by hand — and a byte
+// changed inside the section is a signature mismatch.
+func TestSignedCharDataSection(t *testing.T) {
+	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
+		parityConfig(parityFeatures{wsse: true})(s, c)
+		c.HeaderProviders = []HeaderProvider{&wsse.Signer{Username: "alice", Secret: paritySecret}}
+	})
+	b := sys.client.NewBatch()
+	var futures []*Call
+	for _, c := range charDataCalls() {
+		futures = append(futures, b.Add(c.service, c.op, c.params...))
+	}
+	if err := b.Send(); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range futures {
+		got, err := f.Wait()
+		if err != nil {
+			t.Fatalf("signed call %d: %v", i, err)
+		}
+		wantFields(t, "signed call", got, charDataCalls()[i].params)
+	}
+
+	tc := parityCase{body: func(t *testing.T) []*xmldom.Element {
+		return []*xmldom.Element{parityPacked(
+			parityEcho(t, "echo", `<<<<< tamper-target &&&&& "quoted" >>>>>`),
+			parityEcho(t, "echo", "bystander"),
+		)}
+	}}
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		doc := parityDoc(t, v, true, tc.body(t)...)
+		if !bytes.Contains(doc, []byte(`<![CDATA[<<<<< tamper-target &&&&& "quoted" >>>>>]]>`)) {
+			t.Fatalf("%v: the signed value is not in a section: %s", v, doc)
+		}
+		if code, body := postDoc(t, sys, "/services/", v, doc); code != 200 || bytes.Contains(body, []byte("Fault")) {
+			t.Errorf("%v: signed batch with a section: HTTP %d %s", v, code, body)
+		}
+		code, body := postDoc(t, sys, "/services/", v, tamperDoc(t, v, tc))
+		if code != 500 || !bytes.Contains(body, []byte("signature mismatch")) {
+			t.Errorf("%v: byte changed inside the section not rejected: HTTP %d %s", v, code, body)
+		}
+	}
 }

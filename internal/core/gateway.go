@@ -249,6 +249,8 @@ var (
 	gatherHeaderEnd   = []byte(`</SOAP-ENV:Header>`)
 	gatherBodyOpen    = []byte(`<SOAP-ENV:Body><` + PrefixPack + `:` + ElemParallelResponse + ` xmlns:` + PrefixPack + `="` + NSPack + `"`)
 	gatherDefaultOpen = []byte(` xmlns:m="`)
+	gatherCDATAOpen   = []byte(`<![CDATA[`)
+	gatherCDATAEnd    = []byte(`]]>`)
 	gatherBodyClose   = []byte(`</` + PrefixPack + `:` + ElemParallelResponse + `></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
 )
 
@@ -360,17 +362,29 @@ func splitTopLevelElements(b []byte) ([][]byte, error) {
 }
 
 // elementEnd returns the index just past the element whose start tag opens
-// at b[pos]. The input comes from the server's own emitter, so text never
-// contains a raw '<', attribute values are double-quoted, and the only
-// markup to skip inside a tag is a quoted string; balance is checked, tag
-// names are not. Comments and PIs do not occur but are tolerated at depth.
+// at b[pos]. The input comes from the server's own emitter, so text holds a
+// raw '<' only inside a CDATA section (the shorter spelling of a value that
+// is mostly markup characters), which is skipped whole; attribute values are
+// double-quoted, and the only markup to skip inside a tag is a quoted string;
+// balance is checked, tag names are not. Comments and PIs do not occur but
+// are tolerated at depth.
 func elementEnd(b []byte, pos int) (int, error) {
 	for depth := 0; ; {
 		lt := bytes.IndexByte(b[pos:], '<')
 		if lt < 0 {
 			return 0, fmt.Errorf("core: truncated packed response entry")
 		}
-		gt, selfClosing, closing, err := scanTag(b, pos+lt)
+		pos += lt
+		if bytes.HasPrefix(b[pos:], gatherCDATAOpen) {
+			end := bytes.Index(b[pos:], gatherCDATAEnd)
+			if end < 0 || depth == 0 {
+				// Unterminated, or where an entry should start.
+				return 0, fmt.Errorf("core: truncated packed response entry")
+			}
+			pos += end + len(gatherCDATAEnd)
+			continue
+		}
+		gt, selfClosing, closing, err := scanTag(b, pos)
 		if err != nil {
 			return 0, err
 		}

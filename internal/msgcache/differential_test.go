@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/soapenc"
@@ -14,7 +15,18 @@ import (
 // XML-significant characters, empty strings, integer class boundaries,
 // negative zero and extreme floats.
 func randomScalar(r *rand.Rand) soapenc.Value {
-	switch r.Intn(6) {
+	switch r.Intn(7) {
+	case 6: // special-dense strings: long enough that most take a CDATA section
+		// — and, one time in four, something that may not stand in one.
+		alphabet := []string{"<", ">", "&", `"`, "]]", "<![CDATA[", "</p0>", "x", " ", "é"}
+		var b strings.Builder
+		for i, n := 0, r.Intn(40); i < n; i++ {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		if r.Intn(4) == 0 {
+			b.WriteString([]string{"]]>", "\r", "\x00", "\xff"}[r.Intn(4)])
+		}
+		return b.String()
 	case 0: // strings, often with markup characters and quotes
 		alphabet := []rune(`<>&"' abcXYZ;=/-_.` + "\té漢")
 		n := r.Intn(20)
@@ -54,6 +66,7 @@ func TestDifferentialRenderMatchesFullSerialization(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cache := New()
 	const rounds = 400
+	sections := 0
 	for round := 0; round < rounds; round++ {
 		op := fmt.Sprintf("op%d", r.Intn(8))
 		ns := "urn:spi:Diff"
@@ -63,6 +76,7 @@ func TestDifferentialRenderMatchesFullSerialization(t *testing.T) {
 			params[i] = soapenc.F(fmt.Sprintf("p%d", i), randomScalar(r))
 		}
 		wantDoc := fullSerialize(t, ns, op, params)
+		sections += bytes.Count(wantDoc, []byte("<![CDATA["))
 		for pass := 0; pass < 2; pass++ { // pass 0 may build, pass 1 must hit
 			got, ok, err := render(cache, "Diff", ns, op, params)
 			if err != nil {
@@ -80,6 +94,9 @@ func TestDifferentialRenderMatchesFullSerialization(t *testing.T) {
 	st := cache.Stats()
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("differential run exercised no cache hit/miss split: %+v", st)
+	}
+	if sections < 50 {
+		t.Errorf("only %d values went out as CDATA sections: the special-dense strings are not dense enough", sections)
 	}
 }
 

@@ -269,7 +269,7 @@ func buildTemplate(namespace, op string, params []soapenc.Field) (*Template, err
 	}
 	raw := buf.Bytes()
 
-	escaped := []byte(xmltext.EscapeText(placeholder))
+	escaped := xmltext.AppendCharData(nil, placeholder)
 	parts := bytes.Split(raw, escaped)
 	if len(parts) != len(params)+1 {
 		return nil, fmt.Errorf("msgcache: expected %d holes, found %d", len(params), len(parts)-1)

@@ -21,6 +21,19 @@ func buildPackedTree(entries int) *Element {
 	return root
 }
 
+// sectionTree holds a value that is mostly markup characters, which both
+// writers spell as one CDATA section, beside one that stays escaped.
+func sectionTree(t *testing.T) *Element {
+	t.Helper()
+	root := NewElement(xmltext.Name{Local: "r"})
+	root.AddElement(xmltext.Name{Local: "dense"}).SetText(`</r><r a="b">&&&`)
+	root.AddElement(xmltext.Name{Local: "sparse"}).SetText(`a<b`)
+	if got, want := root.String(), `<r><dense><![CDATA[</r><r a="b">&&&]]></dense><sparse>a&lt;b</sparse></r>`; got != want {
+		t.Fatalf("String() = %s, want %s", got, want)
+	}
+	return root
+}
+
 // TestStringMatchesSerialize pins the sized String() path byte-identical
 // to the streaming Serialize path.
 func TestStringMatchesSerialize(t *testing.T) {
@@ -28,6 +41,7 @@ func TestStringMatchesSerialize(t *testing.T) {
 		NewElement(xmltext.Name{Local: "empty"}),
 		buildPackedTree(1),
 		buildPackedTree(16),
+		sectionTree(t),
 	}
 	withComment := NewElement(xmltext.Name{Local: "a"})
 	withComment.AddChild(&Comment{Data: " note "})
@@ -50,6 +64,7 @@ func TestSerializedLenExact(t *testing.T) {
 		NewElement(xmltext.Name{Local: "empty"}),
 		buildPackedTree(4),
 		buildPackedTree(64),
+		sectionTree(t),
 	}
 	mixed := NewElement(xmltext.Name{Local: "mixed"})
 	mixed.AddChild(&Text{Data: "a<b&c\r"})

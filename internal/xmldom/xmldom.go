@@ -382,7 +382,7 @@ func (e *Element) SerializedLen() int {
 		case *Element:
 			n += c.SerializedLen()
 		case *Text:
-			n += xmltext.EscapedTextLen(c.Data)
+			n += xmltext.CharDataLen(c.Data)
 		case *Comment:
 			n += len("<!--") + len(c.Data) + len("-->")
 		}

@@ -220,6 +220,15 @@ func TestMergedTextNodes(t *testing.T) {
 	if len(root.Children) != 1 {
 		t.Errorf("children = %d, want 1 merged text node", len(root.Children))
 	}
+	// A section between two escaped runs is three tokens and one value, and
+	// the value's own spelling does not depend on how it arrived.
+	root = mustParse(t, `<a>x &lt;<![CDATA[<y> & <z>]]>&gt; w</a>`)
+	if root.Text() != "x <<y> & <z>> w" || len(root.Children) != 1 {
+		t.Errorf("merged text = %q in %d children", root.Text(), len(root.Children))
+	}
+	if got, want := root.String(), `<a><![CDATA[x <<y> & <z>> w]]></a>`; got != want {
+		t.Errorf("re-serialized as %s, want %s", got, want)
+	}
 }
 
 func TestWriteDocument(t *testing.T) {

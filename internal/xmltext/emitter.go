@@ -201,7 +201,8 @@ func (e *Emitter) End() {
 	e.buf = append(e.buf, '>')
 }
 
-// Text writes escaped character data inside the current element. Like
+// Text writes character data inside the current element, in the shorter of
+// its two spellings (see AppendCharData). Like
 // Writer.Text, an empty string still completes the open start tag, so
 // Text("") distinguishes <a></a> from <a/>.
 func (e *Emitter) Text(s string) {
@@ -213,11 +214,11 @@ func (e *Emitter) Text(s string) {
 		return
 	}
 	e.closeOpenTag()
-	e.buf = AppendEscText(e.buf, s)
+	e.buf = AppendCharData(e.buf, s)
 }
 
-// RawText is Text without the open-element check: escaped character data
-// appended wherever the buffer stands. It exists for template splicing
+// RawText is Text without the open-element check: character data appended
+// wherever the buffer stands. It exists for template splicing
 // (msgcache), where the element structure lives in pre-serialized segments
 // the Emitter never saw, so its stack is empty by construction.
 func (e *Emitter) RawText(s string) {
@@ -225,7 +226,7 @@ func (e *Emitter) RawText(s string) {
 		return
 	}
 	e.closeOpenTag()
-	e.buf = AppendEscText(e.buf, s)
+	e.buf = AppendCharData(e.buf, s)
 }
 
 // Raw appends pre-serialized bytes verbatim, completing any open start tag

@@ -295,20 +295,22 @@ func TestEmitterOversizedNotPooled(t *testing.T) {
 	}
 }
 
+// TestAppendEscapeParity: the append and length forms agree with the string
+// forms (which chardata_test.go holds to the rune-at-a-time reference).
 func TestAppendEscapeParity(t *testing.T) {
 	cases := []string{
 		"", "plain", "a<b&c>d", `quote"tab` + "\ttext", "\r\n", "\xff", "\x00",
 		"ünïcødé", "mixed \xffü<&", strings.Repeat("x", 1000) + "<",
 	}
 	for _, s := range cases {
-		if got, want := string(AppendEscText(nil, s)), EscapeText(s); got != want {
-			t.Errorf("AppendEscText(%q) = %q, want %q", s, got, want)
+		if got, want := string(appendEscaped(nil, s, &textEsc)), EscapeText(s); got != want {
+			t.Errorf("appendEscaped(%q) = %q, want %q", s, got, want)
 		}
 		if got, want := string(AppendEscAttr(nil, s)), EscapeAttr(s); got != want {
 			t.Errorf("AppendEscAttr(%q) = %q, want %q", s, got, want)
 		}
-		if got, want := EscapedTextLen(s), len(EscapeText(s)); got != want {
-			t.Errorf("EscapedTextLen(%q) = %d, want %d", s, got, want)
+		if got, want := CharDataLen(s), len(AppendCharData(nil, s)); got != want {
+			t.Errorf("CharDataLen(%q) = %d, want %d", s, got, want)
 		}
 		if got, want := EscapedAttrLen(s), len(EscapeAttr(s)); got != want {
 			t.Errorf("EscapedAttrLen(%q) = %d, want %d", s, got, want)

@@ -1,200 +1,199 @@
 package xmltext
 
-import (
-	"strings"
-	"unicode/utf8"
-)
+import "unicode/utf8"
 
 // EscapeText escapes s for use as XML character data: '&', '<' and '>' are
 // replaced by entity references, carriage returns by a character reference
 // (so they survive end-of-line normalization), and invalid XML characters by
-// U+FFFD.
+// U+FFFD. It is the escaped spelling of character data; the writers choose
+// between it and a CDATA section through AppendCharData.
 func EscapeText(s string) string {
-	return escape(s, false)
+	return escape(s, &textEsc)
 }
 
 // EscapeAttr escapes s for use inside a double-quoted attribute value. In
 // addition to the text escapes it encodes '"', tab and newline so the exact
 // value round-trips through attribute-value normalization.
 func EscapeAttr(s string) string {
-	return escape(s, true)
+	return escape(s, &attrEsc)
 }
 
-func escape(s string, attr bool) string {
-	// Fast path: nothing to escape.
-	if !needsEscape(s, attr) {
+func escape(s string, tab *escTable) string {
+	c := classify(s, tab)
+	if c.verbatim {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	escapeSlow(&b, s, attr)
-	return b.String()
+	return string(appendEscaped(make([]byte, 0, len(s)+c.extra), s, tab))
 }
 
-// AppendEscText appends s to dst escaped as character data, exactly as
-// EscapeText would render it. When nothing needs escaping the bytes are
-// copied in one append — the emitter's no-escape fast path.
-func AppendEscText(dst []byte, s string) []byte {
-	if !needsEscape(s, false) {
+// cdataOpen and cdataClose frame a CDATA section. Their combined length is
+// what a section costs, so it is what the escaped spelling must exceed before
+// a section is the shorter one.
+const (
+	cdataOpen  = "<![CDATA["
+	cdataClose = "]]>"
+)
+
+// AppendCharData appends s to dst as character data in the shorter of its two
+// XML spellings: escaped, exactly as EscapeText renders it, or verbatim inside
+// one CDATA section when s may stand in one (see classify) and the escapes
+// would cost more than the section's own framing. Nothing to escape is one
+// append. Every text writer goes through here, so none can disagree on a
+// value's spelling.
+func AppendCharData(dst []byte, s string) []byte {
+	c := classify(s, &textEsc)
+	switch {
+	case c.verbatim:
 		return append(dst, s...)
+	case c.section():
+		dst = append(dst, cdataOpen...)
+		dst = append(dst, s...)
+		return append(dst, cdataClose...)
 	}
-	return appendEscapeSlow(dst, s, false)
+	return appendEscaped(dst, s, &textEsc)
+}
+
+// CharDataLen returns len(AppendCharData(nil, s)) without writing it, for
+// exact-size serialization buffers.
+func CharDataLen(s string) int {
+	c := classify(s, &textEsc)
+	if c.section() {
+		return len(s) + len(cdataOpen) + len(cdataClose)
+	}
+	return len(s) + c.extra
 }
 
 // AppendEscAttr appends s to dst escaped as a double-quoted attribute
 // value, exactly as EscapeAttr would render it.
 func AppendEscAttr(dst []byte, s string) []byte {
-	if !needsEscape(s, true) {
+	if classify(s, &attrEsc).verbatim {
 		return append(dst, s...)
 	}
-	return appendEscapeSlow(dst, s, true)
+	return appendEscaped(dst, s, &attrEsc)
 }
-
-// EscapedTextLen returns len(EscapeText(s)) without materializing the
-// escaped string, for exact-size serialization buffers.
-func EscapedTextLen(s string) int { return escapedLen(s, false) }
 
 // EscapedAttrLen returns len(EscapeAttr(s)) without materializing the
 // escaped string.
-func EscapedAttrLen(s string) int { return escapedLen(s, true) }
+func EscapedAttrLen(s string) int { return len(s) + classify(s, &attrEsc).extra }
 
-// escWriter abstracts the two escape sinks (strings.Builder, []byte append)
-// over one walk so their outputs can never diverge.
-type escWriter interface {
-	WriteString(s string) (int, error)
-	WriteByte(c byte) error
-	WriteRune(r rune) (int, error)
+// escTable maps a byte to what the escaper writes in its place, as an index
+// into escRefs: escCopy for a byte that is copied through, escDecode for one
+// that belongs to a multi-byte sequence (whose validity only decoding it
+// tells), else the replacement's.
+type escTable [256]uint8
+
+const (
+	escCopy = iota
+	escAmp
+	escLT
+	escGT
+	escCR
+	escQuot
+	escTab
+	escLF
+	escBad // not an XML character: U+FFFD stands in for it
+	escDecode
+)
+
+var escRefs = [...]string{
+	escAmp: "&amp;", escLT: "&lt;", escGT: "&gt;", escCR: "&#13;",
+	escQuot: "&quot;", escTab: "&#9;", escLF: "&#10;", escBad: "\uFFFD",
 }
 
-// byteAppender adapts a []byte to escWriter without heap indirection at the
-// call sites that matter (appendEscapeSlow keeps it on the stack).
-type byteAppender struct{ b []byte }
+var textEsc, attrEsc = buildEscTables()
 
-func (a *byteAppender) WriteString(s string) (int, error) { a.b = append(a.b, s...); return len(s), nil }
-func (a *byteAppender) WriteByte(c byte) error            { a.b = append(a.b, c); return nil }
-func (a *byteAppender) WriteRune(r rune) (int, error) {
-	a.b = utf8.AppendRune(a.b, r)
-	return utf8.RuneLen(r), nil
-}
-
-func appendEscapeSlow(dst []byte, s string, attr bool) []byte {
-	a := byteAppender{b: dst}
-	escapeSlow(&a, s, attr)
-	return a.b
-}
-
-func escapeSlow(b escWriter, s string, attr bool) {
-	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '"':
-			if attr {
-				b.WriteString("&quot;")
-			} else {
-				b.WriteByte('"')
-			}
-		case '\r':
-			b.WriteString("&#13;")
-		case '\t':
-			if attr {
-				b.WriteString("&#9;")
-			} else {
-				b.WriteByte('\t')
-			}
-		case '\n':
-			if attr {
-				b.WriteString("&#10;")
-			} else {
-				b.WriteByte('\n')
-			}
-		case utf8.RuneError:
-			if size == 1 {
-				// Invalid UTF-8 byte: replace, as encoders must not emit it.
-				b.WriteRune(utf8.RuneError)
-				i += size
-				continue
-			}
-			b.WriteRune(r)
-		default:
-			if !isValidXMLChar(r) {
-				b.WriteRune(utf8.RuneError)
-			} else {
-				b.WriteString(s[i : i+size])
-			}
-		}
-		i += size
+func buildEscTables() (text, attr escTable) {
+	for c := 0; c < 0x20; c++ {
+		text[c] = escBad
 	}
+	text['\t'], text['\n'], text['\r'] = escCopy, escCopy, escCR
+	text['&'], text['<'], text['>'] = escAmp, escLT, escGT
+	for c := utf8.RuneSelf; c < len(text); c++ {
+		text[c] = escDecode
+	}
+	attr = text
+	attr['"'], attr['\t'], attr['\n'] = escQuot, escTab, escLF
+	return text, attr
 }
 
-// escapedLen mirrors escapeSlow's walk, summing output lengths instead of
-// writing bytes.
-func escapedLen(s string, attr bool) int {
-	if !needsEscape(s, attr) {
-		return len(s)
-	}
-	n := 0
-	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch r {
-		case '&':
-			n += len("&amp;")
-		case '<', '>':
-			n += len("&lt;")
-		case '"':
-			if attr {
-				n += len("&quot;")
-			} else {
-				n++
-			}
-		case '\r':
-			n += len("&#13;")
-		case '\t':
-			if attr {
-				n += len("&#9;")
-			} else {
-				n++
-			}
-		case '\n':
-			if attr {
-				n += len("&#10;")
-			} else {
-				n++
-			}
-		case utf8.RuneError:
-			n += utf8.RuneLen(utf8.RuneError)
-		default:
-			if !isValidXMLChar(r) {
-				n += utf8.RuneLen(utf8.RuneError)
-			} else {
-				n += size
-			}
-		}
-		i += size
-	}
-	return n
+// badSequence reports whether the multi-byte sequence at the head of s must
+// be replaced — it is not valid UTF-8, or encodes a character XML excludes —
+// and how many bytes it spans.
+func badSequence(s string) (size int, bad bool) {
+	r, size := utf8.DecodeRuneInString(s)
+	return size, (r == utf8.RuneError && size == 1) || !isValidXMLChar(r)
 }
 
-func needsEscape(s string, attr bool) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch c {
-		case '&', '<', '>', '\r':
-			return true
-		case '"', '\t', '\n':
-			if attr {
-				return true
+// charClass is what one pass over a value tells the writer.
+type charClass struct {
+	// extra is how many bytes longer than s its escaped spelling is.
+	extra int
+	// verbatim: the escaped spelling is s itself.
+	verbatim bool
+	// cdata: s may stand in a CDATA section as it is — it holds no "]]>",
+	// no carriage return (a parser would normalize it away, and a section
+	// has no reference to protect it with) and nothing the escaper replaces
+	// with U+FFFD. Only meaningful for character data.
+	cdata bool
+}
+
+// section reports whether a CDATA section is the shorter spelling.
+func (c charClass) section() bool {
+	return c.cdata && c.extra > len(cdataOpen)+len(cdataClose)
+}
+
+// next finds the first byte of s at or after i that the table replaces:
+// where it is, what goes in its place and how many bytes of s that stands for
+// (more than one only for a multi-byte sequence replaced whole). at == len(s)
+// when nothing more is replaced.
+func (tab *escTable) next(s string, i int) (at int, esc string, width int) {
+	for ; i < len(s); i++ {
+		switch k := tab[s[i]]; k {
+		case escCopy:
+		case escDecode:
+			size, bad := badSequence(s[i:])
+			if bad {
+				return i, escRefs[escBad], size
 			}
+			i += size - 1
 		default:
-			if c < 0x20 || c >= utf8.RuneSelf {
-				return true
-			}
+			return i, escRefs[k], 1
 		}
 	}
-	return false
+	return len(s), "", 0
+}
+
+// classify walks s once, a byte at a time with multi-byte sequences decoded
+// only where they occur.
+func classify(s string, tab *escTable) charClass {
+	c := charClass{verbatim: true, cdata: true}
+	for i := 0; ; {
+		at, esc, width := tab.next(s, i)
+		if at == len(s) {
+			return c
+		}
+		c.verbatim = false
+		c.extra += len(esc) - width
+		switch {
+		case esc == escRefs[escBad], s[at] == '\r':
+			c.cdata = false
+		case s[at] == '>' && at >= 2 && s[at-1] == ']' && s[at-2] == ']':
+			c.cdata = false
+		}
+		i = at + width
+	}
+}
+
+// appendEscaped writes the escaped spelling of s in runs: everything up to
+// the next byte the table replaces in one copy, then the replacement.
+func appendEscaped(dst []byte, s string, tab *escTable) []byte {
+	for i := 0; ; {
+		at, esc, width := tab.next(s, i)
+		dst = append(dst, s[i:at]...)
+		if at == len(s) {
+			return dst
+		}
+		dst = append(dst, esc...)
+		i = at + width
+	}
 }

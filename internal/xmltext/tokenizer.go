@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"unicode/utf8"
 )
@@ -206,6 +205,32 @@ func (t *Tokenizer) peekByte() (byte, error) {
 	return b[0], nil
 }
 
+// window returns the unread bytes the read buffer already holds, reading
+// more only when it holds none; io.EOF when the input is spent. Character
+// data is scanned in it a run at a time. The slice is valid until the next
+// read from t.r.
+func (t *Tokenizer) window() ([]byte, error) {
+	if t.r.Buffered() == 0 {
+		if _, err := t.peekByte(); err != nil {
+			return nil, err
+		}
+	}
+	return t.r.Peek(t.r.Buffered())
+}
+
+// consume takes run — the head of the last window or Peek — off the input,
+// moving position and offset across it as readByte would a byte at a time.
+func (t *Tokenizer) consume(run []byte) {
+	if lines := bytes.Count(run, []byte{'\n'}); lines > 0 {
+		t.pos.Line += lines
+		t.pos.Col = len(run) - bytes.LastIndexByte(run, '\n')
+	} else {
+		t.pos.Col += len(run)
+	}
+	t.off += int64(len(run))
+	_, _ = t.r.Discard(len(run)) // run is buffered: cannot fail
+}
+
 // Next returns the next token. At end of input it returns io.EOF. Once any
 // error has been returned, every subsequent call returns the same error.
 func (t *Tokenizer) Next() (Token, error) {
@@ -241,33 +266,41 @@ func (t *Tokenizer) Next() (Token, error) {
 }
 
 // readText consumes character data up to the next '<' (or EOF) and returns
-// it as a single text token, with entities decoded.
+// it as a single text token, with entities decoded. Each run between
+// references is found with one search of the window and copied once.
 func (t *Tokenizer) readText() (Token, error) {
 	t.buf = t.buf[:0]
 	for {
-		c, err := t.readByte()
+		w, err := t.window()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return Token{}, err
 		}
-		if c == '<' {
-			t.unreadByte()
-			break
+		i := bytes.IndexAny(w, "<&")
+		if i < 0 {
+			i = len(w)
 		}
-		if c == '&' {
-			r, err := t.readEntity()
-			if err != nil {
-				return Token{}, err
-			}
-			t.buf = utf8.AppendRune(t.buf, r)
-		} else {
-			t.buf = append(t.buf, c)
-		}
+		t.buf = append(t.buf, w[:i]...)
 		if len(t.buf) > MaxTokenBytes {
+			t.consume(w[:i])
 			return Token{}, t.syntaxErr("text token exceeds %d bytes", MaxTokenBytes)
 		}
+		if i == len(w) {
+			t.consume(w)
+			continue
+		}
+		if w[i] == '<' {
+			t.consume(w[:i])
+			break
+		}
+		t.consume(w[:i+1])
+		r, err := t.readEntity()
+		if err != nil {
+			return Token{}, err
+		}
+		t.buf = utf8.AppendRune(t.buf, r)
 	}
 	if len(t.open) == 0 {
 		// Outside the root element only whitespace is allowed. Checked on
@@ -291,49 +324,59 @@ func (t *Tokenizer) readText() (Token, error) {
 	return Token{Kind: KindText, Text: string(t.buf)}, nil
 }
 
-// readEntity decodes one entity reference; the leading '&' has been consumed.
+// maxEntityName bounds the name between '&' and ';'.
+const maxEntityName = 32
+
+// readEntity decodes one entity reference; the leading '&' has been
+// consumed. The name is matched where it lies in the read buffer, so a
+// reference costs no allocation.
 func (t *Tokenizer) readEntity() (rune, error) {
-	var name []byte
-	for {
-		c, err := t.readByte()
-		if err != nil {
+	ref, _ := t.r.Peek(maxEntityName + 1) // short only when the input ends first
+	semi := bytes.IndexByte(ref, ';')
+	if semi < 0 {
+		t.consume(ref)
+		if len(ref) <= maxEntityName {
 			return 0, t.syntaxErr("unterminated entity reference")
 		}
-		if c == ';' {
-			break
-		}
-		name = append(name, c)
-		if len(name) > 32 {
-			return 0, t.syntaxErr("entity reference too long")
-		}
+		return 0, t.syntaxErr("entity reference too long")
 	}
-	s := string(name)
-	switch s {
-	case "lt":
-		return '<', nil
-	case "gt":
-		return '>', nil
-	case "amp":
-		return '&', nil
-	case "quot":
-		return '"', nil
-	case "apos":
-		return '\'', nil
+	r, msg := decodeEntity(ref[:semi])
+	t.consume(ref[:semi+1])
+	if msg != "" {
+		return 0, t.syntaxErr("%s", msg)
 	}
-	if strings.HasPrefix(s, "#") {
-		return t.decodeCharRef(s[1:])
-	}
-	return 0, t.syntaxErr("unknown entity &%s;", s)
+	return r, nil
 }
 
-func (t *Tokenizer) decodeCharRef(s string) (rune, error) {
+// decodeEntity resolves the name of a reference ("lt", "#x3C") to its
+// character, or says why it cannot.
+func decodeEntity(name []byte) (r rune, msg string) {
+	switch string(name) {
+	case "lt":
+		return '<', ""
+	case "gt":
+		return '>', ""
+	case "amp":
+		return '&', ""
+	case "quot":
+		return '"', ""
+	case "apos":
+		return '\'', ""
+	}
+	if len(name) > 0 && name[0] == '#' {
+		return decodeCharRef(name[1:])
+	}
+	return 0, fmt.Sprintf("unknown entity &%s;", name)
+}
+
+func decodeCharRef(s []byte) (r rune, msg string) {
 	base := 10
-	if strings.HasPrefix(s, "x") || strings.HasPrefix(s, "X") {
+	if len(s) > 0 && (s[0] == 'x' || s[0] == 'X') {
 		base = 16
 		s = s[1:]
 	}
-	if s == "" {
-		return 0, t.syntaxErr("empty character reference")
+	if len(s) == 0 {
+		return 0, "empty character reference"
 	}
 	var n int64
 	for _, c := range s {
@@ -346,18 +389,17 @@ func (t *Tokenizer) decodeCharRef(s string) (rune, error) {
 		case base == 16 && c >= 'A' && c <= 'F':
 			d = int64(c-'A') + 10
 		default:
-			return 0, t.syntaxErr("bad character reference &#%s;", s)
+			return 0, fmt.Sprintf("bad character reference &#%s;", s)
 		}
 		n = n*int64(base) + d
 		if n > utf8.MaxRune {
-			return 0, t.syntaxErr("character reference out of range")
+			return 0, "character reference out of range"
 		}
 	}
-	r := rune(n)
-	if !isValidXMLChar(r) {
-		return 0, t.syntaxErr("character reference U+%04X is not a valid XML character", n)
+	if !isValidXMLChar(rune(n)) {
+		return 0, fmt.Sprintf("character reference U+%04X is not a valid XML character", n)
 	}
-	return r, nil
+	return rune(n), ""
 }
 
 // isValidXMLChar reports whether r is allowed in XML 1.0 content.
@@ -564,7 +606,8 @@ func (t *Tokenizer) readComment() (Token, error) {
 }
 
 // readCDATA parses "<![CDATA[ ... ]]>"; "<!" has been consumed. The content
-// is returned as a text token.
+// is returned as a text token, copied a window at a time up to the one search
+// that finds the terminator.
 func (t *Tokenizer) readCDATA() (Token, error) {
 	for _, want := range []byte("[CDATA[") {
 		c, err := t.readByte()
@@ -576,33 +619,41 @@ func (t *Tokenizer) readCDATA() (Token, error) {
 		return Token{}, t.syntaxErr("CDATA outside root element")
 	}
 	t.buf = t.buf[:0]
-	brackets := 0
 	for {
-		c, err := t.readByte()
+		w, err := t.window()
 		if err != nil {
 			return Token{}, t.syntaxErr("unterminated CDATA section")
 		}
-		switch {
-		case c == ']':
-			if brackets == 2 {
-				// "]]]" — emit one pending ']'.
-				t.buf = append(t.buf, ']')
-			} else {
-				brackets++
+		end := bytes.Index(w, []byte(cdataClose))
+		content := w
+		if end >= 0 {
+			content = w[:end]
+		} else {
+			// A terminator may straddle the refill: hold back the ']'s
+			// that could open it.
+			for held := 0; held < 2 && bytes.HasSuffix(content, []byte("]")); held++ {
+				content = content[:len(content)-1]
 			}
-		case c == '>' && brackets == 2:
+		}
+		t.buf = append(t.buf, content...)
+		if len(t.buf) > MaxTokenBytes {
+			t.consume(content)
+			return Token{}, t.syntaxErr("CDATA exceeds %d bytes", MaxTokenBytes)
+		}
+		if end >= 0 {
+			t.consume(w[:end+len(cdataClose)])
 			if t.rawText {
 				return Token{Kind: KindText}, nil
 			}
 			return Token{Kind: KindText, Text: string(t.buf)}, nil
-		default:
-			for ; brackets > 0; brackets-- {
-				t.buf = append(t.buf, ']')
-			}
-			t.buf = append(t.buf, c)
 		}
-		if len(t.buf) > MaxTokenBytes {
-			return Token{}, t.syntaxErr("CDATA exceeds %d bytes", MaxTokenBytes)
+		held := len(w) - len(content)
+		t.consume(content)
+		// Read on past what was held back; nothing more means it was the
+		// section's last input, not a terminator.
+		if rest, _ := t.r.Peek(held + 1); len(rest) <= held {
+			t.consume(rest)
+			return Token{}, t.syntaxErr("unterminated CDATA section")
 		}
 	}
 }

@@ -165,7 +165,8 @@ func (w *Writer) EndElement() {
 	w.hadText = false
 }
 
-// Text writes escaped character data inside the current element.
+// Text writes character data inside the current element, in the shorter of
+// its two spellings (see AppendCharData).
 func (w *Writer) Text(s string) {
 	if w.err != nil {
 		return
@@ -175,7 +176,10 @@ func (w *Writer) Text(s string) {
 		return
 	}
 	w.flushOpenTag(false)
-	w.writeString(EscapeText(s))
+	if w.err == nil {
+		_, err := w.w.Write(AppendCharData(w.w.AvailableBuffer(), s))
+		w.setErr(err)
+	}
 	w.hadText = true
 }
 
