@@ -66,9 +66,6 @@ func CharDataLen(s string) int {
 // AppendEscAttr appends s to dst escaped as a double-quoted attribute
 // value, exactly as EscapeAttr would render it.
 func AppendEscAttr(dst []byte, s string) []byte {
-	if classify(s, &attrEsc).verbatim {
-		return append(dst, s...)
-	}
 	return appendEscaped(dst, s, &attrEsc)
 }
 
