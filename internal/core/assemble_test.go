@@ -16,11 +16,10 @@ import (
 	"repro/internal/xmltext"
 )
 
-// These tests pin the DOM-free encode paths byte-identical to the buffered
-// DOM paths they replaced: the streamed Parallel_Response assembler against
-// buildPackedResponse (under randomized worker completion orders), and the
-// full streamed server response against the buffered server's bytes end to
-// end.
+// These tests pin the DOM-free encode paths to committed bytes: the streamed
+// Parallel_Response assembler (under randomized worker completion orders) and
+// buildPackedResponse to the fragments under testdata/parity/, and the full
+// streamed server response to the buffered server's bytes end to end.
 
 // buildPackedResponse is the assembler's oracle: the Parallel_Response
 // element built as a tree — the server-side assembler of §3.4 as the server
@@ -53,10 +52,15 @@ func buildPackedResponse(results []*rpcResult, serviceNS func(service string) st
 	return pr, nil
 }
 
-// responseDefaults are the batch defaults the oracle comparisons run under:
+// responseDefaults are the batch defaults the fragment comparisons run under:
 // none, the namespace most sample results share, one that a single result
 // has, and one nobody has.
 var responseDefaults = []string{"", "urn:spi:Echo", "urn:spi:WeatherService", "urn:spi:Nobody"}
+
+// fragmentGoldens names the fragment sampleResults assembles to under each
+// of responseDefaults, in testdata/parity/.
+var fragmentGoldens = []string{"fragment-no-default.xml", "fragment-echo-default.xml",
+	"fragment-weather-default.xml", "fragment-unused-default.xml"}
 
 // testNS resolves service namespaces the way the echo container does.
 func testNS(service string) string { return "urn:spi:" + service }
@@ -139,17 +143,19 @@ func TestStreamAssemblerFragmentParity(t *testing.T) {
 		order := rand.New(rand.NewSource(seed)).Perm(len(results))
 		orders = append(orders, order)
 	}
-	for _, def := range responseDefaults {
+	for i, def := range responseDefaults {
 		dom, err := buildPackedResponse(results, testNS, def)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := dom.String()
+		parityGolden(t, fragmentGoldens[i], []byte(want))
 		for _, order := range orders {
 			got := assembleStreamed(t, results, order, def)
 			if got != want {
 				t.Fatalf("fragment diverges for default %q, delivery order %v:\nstreamed: %s\nbuffered: %s", def, order, got, want)
 			}
+			parityGolden(t, fragmentGoldens[i], []byte(got))
 		}
 	}
 	if asm := newPackedAssembler(""); asm.itemFaults != 0 {
@@ -182,9 +188,23 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				// The batch default on Parallel_Response, restated by every
+				// entry it is not the namespace of.
+				declared, restated := "", ` xmlns:m="urn:spi:Echo"`
+				if def != "" {
+					declared = ` xmlns:m="` + def + `"`
+				}
+				if def == "urn:spi:Echo" {
+					restated = ""
+				}
+				want := `<spi:Parallel_Response xmlns:spi="http://spi.ict.ac.cn/pack"` + declared + `>` +
+					`<m:echoResponse` + restated + ` spi:id="0"><tag>` + tag + `</tag></m:echoResponse>` +
+					`<m:echoResponse` + restated + ` spi:id="1"><n xsi:type="xsd:int">` + strconv.Itoa(g*100+round) + `</n></m:echoResponse>` +
+					`<SOAP-ENV:Fault spi:id="2"><faultcode>SOAP-ENV:Server</faultcode><faultstring>boom ` + tag + `</faultstring></SOAP-ENV:Fault>` +
+					`</spi:Parallel_Response>`
 				got := assembleStreamed(t, results, rng.Perm(len(results)), def)
-				if want := dom.String(); got != want {
-					t.Errorf("round %s diverged:\nstreamed: %s\nbuffered: %s", tag, got, want)
+				if got != want || dom.String() != want {
+					t.Errorf("round %s diverged:\nstreamed: %s\nbuffered: %s\nwant:     %s", tag, got, dom.String(), want)
 					return
 				}
 			}

@@ -146,6 +146,9 @@ func TestFaultCorpusCancelled(t *testing.T) {
 			t.Fatal(err)
 		}
 		corpusGolden(t, "cancelled_"+corpusSuffix(v), buf.Bytes())
+		resp := sys.server.faultResponse(res.fault, v)
+		corpusGolden(t, "cancelled_"+corpusSuffix(v), resp.Body)
+		resp.Release()
 	}
 }
 

@@ -77,6 +77,18 @@ func TestGoldenEnvelopes(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Errorf("envelope bytes diverged from golden %s\n got: %s\nwant: %s", name, buf.Bytes(), want)
 			}
+			enc := soap.NewStreamEncoder()
+			defer enc.Release()
+			if streamed, err := enc.EncodeEnvelope(env); err != nil || !bytes.Equal(streamed, want) {
+				t.Errorf("streamed envelope (%v) diverged from golden %s\n got: %s\nwant: %s", err, name, streamed, want)
+			}
+			if f := env.Fault(); f != nil {
+				resp := GatewayFaultResponse(f, env.Version)
+				defer resp.Release()
+				if !bytes.Equal(resp.Body, want) {
+					t.Errorf("streamed fault diverged from golden %s\n got: %s\nwant: %s", name, resp.Body, want)
+				}
+			}
 		})
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -62,11 +64,15 @@ func randomScalar(r *rand.Rand) soapenc.Value {
 func TestDifferentialRenderMatchesFullSerialization(t *testing.T) {
 	// Property: for randomized cacheable parameter lists, the template
 	// cache's spliced output is byte-identical to the full serializer —
-	// on the template-building miss AND on the cached-template hit.
+	// on the template-building miss AND on the cached-template hit. The
+	// parameter lists are drawn from a fixed seed, and
+	// testdata/differential.golden holds the documents of the first hundred
+	// rounds, one quoted line a round (-update rewrites it).
 	r := rand.New(rand.NewSource(7))
 	cache := New()
 	const rounds = 400
 	sections := 0
+	var wrote []string
 	for round := 0; round < rounds; round++ {
 		op := fmt.Sprintf("op%d", r.Intn(8))
 		ns := "urn:spi:Diff"
@@ -76,6 +82,9 @@ func TestDifferentialRenderMatchesFullSerialization(t *testing.T) {
 			params[i] = soapenc.F(fmt.Sprintf("p%d", i), randomScalar(r))
 		}
 		wantDoc := fullSerialize(t, ns, op, params)
+		if round < 100 {
+			wrote = append(wrote, strconv.Quote(string(wantDoc)))
+		}
 		sections += bytes.Count(wantDoc, []byte("<![CDATA["))
 		for pass := 0; pass < 2; pass++ { // pass 0 may build, pass 1 must hit
 			got, ok, err := render(cache, "Diff", ns, op, params)
@@ -88,6 +97,25 @@ func TestDifferentialRenderMatchesFullSerialization(t *testing.T) {
 			if !bytes.Equal(got, wantDoc) {
 				t.Fatalf("round %d pass %d: template output diverged\nparams: %+v\n got: %s\nwant: %s",
 					round, pass, params, got, wantDoc)
+			}
+		}
+	}
+	const golden = "testdata/differential.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(strings.Join(wrote, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	file, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if want := strings.Split(strings.TrimSuffix(string(file), "\n"), "\n"); len(want) != len(wrote) {
+		t.Fatalf("%d rounds, %s holds %d", len(wrote), golden, len(want))
+	} else {
+		for i := range wrote {
+			if wrote[i] != want[i] {
+				t.Fatalf("round %d: the full serializer wrote %s\n%s holds %s", i, wrote[i], golden, want[i])
 			}
 		}
 	}

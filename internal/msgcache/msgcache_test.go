@@ -2,6 +2,7 @@ package msgcache
 
 import (
 	"bytes"
+	"flag"
 	"math"
 	"math/rand"
 	"strings"
@@ -15,9 +16,29 @@ import (
 	"repro/internal/xmltext"
 )
 
-// fullSerialize is the reference path: DOM construction + envelope encode.
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// fullSerialize is the reference path, the request as a client without a
+// template cache writes it: the entry and its parameters streamed into an
+// envelope. The same request built as a tree and serialized must agree.
 func fullSerialize(t testing.TB, namespace, op string, params []soapenc.Field) []byte {
 	t.Helper()
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(soap.V11, nil)
+	em := enc.Emitter()
+	em.Start(xmltext.Name{Prefix: "m", Local: op})
+	em.Attr(xmltext.Name{Prefix: "xmlns", Local: "m"}, namespace)
+	if err := soapenc.EncodeParamsTo(em, params); err != nil {
+		t.Fatal(err)
+	}
+	em.End()
+	doc, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc = bytes.Clone(doc)
+
 	env := soap.New()
 	el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: op})
 	el.DeclareNamespace("m", namespace)
@@ -29,7 +50,10 @@ func fullSerialize(t testing.TB, namespace, op string, params []soapenc.Field) [
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	if !bytes.Equal(doc, buf.Bytes()) {
+		t.Fatalf("the writers diverge:\ndom:    %s\nstream: %s", buf.Bytes(), doc)
+	}
+	return doc
 }
 
 // render is RenderTo onto a fresh emitter, returning a copy of the document.

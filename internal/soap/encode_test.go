@@ -2,7 +2,10 @@ package soap
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +13,33 @@ import (
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// goldenLines holds got to the lines of the file at path, which -update
+// rewrites.
+func goldenLines(t *testing.T, path string, got []string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(file), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%d lines written, %s holds %d", len(got), path, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: wrote %s\n%s holds %s", i+1, got[i], path, want[i])
+		}
+	}
+}
 
 func newBodyEntry(op, payload string) *xmldom.Element {
 	el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: op})
@@ -38,13 +68,39 @@ var sampleDecls = map[string]Decls{
 	"array-body": allDecls, "array-header": allDecls, "array-second": allDecls, "array-fault": allDecls,
 }
 
-func sampleEnvelopes() map[string]*Envelope {
-	out := map[string]*Envelope{}
+// sample is one document of the parity set: an envelope of header and body
+// trees, or a fault as the one body entry of an envelope in env's version.
+type sample struct {
+	env   *Envelope
+	fault *Fault
+}
+
+// write streams the sample as the server sends it: the trees through
+// WriteEnvelope, the fault through AppendElementFor.
+func (s sample) write(enc *StreamEncoder) ([]byte, error) {
+	enc.WriteEnvelope(s.env)
+	if s.fault != nil {
+		s.fault.AppendElementFor(enc.Emitter(), s.env.Version)
+	}
+	return enc.Finish()
+}
+
+// tree is the sample as one Envelope of trees, the fault built as a tree too.
+func (s sample) tree() *Envelope {
+	if s.fault != nil {
+		return s.fault.EnvelopeFor(s.env.Version)
+	}
+	return s.env
+}
+
+func sampleEnvelopes() map[string]sample {
+	out := map[string]sample{}
 	for _, v := range []Version{V11, V12} {
+		faultSample := func(f *Fault) sample { return sample{env: &Envelope{Version: v}, fault: f} }
 		single := New()
 		single.Version = v
 		single.AddBody(newBodyEntry("echo", "payload"))
-		out[fmt.Sprintf("single-%v", v)] = single
+		out[fmt.Sprintf("single-%v", v)] = sample{env: single}
 
 		packed := New()
 		packed.Version = v
@@ -56,15 +112,15 @@ func sampleEnvelopes() map[string]*Envelope {
 			pack.AddChild(entry)
 		}
 		packed.AddBody(pack)
-		out[fmt.Sprintf("packed-%v", v)] = packed
+		out[fmt.Sprintf("packed-%v", v)] = sample{env: packed}
 
 		detail := xmldom.NewElement(xmltext.Name{Local: "detail"})
 		detail.AddElement(xmltext.Name{Local: "info"}).SetText("broke <badly>")
 		fault := &Fault{Code: FaultClient, String: "bad request & more", Actor: "urn:actor", Detail: detail}
-		out[fmt.Sprintf("fault-%v", v)] = fault.EnvelopeFor(v)
+		out[fmt.Sprintf("fault-%v", v)] = faultSample(fault)
 
 		faultMin := &Fault{String: "plain"}
-		out[fmt.Sprintf("fault-min-%v", v)] = faultMin.EnvelopeFor(v)
+		out[fmt.Sprintf("fault-min-%v", v)] = faultSample(faultMin)
 
 		withHeader := New()
 		withHeader.Version = v
@@ -74,11 +130,11 @@ func sampleEnvelopes() map[string]*Envelope {
 		hdr.SetText("token")
 		withHeader.AddHeader(hdr)
 		withHeader.AddBody(newBodyEntry("echo", "with header"))
-		out[fmt.Sprintf("header-%v", v)] = withHeader
+		out[fmt.Sprintf("header-%v", v)] = sample{env: withHeader}
 
 		empty := New()
 		empty.Version = v
-		out[fmt.Sprintf("empty-body-%v", v)] = empty
+		out[fmt.Sprintf("empty-body-%v", v)] = sample{env: empty}
 
 		// SOAP-ENC in use — by a body entry, by a header block, by a fault
 		// detail — and in use only under an element that declares it itself:
@@ -103,7 +159,7 @@ func sampleEnvelopes() map[string]*Envelope {
 			env := New()
 			env.Version = v
 			build(env)
-			out[fmt.Sprintf("%s-%v", name, v)] = env
+			out[fmt.Sprintf("%s-%v", name, v)] = sample{env: env}
 		}
 		// xsi and xsd, each in use alone, not at all, or under its own
 		// declaration; in a header block over a body of strings; in a fault
@@ -141,58 +197,102 @@ func sampleEnvelopes() map[string]*Envelope {
 			env := New()
 			env.Version = v
 			build(env)
-			out[fmt.Sprintf("%s-%v", name, v)] = env
+			out[fmt.Sprintf("%s-%v", name, v)] = sample{env: env}
 		}
 		typedDetail := xmldom.NewElement(xmltext.Name{Local: "detail"})
 		typedDetail.AddChild(newBodyEntry("cause", "typed"))
-		out[fmt.Sprintf("typed-fault-%v", v)] = (&Fault{String: "with a typed detail", Detail: typedDetail}).EnvelopeFor(v)
+		out[fmt.Sprintf("typed-fault-%v", v)] = faultSample(&Fault{String: "with a typed detail", Detail: typedDetail})
 		arrayDetail := xmldom.NewElement(xmltext.Name{Local: "detail"})
 		arrayDetail.AddChild(array(false))
-		out[fmt.Sprintf("array-fault-%v", v)] = (&Fault{String: "with an array", Detail: arrayDetail}).EnvelopeFor(v)
+		out[fmt.Sprintf("array-fault-%v", v)] = faultSample(&Fault{String: "with an array", Detail: arrayDetail})
 	}
 	return out
 }
 
-// TestStreamEncoderParity pins StreamEncoder byte-identical to the
-// DOM-building Envelope.Encode for single, packed, fault, header-bearing
-// and empty envelopes in both SOAP versions.
+// sampleDocuments reads testdata/envelopes.golden: the bytes of every sample,
+// a line each, under its name.
+func sampleDocuments(t testing.TB) map[string]string {
+	t.Helper()
+	file, err := os.ReadFile("testdata/envelopes.golden")
+	if err != nil {
+		t.Fatalf("missing golden file (run TestStreamEncoderParity with -update to create): %v", err)
+	}
+	docs := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(file), "\n"), "\n") {
+		name, doc, _ := strings.Cut(line, "\t")
+		docs[name] = doc
+	}
+	return docs
+}
+
+// TestStreamEncoderParity pins every writer of a whole envelope — the tree
+// serialized by Envelope.Encode, the same tree streamed by EncodeEnvelope, and
+// the sample streamed as the server writes it — to the bytes
+// testdata/envelopes.golden holds: single, packed, fault, header-bearing and
+// empty envelopes in both SOAP versions.
 func TestStreamEncoderParity(t *testing.T) {
-	for name, env := range sampleEnvelopes() {
+	samples := sampleEnvelopes()
+	if *updateGolden {
+		var lines []string
+		for name, s := range samples {
+			enc := NewStreamEncoder()
+			doc, err := s.write(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, name+"\t"+string(doc))
+			enc.Release()
+		}
+		sort.Strings(lines)
+		goldenLines(t, "testdata/envelopes.golden", lines)
+	}
+	docs := sampleDocuments(t)
+	if len(docs) != len(samples) {
+		t.Fatalf("%d samples, %d golden documents", len(samples), len(docs))
+	}
+	for name, s := range samples {
 		t.Run(name, func(t *testing.T) {
+			want := docs[name]
 			var buf bytes.Buffer
-			if err := env.Encode(&buf); err != nil {
+			if err := s.tree().Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			treeEnc := NewStreamEncoder()
+			defer treeEnc.Release()
+			streamedTree, err := treeEnc.EncodeEnvelope(s.tree())
+			if err != nil {
 				t.Fatal(err)
 			}
 			enc := NewStreamEncoder()
 			defer enc.Release()
-			got, err := enc.EncodeEnvelope(env)
+			got, err := s.write(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, buf.Bytes()) {
-				t.Fatalf("stream output diverged:\ndom:    %s\nstream: %s", buf.Bytes(), got)
+			if string(got) != want || buf.String() != want || string(streamedTree) != want {
+				t.Fatalf("output diverged:\ndom:    %s\ntree:   %s\nstream: %s\nwant:   %s", buf.Bytes(), streamedTree, got, want)
 			}
 			if bytes.HasPrefix(got, []byte("<?xml")) {
 				t.Errorf("a writer emitted an XML declaration: %.60s", got)
 			}
-			want, listed := sampleDecls[name[:strings.LastIndexByte(name, '-')]]
+			wantDecls, listed := sampleDecls[name[:strings.LastIndexByte(name, '-')]]
 			if !listed {
-				want = DeclXSI | DeclXSD
+				wantDecls = DeclXSI | DeclXSD
 			}
 			tag := got[:bytes.IndexByte(got, '>')]
-			if declares := TagDecls(tag); declares != want {
-				t.Errorf("Envelope declares %03b, content uses unscoped %03b (bits: SOAP-ENC, xsi, xsd)\n%s", declares, want, got)
+			if declares := TagDecls(tag); declares != wantDecls {
+				t.Errorf("Envelope declares %03b, content uses unscoped %03b (bits: SOAP-ENC, xsi, xsd)\n%s", declares, wantDecls, got)
 			}
-			if !bytes.HasSuffix(tag, []byte(`"`+env.Version.Namespace()+`"`+declText[want])) {
+			if !bytes.HasSuffix(tag, []byte(`"`+s.env.Version.Namespace()+`"`+declText[wantDecls])) {
 				t.Errorf("on-demand declarations are not in Figure 4's order after SOAP-ENV: %s", tag)
 			}
 		})
 	}
 }
 
-// TestFaultAppendElementForParity checks the streaming fault writer
-// against the DOM fault element, including extra attributes in the
-// position buildPackedResponse puts them.
+// TestFaultAppendElementForParity holds the streaming fault writer and the
+// fault element built as a tree to the bytes testdata/fault_elements.golden
+// holds, a line a fault, with and without an extra attribute.
 func TestFaultAppendElementForParity(t *testing.T) {
 	detail := xmldom.NewElement(xmltext.Name{Local: "detail"})
 	detail.AddElement(xmltext.Name{Local: "code"}).SetText("E42")
@@ -203,6 +303,7 @@ func TestFaultAppendElementForParity(t *testing.T) {
 		{Code: "Custom.Code", String: "esc <&> \"x\"", Detail: detail},
 	}
 	idAttr := xmltext.Name{Prefix: "spi", Local: "id"}
+	var wrote []string
 	for _, v := range []Version{V11, V12} {
 		for i, f := range faults {
 			for _, withExtra := range []bool{false, true} {
@@ -212,7 +313,7 @@ func TestFaultAppendElementForParity(t *testing.T) {
 					el.SetAttr(idAttr, "7")
 					extras = append(extras, xmltext.Attr{Name: idAttr, Value: "7"})
 				}
-				want := el.String()
+				tree := el.String()
 				em := xmltext.AcquireEmitter()
 				f.AppendElementFor(em, v, extras...)
 				if err := em.Err(); err != nil {
@@ -220,12 +321,14 @@ func TestFaultAppendElementForParity(t *testing.T) {
 				}
 				got := string(em.Bytes())
 				xmltext.ReleaseEmitter(em)
-				if got != want {
-					t.Fatalf("fault %d v=%v extra=%v:\ndom:    %s\nstream: %s", i, v, withExtra, want, got)
+				if got != tree {
+					t.Fatalf("fault %d v=%v extra=%v:\ndom:    %s\nstream: %s", i, v, withExtra, tree, got)
 				}
+				wrote = append(wrote, got)
 			}
 		}
 	}
+	goldenLines(t, "testdata/fault_elements.golden", wrote)
 }
 
 // TestStreamEncoderPoolRecycling exercises acquire/encode/release across
@@ -240,11 +343,9 @@ func TestStreamEncoderPoolRecycling(t *testing.T) {
 				env := New()
 				payload := fmt.Sprintf("w%d-%d", seed, i)
 				env.AddBody(newBodyEntry("echo", payload))
-				var want bytes.Buffer
-				if err := env.Encode(&want); err != nil {
-					t.Errorf("encode: %v", err)
-					return
-				}
+				want := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + NSEnvelope + `"` + declText[DeclXSI|DeclXSD] +
+					`><SOAP-ENV:Body><m:echo xmlns:m="urn:spi:Echo"><data xsi:type="xsd:string">` + payload +
+					`</data></m:echo></SOAP-ENV:Body></SOAP-ENV:Envelope>`
 				enc := NewStreamEncoder()
 				got, err := enc.EncodeEnvelope(env)
 				if err != nil {
@@ -252,8 +353,8 @@ func TestStreamEncoderPoolRecycling(t *testing.T) {
 					enc.Release()
 					return
 				}
-				if !bytes.Equal(got, want.Bytes()) {
-					t.Errorf("pooled encoder corrupted output for %s", payload)
+				if string(got) != want {
+					t.Errorf("pooled encoder corrupted output for %s: %s", payload, got)
 				}
 				enc.Release()
 			}
@@ -277,12 +378,8 @@ func TestStreamEncoderReleaseIdempotent(t *testing.T) {
 // exactly the bytes Envelope.Encode produces, and those bytes must decode
 // back to an equivalent tree.
 func FuzzEncodeParity(f *testing.F) {
-	for _, env := range sampleEnvelopes() {
-		var buf bytes.Buffer
-		if err := env.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	for _, doc := range sampleDocuments(f) {
+		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Decode(bytes.NewReader(data))

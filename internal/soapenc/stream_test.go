@@ -1,7 +1,9 @@
 package soapenc
 
 import (
+	"flag"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +13,33 @@ import (
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// goldenLines holds got to the lines of the file at path, which -update
+// rewrites.
+func goldenLines(t *testing.T, path string, got []string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(file), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%d lines written, %s holds %d", len(got), path, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: wrote %s\n%s holds %s", i+1, got[i], path, want[i])
+		}
+	}
+}
 
 // domEncodeString serializes the DOM-path encoding of (name, v).
 func domEncodeString(t *testing.T, name string, v Value) (string, error) {
@@ -36,59 +65,58 @@ func streamEncodeString(t *testing.T, name string, v Value) (string, error) {
 	return string(em.Bytes()), nil
 }
 
-// TestEncodeToParity pins the streaming value serializers byte-identical
-// to the DOM path for every type in the closed value model, including the
-// edge values.
+// TestEncodeToParity pins both value serializers to the same committed
+// bytes for every type in the closed value model, including the edge values.
 func TestEncodeToParity(t *testing.T) {
 	ts := time.Date(2006, 1, 2, 15, 4, 5, 123456789, time.FixedZone("X", 3600))
+	const array = ` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType`
 	cases := []struct {
 		desc string
 		v    Value
+		want string
 	}{
-		{"nil", nil},
-		{"string", "hello"},
-		{"string empty", ""},
-		{"string escapes", `a<b&c>d"e` + "\r\n\t"},
-		{"string invalid utf8", "x\xffy"},
-		{"bool true", true},
-		{"bool false", false},
-		{"int small", int64(42)},
-		{"int negative", int64(-7)},
-		{"int32 boundary", int64(math.MaxInt32)},
-		{"long", int64(math.MaxInt32) + 1},
-		{"long min", int64(math.MinInt64)},
-		{"plain int", int(5)},
-		{"int32 typed", int32(-9)},
-		{"double", 3.14159},
-		{"double negzero", math.Copysign(0, -1)},
-		{"double nan", math.NaN()},
-		{"double inf", math.Inf(1)},
-		{"double -inf", math.Inf(-1)},
-		{"double huge", 1e308},
-		{"bytes", []byte{0x00, 0xff, 0x10, 0x20}},
-		{"bytes empty", []byte{}},
-		{"datetime", ts},
-		{"datetime utc sec", time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)},
-		{"array", Array{"a", int64(1), true}},
-		{"array empty", Array{}},
-		{"array nested", Array{Array{"x"}, nil}},
-		{"struct", NewStruct(F("a", "x"), F("b", int64(2)))},
-		{"struct empty", NewStruct()},
-		{"struct nil", (*Struct)(nil)},
-		{"struct nested", NewStruct(F("inner", NewStruct(F("deep", 1.5))))},
+		{"nil", nil, `<p xsi:nil="true"/>`},
+		{"string", "hello", `<p>hello</p>`},
+		{"string empty", "", `<p></p>`},
+		{"string escapes", `a<b&c>d"e` + "\r\n\t", `<p>a&lt;b&amp;c&gt;d"e&#13;` + "\n\t</p>"},
+		{"string invalid utf8", "x\xffy", "<p>x\uFFFDy</p>"},
+		{"bool true", true, `<p xsi:type="xsd:boolean">true</p>`},
+		{"bool false", false, `<p xsi:type="xsd:boolean">false</p>`},
+		{"int small", int64(42), `<p xsi:type="xsd:int">42</p>`},
+		{"int negative", int64(-7), `<p xsi:type="xsd:int">-7</p>`},
+		{"int32 boundary", int64(math.MaxInt32), `<p xsi:type="xsd:int">2147483647</p>`},
+		{"long", int64(math.MaxInt32) + 1, `<p xsi:type="xsd:long">2147483648</p>`},
+		{"long min", int64(math.MinInt64), `<p xsi:type="xsd:long">-9223372036854775808</p>`},
+		{"plain int", int(5), `<p xsi:type="xsd:int">5</p>`},
+		{"int32 typed", int32(-9), `<p xsi:type="xsd:int">-9</p>`},
+		{"double", 3.14159, `<p xsi:type="xsd:double">3.14159</p>`},
+		{"double negzero", math.Copysign(0, -1), `<p xsi:type="xsd:double">-0</p>`},
+		{"double nan", math.NaN(), `<p xsi:type="xsd:double">NaN</p>`},
+		{"double inf", math.Inf(1), `<p xsi:type="xsd:double">INF</p>`},
+		{"double -inf", math.Inf(-1), `<p xsi:type="xsd:double">-INF</p>`},
+		{"double huge", 1e308, `<p xsi:type="xsd:double">1e+308</p>`},
+		{"bytes", []byte{0x00, 0xff, 0x10, 0x20}, `<p xsi:type="xsd:base64Binary">AP8QIA==</p>`},
+		{"bytes empty", []byte{}, `<p xsi:type="xsd:base64Binary"></p>`},
+		{"datetime", ts, `<p xsi:type="xsd:dateTime">2006-01-02T14:04:05.123456789Z</p>`},
+		{"datetime utc sec", time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC), `<p xsi:type="xsd:dateTime">2020-06-01T00:00:00Z</p>`},
+		{"array", Array{"a", int64(1), true}, `<p` + array + `[3]"><item>a</item>` +
+			`<item xsi:type="xsd:int">1</item><item xsi:type="xsd:boolean">true</item></p>`},
+		{"array empty", Array{}, `<p` + array + `[0]"/>`},
+		{"array nested", Array{Array{"x"}, nil}, `<p` + array + `[2]"><item` + array + `[1]"><item>x</item></item><item xsi:nil="true"/></p>`},
+		{"struct", NewStruct(F("a", "x"), F("b", int64(2))), `<p><a>x</a><b xsi:type="xsd:int">2</b></p>`},
+		{"struct empty", NewStruct(), `<p/>`},
+		{"struct nil", (*Struct)(nil), `<p xsi:nil="true"/>`},
+		{"struct nested", NewStruct(F("inner", NewStruct(F("deep", 1.5)))), `<p><inner><deep xsi:type="xsd:double">1.5</deep></inner></p>`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.desc, func(t *testing.T) {
-			want, wantErr := domEncodeString(t, "p", tc.v)
+			dom, domErr := domEncodeString(t, "p", tc.v)
 			got, gotErr := streamEncodeString(t, "p", tc.v)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("error divergence: dom=%v stream=%v", wantErr, gotErr)
+			if domErr != nil || gotErr != nil {
+				t.Fatalf("errors: dom=%v stream=%v", domErr, gotErr)
 			}
-			if wantErr != nil {
-				return
-			}
-			if got != want {
-				t.Fatalf("byte divergence:\ndom:    %s\nstream: %s", want, got)
+			if got != tc.want || dom != tc.want {
+				t.Fatalf("byte divergence:\ndom:    %s\nstream: %s\nwant:   %s", dom, got, tc.want)
 			}
 		})
 	}
@@ -127,11 +155,12 @@ func TestEncodeParamsToParity(t *testing.T) {
 		F("count", int64(3)),
 		F("when", time.Date(2021, 3, 4, 5, 6, 7, 0, time.UTC)),
 	}
+	const want = `<op><message>hello &amp; &lt;world&gt;</message><count xsi:type="xsd:int">3</count>` +
+		`<when xsi:type="xsd:dateTime">2021-03-04T05:06:07Z</when></op>`
 	parent := xmldom.NewElement(xmltext.Name{Local: "op"})
 	if err := EncodeParams(parent, params); err != nil {
 		t.Fatal(err)
 	}
-	want := parent.String()
 
 	em := xmltext.AcquireEmitter()
 	defer xmltext.ReleaseEmitter(em)
@@ -143,8 +172,8 @@ func TestEncodeParamsToParity(t *testing.T) {
 	if err := em.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := string(em.Bytes()); got != want {
-		t.Fatalf("divergence:\ndom:    %s\nstream: %s", want, got)
+	if got, dom := string(em.Bytes()), parent.String(); got != want || dom != want {
+		t.Fatalf("divergence:\ndom:    %s\nstream: %s\nwant:   %s", dom, got, want)
 	}
 
 	if err := EncodeParamsTo(em, []Field{F("", "x")}); err == nil ||
@@ -224,9 +253,10 @@ func TestArrayMarksEmitter(t *testing.T) {
 
 // TestClosedSetRoundTrip is the round-trip property over the closed value set,
 // whole envelopes through both writers: the DOM and the stream encoder write
-// the same bytes — declarations on the Envelope tag included — and what they
-// write decodes back to the value that went in. The strings are the ones a
-// reader deciding by spelling alone could take for something else.
+// the bytes testdata/closed_set.golden holds, one quoted line a message —
+// declarations on the Envelope tag included — and what they write decodes
+// back to the value that went in. The strings are the ones a reader deciding
+// by spelling alone could take for something else.
 func TestClosedSetRoundTrip(t *testing.T) {
 	values := []Value{
 		"", " ", " \t\r\n ", "123", "-7", "true", "false", "1.5", "NaN", "2006-01-02T15:04:05Z", "aGk=",
@@ -237,6 +267,7 @@ func TestClosedSetRoundTrip(t *testing.T) {
 		NewStruct(F("empty", ""), F("blank", "  "), F("digits", "123"), F("flag", "true")),
 		NewStruct(F("n", int64(1)), F("s", "x"), F("list", Array{"y"}), F("none", nil)),
 	}
+	var wrote []string
 	check := func(params []Field) {
 		t.Helper()
 		op := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: "op"})
@@ -268,6 +299,7 @@ func TestClosedSetRoundTrip(t *testing.T) {
 		if string(stream) != dom.String() {
 			t.Fatalf("%#v: writers diverge:\ndom:    %s\nstream: %s", params, dom.String(), stream)
 		}
+		wrote = append(wrote, strconv.Quote(string(stream)))
 
 		back, err := soap.Decode(strings.NewReader(dom.String()))
 		if err != nil {
@@ -290,4 +322,5 @@ func TestClosedSetRoundTrip(t *testing.T) {
 		all = append(all, F("p"+strconv.Itoa(i), v))
 	}
 	check(all)
+	goldenLines(t, "testdata/closed_set.golden", wrote)
 }

@@ -34,27 +34,42 @@ func sectionTree(t *testing.T) *Element {
 	return root
 }
 
-// TestStringMatchesSerialize pins the sized String() path byte-identical
-// to the streaming Serialize path.
+// packedTreeBytes is what buildPackedTree(entries) serializes to.
+func packedTreeBytes(entries int) string {
+	return `<spi:Parallel_Response xmlns:spi="http://spi.ict.ac.cn/pack">` + strings.Repeat(
+		`<m:echoResponse xmlns:m="urn:spi:Echo" spi:id="1"><data xsi:type="xsd:string">`+
+			`payload with &lt;specials&gt; &amp; "quotes"</data></m:echoResponse>`, entries) +
+		`</spi:Parallel_Response>`
+}
+
+// TestStringMatchesSerialize pins String() and Serialize() to the same
+// committed bytes.
 func TestStringMatchesSerialize(t *testing.T) {
-	trees := []*Element{
-		NewElement(xmltext.Name{Local: "empty"}),
-		buildPackedTree(1),
-		buildPackedTree(16),
-		sectionTree(t),
-	}
 	withComment := NewElement(xmltext.Name{Local: "a"})
 	withComment.AddChild(&Comment{Data: " note "})
 	withComment.AddChild(&Text{Data: ""})
-	trees = append(trees, withComment)
-
-	for _, tree := range trees {
+	mixed := NewElement(xmltext.Name{Local: "mixed"})
+	mixed.AddChild(&Text{Data: "a<b&c\r"})
+	mixed.AddChild(&Comment{Data: "c"})
+	mixed.AddChild(&Text{Data: "\xffbad"})
+	mixed.SetAttr(xmltext.Name{Local: "q"}, "v\"w\tx\ny")
+	for _, tc := range []struct {
+		tree *Element
+		want string
+	}{
+		{NewElement(xmltext.Name{Local: "empty"}), `<empty/>`},
+		{buildPackedTree(1), packedTreeBytes(1)},
+		{buildPackedTree(16), packedTreeBytes(16)},
+		{sectionTree(t), `<r><dense><![CDATA[</r><r a="b">&&&]]></dense><sparse>a&lt;b</sparse></r>`},
+		{withComment, `<a><!-- note --></a>`},
+		{mixed, `<mixed q="v&quot;w&#9;x&#10;y">a&lt;b&amp;c&#13;<!--c-->` + "\uFFFDbad</mixed>"},
+	} {
 		var b strings.Builder
-		if err := tree.Serialize(&b); err != nil {
+		if err := tc.tree.Serialize(&b); err != nil {
 			t.Fatal(err)
 		}
-		if got := tree.String(); got != b.String() {
-			t.Fatalf("String() diverged from Serialize:\n%q\nvs\n%q", got, b.String())
+		if got := tc.tree.String(); got != tc.want || b.String() != tc.want {
+			t.Fatalf("String() wrote\n%q\nSerialize\n%q\nwant\n%q", got, b.String(), tc.want)
 		}
 	}
 }

@@ -2,15 +2,20 @@ package xmltext
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// op is one writer instruction, applied to both Writer and Emitter so the
-// parity tests drive the two implementations through identical sequences.
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// emitOp is one writer instruction. The tests below drive Writer and Emitter
+// through identical sequences and hold each to the same committed bytes.
 type emitOp struct {
 	kind  string // "start", "attr", "end", "text", "comment"
 	name  Name
@@ -54,12 +59,13 @@ func TestEmitterParityDocuments(t *testing.T) {
 	cases := []struct {
 		desc string
 		ops  []emitOp
+		want string
 	}{
 		{"simple element", []emitOp{
 			{kind: "start", name: name("", "root")},
 			{kind: "text", value: "hello"},
 			{kind: "end"},
-		}},
+		}, `<root>hello</root>`},
 		{"envelope nesting", []emitOp{
 			{kind: "start", name: name("SOAP-ENV", "Envelope")},
 			{kind: "attr", name: name("xmlns", "SOAP-ENV"), value: "http://schemas.xmlsoap.org/soap/envelope/"},
@@ -70,41 +76,42 @@ func TestEmitterParityDocuments(t *testing.T) {
 			{kind: "end"},
 			{kind: "end"},
 			{kind: "end"},
-		}},
+		}, `<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"><SOAP-ENV:Body>` +
+			`<m:echo xmlns:m="urn:spi:Echo">payload</m:echo></SOAP-ENV:Body></SOAP-ENV:Envelope>`},
 		{"self-closing", []emitOp{
 			{kind: "start", name: name("", "a")},
 			{kind: "start", name: name("", "b")},
 			{kind: "attr", name: name("", "x"), value: "1"},
 			{kind: "end"},
 			{kind: "end"},
-		}},
+		}, `<a><b x="1"/></a>`},
 		{"empty text keeps explicit close tag", []emitOp{
 			{kind: "start", name: name("", "a")},
 			{kind: "text", value: ""},
 			{kind: "end"},
-		}},
+		}, `<a></a>`},
 		{"escaping in text and attrs", []emitOp{
 			{kind: "start", name: name("", "a")},
 			{kind: "attr", name: name("", "q"), value: `<&>"` + "\t\n\r"},
 			{kind: "text", value: `a<b&c>d"e` + "\r\n\t"},
 			{kind: "end"},
-		}},
+		}, `<a q="&lt;&amp;&gt;&quot;&#9;&#10;&#13;">a&lt;b&amp;c&gt;d"e&#13;` + "\n\t</a>"},
 		{"invalid utf8 and control chars", []emitOp{
 			{kind: "start", name: name("", "a")},
 			{kind: "attr", name: name("", "q"), value: "x\xffy\x01z"},
-			{kind: "text", value: "x\xffy\x01z "},
+			{kind: "text", value: "x\xffy\x01z "},
 			{kind: "end"},
-		}},
+		}, "<a q=\"x\uFFFDy\uFFFDz\">x\uFFFDy\uFFFDz </a>"},
 		{"comment", []emitOp{
 			{kind: "start", name: name("", "a")},
 			{kind: "comment", value: " note "},
 			{kind: "end"},
-		}},
+		}, `<a><!-- note --></a>`},
 		{"multibyte text", []emitOp{
 			{kind: "start", name: name("", "a")},
 			{kind: "text", value: "héllo wörld — 日本語"},
 			{kind: "end"},
-		}},
+		}, `<a>héllo wörld — 日本語</a>`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.desc, func(t *testing.T) {
@@ -112,8 +119,8 @@ func TestEmitterParityDocuments(t *testing.T) {
 			if wErr != nil || eErr != nil {
 				t.Fatalf("errors: writer=%v emitter=%v", wErr, eErr)
 			}
-			if wOut != eOut {
-				t.Fatalf("output mismatch:\nwriter:  %q\nemitter: %q", wOut, eOut)
+			if wOut != tc.want || eOut != tc.want {
+				t.Fatalf("output mismatch:\nwriter:  %q\nemitter: %q\nwant:    %q", wOut, eOut, tc.want)
 			}
 		})
 	}
@@ -124,20 +131,21 @@ func TestEmitterParityErrors(t *testing.T) {
 	cases := []struct {
 		desc string
 		ops  []emitOp
+		want string
 	}{
-		{"empty element name", []emitOp{{kind: "start", name: Name{}}}},
+		{"empty element name", []emitOp{{kind: "start", name: Name{}}}, "xmltext: empty element name"},
 		{"attr outside start tag", []emitOp{
 			{kind: "start", name: name("", "a")},
 			{kind: "text", value: "x"},
 			{kind: "attr", name: name("", "q"), value: "1"},
-		}},
-		{"end with no open element", []emitOp{{kind: "end"}}},
-		{"text outside root", []emitOp{{kind: "text", value: "x"}}},
+		}, "xmltext: Attr(q) outside of start tag"},
+		{"end with no open element", []emitOp{{kind: "end"}}, "xmltext: EndElement with no open element"},
+		{"text outside root", []emitOp{{kind: "text", value: "x"}}, "xmltext: text outside root element"},
 		{"comment with double dash", []emitOp{
 			{kind: "start", name: name("", "a")},
 			{kind: "comment", value: "a--b"},
-		}},
-		{"unclosed element at flush", []emitOp{{kind: "start", name: name("", "a")}}},
+		}, `xmltext: comment contains "--"`},
+		{"unclosed element at flush", []emitOp{{kind: "start", name: name("", "a")}}, "xmltext: Flush with 1 unclosed element(s)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.desc, func(t *testing.T) {
@@ -145,15 +153,16 @@ func TestEmitterParityErrors(t *testing.T) {
 			if wErr == nil || eErr == nil {
 				t.Fatalf("expected errors, got writer=%v emitter=%v", wErr, eErr)
 			}
-			if wErr.Error() != eErr.Error() {
-				t.Fatalf("error mismatch:\nwriter:  %v\nemitter: %v", wErr, eErr)
+			if wErr.Error() != tc.want || eErr.Error() != tc.want {
+				t.Fatalf("error mismatch:\nwriter:  %v\nemitter: %v\nwant:    %s", wErr, eErr, tc.want)
 			}
 		})
 	}
 }
 
-// TestEmitterParityRandom drives both implementations through random valid
-// documents with adversarial strings.
+// TestEmitterParityRandom drives the writers through random valid documents
+// with adversarial strings; testdata/random_documents.golden holds the bytes
+// of each, one quoted line a document (-update rewrites it).
 func TestEmitterParityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	values := []string{
@@ -164,6 +173,7 @@ func TestEmitterParityRandom(t *testing.T) {
 		{Local: "root"}, {Prefix: "SOAP-ENV", Local: "Body"},
 		{Prefix: "m", Local: "op"}, {Local: "item"}, {Prefix: "spi", Local: "Parallel_Response"},
 	}
+	var wrote []string
 	for round := 0; round < 200; round++ {
 		var ops []emitOp
 		ops = append(ops, emitOp{kind: "start", name: names[rng.Intn(len(names))]})
@@ -190,13 +200,40 @@ func TestEmitterParityRandom(t *testing.T) {
 			t.Fatalf("round %d: error divergence writer=%v emitter=%v", round, wErr, eErr)
 		}
 		if wErr != nil {
+			// An attribute after content: the sequence is random, the message is not.
 			if wErr.Error() != eErr.Error() {
 				t.Fatalf("round %d: error mismatch %v vs %v", round, wErr, eErr)
 			}
-			continue
-		}
-		if wOut != eOut {
+			eOut = "!" + eErr.Error()
+		} else if wOut != eOut {
 			t.Fatalf("round %d: output mismatch\nwriter:  %q\nemitter: %q", round, wOut, eOut)
+		}
+		wrote = append(wrote, strconv.Quote(eOut))
+	}
+	goldenLines(t, "testdata/random_documents.golden", wrote)
+}
+
+// goldenLines holds got to the lines of the file at path, which -update
+// rewrites.
+func goldenLines(t *testing.T, path string, got []string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(file), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%d lines written, %s holds %d", len(got), path, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: wrote %s\n%s holds %s", i+1, got[i], path, want[i])
 		}
 	}
 }
