@@ -10,7 +10,7 @@
 //	                           # a PR's snapshot, named explicitly so a
 //	                           # bare run never overwrites a committed one
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
-//	benchcheck -baseline BENCH_pr22.json -tolerance 10
+//	benchcheck -baseline BENCH_pr24.json -tolerance 10
 //	                           # compare mode: exit non-zero when a
 //	                           # benchmark's allocs/op or bytes/op grew
 //	                           # more than 10% vs the baseline; ns/op is
@@ -178,27 +178,15 @@ func main() {
 		}
 	}))
 	add(measure("soap/encode-64-entry", func(b *testing.B) {
-		// The server's encode hot path: a pooled stream encoder writes the
-		// envelope without intermediate buffers.
-		env := buildEnvelope(64)
+		// The encode hot path: a pooled stream encoder writes the envelope,
+		// values to bytes, without intermediate buffers.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			enc := soap.NewStreamEncoder()
-			if _, err := enc.EncodeEnvelope(env); err != nil {
+			if _, err := writeEchoEnvelope(enc, 64); err != nil {
 				b.Fatal(err)
 			}
 			enc.Release()
-		}
-	}))
-	add(measure("soap/encode-64-entry-dom", func(b *testing.B) {
-		// The pre-streaming buffered path, kept for the ablation delta.
-		env := buildEnvelope(64)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := env.Encode(&buf); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}))
 	// The packed request's two spellings, through the server's streaming
@@ -986,30 +974,30 @@ var fixedBlock = func() []*xmldom.Element {
 
 func (fixedProvider) MakeHeaders([]byte) ([]*xmldom.Element, error) { return fixedBlock, nil }
 
-// sampleEnvelope serializes a packed envelope with n echo entries.
+// sampleEnvelope serializes an envelope with n echo entries.
 func sampleEnvelope(n int) []byte {
-	env := buildEnvelope(n)
-	var buf bytes.Buffer
-	if err := env.Encode(&buf); err != nil {
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	doc, err := writeEchoEnvelope(enc, n)
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return bytes.Clone(doc)
 }
 
-func buildEnvelope(n int) *soap.Envelope {
-	env := soap.New()
+// writeEchoEnvelope streams n echo request entries into one envelope, each as
+// the client writes a single call.
+func writeEchoEnvelope(enc *soap.StreamEncoder, n int) ([]byte, error) {
+	params := []soapenc.Field{soapenc.F("data", "payload")}
+	enc.Begin(soap.V11, nil)
+	em := enc.Emitter()
 	for i := 0; i < n; i++ {
-		el := newRequestElement("echo", []soapenc.Field{soapenc.F("data", "payload")})
-		env.AddBody(el)
+		em.Start(xmltext.Name{Prefix: "m", Local: "echo"})
+		em.Attr(xmltext.Name{Prefix: "xmlns", Local: "m"}, "urn:spi:Echo")
+		if err := soapenc.EncodeParamsTo(em, params); err != nil {
+			return nil, err
+		}
+		em.End()
 	}
-	return env
-}
-
-func newRequestElement(op string, params []soapenc.Field) *xmldom.Element {
-	el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: op})
-	el.DeclareNamespace("m", "urn:spi:Echo")
-	if err := soapenc.EncodeParams(el, params); err != nil {
-		panic(err)
-	}
-	return el
+	return enc.Finish()
 }

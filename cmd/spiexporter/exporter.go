@@ -91,16 +91,8 @@ func (e *exporter) scrapeAll(timeout time.Duration) {
 // admin.ParseStatsResponse — the parser FuzzParseStats hardens, since the
 // exporter scrapes nodes it does not control.
 func (e *exporter) scrapeNode(ctx context.Context, n *node) (admin.Stats, error) {
-	env, err := admin.NewGetStatsRequest(soap.V11)
-	if err != nil {
-		return admin.Stats{}, err
-	}
-	var buf sliceBuffer
-	if err := env.Encode(&buf); err != nil {
-		return admin.Stats{}, err
-	}
 	resp, err := n.client.PostCtx(ctx, e.prefix+admin.ServiceName,
-		soap.V11.ContentType(), buf.b, "SOAPAction", `""`)
+		soap.V11.ContentType(), admin.GetStatsRequest(soap.V11), "SOAPAction", `""`)
 	if err != nil {
 		return admin.Stats{}, err
 	}
@@ -263,12 +255,4 @@ func (e *exporter) close() {
 	for _, n := range e.nodes {
 		n.client.Close()
 	}
-}
-
-// sliceBuffer is a minimal io.Writer over an appended byte slice.
-type sliceBuffer struct{ b []byte }
-
-func (s *sliceBuffer) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
 }

@@ -9,8 +9,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
-	"repro/internal/xmldom"
-	"repro/internal/xmltext"
 )
 
 // statsSource is a fixed-snapshot Source for tests.
@@ -49,19 +47,11 @@ func sampleStats() Stats {
 // dispatcher would, so ParseStatsResponse sees realistic bytes.
 func encodeStatsResponse(t *testing.T, v soap.Version, s Stats) []byte {
 	t.Helper()
-	el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: OpGetStats + "Response"})
-	el.DeclareNamespace("m", Namespace)
-	if err := soapenc.EncodeParams(el, StatsFields(s)); err != nil {
+	doc, err := requestDocument(v, OpGetStats+"Response", StatsFields(s))
+	if err != nil {
 		t.Fatalf("encode stats: %v", err)
 	}
-	env := soap.New()
-	env.Version = v
-	env.AddBody(el)
-	var buf bytes.Buffer
-	if err := env.Encode(&buf); err != nil {
-		t.Fatalf("encode envelope: %v", err)
-	}
-	return buf.Bytes()
+	return doc
 }
 
 func TestStatsRoundTrip(t *testing.T) {
@@ -105,12 +95,15 @@ func TestParseStatsResponseRejects(t *testing.T) {
 }
 
 func TestParseStatsResponseFault(t *testing.T) {
-	f := soap.ServerFault("stats unavailable")
-	var buf bytes.Buffer
-	if err := f.EnvelopeFor(soap.V11).Encode(&buf); err != nil {
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(soap.V11, nil)
+	soap.ServerFault("stats unavailable").AppendElementFor(enc.Emitter(), soap.V11)
+	doc, err := enc.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := ParseStatsResponse(buf.Bytes())
+	_, err = ParseStatsResponse(doc)
 	var got *soap.Fault
 	if !errors.As(err, &got) {
 		t.Fatalf("error %v (%T), want *soap.Fault", err, err)
@@ -209,32 +202,20 @@ func TestDeploySetState(t *testing.T) {
 
 func TestRequestBuilders(t *testing.T) {
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
-		env, err := NewGetStatsRequest(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := env.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		re, err := soap.Decode(&buf)
+		re, err := soap.Decode(bytes.NewReader(GetStatsRequest(v)))
 		if err != nil {
 			t.Fatalf("%v: round-trip: %v", v, err)
 		}
-		if re.Body[0].Name.Local != OpGetStats || re.Body[0].Namespace() != Namespace {
-			t.Errorf("%v: body entry {%s}%s", v, re.Body[0].Namespace(), re.Body[0].Name.Local)
+		if re.Version != v || re.Body[0].Name.Local != OpGetStats || re.Body[0].Namespace() != Namespace {
+			t.Errorf("%v: %v body entry {%s}%s", v, re.Version, re.Body[0].Namespace(), re.Body[0].Name.Local)
 		}
 
 		drain := true
-		env, err = NewSetStateRequest(v, 3, &drain)
+		doc, err := SetStateRequest(v, 3, &drain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Reset()
-		if err := env.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		re, err = soap.Decode(&buf)
+		re, err = soap.Decode(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,5 +227,9 @@ func TestRequestBuilders(t *testing.T) {
 		if ps.GetInt("weight") != 3 || !ps.GetBool("drain") {
 			t.Errorf("%v: SetState params = %+v", v, params)
 		}
+	}
+	// A poll allocates nothing for its request body.
+	if allocs := testing.AllocsPerRun(100, func() { GetStatsRequest(soap.V11) }); allocs != 0 {
+		t.Errorf("GetStatsRequest allocates %v times", allocs)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/soap"
 	"repro/internal/soapenc"
-	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
 
@@ -223,33 +222,54 @@ func StatsFromFields(params []soapenc.Field) (Stats, error) {
 	return s, nil
 }
 
-// requestElement builds an Admin RPC request element in the service
-// namespace, following the same prefix convention as the client stack.
-func requestElement(op string, params []soapenc.Field) (*xmldom.Element, error) {
-	el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: op})
-	el.DeclareNamespace("m", Namespace)
-	if err := soapenc.EncodeParams(el, params); err != nil {
+// requestDocument writes an Admin RPC single-call request in version v: the
+// operation's element in the service namespace, under the client stack's
+// prefix convention, as the one body entry.
+func requestDocument(v soap.Version, op string, params []soapenc.Field) ([]byte, error) {
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(v, nil)
+	em := enc.Emitter()
+	em.Start(xmltext.Name{Prefix: "m", Local: op})
+	em.Attr(xmltext.Name{Prefix: "xmlns", Local: "m"}, Namespace)
+	if err := soapenc.EncodeParamsTo(em, params); err != nil {
 		return nil, err
 	}
-	return el, nil
-}
-
-// NewGetStatsRequest builds a single-call GetStats request envelope.
-func NewGetStatsRequest(v soap.Version) (*soap.Envelope, error) {
-	el, err := requestElement(OpGetStats, nil)
+	em.End()
+	doc, err := enc.Finish()
 	if err != nil {
 		return nil, err
 	}
-	env := soap.New()
-	env.Version = v
-	env.AddBody(el)
-	return env, nil
+	return bytes.Clone(doc), nil
 }
 
-// NewSetStateRequest builds a SetState request envelope. weight <= 0 omits
-// the weight parameter (leave unchanged); drain nil omits the drain
-// parameter likewise.
-func NewSetStateRequest(v soap.Version, weight int64, drain *bool) (*soap.Envelope, error) {
+// getStatsRequests holds the GetStats request of each SOAP version. The
+// request takes no parameters, so every poll of every node sends the same
+// bytes: they are written once.
+var getStatsRequests = func() (docs [2][]byte) {
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		doc, err := requestDocument(v, OpGetStats, nil)
+		if err != nil {
+			panic(err) // no parameters, nothing a caller could have got wrong
+		}
+		docs[v] = doc
+	}
+	return docs
+}()
+
+// GetStatsRequest returns the single-call GetStats request document in
+// version v. Every caller gets the same bytes and must not modify them.
+func GetStatsRequest(v soap.Version) []byte {
+	if v != soap.V12 {
+		v = soap.V11 // as Version's own methods read any other value
+	}
+	return getStatsRequests[v]
+}
+
+// SetStateRequest writes a SetState request document. weight <= 0 omits the
+// weight parameter (leave unchanged); drain nil omits the drain parameter
+// likewise.
+func SetStateRequest(v soap.Version, weight int64, drain *bool) ([]byte, error) {
 	var params []soapenc.Field
 	if weight > 0 {
 		params = append(params, soapenc.F("weight", weight))
@@ -257,14 +277,7 @@ func NewSetStateRequest(v soap.Version, weight int64, drain *bool) (*soap.Envelo
 	if drain != nil {
 		params = append(params, soapenc.F("drain", *drain))
 	}
-	el, err := requestElement(OpSetState, params)
-	if err != nil {
-		return nil, err
-	}
-	env := soap.New()
-	env.Version = v
-	env.AddBody(el)
-	return env, nil
+	return requestDocument(v, OpSetState, params)
 }
 
 // ParseStatsResponse decodes the body of a GetStats exchange — the raw HTTP

@@ -6,14 +6,15 @@ import (
 	"repro/internal/admin"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
+	"repro/internal/xmltext"
 )
 
-// adminGoldenEnvelopes pins the control-plane wire format: the Admin
+// adminGoldenDocuments pins the control-plane wire format: the Admin
 // service's GetStats/SetState request and response envelopes plus its
 // Client fault, in both SOAP versions. The membership manager and
 // cmd/spiexporter parse exactly these shapes, so a byte change here is a
 // cross-process compatibility break and must be reviewed deliberately.
-func adminGoldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
+func adminGoldenDocuments(t *testing.T) map[string][]byte {
 	t.Helper()
 	stats := admin.Stats{
 		Role:       "server",
@@ -34,39 +35,30 @@ func adminGoldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
 			{Op: "Echo.echo", Count: 9000, MeanUs: 850, P50Us: 800, P90Us: 1200, P99Us: 2500},
 		},
 	}
-	out := make(map[string]*soap.Envelope)
+	out := make(map[string][]byte)
+	response := func(v soap.Version, op string, results ...soapenc.Field) []byte {
+		return writtenDocument(t, v, func(em *xmltext.Emitter) error {
+			return appendResponseEntry(em, &rpcResult{op: op, results: results}, admin.Namespace, "", -1)
+		})
+	}
 	for _, v := range []struct {
 		tag string
 		ver soap.Version
 	}{{"11", soap.V11}, {"12", soap.V12}} {
-		getReq, err := admin.NewGetStatsRequest(v.ver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["admin_getstats_req"+v.tag+".xml"] = getReq
-
-		respEl := mustResponseElement(t, admin.Namespace, admin.OpGetStats, admin.StatsFields(stats)...)
-		getResp := soap.New()
-		getResp.Version = v.ver
-		getResp.AddBody(respEl)
-		out["admin_getstats_resp"+v.tag+".xml"] = getResp
+		out["admin_getstats_req"+v.tag+".xml"] = admin.GetStatsRequest(v.ver)
+		out["admin_getstats_resp"+v.tag+".xml"] = response(v.ver, admin.OpGetStats, admin.StatsFields(stats)...)
 
 		drain := true
-		setReq, err := admin.NewSetStateRequest(v.ver, 4, &drain)
+		setReq, err := admin.SetStateRequest(v.ver, 4, &drain)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out["admin_setstate_req"+v.tag+".xml"] = setReq
-
-		setEl := mustResponseElement(t, admin.Namespace, admin.OpSetState,
+		out["admin_setstate_resp"+v.tag+".xml"] = response(v.ver, admin.OpSetState,
 			soapenc.F("weight", int64(4)), soapenc.F("draining", true))
-		setResp := soap.New()
-		setResp.Version = v.ver
-		setResp.AddBody(setEl)
-		out["admin_setstate_resp"+v.tag+".xml"] = setResp
 
-		f := soap.ClientFault("SetState: weight must be a positive integer, got 0")
-		out["admin_fault"+v.tag+".xml"] = f.EnvelopeFor(v.ver)
+		out["admin_fault"+v.tag+".xml"] = faultDocument(
+			soap.ClientFault("SetState: weight must be a positive integer, got 0"), v.ver)
 	}
 	return out
 }
@@ -75,16 +67,11 @@ func adminGoldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
 // GetStats response must parse back into the exact snapshot through the
 // production parser the membership manager and exporter use.
 func TestGoldenAdminParse(t *testing.T) {
-	for name, env := range adminGoldenEnvelopes(t) {
+	for name, doc := range adminGoldenDocuments(t) {
 		if name != "admin_getstats_resp11.xml" && name != "admin_getstats_resp12.xml" {
 			continue
 		}
-		var buf []byte
-		w := &sliceWriter{&buf}
-		if err := env.Encode(w); err != nil {
-			t.Fatal(err)
-		}
-		s, err := admin.ParseStatsResponse(buf)
+		s, err := admin.ParseStatsResponse(doc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -93,12 +80,4 @@ func TestGoldenAdminParse(t *testing.T) {
 			t.Errorf("%s: parsed snapshot %+v", name, s)
 		}
 	}
-}
-
-// sliceWriter adapts a byte-slice pointer to io.Writer.
-type sliceWriter struct{ buf *[]byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
 }

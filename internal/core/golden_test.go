@@ -9,35 +9,32 @@ import (
 
 	"repro/internal/soap"
 	"repro/internal/soapenc"
+	"repro/internal/xmltext"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// goldenEnvelopes builds the deterministic envelopes whose serializations
-// are pinned under testdata/. Any codec change that alters the bytes on the
-// wire must show up as a diff here and be reviewed (and -update'd)
-// deliberately.
-func goldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
+// goldenDocuments writes the deterministic documents whose bytes are pinned
+// under testdata/. Any codec change that alters the bytes on the wire must
+// show up as a diff here and be reviewed (and -update'd) deliberately.
+func goldenDocuments(t *testing.T) map[string][]byte {
 	t.Helper()
-	build := func(v soap.Version, packed bool) *soap.Envelope {
-		env := soap.New()
-		env.Version = v
+	build := func(v soap.Version, packed bool) []byte {
 		if !packed {
-			env.AddBody(mustRequestElement(t, "urn:spi:Echo", "echo",
-				soapenc.F("message", "hello"), soapenc.F("count", int32(3))))
-			return env
+			return writtenDocument(t, v, func(em *xmltext.Emitter) error {
+				return appendRequestEntry(em, &batchEntry{ns: "urn:spi:Echo", op: "echo", params: []soapenc.Field{
+					soapenc.F("message", "hello"), soapenc.F("count", int32(3))}}, &batchEntry{})
+			})
 		}
-		env.AddBody(mustPackedRequest(t,
-			batchEntry{service: "Echo", ns: "urn:spi:Echo", op: "echo", params: []soapenc.Field{soapenc.F("message", "first")}},
-			batchEntry{service: "WeatherService", ns: "urn:spi:WeatherService", op: "GetWeather",
-				params: []soapenc.Field{soapenc.F("CityName", "Beijing")}}))
-		return env
+		return writtenDocument(t, v, (&Batch{entries: []batchEntry{
+			{service: "Echo", ns: "urn:spi:Echo", op: "echo", params: []soapenc.Field{soapenc.F("message", "first")}},
+			{service: "WeatherService", ns: "urn:spi:WeatherService", op: "GetWeather",
+				params: []soapenc.Field{soapenc.F("CityName", "Beijing")}}}}).writeBody)
 	}
-	fault := func(v soap.Version) *soap.Envelope {
-		f := &soap.Fault{Code: soap.FaultServer, String: "deliberate failure", Actor: "/services/Echo"}
-		return f.EnvelopeFor(v)
+	fault := func(v soap.Version) []byte {
+		return faultDocument(&soap.Fault{Code: soap.FaultServer, String: "deliberate failure", Actor: "/services/Echo"}, v)
 	}
-	out := map[string]*soap.Envelope{
+	out := map[string][]byte{
 		"single11.xml": build(soap.V11, false),
 		"single12.xml": build(soap.V12, false),
 		"packed11.xml": build(soap.V11, true),
@@ -45,27 +42,23 @@ func goldenEnvelopes(t *testing.T) map[string]*soap.Envelope {
 		"fault11.xml":  fault(soap.V11),
 		"fault12.xml":  fault(soap.V12),
 	}
-	// The control-plane envelopes (Admin.GetStats/SetState) are pinned by
+	// The control-plane documents (Admin.GetStats/SetState) are pinned by
 	// the same suite — see golden_admin_test.go.
-	for name, env := range adminGoldenEnvelopes(t) {
-		out[name] = env
+	for name, doc := range adminGoldenDocuments(t) {
+		out[name] = doc
 	}
 	return out
 }
 
 func TestGoldenEnvelopes(t *testing.T) {
-	for name, env := range goldenEnvelopes(t) {
+	for name, doc := range goldenDocuments(t) {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := env.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
 			path := filepath.Join("testdata", name)
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, doc, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -74,20 +67,8 @@ func TestGoldenEnvelopes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update to create): %v", err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("envelope bytes diverged from golden %s\n got: %s\nwant: %s", name, buf.Bytes(), want)
-			}
-			enc := soap.NewStreamEncoder()
-			defer enc.Release()
-			if streamed, err := enc.EncodeEnvelope(env); err != nil || !bytes.Equal(streamed, want) {
-				t.Errorf("streamed envelope (%v) diverged from golden %s\n got: %s\nwant: %s", err, name, streamed, want)
-			}
-			if f := env.Fault(); f != nil {
-				resp := GatewayFaultResponse(f, env.Version)
-				defer resp.Release()
-				if !bytes.Equal(resp.Body, want) {
-					t.Errorf("streamed fault diverged from golden %s\n got: %s\nwant: %s", name, resp.Body, want)
-				}
+			if !bytes.Equal(doc, want) {
+				t.Errorf("document bytes diverged from golden %s\n got: %s\nwant: %s", name, doc, want)
 			}
 		})
 	}

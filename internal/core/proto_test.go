@@ -11,14 +11,13 @@ import (
 	"repro/internal/xmltext"
 )
 
-// writtenEntry streams one body entry through write — the writers this
-// package sends with — and reads it back as a tree, for the tests that take a
-// document apart or put one together by hand.
-func writtenEntry(t *testing.T, write func(em *xmltext.Emitter) error) *xmldom.Element {
+// writtenDocument streams an envelope in version v whose body write writes —
+// with the writers this package sends with.
+func writtenDocument(t *testing.T, v soap.Version, write func(em *xmltext.Emitter) error) []byte {
 	t.Helper()
 	enc := soap.NewStreamEncoder()
 	defer enc.Release()
-	enc.Begin(soap.V11, nil)
+	enc.Begin(v, nil)
 	if err := write(enc.Emitter()); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +25,21 @@ func writtenEntry(t *testing.T, write func(em *xmltext.Emitter) error) *xmldom.E
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := soap.Decode(bytes.NewReader(doc))
+	return bytes.Clone(doc)
+}
+
+// faultDocument is the whole-message fault document a server answers with.
+func faultDocument(f *soap.Fault, v soap.Version) []byte {
+	resp := GatewayFaultResponse(f, v)
+	defer resp.Release()
+	return bytes.Clone(resp.Body)
+}
+
+// writtenEntry streams one body entry through write and reads it back as a
+// tree, for the tests that take a document apart or put one together by hand.
+func writtenEntry(t *testing.T, write func(em *xmltext.Emitter) error) *xmldom.Element {
+	t.Helper()
+	env, err := soap.Decode(bytes.NewReader(writtenDocument(t, soap.V11, write)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,16 +105,9 @@ func waitFor(tb testing.TB, timeout time.Duration, what string, cond func() bool
 
 // postEnvelope sends one single-call envelope to the Admin endpoint and
 // returns a copy of the response body.
-func postEnvelope(tb testing.TB, c *httpx.Client, target string, env *soap.Envelope, err error) []byte {
+func postEnvelope(tb testing.TB, c *httpx.Client, target string, doc []byte) []byte {
 	tb.Helper()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var buf sliceBuffer
-	if err := env.Encode(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	resp, err := c.Post(target, soap.V11.ContentType(), buf.b, "SOAPAction", `""`)
+	resp, err := c.Post(target, soap.V11.ContentType(), doc, "SOAPAction", `""`)
 	if err != nil {
 		tb.Fatalf("POST %s: %v", target, err)
 	}
@@ -125,8 +118,7 @@ func postEnvelope(tb testing.TB, c *httpx.Client, target string, env *soap.Envel
 // adminGetStats runs one GetStats exchange against the given endpoint.
 func adminGetStats(tb testing.TB, c *httpx.Client, target string) admin.Stats {
 	tb.Helper()
-	env, err := admin.NewGetStatsRequest(soap.V11)
-	body := postEnvelope(tb, c, target, env, err)
+	body := postEnvelope(tb, c, target, admin.GetStatsRequest(soap.V11))
 	st, err := admin.ParseStatsResponse(body)
 	if err != nil {
 		tb.Fatalf("GetStats: %v", err)
@@ -137,8 +129,11 @@ func adminGetStats(tb testing.TB, c *httpx.Client, target string) admin.Stats {
 // adminSetState runs one SetState exchange and fails the test on a fault.
 func adminSetState(tb testing.TB, c *httpx.Client, target string, weight int64, drain *bool) {
 	tb.Helper()
-	env, err := admin.NewSetStateRequest(soap.V11, weight, drain)
-	body := postEnvelope(tb, c, target, env, err)
+	doc, err := admin.SetStateRequest(soap.V11, weight, drain)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := postEnvelope(tb, c, target, doc)
 	if _, err := admin.ParseStatsResponse(body); err != nil {
 		// SetState responds with SetStateResponse, not GetStatsResponse, so
 		// the parser always errors — but a *soap.Fault means the node said no.

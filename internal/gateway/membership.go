@@ -119,16 +119,8 @@ func jittered(rng *rand.Rand, d time.Duration, frac float64) time.Duration {
 // deliberately silent: staleness is the signal (applyStaleness reverts the
 // weight), and the data-plane circuit breaker already tracks reachability.
 func (g *Gateway) pollBackend(ctx context.Context, b *backend) {
-	env, err := admin.NewGetStatsRequest(soap.V11)
-	if err != nil {
-		return
-	}
-	var buf sliceBuffer
-	if err := env.Encode(&buf); err != nil {
-		return
-	}
 	resp, err := b.client.PostCtx(ctx, g.cfg.PathPrefix+admin.ServiceName,
-		soap.V11.ContentType(), buf.b, "SOAPAction", `""`)
+		soap.V11.ContentType(), admin.GetStatsRequest(soap.V11), "SOAPAction", `""`)
 	if err != nil {
 		return
 	}
@@ -392,12 +384,4 @@ func (g *Gateway) RemoveBackend(name string) error {
 		}
 	}()
 	return nil
-}
-
-// sliceBuffer is a minimal io.Writer over an appended byte slice.
-type sliceBuffer struct{ b []byte }
-
-func (s *sliceBuffer) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
 }

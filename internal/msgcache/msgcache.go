@@ -30,14 +30,8 @@ import (
 
 	"repro/internal/soap"
 	"repro/internal/soapenc"
-	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
-
-// placeholder is spliced into the template where parameter values go. It
-// contains characters that escape differently in text and attributes, so
-// it can never collide with a real escaped value.
-const placeholder = "\x00spi-param\x00"
 
 // Key identifies one template: the operation plus the parameter shape.
 // Two calls share a template exactly when they target the same operation
@@ -243,40 +237,60 @@ func (c *Cache) lookup(service, namespace, op string, params []soapenc.Field) (*
 	return tmpl, nil
 }
 
-// buildTemplate serializes the envelope once with placeholder values and
-// splits it at the placeholders.
+// buildTemplate writes the call's request as a client without a cache does —
+// the entry and its parameters streamed, then framed in an envelope — and
+// cuts that document where the parameter values lie. What a template splices
+// around is therefore the stream writer's own output, start tags,
+// xsi:type annotations and the Envelope's on-demand declarations included.
 func buildTemplate(namespace, op string, params []soapenc.Field) (*Template, error) {
-	// Build the request with placeholder values of the same types, so the
-	// xsi:type annotations in the template are correct.
-	marked := make([]soapenc.Field, len(params))
+	body := xmltext.AcquireEmitter()
+	defer xmltext.ReleaseEmitter(body)
+	body.Start(xmltext.Name{Prefix: "m", Local: op})
+	body.Attr(xmltext.Name{Prefix: "xmlns", Local: "m"}, namespace)
+	// holes[i] is where parameter i's value lies in body. A scalar goes out
+	// as <name>value</name>, with at most an xsi:type in the start tag: the
+	// value runs from that tag's '>' to the end tag.
+	holes := make([][2]int, len(params))
 	for i, p := range params {
-		marked[i] = soapenc.F(p.Name, p.Value)
-	}
-	env := soap.New()
-	el := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: op})
-	el.DeclareNamespace("m", namespace)
-	for _, p := range marked {
-		child, err := soapenc.Encode(el, p.Name, p.Value)
-		if err != nil {
+		at := body.Len()
+		if err := soapenc.EncodeParamsTo(body, params[i:i+1]); err != nil {
 			return nil, err
 		}
-		child.SetText(placeholder)
+		if err := body.Err(); err != nil {
+			return nil, err
+		}
+		// The byte at at is the parameter's '<', or the '>' the entry's own
+		// start tag still owed: the parameter's is the next one either way.
+		holes[i] = [2]int{
+			at + 1 + bytes.IndexByte(body.Bytes()[at+1:], '>') + 1,
+			body.Len() - len("</>") - len(p.Name),
+		}
 	}
-	env.AddBody(el)
-	var buf bytes.Buffer
-	if err := env.Encode(&buf); err != nil {
+	body.End()
+	if err := body.Finish(); err != nil {
 		return nil, err
 	}
-	raw := buf.Bytes()
 
-	escaped := xmltext.AppendCharData(nil, placeholder)
-	parts := bytes.Split(raw, escaped)
-	if len(parts) != len(params)+1 {
-		return nil, fmt.Errorf("msgcache: expected %d holes, found %d", len(params), len(parts)-1)
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(soap.V11, nil)
+	enc.Emitter().Mark(body.Marked())
+	enc.Emitter().Raw(body.Bytes())
+	doc, err := enc.Finish()
+	if err != nil {
+		return nil, err
 	}
-	segments := make([][]byte, len(parts))
-	for i, p := range parts {
-		segments[i] = append([]byte(nil), p...)
+	// The entry lies in the document as written; only what Finish declared on
+	// the Envelope tag moved it.
+	shift := bytes.Index(doc, body.Bytes())
+	if shift < 0 {
+		return nil, fmt.Errorf("msgcache: request entry not found in its own envelope")
 	}
-	return &Template{segments: segments}, nil
+	segments := make([][]byte, 0, len(params)+1)
+	from := 0
+	for _, h := range holes {
+		segments = append(segments, bytes.Clone(doc[from:shift+h[0]]))
+		from = shift + h[1]
+	}
+	return &Template{segments: append(segments, bytes.Clone(doc[from:]))}, nil
 }

@@ -98,11 +98,20 @@ func (env *Envelope) Element() *xmldom.Element {
 	return root
 }
 
-// Encode serializes the envelope to w. No XML declaration is written: it
-// would restate what Content-Type's charset says on every message, and WS-I
-// Basic Profile obliges receivers to accept one, not senders to send it.
+// Encode serializes the envelope to w, in one Write: its header blocks and
+// body entries streamed by a StreamEncoder, which declares on the root what
+// they use. No XML declaration is written: it would restate what
+// Content-Type's charset says on every message, and WS-I Basic Profile obliges
+// receivers to accept one, not senders to send it.
 func (env *Envelope) Encode(w io.Writer) error {
-	return env.Element().Serialize(w)
+	enc := NewStreamEncoder()
+	defer enc.Release()
+	doc, err := enc.EncodeEnvelope(env)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(doc)
+	return err
 }
 
 // Decode parses a SOAP 1.1 envelope from r.

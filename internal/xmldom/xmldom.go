@@ -332,11 +332,16 @@ func (e *Element) AppendTo(em *xmltext.Emitter) { e.appendTo(em) }
 func AppendNode(n Node, em *xmltext.Emitter) { n.appendTo(em) }
 
 // Serialize writes the subtree rooted at e as a complete document
-// (without an XML declaration) to w.
+// (without an XML declaration) to w, in one Write.
 func (e *Element) Serialize(w io.Writer) error {
-	xw := xmltext.NewWriter(w)
-	e.writeTo(xw)
-	return xw.Flush()
+	em := xmltext.AcquireEmitter()
+	defer xmltext.ReleaseEmitter(em)
+	e.appendTo(em)
+	if err := em.Finish(); err != nil {
+		return err
+	}
+	_, err := w.Write(em.Bytes())
+	return err
 }
 
 // WriteDocument serializes e as a full document with the XML declaration,
@@ -390,13 +395,10 @@ func (e *Element) SerializedLen() int {
 	return n + 2 + nameLen + 1 // "</name>"
 }
 
-// String returns the compact serialization, for logs and tests. The buffer
-// is sized exactly via SerializedLen, so large packed trees serialize with
-// a single allocation for the result string.
+// String returns the compact serialization, for logs and tests.
 func (e *Element) String() string {
 	em := xmltext.AcquireEmitter()
 	defer xmltext.ReleaseEmitter(em)
-	em.Grow(e.SerializedLen())
 	e.appendTo(em)
 	if err := em.Finish(); err != nil {
 		return fmt.Sprintf("<!ERROR %v>", err)
