@@ -15,8 +15,8 @@ import (
 // DOM-free packed assembly: the one writer of Parallel_Response. The server's
 // packed and plan dispatchers and the gateway's gather write their entries —
 // results, per-item faults, segments spliced from backend replies — straight
-// into a pooled emitter, in slot order. Differential tests pin the bytes to
-// the DOM oracle under randomized worker completion orders.
+// into a pooled emitter, in slot order. Tests pin the bytes to the fragments
+// under testdata/parity/ under randomized worker completion orders.
 
 var (
 	namePackResponse = xmltext.Name{Prefix: PrefixPack, Local: ElemParallelResponse}
@@ -137,7 +137,7 @@ func appendResponseEntry(em *xmltext.Emitter, r *rpcResult, ns, defaultNS string
 }
 
 // fault writes a per-item fault entry. Per-item faults use the SOAP 1.1
-// layout regardless of envelope version, as Fault.Element does.
+// layout regardless of envelope version.
 func (a *packedAssembler) fault(id int, f *soap.Fault) {
 	start := time.Now()
 	a.itemFaults++

@@ -16,41 +16,12 @@ import (
 	"repro/internal/xmltext"
 )
 
-// These tests pin the DOM-free encode paths to committed bytes: the streamed
-// Parallel_Response assembler (under randomized worker completion orders) and
-// buildPackedResponse to the fragments under testdata/parity/, and the full
-// streamed server response to the buffered server's bytes end to end.
-
-// buildPackedResponse is the assembler's oracle: the Parallel_Response
-// element built as a tree — the server-side assembler of §3.4 as the server
-// first had it — under the same framing rule. It declares defaultNS ("" for
-// none) as the batch's xmlns:m; a child restates its namespace only where it
-// differs, and every child carries its spi:id. Faulted entries become
-// per-item SOAP-ENV:Fault children.
-func buildPackedResponse(results []*rpcResult, serviceNS func(service string) string, defaultNS string) (*xmldom.Element, error) {
-	pr := xmldom.NewElement(namePackResponse)
-	pr.DeclareNamespace(PrefixPack, NSPack)
-	if defaultNS != "" {
-		pr.DeclareNamespace("m", defaultNS)
-	}
-	for _, r := range results {
-		var child *xmldom.Element
-		if r.fault != nil {
-			child = r.fault.Element()
-		} else {
-			child = xmldom.NewElement(xmltext.Name{Prefix: "m", Local: r.op + "Response"})
-			if ns := serviceNS(r.service); ns != defaultNS {
-				child.DeclareNamespace("m", ns)
-			}
-			if err := soapenc.EncodeParams(child, r.results); err != nil {
-				return nil, err
-			}
-		}
-		child.SetAttr(attrID, strconv.Itoa(r.id))
-		pr.AddChild(child)
-	}
-	return pr, nil
-}
+// These tests pin the encode paths to committed bytes: the streamed
+// Parallel_Response assembler (under randomized worker completion orders) to
+// the fragments under testdata/parity/, captured when a tree-building
+// assembler — the server-side assembler of §3.4 as the server first had it —
+// still wrote the same ones, and the full streamed server response to the
+// buffered server's bytes end to end.
 
 // responseDefaults are the batch defaults the fragment comparisons run under:
 // none, the namespace most sample results share, one that a single result
@@ -144,18 +115,8 @@ func TestStreamAssemblerFragmentParity(t *testing.T) {
 		orders = append(orders, order)
 	}
 	for i, def := range responseDefaults {
-		dom, err := buildPackedResponse(results, testNS, def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := dom.String()
-		parityGolden(t, fragmentGoldens[i], []byte(want))
 		for _, order := range orders {
-			got := assembleStreamed(t, results, order, def)
-			if got != want {
-				t.Fatalf("fragment diverges for default %q, delivery order %v:\nstreamed: %s\nbuffered: %s", def, order, got, want)
-			}
-			parityGolden(t, fragmentGoldens[i], []byte(got))
+			parityGolden(t, fragmentGoldens[i], []byte(assembleStreamed(t, results, order, def)))
 		}
 	}
 	if asm := newPackedAssembler(""); asm.itemFaults != 0 {
@@ -183,11 +144,6 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 					{id: 2, service: "Echo", op: "fail", fault: &soap.Fault{Code: soap.FaultServer, String: "boom " + tag}},
 				}
 				def := responseDefaults[round%len(responseDefaults)]
-				dom, err := buildPackedResponse(results, testNS, def)
-				if err != nil {
-					t.Error(err)
-					return
-				}
 				// The batch default on Parallel_Response, restated by every
 				// entry it is not the namespace of.
 				declared, restated := "", ` xmlns:m="urn:spi:Echo"`
@@ -203,8 +159,8 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 					`<SOAP-ENV:Fault spi:id="2"><faultcode>SOAP-ENV:Server</faultcode><faultstring>boom ` + tag + `</faultstring></SOAP-ENV:Fault>` +
 					`</spi:Parallel_Response>`
 				got := assembleStreamed(t, results, rng.Perm(len(results)), def)
-				if got != want || dom.String() != want {
-					t.Errorf("round %s diverged:\nstreamed: %s\nbuffered: %s\nwant:     %s", tag, got, dom.String(), want)
+				if got != want {
+					t.Errorf("round %s diverged:\nstreamed: %s\nwant:     %s", tag, got, want)
 					return
 				}
 			}

@@ -16,36 +16,23 @@ import (
 	"repro/internal/xmltext"
 )
 
-// buildServerResponse renders the packed response a direct server would
-// produce for the given results under the batch default def, headers
-// included.
+// buildServerResponse renders the packed response a direct server produces
+// for the given results under the batch default def, headers included.
 func buildServerResponse(t *testing.T, v soap.Version, results []*rpcResult, headers []*xmldom.Element, def string) []byte {
 	t.Helper()
-	pr, err := buildPackedResponse(results, testNS, def)
+	asm := newPackedAssembler(def)
+	defer asm.release()
+	for _, r := range results {
+		if err := asm.encodeEntry(r, testNS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := asm.finish(v, headers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := soap.New()
-	env.Version = v
-	env.Header = headers
-	env.AddBody(pr)
-	var buf bytes.Buffer
-	if err := env.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The server encodes through the stream encoder; pin the paths equal
-	// here so the splice test below anchors on real server bytes.
-	enc := soap.NewStreamEncoder()
-	streamed, err := enc.EncodeEnvelope(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := append([]byte(nil), streamed...)
-	enc.Release()
-	if !bytes.Equal(out, buf.Bytes()) {
-		t.Fatalf("encoder paths diverge:\n%s\n%s", out, buf.Bytes())
-	}
-	return out
+	defer resp.Release()
+	return bytes.Clone(resp.Body)
 }
 
 // collectorFor returns the collector a gateway gathers these results'

@@ -152,12 +152,12 @@ func TestPackedResponseOrderAndIDs(t *testing.T) {
 		{id: 1, service: "S", op: "op", fault: soap.ClientFault("broken")},
 	}
 	// With and without the namespace hoisted onto Parallel_Response.
-	for _, def := range []string{"", "urn:s"} {
-		pr, err := buildPackedResponse(results, func(string) string { return "urn:s" }, def)
+	for _, def := range []string{"", testNS("S")} {
+		env, err := soap.Decode(bytes.NewReader(buildServerResponse(t, soap.V11, results, nil, def)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := reparse(t, pr)
+		wire := env.Body[0]
 		if !isPackedResponse(wire) {
 			t.Fatal("not recognized as packed response")
 		}
@@ -214,7 +214,10 @@ func TestFaultFromElementComplete(t *testing.T) {
 	det := xmldom.NewElement(xmltext.Name{Local: "detail"})
 	det.AddElement(xmltext.Name{Local: "code"}).SetText("9")
 	f.Detail = det
-	got := faultFromElement(reparse(t, f.Element()))
+	got := faultFromElement(writtenEntry(t, func(em *xmltext.Emitter) error {
+		f.AppendElementFor(em, soap.V11)
+		return nil
+	}))
 	if got.Code != soap.FaultClient || got.String != "why" || got.Actor != "urn:who" {
 		t.Errorf("fault = %+v", got)
 	}

@@ -620,9 +620,9 @@ func envelopeDecls(doc []byte) soap.Decls {
 func TestEnvelopeDeclaresEncodingOnDemand(t *testing.T) {
 	typed := soap.DeclXSI | soap.DeclXSD
 	detail := xmldom.NewElement(xmltext.Name{Local: "detail"})
-	if _, err := soapenc.Encode(detail, "retryAfter", int64(3)); err != nil {
-		t.Fatal(err)
-	}
+	retryAfter := detail.AddElement(xmltext.Name{Local: "retryAfter"})
+	retryAfter.SetAttr(xmltext.Name{Prefix: soap.PrefixXSI, Local: "type"}, "xsd:int")
+	retryAfter.SetText("3")
 	withFaults := func(s *ServerConfig) {
 		echo, _ := s.Container.Service("Echo")
 		echo.MustRegister("failDetail", func(*registry.Context, []soapenc.Field) ([]soapenc.Field, error) {

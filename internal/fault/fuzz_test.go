@@ -44,17 +44,14 @@ func FuzzFaultRoundTrip(f *testing.F) {
 			version = soap.V12
 		}
 
-		var buf bytes.Buffer
-		if err := ToSOAPDetail(in).EnvelopeFor(version).Encode(&buf); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		env, err := soap.Decode(bytes.NewReader(buf.Bytes()))
+		doc := faultDocument(t, ToSOAPDetail(in), version)
+		env, err := soap.Decode(bytes.NewReader(doc))
 		if err != nil {
-			t.Fatalf("decode of our own bytes: %v\n%s", err, buf.Bytes())
+			t.Fatalf("decode of our own bytes: %v\n%s", err, doc)
 		}
 		sf := env.Fault()
 		if sf == nil {
-			t.Fatalf("round-tripped envelope is not a fault:\n%s", buf.Bytes())
+			t.Fatalf("round-tripped envelope is not a fault:\n%s", doc)
 		}
 		out := Classify(sf)
 

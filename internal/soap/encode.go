@@ -9,14 +9,15 @@ import (
 	"repro/internal/xmltext"
 )
 
-// StreamEncoder emits a SOAP envelope directly into a pooled byte buffer,
-// without building the xmldom tree that Envelope.Encode constructs and
-// throws away per message. Its output is byte-identical to Envelope.Encode
-// for the same logical envelope — golden and differential tests pin this —
-// so the two paths are interchangeable on the wire. Neither writes an XML
-// declaration (the HTTP Content-Type already names the charset), and both
-// declare SOAP-ENC, xsi and xsd each only when the envelope's content uses
-// that prefix: a message of strings alone declares SOAP-ENV and nothing else.
+// StreamEncoder emits a SOAP envelope directly into a pooled byte buffer: the
+// Envelope start tag declaring SOAP-ENV, the optional Header with its blocks,
+// the Body and whatever the caller writes into it. No XML declaration is
+// written (the HTTP Content-Type already names the charset), and SOAP-ENC, xsi
+// and xsd are declared on the Envelope each only when the content uses that
+// prefix without declaring it itself — in that order, after SOAP-ENV, where
+// the toolkits of the paper's Figure 4 put them. A message of strings alone
+// declares SOAP-ENV and nothing else; Figure 4's toolkits declared all four on
+// every message, and readers accept either.
 //
 // Lifecycle: NewStreamEncoder → Begin → body writes → Finish → (use bytes)
 // → Release. The byte slice returned by Finish aliases the pooled buffer
@@ -245,18 +246,21 @@ func (enc *StreamEncoder) WriteEnvelope(env *Envelope) {
 	}
 }
 
-// EncodeEnvelope serializes a whole envelope, the drop-in replacement for
-// Envelope.Encode into a fresh buffer. The returned bytes are valid until
-// Release.
+// EncodeEnvelope serializes a whole envelope of trees. The returned bytes are
+// valid until Release.
 func (enc *StreamEncoder) EncodeEnvelope(env *Envelope) ([]byte, error) {
 	enc.WriteEnvelope(env)
 	return enc.Finish()
 }
 
 // AppendElementFor streams the fault body entry in the given version's
-// layout, byte-identical to ElementFor serialized through the DOM. extra
-// attributes (e.g. spi:id on per-item faults) are emitted right after the
-// version-required ones, matching SetAttr-append order on the DOM path.
+// layout: the flat faultcode/faultstring(/faultactor)(/detail) children of
+// SOAP-ENV:Fault for SOAP 1.1, env:Code/env:Value, env:Reason/env:Text,
+// env:Node and env:Detail under an env:Fault that declares env itself for
+// SOAP 1.2. An empty Code goes out as Server. extra attributes (e.g. spi:id on
+// per-item faults) follow the version-required ones on the Fault start tag, in
+// the order given. A Detail tree marks the emitter with the on-demand prefixes
+// it leans on the Envelope for.
 func (f *Fault) AppendElementFor(em *xmltext.Emitter, v Version, extra ...xmltext.Attr) {
 	if v == V12 {
 		f.appendElement12(em, extra)
@@ -272,8 +276,8 @@ func (f *Fault) AppendElementFor(em *xmltext.Emitter, v Version, extra ...xmltex
 	}
 	em.Start(nameFaultcode)
 	// Escaping is character-local, so adjacent Text calls concatenate to
-	// the same bytes as one SetText(PrefixEnvelope + ":" + code) — minus
-	// the string concatenation.
+	// the same bytes as one Text(PrefixEnvelope + ":" + code) — minus the
+	// string concatenation.
 	em.Text(PrefixEnvelope)
 	em.Text(":")
 	em.Text(code)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/xmldom"
-	"repro/internal/xmltext"
 )
 
 // SOAP 1.1 fault codes (local parts; they are serialized as QNames in the
@@ -35,68 +34,6 @@ type Fault struct {
 // Error implements the error interface so a *Fault can travel as a Go error.
 func (f *Fault) Error() string {
 	return fmt.Sprintf("soap fault %s: %s", f.Code, f.String)
-}
-
-// Element builds the SOAP-ENV:Fault body entry for the fault.
-func (f *Fault) Element() *xmldom.Element {
-	el := xmldom.NewElement(xmltext.Name{Prefix: PrefixEnvelope, Local: "Fault"})
-	code := f.Code
-	if code == "" {
-		code = FaultServer
-	}
-	el.AddElement(xmltext.Name{Local: "faultcode"}).SetText(PrefixEnvelope + ":" + code)
-	el.AddElement(xmltext.Name{Local: "faultstring"}).SetText(f.String)
-	if f.Actor != "" {
-		el.AddElement(xmltext.Name{Local: "faultactor"}).SetText(f.Actor)
-	}
-	if f.Detail != nil {
-		el.AddChild(f.Detail)
-	}
-	return el
-}
-
-// ElementFor builds the Fault body entry in the given envelope version's
-// format: the flat faultcode/faultstring layout for SOAP 1.1, the
-// Code/Value + Reason/Text layout for SOAP 1.2.
-func (f *Fault) ElementFor(v Version) *xmldom.Element {
-	if v != V12 {
-		return f.Element()
-	}
-	el := xmldom.NewElement(xmltext.Name{Prefix: "env", Local: "Fault"})
-	el.DeclareNamespace("env", NSEnvelope12)
-	code := f.Code
-	if code == "" {
-		code = FaultServer
-	}
-	codeEl := el.AddElement(xmltext.Name{Prefix: "env", Local: "Code"})
-	codeEl.AddElement(xmltext.Name{Prefix: "env", Local: "Value"}).SetText("env:" + faultCode12(code))
-	reason := el.AddElement(xmltext.Name{Prefix: "env", Local: "Reason"})
-	text := reason.AddElement(xmltext.Name{Prefix: "env", Local: "Text"})
-	text.SetAttr(xmltext.Name{Prefix: "xml", Local: "lang"}, "en")
-	text.SetText(f.String)
-	if f.Actor != "" {
-		el.AddElement(xmltext.Name{Prefix: "env", Local: "Node"}).SetText(f.Actor)
-	}
-	if f.Detail != nil {
-		detail := el.AddElement(xmltext.Name{Prefix: "env", Local: "Detail"})
-		for _, n := range f.Detail.Children {
-			detail.AddChild(n)
-		}
-	}
-	return el
-}
-
-// Envelope wraps the fault in a complete SOAP 1.1 envelope, ready to send.
-func (f *Fault) Envelope() *Envelope {
-	return f.EnvelopeFor(V11)
-}
-
-// EnvelopeFor wraps the fault in an envelope of the given version.
-func (f *Fault) EnvelopeFor(v Version) *Envelope {
-	env := New()
-	env.Version = v
-	env.AddBody(f.ElementFor(v))
-	return env
 }
 
 // ClientFault returns a Client fault with a formatted message.

@@ -62,42 +62,6 @@ func (env *Envelope) AddBody(entry *xmldom.Element) {
 	env.Body = append(env.Body, entry)
 }
 
-// Element builds the full DOM for the envelope. The root declares SOAP-ENV,
-// and then SOAP-ENC, xsi and xsd — in that order, where the toolkits of the
-// paper's Figure 4 put them — each only when a header block or body entry
-// uses that prefix without declaring it itself: an envelope declares what its
-// content uses, and a body of untyped strings uses none of them. This departs
-// from the Axis and gSOAP bytes Figure 4 reproduces, which declared all four
-// on every message; readers accept either. SOAP 1.2 envelopes differ only in
-// the envelope namespace bound to the prefix.
-func (env *Envelope) Element() *xmldom.Element {
-	root := xmldom.NewElement(xmltext.Name{Prefix: PrefixEnvelope, Local: "Envelope"})
-	root.DeclareNamespace(PrefixEnvelope, env.Version.Namespace())
-	var used Decls
-	for _, el := range env.Header {
-		used |= usedDecls(el)
-	}
-	for _, el := range env.Body {
-		used |= usedDecls(el)
-	}
-	for i, d := range onDemand {
-		if used&(1<<i) != 0 {
-			root.DeclareNamespace(d.prefix, d.ns)
-		}
-	}
-	if len(env.Header) > 0 {
-		hdr := root.AddElement(xmltext.Name{Prefix: PrefixEnvelope, Local: "Header"})
-		for _, b := range env.Header {
-			hdr.AddChild(b)
-		}
-	}
-	body := root.AddElement(xmltext.Name{Prefix: PrefixEnvelope, Local: "Body"})
-	for _, e := range env.Body {
-		body.AddChild(e)
-	}
-	return root
-}
-
 // Encode serializes the envelope to w, in one Write: its header blocks and
 // body entries streamed by a StreamEncoder, which declares on the root what
 // they use. No XML declaration is written: it would restate what

@@ -1,12 +1,28 @@
 package soap
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
+
+// faultDocument is f as the one body entry of an envelope in version v, the
+// way a server answers with it.
+func faultDocument(t *testing.T, f *Fault, v Version) []byte {
+	t.Helper()
+	enc := NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(v, nil)
+	f.AppendElementFor(enc.Emitter(), v)
+	doc, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(doc)
+}
 
 func TestEnvelopeEncodeDecode(t *testing.T) {
 	env := New()
@@ -96,11 +112,7 @@ func TestFaultRoundTrip(t *testing.T) {
 	wrap.AddChild(detail)
 	f.Detail = wrap
 
-	var b strings.Builder
-	if err := f.Envelope().Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	env, err := Decode(strings.NewReader(b.String()))
+	env, err := Decode(bytes.NewReader(faultDocument(t, f, V11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +146,9 @@ func TestFaultOnNonFaultBody(t *testing.T) {
 }
 
 func TestDefaultFaultCode(t *testing.T) {
-	f := &Fault{String: "boom"}
-	el := f.Element()
-	if code := el.Child("", "faultcode").Text(); code != PrefixEnvelope+":"+FaultServer {
-		t.Errorf("default code = %q", code)
+	doc := faultDocument(t, &Fault{String: "boom"}, V11)
+	if want := "<faultcode>" + PrefixEnvelope + ":" + FaultServer + "</faultcode>"; !bytes.Contains(doc, []byte(want)) {
+		t.Errorf("default code is not %s: %s", want, doc)
 	}
 }
 
@@ -209,9 +220,6 @@ func TestFigureStyleEnvelopeShape(t *testing.T) {
 	} {
 		env := New()
 		env.AddBody(tc.body)
-		if doc := env.Element().String(); !strings.HasPrefix(doc, "<SOAP-ENV:Envelope"+tc.want) {
-			t.Errorf("%s: envelope does not open with %s:\n%s", tc.name, tc.want, doc)
-		}
 		enc := NewStreamEncoder()
 		doc, err := enc.EncodeEnvelope(env)
 		if err != nil || !strings.HasPrefix(string(doc), "<SOAP-ENV:Envelope"+tc.want) {

@@ -369,7 +369,9 @@ func streamDecodeAllPooled(doc string, a *xmldom.Arena) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return env.Element().String(), nil
+	var b strings.Builder
+	err = env.Encode(&b)
+	return b.String(), err
 }
 
 // TestStreamDecoderPoolRecycling checks pooled decoders against fresh
@@ -401,8 +403,9 @@ func TestStreamDecoderPoolRecycling(t *testing.T) {
 					t.Errorf("worker %d round %d: Decode: %v", w, r, err)
 					return
 				}
-				if want := env.Element().String(); got != want {
-					t.Errorf("worker %d round %d: pooled %q, fresh %q", w, r, got, want)
+				var want strings.Builder
+				if err := env.Encode(&want); err != nil || got != want.String() {
+					t.Errorf("worker %d round %d: pooled %q, fresh %q (%v)", w, r, got, want.String(), err)
 					return
 				}
 			}

@@ -57,12 +57,7 @@ func TestV12FaultRoundTrip(t *testing.T) {
 	det.AddElement(xmltext.Name{Local: "why"}).SetText("because")
 	f.Detail = det
 
-	env := f.EnvelopeFor(V12)
-	var b strings.Builder
-	if err := env.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	doc := b.String()
+	doc := string(faultDocument(t, f, V12))
 	for _, want := range []string{"env:Code", "env:Value", "env:Sender", "env:Reason", "env:Text", "env:Node"} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("1.2 fault missing %s:\n%s", want, doc)
@@ -90,9 +85,8 @@ func TestV12FaultRoundTrip(t *testing.T) {
 }
 
 func TestV12ServerFaultCode(t *testing.T) {
-	f := ServerFault("boom")
-	doc := f.EnvelopeFor(V12).Element().String()
-	if !strings.Contains(doc, "env:Receiver") {
+	doc := faultDocument(t, ServerFault("boom"), V12)
+	if !strings.Contains(string(doc), "env:Receiver") {
 		t.Errorf("Server should map to Receiver:\n%s", doc)
 	}
 }

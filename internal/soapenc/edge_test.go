@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/xmldom"
-	"repro/internal/xmltext"
 )
 
 // Edge cases exercising the decoder's leniency and strictness boundaries,
@@ -127,13 +126,12 @@ func TestDecodeXsiNilVariants(t *testing.T) {
 }
 
 func TestEncodeNilStructPointer(t *testing.T) {
-	parent := xmldom.NewElement(xmltext.Name{Local: "P"})
-	el, err := Encode(parent, "s", (*Struct)(nil))
+	doc, err := encodedDocument(F("s", (*Struct)(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(el.String(), `nil="true"`) {
-		t.Errorf("nil struct encoded as %s", el)
+	if !strings.Contains(doc, `<s xsi:nil="true"/>`) {
+		t.Errorf("nil struct encoded as %s", doc)
 	}
 }
 
@@ -141,8 +139,7 @@ func TestDateTimeTimezonePreserved(t *testing.T) {
 	// Encoding normalizes to UTC; the instant must survive exactly.
 	loc := time.FixedZone("UTC+8", 8*3600)
 	ts := time.Date(2006, 9, 26, 15, 4, 5, 0, loc)
-	env := encodeInTestEnvelope(t, ts)
-	got, err := Decode(env)
+	got, err := Decode(encodeInEnvelope(t, ts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,24 +147,4 @@ func TestDateTimeTimezonePreserved(t *testing.T) {
 	if !ok || !gt.Equal(ts) {
 		t.Errorf("time round trip = %v, want instant %v", got, ts)
 	}
-}
-
-// encodeInTestEnvelope is a tiny local variant of the helper in the main
-// test file, kept separate to stay self-contained.
-func encodeInTestEnvelope(t *testing.T, v Value) *xmldom.Element {
-	t.Helper()
-	parent := xmldom.NewElement(xmltext.Name{Local: "P"})
-	parent.DeclareNamespace("xsi", "http://www.w3.org/2001/XMLSchema-instance")
-	parent.DeclareNamespace("xsd", "http://www.w3.org/2001/XMLSchema")
-	parent.DeclareNamespace("SOAP-ENC", "http://schemas.xmlsoap.org/soap/encoding/")
-	el, err := Encode(parent, "v", v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reparsed, err := xmldom.ParseString(parent.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = el
-	return reparsed.Child("", "v")
 }

@@ -101,8 +101,7 @@ func (s *Struct) GetBool(name string) bool {
 	return b
 }
 
-// intType returns the QName of the narrowest xsd integer type that holds n,
-// for both writers.
+// intType returns the QName of the narrowest xsd integer type that holds n.
 func intType(n int64) string {
 	if n >= math.MinInt32 && n <= math.MaxInt32 {
 		return soap.PrefixXSD + ":int"
@@ -115,85 +114,6 @@ var (
 	xsiNilAttr  = xmltext.Name{Prefix: soap.PrefixXSI, Local: "nil"}
 	encArrayTyp = xmltext.Name{Prefix: soap.PrefixEncoding, Local: "arrayType"}
 )
-
-// Encode appends a child element with the given name carrying v to parent.
-// The prefixes it uses — xsi and xsd for a typed value, SOAP-ENC for an Array,
-// none for a string — must be in scope, which they are inside any envelope
-// built by package soap: it declares what its content uses. It returns the
-// new element.
-func Encode(parent *xmldom.Element, name string, v Value) (*xmldom.Element, error) {
-	el := parent.AddElement(xmltext.Name{Local: name})
-	if err := encodeInto(el, v); err != nil {
-		return nil, err
-	}
-	return el, nil
-}
-
-func encodeInto(el *xmldom.Element, v Value) error {
-	switch v := v.(type) {
-	case nil:
-		el.SetAttr(xsiNilAttr, "true")
-	case string:
-		el.SetText(v)
-	case bool:
-		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":boolean")
-		el.SetText(strconv.FormatBool(v))
-	case int64:
-		el.SetAttr(xsiTypeAttr, intType(v))
-		el.SetText(strconv.FormatInt(v, 10))
-	case int:
-		return encodeInto(el, int64(v))
-	case int32:
-		return encodeInto(el, int64(v))
-	case float64:
-		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":double")
-		el.SetText(formatDouble(v))
-	case []byte:
-		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":base64Binary")
-		el.SetText(base64.StdEncoding.EncodeToString(v))
-	case time.Time:
-		el.SetAttr(xsiTypeAttr, soap.PrefixXSD+":dateTime")
-		el.SetText(v.UTC().Format(time.RFC3339Nano))
-	case Array:
-		el.SetAttr(xsiTypeAttr, soap.PrefixEncoding+":Array")
-		el.SetAttr(encArrayTyp, fmt.Sprintf("%s:anyType[%d]", soap.PrefixXSD, len(v)))
-		for _, item := range v {
-			if _, err := Encode(el, "item", item); err != nil {
-				return err
-			}
-		}
-	case *Struct:
-		if v == nil {
-			el.SetAttr(xsiNilAttr, "true")
-			return nil
-		}
-		for _, f := range v.Fields {
-			if f.Name == "" {
-				return fmt.Errorf("soapenc: struct field with empty name")
-			}
-			if _, err := Encode(el, f.Name, f.Value); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("soapenc: unsupported value type %T", v)
-	}
-	return nil
-}
-
-// formatDouble renders a float in a form xsd:double accepts, including the
-// special values.
-func formatDouble(f float64) string {
-	switch {
-	case math.IsNaN(f):
-		return "NaN"
-	case math.IsInf(f, 1):
-		return "INF"
-	case math.IsInf(f, -1):
-		return "-INF"
-	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
-}
 
 func parseDouble(s string) (float64, error) {
 	switch s {
@@ -365,19 +285,6 @@ func decodeStruct(el *xmldom.Element) (Value, error) {
 		s.Fields = append(s.Fields, Field{Name: c.Name.Local, Value: v})
 	}
 	return s, nil
-}
-
-// EncodeParams appends each named parameter as a child of parent, in order.
-func EncodeParams(parent *xmldom.Element, params []Field) error {
-	for _, p := range params {
-		if p.Name == "" {
-			return fmt.Errorf("soapenc: parameter with empty name")
-		}
-		if _, err := Encode(parent, p.Name, p.Value); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DecodeParams decodes every child element of el as a named parameter.

@@ -13,26 +13,36 @@ import (
 	"repro/internal/xmltext"
 )
 
+// encodedDocument streams params as the parameters of the one body entry,
+// <Op>, of an envelope, which declares the prefixes they use.
+func encodedDocument(params ...Field) (string, error) {
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(soap.V11, nil)
+	em := enc.Emitter()
+	em.Start(xmltext.Name{Local: "Op"})
+	if err := EncodeParamsTo(em, params); err != nil {
+		return "", err
+	}
+	em.End()
+	doc, err := enc.Finish()
+	return string(doc), err
+}
+
 // encodeInEnvelope encodes v under a proper envelope so the standard
 // prefixes resolve, then re-parses the document and returns the element
 // carrying v.
 func encodeInEnvelope(t *testing.T, v Value) *xmldom.Element {
 	t.Helper()
-	env := soap.New()
-	op := xmldom.NewElement(xmltext.Name{Local: "Op"})
-	env.AddBody(op)
-	if _, err := Encode(op, "param", v); err != nil {
-		t.Fatalf("Encode(%v): %v", v, err)
-	}
-	var b strings.Builder
-	if err := env.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	env2, err := soap.Decode(strings.NewReader(b.String()))
+	doc, err := encodedDocument(F("param", v))
 	if err != nil {
-		t.Fatalf("decode envelope: %v (doc %s)", err, b.String())
+		t.Fatalf("encoding %v: %v", v, err)
 	}
-	return env2.Body[0].Child("", "param")
+	env, err := soap.Decode(strings.NewReader(doc))
+	if err != nil {
+		t.Fatalf("decode envelope: %v (doc %s)", err, doc)
+	}
+	return env.Body[0].Child("", "param")
 }
 
 func roundTrip(t *testing.T, v Value) Value {
@@ -197,14 +207,13 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestEncodeRejectsUnsupported(t *testing.T) {
-	op := xmldom.NewElement(xmltext.Name{Local: "Op"})
-	if _, err := Encode(op, "p", struct{ X int }{1}); err == nil {
+	if _, err := encodedDocument(F("p", struct{ X int }{1})); err == nil {
 		t.Error("arbitrary struct type accepted")
 	}
-	if _, err := Encode(op, "p", map[string]int{}); err == nil {
+	if _, err := encodedDocument(F("p", map[string]int{})); err == nil {
 		t.Error("map accepted")
 	}
-	if err := EncodeParams(op, []Field{{Name: "", Value: "x"}}); err == nil {
+	if _, err := encodedDocument(F("", "x")); err == nil {
 		t.Error("empty param name accepted")
 	}
 }
@@ -215,18 +224,11 @@ func TestParamsRoundTrip(t *testing.T) {
 		F("days", int64(3)),
 		F("detail", true),
 	}
-	env := soap.New()
-	op := xmldom.NewElement(xmltext.Name{Local: "GetWeather"})
-	op.DeclareNamespace("", "urn:weather")
-	env.AddBody(op)
-	if err := EncodeParams(op, params); err != nil {
+	doc, err := encodedDocument(params...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := env.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	env2, err := soap.Decode(strings.NewReader(b.String()))
+	env2, err := soap.Decode(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,18 +309,12 @@ func TestQuickValueRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		v := randomValue(r, 3)
 
-		env := soap.New()
-		op := xmldom.NewElement(xmltext.Name{Local: "Op"})
-		env.AddBody(op)
-		if _, err := Encode(op, "p", v); err != nil {
+		doc, err := encodedDocument(F("p", v))
+		if err != nil {
 			t.Logf("encode %#v: %v", v, err)
 			return false
 		}
-		var b strings.Builder
-		if err := env.Encode(&b); err != nil {
-			return false
-		}
-		env2, err := soap.Decode(strings.NewReader(b.String()))
+		env2, err := soap.Decode(strings.NewReader(doc))
 		if err != nil {
 			t.Logf("decode doc: %v", err)
 			return false
@@ -329,7 +325,7 @@ func TestQuickValueRoundTrip(t *testing.T) {
 			return false
 		}
 		if !Equal(v, got) {
-			t.Logf("mismatch: %#v -> %#v (doc %s)", v, got, b.String())
+			t.Logf("mismatch: %#v -> %#v (doc %s)", v, got, doc)
 			return false
 		}
 		return true

@@ -11,15 +11,18 @@ import (
 	"repro/internal/xmltext"
 )
 
-// Streaming counterparts of Encode/EncodeParams: they write the same bytes
-// the DOM path serializes to, directly into an xmltext.Emitter, so typed
-// parameters cost zero allocations on the encode hot path. Differential
-// tests pin byte parity against the DOM path for every value type.
+// The value writers: they stream a value's element straight into an
+// xmltext.Emitter, so typed parameters cost zero allocations on the encode
+// hot path. A scalar is <name xsi:type="xsd:…">text</name>, a string an
+// untyped leaf, nil an empty element with xsi:nil="true", an Array
+// xsi:type="SOAP-ENC:Array" then SOAP-ENC:arrayType="xsd:anyType[n]" over its
+// <item>s, a Struct its fields as children in order.
 
 var nameItem = xmltext.Name{Local: "item"}
 
-// EncodeTo emits `<name>` carrying v into em, byte-identical to Encode
-// followed by serialization. Every prefix it writes it also marks on em —
+// EncodeTo emits `<name>` carrying v into em. It fails on a value outside the
+// closed set and on a struct field with an empty name, leaving em with what it
+// had written. Every prefix it writes it also marks on em —
 // xsi and xsd for a typed value, xsi for nil, SOAP-ENC besides for an Array,
 // none for a string — so that whoever frames the document
 // (soap.StreamEncoder.Finish) declares exactly those.
@@ -27,8 +30,8 @@ func EncodeTo(em *xmltext.Emitter, name string, v Value) error {
 	return encodeTo(em, xmltext.Name{Local: name}, v)
 }
 
-// EncodeParamsTo emits each named parameter in order, the streaming form
-// of EncodeParams.
+// EncodeParamsTo emits each named parameter in order, failing on the first
+// with an empty name.
 func EncodeParamsTo(em *xmltext.Emitter, params []Field) error {
 	for _, p := range params {
 		if p.Name == "" {
@@ -42,7 +45,7 @@ func EncodeParamsTo(em *xmltext.Emitter, params []Field) error {
 }
 
 func encodeTo(em *xmltext.Emitter, name xmltext.Name, v Value) error {
-	// Normalize the int widths first (the DOM path recurses for these).
+	// Normalize the int widths first.
 	switch n := v.(type) {
 	case int:
 		v = int64(n)
@@ -122,9 +125,9 @@ func writeNil(em *xmltext.Emitter) {
 	em.Attr(xsiNilAttr, "true")
 }
 
-// AppendDouble is formatDouble in append form, exported for template
-// splicing (msgcache), which must render values exactly as the encoder
-// does.
+// AppendDouble renders a float in a form xsd:double accepts, including the
+// special values. It is exported for template splicing (msgcache), which must
+// render values exactly as the encoder does.
 func AppendDouble(dst []byte, f float64) []byte {
 	switch {
 	case math.IsNaN(f):

@@ -1,6 +1,7 @@
 package soapenc
 
 import (
+	"bytes"
 	"flag"
 	"math"
 	"os"
@@ -41,17 +42,6 @@ func goldenLines(t *testing.T, path string, got []string) {
 	}
 }
 
-// domEncodeString serializes the DOM-path encoding of (name, v).
-func domEncodeString(t *testing.T, name string, v Value) (string, error) {
-	t.Helper()
-	parent := xmldom.NewElement(xmltext.Name{Local: "parent"})
-	el, err := Encode(parent, name, v)
-	if err != nil {
-		return "", err
-	}
-	return el.String(), nil
-}
-
 func streamEncodeString(t *testing.T, name string, v Value) (string, error) {
 	t.Helper()
 	em := xmltext.AcquireEmitter()
@@ -65,8 +55,8 @@ func streamEncodeString(t *testing.T, name string, v Value) (string, error) {
 	return string(em.Bytes()), nil
 }
 
-// TestEncodeToParity pins both value serializers to the same committed
-// bytes for every type in the closed value model, including the edge values.
+// TestEncodeToParity pins the bytes of every type in the closed value model,
+// including the edge values.
 func TestEncodeToParity(t *testing.T) {
 	ts := time.Date(2006, 1, 2, 15, 4, 5, 123456789, time.FixedZone("X", 3600))
 	const array = ` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType`
@@ -110,13 +100,12 @@ func TestEncodeToParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.desc, func(t *testing.T) {
-			dom, domErr := domEncodeString(t, "p", tc.v)
-			got, gotErr := streamEncodeString(t, "p", tc.v)
-			if domErr != nil || gotErr != nil {
-				t.Fatalf("errors: dom=%v stream=%v", domErr, gotErr)
+			got, err := streamEncodeString(t, "p", tc.v)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got != tc.want || dom != tc.want {
-				t.Fatalf("byte divergence:\ndom:    %s\nstream: %s\nwant:   %s", dom, got, tc.want)
+			if got != tc.want {
+				t.Fatalf("byte divergence:\ngot:  %s\nwant: %s", got, tc.want)
 			}
 		})
 	}
@@ -134,16 +123,8 @@ func TestEncodeToErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.desc, func(t *testing.T) {
-			_, domErr := domEncodeString(t, "p", tc.v)
-			_, streamErr := streamEncodeString(t, "p", tc.v)
-			if domErr == nil || streamErr == nil {
-				t.Fatalf("expected errors, dom=%v stream=%v", domErr, streamErr)
-			}
-			if domErr.Error() != streamErr.Error() {
-				t.Fatalf("error text diverged:\ndom:    %v\nstream: %v", domErr, streamErr)
-			}
-			if streamErr.Error() != tc.want {
-				t.Fatalf("error message changed: %v", streamErr)
+			if _, err := streamEncodeString(t, "p", tc.v); err == nil || err.Error() != tc.want {
+				t.Fatalf("error %v, want %s", err, tc.want)
 			}
 		})
 	}
@@ -157,11 +138,6 @@ func TestEncodeParamsToParity(t *testing.T) {
 	}
 	const want = `<op><message>hello &amp; &lt;world&gt;</message><count xsi:type="xsd:int">3</count>` +
 		`<when xsi:type="xsd:dateTime">2021-03-04T05:06:07Z</when></op>`
-	parent := xmldom.NewElement(xmltext.Name{Local: "op"})
-	if err := EncodeParams(parent, params); err != nil {
-		t.Fatal(err)
-	}
-
 	em := xmltext.AcquireEmitter()
 	defer xmltext.ReleaseEmitter(em)
 	em.Start(xmltext.Name{Local: "op"})
@@ -172,8 +148,8 @@ func TestEncodeParamsToParity(t *testing.T) {
 	if err := em.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got, dom := string(em.Bytes()), parent.String(); got != want || dom != want {
-		t.Fatalf("divergence:\ndom:    %s\nstream: %s\nwant:   %s", dom, got, want)
+	if got := string(em.Bytes()); got != want {
+		t.Fatalf("divergence:\ngot:  %s\nwant: %s", got, want)
 	}
 
 	if err := EncodeParamsTo(em, []Field{F("", "x")}); err == nil ||
@@ -252,11 +228,11 @@ func TestArrayMarksEmitter(t *testing.T) {
 }
 
 // TestClosedSetRoundTrip is the round-trip property over the closed value set,
-// whole envelopes through both writers: the DOM and the stream encoder write
-// the bytes testdata/closed_set.golden holds, one quoted line a message —
-// declarations on the Envelope tag included — and what they write decodes
-// back to the value that went in. The strings are the ones a reader deciding
-// by spelling alone could take for something else.
+// whole envelopes: the stream encoder writes the bytes
+// testdata/closed_set.golden holds, one quoted line a message — declarations
+// on the Envelope tag included — and what it writes decodes back to the value
+// that went in. The strings are the ones a reader deciding by spelling alone
+// could take for something else.
 func TestClosedSetRoundTrip(t *testing.T) {
 	values := []Value{
 		"", " ", " \t\r\n ", "123", "-7", "true", "false", "1.5", "NaN", "2006-01-02T15:04:05Z", "aGk=",
@@ -270,23 +246,11 @@ func TestClosedSetRoundTrip(t *testing.T) {
 	var wrote []string
 	check := func(params []Field) {
 		t.Helper()
-		op := xmldom.NewElement(xmltext.Name{Prefix: "m", Local: "op"})
-		op.DeclareNamespace("m", "urn:t")
-		if err := EncodeParams(op, params); err != nil {
-			t.Fatal(err)
-		}
-		env := soap.New()
-		env.AddBody(op)
-		var dom strings.Builder
-		if err := env.Encode(&dom); err != nil {
-			t.Fatal(err)
-		}
-
 		enc := soap.NewStreamEncoder()
 		defer enc.Release()
 		enc.Begin(soap.V11, nil)
 		em := enc.Emitter()
-		em.Start(op.Name)
+		em.Start(xmltext.Name{Prefix: "m", Local: "op"})
 		em.Attr(xmltext.Name{Prefix: "xmlns", Local: "m"}, "urn:t")
 		if err := EncodeParamsTo(em, params); err != nil {
 			t.Fatal(err)
@@ -296,12 +260,9 @@ func TestClosedSetRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(stream) != dom.String() {
-			t.Fatalf("%#v: writers diverge:\ndom:    %s\nstream: %s", params, dom.String(), stream)
-		}
 		wrote = append(wrote, strconv.Quote(string(stream)))
 
-		back, err := soap.Decode(strings.NewReader(dom.String()))
+		back, err := soap.Decode(bytes.NewReader(stream))
 		if err != nil {
 			t.Fatalf("%s: %v", stream, err)
 		}

@@ -21,8 +21,8 @@ func buildPackedTree(entries int) *Element {
 	return root
 }
 
-// sectionTree holds a value that is mostly markup characters, which both
-// writers spell as one CDATA section, beside one that stays escaped.
+// sectionTree holds a value that is mostly markup characters, which goes out
+// as one CDATA section, beside one that stays escaped.
 func sectionTree(t *testing.T) *Element {
 	t.Helper()
 	root := NewElement(xmltext.Name{Local: "r"})
@@ -70,30 +70,6 @@ func TestStringMatchesSerialize(t *testing.T) {
 		}
 		if got := tc.tree.String(); got != tc.want || b.String() != tc.want {
 			t.Fatalf("String() wrote\n%q\nSerialize\n%q\nwant\n%q", got, b.String(), tc.want)
-		}
-	}
-}
-
-func TestSerializedLenExact(t *testing.T) {
-	trees := []*Element{
-		NewElement(xmltext.Name{Local: "empty"}),
-		buildPackedTree(4),
-		buildPackedTree(64),
-		sectionTree(t),
-	}
-	mixed := NewElement(xmltext.Name{Local: "mixed"})
-	mixed.AddChild(&Text{Data: "a<b&c\r"})
-	mixed.AddChild(&Comment{Data: "c"})
-	mixed.AddChild(&Text{Data: "\xffbad"})
-	mixed.SetAttr(xmltext.Name{Local: "q"}, "v\"w\tx\ny")
-	trees = append(trees, mixed)
-
-	for _, tree := range trees {
-		got := tree.SerializedLen()
-		want := len(tree.String())
-		if got != want {
-			t.Fatalf("SerializedLen=%d, actual serialization is %d bytes: %q",
-				got, want, tree.String())
 		}
 	}
 }

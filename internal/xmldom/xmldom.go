@@ -27,10 +27,7 @@ const (
 // Node is one node of the tree: *Element, *Text or *Comment.
 type Node interface {
 	node()
-	// writeTo streams the node into an xmltext.Writer.
-	writeTo(w *xmltext.Writer)
-	// appendTo emits the node into an xmltext.Emitter (the append-based
-	// encode path); byte output matches writeTo on a compact Writer.
+	// appendTo emits the node into an xmltext.Emitter.
 	appendTo(e *xmltext.Emitter)
 }
 
@@ -41,8 +38,6 @@ type Text struct {
 
 func (*Text) node() {}
 
-func (t *Text) writeTo(w *xmltext.Writer) { w.Text(t.Data) }
-
 func (t *Text) appendTo(e *xmltext.Emitter) { e.Text(t.Data) }
 
 // Comment is a comment node.
@@ -51,8 +46,6 @@ type Comment struct {
 }
 
 func (*Comment) node() {}
-
-func (c *Comment) writeTo(w *xmltext.Writer) { w.Comment(c.Data) }
 
 func (c *Comment) appendTo(e *xmltext.Emitter) { e.Comment(c.Data) }
 
@@ -303,14 +296,6 @@ func (e *Element) CloneInArena(a *Arena) *Element {
 	return c
 }
 
-func (e *Element) writeTo(w *xmltext.Writer) {
-	w.StartElement(e.Name, e.Attrs...)
-	for _, n := range e.Children {
-		n.writeTo(w)
-	}
-	w.EndElement()
-}
-
 func (e *Element) appendTo(em *xmltext.Emitter) {
 	em.Start(e.Name)
 	for _, a := range e.Attrs {
@@ -322,8 +307,8 @@ func (e *Element) appendTo(em *xmltext.Emitter) {
 	em.End()
 }
 
-// AppendTo emits the subtree rooted at e into em, byte-identical to
-// Serialize on the same tree.
+// AppendTo emits the subtree rooted at e into em: the bytes Serialize and
+// String write for the same tree.
 func (e *Element) AppendTo(em *xmltext.Emitter) { e.appendTo(em) }
 
 // AppendNode emits any node into em — the package-external entry point for
@@ -352,47 +337,6 @@ func (e *Element) WriteDocument(w io.Writer) error {
 		return err
 	}
 	return e.Serialize(w)
-}
-
-// WriteIndented serializes e with indentation, for human-facing output.
-func (e *Element) WriteIndented(w io.Writer, indent string) error {
-	xw := xmltext.NewIndentWriter(w, indent)
-	e.writeTo(xw)
-	return xw.Flush()
-}
-
-// SerializedLen returns the exact byte length of the compact
-// serialization of the subtree rooted at e (Serialize / String output),
-// accounting for escaping and self-closing tags, so buffers can be sized
-// in one pass instead of growing repeatedly.
-func (e *Element) SerializedLen() int {
-	nameLen := len(e.Name.Local)
-	if e.Name.Prefix != "" {
-		nameLen += len(e.Name.Prefix) + 1
-	}
-	n := 1 + nameLen // "<name"
-	for _, a := range e.Attrs {
-		n += 1 + len(a.Name.Local) // " name"
-		if a.Name.Prefix != "" {
-			n += len(a.Name.Prefix) + 1
-		}
-		n += 2 + xmltext.EscapedAttrLen(a.Value) + 1 // `="value"`
-	}
-	if len(e.Children) == 0 {
-		return n + 2 // "/>"
-	}
-	n += 1 // ">"
-	for _, c := range e.Children {
-		switch c := c.(type) {
-		case *Element:
-			n += c.SerializedLen()
-		case *Text:
-			n += xmltext.CharDataLen(c.Data)
-		case *Comment:
-			n += len("<!--") + len(c.Data) + len("-->")
-		}
-	}
-	return n + 2 + nameLen + 1 // "</name>"
 }
 
 // String returns the compact serialization, for logs and tests.

@@ -242,17 +242,6 @@ func TestWriteDocument(t *testing.T) {
 	}
 }
 
-func TestWriteIndented(t *testing.T) {
-	root := mustParse(t, `<a><b><c/></b></a>`)
-	var b strings.Builder
-	if err := root.WriteIndented(&b, "  "); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "\n  <b>") {
-		t.Errorf("indented = %q", b.String())
-	}
-}
-
 func isText(n Node) bool {
 	_, ok := n.(*Text)
 	return ok

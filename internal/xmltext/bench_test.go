@@ -69,16 +69,18 @@ func BenchmarkEscapeText(b *testing.B) {
 func BenchmarkWriter(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := NewWriter(io.Discard)
-		w.StartElement(Name{Local: "Envelope"})
+		e := AcquireEmitter()
+		e.Start(Name{Local: "Envelope"})
 		for j := 0; j < 100; j++ {
-			w.StartElement(Name{Local: "item"}, Attr{Name: Name{Local: "id"}, Value: "7"})
-			w.Text("payload text & more")
-			w.EndElement()
+			e.Start(Name{Local: "item"})
+			e.Attr(Name{Local: "id"}, "7")
+			e.Text("payload text & more")
+			e.End()
 		}
-		w.EndElement()
-		if err := w.Flush(); err != nil {
+		e.End()
+		if err := e.Finish(); err != nil {
 			b.Fatal(err)
 		}
+		ReleaseEmitter(e)
 	}
 }

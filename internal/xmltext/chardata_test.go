@@ -63,8 +63,8 @@ func TestEscapeMatchesReference(t *testing.T) {
 			t.Errorf("EscapeText(%q) = %q, want %q", s, got, want)
 			ok = false
 		}
-		if got, want := EscapeAttr(s), referenceEscape(s, true); got != want {
-			t.Errorf("EscapeAttr(%q) = %q, want %q", s, got, want)
+		if got, want := string(AppendEscAttr(nil, s)), referenceEscape(s, true); got != want {
+			t.Errorf("AppendEscAttr(%q) = %q, want %q", s, got, want)
 			ok = false
 		}
 		return ok
@@ -108,25 +108,14 @@ func TestAppendCharDataSpelling(t *testing.T) {
 		if got := string(AppendCharData([]byte("pre"), c.in)); got != "pre"+c.want {
 			t.Errorf("AppendCharData(%q) = %q, want %q", c.in, got, "pre"+c.want)
 		}
-		if got := CharDataLen(c.in); got != len(c.want) {
-			t.Errorf("CharDataLen(%q) = %d, want %d", c.in, got, len(c.want))
-		}
-		// Every writer spells a value the same way.
+		// Text and RawText spell a value the same way.
 		e := AcquireEmitter()
 		e.Start(Name{Local: "a"})
 		e.Text(c.in)
 		e.End()
 		e.RawText(c.in)
-		var viaWriter bytes.Buffer
-		w := NewWriter(&viaWriter)
-		w.StartElement(Name{Local: "a"})
-		w.Text(c.in)
-		w.EndElement()
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if want := "<a>" + c.want + "</a>"; string(e.Bytes()) != want+c.want || (c.in != "" && viaWriter.String() != want) {
-			t.Errorf("%q: Emitter wrote %q, Writer %q, want %q", c.in, e.Bytes(), viaWriter.String(), want)
+		if want := "<a>" + c.want + "</a>" + c.want; string(e.Bytes()) != want {
+			t.Errorf("%q: Emitter wrote %q, want %q", c.in, e.Bytes(), want)
 		}
 		ReleaseEmitter(e)
 	}
@@ -156,9 +145,8 @@ func textOf(t *testing.T, doc []byte) string {
 }
 
 // FuzzCharData: whichever spelling AppendCharData picks for a value, a
-// reader gets the text the escaped spelling gives it; the length twin agrees;
-// the choice is never the longer one; and "]]>" appears only to close a
-// section.
+// reader gets the text the escaped spelling gives it; the choice is never the
+// longer one; and "]]>" appears only to close a section.
 func FuzzCharData(f *testing.F) {
 	for _, s := range charDataCorpus {
 		f.Add(s)
@@ -169,8 +157,8 @@ func FuzzCharData(f *testing.F) {
 		if escaped != referenceEscape(s, false) {
 			t.Fatalf("EscapeText(%q) = %q, the reference escaper writes %q", s, escaped, referenceEscape(s, false))
 		}
-		if len(out) != CharDataLen(s) || len(out) > len(escaped) {
-			t.Fatalf("%q: wrote %d bytes, CharDataLen says %d, escaped is %d", s, len(out), CharDataLen(s), len(escaped))
+		if len(out) > len(escaped) {
+			t.Fatalf("%q: wrote %d bytes, escaped is %d", s, len(out), len(escaped))
 		}
 		if bytes.HasPrefix(out, []byte("<![CDATA[")) {
 			if bytes.Index(out, []byte("]]>")) != len(out)-len("]]>") || string(out[len("<![CDATA["):len(out)-len("]]>")]) != s {
@@ -241,7 +229,7 @@ func TestCharDataWindowBoundaries(t *testing.T) {
 			doc{name: "long entity", doc: "<a>" + pad(at-3) + "&#x00000000000000000000000000003C;</a>", text: []string{pad(at-3) + "<"}},
 			doc{name: "entity then EOF", doc: "<a>" + pad(at-3) + "&am", err: "unterminated entity reference"},
 			doc{name: "entity too long", doc: "<a>" + pad(at-3) + "&" + strings.Repeat("a", 40) + ";</a>", err: "entity reference too long"},
-			doc{name: "end tag", doc: "<a>" + pad(at-3) + "</a>", text: []string{pad(at-3)}},
+			doc{name: "end tag", doc: "<a>" + pad(at-3) + "</a>", text: []string{pad(at - 3)}},
 			// A section between two escaped runs: three tokens.
 			doc{name: "adjacent", doc: "<a>" + pad(at-3-5) + "&lt;<![CDATA[<y>]]>z&gt;</a>", text: []string{pad(at-3-5) + "<", "<y>", "z>"}},
 		)

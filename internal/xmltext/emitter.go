@@ -5,18 +5,24 @@ import (
 	"sync"
 )
 
-// Emitter is the append-based counterpart of Writer for the encode hot
-// path: it builds a compact XML document in a single pooled []byte instead
-// of streaming through a bufio.Writer, so a whole envelope can be emitted
-// with zero allocations and handed to the transport as one buffer.
+// Emitter is the XML writer: it builds a compact (no added whitespace)
+// document by appending to a single pooled []byte, so a whole envelope is
+// emitted with zero allocations and handed to the transport as one buffer. It
+// is the inverse of Tokenizer: what it writes tokenizes back to the same
+// logical document.
 //
-// Byte parity: for any token sequence, an Emitter produces exactly the
-// bytes a compact Writer (NewWriter) would — same lazy start tags (an
-// immediate End yields a self-closing tag), same escaping, same error
-// conditions with the same messages. Tests pin this equivalence.
+// An Emitter tracks the open elements and refuses to produce mismatched tags.
+// A start tag's '>' is written lazily, so an End right after a Start yields a
+// self-closing tag while Text("") in between yields <a></a>. Text and
+// attribute values are escaped on write (AppendCharData, AppendEscAttr); the
+// Raw methods append bytes the caller vouches for. Attributes go out in the
+// order Attr is called.
 //
-// Errors are sticky, as on Writer: after the first failure every method is
-// a no-op and Err/Finish report the error.
+// Errors are sticky — an empty element name, an attribute outside a start
+// tag, an End with nothing open, text outside the root, "--" in a comment, an
+// element left open at Finish: after the first failure every method is a
+// no-op and Err/Finish report the error, so a call site can emit a whole
+// document and check once.
 type Emitter struct {
 	buf    []byte
 	stack  []Name
@@ -122,7 +128,7 @@ func (e *Emitter) appendName(name Name) {
 }
 
 // Start opens an element. The '>' is emitted lazily so an immediately
-// following End produces a self-closing tag, as on Writer.
+// following End produces a self-closing tag.
 func (e *Emitter) Start(name Name) {
 	if e.err != nil {
 		return
@@ -202,9 +208,8 @@ func (e *Emitter) End() {
 }
 
 // Text writes character data inside the current element, in the shorter of
-// its two spellings (see AppendCharData). Like
-// Writer.Text, an empty string still completes the open start tag, so
-// Text("") distinguishes <a></a> from <a/>.
+// its two spellings (see AppendCharData). An empty string still completes the
+// open start tag, so Text("") distinguishes <a></a> from <a/>.
 func (e *Emitter) Text(s string) {
 	if e.err != nil {
 		return
@@ -281,8 +286,7 @@ func (e *Emitter) Comment(s string) {
 }
 
 // Finish verifies the document is complete (every Start matched by an End)
-// and returns the sticky error, mirroring Writer.Flush. The emitted bytes
-// remain available via Bytes.
+// and returns the sticky error. The emitted bytes remain available via Bytes.
 func (e *Emitter) Finish() error {
 	if e.err == nil && (len(e.stack) > 0 || e.inOpen) {
 		e.setErr(fmt.Errorf("xmltext: Flush with %d unclosed element(s)", len(e.stack)))

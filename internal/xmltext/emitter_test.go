@@ -4,56 +4,54 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
+	"unicode/utf8"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// emitOp is one writer instruction. The tests below drive Writer and Emitter
-// through identical sequences and hold each to the same committed bytes.
+// emitOp is one writer instruction.
 type emitOp struct {
 	kind  string // "start", "attr", "end", "text", "comment"
 	name  Name
 	value string
 }
 
-func applyOps(t *testing.T, ops []emitOp) (writerOut string, writerErr error, emitterOut string, emitterErr error) {
+// applyOps drives a pooled Emitter through ops and returns what it wrote and
+// what Finish said.
+func applyOps(t *testing.T, ops []emitOp) (string, error) {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	e := AcquireEmitter()
 	defer ReleaseEmitter(e)
 	for _, op := range ops {
 		switch op.kind {
 		case "start":
-			w.StartElement(op.name)
 			e.Start(op.name)
 		case "attr":
-			w.Attr(op.name, op.value)
 			e.Attr(op.name, op.value)
 		case "end":
-			w.EndElement()
 			e.End()
 		case "text":
-			w.Text(op.value)
 			e.Text(op.value)
 		case "comment":
-			w.Comment(op.value)
 			e.Comment(op.value)
 		default:
 			t.Fatalf("unknown op %q", op.kind)
 		}
 	}
-	writerErr = w.Flush()
-	emitterErr = e.Finish()
-	return buf.String(), writerErr, string(e.Bytes()), emitterErr
+	err := e.Finish()
+	return string(e.Bytes()), err
 }
 
+// TestEmitterParityDocuments pins the bytes of whole documents: lazy start
+// tags, escaping in text and attribute values, comments.
 func TestEmitterParityDocuments(t *testing.T) {
 	name := func(p, l string) Name { return Name{Prefix: p, Local: l} }
 	cases := []struct {
@@ -115,17 +113,19 @@ func TestEmitterParityDocuments(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.desc, func(t *testing.T) {
-			wOut, wErr, eOut, eErr := applyOps(t, tc.ops)
-			if wErr != nil || eErr != nil {
-				t.Fatalf("errors: writer=%v emitter=%v", wErr, eErr)
+			got, err := applyOps(t, tc.ops)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if wOut != tc.want || eOut != tc.want {
-				t.Fatalf("output mismatch:\nwriter:  %q\nemitter: %q\nwant:    %q", wOut, eOut, tc.want)
+			if got != tc.want {
+				t.Fatalf("output mismatch:\ngot:  %q\nwant: %q", got, tc.want)
 			}
 		})
 	}
 }
 
+// TestEmitterParityErrors pins the sticky errors: each misuse is reported by
+// Finish with the message below, whatever follows it.
 func TestEmitterParityErrors(t *testing.T) {
 	name := func(p, l string) Name { return Name{Prefix: p, Local: l} }
 	cases := []struct {
@@ -149,20 +149,20 @@ func TestEmitterParityErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.desc, func(t *testing.T) {
-			_, wErr, _, eErr := applyOps(t, tc.ops)
-			if wErr == nil || eErr == nil {
-				t.Fatalf("expected errors, got writer=%v emitter=%v", wErr, eErr)
-			}
-			if wErr.Error() != tc.want || eErr.Error() != tc.want {
-				t.Fatalf("error mismatch:\nwriter:  %v\nemitter: %v\nwant:    %s", wErr, eErr, tc.want)
+			// The error sticks: a well-formed tail does not clear it.
+			ops := append(tc.ops[:len(tc.ops):len(tc.ops)], emitOp{kind: "start", name: name("", "z")}, emitOp{kind: "end"})
+			for _, ops := range [][]emitOp{tc.ops, ops} {
+				if _, err := applyOps(t, ops); err == nil || err.Error() != tc.want {
+					t.Fatalf("error %v, want %s", err, tc.want)
+				}
 			}
 		})
 	}
 }
 
-// TestEmitterParityRandom drives the writers through random valid documents
-// with adversarial strings; testdata/random_documents.golden holds the bytes
-// of each, one quoted line a document (-update rewrites it).
+// TestEmitterParityRandom drives the emitter through random documents with
+// adversarial strings; testdata/random_documents.golden holds the bytes of
+// each, one quoted line a document (-update rewrites it).
 func TestEmitterParityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	values := []string{
@@ -195,20 +195,12 @@ func TestEmitterParityRandom(t *testing.T) {
 		for ; depth > 0; depth-- {
 			ops = append(ops, emitOp{kind: "end"})
 		}
-		wOut, wErr, eOut, eErr := applyOps(t, ops)
-		if (wErr == nil) != (eErr == nil) {
-			t.Fatalf("round %d: error divergence writer=%v emitter=%v", round, wErr, eErr)
-		}
-		if wErr != nil {
+		out, err := applyOps(t, ops)
+		if err != nil {
 			// An attribute after content: the sequence is random, the message is not.
-			if wErr.Error() != eErr.Error() {
-				t.Fatalf("round %d: error mismatch %v vs %v", round, wErr, eErr)
-			}
-			eOut = "!" + eErr.Error()
-		} else if wOut != eOut {
-			t.Fatalf("round %d: output mismatch\nwriter:  %q\nemitter: %q", round, wOut, eOut)
+			out = "!" + err.Error()
 		}
-		wrote = append(wrote, strconv.Quote(eOut))
+		wrote = append(wrote, strconv.Quote(out))
 	}
 	goldenLines(t, "testdata/random_documents.golden", wrote)
 }
@@ -332,8 +324,8 @@ func TestEmitterOversizedNotPooled(t *testing.T) {
 	}
 }
 
-// TestAppendEscapeParity: the append and length forms agree with the string
-// forms (which chardata_test.go holds to the rune-at-a-time reference).
+// TestAppendEscapeParity: the append form of the text escaper agrees with the
+// string form (which chardata_test.go holds to the rune-at-a-time reference).
 func TestAppendEscapeParity(t *testing.T) {
 	cases := []string{
 		"", "plain", "a<b&c>d", `quote"tab` + "\ttext", "\r\n", "\xff", "\x00",
@@ -342,15 +334,6 @@ func TestAppendEscapeParity(t *testing.T) {
 	for _, s := range cases {
 		if got, want := string(appendEscaped(nil, s, &textEsc)), EscapeText(s); got != want {
 			t.Errorf("appendEscaped(%q) = %q, want %q", s, got, want)
-		}
-		if got, want := string(AppendEscAttr(nil, s)), EscapeAttr(s); got != want {
-			t.Errorf("AppendEscAttr(%q) = %q, want %q", s, got, want)
-		}
-		if got, want := CharDataLen(s), len(AppendCharData(nil, s)); got != want {
-			t.Errorf("CharDataLen(%q) = %d, want %d", s, got, want)
-		}
-		if got, want := EscapedAttrLen(s), len(EscapeAttr(s)); got != want {
-			t.Errorf("EscapedAttrLen(%q) = %d, want %d", s, got, want)
 		}
 	}
 }
@@ -398,4 +381,268 @@ func TestEmitterMark(t *testing.T) {
 		t.Fatal("marks survived the pool")
 	}
 	ReleaseEmitter(e)
+}
+
+// emit runs build on a pooled emitter and returns the document and what
+// Finish reported.
+func emit(build func(e *Emitter)) (string, error) {
+	e := AcquireEmitter()
+	defer ReleaseEmitter(e)
+	build(e)
+	err := e.Finish()
+	return string(e.Bytes()), err
+}
+
+// The TestWriter tests are the writer's contract one behaviour at a time;
+// their names predate the Emitter being the only XML writer.
+
+func TestWriterSimple(t *testing.T) {
+	got, err := emit(func(e *Emitter) {
+		e.Start(Name{Local: "a"})
+		e.Attr(Name{Local: "x"}, `1 & "two"`)
+		e.Text("hi <there>")
+		e.Start(Name{Prefix: "p", Local: "b"})
+		e.End()
+		e.End()
+	})
+	if want := `<a x="1 &amp; &quot;two&quot;">hi &lt;there&gt;<p:b/></a>`; err != nil || got != want {
+		t.Errorf("got  %q (%v)\nwant %q", got, err, want)
+	}
+}
+
+func TestWriterMismatch(t *testing.T) {
+	if _, err := emit(func(e *Emitter) {
+		e.Start(Name{Local: "a"})
+		e.End()
+		e.End()
+	}); err == nil {
+		t.Error("extra End not reported")
+	}
+}
+
+func TestWriterUnclosed(t *testing.T) {
+	if _, err := emit(func(e *Emitter) { e.Start(Name{Local: "a"}) }); err == nil {
+		t.Error("unclosed element not reported")
+	}
+}
+
+func TestWriterEmptyName(t *testing.T) {
+	if _, err := emit(func(e *Emitter) { e.Start(Name{}) }); err == nil {
+		t.Error("empty element name not reported")
+	}
+}
+
+func TestWriterTextOutsideRoot(t *testing.T) {
+	if _, err := emit(func(e *Emitter) { e.Text("oops") }); err == nil {
+		t.Error("text outside root not reported")
+	}
+}
+
+func TestWriterAttrMethod(t *testing.T) {
+	got, err := emit(func(e *Emitter) {
+		e.Start(Name{Local: "a"})
+		e.Attr(Name{Local: "k"}, "v")
+		e.End()
+	})
+	if err != nil || got != `<a k="v"/>` {
+		t.Errorf("got %q (%v)", got, err)
+	}
+	for _, late := range []func(e *Emitter){
+		func(e *Emitter) { e.Attr(Name{Local: "late"}, "v") },
+		func(e *Emitter) { e.AttrRaw(Name{Local: "late"}, []byte("v")) },
+	} {
+		if _, err := emit(func(e *Emitter) {
+			e.Start(Name{Local: "a"})
+			e.Text("x")
+			late(e)
+			e.End()
+		}); err == nil {
+			t.Error("late attribute not reported")
+		}
+	}
+}
+
+func TestWriterCommentValidation(t *testing.T) {
+	if _, err := emit(func(e *Emitter) {
+		e.Start(Name{Local: "a"})
+		e.Comment("bad -- comment")
+		e.End()
+	}); err == nil {
+		t.Error("comment containing -- not reported")
+	}
+}
+
+// TestWriterTokenizerRoundTrip: the Emitter is the inverse of the Tokenizer —
+// what it writes tokenizes back to the same logical document.
+func TestWriterTokenizerRoundTrip(t *testing.T) {
+	doc, err := emit(func(e *Emitter) {
+		e.Start(Name{Local: "root"})
+		e.Attr(Name{Local: "attr"}, "a<b&c\"d'e\tf\ng")
+		e.Text("text with 中文 & entities <>")
+		e.Start(Name{Prefix: "ns", Local: "child"})
+		e.Text("inner")
+		e.End()
+		e.Comment(" a comment ")
+		e.End()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := drain(t, doc)
+	want := []struct {
+		kind Kind
+		name Name
+		text string
+	}{
+		{KindStartElement, Name{Local: "root"}, ""},
+		{KindText, Name{}, "text with 中文 & entities <>"},
+		{KindStartElement, Name{Prefix: "ns", Local: "child"}, ""},
+		{KindText, Name{}, "inner"},
+		{KindEndElement, Name{Prefix: "ns", Local: "child"}, ""},
+		{KindComment, Name{}, " a comment "},
+		{KindEndElement, Name{Local: "root"}, ""},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("%d tokens, want %d: %v", len(toks), len(want), toks)
+	}
+	for i, w := range want {
+		if toks[i].Kind != w.kind || toks[i].Name != w.name || toks[i].Text != w.text {
+			t.Errorf("token %d = %v, want %v", i, toks[i], w)
+		}
+	}
+	if v, _ := toks[0].Attr(Name{Local: "attr"}); v != "a<b&c\"d'e\tf\ng" {
+		t.Errorf("attr round trip = %q", v)
+	}
+}
+
+// readBack is what a reader gets for a value the writer was given: the value
+// itself where XML can represent it, U+FFFD in place of each character it
+// excludes and each byte that is not UTF-8 (which ranges as RuneError).
+func readBack(s string) string {
+	var b strings.Builder
+	for _, r := range s {
+		if !isValidXMLChar(r) {
+			r = utf8.RuneError
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// Property: any string — arbitrary bytes included — survives text escape ->
+// tokenize as readBack has it. A carriage return comes back too: the writer
+// spells it &#13;, and never inside a CDATA section.
+func TestQuickTextRoundTrip(t *testing.T) {
+	roundTrip := func(s string) bool {
+		doc, err := emit(func(e *Emitter) {
+			e.Start(Name{Local: "t"})
+			e.Text(s)
+			e.End()
+		})
+		if err != nil {
+			return false
+		}
+		tk := NewTokenizer(strings.NewReader(doc))
+		var got strings.Builder
+		for {
+			tok, err := tk.Next()
+			if err == io.EOF {
+				return got.String() == readBack(s)
+			}
+			if err != nil {
+				t.Logf("input %q -> %q: %v", s, doc, err)
+				return false
+			}
+			if tok.Kind == KindText {
+				got.WriteString(tok.Text)
+			}
+		}
+	}
+	f := func(s string, junk []byte) bool { return roundTrip(s) && roundTrip(string(junk)) }
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: any string survives attribute escape -> tokenize, likewise.
+func TestQuickAttrRoundTrip(t *testing.T) {
+	roundTrip := func(s string) bool {
+		doc, err := emit(func(e *Emitter) {
+			e.Start(Name{Local: "t"})
+			e.Attr(Name{Local: "a"}, s)
+			e.End()
+		})
+		if err != nil {
+			return false
+		}
+		tok, err := NewTokenizer(strings.NewReader(doc)).Next()
+		if err != nil {
+			t.Logf("input %q -> %q: %v", s, doc, err)
+			return false
+		}
+		v, ok := tok.Attr(Name{Local: "a"})
+		return ok && v == readBack(s)
+	}
+	f := func(s string, junk []byte) bool { return roundTrip(s) && roundTrip(string(junk)) }
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(2))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: escaping never produces raw markup characters.
+func TestQuickEscapeProducesNoMarkup(t *testing.T) {
+	f := func(s string) bool {
+		esc := EscapeText(s)
+		if strings.ContainsAny(esc, "<>") {
+			return false
+		}
+		for i := 0; i < len(esc); i++ {
+			if esc[i] == '&' {
+				// must start an entity
+				rest := esc[i:]
+				if !strings.HasPrefix(rest, "&amp;") &&
+					!strings.HasPrefix(rest, "&lt;") &&
+					!strings.HasPrefix(rest, "&gt;") &&
+					!strings.HasPrefix(rest, "&#") {
+					return false
+				}
+			}
+		}
+		return !bytes.ContainsAny(AppendEscAttr(nil, s), `<>"`)
+	}
+	cfg := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(3))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestEscapeFastPath(t *testing.T) {
+	s := "plain ascii text"
+	if got := EscapeText(s); got != s {
+		t.Errorf("EscapeText(%q) = %q", s, got)
+	}
+	if got := string(AppendEscAttr(nil, s)); got != s {
+		t.Errorf("AppendEscAttr(%q) = %q", s, got)
+	}
+}
+
+func TestEscapeSpecials(t *testing.T) {
+	cases := []struct{ in, text, attr string }{
+		{"a&b", "a&amp;b", "a&amp;b"},
+		{"a<b>c", "a&lt;b&gt;c", "a&lt;b&gt;c"},
+		{`q"q`, `q"q`, "q&quot;q"},
+		{"a\rb", "a&#13;b", "a&#13;b"},
+		{"a\tb\nc", "a\tb\nc", "a&#9;b&#10;c"},
+		{"中文", "中文", "中文"},
+	}
+	for _, c := range cases {
+		if got := EscapeText(c.in); got != c.text {
+			t.Errorf("EscapeText(%q) = %q, want %q", c.in, got, c.text)
+		}
+		if got := string(AppendEscAttr(nil, c.in)); got != c.attr {
+			t.Errorf("AppendEscAttr(%q) = %q, want %q", c.in, got, c.attr)
+		}
+	}
 }

@@ -8,22 +8,11 @@ import "unicode/utf8"
 // U+FFFD. It is the escaped spelling of character data; the writers choose
 // between it and a CDATA section through AppendCharData.
 func EscapeText(s string) string {
-	return escape(s, &textEsc)
-}
-
-// EscapeAttr escapes s for use inside a double-quoted attribute value. In
-// addition to the text escapes it encodes '"', tab and newline so the exact
-// value round-trips through attribute-value normalization.
-func EscapeAttr(s string) string {
-	return escape(s, &attrEsc)
-}
-
-func escape(s string, tab *escTable) string {
-	c := classify(s, tab)
+	c := classify(s)
 	if c.verbatim {
 		return s
 	}
-	return string(appendEscaped(make([]byte, 0, len(s)+c.extra), s, tab))
+	return string(appendEscaped(make([]byte, 0, len(s)+c.extra), s, &textEsc))
 }
 
 // cdataOpen and cdataClose frame a CDATA section. Their combined length is
@@ -41,7 +30,7 @@ const (
 // append. Every text writer goes through here, so none can disagree on a
 // value's spelling.
 func AppendCharData(dst []byte, s string) []byte {
-	c := classify(s, &textEsc)
+	c := classify(s)
 	switch {
 	case c.verbatim:
 		return append(dst, s...)
@@ -53,25 +42,13 @@ func AppendCharData(dst []byte, s string) []byte {
 	return appendEscaped(dst, s, &textEsc)
 }
 
-// CharDataLen returns len(AppendCharData(nil, s)) without writing it, for
-// exact-size serialization buffers.
-func CharDataLen(s string) int {
-	c := classify(s, &textEsc)
-	if c.section() {
-		return len(s) + len(cdataOpen) + len(cdataClose)
-	}
-	return len(s) + c.extra
-}
-
-// AppendEscAttr appends s to dst escaped as a double-quoted attribute
-// value, exactly as EscapeAttr would render it.
+// AppendEscAttr appends s to dst escaped for use inside a double-quoted
+// attribute value. In addition to the text escapes it encodes '"', tab and
+// newline so the exact value round-trips through attribute-value
+// normalization. An attribute value never takes a CDATA section.
 func AppendEscAttr(dst []byte, s string) []byte {
 	return appendEscaped(dst, s, &attrEsc)
 }
-
-// EscapedAttrLen returns len(EscapeAttr(s)) without materializing the
-// escaped string.
-func EscapedAttrLen(s string) int { return len(s) + classify(s, &attrEsc).extra }
 
 // escTable maps a byte to what the escaper writes in its place, as an index
 // into escRefs: escCopy for a byte that is copied through, escDecode for one
@@ -130,7 +107,7 @@ type charClass struct {
 	// cdata: s may stand in a CDATA section as it is — it holds no "]]>",
 	// no carriage return (a parser would normalize it away, and a section
 	// has no reference to protect it with) and nothing the escaper replaces
-	// with U+FFFD. Only meaningful for character data.
+	// with U+FFFD.
 	cdata bool
 }
 
@@ -160,12 +137,12 @@ func (tab *escTable) next(s string, i int) (at int, esc string, width int) {
 	return len(s), "", 0
 }
 
-// classify walks s once, a byte at a time with multi-byte sequences decoded
-// only where they occur.
-func classify(s string, tab *escTable) charClass {
+// classify walks s once as character data, a byte at a time with multi-byte
+// sequences decoded only where they occur.
+func classify(s string) charClass {
 	c := charClass{verbatim: true, cdata: true}
 	for i := 0; ; {
-		at, esc, width := tab.next(s, i)
+		at, esc, width := textEsc.next(s, i)
 		if at == len(s) {
 			return c
 		}
