@@ -11,13 +11,15 @@ import (
 
 // BreakdownRow decomposes where server protocol-thread time goes for one
 // strategy: SOAP parsing, dispatch + operation execution, response
-// encoding — per envelope and total across the workload. The numbers come
-// from recorded spans (one per stage per envelope), not wall-clock deltas
+// encoding — per envelope and total across the workload. The totals come
+// from recorded spans (one per stage per envelope), the per-envelope figures
+// from the server's own phase recorders, neither from wall-clock deltas
 // around the whole exchange.
 type BreakdownRow struct {
 	Name      string
 	Envelopes int64
-	// Per-envelope means.
+	// Per-envelope medians: one preempted envelope out of a handful does
+	// not move them, as it does a mean.
 	ParseMs    float64
 	DispatchMs float64
 	EncodeMs   float64
@@ -98,9 +100,9 @@ func RunBreakdown(m, payloadBytes, reps int) (*BreakdownResult, error) {
 		row := BreakdownRow{
 			Name:       name,
 			Envelopes:  st.Envelopes / int64(reps),
-			ParseMs:    metrics.Millis(parse.Mean),
-			DispatchMs: metrics.Millis(dispatch.Mean),
-			EncodeMs:   metrics.Millis(encode.Mean),
+			ParseMs:    metrics.Millis(st.ParsePhase.P50),
+			DispatchMs: metrics.Millis(st.DispatchPhase.P50),
+			EncodeMs:   metrics.Millis(st.EncodePhase.P50),
 		}
 		row.TotalParseMs = metrics.Millis(parse.Sum) / float64(reps)
 		row.TotalDispatchMs = metrics.Millis(dispatch.Sum) / float64(reps)

@@ -448,12 +448,8 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	defer d.Release()
 	err := d.ReadPreamble()
 	parseDur := time.Since(parseStart)
-	s.phaseParse.Record(parseDur)
-	if tr.Enabled() {
-		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageProtocol,
-			ID: -1, Op: req.Target, Start: parseStart, Service: parseDur})
-	}
 	if err != nil {
+		s.noteParse(ctx, req.Target, parseStart, parseDur)
 		var vm *soap.VersionMismatchError
 		if errors.As(err, &vm) {
 			// SOAP 1.1 §4.4: unrecognized envelope version.
@@ -481,11 +477,14 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	}
 
 	dispatchStart := time.Now()
-	resp, encode, fault := s.dispatch(ctx, d, headers, defaultService, req.Target)
-	// The response is encoded inside the dispatch — at its tail for a single
-	// call, interleaved with it by the packed assembler — and that time is
-	// attributed to the encode phase, not the dispatch phase.
-	dispatchDur := time.Since(dispatchStart) - encode.dur
+	resp, times, fault := s.dispatch(ctx, d, headers, defaultService, req.Target)
+	// The body is decoded inside the dispatch — entry by entry for a packed
+	// one, interleaved with starting the entries — and the response encoded
+	// there too, at its tail for a single call, interleaved with it by the
+	// packed assembler. That time belongs to the parse and encode phases, not
+	// to the dispatch phase.
+	s.noteParse(ctx, req.Target, parseStart, parseDur+times.decode)
+	dispatchDur := time.Since(dispatchStart) - times.decode - times.encode
 	s.phaseDispatch.Record(dispatchDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageDispatch,
@@ -494,16 +493,27 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	if fault != nil {
 		return s.faultResponse(fault, env.Version)
 	}
-	s.phaseEncode.Record(encode.dur)
-	s.encodeIO.Observe(len(resp.Body), encode.dur)
+	s.phaseEncode.Record(times.encode)
+	s.encodeIO.Observe(len(resp.Body), times.encode)
 	if tr.Enabled() {
-		if encode.start.IsZero() {
-			encode.start = dispatchStart
+		if times.encodeStart.IsZero() {
+			times.encodeStart = dispatchStart
 		}
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageAssemble,
-			ID: -1, Op: req.Target, Start: encode.start, Service: encode.dur})
+			ID: -1, Op: req.Target, Start: times.encodeStart, Service: times.encode})
 	}
 	return resp
+}
+
+// noteParse records one envelope's parse phase, the server.protocol span: the
+// preamble read ahead of the dispatch plus the body decoding inside it, dur in
+// all, from start.
+func (s *Server) noteParse(ctx context.Context, target string, start time.Time, dur time.Duration) {
+	s.phaseParse.Record(dur)
+	if tr := s.cfg.Tracer; tr.Enabled() {
+		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageProtocol,
+			ID: -1, Op: target, Start: start, Service: dur})
+	}
 }
 
 // malformedFault is the whole-message fault for a request document that
@@ -677,13 +687,17 @@ func deadlineBudget(req *httpx.Request) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
-// encodeTime is the time a dispatch spent encoding its response: from start
-// when the encoding ran on its own, after the operation (a single call); with
-// no start of its own when it was interleaved with the entries' runs (a packed
-// body, a plan), which the trace then shows from the dispatch's start.
-type encodeTime struct {
-	start time.Time
-	dur   time.Duration
+// dispatchTimes is the part of a dispatch's time that belongs to other
+// phases. decode is what went into reading the body — inside the
+// StreamDecoder, and the parse cache in front of it. encode is what went into
+// encoding the response: from encodeStart when the encoding ran on its own,
+// after the operation (a single call); with no start of its own when it was
+// interleaved with the entries' runs (a packed body, a plan), which the trace
+// then shows from the dispatch's start.
+type dispatchTimes struct {
+	decode      time.Duration
+	encodeStart time.Time
+	encode      time.Duration
 }
 
 // dispatch decodes the body and executes the request(s): the server-side
@@ -695,44 +709,32 @@ type encodeTime struct {
 // headers and runs the entry interceptors once; a plan is then assembled like
 // a packed body, a single call's response streamed once it has run.
 // target is the HTTP request target, for EntryInterceptor info.
-func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, encodeTime, *soap.Fault) {
+func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, dispatchTimes, *soap.Fault) {
+	decodeStart := time.Now()
 	entry, err := d.NextEntryStart()
 	if err != nil {
-		return nil, encodeTime{}, malformedFault(err)
+		return nil, dispatchTimes{decode: time.Since(decodeStart)}, malformedFault(err)
 	}
 	rctx := &registry.Context{Ctx: ctx, RequestHeaders: headers}
 	if entry != nil && isPackedRequest(entry) {
 		s.packed.Add(1)
-		resp, encodeDur, fault := s.dispatchPacked(ctx, d, entry, rctx, defaultService, target)
-		return resp, encodeTime{dur: encodeDur}, fault
+		startTag := time.Since(decodeStart)
+		resp, times, fault := s.dispatchPacked(ctx, d, entry, rctx, defaultService, target)
+		times.decode += startTag
+		return resp, times, fault
 	}
 	// Not packed: nothing to overlap, so finish decoding first.
-	if entry != nil {
-		if s.diff != nil {
-			raw, err := d.CompleteEntrySpan(entry)
-			if err != nil {
-				return nil, encodeTime{}, malformedFault(err)
-			}
-			rootTag, bodyTag := d.RawContext()
-			_, err = s.diff.parse(contextSum(rootTag, bodyTag), raw, d.Arena(),
-				func(el *xmldom.Element) { d.ReplaceEntry(entry, el) })
-			if err != nil {
-				return nil, encodeTime{}, malformedFault(err)
-			}
-		} else if err := d.CompleteEntry(entry); err != nil {
-			return nil, encodeTime{}, malformedFault(err)
-		}
-	}
-	env, err := d.Finish()
+	env, err := s.completeSingle(d, entry)
+	times := dispatchTimes{decode: time.Since(decodeStart)}
 	if err != nil {
-		return nil, encodeTime{}, malformedFault(err)
+		return nil, times, malformedFault(err)
 	}
 	// Verify headers now that the document is known well-formed.
 	if fault := s.verifyHeaders(env, d); fault != nil {
-		return nil, encodeTime{}, fault
+		return nil, times, fault
 	}
 	if len(env.Body) != 1 {
-		return nil, encodeTime{}, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+		return nil, times, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
 	}
 	entry = env.Body[0]
 	if len(s.cfg.EntryInterceptors) > 0 {
@@ -740,14 +742,40 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 		entry, fault = runEntryInterceptors(s.cfg.EntryInterceptors, entry,
 			&EntryInfo{Target: target, DefaultService: defaultService, Version: env.Version})
 		if fault != nil {
-			return nil, encodeTime{}, fault
+			return nil, times, fault
 		}
 	}
+	var resp *httpx.Response
+	var fault *soap.Fault
 	if isPlanBody(entry) {
-		resp, encodeDur, fault := s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
-		return resp, encodeTime{dur: encodeDur}, fault
+		resp, times.encode, fault = s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
+	} else {
+		resp, times.encodeStart, times.encode, fault = s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
 	}
-	return s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
+	return resp, times, fault
+}
+
+// completeSingle decodes the rest of a body that is not packed: the entry
+// already started, if any — through the per-entry differential cache when
+// there is one — and the envelope's tail.
+func (s *Server) completeSingle(d *soap.StreamDecoder, entry *xmldom.Element) (*soap.Envelope, error) {
+	if entry != nil {
+		if s.diff != nil {
+			raw, err := d.CompleteEntrySpan(entry)
+			if err != nil {
+				return nil, err
+			}
+			rootTag, bodyTag := d.RawContext()
+			_, err = s.diff.parse(contextSum(rootTag, bodyTag), raw, d.Arena(),
+				func(el *xmldom.Element) { d.ReplaceEntry(entry, el) })
+			if err != nil {
+				return nil, err
+			}
+		} else if err := d.CompleteEntry(entry); err != nil {
+			return nil, err
+		}
+	}
+	return d.Finish()
 }
 
 // staged reports whether operations run on the application stage rather than
@@ -823,7 +851,7 @@ func (s *Server) abandonResult(ctx context.Context, req *rpcRequest) *rpcResult 
 // dispatchSingle executes a traditional one-request envelope and streams its
 // response in version v: the operation's header blocks, then the one entry
 // through the writer the packed assembler uses.
-func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (*httpx.Response, encodeTime, *soap.Fault) {
+func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (resp *httpx.Response, encodeStart time.Time, encode time.Duration, fault *soap.Fault) {
 	service := defaultService
 	if service == "" {
 		// Pack endpoint used for a plain request: resolve by namespace.
@@ -833,7 +861,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 	}
 	req, fault := decodeRequestElement(entry, service, 0)
 	if fault != nil {
-		return nil, encodeTime{}, fault
+		return nil, time.Time{}, 0, fault
 	}
 	var res *rpcResult
 	if !s.staged() || (s.adminState != nil && req.service == admin.ServiceName) {
@@ -851,7 +879,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		done := make(chan *rpcResult, 1)
 		task := s.appTask(ctx, req, func() { done <- s.execute(ctx, req, rctx) })
 		if err := s.submitApp(task); err != nil {
-			return nil, encodeTime{}, s.admissionFault(err)
+			return nil, time.Time{}, 0, s.admissionFault(err)
 		}
 		select {
 		case res = <-done:
@@ -860,20 +888,20 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		}
 	}
 	if res.fault != nil {
-		return nil, encodeTime{}, res.fault
+		return nil, time.Time{}, 0, res.fault
 	}
 	start := time.Now()
 	enc := soap.NewStreamEncoder()
 	enc.Begin(v, rctx.ResponseHeaders())
 	if err := appendResponseEntry(enc.Emitter(), res, s.namespaceOf(req.service), "", -1); err != nil {
 		enc.Release()
-		return nil, encodeTime{start, time.Since(start)}, soap.ServerFault("encoding response: %v", err)
+		return nil, start, time.Since(start), soap.ServerFault("encoding response: %v", err)
 	}
 	resp, err := encodedResponse(200, v, enc)
 	if err != nil {
 		resp = encodeFailureResponse()
 	}
-	return resp, encodeTime{start, time.Since(start)}, nil
+	return resp, start, time.Since(start), nil
 }
 
 // execute resolves and invokes one operation. In staged mode it is called

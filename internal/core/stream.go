@@ -145,11 +145,15 @@ func (c *streamCollector) waitSlot(ctx context.Context, slot int) (degraded bool
 // per-item Server.Timeout faults while completed companions keep their real
 // results. Differential tests pin the bytes under randomized completion
 // orders.
-func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *xmldom.Element, rctx *registry.Context, defaultService, target string) (*httpx.Response, time.Duration, *soap.Fault) {
+func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *xmldom.Element, rctx *registry.Context, defaultService, target string) (*httpx.Response, dispatchTimes, *soap.Fault) {
 	col := newStreamCollector()
 	asm := newPackedAssembler(requestDefaultNS(pm))
 	asm.faultCodes = &s.faultCodes
 	defer asm.release()
+	// decode is the time spent reading the body: the clock is read as each
+	// entry's decoding starts and ends, and around the envelope's tail.
+	var decode time.Duration
+	times := func() dispatchTimes { return dispatchTimes{decode: decode, encode: asm.encDur} }
 	// reqs[i] stays nil for a slot that faulted before it could run.
 	reqs := make([]*rpcRequest, 0, 8)
 	arena := d.Arena()
@@ -175,6 +179,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	for {
 		var el *xmldom.Element
 		var err error
+		decodeStart := time.Now()
 		if s.diff != nil {
 			// Per-entry differential deserialization over the raw subtree
 			// span the tokenizer skipped.
@@ -186,8 +191,9 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 		} else {
 			el, err = d.NextChild(pm)
 		}
+		decode += time.Since(decodeStart)
 		if err != nil {
-			return nil, asm.encDur, malformedFault(err)
+			return nil, times(), malformedFault(err)
 		}
 		if el == nil {
 			break
@@ -219,35 +225,37 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	// everything else. Late workers deliver into the collector harmlessly —
 	// they hold copies, never arena nodes.
 	extra := 0
+	tailStart := time.Now()
 	for {
 		el, err := d.NextEntryStart()
 		if err != nil {
-			return nil, asm.encDur, malformedFault(err)
+			return nil, times(), malformedFault(err)
 		}
 		if el == nil {
 			break
 		}
 		extra++
 		if err := d.CompleteEntry(el); err != nil {
-			return nil, asm.encDur, malformedFault(err)
+			return nil, times(), malformedFault(err)
 		}
 	}
 	env, err := d.Finish()
+	decode += time.Since(tailStart)
 	if err != nil {
-		return nil, asm.encDur, malformedFault(err)
+		return nil, times(), malformedFault(err)
 	}
 
 	// Header verification, now that the document is known well-formed.
 	// Fault precedence is header fault > extra-entry fault > empty batch >
 	// duplicate correlation id > per-item dispatch faults.
 	if fault := s.verifyHeaders(env, d); fault != nil {
-		return nil, asm.encDur, fault
+		return nil, times(), fault
 	}
 	if extra > 0 {
-		return nil, asm.encDur, soap.ClientFault("expected exactly one body entry, got %d", 1+extra)
+		return nil, times(), soap.ClientFault("expected exactly one body entry, got %d", 1+extra)
 	}
 	if len(reqs) == 0 {
-		return nil, asm.encDur, soap.ClientFault("%s has no requests", ElemParallelMethod)
+		return nil, times(), soap.ClientFault("%s has no requests", ElemParallelMethod)
 	}
 	if dup := duplicateIDFault(len(reqs), func(slot int) int {
 		if reqs[slot] == nil {
@@ -255,7 +263,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 		}
 		return reqs[slot].id
 	}); dup != nil {
-		return nil, asm.encDur, dup
+		return nil, times(), dup
 	}
 	if verifyFirst {
 		for i, req := range reqs {
@@ -286,15 +294,15 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 		}
 	}
 	if asm.failed != nil {
-		return nil, asm.encDur, soap.ServerFault("assembling packed response: %v", asm.failed)
+		return nil, times(), soap.ServerFault("assembling packed response: %v", asm.failed)
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))
 
 	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil)
 	if err != nil {
-		return encodeFailureResponse(), asm.encDur, nil
+		return encodeFailureResponse(), times(), nil
 	}
-	return resp, asm.encDur, nil
+	return resp, times(), nil
 }
 
 // startEntry begins executing one decoded packed entry, its result bound
