@@ -745,14 +745,14 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 			return nil, times, fault
 		}
 	}
-	var resp *httpx.Response
-	var fault *soap.Fault
 	if isPlanBody(entry) {
-		resp, times.encode, fault = s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
-	} else {
-		resp, times.encodeStart, times.encode, fault = s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
+		resp, encodeDur, fault := s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
+		times.encode = encodeDur
+		return resp, times, fault
 	}
-	return resp, times, fault
+	resp, single, fault := s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
+	single.decode = times.decode
+	return resp, single, fault
 }
 
 // completeSingle decodes the rest of a body that is not packed: the entry
@@ -851,7 +851,7 @@ func (s *Server) abandonResult(ctx context.Context, req *rpcRequest) *rpcResult 
 // dispatchSingle executes a traditional one-request envelope and streams its
 // response in version v: the operation's header blocks, then the one entry
 // through the writer the packed assembler uses.
-func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (resp *httpx.Response, encodeStart time.Time, encode time.Duration, fault *soap.Fault) {
+func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (*httpx.Response, dispatchTimes, *soap.Fault) {
 	service := defaultService
 	if service == "" {
 		// Pack endpoint used for a plain request: resolve by namespace.
@@ -861,7 +861,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 	}
 	req, fault := decodeRequestElement(entry, service, 0)
 	if fault != nil {
-		return nil, time.Time{}, 0, fault
+		return nil, dispatchTimes{}, fault
 	}
 	var res *rpcResult
 	if !s.staged() || (s.adminState != nil && req.service == admin.ServiceName) {
@@ -879,7 +879,7 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		done := make(chan *rpcResult, 1)
 		task := s.appTask(ctx, req, func() { done <- s.execute(ctx, req, rctx) })
 		if err := s.submitApp(task); err != nil {
-			return nil, time.Time{}, 0, s.admissionFault(err)
+			return nil, dispatchTimes{}, s.admissionFault(err)
 		}
 		select {
 		case res = <-done:
@@ -888,20 +888,20 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		}
 	}
 	if res.fault != nil {
-		return nil, time.Time{}, 0, res.fault
+		return nil, dispatchTimes{}, res.fault
 	}
 	start := time.Now()
 	enc := soap.NewStreamEncoder()
 	enc.Begin(v, rctx.ResponseHeaders())
 	if err := appendResponseEntry(enc.Emitter(), res, s.namespaceOf(req.service), "", -1); err != nil {
 		enc.Release()
-		return nil, start, time.Since(start), soap.ServerFault("encoding response: %v", err)
+		return nil, dispatchTimes{encodeStart: start, encode: time.Since(start)}, soap.ServerFault("encoding response: %v", err)
 	}
 	resp, err := encodedResponse(200, v, enc)
 	if err != nil {
 		resp = encodeFailureResponse()
 	}
-	return resp, start, time.Since(start), nil
+	return resp, dispatchTimes{encodeStart: start, encode: time.Since(start)}, nil
 }
 
 // execute resolves and invokes one operation. In staged mode it is called

@@ -341,13 +341,11 @@ func (e *Element) WriteDocument(w io.Writer) error {
 
 // String returns the compact serialization, for logs and tests.
 func (e *Element) String() string {
-	em := xmltext.AcquireEmitter()
-	defer xmltext.ReleaseEmitter(em)
-	e.appendTo(em)
-	if err := em.Finish(); err != nil {
+	var b strings.Builder
+	if err := e.Serialize(&b); err != nil {
 		return fmt.Sprintf("<!ERROR %v>", err)
 	}
-	return string(em.Bytes())
+	return b.String()
 }
 
 var errEmptyDocument = fmt.Errorf("xmldom: empty document")
