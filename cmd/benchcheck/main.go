@@ -364,8 +364,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchcheck: starting a server: %v\n", err)
 			os.Exit(1)
 		}
-		single := []byte(`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + soap.NSEnvelope + `"><SOAP-ENV:Body>` +
-			`<m:echo xmlns:m="urn:spi:Echo"><data>` + strings.Repeat("a", 10) + `</data></m:echo></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+		single := envelopeAround(`<m:echo xmlns:m="urn:spi:Echo"><data>`+strings.Repeat("a", 10)+`</data></m:echo>`, 0)
 		add(measure("core/handle-single-echo", func(b *testing.B) {
 			ctx := context.Background()
 			req := httpx.NewRequest("POST", "/services/Echo", single)
@@ -864,15 +863,22 @@ func packedEchoDoc(n int, long, typed bool) []byte {
 		}
 	}
 	b.WriteString(`</spi:Parallel_Method>`)
-	// The envelope around it is the encoder's own, so it cannot drift from
-	// what the client puts on the wire.
+	var decls soap.Decls
+	if typed {
+		decls = soap.DeclXSI | soap.DeclXSD
+	}
+	return envelopeAround(b.String(), decls)
+}
+
+// envelopeAround frames a SOAP 1.1 body with the encoder's own envelope,
+// declaring decls on it, so a sample cannot drift from what the client puts on
+// the wire.
+func envelopeAround(body string, decls soap.Decls) []byte {
 	enc := soap.NewStreamEncoder()
 	defer enc.Release()
 	enc.Begin(soap.V11, nil)
-	if typed {
-		enc.Emitter().Mark(soap.DeclXSI | soap.DeclXSD)
-	}
-	enc.Emitter().RawString(b.String())
+	enc.Emitter().Mark(decls)
+	enc.Emitter().RawString(body)
 	doc, err := enc.Finish()
 	if err != nil {
 		panic(err)
@@ -932,10 +938,9 @@ func streamDecodePacked(doc []byte) (int, error) {
 type faultConn struct{ pending []byte }
 
 var cannedFault = func() []byte {
-	body := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"><SOAP-ENV:Body>` +
-		`<SOAP-ENV:Fault><faultcode>SOAP-ENV:Server</faultcode><faultstring>canned</faultstring></SOAP-ENV:Fault>` +
-		`</SOAP-ENV:Body></SOAP-ENV:Envelope>`
-	return []byte(fmt.Sprintf("HTTP/1.1 500 Internal Server Error\r\nContent-Type: text/xml; charset=utf-8\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+	resp := core.GatewayFaultResponse(&soap.Fault{Code: soap.FaultServer, String: "canned"}, soap.V11)
+	defer resp.Release()
+	return []byte(fmt.Sprintf("HTTP/1.1 500 Internal Server Error\r\nContent-Type: text/xml; charset=utf-8\r\nContent-Length: %d\r\n\r\n%s", len(resp.Body), resp.Body))
 }()
 
 func (c *faultConn) Write(b []byte) (int, error) {

@@ -112,15 +112,29 @@ func TestStripEntryID(t *testing.T) {
 	}
 }
 
+// TestIsEntryFault: a fault entry is recognised, and decoded, under whatever
+// prefix its writer bound to the envelope namespace.
 func TestIsEntryFault(t *testing.T) {
-	if !IsEntryFault([]byte(`<SOAP-ENV:Fault><faultcode>SOAP-ENV:Server</faultcode></SOAP-ENV:Fault>`)) {
-		t.Error("fault segment not recognized")
+	for _, p := range []string{"SOAP-ENV", "s", "soapenv"} {
+		seg := []byte(`<` + p + `:Fault><faultcode>` + p + `:Client</faultcode><faultstring>bad &amp; worse</faultstring></` + p + `:Fault>`)
+		if !IsEntryFault(seg) {
+			t.Errorf("%s: fault segment not recognized", p)
+		}
+		if f := DecodeEntryFault(seg); f == nil || f.Code != soap.FaultClient || f.String != "bad & worse" {
+			t.Errorf("%s: fault segment decodes to %+v", p, f)
+		}
 	}
-	if IsEntryFault([]byte(`<SOAP-ENV:Faulty xmlns:m="urn:x"/>`)) {
-		t.Error("prefix-similar element misclassified as fault")
-	}
-	if IsEntryFault([]byte(`<m:echoResponse xmlns:m="urn:x"></m:echoResponse>`)) {
-		t.Error("response segment misclassified as fault")
+	for _, seg := range []string{
+		`<SOAP-ENV:Faulty xmlns:m="urn:x"/>`,
+		`<m:echoResponse xmlns:m="urn:x"></m:echoResponse>`,
+		`<m:FaultResponse xmlns:m="urn:x"></m:FaultResponse>`,
+		`<Fault/>`,
+		`<:Fault/>`,
+		`<s:Fault`,
+	} {
+		if IsEntryFault([]byte(seg)) || DecodeEntryFault([]byte(seg)) != nil {
+			t.Errorf("%s misclassified as a fault", seg)
+		}
 	}
 }
 
