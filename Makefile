@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-stage race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter docs-check
+.PHONY: check build vet test race race-stage race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check
 
 ## check: the full gate — build, vet, race-enabled shuffled tests, the
 ## application-stage pool's 30-run census, the lock-free latency recorder
@@ -11,8 +11,9 @@ GO ?= go
 ## differential/chaos suite under -race, the cluster
 ## control-plane tier under -race, the transport tier (pipelining + C10k
 ## soak) under -race, the dispatch-pipeline parity suite under -race, the
-## encode-path escape audit, the fault-literal and one-writer audits, the docs
-## link audit, and the allocation gate vs the recorded baseline.
+## encode-path escape audit, the fault-literal, one-writer and envelope-prefix
+## audits, the docs link audit, and the allocation gate vs the recorded
+## baseline.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -27,6 +28,7 @@ check:
 	$(MAKE) vet-escapes
 	$(MAKE) vet-faults
 	$(MAKE) vet-onewriter
+	$(MAKE) vet-prefix
 	$(MAKE) docs-check
 	$(MAKE) bench-gate
 
@@ -189,3 +191,22 @@ vet-onewriter:
 		exit 1; \
 	fi; \
 	echo "vet-onewriter: internal/core writes every body through the streamed entry writers"
+
+## vet-prefix: the envelope-prefix audit. Writers spell the envelope namespace
+## with soap.PrefixEnvelope and readers bind it by URI, so the older spelling
+## SOAP-ENV may appear only where soap.PrefixEnvelope is defined and among the
+## tokenizer's read-side intern seeds. A literal anywhere else is a reader
+## matching a prefix as bytes — what the gateway's gather walk did before
+## PR 25, which made a backend spelling the namespace another way unreadable.
+## Tests are exempt (they send the older spelling on purpose).
+vet-prefix:
+	@out=$$(grep -rn 'SOAP-ENV' --include='*.go' --exclude='*_test.go' \
+		benchmark cmd examples internal *.go 2>/dev/null | \
+		grep -v '^internal/soap/soap\.go:\|^internal/xmltext/intern\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "vet-prefix: the SOAP-ENV prefix spelled outside soap.PrefixEnvelope:"; \
+		echo "$$out"; \
+		echo "write with soap.PrefixEnvelope; read the prefix a document binds (see core.splitGather)"; \
+		exit 1; \
+	fi; \
+	echo "vet-prefix: no literal envelope prefix outside internal/soap and the intern seeds"

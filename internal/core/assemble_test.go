@@ -156,7 +156,7 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 				want := `<spi:Parallel_Response xmlns:spi="http://spi.ict.ac.cn/pack"` + declared + `>` +
 					`<m:echoResponse` + restated + ` spi:id="0"><tag>` + tag + `</tag></m:echoResponse>` +
 					`<m:echoResponse` + restated + ` spi:id="1"><n xsi:type="xsd:int">` + strconv.Itoa(g*100+round) + `</n></m:echoResponse>` +
-					`<SOAP-ENV:Fault spi:id="2"><faultcode>SOAP-ENV:Server</faultcode><faultstring>boom ` + tag + `</faultstring></SOAP-ENV:Fault>` +
+					`<s:Fault spi:id="2"><faultcode>s:Server</faultcode><faultstring>boom ` + tag + `</faultstring></s:Fault>` +
 					`</spi:Parallel_Response>`
 				got := assembleStreamed(t, results, rng.Perm(len(results)), def)
 				if got != want {

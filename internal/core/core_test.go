@@ -310,7 +310,8 @@ func TestFigure4WireFormat(t *testing.T) {
 	// a Parallel_Method element with two child request elements. The figure's
 	// Axis bytes type every string and declare xsi and xsd on every Envelope;
 	// these leave a string untyped — every reader decodes an untyped leaf as
-	// one — and so declare neither.
+	// one — and so declare neither. The figure binds the envelope namespace to
+	// SOAP-ENV, these to s: a prefix means nothing, and readers bind the URI.
 	var entries []batchEntry
 	for _, city := range []string{"Beijing, China", "Shanghai, China"} {
 		entries = append(entries, batchEntry{service: "WeatherService", ns: "urn:spi:WeatherService", op: "GetWeather",
@@ -325,15 +326,15 @@ func TestFigure4WireFormat(t *testing.T) {
 	doc := buf.String()
 
 	for _, want := range []string{
-		`SOAP-ENV:Envelope`,
-		`xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"`,
+		`s:Envelope`,
+		`xmlns:s="http://schemas.xmlsoap.org/soap/envelope/"`,
 		`<spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack" xmlns:m="urn:spi:WeatherService" spi:service="WeatherService">`,
 		// As in the figure, the entries are bare RPC elements: what the
 		// batch shares lives on Parallel_Method, and ids are positional.
 		`<m:GetWeather><CityName`,
 		`<CityName>Beijing, China</CityName>`,
 		`<CityName>Shanghai, China</CityName>`,
-		`<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/"><SOAP-ENV:Body>`,
+		`<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/"><s:Body>`,
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("Figure 4 message missing %q:\n%s", want, doc)

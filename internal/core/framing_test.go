@@ -256,11 +256,11 @@ func TestPackAnnotationsRequireBinding(t *testing.T) {
 	for _, tc := range []struct{ name, target, pm, want, never string }{
 		{"entry spi:id rebound", "/services/Echo",
 			framingPM + `><m:echo` + echoNS + ` xmlns:spi="urn:other" spi:id="7"/>` + framingEnd,
-			`<SOAP-ENV:Fault spi:id="0"><faultcode>SOAP-ENV:Client</faultcode><faultstring>request "echo": spi:id attribute in wrong namespace`,
+			`<s:Fault spi:id="0"><faultcode>s:Client</faultcode><faultstring>request "echo": spi:id attribute in wrong namespace`,
 			`spi:id="7"`},
 		{"entry spi:service rebound", "/services/Echo",
 			framingPM + `><m:echo` + echoNS + ` xmlns:spi="urn:other" spi:id="7" spi:service="Echo"/>` + framingEnd,
-			`<SOAP-ENV:Fault spi:id="0"><faultcode>SOAP-ENV:Client</faultcode><faultstring>request "echo": spi:service attribute in wrong namespace`,
+			`<s:Fault spi:id="0"><faultcode>s:Client</faultcode><faultstring>request "echo": spi:service attribute in wrong namespace`,
 			`spi:id="7"`},
 		// Parallel_Method under another prefix, spi bound elsewhere: its
 		// spi:service is not a batch default, and takes the URL's with it.
@@ -408,7 +408,7 @@ func TestScatterFramingParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := `<SOAP-ENV:Body>` + framingPM + echoNS + toEcho + `>` +
+		want := `<s:Body>` + framingPM + echoNS + toEcho + `>` +
 			`<m:GetWeather` + weatherNS + ` spi:id="1"` + toWeather + weatherArgs + framingEnd
 		if !strings.Contains(string(sub), want) {
 			t.Errorf("%v: sub-batch does not inherit the client's default:\n got: %s\nwant: …%s…", v, sub, want)

@@ -332,7 +332,7 @@ func (c resetConn) SetWriteDeadline(time.Time) error { return nil }
 // headerAndBody cuts a request document at its Body start tag.
 func headerAndBody(t *testing.T, doc []byte) (header, body []byte) {
 	t.Helper()
-	i := bytes.Index(doc, []byte("<SOAP-ENV:Body>"))
+	i := bytes.Index(doc, []byte("<"+soap.PrefixEnvelope+":Body>"))
 	if i < 0 {
 		t.Fatalf("no Body in %s", doc)
 	}

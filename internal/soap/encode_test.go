@@ -318,9 +318,9 @@ func TestStreamEncoderPoolRecycling(t *testing.T) {
 				env := New()
 				payload := fmt.Sprintf("w%d-%d", seed, i)
 				env.AddBody(newBodyEntry("echo", payload))
-				want := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + NSEnvelope + `"` + declText[DeclXSI|DeclXSD] +
-					`><SOAP-ENV:Body><m:echo xmlns:m="urn:spi:Echo"><data xsi:type="xsd:string">` + payload +
-					`</data></m:echo></SOAP-ENV:Body></SOAP-ENV:Envelope>`
+				want := `<s:Envelope xmlns:s="` + NSEnvelope + `"` + declText[DeclXSI|DeclXSD] +
+					`><s:Body><m:echo xmlns:m="urn:spi:Echo"><data xsi:type="xsd:string">` + payload +
+					`</data></m:echo></s:Body></s:Envelope>`
 				enc := NewStreamEncoder()
 				got, err := enc.EncodeEnvelope(env)
 				if err != nil {

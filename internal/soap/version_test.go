@@ -58,10 +58,14 @@ func TestV12FaultRoundTrip(t *testing.T) {
 	f.Detail = det
 
 	doc := string(faultDocument(t, f, V12))
-	for _, want := range []string{"env:Code", "env:Value", "env:Sender", "env:Reason", "env:Text", "env:Node"} {
+	for _, want := range []string{"<s:Fault>", "s:Code", "s:Value", "s:Sender", "s:Reason", "s:Text", "s:Node"} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("1.2 fault missing %s:\n%s", want, doc)
 		}
+	}
+	// The fault leans on the Envelope's binding of s and binds nothing itself.
+	if strings.Count(doc, "xmlns:") != 1 {
+		t.Errorf("1.2 fault declares a namespace of its own:\n%s", doc)
 	}
 
 	got, err := Decode(strings.NewReader(doc))
@@ -86,7 +90,7 @@ func TestV12FaultRoundTrip(t *testing.T) {
 
 func TestV12ServerFaultCode(t *testing.T) {
 	doc := faultDocument(t, ServerFault("boom"), V12)
-	if !strings.Contains(string(doc), "env:Receiver") {
+	if !strings.Contains(string(doc), "s:Receiver") {
 		t.Errorf("Server should map to Receiver:\n%s", doc)
 	}
 }

@@ -301,24 +301,21 @@ type tagBytes struct {
 	close []byte
 }
 
-// tagTable maps the SOAP 1.1/1.2 vocabulary to precomputed tag bytes. It
-// is built once at init and read-only afterwards, so lookups are safe from
-// any goroutine; a map hit replaces three appends with one. Misses (e.g.
-// application operation names) fall back to piecewise appends, still
-// allocation-free.
+// tagTable maps the SOAP 1.1/1.2 vocabulary, as this repository's writers
+// spell it, to precomputed tag bytes. It is built once at init and read-only
+// afterwards, so lookups are safe from any goroutine; a map hit replaces three
+// appends with one. Misses (e.g. application operation names) fall back to
+// piecewise appends, still allocation-free.
 var tagTable = buildTagTable()
 
 func buildTagTable() map[Name]tagBytes {
 	vocab := []string{
 		// Envelope structure, both versions.
-		"SOAP-ENV:Envelope", "SOAP-ENV:Header", "SOAP-ENV:Body",
-		"SOAP-ENV:Fault", "env:Envelope", "env:Header", "env:Body",
-		"env:Fault",
+		"s:Envelope", "s:Header", "s:Body", "s:Fault",
 		// SOAP 1.1 fault children.
 		"faultcode", "faultstring", "faultactor", "detail",
 		// SOAP 1.2 fault children.
-		"env:Code", "env:Value", "env:Reason", "env:Text", "env:Node",
-		"env:Detail",
+		"s:Code", "s:Value", "s:Reason", "s:Text", "s:Node", "s:Detail",
 		// Pack extension.
 		"spi:Parallel_Method", "spi:Parallel_Response",
 		// Array items.

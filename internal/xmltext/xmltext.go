@@ -19,7 +19,7 @@ import (
 )
 
 // Name is a possibly-prefixed XML name as it appears in the document,
-// e.g. "SOAP-ENV:Envelope" has Prefix "SOAP-ENV" and Local "Envelope".
+// e.g. "s:Envelope" has Prefix "s" and Local "Envelope".
 // Namespace resolution (prefix to URI) is performed by package xmldom.
 type Name struct {
 	Prefix string
