@@ -366,7 +366,7 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 		}
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))
-	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil)
+	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil, nil)
 	if err != nil {
 		return encodeFailureResponse(), asm.encDur, nil
 	}

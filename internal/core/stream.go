@@ -298,7 +298,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))
 
-	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil)
+	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil, nil)
 	if err != nil {
 		return encodeFailureResponse(), times(), nil
 	}
