@@ -725,7 +725,7 @@ func (t *Tokenizer) readRawName() ([]byte, error) {
 		t.unreadByte()
 		break
 	}
-	if len(t.buf) == 0 {
+	if len(t.buf) == 0 || t.buf[len(t.buf)-1] == ':' { // a QName has a local part
 		return nil, t.syntaxErr("expected a name")
 	}
 	return t.buf, nil

@@ -196,6 +196,9 @@ func TestTokenizeErrors(t *testing.T) {
 		{`<a/>trailing`, "character data outside root"},
 		{`<a><![CDATA[x]]</a>`, "unterminated CDATA"},
 		{`<>`, "expected a name"},
+		{`<:/>`, "expected a name"},
+		{`<a:></a:>`, "expected a name"},
+		{`<a b:="1"/>`, "expected a name"},
 	}
 	for _, c := range cases {
 		expectErr(t, c.src, c.want)
