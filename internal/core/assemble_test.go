@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -115,8 +116,13 @@ func TestStreamAssemblerFragmentParity(t *testing.T) {
 		orders = append(orders, order)
 	}
 	for i, def := range responseDefaults {
-		for _, order := range orders {
-			parityGolden(t, fragmentGoldens[i], []byte(assembleStreamed(t, results, order, def)))
+		for k, order := range orders {
+			got := []byte(assembleStreamed(t, results, order, def))
+			if k == 0 {
+				// Results that complete in slot order are written in it.
+				exactGolden(t, "parity", fragmentGoldens[i], got)
+			}
+			parityGolden(t, fragmentGoldens[i], got)
 		}
 	}
 	if asm := newPackedAssembler(""); asm.itemFaults != 0 {
@@ -159,7 +165,7 @@ func TestStreamAssemblerPoolRecycling(t *testing.T) {
 					`<s:Fault spi:id="2"><faultcode>s:Server</faultcode><faultstring>boom ` + tag + `</faultstring></s:Fault>` +
 					`</spi:Parallel_Response>`
 				got := assembleStreamed(t, results, rng.Perm(len(results)), def)
-				if got != want {
+				if !bytes.Equal(byID([]byte(got)), byID([]byte(want))) {
 					t.Errorf("round %s diverged:\nstreamed: %s\nwant:     %s", tag, got, want)
 					return
 				}
@@ -238,10 +244,17 @@ var requestShapes = []struct {
 
 // TestStreamResponseParityE2E posts packed requests and requires the bytes
 // pinned under testdata/parity/ (captured from the since-deleted buffered
-// pipeline) — including per-item faults, slow entries that force the
-// reorder window to park, and spi:id overrides.
+// pipeline) — including per-item faults, slow entries that finish after the
+// ones behind them, and spi:id overrides — as every reader takes them, and
+// byte for byte from a Coupled server.
 func TestStreamResponseParityE2E(t *testing.T) {
-	sys := newSystem(t, nil)
+	for _, f := range []parityFeatures{{name: "bare"}, {name: "coupled", coupled: true}} {
+		streamResponseParity(t, f)
+	}
+}
+
+func streamResponseParity(t *testing.T, f parityFeatures) {
+	sys := newSystem(t, parityConfig(f))
 
 	docs := []struct{ name, doc string }{
 		// slow entries first so later echoes complete before the window head.
@@ -277,6 +290,6 @@ func TestStreamResponseParityE2E(t *testing.T) {
 		if !strings.Contains(string(resp.Body), "Parallel_Response") {
 			t.Errorf("%s: response is not packed: %s", d.name, resp.Body)
 		}
-		parityGolden(t, d.name+"_11.xml", resp.Body)
+		f.pin(t, d.name+"_11.xml", resp.Body)
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -35,9 +38,54 @@ func corpusGolden(t *testing.T, name string, got []byte) {
 	testdataGolden(t, "faultcorpus", name, got)
 }
 
-// testdataGolden compares got against testdata/<dir>/<name>, rewriting the
-// file instead when -update is set.
+// testdataGolden compares got against testdata/<dir>/<name> as every reader
+// takes a packed response (byID), rewriting the file instead when -update is
+// set.
 func testdataGolden(t *testing.T, dir, name string, got []byte) {
+	t.Helper()
+	pinGolden(t, dir, name, got, byID)
+}
+
+// exactGolden is testdataGolden byte for byte, for a response whose entries
+// completed in slot order: a Coupled server, or a fixed completion order.
+func exactGolden(t *testing.T, dir, name string, got []byte) {
+	t.Helper()
+	pinGolden(t, dir, name, got, func(doc []byte) []byte { return doc })
+}
+
+// byID is a packed response as every reader takes it: the framing and the
+// declarations as they are, the Parallel_Response entries sorted by spi:id.
+// Entries go out in the order their work completes and every reader routes by
+// id, so two responses that differ only in that order are one answer. A
+// document with no Parallel_Response comes back as it is.
+func byID(doc []byte) []byte {
+	open := bytes.Index(doc, []byte("<"+PrefixPack+":"+ElemParallelResponse+" "))
+	end := bytes.LastIndex(doc, []byte("</"+PrefixPack+":"+ElemParallelResponse+">"))
+	if open < 0 || end < open {
+		return doc
+	}
+	gt, _, _, err := scanTag(doc, open)
+	if err != nil {
+		return doc
+	}
+	entries, err := splitTopLevelElements(doc[gt+1 : end])
+	if err != nil {
+		return doc
+	}
+	goldenID := func(entry []byte) int {
+		gt, _, _, _ := scanTag(entry, 0)
+		_, v, _ := bytes.Cut(entry[:gt], []byte(` spi:id="`))
+		id, err := strconv.Atoi(string(v[:max(bytes.IndexByte(v, '"'), 0)]))
+		if err != nil {
+			return -1
+		}
+		return id
+	}
+	sort.SliceStable(entries, func(i, j int) bool { return goldenID(entries[i]) < goldenID(entries[j]) })
+	return slices.Concat(doc[:gt+1], bytes.Join(entries, nil), doc[end:])
+}
+
+func pinGolden(t *testing.T, dir, name string, got []byte, view func([]byte) []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", dir, name)
 	if *updateGolden {
@@ -53,7 +101,7 @@ func testdataGolden(t *testing.T, dir, name string, got []byte) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(view(got), view(want)) {
 		t.Errorf("response bytes diverged from golden %s\n got: %s\nwant: %s", name, got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -122,6 +123,8 @@ func TestPackedFramingAcceptance(t *testing.T) {
 		{name: "diff", diff: true},
 		{name: "wsse", wsse: true},
 		{name: "wsse-diff", wsse: true, diff: true},
+		{name: "coupled", coupled: true},
+		{name: "wsse-coupled", wsse: true, coupled: true},
 	} {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
@@ -141,7 +144,7 @@ func TestPackedFramingAcceptance(t *testing.T) {
 							if code != 200 {
 								t.Errorf("%v/%s/%s round %d: status %d", v, b.golden, form.name, round, code)
 							}
-							parityGolden(t, b.golden+form.declares+"_"+corpusSuffix(v), body)
+							f.pin(t, b.golden+form.declares+"_"+corpusSuffix(v), body)
 						}
 					}
 				}
@@ -166,7 +169,7 @@ func TestPackedFramingAcceptance(t *testing.T) {
 					if code != 200 {
 						t.Errorf("%s: status %d", name, code)
 					}
-					parityGolden(t, req.golden+"_"+corpusSuffix(v), body)
+					f.pin(t, req.golden+"_"+corpusSuffix(v), body)
 				}
 			}
 			if f.diff {
@@ -392,7 +395,7 @@ func TestScatterFramingParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				_, direct := postDoc(t, sys, form.target, v, doc)
-				if string(resp.Body) != string(direct) {
+				if !bytes.Equal(byID(resp.Body), byID(direct)) {
 					t.Errorf("%v/%s: gathered response is not the direct server's:\n got: %s\nwant: %s", v, form.name, resp.Body, direct)
 				}
 				resp.Release()

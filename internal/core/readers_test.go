@@ -466,7 +466,7 @@ func fixtureTarget(name string) string {
 func answeredValues(t *testing.T, sys *system, name, target string, v soap.Version, doc []byte) (out [][]soapenc.Field) {
 	t.Helper()
 	code, body := postDoc(t, sys, target, v, doc)
-	env, err := soap.Decode(bytes.NewReader(body))
+	env, err := soap.Decode(bytes.NewReader(byID(body)))
 	if code != 200 || err != nil || len(env.Body) != 1 || bytes.Contains(body, []byte("Fault")) {
 		t.Fatalf("%s: server answered HTTP %d, %v: %s", name, code, err, body)
 	}

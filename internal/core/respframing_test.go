@@ -135,7 +135,8 @@ func respFramingConfig(f parityFeatures) func(*ServerConfig, *ClientConfig) {
 }
 
 func TestPackedResponseFraming(t *testing.T) {
-	for _, f := range []parityFeatures{{name: "bare"}, {name: "wsse", wsse: true}} {
+	for _, f := range []parityFeatures{{name: "bare"}, {name: "wsse", wsse: true},
+		{name: "coupled", coupled: true}, {name: "wsse-coupled", wsse: true, coupled: true}} {
 		sys := newSystem(t, respFramingConfig(f))
 		for _, v := range []soap.Version{soap.V11, soap.V12} {
 			for _, tc := range respFramingCases {
@@ -152,7 +153,7 @@ func TestPackedResponseFraming(t *testing.T) {
 					if code != 200 {
 						t.Fatalf("%s: status %d: %s", label, code, body)
 					}
-					parityGolden(t, "respframing-"+tc.name+"_"+corpusSuffix(v), body)
+					f.pin(t, "respframing-"+tc.name+"_"+corpusSuffix(v), body)
 					checkPackedResponse(t, label, body, tc)
 				}
 			}
@@ -178,14 +179,23 @@ func checkPackedResponse(t *testing.T, label string, body []byte, tc respFraming
 	if len(results) != len(tc.ids) {
 		t.Fatalf("%s: %d results, want %d", label, len(results), len(tc.ids))
 	}
-	for slot, entry := range env.Body[0].ChildElements() {
+	// Entries go out in the order their work completes: each is matched to
+	// its slot by the spi:id it carries, and every slot is answered once.
+	slotOf := make(map[string]int, len(tc.ids))
+	for slot, id := range tc.ids {
+		slotOf[strconv.Itoa(id)] = slot
+	}
+	for _, entry := range env.Body[0].ChildElements() {
 		// benchmark/loadgen_test.go checks that the load generator routes by
 		// id, not by position, by swapping spi:id="0" and spi:id="1" in a live
 		// reply: ids are positional on the request, but the response keeps
 		// every one.
-		if v, ok := entry.Attr(attrID); !ok || v != strconv.Itoa(tc.ids[slot]) {
-			t.Errorf("%s: slot %d carries spi:id %q (present %v), want %d", label, slot, v, ok, tc.ids[slot])
+		v, _ := entry.Attr(attrID)
+		slot, ok := slotOf[v]
+		if !ok {
+			t.Fatalf("%s: an entry carries spi:id %q, want one of %v once each", label, v, tc.ids)
 		}
+		delete(slotOf, v)
 		res := results[tc.ids[slot]]
 		if res == nil {
 			t.Fatalf("%s: no result under id %d", label, tc.ids[slot])

@@ -17,18 +17,21 @@ import (
 
 // This file is the parity suite for the server's one dispatch pipeline:
 // under every feature combination the responses must match the goldens
-// under testdata/parity/ byte for byte — across WSSE, the per-entry
-// differential cache, entry interceptors, both SOAP versions, and single,
-// packed and fault-producing bodies. The goldens were captured from the
-// buffered whole-envelope pipeline before it was deleted, so they pin the
-// streaming server to what that oracle answered.
+// under testdata/parity/ — across WSSE, the per-entry differential cache,
+// entry interceptors, both SOAP versions, and single, packed and
+// fault-producing bodies. The goldens were captured from the buffered
+// whole-envelope pipeline before it was deleted, so they pin the streaming
+// server to what that oracle answered: as every reader takes a packed
+// response (byID), and byte for byte in the Coupled cells, whose entries
+// complete in slot order.
 
 // parityFeatures is one cell of the server-feature matrix.
 type parityFeatures struct {
-	name  string
-	wsse  bool
-	diff  bool
-	entry bool
+	name    string
+	wsse    bool
+	diff    bool
+	entry   bool
+	coupled bool
 }
 
 var parityMatrix = []parityFeatures{
@@ -38,6 +41,18 @@ var parityMatrix = []parityFeatures{
 	{name: "entry-ic", entry: true},
 	{name: "wsse-diff", wsse: true, diff: true},
 	{name: "wsse-diff-entry", wsse: true, diff: true, entry: true},
+	{name: "coupled", coupled: true},
+	{name: "wsse-diff-entry-coupled", wsse: true, diff: true, entry: true, coupled: true},
+}
+
+// pin is parityGolden for the cell: byte for byte when it runs Coupled.
+func (f parityFeatures) pin(t *testing.T, name string, got []byte) {
+	t.Helper()
+	if f.coupled {
+		exactGolden(t, "parity", name, got)
+	} else {
+		parityGolden(t, name, got)
+	}
 }
 
 var paritySecret = []byte("parity-shared-secret")
@@ -71,6 +86,7 @@ func parityEntryInterceptors() []EntryInterceptor {
 func parityConfig(f parityFeatures) func(*ServerConfig, *ClientConfig) {
 	return func(s *ServerConfig, c *ClientConfig) {
 		s.DifferentialDeserialization = f.diff
+		s.Coupled = f.coupled
 		if f.wsse {
 			s.HeaderProcessors = []HeaderProcessor{&wsse.Verifier{
 				Secrets: map[string][]byte{"alice": paritySecret},
@@ -131,7 +147,8 @@ func parityDoc(t *testing.T, v soap.Version, sign bool, body ...*xmldom.Element)
 	return doc
 }
 
-// parityGolden pins one response body under testdata/parity/.
+// parityGolden pins one response body under testdata/parity/, as every reader
+// takes it (byID).
 func parityGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	testdataGolden(t, "parity", name, got)
@@ -215,7 +232,7 @@ func TestUnifiedFastPathParity(t *testing.T) {
 						if code != tc.status {
 							t.Errorf("%v/%s round %d: status %d, want %d", v, tc.name, round, code, tc.status)
 						}
-						parityGolden(t, tc.name+"_"+corpusSuffix(v), body)
+						f.pin(t, tc.name+"_"+corpusSuffix(v), body)
 					}
 				}
 			}

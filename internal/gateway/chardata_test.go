@@ -63,7 +63,7 @@ func TestDifferentialMarkupPayloads(t *testing.T) {
 					// Five sections, and the section-open one payload holds.
 					t.Errorf("direct reply has %d section openings, want %d: %s", n, len(markupPayloads), want.body)
 				}
-				env, err := soap.Decode(bytes.NewReader(want.body))
+				env, err := soap.Decode(bytes.NewReader(byID(want.body)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -24,7 +24,8 @@ var updateCorpus = flag.Bool("update", false, "rewrite golden files under testda
 // failover exhaustion), propagated deadline expiring against a silent
 // backend (per-item degradation), and the single-call proxy's 502 path.
 // Together with internal/core's faultcorpus_test.go these pin every fault
-// emission site byte-for-byte across the internal/fault refactor.
+// emission site byte-for-byte across the internal/fault refactor, a packed
+// response's entries as every reader takes them (byID).
 
 func gwCorpusGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
@@ -42,7 +43,7 @@ func gwCorpusGolden(t *testing.T, name string, got []byte) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(byID(got), byID(want)) {
 		t.Errorf("response bytes diverged from golden %s\n got: %s\nwant: %s", name, got, want)
 	}
 }
