@@ -15,8 +15,9 @@ import (
 // DOM-free packed assembly: the one writer of Parallel_Response. The server's
 // packed and plan dispatchers and the gateway's gather write their entries —
 // results, per-item faults, segments spliced from backend replies — straight
-// into a pooled emitter, in slot order. Tests pin the bytes to the fragments
-// under testdata/parity/ under randomized worker completion orders.
+// into a pooled emitter, in the order their work completes (collector). Tests
+// pin the entries to the fragments under testdata/parity/ under randomized
+// completion orders, and the bytes under slot order.
 
 var (
 	namePackResponse = xmltext.Name{Prefix: PrefixPack, Local: ElemParallelResponse}
@@ -26,19 +27,16 @@ var (
 )
 
 // packedAssembler incrementally encodes Parallel_Response entries into a
-// pooled body fragment. Entries are written in slot order; next is the head
-// of the reorder window — the first slot whose result has not been encoded
-// yet. The fragment is kept separate from the envelope emitter because
-// response headers (contributed by handlers) are only known once every
-// worker has finished.
+// pooled body fragment, each as its result comes in. The fragment is kept
+// separate from the envelope emitter because response headers (contributed by
+// handlers) are only known once every worker has finished.
 type packedAssembler struct {
 	em         *xmltext.Emitter
-	defaultNS  string        // xmlns:m declared on Parallel_Response; "" for none
-	next       int           // reorder-window head: first unencoded slot
-	encDur     time.Duration // time spent encoding, for phase attribution
+	defaultNS  string                      // xmlns:m declared on Parallel_Response; "" for none
+	serviceNS  func(service string) string // a result's namespace; nil at the gateway
+	encDur     time.Duration               // time spent encoding, for phase attribution
 	itemFaults int
 	faultCodes *fault.Counters // server's per-wire-code tallies; nil elsewhere
-	failed     error           // first soapenc error; encoding stops once set
 }
 
 // newPackedAssembler opens a Parallel_Response under appendRequestEntry's
@@ -47,8 +45,8 @@ type packedAssembler struct {
 // restates its namespace only where it differs. With no default every entry
 // declares its own, so a client that never heard of the rule is answered as
 // it always was.
-func newPackedAssembler(defaultNS string) *packedAssembler {
-	a := &packedAssembler{em: xmltext.AcquireEmitter(), defaultNS: defaultNS}
+func newPackedAssembler(defaultNS string, serviceNS func(service string) string) *packedAssembler {
+	a := &packedAssembler{em: xmltext.AcquireEmitter(), defaultNS: defaultNS, serviceNS: serviceNS}
 	a.em.Start(namePackResponse)
 	a.em.Attr(nameXmlnsSpi, NSPack)
 	if defaultNS != "" {
@@ -73,41 +71,16 @@ func (a *packedAssembler) release() {
 	}
 }
 
-// drain encodes every contiguous completed slot at the front of the
-// reorder window. Slots are write-once, so the pointer read under the
-// collector lock stays valid while encoding happens outside it.
-func (a *packedAssembler) drain(col *streamCollector, serviceNS func(service string) string) {
-	if a.failed != nil {
-		return
-	}
-	for {
-		col.mu.Lock()
-		var r *rpcResult
-		if a.next < len(col.results) {
-			r = col.results[a.next]
-		}
-		col.mu.Unlock()
-		if r == nil {
-			return
-		}
-		if err := a.encodeEntry(r, serviceNS); err != nil {
-			a.failed = err
-			return
-		}
-		a.next++
-	}
-}
-
-// encodeEntry writes one response entry: a per-item fault, or the operation's
-// response under the batch default. Every entry carries spi:id: clients route
-// by it.
-func (a *packedAssembler) encodeEntry(r *rpcResult, serviceNS func(service string) string) error {
+// encodeEntry writes the entry of a filled collector slot: a per-item fault,
+// or the operation's response under the batch default. Every entry carries
+// spi:id: clients route by it.
+func (a *packedAssembler) encodeEntry(_ int, r *rpcResult) error {
 	if r.fault != nil {
 		a.fault(r.id, r.fault)
 		return nil
 	}
 	start := time.Now()
-	err := appendResponseEntry(a.em, r, serviceNS(r.service), a.defaultNS, r.id)
+	err := appendResponseEntry(a.em, r, a.serviceNS(r.service), a.defaultNS, r.id)
 	a.encDur += time.Since(start)
 	return err
 }

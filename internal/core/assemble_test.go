@@ -68,35 +68,24 @@ func sampleResults() []*rpcResult {
 	}
 }
 
-// assembleStreamed replays dispatchPacked's assembly loop: results are
-// delivered into the collector from another goroutine in the given order
-// while the reorder window drains contiguous completed slots, then the
-// closed fragment bytes are returned.
+// assembleStreamed replays dispatchPacked's assembly: results are delivered
+// into the collector from another goroutine in the given order while the
+// collector writes each as it lands, then the closed fragment bytes are
+// returned.
 func assembleStreamed(t *testing.T, results []*rpcResult, order []int, defaultNS string) string {
 	t.Helper()
-	col := newStreamCollector()
-	for range results {
-		col.addSlot()
-	}
-	asm := newPackedAssembler(defaultNS)
+	col := newCollector[*rpcResult](len(results), len(results))
+	asm := newPackedAssembler(defaultNS, testNS)
 	defer asm.release()
 
 	go func() {
 		for _, slot := range order {
-			col.deliver(slot, results[slot])
+			col.put(slot, results[slot])
 		}
 	}()
 
-	ctx := context.Background()
-	for asm.next < len(results) {
-		asm.drain(col, testNS)
-		if asm.failed != nil || asm.next >= len(results) {
-			break
-		}
-		col.waitSlot(ctx, asm.next)
-	}
-	if asm.failed != nil {
-		t.Fatalf("assembler failed: %v", asm.failed)
+	if err := col.drain(context.Background(), asm.encodeEntry, nil); err != nil {
+		t.Fatalf("assembler failed: %v", err)
 	}
 	asm.em.End() // Parallel_Response
 	if err := asm.em.Finish(); err != nil {
@@ -125,7 +114,7 @@ func TestStreamAssemblerFragmentParity(t *testing.T) {
 			parityGolden(t, fragmentGoldens[i], got)
 		}
 	}
-	if asm := newPackedAssembler(""); asm.itemFaults != 0 {
+	if asm := newPackedAssembler("", testNS); asm.itemFaults != 0 {
 		t.Errorf("fresh assembler itemFaults = %d", asm.itemFaults)
 	} else {
 		asm.release()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 
 	"repro/internal/httpx"
 	"repro/internal/registry"
@@ -97,29 +98,48 @@ var entryIDAttr = []byte(` ` + PrefixPack + `:id="`)
 // StripEntryID returns the segment with the spi:id attribute removed from
 // its root start tag, which is the only byte-level difference between a
 // packed-response entry and the direct server's single-response body
-// entry. Segments come from the server's own emitter (attribute values
-// double-quoted, namespace URIs attribute-safe), so a plain byte scan
-// bounded by the root tag is exact. A segment with no spi:id is returned
-// unchanged.
+// entry. A segment with no spi:id is returned unchanged.
 func StripEntryID(segment []byte) []byte {
+	at, end := idSpan(segment)
+	if at < 0 {
+		return segment
+	}
+	out := make([]byte, 0, len(segment)-(end-at))
+	out = append(out, segment[:at]...)
+	return append(out, segment[end:]...)
+}
+
+// entryID is the spi:id a segment carries, -1 when it carries none.
+func entryID(segment []byte) int {
+	at, end := idSpan(segment)
+	if at < 0 {
+		return -1
+	}
+	id, err := strconv.Atoi(string(segment[at+len(entryIDAttr) : end-1]))
+	if err != nil {
+		return -1
+	}
+	return id
+}
+
+// idSpan locates the spi:id attribute, segment[at:end], on the segment's root
+// start tag; at is -1 when there is none. Segments come from the server's own
+// emitter (attribute values double-quoted, namespace URIs attribute-safe), so
+// a plain byte scan bounded by the root tag is exact.
+func idSpan(segment []byte) (at, end int) {
 	gt, _, _, err := scanTag(segment, 0)
 	if err != nil {
-		return segment
+		return -1, 0
 	}
-	i := bytes.Index(segment[:gt], entryIDAttr)
-	if i < 0 {
-		return segment
+	at = bytes.Index(segment[:gt], entryIDAttr)
+	if at < 0 {
+		return -1, 0
 	}
-	rest := segment[i+len(entryIDAttr) : gt]
-	q := bytes.IndexByte(rest, '"')
+	q := bytes.IndexByte(segment[at+len(entryIDAttr):gt], '"')
 	if q < 0 {
-		return segment
+		return -1, 0
 	}
-	end := i + len(entryIDAttr) + q + 1
-	out := make([]byte, 0, len(segment)-(end-i))
-	out = append(out, segment[:i]...)
-	out = append(out, segment[end:]...)
-	return out
+	return at, at + len(entryIDAttr) + q + 1
 }
 
 // IsEntryFault reports whether a stripped segment is a per-item fault

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/httpx"
 	"repro/internal/soap"
@@ -217,6 +216,9 @@ func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*Scatter
 	}
 	var tmp [24]byte
 	for slot, e := range entries {
+		if e.Element == nil {
+			return nil, fmt.Errorf("core: the entry in slot %d has no request element to send", e.Slot)
+		}
 		em.Start(e.Element.Name)
 		for _, a := range e.Element.Attrs {
 			em.Attr(a.Name, a.Value)
@@ -270,9 +272,12 @@ var errShape = errors.New("core: backend response is not a packed response")
 
 // GatherReply is a backend's packed-response document cut for splicing.
 type GatherReply struct {
-	// Segments holds one copied byte segment per entry, in document order;
-	// RawHeader the contents of the reply's Header element, nil without one.
+	// Segments holds one copied byte segment per entry, in document order,
+	// which is the order the backend completed them in; IDs the spi:id each
+	// carries (-1 for none), by which the gateway maps it to its slot.
+	// RawHeader is the contents of the reply's Header element, nil without one.
 	Segments  [][]byte
+	IDs       []int
 	RawHeader []byte
 	// Decls is what the reply's Envelope declared on demand — SOAP-ENC, xsi,
 	// xsd — so what frames its segments must too: a backend declares each for
@@ -360,6 +365,10 @@ func splitGather(body []byte) (r GatherReply, err error) {
 		return r, fmt.Errorf("core: backend packed response has an unexpected tail")
 	}
 	r.Segments, err = splitTopLevelElements(rest[1 : len(rest)-len(end)])
+	r.IDs = make([]int, len(r.Segments))
+	for k, seg := range r.Segments {
+		r.IDs[k] = entryID(seg)
+	}
 	return r, err
 }
 
@@ -376,10 +385,11 @@ func envelopePrefix(tag, buf []byte) []byte {
 	return nil
 }
 
-// splitTopLevelElements divides a well-formed element sequence into one
-// copied byte segment per top-level element.
+// splitTopLevelElements divides a well-formed element sequence into one byte
+// segment per top-level element, each cut from one copy of b.
 func splitTopLevelElements(b []byte) ([][]byte, error) {
 	var out [][]byte
+	b = bytes.Clone(b)
 	for pos := 0; ; {
 		lt := bytes.IndexByte(b[pos:], '<')
 		if lt < 0 {
@@ -389,7 +399,7 @@ func splitTopLevelElements(b []byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, append([]byte(nil), b[pos+lt:end]...))
+		out = append(out, b[pos+lt:end:end])
 		pos = end
 	}
 }
@@ -479,10 +489,10 @@ func RetryableError(err error, idempotent bool) bool {
 }
 
 // GatherCollector accumulates per-slot response segments (or faults) as
-// backend sub-batches complete, in any order, and reassembles them into
-// the packed response through the server's own assembler. Slots are
-// write-once: late deliveries after a slot was degraded are dropped,
-// exactly like detached server workers.
+// backend sub-batches complete, in any order, and writes each into the packed
+// response through the server's own assembler as it arrives. Slots are
+// write-once: late deliveries after a slot was degraded are dropped, exactly
+// like detached server workers.
 type GatherCollector struct {
 	ids []int // effective spi:id per slot, for fault entries
 	// defaultNS is the default the gathered Parallel_Response declares and
@@ -490,27 +500,26 @@ type GatherCollector struct {
 	defaultNS string
 	entries   []*ScatterEntry
 
-	mu       sync.Mutex
-	segments [][]byte
-	faults   []*soap.Fault
-	filled   []bool
-	headers  map[int][]byte // backend index -> raw header bytes
-	decls    soap.Decls     // what contributing replies' Envelopes declared
-	prefixes []string       // what they bound the envelope namespace to (Alias)
-	wake     chan struct{}
+	col      collector[gatherSlot] // its mu guards the fields below too
+	headers  map[int][]byte        // backend index -> raw header bytes
+	decls    soap.Decls            // what contributing replies' Envelopes declared
+	prefixes []string              // what they bound the envelope namespace to (Alias)
+}
+
+// gatherSlot is a slot's outcome: a segment cut from a backend reply, or a
+// per-item fault.
+type gatherSlot struct {
+	segment []byte
+	fault   *soap.Fault
 }
 
 // NewGatherCollector returns a collector for len(ids) slots; ids[slot] is
 // the effective correlation id used when a slot resolves to a fault. The
 // response it assembles declares no batch default.
 func NewGatherCollector(ids []int) *GatherCollector {
-	return &GatherCollector{
-		ids:      ids,
-		segments: make([][]byte, len(ids)),
-		faults:   make([]*soap.Fault, len(ids)),
-		filled:   make([]bool, len(ids)),
-		wake:     make(chan struct{}, 1),
-	}
+	c := &GatherCollector{ids: ids}
+	c.col.init(len(ids), len(ids))
+	return c
 }
 
 // NewCollector returns the collector for sr's response: one slot per entry,
@@ -525,33 +534,14 @@ func (sr *ScatterRequest) NewCollector() *GatherCollector {
 	return c
 }
 
-func (c *GatherCollector) nudge() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
 // Deliver stores a slot's response segment. The first write wins.
 func (c *GatherCollector) Deliver(slot int, segment []byte) {
-	c.mu.Lock()
-	if !c.filled[slot] {
-		c.filled[slot] = true
-		c.segments[slot] = segment
-	}
-	c.mu.Unlock()
-	c.nudge()
+	c.col.put(slot, gatherSlot{segment: segment})
 }
 
 // Fail stores a slot's per-item fault. The first write wins.
 func (c *GatherCollector) Fail(slot int, f *soap.Fault) {
-	c.mu.Lock()
-	if !c.filled[slot] {
-		c.filled[slot] = true
-		c.faults[slot] = f
-	}
-	c.mu.Unlock()
-	c.nudge()
+	c.col.put(slot, gatherSlot{fault: f})
 }
 
 // AddHeader records the raw header bytes a backend's reply carried. At
@@ -562,30 +552,28 @@ func (c *GatherCollector) AddHeader(backend int, raw []byte) {
 	if len(raw) == 0 {
 		return
 	}
-	c.mu.Lock()
+	c.col.mu.Lock()
 	if c.headers == nil {
 		c.headers = make(map[int][]byte)
 	}
 	c.headers[backend] = raw
-	c.mu.Unlock()
+	c.col.mu.Unlock()
 }
 
 // Declare records what the Envelope of a reply whose segments are being
 // delivered declared, on demand and as its envelope prefix (GatherReply): the
 // gathered Envelope declares the union over its replies, and nothing besides.
 func (c *GatherCollector) Declare(r GatherReply) {
-	c.mu.Lock()
+	c.col.mu.Lock()
 	c.decls |= r.Decls
 	if r.Prefix != soap.PrefixEnvelope { // StreamEncoder.Alias drops repeats
 		c.prefixes = append(c.prefixes, r.Prefix)
 	}
-	c.mu.Unlock()
+	c.col.mu.Unlock()
 }
 
-// rawHeader merges the recorded header sections.
+// rawHeader merges the recorded header sections; c.col.mu is held.
 func (c *GatherCollector) rawHeader() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.headers) == 0 {
 		return nil
 	}
@@ -601,12 +589,12 @@ func (c *GatherCollector) rawHeader() []byte {
 	return out
 }
 
-// Assemble drains slots in order into the packed response, parking on the
-// reorder window's head until it fills or ctx expires. On expiry every
-// unfilled slot is degraded to the per-item fault degrade(slot) supplies —
-// the gateway's analogue of the server abandoning unfinished workers; a nil
-// degrade supplies that very fault, AbandonFault. Returns the finished HTTP
-// response and the number of per-item faults it contains.
+// Assemble writes each slot into the packed response as it fills, until every
+// slot is in or ctx expires. On expiry every unfilled slot is degraded to the
+// per-item fault degrade(slot) supplies — the gateway's analogue of the
+// server abandoning unfinished workers; a nil degrade supplies that very
+// fault, AbandonFault. Returns the finished HTTP response and the number of
+// per-item faults it contains.
 func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade func(slot int) *soap.Fault) (*httpx.Response, int, error) {
 	if degrade == nil {
 		degrade = func(slot int) *soap.Fault {
@@ -616,41 +604,21 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 			return AbandonFault(ctx, c.entries[slot].Service, c.entries[slot].Op)
 		}
 	}
-	asm := newPackedAssembler(c.defaultNS)
+	asm := newPackedAssembler(c.defaultNS, nil)
 	defer asm.release()
-	for slot := range c.ids {
-		for {
-			c.mu.Lock()
-			ok := c.filled[slot]
-			seg, f := c.segments[slot], c.faults[slot]
-			c.mu.Unlock()
-			if ok {
-				if f != nil {
-					asm.fault(c.ids[slot], f)
-				} else {
-					asm.em.Raw(seg)
-				}
-				break
-			}
-			select {
-			case <-c.wake:
-			case <-ctx.Done():
-				c.mu.Lock()
-				for i := range c.filled {
-					if !c.filled[i] {
-						c.filled[i] = true
-						c.faults[i] = degrade(i)
-					}
-				}
-				c.mu.Unlock()
-			}
+	c.col.drain(ctx, func(slot int, g gatherSlot) error {
+		if g.fault != nil {
+			asm.fault(c.ids[slot], g.fault)
+		} else {
+			asm.em.Raw(g.segment)
 		}
-	}
-	c.mu.Lock()
+		return nil
+	}, func(slot int) gatherSlot { return gatherSlot{fault: degrade(slot)} })
+	c.col.mu.Lock()
 	asm.em.Mark(c.decls)
-	prefixes := c.prefixes
-	c.mu.Unlock()
-	resp, err := asm.finish(v, nil, c.rawHeader(), prefixes)
+	prefixes, rawHeader := c.prefixes, c.rawHeader()
+	c.col.mu.Unlock()
+	resp, err := asm.finish(v, nil, rawHeader, prefixes)
 	return resp, asm.itemFaults, err
 }
 

@@ -20,10 +20,10 @@ import (
 // for the given results under the batch default def, headers included.
 func buildServerResponse(t *testing.T, v soap.Version, results []*rpcResult, headers []*xmldom.Element, def string) []byte {
 	t.Helper()
-	asm := newPackedAssembler(def)
+	asm := newPackedAssembler(def, testNS)
 	defer asm.release()
-	for _, r := range results {
-		if err := asm.encodeEntry(r, testNS); err != nil {
+	for i, r := range results {
+		if err := asm.encodeEntry(i, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,6 +378,13 @@ func TestBuildSubBatchRoundTrip(t *testing.T) {
 	}
 	if !bytes.Contains(sub, []byte("a&amp;")) {
 		t.Fatalf("attribute escaping lost:\n%s", sub)
+	}
+	// An entry that failed to decode has no element to send: the gateway
+	// answers it locally, and anyone else who passes it gets an error naming
+	// its slot, not a panic.
+	faulted := &ScatterEntry{Slot: 3, ID: 3, Fault: soap.ClientFault("request %q names no service", "echo")}
+	if _, err := BuildSubBatch(sr.Version, sr.Headers, append(sr.Entries, faulted)); err == nil || !strings.Contains(err.Error(), "slot 3") {
+		t.Fatalf("sub-batch with a faulted entry: err = %v, want one naming slot 3", err)
 	}
 }
 

@@ -3,9 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/httpx"
@@ -190,12 +191,10 @@ func (p *Plan) writeBody(em *xmltext.Emitter) error {
 
 // planNode is one decoded plan step with its dependencies.
 type planNode struct {
-	req       *rpcRequest
-	deps      []planDep // parameter index -> (step, result)
-	waitsOn   map[int]bool
-	children  []int // nodes that depend on this one (deduplicated)
-	scheduled bool  // guarded by the plan mutex; prevents double dispatch
-	fault     *soap.Fault
+	req      *rpcRequest
+	deps     []planDep    // parameter index -> (step, result)
+	children []int        // nodes that depend on this one (deduplicated)
+	pending  atomic.Int32 // steps this one waits on; it runs when the last completes
 }
 
 type planDep struct {
@@ -220,150 +219,68 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 	s.packed.Add(1)
 
 	nodes := make([]*planNode, len(entries))
+	var roots []int
 	for i, el := range entries {
 		node, fault := decodePlanStep(el, defaultService, i, len(entries))
 		if fault != nil {
 			return nil, 0, fault
 		}
 		nodes[i] = node
-	}
-	// Index children for wakeups, deduplicating multiple references to
-	// the same parent (e.g. two parameters both reading step 0).
-	for i, n := range nodes {
-		seen := map[int]bool{}
-		for _, d := range n.deps {
-			if !seen[d.step] {
-				seen[d.step] = true
+		// A step waits once on each earlier step it reads, however many of
+		// its parameters read it.
+		for j, d := range node.deps {
+			if !slices.ContainsFunc(node.deps[:j], func(e planDep) bool { return e.step == d.step }) {
 				nodes[d.step].children = append(nodes[d.step].children, i)
+				node.pending.Add(1)
 			}
+		}
+		if len(node.deps) == 0 {
+			roots = append(roots, i)
 		}
 	}
 
-	results := make([]*rpcResult, len(nodes))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(len(nodes))
-
+	col := newCollector[*rpcResult](len(nodes), len(nodes))
 	var schedule func(idx int)
-	runNode := func(idx int) {
-		defer wg.Done()
-		node := nodes[idx]
-
-		mu.Lock()
-		// Substitute resolved references into the parameters.
-		for _, d := range node.deps {
-			src := results[d.step]
-			if src == nil {
-				// Cannot happen: scheduling guarantees dependency order.
-				node.fault = soap.ServerFault("internal: step %d ran before its dependency %d", idx, d.step)
-				break
+	// complete records a step's result and schedules each step whose last
+	// dependency it was.
+	complete := func(idx int, res *rpcResult) {
+		col.put(idx, res)
+		for _, child := range nodes[idx].children {
+			if nodes[child].pending.Add(-1) == 0 {
+				schedule(child)
 			}
-			if src.fault != nil {
-				node.fault = soap.ClientFault("step %d depends on step %d, which faulted: %s", idx, d.step, src.fault.String)
-				break
-			}
-			v, ok := findResult(src.results, d.result)
-			if !ok {
-				node.fault = soap.ClientFault("step %d references result %q of step %d, which has no such result", idx, d.result, d.step)
-				break
-			}
-			node.req.params[d.paramIndex].Value = v
-		}
-		fault := node.fault
-		mu.Unlock()
-
-		var res *rpcResult
-		if fault != nil {
-			res = &rpcResult{id: node.req.id, service: node.req.service, op: node.req.op, fault: fault}
-		} else if ctx.Err() != nil {
-			res = s.abandonResult(ctx, node.req)
-		} else {
-			res = s.execute(ctx, node.req, rctx)
-		}
-
-		mu.Lock()
-		results[idx] = res
-		// Wake children whose last dependency this was.
-		var ready []int
-		for _, child := range node.children {
-			delete(nodes[child].waitsOn, idx)
-			if len(nodes[child].waitsOn) == 0 && !nodes[child].scheduled {
-				nodes[child].scheduled = true
-				ready = append(ready, child)
-			}
-		}
-		mu.Unlock()
-		for _, child := range ready {
-			schedule(child)
 		}
 	}
+	run := func(idx int) { complete(idx, s.runStep(ctx, rctx, col, nodes[idx], idx)) }
 	schedule = func(idx int) {
 		if !s.staged() {
-			runNode(idx)
+			run(idx)
 			return
 		}
 		// TrySubmit rather than Submit: a worker scheduling its children
 		// must never block on a full queue, or all workers could block on
 		// each other. On overload the step runs inline on the current
 		// goroutine instead (bounded by the plan's chain depth).
-		task := s.appTask(ctx, nodes[idx].req, func() { runNode(idx) })
+		task := s.appTask(ctx, nodes[idx].req, func() { run(idx) })
 		s.sampleAppQueue()
 		switch err := s.appPool.TrySubmit(task); err {
 		case nil:
 		case stage.ErrQueueFull:
 			task()
 		default:
-			mu.Lock()
-			results[idx] = &rpcResult{id: nodes[idx].req.id, service: nodes[idx].req.service,
-				op: nodes[idx].req.op, fault: soap.ServerFault("application stage unavailable: %v", err)}
-			mu.Unlock()
-			wg.Done()
+			complete(idx, nodes[idx].req.faulted(soap.ServerFault("application stage unavailable: %v", err)))
 		}
 	}
-
 	// Launch the roots; everything else is woken by its dependencies.
-	var roots []int
-	for i, n := range nodes {
-		if len(n.waitsOn) == 0 {
-			n.scheduled = true
-			roots = append(roots, i)
-		}
-	}
-	if len(roots) == 0 {
-		return nil, 0, soap.ClientFault("%s has a dependency cycle", ElemExecutionPlan)
-	}
 	for _, idx := range roots {
 		schedule(idx)
 	}
-	if ctx.Done() == nil {
-		wg.Wait()
-	} else {
-		waited := make(chan struct{})
-		go func() { wg.Wait(); close(waited) }()
-		select {
-		case <-waited:
-		case <-ctx.Done():
-		}
-	}
 
-	// Snapshot under the lock: abandoned workers may still be writing the
-	// original slice; the response is assembled from this copy, with
-	// unfinished slots degraded to per-item faults.
-	mu.Lock()
-	final := make([]*rpcResult, len(results))
-	copy(final, results)
-	mu.Unlock()
-
-	asm := newPackedAssembler("")
+	asm := newPackedAssembler("", s.namespaceOf)
 	asm.faultCodes = &s.faultCodes
 	defer asm.release()
-	for i, r := range final {
-		if r == nil {
-			r = s.abandonResult(ctx, nodes[i].req)
-		}
-		if err := asm.encodeEntry(r, s.namespaceOf); err != nil {
-			return nil, asm.encDur, soap.ServerFault("assembling plan response: %v", err)
-		}
+	if err := col.drain(ctx, asm.encodeEntry, func(i int) *rpcResult { return s.abandonResult(ctx, nodes[i].req) }); err != nil {
+		return nil, asm.encDur, soap.ServerFault("assembling plan response: %v", err)
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))
 	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil, nil)
@@ -373,12 +290,33 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 	return resp, asm.encDur, nil
 }
 
+// runStep runs one plan step once every step it depends on has completed,
+// with their results substituted for its references.
+func (s *Server) runStep(ctx context.Context, rctx *registry.Context, col *collector[*rpcResult], node *planNode, idx int) *rpcResult {
+	req := node.req
+	for _, d := range node.deps {
+		src, _ := col.get(d.step)
+		if src.fault != nil {
+			return req.faulted(soap.ClientFault("step %d depends on step %d, which faulted: %s", idx, d.step, src.fault.String))
+		}
+		v, ok := findResult(src.results, d.result)
+		if !ok {
+			return req.faulted(soap.ClientFault("step %d references result %q of step %d, which has no such result", idx, d.result, d.step))
+		}
+		req.params[d.paramIndex].Value = v
+	}
+	if ctx.Err() != nil {
+		return s.abandonResult(ctx, req)
+	}
+	return s.execute(ctx, req, rctx)
+}
+
 // decodePlanStep interprets one step element, extracting reference
 // parameters.
 func decodePlanStep(el *xmldom.Element, defaultService string, idx, total int) (*planNode, *soap.Fault) {
 	// References must be recognized before generic parameter decoding, so
 	// walk children manually.
-	node := &planNode{waitsOn: make(map[int]bool)}
+	node := &planNode{}
 	req := &rpcRequest{id: idx, service: defaultService, op: el.Name.Local}
 	if fault := req.annotate(el, "step"); fault != nil {
 		return nil, fault
@@ -405,7 +343,6 @@ func decodePlanStep(el *xmldom.Element, defaultService string, idx, total int) (
 				step:       step,
 				result:     result,
 			})
-			node.waitsOn[step] = true
 			req.params = append(req.params, soapenc.Field{Name: child.Name.Local})
 			continue
 		}

@@ -43,6 +43,11 @@ type rpcRequest struct {
 	params  []soapenc.Field
 }
 
+// faulted is r's outcome when it ends in f.
+func (r *rpcRequest) faulted(f *soap.Fault) *rpcResult {
+	return &rpcResult{id: r.id, service: r.service, op: r.op, fault: f}
+}
+
 // rpcResult is the outcome of one invocation: results or a fault.
 type rpcResult struct {
 	id      int

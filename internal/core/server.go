@@ -844,8 +844,7 @@ func (s *Server) abandonFault(ctx context.Context, service, op string) *soap.Fau
 // waiting on. The worker (if it started) keeps running detached; its handler
 // sees the cancelled Context and should abort.
 func (s *Server) abandonResult(ctx context.Context, req *rpcRequest) *rpcResult {
-	return &rpcResult{id: req.id, service: req.service, op: req.op,
-		fault: s.abandonFault(ctx, req.service, req.op)}
+	return req.faulted(s.abandonFault(ctx, req.service, req.op))
 }
 
 // dispatchSingle executes a traditional one-request envelope and streams its

@@ -136,18 +136,17 @@ func (c *streamCollector) waitSlot(ctx context.Context, slot int) (degraded bool
 // dispatchPacked fans a Parallel_Method message out to the application
 // stage, fused with decoding on the way in and assembly on the way out:
 // each entry is enqueued the moment its subtree closes, so the first
-// operations run while later entries are still being tokenized, and each
-// entry's response bytes are written to the pooled response buffer the
-// moment the reorder window's head slot completes — the protocol thread
-// never holds a response DOM. It sleeps on the window head — the sleep/wake
-// handoff of §3.3 — until the last worker finishes or the envelope's
-// deadline fires, in which case it degrades: unfinished slots become
-// per-item Server.Timeout faults while completed companions keep their real
-// results. Differential tests pin the bytes under randomized completion
-// orders.
+// operations run while later entries are still being tokenized. Once the
+// document has validated, each entry's response bytes are written to the
+// pooled response buffer the moment its work completes — the protocol thread
+// never holds a response DOM, and no entry waits for a slower one. It sleeps
+// on the collector — the sleep/wake handoff of §3.3 — until the last worker
+// finishes or the envelope's deadline fires, in which case it degrades:
+// unfinished slots become per-item Server.Timeout faults while completed
+// companions keep their real results.
 func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *xmldom.Element, rctx *registry.Context, defaultService, target string) (*httpx.Response, dispatchTimes, *soap.Fault) {
-	col := newStreamCollector()
-	asm := newPackedAssembler(requestDefaultNS(pm))
+	col := newCollector[*rpcResult](0, 16)
+	asm := newPackedAssembler(requestDefaultNS(pm), s.namespaceOf)
 	asm.faultCodes = &s.faultCodes
 	defer asm.release()
 	// decode is the time spent reading the body: the clock is read as each
@@ -161,8 +160,20 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 
 	// Authenticate, then act: when there is anything to verify, entries are
 	// decoded as they stream but none is started until the document is
-	// complete and verifyHeaders has passed.
+	// complete and verifyHeaders has passed. Until then the slots that
+	// faulted wait in held, so that they complete in slot order with the
+	// entries that run.
 	verifyFirst := len(s.cfg.HeaderProcessors) > 0 || len(rctx.RequestHeaders) > 0
+	var held []*rpcResult
+	faulted := func(i int, f *soap.Fault) {
+		reqs = append(reqs, nil)
+		r := &rpcResult{id: i, fault: f}
+		if verifyFirst {
+			held = append(held, r)
+		} else {
+			col.put(i, r)
+		}
+	}
 
 	var ctxSum [32]byte
 	if s.diff != nil {
@@ -198,24 +209,23 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 		if el == nil {
 			break
 		}
-		i := col.addSlot()
+		i := col.add()
 		if einfo != nil {
 			ei := *einfo
 			ei.Index = i
 			repl, fault := runEntryInterceptors(s.cfg.EntryInterceptors, el, &ei)
 			if fault != nil {
-				reqs = append(reqs, nil)
-				col.fill(i, &rpcResult{id: i, fault: fault})
+				faulted(i, fault)
 				continue
 			}
 			el = repl
 		}
 		req, fault := decodeRequestElement(el, entryService, i)
-		reqs = append(reqs, req)
 		if fault != nil {
-			col.fill(i, &rpcResult{id: i, fault: fault})
+			faulted(i, fault)
 			continue
 		}
+		reqs = append(reqs, req)
 		if !verifyFirst {
 			s.startEntry(ctx, col, rctx, i, req)
 		}
@@ -269,32 +279,18 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 		for i, req := range reqs {
 			if req != nil {
 				s.startEntry(ctx, col, rctx, i, req)
+			} else {
+				col.put(i, held[0])
+				held = held[1:]
 			}
 		}
 	}
 
-	// In-order incremental assembly: encode each contiguous completed
-	// prefix of slots while later workers are still running, parking on
-	// the reorder window's head when it is empty. On deadline expiry,
-	// degrade every unfilled slot to a per-item fault and finish the
-	// final drain over the now-complete window.
-	for asm.next < len(reqs) {
-		asm.drain(col, s.namespaceOf)
-		if asm.failed != nil || asm.next >= len(reqs) {
-			break
-		}
-		if col.waitSlot(ctx, asm.next) {
-			col.mu.Lock()
-			for i, r := range col.results {
-				if r == nil {
-					col.results[i] = s.abandonResult(ctx, reqs[i])
-				}
-			}
-			col.mu.Unlock()
-		}
-	}
-	if asm.failed != nil {
-		return nil, times(), soap.ServerFault("assembling packed response: %v", asm.failed)
+	// Write each entry as its work completes, while later workers are still
+	// running. On deadline expiry every open slot degrades to a per-item
+	// fault, which is written in turn.
+	if err := col.drain(ctx, asm.encodeEntry, func(i int) *rpcResult { return s.abandonResult(ctx, reqs[i]) }); err != nil {
+		return nil, times(), soap.ServerFault("assembling packed response: %v", err)
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))
 
@@ -309,17 +305,17 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 // for slot i of the collector: on an application-stage worker, or — in the
 // traditional coupled architecture — serially right here on the protocol
 // thread, degrading the remainder once the deadline has passed.
-func (s *Server) startEntry(ctx context.Context, col *streamCollector, rctx *registry.Context, i int, req *rpcRequest) {
+func (s *Server) startEntry(ctx context.Context, col *collector[*rpcResult], rctx *registry.Context, i int, req *rpcRequest) {
 	if !s.staged() {
 		if ctx.Err() != nil {
-			col.fill(i, s.abandonResult(ctx, req))
+			col.put(i, s.abandonResult(ctx, req))
 			return
 		}
-		col.fill(i, s.execute(ctx, req, rctx))
+		col.put(i, s.execute(ctx, req, rctx))
 		return
 	}
-	task := s.appTask(ctx, req, func() { col.deliver(i, s.execute(ctx, req, rctx)) })
+	task := s.appTask(ctx, req, func() { col.put(i, s.execute(ctx, req, rctx)) })
 	if err := s.submitApp(task); err != nil {
-		col.fill(i, &rpcResult{id: req.id, service: req.service, op: req.op, fault: s.admissionFault(err)})
+		col.put(i, req.faulted(s.admissionFault(err)))
 	}
 }

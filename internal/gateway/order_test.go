@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -31,6 +32,85 @@ func reversingBackend(tb testing.TB) *netsim.Link {
 		slices.Reverse(segs)
 		return body[:at] + string(bytes.Join(segs, nil)) + body[at+len(joined):]
 	})
+}
+
+// heldBackend answers like a real server once gate is closed.
+func heldBackend(tb testing.TB, gate chan struct{}) *netsim.Link {
+	tb.Helper()
+	return hostileBackend(tb, func(body string) string {
+		<-gate
+		return body
+	})
+}
+
+// TestGatherWritesFastShardFirst: with two backends and one held, the gathered
+// response takes the fast shard's segments as they arrive, ahead of the held
+// shard's, whose slots come first in the request: nothing waits for a slow
+// head. No sleeps: the fast shard is delivered before the held backend is
+// released, on the test's own goroutine.
+func TestGatherWritesFastShardFirst(t *testing.T) {
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	f := newFarm(t, 2, func(cfg *Config) {
+		cfg.Backends[1] = BackendConfig{Name: "held", Dial: heldBackend(t, gate).Dial}
+	})
+	sr, fault := core.ParseScatterRequest(stringsOnlyDoc(soap.V11), "")
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	// The held backend gets the even slots, slot 0 among them.
+	var shards [2][]*core.ScatterEntry
+	for _, e := range sr.Entries {
+		shards[1-e.Slot%2] = append(shards[1-e.Slot%2], e)
+	}
+	col := sr.NewCollector()
+	gathered := make(chan []byte)
+	go func() {
+		resp, _, err := col.Assemble(context.Background(), sr.Version, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		gathered <- bytes.Clone(resp.Body)
+		resp.Release()
+	}()
+	ctx := context.Background()
+	for i, sh := range shards {
+		f.gw.backends[i].entriesInflight.Add(int64(len(sh))) // what assign reserves
+	}
+	go f.gw.sendShard(ctx, f.gw.backends[1], sr, shards[1], col)
+	f.gw.sendShard(ctx, f.gw.backends[0], sr, shards[0], col) // delivered on return
+	select {
+	case body := <-gathered:
+		t.Fatalf("gathered before the held backend answered: %s", body)
+	default:
+	}
+	release()
+	body := <-gathered
+	var order []int
+	for _, seg := range splitSegments(t, body) {
+		order = append(order, segmentID(seg))
+	}
+	// Each backend writes its own entries in the order they complete.
+	if len(order) != 5 {
+		t.Fatalf("%d entries: %s", len(order), body)
+	}
+	fast, held := slices.Clone(order[:2]), slices.Clone(order[2:])
+	slices.Sort(fast)
+	slices.Sort(held)
+	if !slices.Equal(fast, []int{1, 3}) || !slices.Equal(held, []int{0, 2, 4}) {
+		t.Errorf("entries written in the order %v, want the fast shard's 1 and 3 first, then 0, 2 and 4\n%s", order, body)
+	}
+}
+
+// splitSegments cuts a packed response into its entries.
+func splitSegments(t *testing.T, body []byte) [][]byte {
+	t.Helper()
+	segs, _, err := core.SplitGatherResponse(body)
+	if err != nil {
+		t.Fatalf("%v: %s", err, body)
+	}
+	return segs
 }
 
 // TestReverseOrderBackend: a backend may answer a sub-batch's entries in any

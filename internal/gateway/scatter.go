@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -166,8 +167,7 @@ func (g *Gateway) shortenBudget(budget time.Duration) time.Duration {
 }
 
 // scatterGather shards the parsed entries, fans the sub-batches out, and
-// reassembles the packed response in slot order through the reorder-window
-// collector.
+// writes each entry of the packed response as its shard's reply arrives.
 func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *core.ScatterRequest, scatterStart time.Time) *httpx.Response {
 	tr := g.cfg.Tracer
 	if budget := deadlineBudget(req); budget > 0 {
@@ -285,13 +285,16 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 		attempts = 3
 	}
 	for attempt := 1; ; attempt++ {
-		reply, err := g.exchange(ctx, b, sr, doc, len(shard))
+		reply, err := g.exchange(ctx, b, sr, doc, shard)
 		if err == nil {
 			b.noteSuccess()
 			release()
 			col.AddHeader(b.index, reply.RawHeader)
 			col.Declare(reply)
-			for k, e := range shard {
+			// The backend wrote its entries as they completed: each goes to
+			// the slot of the entry whose spi:id it carries.
+			for k, id := range reply.IDs {
+				e := shard[slices.IndexFunc(shard, func(e *core.ScatterEntry) bool { return e.ID == id })]
 				col.Deliver(e.Slot, reply.Segments[k])
 			}
 			return
@@ -353,8 +356,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // exchange performs one POST of a sub-batch of sr against a backend and
-// splits the reply into per-entry segments.
-func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequest, doc []byte, want int) (core.GatherReply, error) {
+// splits the reply into per-entry segments, which must answer each entry of
+// the shard exactly once.
+func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequest, doc []byte, shard []*core.ScatterEntry) (core.GatherReply, error) {
 	tr := g.cfg.Tracer
 	start := time.Now()
 	b.exchanges.Inc()
@@ -398,8 +402,13 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequ
 	if err != nil {
 		return core.GatherReply{}, err
 	}
-	if len(reply.Segments) != want {
-		return core.GatherReply{}, fmt.Errorf("gateway: backend %s returned %d entries for %d requests", b.name, len(reply.Segments), want)
+	if len(reply.Segments) != len(shard) {
+		return core.GatherReply{}, fmt.Errorf("gateway: backend %s returned %d entries for %d requests", b.name, len(reply.Segments), len(shard))
+	}
+	for k, id := range reply.IDs {
+		if !slices.ContainsFunc(shard, func(e *core.ScatterEntry) bool { return e.ID == id }) || slices.Contains(reply.IDs[:k], id) {
+			return core.GatherReply{}, fmt.Errorf("gateway: backend %s answered spi:id %d, which its sub-batch asked for once or not at all", b.name, id)
+		}
 	}
 	return reply, nil
 }
