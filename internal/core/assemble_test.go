@@ -18,11 +18,12 @@ import (
 )
 
 // These tests pin the encode paths to committed bytes: the streamed
-// Parallel_Response assembler (under randomized worker completion orders) to
-// the fragments under testdata/parity/, captured when a tree-building
-// assembler — the server-side assembler of §3.4 as the server first had it —
-// still wrote the same ones, and the full streamed server response to the
-// buffered server's bytes end to end.
+// Parallel_Response assembler to the fragments under testdata/parity/,
+// captured when a tree-building assembler — the server-side assembler of §3.4
+// as the server first had it — still wrote the same ones, and the full
+// streamed server response to the buffered server's bytes end to end. Under
+// randomized completion orders the entries are compared by spi:id (byID);
+// in slot order, byte for byte.
 
 // responseDefaults are the batch defaults the fragment comparisons run under:
 // none, the namespace most sample results share, one that a single result
@@ -98,7 +99,7 @@ func TestStreamAssemblerFragmentParity(t *testing.T) {
 	results := sampleResults()
 	orders := [][]int{
 		{0, 1, 2, 3, 4, 5, 6},
-		{6, 5, 4, 3, 2, 1, 0}, // head delivered last: window parks on slot 0
+		{6, 5, 4, 3, 2, 1, 0}, // slot 0 delivered last
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		order := rand.New(rand.NewSource(seed)).Perm(len(results))
@@ -246,7 +247,7 @@ func streamResponseParity(t *testing.T, f parityFeatures) {
 	sys := newSystem(t, parityConfig(f))
 
 	docs := []struct{ name, doc string }{
-		// slow entries first so later echoes complete before the window head.
+		// slow entries first, so later echoes complete before them.
 		{"e2e-slow-first", testEnv11 + `<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
 			`<m:slow xmlns:m="urn:spi:Echo" spi:id="0" spi:service="Echo"><p>first</p></m:slow>` +
 			`<m:slow xmlns:m="urn:spi:Echo" spi:id="1" spi:service="Echo"><p>second</p></m:slow>` +

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -19,8 +18,9 @@ import (
 // packed envelope into shardable entries, building per-backend sub-batches,
 // splitting backend replies back into per-entry byte segments, and
 // reassembling them — through the same assembler the server uses — into one
-// packed response that is byte-identical to what a single direct server
-// would have produced.
+// packed response whose entries are byte-identical to those a single direct
+// server would have produced. Like the server's, they go out in the order
+// they complete, each carrying its spi:id.
 //
 // Byte identity is why replies are spliced as raw segments instead of being
 // re-serialized through the DOM: parse→serialize is not the identity on
@@ -38,8 +38,7 @@ import (
 
 // ScatterEntry is one Parallel_Method entry prepared for sharding.
 type ScatterEntry struct {
-	// Slot is the entry's position in the original packed request; the
-	// reassembled response preserves slot order.
+	// Slot is the entry's position in the original packed request.
 	Slot int
 	// ID is the entry's effective correlation id: the explicit spi:id, or
 	// the slot for entries that carry none. For entries that failed to
@@ -501,7 +500,7 @@ type GatherCollector struct {
 	entries   []*ScatterEntry
 
 	col      collector[gatherSlot] // its mu guards the fields below too
-	headers  map[int][]byte        // backend index -> raw header bytes
+	headers  [][]byte              // raw header bytes, by backend index
 	decls    soap.Decls            // what contributing replies' Envelopes declared
 	prefixes []string              // what they bound the envelope namespace to (Alias)
 }
@@ -553,8 +552,8 @@ func (c *GatherCollector) AddHeader(backend int, raw []byte) {
 		return
 	}
 	c.col.mu.Lock()
-	if c.headers == nil {
-		c.headers = make(map[int][]byte)
+	for len(c.headers) <= backend {
+		c.headers = append(c.headers, nil)
 	}
 	c.headers[backend] = raw
 	c.col.mu.Unlock()
@@ -570,23 +569,6 @@ func (c *GatherCollector) Declare(r GatherReply) {
 		c.prefixes = append(c.prefixes, r.Prefix)
 	}
 	c.col.mu.Unlock()
-}
-
-// rawHeader merges the recorded header sections; c.col.mu is held.
-func (c *GatherCollector) rawHeader() []byte {
-	if len(c.headers) == 0 {
-		return nil
-	}
-	idx := make([]int, 0, len(c.headers))
-	for i := range c.headers {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	var out []byte
-	for _, i := range idx {
-		out = append(out, c.headers[i]...)
-	}
-	return out
 }
 
 // Assemble writes each slot into the packed response as it fills, until every
@@ -614,9 +596,13 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 		}
 		return nil
 	}, func(slot int) gatherSlot { return gatherSlot{fault: degrade(slot)} })
+	var rawHeader []byte
 	c.col.mu.Lock()
 	asm.em.Mark(c.decls)
-	prefixes, rawHeader := c.prefixes, c.rawHeader()
+	if len(c.headers) > 0 {
+		rawHeader = bytes.Join(c.headers, nil)
+	}
+	prefixes := c.prefixes
 	c.col.mu.Unlock()
 	resp, err := asm.finish(v, nil, rawHeader, prefixes)
 	return resp, asm.itemFaults, err

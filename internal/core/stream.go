@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"repro/internal/httpx"
@@ -64,73 +63,6 @@ func canonicalFromSpans(spans [][]byte) []byte {
 		out = append(out, sp...)
 	}
 	return out
-}
-
-// streamCollector gathers results from application-stage workers when the
-// total entry count is unknown at submit time (entries are still being
-// parsed). deliver is safe from detached workers that finish after the
-// protocol thread degraded their slot: a slot only accepts its first write.
-type streamCollector struct {
-	mu      sync.Mutex
-	results []*rpcResult
-	wake    chan struct{}
-}
-
-func newStreamCollector() *streamCollector {
-	return &streamCollector{
-		results: make([]*rpcResult, 0, 8),
-		wake:    make(chan struct{}, 1),
-	}
-}
-
-// addSlot reserves the next response slot.
-func (c *streamCollector) addSlot() int {
-	c.mu.Lock()
-	slot := len(c.results)
-	c.results = append(c.results, nil)
-	c.mu.Unlock()
-	return slot
-}
-
-// fill stores a result produced on the protocol thread (decode faults,
-// admission faults, coupled-mode executions).
-func (c *streamCollector) fill(slot int, res *rpcResult) {
-	c.mu.Lock()
-	c.results[slot] = res
-	c.mu.Unlock()
-}
-
-// deliver stores a worker's result and nudges the protocol thread.
-func (c *streamCollector) deliver(slot int, res *rpcResult) {
-	c.mu.Lock()
-	if c.results[slot] == nil {
-		c.results[slot] = res
-	}
-	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-// waitSlot blocks until the given slot holds a result or ctx is done,
-// reporting whether it was the deadline that ended the wait. This is the
-// reorder window's park: the assembler only ever waits on the slot at the
-// window head.
-func (c *streamCollector) waitSlot(ctx context.Context, slot int) (degraded bool) {
-	for {
-		c.mu.Lock()
-		filled := c.results[slot] != nil
-		c.mu.Unlock()
-		if filled {
-			return false
-		}
-		select {
-		case <-c.wake:
-		case <-ctx.Done():
-			return true
-		}
-	}
 }
 
 // dispatchPacked fans a Parallel_Method message out to the application

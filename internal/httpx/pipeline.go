@@ -24,8 +24,8 @@ import (
 //	          to finish, and emits the response through the same
 //	          writev/chunked paths the serial loop uses. Responses are
 //	          therefore emitted strictly in request order regardless of
-//	          handler completion order — the connection-level analogue of
-//	          the packed-response reorder window.
+//	          handler completion order: HTTP/1.1 pipelining carries no
+//	          correlation id, unlike a packed response's entries.
 //
 // Handler semantics match the keep-alive serial loop: the context only
 // reflects server shutdown (peer disconnection is unobservable without
