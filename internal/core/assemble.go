@@ -32,9 +32,8 @@ var (
 // handlers) are only known once every worker has finished.
 type packedAssembler struct {
 	em         *xmltext.Emitter
-	defaultNS  string                      // xmlns:m declared on Parallel_Response; "" for none
-	serviceNS  func(service string) string // a result's namespace; nil at the gateway
-	encDur     time.Duration               // time spent encoding, for phase attribution
+	defaultNS  string        // xmlns:m declared on Parallel_Response; "" for none
+	encDur     time.Duration // time spent encoding, for phase attribution
 	itemFaults int
 	faultCodes *fault.Counters // server's per-wire-code tallies; nil elsewhere
 }
@@ -45,8 +44,8 @@ type packedAssembler struct {
 // restates its namespace only where it differs. With no default every entry
 // declares its own, so a client that never heard of the rule is answered as
 // it always was.
-func newPackedAssembler(defaultNS string, serviceNS func(service string) string) *packedAssembler {
-	a := &packedAssembler{em: xmltext.AcquireEmitter(), defaultNS: defaultNS, serviceNS: serviceNS}
+func newPackedAssembler(defaultNS string) *packedAssembler {
+	a := &packedAssembler{em: xmltext.AcquireEmitter(), defaultNS: defaultNS}
 	a.em.Start(namePackResponse)
 	a.em.Attr(nameXmlnsSpi, NSPack)
 	if defaultNS != "" {
@@ -71,16 +70,16 @@ func (a *packedAssembler) release() {
 	}
 }
 
-// encodeEntry writes the entry of a filled collector slot: a per-item fault,
-// or the operation's response under the batch default. Every entry carries
-// spi:id: clients route by it.
-func (a *packedAssembler) encodeEntry(_ int, r *rpcResult) error {
+// encodeEntry writes one response entry: a per-item fault, or the operation's
+// response under the batch default. Every entry carries spi:id: clients route
+// by it.
+func (a *packedAssembler) encodeEntry(r *rpcResult, serviceNS func(service string) string) error {
 	if r.fault != nil {
 		a.fault(r.id, r.fault)
 		return nil
 	}
 	start := time.Now()
-	err := appendResponseEntry(a.em, r, a.serviceNS(r.service), a.defaultNS, r.id)
+	err := appendResponseEntry(a.em, r, serviceNS(r.service), a.defaultNS, r.id)
 	a.encDur += time.Since(start)
 	return err
 }

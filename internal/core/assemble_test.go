@@ -75,8 +75,8 @@ func sampleResults() []*rpcResult {
 // returned.
 func assembleStreamed(t *testing.T, results []*rpcResult, order []int, defaultNS string) string {
 	t.Helper()
-	col := newCollector[*rpcResult](len(results), len(results))
-	asm := newPackedAssembler(defaultNS, testNS)
+	col := new(collector[*rpcResult]).init(len(results), len(results))
+	asm := newPackedAssembler(defaultNS)
 	defer asm.release()
 
 	go func() {
@@ -85,7 +85,8 @@ func assembleStreamed(t *testing.T, results []*rpcResult, order []int, defaultNS
 		}
 	}()
 
-	if err := col.drain(context.Background(), asm.encodeEntry, nil); err != nil {
+	write := func(_ int, r *rpcResult) error { return asm.encodeEntry(r, testNS) }
+	if err := col.drain(context.Background(), write, nil); err != nil {
 		t.Fatalf("assembler failed: %v", err)
 	}
 	asm.em.End() // Parallel_Response
@@ -115,7 +116,7 @@ func TestStreamAssemblerFragmentParity(t *testing.T) {
 			parityGolden(t, fragmentGoldens[i], got)
 		}
 	}
-	if asm := newPackedAssembler("", testNS); asm.itemFaults != 0 {
+	if asm := newPackedAssembler(""); asm.itemFaults != 0 {
 		t.Errorf("fresh assembler itemFaults = %d", asm.itemFaults)
 	} else {
 		asm.release()

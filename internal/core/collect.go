@@ -23,17 +23,12 @@ type collected[T any] struct {
 	filled bool
 }
 
-// newCollector returns a collector of n slots, with room for size.
-func newCollector[T any](n, size int) *collector[T] {
-	c := &collector[T]{}
-	c.init(n, size)
-	return c
-}
-
-func (c *collector[T]) init(n, size int) {
+// init readies c with n slots and room for size, and returns it.
+func (c *collector[T]) init(n, size int) *collector[T] {
 	c.slots = make([]collected[T], n, size)
 	c.done = make([]int, 0, size)
 	c.wake = make(chan struct{}, 1)
+	return c
 }
 
 // add opens one more slot: a packed body's entries are counted as they are
@@ -72,9 +67,10 @@ func (c *collector[T]) get(i int) (T, bool) {
 }
 
 // drain hands each slot to write as it fills, until every slot is written or
-// write fails. When ctx is done first, degrade fills every slot still open,
-// under the lock that put takes, so each slot is written once, whichever came
-// first.
+// write fails. When ctx is done first, degrade fills every slot still open.
+// It runs under the lock put takes, so that a slot is degraded, and counted as
+// degraded by the caller, only if no result came first; it must not call back
+// into the collector.
 func (c *collector[T]) drain(ctx context.Context, write func(i int, v T) error, degrade func(i int) T) error {
 	for next := 0; ; {
 		c.mu.Lock()

@@ -21,6 +21,8 @@ import (
 // written last.
 func TestCollectorWritesEntriesAsTheyComplete(t *testing.T) {
 	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
 	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
 		echo, _ := s.Container.Service("Echo")
 		echo.MustRegister("hold", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
@@ -29,7 +31,7 @@ func TestCollectorWritesEntriesAsTheyComplete(t *testing.T) {
 		}, "answers once the test releases it")
 	})
 	ctx := context.Background()
-	col := newCollector[*rpcResult](0, 16)
+	col := new(collector[*rpcResult]).init(0, 16)
 	for i := 0; i < 16; i++ {
 		op := "echo"
 		if i == 0 {
@@ -38,13 +40,13 @@ func TestCollectorWritesEntriesAsTheyComplete(t *testing.T) {
 		sys.server.startEntry(ctx, col, &registry.Context{Ctx: ctx}, col.add(),
 			&rpcRequest{id: i, service: "Echo", op: op, params: []soapenc.Field{soapenc.F("i", int64(i))}})
 	}
-	asm := newPackedAssembler("urn:spi:Echo", sys.server.namespaceOf)
+	asm := newPackedAssembler("urn:spi:Echo")
 	defer asm.release()
-	wrote := make(chan int)
+	wrote := make(chan int, 16) // one send per slot
 	drained := make(chan error, 1)
 	go func() {
 		drained <- col.drain(ctx, func(i int, r *rpcResult) error {
-			err := asm.encodeEntry(i, r)
+			err := asm.encodeEntry(r, sys.server.namespaceOf)
 			wrote <- i
 			return err
 		}, nil)
@@ -54,7 +56,7 @@ func TestCollectorWritesEntriesAsTheyComplete(t *testing.T) {
 			t.Fatalf("slot 0 was written while its handler was held, after %d others", k)
 		}
 	}
-	close(gate)
+	release()
 	if i := <-wrote; i != 0 {
 		t.Fatalf("slot %d written last, want the held slot 0", i)
 	}
@@ -78,7 +80,7 @@ func TestCollectorWritesEntriesAsTheyComplete(t *testing.T) {
 func TestCollectorSweepRacesLateDeliveries(t *testing.T) {
 	const n = 32
 	for round := 0; round < 200; round++ {
-		col := newCollector[int](n, n)
+		col := new(collector[int]).init(n, n)
 		ctx, cancel := context.WithCancel(context.Background())
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -123,6 +125,8 @@ func TestCollectorSweepRacesLateDeliveries(t *testing.T) {
 // step 0's result, and the cancellation fault for steps 1 and 2.
 func TestPlanStepAfterDegradeIsDropped(t *testing.T) {
 	started, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
 	sys := newPlanSystem(t, func(s *ServerConfig, c *ClientConfig) {
 		math, _ := s.Container.Service("Math")
 		math.MustRegister("Hold", func(ctx *registry.Context, p []soapenc.Field) ([]soapenc.Field, error) {
@@ -148,7 +152,7 @@ func TestPlanStepAfterDegradeIsDropped(t *testing.T) {
 	}
 	defer resp.Release()
 	answered := bytes.Clone(resp.Body)
-	close(gate)
+	release()
 	sys.server.Close() // waits for the held step and whatever it schedules
 
 	results, err := decodePackedResponse(mustPackedBody(t, answered))

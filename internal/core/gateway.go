@@ -271,10 +271,11 @@ var errShape = errors.New("core: backend response is not a packed response")
 
 // GatherReply is a backend's packed-response document cut for splicing.
 type GatherReply struct {
-	// Segments holds one copied byte segment per entry, in document order,
-	// which is the order the backend completed them in; IDs the spi:id each
-	// carries (-1 for none), by which the gateway maps it to its slot.
-	// RawHeader is the contents of the reply's Header element, nil without one.
+	// Segments holds one byte segment per entry, cut from a copy of the
+	// reply, in document order: the order the backend completed them in. IDs
+	// holds the spi:id each carries (-1 for none), by which the gateway maps
+	// it to its slot. RawHeader is the contents of the reply's Header element,
+	// nil without one.
 	Segments  [][]byte
 	IDs       []int
 	RawHeader []byte
@@ -586,9 +587,9 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 			return AbandonFault(ctx, c.entries[slot].Service, c.entries[slot].Op)
 		}
 	}
-	asm := newPackedAssembler(c.defaultNS, nil)
+	asm := newPackedAssembler(c.defaultNS)
 	defer asm.release()
-	c.col.drain(ctx, func(slot int, g gatherSlot) error {
+	_ = c.col.drain(ctx, func(slot int, g gatherSlot) error { // neither write can fail
 		if g.fault != nil {
 			asm.fault(c.ids[slot], g.fault)
 		} else {

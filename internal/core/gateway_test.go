@@ -20,10 +20,10 @@ import (
 // for the given results under the batch default def, headers included.
 func buildServerResponse(t *testing.T, v soap.Version, results []*rpcResult, headers []*xmldom.Element, def string) []byte {
 	t.Helper()
-	asm := newPackedAssembler(def, testNS)
+	asm := newPackedAssembler(def)
 	defer asm.release()
-	for i, r := range results {
-		if err := asm.encodeEntry(i, r); err != nil {
+	for _, r := range results {
+		if err := asm.encodeEntry(r, testNS); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -239,7 +239,7 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 		}
 	}
 
-	col := newCollector[*rpcResult](len(nodes), len(nodes))
+	col := new(collector[*rpcResult]).init(len(nodes), len(nodes))
 	var schedule func(idx int)
 	// complete records a step's result and schedules each step whose last
 	// dependency it was.
@@ -276,10 +276,11 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 		schedule(idx)
 	}
 
-	asm := newPackedAssembler("", s.namespaceOf)
+	asm := newPackedAssembler("")
 	asm.faultCodes = &s.faultCodes
 	defer asm.release()
-	if err := col.drain(ctx, asm.encodeEntry, func(i int) *rpcResult { return s.abandonResult(ctx, nodes[i].req) }); err != nil {
+	if err := col.drain(ctx, func(_ int, r *rpcResult) error { return asm.encodeEntry(r, s.namespaceOf) },
+		func(i int) *rpcResult { return s.abandonResult(ctx, nodes[i].req) }); err != nil {
 		return nil, asm.encDur, soap.ServerFault("assembling plan response: %v", err)
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))

@@ -77,8 +77,8 @@ func canonicalFromSpans(spans [][]byte) []byte {
 // unfinished slots become per-item Server.Timeout faults while completed
 // companions keep their real results.
 func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *xmldom.Element, rctx *registry.Context, defaultService, target string) (*httpx.Response, dispatchTimes, *soap.Fault) {
-	col := newCollector[*rpcResult](0, 16)
-	asm := newPackedAssembler(requestDefaultNS(pm), s.namespaceOf)
+	col := new(collector[*rpcResult]).init(0, 16)
+	asm := newPackedAssembler(requestDefaultNS(pm))
 	asm.faultCodes = &s.faultCodes
 	defer asm.release()
 	// decode is the time spent reading the body: the clock is read as each
@@ -221,7 +221,8 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	// Write each entry as its work completes, while later workers are still
 	// running. On deadline expiry every open slot degrades to a per-item
 	// fault, which is written in turn.
-	if err := col.drain(ctx, asm.encodeEntry, func(i int) *rpcResult { return s.abandonResult(ctx, reqs[i]) }); err != nil {
+	if err := col.drain(ctx, func(_ int, r *rpcResult) error { return asm.encodeEntry(r, s.namespaceOf) },
+		func(i int) *rpcResult { return s.abandonResult(ctx, reqs[i]) }); err != nil {
 		return nil, times(), soap.ServerFault("assembling packed response: %v", err)
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))

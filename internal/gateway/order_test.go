@@ -165,10 +165,15 @@ func TestReverseOrderBackend(t *testing.T) {
 				gc := &httpx.Client{Dial: f.gwLink.Dial, KeepAlive: true, Timeout: 20 * time.Second}
 				defer gc.Close()
 				msg := fmt.Sprintf("caller-%d", i)
-				r := post(t, gc, "/services/Echo", soap.V11.ContentType(),
+				resp, err := gc.Post("/services/Echo", soap.V11.ContentType(),
 					singleCallDoc(soap.V11, `<m:echo xmlns:m="urn:spi:Echo"><msg>`+msg+`</msg></m:echo>`))
-				if r.status != 200 || !bytes.Contains(r.body, []byte("<msg>"+msg+"</msg>")) {
-					t.Errorf("%s answered %d %s", msg, r.status, r.body)
+				if err != nil {
+					t.Errorf("%s: %v", msg, err)
+					return
+				}
+				defer resp.Release()
+				if resp.StatusCode != 200 || !bytes.Contains(resp.Body, []byte("<msg>"+msg+"</msg>")) {
+					t.Errorf("%s answered %d %s", msg, resp.StatusCode, resp.Body)
 				}
 			}(i)
 		}
@@ -177,4 +182,40 @@ func TestReverseOrderBackend(t *testing.T) {
 			t.Errorf("batches=%d coalesced=%d, want 1 batch of %d", st.CoalesceBatches, st.Coalesced, n)
 		}
 	})
+}
+
+// TestReplyIDsMustMatchTheSubBatch: a reply that answers an id its sub-batch
+// did not ask for, or one id twice, cannot be mapped to slots; like a
+// malformed reply, it fails the exchange and the shard's entries degrade to
+// faults that say why.
+func TestReplyIDsMustMatchTheSubBatch(t *testing.T) {
+	for name, damage := range map[string]func(string) string{
+		"unasked id":  func(body string) string { return strings.Replace(body, `spi:id="1"`, `spi:id="9"`, 1) },
+		"repeated id": func(body string) string { return strings.Replace(body, `spi:id="1"`, `spi:id="0"`, 1) },
+		"missing id":  func(body string) string { return strings.Replace(body, ` spi:id="1"`, ``, 1) },
+		"unparsed id": func(body string) string { return strings.Replace(body, `spi:id="1"`, `spi:id="one"`, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := newFarm(t, 1, func(cfg *Config) {
+				cfg.Backends[0] = BackendConfig{Name: "hostile", Dial: hostileBackend(t, damage).Dial}
+				cfg.Retry = &core.RetryPolicy{MaxAttempts: 1}
+			})
+			gc := f.raw()
+			defer gc.Close()
+			got := post(t, gc, "/services", soap.V11.ContentType(), stringsOnlyDoc(soap.V11))
+			env, err := soap.Decode(bytes.NewReader(got.body))
+			if got.status != 200 || err != nil || len(env.Body) != 1 {
+				t.Fatalf("HTTP %d, %v: %s", got.status, err, got.body)
+			}
+			entries := env.Body[0].ChildElements()
+			if len(entries) != 5 {
+				t.Fatalf("%d entries, want 5: %s", len(entries), got.body)
+			}
+			for i, el := range entries {
+				if el.Name.Local != "Fault" || !strings.Contains(el.String(), "answered spi:id") {
+					t.Errorf("entry %d is not the mismatched-reply fault: %s", i, el)
+				}
+			}
+		})
+	}
 }

@@ -407,7 +407,7 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequ
 	}
 	for k, id := range reply.IDs {
 		if !slices.ContainsFunc(shard, func(e *core.ScatterEntry) bool { return e.ID == id }) || slices.Contains(reply.IDs[:k], id) {
-			return core.GatherReply{}, fmt.Errorf("gateway: backend %s answered spi:id %d, which its sub-batch asked for once or not at all", b.name, id)
+			return core.GatherReply{}, fmt.Errorf("gateway: backend %s answered spi:id %d twice, or without its sub-batch asking for it", b.name, id)
 		}
 	}
 	return reply, nil
