@@ -12,21 +12,23 @@ import (
 // carries its spi:id and every reader routes by it, so drain writes the slots
 // in the order they fill, and no entry waits for a slower one ahead of it.
 type collector[T any] struct {
-	mu    sync.Mutex
-	slots []collected[T]
-	done  []int // filled slots, in the order they filled
-	wake  chan struct{}
+	mu     sync.Mutex
+	slots  []collected[T]
+	filled int // how many slots have a value
+	wake   chan struct{}
 }
 
+// collected is one slot: its value once it has one, and, in the k-th slot,
+// the index of the slot that filled k-th — the order drain writes them in.
 type collected[T any] struct {
 	v      T
 	filled bool
+	order  int32
 }
 
 // init readies c with n slots and room for size, and returns it.
 func (c *collector[T]) init(n, size int) *collector[T] {
 	c.slots = make([]collected[T], n, size)
-	c.done = make([]int, 0, size)
 	c.wake = make(chan struct{}, 1)
 	return c
 }
@@ -54,8 +56,9 @@ func (c *collector[T]) put(i int, v T) {
 // fill is put under c.mu, without the wake-up.
 func (c *collector[T]) fill(i int, v T) {
 	if !c.slots[i].filled {
-		c.slots[i] = collected[T]{v, true}
-		c.done = append(c.done, i)
+		c.slots[i].v, c.slots[i].filled = v, true
+		c.slots[c.filled].order = int32(i)
+		c.filled++
 	}
 }
 
@@ -74,17 +77,18 @@ func (c *collector[T]) get(i int) (T, bool) {
 func (c *collector[T]) drain(ctx context.Context, write func(i int, v T) error, degrade func(i int) T) error {
 	for next := 0; ; {
 		c.mu.Lock()
-		slots, done, all := c.slots, c.done[next:], len(c.done) == len(c.slots)
+		slots, filled, all := c.slots, c.filled, c.filled == len(c.slots)
 		c.mu.Unlock()
-		for _, i := range done {
-			if err := write(i, slots[i].v); err != nil {
+		// What fill wrote before the lock was released it never writes again.
+		for ; next < filled; next++ {
+			i := slots[next].order
+			if err := write(int(i), slots[i].v); err != nil {
 				return err
 			}
 		}
 		if all {
 			return nil
 		}
-		next += len(done)
 		select {
 		case <-c.wake:
 		case <-ctx.Done():

@@ -272,10 +272,9 @@ var errShape = errors.New("core: backend response is not a packed response")
 // GatherReply is a backend's packed-response document cut for splicing.
 type GatherReply struct {
 	// Segments holds one byte segment per entry, cut from a copy of the
-	// reply, in document order: the order the backend completed them in. IDs
-	// holds the spi:id each carries (-1 for none), by which the gateway maps
-	// it to its slot. RawHeader is the contents of the reply's Header element,
-	// nil without one.
+	// reply, in the order the backend completed them; IDs the spi:id each
+	// carries (-1 for none); RawHeader the contents of the reply's Header
+	// element, nil without one.
 	Segments  [][]byte
 	IDs       []int
 	RawHeader []byte

@@ -219,7 +219,6 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 	s.packed.Add(1)
 
 	nodes := make([]*planNode, len(entries))
-	var roots []int
 	for i, el := range entries {
 		node, fault := decodePlanStep(el, defaultService, i, len(entries))
 		if fault != nil {
@@ -233,9 +232,6 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 				nodes[d.step].children = append(nodes[d.step].children, i)
 				node.pending.Add(1)
 			}
-		}
-		if len(node.deps) == 0 {
-			roots = append(roots, i)
 		}
 	}
 
@@ -272,8 +268,10 @@ func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *r
 		}
 	}
 	// Launch the roots; everything else is woken by its dependencies.
-	for _, idx := range roots {
-		schedule(idx)
+	for i, n := range nodes {
+		if len(n.deps) == 0 {
+			schedule(i)
+		}
 	}
 
 	asm := newPackedAssembler("")

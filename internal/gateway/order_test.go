@@ -212,7 +212,7 @@ func TestReplyIDsMustMatchTheSubBatch(t *testing.T) {
 				t.Fatalf("%d entries, want 5: %s", len(entries), got.body)
 			}
 			for i, el := range entries {
-				if el.Name.Local != "Fault" || !strings.Contains(el.String(), "answered spi:id") {
+				if el.Name.Local != "Fault" || !strings.Contains(el.String(), "answer spi:id") {
 					t.Errorf("entry %d is not the mismatched-reply fault: %s", i, el)
 				}
 			}

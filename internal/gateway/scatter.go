@@ -285,19 +285,11 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 		attempts = 3
 	}
 	for attempt := 1; ; attempt++ {
-		reply, err := g.exchange(ctx, b, sr, doc, shard)
+		resp, err := g.exchange(ctx, b, sr.Version, doc)
 		if err == nil {
-			b.noteSuccess()
-			release()
-			col.AddHeader(b.index, reply.RawHeader)
-			col.Declare(reply)
-			// The backend wrote its entries as they completed: each goes to
-			// the slot of the entry whose spi:id it carries.
-			for k, id := range reply.IDs {
-				e := shard[slices.IndexFunc(shard, func(e *core.ScatterEntry) bool { return e.ID == id })]
-				col.Deliver(e.Slot, reply.Segments[k])
+			if err = g.deliver(b, sr, shard, resp, col, release); err == nil {
+				return
 			}
-			return
 		}
 		b.noteFailure(g.cfg.FailureThreshold, g.cfg.ReprobeAfter)
 		if attempt >= attempts || ctx.Err() != nil || !core.RetryableError(err, idem) ||
@@ -355,10 +347,41 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// exchange performs one POST of a sub-batch of sr against a backend and
-// splits the reply into per-entry segments, which must answer each entry of
-// the shard exactly once.
-func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequest, doc []byte, shard []*core.ScatterEntry) (core.GatherReply, error) {
+// deliver splits a backend's reply to a shard into its per-entry segments and
+// hands each to its entry's slot. It runs after exchange has returned, to keep
+// the exchange's call chain within a new goroutine's first stack.
+func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.ScatterEntry, resp *httpx.Response, col resultSink, release func()) error {
+	reply, err := sr.SplitResponse(resp.Body)
+	resp.Release()
+	if err != nil {
+		return err
+	}
+	if len(reply.IDs) != len(shard) {
+		return fmt.Errorf("gateway: backend %s returned %d entries for %d requests", b.name, len(reply.IDs), len(shard))
+	}
+	// The backend wrote its entries as they completed: put each where its
+	// spi:id says, refusing a reply that does not answer each entry once.
+	for k, e := range shard {
+		j := k + slices.Index(reply.IDs[k:], e.ID)
+		if j < k {
+			return fmt.Errorf("gateway: backend %s did not answer spi:id %d exactly once", b.name, e.ID)
+		}
+		reply.IDs[k], reply.IDs[j] = reply.IDs[j], reply.IDs[k]
+		reply.Segments[k], reply.Segments[j] = reply.Segments[j], reply.Segments[k]
+	}
+	b.noteSuccess()
+	release()
+	col.AddHeader(b.index, reply.RawHeader)
+	col.Declare(reply)
+	for k, e := range shard {
+		col.Deliver(e.Slot, reply.Segments[k])
+	}
+	return nil
+}
+
+// exchange performs one POST of a sub-batch in version v against a backend
+// and returns its 200 reply, which the caller releases.
+func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc []byte) (*httpx.Response, error) {
 	tr := g.cfg.Tracer
 	start := time.Now()
 	b.exchanges.Inc()
@@ -385,32 +408,20 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, sr *core.ScatterRequ
 	if id := trace.FromContext(ctx); id != 0 {
 		extra = append(extra, core.HeaderTrace, strconv.FormatUint(id, 10))
 	}
-	resp, err := b.client.PostCtx(ctx, g.packTarget(), sr.Version.ContentType(), doc, extra...)
+	resp, err := b.client.PostCtx(ctx, g.packTarget(), v.ContentType(), doc, extra...)
 	if err != nil {
-		return core.GatherReply{}, err
+		return nil, err
 	}
-	defer resp.Release()
 	if resp.StatusCode != 200 {
+		defer resp.Release()
 		// A whole-message fault for a gateway-built sub-batch (the backend
 		// rejected what we sent); surface it for retry classification.
 		if f := core.DecodeBackendFault(resp.Body); f != nil {
-			return core.GatherReply{}, f
+			return nil, f
 		}
-		return core.GatherReply{}, fmt.Errorf("gateway: backend %s answered HTTP %d", b.name, resp.StatusCode)
+		return nil, fmt.Errorf("gateway: backend %s answered HTTP %d", b.name, resp.StatusCode)
 	}
-	reply, err := sr.SplitResponse(resp.Body)
-	if err != nil {
-		return core.GatherReply{}, err
-	}
-	if len(reply.Segments) != len(shard) {
-		return core.GatherReply{}, fmt.Errorf("gateway: backend %s returned %d entries for %d requests", b.name, len(reply.Segments), len(shard))
-	}
-	for k, id := range reply.IDs {
-		if !slices.ContainsFunc(shard, func(e *core.ScatterEntry) bool { return e.ID == id }) || slices.Contains(reply.IDs[:k], id) {
-			return core.GatherReply{}, fmt.Errorf("gateway: backend %s answered spi:id %d twice, or without its sub-batch asking for it", b.name, id)
-		}
-	}
-	return reply, nil
+	return resp, nil
 }
 
 // proxy forwards a request whole to one backend and relays the reply —
