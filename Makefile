@@ -3,10 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-stage race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check
+.PHONY: check build vet test race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check
 
 ## check: the full gate — build, vet, race-enabled shuffled tests, the
-## application-stage pool's 30-run census, the lock-free latency recorder
+## application-stage pool's and the completion collector's 30-run censuses,
+## the lock-free latency recorder
 ## under -race, pool-lifecycle tests under -race, the gateway
 ## differential/chaos suite under -race, the cluster
 ## control-plane tier under -race, the transport tier (pipelining + C10k
@@ -19,6 +20,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
 	$(MAKE) race-stage
+	$(MAKE) race-assemble
 	$(MAKE) race-metrics
 	$(MAKE) race-pools
 	$(MAKE) race-gateway
@@ -53,6 +55,18 @@ race:
 race-stage:
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 ./internal/stage
 
+## race-assemble: the completion collector's census, in the style of
+## race-stage — thirty shuffled runs under the race detector on one and on two
+## Ps of the collector, assembler, plan and gather tests in internal/core, and
+## of the gateway's coalesce and reverse-order tests. Workers and backends race
+## the protocol goroutine's writes and the deadline sweep by design, so a test
+## that fails once in thirty has a cause to remove. The coalescer's shutdown
+## test is skipped: it waits out a five-second shutdown and orders nothing.
+race-assemble:
+	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -run='Collector|Assembler|Plan|Gather' ./internal/core
+	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -run='Coalesce|ReverseOrder|GatherWrites' \
+		-skip='TestCoalesceShutdownReleasesParked' ./internal/gateway
+
 ## race-metrics: the latency recorder has no lock to hide behind — writers,
 ## Snapshot and Reset race on bare atomics, so its suite gets extra runs.
 race-metrics:
@@ -67,8 +81,8 @@ race-pools:
 
 ## race-gateway: extra runs of the scatter–gather differential and chaos
 ## suites under the race detector — the gateway's concurrency (shard
-## fan-out, reorder-window gather, circuit state, pool slots) is the code
-## under test here.
+## fan-out, the gather's completion-order collector, circuit state, pool
+## slots) is the code under test here.
 race-gateway:
 	$(GO) test -race -count=2 -run='Differential|Chaos|Failover|Ejection|Probe' \
 		./internal/gateway
@@ -96,7 +110,7 @@ race-transport:
 ## the verify-then-execute hold on signed batches (zero operations run on a
 ## tampered or replayed one), the entry-interceptor chain, and the sharded
 ## LRU. Extra runs because packed entries race the decode loop and the
-## reorder window by design.
+## collector by design.
 race-streamfeatures:
 	$(GO) test -race -count=2 \
 		-run='TestUnifiedFastPathParity|TestStreamedWSSERejectsTamper|TestRejectedSignedBatchRunsNothing|TestMustUnderstandBatchRunsNothing|TestStreamResponseParity|TestEntryInterceptor|TestDifferentialDeserialization|TestDiffCacheLRU' \
