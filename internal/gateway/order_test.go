@@ -87,8 +87,12 @@ func TestGatherWritesFastShardFirst(t *testing.T) {
 	}
 	release()
 	body := <-gathered
+	segs, _, err := core.SplitGatherResponse(body)
+	if err != nil {
+		t.Fatalf("%v: %s", err, body)
+	}
 	var order []int
-	for _, seg := range splitSegments(t, body) {
+	for _, seg := range segs {
 		order = append(order, segmentID(seg))
 	}
 	// Each backend writes its own entries in the order they complete.
@@ -101,16 +105,6 @@ func TestGatherWritesFastShardFirst(t *testing.T) {
 	if !slices.Equal(fast, []int{1, 3}) || !slices.Equal(held, []int{0, 2, 4}) {
 		t.Errorf("entries written in the order %v, want the fast shard's 1 and 3 first, then 0, 2 and 4\n%s", order, body)
 	}
-}
-
-// splitSegments cuts a packed response into its entries.
-func splitSegments(t *testing.T, body []byte) [][]byte {
-	t.Helper()
-	segs, _, err := core.SplitGatherResponse(body)
-	if err != nil {
-		t.Fatalf("%v: %s", err, body)
-	}
-	return segs
 }
 
 // TestReverseOrderBackend: a backend may answer a sub-batch's entries in any
