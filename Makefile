@@ -3,14 +3,14 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check
+.PHONY: check build vet test test-386 race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check
 
 ## check: the full gate — build, vet, race-enabled shuffled tests, the
 ## application-stage pool's and the completion collector's 30-run censuses,
 ## the lock-free latency recorder
 ## under -race, pool-lifecycle tests under -race, the gateway
 ## differential/chaos suite under -race, the cluster
-## control-plane tier under -race, the transport tier (pipelining + C10k
+## control-plane tier's 30-run census, the 32-bit test run, the transport tier (pipelining + C10k
 ## soak) under -race, the dispatch-pipeline parity suite under -race, the
 ## encode-path escape audit, the fault-literal, one-writer and envelope-prefix
 ## audits, the docs link audit, and the allocation gate vs the recorded
@@ -25,6 +25,7 @@ check:
 	$(MAKE) race-pools
 	$(MAKE) race-gateway
 	$(MAKE) race-controlplane
+	$(MAKE) test-386
 	$(MAKE) race-transport
 	$(MAKE) race-streamfeatures
 	$(MAKE) vet-escapes
@@ -44,6 +45,11 @@ vet:
 test:
 	$(GO) build ./...
 	$(GO) test ./...
+
+## test-386: the short suite built for a 32-bit int, where an int conversion
+## of a uint32 hash or size can go negative.
+test-386:
+	GOARCH=386 $(GO) test -short ./...
 
 race:
 	$(GO) test -race ./...
@@ -87,13 +93,17 @@ race-gateway:
 	$(GO) test -race -count=2 -run='Differential|Chaos|Failover|Ejection|Probe' \
 		./internal/gateway
 
-## race-controlplane: the cluster control-plane tier under the race
-## detector — admin service routing state, membership polling, weighted
-## convergence, drain-under-load loss/duplication, membership churn soak.
+## race-controlplane: the cluster control-plane tier. Its gateway half is a
+## census in the style of race-stage — thirty shuffled -race runs on one and
+## on two Ps of the Admin service and per-backend SetState, LeastLoaded's
+## picks and its convergence on the load replies state, hostile SPI-Load
+## values, drain-under-load loss/duplication and add/remove; then the Admin
+## priority lane and one run of the membership churn soak.
 race-controlplane:
-	$(GO) test -race -count=2 \
-		-run='TestGatewayAdmin|TestMembership|TestWeightedConvergence|TestDrainUnderLoad|TestDrainReleases|TestDifferentialWeighted|TestAdminBypassesAppStage' \
-		./internal/gateway ./internal/core
+	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -short \
+		-run='TestGatewayAdmin|TestMembership|TestLoadConvergence|TestAssignTable|TestHostileLoadHeader|TestDrainUnderLoad|TestDrainReleases' \
+		./internal/gateway
+	$(GO) test -race -count=2 -run='TestAdminBypassesAppStage' ./internal/core
 	$(GO) test -race -run='TestSoakMembershipChurn' .
 
 ## race-transport: the transport tier under the race detector — server and

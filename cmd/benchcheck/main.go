@@ -601,10 +601,10 @@ func main() {
 	gatewayE2E("e2e/gw-packed-16-1-backend", 1)
 	gatewayE2E("e2e/gw-packed-16-4-backends", 4)
 
-	// --- control plane: weighted routing on a skewed fleet ------------
-	// Four backends, one at 4× the per-op service time, with the admin
-	// membership poller feeding the weighted policy. Guards the whole
-	// control-plane loop end to end: poll → derate → shard placement.
+	// --- control plane: load-aware routing on a skewed fleet ----------
+	// Four backends, one at 4× the per-op service time, behind least-loaded
+	// routing on the execution time each backend states on its replies.
+	// Guards the loop end to end: reply → derate → shard placement.
 	{
 		env, err := bench.NewGatewayEnv(bench.GatewayOptions{
 			Backends: 4, Network: netsim.Fast(), AppWorkers: 4,
@@ -612,31 +612,11 @@ func main() {
 				200 * time.Microsecond, 200 * time.Microsecond,
 				200 * time.Microsecond, 800 * time.Microsecond,
 			},
-			Policy:       gateway.Weighted,
-			AdminService: true,
-			Membership: gateway.MembershipConfig{
-				Enabled:      true,
-				PollInterval: 10 * time.Millisecond,
-				MinFactor:    0.05,
-			},
+			Policy: gateway.LeastLoaded,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 			os.Exit(1)
-		}
-		// Give the poller a few rounds to observe the skew before timing.
-		warm := func() {
-			batch := env.Client.NewBatch()
-			for j := 0; j < 16; j++ {
-				batch.Add("Echo", "echo", arg)
-			}
-			if err := batch.Send(); err != nil {
-				fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		for i := 0; i < 20; i++ {
-			warm()
 		}
 		add(measure("e2e/gw-weighted-skewed-4", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -7,7 +7,7 @@
 //
 //	spigateway -addr :8090 -backends host1:8080,host2:8080
 //	spigateway -addr :8090 -backends host1:8080,host2:8080 -policy least-loaded
-//	spigateway -addr :8090 -backends host1:8080=4,host2:8080=1 -policy weighted -poll 250ms
+//	spigateway -addr :8090 -backends host1:8080=4,host2:8080=1 -policy least-loaded
 //	spigateway -addr :8090 -backends host1:8080 -probe 2s -stats -admin
 //	spigateway -addr :8090 -backends host1:8080,host2:8080 \
 //	    -coalesce -flush-window 1ms -max-batch 64 -max-bytes 262144
@@ -20,11 +20,12 @@
 // the uncoalesced path.
 //
 // A backend may carry a routing weight after "=" (default 1), used by the
-// weighted policy. With -poll, the membership manager scrapes every
-// backend's Admin service on a jittered interval and modulates those
-// weights by observed load (see docs/CONTROL_PLANE.md); with -admin the
-// gateway self-hosts its own Admin service at /services/Admin so
-// exporters and upstream tiers can scrape the gateway like any server.
+// least-loaded policy, which also scales each weight by the backend's speed
+// relative to the fleet's fastest, as stated on its own sub-batch replies
+// (see docs/CONTROL_PLANE.md). "-policy weighted" is still accepted and means
+// least-loaded. With -admin the gateway self-hosts its own Admin service at
+// /services/Admin, so exporters can scrape the gateway like any server and
+// operators can set one backend's weight or drain it (SetState backend=...).
 //
 // Endpoints mirror the servers':
 //
@@ -54,7 +55,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	backendList := flag.String("backends", "", "comma-separated backend addresses (required)")
-	policy := flag.String("policy", "round-robin", "sharding policy: round-robin, least-loaded, op-affinity, weighted")
+	policy := flag.String("policy", "round-robin", "sharding policy: round-robin, least-loaded, op-affinity")
 	threshold := flag.Int("eject-after", 3, "consecutive failures that eject a backend")
 	reprobe := flag.Duration("reprobe", 500*time.Millisecond, "how long an ejected backend sits out")
 	probe := flag.Duration("probe", 0, "active health-check period (0: passive only)")
@@ -66,7 +67,6 @@ func main() {
 	flushWindow := flag.Duration("flush-window", time.Millisecond, "coalescer batch formation window (with -coalesce)")
 	maxBatch := flag.Int("max-batch", 64, "coalescer flushes a batch at this many members (with -coalesce)")
 	maxBytes := flag.Int("max-bytes", 256<<10, "coalescer flushes a batch at this many request-body bytes (with -coalesce)")
-	poll := flag.Duration("poll", 0, "membership poll period for backend Admin services (0: disabled)")
 	adminFlag := flag.Bool("admin", false, "self-host the gateway's Admin service at /services/Admin")
 	adminWeight := flag.Int("admin-weight", 1, "gateway's initial advertised weight (with -admin)")
 	passthrough := flag.Bool("passthrough", true, "splice single-call envelopes through a backend zero-copy (disabled automatically when -coalesce is set)")
@@ -137,10 +137,6 @@ func main() {
 		DebugEndpoints:      *stats,
 		AdminService:        *adminFlag,
 		AdminWeight:         *adminWeight,
-		Membership: gateway.MembershipConfig{
-			Enabled:      *poll > 0,
-			PollInterval: *poll,
-		},
 		Coalesce: gateway.CoalesceConfig{
 			Enabled:     *coalesce,
 			FlushWindow: *flushWindow,
@@ -160,9 +156,6 @@ func main() {
 		listener.Addr(), gateway.ParsePolicy(*policy), len(backends))
 	for _, b := range backends {
 		fmt.Printf("  %s (weight %d)\n", b.Name, b.Weight)
-	}
-	if *poll > 0 {
-		fmt.Printf("spigateway: polling backend Admin services every %v\n", *poll)
 	}
 	if *adminFlag {
 		fmt.Println("spigateway: Admin service at /services/Admin")

@@ -6,12 +6,13 @@
 //
 //   - GetStats — a read-only, idempotent snapshot of the node's load state:
 //     busy/idle application workers, queue depth, exchange counters and
-//     per-operation latency digests. The gateway's membership manager polls
-//     it to drive load-weighted routing; cmd/spiexporter scrapes it into
+//     per-operation latency digests. cmd/spiexporter scrapes it into
 //     Prometheus-style metrics.
 //   - SetState — mutates the node's advertised routing state: its weight
-//     and whether it is draining. A draining backend stops receiving new
-//     shards from gateways while in-flight work finishes.
+//     and whether it is draining. On a gateway, an optional backend
+//     parameter addresses one of its backends instead: that backend's
+//     routing weight, and a drain that stops new shards while in-flight
+//     work finishes. A server's own state only informs exporters.
 //
 // Because Admin is a plain registry service, both operations are
 // packed-friendly: a monitoring client can pack GetStats entries for a
@@ -123,6 +124,21 @@ type Source interface {
 	AdminStats() Stats
 }
 
+// Target is the routing state one SetState call changes: a node's own State,
+// or one backend of a gateway.
+type Target interface {
+	Snapshot() (weight int64, draining bool)
+	// SetWeight is called with w >= 1 only.
+	SetWeight(w int64) error
+	SetDraining(d bool)
+}
+
+// Fronts is implemented by a Source that fronts named backends (the
+// gateway): SetState's backend parameter addresses one of them.
+type Fronts interface {
+	Backend(name string) (Target, bool)
+}
+
 // State is the mutable routing state SetState controls: the advertised
 // weight and drain flag. The zero value is invalid; use NewState. Safe for
 // concurrent use.
@@ -168,8 +184,9 @@ func (st *State) SetDraining(d bool) {
 
 // Deploy registers the Admin service on a container: GetStats (marked
 // idempotent — it is a pure read, so gateways may freely retry or fail it
-// over) and SetState, which mutates st. The source supplies the snapshot;
-// its Weight/Draining fields are expected to come from the same st.
+// over) and SetState, which mutates st — or, given a backend parameter, the
+// named backend of a src that implements Fronts. The source supplies the
+// snapshot; its Weight/Draining fields are expected to come from the same st.
 func Deploy(c *registry.Container, src Source, st *State) error {
 	svc, err := c.AddService(ServiceName, Namespace,
 		"cluster control plane: load stats and routing state (docs/CONTROL_PLANE.md)")
@@ -182,6 +199,19 @@ func Deploy(c *registry.Container, src Source, st *State) error {
 		return err
 	}
 	if err := svc.Register(OpSetState, func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
+		var t Target = st
+		for _, p := range params {
+			if p.Name != "backend" {
+				continue
+			}
+			name, ok := fmt.Sprint(p.Value), false
+			if f, fronts := src.(Fronts); fronts {
+				t, ok = f.Backend(name)
+			}
+			if !ok {
+				return nil, soap.ClientFault("SetState: no backend named %q", name)
+			}
+		}
 		for _, p := range params {
 			switch p.Name {
 			case "weight":
@@ -189,18 +219,21 @@ func Deploy(c *registry.Container, src Source, st *State) error {
 				if !ok {
 					return nil, soap.ClientFault("SetState: weight must be an integer")
 				}
-				if err := st.SetWeight(w); err != nil {
+				if w < 1 {
 					return nil, soap.ClientFault("SetState: weight must be a positive integer, got %d", w)
+				}
+				if err := t.SetWeight(w); err != nil {
+					return nil, soap.ClientFault("SetState: %v", err)
 				}
 			case "drain":
 				d, ok := p.Value.(bool)
 				if !ok {
 					return nil, soap.ClientFault("SetState: drain must be a boolean")
 				}
-				st.SetDraining(d)
+				t.SetDraining(d)
 			}
 		}
-		w, d := st.Snapshot()
+		w, d := t.Snapshot()
 		return []soapenc.Field{soapenc.F("weight", w), soapenc.F("draining", d)}, nil
 	}, "set the advertised routing weight and drain flag"); err != nil {
 		return err

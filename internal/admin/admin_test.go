@@ -211,7 +211,7 @@ func TestRequestBuilders(t *testing.T) {
 		}
 
 		drain := true
-		doc, err := SetStateRequest(v, 3, &drain)
+		doc, err := SetStateRequest(v, "", 3, &drain)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,10 +7,10 @@ import (
 )
 
 // FuzzParseStats hammers the admin-stats response parser with malformed
-// input. The membership manager and the exporter both feed it bytes
-// scraped from remote processes, so it must never panic, and whatever
-// snapshot it does accept must satisfy the documented invariants (positive
-// weight, non-negative counts, busy <= workers).
+// input. The exporter feeds it bytes scraped from remote processes, so it
+// must never panic, and whatever snapshot it does accept must satisfy the
+// documented invariants (positive weight, non-negative counts,
+// busy <= workers).
 func FuzzParseStats(f *testing.F) {
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		s := Stats{

@@ -60,7 +60,7 @@ func StatsFields(s Stats) []soapenc.Field {
 
 // statInt reads one integer stats field, rejecting wrong types and negative
 // values — a scraped snapshot with a negative worker count is garbage, and
-// the membership manager must not fold it into routing weights.
+// an exporter must not publish it as a reading.
 func statInt(name string, v soapenc.Value, dst *int64) error {
 	n, ok := v.(int64)
 	if !ok {
@@ -266,11 +266,14 @@ func GetStatsRequest(v soap.Version) []byte {
 	return getStatsRequests[v]
 }
 
-// SetStateRequest writes a SetState request document. weight <= 0 omits the
-// weight parameter (leave unchanged); drain nil omits the drain parameter
-// likewise.
-func SetStateRequest(v soap.Version, weight int64, drain *bool) ([]byte, error) {
+// SetStateRequest writes a SetState request document. An empty backend omits
+// the backend parameter (the node's own state); weight <= 0 omits the weight
+// parameter (leave unchanged); drain nil omits the drain parameter likewise.
+func SetStateRequest(v soap.Version, backend string, weight int64, drain *bool) ([]byte, error) {
 	var params []soapenc.Field
+	if backend != "" {
+		params = append(params, soapenc.F("backend", backend))
+	}
 	if weight > 0 {
 		params = append(params, soapenc.F("weight", weight))
 	}
@@ -284,8 +287,8 @@ func SetStateRequest(v soap.Version, weight int64, drain *bool) ([]byte, error) 
 // response bytes of a single-call invocation — into a snapshot. A fault
 // envelope comes back as the fault itself (*soap.Fault as error), so
 // callers can distinguish "the node said no" from "the bytes are garbage".
-// This is the parser the membership manager and cmd/spiexporter share, and
-// the surface FuzzParseStats hardens: it must reject malformed input with
+// This is the parser cmd/spiexporter uses, and the surface FuzzParseStats
+// hardens: it must reject malformed input with
 // an error, never a panic or a silently-wrong snapshot.
 func ParseStatsResponse(body []byte) (Stats, error) {
 	env, err := soap.Decode(bytes.NewReader(body))

@@ -11,17 +11,15 @@ import (
 	"repro/internal/netsim"
 )
 
-// RunControlPlane measures the load-weighted routing policy on a skewed
-// fleet: four backends, one of them with 4× the per-operation service
-// time — the degraded-node regime static policies cannot see. Concurrent
-// workers push packed batches for a fixed count per policy and every
-// batch's completion time is sampled; the table reports mean and tail
-// latency. Round-robin keeps feeding the slow backend its full share, so
-// every batch that lands an entry there pays the 4× tax. Least-loaded
-// reacts only to in-flight counts at the gateway. Weighted runs with the
-// membership poller on: the gateway scrapes each backend's Admin service,
-// sees the slow node's worker occupancy and queue depth, and shrinks its
-// effective weight — so the tail, not just the mean, drops.
+// RunControlPlane measures load-aware routing on a skewed fleet: four
+// backends, one of them with 4× the per-operation service time — the
+// degraded-node regime static policies cannot see. Concurrent workers push
+// packed batches for a fixed count per policy and every batch's completion
+// time is sampled; the table reports mean and tail latency. Round-robin
+// keeps feeding the slow backend its full share, so every batch that lands
+// an entry there pays the 4× tax. Least-loaded divides in-flight entries by
+// each backend's effective weight, which shrinks with the execution time
+// the backend states on its own replies — no backend runs an Admin service.
 func RunControlPlane(reps int) (*AblationResult, error) {
 	if reps <= 0 {
 		reps = 5
@@ -40,20 +38,11 @@ func RunControlPlane(reps int) (*AblationResult, error) {
 		backends, slowWork, baseWork, m, concurrency)}
 
 	for _, row := range []struct {
-		name       string
-		policy     gateway.Policy
-		membership gateway.MembershipConfig
+		name   string
+		policy gateway.Policy
 	}{
-		{"round-robin (load-blind)", gateway.RoundRobin, gateway.MembershipConfig{}},
-		{"least-loaded (in-flight only)", gateway.LeastLoaded, gateway.MembershipConfig{}},
-		// MinFactor 0.05 tells the poller a saturated backend may fall to
-		// 5% of its nominal weight — the aggressive setting for fleets
-		// where tail latency matters more than probing the stragglers.
-		{"weighted + membership polling", gateway.Weighted, gateway.MembershipConfig{
-			Enabled:      true,
-			PollInterval: 10 * time.Millisecond,
-			MinFactor:    0.05,
-		}},
+		{"round-robin (load-blind)", gateway.RoundRobin},
+		{"least-loaded (load stated on replies)", gateway.LeastLoaded},
 	} {
 		env, err := NewGatewayEnv(GatewayOptions{
 			Backends:   backends,
@@ -61,18 +50,13 @@ func RunControlPlane(reps int) (*AblationResult, error) {
 			AppWorkers: workers,
 			WorkTimes:  []time.Duration{baseWork, baseWork, baseWork, slowWork},
 			Policy:     row.policy,
-			// Admin services run in every configuration so the comparison
-			// is policy-only; only Weighted's poller consumes them.
-			AdminService: row.membership.Enabled,
-			Membership:   row.membership,
 		})
 		if err != nil {
 			return nil, err
 		}
 
-		// An unmeasured warm-up lets pools open and, for Weighted, gives
-		// the poller enough rounds to derate the slow backend and drain
-		// the backlog that accumulated before it did.
+		// An unmeasured warm-up lets pools open and drains the backlog the
+		// slow backend took before its replies derated it.
 		samples, err := controlPlaneLoad(env, concurrency, m, payload, 30, nil)
 		if err == nil {
 			samples, err = controlPlaneLoad(env, concurrency, m, payload, batches, samples[:0])

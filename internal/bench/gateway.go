@@ -42,17 +42,11 @@ type GatewayOptions struct {
 	// WorkTimes overrides WorkTime per backend (index i for backend i),
 	// skewing the fleet — the regime the control-plane experiments probe.
 	WorkTimes []time.Duration
-	// Weights sets per-backend routing weights for the weighted policy
+	// Weights sets per-backend routing weights for the least-loaded policy
 	// (index i for backend i; missing entries default to 1).
 	Weights []int
 	// Policy selects the sharding strategy (default round-robin).
 	Policy gateway.Policy
-	// AdminService enables the Admin control-plane service on every
-	// backend server and on the gateway itself.
-	AdminService bool
-	// Membership configures the gateway's control-plane poller (zero:
-	// disabled). Requires AdminService for the polls to succeed.
-	Membership gateway.MembershipConfig
 	// MaxActivePerBackend bounds concurrent gateway→backend exchanges
 	// (zero: unbounded), the protective cap any production front tier
 	// places on its backends.
@@ -105,7 +99,6 @@ func NewGatewayEnv(opt GatewayOptions) (*GatewayEnv, error) {
 		}
 		srv, err := core.NewServer(core.ServerConfig{
 			Container: container, AppWorkers: opt.AppWorkers,
-			AdminService: opt.AdminService,
 		})
 		if err != nil {
 			return fail(err)
@@ -127,8 +120,6 @@ func NewGatewayEnv(opt GatewayOptions) (*GatewayEnv, error) {
 		Registry:            registryContainer,
 		MaxActivePerBackend: opt.MaxActivePerBackend,
 		Coalesce:            opt.Coalesce,
-		AdminService:        opt.AdminService,
-		Membership:          opt.Membership,
 	})
 	if err != nil {
 		return fail(err)

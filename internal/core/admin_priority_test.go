@@ -15,9 +15,8 @@ import (
 // operations execute on the protocol thread even in the staged
 // architecture, so a GetStats poll answers while the application stage is
 // completely wedged. Without the lane the poll would queue behind the very
-// backlog it is supposed to report, time out at the gateway, and the
-// membership manager would mark the most overloaded backend stale —
-// reverting its weight exactly when derating matters most.
+// backlog it is supposed to report, and an exporter would lose sight of the
+// most overloaded backend exactly when it matters most.
 func TestAdminBypassesAppStage(t *testing.T) {
 	gate := make(chan struct{})
 	c := registry.NewContainer()

@@ -11,8 +11,8 @@ import (
 
 // adminGoldenDocuments pins the control-plane wire format: the Admin
 // service's GetStats/SetState request and response envelopes plus its
-// Client fault, in both SOAP versions. The membership manager and
-// cmd/spiexporter parse exactly these shapes, so a byte change here is a
+// Client faults, in both SOAP versions. cmd/spiexporter and operators parse
+// exactly these shapes, so a byte change here is a
 // cross-process compatibility break and must be reviewed deliberately.
 func adminGoldenDocuments(t *testing.T) map[string][]byte {
 	t.Helper()
@@ -49,7 +49,7 @@ func adminGoldenDocuments(t *testing.T) map[string][]byte {
 		out["admin_getstats_resp"+v.tag+".xml"] = response(v.ver, admin.OpGetStats, admin.StatsFields(stats)...)
 
 		drain := true
-		setReq, err := admin.SetStateRequest(v.ver, 4, &drain)
+		setReq, err := admin.SetStateRequest(v.ver, "", 4, &drain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,13 +59,23 @@ func adminGoldenDocuments(t *testing.T) map[string][]byte {
 
 		out["admin_fault"+v.tag+".xml"] = faultDocument(
 			soap.ClientFault("SetState: weight must be a positive integer, got 0"), v.ver)
+
+		// A gateway's SetState addressing one of its backends, and the
+		// fault for a backend it does not have.
+		backendReq, err := admin.SetStateRequest(v.ver, "b1", 4, &drain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["admin_setstate_backend_req"+v.tag+".xml"] = backendReq
+		out["admin_fault_backend"+v.tag+".xml"] = faultDocument(
+			soap.ClientFault(`SetState: no backend named "b9"`), v.ver)
 	}
 	return out
 }
 
 // TestGoldenAdminParse goes one step beyond the byte pin: the pinned
 // GetStats response must parse back into the exact snapshot through the
-// production parser the membership manager and exporter use.
+// production parser the exporter uses.
 func TestGoldenAdminParse(t *testing.T) {
 	for name, doc := range adminGoldenDocuments(t) {
 		if name != "admin_getstats_resp11.xml" && name != "admin_getstats_resp12.xml" {

@@ -136,12 +136,13 @@ type ServerConfig struct {
 	DebugEndpoints bool
 
 	// AdminService deploys the cluster control-plane "Admin" service
-	// (GetStats/SetState) into the container, making this server pollable
-	// by gateway membership managers and cmd/spiexporter. Off by default:
-	// the management surface is opt-in. See docs/CONTROL_PLANE.md.
+	// (GetStats/SetState) into the container, making this server scrapable
+	// by cmd/spiexporter. Off by default: the management surface is opt-in.
+	// See docs/CONTROL_PLANE.md.
 	AdminService bool
-	// AdminWeight is the initial advertised routing weight (default 1).
-	// Operators change it at runtime through Admin.SetState.
+	// AdminWeight is the initial advertised weight (default 1). Operators
+	// change it at runtime through Admin.SetState; it informs exporters, and
+	// gateways route by their own per-backend weights.
 	AdminWeight int
 }
 
@@ -210,7 +211,17 @@ type Server struct {
 	// first execution of an operation publishes a new map. The container
 	// never drops an operation, so the map is bounded by what is deployed.
 	opStats atomic.Pointer[opRecorders]
+	// svcNs is the execution-time EWMA over every operation, in
+	// nanoseconds, that replies state in SPI-Load; 0 before the first.
+	svcNs atomic.Int64
 }
+
+// HeaderLoad is the header in which a gateway asks a backend for its load
+// and the backend states it: a reply to a request that carried it states the
+// server's execution-time EWMA in whole microseconds, rounded up, so any
+// sample is at least 1. A server that has executed nothing leaves it out.
+// Clients never send it, so it never reaches them.
+const HeaderLoad = "SPI-Load"
 
 type opRecorders map[*registry.Operation]*metrics.Recorder
 
@@ -377,8 +388,16 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// recordOp accumulates one operation execution time.
+// recordOp accumulates one operation execution time, and folds it into the
+// execution-time EWMA with weight 1/8. The load and store are not one atomic
+// step, so two executions finishing together may keep only one of their
+// samples — a smoothed figure loses nothing it needs by that.
 func (s *Server) recordOp(op *registry.Operation, d time.Duration) {
+	ns := max(int64(d), 1)
+	if old := s.svcNs.Load(); old > 0 {
+		ns = old + (ns-old)/8
+	}
+	s.svcNs.Store(ns)
 	for {
 		cur := s.opStats.Load()
 		if r := (*cur)[op]; r != nil {
@@ -492,6 +511,9 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	}
 	if fault != nil {
 		return s.faultResponse(fault, env.Version)
+	}
+	if ns := s.svcNs.Load(); ns > 0 && req.Header.Has(HeaderLoad) {
+		resp.Header.Set(HeaderLoad, strconv.FormatInt((ns+999)/1000, 10))
 	}
 	s.phaseEncode.Record(times.encode)
 	s.encodeIO.Observe(len(resp.Body), times.encode)

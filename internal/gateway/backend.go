@@ -23,11 +23,13 @@ package gateway
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/admin"
+	"repro/internal/core"
 	"repro/internal/httpx"
 	"repro/internal/metrics"
 )
@@ -42,32 +44,40 @@ type BackendConfig struct {
 	// DialCtx is the context-aware dialer; preferred over Dial so
 	// deadline propagation covers connection establishment.
 	DialCtx httpx.DialerCtx
-	// Weight is the backend's routing weight under the Weighted policy
-	// (default 1): a backend with weight 4 receives roughly four times the
-	// entries of a weight-1 peer at equal load. It is also the fallback
-	// effective weight while admin stats are missing or stale; once the
-	// membership manager polls the backend, the weight the backend itself
-	// advertises (Admin.SetState) takes precedence.
+	// Weight is the backend's routing weight under LeastLoaded (default 1):
+	// a backend with weight 4 receives roughly four times the entries of an
+	// equally fast weight-1 peer at equal load. The gateway's Admin SetState
+	// changes it at runtime.
 	Weight int
 }
 
-// effWeightScale is the fixed-point scale of backend.effWeight: effective
-// weights carry three decimal places so the load-factor modulation keeps
-// resolution without floating point on the assignment hot path.
+// effWeightScale is the fixed-point scale of an effective weight: it carries
+// three decimal places so the speed factor keeps resolution without floating
+// point in the assignment loop.
 const effWeightScale = 1000
 
+// maxWeight bounds a backend's weight, so that load × weight × effWeightScale
+// stays far inside int64 in the assignment loop.
+const maxWeight = 1 << 20
+
+// minSpeedDiv floors a backend's speed factor at 1/minSpeedDiv: a backend ten
+// or more times slower than the fleet's fastest keeps a tenth of its weight,
+// so real traffic still samples it and it recovers without operator action.
+const minSpeedDiv = 10
+
 // backend is one pool member: a keep-alive connection pool plus the
-// passive-ejection circuit, the control-plane routing state, and counters.
+// passive-ejection circuit, the routing state, and counters.
 type backend struct {
 	index  int // unique for the gateway's lifetime, never reused
 	name   string
 	client *httpx.Client
-	weight int64 // configured baseline (>= 1), immutable
 
-	// effWeight is the live effective weight in effWeightScale fixed-point,
-	// maintained by the membership manager (configured weight × load
-	// factor). Zero means "never set": fall back to the configured weight.
-	effWeight atomic.Int64
+	// weight is the routing weight, in [1, maxWeight]: configured, then set
+	// through the gateway's Admin SetState.
+	weight atomic.Int64
+	// svcUs is the execution-time EWMA, in microseconds, the backend stated
+	// in SPI-Load on its last sub-batch reply; 0 until it states one.
+	svcUs atomic.Int64
 	// draining stops new shard assignment while in-flight work finishes.
 	draining atomic.Bool
 
@@ -79,29 +89,57 @@ type backend struct {
 	// sub-batch happens to finish first.
 	entriesInflight metrics.Gauge
 	exchanges       metrics.Counter // sub-batch exchanges attempted
-	failures  metrics.Counter // exchanges that errored
-	ejections metrics.Counter // circuit openings
-	failovers metrics.Counter // sub-batches moved away after failing here
+	failures        metrics.Counter // exchanges that errored
+	ejections       metrics.Counter // circuit openings
+	failovers       metrics.Counter // sub-batches moved away after failing here
 
 	mu           sync.Mutex
 	consecFails  int
 	ejectedUntil time.Time
-
-	// Last admin poll, guarded separately from the circuit lock.
-	statsMu     sync.Mutex
-	lastStats   admin.Stats
-	statsAt     time.Time
-	ewmaFactor  float64 // smoothed load factor
-	advertDrain bool    // drain state the backend last advertised
 }
 
-// effectiveWeight returns the current fixed-point effective weight, falling
-// back to the configured weight when the membership manager has not set one.
-func (b *backend) effectiveWeight() int64 {
-	if w := b.effWeight.Load(); w > 0 {
+// fastestSample is the smallest execution time any of bs has stated, 0 when
+// none has stated one.
+func fastestSample(bs []*backend) int64 {
+	var fastest int64
+	for _, b := range bs {
+		if s := b.svcUs.Load(); s > 0 && (fastest == 0 || s < fastest) {
+			fastest = s
+		}
+	}
+	return fastest
+}
+
+// effectiveWeight is the backend's weight × its speed relative to the
+// fleet's fastest sample, fastest/own, in effWeightScale fixed point and
+// floored at 1/minSpeedDiv of the weight. A backend with no sample, or a
+// fleet with none (fastest 0), keeps speed 1 — so an old build that never
+// states its load routes exactly as before.
+func (b *backend) effectiveWeight(fastest int64) int64 {
+	w := b.weight.Load() * effWeightScale
+	own := b.svcUs.Load()
+	if fastest <= 0 || own <= fastest {
 		return w
 	}
-	return b.weight * effWeightScale
+	return max(int64(float64(w)*float64(fastest)/float64(own)), w/minSpeedDiv)
+}
+
+// noteLoad adopts the execution time a sub-batch reply states in its
+// SPI-Load header. The header is input from another process, so anything
+// but one positive base-10 integer is ignored and the previous sample stays.
+func (b *backend) noteLoad(h *httpx.Header) {
+	n, v := 0, ""
+	h.Each(func(name, value string) {
+		if strings.EqualFold(name, core.HeaderLoad) {
+			n, v = n+1, value
+		}
+	})
+	if n != 1 {
+		return
+	}
+	if us, err := strconv.ParseInt(v, 10, 64); err == nil && us > 0 {
+		b.svcUs.Store(us)
+	}
 }
 
 // available reports whether the backend may be handed work: the circuit is
@@ -175,13 +213,13 @@ type BackendStats struct {
 	Idle     int   // pooled keep-alive connections
 	HTTPBusy int   // exchanges inside the HTTP client right now
 
-	// Weight is the configured baseline; EffWeight the live effective
-	// weight the Weighted policy routes by (equal to Weight until the
-	// membership manager modulates it). StatsAgeMs is the age of the last
-	// successful admin poll in milliseconds, -1 when never polled.
-	Weight     int64
-	EffWeight  float64
-	StatsAgeMs int64
+	// Weight is the routing weight; EffWeight the effective weight
+	// LeastLoaded routes by, Weight × speed relative to the fleet's fastest;
+	// SvcUs the execution time the backend last stated in SPI-Load, in
+	// microseconds (0: none yet).
+	Weight    int64
+	EffWeight float64
+	SvcUs     int64
 
 	Exchanges int64
 	Failures  int64
@@ -189,28 +227,24 @@ type BackendStats struct {
 	Failovers int64
 }
 
-func (b *backend) stats(now time.Time) BackendStats {
+// stats snapshots the backend; fastest is the fleet's fastest sample, as
+// assign sees it.
+func (b *backend) stats(now time.Time, fastest int64) BackendStats {
 	ps := b.client.PoolStats()
-	b.statsMu.Lock()
-	statsAge := int64(-1)
-	if !b.statsAt.IsZero() {
-		statsAge = now.Sub(b.statsAt).Milliseconds()
-	}
-	b.statsMu.Unlock()
 	return BackendStats{
-		Name:       b.name,
-		Ejected:    b.ejectedNow(now),
-		Draining:   b.draining.Load(),
-		InFlight:   b.inflight.Load(),
-		Entries:    b.entriesInflight.Load(),
-		Idle:       ps.Idle,
-		HTTPBusy:   ps.InFlight,
-		Weight:     b.weight,
-		EffWeight:  float64(b.effectiveWeight()) / effWeightScale,
-		StatsAgeMs: statsAge,
-		Exchanges:  b.exchanges.Load(),
-		Failures:   b.failures.Load(),
-		Ejections:  b.ejections.Load(),
-		Failovers:  b.failovers.Load(),
+		Name:      b.name,
+		Ejected:   b.ejectedNow(now),
+		Draining:  b.draining.Load(),
+		InFlight:  b.inflight.Load(),
+		Entries:   b.entriesInflight.Load(),
+		Idle:      ps.Idle,
+		HTTPBusy:  ps.InFlight,
+		Weight:    b.weight.Load(),
+		EffWeight: float64(b.effectiveWeight(fastest)) / effWeightScale,
+		SvcUs:     b.svcUs.Load(),
+		Exchanges: b.exchanges.Load(),
+		Failures:  b.failures.Load(),
+		Ejections: b.ejections.Load(),
+		Failovers: b.failovers.Load(),
 	}
 }

@@ -1,7 +1,11 @@
 package gateway
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,20 +21,23 @@ import (
 )
 
 // The control-plane tier pins the cluster-level guarantees: the gateway's
-// self-hosted Admin service, the membership poller driving the Weighted
-// policy, graceful drain under live load (zero lost or duplicated
-// entries), and dynamic add/remove. Backends here run with
-// AdminService enabled so the poller has something real to scrape.
+// self-hosted Admin service and its per-backend SetState, LeastLoaded
+// converging on the load that replies state, graceful drain under live load
+// (zero lost or duplicated entries), and dynamic add/remove.
 
-// adminFarm is a farm whose backends self-host the Admin service and count
-// every echo they serve, with an optional per-backend service time so
-// fleets can be skewed.
+// adminFarm is a farm whose backends count every echo they serve, and run
+// an optional per-backend hook inside each echo so fleets can be skewed.
 type adminFarm struct {
 	*farm
 	served []*atomic.Int64 // echo invocations per backend, by config order
 }
 
-func newAdminFarm(tb testing.TB, k int, work []time.Duration, mutate func(*Config)) *adminFarm {
+// newAdminFarm is a counting farm whose backends self-host the Admin service.
+func newAdminFarm(tb testing.TB, k int, work []func(), mutate func(*Config)) *adminFarm {
+	return newCountingFarm(tb, k, true, work, mutate)
+}
+
+func newCountingFarm(tb testing.TB, k int, adminService bool, work []func(), mutate func(*Config)) *adminFarm {
 	tb.Helper()
 	af := &adminFarm{farm: &farm{}, served: make([]*atomic.Int64, k)}
 	var backends []BackendConfig
@@ -42,22 +49,22 @@ func newAdminFarm(tb testing.TB, k int, work []time.Duration, mutate func(*Confi
 		}
 		count := &atomic.Int64{}
 		af.served[i] = count
-		var delay time.Duration
+		var hook func()
 		if work != nil {
-			delay = work[i]
+			hook = work[i]
 		}
 		c := registry.NewContainer()
 		echo := c.MustAddService("Echo", "urn:spi:Echo", "counting echo")
 		echo.MustRegister("echo", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
 			count.Add(1)
-			if delay > 0 {
-				time.Sleep(delay)
+			if hook != nil {
+				hook()
 			}
 			return params, nil
 		}, "identity with per-backend service time")
 		echo.MarkIdempotent("echo")
 		srv, err := core.NewServer(core.ServerConfig{
-			Container: c, AppWorkers: 8, AppQueue: 64, AdminService: true,
+			Container: c, AppWorkers: 8, AppQueue: 64, AdminService: adminService,
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -127,9 +134,9 @@ func adminGetStats(tb testing.TB, c *httpx.Client, target string) admin.Stats {
 }
 
 // adminSetState runs one SetState exchange and fails the test on a fault.
-func adminSetState(tb testing.TB, c *httpx.Client, target string, weight int64, drain *bool) {
+func adminSetState(tb testing.TB, c *httpx.Client, target, backend string, weight int64, drain *bool) {
 	tb.Helper()
-	doc, err := admin.SetStateRequest(soap.V11, weight, drain)
+	doc, err := admin.SetStateRequest(soap.V11, backend, weight, drain)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -162,7 +169,7 @@ func TestGatewayAdminService(t *testing.T) {
 	}
 
 	// SetState changes the advertised weight and drain flag.
-	adminSetState(t, c, "/services/Admin", 5, boolPtr(true))
+	adminSetState(t, c, "/services/Admin", "", 5, boolPtr(true))
 	st = adminGetStats(t, c, "/services/Admin")
 	if st.Weight != 5 || !st.Draining {
 		t.Errorf("after SetState: Weight/Draining = %d/%v, want 5/true", st.Weight, st.Draining)
@@ -198,97 +205,146 @@ func TestGatewayWithoutAdminServiceProxiesAdminTarget(t *testing.T) {
 	}
 }
 
-func TestMembershipPollUpdatesRouting(t *testing.T) {
-	f := newAdminFarm(t, 2, nil, func(cfg *Config) {
-		cfg.Policy = Weighted
-		cfg.Membership = MembershipConfig{
-			Enabled:      true,
-			PollInterval: 20 * time.Millisecond,
-			StaleAfter:   10 * time.Second, // no staleness in this test
-		}
+// TestGatewayAdminSetStateBackend: the gateway's Admin SetState with a
+// backend parameter sets that backend's weight and drains and resumes it,
+// with no poll in between; an unknown backend is the pinned Client fault.
+func TestGatewayAdminSetStateBackend(t *testing.T) {
+	f := newCountingFarm(t, 2, false, nil, func(cfg *Config) {
+		cfg.Policy = LeastLoaded
+		cfg.AdminService = true
 	})
+	c := f.raw()
+	defer c.Close()
 
-	// The poller reaches both backends.
-	waitFor(t, 5*time.Second, "first admin poll of every backend", func() bool {
-		for _, bs := range f.gw.Stats().Backends {
-			if bs.StatsAgeMs < 0 {
-				return false
-			}
-		}
-		return true
-	})
-	for _, bs := range f.gw.Stats().Backends {
-		if bs.EffWeight < 0.5 || bs.EffWeight > 1.0 {
-			t.Errorf("%s: idle EffWeight = %v, want ~1.0", bs.Name, bs.EffWeight)
-		}
+	adminSetState(t, c, "/services/Admin", "b0", 5, nil)
+	if bs := f.gw.Stats().Backends[0]; bs.Weight != 5 || bs.EffWeight != 5 {
+		t.Errorf("b0 Weight/EffWeight = %d/%v after SetState, want 5/5", bs.Weight, bs.EffWeight)
 	}
-
-	// Raising b0's advertised weight via its own Admin service propagates
-	// into the gateway's effective weight within a few polls.
-	b0 := &httpx.Client{Dial: f.links[0].Dial, KeepAlive: true, Timeout: 5 * time.Second}
-	defer b0.Close()
-	adminSetState(t, b0, "/services/Admin", 5, nil)
-	waitFor(t, 5*time.Second, "b0 effective weight to follow advertised weight 5", func() bool {
-		return f.gw.Stats().Backends[0].EffWeight >= 4.0
-	})
-
-	// An advertised drain is applied edge-triggered: b0 leaves assignment...
-	adminSetState(t, b0, "/services/Admin", 0, boolPtr(true))
-	waitFor(t, 5*time.Second, "b0 to be marked draining", func() bool {
-		return f.gw.Stats().Backends[0].Draining
-	})
-	before := f.served[0].Load()
-	cli := f.client(t, nil)
-	b := cli.NewBatch()
-	var calls []*core.Call
-	for i := 0; i < 12; i++ {
-		calls = append(calls, b.Add("Echo", "echo", soapenc.F("i", int64(i))))
+	if st := adminGetStats(t, c, "/services/Admin"); st.Weight != 1 || st.Draining {
+		t.Errorf("gateway's own Weight/Draining = %d/%v, want 1/false: the backend parameter must leave them", st.Weight, st.Draining)
 	}
-	if err := b.Send(); err != nil {
+	// A weight past maxWeight would overflow the assignment loop's
+	// cross-multiplication: it faults and leaves the weight alone.
+	huge, err := admin.SetStateRequest(soap.V11, "b0", maxWeight+1, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, call := range calls {
-		if _, err := call.Wait(); err != nil {
-			t.Fatalf("call %d during drain: %v", i, err)
+	if _, err := admin.ParseStatsResponse(postEnvelope(t, c, "/services/Admin", huge)); !strings.Contains(fmt.Sprint(err), "exceeds") {
+		t.Errorf("SetState weight %d answered %v, want a fault", maxWeight+1, err)
+	}
+	if w := f.gw.Stats().Backends[0].Weight; w != 5 {
+		t.Errorf("b0 Weight = %d after the rejected SetState, want 5", w)
+	}
+
+	// A drain takes b0 out of assignment at once...
+	adminSetState(t, c, "/services/Admin", "b0", 0, boolPtr(true))
+	if !f.gw.Stats().Backends[0].Draining {
+		t.Fatal("b0 not draining after SetState drain=true")
+	}
+	send := func() {
+		t.Helper()
+		b := f.client(t, nil).NewBatch()
+		var calls []*core.Call
+		for i := 0; i < 12; i++ {
+			calls = append(calls, b.Add("Echo", "echo", soapenc.F("i", int64(i))))
+		}
+		if err := b.Send(); err != nil {
+			t.Fatal(err)
+		}
+		for i, call := range calls {
+			if _, err := call.Wait(); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
 		}
 	}
+	before := f.served[0].Load()
+	send()
 	if got := f.served[0].Load(); got != before {
 		t.Errorf("draining backend served %d new entries, want 0", got-before)
 	}
 
-	// ...and an advertised resume brings it back.
-	adminSetState(t, b0, "/services/Admin", 0, boolPtr(false))
-	waitFor(t, 5*time.Second, "b0 to resume", func() bool {
-		return !f.gw.Stats().Backends[0].Draining
-	})
+	// ...and a resume brings it back.
+	adminSetState(t, c, "/services/Admin", "b0", 0, boolPtr(false))
+	if f.gw.Stats().Backends[0].Draining {
+		t.Fatal("b0 still draining after SetState drain=false")
+	}
+	send()
+	if f.served[0].Load() == before {
+		t.Error("resumed backend served no entries")
+	}
+
+	// The pinned documents: a SetState naming a backend, and the fault for
+	// one the gateway does not have.
+	for _, v := range []struct {
+		tag string
+		ver soap.Version
+	}{{"11", soap.V11}, {"12", soap.V12}} {
+		golden := func(name string) []byte {
+			b, err := os.ReadFile(filepath.Join("..", "core", "testdata", name+v.tag+".xml"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		resp, err := c.Post("/services/Admin", v.ver.ContentType(), golden("admin_setstate_backend_req"), "SOAPAction", `""`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 {
+			t.Errorf("SOAP %s: SetState backend=b1 answered %d: %s", v.tag, resp.StatusCode, resp.Body)
+		}
+		resp.Release()
+		if bs := f.gw.Stats().Backends[1]; bs.Weight != 4 || !bs.Draining {
+			t.Errorf("SOAP %s: b1 Weight/Draining = %d/%v, want 4/true", v.tag, bs.Weight, bs.Draining)
+		}
+		f.gw.ResumeBackend("b1")
+
+		doc, err := admin.SetStateRequest(v.ver, "b9", 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err = c.Post("/services/Admin", v.ver.ContentType(), doc, "SOAPAction", `""`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := golden("admin_fault_backend"); resp.StatusCode != 500 || !bytes.Equal(resp.Body, want) {
+			t.Errorf("SOAP %s: unknown backend answered %d\n got: %s\nwant: %s", v.tag, resp.StatusCode, resp.Body, want)
+		}
+		resp.Release()
+	}
 }
 
-func TestWeightedConvergenceSkewedFleet(t *testing.T) {
-	// A 4-backend fleet with one backend at a much higher service time: the
-	// membership poller must observe the slow backend's occupancy and shrink
-	// its effective weight, so it receives well under its fair share.
-	duration := 1200 * time.Millisecond
+// TestLoadConvergenceOnReplies: a backend that turns slow is derated by the
+// execution time its own sub-batch replies state, with no Admin service and
+// no poller anywhere. Four backends run a counting echo; mid-run a channel
+// gate switches backend 3 from no work to 4 ms per operation. Within 32
+// sub-batch replies after the switch its effective weight is under 0.5, and
+// from then on it serves under 3/4 of its fair share of entries.
+func TestLoadConvergenceOnReplies(t *testing.T) {
+	const slow = 3
+	rest := int64(8000)
 	if testing.Short() {
-		duration = 500 * time.Millisecond
+		rest = 2000
 	}
-	slow := 3
-	f := newAdminFarm(t, 4, []time.Duration{0, 0, 0, 4 * time.Millisecond}, func(cfg *Config) {
-		cfg.Policy = Weighted
-		cfg.Membership = MembershipConfig{
-			Enabled:      true,
-			PollInterval: 15 * time.Millisecond,
-			StaleAfter:   10 * time.Second,
+	gate := make(chan struct{})
+	work := make([]func(), 4)
+	work[slow] = func() {
+		select {
+		case <-gate:
+			time.Sleep(4 * time.Millisecond)
+		default:
 		}
-	})
+	}
+	f := newCountingFarm(t, 4, false, work, func(cfg *Config) { cfg.Policy = LeastLoaded })
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 12; w++ {
+		cli := f.client(t, nil)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cli := f.client(t, nil)
 			for iter := 0; ; iter++ {
 				select {
 				case <-stop:
@@ -318,42 +374,53 @@ func TestWeightedConvergenceSkewedFleet(t *testing.T) {
 			}
 		}(w)
 	}
-	time.Sleep(duration)
-	during := f.gw.Stats() // snapshot while the fleet is loaded
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("load error: %v", err)
+	defer func() {
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("load error: %v", err)
+		}
+	}()
+	counts := func() (c [4]int64, total int64) {
+		for i, n := range f.served {
+			c[i] = n.Load()
+			total += c[i]
+		}
+		return c, total
 	}
 
-	var total int64
-	counts := make([]int64, 4)
-	for i, c := range f.served {
-		counts[i] = c.Load()
-		total += counts[i]
+	// Switch once every backend has served (and so stated) some work.
+	waitFor(t, 10*time.Second, "every backend to serve entries", func() bool {
+		c, _ := counts()
+		return min(c[0], c[1], c[2], c[3]) >= 64
+	})
+	at := f.gw.Stats().Backends[slow]
+	close(gate)
+
+	// A reply after the switch answers a sub-batch in flight at the switch or
+	// one sent since: their sum bounds the replies it took.
+	var derated BackendStats
+	waitFor(t, 10*time.Second, "the slow backend's effective weight to drop below 0.5", func() bool {
+		derated = f.gw.Stats().Backends[slow]
+		return derated.EffWeight < 0.5
+	})
+	if replies := at.InFlight + derated.Exchanges - at.Exchanges; replies > 32 {
+		t.Errorf("EffWeight %v < 0.5 only after up to %d sub-batch replies, want <= 32", derated.EffWeight, replies)
 	}
-	t.Logf("entries served per backend: %v (total %d); effective weights under load: %v %v %v %v",
-		counts, total,
-		during.Backends[0].EffWeight, during.Backends[1].EffWeight,
-		during.Backends[2].EffWeight, during.Backends[3].EffWeight)
-	if total == 0 {
-		t.Fatal("no entries served")
-	}
-	// The slow backend's effective weight must have dropped below its
-	// configured weight 1 while loaded.
-	if ew := during.Backends[slow].EffWeight; ew >= 0.95 {
-		t.Errorf("slow backend EffWeight = %v under load, want < 0.95", ew)
-	}
-	// And it must receive materially less than its fair 1/4 share.
-	fair := total / 4
-	if counts[slow] >= fair*3/4 {
-		t.Errorf("slow backend served %d entries, want < 3/4 of fair share %d", counts[slow], fair)
-	}
-	for i := 0; i < 4; i++ {
-		if i != slow && counts[i] <= counts[slow] {
-			t.Errorf("fast backend %d served %d entries, slow served %d — want strictly more", i, counts[i], counts[slow])
-		}
+
+	base, baseTotal := counts()
+	waitFor(t, 30*time.Second, "the rest of the run", func() bool {
+		_, total := counts()
+		return total-baseTotal >= rest
+	})
+	end, endTotal := counts()
+	served := end[slow] - base[slow]
+	fair := (endTotal - baseTotal) / 4
+	t.Logf("after the switch: slow backend derated to %v, then served %d of %d entries (fair share %d)",
+		derated.EffWeight, served, endTotal-baseTotal, fair)
+	if served >= fair*3/4 {
+		t.Errorf("slow backend served %d entries, want < 3/4 of its fair share %d", served, fair)
 	}
 }
 
@@ -440,7 +507,7 @@ func TestDrainUnderLoadNoLossNoDup(t *testing.T) {
 	if testing.Short() {
 		cycles = 1
 	}
-	f := newAdminFarm(t, 3, nil, func(cfg *Config) { cfg.Policy = Weighted })
+	f := newAdminFarm(t, 3, nil, func(cfg *Config) { cfg.Policy = LeastLoaded })
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -538,7 +605,7 @@ func TestDrainUnderLoadNoLossNoDup(t *testing.T) {
 }
 
 func TestMembershipAddRemoveUnderLoad(t *testing.T) {
-	f := newAdminFarm(t, 2, nil, func(cfg *Config) { cfg.Policy = Weighted })
+	f := newAdminFarm(t, 2, nil, func(cfg *Config) { cfg.Policy = LeastLoaded })
 
 	// A third admin-enabled backend stood up out of band.
 	link := netsim.NewLink(netsim.Fast())

@@ -104,16 +104,11 @@ type Config struct {
 	// counters.
 	DebugEndpoints bool
 
-	// Membership enables the control-plane poller: backend Admin services
-	// are polled on a jittered interval and the results feed the Weighted
-	// policy's effective weights and the backends' advertised drain state.
-	// See MembershipConfig and docs/CONTROL_PLANE.md.
-	Membership MembershipConfig
-
 	// AdminService self-hosts the gateway's own Admin SOAP service
 	// (GetStats/SetState) at PathPrefix+"Admin", served by the gateway
 	// itself rather than proxied to a backend — so fleets of gateways are
-	// pollable by exporters and upstream gateways exactly like servers.
+	// scrapable by exporters exactly like servers, and SetState with a
+	// backend parameter sets that backend's weight and drain state.
 	AdminService bool
 	// AdminWeight is the gateway's initial advertised weight (default 1).
 	AdminWeight int
@@ -156,12 +151,10 @@ type Gateway struct {
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
 
-	memberStop chan struct{} // closed by stop(); nil until membership starts
-	memberWG   sync.WaitGroup
-	stopCh     chan struct{} // closed by stop(); bounds drain waiters
-	stopOnce   sync.Once
-	drainWG    sync.WaitGroup
-	drained    metrics.Counter // backends fully drained (in-flight hit zero)
+	stopCh   chan struct{} // closed by stop(); bounds drain waiters
+	stopOnce sync.Once
+	drainWG  sync.WaitGroup
+	drained  metrics.Counter // backends fully drained (in-flight hit zero)
 }
 
 // New validates the configuration and builds the gateway with one
@@ -185,7 +178,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Retry == nil {
 		cfg.Retry = core.DefaultRetryPolicy()
 	}
-	cfg.Membership = cfg.Membership.withDefaults()
 	g := &Gateway{cfg: cfg, stopCh: make(chan struct{})}
 	for i, bc := range cfg.Backends {
 		if _, err := g.newBackend(bc); err != nil {
@@ -224,11 +216,6 @@ func New(cfg Config) (*Gateway, error) {
 		g.probeWG.Add(1)
 		go g.probeLoop()
 	}
-	if cfg.Membership.Enabled {
-		g.memberStop = make(chan struct{})
-		g.memberWG.Add(1)
-		go g.membershipLoop()
-	}
 	return g, nil
 }
 
@@ -237,10 +224,6 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) newBackend(bc BackendConfig) (*backend, error) {
 	if bc.Dial == nil && bc.DialCtx == nil {
 		return nil, fmt.Errorf("no dialer")
-	}
-	weight := int64(bc.Weight)
-	if weight < 1 {
-		weight = 1
 	}
 	g.bmu.Lock()
 	defer g.bmu.Unlock()
@@ -256,9 +239,8 @@ func (g *Gateway) newBackend(bc BackendConfig) (*backend, error) {
 		}
 	}
 	b := &backend{
-		index:  index,
-		name:   name,
-		weight: weight,
+		index: index,
+		name:  name,
 		client: &httpx.Client{
 			Dial:         bc.Dial,
 			DialCtx:      bc.DialCtx,
@@ -271,6 +253,7 @@ func (g *Gateway) newBackend(bc BackendConfig) (*backend, error) {
 			MaxPerConn:   g.cfg.PipelineBackends,
 		},
 	}
+	b.weight.Store(int64(min(max(bc.Weight, 1), maxWeight)))
 	g.backends = append(g.backends, b)
 	return b, nil
 }
@@ -320,11 +303,6 @@ func (g *Gateway) Shutdown(timeout time.Duration) error {
 
 func (g *Gateway) stop() {
 	g.stopOnce.Do(func() { close(g.stopCh) })
-	if g.memberStop != nil {
-		close(g.memberStop)
-		g.memberWG.Wait()
-		g.memberStop = nil
-	}
 	if g.probeStop != nil {
 		close(g.probeStop)
 		g.probeWG.Wait()
@@ -381,9 +359,9 @@ func (b *backend) consecutiveFails() int {
 type Stats struct {
 	Policy string
 
-	Envelopes  int64
-	Packed     int64
-	Proxied    int64
+	Envelopes int64
+	Packed    int64
+	Proxied   int64
 	// Passthrough counts the subset of Proxied that took the zero-copy
 	// splice path (no envelope parse at the gateway).
 	Passthrough int64
@@ -444,8 +422,10 @@ func (g *Gateway) Stats() Stats {
 			st.CoalesceSizes[batchSizeBuckets[i]] = n
 		}
 	}
-	for _, b := range g.snapshot() {
-		st.Backends = append(st.Backends, b.stats(now))
+	backends := g.snapshot()
+	fastest := fastestSample(routableCandidates(backends, now))
+	for _, b := range backends {
+		st.Backends = append(st.Backends, b.stats(now, fastest))
 	}
 	return st
 }

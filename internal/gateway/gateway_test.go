@@ -449,11 +449,10 @@ func TestPolicyAssignment(t *testing.T) {
 	})
 
 	t.Run("weighted-skew", func(t *testing.T) {
-		f := newFarm(t, 2, func(cfg *Config) { cfg.Policy = Weighted })
-		// Backend 0 carries 3× the effective weight of backend 1: at equal
-		// load it must absorb three quarters of the entries.
-		f.gw.backends[0].effWeight.Store(3 * effWeightScale)
-		f.gw.backends[1].effWeight.Store(1 * effWeightScale)
+		f := newFarm(t, 2, func(cfg *Config) { cfg.Policy = LeastLoaded })
+		// Backend 0 carries 3× the weight of backend 1: at equal load and
+		// speed it must absorb three quarters of the entries.
+		f.gw.backends[0].weight.Store(3)
 		shards := byIndex(f.gw.assign(entries("a", "b", "c", "d", "e", "f", "g", "h")))
 		if len(shards[0]) != 6 || len(shards[1]) != 2 {
 			t.Errorf("weighted spread %d/%d, want 6/2", len(shards[0]), len(shards[1]))
@@ -489,7 +488,7 @@ func TestPolicyAssignment(t *testing.T) {
 func TestParsePolicy(t *testing.T) {
 	cases := map[string]Policy{
 		"round-robin": RoundRobin, "least-loaded": LeastLoaded,
-		"op-affinity": OpAffinity, "weighted": Weighted,
+		"op-affinity": OpAffinity, "weighted": LeastLoaded,
 		"bogus": RoundRobin, "": RoundRobin,
 	}
 	for s, want := range cases {

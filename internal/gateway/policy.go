@@ -16,20 +16,18 @@ const (
 	// the default; maximizes parallelism for uniform work.
 	RoundRobin Policy = iota
 	// LeastLoaded assigns each entry to the backend with the fewest
-	// packed entries in flight (counting this request's own assignments),
-	// so slow backends accumulate less work.
+	// packed entries in flight per unit of effective weight (counting this
+	// request's own assignments). The effective weight is the backend's
+	// weight times its speed relative to the fleet's fastest, taken from
+	// the execution time each backend states on its sub-batch replies
+	// (SPI-Load), so a slow backend accumulates less work. With equal
+	// weights and no samples it compares in-flight entries alone. See
+	// docs/CONTROL_PLANE.md.
 	LeastLoaded
 	// OpAffinity hashes (service, operation) onto the backend list, so
 	// the same operation always lands on the same healthy backend —
 	// keeps per-operation caches warm on a heterogeneous farm.
 	OpAffinity
-	// Weighted assigns each entry to the backend with the lowest
-	// load-per-effective-weight, where the effective weight is the
-	// configured (or backend-advertised) weight modulated by the
-	// membership manager's view of real load — worker occupancy and queue
-	// depth from the Admin service. With all weights equal it degrades
-	// exactly to LeastLoaded. See docs/CONTROL_PLANE.md.
-	Weighted
 )
 
 // String names the policy for flags and stats.
@@ -39,23 +37,20 @@ func (p Policy) String() string {
 		return "least-loaded"
 	case OpAffinity:
 		return "op-affinity"
-	case Weighted:
-		return "weighted"
 	default:
 		return "round-robin"
 	}
 }
 
 // ParsePolicy maps a flag value to a Policy; unknown values fall back to
-// round-robin.
+// round-robin. "weighted", the name of the policy LeastLoaded absorbed, still
+// parses, to LeastLoaded.
 func ParsePolicy(s string) Policy {
 	switch s {
-	case "least-loaded":
+	case "least-loaded", "weighted":
 		return LeastLoaded
 	case "op-affinity":
 		return OpAffinity
-	case "weighted":
-		return Weighted
 	default:
 		return RoundRobin
 	}
@@ -110,7 +105,7 @@ func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
 		sh.entries = append(sh.entries, e)
 	}
 	switch g.cfg.Policy {
-	case LeastLoaded, Weighted:
+	case LeastLoaded:
 		// Snapshot in-flight ENTRY counts once and add this batch's own
 		// assignments on top, so one request doesn't dog-pile the backend
 		// that merely happened to be idle at the first entry. Entries, not
@@ -118,19 +113,16 @@ func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
 		// each but very different amounts of outstanding work.
 		//
 		// Lowest load-per-effective-weight wins, scanning first-min:
-		// compare (load+1)/effWeight by cross-multiplication, keeping the
+		// compare (load+1)/eff by cross-multiplication, keeping the
 		// assignment loop in exact integer arithmetic. The +1 counts the
-		// entry being placed. LeastLoaded is the same loop with every
-		// effective weight 1, where the comparison reduces to load[i] <
-		// load[min] (pinned by TestDifferentialWeighted).
+		// entry being placed. With every effective weight equal the
+		// comparison reduces to load[i] < load[min] (TestAssignTable).
+		fastest := fastestSample(candidates)
 		load := make([]int64, len(candidates))
 		eff := make([]int64, len(candidates))
 		for i, b := range candidates {
 			load[i] = b.entriesInflight.Load()
-			eff[i] = 1
-			if g.cfg.Policy == Weighted {
-				eff[i] = b.effectiveWeight()
-			}
+			eff[i] = b.effectiveWeight(fastest)
 		}
 		for _, e := range entries {
 			if e.Fault != nil {
@@ -154,7 +146,9 @@ func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
 			h.Write([]byte(e.Service))
 			h.Write([]byte{'.'})
 			h.Write([]byte(e.Op))
-			place(e, candidates[int(h.Sum32())%len(candidates)])
+			// Reduce in uint32: int(h.Sum32()) is negative for half of all
+			// hashes where int is 32 bits wide.
+			place(e, candidates[h.Sum32()%uint32(len(candidates))])
 		}
 	default: // RoundRobin
 		for _, e := range entries {

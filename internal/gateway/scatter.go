@@ -352,6 +352,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // the exchange's call chain within a new goroutine's first stack.
 func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.ScatterEntry, resp *httpx.Response, col resultSink, release func()) error {
 	reply, err := sr.SplitResponse(resp.Body)
+	if g.cfg.Policy == LeastLoaded {
+		b.noteLoad(&resp.Header)
+	}
 	resp.Release()
 	if err != nil {
 		return err
@@ -407,6 +410,11 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 	}
 	if id := trace.FromContext(ctx); id != 0 {
 		extra = append(extra, core.HeaderTrace, strconv.FormatUint(id, 10))
+	}
+	// LeastLoaded routes on the execution time each backend states on its
+	// replies; no other policy asks for it.
+	if g.cfg.Policy == LeastLoaded {
+		extra = append(extra, core.HeaderLoad, "1")
 	}
 	resp, err := b.client.PostCtx(ctx, g.packTarget(), v.ContentType(), doc, extra...)
 	if err != nil {

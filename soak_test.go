@@ -200,12 +200,8 @@ func TestSoakMembershipChurn(t *testing.T) {
 
 	gw, err := gateway.New(gateway.Config{
 		Backends: backends,
-		Policy:   gateway.Weighted,
+		Policy:   gateway.LeastLoaded,
 		Registry: meta,
-		Membership: gateway.MembershipConfig{
-			Enabled:      true,
-			PollInterval: 20 * time.Millisecond,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
