@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -503,6 +504,54 @@ func TestSubBatchWire(t *testing.T) {
 				t.Errorf("%v: sub-batch of the %s request is %d bytes, want %d with%s restated on Body: %s", v, old.dir, len(sub), old.size[v], old.restated, sub)
 			}
 		}
+	}
+}
+
+// TestSubBatchGoldens pins, under testdata/subbatch/, the two sub-batches a
+// round-robin gateway over two backends cuts from every packed request under
+// testdata/wire/ — both versions, and every older spelling a client may still
+// send. Entries that fault at the gateway are answered there and sent nowhere,
+// so the round robin deals out the others, as assign does.
+func TestSubBatchGoldens(t *testing.T) {
+	subBatches := 0
+	err := filepath.WalkDir(filepath.Join("testdata", "wire"), func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() || filepath.Ext(path) != ".xml" {
+			return err
+		}
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		sr, fault := ParseScatterRequest(doc, "")
+		if fault != nil || !sr.Packed {
+			return nil
+		}
+		live := &ScatterRequest{}
+		for _, e := range sr.Entries {
+			if e.Fault == nil {
+				live.Entries = append(live.Entries, e)
+			}
+		}
+		name := strings.TrimSuffix(filepath.ToSlash(path), ".xml")
+		name = strings.TrimPrefix(name, "testdata/wire/")
+		for k, shard := range roundRobinShards(live, 2) {
+			if len(shard) == 0 {
+				continue
+			}
+			sub, err := BuildSubBatch(sr.Version, sr.Headers, shard)
+			if err != nil {
+				t.Fatalf("%s: sub-batch %d: %v", name, k, err)
+			}
+			exactGolden(t, "subbatch", fmt.Sprintf("%s.%d.xml", name, k), sub)
+			subBatches++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if subBatches < 78 {
+		t.Fatalf("pinned %d sub-batches, want the 78 of the corpus", subBatches)
 	}
 }
 
