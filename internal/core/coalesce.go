@@ -55,12 +55,17 @@ type SingleCall struct {
 func ParseSingleCall(body []byte, defaultService string, reg *registry.Container) *SingleCall {
 	arena := xmldom.AcquireArena()
 	defer xmldom.ReleaseArena(arena)
-	env, err := soap.DecodeArenaBytes(body, arena)
-	if err != nil || len(env.Header) > 0 || len(env.Body) != 1 {
+	d := soap.AcquireStreamDecoder(body, arena)
+	defer d.Release()
+	if d.ReadPreamble() != nil || len(d.Envelope().Header) > 0 {
 		return nil
 	}
-	entry := env.Body[0]
-	if isPackedRequest(entry) || isPackedResponse(entry) || isPlanBody(entry) {
+	entry, err := d.NextEntryStart()
+	if err != nil || entry == nil || isPackedRequest(entry) || isPackedResponse(entry) || isPlanBody(entry) ||
+		d.CompleteEntry(entry) != nil {
+		return nil
+	}
+	if env, err := d.Finish(); err != nil || len(env.Body) != 1 {
 		return nil
 	}
 	service := defaultService
@@ -73,15 +78,16 @@ func ParseSingleCall(body []byte, defaultService string, reg *registry.Container
 	if fault != nil {
 		return nil
 	}
-	// The copy brings along the declarations in scope around it that the
+	// The entry brings along the declarations in scope around it that the
 	// synthetic batch's own document does not make, so it resolves there as
-	// it did here whatever its neighbours declare.
-	el := detachEntry(entry)
-	el.Attrs = subBatchScope(el.Attrs, entry.Parent, env.Version, false)
-	return &SingleCall{
-		Version: env.Version,
-		Entry:   &ScatterEntry{Service: req.service, Op: req.op, Element: el},
-	}
+	// it did here whatever its neighbours declare. It parks beyond its
+	// handler, so its bytes are copied off the request body.
+	v := d.Envelope().Version
+	return &SingleCall{Version: v, Entry: &ScatterEntry{
+		Service: req.service, Op: req.op, name: entry.Name,
+		attrs: subBatchScope(ownAttrs(entry.Attrs), entry.Parent, v, false),
+		inner: bytes.Clone(innerSpan(d.BodySpans()[0])),
+	}}
 }
 
 // SealID assigns a coalesced entry's slot and correlation id once its

@@ -14,7 +14,7 @@ import (
 	"repro/internal/xmltext"
 )
 
-// Scatter–gather support for the SPI gateway (package gateway): parsing a
+// Scatter–gather support for the SPI gateway (package gateway): reading a
 // packed envelope into shardable entries, building per-backend sub-batches,
 // splitting backend replies back into per-entry byte segments, and
 // reassembling them — through the same assembler the server uses — into one
@@ -22,9 +22,14 @@ import (
 // server would have produced. Like the server's, they go out in the order
 // they complete, each carrying its spi:id.
 //
-// Byte identity is why replies are spliced as raw segments instead of being
-// re-serialized through the DOM: parse→serialize is not the identity on
-// this codebase's wire format (an empty element parses into a node that
+// The gateway reads a packed request with the server's own reader
+// (readPacked), so the two agree on every entry and every whole-message
+// fault, and it never writes an entry out again in either direction. A
+// sub-batch rewrites only each entry's start tag — the pack annotations
+// differ per sub-batch — and splices the bytes inside it verbatim; a reply
+// is cut into raw segments that are spliced into the gathered response.
+// Byte identity is why: parse→serialize is not the identity on this
+// codebase's wire format (an empty element parses into a node that
 // serializes as <a/>, while the server's typed encoder deliberately emits
 // <a></a> for empty string results). The server's response framing is
 // deterministic — same attribute order, same declarations for both SOAP
@@ -47,13 +52,18 @@ type ScatterEntry struct {
 	// Service and Op name the target operation (empty on faulted entries).
 	Service string
 	Op      string
-	// Element is the request element, detached from the parse arena, with
-	// its own attributes less the pack annotations, which BuildSubBatch
-	// restates where needed. Nil when Fault is set.
-	Element *xmldom.Element
 	// Fault is set when the entry failed to decode; the gateway answers
 	// such entries locally with the exact fault a direct server emits.
 	Fault *soap.Fault
+	// name and attrs are the entry's start tag as BuildSubBatch writes it:
+	// its own attributes less the pack annotations, which are restated where
+	// needed. inner is everything between its start and end tags, verbatim:
+	// for a packed request a span of the request body, which the transport
+	// reuses once the handler returns, so every sub-batch is built before
+	// then. All three are empty when Fault is set.
+	name  xmltext.Name
+	attrs []xmltext.Attr
+	inner []byte
 	// batch is the packed request the entry was cut from, whose default its
 	// sub-batch declares; nil for a coalesced single call.
 	batch *ScatterRequest
@@ -85,71 +95,80 @@ type ScatterRequest struct {
 	scope []xmltext.Attr
 }
 
-// ParseScatterRequest decodes a packed request for sharding. The returned
-// fault, when non-nil, is the whole-message fault a direct server would
-// return for the same bytes (malformed envelope, version mismatch, extra
-// body entries, empty pack); render it with GatewayFaultResponse in the
-// version carried by the (possibly nil) ScatterRequest.
+// ParseScatterRequest reads a request for sharding, with the reader a direct
+// server dispatches it with. The returned fault, when non-nil, is the
+// whole-message fault a direct server would return for the same bytes;
+// render it with GatewayFaultResponse in the version carried by the
+// ScatterRequest, or in SOAP 1.1 when that is nil (no envelope was read).
+// The entries' bytes alias body (ScatterEntry).
 func ParseScatterRequest(body []byte, defaultService string) (*ScatterRequest, *soap.Fault) {
 	arena := xmldom.AcquireArena()
 	defer xmldom.ReleaseArena(arena)
-	env, err := soap.DecodeArenaBytes(body, arena)
-	if err != nil {
-		if vm, ok := err.(*soap.VersionMismatchError); ok {
-			return nil, &soap.Fault{Code: soap.FaultVersionMismatch, String: vm.Error()}
-		}
-		return nil, soap.ClientFault("malformed envelope: %v", err)
+	d := soap.AcquireStreamDecoder(body, arena)
+	defer d.Release()
+	if err := d.ReadPreamble(); err != nil {
+		return nil, preambleFault(err)
 	}
+	env := d.Envelope()
 	sr := &ScatterRequest{Version: env.Version, Headers: cloneHeaders(env.Header)}
-	if len(env.Body) != 1 {
-		return sr, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+	pm, err := d.NextEntryStart()
+	if err == nil && pm != nil && !isPackedRequest(pm) {
+		err = d.CompleteEntry(pm)
 	}
-	pm := env.Body[0]
-	if !isPackedRequest(pm) {
+	if err != nil {
+		return sr, malformedFault(err)
+	}
+	if pm == nil || !isPackedRequest(pm) {
+		// Proxied whole, once the document is known to be one entry.
+		if env, err = d.Finish(); err != nil {
+			return sr, malformedFault(err)
+		}
+		if len(env.Body) != 1 {
+			return sr, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+		}
 		return sr, nil
 	}
 	sr.Packed = true
-	children := pm.ChildElements()
-	if len(children) == 0 {
-		return sr, soap.ClientFault("%s has no requests", ElemParallelMethod)
-	}
 	sr.DefaultNS = requestDefaultNS(pm)
 	sr.DefaultService = packDefaultService(pm, defaultService)
 	// The nearest m in scope is Parallel_Method's own when it declares one,
 	// and then it travels as the default, not in the scope.
 	sr.scope = subBatchScope(nil, pm, env.Version, sr.DefaultNS != "")
-	sr.Entries = make([]*ScatterEntry, len(children))
-	for i, el := range children {
-		se := &ScatterEntry{Slot: i, ID: i, batch: sr}
-		req, fault := decodeRequestElement(el, sr.DefaultService, i)
-		if fault != nil {
-			// The server answers undecodable entries with a positional id,
-			// even when the entry carried a valid explicit spi:id.
-			se.Fault = fault
-		} else {
-			se.ID = req.id
-			se.Service = req.service
-			se.Op = req.op
-			se.Element = detachEntry(el)
-		}
-		sr.Entries[i] = se
-	}
-	return sr, duplicateIDFault(len(children), func(slot int) int { return sr.Entries[slot].ID })
+	sr.Entries = make([]*ScatterEntry, 0, 16)
+	_, fault := readPacked(d, pm, sr.DefaultService, packedHooks{
+		entry: func(slot int, el *xmldom.Element, req *rpcRequest, f *soap.Fault) {
+			e := &ScatterEntry{Slot: slot, ID: slot, Fault: f, batch: sr}
+			if f == nil {
+				e.ID, e.Service, e.Op = req.id, req.service, req.op
+				e.name, e.attrs, e.inner = el.Name, ownAttrs(el.Attrs), innerSpan(d.ChildSpan())
+			}
+			sr.Entries = append(sr.Entries, e)
+		},
+	})
+	return sr, fault
 }
 
-// detachEntry copies a request element off its arena, verbatim but for the
-// pack annotations: whoever writes the copy into a batch restates those for
-// the slot and the default it lands under.
-func detachEntry(el *xmldom.Element) *xmldom.Element {
-	c := el.CloneInArena(nil)
-	own := c.Attrs[:0]
-	for _, a := range c.Attrs {
+// ownAttrs copies an entry's attributes off the arena less the pack
+// annotations, which whoever writes the entry into a batch restates for the
+// slot and the default it lands under.
+func ownAttrs(attrs []xmltext.Attr) []xmltext.Attr {
+	var own []xmltext.Attr
+	for _, a := range attrs {
 		if a.Name != attrID && a.Name != attrService {
 			own = append(own, a)
 		}
 	}
-	c.Attrs = own
-	return c
+	return own
+}
+
+// innerSpan is what lies between the start and end tags of the element whose
+// bytes are span; nil for a self-closing one.
+func innerSpan(span []byte) []byte {
+	gt, selfClosing, _, err := scanTag(span, 0)
+	if err != nil || selfClosing {
+		return nil
+	}
+	return span[gt+1 : bytes.LastIndexByte(span, '<')]
 }
 
 // subBatchScope appends to attrs the namespace declarations in scope at el —
@@ -183,16 +202,17 @@ func subBatchScope(attrs []xmltext.Attr, el *xmldom.Element, v soap.Version, ski
 	return kept
 }
 
-// BuildSubBatch serializes one backend's share of the entries as a packed
-// request document, streamed under the framing rule. Entries cut from a
-// packed request inherit what the client's Parallel_Method gave them: the
-// sub-batch declares the same xmlns:m and default service and restates the
-// rest of the scope on Body (an xmlns:m the client declared further out is
-// not a batch default, and must not become one here); an entry adds
-// spi:service only where it differs and spi:id only where its id is not its
-// slot in this document. Coalesced single calls declare no default, so each
-// response segment is complete by itself. The bytes are freshly allocated and
-// stable, so a failed sub-batch can be re-sent verbatim to another backend.
+// BuildSubBatch writes one backend's share of the entries as a packed request
+// document, under the framing rule. Entries cut from a packed request inherit
+// what the client's Parallel_Method gave them: the sub-batch declares the same
+// xmlns:m and default service and restates the rest of the scope on Body (an
+// xmlns:m the client declared further out is not a batch default, and must not
+// become one here). Each entry's start tag is written anew — spi:service only
+// where it differs, spi:id only where its id is not its slot in this document
+// — and the bytes inside it are the client's, spliced. Coalesced single calls
+// declare no default, so each response segment is complete by itself. The
+// bytes are freshly allocated and stable, so a failed sub-batch can be re-sent
+// verbatim to another backend.
 func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*ScatterEntry) ([]byte, error) {
 	var def ScatterRequest
 	if len(entries) > 0 && entries[0].batch != nil {
@@ -215,11 +235,11 @@ func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*Scatter
 	}
 	var tmp [24]byte
 	for slot, e := range entries {
-		if e.Element == nil {
+		if e.name.Local == "" {
 			return nil, fmt.Errorf("core: the entry in slot %d has no request element to send", e.Slot)
 		}
-		em.Start(e.Element.Name)
-		for _, a := range e.Element.Attrs {
+		em.Start(e.name)
+		for _, a := range e.attrs {
 			em.Attr(a.Name, a.Value)
 		}
 		if e.ID != slot {
@@ -228,8 +248,8 @@ func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*Scatter
 		if e.Service != def.DefaultService {
 			em.Attr(attrService, e.Service)
 		}
-		for _, n := range e.Element.Children {
-			xmldom.AppendNode(n, em)
+		if len(e.inner) > 0 {
+			em.Raw(e.inner)
 		}
 		em.End()
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -289,8 +290,9 @@ func TestSplitGatherResponseShape(t *testing.T) {
 	}
 }
 
-// TestParseScatterRequest covers entry decoding, effective ids, local
-// faults, and the whole-message fault precedence mirrored from the server.
+// TestParseScatterRequest covers entry decoding, effective ids, local faults,
+// and whole-message faults, which readPacked decides for server and gateway
+// alike (TestOneReaderFaults in package gateway holds the two to one answer).
 func TestParseScatterRequest(t *testing.T) {
 	doc := `<?xml version="1.0"?>` +
 		`<e:Envelope xmlns:e="` + soap.NSEnvelope + `" xmlns:spi="` + NSPack + `"><e:Body>` +
@@ -320,10 +322,12 @@ func TestParseScatterRequest(t *testing.T) {
 	if e := sr.Entries[3]; e.Fault == nil || !strings.Contains(e.Fault.String, "names no service") {
 		t.Fatalf("entry 3: %+v fault=%v", e, e.Fault)
 	}
-	// The detached copy keeps what the entry said for itself and leaves the
-	// pack annotations to whoever writes it into a batch.
-	if got, want := sr.Entries[1].Element.String(), `<m:echo xmlns:m="urn:spi:Echo"><data>&lt;x&gt;</data></m:echo>`; got != want {
-		t.Fatalf("entry 1 detached as %s, want %s", got, want)
+	// The entry keeps what it said for itself, and its bytes as they came, and
+	// leaves the pack annotations to whoever writes it into a batch.
+	e := sr.Entries[1]
+	if want := []xmltext.Attr{{Name: nameXmlnsM, Value: "urn:spi:Echo"}}; e.name != (xmltext.Name{Prefix: "m", Local: "echo"}) ||
+		!slices.Equal(e.attrs, want) || string(e.inner) != `<data>&lt;x&gt;</data>` {
+		t.Fatalf("entry 1 kept as %v %v %q", e.name, e.attrs, e.inner)
 	}
 	if sr.DefaultNS != "" || sr.DefaultService != "" {
 		t.Fatalf("request declares no default, parsed %q / %q", sr.DefaultNS, sr.DefaultService)
@@ -457,6 +461,21 @@ func roundRobinShards(sr *ScatterRequest, k int) [][]*ScatterEntry {
 		shards[i%k] = append(shards[i%k], e)
 	}
 	return shards
+}
+
+// sentEntry is the element a backend reads for e: the one entry of the
+// sub-batch e makes by itself.
+func sentEntry(t *testing.T, v soap.Version, e *ScatterEntry) *xmldom.Element {
+	t.Helper()
+	sub, err := BuildSubBatch(v, nil, []*ScatterEntry{e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := soap.Decode(bytes.NewReader(sub))
+	if err != nil {
+		t.Fatalf("%v: %s", err, sub)
+	}
+	return env.Body[0].ChildElements()[0]
 }
 
 // TestSubBatchWire pins the document a backend actually parses: the first of

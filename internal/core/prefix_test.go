@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -322,8 +323,8 @@ func TestReaderTablePre25Fixtures(t *testing.T) {
 					if got == nil || want == nil {
 						t.Fatalf("%s: ParseSingleCall: %v, today's spelling %v", what, got, want)
 					}
-					gp, gerr := soapenc.DecodeParams(got.Entry.Element)
-					wp, werr := soapenc.DecodeParams(want.Entry.Element)
+					gp, gerr := soapenc.DecodeParams(sentEntry(t, v, got.Entry))
+					wp, werr := soapenc.DecodeParams(sentEntry(t, v, want.Entry))
 					if got.Entry.Op != want.Entry.Op || gerr != nil || werr != nil ||
 						!soapenc.Equal(&soapenc.Struct{Fields: gp}, &soapenc.Struct{Fields: wp}) {
 						t.Errorf("%s: ParseSingleCall: %s %v (%v), today's spelling %s %v (%v)", what, got.Entry.Op, gp, gerr, want.Entry.Op, wp, werr)
@@ -337,9 +338,10 @@ func TestReaderTablePre25Fixtures(t *testing.T) {
 				}
 				for i, e := range got.Entries {
 					w := want.Entries[i]
-					if e.ID != w.ID || e.Service != w.Service || e.Op != w.Op || e.Element.String() != w.Element.String() {
-						t.Errorf("%s: scatter entry %d = %d %s.%s %s, today's spelling %d %s.%s %s", what, i,
-							e.ID, e.Service, e.Op, e.Element, w.ID, w.Service, w.Op, w.Element)
+					if e.ID != w.ID || e.Service != w.Service || e.Op != w.Op || e.name != w.name ||
+						!slices.Equal(e.attrs, w.attrs) || !bytes.Equal(e.inner, w.inner) {
+						t.Errorf("%s: scatter entry %d = %d %s.%s %v %v %q, today's spelling %d %s.%s %v %v %q", what, i,
+							e.ID, e.Service, e.Op, e.name, e.attrs, e.inner, w.ID, w.Service, w.Op, w.name, w.attrs, w.inner)
 					}
 				}
 			}

@@ -469,12 +469,7 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	parseDur := time.Since(parseStart)
 	if err != nil {
 		s.noteParse(ctx, req.Target, parseStart, parseDur)
-		var vm *soap.VersionMismatchError
-		if errors.As(err, &vm) {
-			// SOAP 1.1 §4.4: unrecognized envelope version.
-			return s.faultResponse(&soap.Fault{Code: soap.FaultVersionMismatch, String: vm.Error()}, soap.V11)
-		}
-		return s.faultResponse(malformedFault(err), soap.V11)
+		return s.faultResponse(preambleFault(err), soap.V11)
 	}
 	env := d.Envelope()
 	s.envelopes.Add(1)
@@ -542,6 +537,18 @@ func (s *Server) noteParse(ctx context.Context, target string, start time.Time, 
 // does not parse as a SOAP envelope.
 func malformedFault(err error) *soap.Fault {
 	return soap.ClientFault("malformed envelope: %v", err)
+}
+
+// preambleFault is the whole-message fault for a document whose envelope does
+// not open (ReadPreamble): VersionMismatch for an Envelope of an unknown
+// version (SOAP 1.1 §4.4), malformedFault for anything else. With no version
+// read, it goes out in SOAP 1.1.
+func preambleFault(err error) *soap.Fault {
+	var vm *soap.VersionMismatchError
+	if errors.As(err, &vm) {
+		return &soap.Fault{Code: soap.FaultVersionMismatch, String: vm.Error()}
+	}
+	return malformedFault(err)
 }
 
 // shortenBudget applies the DeadlineGrace policy to a propagated budget.

@@ -81,131 +81,56 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	asm := newPackedAssembler(requestDefaultNS(pm))
 	asm.faultCodes = &s.faultCodes
 	defer asm.release()
-	// decode is the time spent reading the body: the clock is read as each
-	// entry's decoding starts and ends, and around the envelope's tail.
-	var decode time.Duration
-	times := func() dispatchTimes { return dispatchTimes{decode: decode, encode: asm.encDur} }
 	// reqs[i] stays nil for a slot that faulted before it could run.
 	reqs := make([]*rpcRequest, 0, 8)
-	arena := d.Arena()
-	v := d.Envelope().Version
 
 	// Authenticate, then act: when there is anything to verify, entries are
 	// decoded as they stream but none is started until the document is
 	// complete and verifyHeaders has passed. Until then the slots that
 	// faulted wait in held, so that they complete in slot order with the
-	// entries that run.
+	// entries that run. Late workers deliver into the collector harmlessly —
+	// they hold copies, never arena nodes.
 	verifyFirst := len(s.cfg.HeaderProcessors) > 0 || len(rctx.RequestHeaders) > 0
 	var held []*rpcResult
-	faulted := func(i int, f *soap.Fault) {
-		reqs = append(reqs, nil)
-		r := &rpcResult{id: i, fault: f}
-		if verifyFirst {
-			held = append(held, r)
-		} else {
-			col.put(i, r)
-		}
+	h := packedHooks{
+		entry: func(i int, _ *xmldom.Element, req *rpcRequest, f *soap.Fault) {
+			col.add()
+			reqs = append(reqs, req)
+			switch {
+			case f != nil && verifyFirst:
+				held = append(held, &rpcResult{id: i, fault: f})
+			case f != nil:
+				col.put(i, &rpcResult{id: i, fault: f})
+			case !verifyFirst:
+				s.startEntry(ctx, col, rctx, i, req)
+			}
+		},
+		verify: func(env *soap.Envelope) *soap.Fault { return s.verifyHeaders(env, d) },
 	}
-
-	var ctxSum [32]byte
 	if s.diff != nil {
+		// Per-entry differential deserialization over the raw subtree span
+		// the tokenizer skipped.
 		rootTag, bodyTag := d.RawContext()
-		ctxSum = contextSum(rootTag, bodyTag, d.EntryStartTag())
-	}
-	attach := func(el *xmldom.Element) { pm.AddChild(el) }
-	entryService := packDefaultService(pm, defaultService)
-	var einfo *EntryInfo
-	if len(s.cfg.EntryInterceptors) > 0 {
-		einfo = &EntryInfo{Target: target, DefaultService: defaultService, Version: v, Packed: true}
-	}
-
-	for {
-		var el *xmldom.Element
-		var err error
-		decodeStart := time.Now()
-		if s.diff != nil {
-			// Per-entry differential deserialization over the raw subtree
-			// span the tokenizer skipped.
-			var raw []byte
-			raw, err = d.NextChildSpan(pm)
-			if err == nil && raw != nil {
-				el, err = s.diff.parse(ctxSum, raw, arena, attach)
+		ctxSum := contextSum(rootTag, bodyTag, d.EntryStartTag())
+		h.next = func() (*xmldom.Element, error) {
+			raw, err := d.NextChildSpan(pm)
+			if err != nil || raw == nil {
+				return nil, err
 			}
-		} else {
-			el, err = d.NextChild(pm)
+			return s.diff.parse(ctxSum, raw, d.Arena(), func(el *xmldom.Element) { pm.AddChild(el) })
 		}
-		decode += time.Since(decodeStart)
-		if err != nil {
-			return nil, times(), malformedFault(err)
-		}
-		if el == nil {
-			break
-		}
-		i := col.add()
-		if einfo != nil {
-			ei := *einfo
+	}
+	if ics := s.cfg.EntryInterceptors; len(ics) > 0 {
+		info := EntryInfo{Target: target, DefaultService: defaultService, Version: d.Envelope().Version, Packed: true}
+		h.intercept = func(i int, el *xmldom.Element) (*xmldom.Element, *soap.Fault) {
+			ei := info
 			ei.Index = i
-			repl, fault := runEntryInterceptors(s.cfg.EntryInterceptors, el, &ei)
-			if fault != nil {
-				faulted(i, fault)
-				continue
-			}
-			el = repl
-		}
-		req, fault := decodeRequestElement(el, entryService, i)
-		if fault != nil {
-			faulted(i, fault)
-			continue
-		}
-		reqs = append(reqs, req)
-		if !verifyFirst {
-			s.startEntry(ctx, col, rctx, i, req)
+			return runEntryInterceptors(ics, el, &ei)
 		}
 	}
-	// Validate the rest of the document before encoding anything: a
-	// malformed tail is a whole-message fault, which takes precedence over
-	// everything else. Late workers deliver into the collector harmlessly —
-	// they hold copies, never arena nodes.
-	extra := 0
-	tailStart := time.Now()
-	for {
-		el, err := d.NextEntryStart()
-		if err != nil {
-			return nil, times(), malformedFault(err)
-		}
-		if el == nil {
-			break
-		}
-		extra++
-		if err := d.CompleteEntry(el); err != nil {
-			return nil, times(), malformedFault(err)
-		}
-	}
-	env, err := d.Finish()
-	decode += time.Since(tailStart)
-	if err != nil {
-		return nil, times(), malformedFault(err)
-	}
-
-	// Header verification, now that the document is known well-formed.
-	// Fault precedence is header fault > extra-entry fault > empty batch >
-	// duplicate correlation id > per-item dispatch faults.
-	if fault := s.verifyHeaders(env, d); fault != nil {
-		return nil, times(), fault
-	}
-	if extra > 0 {
-		return nil, times(), soap.ClientFault("expected exactly one body entry, got %d", 1+extra)
-	}
-	if len(reqs) == 0 {
-		return nil, times(), soap.ClientFault("%s has no requests", ElemParallelMethod)
-	}
-	if dup := duplicateIDFault(len(reqs), func(slot int) int {
-		if reqs[slot] == nil {
-			return slot // faulted before it could run: answered positionally
-		}
-		return reqs[slot].id
-	}); dup != nil {
-		return nil, times(), dup
+	decode, fault := readPacked(d, pm, packDefaultService(pm, defaultService), h)
+	if fault != nil {
+		return nil, dispatchTimes{decode: decode}, fault
 	}
 	if verifyFirst {
 		for i, req := range reqs {
@@ -223,15 +148,92 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	// fault, which is written in turn.
 	if err := col.drain(ctx, func(_ int, r *rpcResult) error { return asm.encodeEntry(r, s.namespaceOf) },
 		func(i int) *rpcResult { return s.abandonResult(ctx, reqs[i]) }); err != nil {
-		return nil, times(), soap.ServerFault("assembling packed response: %v", err)
+		return nil, dispatchTimes{decode: decode, encode: asm.encDur}, soap.ServerFault("assembling packed response: %v", err)
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))
 
-	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil, nil)
+	resp, err := asm.finish(d.Envelope().Version, rctx.ResponseHeaders(), nil, nil)
 	if err != nil {
-		return encodeFailureResponse(), times(), nil
+		resp = encodeFailureResponse()
 	}
-	return resp, times(), nil
+	return resp, dispatchTimes{decode: decode, encode: asm.encDur}, nil
+}
+
+// packedHooks are what a caller plugs into readPacked; a nil hook does
+// nothing.
+type packedHooks struct {
+	// next reads Parallel_Method's next entry, subtree complete, or nil after
+	// its last; nil means d.NextChild. The differential cache plugs in here.
+	next func() (*xmldom.Element, error)
+	// intercept may replace an entry, or fault it, before it is decoded.
+	intercept func(slot int, el *xmldom.Element) (*xmldom.Element, *soap.Fault)
+	// entry receives each entry as its subtree closes: decoded into req, or
+	// answered instead by the per-item fault f.
+	entry func(slot int, el *xmldom.Element, req *rpcRequest, f *soap.Fault)
+	// verify checks the finished envelope's header blocks.
+	verify func(env *soap.Envelope) *soap.Fault
+}
+
+// readPacked is the one reader of a Parallel_Method: the server's dispatch and
+// the gateway's scatter both read a packed request with it, so the two cannot
+// disagree about what one means or how it faults. d has just started pm
+// (NextEntryStart); service is what an entry that names none runs on. Each
+// entry goes to h.entry as its subtree closes, so the first can run while
+// later ones are still being read. Then the rest of the envelope is read, and
+// the whole-message fault is decided once, in this order: a malformed
+// document; what h.verify finds in the headers; more than one body entry; a
+// batch with no entries; two entries claiming one spi:id. Any of them
+// outranks every per-item fault. decode is the time spent in the decoder.
+func readPacked(d *soap.StreamDecoder, pm *xmldom.Element, service string, h packedHooks) (decode time.Duration, f *soap.Fault) {
+	next := h.next
+	if next == nil {
+		next = func() (*xmldom.Element, error) { return d.NextChild(pm) }
+	}
+	ids := make([]int, 0, 16) // effective spi:id by slot
+	for {
+		start := time.Now()
+		el, err := next()
+		decode += time.Since(start)
+		if err != nil {
+			return decode, malformedFault(err)
+		}
+		if el == nil {
+			break
+		}
+		slot := len(ids)
+		var req *rpcRequest
+		var fault *soap.Fault
+		if h.intercept != nil {
+			el, fault = h.intercept(slot, el)
+		}
+		if fault == nil {
+			req, fault = decodeRequestElement(el, service, slot)
+		}
+		if fault == nil {
+			ids = append(ids, req.id)
+		} else {
+			ids = append(ids, slot) // a faulted entry is answered positionally
+		}
+		h.entry(slot, el, req, fault)
+	}
+	start := time.Now()
+	env, err := d.Finish()
+	decode += time.Since(start)
+	switch {
+	case err != nil:
+		return decode, malformedFault(err)
+	case h.verify != nil:
+		if f := h.verify(env); f != nil {
+			return decode, f
+		}
+	}
+	if len(env.Body) != 1 {
+		return decode, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+	}
+	if len(ids) == 0 {
+		return decode, soap.ClientFault("%s has no requests", ElemParallelMethod)
+	}
+	return decode, duplicateIDFault(len(ids), func(slot int) int { return ids[slot] })
 }
 
 // startEntry begins executing one decoded packed entry, its result bound

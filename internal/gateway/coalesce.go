@@ -377,14 +377,13 @@ func (g *Gateway) flushBatch(baseCtx context.Context, b *pendingBatch) {
 
 	sr := &core.ScatterRequest{Version: b.key.version, Packed: true, Entries: entries}
 	var wg sync.WaitGroup
-	for _, sh := range g.assign(entries) {
+	for _, sh := range g.buildSubBatches(sr, g.assign(entries), &coalesceSink{calls: b.calls}) {
 		g.scattered.Inc()
-		sink := &coalesceSink{calls: b.calls}
 		wg.Add(1)
-		go func(be *backend, shard []*core.ScatterEntry, sink *coalesceSink) {
+		go func(sh shard) {
 			defer wg.Done()
-			g.sendShard(ctx, be, sr, shard, sink)
-		}(sh.b, sh.entries, sink)
+			g.sendShard(ctx, sh, sr, &coalesceSink{calls: b.calls})
+		}(sh)
 	}
 	wg.Wait()
 	if tr.Enabled() {

@@ -771,6 +771,52 @@ func TestDifferentialWholeMessageFaults(t *testing.T) {
 	}
 }
 
+// TestOneReaderFaults: server and gateway read a packed request with one
+// reader, so they fault it alike — the same whole-message fault in the
+// request's own version, picked by the same precedence when a document earns
+// several, and the same per-item faults. Handlers are called directly: what
+// is compared is what each one answers, before any transport.
+func TestOneReaderFaults(t *testing.T) {
+	srv, err := core.NewServer(core.ServerConfig{Container: testContainer(t), AppWorkers: 4, AppQueue: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	f := newFarm(t, 2, nil)
+	const pm = ` xmlns:m="urn:spi:Echo" spi:service="Echo"`
+	echo, dup, bad := `<m:echo><p>x</p></m:echo>`, `<m:echo spi:id="1"><p>one</p></m:echo>`, `<m:echo spi:id="x"/>`
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		doc := func(entries ...string) string { return string(packedDocWith(v, pm, entries)) }
+		tail := `</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`
+		for _, c := range []struct{ name, doc string }{
+			{"malformed tail", strings.TrimSuffix(doc(echo, echo), `</SOAP-ENV:Envelope>`)},
+			{"second body", strings.Replace(doc(echo), tail, `</spi:Parallel_Method></SOAP-ENV:Body><SOAP-ENV:Body/></SOAP-ENV:Envelope>`, 1)},
+			{"malformed entry", strings.Replace(doc(echo, echo), `<p>x</p></m:echo>`, `<p>x</m:echo>`, 1)},
+			{"extra entry", strings.Replace(doc(echo), tail, `</spi:Parallel_Method><m:echo/></SOAP-ENV:Body></SOAP-ENV:Envelope>`, 1)},
+			{"empty batch", doc()},
+			{"duplicate id", doc(dup, echo)},
+			{"undecodable entry", doc(echo, bad, echo)},
+			// Where a document earns several, the first in precedence wins.
+			{"malformed over duplicate", strings.TrimSuffix(doc(dup, echo), `</SOAP-ENV:Envelope>`)},
+			{"extra entry over empty batch", strings.Replace(doc(), tail, `</spi:Parallel_Method><m:echo/></SOAP-ENV:Body></SOAP-ENV:Envelope>`, 1)},
+			{"duplicate over undecodable", doc(dup, bad, echo)},
+		} {
+			answer := func(handle func(context.Context, *httpx.Request) *httpx.Response) reply {
+				req := httpx.NewRequest("POST", "/services", []byte(c.doc))
+				req.Header.Set("Content-Type", v.ContentType())
+				resp := handle(context.Background(), req)
+				defer resp.Release()
+				return reply{resp.StatusCode, resp.Header.Get("Content-Type"), bytes.Clone(resp.Body)}
+			}
+			want := answer(srv.HandleHTTP)
+			if c.name == "undecodable entry" != (want.status == 200) {
+				t.Errorf("%v/%s: the server answered HTTP %d: %s", v, c.name, want.status, want.body)
+			}
+			diffReplies(t, fmt.Sprintf("%v/%s", v, c.name), []byte(c.doc), want, answer(f.gw.Handle))
+		}
+	}
+}
+
 func TestDifferentialProxyPaths(t *testing.T) {
 	// Non-packed POSTs and GETs ride the proxy path; with identical
 	// containers on backend and direct server the bytes must match too.

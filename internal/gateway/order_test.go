@@ -60,9 +60,9 @@ func TestGatherWritesFastShardFirst(t *testing.T) {
 		t.Fatal(fault)
 	}
 	// The held backend gets the even slots, slot 0 among them.
-	var shards [2][]*core.ScatterEntry
+	shards := []shard{{b: f.gw.backends[1]}, {b: f.gw.backends[0]}}
 	for _, e := range sr.Entries {
-		shards[1-e.Slot%2] = append(shards[1-e.Slot%2], e)
+		shards[e.Slot%2].entries = append(shards[e.Slot%2].entries, e)
 	}
 	col := sr.NewCollector()
 	gathered := make(chan []byte)
@@ -75,11 +75,12 @@ func TestGatherWritesFastShardFirst(t *testing.T) {
 		resp.Release()
 	}()
 	ctx := context.Background()
-	for i, sh := range shards {
-		f.gw.backends[i].entriesInflight.Add(int64(len(sh))) // what assign reserves
+	for _, sh := range shards {
+		sh.b.entriesInflight.Add(int64(len(sh.entries))) // what assign reserves
 	}
-	go f.gw.sendShard(ctx, f.gw.backends[1], sr, shards[1], col)
-	f.gw.sendShard(ctx, f.gw.backends[0], sr, shards[0], col) // delivered on return
+	built := f.gw.buildSubBatches(sr, shards, col)
+	go f.gw.sendShard(ctx, built[0], sr, col)
+	f.gw.sendShard(ctx, built[1], sr, col) // delivered on return
 	select {
 	case body := <-gathered:
 		t.Fatalf("gathered before the held backend answered: %s", body)

@@ -62,6 +62,7 @@ func ParsePolicy(s string) Policy {
 type shard struct {
 	b       *backend
 	entries []*core.ScatterEntry
+	doc     []byte // the sub-batch, once built (buildSubBatches)
 }
 
 // routableCandidates filters a membership snapshot down to the backends

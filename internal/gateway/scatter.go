@@ -184,9 +184,9 @@ func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *cor
 		}
 	}
 
-	for _, sh := range g.assign(sr.Entries) {
+	for _, sh := range g.buildSubBatches(sr, g.assign(sr.Entries), col) {
 		g.scattered.Inc()
-		go g.sendShard(ctx, sh.b, sr, sh.entries, col)
+		go g.sendShard(ctx, sh, sr, col)
 	}
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageGatewayScatter,
@@ -250,13 +250,38 @@ type resultSink interface {
 	Fail(slot int, f *soap.Fault)
 }
 
-// sendShard delivers one sub-batch: build once, exchange, and on an
-// eligible failure fail over to another available backend under the retry
-// policy. Exhausted or ineligible failures degrade the shard's slots to
-// per-item faults; slots already degraded by the deadline ignore late
-// deliveries (first write wins). Every slot is resolved — Deliver or
-// Fail — before sendShard returns.
-func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterRequest, shard []*core.ScatterEntry, col resultSink) {
+// buildSubBatches writes every shard's sub-batch before any is sent: an
+// entry's bytes are a span of the request body, which the transport reuses
+// once the handler returns, and a shard's exchange may outlive the handler.
+// A shard whose sub-batch cannot be built releases its reservation, fails its
+// slots and is dropped.
+func (g *Gateway) buildSubBatches(sr *core.ScatterRequest, shards []shard, col resultSink) []shard {
+	built := shards[:0]
+	for _, sh := range shards {
+		doc, err := core.BuildSubBatch(sr.Version, sr.Headers, sh.entries)
+		if err != nil {
+			sh.b.entriesInflight.Add(int64(-len(sh.entries)))
+			f := soap.ServerFault("building sub-batch: %v", err)
+			for _, e := range sh.entries {
+				g.faultCodes.NoteSOAP(f)
+				col.Fail(e.Slot, f)
+			}
+			continue
+		}
+		sh.doc = doc
+		built = append(built, sh)
+	}
+	return built
+}
+
+// sendShard delivers one built sub-batch: exchange, and on an eligible
+// failure fail over to another available backend under the retry policy,
+// re-sending the same bytes. Exhausted or ineligible failures degrade the
+// shard's slots to per-item faults; slots already degraded by the deadline
+// ignore late deliveries (first write wins). Every slot is resolved — Deliver
+// or Fail — before sendShard returns.
+func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterRequest, col resultSink) {
+	b, shard := sh.b, sh.entries
 	// assign reserved these entries on b; release from whichever backend
 	// holds the reservation (failover moves it) once the shard's outcome is
 	// known and before its slots resolve: the slots resolving is what lets
@@ -269,15 +294,6 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 		}
 	}
 	defer release()
-	doc, err := core.BuildSubBatch(sr.Version, sr.Headers, shard)
-	if err != nil {
-		f := soap.ServerFault("building sub-batch: %v", err)
-		for _, e := range shard {
-			g.faultCodes.NoteSOAP(f)
-			col.Fail(e.Slot, f)
-		}
-		return
-	}
 	idem := g.allIdempotent(shard)
 	p := g.cfg.Retry
 	attempts := p.MaxAttempts
@@ -285,7 +301,7 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 		attempts = 3
 	}
 	for attempt := 1; ; attempt++ {
-		resp, err := g.exchange(ctx, b, sr.Version, doc)
+		resp, err := g.exchange(ctx, b, sr.Version, sh.doc)
 		if err == nil {
 			if err = g.deliver(b, sr, shard, resp, col, release); err == nil {
 				return

@@ -54,6 +54,7 @@ type StreamDecoder struct {
 	entryTag   []byte   // the current entry's start tag, verbatim
 	entryStart int64    // offset of the current entry's '<'
 	spans      [][]byte // raw span of each completed body entry, in order
+	child      []byte   // raw span of the child NextChild returned last
 }
 
 type streamState int
@@ -101,7 +102,7 @@ func AcquireStreamDecoder(body []byte, a *xmldom.Arena) *StreamDecoder {
 	d.root, d.body = nil, nil
 	d.state = streamInit
 	d.src = body
-	d.rootTag, d.bodyTag, d.entryTag = nil, nil, nil
+	d.rootTag, d.bodyTag, d.entryTag, d.child = nil, nil, nil, nil
 	d.entryStart = 0
 	clear(d.spans)
 	d.spans = d.spans[:0]
@@ -121,7 +122,7 @@ func (d *StreamDecoder) Release() {
 	}
 	d.arena = nil
 	d.root, d.body = nil, nil
-	d.src, d.rootTag, d.bodyTag, d.entryTag = nil, nil, nil, nil
+	d.src, d.rootTag, d.bodyTag, d.entryTag, d.child = nil, nil, nil, nil, nil
 	clear(d.spans)
 	d.spans = d.spans[:0]
 	streamDecoderPool.Put(d)
@@ -276,6 +277,7 @@ func (d *StreamDecoder) NextChild(entry *xmldom.Element) (*xmldom.Element, error
 		return nil, fmt.Errorf("soap: NextChild in wrong state")
 	}
 	for {
+		pos := d.tk.InputOffset()
 		tok, err := d.tk.Next()
 		if err != nil {
 			return nil, d.wrapTokenErr(err)
@@ -285,6 +287,9 @@ func (d *StreamDecoder) NextChild(entry *xmldom.Element) (*xmldom.Element, error
 			child := xmldom.StartElementNode(d.arena, &tok, entry)
 			if err := xmldom.CompleteSubtree(d.tk, d.arena, child); err != nil {
 				return nil, d.wrapTokenErr(err)
+			}
+			if d.src != nil {
+				d.child = d.src[pos:d.tk.InputOffset()]
 			}
 			return child, nil
 		case xmltext.KindEndElement:
@@ -298,6 +303,12 @@ func (d *StreamDecoder) NextChild(entry *xmldom.Element) (*xmldom.Element, error
 		}
 	}
 }
+
+// ChildSpan returns the verbatim bytes of the child NextChild returned last,
+// start tag to end tag, so a caller that read the tree can forward the bytes
+// without writing the tree out again. The span aliases the document passed to
+// AcquireStreamDecoder; nil outside Acquire mode.
+func (d *StreamDecoder) ChildSpan() []byte { return d.child }
 
 // pushEntrySpan records the raw span of the entry that just completed.
 func (d *StreamDecoder) pushEntrySpan() {
