@@ -566,28 +566,6 @@ func TestMalformedEnvelopeFaults(t *testing.T) {
 	}
 }
 
-func TestProtocolWorkerLimit(t *testing.T) {
-	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
-		s.ProtocolWorkers = 1
-	})
-	// With a single protocol worker, two concurrent slow single calls
-	// serialize at the protocol stage in coupled mode; in staged mode the
-	// app stage still runs them but the protocol thread holds the slot
-	// while waiting, so they serialize too.
-	start := time.Now()
-	c1 := sys.client.Go("Echo", "slow")
-	c2 := sys.client.Go("Echo", "slow")
-	if _, err := c1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 35*time.Millisecond {
-		t.Errorf("protocol-limited calls took %v, want >= 40ms serial", elapsed)
-	}
-}
-
 func TestEntryInterceptorOrder(t *testing.T) {
 	// Configured order is call order, and a replacement threads through to
 	// the hooks behind it.

@@ -38,6 +38,9 @@ type diffCache struct {
 
 const diffShards = 8
 
+// diffCacheSize is how many parses a server's differential cache holds.
+const diffCacheSize = 256
+
 type diffShard struct {
 	mu      sync.Mutex
 	cap     int
@@ -53,9 +56,6 @@ type diffEntry struct {
 }
 
 func newDiffCache(capacity int) *diffCache {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	perShard := (capacity + diffShards - 1) / diffShards
 	d := &diffCache{}
 	for i := range d.shards {

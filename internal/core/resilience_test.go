@@ -423,6 +423,19 @@ func TestDeadlineHeaderPropagates(t *testing.T) {
 	}
 }
 
+// TestShortenBudget pins the grace rule server and gateway share: a
+// propagated budget loses a fifth of itself, never more than 100 ms.
+func TestShortenBudget(t *testing.T) {
+	ms := time.Millisecond
+	for budget, want := range map[time.Duration]time.Duration{
+		ms: 800 * time.Microsecond, 80 * ms: 64 * ms, 500 * ms: 400 * ms, 600 * ms: 500 * ms, 2 * time.Second: 1900 * ms,
+	} {
+		if got := ShortenBudget(budget); got != want {
+			t.Errorf("ShortenBudget(%v) = %v, want %v", budget, got, want)
+		}
+	}
+}
+
 func TestPlanDeadlineDegradesPerStep(t *testing.T) {
 	// Execution plans degrade like packs: a step stuck past the deadline
 	// becomes a per-item Server.Timeout fault; independent finished steps

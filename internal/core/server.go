@@ -50,11 +50,6 @@ type ServerConfig struct {
 	// AppQueue is the application-stage queue depth (default 1024).
 	AppQueue int
 
-	// ProtocolWorkers, when > 0, bounds the number of requests in protocol
-	// processing simultaneously, modelling the first-stage thread pool.
-	// Zero means unbounded (one goroutine per connection).
-	ProtocolWorkers int
-
 	// Coupled disables the staged architecture: operations execute inline
 	// on the protocol goroutine, exactly the traditional coupled
 	// architecture of the paper's Figure 1. Packed messages then execute
@@ -98,10 +93,9 @@ type ServerConfig struct {
 
 	// DifferentialDeserialization enables the §2.2 related-work
 	// server-side optimization ([4]/[11]): repeated byte-identical body
-	// entries reuse a cached parse instead of re-tokenizing.
+	// entries reuse a cached parse instead of re-tokenizing. The cache holds
+	// diffCacheSize parses.
 	DifferentialDeserialization bool
-	// DiffCacheSize bounds the differential cache (default 256 entries).
-	DiffCacheSize int
 
 	// AdmissionTimeout bounds how long a request waits for space in the
 	// application-stage queue before being shed with a Server.Busy fault
@@ -113,11 +107,6 @@ type ServerConfig struct {
 	// responses); its handler keeps running detached until it observes
 	// HandlerContext.Ctx and should abort then.
 	OperationTimeout time.Duration
-	// DeadlineGrace is subtracted from the client-propagated deadline
-	// budget (SPI-Deadline header) so a degraded response is assembled
-	// and shipped before the client itself gives up. Zero means
-	// one fifth of the budget, capped at 100ms.
-	DeadlineGrace time.Duration
 
 	// Tracer, when non-nil, records server-side spans for every envelope:
 	// server.protocol (parse), server.dispatch, one server.app span per
@@ -186,10 +175,9 @@ type ServerStats struct {
 type Server struct {
 	cfg        ServerConfig
 	httpSrv    *httpx.Server
-	appPool    *stage.Pool   // nil iff Coupled
-	protSem    chan struct{} // nil when ProtocolWorkers == 0
-	diff       *diffCache    // nil unless DifferentialDeserialization
-	adminState *admin.State  // nil unless AdminService
+	appPool    *stage.Pool  // nil iff Coupled
+	diff       *diffCache   // nil unless DifferentialDeserialization
+	adminState *admin.State // nil unless AdminService
 
 	envelopes  atomic.Int64
 	requests   atomic.Int64
@@ -251,11 +239,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		s.appPool = pool
 	}
-	if cfg.ProtocolWorkers > 0 {
-		s.protSem = make(chan struct{}, cfg.ProtocolWorkers)
-	}
 	if cfg.DifferentialDeserialization {
-		s.diff = newDiffCache(cfg.DiffCacheSize)
+		s.diff = newDiffCache(diffCacheSize)
 	}
 	s.httpSrv = &httpx.Server{
 		Handler:      s.handle,
@@ -421,11 +406,6 @@ func (s *Server) recordOp(op *registry.Operation, d time.Duration) {
 // the server shuts down, further bounded here by any SPI-Deadline budget
 // the client propagated.
 func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response {
-	if s.protSem != nil {
-		s.protSem <- struct{}{}
-		defer func() { <-s.protSem }()
-	}
-
 	if req.Method == "GET" {
 		if s.cfg.DebugEndpoints && strings.HasPrefix(req.Target, debugPathPrefix) {
 			return s.handleDebug(req)
@@ -448,7 +428,7 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	// trace, so every span below correlates.
 	tr := s.cfg.Tracer
 	if tr.Enabled() {
-		tid := traceID(req)
+		tid := TraceID(req)
 		if tid == 0 {
 			tid = tr.Begin()
 		}
@@ -484,9 +464,9 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	// Apply the client's propagated deadline budget, shortened by the
 	// grace period so a degraded (partial) response still reaches the
 	// client before its own deadline fires.
-	if budget := deadlineBudget(req); budget > 0 {
+	if budget := DeadlineBudget(req); budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.shortenBudget(budget))
+		ctx, cancel = context.WithTimeout(ctx, ShortenBudget(budget))
 		defer cancel()
 	}
 
@@ -551,23 +531,16 @@ func preambleFault(err error) *soap.Fault {
 	return malformedFault(err)
 }
 
-// shortenBudget applies the DeadlineGrace policy to a propagated budget.
-func (s *Server) shortenBudget(budget time.Duration) time.Duration {
-	grace := s.cfg.DeadlineGrace
-	if grace <= 0 {
-		grace = budget / 5
-		if grace > 100*time.Millisecond {
-			grace = 100 * time.Millisecond
-		}
-	}
-	if budget > grace {
-		budget -= grace
-	}
-	return budget
+// ShortenBudget is the deadline a server or gateway works to for a propagated
+// budget: the budget less a grace of one fifth of it, at most 100 ms, so that a
+// degraded (partial) response is assembled and shipped before the client
+// itself gives up.
+func ShortenBudget(budget time.Duration) time.Duration {
+	return budget - min(budget/5, 100*time.Millisecond)
 }
 
-// traceID parses the SPI-Trace header; zero means absent or malformed.
-func traceID(req *httpx.Request) uint64 {
+// TraceID parses the SPI-Trace header; zero means absent or malformed.
+func TraceID(req *httpx.Request) uint64 {
 	v := req.Header.Get(HeaderTrace)
 	if v == "" {
 		return 0
@@ -701,10 +674,10 @@ func (s *Server) verifyHeaders(env *soap.Envelope, d *soap.StreamDecoder) *soap.
 	return nil
 }
 
-// deadlineBudget parses the SPI-Deadline header: the client's remaining
+// DeadlineBudget parses the SPI-Deadline header: the client's remaining
 // deadline budget in integer milliseconds. Zero means no budget was
 // propagated (or it was malformed, which is treated as absent).
-func deadlineBudget(req *httpx.Request) time.Duration {
+func DeadlineBudget(req *httpx.Request) time.Duration {
 	v := req.Header.Get(HeaderDeadline)
 	if v == "" {
 		return 0

@@ -32,10 +32,10 @@ type CoalesceConfig struct {
 	Enabled bool
 
 	// FlushWindow is how long the first call in a batch waits for
-	// companions before the batch flushes (default 1ms). Calls carrying
-	// an SPI-Deadline budget tighten their batch's window to budget/8
-	// when that is shorter, so a batch never eats a meaningful share of
-	// a member's deadline.
+	// companions before the batch flushes (default 1ms). A call whose
+	// SPI-Deadline budget is under ten windows never parks: it is proxied
+	// at once, so a batch never eats more than a tenth of a member's
+	// deadline.
 	FlushWindow time.Duration
 
 	// MaxBatch flushes a batch as soon as it holds this many calls
@@ -47,11 +47,6 @@ type CoalesceConfig struct {
 	// disables the cap). Packing large payloads is a net loss — the
 	// paper's Figure 5 crossover — so big requests should not pool.
 	MaxBytes int
-
-	// MinDeadlineBudget is the smallest SPI-Deadline budget worth
-	// parking: calls with less remaining budget bypass the coalescer and
-	// are proxied immediately (default 10× FlushWindow).
-	MinDeadlineBudget time.Duration
 }
 
 // withDefaults fills the zero values.
@@ -64,9 +59,6 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 	}
 	if c.MaxBytes == 0 {
 		c.MaxBytes = 256 << 10
-	}
-	if c.MinDeadlineBudget <= 0 {
-		c.MinDeadlineBudget = 10 * c.FlushWindow
 	}
 	return c
 }
@@ -110,11 +102,10 @@ type batchKey struct {
 
 // pendingBatch is one forming batch.
 type pendingBatch struct {
-	key     batchKey
-	calls   []*pendingCall
-	bytes   int
-	timer   *time.Timer
-	flushAt time.Time
+	key   batchKey
+	calls []*pendingCall
+	bytes int
+	timer *time.Timer
 }
 
 // coalescer owns the forming batches. One per gateway when enabled.
@@ -145,8 +136,8 @@ func newCoalescer(g *Gateway, cfg CoalesceConfig) *coalescer {
 }
 
 // enqueue adds a call to its batch, flushing early at the size/byte caps
-// and otherwise arming (or tightening) the flush timer. Returns false when
-// the coalescer is shutting down — the caller must proxy instead.
+// and otherwise arming the flush timer with the batch's first call. Returns
+// false when the coalescer is shutting down — the caller must proxy instead.
 func (co *coalescer) enqueue(key batchKey, call *pendingCall) bool {
 	co.mu.Lock()
 	if co.closed {
@@ -169,22 +160,10 @@ func (co *coalescer) enqueue(key batchKey, call *pendingCall) bool {
 		co.flush(b)
 		return true
 	}
-	// Deadline-aware window: a member with a tight budget pulls the whole
-	// batch's flush forward so waiting never consumes a meaningful share
-	// of its deadline.
-	wait := co.cfg.FlushWindow
-	if call.budget > 0 {
-		if w := call.budget / 8; w < wait {
-			wait = w
-		}
-	}
-	flushAt := time.Now().Add(wait)
+	// Every member's budget is ten windows or more (coalesce), so the first
+	// call's window is the one the whole batch keeps.
 	if b.timer == nil {
-		b.flushAt = flushAt
-		b.timer = time.AfterFunc(wait, func() { co.flushExpired(key, b) })
-	} else if flushAt.Before(b.flushAt) {
-		b.flushAt = flushAt
-		b.timer.Reset(wait)
+		b.timer = time.AfterFunc(co.cfg.FlushWindow, func() { co.flushExpired(key, b) })
 	}
 	co.mu.Unlock()
 	return true
@@ -275,8 +254,8 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, defaultServi
 	if co == nil {
 		return nil
 	}
-	budget := deadlineBudget(req)
-	if budget > 0 && budget < co.cfg.MinDeadlineBudget {
+	budget := core.DeadlineBudget(req)
+	if budget > 0 && budget < 10*co.cfg.FlushWindow {
 		g.coalescePassthrough.Inc()
 		return nil
 	}
@@ -306,7 +285,7 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, defaultServi
 	memberCtx := ctx
 	if budget > 0 {
 		var cancel context.CancelFunc
-		memberCtx, cancel = context.WithTimeout(ctx, g.shortenBudget(budget))
+		memberCtx, cancel = context.WithTimeout(ctx, core.ShortenBudget(budget))
 		defer cancel()
 	}
 	var out callOutcome
@@ -363,7 +342,7 @@ func (g *Gateway) flushBatch(baseCtx context.Context, b *pendingBatch) {
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if allBudgeted && maxBudget > 0 {
-		ctx, cancel = context.WithTimeout(baseCtx, g.shortenBudget(maxBudget))
+		ctx, cancel = context.WithTimeout(baseCtx, core.ShortenBudget(maxBudget))
 	} else {
 		ctx, cancel = context.WithCancel(baseCtx)
 	}

@@ -53,9 +53,9 @@ func ExampleNew() {
 // Cross-client coalescing: single-call envelopes from clients that never
 // adopted the pack interface are merged into synthetic packed batches.
 // Calls targeting the same operation pool for up to FlushWindow (sooner
-// when a member's SPI-Deadline is tight, or when the size/byte caps
-// fill), then ride the normal scatter path; each client's reply stays
-// byte-identical to the uncoalesced path.
+// when the size/byte caps fill), then ride the normal scatter path; each
+// client's reply stays byte-identical to the uncoalesced path. A call with
+// less SPI-Deadline budget than ten windows never parks.
 func ExampleNew_coalescing() {
 	gw, err := gateway.New(gateway.Config{
 		Backends: []gateway.BackendConfig{
@@ -67,8 +67,6 @@ func ExampleNew_coalescing() {
 			FlushWindow: time.Millisecond, // batch formation window
 			MaxBatch:    64,               // flush immediately at 64 members
 			MaxBytes:    256 << 10,        // ... or at 256 KiB of request bodies
-			// Calls with less SPI-Deadline budget than this never park:
-			MinDeadlineBudget: 10 * time.Millisecond,
 		},
 	})
 	if err != nil {

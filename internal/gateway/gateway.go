@@ -88,11 +88,6 @@ type Config struct {
 	// means unbounded.
 	MaxActivePerBackend int
 
-	// DeadlineGrace is subtracted from a propagated SPI-Deadline budget so
-	// a degraded (partial) response still reaches the client in time.
-	// Zero applies the server's default policy (budget/5, capped 100ms).
-	DeadlineGrace time.Duration
-
 	// MaxBodyBytes caps request and backend-response bodies; zero means
 	// the httpx default.
 	MaxBodyBytes int64

@@ -49,7 +49,7 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 	// client's and the backends'.
 	tr := g.cfg.Tracer
 	if tr.Enabled() {
-		tid := gatewayTraceID(req)
+		tid := core.TraceID(req)
 		if tid == 0 {
 			tid = tr.Begin()
 		}
@@ -124,55 +124,15 @@ func (g *Gateway) packTarget() string {
 	return strings.TrimSuffix(g.cfg.PathPrefix, "/")
 }
 
-// gatewayTraceID parses the SPI-Trace header; zero means absent.
-func gatewayTraceID(req *httpx.Request) uint64 {
-	v := req.Header.Get(core.HeaderTrace)
-	if v == "" {
-		return 0
-	}
-	id, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return id
-}
-
-// deadlineBudget reads the propagated SPI-Deadline budget.
-func deadlineBudget(req *httpx.Request) time.Duration {
-	v := req.Header.Get(core.HeaderDeadline)
-	if v == "" {
-		return 0
-	}
-	ms, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-// shortenBudget mirrors the server's grace policy so a degraded response
-// still beats the client's own deadline.
-func (g *Gateway) shortenBudget(budget time.Duration) time.Duration {
-	grace := g.cfg.DeadlineGrace
-	if grace <= 0 {
-		grace = budget / 5
-		if grace > 100*time.Millisecond {
-			grace = 100 * time.Millisecond
-		}
-	}
-	if budget > grace {
-		budget -= grace
-	}
-	return budget
-}
-
 // scatterGather shards the parsed entries, fans the sub-batches out, and
-// writes each entry of the packed response as its shard's reply arrives.
+// writes each entry of the packed response as its shard's reply arrives. A
+// propagated deadline is shortened by the server's grace rule, so a degraded
+// response still beats the client's own deadline.
 func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *core.ScatterRequest, scatterStart time.Time) *httpx.Response {
 	tr := g.cfg.Tracer
-	if budget := deadlineBudget(req); budget > 0 {
+	if budget := core.DeadlineBudget(req); budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.shortenBudget(budget))
+		ctx, cancel = context.WithTimeout(ctx, core.ShortenBudget(budget))
 		defer cancel()
 	}
 

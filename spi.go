@@ -149,9 +149,8 @@ func IsTimeoutFault(err error) bool { return core.IsTimeoutFault(err) }
 func IsBusyFault(err error) bool { return core.IsBusyFault(err) }
 
 // HeaderDeadline is the HTTP header carrying the client's remaining
-// deadline budget in integer milliseconds; servers shorten it by
-// ServerConfig.DeadlineGrace and degrade work still running when it
-// expires.
+// deadline budget in integer milliseconds; servers shorten it by a grace of
+// one fifth, at most 100 ms, and degrade work still running when it expires.
 const HeaderDeadline = core.HeaderDeadline
 
 // Service registry.
