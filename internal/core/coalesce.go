@@ -65,7 +65,7 @@ func ParseSingleCall(body []byte, defaultService string, reg *registry.Container
 		d.CompleteEntry(entry) != nil {
 		return nil
 	}
-	if env, err := d.Finish(); err != nil || len(env.Body) != 1 {
+	if _, _, f := finishBody(d, nil); f != nil {
 		return nil
 	}
 	service := defaultService

@@ -120,13 +120,8 @@ func ParseScatterRequest(body []byte, defaultService string) (*ScatterRequest, *
 	}
 	if pm == nil || !isPackedRequest(pm) {
 		// Proxied whole, once the document is known to be one entry.
-		if env, err = d.Finish(); err != nil {
-			return sr, malformedFault(err)
-		}
-		if len(env.Body) != 1 {
-			return sr, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
-		}
-		return sr, nil
+		_, _, fault := finishBody(d, nil)
+		return sr, fault
 	}
 	sr.Packed = true
 	sr.DefaultNS = requestDefaultNS(pm)

@@ -725,18 +725,17 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 		times.decode += startTag
 		return resp, times, fault
 	}
-	// Not packed: nothing to overlap, so finish decoding first.
-	env, err := s.completeSingle(d, entry)
+	// Not packed: nothing to overlap, so finish decoding first, and verify
+	// the headers once the document is known well-formed.
+	err = s.completeEntry(d, entry)
 	times := dispatchTimes{decode: time.Since(decodeStart)}
 	if err != nil {
 		return nil, times, malformedFault(err)
 	}
-	// Verify headers now that the document is known well-formed.
-	if fault := s.verifyHeaders(env, d); fault != nil {
+	env, tail, fault := finishBody(d, func(env *soap.Envelope) *soap.Fault { return s.verifyHeaders(env, d) })
+	times.decode += tail
+	if fault != nil {
 		return nil, times, fault
-	}
-	if len(env.Body) != 1 {
-		return nil, times, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
 	}
 	entry = env.Body[0]
 	if len(s.cfg.EntryInterceptors) > 0 {
@@ -757,27 +756,24 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 	return resp, single, fault
 }
 
-// completeSingle decodes the rest of a body that is not packed: the entry
-// already started, if any — through the per-entry differential cache when
-// there is one — and the envelope's tail.
-func (s *Server) completeSingle(d *soap.StreamDecoder, entry *xmldom.Element) (*soap.Envelope, error) {
-	if entry != nil {
-		if s.diff != nil {
-			raw, err := d.CompleteEntrySpan(entry)
-			if err != nil {
-				return nil, err
-			}
-			rootTag, bodyTag := d.RawContext()
-			_, err = s.diff.parse(contextSum(rootTag, bodyTag), raw, d.Arena(),
-				func(el *xmldom.Element) { d.ReplaceEntry(entry, el) })
-			if err != nil {
-				return nil, err
-			}
-		} else if err := d.CompleteEntry(entry); err != nil {
-			return nil, err
-		}
+// completeEntry decodes the rest of a body entry that is not packed — through
+// the per-entry differential cache when there is one. A nil entry (an empty
+// Body) has nothing to decode.
+func (s *Server) completeEntry(d *soap.StreamDecoder, entry *xmldom.Element) error {
+	switch {
+	case entry == nil:
+		return nil
+	case s.diff == nil:
+		return d.CompleteEntry(entry)
 	}
-	return d.Finish()
+	raw, err := d.CompleteEntrySpan(entry)
+	if err != nil {
+		return err
+	}
+	rootTag, bodyTag := d.RawContext()
+	_, err = s.diff.parse(contextSum(rootTag, bodyTag), raw, d.Arena(),
+		func(el *xmldom.Element) { d.ReplaceEntry(entry, el) })
+	return err
 }
 
 // staged reports whether operations run on the application stage rather than

@@ -27,7 +27,8 @@ import (
 //     until verification has passed: authenticate, then act.
 //
 // Whole-message faults (malformed envelope, header rejection, two entries
-// claiming one correlation id) are decided before any response byte is
+// claiming one correlation id) are decided by readPacked, which the gateway's
+// scatter reads packed requests with too, before any response byte is
 // emitted. The one side-effect caveat: on a message with nothing to verify,
 // entries that closed before a late syntax error or a colliding spi:id have
 // already executed when the whole-message fault goes out (idempotency is the
@@ -160,18 +161,35 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 }
 
 // packedHooks are what a caller plugs into readPacked; a nil hook does
-// nothing.
+// nothing, and a nil next is d.NextChild.
 type packedHooks struct {
-	// next reads Parallel_Method's next entry, subtree complete, or nil after
-	// its last; nil means d.NextChild. The differential cache plugs in here.
-	next func() (*xmldom.Element, error)
-	// intercept may replace an entry, or fault it, before it is decoded.
-	intercept func(slot int, el *xmldom.Element) (*xmldom.Element, *soap.Fault)
-	// entry receives each entry as its subtree closes: decoded into req, or
-	// answered instead by the per-item fault f.
-	entry func(slot int, el *xmldom.Element, req *rpcRequest, f *soap.Fault)
-	// verify checks the finished envelope's header blocks.
-	verify func(env *soap.Envelope) *soap.Fault
+	next      func() (*xmldom.Element, error)                                    // the next entry, subtree complete; nil after the last
+	intercept func(slot int, el *xmldom.Element) (*xmldom.Element, *soap.Fault)  // replaces or faults an entry before it is decoded
+	entry     func(slot int, el *xmldom.Element, req *rpcRequest, f *soap.Fault) // each entry as it closes: decoded, or faulted with f
+	verify    func(env *soap.Envelope) *soap.Fault                               // checks the finished envelope's header blocks
+}
+
+// finishBody reads the rest of the envelope once its body entries have been
+// read, and decides the whole-message faults any body can earn, in this
+// order: a malformed document; what verify (nil: nothing to verify) finds in
+// the headers; a body of other than one entry. read is the time spent in the
+// decoder.
+func finishBody(d *soap.StreamDecoder, verify func(*soap.Envelope) *soap.Fault) (env *soap.Envelope, read time.Duration, f *soap.Fault) {
+	start := time.Now()
+	env, err := d.Finish()
+	read = time.Since(start)
+	switch {
+	case err != nil:
+		return nil, read, malformedFault(err)
+	case verify != nil:
+		if f := verify(env); f != nil {
+			return nil, read, f
+		}
+	}
+	if len(env.Body) != 1 {
+		return nil, read, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+	}
+	return env, read, nil
 }
 
 // readPacked is the one reader of a Parallel_Method: the server's dispatch and
@@ -180,10 +198,11 @@ type packedHooks struct {
 // (NextEntryStart); service is what an entry that names none runs on. Each
 // entry goes to h.entry as its subtree closes, so the first can run while
 // later ones are still being read. Then the rest of the envelope is read, and
-// the whole-message fault is decided once, in this order: a malformed
-// document; what h.verify finds in the headers; more than one body entry; a
-// batch with no entries; two entries claiming one spi:id. Any of them
-// outranks every per-item fault. decode is the time spent in the decoder.
+// the whole-message fault is decided once, in this order: finishBody's (a
+// malformed document; what h.verify finds in the headers; more than one body
+// entry); a batch with no entries; two entries claiming one spi:id. Any of
+// them outranks every per-item fault. decode is the time spent in the
+// decoder.
 func readPacked(d *soap.StreamDecoder, pm *xmldom.Element, service string, h packedHooks) (decode time.Duration, f *soap.Fault) {
 	next := h.next
 	if next == nil {
@@ -216,19 +235,9 @@ func readPacked(d *soap.StreamDecoder, pm *xmldom.Element, service string, h pac
 		}
 		h.entry(slot, el, req, fault)
 	}
-	start := time.Now()
-	env, err := d.Finish()
-	decode += time.Since(start)
-	switch {
-	case err != nil:
-		return decode, malformedFault(err)
-	case h.verify != nil:
-		if f := h.verify(env); f != nil {
-			return decode, f
-		}
-	}
-	if len(env.Body) != 1 {
-		return decode, soap.ClientFault("expected exactly one body entry, got %d", len(env.Body))
+	_, tail, f := finishBody(d, h.verify)
+	if decode += tail; f != nil {
+		return decode, f
 	}
 	if len(ids) == 0 {
 		return decode, soap.ClientFault("%s has no requests", ElemParallelMethod)

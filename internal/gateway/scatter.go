@@ -67,9 +67,8 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 	scatterStart := time.Now()
 	sr, parseFault := core.ParseScatterRequest(req.Body, defaultService)
 	if parseFault != nil {
-		// Whole-message faults preserve the direct server's precedence and
-		// bytes: decode errors answer in SOAP 1.1, body-shape faults in the
-		// request's own version.
+		// The direct server's fault, in its version: SOAP 1.1 for a
+		// document whose envelope does not open, the request's own after.
 		g.faults.Inc()
 		g.faultCodes.NoteSOAP(parseFault)
 		v := soap.V11
