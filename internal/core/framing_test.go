@@ -241,6 +241,51 @@ func TestDiffCacheKeyedByBatchDefault(t *testing.T) {
 	}
 }
 
+// TestBatchDefaultRoutesIdenticalEntries: with the namespace and service
+// hoisted, two batches can carry byte-identical entries and still mean
+// different calls. Each entry runs on its own batch's default service, and an
+// interceptor sees it in its own batch's default namespace.
+func TestBatchDefaultRoutesIdenticalEntries(t *testing.T) {
+	var mu sync.Mutex
+	var seen []string
+	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
+		s.EntryInterceptors = []EntryInterceptor{func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
+			mu.Lock()
+			seen = append(seen, entry.Namespace())
+			mu.Unlock()
+			return nil, nil
+		}}
+		mirror := s.Container.MustAddService("Mirror", "urn:spi:Mirror", "answers echo in its own namespace")
+		mirror.MustRegister("echo", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
+			return params, nil
+		}, "identity")
+	})
+	entry := `<m:echo><data>same bytes</data></m:echo>`
+	post := func(ns, service string) string {
+		doc := testEnv11 + `<SOAP-ENV:Body>` + framingPM + ` xmlns:m="` + ns + `" spi:service="` + service + `">` +
+			entry + framingEnd + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`
+		code, body := postDoc(t, sys, "/services/", soap.V11, []byte(doc))
+		if code != 200 {
+			t.Fatalf("%s/%s: status %d: %s", ns, service, code, body)
+		}
+		return string(body)
+	}
+
+	if got := post("urn:spi:Echo", "Echo"); !strings.Contains(got, ` xmlns:m="urn:spi:Echo"><m:echoResponse spi:id="0">`) {
+		t.Errorf("Echo batch answered by the wrong service: %s", got)
+	}
+	if got := post("urn:spi:Echo", "Mirror"); !strings.Contains(got, `<m:echoResponse xmlns:m="urn:spi:Mirror"`) {
+		t.Errorf("batch defaulting to Mirror answered by: %s", got)
+	}
+	post("urn:example:other", "Echo")
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"urn:spi:Echo", "urn:spi:Echo", "urn:example:other"}
+	if strings.Join(seen, " ") != strings.Join(want, " ") {
+		t.Errorf("entry namespaces seen %v, want %v", seen, want)
+	}
+}
+
 // TestPackAnnotationsRequireBinding: spi:id, spi:service and the batch
 // default on Parallel_Method are the pack interface's only when the spi
 // prefix resolves to its namespace where they stand. Under another binding

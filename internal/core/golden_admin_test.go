@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/admin"
@@ -88,6 +92,42 @@ func TestGoldenAdminParse(t *testing.T) {
 		if s.Role != "server" || s.Weight != 4 || s.Workers != 32 || s.Busy != 7 ||
 			s.QueueDepth != 3 || len(s.Ops) != 1 || s.Ops[0].Op != "Echo.echo" {
 			t.Errorf("%s: parsed snapshot %+v", name, s)
+		}
+	}
+}
+
+// TestAdminStatsAcrossUpgrade: testdata/wire/pre30/ keeps the GetStats
+// responses of nodes that still advertised the diff_hits and diff_misses
+// counters. An exporter reads a node of either age, and both ages of the same
+// snapshot come back as the same Stats: the parser ignores fields it does not
+// know, so exporter and nodes may upgrade in either order.
+func TestAdminStatsAcrossUpgrade(t *testing.T) {
+	for _, v := range []string{"11", "12"} {
+		name := "admin_getstats_resp" + v + ".xml"
+		old, err := os.ReadFile(filepath.Join("testdata", "wire", "pre30", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(old, []byte("<diff_hits")) || !bytes.Contains(old, []byte("<diff_misses")) {
+			t.Fatalf("pre30/%s does not carry the diff counters", name)
+		}
+		now, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		was, err := admin.ParseStatsResponse(old)
+		if err != nil {
+			t.Fatalf("pre30/%s: %v", name, err)
+		}
+		is, err := admin.ParseStatsResponse(now)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(was, is) {
+			t.Errorf("%s: the older response reads as\n%+v\nthe current one as\n%+v", name, was, is)
+		}
+		if is.Envelopes != 12345 || is.ItemFaults != 42 || len(is.Ops) != 1 || is.Ops[0].P99Us != 2500 {
+			t.Errorf("%s: parsed snapshot %+v", name, is)
 		}
 	}
 }
