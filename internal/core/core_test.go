@@ -790,54 +790,6 @@ func TestTemplateCacheDisabledStats(t *testing.T) {
 	}
 }
 
-func TestDifferentialDeserialization(t *testing.T) {
-	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
-		s.DifferentialDeserialization = true
-	})
-	// Identical calls hit the cache; results stay correct.
-	for i := 0; i < 4; i++ {
-		res, err := sys.client.Call("Echo", "echo", soapenc.F("data", "same"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !soapenc.Equal(res[0].Value, "same") {
-			t.Errorf("call %d = %v", i, res)
-		}
-	}
-	// A different message must not be served from the cache.
-	res, err := sys.client.Call("Echo", "echo", soapenc.F("data", "different"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !soapenc.Equal(res[0].Value, "different") {
-		t.Errorf("different call = %v", res)
-	}
-	st := sys.server.Stats()
-	if st.DiffHits != 3 || st.DiffMisses != 2 {
-		t.Errorf("diff stats = hits %d misses %d, want 3/2", st.DiffHits, st.DiffMisses)
-	}
-	// Packed repeats hit too — per entry: the first batch misses on both
-	// of its children, the repeat hits on both.
-	for i := 0; i < 2; i++ {
-		b := sys.client.NewBatch()
-		c1 := b.Add("Echo", "echo", soapenc.F("data", "packed"))
-		c2 := b.Add("WeatherService", "GetWeather", soapenc.F("CityName", "Beijing"))
-		if err := b.Send(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c1.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := c2.Wait(); err != nil || !soapenc.Equal(res[0].Value, "Sunny in Beijing") {
-			t.Errorf("packed weather = %v, %v", res, err)
-		}
-	}
-	st = sys.server.Stats()
-	if st.DiffHits != 5 || st.DiffMisses != 4 {
-		t.Errorf("diff stats after packed repeats = hits %d misses %d, want 5/4", st.DiffHits, st.DiffMisses)
-	}
-}
-
 // TestDiffCacheLRU pins the store's recency behaviour deterministically by
 // driving one shard directly: keys share a first byte, so with capacity 16
 // (two slots per shard) the shard holds two entries, and a lookup refreshes

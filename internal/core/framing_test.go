@@ -120,9 +120,7 @@ func TestPackedFramingAcceptance(t *testing.T) {
 	}
 	for _, f := range []parityFeatures{
 		{name: "bare"},
-		{name: "diff", diff: true},
 		{name: "wsse", wsse: true},
-		{name: "wsse-diff", wsse: true, diff: true},
 		{name: "coupled", coupled: true},
 		{name: "wsse-coupled", wsse: true, coupled: true},
 	} {
@@ -136,16 +134,12 @@ func TestPackedFramingAcceptance(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s/%s: %v", b.golden, form.name, err)
 						}
-						// Round two repeats the entries (fresh signature), so
-						// the differential cache answers from its hit path.
-						for round := 0; round < 2; round++ {
-							doc := parityDoc(t, v, f.wsse, pm)
-							code, body := postDoc(t, sys, form.target, v, doc)
-							if code != 200 {
-								t.Errorf("%v/%s/%s round %d: status %d", v, b.golden, form.name, round, code)
-							}
-							f.pin(t, b.golden+form.declares+"_"+corpusSuffix(v), body)
+						doc := parityDoc(t, v, f.wsse, pm)
+						code, body := postDoc(t, sys, form.target, v, doc)
+						if code != 200 {
+							t.Errorf("%v/%s/%s: status %d", v, b.golden, form.name, code)
 						}
+						f.pin(t, b.golden+form.declares+"_"+corpusSuffix(v), body)
 					}
 				}
 				if f.wsse {
@@ -172,72 +166,7 @@ func TestPackedFramingAcceptance(t *testing.T) {
 					f.pin(t, req.golden+"_"+corpusSuffix(v), body)
 				}
 			}
-			if f.diff {
-				if st := sys.server.Stats(); st.DiffHits == 0 || st.DiffMisses == 0 {
-					t.Errorf("diff cache hits %d misses %d, want both exercised", st.DiffHits, st.DiffMisses)
-				}
-			}
 		})
-	}
-}
-
-// TestDiffCacheKeyedByBatchDefault: with the namespace and service hoisted,
-// two batches can carry byte-identical entries and still mean different
-// calls. The differential cache keys an entry by its ancestors' start tags
-// as well as its own bytes, so neither batch may be answered from the
-// other's parse.
-func TestDiffCacheKeyedByBatchDefault(t *testing.T) {
-	var mu sync.Mutex
-	var seen []string
-	sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
-		s.DifferentialDeserialization = true
-		s.EntryInterceptors = []EntryInterceptor{func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
-			mu.Lock()
-			seen = append(seen, entry.Namespace())
-			mu.Unlock()
-			return nil, nil
-		}}
-		mirror := s.Container.MustAddService("Mirror", "urn:spi:Mirror", "answers echo in its own namespace")
-		mirror.MustRegister("echo", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
-			return params, nil
-		}, "identity")
-	})
-	entry := `<m:echo><data>same bytes</data></m:echo>`
-	post := func(ns, service string) string {
-		doc := testEnv11 + `<SOAP-ENV:Body>` + framingPM + ` xmlns:m="` + ns + `" spi:service="` + service + `">` +
-			entry + framingEnd + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`
-		code, body := postDoc(t, sys, "/services/", soap.V11, []byte(doc))
-		if code != 200 {
-			t.Fatalf("%s/%s: status %d: %s", ns, service, code, body)
-		}
-		return string(body)
-	}
-
-	first := post("urn:spi:Echo", "Echo")
-	if !strings.Contains(first, ` xmlns:m="urn:spi:Echo"><m:echoResponse spi:id="0">`) {
-		t.Fatalf("Echo batch answered by the wrong service: %s", first)
-	}
-	// Same entry bytes, another service: must run on Mirror.
-	if got := post("urn:spi:Echo", "Mirror"); !strings.Contains(got, `<m:echoResponse xmlns:m="urn:spi:Mirror"`) {
-		t.Errorf("batch defaulting to Mirror answered by: %s", got)
-	}
-	// Same entry bytes, another namespace: the interceptor must see it.
-	post("urn:example:other", "Echo")
-	if st := sys.server.Stats(); st.DiffHits != 0 || st.DiffMisses != 3 {
-		t.Errorf("diff cache hits %d misses %d: batches differing only in their default shared an entry", st.DiffHits, st.DiffMisses)
-	}
-	// And the cache still works within one default.
-	if again := post("urn:spi:Echo", "Echo"); again != first {
-		t.Errorf("repeat of the first batch diverged:\n got: %s\nwant: %s", again, first)
-	}
-	if st := sys.server.Stats(); st.DiffHits != 1 {
-		t.Errorf("diff cache hits %d after a verbatim repeat, want 1", st.DiffHits)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"urn:spi:Echo", "urn:spi:Echo", "urn:example:other", "urn:spi:Echo"}
-	if strings.Join(seen, " ") != strings.Join(want, " ") {
-		t.Errorf("entry namespaces seen %v, want %v", seen, want)
 	}
 }
 

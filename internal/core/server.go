@@ -707,10 +707,10 @@ type dispatchTimes struct {
 // ready HTTP response in the request's version, with the time spent encoding
 // it, for phase attribution. A packed body streams entry by entry and is
 // assembled incrementally (dispatchPacked). Anything else completes the
-// envelope — consulting the per-entry differential cache — verifies the
-// headers and runs the entry interceptors once; a plan is then assembled like
-// a packed body, a single call's response streamed once it has run.
-// target is the HTTP request target, for EntryInterceptor info.
+// envelope, verifies the headers and runs the entry interceptors once; a plan
+// is then assembled like a packed body, a single call's response streamed
+// once it has run. target is the HTTP request target, for EntryInterceptor
+// info.
 func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, dispatchTimes, *soap.Fault) {
 	decodeStart := time.Now()
 	entry, err := d.NextEntryStart()
@@ -726,8 +726,11 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 		return resp, times, fault
 	}
 	// Not packed: nothing to overlap, so finish decoding first, and verify
-	// the headers once the document is known well-formed.
-	err = s.completeEntry(d, entry)
+	// the headers once the document is known well-formed. A nil entry (an
+	// empty Body) has nothing to decode.
+	if entry != nil {
+		err = d.CompleteEntry(entry)
+	}
 	times := dispatchTimes{decode: time.Since(decodeStart)}
 	if err != nil {
 		return nil, times, malformedFault(err)
@@ -754,26 +757,6 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 	resp, single, fault := s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
 	single.decode = times.decode
 	return resp, single, fault
-}
-
-// completeEntry decodes the rest of a body entry that is not packed — through
-// the per-entry differential cache when there is one. A nil entry (an empty
-// Body) has nothing to decode.
-func (s *Server) completeEntry(d *soap.StreamDecoder, entry *xmldom.Element) error {
-	switch {
-	case entry == nil:
-		return nil
-	case s.diff == nil:
-		return d.CompleteEntry(entry)
-	}
-	raw, err := d.CompleteEntrySpan(entry)
-	if err != nil {
-		return err
-	}
-	rootTag, bodyTag := d.RawContext()
-	_, err = s.diff.parse(contextSum(rootTag, bodyTag), raw, d.Arena(),
-		func(el *xmldom.Element) { d.ReplaceEntry(entry, el) })
-	return err
 }
 
 // staged reports whether operations run on the application stage rather than

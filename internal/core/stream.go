@@ -16,9 +16,6 @@ import (
 // of running back to back on the protocol thread. Every feature operates at
 // entry/token granularity:
 //
-//   - differential deserialization hashes each entry's raw subtree span as
-//     the decoder consumes it, cloning cached parses into the arena on hits
-//     (see diffCache);
 //   - EntryInterceptors hook each entry as its subtree closes;
 //   - header processors (WSSE) verify over the verbatim body spans teed out
 //     of the decoder once the document is complete. A message that has
@@ -108,19 +105,6 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 		},
 		verify: func(env *soap.Envelope) *soap.Fault { return s.verifyHeaders(env, d) },
 	}
-	if s.diff != nil {
-		// Per-entry differential deserialization over the raw subtree span
-		// the tokenizer skipped.
-		rootTag, bodyTag := d.RawContext()
-		ctxSum := contextSum(rootTag, bodyTag, d.EntryStartTag())
-		h.next = func() (*xmldom.Element, error) {
-			raw, err := d.NextChildSpan(pm)
-			if err != nil || raw == nil {
-				return nil, err
-			}
-			return s.diff.parse(ctxSum, raw, d.Arena(), func(el *xmldom.Element) { pm.AddChild(el) })
-		}
-	}
 	if ics := s.cfg.EntryInterceptors; len(ics) > 0 {
 		info := EntryInfo{Target: target, DefaultService: defaultService, Version: d.Envelope().Version, Packed: true}
 		h.intercept = func(i int, el *xmldom.Element) (*xmldom.Element, *soap.Fault) {
@@ -161,9 +145,8 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 }
 
 // packedHooks are what a caller plugs into readPacked; a nil hook does
-// nothing, and a nil next is d.NextChild.
+// nothing.
 type packedHooks struct {
-	next      func() (*xmldom.Element, error)                                    // the next entry, subtree complete; nil after the last
 	intercept func(slot int, el *xmldom.Element) (*xmldom.Element, *soap.Fault)  // replaces or faults an entry before it is decoded
 	entry     func(slot int, el *xmldom.Element, req *rpcRequest, f *soap.Fault) // each entry as it closes: decoded, or faulted with f
 	verify    func(env *soap.Envelope) *soap.Fault                               // checks the finished envelope's header blocks
@@ -204,14 +187,10 @@ func finishBody(d *soap.StreamDecoder, verify func(*soap.Envelope) *soap.Fault) 
 // them outranks every per-item fault. decode is the time spent in the
 // decoder.
 func readPacked(d *soap.StreamDecoder, pm *xmldom.Element, service string, h packedHooks) (decode time.Duration, f *soap.Fault) {
-	next := h.next
-	if next == nil {
-		next = func() (*xmldom.Element, error) { return d.NextChild(pm) }
-	}
 	ids := make([]int, 0, 16) // effective spi:id by slot
 	for {
 		start := time.Now()
-		el, err := next()
+		el, err := d.NextChild(pm)
 		decode += time.Since(start)
 		if err != nil {
 			return decode, malformedFault(err)

@@ -17,9 +17,9 @@ import (
 
 // This file is the parity suite for the server's one dispatch pipeline:
 // under every feature combination the responses must match the goldens
-// under testdata/parity/ — across WSSE, the per-entry differential cache,
-// entry interceptors, both SOAP versions, and single, packed and
-// fault-producing bodies. The goldens were captured from the buffered
+// under testdata/parity/ — across WSSE, entry interceptors, both SOAP
+// versions, and single, packed and fault-producing bodies. The goldens were
+// captured from the buffered
 // whole-envelope pipeline before it was deleted, so they pin the streaming
 // server to what that oracle answered: as every reader takes a packed
 // response (byID), and byte for byte in the Coupled cells, whose entries
@@ -29,20 +29,17 @@ import (
 type parityFeatures struct {
 	name    string
 	wsse    bool
-	diff    bool
 	entry   bool
 	coupled bool
 }
 
 var parityMatrix = []parityFeatures{
 	{name: "bare"},
-	{name: "diff", diff: true},
 	{name: "wsse", wsse: true},
 	{name: "entry-ic", entry: true},
-	{name: "wsse-diff", wsse: true, diff: true},
-	{name: "wsse-diff-entry", wsse: true, diff: true, entry: true},
+	{name: "wsse-entry", wsse: true, entry: true},
 	{name: "coupled", coupled: true},
-	{name: "wsse-diff-entry-coupled", wsse: true, diff: true, entry: true, coupled: true},
+	{name: "wsse-entry-coupled", wsse: true, entry: true, coupled: true},
 }
 
 // pin is parityGolden for the cell: byte for byte when it runs Coupled.
@@ -85,7 +82,6 @@ func parityEntryInterceptors() []EntryInterceptor {
 
 func parityConfig(f parityFeatures) func(*ServerConfig, *ClientConfig) {
 	return func(s *ServerConfig, c *ClientConfig) {
-		s.DifferentialDeserialization = f.diff
 		s.Coupled = f.coupled
 		if f.wsse {
 			s.HeaderProcessors = []HeaderProcessor{&wsse.Verifier{
@@ -223,24 +219,12 @@ func TestUnifiedFastPathParity(t *testing.T) {
 			}
 			for _, v := range []soap.Version{soap.V11, soap.V12} {
 				for _, tc := range cases {
-					// Each round builds the body afresh so signatures (nonces)
-					// regenerate, while the entries themselves repeat — round
-					// two exercises the differential cache's hit path.
-					for round := 0; round < 2; round++ {
-						doc := parityDoc(t, v, f.wsse, tc.body(t)...)
-						code, body := postDoc(t, sys, tc.target, v, doc)
-						if code != tc.status {
-							t.Errorf("%v/%s round %d: status %d, want %d", v, tc.name, round, code, tc.status)
-						}
-						f.pin(t, tc.name+"_"+corpusSuffix(v), body)
+					doc := parityDoc(t, v, f.wsse, tc.body(t)...)
+					code, body := postDoc(t, sys, tc.target, v, doc)
+					if code != tc.status {
+						t.Errorf("%v/%s: status %d, want %d", v, tc.name, code, tc.status)
 					}
-				}
-			}
-			if f.diff {
-				// The per-entry cache must see both rounds: a miss, then a hit
-				// — WSSE nonces notwithstanding.
-				if st := sys.server.Stats(); st.DiffHits == 0 || st.DiffMisses == 0 {
-					t.Errorf("diff cache hits %d misses %d, want both rounds exercised", st.DiffHits, st.DiffMisses)
+					f.pin(t, tc.name+"_"+corpusSuffix(v), body)
 				}
 			}
 		})
@@ -277,34 +261,29 @@ func tamperDoc(t *testing.T, v soap.Version, tc parityCase) []byte {
 // is replayed verbatim — is answered with the same whole-message fault for
 // a packed batch and for a single call, in both SOAP versions.
 func TestStreamedWSSERejectsTamper(t *testing.T) {
-	for _, f := range []parityFeatures{
-		{name: "wsse", wsse: true},
-		{name: "wsse-diff", wsse: true, diff: true},
-	} {
-		f := f
-		t.Run(f.name, func(t *testing.T) {
-			sys := newSystem(t, parityConfig(f))
-			for _, v := range []soap.Version{soap.V11, soap.V12} {
-				for _, tc := range parityTamperBodies {
-					code, body := postDoc(t, sys, tc.target, v, tamperDoc(t, v, tc))
-					if code != 500 || !bytes.Contains(body, []byte("signature mismatch")) {
-						t.Errorf("%v/%s: tampered request not rejected: %d %s", v, tc.name, code, body)
-					}
-					parityGolden(t, "wsse-tamper_"+corpusSuffix(v), body)
-
-					doc := parityDoc(t, v, true, tc.body(t)...)
-					if code, body := postDoc(t, sys, tc.target, v, doc); code != 200 {
-						t.Fatalf("%v/%s: first delivery failed: %d %s", v, tc.name, code, body)
-					}
-					code, body = postDoc(t, sys, tc.target, v, doc)
-					if code != 500 || !bytes.Contains(body, []byte("replayed nonce")) {
-						t.Errorf("%v/%s: replayed request not rejected: %d %s", v, tc.name, code, body)
-					}
-					parityGolden(t, "wsse-replay_"+corpusSuffix(v), body)
+	f := parityFeatures{name: "wsse", wsse: true}
+	t.Run(f.name, func(t *testing.T) {
+		sys := newSystem(t, parityConfig(f))
+		for _, v := range []soap.Version{soap.V11, soap.V12} {
+			for _, tc := range parityTamperBodies {
+				code, body := postDoc(t, sys, tc.target, v, tamperDoc(t, v, tc))
+				if code != 500 || !bytes.Contains(body, []byte("signature mismatch")) {
+					t.Errorf("%v/%s: tampered request not rejected: %d %s", v, tc.name, code, body)
 				}
+				parityGolden(t, "wsse-tamper_"+corpusSuffix(v), body)
+
+				doc := parityDoc(t, v, true, tc.body(t)...)
+				if code, body := postDoc(t, sys, tc.target, v, doc); code != 200 {
+					t.Fatalf("%v/%s: first delivery failed: %d %s", v, tc.name, code, body)
+				}
+				code, body = postDoc(t, sys, tc.target, v, doc)
+				if code != 500 || !bytes.Contains(body, []byte("replayed nonce")) {
+					t.Errorf("%v/%s: replayed request not rejected: %d %s", v, tc.name, code, body)
+				}
+				parityGolden(t, "wsse-replay_"+corpusSuffix(v), body)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestRejectedSignedBatchRunsNothing pins authenticate-then-act: a signed
@@ -313,56 +292,54 @@ func TestStreamedWSSERejectsTamper(t *testing.T) {
 // written after verification, so the handler-side counter and
 // Stats().Requests are final by the time it is read: no sleeps.
 func TestRejectedSignedBatchRunsNothing(t *testing.T) {
-	for _, diff := range []bool{false, true} {
-		for _, coupled := range []bool{false, true} {
-			t.Run(fmt.Sprintf("diff=%v/coupled=%v", diff, coupled), func(t *testing.T) {
-				var ran atomic.Int64
-				sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
-					parityConfig(parityFeatures{wsse: true, diff: diff})(s, c)
-					s.Coupled = coupled
-					echo, _ := s.Container.Service("Echo")
-					echo.MustRegister("count", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
-						ran.Add(1)
-						return params, nil
-					}, "counts its executions")
-				})
-				counted := func(t *testing.T) []*xmldom.Element {
-					return []*xmldom.Element{parityPacked(
-						parityEcho(t, "count", "tamper-target"),
-						parityEcho(t, "count", "bystander"),
-					)}
-				}
-				for _, v := range []soap.Version{soap.V11, soap.V12} {
-					tampered := tamperDoc(t, v, parityCase{body: counted})
-					code, body := postDoc(t, sys, "/services/", v, tampered)
-					if code != 500 {
-						t.Errorf("%v: tampered batch status %d, want 500", v, code)
-					}
-					parityGolden(t, "wsse-tamper_"+corpusSuffix(v), body)
-					if n, reqs := ran.Load(), sys.server.Stats().Requests; n != 0 || reqs != 0 {
-						t.Fatalf("%v: tampered batch ran %d operations (Requests %d), want 0", v, n, reqs)
-					}
-				}
-				for _, v := range []soap.Version{soap.V11, soap.V12} {
-					before := sys.server.Stats().Requests
-					doc := parityDoc(t, v, true, counted(t)...)
-					if code, body := postDoc(t, sys, "/services/", v, doc); code != 200 {
-						t.Fatalf("%v: first delivery failed: %d %s", v, code, body)
-					}
-					if n, reqs := ran.Swap(0), sys.server.Stats().Requests-before; n != 2 || reqs != 2 {
-						t.Fatalf("%v: verified batch ran %d operations (Requests +%d), want 2", v, n, reqs)
-					}
-					code, body := postDoc(t, sys, "/services/", v, doc)
-					if code != 500 {
-						t.Errorf("%v: replayed batch status %d, want 500", v, code)
-					}
-					parityGolden(t, "wsse-replay_"+corpusSuffix(v), body)
-					if n, reqs := ran.Load(), sys.server.Stats().Requests-before; n != 0 || reqs != 2 {
-						t.Fatalf("%v: replayed batch ran %d operations (Requests +%d), want 0 and +2", v, n, reqs)
-					}
-				}
+	for _, coupled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("coupled=%v", coupled), func(t *testing.T) {
+			var ran atomic.Int64
+			sys := newSystem(t, func(s *ServerConfig, c *ClientConfig) {
+				parityConfig(parityFeatures{wsse: true})(s, c)
+				s.Coupled = coupled
+				echo, _ := s.Container.Service("Echo")
+				echo.MustRegister("count", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
+					ran.Add(1)
+					return params, nil
+				}, "counts its executions")
 			})
-		}
+			counted := func(t *testing.T) []*xmldom.Element {
+				return []*xmldom.Element{parityPacked(
+					parityEcho(t, "count", "tamper-target"),
+					parityEcho(t, "count", "bystander"),
+				)}
+			}
+			for _, v := range []soap.Version{soap.V11, soap.V12} {
+				tampered := tamperDoc(t, v, parityCase{body: counted})
+				code, body := postDoc(t, sys, "/services/", v, tampered)
+				if code != 500 {
+					t.Errorf("%v: tampered batch status %d, want 500", v, code)
+				}
+				parityGolden(t, "wsse-tamper_"+corpusSuffix(v), body)
+				if n, reqs := ran.Load(), sys.server.Stats().Requests; n != 0 || reqs != 0 {
+					t.Fatalf("%v: tampered batch ran %d operations (Requests %d), want 0", v, n, reqs)
+				}
+			}
+			for _, v := range []soap.Version{soap.V11, soap.V12} {
+				before := sys.server.Stats().Requests
+				doc := parityDoc(t, v, true, counted(t)...)
+				if code, body := postDoc(t, sys, "/services/", v, doc); code != 200 {
+					t.Fatalf("%v: first delivery failed: %d %s", v, code, body)
+				}
+				if n, reqs := ran.Swap(0), sys.server.Stats().Requests-before; n != 2 || reqs != 2 {
+					t.Fatalf("%v: verified batch ran %d operations (Requests +%d), want 2", v, n, reqs)
+				}
+				code, body := postDoc(t, sys, "/services/", v, doc)
+				if code != 500 {
+					t.Errorf("%v: replayed batch status %d, want 500", v, code)
+				}
+				parityGolden(t, "wsse-replay_"+corpusSuffix(v), body)
+				if n, reqs := ran.Load(), sys.server.Stats().Requests-before; n != 0 || reqs != 2 {
+					t.Fatalf("%v: replayed batch ran %d operations (Requests +%d), want 0 and +2", v, n, reqs)
+				}
+			}
+		})
 	}
 }
 
