@@ -335,8 +335,8 @@ func BenchmarkThroughput(b *testing.B) {
 }
 
 // BenchmarkRelatedWork regenerates the §2.2 comparison: the related-work
-// per-message CPU optimizations (client template cache, server
-// differential deserialization) versus packing, on the Figure-5 workload.
+// per-message CPU optimization (client template cache) versus packing, on the
+// Figure-5 workload.
 func BenchmarkRelatedWork(b *testing.B) {
 	const m = 64
 	payload := "aaaaaaaaaa"
@@ -347,10 +347,8 @@ func BenchmarkRelatedWork(b *testing.B) {
 	}{
 		{"NoOptimization", bench.EnvOptions{}, false},
 		{"TemplateCache", bench.EnvOptions{TemplateCache: true}, false},
-		{"DiffDeserialization", bench.EnvOptions{DiffDeserialization: true}, false},
-		{"BothCaches", bench.EnvOptions{TemplateCache: true, DiffDeserialization: true}, false},
 		{"OurApproach", bench.EnvOptions{}, true},
-		{"OursPlusCaches", bench.EnvOptions{TemplateCache: true, DiffDeserialization: true}, true},
+		{"OursPlusTemplateCache", bench.EnvOptions{TemplateCache: true}, true},
 	}
 	for _, v := range variants {
 		v := v

@@ -571,10 +571,9 @@ func main() {
 	endToEnd("e2e/packed-echo-16", bench.EnvOptions{}, true)
 	endToEnd("e2e/packed-echo-16-traced", bench.EnvOptions{Tracer: trace.New(8192)}, true)
 	// The feature-cost row: WS-Security verification (entries held until
-	// the signature checks out) plus the per-entry differential cache. The
-	// gap to bare e2e/packed-echo-16 is the price of those features per
-	// batch.
-	endToEnd("e2e/packed-echo-16-wsse-diff", bench.EnvOptions{WSSecurity: true, DiffDeserialization: true}, true)
+	// the signature checks out). The gap to bare e2e/packed-echo-16 is its
+	// price per batch.
+	endToEnd("e2e/packed-echo-16-wsse", bench.EnvOptions{WSSecurity: true}, true)
 
 	// --- gateway scatter–gather ---------------------------------------
 	gatewayE2E := func(name string, backends int) {

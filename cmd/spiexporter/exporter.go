@@ -144,8 +144,6 @@ func (e *exporter) renderMetrics() []byte {
 	faults := &metricFamily{name: "spi_faults_total", help: "whole-message faults produced", typ: "counter"}
 	itemFaults := &metricFamily{name: "spi_item_faults_total", help: "per-item faults in packed responses", typ: "counter"}
 	faultCodes := &metricFamily{name: "spi_fault_code_total", help: "emitted faults by wire fault code", typ: "counter"}
-	diffHits := &metricFamily{name: "spi_diff_hits_total", help: "differential-deserialization cache hits", typ: "counter"}
-	diffMisses := &metricFamily{name: "spi_diff_misses_total", help: "differential-deserialization cache misses", typ: "counter"}
 	opCount := &metricFamily{name: "spi_op_count_total", help: "operation executions", typ: "counter"}
 	opLatency := &metricFamily{name: "spi_op_latency_microseconds", help: "operation execution latency quantiles", typ: "summary"}
 	opMean := &metricFamily{name: "spi_op_latency_mean_microseconds", help: "mean operation execution latency", typ: "gauge"}
@@ -175,8 +173,6 @@ func (e *exporter) renderMetrics() []byte {
 		for _, fc := range st.FaultCodes {
 			faultCodes.add(nl+fmt.Sprintf(",code=%q", fc.Code), fc.Count)
 		}
-		diffHits.add(nl, st.DiffHits)
-		diffMisses.add(nl, st.DiffMisses)
 		for _, op := range st.Ops {
 			ol := nl + fmt.Sprintf(",op=%q", op.Op)
 			opCount.add(ol, op.Count)
@@ -191,7 +187,7 @@ func (e *exporter) renderMetrics() []byte {
 	for _, f := range []*metricFamily{
 		up, weight, draining, workers, busy, idle, queueDepth, queueCap,
 		inflight, envelopes, requests, packed, faults, itemFaults,
-		faultCodes, diffHits, diffMisses, opCount, opLatency, opMean,
+		faultCodes, opCount, opLatency, opMean,
 	} {
 		if len(f.samples) == 0 {
 			continue

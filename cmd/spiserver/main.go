@@ -5,7 +5,7 @@
 //
 //	spiserver -addr :8080
 //	spiserver -addr :8080 -app-workers 64 -work 2ms
-//	spiserver -addr :8080 -wss-user alice -wss-secret s3cret -diff
+//	spiserver -addr :8080 -wss-user alice -wss-secret s3cret
 //	spiserver -addr :8080 -admin -weight 4 -debug
 //
 // Endpoints:
@@ -38,7 +38,6 @@ func main() {
 	work := flag.Duration("work", 0, "simulated backend work per operation")
 	wssUser := flag.String("wss-user", "", "require WS-Security and accept this username")
 	wssSecret := flag.String("wss-secret", "", "shared secret for -wss-user")
-	diff := flag.Bool("diff", false, "enable the differential-deserialization cache")
 	debug := flag.Bool("debug", false, "expose GET /spi/stats and /spi/pprof/* operator endpoints")
 	admin := flag.Bool("admin", false, "self-host the Admin control-plane service (GetStats/SetState) at /services/Admin")
 	weight := flag.Int("weight", 1, "initial advertised weight, reported to exporters (with -admin); gateways route by their own -backends weights")
@@ -68,9 +67,7 @@ func main() {
 		PipelineWindow: *pipeline,
 		ReadTimeout:    *readTimeout,
 		WriteTimeout:   *writeTimeout,
-
-		DifferentialDeserialization: *diff,
-		DebugEndpoints:              *debug,
+		DebugEndpoints: *debug,
 	}
 	if *wssUser != "" {
 		if *wssSecret == "" {

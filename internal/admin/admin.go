@@ -84,10 +84,6 @@ type Stats struct {
 	Packed     int64 `json:"packed"`
 	Faults     int64 `json:"faults"`
 	ItemFaults int64 `json:"item_faults"`
-	// DiffHits and DiffMisses count differential-deserialization cache
-	// lookups (zero when the cache is disabled).
-	DiffHits   int64 `json:"diff_hits"`
-	DiffMisses int64 `json:"diff_misses"`
 
 	// FaultCodes breaks Faults+ItemFaults down by emitted wire fault code
 	// (Server.Timeout, Server.Busy, ...). Omitted from the wire when every

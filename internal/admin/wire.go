@@ -40,8 +40,6 @@ func StatsFields(s Stats) []soapenc.Field {
 		soapenc.F("packed", s.Packed),
 		soapenc.F("faults", s.Faults),
 		soapenc.F("item_faults", s.ItemFaults),
-		soapenc.F("diff_hits", s.DiffHits),
-		soapenc.F("diff_misses", s.DiffMisses),
 	}
 	// fault_codes is omitted when every tally is zero so fault-free nodes
 	// advertise exactly the pre-taxonomy bytes (admin goldens stay pinned).
@@ -139,14 +137,6 @@ func StatsFromFields(params []soapenc.Field) (Stats, error) {
 			}
 		case "item_faults":
 			if err := statInt(p.Name, p.Value, &s.ItemFaults); err != nil {
-				return Stats{}, err
-			}
-		case "diff_hits":
-			if err := statInt(p.Name, p.Value, &s.DiffHits); err != nil {
-				return Stats{}, err
-			}
-		case "diff_misses":
-			if err := statInt(p.Name, p.Value, &s.DiffMisses); err != nil {
 				return Stats{}, err
 			}
 		case "fault_codes":

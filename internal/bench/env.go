@@ -44,9 +44,6 @@ type EnvOptions struct {
 	// TemplateCache enables the §2.2 client-side parameterized message
 	// cache ([1]/[3]).
 	TemplateCache bool
-	// DiffDeserialization enables the §2.2 server-side differential
-	// deserialization cache ([4]/[11]).
-	DiffDeserialization bool
 	// Retry applies a client-side retry policy (nil: no retries), for the
 	// fault-injection experiment.
 	Retry *core.RetryPolicy
@@ -98,12 +95,11 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 
 	secret := []byte("spi-benchmark-secret")
 	scfg := core.ServerConfig{
-		Container:                   container,
-		AppWorkers:                  opt.AppWorkers,
-		Coupled:                     opt.Coupled,
-		DifferentialDeserialization: opt.DiffDeserialization,
-		AdmissionTimeout:            opt.AdmissionTimeout,
-		Tracer:                      opt.Tracer,
+		Container:        container,
+		AppWorkers:       opt.AppWorkers,
+		Coupled:          opt.Coupled,
+		AdmissionTimeout: opt.AdmissionTimeout,
+		Tracer:           opt.Tracer,
 	}
 	ccfg := core.ClientConfig{
 		Dial:          env.Link.Dial,

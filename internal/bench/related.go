@@ -6,7 +6,7 @@ import (
 	"repro/internal/soapenc"
 )
 
-// RunRelatedWork measures the §2.2 related-work optimizations against the
+// RunRelatedWork measures a §2.2 related-work optimization against the
 // paper's approach on the Figure-5 workload (M small requests). The paper
 // argues those techniques "speed up the process of SOAP message parsing"
 // while SPI "is designed to reduce the number of SOAP messages" — i.e.
@@ -15,11 +15,13 @@ import (
 // measurable:
 //
 //   - client template caching ([1] Devaram & Andresen / [3] differential
-//     serialization) removes client serialization cost;
-//   - server differential deserialization ([4]/[11]) removes repeated
-//     parse cost;
-//   - both still send M messages, so connection setup and headers remain;
+//     serialization) removes client serialization cost, but still sends M
+//     messages, so connection setup and headers remain;
 //   - packing removes the per-message overhead itself.
+//
+// Server-side differential deserialization ([4]/[11]) has no row: measured
+// on this server it saved nothing, and it was deleted (docs/PERFORMANCE.md,
+// "Knob ledger").
 func RunRelatedWork(reps int) (*AblationResult, error) {
 	if reps <= 0 {
 		reps = 5
@@ -40,13 +42,9 @@ func RunRelatedWork(reps int) (*AblationResult, error) {
 			"M messages, M connections"},
 		{"+ client template cache [1,3]", EnvOptions{TemplateCache: true}, false,
 			"serialization bypassed, M messages remain"},
-		{"+ differential deserialization [4,11]", EnvOptions{DiffDeserialization: true}, false,
-			"server parse bypassed, M messages remain"},
-		{"+ both caches", EnvOptions{TemplateCache: true, DiffDeserialization: true}, false,
-			"all per-message CPU removed, M messages remain"},
 		{"Our Approach (pack interface)", EnvOptions{}, true,
 			"1 message, 1 connection"},
-		{"Ours + both caches", EnvOptions{TemplateCache: true, DiffDeserialization: true}, true,
+		{"Ours + template cache", EnvOptions{TemplateCache: true}, true,
 			"orthogonal: packing and caching compose"},
 	}
 

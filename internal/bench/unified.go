@@ -3,10 +3,9 @@ package bench
 import "fmt"
 
 // RunUnifiedFastPath prices the server's entry-granular features on its one
-// dispatch pipeline. The experiment runs the packed M=16 echo workload
-// through each combination of WS-Security and differential deserialization,
-// so the table shows what the features cost on top of bare streaming
-// (target: WSSE+diff within ~1.15× of bare).
+// dispatch pipeline. The experiment runs the packed M=16 echo workload bare
+// and with WS-Security, so the table shows what verification costs on top of
+// bare streaming (target: within ~1.15× of bare).
 func RunUnifiedFastPath(reps int) (*AblationResult, error) {
 	if reps <= 0 {
 		reps = 5
@@ -24,12 +23,8 @@ func RunUnifiedFastPath(reps int) (*AblationResult, error) {
 	variants := []variant{
 		{"streaming, bare", EnvOptions{},
 			"the fast path, no features"},
-		{"streaming + diff deser", EnvOptions{DiffDeserialization: true},
-			"per-entry subtree cache, hits skip tokenizing"},
 		{"streaming + WSSE", EnvOptions{WSSecurity: true},
 			"entries decoded as they stream, executed once the signature verifies"},
-		{"streaming + WSSE + diff", EnvOptions{WSSecurity: true, DiffDeserialization: true},
-			"both features together"},
 	}
 
 	for _, v := range variants {

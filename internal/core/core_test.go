@@ -790,35 +790,6 @@ func TestTemplateCacheDisabledStats(t *testing.T) {
 	}
 }
 
-// TestDiffCacheLRU pins the store's recency behaviour deterministically by
-// driving one shard directly: keys share a first byte, so with capacity 16
-// (two slots per shard) the shard holds two entries, and a lookup refreshes
-// recency — FIFO would evict the older insert, LRU evicts the unused one.
-func TestDiffCacheLRU(t *testing.T) {
-	d := newDiffCache(16)
-	key := func(b byte) (k [32]byte) { k[1] = b; return }
-	tree := xmldom.NewElement(xmltext.Name{Local: "x"})
-	d.insert(key(1), tree)
-	d.insert(key(2), tree)
-	if d.lookup(key(1)) == nil {
-		t.Fatal("key 1 missing after insert")
-	}
-	d.insert(key(3), tree) // shard full: must evict key 2, the LRU
-	if d.lookup(key(2)) != nil {
-		t.Error("key 2 survived eviction (FIFO order, want LRU)")
-	}
-	if d.lookup(key(1)) == nil {
-		t.Error("key 1 evicted despite being recently used")
-	}
-	if d.lookup(key(3)) == nil {
-		t.Error("key 3 missing after insert")
-	}
-	hits, misses := d.stats()
-	if hits != 3 || misses != 1 {
-		t.Errorf("stats = hits %d misses %d, want 3/1", hits, misses)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Error("server without container accepted")

@@ -115,6 +115,9 @@ func TestAdminStatsAcrossUpgrade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if bytes.Contains(now, []byte("<diff_")) {
+			t.Fatalf("%s still carries the diff counters", name)
+		}
 		was, err := admin.ParseStatsResponse(old)
 		if err != nil {
 			t.Fatalf("pre30/%s: %v", name, err)

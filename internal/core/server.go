@@ -91,12 +91,6 @@ type ServerConfig struct {
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 
-	// DifferentialDeserialization enables the §2.2 related-work
-	// server-side optimization ([4]/[11]): repeated byte-identical body
-	// entries reuse a cached parse instead of re-tokenizing. The cache holds
-	// diffCacheSize parses.
-	DifferentialDeserialization bool
-
 	// AdmissionTimeout bounds how long a request waits for space in the
 	// application-stage queue before being shed with a Server.Busy fault
 	// (per item for packed messages). Zero preserves the unbounded
@@ -142,8 +136,6 @@ type ServerStats struct {
 	PackedMessages int64 // envelopes that used Parallel_Method
 	Faults         int64 // whole-message faults returned
 	ItemFaults     int64 // per-item faults inside packed responses
-	DiffHits       int64 // differential-deserialization cache hits
-	DiffMisses     int64 // differential-deserialization cache misses
 	AppStage       stage.Stats
 
 	// FaultCodes tallies emitted faults (whole-message and per-item) by
@@ -176,7 +168,6 @@ type Server struct {
 	cfg        ServerConfig
 	httpSrv    *httpx.Server
 	appPool    *stage.Pool  // nil iff Coupled
-	diff       *diffCache   // nil unless DifferentialDeserialization
 	adminState *admin.State // nil unless AdminService
 
 	envelopes  atomic.Int64
@@ -239,9 +230,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		s.appPool = pool
 	}
-	if cfg.DifferentialDeserialization {
-		s.diff = newDiffCache(diffCacheSize)
-	}
 	s.httpSrv = &httpx.Server{
 		Handler:      s.handle,
 		Rejects:      &s.faultCodes,
@@ -281,8 +269,6 @@ func (s *Server) AdminStats() admin.Stats {
 		Packed:     st.PackedMessages,
 		Faults:     st.Faults,
 		ItemFaults: st.ItemFaults,
-		DiffHits:   st.DiffHits,
-		DiffMisses: st.DiffMisses,
 		FaultCodes: admin.FaultCodes(st.FaultCodes),
 	}
 	if out.Idle = out.Workers - out.Busy; out.Idle < 0 {
@@ -354,9 +340,6 @@ func (s *Server) Stats() ServerStats {
 	}
 	if s.staged() {
 		st.AppStage = s.appPool.Stats()
-	}
-	if s.diff != nil {
-		st.DiffHits, st.DiffMisses = s.diff.stats()
 	}
 	st.FaultCodes = s.faultCodes.Snapshot()
 	st.Resilience = s.resil.Snapshot()
@@ -690,12 +673,12 @@ func DeadlineBudget(req *httpx.Request) time.Duration {
 }
 
 // dispatchTimes is the part of a dispatch's time that belongs to other
-// phases. decode is what went into reading the body — inside the
-// StreamDecoder, and the parse cache in front of it. encode is what went into
-// encoding the response: from encodeStart when the encoding ran on its own,
-// after the operation (a single call); with no start of its own when it was
-// interleaved with the entries' runs (a packed body, a plan), which the trace
-// then shows from the dispatch's start.
+// phases. decode is what went into reading the body, inside the
+// StreamDecoder. encode is what went into encoding the response: from
+// encodeStart when the encoding ran on its own, after the operation (a single
+// call); with no start of its own when it was interleaved with the entries'
+// runs (a packed body, a plan), which the trace then shows from the
+// dispatch's start.
 type dispatchTimes struct {
 	decode      time.Duration
 	encodeStart time.Time

@@ -21,10 +21,10 @@ import (
 // The one intentional difference is *when* errors surface — a document
 // whose tail is malformed fails at Finish, after earlier entries have
 // already been delivered. For callers that need the bytes as well as the
-// trees, the Acquire mode tees out verbatim spans: per-entry subtree spans
-// for differential caching (NextChildSpan, CompleteEntrySpan) and the
-// concatenation of all body entries for signature verification
-// (BodySpans), so neither forces a second pass over the document.
+// trees, the Acquire mode tees out verbatim spans: each packed child's
+// (ChildSpan), for forwarding it unchanged, and those of all body entries
+// for signature verification (BodySpans), so neither forces a second pass
+// over the document.
 //
 // All nodes come from the arena passed to NewStreamDecoder and follow the
 // arena lifecycle contract; a nil arena falls back to the heap.
@@ -45,13 +45,10 @@ type StreamDecoder struct {
 	state streamState
 
 	// Raw-span tracking, available only in AcquireStreamDecoder mode (src
-	// non-nil). Spans alias src and share its lifetime: the per-entry parse
-	// cache hashes them and header processors verify signatures over them,
-	// both before the request buffer is recycled.
+	// non-nil). Spans alias src and share its lifetime: the gateway forwards
+	// them and header processors verify signatures over them, both before the
+	// request buffer is recycled.
 	src        []byte
-	rootTag    []byte   // the root element's start tag, verbatim
-	bodyTag    []byte   // the Body element's start tag, verbatim
-	entryTag   []byte   // the current entry's start tag, verbatim
 	entryStart int64    // offset of the current entry's '<'
 	spans      [][]byte // raw span of each completed body entry, in order
 	child      []byte   // raw span of the child NextChild returned last
@@ -102,7 +99,7 @@ func AcquireStreamDecoder(body []byte, a *xmldom.Arena) *StreamDecoder {
 	d.root, d.body = nil, nil
 	d.state = streamInit
 	d.src = body
-	d.rootTag, d.bodyTag, d.entryTag, d.child = nil, nil, nil, nil
+	d.child = nil
 	d.entryStart = 0
 	clear(d.spans)
 	d.spans = d.spans[:0]
@@ -122,7 +119,7 @@ func (d *StreamDecoder) Release() {
 	}
 	d.arena = nil
 	d.root, d.body = nil, nil
-	d.src, d.rootTag, d.bodyTag, d.entryTag, d.child = nil, nil, nil, nil, nil
+	d.src, d.child = nil, nil
 	clear(d.spans)
 	d.spans = d.spans[:0]
 	streamDecoderPool.Put(d)
@@ -138,7 +135,6 @@ func (d *StreamDecoder) ReadPreamble() error {
 	}
 	// Prolog: skip everything before the root start tag, as Parse does.
 	for {
-		pos := d.tk.InputOffset()
 		tok, err := d.tk.Next()
 		if err == io.EOF {
 			return fmt.Errorf("soap: %w", errEmptyEnvelope)
@@ -150,9 +146,6 @@ func (d *StreamDecoder) ReadPreamble() error {
 			continue
 		}
 		d.root = xmldom.StartElementNode(d.arena, &tok, nil)
-		if d.src != nil {
-			d.rootTag = d.src[pos:d.tk.InputOffset()]
-		}
 		break
 	}
 	switch {
@@ -170,7 +163,6 @@ func (d *StreamDecoder) ReadPreamble() error {
 	// Envelope children until Body: Header blocks parse eagerly (they are
 	// small and the server needs them before dispatching anything).
 	for {
-		pos := d.tk.InputOffset()
 		tok, err := d.tk.Next()
 		if err != nil {
 			return d.wrapTokenErr(err)
@@ -186,9 +178,6 @@ func (d *StreamDecoder) ReadPreamble() error {
 				d.env.Header = append(d.env.Header, child.ChildElements()...)
 			case child.Is(d.nsEnv, "Body"):
 				d.body = child
-				if d.src != nil {
-					d.bodyTag = d.src[pos:d.tk.InputOffset()]
-				}
 				d.state = streamInBody
 				return nil
 			default:
@@ -211,11 +200,6 @@ func (d *StreamDecoder) ReadPreamble() error {
 // decoded and the slice is completed by Finish.
 func (d *StreamDecoder) Envelope() *Envelope { return d.env }
 
-// Arena exposes the arena nodes are allocated from (nil in heap mode), so
-// callers can build sibling subtrees — cache-hit clones — with the same
-// lifecycle.
-func (d *StreamDecoder) Arena() *xmldom.Arena { return d.arena }
-
 // NextEntryStart reads up to the start tag of the next body entry and
 // returns the started element — attributes present, children not yet
 // parsed. It returns (nil, nil) when the Body end tag is reached. The
@@ -236,7 +220,6 @@ func (d *StreamDecoder) NextEntryStart() (*xmldom.Element, error) {
 			el := xmldom.StartElementNode(d.arena, &tok, d.body)
 			if d.src != nil {
 				d.entryStart = pos
-				d.entryTag = d.src[pos:d.tk.InputOffset()]
 			}
 			d.state = streamInEntry
 			return el, nil
@@ -317,118 +300,12 @@ func (d *StreamDecoder) pushEntrySpan() {
 	}
 }
 
-// RawContext returns the verbatim start tags of the envelope root and the
-// Body element — the two ancestors whose attributes (namespace
-// declarations) govern how any body subtree's prefixes resolve. Together
-// with EntryStartTag they form the context a caller must mix into a
-// subtree hash so byte-identical subtrees under different declarations
-// never collide. Nil outside Acquire mode or before ReadPreamble.
-func (d *StreamDecoder) RawContext() (rootTag, bodyTag []byte) {
-	return d.rootTag, d.bodyTag
-}
-
-// EntryStartTag returns the verbatim start tag of the entry most recently
-// started by NextEntryStart — the third ancestor link in the hashing
-// context for per-child subtree spans. Nil outside Acquire mode.
-func (d *StreamDecoder) EntryStartTag() []byte { return d.entryTag }
-
 // BodySpans returns the raw byte spans of the body entries completed so
 // far, in document order. After the last entry (and Finish) this is the
 // exact wire form of the Body's element content — the canonical body that
 // header processors verify signatures over. The spans alias the request
 // buffer passed to AcquireStreamDecoder.
 func (d *StreamDecoder) BodySpans() [][]byte { return d.spans }
-
-// NextChildSpan is NextChild without the DOM: the next child subtree of
-// the current entry is tokenized (well-formedness still enforced) but no
-// nodes are built, and its raw byte span is returned. (nil, nil) at the
-// entry's end tag. The per-entry parse cache uses it to hash a child
-// before deciding whether to parse it at all. Only valid in Acquire mode.
-func (d *StreamDecoder) NextChildSpan(entry *xmldom.Element) ([]byte, error) {
-	if d.state != streamInEntry {
-		return nil, fmt.Errorf("soap: NextChildSpan in wrong state")
-	}
-	if d.src == nil {
-		return nil, fmt.Errorf("soap: NextChildSpan without in-memory source")
-	}
-	for {
-		pos := d.tk.InputOffset()
-		tok, err := d.tk.Next()
-		if err != nil {
-			return nil, d.wrapTokenErr(err)
-		}
-		switch tok.Kind {
-		case xmltext.KindStartElement:
-			if err := d.skipSubtree(); err != nil {
-				return nil, err
-			}
-			return d.src[pos:d.tk.InputOffset()], nil
-		case xmltext.KindEndElement:
-			d.pushEntrySpan()
-			d.state = streamInBody
-			return nil, nil
-		case xmltext.KindText:
-			xmldom.AppendText(d.arena, entry, d.tk.TokenBytes())
-		case xmltext.KindComment:
-			entry.AddChild(&xmldom.Comment{Data: tok.Text})
-		}
-	}
-}
-
-// CompleteEntrySpan is CompleteEntry without the DOM: the rest of the
-// entry subtree is tokenized but not built, and the full raw span of the
-// entry (start tag included) is returned. The caller either parses the
-// span or substitutes a cached tree via ReplaceEntry. Only valid in
-// Acquire mode.
-func (d *StreamDecoder) CompleteEntrySpan(el *xmldom.Element) ([]byte, error) {
-	if d.state != streamInEntry {
-		return nil, fmt.Errorf("soap: CompleteEntrySpan in wrong state")
-	}
-	if d.src == nil {
-		return nil, fmt.Errorf("soap: CompleteEntrySpan without in-memory source")
-	}
-	if err := d.skipSubtree(); err != nil {
-		return nil, err
-	}
-	span := d.src[d.entryStart:d.tk.InputOffset()]
-	d.spans = append(d.spans, span)
-	d.state = streamInBody
-	return span, nil
-}
-
-// skipSubtree consumes tokens until the subtree opened by the most recent
-// start token closes. A self-closing element's synthetic end token returns
-// immediately, consuming no input.
-func (d *StreamDecoder) skipSubtree() error {
-	depth := 1
-	for depth > 0 {
-		tok, err := d.tk.Next()
-		if err != nil {
-			return d.wrapTokenErr(err)
-		}
-		switch tok.Kind {
-		case xmltext.KindStartElement:
-			depth++
-		case xmltext.KindEndElement:
-			depth--
-		}
-	}
-	return nil
-}
-
-// ReplaceEntry swaps an entry element delivered by NextEntryStart (and
-// skipped via CompleteEntrySpan) for a replacement tree — a cache clone or
-// a span re-parse — keeping document order and the parent chain intact.
-func (d *StreamDecoder) ReplaceEntry(old, repl *xmldom.Element) {
-	for i, n := range d.body.Children {
-		if n == old {
-			d.body.Children[i] = repl
-			repl.Parent = d.body
-			old.Parent = nil
-			return
-		}
-	}
-}
 
 // Finish consumes the remainder of the document after the Body, applying
 // the same envelope-shape checks Decode performs (Header after Body,

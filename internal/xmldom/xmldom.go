@@ -272,30 +272,6 @@ func (e *Element) cloneChildrenTo(c *Element) {
 	}
 }
 
-// CloneInArena returns a deep copy of the subtree rooted at e with every
-// node allocated from a (heap when a is nil). Unlike Clone it copies the
-// subtree verbatim — no inherited namespace declarations are pulled from
-// ancestors — so it suits callers that cloned the source *after* it was
-// attached (any bindings it needs are already baked into its own attrs) and
-// will attach the copy into a live document themselves. The copy's Parent
-// is nil. The attribute and text strings are shared with the source, which
-// must therefore be immutable for the life of the copy.
-func (e *Element) CloneInArena(a *Arena) *Element {
-	c := a.NewElement(e.Name)
-	c.Attrs = a.CopyAttrs(e.Attrs)
-	for _, n := range e.Children {
-		switch n := n.(type) {
-		case *Element:
-			c.AddChild(n.CloneInArena(a))
-		case *Text:
-			c.AddChild(a.NewText(n.Data))
-		case *Comment:
-			c.AddChild(&Comment{Data: n.Data})
-		}
-	}
-	return c
-}
-
 func (e *Element) appendTo(em *xmltext.Emitter) {
 	em.Start(e.Name)
 	for _, a := range e.Attrs {
