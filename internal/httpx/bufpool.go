@@ -103,7 +103,7 @@ func ReadRequestPooled(br *bufio.Reader, maxBody int64) (*Request, func(), error
 	}
 	req := &Request{Method: method, Target: target, Proto: proto, Header: h}
 
-	chunked, n, err := bodyFraming(&h)
+	chunked, n, err := bodyFraming(&h, true)
 	if err != nil {
 		return nil, noop, err
 	}

@@ -16,12 +16,16 @@ import (
 // TestBodyFraming feeds raw header blocks to all three message readers. A
 // message whose length two parsers could read differently — the shapes
 // request smuggling is made of — is a ProtocolError (errors.Is
-// fault.Protocol) from each; everything else reads to the same body.
+// fault.Protocol) from each; everything else reads to the same body. The one
+// shape the readers tell apart is a Transfer-Encoding whose final coding is
+// not chunked (RFC 9112 §6.3): a request like that is refused, while a
+// response reads to the end of the connection, as respBody says.
 func TestBodyFraming(t *testing.T) {
 	const chunked5 = "5\r\nhello\r\n0\r\n\r\n"
 	for _, tc := range []struct {
 		name, fields, payload string
 		body, err             string
+		respBody              *string
 	}{
 		{name: "Content-Length", fields: "Content-Length: 5\r\n", payload: "hello", body: "hello"},
 		{name: "chunked", fields: "Transfer-Encoding: chunked\r\n", payload: chunked5, body: "hello"},
@@ -42,19 +46,27 @@ func TestBodyFraming(t *testing.T) {
 		{name: "Content-Length list", fields: "Content-Length: 5, 5\r\n", payload: "hello", err: `bad Content-Length "5, 5"`},
 		{name: "empty Content-Length", fields: "Content-Length:\r\n", err: `bad Content-Length ""`},
 		{name: "Content-Length overflow", fields: "Content-Length: 99999999999999999999\r\n", err: "bad Content-Length"},
+		{name: "gzip", fields: "Transfer-Encoding: gzip\r\n", payload: "hello",
+			err: `Transfer-Encoding "gzip" does not end in chunked`, respBody: ptr("hello")},
+		{name: "chunked, gzip", fields: "Transfer-Encoding: chunked, gzip\r\n", payload: chunked5,
+			err: `Transfer-Encoding "gzip" does not end in chunked`, respBody: ptr(chunked5)},
 	} {
 		reader := func(wire string) *bufio.Reader { return bufio.NewReader(strings.NewReader(wire)) }
 		request := "POST /services/Echo HTTP/1.1\r\nHost: x\r\n" + tc.fields + "\r\n" + tc.payload
 		response := "HTTP/1.1 200 OK\r\n" + tc.fields + "\r\n" + tc.payload
 		check := func(which string, body []byte, err error) {
 			t.Helper()
+			want, wantErr := tc.body, tc.err
+			if which == "ReadResponse" && tc.respBody != nil {
+				want, wantErr = *tc.respBody, ""
+			}
 			var pe *ProtocolError
 			switch {
-			case tc.err == "" && (err != nil || string(body) != tc.body):
-				t.Errorf("%s/%s: body %q, %v; want %q", tc.name, which, body, err, tc.body)
-			case tc.err != "" && (!errors.As(err, &pe) || !strings.Contains(pe.Msg, tc.err) ||
+			case wantErr == "" && (err != nil || string(body) != want):
+				t.Errorf("%s/%s: body %q, %v; want %q", tc.name, which, body, err, want)
+			case wantErr != "" && (!errors.As(err, &pe) || !strings.Contains(pe.Msg, wantErr) ||
 				!errors.Is(err, fault.Protocol) || !errors.Is(err, fault.Defect)):
-				t.Errorf("%s/%s: err = %v, want a fault.Protocol ProtocolError with %q", tc.name, which, err, tc.err)
+				t.Errorf("%s/%s: err = %v, want a fault.Protocol ProtocolError with %q", tc.name, which, err, wantErr)
 			}
 		}
 		var body []byte
@@ -79,14 +91,19 @@ func TestBodyFraming(t *testing.T) {
 	}
 }
 
-// TestServerRejectsAmbiguousFraming: over a socket, both shapes are answered
+// TestServerRejectsAmbiguousFraming: over a socket, every shape is answered
 // 400 with the connection closed and the reject counted, on the serial loop
-// and behind a pipelined request alike, and the handler never sees them.
+// and behind a pipelined request alike, and the handler never sees them —
+// nor the GET smuggled in the body of a request whose final coding is not
+// chunked, which a reader taking that request as body-less would run next.
 func TestServerRejectsAmbiguousFraming(t *testing.T) {
 	var rejects fault.Counters
-	var handled atomic.Int32
+	var handled, smuggled atomic.Int32
 	srv := &Server{MaxPipeline: 4, Rejects: &rejects, Handler: func(_ context.Context, req *Request) *Response {
 		handled.Add(1)
+		if req.Target == "/admin" {
+			smuggled.Add(1)
+		}
 		return NewResponse(200, req.Body)
 	}}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -99,7 +116,8 @@ func TestServerRejectsAmbiguousFraming(t *testing.T) {
 	good := "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nok"
 	smuggle := "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\nGET /admin HTTP/1.1\r\n\r\n"
 	twoLengths := "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nokX"
-	for i, wire := range []string{smuggle, twoLengths, good + smuggle, good + twoLengths} {
+	gzipped := "POST /x HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: gzip\r\n\r\nGET /admin HTTP/1.1\r\nHost: x\r\n\r\n"
+	for i, wire := range []string{smuggle, twoLengths, gzipped, good + smuggle, good + twoLengths, good + gzipped} {
 		conn, err := net.Dial("tcp", l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +143,12 @@ func TestServerRejectsAmbiguousFraming(t *testing.T) {
 			t.Errorf("case %d: reject counter = %+v", i, got)
 		}
 	}
-	if n := handled.Load(); n != 2 {
-		t.Errorf("handler ran %d times, want 2 (the well-framed requests only)", n)
+	if n := handled.Load(); n != 3 {
+		t.Errorf("handler ran %d times, want 3 (the well-framed requests only)", n)
+	}
+	if n := smuggled.Load(); n != 0 {
+		t.Errorf("the handler ran %d smuggled GET /admin", n)
 	}
 }
+
+func ptr(s string) *string { return &s }

@@ -103,8 +103,7 @@ func (h *Header) Clone() Header {
 }
 
 // hasToken reports whether the named field contains the given
-// comma-separated token (case-insensitive), as used by Connection and
-// Transfer-Encoding handling.
+// comma-separated token (case-insensitive), as used by Connection handling.
 func (h *Header) hasToken(name, token string) bool {
 	for _, v := range h.Values(name) {
 		for _, part := range strings.Split(v, ",") {

@@ -197,15 +197,23 @@ func readHeader(br *bufio.Reader, budget *int) (Header, error) {
 // frame differently — the request-smuggling shapes of RFC 9112 §6.3, which
 // matter here because the gateway relays bytes to a backend that parses them
 // again: Transfer-Encoding together with Content-Length, Content-Length
-// fields that disagree, and a Content-Length that is not plain digits
-// ("+5" is a number to strconv.ParseInt, not to the next hop).
-func bodyFraming(h *Header) (chunked bool, length int64, err error) {
+// fields that disagree, a Content-Length that is not plain digits ("+5" is a
+// number to strconv.ParseInt, not to the next hop), and a request whose final
+// transfer coding is not chunked, whose length no reader can tell. A response
+// of that last shape has neither framing, so it is read to the end of the
+// connection, as the RFC says.
+func bodyFraming(h *Header, request bool) (chunked bool, length int64, err error) {
 	length = -1
-	coded := false
+	coded, final := false, ""
 	for _, f := range h.fields {
 		switch {
 		case strings.EqualFold(f.name, "Transfer-Encoding"):
 			coded = true
+			// The codings of every field form one list, in order; empty
+			// elements do not count (RFC 9110 §5.6.1).
+			if v := strings.TrimRight(f.value, " \t,"); v != "" {
+				final = strings.TrimSpace(v[strings.LastIndexByte(v, ',')+1:])
+			}
 		case strings.EqualFold(f.name, "Content-Length"):
 			n, err := strconv.ParseUint(f.value, 10, 63)
 			if err != nil {
@@ -220,7 +228,11 @@ func bodyFraming(h *Header) (chunked bool, length int64, err error) {
 	if coded && length >= 0 {
 		return false, 0, protoErrf("both Transfer-Encoding and Content-Length")
 	}
-	return coded && h.hasToken("Transfer-Encoding", "chunked"), length, nil
+	chunked = coded && strings.EqualFold(final, "chunked")
+	if coded && !chunked && request {
+		return false, 0, protoErrf("Transfer-Encoding %q does not end in chunked", final)
+	}
+	return chunked, length, nil
 }
 
 // readBody reads a message body framed as bodyFraming found it. A message
@@ -273,7 +285,7 @@ func ReadRequest(br *bufio.Reader, maxBody int64) (*Request, error) {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	chunked, length, err := bodyFraming(&h)
+	chunked, length, err := bodyFraming(&h, true)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +325,7 @@ func ReadResponse(br *bufio.Reader, maxBody int64) (*Response, error) {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	chunked, length, err := bodyFraming(&h)
+	chunked, length, err := bodyFraming(&h, false)
 	if err != nil {
 		return nil, err
 	}
