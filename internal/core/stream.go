@@ -144,8 +144,8 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	return resp, dispatchTimes{decode: decode, encode: asm.encDur}, nil
 }
 
-// packedHooks are what a caller plugs into readPacked; a nil hook does
-// nothing.
+// packedHooks are what a caller plugs into readPacked; a nil intercept or
+// verify does nothing.
 type packedHooks struct {
 	intercept func(slot int, el *xmldom.Element) (*xmldom.Element, *soap.Fault)  // replaces or faults an entry before it is decoded
 	entry     func(slot int, el *xmldom.Element, req *rpcRequest, f *soap.Fault) // each entry as it closes: decoded, or faulted with f

@@ -218,9 +218,7 @@ func (d *StreamDecoder) NextEntryStart() (*xmldom.Element, error) {
 		switch tok.Kind {
 		case xmltext.KindStartElement:
 			el := xmldom.StartElementNode(d.arena, &tok, d.body)
-			if d.src != nil {
-				d.entryStart = pos
-			}
+			d.entryStart = pos
 			d.state = streamInEntry
 			return el, nil
 		case xmltext.KindEndElement:
