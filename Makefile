@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test test-386 race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check
+.PHONY: check build vet test test-386 race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check census
 
 ## check: the full gate — build, vet, race-enabled shuffled tests, the
 ## application-stage pool's and the completion collector's 30-run censuses,
@@ -173,6 +173,13 @@ bench-check:
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
 		-baseline BENCH_pr24.json,BENCH_pr30.json -tolerance 35
+
+## census: print the dead-surface census — every exported identifier under
+## internal/ that no non-test code uses or sets, with its allowlist kind
+## (testdata/census_allowlist.txt). The same test runs in tier-1 and fails on
+## a finding the allowlist does not name, or a line that names no finding.
+census:
+	$(GO) test -run TestDeadSurfaceCensus -v .
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:
