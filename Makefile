@@ -73,8 +73,8 @@ race-assemble:
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -run='Coalesce|ReverseOrder|GatherWrites' \
 		-skip='TestCoalesceShutdownReleasesParked' ./internal/gateway
 
-## race-metrics: the latency recorder has no lock to hide behind — writers,
-## Snapshot and Reset race on bare atomics, so its suite gets extra runs.
+## race-metrics: the latency recorder has no lock to hide behind — writers
+## and Snapshot race on bare atomics, so its suite gets extra runs.
 race-metrics:
 	$(GO) test -race -count=3 ./internal/metrics
 

@@ -105,7 +105,6 @@ var allowKinds = map[string]bool{
 	"test seam":                  true, // a fake clock, RNG, injected fault or latency
 	"resource limit":             true, // a bound an operator sets
 	"cross-package test support": true, // used by the tests of two packages or more
-	"pending deletion":           true, // found at the census's first run; goes in this change
 }
 
 type censusFinding struct {
@@ -350,7 +349,11 @@ func (c *census) record(info *types.Info, files []*ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
-				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				t := info.Types[n].Type // *T for an element of []*T{{...}}
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
 				if !ok {
 					break
 				}

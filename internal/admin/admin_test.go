@@ -169,7 +169,9 @@ func TestDeploySetState(t *testing.T) {
 		t.Fatal(fault)
 	}
 	res := soapenc.NewStruct(out...)
-	if res.GetInt("weight") != 9 || !res.GetBool("draining") {
+	w, _ := res.Get("weight")
+	d, _ := res.Get("draining")
+	if w != int64(9) || d != true {
 		t.Errorf("response = %+v", out)
 	}
 	if w, d := st.Snapshot(); w != 9 || !d {
@@ -182,7 +184,9 @@ func TestDeploySetState(t *testing.T) {
 		t.Fatal(fault)
 	}
 	res = soapenc.NewStruct(out...)
-	if res.GetInt("weight") != 9 || res.GetBool("draining") {
+	w, _ = res.Get("weight")
+	d, _ = res.Get("draining")
+	if w != int64(9) || d != false {
 		t.Errorf("partial response = %+v", out)
 	}
 
@@ -224,7 +228,9 @@ func TestRequestBuilders(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := soapenc.NewStruct(params...)
-		if ps.GetInt("weight") != 3 || !ps.GetBool("drain") {
+		w, _ := ps.Get("weight")
+		d, _ := ps.Get("drain")
+		if w != int64(3) || d != true {
 			t.Errorf("%v: SetState params = %+v", v, params)
 		}
 	}

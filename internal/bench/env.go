@@ -47,9 +47,6 @@ type EnvOptions struct {
 	// Retry applies a client-side retry policy (nil: no retries), for the
 	// fault-injection experiment.
 	Retry *core.RetryPolicy
-	// AdmissionTimeout bounds application-stage queue admission on the
-	// server (zero: unbounded blocking submit).
-	AdmissionTimeout time.Duration
 	// Tracer, when non-nil, is shared by the client and the server so one
 	// sink sees every hop of every message — the per-stage breakdown
 	// experiments aggregate its spans. Nil runs untraced (the perf
@@ -95,11 +92,10 @@ func NewEnv(opt EnvOptions) (*Env, error) {
 
 	secret := []byte("spi-benchmark-secret")
 	scfg := core.ServerConfig{
-		Container:        container,
-		AppWorkers:       opt.AppWorkers,
-		Coupled:          opt.Coupled,
-		AdmissionTimeout: opt.AdmissionTimeout,
-		Tracer:           opt.Tracer,
+		Container:  container,
+		AppWorkers: opt.AppWorkers,
+		Coupled:    opt.Coupled,
+		Tracer:     opt.Tracer,
 	}
 	ccfg := core.ClientConfig{
 		Dial:          env.Link.Dial,

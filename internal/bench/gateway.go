@@ -42,9 +42,6 @@ type GatewayOptions struct {
 	// WorkTimes overrides WorkTime per backend (index i for backend i),
 	// skewing the fleet — the regime the control-plane experiments probe.
 	WorkTimes []time.Duration
-	// Weights sets per-backend routing weights for the least-loaded policy
-	// (index i for backend i; missing entries default to 1).
-	Weights []int
 	// Policy selects the sharding strategy (default round-robin).
 	Policy gateway.Policy
 	// MaxActivePerBackend bounds concurrent gateway→backend exchanges
@@ -105,12 +102,8 @@ func NewGatewayEnv(opt GatewayOptions) (*GatewayEnv, error) {
 		}
 		env.servers = append(env.servers, srv)
 		go srv.Serve(lis)
-		weight := 1
-		if i < len(opt.Weights) && opt.Weights[i] > 0 {
-			weight = opt.Weights[i]
-		}
 		backends = append(backends, gateway.BackendConfig{
-			Name: fmt.Sprintf("b%d", i), Dial: link.Dial, Weight: weight,
+			Name: fmt.Sprintf("b%d", i), Dial: link.Dial,
 		})
 	}
 

@@ -23,8 +23,6 @@ import (
 type MicroShape struct {
 	Name  string
 	Value soapenc.Value
-	// Bytes is the serialized envelope size, filled in by the run.
-	Bytes int
 }
 
 // microShapes builds the suite's payload classes at the given scale

@@ -34,8 +34,6 @@ type ThroughputConfig struct {
 	PayloadBytes int
 	// Window is the AutoBatcher flush window (default 500µs).
 	Window time.Duration
-	// Env configures the environment.
-	Env EnvOptions
 }
 
 // ThroughputPoint is one concurrency level's result for both strategies.
@@ -100,7 +98,7 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 }
 
 func runThroughputPoint(cfg ThroughputConfig, callers int, packed bool, arg soapenc.Field) (ThroughputRow, error) {
-	env, err := NewEnv(cfg.Env)
+	env, err := NewEnv(EnvOptions{})
 	if err != nil {
 		return ThroughputRow{}, err
 	}

@@ -40,14 +40,6 @@ var (
 	bytesType = reflect.TypeOf([]byte(nil))
 )
 
-// Marshal converts a Go value into a soapenc.Value.
-func Marshal(v any) (soapenc.Value, error) {
-	if v == nil {
-		return nil, nil
-	}
-	return marshalValue(reflect.ValueOf(v))
-}
-
 func marshalValue(rv reflect.Value) (soapenc.Value, error) {
 	switch rv.Kind() {
 	case reflect.Pointer, reflect.Interface:
@@ -159,15 +151,6 @@ func fieldName(sf reflect.StructField) (name string, skip bool) {
 		}
 	}
 	return sf.Name, false
-}
-
-// Unmarshal converts a soapenc.Value into the Go value pointed to by dst.
-func Unmarshal(v soapenc.Value, dst any) error {
-	rv := reflect.ValueOf(dst)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return fmt.Errorf("bind: Unmarshal needs a non-nil pointer, got %T", dst)
-	}
-	return unmarshalValue(v, rv.Elem())
 }
 
 func unmarshalValue(v soapenc.Value, rv reflect.Value) error {

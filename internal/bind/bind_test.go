@@ -84,11 +84,6 @@ func TestMarshalThroughWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Marshal(sample())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = v
 	// Encode the fields as params into an element and decode back via
 	// soapenc (exercised further in core integration tests).
 	if len(fields) == 0 {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/soap"
 	"repro/internal/soapenc"
 	"repro/internal/trace"
-	"repro/internal/wsdl"
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
@@ -163,15 +162,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// TemplateStats reports template-cache behaviour (zero value when the
-// cache is disabled).
-func (c *Client) TemplateStats() msgcache.Stats {
-	if c.templates == nil {
-		return msgcache.Stats{}
-	}
-	return c.templates.Stats()
-}
-
 // Close releases pooled connections.
 func (c *Client) Close() { c.http.Close() }
 
@@ -225,32 +215,6 @@ func (c *Client) Define(service, namespace string) {
 	c.mu.Lock()
 	c.namespaces[service] = namespace
 	c.mu.Unlock()
-}
-
-// DefineFromWSDL teaches the client a service's name and namespace from
-// its WSDL document (as served on GET <prefix><Service>?wsdl). It returns
-// the parsed description.
-func (c *Client) DefineFromWSDL(doc string) (*wsdl.Description, error) {
-	d, err := wsdl.ParseString(doc)
-	if err != nil {
-		return nil, err
-	}
-	c.Define(d.Service, d.Namespace)
-	return d, nil
-}
-
-// FetchWSDL retrieves and registers the WSDL of a deployed service over
-// the client's own transport.
-func (c *Client) FetchWSDL(service string) (*wsdl.Description, error) {
-	req := httpx.NewRequest("GET", c.cfg.PathPrefix+service+"?wsdl", nil)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 200 {
-		return nil, fmt.Errorf("core: WSDL fetch for %q: HTTP %d", service, resp.StatusCode)
-	}
-	return c.DefineFromWSDL(string(resp.Body))
 }
 
 // NamespaceOf returns the namespace used for a service's request elements.

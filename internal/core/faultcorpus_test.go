@@ -112,7 +112,7 @@ func corpusSingleDoc(t *testing.T, v soap.Version, op string, params ...soapenc.
 	t.Helper()
 	env := soap.New()
 	env.Version = v
-	env.AddBody(mustRequestElement(t, "urn:spi:Echo", op, params...))
+	env.Body = append(env.Body, mustRequestElement(t, "urn:spi:Echo", op, params...))
 	var buf bytes.Buffer
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func corpusPackedDoc(t *testing.T, v soap.Version) []byte {
 	t.Helper()
 	env := soap.New()
 	env.Version = v
-	env.AddBody(parityPacked(mustRequestElement(t, "urn:spi:Echo", "echo", soapenc.F("m", "quick")),
+	env.Body = append(env.Body, parityPacked(mustRequestElement(t, "urn:spi:Echo", "echo", soapenc.F("m", "quick")),
 		mustRequestElement(t, "urn:spi:Echo", "park")))
 	var buf bytes.Buffer
 	if err := env.Encode(&buf); err != nil {
@@ -274,7 +274,7 @@ func TestFaultCorpusEmptyPack(t *testing.T) {
 		pm.DeclareNamespace(PrefixPack, NSPack)
 		env := soap.New()
 		env.Version = v
-		env.AddBody(pm)
+		env.Body = append(env.Body, pm)
 		var buf bytes.Buffer
 		if err := env.Encode(&buf); err != nil {
 			t.Fatal(err)

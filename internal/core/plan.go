@@ -122,9 +122,6 @@ func (p *Plan) Add(service, op string, params ...soapenc.Field) *StepHandle {
 	return h
 }
 
-// Len returns the number of steps added so far.
-func (p *Plan) Len() int { return len(p.steps) }
-
 // Send ships the plan in one SOAP message, waits for the packed response
 // and resolves every step future.
 func (p *Plan) Send() error {

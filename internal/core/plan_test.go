@@ -245,8 +245,8 @@ func TestPlanEmptyAndDoubleSend(t *testing.T) {
 		t.Error("Add after Send resolved successfully")
 	}
 	// The late Add is rejected, not appended.
-	if p2.Len() != 1 {
-		t.Errorf("len = %d, want 1", p2.Len())
+	if len(p2.steps) != 1 {
+		t.Errorf("len = %d, want 1", len(p2.steps))
 	}
 }
 

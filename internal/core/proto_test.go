@@ -73,7 +73,7 @@ func mustPackedRequest(t *testing.T, entries ...batchEntry) *xmldom.Element {
 func reparse(t *testing.T, body *xmldom.Element) *xmldom.Element {
 	t.Helper()
 	env := soap.New()
-	env.AddBody(body)
+	env.Body = append(env.Body, body)
 	var b strings.Builder
 	if err := env.Encode(&b); err != nil {
 		t.Fatal(err)

@@ -139,11 +139,11 @@ func TestRetryPredicateTaxonomyNative(t *testing.T) {
 	}{
 		{fault.Shedf("queue full"), true},
 		{fault.Upstreamf("no backend"), true},
-		{fault.Busyf("busy"), true},
+		{fault.New(fault.CodeBusy, "busy"), true},
 		{fault.Timeoutf("deadline"), false},
 		{fault.Cancelledf("cancelled"), false},
-		{fault.Protocolf(soap.FaultClient, "bad envelope"), false},
-		{fault.Appf(soap.FaultServer, "handler error"), false},
+		{fault.Classify(&soap.Fault{Code: soap.FaultClient, String: "bad envelope"}), false},
+		{fault.Classify(&soap.Fault{Code: soap.FaultServer, String: "handler error"}), false},
 	} {
 		for _, idem := range []bool{false, true} {
 			if got := retryable(tc.err, idem); got != tc.want {

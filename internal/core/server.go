@@ -247,10 +247,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// AdminState exposes the control-plane routing state (weight/drain), or nil
-// when AdminService is off.
-func (s *Server) AdminState() *admin.State { return s.adminState }
-
 // AdminStats builds the control-plane snapshot the Admin service advertises.
 // Usable (with weight 1, not draining) even when AdminService is off, so
 // embedders can feed their own management surface.

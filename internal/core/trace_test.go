@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -309,7 +310,7 @@ func TestDebugStatsEndpoint(t *testing.T) {
 	spansWithApp(tr, 1)
 	hc := &httpx.Client{Dial: sys.link.Dial}
 	defer hc.Close()
-	resp, err := hc.Do(httpx.NewRequest("GET", "/spi/stats", nil))
+	resp, err := hc.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestDebugPprofEndpoint(t *testing.T) {
 	})
 	hc := &httpx.Client{Dial: sys.link.Dial}
 	defer hc.Close()
-	resp, err := hc.Do(httpx.NewRequest("GET", "/spi/pprof/goroutine", nil))
+	resp, err := hc.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/pprof/goroutine", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestDebugPprofEndpoint(t *testing.T) {
 	if !strings.Contains(string(resp.Body), "goroutine") {
 		t.Errorf("profile body does not mention goroutines: %.120s", resp.Body)
 	}
-	if resp, err = hc.Do(httpx.NewRequest("GET", "/spi/pprof/nonsense", nil)); err != nil {
+	if resp, err = hc.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/pprof/nonsense", nil)); err != nil {
 		t.Fatal(err)
 	} else if resp.StatusCode != 404 {
 		t.Errorf("unknown profile: HTTP %d, want 404", resp.StatusCode)
@@ -369,7 +370,7 @@ func TestDebugEndpointsOffByDefault(t *testing.T) {
 	sys := newSystem(t, nil)
 	hc := &httpx.Client{Dial: sys.link.Dial}
 	defer hc.Close()
-	resp, err := hc.Do(httpx.NewRequest("GET", "/spi/stats", nil))
+	resp, err := hc.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func soapRequestBody(t *testing.T, v soap.Version, op string, params ...soapenc.
 	t.Helper()
 	env := soap.New()
 	env.Version = v
-	env.AddBody(mustRequestElement(t, "urn:spi:Echo", op, params...))
+	env.Body = append(env.Body, mustRequestElement(t, "urn:spi:Echo", op, params...))
 	var buf bytes.Buffer
 	if err := env.Encode(&buf); err != nil {
 		t.Fatal(err)

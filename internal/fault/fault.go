@@ -1,6 +1,6 @@
 // Package fault is the error core of the SPI stack: a small
-// Failure/Defect/Interrupt taxonomy with errors.Is/As interop, append-only
-// context fields and opt-in stack capture. Producers construct taxonomy
+// Failure/Defect/Interrupt taxonomy with errors.Is/As interop and
+// append-only context fields. Producers construct taxonomy
 // values; the mapping to SOAP faultcode/faultstring pairs lives in exactly
 // two places — ToSOAP (encode) and Classify (decode) in wire.go — so no
 // other package ever owns a fault-code string. Policy predicates
@@ -12,12 +12,7 @@
 // ROADMAP's error-core item calls for.
 package fault
 
-import (
-	"fmt"
-	"runtime"
-	"strings"
-	"sync/atomic"
-)
+import "fmt"
 
 // Code enumerates the taxonomy. The zero value is the application-fault
 // carrier: a fault that belongs to the application protocol, carried
@@ -125,22 +120,15 @@ var (
 	Interrupt           = &sentinel{"interrupt"}
 )
 
-// Field is one appended key/value context pair (op, spi:id, backend,
-// tenant, ...). Fields never serialize on the production wire — ToSOAP
-// drops them; ToSOAPDetail carries them in a detail element for channels
-// that opt in.
+// Field is one appended key/value context pair. Fields never serialize on
+// the wire: ToSOAP drops them.
 type Field struct {
 	Key   string
 	Value string
 }
 
-// Canonical context field keys.
-const (
-	KeyOp      = "op"
-	KeyID      = "spi:id"
-	KeyBackend = "backend"
-	KeyTenant  = "tenant"
-)
+// KeyOp is the context field key for the "Service.op" a fault belongs to.
+const KeyOp = "op"
 
 // F is a taxonomy-typed fault. Construct with New/Newf or the per-code
 // helpers, append context with With, and convert at the envelope edge
@@ -153,15 +141,12 @@ type F struct {
 	wire   string
 	actor  string
 	fields []Field
-	stack  []uintptr
 	cause  error
 }
 
 // New returns a fault of the given taxonomy code with a literal text.
 func New(code Code, text string) *F {
-	f := &F{code: code, text: text}
-	f.capture()
-	return f
+	return &F{code: code, text: text}
 }
 
 // Newf returns a fault of the given taxonomy code with a formatted text.
@@ -175,45 +160,11 @@ func Timeoutf(format string, args ...any) *F { return Newf(CodeTimeout, format, 
 // Cancelledf builds a CodeCancelled fault.
 func Cancelledf(format string, args ...any) *F { return Newf(CodeCancelled, format, args...) }
 
-// Busyf builds a CodeBusy fault.
-func Busyf(format string, args ...any) *F { return Newf(CodeBusy, format, args...) }
-
 // Shedf builds a CodeAdmissionShed fault.
 func Shedf(format string, args ...any) *F { return Newf(CodeAdmissionShed, format, args...) }
 
 // Upstreamf builds a CodeUpstreamUnavailable fault.
 func Upstreamf(format string, args ...any) *F { return Newf(CodeUpstreamUnavailable, format, args...) }
-
-// Protocolf builds a CodeProtocol fault carried with the given verbatim
-// wire code ("Client", "VersionMismatch", "MustUnderstand").
-func Protocolf(wireCode, format string, args ...any) *F {
-	f := Newf(CodeProtocol, format, args...)
-	f.wire = wireCode
-	return f
-}
-
-// Appf builds a CodeApp carrier with the given verbatim wire code.
-func Appf(wireCode, format string, args ...any) *F {
-	f := Newf(CodeApp, format, args...)
-	f.wire = wireCode
-	return f
-}
-
-// Code returns the taxonomy code.
-func (f *F) Code() Code { return f.code }
-
-// Text returns the human-readable fault text — exactly the faultstring
-// the wire carries.
-func (f *F) Text() string { return f.text }
-
-// Actor returns the faulting node, when set.
-func (f *F) Actor() string { return f.actor }
-
-// WithActor sets the faulting node and returns f.
-func (f *F) WithActor(actor string) *F {
-	f.actor = actor
-	return f
-}
 
 // With appends one context field and returns f. Fields are append-only:
 // nothing ever rewrites or removes an earlier pair, so a fault annotated
@@ -221,20 +172,6 @@ func (f *F) WithActor(actor string) *F {
 func (f *F) With(key, value string) *F {
 	f.fields = append(f.fields, Field{Key: key, Value: value})
 	return f
-}
-
-// Fields returns the appended context fields in append order. The slice
-// is shared; callers must not mutate it.
-func (f *F) Fields() []Field { return f.fields }
-
-// Field returns the value of the last field appended under key.
-func (f *F) Field(key string) (string, bool) {
-	for i := len(f.fields) - 1; i >= 0; i-- {
-		if f.fields[i].Key == key {
-			return f.fields[i].Value, true
-		}
-	}
-	return "", false
 }
 
 // Error implements the error interface. A fault classified off the wire
@@ -285,41 +222,4 @@ func (f *F) Is(target error) bool {
 		return ClassOf(f.code) == ClassInterrupt
 	}
 	return false
-}
-
-// captureStacks gates stack collection in constructors. Off by default:
-// fault construction sits on the degradation hot path (a 64-entry packed
-// message can mint 64 timeout faults at one deadline).
-var captureStacks atomic.Bool
-
-// SetStackCapture toggles stack capture for subsequently constructed
-// faults and returns the previous setting.
-func SetStackCapture(on bool) bool { return captureStacks.Swap(on) }
-
-func (f *F) capture() {
-	if !captureStacks.Load() {
-		return
-	}
-	var pcs [32]uintptr
-	// Skip runtime.Callers, capture, and the constructor frame.
-	n := runtime.Callers(3, pcs[:])
-	f.stack = append([]uintptr(nil), pcs[:n]...)
-}
-
-// Stack formats the captured construction stack, or "" when capture was
-// off.
-func (f *F) Stack() string {
-	if len(f.stack) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	frames := runtime.CallersFrames(f.stack)
-	for {
-		fr, more := frames.Next()
-		fmt.Fprintf(&b, "%s\n\t%s:%d\n", fr.Function, fr.File, fr.Line)
-		if !more {
-			break
-		}
-	}
-	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/soap"
@@ -19,44 +18,37 @@ func TestSentinelIdentity(t *testing.T) {
 	}{
 		{Timeoutf("t"), []error{Timeout, Interrupt}, []error{Retryable, Busy, Failure}, WireTimeout},
 		{Cancelledf("c"), []error{Cancelled, Interrupt}, []error{Retryable, Timeout}, WireCancelled},
-		{Busyf("b"), []error{Busy, Retryable, Failure}, []error{Timeout, AdmissionShed}, WireBusy},
+		{New(CodeBusy, "b"), []error{Busy, Retryable, Failure}, []error{Timeout, AdmissionShed}, WireBusy},
 		{Shedf("s"), []error{AdmissionShed, Retryable, Failure}, []error{Busy, Interrupt}, WireBusy},
 		{Upstreamf("u"), []error{UpstreamUnavailable, Retryable, Failure}, []error{Busy, Defect}, WireBusy},
-		{Protocolf(soap.FaultClient, "p"), []error{Protocol, Defect}, []error{Retryable, App}, soap.FaultClient},
-		{Appf(soap.FaultServer, "a"), []error{App, Failure}, []error{Retryable, Protocol}, soap.FaultServer},
+		{Classify(&soap.Fault{Code: soap.FaultClient, String: "p"}), []error{Protocol, Defect}, []error{Retryable, App}, soap.FaultClient},
+		{Classify(&soap.Fault{Code: soap.FaultServer, String: "a"}), []error{App, Failure}, []error{Retryable, Protocol}, soap.FaultServer},
 	} {
 		for _, target := range tc.yes {
 			if !errors.Is(tc.f, target) {
-				t.Errorf("%s: errors.Is(%v) = false, want true", tc.f.Code(), target)
+				t.Errorf("%s: errors.Is(%v) = false, want true", tc.f.code, target)
 			}
 		}
 		for _, target := range tc.no {
 			if errors.Is(tc.f, target) {
-				t.Errorf("%s: errors.Is(%v) = true, want false", tc.f.Code(), target)
+				t.Errorf("%s: errors.Is(%v) = true, want false", tc.f.code, target)
 			}
 		}
 		if got := WireCode(tc.f); got != tc.wire {
-			t.Errorf("%s: WireCode = %q, want %q", tc.f.Code(), got, tc.wire)
+			t.Errorf("%s: WireCode = %q, want %q", tc.f.code, got, tc.wire)
 		}
 	}
 }
 
 func TestFieldsAppendOnly(t *testing.T) {
-	f := Timeoutf("deadline expired").With(KeyOp, "Echo.park").With(KeyID, "3")
+	f := Timeoutf("deadline expired").With(KeyOp, "Echo.park").With("spi:id", "3")
 	f.With(KeyOp, "Echo.repark") // later layers append, never rewrite
-	fields := f.Fields()
+	fields := f.fields
 	if len(fields) != 3 {
 		t.Fatalf("fields = %v, want 3 entries", fields)
 	}
 	if fields[0] != (Field{KeyOp, "Echo.park"}) || fields[2] != (Field{KeyOp, "Echo.repark"}) {
 		t.Errorf("append order violated: %v", fields)
-	}
-	// Field reads the most recent value for a key.
-	if v, ok := f.Field(KeyOp); !ok || v != "Echo.repark" {
-		t.Errorf("Field(op) = %q, %v", v, ok)
-	}
-	if _, ok := f.Field(KeyBackend); ok {
-		t.Error("Field(backend) found a value that was never appended")
 	}
 }
 
@@ -76,8 +68,8 @@ func TestClassifyWire(t *testing.T) {
 	} {
 		sf := &soap.Fault{Code: tc.code, String: "text"}
 		f := Classify(sf)
-		if f.Code() != tc.want {
-			t.Errorf("Classify(%q).Code = %v, want %v", tc.code, f.Code(), tc.want)
+		if f.code != tc.want {
+			t.Errorf("Classify(%q).code = %v, want %v", tc.code, f.code, tc.want)
 		}
 		// The wrapper is transparent: same error text, *soap.Fault still
 		// reachable, and re-encoding reproduces the same wire code.
@@ -98,7 +90,7 @@ func TestClassifyError(t *testing.T) {
 	sf := &soap.Fault{Code: WireBusy, String: "queue full"}
 	wrapped := fmt.Errorf("exchange: %w", sf)
 	f := ClassifyError(wrapped)
-	if f == nil || f.Code() != CodeBusy {
+	if f == nil || f.code != CodeBusy {
 		t.Fatalf("ClassifyError(wrapped soap fault) = %v", f)
 	}
 	if !errors.Is(f, Retryable) {
@@ -144,23 +136,11 @@ func faultDocument(t testing.TB, sf *soap.Fault, v soap.Version) []byte {
 	return bytes.Clone(doc)
 }
 
-func TestStackCaptureOptIn(t *testing.T) {
-	if f := Timeoutf("no stacks by default"); f.Stack() != "" {
-		t.Error("stack captured with capture off")
-	}
-	prev := SetStackCapture(true)
-	defer SetStackCapture(prev)
-	f := Busyf("with stacks")
-	if !strings.Contains(f.Stack(), "TestStackCaptureOptIn") {
-		t.Errorf("stack misses the construction frame:\n%s", f.Stack())
-	}
-}
-
 func TestCounters(t *testing.T) {
 	var c Counters
-	c.Note(Timeoutf("t"))
-	c.Note(Shedf("s"))     // collapses onto Server.Busy
-	c.Note(Upstreamf("u")) // likewise
+	c.NoteSOAP(ToSOAP(Timeoutf("t")))
+	c.NoteSOAP(ToSOAP(Shedf("s")))     // collapses onto Server.Busy
+	c.NoteSOAP(ToSOAP(Upstreamf("u"))) // likewise
 	c.NoteSOAP(&soap.Fault{Code: WireBusy})
 	c.NoteSOAP(&soap.Fault{Code: soap.FaultClient})
 	c.NoteSOAP(&soap.Fault{Code: "Weird.Code"})

@@ -10,11 +10,11 @@ import (
 )
 
 // FuzzFaultRoundTrip drives random taxonomy values with random context
-// fields through the full envelope edge — ToSOAPDetail encode, a complete
+// fields through the full envelope edge — ToSOAP encode, a complete
 // envelope serialization, soap.Decode, Classify — and asserts the
 // properties the taxonomy promises: errors.Is identity survives the wire,
-// the wire code is stable across a re-encode, and appended fields are
-// preserved in order.
+// the wire code and text are stable across a re-encode, and context fields
+// stay off the wire.
 func FuzzFaultRoundTrip(f *testing.F) {
 	f.Add(uint8(CodeTimeout), "deadline expired before Echo.park finished", "Echo.park", "3", false)
 	f.Add(uint8(CodeAdmissionShed), "application stage queue full after 5ms admission wait", "", "", false)
@@ -44,7 +44,7 @@ func FuzzFaultRoundTrip(f *testing.F) {
 			version = soap.V12
 		}
 
-		doc := faultDocument(t, ToSOAPDetail(in), version)
+		doc := faultDocument(t, ToSOAP(in), version)
 		env, err := soap.Decode(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatalf("decode of our own bytes: %v\n%s", err, doc)
@@ -71,16 +71,11 @@ func FuzzFaultRoundTrip(f *testing.F) {
 				t.Fatalf("errors.Is(%v) flipped across the wire: got %v want %v (code %v)", s, got, want, code)
 			}
 		}
-		if out.Text() != text {
-			t.Fatalf("fault text drifted: %q -> %q", text, out.Text())
+		if out.text != text {
+			t.Fatalf("fault text drifted: %q -> %q", text, out.text)
 		}
-		// Field preservation, in append order.
-		fields := out.Fields()
-		if len(fields) != 2 {
-			t.Fatalf("fields did not survive: %v", fields)
-		}
-		if fields[0] != (Field{key, value}) || fields[1] != (Field{KeyOp, "Echo.op"}) {
-			t.Fatalf("fields drifted: %v", fields)
+		if len(out.fields) != 0 {
+			t.Fatalf("context fields crossed the wire: %v", out.fields)
 		}
 	})
 }

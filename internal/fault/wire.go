@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/soap"
-	"repro/internal/xmldom"
-	"repro/internal/xmltext"
 )
 
 // The canonical dotted refinement codes. SOAP 1.1 faultcode values are
@@ -57,35 +55,6 @@ func ToSOAP(f *F) *soap.Fault {
 	return &soap.Fault{Code: WireCode(f), String: f.text, Actor: f.actor}
 }
 
-// Detail markup for the opt-in context channel (ToSOAPDetail).
-const (
-	detailField = "spi-fault-field"
-	detailKey   = "key"
-)
-
-// ToSOAPDetail is ToSOAP plus the context fields, carried as
-// <spi-fault-field key="..">value</> children of the fault detail. No
-// production emission site uses it — it exists for diagnostic channels
-// and for FuzzFaultRoundTrip, which proves taxonomy identity and fields
-// survive a full encode/parse/classify cycle.
-func ToSOAPDetail(f *F) *soap.Fault {
-	sf := ToSOAP(f)
-	if len(f.fields) == 0 {
-		return sf
-	}
-	// SOAP 1.1 parses the detail entry by the literal name "detail"; 1.2
-	// re-wraps the children under env:Detail. Either way the children
-	// round-trip.
-	d := xmldom.NewElement(xmltext.Name{Local: "detail"})
-	for _, fl := range f.fields {
-		el := d.AddElement(xmltext.Name{Local: detailField})
-		el.SetAttr(xmltext.Name{Local: detailKey}, fl.Key)
-		el.SetText(fl.Value)
-	}
-	sf.Detail = d
-	return sf
-}
-
 // Classify is the single decode site: SOAP fault → taxonomy value. The
 // returned fault wraps sf (Unwrap exposes it), so errors.As against
 // *soap.Fault and the error text both stay exactly what they were before
@@ -105,16 +74,6 @@ func Classify(sf *soap.Fault) *F {
 	default:
 		f.code = CodeApp
 		f.wire = sf.Code
-	}
-	if sf.Detail != nil {
-		for _, el := range sf.Detail.ChildElements() {
-			if el.Name.Local != detailField {
-				continue
-			}
-			if key, ok := el.Attr(xmltext.Name{Local: detailKey}); ok {
-				f.fields = append(f.fields, Field{Key: key, Value: el.Text()})
-			}
-		}
 	}
 	return f
 }
@@ -201,14 +160,6 @@ func (c *Counters) NoteReject() {
 	if c != nil {
 		c.slots[slotReject].Add(1)
 	}
-}
-
-// Note records one taxonomy fault by its wire mapping.
-func (c *Counters) Note(f *F) {
-	if f == nil {
-		return
-	}
-	c.slots[slotOf(WireCode(f))].Add(1)
 }
 
 // CodeCount is one per-fault-code tally.

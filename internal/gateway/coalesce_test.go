@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -42,7 +43,7 @@ func postHdr(tb testing.TB, c *httpx.Client, target, ct string, doc []byte, hdr 
 	for i := 0; i+1 < len(hdr); i += 2 {
 		req.Header.Set(hdr[i], hdr[i+1])
 	}
-	resp, err := c.Do(req)
+	resp, err := c.DoCtx(context.Background(), req)
 	if err != nil {
 		tb.Fatalf("POST %s: %v", target, err)
 	}

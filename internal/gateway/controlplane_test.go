@@ -152,6 +152,17 @@ func adminSetState(tb testing.TB, c *httpx.Client, target, backend string, weigh
 
 func boolPtr(b bool) *bool { return &b }
 
+// setDraining drains or resumes the named backend through the state the
+// gateway's Admin SetState backend=… call sets.
+func setDraining(tb testing.TB, g *Gateway, name string, d bool) {
+	tb.Helper()
+	b, ok := g.Backend(name)
+	if !ok {
+		tb.Fatalf("no backend named %q", name)
+	}
+	b.SetDraining(d)
+}
+
 func TestGatewayAdminService(t *testing.T) {
 	f := newFarm(t, 2, func(cfg *Config) {
 		cfg.AdminService = true
@@ -297,7 +308,7 @@ func TestGatewayAdminSetStateBackend(t *testing.T) {
 		if bs := f.gw.Stats().Backends[1]; bs.Weight != 4 || !bs.Draining {
 			t.Errorf("SOAP %s: b1 Weight/Draining = %d/%v, want 4/true", v.tag, bs.Weight, bs.Draining)
 		}
-		f.gw.ResumeBackend("b1")
+		setDraining(t, f.gw, "b1", false)
 
 		doc, err := admin.SetStateRequest(v.ver, "b9", 4, nil)
 		if err != nil {
@@ -450,9 +461,7 @@ func TestDrainReleasesPoolAndResumeRedials(t *testing.T) {
 		return f.gw.Stats().Backends[0].Idle > 0
 	})
 
-	if err := f.gw.DrainBackend("b0"); err != nil {
-		t.Fatal(err)
-	}
+	setDraining(t, f.gw, "b0", true)
 	waitFor(t, 2*time.Second, "b0 drain to complete and release its pool", func() bool {
 		st := f.gw.Stats()
 		return st.Backends[0].Draining && st.Backends[0].InFlight == 0 &&
@@ -472,9 +481,7 @@ func TestDrainReleasesPoolAndResumeRedials(t *testing.T) {
 	}
 
 	// Resume re-admits it; connections re-dial on demand.
-	if err := f.gw.ResumeBackend("b0"); err != nil {
-		t.Fatal(err)
-	}
+	setDraining(t, f.gw, "b0", false)
 	send(8)
 	st = f.gw.Stats()
 	if st.Backends[0].Draining {
@@ -488,11 +495,8 @@ func TestDrainReleasesPoolAndResumeRedials(t *testing.T) {
 	}
 
 	// Unknown names are errors.
-	if err := f.gw.DrainBackend("nope"); err == nil {
-		t.Error("DrainBackend(nope) = nil error")
-	}
-	if err := f.gw.ResumeBackend("nope"); err == nil {
-		t.Error("ResumeBackend(nope) = nil error")
+	if _, ok := f.gw.Backend("nope"); ok {
+		t.Error("Backend(nope) found a backend")
 	}
 }
 
@@ -565,9 +569,7 @@ func TestDrainUnderLoadNoLossNoDup(t *testing.T) {
 	for c := 0; c < cycles; c++ {
 		for bi, name := range names {
 			drainedBefore := f.gw.Stats().Drained
-			if err := f.gw.DrainBackend(name); err != nil {
-				t.Fatal(err)
-			}
+			setDraining(t, f.gw, name, true)
 			// Wait for the drain to COMPLETE — the Drained counter ticks when
 			// the waiter has seen in-flight hit zero and released the pool —
 			// not merely for in-flight to read zero, which the waiter (on its
@@ -578,9 +580,7 @@ func TestDrainUnderLoadNoLossNoDup(t *testing.T) {
 				return bs.Draining && bs.InFlight == 0 && st.Drained > drainedBefore
 			})
 			time.Sleep(20 * time.Millisecond) // hold it out while traffic flows
-			if err := f.gw.ResumeBackend(name); err != nil {
-				t.Fatal(err)
-			}
+			setDraining(t, f.gw, name, false)
 			ex := f.gw.Stats().Backends[bi].Exchanges
 			waitFor(t, 5*time.Second, name+" to take traffic after resume", func() bool {
 				return f.gw.Stats().Backends[bi].Exchanges > ex
@@ -602,126 +602,4 @@ func TestDrainUnderLoadNoLossNoDup(t *testing.T) {
 	}
 	t.Logf("delivered %d calls across %d drain cycles (drained=%d, failovers=%d)",
 		delivered.Load(), cycles*len(names), st.Drained, st.Failovers)
-}
-
-func TestMembershipAddRemoveUnderLoad(t *testing.T) {
-	f := newAdminFarm(t, 2, nil, func(cfg *Config) { cfg.Policy = LeastLoaded })
-
-	// A third admin-enabled backend stood up out of band.
-	link := netsim.NewLink(netsim.Fast())
-	lis, err := link.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := &atomic.Int64{}
-	c := registry.NewContainer()
-	echo := c.MustAddService("Echo", "urn:spi:Echo", "counting echo")
-	echo.MustRegister("echo", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
-		count.Add(1)
-		return params, nil
-	}, "identity")
-	echo.MarkIdempotent("echo")
-	srv, err := core.NewServer(core.ServerConfig{Container: c, AppWorkers: 8, AppQueue: 64, AdminService: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close(); link.Close() })
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errCh := make(chan error, 64)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cli := f.client(t, nil)
-		for iter := 0; ; iter++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			b := cli.NewBatch()
-			calls := make([]*core.Call, 8)
-			for i := range calls {
-				calls[i] = b.Add("Echo", "echo", soapenc.F("v", int64(iter*100+i)))
-			}
-			if err := b.Send(); err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-				return
-			}
-			for i, call := range calls {
-				results, err := call.Wait()
-				if err != nil {
-					select {
-					case errCh <- fmt.Errorf("iter %d call %d: %w", iter, i, err):
-					default:
-					}
-					continue
-				}
-				want := int64(iter*100 + i)
-				if len(results) != 1 || !soapenc.Equal(results[0].Value, want) {
-					select {
-					case errCh <- fmt.Errorf("iter %d call %d: got %v, want %d", iter, i, results, want):
-					default:
-					}
-				}
-			}
-		}
-	}()
-
-	// Join the new backend: it starts taking entries.
-	if err := f.gw.AddBackend(BackendConfig{Name: "b2", Dial: link.Dial}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "added backend to appear in stats", func() bool {
-		return len(f.gw.Stats().Backends) == 3
-	})
-	waitFor(t, 5*time.Second, "added backend to serve entries", func() bool {
-		return count.Load() > 0
-	})
-
-	// Duplicate names and missing dialers are rejected without disturbing
-	// the live set.
-	if err := f.gw.AddBackend(BackendConfig{Name: "b1", Dial: link.Dial}); err == nil {
-		t.Error("AddBackend with duplicate name = nil error")
-	}
-	if err := f.gw.AddBackend(BackendConfig{Name: "b9"}); err == nil {
-		t.Error("AddBackend without dialer = nil error")
-	}
-
-	// Remove one of the originals mid-load: it vanishes from stats, the
-	// load keeps flowing over the survivors.
-	if err := f.gw.RemoveBackend("b0"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "removed backend to leave stats", func() bool {
-		st := f.gw.Stats()
-		if len(st.Backends) != 2 {
-			return false
-		}
-		for _, bs := range st.Backends {
-			if bs.Name == "b0" {
-				return false
-			}
-		}
-		return true
-	})
-	if err := f.gw.RemoveBackend("b0"); err == nil {
-		t.Error("second RemoveBackend(b0) = nil error")
-	}
-	served1 := f.served[1].Load()
-	waitFor(t, 5*time.Second, "survivors to serve entries after removal", func() bool {
-		return f.served[1].Load() > served1
-	})
-
-	close(stop)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
 }

@@ -833,13 +833,13 @@ func TestDifferentialProxyPaths(t *testing.T) {
 		post(t, gc, "/services/Echo", soap.V11.ContentType(), single))
 
 	for _, target := range []string{"/services/", "/services/Echo"} {
-		dresp, err := dc.Do(httpx.NewRequest("GET", target, nil))
+		dresp, err := dc.DoCtx(context.Background(), httpx.NewRequest("GET", target, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := reply{dresp.StatusCode, dresp.Header.Get("Content-Type"), append([]byte(nil), dresp.Body...)}
 		dresp.Release()
-		gresp, err := gc.Do(httpx.NewRequest("GET", target, nil))
+		gresp, err := gc.DoCtx(context.Background(), httpx.NewRequest("GET", target, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

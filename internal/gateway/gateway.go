@@ -115,13 +115,9 @@ type Gateway struct {
 	httpSrv *httpx.Server
 	rr      uint64 // round-robin cursor
 
-	// bmu guards the live membership set. Backends carry monotonically
-	// increasing indices (nextIndex) that are never reused, so response
-	// gathering keyed by backend index stays unambiguous across
-	// add/remove churn. Request paths work on snapshot() copies.
-	bmu       sync.RWMutex
-	backends  []*backend
-	nextIndex int
+	// backends is the membership set, fixed by New; a backend's index is
+	// its position, which keys response gathering.
+	backends []*backend
 
 	adminSrv   *core.Server // self-hosted Admin endpoint; nil unless AdminService
 	adminState *admin.State // nil unless AdminService
@@ -215,15 +211,12 @@ func New(cfg Config) (*Gateway, error) {
 }
 
 // newBackend validates one BackendConfig, builds its pool member and
-// appends it to the live set under a fresh monotonic index.
+// appends it to the membership set.
 func (g *Gateway) newBackend(bc BackendConfig) (*backend, error) {
 	if bc.Dial == nil && bc.DialCtx == nil {
 		return nil, fmt.Errorf("no dialer")
 	}
-	g.bmu.Lock()
-	defer g.bmu.Unlock()
-	index := g.nextIndex
-	g.nextIndex++
+	index := len(g.backends)
 	name := bc.Name
 	if name == "" {
 		name = fmt.Sprintf("backend%d", index)
@@ -253,21 +246,8 @@ func (g *Gateway) newBackend(bc BackendConfig) (*backend, error) {
 	return b, nil
 }
 
-// snapshot returns the live membership set. The slice is a copy; the
-// backends are shared. Request paths hold a snapshot for their whole
-// lifetime, so a concurrent remove never yanks a backend out from under an
-// in-flight scatter — the removed backend just stops appearing in new
-// snapshots.
-func (g *Gateway) snapshot() []*backend {
-	g.bmu.RLock()
-	defer g.bmu.RUnlock()
-	return append([]*backend(nil), g.backends...)
-}
-
-// backendByName finds a live backend.
+// backendByName finds a backend.
 func (g *Gateway) backendByName(name string) (*backend, error) {
-	g.bmu.RLock()
-	defer g.bmu.RUnlock()
 	for _, b := range g.backends {
 		if b.name == name {
 			return b, nil
@@ -310,7 +290,7 @@ func (g *Gateway) stop() {
 		g.coalescer.close()
 	}
 	g.drainWG.Wait()
-	for _, b := range g.snapshot() {
+	for _, b := range g.backends {
 		b.client.Close()
 	}
 }
@@ -328,7 +308,7 @@ func (g *Gateway) probeLoop() {
 			return
 		case <-t.C:
 			now := time.Now()
-			for _, b := range g.snapshot() {
+			for _, b := range g.backends {
 				if b.ejectedNow(now) {
 					continue // circuit open: wait out the re-probe timer
 				}
@@ -417,7 +397,7 @@ func (g *Gateway) Stats() Stats {
 			st.CoalesceSizes[batchSizeBuckets[i]] = n
 		}
 	}
-	backends := g.snapshot()
+	backends := g.backends
 	fastest := fastestSample(routableCandidates(backends, now))
 	for _, b := range backends {
 		st.Backends = append(st.Backends, b.stats(now, fastest))
@@ -444,7 +424,7 @@ func (g *Gateway) AdminStats() admin.Stats {
 	if g.adminState != nil {
 		out.Weight, out.Draining = g.adminState.Snapshot()
 	}
-	for _, b := range g.snapshot() {
+	for _, b := range g.backends {
 		out.Inflight += b.inflight.Load()
 	}
 	return out

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -223,7 +224,7 @@ func TestGatewayEndpointErrors(t *testing.T) {
 	resp.Release()
 
 	req := httpx.NewRequest("PUT", "/services/", []byte("<x/>"))
-	resp, err = raw.Do(req)
+	resp, err = raw.DoCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestStatsEndpoint(t *testing.T) {
 
 	raw := f.raw()
 	defer raw.Close()
-	resp, err := raw.Do(httpx.NewRequest("GET", "/spi/stats", nil))
+	resp, err := raw.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))
 	if err != nil {
 		t.Fatal(err)
 	}

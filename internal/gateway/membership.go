@@ -7,80 +7,17 @@ import (
 	"repro/internal/admin"
 )
 
-// AddBackend joins a new backend to the live membership set; it becomes
-// assignable immediately.
-func (g *Gateway) AddBackend(bc BackendConfig) error {
-	_, err := g.newBackend(bc)
-	return err
-}
-
-// DrainBackend starts a graceful drain: the named backend stops receiving
-// new shards and proxies at once, in-flight sub-batches run to completion,
-// and once the last one finishes its keep-alive pool is released. The
-// backend stays a member — ResumeBackend undoes the drain at any point.
-func (g *Gateway) DrainBackend(name string) error {
-	b, err := g.backendByName(name)
-	if err != nil {
-		return err
-	}
-	g.startDrain(b)
-	return nil
-}
-
-// startDrain flags the backend and parks a waiter that releases its idle
-// keep-alive connections once in-flight work hits zero.
+// startDrain flags the backend and parks one waiter that releases its idle
+// keep-alive connections once it has no sub-batch in flight, and counts the
+// drain complete. A resume ends the wait without releasing anything; gateway
+// shutdown releases at once. The waiter polls: drains are rare,
+// operator-scale events, and a poll loop stays trivially correct against
+// concurrent resume/re-drain cycles where a condition-variable handoff
+// would need careful sequencing.
 func (g *Gateway) startDrain(b *backend) {
 	if b.draining.Swap(true) {
 		return // already draining; the existing waiter is parked
 	}
-	g.releaseWhenIdle(b, b.client.CloseIdle)
-}
-
-// ResumeBackend reverses a drain: the backend immediately rejoins
-// assignment. Connections are re-dialed on demand (CloseIdle leaves the
-// client usable).
-func (g *Gateway) ResumeBackend(name string) error {
-	b, err := g.backendByName(name)
-	if err != nil {
-		return err
-	}
-	b.draining.Store(false)
-	return nil
-}
-
-// RemoveBackend takes a backend out of the membership set permanently: it
-// vanishes from new snapshots at once (no new work), in-flight sub-batches
-// finish against it, and its client closes once they have. Unlike a drain
-// this is terminal — the closed client cannot be resumed.
-func (g *Gateway) RemoveBackend(name string) error {
-	g.bmu.Lock()
-	var b *backend
-	for i, cand := range g.backends {
-		if cand.name == name {
-			b = cand
-			g.backends = append(g.backends[:i], g.backends[i+1:]...)
-			break
-		}
-	}
-	g.bmu.Unlock()
-	if b == nil {
-		return fmt.Errorf("gateway: no backend named %q", name)
-	}
-	// Draining for good: keeps failover from re-picking it via held
-	// snapshots, and nothing can resume a backend that left the set.
-	b.draining.Store(true)
-	g.releaseWhenIdle(b, b.client.Close)
-	return nil
-}
-
-// releaseWhenIdle parks one waiter that calls release once the draining
-// backend has no sub-batch in flight, and counts the drain complete. A
-// resume ends the wait without releasing anything; gateway shutdown
-// releases at once. The waiter polls: drains are rare, operator-scale
-// events, and a poll loop stays trivially correct against concurrent
-// resume/re-drain cycles where a condition-variable handoff would need
-// careful sequencing.
-func (g *Gateway) releaseWhenIdle(b *backend, release func()) {
 	g.drainWG.Add(1)
 	go func() {
 		defer g.drainWG.Done()
@@ -89,7 +26,7 @@ func (g *Gateway) releaseWhenIdle(b *backend, release func()) {
 		for {
 			select {
 			case <-g.stopCh:
-				release()
+				b.client.CloseIdle()
 				return
 			case <-t.C:
 			}
@@ -97,7 +34,7 @@ func (g *Gateway) releaseWhenIdle(b *backend, release func()) {
 				return // resumed before the drain completed
 			}
 			if b.inflight.Load() == 0 {
-				release()
+				b.client.CloseIdle()
 				g.drained.Inc()
 				return
 			}
@@ -132,8 +69,10 @@ func (s backendState) SetWeight(w int64) error {
 	return nil
 }
 
-// SetDraining drains or resumes the backend, as DrainBackend and
-// ResumeBackend do.
+// SetDraining drains or resumes the backend. A drain stops new shards and
+// proxies at once, lets in-flight sub-batches finish, then releases the
+// keep-alive pool; a resume rejoins assignment at once and re-dials on
+// demand (CloseIdle leaves the client usable).
 func (s backendState) SetDraining(d bool) {
 	if d {
 		s.g.startDrain(s.b)

@@ -56,19 +56,17 @@ func ParsePolicy(s string) Policy {
 	}
 }
 
-// shard is one backend's share of a scattered request. assign returns
-// backend-paired shards (not a backend-indexed slice) so the membership set
-// can grow and shrink between requests without invalidating assignments.
+// shard is one backend's share of a scattered request.
 type shard struct {
 	b       *backend
 	entries []*core.ScatterEntry
 	doc     []byte // the sub-batch, once built (buildSubBatches)
 }
 
-// routableCandidates filters a membership snapshot down to the backends
+// routableCandidates filters the membership set down to the backends
 // new work may be handed: circuit closed (or half-open) and not draining.
 // When nothing qualifies the policy fails open to the non-draining set, or
-// the full snapshot as a last resort — failing open gives re-probes a
+// the full set as a last resort — failing open gives re-probes a
 // chance instead of failing every entry.
 func routableCandidates(backends []*backend, now time.Time) []*backend {
 	candidates := make([]*backend, 0, len(backends))
@@ -92,9 +90,9 @@ func routableCandidates(backends []*backend, now time.Time) []*backend {
 }
 
 // assign shards the live (non-faulted) entries across the routable
-// backends of the current membership snapshot.
+// backends.
 func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
-	backends := g.snapshot()
+	backends := g.backends
 	candidates := routableCandidates(backends, time.Now())
 	shards := make(map[*backend]*shard, len(candidates))
 	place := func(e *core.ScatterEntry, b *backend) {
@@ -181,7 +179,7 @@ func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
 // sub-batch failover. exclude skips a backend that just failed, unless it
 // is the only one left.
 func (g *Gateway) pickBackend(exclude *backend) *backend {
-	backends := g.snapshot()
+	backends := g.backends
 	if len(backends) == 0 {
 		return nil
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -178,7 +179,13 @@ func TestHostileLoadHeader(t *testing.T) {
 			handler := srv.HandleHTTP
 			if old {
 				handler = func(ctx context.Context, req *httpx.Request) *httpx.Response {
-					req.Header.Del(core.HeaderLoad)
+					var h httpx.Header // a server older than SPI-Load never sees it
+					req.Header.Each(func(name, value string) {
+						if !strings.EqualFold(name, core.HeaderLoad) {
+							h.Add(name, value)
+						}
+					})
+					req.Header = h
 					return srv.HandleHTTP(ctx, req)
 				}
 			}

@@ -2,7 +2,6 @@ package httpx
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -52,31 +51,4 @@ func readChunked(br *bufio.Reader, maxBody int64) ([]byte, error) {
 			return nil, protoErrf("missing CRLF after chunk")
 		}
 	}
-}
-
-// writeChunked writes body as chunked encoding with the given chunk size.
-// Used by tests and by peers that want streaming-shaped traffic; the
-// mainline request/response writers use Content-Length framing.
-func writeChunked(w io.Writer, body []byte, chunkSize int) error {
-	if chunkSize <= 0 {
-		chunkSize = 8 << 10
-	}
-	for len(body) > 0 {
-		n := chunkSize
-		if n > len(body) {
-			n = len(body)
-		}
-		if _, err := fmt.Fprintf(w, "%x\r\n", n); err != nil {
-			return err
-		}
-		if _, err := w.Write(body[:n]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\r\n"); err != nil {
-			return err
-		}
-		body = body[n:]
-	}
-	_, err := io.WriteString(w, "0\r\n\r\n")
-	return err
 }

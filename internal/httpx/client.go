@@ -147,16 +147,12 @@ type persistConn struct {
 	host string // peerHost(conn), formatted once per connection
 }
 
-// errClientClosed is returned by Do after Close.
+// errClientClosed is returned by DoCtx after Close.
 var errClientClosed = errors.New("httpx: client closed")
 
-// Do sends the request and returns the response. It retries once on a
+// DoCtx sends the request and returns the response. It retries once on a
 // stale pooled connection (the server may have closed it between requests).
-func (c *Client) Do(req *Request) (*Response, error) {
-	return c.DoCtx(context.Background(), req)
-}
-
-// DoCtx is Do under a context: the context's deadline bounds the exchange
+// The context's deadline bounds the exchange
 // (combined with Timeout, whichever is sooner) and cancelling it closes
 // the in-flight connection, unblocking the exchange immediately. With
 // DialCtx set the dial itself is cancellable too; the legacy Dialer runs

@@ -68,7 +68,7 @@ func TestDialCtxPreferredOverDial(t *testing.T) {
 	}
 	// The server closes immediately, so the exchange fails — only the
 	// dial routing matters here.
-	_, _ = c.Do(NewRequest("POST", "/", nil))
+	_, _ = c.DoCtx(context.Background(), NewRequest("POST", "/", nil))
 	if legacyUsed {
 		t.Fatal("legacy Dial used although DialCtx was set")
 	}
@@ -113,7 +113,7 @@ func TestMaxActiveBoundsConcurrency(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := c.Do(NewRequest("POST", "/", []byte("x")))
+			_, err := c.DoCtx(context.Background(), NewRequest("POST", "/", []byte("x")))
 			errs <- err
 		}()
 	}

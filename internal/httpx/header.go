@@ -76,20 +76,6 @@ func (h *Header) Add(name, value string) {
 	h.fields = append(h.fields, field{name: name, value: value})
 }
 
-// Del removes all values of the named field.
-func (h *Header) Del(name string) {
-	out := h.fields[:0]
-	for _, f := range h.fields {
-		if !strings.EqualFold(f.name, name) {
-			out = append(out, f)
-		}
-	}
-	h.fields = out
-}
-
-// Len returns the number of fields.
-func (h *Header) Len() int { return len(h.fields) }
-
 // Each calls fn for every field in order.
 func (h *Header) Each(fn func(name, value string)) {
 	for _, f := range h.fields {

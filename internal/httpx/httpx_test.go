@@ -28,12 +28,8 @@ func TestHeaderBasics(t *testing.T) {
 	if vs := h.Values("X-Multi"); len(vs) != 1 || vs[0] != "3" {
 		t.Errorf("after Set, Values = %v", vs)
 	}
-	h.Del("x-multi")
-	if h.Has("X-Multi") {
-		t.Error("Del failed")
-	}
-	if h.Len() != 1 {
-		t.Errorf("Len = %d", h.Len())
+	if len(h.fields) != 2 {
+		t.Errorf("fields = %d", len(h.fields))
 	}
 	clone := h.Clone()
 	clone.Set("Content-Type", "other")
@@ -70,9 +66,7 @@ func TestParseRequest(t *testing.T) {
 func TestParseRequestChunked(t *testing.T) {
 	var b bytes.Buffer
 	b.WriteString("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
-	if err := writeChunked(&b, []byte("hello chunked world"), 7); err != nil {
-		t.Fatal(err)
-	}
+	b.WriteString("7\r\nhello c\r\n7\r\nhunked \r\n5\r\nworld\r\n0\r\n\r\n")
 	req, err := ReadRequest(bufio.NewReader(&b), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -462,100 +456,6 @@ func TestShutdownTimeoutForcesClose(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("shutdown took %v despite 50ms timeout", elapsed)
-	}
-}
-
-func TestAccessLog(t *testing.T) {
-	// The callback runs after the response is on the wire, so the client can
-	// have its reply before the entry exists: wait for each entry, sized so
-	// the server never blocks on the test.
-	logged := make(chan int, 3)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{
-		Handler: echoHandler,
-		AccessLog: func(remote net.Addr, req *Request, status int, elapsed time.Duration) {
-			logged <- status
-		},
-	}
-	go srv.Serve(l)
-	defer srv.Close()
-	c := tcpClient(l.Addr().String(), false)
-	defer c.Close()
-	for i := 0; i < cap(logged); i++ {
-		if _, err := c.Post("/", "text/plain", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < cap(logged); i++ {
-		select {
-		case status := <-logged:
-			if status != 200 {
-				t.Errorf("access log entry %d: status %d", i, status)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("access log has %d entries, want %d", i, cap(logged))
-		}
-	}
-}
-
-func TestChunkedResponseThreshold(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Handler: echoHandler, ChunkedThreshold: 1024}
-	go srv.Serve(l)
-	defer srv.Close()
-
-	// Small responses stay Content-Length framed; large ones go chunked.
-	check := func(size int, wantChunked bool) {
-		t.Helper()
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		body := bytes.Repeat([]byte("z"), size)
-		req := NewRequest("POST", "/", body)
-		if err := WriteRequest(conn, req, true); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ReadResponse(bufio.NewReader(conn), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resp.Body, body) {
-			t.Fatalf("size %d: body corrupted (%d bytes back)", size, len(resp.Body))
-		}
-		gotChunked := resp.Header.hasToken("Transfer-Encoding", "chunked")
-		if gotChunked != wantChunked {
-			t.Errorf("size %d: chunked = %v, want %v", size, gotChunked, wantChunked)
-		}
-	}
-	check(10, false)
-	check(1024, true)
-	check(100_000, true)
-}
-
-func TestWriteResponseChunkedRoundTrip(t *testing.T) {
-	resp := NewResponse(200, bytes.Repeat([]byte("data!"), 5000))
-	resp.Header.Set("Content-Type", "text/xml")
-	var b bytes.Buffer
-	if err := WriteResponseChunked(&b, resp, false, 4096); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResponse(bufio.NewReader(&b), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Body, resp.Body) {
-		t.Error("chunked round trip corrupted body")
-	}
-	if got.Header.Has("Content-Length") {
-		t.Error("chunked response carries Content-Length")
 	}
 }
 

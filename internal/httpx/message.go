@@ -442,7 +442,7 @@ func WriteResponse(w io.Writer, r *Response, closeConn bool) error {
 	if !r.Header.Has("Content-Length") && !r.Header.Has("Connection") && !r.Header.Has("Transfer-Encoding") {
 		return writeResponseFast(w, r, closeConn)
 	}
-	return writeResponseFramed(w, r, closeConn, 0)
+	return writeResponseFramed(w, r, closeConn)
 }
 
 // maxPooledResponseHeader caps recycled header buffers, so one huge header
@@ -535,21 +535,9 @@ func writesBuffers(w io.Writer) bool {
 	return false
 }
 
-// WriteResponseChunked serializes the response with chunked
-// transfer-encoding, emitting the body in chunkSize pieces. Chunking lets
-// the peer start consuming a large response before it is fully on the
-// wire — the "message chunking and streaming" optimization of Chiu et
-// al. (the paper's reference [2]).
-func WriteResponseChunked(w io.Writer, r *Response, closeConn bool, chunkSize int) error {
-	if chunkSize <= 0 {
-		chunkSize = 8 << 10
-	}
-	return writeResponseFramed(w, r, closeConn, chunkSize)
-}
-
-// writeResponseFramed writes with Content-Length framing when chunkSize
-// is 0, chunked framing otherwise.
-func writeResponseFramed(w io.Writer, r *Response, closeConn bool, chunkSize int) error {
+// writeResponseFramed writes with Content-Length framing through a
+// bufio.Writer, for a response that carries framing fields of its own.
+func writeResponseFramed(w io.Writer, r *Response, closeConn bool) error {
 	bw := bufio.NewWriterSize(w, 8<<10)
 	proto := r.Proto
 	if proto == "" {
@@ -561,12 +549,7 @@ func writeResponseFramed(w io.Writer, r *Response, closeConn bool, chunkSize int
 	}
 	fmt.Fprintf(bw, "%s %d %s\r\n", proto, r.StatusCode, status)
 	h := r.Header.Clone()
-	if chunkSize > 0 {
-		h.Del("Content-Length")
-		h.Set("Transfer-Encoding", "chunked")
-	} else {
-		h.Set("Content-Length", strconv.Itoa(len(r.Body)))
-	}
+	h.Set("Content-Length", strconv.Itoa(len(r.Body)))
 	if closeConn {
 		h.Set("Connection", "close")
 	}
@@ -574,12 +557,6 @@ func writeResponseFramed(w io.Writer, r *Response, closeConn bool, chunkSize int
 		fmt.Fprintf(bw, "%s: %s\r\n", name, value)
 	})
 	bw.WriteString("\r\n")
-	if chunkSize > 0 {
-		if err := writeChunked(bw, r.Body, chunkSize); err != nil {
-			return err
-		}
-	} else {
-		bw.Write(r.Body)
-	}
+	bw.Write(r.Body)
 	return bw.Flush()
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync/atomic"
-	"time"
 )
 
 // Server-side HTTP/1.1 pipelining.
@@ -22,7 +21,7 @@ import (
 //	          in-flight window (Server.MaxPipeline) is full.
 //	writer  — drains exchanges in arrival order, waits for each handler
 //	          to finish, and emits the response through the same
-//	          writev/chunked paths the serial loop uses. Responses are
+//	          writev path the serial loop uses. Responses are
 //	          therefore emitted strictly in request order regardless of
 //	          handler completion order: HTTP/1.1 pipelining carries no
 //	          correlation id, unlike a packed response's entries.
@@ -36,7 +35,6 @@ import (
 type pipeExchange struct {
 	req     *Request
 	release func()
-	start   time.Time
 	done    chan struct{} // closed by the handler goroutine
 	resp    *Response
 
@@ -47,7 +45,7 @@ type pipeExchange struct {
 // servePipelined owns the connection until it closes. first (and its
 // release) is a request the serial loop already parsed but not yet
 // dispatched or counted.
-func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first *Request, firstRelease func(), firstStart time.Time) {
+func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first *Request, firstRelease func()) {
 	window := s.MaxPipeline
 	queue := make(chan *pipeExchange, window)
 	writerDone := make(chan struct{})
@@ -57,9 +55,9 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first *Request,
 		s.pipeWriter(conn, queue, &connBroken)
 	}()
 
-	submit := func(req *Request, release func(), start time.Time, closeAfter bool) {
+	submit := func(req *Request, release func(), closeAfter bool) {
 		ex := &pipeExchange{
-			req: req, release: release, start: start,
+			req: req, release: release,
 			done: make(chan struct{}), closeAfter: closeAfter,
 		}
 		s.mu.Lock()
@@ -80,7 +78,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first *Request,
 		}()
 	}
 
-	submit(first, firstRelease, firstStart, false)
+	submit(first, firstRelease, false)
 	for !connBroken.Load() {
 		var readAlarm *WheelTimer
 		if s.ReadTimeout > 0 {
@@ -103,7 +101,7 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first *Request,
 			break
 		}
 		closeAfter := wantsClose(req.Proto, &req.Header)
-		submit(req, release, time.Now(), closeAfter)
+		submit(req, release, closeAfter)
 		if closeAfter {
 			break // no request follows a Connection: close
 		}
@@ -138,7 +136,7 @@ func (s *Server) pipeWriter(conn net.Conn, queue chan *pipeExchange, connBroken 
 		<-ex.done
 		resp := ex.resp
 		if broken {
-			s.settleExchange(conn, ex, resp, false)
+			s.settleExchange(ex, resp)
 			continue
 		}
 		s.mu.Lock()
@@ -149,16 +147,11 @@ func (s *Server) pipeWriter(conn net.Conn, queue chan *pipeExchange, connBroken 
 		if s.WriteTimeout > 0 {
 			writeAlarm = DefaultWheel().Schedule(s.WriteTimeout, func() { conn.Close() })
 		}
-		var werr error
-		if s.ChunkedThreshold > 0 && len(resp.Body) >= s.ChunkedThreshold {
-			werr = WriteResponseChunked(conn, resp, closeAfter, 0)
-		} else {
-			werr = WriteResponse(conn, resp, closeAfter)
-		}
+		werr := WriteResponse(conn, resp, closeAfter)
 		if writeAlarm != nil {
 			writeAlarm.Stop()
 		}
-		s.settleExchange(conn, ex, resp, werr == nil)
+		s.settleExchange(ex, resp)
 		if werr != nil || closeAfter {
 			markBroken()
 		}
@@ -166,17 +159,14 @@ func (s *Server) pipeWriter(conn net.Conn, queue chan *pipeExchange, connBroken 
 }
 
 // settleExchange finishes one pipelined exchange's bookkeeping: active
-// count, access log, pooled-buffer recycling.
-func (s *Server) settleExchange(conn net.Conn, ex *pipeExchange, resp *Response, logged bool) {
+// count, pooled-buffer recycling.
+func (s *Server) settleExchange(ex *pipeExchange, resp *Response) {
 	s.mu.Lock()
 	s.active--
 	if s.idleCond != nil {
 		s.idleCond.Broadcast()
 	}
 	s.mu.Unlock()
-	if logged && s.AccessLog != nil {
-		s.AccessLog(conn.RemoteAddr(), ex.req, resp.StatusCode, time.Since(ex.start))
-	}
 	ex.release()
 	resp.Release()
 }

@@ -34,9 +34,9 @@ import (
 // on this: single calls park in a forming batch while companion calls
 // arrive on other connections' goroutines.
 //
-// req.Body is served from a recycled buffer pool: a handler (and any
-// AccessLog observer) must not retain req.Body or sub-slices of it past
-// its return — copy out anything that must survive the exchange.
+// req.Body is served from a recycled buffer pool: a handler must not retain
+// req.Body or sub-slices of it past its return — copy out anything that
+// must survive the exchange.
 type Handler func(ctx context.Context, req *Request) *Response
 
 // Server serves HTTP/1.1 connections from a listener.
@@ -49,13 +49,6 @@ type Server struct {
 	WriteTimeout time.Duration
 	// MaxBodyBytes caps request bodies; zero means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// DisableKeepAlive forces Connection: close on every response.
-	DisableKeepAlive bool
-	// ChunkedThreshold, when > 0, sends responses with bodies at least
-	// this large using chunked transfer-encoding instead of
-	// Content-Length, in 8 KiB chunks (streaming-shaped traffic, after
-	// Chiu et al. [2]).
-	ChunkedThreshold int
 	// MaxPipeline, when > 1, enables HTTP/1.1 pipelining: if a keep-alive
 	// client sends request N+1 before the response to N is written, the
 	// connection switches to a pipelined loop that decodes ahead and runs
@@ -68,8 +61,6 @@ type Server struct {
 	// Rejects, if set, counts every request refused with a 400 before it
 	// reached the Handler (a ProtocolError: malformed or ambiguously framed).
 	Rejects *fault.Counters
-	// AccessLog, if set, observes every completed exchange.
-	AccessLog func(remote net.Addr, req *Request, status int, elapsed time.Duration)
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -252,14 +243,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 
-		start := time.Now()
-		willClose := s.DisableKeepAlive || wantsClose(req.Proto, &req.Header)
+		willClose := wantsClose(req.Proto, &req.Header)
 
 		if !willClose && s.MaxPipeline > 1 && br.Buffered() > 0 {
 			// The peer pipelines: request N+1's bytes arrived before
 			// request N was dispatched. Hand the connection to the
 			// pipelined loop, which owns it until it closes.
-			s.servePipelined(conn, br, req, release, start)
+			s.servePipelined(conn, br, req, release)
 			return
 		}
 
@@ -308,12 +298,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.WriteTimeout > 0 {
 			writeAlarm = DefaultWheel().Schedule(s.WriteTimeout, func() { conn.Close() })
 		}
-		var werr error
-		if s.ChunkedThreshold > 0 && len(resp.Body) >= s.ChunkedThreshold {
-			werr = WriteResponseChunked(conn, resp, closeAfter, 0)
-		} else {
-			werr = WriteResponse(conn, resp, closeAfter)
-		}
+		werr := WriteResponse(conn, resp, closeAfter)
 		if writeAlarm != nil {
 			writeAlarm.Stop()
 		}
@@ -324,10 +309,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.idleCond.Broadcast()
 		}
 		s.mu.Unlock()
-		if s.AccessLog != nil {
-			s.AccessLog(conn.RemoteAddr(), req, resp.StatusCode, time.Since(start))
-		}
-		// The exchange is fully over (response written, observers ran):
+		// The exchange is fully over (response written):
 		// recycle the request body buffer and any pooled storage backing
 		// the response.
 		release()

@@ -30,9 +30,7 @@ type Wheel struct {
 	cur     uint64      // last tick fully processed
 	pending int
 	started bool
-	stopped bool
 	wake    chan struct{} // buffered(1): nudges a parked wheel goroutine
-	done    chan struct{}
 }
 
 // wheelList is a doubly-linked list head; links live in the timers so
@@ -71,7 +69,6 @@ func NewWheel(granularity time.Duration, slots int) *Wheel {
 		epoch: time.Now(),
 		slots: make([]wheelList, n),
 		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
 	}
 }
 
@@ -86,18 +83,6 @@ var (
 func DefaultWheel() *Wheel {
 	defaultWheelOnce.Do(func() { defaultWheel = NewWheel(5*time.Millisecond, 1024) })
 	return defaultWheel
-}
-
-// Granularity reports the wheel's tick size — the worst-case lateness of
-// any expiry it fires.
-func (w *Wheel) Granularity() time.Duration { return w.gran }
-
-// Pending reports how many timers are currently scheduled. Test seam: a
-// server that shut down cleanly must leave this at its prior value.
-func (w *Wheel) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pending
 }
 
 // tickAt converts an absolute time to a wheel tick (rounding up, so a
@@ -119,12 +104,6 @@ func (w *Wheel) Schedule(d time.Duration, fn func()) *WheelTimer {
 	t.tick = w.tickAt(time.Now().Add(d)) + 1 // +1: current tick may be mostly spent
 
 	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		// A stopped wheel degrades to the runtime timer it replaced.
-		time.AfterFunc(d, fn)
-		return t
-	}
 	slot := &w.slots[t.tick&uint64(len(w.slots)-1)]
 	t.linked = true
 	t.prev = slot.tail
@@ -182,40 +161,13 @@ func (w *Wheel) unlink(t *WheelTimer) {
 	w.pending--
 }
 
-// Stop halts the wheel goroutine. Pending timers never fire; timers
-// scheduled afterwards fall back to runtime timers. Only tests and
-// short-lived private wheels call this — the default wheel runs for the
-// process lifetime.
-func (w *Wheel) Stop() {
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		return
-	}
-	w.stopped = true
-	started := w.started
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-	if started {
-		<-w.done
-	}
-}
-
 // run is the wheel goroutine: tick while timers are pending, park when
 // none are.
 func (w *Wheel) run() {
-	defer close(w.done)
 	ticker := time.NewTicker(w.gran)
 	defer ticker.Stop()
 	for {
 		w.mu.Lock()
-		if w.stopped {
-			w.mu.Unlock()
-			return
-		}
 		idle := w.pending == 0
 		w.mu.Unlock()
 		if idle {
@@ -226,8 +178,8 @@ func (w *Wheel) run() {
 		case <-ticker.C:
 			w.advance(time.Now())
 		case <-w.wake:
-			// New timer or Stop; loop re-checks state. No advance needed:
-			// a freshly scheduled timer is at least one tick away.
+			// New timer; loop re-checks state. No advance needed: a freshly
+			// scheduled timer is at least one tick away.
 		}
 	}
 }

@@ -10,11 +10,18 @@ import (
 	"time"
 )
 
+// pendingTimers is the count of timers w has scheduled and not yet fired
+// or stopped.
+func pendingTimers(w *Wheel) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.pending
+}
+
 // TestWheelFires: a scheduled timer fires, roughly on time (never early by
 // more than scheduler noise, late by at most a tick plus noise).
 func TestWheelFires(t *testing.T) {
 	w := NewWheel(2*time.Millisecond, 64)
-	defer w.Stop()
 	start := time.Now()
 	ch := make(chan time.Duration, 1)
 	w.Schedule(20*time.Millisecond, func() { ch <- time.Since(start) })
@@ -26,7 +33,7 @@ func TestWheelFires(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("timer never fired")
 	}
-	if n := w.Pending(); n != 0 {
+	if n := pendingTimers(w); n != 0 {
 		t.Fatalf("Pending after fire = %d, want 0", n)
 	}
 }
@@ -34,7 +41,6 @@ func TestWheelFires(t *testing.T) {
 // TestWheelStop: a stopped timer never fires and Pending drops to zero.
 func TestWheelStop(t *testing.T) {
 	w := NewWheel(2*time.Millisecond, 64)
-	defer w.Stop()
 	var fired atomic.Int32
 	tm := w.Schedule(10*time.Millisecond, func() { fired.Add(1) })
 	if !tm.Stop() {
@@ -43,7 +49,7 @@ func TestWheelStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop returned true")
 	}
-	if n := w.Pending(); n != 0 {
+	if n := pendingTimers(w); n != 0 {
 		t.Fatalf("Pending after Stop = %d, want 0", n)
 	}
 	time.Sleep(40 * time.Millisecond)
@@ -56,7 +62,6 @@ func TestWheelStop(t *testing.T) {
 // and must not disturb other timers (the reason timer nodes aren't pooled).
 func TestWheelStopAfterFire(t *testing.T) {
 	w := NewWheel(time.Millisecond, 64)
-	defer w.Stop()
 	done := make(chan struct{})
 	tm := w.Schedule(2*time.Millisecond, func() { close(done) })
 	<-done
@@ -75,7 +80,6 @@ func TestWheelStopAfterFire(t *testing.T) {
 // fire exactly once; stopped ones never do.
 func TestWheelManyTimers(t *testing.T) {
 	w := NewWheel(time.Millisecond, 16) // tiny ring: forces multi-rotation ticks
-	defer w.Stop()
 	const n = 400
 	var fired atomic.Int32
 	var wg sync.WaitGroup
@@ -96,7 +100,7 @@ func TestWheelManyTimers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("only %d timers fired", fired.Load())
 	}
-	if p := w.Pending(); p != 0 {
+	if p := pendingTimers(w); p != 0 {
 		t.Fatalf("Pending after all fired = %d, want 0", p)
 	}
 }
@@ -105,7 +109,6 @@ func TestWheelManyTimers(t *testing.T) {
 // parks; a new Schedule wakes it and still fires.
 func TestWheelParksWhenIdle(t *testing.T) {
 	w := NewWheel(time.Millisecond, 64)
-	defer w.Stop()
 	ch := make(chan struct{}, 2)
 	w.Schedule(2*time.Millisecond, func() { ch <- struct{}{} })
 	<-ch
@@ -123,7 +126,6 @@ func TestWheelParksWhenIdle(t *testing.T) {
 // classification switches on.
 func TestWheelTimeoutDeadlineExceeded(t *testing.T) {
 	w := NewWheel(2*time.Millisecond, 64)
-	defer w.Stop()
 	ctx, cancel := WheelTimeout(context.Background(), w, 10*time.Millisecond)
 	defer cancel()
 	select {
@@ -146,7 +148,6 @@ func TestWheelTimeoutDeadlineExceeded(t *testing.T) {
 // releases the wheel timer.
 func TestWheelTimeoutCancel(t *testing.T) {
 	w := NewWheel(2*time.Millisecond, 64)
-	defer w.Stop()
 	ctx, cancel := WheelTimeout(context.Background(), w, time.Hour)
 	cancel()
 	select {
@@ -157,7 +158,7 @@ func TestWheelTimeoutCancel(t *testing.T) {
 	if err := ctx.Err(); err != context.Canceled {
 		t.Fatalf("Err() = %v, want context.Canceled", err)
 	}
-	if n := w.Pending(); n != 0 {
+	if n := pendingTimers(w); n != 0 {
 		t.Fatalf("Pending after cancel = %d, want 0 (timer leaked)", n)
 	}
 }
@@ -166,7 +167,6 @@ func TestWheelTimeoutCancel(t *testing.T) {
 // parent's error, as with context.WithTimeout.
 func TestWheelTimeoutParentCancel(t *testing.T) {
 	w := NewWheel(2*time.Millisecond, 64)
-	defer w.Stop()
 	parent, pcancel := context.WithCancel(context.Background())
 	ctx, cancel := WheelTimeout(parent, w, time.Hour)
 	defer cancel()
@@ -184,7 +184,7 @@ func TestWheelTimeoutParentCancel(t *testing.T) {
 // TestShutdownStopsDrainAlarm: the satellite fix — a server whose drain
 // completes early must leave no alarm pending on the shared wheel.
 func TestShutdownStopsDrainAlarm(t *testing.T) {
-	before := DefaultWheel().Pending()
+	before := pendingTimers(DefaultWheel())
 	srv := &Server{Handler: func(ctx context.Context, req *Request) *Response {
 		return NewResponse(200, []byte("ok"))
 	}}
@@ -199,10 +199,10 @@ func TestShutdownStopsDrainAlarm(t *testing.T) {
 	// The hour-long drain alarm must have been stopped the moment the
 	// (instant) drain finished.
 	deadline := time.Now().Add(time.Second)
-	for DefaultWheel().Pending() > before {
+	for pendingTimers(DefaultWheel()) > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("wheel still holds %d pending timers (was %d): drain alarm leaked",
-				DefaultWheel().Pending(), before)
+				pendingTimers(DefaultWheel()), before)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -19,7 +19,7 @@ import (
 func framedBytes(t *testing.T, r *Response, closeConn bool) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeResponseFramed(&buf, r, closeConn, 0); err != nil {
+	if err := writeResponseFramed(&buf, r, closeConn); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

@@ -168,25 +168,6 @@ func (r *Recorder) Record(d time.Duration) {
 	r.buckets[recorderBucket(ns)].Add(1)
 }
 
-// Time runs fn and records its wall-clock duration.
-func (r *Recorder) Time(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	r.Record(d)
-	return d
-}
-
-// Reset discards all samples.
-func (r *Recorder) Reset() {
-	for i := range r.buckets {
-		r.buckets[i].Store(0)
-	}
-	r.sum.Store(0)
-	r.max.Store(0)
-	r.minInv.Store(0)
-}
-
 // Summary is a statistical digest of a sample set. From Summarize every
 // field is exact; from a Recorder the quantiles carry its stated bound.
 type Summary struct {

@@ -42,26 +42,6 @@ func TestBasicStats(t *testing.T) {
 	}
 }
 
-func TestTime(t *testing.T) {
-	var r Recorder
-	d := r.Time(func() { time.Sleep(5 * time.Millisecond) })
-	if d < 5*time.Millisecond {
-		t.Errorf("timed %v", d)
-	}
-	if r.Snapshot().Count != 1 {
-		t.Error("sample not recorded")
-	}
-}
-
-func TestReset(t *testing.T) {
-	var r Recorder
-	r.Record(time.Second)
-	r.Reset()
-	if r.Snapshot().Count != 0 {
-		t.Error("reset did not clear")
-	}
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	var r Recorder
 	var wg sync.WaitGroup

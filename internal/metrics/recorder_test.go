@@ -128,9 +128,8 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 }
 
 // Writers race Snapshot: no count is lost, and a snapshot never reports
-// fewer samples than an earlier one. Then writers race Reset, which the
-// race detector checks; after the last Reset the recorder is empty.
-func TestRecorderConcurrentRecordSnapshotReset(t *testing.T) {
+// fewer samples than an earlier one.
+func TestRecorderConcurrentRecordSnapshot(t *testing.T) {
 	const writers, perWriter = 8, 20_000
 	var r Recorder
 	record := func(wg *sync.WaitGroup) {
@@ -157,7 +156,7 @@ func TestRecorderConcurrentRecordSnapshotReset(t *testing.T) {
 		}
 		s := r.Snapshot()
 		if s.Count < last {
-			t.Fatalf("snapshot count went from %d to %d with no Reset", last, s.Count)
+			t.Fatalf("snapshot count went from %d to %d", last, s.Count)
 		}
 		if s.Count > 0 && (s.P50 < s.Min || s.P99 > s.Max || s.P50 > s.P99) {
 			t.Fatalf("inconsistent snapshot under load: %+v", s)
@@ -170,16 +169,5 @@ func TestRecorderConcurrentRecordSnapshotReset(t *testing.T) {
 	}
 	if want := time.Duration(perWriter*(perWriter+1)/2*(writers*(writers+1)/2)) * time.Microsecond; s.Total != want {
 		t.Errorf("Total = %v, want %v", s.Total, want)
-	}
-
-	record(&wg)
-	for i := 0; i < 100; i++ {
-		r.Reset()
-		r.Snapshot()
-	}
-	wg.Wait()
-	r.Reset()
-	if s := r.Snapshot(); s != (Summary{}) {
-		t.Errorf("after Reset: %+v", s)
 	}
 }

@@ -119,9 +119,10 @@ func TestDifferentialRenderMatchesFullSerialization(t *testing.T) {
 			}
 		}
 	}
-	st := cache.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("differential run exercised no cache hit/miss split: %+v", st)
+	// Every second pass renders from a template the first pass built, so
+	// a split of hits and misses means fewer templates than rounds.
+	if n := len(cache.templates); n == 0 || n >= rounds {
+		t.Errorf("differential run exercised no cache hit/miss split: %d templates over %d rounds", n, rounds)
 	}
 	if sections < 50 {
 		t.Errorf("only %d values went out as CDATA sections: the special-dense strings are not dense enough", sections)
@@ -143,7 +144,7 @@ func TestDifferentialUncacheableShapes(t *testing.T) {
 			t.Errorf("non-scalar shape claimed cacheable: %+v", params)
 		}
 	}
-	if st := cache.Stats(); st.Uncached != 3 {
-		t.Errorf("Uncached = %d, want 3", st.Uncached)
+	if n := len(cache.templates); n != 0 {
+		t.Errorf("uncacheable shapes built %d templates", n)
 	}
 }

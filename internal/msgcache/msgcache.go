@@ -43,22 +43,13 @@ type Key struct {
 	Shape   string
 }
 
-// ShapeOf computes the parameter-shape component of a key. Values outside
-// the scalar set (arrays, structs, nil) make the call uncacheable because
-// their serialized form is not a single splice point. Integers split into
-// two shape classes because the wire type (xsd:int vs xsd:long) depends on
-// the value's range, and the template bakes the xsi:type in.
-func ShapeOf(params []soapenc.Field) (string, bool) {
-	b, ok := appendShape(nil, params)
-	if !ok {
-		return "", false
-	}
-	return string(b), true
-}
-
-// appendShape is ShapeOf in append form, so the cache's hit path can build
-// the shape into a stack scratch buffer instead of allocating a string per
-// call.
+// appendShape appends the parameter-shape component of a key to dst.
+// Values outside the scalar set (arrays, structs, nil) make the call
+// uncacheable because their serialized form is not a single splice point.
+// Integers split into two shape classes because the wire type (xsd:int vs
+// xsd:long) depends on the value's range, and the template bakes the
+// xsi:type in. The cache's hit path builds the shape into a stack scratch
+// buffer, so a call allocates no string for it.
 func appendShape(dst []byte, params []soapenc.Field) ([]byte, bool) {
 	for _, p := range params {
 		var t string
@@ -142,14 +133,6 @@ func (t *Template) RenderTo(em *xmltext.Emitter, params []soapenc.Field) error {
 	return em.Err()
 }
 
-// Stats counts cache behaviour.
-type Stats struct {
-	Hits      int64
-	Misses    int64
-	Uncached  int64 // calls whose shape is not cacheable
-	Templates int
-}
-
 // Cache holds templates keyed by operation and parameter shape. Safe for
 // concurrent use.
 type Cache struct {
@@ -158,10 +141,7 @@ type Cache struct {
 	// shapes interns shape strings: the hit path builds the shape into a
 	// stack buffer and resolves it here with an allocation-free
 	// map[string(bytes)] lookup, so rendering a cached call never allocates.
-	shapes   map[string]string
-	hits     int64
-	misses   int64
-	uncached int64
+	shapes map[string]string
 }
 
 // New returns an empty cache.
@@ -170,13 +150,6 @@ func New() *Cache {
 		templates: make(map[Key]*Template),
 		shapes:    make(map[string]string),
 	}
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Uncached: c.uncached, Templates: len(c.templates)}
 }
 
 // RenderTo writes the serialized request envelope for a call onto em, using
@@ -194,8 +167,7 @@ func (c *Cache) RenderTo(em *xmltext.Emitter, service, namespace, op string, par
 	return true, nil
 }
 
-// lookup resolves (building on miss) the template for a call, maintaining
-// the counters. A nil template with nil error means the call is uncacheable.
+// lookup resolves (building on miss) the template for a call. A nil template with nil error means the call is uncacheable.
 // The hit path is allocation-free: the shape is appended into a stack
 // scratch buffer and interned through the shapes map, so the Key is built
 // entirely from strings that already exist.
@@ -203,9 +175,6 @@ func (c *Cache) lookup(service, namespace, op string, params []soapenc.Field) (*
 	var scratch [96]byte
 	shapeBuf, cacheable := appendShape(scratch[:0], params)
 	if !cacheable {
-		c.mu.Lock()
-		c.uncached++
-		c.mu.Unlock()
 		return nil, nil
 	}
 	c.mu.RLock()
@@ -227,11 +196,6 @@ func (c *Cache) lookup(service, namespace, op string, params []soapenc.Field) (*
 			c.shapes[shape] = shape
 		}
 		c.templates[Key{Service: service, Op: op, Shape: shape}] = tmpl
-		c.misses++
-		c.mu.Unlock()
-	} else {
-		c.mu.Lock()
-		c.hits++
 		c.mu.Unlock()
 	}
 	return tmpl, nil

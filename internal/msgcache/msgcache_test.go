@@ -65,9 +65,8 @@ func TestTemplateMatchesFullSerialization(t *testing.T) {
 			t.Errorf("set %d:\ncache: %s\nfull:  %s", i, got, want)
 		}
 	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 3 || st.Templates != 1 {
-		t.Errorf("stats = %+v, want 1 miss, 3 hits, 1 template", st)
+	if n := len(c.templates); n != 1 {
+		t.Errorf("templates = %d, want 1", n)
 	}
 }
 
@@ -108,8 +107,8 @@ func TestTemplateDeclaresOnDemand(t *testing.T) {
 		}
 		xmltext.ReleaseEmitter(em)
 	}
-	if st := c.Stats(); st.Templates != 2 {
-		t.Errorf("strings and a typed call share a template: %+v", st)
+	if n := len(c.templates); n != 2 {
+		t.Errorf("strings and a typed call share a template: %d templates", n)
 	}
 }
 
@@ -153,8 +152,8 @@ func TestIntWidthGetsDistinctTemplates(t *testing.T) {
 	if !strings.Contains(string(g1), "xsd:int") || !strings.Contains(string(g2), "xsd:long") {
 		t.Errorf("wrong xsi types:\n%s\n%s", g1, g2)
 	}
-	if c.Stats().Templates != 2 {
-		t.Errorf("templates = %d, want 2 (separate int widths)", c.Stats().Templates)
+	if len(c.templates) != 2 {
+		t.Errorf("templates = %d, want 2 (separate int widths)", len(c.templates))
 	}
 }
 
@@ -174,8 +173,8 @@ func TestUncacheableShapes(t *testing.T) {
 			t.Errorf("params %v should be uncacheable", params)
 		}
 	}
-	if st := c.Stats(); st.Uncached != 4 {
-		t.Errorf("uncached = %d", st.Uncached)
+	if n := len(c.templates); n != 0 {
+		t.Errorf("uncacheable calls built %d templates", n)
 	}
 }
 
@@ -185,8 +184,8 @@ func TestDistinctOperationsDistinctTemplates(t *testing.T) {
 	render(c, "A", "urn:a", "op2", []soapenc.Field{soapenc.F("x", "1")})
 	render(c, "B", "urn:b", "op1", []soapenc.Field{soapenc.F("x", "1")})
 	render(c, "A", "urn:a", "op1", []soapenc.Field{soapenc.F("y", "1")}) // different name
-	if st := c.Stats(); st.Templates != 4 {
-		t.Errorf("templates = %d, want 4", st.Templates)
+	if n := len(c.templates); n != 4 {
+		t.Errorf("templates = %d, want 4", n)
 	}
 }
 
@@ -227,8 +226,8 @@ func TestConcurrentRender(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Templates != 1 || st.Hits+st.Misses != 800 {
-		t.Errorf("stats = %+v", st)
+	if n := len(c.templates); n != 1 {
+		t.Errorf("templates = %d, want 1", n)
 	}
 }
 

@@ -58,17 +58,13 @@ type Config struct {
 	// failure injection for resilience tests). It runs in addition to the
 	// countdown armed by Link.FailDials.
 	DialFault func() error
-	// ExtraLatency, if set, returns additional one-way delay applied to
-	// every write (latency degradation/jitter injection). It is called
-	// once per write quantum.
-	ExtraLatency func() time.Duration
 }
 
 // IsZero reports whether the configuration is entirely unset, i.e. the
 // zero value (Config is not comparable because of the injection hooks).
 func (c Config) IsZero() bool {
 	return c.PropagationDelay == 0 && c.Bandwidth == 0 && c.AcceptOverhead == 0 &&
-		c.MTU == 0 && c.FrameOverhead == 0 && c.DialFault == nil && c.ExtraLatency == nil
+		c.MTU == 0 && c.FrameOverhead == 0 && c.DialFault == nil
 }
 
 // LAN100 returns the configuration used throughout the experiments: a
@@ -208,19 +204,14 @@ func (l *Link) FailDials(n int64) {
 }
 
 // SetExtraLatency adds d of one-way delay to every subsequent write in
-// both directions (slow-link injection); zero removes it. It composes
-// with Config.ExtraLatency.
+// both directions (slow-link injection); zero removes it.
 func (l *Link) SetExtraLatency(d time.Duration) {
 	l.extraDelay.Store(int64(d))
 }
 
 // injectedDelay returns the currently injected one-way write delay.
 func (l *Link) injectedDelay() time.Duration {
-	d := time.Duration(l.extraDelay.Load())
-	if l.cfg.ExtraLatency != nil {
-		d += l.cfg.ExtraLatency()
-	}
-	return d
+	return time.Duration(l.extraDelay.Load())
 }
 
 // Dial establishes a connection to the link's listener, charging the

@@ -177,10 +177,22 @@ func assertItinerary(t *testing.T, it *Itinerary, state *TravelState) {
 	if it.Total != it.FlightPrice+it.RoomPrice {
 		t.Errorf("total = %v, want %v", it.Total, it.FlightPrice+it.RoomPrice)
 	}
-	if got := state.AuthorizedTotal(); got != it.Total {
-		t.Errorf("authorized %v, want %v", got, it.Total)
+	var authorized float64
+	for _, v := range state.authorized {
+		authorized += v
 	}
-	ar, ac, hr, hc := state.Confirmations()
+	if authorized != it.Total {
+		t.Errorf("authorized %v, want %v", authorized, it.Total)
+	}
+	var ar, ac, hr, hc int
+	for _, b := range state.Airlines {
+		r, c := b.counts()
+		ar, ac = ar+r, ac+c
+	}
+	for _, b := range state.Hotels {
+		r, c := b.counts()
+		hr, hc = hr+r, hc+c
+	}
 	if ar != 1 || ac != 1 || hr != 1 || hc != 1 {
 		t.Errorf("reservations/confirmations = %d/%d air, %d/%d hotel; want 1/1 each", ar, ac, hr, hc)
 	}

@@ -79,31 +79,6 @@ type TravelState struct {
 	nextAuth   int
 }
 
-// AuthorizedTotal returns the sum of authorized payments.
-func (ts *TravelState) AuthorizedTotal() float64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	var total float64
-	for _, v := range ts.authorized {
-		total += v
-	}
-	return total
-}
-
-// Confirmations returns (airline reservations, airline confirmations,
-// hotel reservations, hotel confirmations) totals.
-func (ts *TravelState) Confirmations() (ar, ac, hr, hc int) {
-	for _, b := range ts.Airlines {
-		r, c := b.counts()
-		ar, ac = ar+r, ac+c
-	}
-	for _, b := range ts.Hotels {
-		r, c := b.counts()
-		hr, hc = hr+r, hc+c
-	}
-	return
-}
-
 // DeployTravel registers the full travel-agent service suite and returns
 // the shared state for assertions.
 //

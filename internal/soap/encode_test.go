@@ -91,7 +91,7 @@ func sampleEnvelopes() map[string]sample {
 		faultSample := func(f *Fault) sample { return sample{env: &Envelope{Version: v}, fault: f} }
 		single := New()
 		single.Version = v
-		single.AddBody(newBodyEntry("echo", "payload"))
+		single.Body = append(single.Body, newBodyEntry("echo", "payload"))
 		out[fmt.Sprintf("single-%v", v)] = sample{env: single}
 
 		packed := New()
@@ -103,7 +103,7 @@ func sampleEnvelopes() map[string]sample {
 			entry.SetAttr(xmltext.Name{Prefix: "spi", Local: "id"}, fmt.Sprint(i))
 			pack.AddChild(entry)
 		}
-		packed.AddBody(pack)
+		packed.Body = append(packed.Body, pack)
 		out[fmt.Sprintf("packed-%v", v)] = sample{env: packed}
 
 		detail := xmldom.NewElement(xmltext.Name{Local: "detail"})
@@ -120,8 +120,8 @@ func sampleEnvelopes() map[string]sample {
 		hdr.DeclareNamespace("h", "urn:spi:hdr")
 		hdr.SetAttr(xmltext.Name{Prefix: PrefixEnvelope, Local: "mustUnderstand"}, "1")
 		hdr.SetText("token")
-		withHeader.AddHeader(hdr)
-		withHeader.AddBody(newBodyEntry("echo", "with header"))
+		withHeader.Header = append(withHeader.Header, hdr)
+		withHeader.Body = append(withHeader.Body, newBodyEntry("echo", "with header"))
 		out[fmt.Sprintf("header-%v", v)] = sample{env: withHeader}
 
 		empty := New()
@@ -142,10 +142,16 @@ func sampleEnvelopes() map[string]sample {
 			return el
 		}
 		for name, build := range map[string]func(env *Envelope){
-			"array-body":   func(env *Envelope) { env.AddBody(array(false)) },
-			"array-scoped": func(env *Envelope) { env.AddBody(array(true)) },
-			"array-header": func(env *Envelope) { env.AddHeader(array(false)); env.AddBody(newBodyEntry("echo", "x")) },
-			"array-second": func(env *Envelope) { env.AddBody(newBodyEntry("echo", "x")); env.AddBody(array(false)) },
+			"array-body":   func(env *Envelope) { env.Body = append(env.Body, array(false)) },
+			"array-scoped": func(env *Envelope) { env.Body = append(env.Body, array(true)) },
+			"array-header": func(env *Envelope) {
+				env.Header = append(env.Header, array(false))
+				env.Body = append(env.Body, newBodyEntry("echo", "x"))
+			},
+			"array-second": func(env *Envelope) {
+				env.Body = append(env.Body, newBodyEntry("echo", "x"))
+				env.Body = append(env.Body, array(false))
+			},
 		} {
 			env := New()
 			env.Version = v
@@ -156,33 +162,36 @@ func sampleEnvelopes() map[string]sample {
 		// declaration; in a header block over a body of strings; in a fault
 		// detail.
 		for name, build := range map[string]func(env *Envelope){
-			"strings": func(env *Envelope) { env.AddBody(plainEntry("echo", "x")) },
+			"strings": func(env *Envelope) { env.Body = append(env.Body, plainEntry("echo", "x")) },
 			"strings-header": func(env *Envelope) {
 				hdr := plainEntry("Trace", "t")
 				hdr.SetAttr(xmltext.Name{Prefix: PrefixEnvelope, Local: "mustUnderstand"}, "0")
-				env.AddHeader(hdr)
-				env.AddBody(plainEntry("echo", "x"))
+				env.Header = append(env.Header, hdr)
+				env.Body = append(env.Body, plainEntry("echo", "x"))
 			},
-			"typed-header": func(env *Envelope) { env.AddHeader(newBodyEntry("Trace", "t")); env.AddBody(plainEntry("echo", "x")) },
+			"typed-header": func(env *Envelope) {
+				env.Header = append(env.Header, newBodyEntry("Trace", "t"))
+				env.Body = append(env.Body, plainEntry("echo", "x"))
+			},
 			"nil": func(env *Envelope) {
 				el := plainEntry("echo", "x")
 				el.AddElement(xmltext.Name{Local: "none"}).SetAttr(xmltext.Name{Prefix: PrefixXSI, Local: "nil"}, "true")
-				env.AddBody(el)
+				env.Body = append(env.Body, el)
 			},
 			"xsi-attr": func(env *Envelope) {
 				el := plainEntry("echo", "x")
 				el.SetAttr(xmltext.Name{Prefix: PrefixXSI, Local: "schemaLocation"}, "urn:spi:Echo echo.xsd")
-				env.AddBody(el)
+				env.Body = append(env.Body, el)
 			},
 			"xsd-qname": func(env *Envelope) {
 				el := plainEntry("echo", "x")
 				el.ChildElements()[0].SetAttr(xmltext.Name{Local: "base"}, "xsd:token")
-				env.AddBody(el)
+				env.Body = append(env.Body, el)
 			},
 			"xsi-scoped": func(env *Envelope) {
 				el := newBodyEntry("echo", "x")
 				el.DeclareNamespace(PrefixXSI, NSXSI)
-				env.AddBody(el)
+				env.Body = append(env.Body, el)
 			},
 		} {
 			env := New()
@@ -317,7 +326,7 @@ func TestStreamEncoderPoolRecycling(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				env := New()
 				payload := fmt.Sprintf("w%d-%d", seed, i)
-				env.AddBody(newBodyEntry("echo", payload))
+				env.Body = append(env.Body, newBodyEntry("echo", payload))
 				want := `<s:Envelope xmlns:s="` + NSEnvelope + `"` + declText[DeclXSI|DeclXSD] +
 					`><s:Body><m:echo xmlns:m="urn:spi:Echo"><data xsi:type="xsd:string">` + payload +
 					`</data></m:echo></s:Body></s:Envelope>`
@@ -394,7 +403,7 @@ func BenchmarkStreamEncodePacked16(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		pack.AddChild(newBodyEntry("echo", "payload"))
 	}
-	env.AddBody(pack)
+	env.Body = append(env.Body, pack)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		enc := NewStreamEncoder()

@@ -53,16 +53,6 @@ type Envelope struct {
 // New returns an empty envelope.
 func New() *Envelope { return &Envelope{} }
 
-// AddHeader appends a header block.
-func (env *Envelope) AddHeader(block *xmldom.Element) {
-	env.Header = append(env.Header, block)
-}
-
-// AddBody appends a body entry.
-func (env *Envelope) AddBody(entry *xmldom.Element) {
-	env.Body = append(env.Body, entry)
-}
-
 // Encode serializes the envelope to w, in one Write: its header blocks and
 // body entries streamed by a StreamEncoder, which declares on the root what
 // they use. No XML declaration is written: it would restate what

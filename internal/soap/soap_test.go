@@ -29,12 +29,12 @@ func TestEnvelopeEncodeDecode(t *testing.T) {
 	hdr := xmldom.NewElement(xmltext.Name{Local: "TraceID"})
 	hdr.DeclareNamespace("", "urn:trace")
 	hdr.SetText("abc-123")
-	env.AddHeader(hdr)
+	env.Header = append(env.Header, hdr)
 
 	op := xmldom.NewElement(xmltext.Name{Local: "Echo"})
 	op.DeclareNamespace("", "urn:echo")
 	op.AddElement(xmltext.Name{Local: "msg"}).SetText("hello")
-	env.AddBody(op)
+	env.Body = append(env.Body, op)
 
 	var b strings.Builder
 	if err := env.Encode(&b); err != nil {
@@ -69,7 +69,7 @@ func TestEnvelopeEncodeDecode(t *testing.T) {
 
 func TestEnvelopeNoHeader(t *testing.T) {
 	env := New()
-	env.AddBody(xmldom.NewElement(xmltext.Name{Local: "Op"}))
+	env.Body = append(env.Body, xmldom.NewElement(xmltext.Name{Local: "Op"}))
 	var b strings.Builder
 	if err := env.Encode(&b); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestFaultRoundTrip(t *testing.T) {
 
 func TestFaultOnNonFaultBody(t *testing.T) {
 	env := New()
-	env.AddBody(xmldom.NewElement(xmltext.Name{Local: "Op"}))
+	env.Body = append(env.Body, xmldom.NewElement(xmltext.Name{Local: "Op"}))
 	if env.Fault() != nil {
 		t.Error("non-fault body reported as fault")
 	}
@@ -219,7 +219,7 @@ func TestFigureStyleEnvelopeShape(t *testing.T) {
 		{"array as soapenc writes it", full, envDecl + encDecl + xsiDecl + xsdDecl + ">"},
 	} {
 		env := New()
-		env.AddBody(tc.body)
+		env.Body = append(env.Body, tc.body)
 		enc := NewStreamEncoder()
 		doc, err := enc.EncodeEnvelope(env)
 		if err != nil || !strings.HasPrefix(string(doc), "<s:Envelope"+tc.want) {

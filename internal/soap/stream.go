@@ -64,15 +64,6 @@ const (
 	streamDone
 )
 
-// NewStreamDecoder returns a decoder reading one envelope from r,
-// allocating all nodes from a (heap if nil).
-func NewStreamDecoder(r io.Reader, a *xmldom.Arena) *StreamDecoder {
-	tk := xmltext.NewTokenizer(r)
-	tk.SetRawText(true)
-	tk.SetReuseTokenAttrs(true)
-	return &StreamDecoder{tk: tk, arena: a, env: New()}
-}
-
 // streamDecoderPool recycles StreamDecoders (and, through them, pooled
 // tokenizers) across requests on the server's decode path.
 var streamDecoderPool = sync.Pool{New: func() any { return &StreamDecoder{} }}

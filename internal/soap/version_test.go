@@ -29,7 +29,7 @@ func TestV12EnvelopeRoundTrip(t *testing.T) {
 	op := xmldom.NewElement(xmltext.Name{Local: "Op"})
 	op.DeclareNamespace("", "urn:x")
 	op.AddElement(xmltext.Name{Local: "p"}).SetText("v")
-	env.AddBody(op)
+	env.Body = append(env.Body, op)
 
 	var b strings.Builder
 	if err := env.Encode(&b); err != nil {

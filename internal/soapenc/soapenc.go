@@ -80,25 +80,11 @@ func (s *Struct) GetString(name string) string {
 	return str
 }
 
-// GetInt returns the named field as an int64, or 0 if absent/mistyped.
-func (s *Struct) GetInt(name string) int64 {
-	v, _ := s.Get(name)
-	n, _ := v.(int64)
-	return n
-}
-
 // GetFloat returns the named field as a float64, or 0 if absent/mistyped.
 func (s *Struct) GetFloat(name string) float64 {
 	v, _ := s.Get(name)
 	f, _ := v.(float64)
 	return f
-}
-
-// GetBool returns the named field as a bool, or false if absent/mistyped.
-func (s *Struct) GetBool(name string) bool {
-	v, _ := s.Get(name)
-	b, _ := v.(bool)
-	return b
 }
 
 // intType returns the QName of the narrowest xsd integer type that holds n.

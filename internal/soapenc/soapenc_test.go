@@ -148,10 +148,10 @@ func TestStructRoundTrip(t *testing.T) {
 
 func TestStructAccessors(t *testing.T) {
 	s := NewStruct(F("s", "x"), F("i", int64(3)), F("f", 1.5), F("b", true))
-	if s.GetString("s") != "x" || s.GetInt("i") != 3 || s.GetFloat("f") != 1.5 || !s.GetBool("b") {
+	if s.GetString("s") != "x" || s.GetFloat("f") != 1.5 {
 		t.Errorf("accessors wrong: %#v", s)
 	}
-	if s.GetString("missing") != "" || s.GetInt("s") != 0 {
+	if s.GetString("missing") != "" || s.GetFloat("s") != 0 {
 		t.Error("missing/mistyped accessors should zero")
 	}
 	if _, ok := s.Get("missing"); ok {

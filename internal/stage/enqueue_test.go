@@ -12,7 +12,7 @@ import (
 // whose one-slot queue is full, plus the release that lets the worker go.
 func heldPool(t *testing.T) (p *Pool, release func()) {
 	t.Helper()
-	p = MustPool("held", 1, 1)
+	p, _ = NewPool("held", 1, 1)
 	block, started := make(chan struct{}), make(chan struct{})
 	if err := p.Submit(func() { close(started); <-block }); err != nil {
 		t.Fatal(err)
@@ -96,9 +96,9 @@ func TestEnqueueTable(t *testing.T) {
 			release := func() {}
 			switch r.state {
 			case "space":
-				p = MustPool("space", 1, 1)
+				p, _ = NewPool("space", 1, 1)
 			case "closed before the call":
-				p = MustPool("closed", 1, 1)
+				p, _ = NewPool("closed", 1, 1)
 				p.Close()
 			default:
 				p, release = heldPool(t)

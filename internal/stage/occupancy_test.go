@@ -26,7 +26,7 @@ func TestOccupancy(t *testing.T) {
 func TestQueueLenObservesBacklog(t *testing.T) {
 	// One worker parked on a gate; two more tasks must sit in the queue
 	// where QueueLen can see them.
-	p := MustPool("q", 1, 8)
+	p, _ := NewPool("q", 1, 8)
 	defer p.Close()
 	gate := make(chan struct{})
 	started := make(chan struct{})

@@ -63,7 +63,6 @@ func (s Stats) Occupancy() float64 {
 // Closing the pool stops intake immediately but drains tasks already
 // accepted: every Submit that returned nil is guaranteed to execute.
 type Pool struct {
-	name     string
 	workers  int
 	queueCap int
 
@@ -97,7 +96,6 @@ func NewPool(name string, workers, queueDepth int) (*Pool, error) {
 		queueDepth = 1
 	}
 	p := &Pool{
-		name:     name,
 		workers:  workers,
 		queueCap: queueDepth,
 	}
@@ -108,19 +106,6 @@ func NewPool(name string, workers, queueDepth int) (*Pool, error) {
 	}
 	return p, nil
 }
-
-// MustPool is NewPool that panics on bad configuration, for initialization
-// paths where the sizes are constants.
-func MustPool(name string, workers, queueDepth int) *Pool {
-	p, err := NewPool(name, workers, queueDepth)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Name returns the pool's name.
-func (p *Pool) Name() string { return p.name }
 
 func (p *Pool) worker() {
 	defer p.wg.Done()

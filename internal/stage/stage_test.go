@@ -8,7 +8,7 @@ import (
 )
 
 func TestPoolRunsTasks(t *testing.T) {
-	p := MustPool("test", 4, 16)
+	p, _ := NewPool("test", 4, 16)
 	defer p.Close()
 	var n atomic.Int32
 	var wg sync.WaitGroup
@@ -29,7 +29,7 @@ func TestPoolRunsTasks(t *testing.T) {
 
 func TestPoolConcurrencyBound(t *testing.T) {
 	const workers = 3
-	p := MustPool("bounded", workers, 64)
+	p, _ := NewPool("bounded", workers, 64)
 	defer p.Close()
 	var cur, max atomic.Int32
 	var wg sync.WaitGroup
@@ -55,7 +55,7 @@ func TestPoolConcurrencyBound(t *testing.T) {
 }
 
 func TestPoolCloseDrains(t *testing.T) {
-	p := MustPool("drain", 2, 64)
+	p, _ := NewPool("drain", 2, 64)
 	var n atomic.Int32
 	for i := 0; i < 20; i++ {
 		p.Submit(func() {
@@ -73,7 +73,7 @@ func TestPoolCloseDrains(t *testing.T) {
 }
 
 func TestPoolCloseIdempotentAndConcurrent(t *testing.T) {
-	p := MustPool("close", 2, 4)
+	p, _ := NewPool("close", 2, 4)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -86,7 +86,7 @@ func TestPoolCloseIdempotentAndConcurrent(t *testing.T) {
 }
 
 func TestTrySubmitSheds(t *testing.T) {
-	p := MustPool("shed", 1, 1)
+	p, _ := NewPool("shed", 1, 1)
 	defer p.Close()
 	block := make(chan struct{})
 	// Occupy the worker.
@@ -114,7 +114,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestPanicRecovery(t *testing.T) {
-	p := MustPool("panicky", 1, 4)
+	p, _ := NewPool("panicky", 1, 4)
 	defer p.Close()
 	var recovered atomic.Value
 	p.OnPanic = func(r any) { recovered.Store(r) }
@@ -136,7 +136,7 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	p := MustPool("stats", 2, 8)
+	p, _ := NewPool("stats", 2, 8)
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
 		wg.Add(1)
@@ -151,9 +151,6 @@ func TestStats(t *testing.T) {
 	if st.Workers != 2 || st.QueueCap != 8 {
 		t.Errorf("config stats = %+v", st)
 	}
-	if p.Name() != "stats" {
-		t.Errorf("name = %q", p.Name())
-	}
 }
 
 func TestBadConfig(t *testing.T) {
@@ -163,19 +160,13 @@ func TestBadConfig(t *testing.T) {
 	if _, err := NewPool("x", 1, -1); err == nil {
 		t.Error("negative queue accepted")
 	}
-	if err := MustPool("x", 1, 0).Submit(nil); err == nil {
+	if p, _ := NewPool("x", 1, 0); p.Submit(nil) == nil {
 		t.Error("nil task accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustPool did not panic")
-		}
-	}()
-	MustPool("bad", 0, 0)
 }
 
 func TestSubmitBlockedDuringCloseReturnsErr(t *testing.T) {
-	p := MustPool("race", 1, 0)
+	p, _ := NewPool("race", 1, 0)
 	block := make(chan struct{})
 	p.Submit(func() { <-block })
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSubmitTimeoutShedsWhenFull(t *testing.T) {
-	p := MustPool("admit", 1, 1)
+	p, _ := NewPool("admit", 1, 1)
 	defer p.Close()
 	block := make(chan struct{})
 	defer close(block)
@@ -30,7 +30,7 @@ func TestSubmitTimeoutShedsWhenFull(t *testing.T) {
 }
 
 func TestSubmitTimeoutAdmitsWhenSpaceFrees(t *testing.T) {
-	p := MustPool("admit2", 1, 1)
+	p, _ := NewPool("admit2", 1, 1)
 	defer p.Close()
 	block := make(chan struct{})
 	started := make(chan struct{})
@@ -50,7 +50,7 @@ func TestSubmitTimeoutAdmitsWhenSpaceFrees(t *testing.T) {
 }
 
 func TestSubmitTimeoutZeroDegeneratesToTrySubmit(t *testing.T) {
-	p := MustPool("admit3", 1, 1)
+	p, _ := NewPool("admit3", 1, 1)
 	defer p.Close()
 	block := make(chan struct{})
 	defer close(block)
@@ -68,7 +68,7 @@ func TestSubmitTimeoutZeroDegeneratesToTrySubmit(t *testing.T) {
 }
 
 func TestSubmitTimeoutClosedPool(t *testing.T) {
-	p := MustPool("admit4", 1, 1)
+	p, _ := NewPool("admit4", 1, 1)
 	p.Close()
 	if err := p.SubmitTimeout(func() {}, 10*time.Millisecond); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)

@@ -119,9 +119,6 @@ type Span struct {
 	Service time.Duration
 }
 
-// Total is the span's full latency contribution: queue wait plus service.
-func (s Span) Total() time.Duration { return s.Queue + s.Service }
-
 // stageHist aggregates one stage's histograms.
 type stageHist struct {
 	spans   atomic.Int64
@@ -298,24 +295,6 @@ func (t *Tracer) Dropped() int64 {
 		return 0
 	}
 	return t.dropped.Load()
-}
-
-// Reset clears the ring, the histograms and the gauges (trace ids keep
-// counting so ids stay unique across resets).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.buf = t.buf[:0]
-	t.head = 0
-	t.wrapped = false
-	t.mu.Unlock()
-	t.dropped.Store(0)
-	t.aggMu.Lock()
-	t.stages = make(map[string]*stageHist)
-	t.gauges = make(map[string]*metrics.Gauge)
-	t.aggMu.Unlock()
 }
 
 // StageSummary digests one stage's spans: how many, and the queue-wait and

@@ -17,7 +17,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Errorf("nil Begin = %d, want 0", id)
 	}
 	tr.Record(Span{Stage: StageApp, Service: time.Millisecond})
-	tr.Reset()
 	if tr.Snapshot() != nil || tr.Stages() != nil || tr.Gauges() != nil || tr.Dropped() != 0 {
 		t.Error("nil tracer accessors must return zero values")
 	}
@@ -101,22 +100,6 @@ func TestStagesAggregatesAndOrders(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := New(4)
-	id := tr.Begin()
-	for i := 0; i < 6; i++ {
-		tr.Record(Span{Stage: StageApp})
-	}
-	tr.Gauge("q").Set(9)
-	tr.Reset()
-	if len(tr.Snapshot()) != 0 || len(tr.Stages()) != 0 || len(tr.Gauges()) != 0 || tr.Dropped() != 0 {
-		t.Error("Reset left state behind")
-	}
-	if next := tr.Begin(); next <= id {
-		t.Errorf("trace ids must keep counting across Reset: %d then %d", id, next)
-	}
-}
-
 func TestGauges(t *testing.T) {
 	tr := New(4)
 	tr.Gauge("b.queue").Set(3)
@@ -139,13 +122,6 @@ func TestContextRoundTrip(t *testing.T) {
 	ctx = NewContext(ctx, 42)
 	if got := FromContext(ctx); got != 42 {
 		t.Errorf("FromContext = %d, want 42", got)
-	}
-}
-
-func TestTotal(t *testing.T) {
-	s := Span{Queue: 2 * time.Millisecond, Service: 3 * time.Millisecond}
-	if s.Total() != 5*time.Millisecond {
-		t.Errorf("Total = %v, want 5ms", s.Total())
 	}
 }
 

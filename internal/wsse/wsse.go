@@ -114,13 +114,16 @@ func bodyMAC(nonce []byte, created string, secret, body []byte) string {
 	return base64.StdEncoding.EncodeToString(m.Sum(nil))
 }
 
+// maxAge is the freshness window: a token created further than this from the
+// verifier's clock, either way, is rejected, and a nonce is remembered for
+// as long.
+const maxAge = 5 * time.Minute
+
 // Verifier validates Security header blocks on the server. It implements
 // the HeaderProcessor contract of package core.
 type Verifier struct {
 	// Secrets maps usernames to shared keys.
 	Secrets map[string][]byte
-	// MaxAge rejects tokens older than this (default 5 minutes).
-	MaxAge time.Duration
 	// Now supplies the verification time (defaults to time.Now).
 	Now Clock
 
@@ -157,10 +160,6 @@ func (v *Verifier) ProcessHeader(block *xmldom.Element, body []byte) error {
 	now := time.Now
 	if v.Now != nil {
 		now = v.Now
-	}
-	maxAge := v.MaxAge
-	if maxAge <= 0 {
-		maxAge = 5 * time.Minute
 	}
 	ts, err := time.Parse(time.RFC3339, created)
 	if err != nil {

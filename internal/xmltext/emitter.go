@@ -93,17 +93,6 @@ func (e *Emitter) Len() int { return len(e.buf) }
 // ReleaseEmitter.
 func (e *Emitter) Bytes() []byte { return e.buf }
 
-// Grow ensures capacity for n more bytes, to front-load the (at most one)
-// buffer growth when the output size is known.
-func (e *Emitter) Grow(n int) {
-	if cap(e.buf)-len(e.buf) >= n {
-		return
-	}
-	grown := make([]byte, len(e.buf), len(e.buf)+n)
-	copy(grown, e.buf)
-	e.buf = grown
-}
-
 func (e *Emitter) setErr(err error) {
 	if e.err == nil {
 		e.err = err

@@ -261,24 +261,6 @@ func TestEmitterAttrRaw(t *testing.T) {
 	}
 }
 
-func TestEmitterGrow(t *testing.T) {
-	e := AcquireEmitter()
-	defer ReleaseEmitter(e)
-	e.Start(Name{Local: "a"})
-	e.Grow(1 << 16)
-	if cap(e.buf)-len(e.buf) < 1<<16 {
-		t.Fatalf("Grow did not reserve capacity: cap=%d len=%d", cap(e.buf), len(e.buf))
-	}
-	e.Text("x")
-	e.End()
-	if err := e.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(e.Bytes()); got != "<a>x</a>" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 // TestEmitterPoolRecycling hammers acquire/emit/release from many
 // goroutines; run under -race via the race-pools make target.
 func TestEmitterPoolRecycling(t *testing.T) {
@@ -510,8 +492,8 @@ func TestWriterTokenizerRoundTrip(t *testing.T) {
 			t.Errorf("token %d = %v, want %v", i, toks[i], w)
 		}
 	}
-	if v, _ := toks[0].Attr(Name{Local: "attr"}); v != "a<b&c\"d'e\tf\ng" {
-		t.Errorf("attr round trip = %q", v)
+	if a := toks[0].Attrs; len(a) != 1 || a[0] != (Attr{Name{Local: "attr"}, "a<b&c\"d'e\tf\ng"}) {
+		t.Errorf("attr round trip = %v", a)
 	}
 }
 
@@ -581,8 +563,7 @@ func TestQuickAttrRoundTrip(t *testing.T) {
 			t.Logf("input %q -> %q: %v", s, doc, err)
 			return false
 		}
-		v, ok := tok.Attr(Name{Local: "a"})
-		return ok && v == readBack(s)
+		return len(tok.Attrs) == 1 && tok.Attrs[0] == Attr{Name{Local: "a"}, readBack(s)}
 	}
 	f := func(s string, junk []byte) bool { return roundTrip(s) && roundTrip(string(junk)) }
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(2))}

@@ -195,14 +195,14 @@ func TestReuseTokenAttrs(t *testing.T) {
 		}
 		switch tok.Name.Local {
 		case "a":
-			if v, _ := tok.Attr(Name{Local: "x"}); v != "1" {
-				t.Errorf("a/x = %q", v)
+			if len(tok.Attrs) != 2 || tok.Attrs[0] != (Attr{Name{Local: "x"}, "1"}) {
+				t.Errorf("a attrs = %v", tok.Attrs)
 			}
 			prev = tok.Attrs
 			seen++
 		case "b":
-			if v, _ := tok.Attr(Name{Local: "z"}); v != "3" {
-				t.Errorf("b/z = %q", v)
+			if len(tok.Attrs) != 1 || tok.Attrs[0] != (Attr{Name{Local: "z"}, "3"}) {
+				t.Errorf("b attrs = %v", tok.Attrs)
 			}
 			if len(prev) > 0 && len(tok.Attrs) > 0 && &prev[:1][0] != &tok.Attrs[:1][0] {
 				t.Error("attrs backing array was not reused")

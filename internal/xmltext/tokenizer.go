@@ -143,9 +143,6 @@ func (t *Tokenizer) SetReuseTokenAttrs(on bool) { t.reuseAttrs = on }
 // and must not be modified.
 func (t *Tokenizer) TokenBytes() []byte { return t.buf }
 
-// Pos returns the current input position (just past the last byte consumed).
-func (t *Tokenizer) Pos() Pos { return t.pos }
-
 // InputOffset returns the number of input bytes consumed so far: the byte
 // offset of the first unconsumed byte. After Next returns a token whose
 // markup ends at the offset boundary (a start or end tag), the offset
@@ -154,9 +151,6 @@ func (t *Tokenizer) Pos() Pos { return t.pos }
 // Combined with ResetBytes/AcquireTokenizer over an in-memory document,
 // this lets callers recover the exact raw byte span of a subtree.
 func (t *Tokenizer) InputOffset() int64 { return t.off }
-
-// Depth returns the current element nesting depth.
-func (t *Tokenizer) Depth() int { return len(t.open) }
 
 func (t *Tokenizer) syntaxErr(format string, args ...any) error {
 	err := &SyntaxError{Pos: t.pos, Msg: fmt.Sprintf(format, args...)}

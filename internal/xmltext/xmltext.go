@@ -58,9 +58,9 @@ type Kind int
 
 // Token kinds produced by the Tokenizer.
 const (
-	KindInvalid Kind = iota
 	// KindStartElement is "<name attr=...>" or "<name/>"; see Token.SelfClosing.
-	KindStartElement
+	// The zero Kind is no token.
+	KindStartElement Kind = iota + 1
 	// KindEndElement is "</name>". Self-closing elements produce a synthetic
 	// end token immediately after their start token.
 	KindEndElement
@@ -100,17 +100,6 @@ type Token struct {
 	Text        string // content, for Text/Comment/ProcInst
 	Target      string // processing-instruction target, for ProcInst
 	SelfClosing bool   // true for "<name/>"; a synthetic EndElement follows
-}
-
-// Attr returns the value of the attribute with the given raw name and
-// whether it was present.
-func (t *Token) Attr(name Name) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
 }
 
 // Pos is a position in the input, for error reporting. Lines and columns

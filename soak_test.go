@@ -174,8 +174,8 @@ func newChurnBackend(t *testing.T) *churnBackend {
 }
 
 // TestSoakMembershipChurn keeps a packed workload flowing through a gateway
-// whose membership set is churning the whole time: backends join, drain,
-// resume and leave every few batches. The invariants are the drain
+// whose backends are drained and resumed, one at a time, through the state
+// the Admin SetState backend=… call sets. The invariants are the drain
 // contract's — no spi:id is ever lost or duplicated (every call resolves
 // exactly once, with its own payload), failures surface only as the
 // documented fault codes, and the fleet is fully healthy afterwards.
@@ -299,45 +299,24 @@ func TestSoakMembershipChurn(t *testing.T) {
 
 	// The churn script: every step runs while the workload flows, and at
 	// most one member is out of rotation at a time.
-	rounds := 3
-	joined := 0
+	const rounds = 3
 	for r := 0; r < rounds; r++ {
-		// Join a fresh backend.
-		name := fmt.Sprintf("n%d", joined)
-		joined++
-		if err := gw.AddBackend(gateway.BackendConfig{Name: name, Dial: newChurnBackend(t).dial}); err != nil {
-			t.Fatal(err)
-		}
-		waitStats(name+" to take traffic", func(st gateway.Stats) bool {
-			bs, ok := backendStat(st, name)
-			return ok && bs.Exchanges > 0
-		})
-
 		// Drain an original, hold it out, resume it.
 		victim := fmt.Sprintf("b%d", r%3)
-		if err := gw.DrainBackend(victim); err != nil {
-			t.Fatal(err)
+		state, ok := gw.Backend(victim)
+		if !ok {
+			t.Fatalf("no backend %s", victim)
 		}
+		state.SetDraining(true)
 		waitStats(victim+" drain to complete", func(st gateway.Stats) bool {
 			bs, ok := backendStat(st, victim)
 			return ok && bs.Draining && bs.InFlight == 0
 		})
 		time.Sleep(30 * time.Millisecond)
-		if err := gw.ResumeBackend(victim); err != nil {
-			t.Fatal(err)
-		}
+		state.SetDraining(false)
 		waitStats(victim+" to take traffic after resume", func(st gateway.Stats) bool {
 			bs, ok := backendStat(st, victim)
 			return ok && !bs.Draining
-		})
-
-		// Leave: the joined backend is removed again mid-load.
-		if err := gw.RemoveBackend(name); err != nil {
-			t.Fatal(err)
-		}
-		waitStats(name+" to leave the stats", func(st gateway.Stats) bool {
-			_, ok := backendStat(st, name)
-			return !ok && len(st.Backends) == 3
 		})
 	}
 
@@ -390,7 +369,7 @@ func TestSoakMembershipChurn(t *testing.T) {
 	if inflight != 0 {
 		t.Errorf("in-flight gauge leaked: %d", inflight)
 	}
-	t.Logf("membership churn soak: %d delivered, %d documented faults, drained=%d over %d rounds",
+	t.Logf("drain churn soak: %d delivered, %d documented faults, drained=%d over %d rounds",
 		delivered.Load(), faulted.Load(), st.Drained, rounds)
 }
 

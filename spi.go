@@ -81,7 +81,6 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
-	"repro/internal/msgcache"
 	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/soap"
@@ -229,9 +228,6 @@ type (
 	HeaderProvider = core.HeaderProvider
 	// HeaderProcessor consumes header blocks on the server.
 	HeaderProcessor = core.HeaderProcessor
-	// TemplateCacheStats counts client template-cache behaviour (the
-	// ClientConfig.TemplateCache optimization).
-	TemplateCacheStats = msgcache.Stats
 	// EntryInterceptor hooks each body entry as the server decodes it —
 	// the Axis handler-chain extension point
 	// (ServerConfig.EntryInterceptors).

@@ -30,6 +30,9 @@ type Sink interface{ Put(int) }
 // Stats holds a counter.
 type Stats struct{ Hits atomic.Int64 }
 
+// Point is set only by an element literal of a []*Point.
+type Point struct{ X int }
+
 // Unused has no caller.
 func Unused() {}
 

@@ -16,5 +16,6 @@ func main() {
 	var s lib.Stats
 	s.Hits.Add(1) // a counter field: set by calling a method on it
 	var sink lib.Sink = t
-	fmt.Println(cfg.Name, cfg.Limit, w, s.Hits.Load(), sink, lib.Stale)
+	pts := []*lib.Point{{X: 1}} // an element literal of []*T sets its keys
+	fmt.Println(cfg.Name, cfg.Limit, w, s.Hits.Load(), sink, lib.Stale, pts[0].X)
 }
