@@ -419,14 +419,18 @@ func splitTopLevelElements(b []byte) ([][]byte, error) {
 }
 
 // elementEnd returns the index just past the element whose start tag opens
-// at b[pos]. The input comes from the server's own emitter, so text holds a
-// raw '<' only inside a CDATA section (the shorter spelling of a value that
-// is mostly markup characters), which is skipped whole; attribute values are
-// double-quoted, and the only markup to skip inside a tag is a quoted string;
-// balance is checked, tag names are not. Comments and PIs do not occur but
-// are tolerated at depth.
+// at b[pos]. Text holds a raw '<' only inside a CDATA section (the shorter
+// spelling of a value that is mostly markup characters), which is skipped
+// whole; attribute values are double-quoted, and the only markup to skip
+// inside a tag is a quoted string. Each end tag must name the start tag it
+// closes: a backend is a peer, and one reply whose tags do not nest would
+// otherwise be spliced into the gathered response and make the whole of it
+// unreadable. The open tags' names are kept as spans of b, on the stack for
+// up to 16 levels.
 func elementEnd(b []byte, pos int) (int, error) {
-	for depth := 0; ; {
+	var stack [16][2]int
+	open := stack[:0]
+	for {
 		lt := bytes.IndexByte(b[pos:], '<')
 		if lt < 0 {
 			return 0, fmt.Errorf("core: truncated packed response entry")
@@ -434,7 +438,7 @@ func elementEnd(b []byte, pos int) (int, error) {
 		pos += lt
 		if bytes.HasPrefix(b[pos:], gatherCDATAOpen) {
 			end := bytes.Index(b[pos:], gatherCDATAEnd)
-			if end < 0 || depth == 0 {
+			if end < 0 || len(open) == 0 {
 				// Unterminated, or where an entry should start.
 				return 0, fmt.Errorf("core: truncated packed response entry")
 			}
@@ -447,16 +451,32 @@ func elementEnd(b []byte, pos int) (int, error) {
 		}
 		switch {
 		case closing:
-			if depth--; depth < 0 {
+			if len(open) == 0 {
 				return 0, fmt.Errorf("core: unbalanced packed response entry")
 			}
+			top := open[len(open)-1]
+			open = open[:len(open)-1]
+			if name := tagName(b, pos+2, gt); !bytes.Equal(name, b[top[0]:top[1]]) {
+				return 0, fmt.Errorf("core: end tag </%s> does not match <%s> in packed response entry", name, b[top[0]:top[1]])
+			}
 		case !selfClosing:
-			depth++
+			name := tagName(b, pos+1, gt)
+			open = append(open, [2]int{pos + 1, pos + 1 + len(name)})
 		}
-		if pos = gt + 1; depth == 0 {
+		if pos = gt + 1; len(open) == 0 {
 			return pos, nil
 		}
 	}
+}
+
+// tagName is the name a tag spells from b[from], up to white space, '/' or
+// its closing '>' at b[gt].
+func tagName(b []byte, from, gt int) []byte {
+	end := from
+	for end < gt && b[end] != ' ' && b[end] != '\t' && b[end] != '\r' && b[end] != '\n' && b[end] != '/' {
+		end++
+	}
+	return b[from:end]
 }
 
 // scanTag finds the '>' ending the tag that starts at b[pos] (which is

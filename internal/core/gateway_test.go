@@ -409,9 +409,10 @@ func TestSplitTopLevelElements(t *testing.T) {
 			t.Fatalf("segment %d = %q, want %q", i, segs[i], want[i])
 		}
 	}
-	// The scanner validates balance, not tag names — its input comes from
-	// the server's own emitter, which cannot emit mismatched names.
-	for _, bad := range []string{"<a>", "</a>", "<a", "<a><b></a>"} {
+	// The scanner checks that tags balance and that each end tag names the
+	// start tag it closes: its input comes from a backend, a peer that may
+	// write anything.
+	for _, bad := range []string{"<a>", "</a>", "<a", "<a><b></a>", "<a><b></a></b>"} {
 		if _, err := splitTopLevelElements([]byte(bad)); err == nil {
 			t.Fatalf("no error for %q", bad)
 		}

@@ -214,3 +214,42 @@ func TestReplyIDsMustMatchTheSubBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestMismatchedEndTagFaultsOnlyItsShard: a backend reply whose end tag names
+// another element than the start tag it closes is malformed, like a truncated
+// one. The gateway must not splice it: the hostile shard's entries degrade to
+// faults, and the healthy shard's keep their results in a gathered document
+// the client can read.
+func TestMismatchedEndTagFaultsOnlyItsShard(t *testing.T) {
+	damage := func(body string) string { return strings.Replace(body, "</p1>", "</p9>", 1) }
+	f := newFarm(t, 2, func(cfg *Config) {
+		cfg.Backends[1] = BackendConfig{Name: "hostile", Dial: hostileBackend(t, damage).Dial}
+		cfg.Retry = &core.RetryPolicy{MaxAttempts: 1}
+	})
+	b := f.client(t, nil).NewBatch()
+	var calls []*core.Call
+	for i := 0; i < 6; i++ {
+		calls = append(calls, b.Add("Echo", "echo", soapenc.F("p1", int64(i))))
+	}
+	if err := b.Send(); err != nil {
+		t.Fatalf("the gathered response did not parse: %v", err)
+	}
+	var answered, faulted []int
+	for i, c := range calls {
+		got, err := c.Wait()
+		switch {
+		case err != nil:
+			if !strings.Contains(err.Error(), "does not match") {
+				t.Errorf("call %d: %v, want the mismatched-reply fault", i, err)
+			}
+			faulted = append(faulted, i)
+		case len(got) != 1 || !soapenc.Equal(got[0].Value, int64(i)):
+			t.Errorf("call %d answered %v", i, got)
+		default:
+			answered = append(answered, i)
+		}
+	}
+	if len(answered) != 3 || len(faulted) != 3 {
+		t.Errorf("answered %v and faulted %v, want three of each (one shard each)", answered, faulted)
+	}
+}
