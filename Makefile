@@ -110,11 +110,11 @@ race-gateway:
 ## census in the style of race-stage — thirty shuffled -race runs on one and
 ## on two Ps of the Admin service and per-backend SetState, LeastLoaded's
 ## picks and its convergence on the load replies state, hostile SPI-Load
-## values, drain-under-load loss/duplication and add/remove; then the Admin
-## priority lane and one run of the membership churn soak.
+## values and drain-under-load loss/duplication; then the Admin priority
+## lane and one run of the drain churn soak.
 race-controlplane:
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -short \
-		-run='TestGatewayAdmin|TestMembership|TestLoadConvergence|TestAssignTable|TestHostileLoadHeader|TestDrainUnderLoad|TestDrainReleases' \
+		-run='TestGatewayAdmin|TestLoadConvergence|TestAssignTable|TestHostileLoadHeader|TestDrainUnderLoad|TestDrainReleases' \
 		./internal/gateway
 	$(GO) test -race -count=2 -run='TestAdminBypassesAppStage' ./internal/core
 	$(GO) test -race -run='TestSoakMembershipChurn' .
@@ -165,14 +165,17 @@ bench-check:
 ## bench-gate: fail if a key benchmark's allocs/op or bytes/op grew past the
 ## tolerance vs the baseline chain, recorded on the box the gate runs on: each
 ## row is judged against the first file that records it — BENCH_pr24.json for
-## every row but e2e/packed-echo-16-wsse, which only BENCH_pr30.json has. Both counts repeat from run to run; ns/op is printed beside them
-## and not judged — on the shared 2-vCPU box it moves by half between minutes
-## with no code change, and the gate failed five runs in a row on untouched
-## rows while it was. Timing regressions are the benchmark's job
+## every row but e2e/packed-echo-16-wsse, which only BENCH_pr30.json has.
+## allocs/op is held to 2 % on every row whose count repeats from run to run
+## (all but the coalesced and pipelined-fleet rows, cmd/benchcheck's
+## timingDependent, which keep 35 %); bytes/op to 35 %. ns/op is printed
+## beside them and not judged — on the shared 2-vCPU box it moves by half
+## between minutes with no code change, and the gate failed five runs in a row
+## on untouched rows while it was. Timing regressions are the benchmark's job
 ## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr24.json,BENCH_pr30.json -tolerance 35
+		-baseline BENCH_pr24.json,BENCH_pr30.json -tolerance 35 -alloc-tolerance 2
 
 ## census: print the dead-surface census — every exported identifier under
 ## internal/ that no non-test code uses or sets, with its allowlist kind

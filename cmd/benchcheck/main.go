@@ -15,6 +15,9 @@
 //	                           # benchmark's allocs/op or bytes/op grew
 //	                           # more than 10% vs the baseline; ns/op is
 //	                           # printed, not judged
+//	benchcheck -baseline BENCH_pr24.json -tolerance 35 -alloc-tolerance 2
+//	                           # allocs/op held to 2% on every row but the
+//	                           # timing-dependent ones, which keep 35%
 package main
 
 import (
@@ -143,6 +146,7 @@ func main() {
 	benchtime := flag.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	baseline := flag.String("baseline", "", "comma-separated baseline chain to compare against, first file wins per benchmark (empty disables)")
 	tolerance := flag.Float64("tolerance", 10, "allowed regression percent vs the baseline")
+	allocTolerance := flag.Float64("alloc-tolerance", -1, "allowed allocs/op regression percent on rows that are not timing-dependent (negative: -tolerance)")
 	flag.Parse()
 	// testing.Benchmark honours the package-level benchtime flag.
 	if err := flag.CommandLine.Lookup("test.benchtime").Value.Set(benchtime.String()); err != nil {
@@ -740,22 +744,38 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(report.Results))
 
 	if *baseline != "" {
-		if err := compare(*baseline, report, *tolerance); err != nil {
+		if *allocTolerance < 0 {
+			*allocTolerance = *tolerance
+		}
+		if err := compare(*baseline, report, *tolerance, *allocTolerance); err != nil {
 			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
+// timingDependent lists the rows whose allocs/op move with scheduling: how
+// many single calls one coalescer window catches, how many reads and wake-ups
+// a thousand pipelined connections' bursts take. Over five runs of the gate
+// on a 2-vCPU box the coalesced row spread 4.2 % and the connection fleets
+// 0.3–0.5 %; every other row repeated its count within 0.2 %, most exactly.
+// These rows keep the bytes/op tolerance on allocs/op too.
+var timingDependent = map[string]bool{
+	"e2e/gw-coalesced-singles-16":   true,
+	"transport/pipelined-1k-conns":  true,
+	"transport/pipelined-10k-conns": true,
+}
+
 // compare checks the report against a baseline: any benchmark whose
-// allocs/op or bytes/op grew by more than tolerance percent fails the run.
-// Both repeat from run to run on any machine; ns/op is printed beside them
-// and not judged, because on the shared 2-vCPU box it moves by half between
-// minutes with no code change. The spec is a comma-separated list of
+// allocs/op grew by more than allocTolerance percent (tolerance on a
+// timingDependent row), or whose bytes/op grew by more than tolerance
+// percent, fails the run. Both repeat from run to run on any machine; ns/op
+// is printed beside them and not judged, because on the shared 2-vCPU box it
+// moves by half between minutes with no code change. The spec is a comma-separated list of
 // snapshots; each benchmark is compared against the first file that records
 // it. Benchmarks present on only one side are reported but do not fail —
 // snapshots gain benchmarks as the codebase grows.
-func compare(spec string, cur Report, tolerance float64) error {
+func compare(spec string, cur Report, tolerance, allocTolerance float64) error {
 	byName := make(map[string]Result)
 	for _, path := range strings.Split(spec, ",") {
 		path = strings.TrimSpace(path)
@@ -778,7 +798,8 @@ func compare(spec string, cur Report, tolerance float64) error {
 	}
 	limit := 1 + tolerance/100
 	var failures []string
-	fmt.Printf("\ncompare vs %s (allocs/op and bytes/op within %.0f%%; ns/op shown, not judged):\n", spec, tolerance)
+	fmt.Printf("\ncompare vs %s (allocs/op within %.0f%%, %.0f%% on timing-dependent rows; bytes/op within %.0f%%; ns/op shown, not judged):\n",
+		spec, allocTolerance, tolerance, tolerance)
 	for _, r := range cur.Results {
 		b, ok := byName[r.Name]
 		if !ok {
@@ -787,7 +808,11 @@ func compare(spec string, cur Report, tolerance float64) error {
 		}
 		delete(byName, r.Name)
 		verdict := "ok"
-		if b.AllocsPerOp > 0 && float64(r.AllocsPerOp) > float64(b.AllocsPerOp)*limit {
+		allocLimit := 1 + allocTolerance/100
+		if timingDependent[r.Name] {
+			allocLimit = limit
+		}
+		if b.AllocsPerOp > 0 && float64(r.AllocsPerOp) > float64(b.AllocsPerOp)*allocLimit {
 			verdict = "REGRESSION(allocs/op)"
 			failures = append(failures, fmt.Sprintf("%s: %d -> %d allocs/op", r.Name, b.AllocsPerOp, r.AllocsPerOp))
 		} else if b.BytesPerOp > 0 && float64(r.BytesPerOp) > float64(b.BytesPerOp)*limit {
@@ -802,8 +827,8 @@ func compare(spec string, cur Report, tolerance float64) error {
 		fmt.Printf("  %-32s dropped (present only in baseline)\n", name)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed past %.0f%%:\n  %s",
-			len(failures), tolerance, strings.Join(failures, "\n  "))
+		return fmt.Errorf("%d benchmark(s) regressed past tolerance:\n  %s",
+			len(failures), strings.Join(failures, "\n  "))
 	}
 	fmt.Println("no regressions past tolerance")
 	return nil
