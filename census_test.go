@@ -90,7 +90,7 @@ func TestDeadSurfaceCensusFixture(t *testing.T) {
 	wantVerdict := []string{
 		"lib.Config.Limit: exported field never set by non-test code",
 		"lib.Thing.Helper: exported identifier unused by non-test code",
-		"lib.Stale: stale census_allowlist.txt line (census_allowlist.txt:3): it names no finding",
+		"lib.Stale: allowlist line 3 names no finding",
 	}
 	if strings.Join(verdict, "\n") != strings.Join(wantVerdict, "\n") {
 		t.Errorf("verdict:\n%s\nwant:\n%s", strings.Join(verdict, "\n"), strings.Join(wantVerdict, "\n"))
@@ -142,7 +142,7 @@ func censusVerdict(findings []censusFinding, allow map[string]censusAllowLine) [
 	}
 	sort.Slice(stale, func(i, j int) bool { return stale[i].line < stale[j].line })
 	for _, l := range stale {
-		out = append(out, fmt.Sprintf("%s: stale census_allowlist.txt line (census_allowlist.txt:%d): it names no finding", l.key, l.line))
+		out = append(out, fmt.Sprintf("%s: allowlist line %d names no finding", l.key, l.line))
 	}
 	return out
 }
@@ -214,6 +214,9 @@ func deadSurfaceCensus(dir string) ([]censusFinding, error) {
 	internal := pkgs[0].Module.Path + "/internal/"
 
 	fset := token.NewFileSet()
+	// The source importer reads build.Default; without cgo it type-checks
+	// the pure-Go files of net and os/user, as go list above listed them,
+	// instead of running the cgo tool.
 	build.Default.CgoEnabled = false
 	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	checked := map[string]*types.Package{}
@@ -250,8 +253,9 @@ func deadSurfaceCensus(dir string) ([]censusFinding, error) {
 			c.declared = append(c.declared, pkg)
 		}
 	}
+	visited := map[*types.Package]bool{}
 	for _, p := range checked {
-		c.addInterfaces(p, map[*types.Package]bool{})
+		c.addInterfaces(p, visited)
 	}
 	c.addInterface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 
@@ -394,12 +398,12 @@ func (c *census) record(info *types.Info, files []*ast.File) {
 }
 
 // addInterfaces collects the package-level interfaces of p and of every
-// package it imports.
-func (c *census) addInterfaces(p *types.Package, seen map[*types.Package]bool) {
-	if seen[p] {
+// package it imports that is not yet visited.
+func (c *census) addInterfaces(p *types.Package, visited map[*types.Package]bool) {
+	if visited[p] {
 		return
 	}
-	seen[p] = true
+	visited[p] = true
 	for _, name := range p.Scope().Names() {
 		if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
 			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
@@ -408,7 +412,7 @@ func (c *census) addInterfaces(p *types.Package, seen map[*types.Package]bool) {
 		}
 	}
 	for _, q := range p.Imports() {
-		c.addInterfaces(q, seen)
+		c.addInterfaces(q, visited)
 	}
 }
 

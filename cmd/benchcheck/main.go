@@ -771,9 +771,9 @@ var timingDependent = map[string]bool{
 // timingDependent row), or whose bytes/op grew by more than tolerance
 // percent, fails the run. Both repeat from run to run on any machine; ns/op
 // is printed beside them and not judged, because on the shared 2-vCPU box it
-// moves by half between minutes with no code change. The spec is a comma-separated list of
-// snapshots; each benchmark is compared against the first file that records
-// it. Benchmarks present on only one side are reported but do not fail —
+// moves by half between minutes with no code change. The spec is a
+// comma-separated list of snapshots; each benchmark is compared against the
+// first file that records it. Benchmarks present on only one side are reported but do not fail —
 // snapshots gain benchmarks as the codebase grows.
 func compare(spec string, cur Report, tolerance, allocTolerance float64) error {
 	byName := make(map[string]Result)
