@@ -246,16 +246,6 @@ func (g *Gateway) newBackend(bc BackendConfig) (*backend, error) {
 	return b, nil
 }
 
-// backendByName finds a backend.
-func (g *Gateway) backendByName(name string) (*backend, error) {
-	for _, b := range g.backends {
-		if b.name == name {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("gateway: no backend named %q", name)
-}
-
 // Serve accepts connections on l until Close.
 func (g *Gateway) Serve(l net.Listener) error {
 	return g.httpSrv.Serve(l)
@@ -397,9 +387,8 @@ func (g *Gateway) Stats() Stats {
 			st.CoalesceSizes[batchSizeBuckets[i]] = n
 		}
 	}
-	backends := g.backends
-	fastest := fastestSample(routableCandidates(backends, now))
-	for _, b := range backends {
+	fastest := fastestSample(routableCandidates(g.backends, now))
+	for _, b := range g.backends {
 		st.Backends = append(st.Backends, b.stats(now, fastest))
 	}
 	return st

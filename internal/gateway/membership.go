@@ -46,11 +46,12 @@ func (g *Gateway) startDrain(b *backend) {
 // backend, so a backend parameter sets that backend's weight and drain
 // instead of the gateway's own.
 func (g *Gateway) Backend(name string) (admin.Target, bool) {
-	b, err := g.backendByName(name)
-	if err != nil {
-		return nil, false
+	for _, b := range g.backends {
+		if b.name == name {
+			return backendState{g, b}, true
+		}
 	}
-	return backendState{g, b}, true
+	return nil, false
 }
 
 // backendState is one backend's weight and drain flag as an admin.Target.

@@ -92,8 +92,7 @@ func routableCandidates(backends []*backend, now time.Time) []*backend {
 // assign shards the live (non-faulted) entries across the routable
 // backends.
 func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
-	backends := g.backends
-	candidates := routableCandidates(backends, time.Now())
+	candidates := routableCandidates(g.backends, time.Now())
 	shards := make(map[*backend]*shard, len(candidates))
 	place := func(e *core.ScatterEntry, b *backend) {
 		sh := shards[b]
