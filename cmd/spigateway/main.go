@@ -50,7 +50,6 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/registry"
 	"repro/internal/services"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -64,7 +63,6 @@ func main() {
 	maxIdle := flag.Int("max-idle", 16, "keep-alive connections pooled per backend")
 	maxActive := flag.Int("max-active", 0, "concurrent exchanges per backend (0: unbounded)")
 	stats := flag.Bool("stats", false, "serve GET /spi/stats")
-	traced := flag.Bool("trace", false, "record gateway spans; /spi/stats (with -stats) then carries per-stage histograms and per-backend in-flight gauges")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent single calls into packed batches")
 	flushWindow := flag.Duration("flush-window", time.Millisecond, "coalescer batch formation window (with -coalesce)")
 	maxBatch := flag.Int("max-batch", 64, "coalescer flushes a batch at this many members (with -coalesce)")
@@ -124,10 +122,6 @@ func main() {
 		})
 	}
 
-	var tracer *trace.Tracer
-	if *traced {
-		tracer = trace.New(0)
-	}
 	gw, err := gateway.New(gateway.Config{
 		Backends:            backends,
 		Policy:              gateway.ParsePolicy(*policy),
@@ -141,7 +135,6 @@ func main() {
 		Passthrough:         *passthrough,
 		PipelineBackends:    *pipelineBackends,
 		DebugEndpoints:      *stats,
-		Tracer:              tracer,
 		AdminService:        *adminFlag,
 		AdminWeight:         *adminWeight,
 		Coalesce: gateway.CoalesceConfig{

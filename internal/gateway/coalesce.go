@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/httpx"
 	"repro/internal/soap"
-	"repro/internal/trace"
 )
 
 // Cross-client coalescing: the client-side autobatcher (core.AutoBatcher)
@@ -271,7 +270,6 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, defaultServi
 		done:   make(chan callOutcome, 1),
 	}
 	key := batchKey{service: sc.Entry.Service, op: sc.Entry.Op, version: sc.Version}
-	enqueued := time.Now()
 	if !co.enqueue(key, call) {
 		g.coalescePassthrough.Inc()
 		return nil
@@ -296,10 +294,6 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, defaultServi
 		df := core.AbandonFault(memberCtx, sc.Entry.Service, sc.Entry.Op)
 		g.faultCodes.NoteSOAP(df)
 		out = callOutcome{fault: df}
-	}
-	if tr := g.cfg.Tracer; tr.Enabled() {
-		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageGatewayCoalesceWait,
-			ID: -1, Op: key.service + "." + key.op, Start: enqueued, Service: time.Since(enqueued)})
 	}
 	if out.fault != nil {
 		g.faults.Inc()
@@ -348,12 +342,6 @@ func (g *Gateway) flushBatch(baseCtx context.Context, b *pendingBatch) {
 	}
 	defer cancel()
 
-	tr := g.cfg.Tracer
-	flushStart := time.Now()
-	if tr.Enabled() {
-		ctx = trace.NewContext(ctx, tr.Begin())
-	}
-
 	sr := &core.ScatterRequest{Version: b.key.version, Packed: true, Entries: entries}
 	var wg sync.WaitGroup
 	for _, sh := range g.buildSubBatches(sr, g.assign(entries), &coalesceSink{calls: b.calls}) {
@@ -365,10 +353,6 @@ func (g *Gateway) flushBatch(baseCtx context.Context, b *pendingBatch) {
 		}(sh)
 	}
 	wg.Wait()
-	if tr.Enabled() {
-		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageGatewayCoalesceFlush,
-			ID: -1, Op: b.key.service + "." + b.key.op, Start: flushStart, Service: time.Since(flushStart)})
-	}
 }
 
 // batchSizeBuckets label the coalesced-batch-size distribution: 1, 2,

@@ -15,7 +15,6 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/metrics"
 	"repro/internal/registry"
-	"repro/internal/trace"
 )
 
 // Config wires a Gateway.
@@ -92,9 +91,6 @@ type Config struct {
 	// the httpx default.
 	MaxBodyBytes int64
 
-	// Tracer, when non-nil, records gateway.scatter / gateway.backend /
-	// gateway.gather spans and per-backend in-flight gauges.
-	Tracer *trace.Tracer
 	// DebugEndpoints serves GET /spi/stats with gateway and per-backend
 	// counters.
 	DebugEndpoints bool
@@ -192,7 +188,6 @@ func New(cfg Config) (*Gateway, error) {
 			Container:  adminC,
 			Coupled:    true,
 			PathPrefix: cfg.PathPrefix,
-			Tracer:     cfg.Tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -422,12 +417,9 @@ func (g *Gateway) AdminStats() admin.Stats {
 // debugPathPrefix mirrors the server's debug mount point.
 const debugPathPrefix = "/spi/"
 
-// statsSnapshot is the /spi/stats JSON shape: the gateway snapshot plus
-// the tracer's stage and gauge views when tracing is on.
+// statsSnapshot is the /spi/stats JSON shape.
 type statsSnapshot struct {
-	Gateway Stats                `json:"gateway"`
-	Stages  []trace.StageSummary `json:"stages,omitempty"`
-	Gauges  []trace.GaugeValue   `json:"gauges,omitempty"`
+	Gateway Stats `json:"gateway"`
 }
 
 // handleDebug serves GET /spi/stats.
@@ -441,12 +433,7 @@ func (g *Gateway) handleDebug(req *httpx.Request) *httpx.Response {
 		resp.Header.Set("Content-Type", "text/plain")
 		return resp
 	}
-	snap := statsSnapshot{Gateway: g.Stats()}
-	if tr := g.cfg.Tracer; tr.Enabled() {
-		snap.Stages = tr.Stages()
-		snap.Gauges = tr.Gauges()
-	}
-	body, err := json.MarshalIndent(snap, "", "  ")
+	body, err := json.MarshalIndent(statsSnapshot{Gateway: g.Stats()}, "", "  ")
 	if err != nil {
 		resp := httpx.NewResponse(500, []byte("stats marshal failed\n"))
 		resp.Header.Set("Content-Type", "text/plain")

@@ -3,11 +3,9 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/httpx"
-	"repro/internal/trace"
 )
 
 // Zero-copy passthrough: the single-call fast path.
@@ -53,9 +51,6 @@ func (g *Gateway) passthrough(ctx context.Context, req *httpx.Request) *httpx.Re
 		return resp
 	}
 
-	tr := g.cfg.Tracer
-	start := time.Now()
-
 	out := httpx.NewRequest(req.Method, req.Target, req.Body)
 	for _, h := range [...]string{"Content-Type", "SOAPAction", core.HeaderDeadline, core.HeaderTrace} {
 		if v := req.Header.Get(h); v != "" {
@@ -71,10 +66,6 @@ func (g *Gateway) passthrough(ctx context.Context, req *httpx.Request) *httpx.Re
 	g.proxied.Inc()
 	g.passthroughs.Inc()
 	resp, err := b.client.DoCtx(ctx, out)
-	if tr.Enabled() {
-		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageGatewayPassthrough,
-			ID: -1, Op: req.Target, Start: start, Service: time.Since(start)})
-	}
 	if err != nil {
 		b.noteFailure(g.cfg.FailureThreshold, g.cfg.ReprobeAfter)
 		g.faults.Inc()

@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/httpx"
 	"repro/internal/soap"
-	"repro/internal/trace"
 )
 
 // Handle is the gateway's HTTP handler: packed POSTs are scattered across
@@ -45,17 +44,6 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 		return resp
 	}
 
-	// Adopt the client's trace id so gateway spans correlate with the
-	// client's and the backends'.
-	tr := g.cfg.Tracer
-	if tr.Enabled() {
-		tid := core.TraceID(req)
-		if tid == 0 {
-			tid = tr.Begin()
-		}
-		ctx = trace.NewContext(ctx, tid)
-	}
-
 	// Zero-copy fast path: a single-call envelope headed for the proxy
 	// path anyway is spliced through a backend without being parsed here.
 	// Packed envelopes (byte sniff) and coalescing deployments fall
@@ -64,7 +52,6 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 		return g.passthrough(ctx, req)
 	}
 
-	scatterStart := time.Now()
 	sr, parseFault := core.ParseScatterRequest(req.Body, defaultService)
 	if parseFault != nil {
 		// The direct server's fault, in its version: SOAP 1.1 for a
@@ -89,7 +76,7 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 		return g.proxy(ctx, req)
 	}
 	g.packed.Inc()
-	return g.scatterGather(ctx, req, sr, scatterStart)
+	return g.scatterGather(ctx, req, sr)
 }
 
 // serviceFromPath resolves the target path against the prefix: the bare
@@ -127,8 +114,7 @@ func (g *Gateway) packTarget() string {
 // writes each entry of the packed response as its shard's reply arrives. A
 // propagated deadline is shortened by the server's grace rule, so a degraded
 // response still beats the client's own deadline.
-func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *core.ScatterRequest, scatterStart time.Time) *httpx.Response {
-	tr := g.cfg.Tracer
+func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *core.ScatterRequest) *httpx.Response {
 	if budget := core.DeadlineBudget(req); budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, core.ShortenBudget(budget))
@@ -147,12 +133,7 @@ func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *cor
 		g.scattered.Inc()
 		go g.sendShard(ctx, sh, sr, col)
 	}
-	if tr.Enabled() {
-		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageGatewayScatter,
-			ID: -1, Op: req.Target, Start: scatterStart, Service: time.Since(scatterStart)})
-	}
 
-	gatherStart := time.Now()
 	resp, itemFaults, err := col.Assemble(ctx, sr.Version, func(slot int) *soap.Fault {
 		g.degraded.Inc()
 		// The fault a direct server abandoning the same entry answers with.
@@ -167,10 +148,6 @@ func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *cor
 		return core.GatewayFaultResponse(af, sr.Version)
 	}
 	g.itemFaults.Add(int64(itemFaults))
-	if tr.Enabled() {
-		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageGatewayGather,
-			ID: -1, Op: req.Target, Start: gatherStart, Service: time.Since(gatherStart)})
-	}
 	return resp
 }
 
@@ -360,21 +337,9 @@ func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.Sca
 // exchange performs one POST of a sub-batch in version v against a backend
 // and returns its 200 reply, which the caller releases.
 func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc []byte) (*httpx.Response, error) {
-	tr := g.cfg.Tracer
-	start := time.Now()
 	b.exchanges.Inc()
-	n := b.inflight.Add(1)
-	if tr.Enabled() {
-		tr.Gauge("gateway." + b.name + ".inflight").Set(n)
-	}
-	defer func() {
-		left := b.inflight.Add(-1)
-		if tr.Enabled() {
-			tr.Gauge("gateway." + b.name + ".inflight").Set(left)
-			tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageGatewayBackend,
-				ID: -1, Op: b.name, Start: start, Service: time.Since(start)})
-		}
-	}()
+	b.inflight.Add(1)
+	defer b.inflight.Add(-1)
 
 	extra := make([]string, 0, 6)
 	extra = append(extra, "SOAPAction", `""`)
@@ -382,9 +347,6 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 		if budget := time.Until(deadline); budget > 0 {
 			extra = append(extra, core.HeaderDeadline, strconv.FormatInt(budget.Milliseconds(), 10))
 		}
-	}
-	if id := trace.FromContext(ctx); id != 0 {
-		extra = append(extra, core.HeaderTrace, strconv.FormatUint(id, 10))
 	}
 	// LeastLoaded routes on the execution time each backend states on its
 	// replies; no other policy asks for it.

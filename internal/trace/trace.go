@@ -56,45 +56,17 @@ const (
 	// StageClientUnpack is client-side response decoding and routing of
 	// packed results back to their futures.
 	StageClientUnpack = "client.unpack"
-	// StageGatewayCoalesceWait is one single call parked in the gateway's
-	// cross-client coalescer: the time between joining a pending batch and
-	// receiving its outcome (flush wait plus the batch exchange).
-	StageGatewayCoalesceWait = "gateway.coalesce.wait"
-	// StageGatewayCoalesceFlush is one coalesced batch's full dispatch:
-	// sealing slot ids, sharding, the backend exchanges and delivery.
-	StageGatewayCoalesceFlush = "gateway.coalesce.flush"
-	// StageGatewayScatter is the gateway front tier parsing a packed
-	// envelope and sharding its entries across backends.
-	StageGatewayScatter = "gateway.scatter"
-	// StageGatewayBackend is one sub-batch exchange with a backend,
-	// including any failover attempts.
-	StageGatewayBackend = "gateway.backend"
-	// StageGatewayGather is the gateway's in-order reassembly of backend
-	// replies into one packed response.
-	StageGatewayGather = "gateway.gather"
-	// StageGatewayPassthrough is one single-call envelope spliced whole
-	// through a backend on the zero-copy path: no gateway-side parse, the
-	// span covers the full backend exchange.
-	StageGatewayPassthrough = "gateway.passthrough"
 )
 
-// stageOrder positions the canonical stages for sorted reporting. The
-// gateway stages sit between the client's send and the backend server's
-// protocol stage, matching a message's path through the tiers.
+// stageOrder positions the canonical stages for sorted reporting.
 var stageOrder = map[string]int{
-	StageClientPack:           0,
-	StageClientSend:           1,
-	StageGatewayCoalesceWait:  2,
-	StageGatewayCoalesceFlush: 3,
-	StageGatewayPassthrough:   4,
-	StageGatewayScatter:       4,
-	StageGatewayBackend:       5,
-	StageGatewayGather:        6,
-	StageProtocol:             7,
-	StageDispatch:             8,
-	StageApp:                  9,
-	StageAssemble:             10,
-	StageClientUnpack:         11,
+	StageClientPack:   0,
+	StageClientSend:   1,
+	StageProtocol:     2,
+	StageDispatch:     3,
+	StageApp:          4,
+	StageAssemble:     5,
+	StageClientUnpack: 6,
 }
 
 // Span is one recorded hop of a traced request.

@@ -278,23 +278,15 @@ type (
 // (capacity <= 0 selects a default).
 func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
 
-// Stage names recorded along the request path, in path order. The gateway
-// stages appear only on deployments fronted by the scatter–gather tier
-// (cmd/spigateway); the coalesce stages additionally require cross-client
-// coalescing to be enabled there.
+// Stage names recorded along the request path, in path order.
 const (
-	StageClientPack           = trace.StageClientPack
-	StageClientSend           = trace.StageClientSend
-	StageGatewayCoalesceWait  = trace.StageGatewayCoalesceWait
-	StageGatewayCoalesceFlush = trace.StageGatewayCoalesceFlush
-	StageGatewayScatter       = trace.StageGatewayScatter
-	StageGatewayBackend       = trace.StageGatewayBackend
-	StageGatewayGather        = trace.StageGatewayGather
-	StageProtocol             = trace.StageProtocol
-	StageDispatch             = trace.StageDispatch
-	StageApp                  = trace.StageApp
-	StageAssemble             = trace.StageAssemble
-	StageClientUnpack         = trace.StageClientUnpack
+	StageClientPack   = trace.StageClientPack
+	StageClientSend   = trace.StageClientSend
+	StageProtocol     = trace.StageProtocol
+	StageDispatch     = trace.StageDispatch
+	StageApp          = trace.StageApp
+	StageAssemble     = trace.StageAssemble
+	StageClientUnpack = trace.StageClientUnpack
 )
 
 // HeaderTrace is the HTTP header carrying the client's trace id so server
