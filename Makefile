@@ -175,7 +175,7 @@ bench-check:
 ## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr24.json,BENCH_pr30.json -tolerance 35 -alloc-tolerance 2
+		-baseline BENCH_pr24.json,BENCH_pr30.json -tolerance 35
 
 ## census: print the dead-surface census — every exported identifier under
 ## internal/ that no non-test code uses or sets, with its allowlist kind

@@ -10,14 +10,12 @@
 //	                           # a PR's snapshot, named explicitly so a
 //	                           # bare run never overwrites a committed one
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
-//	benchcheck -baseline BENCH_pr24.json -tolerance 10
+//	benchcheck -baseline BENCH_pr24.json -tolerance 35
 //	                           # compare mode: exit non-zero when a
-//	                           # benchmark's allocs/op or bytes/op grew
-//	                           # more than 10% vs the baseline; ns/op is
-//	                           # printed, not judged
-//	benchcheck -baseline BENCH_pr24.json -tolerance 35 -alloc-tolerance 2
-//	                           # allocs/op held to 2% on every row but the
-//	                           # timing-dependent ones, which keep 35%
+//	                           # benchmark's allocs/op grew more than 2%
+//	                           # (35% on the timing-dependent rows) or its
+//	                           # bytes/op more than 35% vs the baseline;
+//	                           # ns/op is printed, not judged
 package main
 
 import (
@@ -145,8 +143,7 @@ func main() {
 	out := flag.String("out", "BENCH_local.json", "output JSON path")
 	benchtime := flag.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	baseline := flag.String("baseline", "", "comma-separated baseline chain to compare against, first file wins per benchmark (empty disables)")
-	tolerance := flag.Float64("tolerance", 10, "allowed regression percent vs the baseline")
-	allocTolerance := flag.Float64("alloc-tolerance", -1, "allowed allocs/op regression percent on rows that are not timing-dependent (negative: -tolerance)")
+	tolerance := flag.Float64("tolerance", 10, "allowed bytes/op regression percent vs the baseline (allocs/op too, on the timing-dependent rows)")
 	flag.Parse()
 	// testing.Benchmark honours the package-level benchtime flag.
 	if err := flag.CommandLine.Lookup("test.benchtime").Value.Set(benchtime.String()); err != nil {
@@ -744,10 +741,7 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(report.Results))
 
 	if *baseline != "" {
-		if *allocTolerance < 0 {
-			*allocTolerance = *tolerance
-		}
-		if err := compare(*baseline, report, *tolerance, *allocTolerance); err != nil {
+		if err := compare(*baseline, report, *tolerance); err != nil {
 			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 			os.Exit(1)
 		}
@@ -759,15 +753,20 @@ func main() {
 // a thousand pipelined connections' bursts take. Over five runs of the gate
 // on a 2-vCPU box the coalesced row spread 4.2 % and the connection fleets
 // 0.3–0.5 %; every other row repeated its count within 0.2 %, most exactly.
-// These rows keep the bytes/op tolerance on allocs/op too.
+// These rows keep the bytes/op tolerance on allocs/op too; every other row
+// is held to allocTolerancePct.
 var timingDependent = map[string]bool{
 	"e2e/gw-coalesced-singles-16":   true,
 	"transport/pipelined-1k-conns":  true,
 	"transport/pipelined-10k-conns": true,
 }
 
+// allocTolerancePct is the allowed allocs/op growth, in percent, on every row
+// that is not timingDependent.
+const allocTolerancePct = 2
+
 // compare checks the report against a baseline: any benchmark whose
-// allocs/op grew by more than allocTolerance percent (tolerance on a
+// allocs/op grew by more than allocTolerancePct percent (tolerance on a
 // timingDependent row), or whose bytes/op grew by more than tolerance
 // percent, fails the run. Both repeat from run to run on any machine; ns/op
 // is printed beside them and not judged, because on the shared 2-vCPU box it
@@ -775,7 +774,7 @@ var timingDependent = map[string]bool{
 // comma-separated list of snapshots; each benchmark is compared against the
 // first file that records it. Benchmarks present on only one side are reported but do not fail —
 // snapshots gain benchmarks as the codebase grows.
-func compare(spec string, cur Report, tolerance, allocTolerance float64) error {
+func compare(spec string, cur Report, tolerance float64) error {
 	byName := make(map[string]Result)
 	for _, path := range strings.Split(spec, ",") {
 		path = strings.TrimSpace(path)
@@ -799,7 +798,7 @@ func compare(spec string, cur Report, tolerance, allocTolerance float64) error {
 	limit := 1 + tolerance/100
 	var failures []string
 	fmt.Printf("\ncompare vs %s (allocs/op within %.0f%%, %.0f%% on timing-dependent rows; bytes/op within %.0f%%; ns/op shown, not judged):\n",
-		spec, allocTolerance, tolerance, tolerance)
+		spec, float64(allocTolerancePct), tolerance, tolerance)
 	for _, r := range cur.Results {
 		b, ok := byName[r.Name]
 		if !ok {
@@ -808,7 +807,7 @@ func compare(spec string, cur Report, tolerance, allocTolerance float64) error {
 		}
 		delete(byName, r.Name)
 		verdict := "ok"
-		allocLimit := 1 + allocTolerance/100
+		allocLimit := 1 + allocTolerancePct/100.0
 		if timingDependent[r.Name] {
 			allocLimit = limit
 		}
