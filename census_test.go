@@ -64,11 +64,16 @@ func TestDeadSurfaceCensus(t *testing.T) {
 // TestDeadSurfaceCensusFixture runs the census over the module under
 // testdata/census, which holds one case of each finding and two exports the
 // census must not flag: a method that implements an interface and a counter
-// field set only by calling a method on it.
+// field set only by calling a method on it. The census leaves build.Default
+// as it found it.
 func TestDeadSurfaceCensusFixture(t *testing.T) {
+	cgo := build.Default.CgoEnabled
 	findings, err := deadSurfaceCensus("testdata/census")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if build.Default.CgoEnabled != cgo {
+		t.Errorf("build.Default.CgoEnabled is %v after the census, was %v", build.Default.CgoEnabled, cgo)
 	}
 	allow, err := readCensusAllowlist("testdata/census/allowlist.txt")
 	if err != nil {
@@ -216,7 +221,9 @@ func deadSurfaceCensus(dir string) ([]censusFinding, error) {
 	fset := token.NewFileSet()
 	// The source importer reads build.Default; without cgo it type-checks
 	// the pure-Go files of net and os/user, as go list above listed them,
-	// instead of running the cgo tool.
+	// instead of running the cgo tool. Every import happens before this
+	// function returns, so the setting is put back then.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
 	build.Default.CgoEnabled = false
 	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	checked := map[string]*types.Package{}

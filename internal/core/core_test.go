@@ -766,6 +766,19 @@ func TestTemplateCacheEndToEnd(t *testing.T) {
 	if sys.client.templates == nil {
 		t.Fatal("TemplateCache on built no template cache")
 	}
+	// The calls went through the cache: it holds the template they built.
+	// A template is keyed by service, operation and parameter shape, not by
+	// namespace, so rendering the same call under another namespace is a hit
+	// and names the namespace the calls were made in.
+	em := xmltext.AcquireEmitter()
+	defer xmltext.ReleaseEmitter(em)
+	ok, err := sys.client.templates.RenderTo(em, "Echo", "urn:not-the-calls", "echo", []soapenc.Field{soapenc.F("data", "again")})
+	if err != nil || !ok {
+		t.Fatalf("render after the calls: ok=%v err=%v", ok, err)
+	}
+	if doc := string(em.Bytes()); !strings.Contains(doc, `xmlns:m="urn:spi:Echo"`) || strings.Contains(doc, "urn:not-the-calls") {
+		t.Errorf("render after the calls = %s, want the template the calls built", doc)
+	}
 	// Uncacheable shapes still work through the normal path.
 	res, err := sys.client.Call("Echo", "echo", soapenc.F("arr", soapenc.Array{"a", "b"}))
 	if err != nil {

@@ -135,36 +135,62 @@ func TestStreamDecoderErrorParity(t *testing.T) {
 
 // TestStreamDecoderIncremental checks the property the fast path is built
 // on: a packed entry's child is fully usable (namespaces resolved, params
-// readable) before the rest of the document has been read. The decoder is
-// handed only the bytes up to the first entry's end; the first child decodes
-// whole, and only asking for the next one meets the cut.
+// readable) before the rest of the document has been read. A decoder handed
+// only the bytes up to the first entry's end decodes the first child whole,
+// and only asking for the next one meets the cut; one handed the whole
+// document goes on to the second child, the entry's close and Finish.
 func TestStreamDecoderIncremental(t *testing.T) {
 	head := streamEnv11 + `<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
 		`<m:first xmlns:m="urn:svc" spi:id="0" spi:service="Svc"><p>v0</p></m:first>`
-	d := AcquireStreamDecoder([]byte(head), nil)
-	defer d.Release()
-	if err := d.ReadPreamble(); err != nil {
-		t.Fatal(err)
-	}
-	entry, err := d.NextEntryStart()
-	if err != nil || entry == nil {
-		t.Fatalf("entry: %v %v", entry, err)
-	}
-	if !entry.Is("http://spi.ict.ac.cn/pack", "Parallel_Method") {
-		t.Fatalf("entry is %s", entry.Name)
-	}
-	child, err := d.NextChild(entry)
-	if err != nil || child == nil {
-		t.Fatalf("child: %v %v", child, err)
-	}
-	if !child.Is("urn:svc", "first") {
-		t.Errorf("child namespace not resolvable mid-stream: %s", child.Name)
-	}
-	if got := child.Child("", "p").Text(); got != "v0" {
-		t.Errorf("child param = %q", got)
-	}
-	if c2, err := d.NextChild(entry); err == nil {
-		t.Fatalf("second child of a cut document: %v, want an error", c2)
+	tail := `<m:second xmlns:m="urn:svc" spi:id="1" spi:service="Svc"/>` +
+		`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`
+	for _, whole := range []bool{false, true} {
+		doc := head
+		if whole {
+			doc += tail
+		}
+		d := AcquireStreamDecoder([]byte(doc), nil)
+		defer d.Release()
+		if err := d.ReadPreamble(); err != nil {
+			t.Fatal(err)
+		}
+		entry, err := d.NextEntryStart()
+		if err != nil || entry == nil {
+			t.Fatalf("entry: %v %v", entry, err)
+		}
+		if !entry.Is("http://spi.ict.ac.cn/pack", "Parallel_Method") {
+			t.Fatalf("entry is %s", entry.Name)
+		}
+		child, err := d.NextChild(entry)
+		if err != nil || child == nil {
+			t.Fatalf("child: %v %v", child, err)
+		}
+		if !child.Is("urn:svc", "first") {
+			t.Errorf("child namespace not resolvable mid-stream: %s", child.Name)
+		}
+		if got := child.Child("", "p").Text(); got != "v0" {
+			t.Errorf("child param = %q", got)
+		}
+		c2, err := d.NextChild(entry)
+		if !whole {
+			if err == nil {
+				t.Fatalf("second child of a cut document: %v, want an error", c2)
+			}
+			continue
+		}
+		if err != nil || c2 == nil || c2.Name.Local != "second" {
+			t.Fatalf("second child: %v %v", c2, err)
+		}
+		if c3, err := d.NextChild(entry); err != nil || c3 != nil {
+			t.Fatalf("entry close: %v %v", c3, err)
+		}
+		env, err := d.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(env.Body) != 1 {
+			t.Fatalf("body entries = %d", len(env.Body))
+		}
 	}
 }
 
