@@ -84,10 +84,9 @@ type ServerConfig struct {
 	// in request order. 0 or 1 keeps the serial per-connection loop.
 	PipelineWindow int
 	// ReadTimeout bounds reading one full request off a connection;
-	// WriteTimeout bounds writing one full response. Both are enforced as
-	// watchdogs on the shared httpx deadline wheel (coarse 5ms ticks, no
-	// per-request runtime timers); expiry closes the connection. Zero
-	// disables the respective watchdog.
+	// WriteTimeout bounds writing one full response. Both are connection
+	// deadlines; expiry closes the connection. Zero disables the
+	// respective deadline.
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 
@@ -887,12 +886,7 @@ func (s *Server) execute(ctx context.Context, req *rpcRequest, rctx *registry.Co
 	opCtx := ctx
 	var cancel context.CancelFunc
 	if d := s.cfg.OperationTimeout; d > 0 {
-		// The watchdog deadline rides the shared timing wheel: O(1)
-		// schedule/cancel with no runtime-timer churn per operation, at
-		// the cost of firing up to one wheel tick late. The wheel context
-		// yields the same context.DeadlineExceeded/Canceled sentinels, so
-		// fault classification (and its pinned texts) is unchanged.
-		opCtx, cancel = httpx.WheelTimeout(ctx, httpx.DefaultWheel(), d)
+		opCtx, cancel = context.WithTimeout(ctx, d)
 	}
 	invCtx := &frame.inv
 	*invCtx = registry.Context{

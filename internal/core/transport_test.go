@@ -193,10 +193,9 @@ func TestPipelinedClientSOAP(t *testing.T) {
 	}
 }
 
-// TestWheelWatchdogFaultText pins the Server.Timeout fault text produced
-// when the wheel-backed operation watchdog expires: byte-identical to the
-// old per-request context.WithTimeout path.
-func TestWheelWatchdogFaultText(t *testing.T) {
+// TestOperationWatchdogFaultText pins the Server.Timeout fault text produced
+// when the operation watchdog expires.
+func TestOperationWatchdogFaultText(t *testing.T) {
 	sys, _ := newResilienceSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
 		sc.OperationTimeout = 30 * time.Millisecond
 	})
@@ -206,7 +205,7 @@ func TestWheelWatchdogFaultText(t *testing.T) {
 		t.Fatalf("err = %v, want Server.Timeout fault", err)
 	}
 	if want := "operation Echo.park exceeded its deadline"; f.String != want {
-		t.Fatalf("fault text = %q, want %q (wheel watchdog changed the pinned text)", f.String, want)
+		t.Fatalf("fault text = %q, want %q (watchdog changed the pinned text)", f.String, want)
 	}
 }
 

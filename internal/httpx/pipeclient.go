@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Client-side HTTP/1.1 pipelining.
@@ -161,7 +162,7 @@ func (c *Client) removePipeConn(pc *pipeConn) {
 }
 
 // pipeRoundTrip writes the request, takes a FIFO slot and waits for its
-// response. The overall Timeout is a wheel watchdog that kills the
+// response. The overall Timeout is a runtime timer that kills the
 // connection (per-exchange conn deadlines are impossible on a shared
 // connection); a cancelled context abandons only this caller's slot.
 func (c *Client) pipeRoundTrip(ctx context.Context, pc *pipeConn, req *Request) (*Response, error) {
@@ -185,9 +186,9 @@ func (c *Client) pipeRoundTrip(ctx context.Context, pc *pipeConn, req *Request) 
 		// fall through: fail just delivered the error to our slot
 	}
 
-	var alarm *WheelTimer
+	var alarm *time.Timer
 	if c.Timeout > 0 {
-		alarm = DefaultWheel().Schedule(c.Timeout, func() {
+		alarm = time.AfterFunc(c.Timeout, func() {
 			pc.fail(fmt.Errorf("httpx: pipelined exchange timed out after %v", c.Timeout))
 		})
 	}

@@ -80,14 +80,8 @@ func (s *Server) servePipelined(conn net.Conn, br *bufio.Reader, first *Request,
 
 	submit(first, firstRelease, false)
 	for !connBroken.Load() {
-		var readAlarm *WheelTimer
-		if s.ReadTimeout > 0 {
-			readAlarm = DefaultWheel().Schedule(s.ReadTimeout, func() { conn.Close() })
-		}
+		s.armRead(conn)
 		req, release, err := ReadRequestPooled(br, s.MaxBodyBytes)
-		if readAlarm != nil {
-			readAlarm.Stop()
-		}
 		if err != nil {
 			var pe *ProtocolError
 			if err != io.EOF && errors.As(err, &pe) {
@@ -128,6 +122,7 @@ func (s *Server) pipeWriter(conn net.Conn, queue chan *pipeExchange, connBroken 
 			if !broken {
 				resp := NewResponse(400, []byte(ex.protoErr.Msg+"\n"))
 				resp.Header.Set("Content-Type", "text/plain")
+				s.armWrite(conn)
 				_ = WriteResponse(conn, resp, true)
 				markBroken()
 			}
@@ -143,14 +138,8 @@ func (s *Server) pipeWriter(conn net.Conn, queue chan *pipeExchange, connBroken 
 		draining := s.draining
 		s.mu.Unlock()
 		closeAfter := ex.closeAfter || draining
-		var writeAlarm *WheelTimer
-		if s.WriteTimeout > 0 {
-			writeAlarm = DefaultWheel().Schedule(s.WriteTimeout, func() { conn.Close() })
-		}
+		s.armWrite(conn)
 		werr := WriteResponse(conn, resp, closeAfter)
-		if writeAlarm != nil {
-			writeAlarm.Stop()
-		}
 		s.settleExchange(ex, resp)
 		if werr != nil || closeAfter {
 			markBroken()

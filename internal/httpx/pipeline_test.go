@@ -423,7 +423,7 @@ func TestClientPipelineCancelAbandonsSlot(t *testing.T) {
 	}
 }
 
-// TestClientPipelineTimeoutKillsConn: the wheel watchdog fails the whole
+// TestClientPipelineTimeoutKillsConn: the Timeout alarm fails the whole
 // connection when an exchange overruns Client.Timeout.
 func TestClientPipelineTimeoutKillsConn(t *testing.T) {
 	addr, _ := startPipelinedServer(t, 8, func(_ context.Context, req *Request) *Response {
