@@ -88,8 +88,8 @@ func TestBackoffSchedule(t *testing.T) {
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
 		60 * time.Millisecond, 60 * time.Millisecond}
 	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
+		if got := p.backoff(i + 1); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 }
@@ -106,8 +106,8 @@ func TestBackoffJitterBounds(t *testing.T) {
 		{0.5, 100 * time.Millisecond},
 	} {
 		p := &RetryPolicy{BaseDelay: 100 * time.Millisecond, Jitter: 0.2, Rand: func() float64 { return tc.u }}
-		if got := p.Backoff(1); got != tc.want {
-			t.Errorf("u=%v: Backoff(1) = %v, want %v", tc.u, got, tc.want)
+		if got := p.backoff(1); got != tc.want {
+			t.Errorf("u=%v: backoff(1) = %v, want %v", tc.u, got, tc.want)
 		}
 	}
 }

@@ -98,17 +98,18 @@ func DefaultRetryPolicy() *RetryPolicy {
 		MaxDelay: 2 * time.Second, Multiplier: 2, Jitter: 0.2}
 }
 
-// maxAttempts returns the effective attempt budget.
-func (p *RetryPolicy) maxAttempts() int {
+// Attempts returns the effective attempt budget: MaxAttempts, or 3 when it
+// is not set.
+func (p *RetryPolicy) Attempts() int {
 	if p.MaxAttempts <= 0 {
 		return 3
 	}
 	return p.MaxAttempts
 }
 
-// Backoff returns the delay to sleep after the attempt-th failed try
+// backoff returns the delay to sleep after the attempt-th failed try
 // (attempt counts from 1), jitter included.
-func (p *RetryPolicy) Backoff(attempt int) time.Duration {
+func (p *RetryPolicy) backoff(attempt int) time.Duration {
 	base := p.BaseDelay
 	if base <= 0 {
 		base = 20 * time.Millisecond
@@ -154,8 +155,11 @@ func (p *RetryPolicy) uniform() float64 {
 	return rand.Float64()
 }
 
-// sleep waits out one backoff, honoring ctx.
-func (p *RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
+// Wait sleeps out the backoff after the attempt-th failed try (attempt
+// counts from 1) through Sleep, or on a timer when Sleep is nil. It returns
+// ctx's error, early, once ctx is done.
+func (p *RetryPolicy) Wait(ctx context.Context, attempt int) error {
+	d := p.backoff(attempt)
 	if p.Sleep != nil {
 		return p.Sleep(ctx, d)
 	}
@@ -207,7 +211,7 @@ func (c *Client) withRetry(ctx context.Context, idempotent bool, fn func() error
 	if p == nil {
 		return fn()
 	}
-	attempts := p.maxAttempts()
+	attempts := p.Attempts()
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = fn()
@@ -215,7 +219,7 @@ func (c *Client) withRetry(ctx context.Context, idempotent bool, fn func() error
 			return err
 		}
 		c.resil.Retries.Inc()
-		if serr := p.sleep(ctx, p.Backoff(attempt)); serr != nil {
+		if serr := p.Wait(ctx, attempt); serr != nil {
 			return err
 		}
 	}

@@ -232,10 +232,7 @@ func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterReque
 	defer release()
 	idem := g.allIdempotent(shard)
 	p := g.cfg.Retry
-	attempts := p.MaxAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
+	attempts := p.Attempts()
 	for attempt := 1; ; attempt++ {
 		resp, err := g.exchange(ctx, b, sr.Version, sh.doc)
 		if err == nil {
@@ -245,7 +242,7 @@ func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterReque
 		}
 		b.noteFailure(g.cfg.FailureThreshold, g.cfg.ReprobeAfter)
 		if attempt >= attempts || ctx.Err() != nil || !core.RetryableError(err, idem) ||
-			sleepCtx(ctx, p.Backoff(attempt)) != nil {
+			p.Wait(ctx, attempt) != nil {
 			release()
 			for _, e := range shard {
 				sf := shardFault(ctx, e, err)
@@ -282,21 +279,6 @@ func shardFault(ctx context.Context, e *core.ScatterEntry, err error) *soap.Faul
 	return fault.ToSOAP(fault.Upstreamf(
 		"no backend available for %s.%s: %v", e.Service, e.Op, err).
 		With(fault.KeyOp, e.Service+"."+e.Op))
-}
-
-// sleepCtx waits out one backoff, honoring ctx.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // deliver splits a backend's reply to a shard into its per-entry segments and
