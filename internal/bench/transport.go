@@ -31,7 +31,7 @@ func RunTransport(reps int) (*AblationResult, error) {
 	const callsPerConn = 8
 	const window = 8
 	const workers = 32
-	const queue = 16384              // hold the full fleet burst without shedding
+	const queue = 16384                // hold the full fleet burst without shedding
 	const rtt = 120 * time.Millisecond // 60ms propagation each way
 
 	result := &AblationResult{Title: fmt.Sprintf(
