@@ -42,8 +42,8 @@ func main() {
 	admin := flag.Bool("admin", false, "self-host the Admin control-plane service (GetStats/SetState) at /services/Admin")
 	weight := flag.Int("weight", 1, "initial advertised weight, reported to exporters (with -admin); gateways route by their own -backends weights")
 	pipeline := flag.Int("pipeline", 8, "per-connection HTTP/1.1 pipelining window (0 or 1: serial)")
-	readTimeout := flag.Duration("read-timeout", 0, "per-request read watchdog on the deadline wheel (0: none)")
-	writeTimeout := flag.Duration("write-timeout", 0, "per-response write watchdog on the deadline wheel (0: none)")
+	readTimeout := flag.Duration("read-timeout", 0, "per-request read deadline; an idle or stalled connection is closed (0: none)")
+	writeTimeout := flag.Duration("write-timeout", 0, "per-response write deadline; a peer that stops reading is disconnected (0: none)")
 	flag.Parse()
 
 	container := registry.NewContainer()
