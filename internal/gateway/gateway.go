@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admin"
@@ -109,7 +110,7 @@ type Config struct {
 type Gateway struct {
 	cfg     Config
 	httpSrv *httpx.Server
-	rr      uint64 // round-robin cursor
+	rr      atomic.Uint64 // round-robin cursor (a bare uint64 here is misaligned on 386)
 
 	// backends is the membership set, fixed by New; a backend's index is
 	// its position, which keys response gathering.

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"hash/fnv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -153,7 +152,7 @@ func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
 			if e.Fault != nil {
 				continue
 			}
-			n := atomic.AddUint64(&g.rr, 1) - 1
+			n := g.rr.Add(1) - 1
 			place(e, candidates[int(n%uint64(len(candidates)))])
 		}
 	}
@@ -185,7 +184,7 @@ func (g *Gateway) pickBackend(exclude *backend) *backend {
 	now := time.Now()
 	var fallback *backend
 	n := len(backends)
-	start := int(atomic.AddUint64(&g.rr, 1) - 1)
+	start := int((g.rr.Add(1) - 1) % uint64(n))
 	for i := 0; i < n; i++ {
 		b := backends[(start+i)%n]
 		if b == exclude {
