@@ -181,7 +181,9 @@ bench-check:
 ## bench-gate: fail if a key benchmark's allocs/op or bytes/op grew past the
 ## tolerance vs the baseline chain, recorded on the box the gate runs on: each
 ## row is judged against the first file that records it — BENCH_pr24.json for
-## every row but e2e/packed-echo-16-wsse, which only BENCH_pr30.json has.
+## every row but e2e/packed-echo-16-wsse, which only BENCH_pr30.json has, and
+## stage/submit-run, which only BENCH_pr33.json has. A row recorded at
+## 0 allocs/op fails on any allocation.
 ## allocs/op is held to 2 % on every row whose count repeats from run to run
 ## (all but the coalesced and pipelined-fleet rows, cmd/benchcheck's
 ## timingDependent, which keep 35 %); bytes/op to 35 %. ns/op is printed
@@ -191,7 +193,7 @@ bench-check:
 ## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr24.json,BENCH_pr30.json -tolerance 35
+		-baseline BENCH_pr24.json,BENCH_pr30.json,BENCH_pr33.json -tolerance 35
 
 ## census: print the dead-surface census — every exported identifier under
 ## internal/ that no non-test code uses or sets, with its allowlist kind

@@ -47,12 +47,14 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/heapfloor"
 	"repro/internal/gateway"
 	"repro/internal/registry"
 	"repro/internal/services"
 )
 
 func main() {
+	heapfloor.Set()
 	addr := flag.String("addr", ":8090", "listen address")
 	backendList := flag.String("backends", "", "comma-separated backend addresses (required)")
 	policy := flag.String("policy", "round-robin", "sharding policy: round-robin, least-loaded, op-affinity")

@@ -27,11 +27,13 @@ import (
 	"time"
 
 	spi "repro"
+	"repro/cmd/internal/heapfloor"
 	"repro/internal/registry"
 	"repro/internal/services"
 )
 
 func main() {
+	heapfloor.Set()
 	addr := flag.String("addr", ":8080", "listen address")
 	appWorkers := flag.Int("app-workers", 32, "application-stage pool width")
 	coupled := flag.Bool("coupled", false, "use the traditional coupled architecture (no staged pools)")

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/httpx"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -16,10 +17,13 @@ import (
 const debugPathPrefix = "/spi/"
 
 // statsSnapshot is the JSON document GET /spi/stats returns: the server
-// counters plus, when a tracer is attached, the per-stage latency summaries
-// and gauges the trace sink has aggregated.
+// counters, the process's garbage collector, and, when a tracer is attached,
+// the per-stage latency summaries and gauges the trace sink has aggregated.
 type statsSnapshot struct {
 	Server ServerStats `json:"server"`
+
+	// Runtime is the process's garbage collector at snapshot time.
+	Runtime metrics.RuntimeStats `json:"runtime"`
 
 	// AppOccupancy is the application-stage worker occupancy in [0, 1]
 	// at snapshot time.
@@ -37,7 +41,8 @@ type statsSnapshot struct {
 
 // handleDebug serves the operator endpoints:
 //
-//	GET /spi/stats          — JSON snapshot of ServerStats + trace summaries
+//	GET /spi/stats          — JSON snapshot of ServerStats, the process's GC
+//	                          and trace summaries
 //	GET /spi/pprof/<name>   — a runtime profile (goroutine, heap, allocs,
 //	                          block, mutex, threadcreate) in pprof format
 func (s *Server) handleDebug(req *httpx.Request) *httpx.Response {
@@ -57,7 +62,7 @@ func (s *Server) handleDebug(req *httpx.Request) *httpx.Response {
 }
 
 func (s *Server) handleStats() *httpx.Response {
-	snap := statsSnapshot{Server: s.Stats()}
+	snap := statsSnapshot{Server: s.Stats(), Runtime: metrics.ReadRuntime()}
 	if s.staged() {
 		snap.AppOccupancy = snap.Server.AppStage.Occupancy()
 		snap.AppQueueLen = s.appPool.QueueLen()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -340,6 +341,39 @@ func TestDebugStatsEndpoint(t *testing.T) {
 	}
 	if !hasApp {
 		t.Errorf("stats carried no server.app stage summary: %s", resp.Body)
+	}
+}
+
+// TestDebugStatsRuntime checks the "runtime" object of GET /spi/stats: it
+// carries the five GC fields, and its cycle count advances across a
+// collection.
+func TestDebugStatsRuntime(t *testing.T) {
+	sys := newSystem(t, func(sc *ServerConfig, cc *ClientConfig) { sc.DebugEndpoints = true })
+	hc := &httpx.Client{Dial: sys.link.Dial}
+	defer hc.Close()
+	read := func() map[string]float64 {
+		t.Helper()
+		resp, err := hc.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Runtime map[string]float64 `json:"runtime"`
+		}
+		if err := json.Unmarshal(resp.Body, &snap); err != nil {
+			t.Fatalf("stats not JSON: %v\n%s", err, resp.Body)
+		}
+		for _, key := range []string{"gc_cycles", "gc_cpu_seconds", "heap_goal_bytes", "heap_live_bytes", "gc_percent"} {
+			if _, ok := snap.Runtime[key]; !ok {
+				t.Errorf("runtime.%s missing from /spi/stats: %s", key, resp.Body)
+			}
+		}
+		return snap.Runtime
+	}
+	before := read()
+	runtime.GC()
+	if after := read(); after["gc_cycles"] <= before["gc_cycles"] {
+		t.Errorf("runtime.gc_cycles %v -> %v across runtime.GC()", before["gc_cycles"], after["gc_cycles"])
 	}
 }
 

@@ -418,9 +418,11 @@ func (g *Gateway) AdminStats() admin.Stats {
 // debugPathPrefix mirrors the server's debug mount point.
 const debugPathPrefix = "/spi/"
 
-// statsSnapshot is the /spi/stats JSON shape.
+// statsSnapshot is the /spi/stats JSON shape: the gateway's counters and
+// the process's garbage collector.
 type statsSnapshot struct {
-	Gateway Stats `json:"gateway"`
+	Gateway Stats                `json:"gateway"`
+	Runtime metrics.RuntimeStats `json:"runtime"`
 }
 
 // handleDebug serves GET /spi/stats.
@@ -434,7 +436,7 @@ func (g *Gateway) handleDebug(req *httpx.Request) *httpx.Response {
 		resp.Header.Set("Content-Type", "text/plain")
 		return resp
 	}
-	body, err := json.MarshalIndent(statsSnapshot{Gateway: g.Stats()}, "", "  ")
+	body, err := json.MarshalIndent(statsSnapshot{Gateway: g.Stats(), Runtime: metrics.ReadRuntime()}, "", "  ")
 	if err != nil {
 		resp := httpx.NewResponse(500, []byte("stats marshal failed\n"))
 		resp.Header.Set("Content-Type", "text/plain")

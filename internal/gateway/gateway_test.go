@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -278,6 +279,40 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if snap.Gateway.Policy != "round-robin" {
 		t.Errorf("policy = %q", snap.Gateway.Policy)
+	}
+}
+
+// TestStatsEndpointRuntime checks the "runtime" object of the gateway's
+// /spi/stats: it carries the five GC fields, and its cycle count advances
+// across a collection.
+func TestStatsEndpointRuntime(t *testing.T) {
+	f := newFarm(t, 1, nil)
+	raw := f.raw()
+	defer raw.Close()
+	read := func() map[string]float64 {
+		t.Helper()
+		resp, err := raw.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Release()
+		var snap struct {
+			Runtime map[string]float64 `json:"runtime"`
+		}
+		if err := json.Unmarshal(resp.Body, &snap); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		for _, key := range []string{"gc_cycles", "gc_cpu_seconds", "heap_goal_bytes", "heap_live_bytes", "gc_percent"} {
+			if _, ok := snap.Runtime[key]; !ok {
+				t.Errorf("runtime.%s missing from /spi/stats: %s", key, resp.Body)
+			}
+		}
+		return snap.Runtime
+	}
+	before := read()
+	runtime.GC()
+	if after := read(); after["gc_cycles"] <= before["gc_cycles"] {
+		t.Errorf("runtime.gc_cycles %v -> %v across runtime.GC()", before["gc_cycles"], after["gc_cycles"])
 	}
 }
 

@@ -68,7 +68,13 @@ type Pool struct {
 
 	mu     sync.Mutex
 	notAll *sync.Cond // signals queue state changes (space or items or close)
-	queue  []Task
+	// The queue is a ring: queued tasks are ring[head], ring[head+1], …
+	// wrapping at len(ring), queued of them. It grows by doubling up to
+	// queueCap and never shrinks, so a queue that runs near empty reuses
+	// one backing array instead of reallocating it per task.
+	ring   []Task
+	head   int
+	queued int
 	closed bool
 
 	submitted atomic.Int64
@@ -111,16 +117,14 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
+		for p.queued == 0 && !p.closed {
 			p.notAll.Wait()
 		}
-		if len(p.queue) == 0 && p.closed {
+		if p.queued == 0 && p.closed {
 			p.mu.Unlock()
 			return
 		}
-		task := p.queue[0]
-		p.queue[0] = nil
-		p.queue = p.queue[1:]
+		task := p.pop()
 		p.notAll.Broadcast() // space freed: wake blocked submitters
 		p.mu.Unlock()
 
@@ -180,7 +184,7 @@ func (p *Pool) enqueue(task Task, wait time.Duration) error {
 		deadline = time.Now().Add(wait)
 	}
 	p.mu.Lock()
-	for len(p.queue) >= p.queueCap && !p.closed {
+	for p.queued >= p.queueCap && !p.closed {
 		if wait == forever {
 			p.notAll.Wait()
 		} else if wait == 0 || !waitUntil(p.notAll, deadline) {
@@ -193,11 +197,41 @@ func (p *Pool) enqueue(task Task, wait time.Duration) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	p.queue = append(p.queue, task)
+	p.push(task)
 	p.notAll.Broadcast()
 	p.mu.Unlock()
 	p.submitted.Add(1)
 	return nil
+}
+
+// push appends task at the ring's tail, doubling the ring (up to queueCap)
+// when it is full. The caller holds p.mu and has checked queued < queueCap.
+func (p *Pool) push(task Task) {
+	if p.queued == len(p.ring) {
+		size := min(max(2*len(p.ring), 1), p.queueCap)
+		ring := make([]Task, size)
+		n := copy(ring, p.ring[p.head:])
+		copy(ring[n:], p.ring[:p.head])
+		p.ring, p.head = ring, 0
+	}
+	i := p.head + p.queued
+	if i >= len(p.ring) {
+		i -= len(p.ring)
+	}
+	p.ring[i] = task
+	p.queued++
+}
+
+// pop takes the task at the ring's head. The caller holds p.mu and has
+// checked queued > 0.
+func (p *Pool) pop() Task {
+	task := p.ring[p.head]
+	p.ring[p.head] = nil // let the closure go: the ring outlives it
+	if p.head++; p.head == len(p.ring) {
+		p.head = 0
+	}
+	p.queued--
+	return task
 }
 
 // waitUntil waits on cond (whose lock the caller holds) until a broadcast
@@ -230,13 +264,13 @@ func (p *Pool) Close() {
 func (p *Pool) QueueLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue)
+	return p.queued
 }
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
-	queued := len(p.queue)
+	queued := p.queued
 	p.mu.Unlock()
 	return Stats{
 		Submitted: p.submitted.Load(),
