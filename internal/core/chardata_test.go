@@ -88,7 +88,7 @@ func charDataAcceptance(t *testing.T, dir string) {
 			if code != 200 || err != nil || len(env.Body) != 1 {
 				t.Fatalf("%s: HTTP %d, %v: %s", what, code, err, body)
 			}
-			results, err := decodePackedResponse(env.Body[0])
+			results, err := readPackedReply(body, len(calls))
 			if err != nil || len(results) != len(calls) {
 				t.Fatalf("%s: %d results, %v", what, len(results), err)
 			}

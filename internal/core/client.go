@@ -265,30 +265,28 @@ func (c *Client) CallCtx(ctx context.Context, service, op string, params ...soap
 }
 
 // callOnce performs one attempt of a single-message call. The response is
-// decoded from a pooled arena released before return; everything handed to
-// the caller (decoded params, detached faults) is copied off it by then.
+// read into a pooled arena released before return; everything handed to the
+// caller (decoded params, detached faults) is copied off it by then.
 func (c *Client) callOnce(ctx context.Context, req *request, service, op string) ([]soapenc.Field, error) {
-	respEnv, release, err := c.post(ctx, req)
+	r, err := c.post(ctx, req, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if f := respEnv.Fault(); f != nil {
+	defer r.release()
+	if f := r.env.Fault(); f != nil {
 		c.faults.Add(1)
 		// Classify at the decode edge: callers get a taxonomy value
 		// (errors.Is(err, fault.Timeout) etc.) whose Error text and
 		// errors.As(*soap.Fault) behaviour are unchanged.
 		return nil, fault.Classify(detachFault(f))
 	}
-	if len(respEnv.Body) != 1 {
-		return nil, fmt.Errorf("core: response has %d body entries", len(respEnv.Body))
+	if len(r.env.Body) != 1 {
+		return nil, fmt.Errorf("core: response has %d body entries", len(r.env.Body))
 	}
-	tr := c.cfg.Tracer
-	unpackStart := tr.Now()
-	results, err := soapenc.DecodeParams(respEnv.Body[0])
-	if tr.Enabled() {
+	results, err := soapenc.DecodeParams(r.env.Body[0])
+	if tr := c.cfg.Tracer; tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientUnpack,
-			ID: -1, Op: service + "." + op, Start: unpackStart, Service: time.Since(unpackStart)})
+			ID: -1, Op: service + "." + op, Start: r.start, Service: time.Since(r.start)})
 	}
 	return results, err
 }
@@ -400,8 +398,9 @@ func (c *Client) notePack(ctx context.Context, op string, start time.Time) {
 }
 
 // post is one attempt: with header providers it has them sign the body and
-// frames it under their blocks first, then it posts the document.
-func (c *Client) post(ctx context.Context, r *request) (*soap.Envelope, func(), error) {
+// frames it under their blocks first, then it posts the document and reads
+// the reply into slots (postPooled).
+func (c *Client) post(ctx context.Context, r *request, slots []replySlot) (reply, error) {
 	if r.body != nil {
 		packStart := r.packStart
 		r.packStart = time.Time{}
@@ -412,7 +411,7 @@ func (c *Client) post(ctx context.Context, r *request) (*soap.Envelope, func(), 
 		for _, p := range c.cfg.HeaderProviders {
 			made, err := p.MakeHeaders(r.body.Bytes())
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: header provider: %w", err)
+				return reply{}, fmt.Errorf("core: header provider: %w", err)
 			}
 			blocks = append(blocks, made...)
 		}
@@ -420,11 +419,11 @@ func (c *Client) post(ctx context.Context, r *request) (*soap.Envelope, func(), 
 		frameFragment(r.enc, c.version(), blocks, nil, r.body)
 		var err error
 		if r.doc, err = r.enc.Finish(); err != nil {
-			return nil, nil, fmt.Errorf("core: encoding envelope: %w", err)
+			return reply{}, fmt.Errorf("core: encoding envelope: %w", err)
 		}
 		c.notePack(ctx, r.target, packStart)
 	}
-	return c.postPooled(ctx, r.target, r.doc)
+	return c.postPooled(ctx, r.target, r.doc, slots)
 }
 
 // Call is a pending invocation: a future resolved when its response (or
@@ -570,9 +569,10 @@ func (b *Batch) writeBody(em *xmltext.Emitter) error {
 
 // sendPacked is the exchange of a Batch or a Plan: one document, whose body
 // write streams, posted to the pack endpoint under the retry policy, and the
-// Parallel_Response routed to calls by correlation id. Whatever fails the
+// Parallel_Response read into one slot a call, each entry as it closes.
+// Calls resolve once the whole document has been read. Whatever fails the
 // message as a whole resolves every call with that error and is returned;
-// per-call faults are delivered through the calls alone. The response may be
+// per-call faults are delivered through the calls alone. The response is
 // arena-backed, so every fault handed on is detached first.
 func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmltext.Emitter) error) (err error) {
 	defer func() {
@@ -600,50 +600,47 @@ func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmlt
 	for _, call := range calls {
 		idempotent = idempotent && c.isIdempotent(call.Service, call.Op)
 	}
-	var respEnv *soap.Envelope
-	var release func()
+	slots := make([]replySlot, len(calls))
+	var r reply
 	err = c.withRetry(ctx, idempotent, func() (rerr error) {
-		respEnv, release, rerr = c.post(ctx, &req)
+		r, rerr = c.post(ctx, &req, slots)
 		return rerr
 	})
 	c.noteOutcome(err)
 	if err != nil {
 		return err
 	}
-	defer release()
-	if f := respEnv.Fault(); f != nil {
+	defer r.release()
+	if f := r.env.Fault(); f != nil {
 		c.faults.Add(1)
 		return fault.Classify(detachFault(f))
 	}
-	if len(respEnv.Body) != 1 || !isPackedResponse(respEnv.Body[0]) {
+	if len(r.env.Body) != 1 || !isPackedResponse(r.env.Body[0]) {
 		return fmt.Errorf("core: response is not a %s", ElemParallelResponse)
 	}
-	tr := c.cfg.Tracer
-	unpackStart := tr.Now()
-	results, err := decodePackedResponse(respEnv.Body[0])
-	if err != nil {
-		return err
+	if r.bad != nil {
+		return r.bad
 	}
-	// Client-side dispatcher: route each entry to its pending call.
+	// Client-side dispatcher: each call takes what its slot holds.
 	for id, call := range calls {
-		res, ok := results[id]
+		s := &slots[id]
 		switch {
-		case !ok:
+		case !s.answered:
 			call.resolve(nil, fmt.Errorf("core: no response for packed call %d (%s.%s)", id, call.Service, call.Op))
-		case res.fault != nil:
+		case s.fault != nil:
 			c.faults.Add(1)
-			cf := fault.Classify(detachFault(res.fault))
+			cf := fault.Classify(detachFault(s.fault))
 			if errors.Is(cf, fault.Timeout) {
 				c.resil.Timeouts.Inc()
 			}
 			call.resolve(nil, cf)
 		default:
-			call.resolve(res.results, nil)
+			call.resolve(s.results, nil)
 		}
 	}
-	if tr.Enabled() {
+	if tr := c.cfg.Tracer; tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageClientUnpack,
-			ID: -1, Op: fmt.Sprintf("batch[%d]", len(calls)), Start: unpackStart, Service: time.Since(unpackStart)})
+			ID: -1, Op: fmt.Sprintf("batch[%d]", len(calls)), Start: r.start, Service: time.Since(r.start)})
 	}
 	return nil
 }
@@ -662,14 +659,12 @@ func (c *Client) version() soap.Version {
 	return soap.V11
 }
 
-// postPooled ships a fully-serialized envelope and decodes the reply into
-// a pooled arena. A context deadline rides along as the SPI-Deadline
-// header (remaining budget in milliseconds) so the server dispatches
-// under the same clock. On success the caller must run the returned
-// release once it is done with the envelope; decoded parameter values are
-// plain copies, but fault Detail elements are arena-owned and must be
-// detached (detachFault) before they escape.
-func (c *Client) postPooled(ctx context.Context, target string, doc []byte) (*soap.Envelope, func(), error) {
+// postPooled ships a fully-serialized envelope and reads the reply with
+// readReply, into slots when it is a packed exchange's. A context deadline
+// rides along as the SPI-Deadline header (remaining budget in milliseconds)
+// so the server dispatches under the same clock. On success the caller must
+// release the reply once it is done with it.
+func (c *Client) postPooled(ctx context.Context, target string, doc []byte, slots []replySlot) (reply, error) {
 	c.envelopes.Add(1)
 	var fields [6]string // three name/value pairs at most: no heap slice
 	extra := append(fields[:0], "SOAPAction", `""`)
@@ -683,18 +678,18 @@ func (c *Client) postPooled(ctx context.Context, target string, doc []byte) (*so
 	}
 	resp, err := c.http.PostCtx(ctx, target, c.version().ContentType(), doc, extra...)
 	if err != nil {
-		return nil, nil, err
+		return reply{}, err
 	}
-	arena := xmldom.AcquireArena()
-	respEnv, decErr := soap.DecodeArenaBytes(resp.Body, arena)
-	if decErr != nil {
-		xmldom.ReleaseArena(arena)
+	start := c.cfg.Tracer.Now()
+	r, err := readReply(resp.Body, slots)
+	if err != nil {
 		if resp.StatusCode != 200 {
-			return nil, nil, fmt.Errorf("core: HTTP %d: %s", resp.StatusCode, truncate(resp.Body, 200))
+			return reply{}, fmt.Errorf("core: HTTP %d: %s", resp.StatusCode, truncate(resp.Body, 200))
 		}
-		return nil, nil, fmt.Errorf("core: decoding response: %w", decErr)
+		return reply{}, fmt.Errorf("core: decoding response: %w", err)
 	}
-	return respEnv, func() { xmldom.ReleaseArena(arena) }, nil
+	r.start = start
+	return r, nil
 }
 
 func truncate(b []byte, n int) string {

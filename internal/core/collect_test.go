@@ -9,7 +9,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
-	"repro/internal/xmldom"
 )
 
 // These tests hold the collector to its contract without a single sleep: the
@@ -155,7 +154,7 @@ func TestPlanStepAfterDegradeIsDropped(t *testing.T) {
 	release()
 	sys.server.Close() // waits for the held step and whatever it schedules
 
-	results, err := decodePackedResponse(mustPackedBody(t, answered))
+	results, err := readPackedReply(answered, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +172,4 @@ func TestPlanStepAfterDegradeIsDropped(t *testing.T) {
 	if st := sys.server.Stats(); st.Requests != 2 {
 		t.Errorf("%d operations ran, want 2: step 2 waited on a step that completed after the plan degraded", st.Requests)
 	}
-}
-
-// mustPackedBody decodes a response document and returns its Parallel_Response.
-func mustPackedBody(t *testing.T, doc []byte) *xmldom.Element {
-	t.Helper()
-	env, err := soap.Decode(bytes.NewReader(doc))
-	if err != nil || len(env.Body) != 1 || !isPackedResponse(env.Body[0]) {
-		t.Fatalf("not a packed response (%v): %s", err, doc)
-	}
-	return env.Body[0]
 }

@@ -290,15 +290,15 @@ func TestSingleRequestOnPackEndpoint(t *testing.T) {
 	// service by body namespace.
 	sys := newSystem(t, nil)
 	doc := soapRequestBody(t, soap.V11, "echo", soapenc.F("m", "x"))
-	env, release, err := sys.client.postPooled(context.Background(), sys.client.packTarget(), doc)
+	r, err := sys.client.postPooled(context.Background(), sys.client.packTarget(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
-	if f := env.Fault(); f != nil {
+	defer r.release()
+	if f := r.env.Fault(); f != nil {
 		t.Fatal(f)
 	}
-	params, err := soapenc.DecodeParams(env.Body[0])
+	params, err := soapenc.DecodeParams(r.env.Body[0])
 	if err != nil || len(params) != 1 || !soapenc.Equal(params[0].Value, "x") {
 		t.Errorf("params = %v, err = %v", params, err)
 	}

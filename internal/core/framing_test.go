@@ -276,8 +276,8 @@ func duplicateIDDoc(v soap.Version) []byte {
 }
 
 // TestFaultCorpusDuplicateID: two entries with one effective id would be
-// answered with two spi:id="1" children, which the client's own
-// decodePackedResponse refuses wholesale. The server decides it once, as a
+// answered with two spi:id="1" children, which the client's own reply reader
+// refuses wholesale. The server decides it once, as a
 // whole-message Client fault, before any response byte.
 func TestFaultCorpusDuplicateID(t *testing.T) {
 	sys := newSystem(t, nil)

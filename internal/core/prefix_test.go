@@ -84,7 +84,7 @@ func packedOutcomes(t *testing.T, what string, body []byte) []string {
 	if err != nil || len(env.Body) != 1 {
 		t.Fatalf("%s: %v: %s", what, err, body)
 	}
-	results, err := decodePackedResponse(env.Body[0])
+	results, err := readPackedReply(body, len(env.Body[0].ChildElements()))
 	if err != nil {
 		t.Fatalf("%s: %v: %s", what, err, body)
 	}

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"repro/internal/soap"
 	"repro/internal/soapenc"
@@ -117,7 +118,7 @@ func packDefaultService(pm *xmldom.Element, urlService string) string {
 // duplicateIDFault is the whole-message Client fault for a batch in which
 // two slots share an effective correlation id (explicit spi:id, else the
 // slot, as id reports it): the response would carry the id twice, and the
-// client's decodePackedResponse refuses such a response wholesale. The
+// client's reply reader refuses such a response wholesale. The
 // all-positional batch a Batch sends clears the first loop, allocating nothing.
 func duplicateIDFault(n int, id func(slot int) int) *soap.Fault {
 	positional := true
@@ -158,70 +159,109 @@ func decodeRequestElement(el *xmldom.Element, defaultService string, id int) (*r
 	return req, nil
 }
 
-// decodePackedResponse splits a Parallel_Response into per-id outcomes for
-// the client-side dispatcher of §3.5. The map is keyed by correlation id.
-func decodePackedResponse(el *xmldom.Element) (map[int]*rpcResult, error) {
-	n := 0
-	for _, c := range el.Children {
-		if _, ok := c.(*xmldom.Element); ok {
-			n++
-		}
-	}
-	out := make(map[int]*rpcResult, n)
-	// One slab for all entries: the count is known, so the results can't
-	// move after allocation and the map can hold pointers into it.
-	slab := make([]rpcResult, n)
-	i := -1
-	for _, c := range el.Children {
-		child, ok := c.(*xmldom.Element)
-		if !ok {
-			continue
-		}
-		i++
-		id := i
-		if v, ok := child.Attr(attrID); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, fmt.Errorf("core: bad spi:id %q in packed response", v)
-			}
-			id = n
-		}
-		if _, dup := out[id]; dup {
-			return nil, fmt.Errorf("core: duplicate spi:id %d in packed response", id)
-		}
-		res := &slab[i]
-		res.id = id
-		// A per-item fault is written under the envelope's own prefix, so it
-		// lands in whichever envelope namespace the response uses.
-		if ns := child.Namespace(); child.Name.Local == "Fault" && (ns == soap.NSEnvelope || ns == soap.NSEnvelope12) {
-			res.fault = faultFromElement(child)
-		} else {
-			fields, err := soapenc.DecodeParams(child)
-			if err != nil {
-				return nil, fmt.Errorf("core: packed response entry %d: %v", id, err)
-			}
-			res.results = fields
-		}
-		out[id] = res
-	}
-	return out, nil
+// reply is one response document, read whole off a pooled StreamDecoder into
+// a pooled arena: the client-side dispatcher of §3.5. The envelope and its
+// trees die with release. Decoded values are plain copies, but a fault's
+// Detail is arena-owned and must be detached (detachFault) before it escapes.
+type reply struct {
+	dec   *soap.StreamDecoder
+	arena *xmldom.Arena
+	env   *soap.Envelope
+	start time.Time // when the read began: the client.unpack span's start
+	// slots holds what a Parallel_Response said to each call, and bad the
+	// first entry it could not route or decode, in document order.
+	slots []replySlot
+	bad   error
 }
 
-// faultFromElement decodes a Fault element outside of envelope context
-// (per-item faults inside a packed response).
-func faultFromElement(el *xmldom.Element) *soap.Fault {
-	f := &soap.Fault{}
-	if c := el.Child("", "faultcode"); c != nil {
-		f.Code = xmltext.ParseName(c.Text()).Local
+// replySlot is what a Parallel_Response said to one call: its results or its
+// fault.
+type replySlot struct {
+	answered bool
+	results  []soapenc.Field
+	fault    *soap.Fault
+}
+
+// readReply reads body whole. When the Body opens on a Parallel_Response and
+// slots is non-nil, each entry is decoded into the slot its spi:id names —
+// its position when it carries none — as the entry closes; slots are cleared
+// first, so a retried exchange starts clean. Only a malformed document is an
+// error here: the caller ranks the rest after it, in the order a whole-message
+// fault, a body that is not a Parallel_Response, then bad.
+func readReply(body []byte, slots []replySlot) (reply, error) {
+	clear(slots)
+	r := reply{arena: xmldom.AcquireArena(), slots: slots}
+	r.dec = soap.AcquireStreamDecoder(body, r.arena)
+	err := r.dec.ReadPreamble()
+	if err == nil && slots != nil {
+		err = r.readPacked()
 	}
-	if c := el.Child("", "faultstring"); c != nil {
-		f.String = c.Text()
+	if err == nil {
+		r.env, err = r.dec.Finish()
 	}
-	if c := el.Child("", "faultactor"); c != nil {
-		f.Actor = c.Text()
+	if err != nil {
+		r.release()
+		return reply{}, err
 	}
-	if c := el.Child("", "detail"); c != nil {
-		f.Detail = c
+	return r, nil
+}
+
+// release recycles the decoder and the arena; the envelope is gone after it.
+func (r *reply) release() {
+	r.dec.Release()
+	xmldom.ReleaseArena(r.arena)
+}
+
+// readPacked reads the first body entry, routing its children when it is a
+// Parallel_Response. Any other entry is left to Finish.
+func (r *reply) readPacked() error {
+	el, err := r.dec.NextEntryStart()
+	if err != nil || el == nil {
+		return err
 	}
-	return f
+	if !isPackedResponse(el) {
+		return r.dec.CompleteEntry(el)
+	}
+	for pos := 0; ; pos++ {
+		entry, err := r.dec.NextChild(el)
+		if err != nil || entry == nil {
+			return err
+		}
+		if r.bad == nil {
+			r.bad = r.route(entry, pos)
+		}
+	}
+}
+
+// route decodes entry, the pos-th of a Parallel_Response, into its slot. An
+// id that names no call of the exchange is as bad as one that is not a
+// number, and a second answer to one call as bad as either.
+func (r *reply) route(entry *xmldom.Element, pos int) error {
+	id := pos
+	if v, ok := entry.Attr(attrID); ok {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 || n >= len(r.slots) {
+			return fmt.Errorf("core: bad spi:id %q in packed response", v)
+		}
+		id = n
+	} else if id >= len(r.slots) {
+		return fmt.Errorf("core: packed response entry %d has no spi:id and no call at its position", pos)
+	}
+	s := &r.slots[id]
+	if s.answered {
+		return fmt.Errorf("core: duplicate spi:id %d in packed response", id)
+	}
+	s.answered = true
+	// A per-item fault is written under the envelope's own prefix, so it
+	// lands in whichever envelope namespace the response uses.
+	if ns := entry.Namespace(); entry.Name.Local == "Fault" && (ns == soap.NSEnvelope || ns == soap.NSEnvelope12) {
+		s.fault = soap.ParseFault(entry)
+		return nil
+	}
+	fields, err := soapenc.DecodeParams(entry)
+	if err != nil {
+		return fmt.Errorf("core: packed response entry %d: %v", id, err)
+	}
+	s.results = fields
+	return nil
 }

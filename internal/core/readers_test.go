@@ -216,7 +216,7 @@ func (sh readerShape) checkPacked(t *testing.T, what string, code int, body []by
 		t.Errorf("%s: HTTP %d, %v: %s", what, code, err, body)
 		return
 	}
-	results, err := decodePackedResponse(env.Body[0])
+	results, err := readPackedReply(body, n)
 	if err != nil || len(results) != n {
 		t.Errorf("%s: %d results, want %d, %v: %s", what, len(results), n, err, body)
 		return
@@ -506,7 +506,7 @@ func TestReaderTableUnboundPrefix(t *testing.T) {
 			if env, err = soap.Decode(bytes.NewReader(body)); code != 200 || err != nil {
 				t.Fatalf("%s/%v: packed: HTTP %d, %v: %s", sh.name, v, code, err, body)
 			}
-			results, err := decodePackedResponse(env.Body[0])
+			results, err := readPackedReply(body, 2)
 			if err != nil || len(results) != 2 {
 				t.Fatalf("%s/%v: packed: %d results, %v", sh.name, v, len(results), err)
 			}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -172,7 +173,7 @@ func checkPackedResponse(t *testing.T, label string, body []byte, tc respFraming
 	if len(env.Body) != 1 || !isPackedResponse(env.Body[0]) {
 		t.Fatalf("%s: response is not a %s: %s", label, ElemParallelResponse, body)
 	}
-	results, err := decodePackedResponse(env.Body[0])
+	results, err := readPackedReply(body, slices.Max(tc.ids)+1)
 	if err != nil {
 		t.Fatalf("%s: client refuses the response: %v", label, err)
 	}
