@@ -11,23 +11,23 @@ import (
 
 // StreamDecoder decodes a SOAP envelope incrementally: the preamble
 // (root, headers, Body start) first, then one body entry — or one child of
-// a body entry — at a time. The server's packed-request dispatch uses it
-// to hand each Parallel_Method entry to the application stage as soon as
-// its subtree closes, instead of waiting for the whole envelope.
+// a body entry — at a time. It is the package's one envelope reader. The
+// server's packed-request dispatch uses it to hand each Parallel_Method
+// entry to the application stage as soon as its subtree closes, the client
+// to decode each Parallel_Response entry into its call's slot, and Decode to
+// read a whole document.
 //
-// The decoder reproduces Decode's observable behaviour: the same trees
-// (entries keep their parent chain up to the Envelope, so namespace
-// resolution works), the same errors for the same malformed documents.
-// The one intentional difference is *when* errors surface — a document
-// whose tail is malformed fails at Finish, after earlier entries have
-// already been delivered. For callers that need the bytes as well as the
-// trees, the Acquire mode tees out verbatim spans: each packed child's
-// (ChildSpan), for forwarding it unchanged, and those of all body entries
-// for signature verification (BodySpans), so neither forces a second pass
-// over the document.
+// Entries keep their parent chain up to the Envelope, so namespace
+// resolution works on each as it is delivered. A document whose tail is
+// malformed fails at Finish, after earlier entries have already been
+// delivered. For callers that need the bytes as well as the trees, the
+// decoder tees out verbatim spans: each packed child's (ChildSpan), for
+// forwarding it unchanged, and those of all body entries for signature
+// verification (BodySpans), so neither forces a second pass over the
+// document.
 //
-// All nodes come from the arena passed to NewStreamDecoder and follow the
-// arena lifecycle contract; a nil arena falls back to the heap.
+// All nodes come from the arena passed to AcquireStreamDecoder and follow
+// the arena lifecycle contract; a nil arena falls back to the heap.
 //
 // Call sequence: ReadPreamble, then NextEntryStart until it returns nil.
 // Each started entry must be finished — either CompleteEntry, or NextChild
@@ -65,15 +65,15 @@ const (
 )
 
 // streamDecoderPool recycles StreamDecoders (and, through them, pooled
-// tokenizers) across requests on the server's decode path.
+// tokenizers) across documents.
 var streamDecoderPool = sync.Pool{New: func() any { return &StreamDecoder{} }}
 
-// AcquireStreamDecoder is NewStreamDecoder over an in-memory document on
+// AcquireStreamDecoder returns a decoder over an in-memory document on
 // pooled machinery: the decoder, its tokenizer and the tokenizer's read
-// buffer are all reused across requests. Call Release when the exchange is
+// buffer are all reused across documents. Call Release when the exchange is
 // over; after that the decoder AND the Envelope it produced are invalid
 // (the nodes inside follow the arena's lifecycle as usual). Callers that
-// let the envelope outlive the exchange must use NewStreamDecoder.
+// let the envelope outlive the exchange use Decode.
 func AcquireStreamDecoder(body []byte, a *xmldom.Arena) *StreamDecoder {
 	d := streamDecoderPool.Get().(*StreamDecoder)
 	tk := xmltext.AcquireTokenizer(body)
@@ -297,9 +297,8 @@ func (d *StreamDecoder) pushEntrySpan() {
 func (d *StreamDecoder) BodySpans() [][]byte { return d.spans }
 
 // Finish consumes the remainder of the document after the Body, applying
-// the same envelope-shape checks Decode performs (Header after Body,
-// multiple Bodies, unexpected children, trailing junk) and returns the
-// assembled Envelope.
+// the envelope-shape checks (Header after Body, multiple Bodies, unexpected
+// children, trailing junk) and returns the assembled Envelope.
 func (d *StreamDecoder) Finish() (*Envelope, error) {
 	switch d.state {
 	case streamBodyDone:
@@ -351,7 +350,7 @@ func (d *StreamDecoder) Finish() (*Envelope, error) {
 	return d.env, nil
 }
 
-// wrapTokenErr adds the soap: prefix Decode errors carry, preserving EOF
+// wrapTokenErr adds the soap: prefix every decode error carries, preserving EOF
 // as a truncation error rather than a clean end.
 func (d *StreamDecoder) wrapTokenErr(err error) error {
 	if err == io.EOF {
@@ -361,26 +360,3 @@ func (d *StreamDecoder) wrapTokenErr(err error) error {
 }
 
 var errEmptyEnvelope = fmt.Errorf("empty document")
-
-// DecodeArena is Decode with arena allocation: the whole tree is parsed
-// into a before envelope interpretation. It is the whole-document
-// counterpart of StreamDecoder, for callers that need the complete tree up
-// front — clients decoding responses they fully consume before releasing
-// the arena.
-func DecodeArena(r io.Reader, a *xmldom.Arena) (*Envelope, error) {
-	root, err := xmldom.ParseInArena(r, a)
-	if err != nil {
-		return nil, fmt.Errorf("soap: %w", err)
-	}
-	return FromElement(root)
-}
-
-// DecodeArenaBytes is DecodeArena over an in-memory document, parsed on a
-// pooled tokenizer — the client's response-decode hot path.
-func DecodeArenaBytes(b []byte, a *xmldom.Arena) (*Envelope, error) {
-	root, err := xmldom.ParseBytesInArena(b, a)
-	if err != nil {
-		return nil, fmt.Errorf("soap: %w", err)
-	}
-	return FromElement(root)
-}
