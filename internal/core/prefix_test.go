@@ -319,15 +319,16 @@ func TestReaderTablePre25Fixtures(t *testing.T) {
 				if target != "/services" {
 					// The entry keeps what its Envelope declared, the prefix of
 					// the envelope namespace included, so compare what it means.
-					got, want := ParseSingleCall(old, "Echo", nil), ParseSingleCall(now, "Echo", nil)
+					_, got := coalescible(old, "Echo", nil)
+					_, want := coalescible(now, "Echo", nil)
 					if got == nil || want == nil {
-						t.Fatalf("%s: ParseSingleCall: %v, today's spelling %v", what, got, want)
+						t.Fatalf("%s: the coalescing reader: %v, today's spelling %v", what, got, want)
 					}
-					gp, gerr := soapenc.DecodeParams(sentEntry(t, v, got.Entry))
-					wp, werr := soapenc.DecodeParams(sentEntry(t, v, want.Entry))
-					if got.Entry.Op != want.Entry.Op || gerr != nil || werr != nil ||
+					gp, gerr := soapenc.DecodeParams(sentEntry(t, v, got))
+					wp, werr := soapenc.DecodeParams(sentEntry(t, v, want))
+					if got.Op != want.Op || gerr != nil || werr != nil ||
 						!soapenc.Equal(&soapenc.Struct{Fields: gp}, &soapenc.Struct{Fields: wp}) {
-						t.Errorf("%s: ParseSingleCall: %s %v (%v), today's spelling %s %v (%v)", what, got.Entry.Op, gp, gerr, want.Entry.Op, wp, werr)
+						t.Errorf("%s: the coalescing reader: %s %v (%v), today's spelling %s %v (%v)", what, got.Op, gp, gerr, want.Op, wp, werr)
 					}
 					continue
 				}
