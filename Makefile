@@ -102,7 +102,8 @@ race-pools:
 ## the request-body lifetime tests: a sub-batch's entries are spans of a
 ## pooled request body that the transport reuses once the handler returns,
 ## and shard goroutines may outlive it — and of core's scatter, sub-batch and
-## single-call readers. The chaos, failover, ejection and probe suites and the
+## coalescible-call readers and of the batching window both automatic packers
+## form their batches in (BatchWindow, AutoBatcher). The chaos, failover, ejection and probe suites and the
 ## deadline-degrade differential wait out wall-clock timeouts, so they keep
 ## two runs; the coalescer's shutdown test waits out a five-second shutdown
 ## and orders nothing. Wall time on a 2-vCPU box: 73 s, 25 s and 27 s for the
@@ -113,7 +114,7 @@ race-gateway:
 		-skip='TestChaos|TestCoalesceShutdownReleasesParked|TestDifferentialDeadlineDegrade' \
 		./internal/gateway
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 \
-		-run='SubBatch|ScatterRequest|SingleCall|SealID|SplitGather' ./internal/core
+		-run='SubBatch|ScatterRequest|Coalescible|SealID|SplitGather|BatchWindow|AutoBatcher' ./internal/core
 	$(GO) test -race -count=2 -run='Chaos|Failover|Ejection|Probe|TestDifferentialDeadlineDegrade' \
 		./internal/gateway
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/soapenc"
@@ -18,15 +17,13 @@ import (
 // Safe for concurrent use; that is its point — independent goroutines'
 // calls coalesce into one message.
 type AutoBatcher struct {
-	client   *Client
-	window   time.Duration
-	maxBatch int
+	w *BatchWindow[struct{}, autoCall]
+}
 
-	mu      sync.Mutex
-	pending *Batch
-	timer   *time.Timer
-	closed  bool
-	flushWG sync.WaitGroup
+// autoCall is one call waiting in the window for its batch.
+type autoCall struct {
+	call   *Call
+	params []soapenc.Field
 }
 
 // NewAutoBatcher wraps a client. window is how long the first call in a
@@ -40,27 +37,22 @@ func NewAutoBatcher(c *Client, window time.Duration, maxBatch int) *AutoBatcher 
 	if maxBatch <= 0 {
 		maxBatch = 128
 	}
-	return &AutoBatcher{client: c, window: window, maxBatch: maxBatch}
+	return &AutoBatcher{w: NewBatchWindow(window, maxBatch, 0, func(_ struct{}, calls []autoCall) {
+		b := c.NewBatch()
+		for _, ac := range calls {
+			b.add(ac.call, ac.params)
+		}
+		// Errors surface through the batch's futures.
+		_ = b.Send()
+	})}
 }
 
 // Go enqueues a call into the current window and returns its future.
 func (a *AutoBatcher) Go(service, op string, params ...soapenc.Field) *Call {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		call := newCall(service, op)
+	call := newCall(service, op)
+	if !a.w.Add(struct{}{}, autoCall{call: call, params: params}, 0) {
 		call.resolve(nil, errors.New("core: autobatcher closed"))
-		return call
 	}
-	if a.pending == nil {
-		a.pending = a.client.NewBatch()
-		a.timer = time.AfterFunc(a.window, a.flushTimer)
-	}
-	call := a.pending.Add(service, op, params...)
-	if a.pending.Len() >= a.maxBatch {
-		a.flushLocked()
-	}
-	a.mu.Unlock()
 	return call
 }
 
@@ -70,42 +62,7 @@ func (a *AutoBatcher) Call(service, op string, params ...soapenc.Field) ([]soape
 }
 
 // Flush sends the current window immediately, if any.
-func (a *AutoBatcher) Flush() {
-	a.mu.Lock()
-	a.flushLocked()
-	a.mu.Unlock()
-}
-
-func (a *AutoBatcher) flushTimer() {
-	a.mu.Lock()
-	a.flushLocked()
-	a.mu.Unlock()
-}
-
-// flushLocked launches the pending batch. Caller holds a.mu.
-func (a *AutoBatcher) flushLocked() {
-	if a.pending == nil {
-		return
-	}
-	batch := a.pending
-	a.pending = nil
-	if a.timer != nil {
-		a.timer.Stop()
-		a.timer = nil
-	}
-	a.flushWG.Add(1)
-	go func() {
-		defer a.flushWG.Done()
-		// Errors surface through the batch's futures.
-		_ = batch.Send()
-	}()
-}
+func (a *AutoBatcher) Flush() { a.w.Flush(struct{}{}) }
 
 // Close flushes any pending window and waits for in-flight batches.
-func (a *AutoBatcher) Close() {
-	a.mu.Lock()
-	a.closed = true
-	a.flushLocked()
-	a.mu.Unlock()
-	a.flushWG.Wait()
-}
+func (a *AutoBatcher) Close() { a.w.Close() }

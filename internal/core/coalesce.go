@@ -30,64 +30,37 @@ import (
 // scatter path uses (which serializes exactly like the server's own
 // faultResponse).
 
-// SingleCall is one coalescible single-request envelope, parsed for
-// merging into a synthetic Parallel_Method batch.
-type SingleCall struct {
-	// Version is the request's envelope version; the coalesced batch and
-	// the spliced response both use it.
-	Version soap.Version
-	// Entry is the request element prepared for sharding. Its slot and id
-	// are assigned at flush time via SealID, once the entry's position in
-	// its batch is known.
-	Entry *ScatterEntry
-}
-
-// ParseSingleCall decodes a non-packed POST body into a coalescible entry.
-// reg, when non-nil, resolves entries on the bare pack endpoint by
-// namespace, the way a direct server's dispatchSingle does.
-//
-// A nil return means the call must NOT be coalesced: the envelope is
-// malformed, carries header blocks (header processing and response-header
-// attribution are per-envelope), is a packed or plan body, or its request
-// element does not decode. All of those fall back to the byte-transparent
-// proxy path, which trivially preserves whatever the direct server would
-// answer.
-func ParseSingleCall(body []byte, defaultService string, reg *registry.Container) *SingleCall {
-	arena := xmldom.AcquireArena()
-	defer xmldom.ReleaseArena(arena)
-	d := soap.AcquireStreamDecoder(body, arena)
-	defer d.Release()
-	if d.ReadPreamble() != nil || len(d.Envelope().Header) > 0 {
+// coalescibleEntry prepares el, the one entry of a single call read to its
+// end by d, for a coalesced batch. A nil return means the call must NOT be
+// coalesced: it carries header blocks (header processing and response-header
+// attribution are per-envelope), is a packed-response or plan body, or its
+// request element does not decode. All of those are proxied whole, which
+// trivially preserves whatever the direct server would answer.
+func coalescibleEntry(d *soap.StreamDecoder, el *xmldom.Element, service string, reg *registry.Container) *ScatterEntry {
+	env := d.Envelope()
+	if len(env.Header) > 0 || isPackedResponse(el) || isPlanBody(el) {
 		return nil
 	}
-	entry, err := d.NextEntryStart()
-	if err != nil || entry == nil || isPackedRequest(entry) || isPackedResponse(entry) || isPlanBody(entry) ||
-		d.CompleteEntry(entry) != nil {
-		return nil
-	}
-	if _, _, f := finishBody(d, nil); f != nil {
-		return nil
-	}
-	service := defaultService
 	if service == "" && reg != nil {
-		if svc, ok := reg.ServiceByNamespace(entry.Namespace()); ok {
+		if svc, ok := reg.ServiceByNamespace(el.Namespace()); ok {
 			service = svc.Name
 		}
 	}
-	req, fault := decodeRequestElement(entry, service, 0)
+	req, fault := decodeRequestElement(el, service, 0)
 	if fault != nil {
 		return nil
 	}
 	// The entry brings along the declarations in scope around it that the
 	// synthetic batch's own document does not make, so it resolves there as
 	// it did here whatever its neighbours declare. It parks beyond its
-	// handler, so its bytes are copied off the request body.
-	v := d.Envelope().Version
-	return &SingleCall{Version: v, Entry: &ScatterEntry{
-		Service: req.service, Op: req.op, name: entry.Name,
-		attrs: subBatchScope(ownAttrs(entry.Attrs), entry.Parent, v, false),
+	// handler, so its bytes are copied off the request body. Its slot and id
+	// are assigned at flush time via SealID, once its place in its batch is
+	// known.
+	return &ScatterEntry{
+		Service: req.service, Op: req.op, name: el.Name,
+		attrs: subBatchScope(ownAttrs(el.Attrs), el.Parent, env.Version, false),
 		inner: bytes.Clone(innerSpan(d.BodySpans()[0])),
-	}}
+	}
 }
 
 // SealID assigns a coalesced entry's slot and correlation id once its

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/httpx"
+	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
@@ -82,6 +83,9 @@ type ScatterRequest struct {
 	// Packed reports whether the body was a Parallel_Method at all; a
 	// false value means the request should be proxied whole.
 	Packed bool
+	// Single is a single call's one entry, prepared for a coalesced batch
+	// (ParseCoalescible); nil for a call that must be proxied whole.
+	Single *ScatterEntry
 	// DefaultNS is the xmlns:m the client's Parallel_Method declared ("" for
 	// none): the response's batch default, whichever shards answer and even
 	// if none does. DefaultService is what an entry naming no service runs
@@ -102,6 +106,21 @@ type ScatterRequest struct {
 // ScatterRequest, or in SOAP 1.1 when that is nil (no envelope was read).
 // The entries' bytes alias body (ScatterEntry).
 func ParseScatterRequest(body []byte, defaultService string) (*ScatterRequest, *soap.Fault) {
+	return readScatterRequest(body, defaultService, false, nil)
+}
+
+// ParseCoalescible is ParseScatterRequest for a gateway that coalesces single
+// calls: in the same read, a single call that may join a coalesced batch also
+// comes back prepared as sr.Single (see coalescibleEntry). reg, when non-nil,
+// resolves an entry on the bare pack endpoint by namespace, the way a direct
+// server's dispatchSingle does.
+func ParseCoalescible(body []byte, defaultService string, reg *registry.Container) (*ScatterRequest, *soap.Fault) {
+	return readScatterRequest(body, defaultService, true, reg)
+}
+
+// readScatterRequest is the gateway's one read of a request; coalesce asks it
+// for sr.Single as well.
+func readScatterRequest(body []byte, defaultService string, coalesce bool, reg *registry.Container) (*ScatterRequest, *soap.Fault) {
 	arena := xmldom.AcquireArena()
 	defer xmldom.ReleaseArena(arena)
 	d := soap.AcquireStreamDecoder(body, arena)
@@ -121,6 +140,9 @@ func ParseScatterRequest(body []byte, defaultService string) (*ScatterRequest, *
 	if pm == nil || !isPackedRequest(pm) {
 		// Proxied whole, once the document is known to be one entry.
 		_, _, fault := finishBody(d, nil)
+		if fault == nil && coalesce {
+			sr.Single = coalescibleEntry(d, pm, defaultService, reg)
+		}
 		return sr, fault
 	}
 	sr.Packed = true

@@ -165,12 +165,12 @@ func TestParkedCallOutlivesRequestBody(t *testing.T) {
 		second := singleCallDoc(v, `<m:echo xmlns:m="urn:spi:Echo"><msg>second</msg></m:echo>`)
 		var entries []*core.ScatterEntry
 		for i, doc := range [][]byte{first, second} {
-			sc := core.ParseSingleCall(bytes.Clone(doc), "Echo", nil)
-			if sc == nil {
+			sr, _ := core.ParseCoalescible(bytes.Clone(doc), "Echo", nil)
+			if sr == nil || sr.Single == nil {
 				t.Fatalf("%v: call %d is not coalescible", v, i)
 			}
-			sc.Entry.SealID(i)
-			entries = append(entries, sc.Entry)
+			sr.Single.SealID(i)
+			entries = append(entries, sr.Single)
 		}
 		want, err := core.BuildSubBatch(v, nil, entries)
 		if err != nil {
