@@ -42,12 +42,12 @@ type Config struct {
 	// CoalesceConfig.
 	Coalesce CoalesceConfig
 
-	// Passthrough enables the zero-copy fast path for single-call
-	// envelopes: the request body is spliced to one healthy backend and
-	// the reply spliced back without the gateway parsing the envelope —
-	// header rewrite only, and the backend's response buffer is aliased
-	// straight into the relay (its release is chained to the transport
-	// write). Engages only when Coalesce is off — coalescing needs the
+	// Passthrough enables the fast path for single-call envelopes: the
+	// request is relayed to one healthy backend without the gateway parsing
+	// the envelope — header rewrite only, and, as on every whole-request
+	// forward, the backend's response buffer is aliased straight into the
+	// reply (its release is chained to the transport write). Engages only
+	// when Coalesce is off — coalescing needs the
 	// parsed form — and never for packed envelopes (detected by a
 	// conservative byte sniff; false positives just take the parsed
 	// path). Fault replies remain byte-identical either way because the
