@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/httpx"
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
@@ -138,16 +139,13 @@ func TestPlanStepAfterDegradeIsDropped(t *testing.T) {
 	c := p.Add("Math", "Const", soapenc.F("v", int64(3)))
 	h := p.Add("Math", "Hold", soapenc.F("x", c.Ref("value")))
 	p.Add("Math", "Add", soapenc.F("x", h.Ref("value")), soapenc.F("y", int64(1)))
-	env, err := soap.Decode(bytes.NewReader(writtenDocument(t, soap.V11, p.writeBody)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := httpx.NewRequest("POST", "/services/", writtenDocument(t, soap.V11, p.writeBody))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { <-started; cancel() }()
-	resp, _, fault := sys.server.dispatchPlan(ctx, env.Body[0], &registry.Context{Ctx: ctx}, "", soap.V11)
-	if fault != nil {
-		t.Fatal(fault)
+	resp := sys.server.HandleHTTP(ctx, req)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, resp.Body)
 	}
 	defer resp.Release()
 	answered := bytes.Clone(resp.Body)

@@ -112,6 +112,17 @@ func parityPacked(entries ...*xmldom.Element) *xmldom.Element {
 	return pm
 }
 
+// parityPlan wraps entries into an Execution_Plan, each step on Echo.
+func parityPlan(entries ...*xmldom.Element) *xmldom.Element {
+	plan := xmldom.NewElement(xmltext.Name{Prefix: PrefixPack, Local: ElemExecutionPlan})
+	plan.DeclareNamespace(PrefixPack, NSPack)
+	for _, e := range entries {
+		e.SetAttr(attrService, "Echo")
+		plan.AddChild(e)
+	}
+	return plan
+}
+
 // parityDoc serializes a request document, signing it when sign is set. The
 // signature covers the body entries as the unsigned document carries them —
 // the same bytes the signed one does, which is exactly what the server
@@ -287,10 +298,10 @@ func TestStreamedWSSERejectsTamper(t *testing.T) {
 }
 
 // TestRejectedSignedBatchRunsNothing pins authenticate-then-act: a signed
-// packed batch that fails header verification — body tampered in flight, or
-// a replayed nonce — executes none of its entries. The response is only
-// written after verification, so the handler-side counter and
-// Stats().Requests are final by the time it is read: no sleeps.
+// packed batch or execution plan that fails header verification — body
+// tampered in flight, or a replayed nonce — executes none of its entries. The
+// response is only written after verification, so the handler-side counter
+// and Stats().Requests are final by the time it is read: no sleeps.
 func TestRejectedSignedBatchRunsNothing(t *testing.T) {
 	for _, coupled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("coupled=%v", coupled), func(t *testing.T) {
@@ -304,39 +315,45 @@ func TestRejectedSignedBatchRunsNothing(t *testing.T) {
 					return params, nil
 				}, "counts its executions")
 			})
-			counted := func(t *testing.T) []*xmldom.Element {
-				return []*xmldom.Element{parityPacked(
-					parityEcho(t, "count", "tamper-target"),
-					parityEcho(t, "count", "bystander"),
-				)}
-			}
-			for _, v := range []soap.Version{soap.V11, soap.V12} {
-				tampered := tamperDoc(t, v, parityCase{body: counted})
-				code, body := postDoc(t, sys, "/services/", v, tampered)
-				if code != 500 {
-					t.Errorf("%v: tampered batch status %d, want 500", v, code)
+			for _, shape := range []struct {
+				name string
+				wrap func(entries ...*xmldom.Element) *xmldom.Element
+			}{{"batch", parityPacked}, {"plan", parityPlan}} {
+				counted := func(t *testing.T) []*xmldom.Element {
+					return []*xmldom.Element{shape.wrap(
+						parityEcho(t, "count", "tamper-target"),
+						parityEcho(t, "count", "bystander"),
+					)}
 				}
-				parityGolden(t, "wsse-tamper_"+corpusSuffix(v), body)
-				if n, reqs := ran.Load(), sys.server.Stats().Requests; n != 0 || reqs != 0 {
-					t.Fatalf("%v: tampered batch ran %d operations (Requests %d), want 0", v, n, reqs)
+				for _, v := range []soap.Version{soap.V11, soap.V12} {
+					before := sys.server.Stats().Requests
+					tampered := tamperDoc(t, v, parityCase{body: counted})
+					code, body := postDoc(t, sys, "/services/", v, tampered)
+					if code != 500 {
+						t.Errorf("%v/%s: tampered status %d, want 500", v, shape.name, code)
+					}
+					parityGolden(t, "wsse-tamper_"+corpusSuffix(v), body)
+					if n, reqs := ran.Load(), sys.server.Stats().Requests-before; n != 0 || reqs != 0 {
+						t.Fatalf("%v/%s: tampered request ran %d operations (Requests +%d), want 0", v, shape.name, n, reqs)
+					}
 				}
-			}
-			for _, v := range []soap.Version{soap.V11, soap.V12} {
-				before := sys.server.Stats().Requests
-				doc := parityDoc(t, v, true, counted(t)...)
-				if code, body := postDoc(t, sys, "/services/", v, doc); code != 200 {
-					t.Fatalf("%v: first delivery failed: %d %s", v, code, body)
-				}
-				if n, reqs := ran.Swap(0), sys.server.Stats().Requests-before; n != 2 || reqs != 2 {
-					t.Fatalf("%v: verified batch ran %d operations (Requests +%d), want 2", v, n, reqs)
-				}
-				code, body := postDoc(t, sys, "/services/", v, doc)
-				if code != 500 {
-					t.Errorf("%v: replayed batch status %d, want 500", v, code)
-				}
-				parityGolden(t, "wsse-replay_"+corpusSuffix(v), body)
-				if n, reqs := ran.Load(), sys.server.Stats().Requests-before; n != 0 || reqs != 2 {
-					t.Fatalf("%v: replayed batch ran %d operations (Requests +%d), want 0 and +2", v, n, reqs)
+				for _, v := range []soap.Version{soap.V11, soap.V12} {
+					before := sys.server.Stats().Requests
+					doc := parityDoc(t, v, true, counted(t)...)
+					if code, body := postDoc(t, sys, "/services/", v, doc); code != 200 {
+						t.Fatalf("%v/%s: first delivery failed: %d %s", v, shape.name, code, body)
+					}
+					if n, reqs := ran.Swap(0), sys.server.Stats().Requests-before; n != 2 || reqs != 2 {
+						t.Fatalf("%v/%s: verified request ran %d operations (Requests +%d), want 2", v, shape.name, n, reqs)
+					}
+					code, body := postDoc(t, sys, "/services/", v, doc)
+					if code != 500 {
+						t.Errorf("%v/%s: replayed status %d, want 500", v, shape.name, code)
+					}
+					parityGolden(t, "wsse-replay_"+corpusSuffix(v), body)
+					if n, reqs := ran.Load(), sys.server.Stats().Requests-before; n != 0 || reqs != 2 {
+						t.Fatalf("%v/%s: replayed request ran %d operations (Requests +%d), want 0 and +2", v, shape.name, n, reqs)
+					}
 				}
 			}
 		})
@@ -344,24 +361,33 @@ func TestRejectedSignedBatchRunsNothing(t *testing.T) {
 }
 
 // TestMustUnderstandBatchRunsNothing is the same property without any
-// processor configured: a packed batch carrying a mustUnderstand header
-// nobody recognises is rejected before any of its entries executes.
+// processor configured: a packed batch or an execution plan carrying a
+// mustUnderstand header nobody recognises is rejected before any of its
+// entries executes.
 func TestMustUnderstandBatchRunsNothing(t *testing.T) {
 	sys := newSystem(t, nil)
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
-		doc := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `">` +
-			`<SOAP-ENV:Header><x:token xmlns:x="urn:corpus" SOAP-ENV:mustUnderstand="1"/></SOAP-ENV:Header>` +
-			`<SOAP-ENV:Body><spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
-			`<m:echo xmlns:m="urn:spi:Echo" spi:id="0" spi:service="Echo"/>` +
-			`<m:echo xmlns:m="urn:spi:Echo" spi:id="1" spi:service="Echo"/>` +
-			`</spi:Parallel_Method></SOAP-ENV:Body></SOAP-ENV:Envelope>`
-		code, body := postDoc(t, sys, "/services/", v, []byte(doc))
-		if code != 500 {
-			t.Errorf("%v: status %d, want 500", v, code)
-		}
-		corpusGolden(t, "must_understand_"+corpusSuffix(v), body)
-		if reqs := sys.server.Stats().Requests; reqs != 0 {
-			t.Fatalf("%v: rejected batch ran %d operations, want 0", v, reqs)
+		for _, body := range []string{
+			`<spi:Parallel_Method xmlns:spi="http://spi.ict.ac.cn/pack">` +
+				`<m:echo xmlns:m="urn:spi:Echo" spi:id="0" spi:service="Echo"/>` +
+				`<m:echo xmlns:m="urn:spi:Echo" spi:id="1" spi:service="Echo"/>` +
+				`</spi:Parallel_Method>`,
+			`<spi:Execution_Plan xmlns:spi="http://spi.ict.ac.cn/pack">` +
+				`<m:echo xmlns:m="urn:spi:Echo" spi:service="Echo"><data>x</data></m:echo>` +
+				`<m:echo xmlns:m="urn:spi:Echo" spi:service="Echo"><data><spi:ref spi:step="0" spi:result="data"/></data></m:echo>` +
+				`</spi:Execution_Plan>`,
+		} {
+			doc := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `">` +
+				`<SOAP-ENV:Header><x:token xmlns:x="urn:corpus" SOAP-ENV:mustUnderstand="1"/></SOAP-ENV:Header>` +
+				`<SOAP-ENV:Body>` + body + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`
+			code, resp := postDoc(t, sys, "/services/", v, []byte(doc))
+			if code != 500 {
+				t.Errorf("%v: status %d, want 500", v, code)
+			}
+			corpusGolden(t, "must_understand_"+corpusSuffix(v), resp)
+			if reqs := sys.server.Stats().Requests; reqs != 0 {
+				t.Fatalf("%v: rejected request ran %d operations, want 0: %.60s", v, reqs, body)
+			}
 		}
 	}
 }
