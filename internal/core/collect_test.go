@@ -31,14 +31,15 @@ func TestCollectorWritesEntriesAsTheyComplete(t *testing.T) {
 		}, "answers once the test releases it")
 	})
 	ctx := context.Background()
-	col := new(collector[*rpcResult]).init(0, 16)
+	run := &packedRun{ctx: ctx, rctx: &registry.Context{Ctx: ctx}}
+	col := run.col.init(0, 16)
 	for i := 0; i < 16; i++ {
 		op := "echo"
 		if i == 0 {
 			op = "hold"
 		}
-		sys.server.startEntry(ctx, col, &registry.Context{Ctx: ctx}, col.add(),
-			&rpcRequest{id: i, service: "Echo", op: op, params: []soapenc.Field{soapenc.F("i", int64(i))}})
+		sys.server.startEntry(run, col.add(),
+			&rpcRequest{id: i, service: "Echo", op: op, params: []soapenc.Field{soapenc.F("i", int64(i))}}, false)
 	}
 	asm := newPackedAssembler("urn:spi:Echo")
 	defer asm.release()

@@ -275,12 +275,33 @@ func duplicateIDDoc(v soap.Version) []byte {
 		framingEnd + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`)
 }
 
+// duplicateIDPlanDoc is duplicateIDDoc as an execution plan: step 0 claims
+// id 1 by attribute, step 1 by position.
+func duplicateIDPlanDoc(v soap.Version) []byte {
+	return []byte(`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + v.Namespace() + `"><SOAP-ENV:Body>` +
+		`<spi:Execution_Plan xmlns:spi="` + NSPack + `">` +
+		`<m:echo` + echoNS + toEcho + ` spi:id="1"><data>claims one</data></m:echo>` +
+		`<m:echo` + echoNS + toEcho + `><data>sits at one</data></m:echo>` +
+		`</spi:Execution_Plan></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+}
+
 // TestFaultCorpusDuplicateID: two entries with one effective id would be
 // answered with two spi:id="1" children, which the client's own reply reader
 // refuses wholesale. The server decides it once, as a
-// whole-message Client fault, before any response byte.
+// whole-message Client fault, before any response byte — for the steps of an
+// execution plan as for the entries of a batch, and before any of them runs.
 func TestFaultCorpusDuplicateID(t *testing.T) {
 	sys := newSystem(t, nil)
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		code, body := postCorpus(t, sys, "/services/", v, duplicateIDPlanDoc(v))
+		if code != 500 {
+			t.Errorf("%s: plan status = %d, want 500: %s", v, code, body)
+		}
+		corpusGolden(t, "duplicate_id_"+corpusSuffix(v), body)
+		if reqs := sys.server.Stats().Requests; reqs != 0 {
+			t.Errorf("%s: the plan ran %d operations, want 0", v, reqs)
+		}
+	}
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		code, body := postCorpus(t, sys, "/services/", v, duplicateIDDoc(v))
 		if code != 500 {

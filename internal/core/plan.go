@@ -59,7 +59,8 @@ var (
 	attrResult = xmltext.Name{Prefix: PrefixPack, Local: "result"}
 )
 
-// planRef is the client-side marker value produced by StepHandle.Ref.
+// planRef is a parameter that refers to a result of an earlier step: what
+// StepHandle.Ref returns, and what decodeStep reads an spi:ref as.
 type planRef struct {
 	step   int
 	result string
@@ -110,10 +111,8 @@ func (p *Plan) Add(service, op string, params ...soapenc.Field) *StepHandle {
 		return h
 	}
 	for _, param := range params {
-		if ref, ok := param.Value.(*planRef); ok && ref.step >= len(p.steps) {
-			if p.buildErr == nil {
-				p.buildErr = fmt.Errorf("core: step %d references step %d, which is not earlier", len(p.steps), ref.step)
-			}
+		if ref, ok := param.Value.(*planRef); ok && ref.step >= len(p.steps) && p.buildErr == nil {
+			p.buildErr = fmt.Errorf("core: step %d references step %d, which is not earlier", len(p.steps), ref.step)
 		}
 	}
 	p.steps = append(p.steps, batchEntry{service: service, op: op, ns: p.client.NamespaceOf(service), params: params})
@@ -185,6 +184,123 @@ func (p *Plan) writeBody(em *xmltext.Emitter) error {
 }
 
 // ---- server side ----
+//
+// The server reads and runs a plan as it does a batch (dispatchPacked); what
+// is a plan's own is here: its references, and the order they impose.
+
+// decodeStep interprets the plan step at position idx as decodeRequestElement
+// does a packed entry, except that a parameter whose child is spi:ref decodes
+// to a *planRef, which runEntry replaces with the result it names. A reference
+// to this step or a later one ends the decoding: newPlanGraph faults it once
+// the number of steps is known.
+func decodeStep(el *xmldom.Element, service string, idx int) (*rpcRequest, *soap.Fault) {
+	req := &rpcRequest{id: idx, service: service, op: el.Name.Local}
+	if fault := req.annotate(el, "step"); fault != nil {
+		return nil, fault
+	}
+	if req.service == "" {
+		return nil, soap.ClientFault("step %q names no service", el.Name.Local)
+	}
+	for _, n := range el.Children {
+		child, ok := n.(*xmldom.Element)
+		if !ok {
+			continue
+		}
+		ref := child.Child(NSPack, elemRef)
+		if ref == nil {
+			v, err := soapenc.Decode(child)
+			if err != nil {
+				return nil, soap.ClientFault("step %d param %q: %v", idx, child.Name.Local, err)
+			}
+			req.params = append(req.params, soapenc.Field{Name: child.Name.Local, Value: v})
+			continue
+		}
+		stepStr := ref.AttrValue(attrStep)
+		step, err := strconv.Atoi(stepStr)
+		if err != nil || step < 0 {
+			return nil, soap.ClientFault("step %d: bad reference step %q", idx, stepStr)
+		}
+		r := &planRef{step: step, result: ref.AttrValue(attrResult)}
+		req.params = append(req.params, soapenc.Field{Name: child.Name.Local, Value: r})
+		if step >= idx {
+			break
+		}
+		if r.result == "" {
+			return nil, soap.ClientFault("step %d: reference without a result name", idx)
+		}
+	}
+	return req, nil
+}
+
+// planGraph is the order a plan's steps run in, by slot: the steps that read
+// each one's results, and how many steps each still waits on. A root reads
+// none; every other step starts when the last step it reads completes.
+type planGraph struct {
+	reqs    []*rpcRequest // a copy, so that a batch's stays on the dispatcher's stack
+	next    [][]int
+	pending []atomic.Int32
+	root    []bool
+}
+
+// newPlanGraph links the steps of a plan that has been read whole: reqs by
+// slot, nil where a step faulted — with the next fault of held, in slot
+// order. The first step in document order that faulted, or that refers to
+// itself or a later step, faults the whole plan.
+func newPlanGraph(reqs []*rpcRequest, held []*rpcResult) (*planGraph, *soap.Fault) {
+	n := len(reqs)
+	g := &planGraph{reqs: slices.Clone(reqs), next: make([][]int, n), pending: make([]atomic.Int32, n), root: make([]bool, n)}
+	for i, req := range reqs {
+		if req == nil {
+			return nil, held[0].fault
+		}
+		for _, p := range req.params {
+			ref, ok := p.Value.(*planRef)
+			switch {
+			case !ok:
+				continue
+			case ref.step >= n:
+				return nil, soap.ClientFault("step %d: bad reference step %q", i, strconv.Itoa(ref.step))
+			case ref.step >= i:
+				return nil, soap.ClientFault("step %d references step %d; references must point to earlier steps", i, ref.step)
+			}
+			// Once for each step i reads, however many parameters read it.
+			if w := g.next[ref.step]; len(w) == 0 || w[len(w)-1] != i {
+				g.next[ref.step] = append(w, i)
+				g.pending[i].Add(1)
+			}
+		}
+		g.root[i] = g.pending[i].Load() == 0
+	}
+	return g, nil
+}
+
+// runEntry executes entry i. A plan step runs once every step it reads has
+// completed, with their results in place of its references — and not at all
+// once the plan has been abandoned.
+func (s *Server) runEntry(run *packedRun, i int, req *rpcRequest) *rpcResult {
+	if run.plan == nil {
+		return s.execute(run.ctx, req, run.rctx)
+	}
+	for k, p := range req.params {
+		ref, ok := p.Value.(*planRef)
+		if !ok {
+			continue
+		}
+		src, _ := run.col.get(ref.step)
+		if src.fault != nil {
+			return req.faulted(soap.ClientFault("step %d depends on step %d, which faulted: %s", i, ref.step, src.fault.String))
+		}
+		v, ok := findResult(src.results, ref.result)
+		if !ok {
+			return req.faulted(soap.ClientFault("step %d references result %q of step %d, which has no such result", i, ref.result, ref.step))
+		}
+		req.params[k].Value = v
+	}
+	if run.ctx.Err() != nil {
+		return s.abandonResult(run.ctx, req)
+	}
+	return s.execute(run.ctx, req, run.rctx)
+}
 
 // planNode is one decoded plan step with its dependencies.
 type planNode struct {

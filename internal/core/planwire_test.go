@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
+	"repro/internal/xmldom"
 )
 
 // newPlanWireSystem is newPlanSystem with the Echo and WeatherService
@@ -148,6 +152,45 @@ func TestPlanHostileTable(t *testing.T) {
 			if tc.check != nil {
 				tc.check(t, body)
 			}
+		}
+	}
+}
+
+// TestEntryInterceptorSeesPlanSteps: the entry interceptors run on every step
+// of a plan, as on every entry of a batch — Index is the step's position and
+// Packed is set — and a step they deny is the whole plan's fault: nothing
+// runs, not even the steps before it.
+func TestEntryInterceptorSeesPlanSteps(t *testing.T) {
+	var mu sync.Mutex
+	var seen []string
+	sys := newPlanWireSystem(t, func(s *ServerConfig, c *ClientConfig) {
+		s.EntryInterceptors = []EntryInterceptor{func(entry *xmldom.Element, info *EntryInfo) (*xmldom.Element, *soap.Fault) {
+			mu.Lock()
+			seen = append(seen, fmt.Sprintf("%s %d %v", entry.Name.Local, info.Index, info.Packed))
+			mu.Unlock()
+			if entry.Name.Local == "echo" {
+				return nil, soap.ClientFault("echo denied")
+			}
+			return nil, nil
+		}}
+	})
+	for _, v := range []soap.Version{soap.V11, soap.V12} {
+		seen = nil
+		p := sys.client.NewPlan()
+		a := p.Add("Math", "Const", soapenc.F("v", int64(1)))
+		p.Add("Echo", "echo", soapenc.F("x", a.Ref("value")))
+		p.Add("Math", "Const", soapenc.F("v", int64(2)))
+		code, body := postDoc(t, sys, "/services/", v, writtenDocument(t, v, p.writeBody))
+		_, err := readPackedReply(body, 3)
+		var f *soap.Fault
+		if code != 500 || !errors.As(err, &f) || f.Code != soap.FaultClient || f.String != "echo denied" {
+			t.Errorf("%v: %d %v, want 500 and the Client fault %q: %s", v, code, err, "echo denied", body)
+		}
+		if want := []string{"Const 0 true", "echo 1 true", "Const 2 true"}; !slices.Equal(seen, want) {
+			t.Errorf("%v: the interceptor saw %q, want %q", v, seen, want)
+		}
+		if reqs := sys.server.Stats().Requests; reqs != 0 {
+			t.Errorf("%v: a plan with a denied step ran %d operations, want 0", v, reqs)
 		}
 	}
 }

@@ -68,10 +68,10 @@ type ServerConfig struct {
 	HeaderProcessors []HeaderProcessor
 
 	// EntryInterceptors are the server's handler chain (§3.6): they run
-	// once per body entry — each Parallel_Method child, or the single call —
-	// as its subtree closes, first entry outermost. A fault from one becomes
-	// the entry's per-item fault inside a packed response (the message fault
-	// for a single call).
+	// once per body entry — each Parallel_Method child or plan step, or the
+	// single call — as its subtree closes, first entry outermost. A fault
+	// from one becomes the entry's per-item fault inside a packed response
+	// (the message fault for a plan step or a single call).
 	EntryInterceptors []EntryInterceptor
 
 	// MaxBodyBytes caps request bodies; zero means the httpx default.
@@ -132,7 +132,7 @@ type ServerConfig struct {
 type ServerStats struct {
 	Envelopes      int64 // SOAP envelopes processed
 	Requests       int64 // service invocations executed
-	PackedMessages int64 // envelopes that used Parallel_Method
+	PackedMessages int64 // envelopes that used Parallel_Method or Execution_Plan
 	Faults         int64 // whole-message faults returned
 	ItemFaults     int64 // per-item faults inside packed responses
 	AppStage       stage.Stats
@@ -670,9 +670,8 @@ func DeadlineBudget(req *httpx.Request) time.Duration {
 // dispatchTimes is the part of a dispatch's time that belongs to other
 // phases. decode is what went into reading the body, inside the
 // StreamDecoder. encode is what went into encoding the response: from
-// encodeStart when the encoding ran on its own, after the operation (a single
-// call); with no start of its own when it was interleaved with the entries'
-// runs (a packed body, a plan), which the trace then shows from the
+// encodeStart when it ran after the operation (a single call); else, as it
+// was interleaved with the entries' runs, the trace shows it from the
 // dispatch's start.
 type dispatchTimes struct {
 	decode      time.Duration
@@ -683,12 +682,11 @@ type dispatchTimes struct {
 // dispatch decodes the body and executes the request(s): the server-side
 // dispatcher of §3.5. Whatever the body holds, the answer comes back as a
 // ready HTTP response in the request's version, with the time spent encoding
-// it, for phase attribution. A packed body streams entry by entry and is
-// assembled incrementally (dispatchPacked). Anything else completes the
-// envelope, verifies the headers and runs the entry interceptors once; a plan
-// is then assembled like a packed body, a single call's response streamed
-// once it has run. target is the HTTP request target, for EntryInterceptor
-// info.
+// it, for phase attribution. A packed body or a plan streams entry by entry
+// and is assembled incrementally (dispatchPacked). A single call completes
+// the envelope, verifies the headers and runs the entry interceptors once,
+// and its response is streamed once it has run. target is the HTTP request
+// target, for EntryInterceptor info.
 func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []*xmldom.Element, defaultService, target string) (*httpx.Response, dispatchTimes, *soap.Fault) {
 	decodeStart := time.Now()
 	entry, err := d.NextEntryStart()
@@ -696,14 +694,14 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 		return nil, dispatchTimes{decode: time.Since(decodeStart)}, malformedFault(err)
 	}
 	rctx := &registry.Context{Ctx: ctx, RequestHeaders: headers}
-	if entry != nil && isPackedRequest(entry) {
+	if entry != nil && (isPackedRequest(entry) || isPlanBody(entry)) {
 		s.packed.Add(1)
 		startTag := time.Since(decodeStart)
 		resp, times, fault := s.dispatchPacked(ctx, d, entry, rctx, defaultService, target)
 		times.decode += startTag
 		return resp, times, fault
 	}
-	// Not packed: nothing to overlap, so finish decoding first, and verify
+	// A single call: nothing to overlap, so finish decoding first, and verify
 	// the headers once the document is known well-formed. A nil entry (an
 	// empty Body) has nothing to decode.
 	if entry != nil {
@@ -726,11 +724,6 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 		if fault != nil {
 			return nil, times, fault
 		}
-	}
-	if isPlanBody(entry) {
-		resp, encodeDur, fault := s.dispatchPlan(ctx, entry, rctx, defaultService, env.Version)
-		times.encode = encodeDur
-		return resp, times, fault
 	}
 	resp, single, fault := s.dispatchSingle(ctx, entry, rctx, defaultService, env.Version)
 	single.decode = times.decode

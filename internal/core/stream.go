@@ -7,26 +7,28 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/registry"
 	"repro/internal/soap"
+	"repro/internal/stage"
 	"repro/internal/xmldom"
 )
 
 // The server decodes every request envelope from a pooled arena and, for
-// packed messages, dispatches each Parallel_Method entry to the application
-// stage as soon as its subtree closes — parse and execution overlap instead
-// of running back to back on the protocol thread. Every feature operates at
-// entry/token granularity:
+// packed messages and plans, reads each entry as its subtree closes, so a
+// Parallel_Method entry is dispatched to the application stage while later
+// ones are still being parsed. Every feature operates at entry/token
+// granularity:
 //
 //   - EntryInterceptors hook each entry as its subtree closes;
 //   - header processors (WSSE) verify over the verbatim body spans teed out
 //     of the decoder once the document is complete. A message that has
 //     anything to verify — processors configured, or header blocks present —
-//     still decodes its entries as they stream, but holds every execution
-//     until verification has passed: authenticate, then act.
+//     and every plan still decode their entries as they stream, but hold
+//     every execution until the whole document has passed: authenticate,
+//     then act.
 //
 // Whole-message faults (malformed envelope, header rejection, two entries
 // claiming one correlation id) are decided by readPacked, which the gateway's
 // scatter reads packed requests with too, before any response byte is
-// emitted. The one side-effect caveat: on a message with nothing to verify,
+// emitted. The one side-effect caveat: on a batch with nothing to verify,
 // entries that closed before a late syntax error or a colliding spi:id have
 // already executed when the whole-message fault goes out (idempotency is the
 // application's concern, as with any at-least-once delivery).
@@ -63,9 +65,9 @@ func canonicalFromSpans(spans [][]byte) []byte {
 	return out
 }
 
-// dispatchPacked fans a Parallel_Method message out to the application
-// stage, fused with decoding on the way in and assembly on the way out:
-// each entry is enqueued the moment its subtree closes, so the first
+// dispatchPacked fans a Parallel_Method message or an Execution_Plan out to
+// the application stage, fused with decoding on the way in and assembly on the
+// way out: each entry is enqueued the moment its subtree closes, so the first
 // operations run while later entries are still being tokenized. Once the
 // document has validated, each entry's response bytes are written to the
 // pooled response buffer the moment its work completes — the protocol thread
@@ -75,32 +77,40 @@ func canonicalFromSpans(spans [][]byte) []byte {
 // unfinished slots become per-item Server.Timeout faults while completed
 // companions keep their real results.
 func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *xmldom.Element, rctx *registry.Context, defaultService, target string) (*httpx.Response, dispatchTimes, *soap.Fault) {
-	col := new(collector[*rpcResult]).init(0, 16)
-	asm := newPackedAssembler(requestDefaultNS(pm))
+	// A plan has no batch default: its steps run on the URL's service, and
+	// its response declares no xmlns:m.
+	plan := pm.Name.Local == ElemExecutionPlan
+	kind, defaultNS, service := "plan", "", defaultService
+	if !plan {
+		kind, defaultNS, service = "packed", requestDefaultNS(pm), packDefaultService(pm, defaultService)
+	}
+	run := &packedRun{ctx: ctx, rctx: rctx}
+	run.col.init(0, 16)
+	reqs := make([]*rpcRequest, 0, 8) // by slot; nil where the entry faulted before it could run
+	asm := newPackedAssembler(defaultNS)
 	asm.faultCodes = &s.faultCodes
 	defer asm.release()
-	// reqs[i] stays nil for a slot that faulted before it could run.
-	reqs := make([]*rpcRequest, 0, 8)
 
 	// Authenticate, then act: when there is anything to verify, entries are
 	// decoded as they stream but none is started until the document is
 	// complete and verifyHeaders has passed. Until then the slots that
 	// faulted wait in held, so that they complete in slot order with the
 	// entries that run. Late workers deliver into the collector harmlessly —
-	// they hold copies, never arena nodes.
-	verifyFirst := len(s.cfg.HeaderProcessors) > 0 || len(rctx.RequestHeaders) > 0
+	// they hold copies, never arena nodes. A plan is held too: one step's
+	// fault is the whole plan's, and then none may have run.
+	hold := plan || len(s.cfg.HeaderProcessors) > 0 || len(rctx.RequestHeaders) > 0
 	var held []*rpcResult
 	h := packedHooks{
 		entry: func(i int, _ *xmldom.Element, req *rpcRequest, f *soap.Fault) {
-			col.add()
+			run.col.add()
 			reqs = append(reqs, req)
 			switch {
-			case f != nil && verifyFirst:
+			case f != nil && hold:
 				held = append(held, &rpcResult{id: i, fault: f})
 			case f != nil:
-				col.put(i, &rpcResult{id: i, fault: f})
-			case !verifyFirst:
-				s.startEntry(ctx, col, rctx, i, req)
+				run.col.put(i, &rpcResult{id: i, fault: f})
+			case !hold:
+				s.startEntry(run, i, req, false)
 			}
 		},
 		verify: func(env *soap.Envelope) *soap.Fault { return s.verifyHeaders(env, d) },
@@ -113,17 +123,23 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 			return runEntryInterceptors(ics, el, &ei)
 		}
 	}
-	decode, fault := readPacked(d, pm, packDefaultService(pm, defaultService), h)
+	decode, fault := readPacked(d, pm, service, h)
 	if fault != nil {
 		return nil, dispatchTimes{decode: decode}, fault
 	}
-	if verifyFirst {
+	if plan {
+		if run.plan, fault = newPlanGraph(reqs, held); fault != nil {
+			return nil, dispatchTimes{decode: decode}, fault
+		}
+	}
+	if hold {
 		for i, req := range reqs {
-			if req != nil {
-				s.startEntry(ctx, col, rctx, i, req)
-			} else {
-				col.put(i, held[0])
+			switch {
+			case req == nil:
+				run.col.put(i, held[0])
 				held = held[1:]
+			case !plan || run.plan.root[i]:
+				s.startEntry(run, i, req, false)
 			}
 		}
 	}
@@ -131,9 +147,9 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	// Write each entry as its work completes, while later workers are still
 	// running. On deadline expiry every open slot degrades to a per-item
 	// fault, which is written in turn.
-	if err := col.drain(ctx, func(_ int, r *rpcResult) error { return asm.encodeEntry(r, s.namespaceOf) },
+	if err := run.col.drain(ctx, func(_ int, r *rpcResult) error { return asm.encodeEntry(r, s.namespaceOf) },
 		func(i int) *rpcResult { return s.abandonResult(ctx, reqs[i]) }); err != nil {
-		return nil, dispatchTimes{decode: decode, encode: asm.encDur}, soap.ServerFault("assembling packed response: %v", err)
+		return nil, dispatchTimes{decode: decode, encode: asm.encDur}, soap.ServerFault("assembling %s response: %v", kind, err)
 	}
 	s.itemFaults.Add(int64(asm.itemFaults))
 
@@ -142,6 +158,15 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 		resp = encodeFailureResponse()
 	}
 	return resp, dispatchTimes{decode: decode, encode: asm.encDur}, nil
+}
+
+// packedRun is what the workers of one packed message or plan share; plan is
+// nil for a Parallel_Method.
+type packedRun struct {
+	col  collector[*rpcResult]
+	ctx  context.Context
+	rctx *registry.Context
+	plan *planGraph
 }
 
 // packedHooks are what a caller plugs into readPacked; a nil intercept or
@@ -175,18 +200,19 @@ func finishBody(d *soap.StreamDecoder, verify func(*soap.Envelope) *soap.Fault) 
 	return env, read, nil
 }
 
-// readPacked is the one reader of a Parallel_Method: the server's dispatch and
-// the gateway's scatter both read a packed request with it, so the two cannot
-// disagree about what one means or how it faults. d has just started pm
-// (NextEntryStart); service is what an entry that names none runs on. Each
-// entry goes to h.entry as its subtree closes, so the first can run while
-// later ones are still being read. Then the rest of the envelope is read, and
-// the whole-message fault is decided once, in this order: finishBody's (a
-// malformed document; what h.verify finds in the headers; more than one body
-// entry); a batch with no entries; two entries claiming one spi:id. Any of
-// them outranks every per-item fault. decode is the time spent in the
-// decoder.
+// readPacked is the one reader of a Parallel_Method and of an Execution_Plan:
+// the server's dispatch and the gateway's scatter both read a packed request
+// with it, so the two cannot disagree about what one means or how it faults.
+// d has just started pm (NextEntryStart); service is what an entry that names
+// none runs on. Each entry (decodeStep: step) goes to h.entry as its subtree
+// closes, so the first can run while later ones are still being read. Then
+// the rest of the envelope is read, and the whole-message fault is decided
+// once, in this order: finishBody's (a malformed document; what h.verify
+// finds in the headers; more than one body entry); a batch with no entries;
+// two entries claiming one spi:id. Any of them outranks every per-item fault.
+// decode is the time spent in the decoder.
 func readPacked(d *soap.StreamDecoder, pm *xmldom.Element, service string, h packedHooks) (decode time.Duration, f *soap.Fault) {
+	plan := pm.Name.Local == ElemExecutionPlan
 	ids := make([]int, 0, 16) // effective spi:id by slot
 	for {
 		start := time.Now()
@@ -204,7 +230,11 @@ func readPacked(d *soap.StreamDecoder, pm *xmldom.Element, service string, h pac
 		if h.intercept != nil {
 			el, fault = h.intercept(slot, el)
 		}
-		if fault == nil {
+		switch {
+		case fault != nil:
+		case plan:
+			req, fault = decodeStep(el, service, slot)
+		default:
 			req, fault = decodeRequestElement(el, service, slot)
 		}
 		if fault == nil {
@@ -218,27 +248,56 @@ func readPacked(d *soap.StreamDecoder, pm *xmldom.Element, service string, h pac
 	if decode += tail; f != nil {
 		return decode, f
 	}
-	if len(ids) == 0 {
+	switch {
+	case len(ids) == 0 && plan:
+		return decode, soap.ClientFault("%s has no steps", ElemExecutionPlan)
+	case len(ids) == 0:
 		return decode, soap.ClientFault("%s has no requests", ElemParallelMethod)
 	}
 	return decode, duplicateIDFault(len(ids), func(slot int) int { return ids[slot] })
 }
 
-// startEntry begins executing one decoded packed entry, its result bound
-// for slot i of the collector: on an application-stage worker, or — in the
-// traditional coupled architecture — serially right here on the protocol
-// thread, degrading the remainder once the deadline has passed.
-func (s *Server) startEntry(ctx context.Context, col *collector[*rpcResult], rctx *registry.Context, i int, req *rpcRequest) {
+// startEntry begins executing entry i, its result bound for slot i of the
+// collector: on an application-stage worker, or — in the traditional coupled
+// architecture — serially right here, degrading the remainder once the
+// deadline has passed. A plan step woken by the last step it reads (wake)
+// never waits for queue space, or workers could wait on each other: it runs
+// right here instead.
+func (s *Server) startEntry(run *packedRun, i int, req *rpcRequest, wake bool) {
 	if !s.staged() {
-		if ctx.Err() != nil {
-			col.put(i, s.abandonResult(ctx, req))
+		if run.ctx.Err() != nil {
+			s.complete(run, i, s.abandonResult(run.ctx, req))
 			return
 		}
-		col.put(i, s.execute(ctx, req, rctx))
+		s.complete(run, i, s.runEntry(run, i, req))
 		return
 	}
-	task := s.appTask(ctx, req, func() { col.put(i, s.execute(ctx, req, rctx)) })
-	if err := s.submitApp(task); err != nil {
-		col.put(i, req.faulted(s.admissionFault(err)))
+	task := s.appTask(run.ctx, req, func() { s.complete(run, i, s.runEntry(run, i, req)) })
+	var err error
+	if wake {
+		s.sampleAppQueue()
+		if err = s.appPool.TrySubmit(task); err == stage.ErrQueueFull {
+			task()
+			return
+		}
+	} else {
+		err = s.submitApp(task)
+	}
+	if err != nil {
+		s.complete(run, i, req.faulted(s.admissionFault(err)))
+	}
+}
+
+// complete fills slot i with res and, in a plan, starts each step whose last
+// dependency it was.
+func (s *Server) complete(run *packedRun, i int, res *rpcResult) {
+	run.col.put(i, res)
+	if run.plan == nil {
+		return
+	}
+	for _, next := range run.plan.next[i] {
+		if run.plan.pending[next].Add(-1) == 0 {
+			s.startEntry(run, next, run.plan.reqs[next], true)
+		}
 	}
 }
