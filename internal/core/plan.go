@@ -7,13 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/httpx"
-	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
-	"repro/internal/stage"
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
@@ -300,172 +296,6 @@ func (s *Server) runEntry(run *packedRun, i int, req *rpcRequest) *rpcResult {
 		return s.abandonResult(run.ctx, req)
 	}
 	return s.execute(run.ctx, req, run.rctx)
-}
-
-// planNode is one decoded plan step with its dependencies.
-type planNode struct {
-	req      *rpcRequest
-	deps     []planDep    // parameter index -> (step, result)
-	children []int        // nodes that depend on this one (deduplicated)
-	pending  atomic.Int32 // steps this one waits on; it runs when the last completes
-}
-
-type planDep struct {
-	paramIndex int
-	step       int
-	result     string
-}
-
-// dispatchPlan executes an Execution_Plan body entry: steps scheduled on
-// the application stage as their dependencies resolve. When ctx's deadline
-// fires before the plan drains, the assembled response degrades: finished
-// steps keep their results and unfinished ones become per-item
-// Server.Timeout faults, like a packed message. The response is a
-// Parallel_Response in version v with no batch default (a plan has no
-// Parallel_Method to declare one); like dispatchPacked it comes back
-// assembled, with the time spent encoding it.
-func (s *Server) dispatchPlan(ctx context.Context, plan *xmldom.Element, rctx *registry.Context, defaultService string, v soap.Version) (*httpx.Response, time.Duration, *soap.Fault) {
-	entries := plan.ChildElements()
-	if len(entries) == 0 {
-		return nil, 0, soap.ClientFault("%s has no steps", ElemExecutionPlan)
-	}
-	s.packed.Add(1)
-
-	nodes := make([]*planNode, len(entries))
-	for i, el := range entries {
-		node, fault := decodePlanStep(el, defaultService, i, len(entries))
-		if fault != nil {
-			return nil, 0, fault
-		}
-		nodes[i] = node
-		// A step waits once on each earlier step it reads, however many of
-		// its parameters read it.
-		for j, d := range node.deps {
-			if !slices.ContainsFunc(node.deps[:j], func(e planDep) bool { return e.step == d.step }) {
-				nodes[d.step].children = append(nodes[d.step].children, i)
-				node.pending.Add(1)
-			}
-		}
-	}
-
-	col := new(collector[*rpcResult]).init(len(nodes), len(nodes))
-	var schedule func(idx int)
-	// complete records a step's result and schedules each step whose last
-	// dependency it was.
-	complete := func(idx int, res *rpcResult) {
-		col.put(idx, res)
-		for _, child := range nodes[idx].children {
-			if nodes[child].pending.Add(-1) == 0 {
-				schedule(child)
-			}
-		}
-	}
-	run := func(idx int) { complete(idx, s.runStep(ctx, rctx, col, nodes[idx], idx)) }
-	schedule = func(idx int) {
-		if !s.staged() {
-			run(idx)
-			return
-		}
-		// TrySubmit rather than Submit: a worker scheduling its children
-		// must never block on a full queue, or all workers could block on
-		// each other. On overload the step runs inline on the current
-		// goroutine instead (bounded by the plan's chain depth).
-		task := s.appTask(ctx, nodes[idx].req, func() { run(idx) })
-		s.sampleAppQueue()
-		switch err := s.appPool.TrySubmit(task); err {
-		case nil:
-		case stage.ErrQueueFull:
-			task()
-		default:
-			complete(idx, nodes[idx].req.faulted(soap.ServerFault("application stage unavailable: %v", err)))
-		}
-	}
-	// Launch the roots; everything else is woken by its dependencies.
-	for i, n := range nodes {
-		if len(n.deps) == 0 {
-			schedule(i)
-		}
-	}
-
-	asm := newPackedAssembler("")
-	asm.faultCodes = &s.faultCodes
-	defer asm.release()
-	if err := col.drain(ctx, func(_ int, r *rpcResult) error { return asm.encodeEntry(r, s.namespaceOf) },
-		func(i int) *rpcResult { return s.abandonResult(ctx, nodes[i].req) }); err != nil {
-		return nil, asm.encDur, soap.ServerFault("assembling plan response: %v", err)
-	}
-	s.itemFaults.Add(int64(asm.itemFaults))
-	resp, err := asm.finish(v, rctx.ResponseHeaders(), nil, nil)
-	if err != nil {
-		return encodeFailureResponse(), asm.encDur, nil
-	}
-	return resp, asm.encDur, nil
-}
-
-// runStep runs one plan step once every step it depends on has completed,
-// with their results substituted for its references.
-func (s *Server) runStep(ctx context.Context, rctx *registry.Context, col *collector[*rpcResult], node *planNode, idx int) *rpcResult {
-	req := node.req
-	for _, d := range node.deps {
-		src, _ := col.get(d.step)
-		if src.fault != nil {
-			return req.faulted(soap.ClientFault("step %d depends on step %d, which faulted: %s", idx, d.step, src.fault.String))
-		}
-		v, ok := findResult(src.results, d.result)
-		if !ok {
-			return req.faulted(soap.ClientFault("step %d references result %q of step %d, which has no such result", idx, d.result, d.step))
-		}
-		req.params[d.paramIndex].Value = v
-	}
-	if ctx.Err() != nil {
-		return s.abandonResult(ctx, req)
-	}
-	return s.execute(ctx, req, rctx)
-}
-
-// decodePlanStep interprets one step element, extracting reference
-// parameters.
-func decodePlanStep(el *xmldom.Element, defaultService string, idx, total int) (*planNode, *soap.Fault) {
-	// References must be recognized before generic parameter decoding, so
-	// walk children manually.
-	node := &planNode{}
-	req := &rpcRequest{id: idx, service: defaultService, op: el.Name.Local}
-	if fault := req.annotate(el, "step"); fault != nil {
-		return nil, fault
-	}
-	if req.service == "" {
-		return nil, soap.ClientFault("step %q names no service", el.Name.Local)
-	}
-	for _, child := range el.ChildElements() {
-		if ref := child.Child(NSPack, elemRef); ref != nil {
-			stepStr := ref.AttrValue(attrStep)
-			step, err := strconv.Atoi(stepStr)
-			if err != nil || step < 0 || step >= total {
-				return nil, soap.ClientFault("step %d: bad reference step %q", idx, stepStr)
-			}
-			if step >= idx {
-				return nil, soap.ClientFault("step %d references step %d; references must point to earlier steps", idx, step)
-			}
-			result := ref.AttrValue(attrResult)
-			if result == "" {
-				return nil, soap.ClientFault("step %d: reference without a result name", idx)
-			}
-			node.deps = append(node.deps, planDep{
-				paramIndex: len(req.params),
-				step:       step,
-				result:     result,
-			})
-			req.params = append(req.params, soapenc.Field{Name: child.Name.Local})
-			continue
-		}
-		v, err := soapenc.Decode(child)
-		if err != nil {
-			return nil, soap.ClientFault("step %d param %q: %v", idx, child.Name.Local, err)
-		}
-		req.params = append(req.params, soapenc.Field{Name: child.Name.Local, Value: v})
-	}
-	node.req = req
-	return node, nil
 }
 
 // findResult locates a named field in a result list; a dotted name

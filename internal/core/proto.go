@@ -56,7 +56,6 @@ type rpcResult struct {
 	service string
 	results []soapenc.Field
 	fault   *soap.Fault
-	headers []*xmldom.Element // response header blocks contributed
 }
 
 // isPackedRequest reports whether a body entry is a Parallel_Method element.
