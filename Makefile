@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check test test-386 race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check census
+.PHONY: check build vet fmt-check test test-386 shape-census race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check census
 
 ## check: the full gate — build, vet, the gofmt check, race-enabled shuffled tests, the
 ## application-stage pool's and the completion collector's 30-run censuses,
@@ -14,8 +14,8 @@ GO ?= go
 ## 30-run census (httpx) with the pipelining and C10k soak tests under -race, the
 ## dispatch-pipeline parity suite under -race, the
 ## encode-path escape audit, the fault-literal, one-writer and envelope-prefix
-## audits, the docs link audit, and the allocation gate vs the recorded
-## baseline.
+## audits, the docs link audit, the timing-shape census, and the allocation
+## gate vs the recorded baseline.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -35,6 +35,7 @@ check:
 	$(MAKE) vet-onewriter
 	$(MAKE) vet-prefix
 	$(MAKE) docs-check
+	$(MAKE) shape-census
 	$(MAKE) bench-gate
 
 build:
@@ -56,6 +57,12 @@ fmt-check:
 test:
 	$(GO) build ./...
 	$(GO) test ./...
+
+## shape-census: the paper's timing shapes, twenty runs each. These tests skip
+## under -race and -short, so nothing else in check runs them. Wall time on a
+## 2-vCPU box: about 2 min.
+shape-census:
+	$(GO) test -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking' ./internal/bench
 
 ## test-386: the short suite built for a 32-bit int, where an int conversion
 ## of a uint32 hash or size can go negative.

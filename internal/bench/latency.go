@@ -19,7 +19,7 @@ type LatencyConfig struct {
 	// MessageCounts lists the M values. Default 1,2,4,...,128 (the
 	// paper's x-axis).
 	MessageCounts []int
-	// Repetitions is how many times each point is measured; the mean is
+	// Repetitions is how many times each point is measured; the median is
 	// reported. Default 5. ("The test in each case is repeated" — §4.3
 	// uses 10; the latency figures report averaged runs.)
 	Repetitions int
@@ -48,7 +48,7 @@ func (c *LatencyConfig) fillDefaults() {
 	}
 }
 
-// LatencyPoint is one row of a latency table: the mean run time of M
+// LatencyPoint is one row of a latency table: the median run time of M
 // service requests under each approach.
 type LatencyPoint struct {
 	M       int
@@ -102,19 +102,24 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 			Millis:  make(map[Approach]float64),
 			Samples: make(map[Approach]metrics.Summary),
 		}
-		for _, approach := range cfg.Approaches {
-			var rec metrics.Recorder
-			for rep := 0; rep < cfg.Warmup+cfg.Repetitions; rep++ {
+		// The approaches take turns within each repetition, so a slow spell
+		// on a shared machine lands on all of them alike instead of on
+		// whichever was measuring; the median then ignores the spell.
+		samples := make(map[Approach][]time.Duration, len(cfg.Approaches))
+		for rep := 0; rep < cfg.Warmup+cfg.Repetitions; rep++ {
+			for _, approach := range cfg.Approaches {
 				d, err := runOnce(env, approach, m, payload)
 				if err != nil {
 					return nil, fmt.Errorf("%s: M=%d %s: %w", cfg.Label, m, approach, err)
 				}
 				if rep >= cfg.Warmup {
-					rec.Record(d)
+					samples[approach] = append(samples[approach], d)
 				}
 			}
-			s := rec.Snapshot()
-			point.Millis[approach] = metrics.Millis(s.Mean)
+		}
+		for _, approach := range cfg.Approaches {
+			s := metrics.Summarize(samples[approach])
+			point.Millis[approach] = metrics.Millis(s.P50)
 			point.Samples[approach] = s
 		}
 		result.Points = append(result.Points, point)
