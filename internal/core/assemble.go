@@ -13,8 +13,8 @@ import (
 )
 
 // DOM-free packed assembly: the one writer of Parallel_Response. The server's
-// packed and plan dispatchers and the gateway's gather write their entries —
-// results, per-item faults, segments spliced from backend replies — straight
+// dispatcher of batches and plans and the gateway's gather write their entries
+// — results, per-item faults, segments spliced from backend replies — straight
 // into a pooled emitter, in the order their work completes (collector). Tests
 // pin the entries to the fragments under testdata/parity/ under randomized
 // completion orders, and the bytes under slot order.

@@ -204,8 +204,8 @@ func finishBody(d *soap.StreamDecoder, verify func(*soap.Envelope) *soap.Fault) 
 // the server's dispatch and the gateway's scatter both read a packed request
 // with it, so the two cannot disagree about what one means or how it faults.
 // d has just started pm (NextEntryStart); service is what an entry that names
-// none runs on. Each entry (decodeStep: step) goes to h.entry as its subtree
-// closes, so the first can run while later ones are still being read. Then
+// none runs on. Each entry, or plan step (decodeStep), goes to h.entry as its
+// subtree closes, so the first can run while later ones are still read. Then
 // the rest of the envelope is read, and the whole-message fault is decided
 // once, in this order: finishBody's (a malformed document; what h.verify
 // finds in the headers; more than one body entry); a batch with no entries;
