@@ -530,8 +530,7 @@ func main() {
 
 	// --- application stage ---------------------------------------------
 	// One Submit and its run on a one-worker pool: the hand-off every
-	// operation makes. The pool's queue is a ring grown once and reused, so
-	// the hand-off must stay at 0 allocs/op.
+	// operation makes. It must stay at 0 allocs/op.
 	add(measure("stage/submit-run", func(b *testing.B) {
 		pool, err := stage.NewPool("bench", 1, 64)
 		if err != nil {
@@ -546,11 +545,39 @@ func main() {
 			}
 			<-done
 		}
-		submitRun() // grows the ring
+		submitRun()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			submitRun()
+		}
+	}))
+	// The server's fan-out: a 16-entry packed message submits 16 tasks to
+	// the 32-worker application stage, then waits for all of them. It must
+	// stay at 0 allocs/op; no baseline records it yet, so the stage package's
+	// TestSteadyStateSubmitAllocatesNothing holds the same shape to 0.
+	add(measure("stage/fanout-16", func(b *testing.B) {
+		pool, err := stage.NewPool("bench", 32, 1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pool.Close()
+		var wg sync.WaitGroup
+		task := func() { wg.Done() }
+		fanout := func() {
+			wg.Add(16)
+			for i := 0; i < 16; i++ {
+				if err := pool.Submit(task); err != nil {
+					b.Fatal(err)
+				}
+			}
+			wg.Wait()
+		}
+		fanout()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fanout()
 		}
 	}))
 

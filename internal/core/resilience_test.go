@@ -320,6 +320,71 @@ func TestQueueAdmissionShedding(t *testing.T) {
 	}
 }
 
+func TestDeadlineWhileQueuedNeverRuns(t *testing.T) {
+	// One worker, one queue slot, no admission timeout: with both held by
+	// gated calls, a call under a 400 ms deadline waits for queue space
+	// only until the server's share of that deadline ends. It is answered
+	// with the server's Server.Timeout fault, before the client's own
+	// deadline, and its operation never runs — not even once space frees.
+	for _, packed := range []bool{false, true} {
+		name := "single"
+		if packed {
+			name = "packed"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys, release := newResilienceSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
+				sc.AppWorkers = 1
+				sc.AppQueue = 1
+			})
+			first := sys.client.Go("Echo", "gate")
+			second := sys.client.Go("Echo", "gate")
+			deadline := time.Now().Add(2 * time.Second)
+			for sys.server.Stats().AppStage.Submitted < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("gated calls never reached the application stage")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+			defer cancel()
+			var errs []error
+			if packed {
+				b := sys.client.NewBatch()
+				calls := []*Call{b.Add("Echo", "echo", soapenc.F("m", "a")), b.Add("Echo", "echo", soapenc.F("m", "b"))}
+				if err := b.SendCtx(ctx); err != nil {
+					t.Fatalf("SendCtx: %v, want per-entry Server.Timeout faults", err)
+				}
+				for _, c := range calls {
+					_, err := c.Wait()
+					errs = append(errs, err)
+				}
+			} else {
+				_, err := sys.client.CallCtx(ctx, "Echo", "echo", soapenc.F("m", "a"))
+				errs = append(errs, err)
+			}
+			for _, err := range errs {
+				if !IsTimeoutFault(err) {
+					t.Errorf("err = %v, want the server's Server.Timeout fault", err)
+				}
+			}
+			release()
+			for _, c := range []*Call{first, second} {
+				if _, err := c.Wait(); err != nil {
+					t.Errorf("gated call: %v", err)
+				}
+			}
+			st := sys.server.Stats()
+			if st.Requests != 2 || st.AppStage.Submitted != 2 || st.AppStage.Rejected != 0 {
+				t.Errorf("Requests %d, Submitted %d, Rejected %d; want 2, 2, 0 (the gated calls only)",
+					st.Requests, st.AppStage.Submitted, st.AppStage.Rejected)
+			}
+			if got := st.Resilience.Timeouts; got < 1 {
+				t.Errorf("server Timeouts = %d, want >= 1", got)
+			}
+		})
+	}
+}
+
 func TestBusyFaultRetriesAndSucceeds(t *testing.T) {
 	// Server.Busy is always retryable (the operation never started); with
 	// a retry policy the shed call lands once capacity frees up.

@@ -92,8 +92,9 @@ type ServerConfig struct {
 
 	// AdmissionTimeout bounds how long a request waits for space in the
 	// application-stage queue before being shed with a Server.Busy fault
-	// (per item for packed messages). Zero preserves the unbounded
-	// blocking submit.
+	// (per item for packed messages). Zero waits without that bound. Either
+	// way the wait ends with the request's deadline, which answers with
+	// the deadline's own fault and never runs the operation.
 	AdmissionTimeout time.Duration
 	// OperationTimeout bounds each operation execution. An operation
 	// that overruns returns a Server.Timeout fault (per item in packed
@@ -743,25 +744,26 @@ func (s *Server) sampleAppQueue() {
 	}
 }
 
-// submitApp enqueues one application-stage task, applying the admission
-// timeout when configured. With no timeout the submit blocks until queue
-// space frees (the seed behaviour).
-func (s *Server) submitApp(task stage.Task) error {
+// submitApp enqueues one application-stage task. While the queue is full it
+// waits for space until the admission timeout (no bound when zero) or until
+// the request's ctx is done, whichever comes first.
+func (s *Server) submitApp(ctx context.Context, task stage.Task) error {
 	s.sampleAppQueue()
-	if s.cfg.AdmissionTimeout > 0 {
-		return s.appPool.SubmitTimeout(task, s.cfg.AdmissionTimeout)
-	}
-	return s.appPool.Submit(task)
+	return s.appPool.SubmitCtx(ctx, task, s.cfg.AdmissionTimeout)
 }
 
-// admissionFault maps a failed submit to a fault: a full queue past the
-// admission timeout is shed with Server.Busy (retryable — the operation
-// never started); anything else is a plain server fault.
-func (s *Server) admissionFault(err error) *soap.Fault {
-	if errors.Is(err, stage.ErrQueueFull) {
+// admissionFault maps req's failed submit to a fault; the operation never
+// started. A full queue past the admission timeout is shed with Server.Busy
+// (retryable); a request whose deadline passed or whose caller went away
+// while it waited is abandoned; anything else is a plain server fault.
+func (s *Server) admissionFault(ctx context.Context, req *rpcRequest, err error) *soap.Fault {
+	switch {
+	case errors.Is(err, stage.ErrQueueFull):
 		s.resil.Shed.Inc()
 		return fault.ToSOAP(fault.Shedf(
 			"application stage queue full after %v admission wait", s.cfg.AdmissionTimeout))
+	case errors.Is(err, ctx.Err()):
+		return s.abandonFault(ctx, req.service, req.op)
 	}
 	return soap.ServerFault("application stage unavailable: %v", err)
 }
@@ -829,8 +831,8 @@ func (s *Server) dispatchSingle(ctx context.Context, entry *xmldom.Element, rctx
 		// or the request's deadline fires.
 		done := make(chan *rpcResult, 1)
 		task := s.appTask(ctx, req, func() { done <- s.execute(ctx, req, rctx) })
-		if err := s.submitApp(task); err != nil {
-			return nil, dispatchTimes{}, s.admissionFault(err)
+		if err := s.submitApp(ctx, task); err != nil {
+			return nil, dispatchTimes{}, s.admissionFault(ctx, req, err)
 		}
 		select {
 		case res = <-done:

@@ -281,10 +281,10 @@ func (s *Server) startEntry(run *packedRun, i int, req *rpcRequest, wake bool) {
 			return
 		}
 	} else {
-		err = s.submitApp(task)
+		err = s.submitApp(run.ctx, task)
 	}
 	if err != nil {
-		s.complete(run, i, req.faulted(s.admissionFault(err)))
+		s.complete(run, i, req.faulted(s.admissionFault(run.ctx, req, err)))
 	}
 }
 

@@ -35,15 +35,15 @@ func spansWithApp(tr *trace.Tracer, n int) map[string][]trace.Span {
 	}
 }
 
-// sampledAppQueue reports whether tr holds the app.queue gauge, which exists
-// once a submit to the application stage has sampled the queue's depth.
-func sampledAppQueue(tr *trace.Tracer) bool {
+// appQueueGauge returns tr's app.queue gauge, which exists once a submit to
+// the application stage has sampled the queue's depth.
+func appQueueGauge(tr *trace.Tracer) (trace.GaugeValue, bool) {
 	for _, g := range tr.Gauges() {
 		if g.Name == "app.queue" {
-			return true
+			return g, true
 		}
 	}
-	return false
+	return trace.GaugeValue{}, false
 }
 
 func TestTraceSingleCallFullPath(t *testing.T) {
@@ -133,8 +133,46 @@ func TestTracePackedBatchSpans(t *testing.T) {
 	}
 	wantAssembleFromDispatchStart(t, byStage)
 	// The queue gauge was sampled during fan-out.
-	if !sampledAppQueue(tr) {
+	if _, ok := appQueueGauge(tr); !ok {
 		t.Error("no app.queue gauge was recorded during packed dispatch")
+	}
+}
+
+func TestTraceAppQueuePeaksBehindHeldWorker(t *testing.T) {
+	// The app.queue gauge counts tasks waiting for a worker, sampled ahead of
+	// each submit. With the one worker held by a gated call, a 4-entry pack's
+	// entries all wait, so the samples ahead of its last three read 1, 2, 3.
+	tr := trace.New(256)
+	sys, release := newResilienceSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
+		sc.AppWorkers = 1
+		sc.Tracer = tr
+	})
+	gated := sys.client.Go("Echo", "gate")
+	b := sys.client.NewBatch()
+	for i := 0; i < 4; i++ {
+		b.Add("Echo", "echo", soapenc.F("m", "x"))
+	}
+	waitApp := func(what string, cond func(st ServerStats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(sys.server.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened", what)
+			}
+		}
+	}
+	waitApp("the gated call holding the worker", func(st ServerStats) bool { return st.AppStage.Busy == 1 })
+	sent := make(chan error, 1)
+	go func() { sent <- b.Send() }()
+	waitApp("the pack queueing behind it", func(st ServerStats) bool { return st.AppStage.Queued == 4 })
+	if g, _ := appQueueGauge(tr); g.Peak < 3 {
+		t.Errorf("app.queue peak = %d with four entries queued behind a held worker, want >= 3", g.Peak)
+	}
+	release()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gated.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -214,7 +252,7 @@ func TestTracePlanStepAppSpans(t *testing.T) {
 	if len(seen) != 3 {
 		t.Errorf("distinct step ids = %d, want 3", len(seen))
 	}
-	if !sampledAppQueue(tr) {
+	if _, ok := appQueueGauge(tr); !ok {
 		t.Error("no app.queue gauge was sampled while scheduling the plan's steps")
 	}
 }

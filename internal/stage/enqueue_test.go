@@ -2,6 +2,7 @@ package stage
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -28,9 +29,9 @@ func heldPool(t *testing.T) (p *Pool, release func()) {
 	return p, func() { once.Do(func() { close(block) }) }
 }
 
-// parkedInEnqueue counts the goroutines waiting on a pool's condition
-// variable inside enqueue — what "a submitter is parked" means, read off the
-// goroutine dump because sync.Cond does not tell.
+// parkedInEnqueue counts the goroutines parked in enqueue's select on a full
+// queue — what "a submitter is parked" means, read off the goroutine dump
+// because a channel does not tell who waits on it.
 func parkedInEnqueue() int {
 	buf := make([]byte, 64<<10)
 	for {
@@ -43,7 +44,7 @@ func parkedInEnqueue() int {
 	}
 	parked := 0
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("sync.(*Cond).Wait")) && bytes.Contains(g, []byte("(*Pool).enqueue")) {
+		if bytes.Contains(g, []byte(" [select")) && bytes.Contains(g, []byte("(*Pool).enqueue")) {
 			parked++
 		}
 	}
@@ -54,17 +55,20 @@ func parkedInEnqueue() int {
 // error each returns and what it does to Submitted and Rejected in every
 // state the queue can be in. A full queue given up on counts as Rejected; a
 // closed pool never does, whether the caller found it closed or was parked
-// when it closed.
+// when it closed, and neither does a ctx that ends while the caller is parked.
+// The SubmitTimeout entries are SubmitCtx with that much patience; the
+// SubmitCtx entry has none, so only the pool or ctx ends its wait.
 func TestEnqueueTable(t *testing.T) {
 	type entry struct {
 		name   string
 		blocks bool // parks on a full queue for longer than the test takes
-		submit func(*Pool) error
+		submit func(context.Context, *Pool) error
 	}
-	submit := entry{"Submit", true, func(p *Pool) error { return p.Submit(func() {}) }}
-	try := entry{"TrySubmit", false, func(p *Pool) error { return p.TrySubmit(func() {}) }}
-	short := entry{"SubmitTimeout-5ms", false, func(p *Pool) error { return p.SubmitTimeout(func() {}, 5*time.Millisecond) }}
-	long := entry{"SubmitTimeout-1m", true, func(p *Pool) error { return p.SubmitTimeout(func() {}, time.Minute) }}
+	submit := entry{"Submit", true, func(_ context.Context, p *Pool) error { return p.Submit(func() {}) }}
+	try := entry{"TrySubmit", false, func(_ context.Context, p *Pool) error { return p.TrySubmit(func() {}) }}
+	short := entry{"SubmitTimeout-5ms", false, func(ctx context.Context, p *Pool) error { return p.SubmitCtx(ctx, func() {}, 5*time.Millisecond) }}
+	long := entry{"SubmitTimeout-1m", true, func(ctx context.Context, p *Pool) error { return p.SubmitCtx(ctx, func() {}, time.Minute) }}
+	patient := entry{"SubmitCtx", true, func(ctx context.Context, p *Pool) error { return p.SubmitCtx(ctx, func() {}, 0) }}
 
 	rows := []struct {
 		state               string
@@ -75,20 +79,28 @@ func TestEnqueueTable(t *testing.T) {
 		{"space", submit, nil, 1, 0},
 		{"space", try, nil, 1, 0},
 		{"space", short, nil, 1, 0},
-		// Submit (and a patient SubmitTimeout) wait out a full queue: they
-		// are released once parked and get in.
+		{"space", patient, nil, 1, 0},
+		// Submit (and a patient SubmitCtx) wait out a full queue: they are
+		// released once parked and get in.
 		{"full", submit, nil, 1, 0},
 		{"full", long, nil, 1, 0},
+		{"full", patient, nil, 1, 0},
 		{"full", try, ErrQueueFull, 0, 1},
 		{"full", short, ErrQueueFull, 0, 1},
 		{"closed before the call", submit, ErrClosed, 0, 0},
 		{"closed before the call", try, ErrClosed, 0, 0},
 		{"closed before the call", short, ErrClosed, 0, 0},
+		{"closed before the call", patient, ErrClosed, 0, 0},
 		{"closed while blocked", submit, ErrClosed, 0, 0},
 		{"closed while blocked", long, ErrClosed, 0, 0},
+		{"closed while blocked", patient, ErrClosed, 0, 0},
 		// TrySubmit cannot be parked; its row is a queue both full and
 		// closed, where closed wins and nothing is counted.
 		{"closed while blocked", try, ErrClosed, 0, 0},
+		// A caller that stops waiting did not give up on the queue: the
+		// pool sheds nothing, and the task never runs.
+		{"ctx done while blocked", long, context.Canceled, 0, 0},
+		{"ctx done while blocked", patient, context.Canceled, 0, 0},
 	}
 	for _, r := range rows {
 		t.Run(r.entry.name+"/"+r.state, func(t *testing.T) {
@@ -111,23 +123,28 @@ func TestEnqueueTable(t *testing.T) {
 			closePool := func() {
 				go func() { p.Close(); close(closed) }()
 			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			done := make(chan error, 1)
-			if r.entry.blocks && (r.state == "full" || r.state == "closed while blocked") {
+			if r.entry.blocks && r.state != "space" && r.state != "closed before the call" {
 				idle := parkedInEnqueue()
-				go func() { done <- r.entry.submit(p) }()
+				go func() { done <- r.entry.submit(ctx, p) }()
 				waitFor(t, func() bool { return parkedInEnqueue() == idle+1 })
-				if r.state == "full" {
+				switch r.state {
+				case "full":
 					release()
-				} else {
+				case "closed while blocked":
 					closePool()
+				default:
+					cancel()
 				}
 			} else {
 				if r.state == "closed while blocked" {
-					// Close has marked the pool and waits for the held worker.
+					// Close has begun and waits for the held worker.
 					closePool()
-					waitFor(t, func() bool { p.mu.Lock(); defer p.mu.Unlock(); return p.closed })
+					<-p.closing
 				}
-				done <- r.entry.submit(p)
+				done <- r.entry.submit(ctx, p)
 			}
 
 			if err := <-done; err != r.want {

@@ -1,6 +1,7 @@
 package stage
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,21 +168,56 @@ func TestBadConfig(t *testing.T) {
 
 func TestSubmitBlockedDuringCloseReturnsErr(t *testing.T) {
 	p, _ := NewPool("race", 1, 0)
-	block := make(chan struct{})
-	p.Submit(func() { <-block })
+	block, started := make(chan struct{}), make(chan struct{})
+	p.Submit(func() { close(started); <-block })
+	<-started
 
+	idle := parkedInEnqueue()
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
 			errs <- p.Submit(func() {})
 		}()
 	}
-	time.Sleep(5 * time.Millisecond)
+	// One of the eight takes the queue's one slot; the other seven park.
+	waitFor(t, func() bool { return parkedInEnqueue() == idle+7 })
 	close(block)
 	p.Close()
 	for i := 0; i < 8; i++ {
 		if err := <-errs; err != nil && err != ErrClosed {
 			t.Errorf("unexpected error: %v", err)
 		}
+	}
+	if st := p.Stats(); st.Completed != st.Submitted {
+		t.Errorf("after Close: %d of %d accepted tasks ran", st.Completed, st.Submitted)
+	}
+}
+
+// TestCloseWakesEveryParkedSubmitter holds the worker so the queue stays
+// full, parks submitters of both blocking kinds, and closes: every one must
+// wake with ErrClosed — none is left parked on a wake-up Close never sent —
+// and Close must still run every task it had accepted.
+func TestCloseWakesEveryParkedSubmitter(t *testing.T) {
+	p, release := heldPool(t)
+	const each = 4
+	idle := parkedInEnqueue()
+	errs := make(chan error, 2*each)
+	for i := 0; i < each; i++ {
+		go func() { errs <- p.Submit(func() {}) }()
+		go func() { errs <- p.SubmitCtx(context.Background(), func() {}, 0) }()
+	}
+	waitFor(t, func() bool { return parkedInEnqueue() == idle+2*each })
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	for i := 0; i < 2*each; i++ {
+		if err := <-errs; err != ErrClosed {
+			t.Errorf("parked submitter got %v, want ErrClosed", err)
+		}
+	}
+	release()
+	<-closed
+	if st := p.Stats(); st.Submitted != 2 || st.Completed != st.Submitted || st.Rejected != 0 {
+		t.Errorf("after Close: submitted %d, completed %d, rejected %d; want 2, 2, 0",
+			st.Submitted, st.Completed, st.Rejected)
 	}
 }
