@@ -276,9 +276,11 @@ func readRawResponse(br *bufio.Reader, w *bytes.Buffer) error {
 // concurrent call.
 func TestClientPipelineSharesConn(t *testing.T) {
 	gate := make(chan struct{})
-	addr, _ := startPipelinedServer(t, 16, func(_ context.Context, req *Request) *Response {
-		<-gate
-		return NewResponse(200, req.Body)
+	arrived := make(chan string, 16)
+	addr := startFIFOServer(t, arrived, func(body string) {
+		if body != "warm" {
+			<-gate
+		}
 	})
 	var dials atomic.Int32
 	c := &Client{
@@ -294,10 +296,10 @@ func TestClientPipelineSharesConn(t *testing.T) {
 	defer c.Close()
 
 	// Warm up one connection so the burst has something to share.
-	go func() { gate <- struct{}{} }()
 	if _, err := c.Post("/x", "text/plain", []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
+	<-arrived
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -317,10 +319,10 @@ func TestClientPipelineSharesConn(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond) // let all 8 enqueue on the shared conn
-	for i := 0; i < n; i++ {
-		gate <- struct{}{}
+	for i := 0; i < n; i++ { // all 8 are on the wire of the shared conn
+		<-arrived
 	}
+	close(gate)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -384,8 +386,10 @@ func TestClientPipelineSurvivesConnDrop(t *testing.T) {
 // FIFO slot; the connection stays healthy for later exchanges.
 func TestClientPipelineCancelAbandonsSlot(t *testing.T) {
 	release := make(chan struct{})
+	arrived := make(chan struct{})
 	addr, _ := startPipelinedServer(t, 8, func(_ context.Context, req *Request) *Response {
 		if string(req.Body) == "block" {
+			close(arrived)
 			<-release
 		}
 		return NewResponse(200, req.Body)
@@ -406,7 +410,7 @@ func TestClientPipelineCancelAbandonsSlot(t *testing.T) {
 		_, err := c.DoCtx(ctx, req)
 		errCh <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the request hit the wire
+	<-arrived // the request is on the wire
 	cancel()
 	err := <-errCh
 	if err == nil || !strings.Contains(err.Error(), "exchange aborted") {
