@@ -39,6 +39,10 @@ func RunTransport(reps int) (*AblationResult, error) {
 		conns, callsPerConn, rtt, window, workers)}
 
 	for _, pipelined := range []bool{false, true} {
+		clientWindow := 0 // serial keep-alive: one exchange per connection
+		if pipelined {
+			clientWindow = window
+		}
 		container := registry.NewContainer()
 		if err := services.DeployEcho(container, services.Options{}); err != nil {
 			return nil, err
@@ -72,7 +76,7 @@ func RunTransport(reps int) (*AblationResult, error) {
 		for i := range fleet {
 			fleet[i], err = core.NewClient(core.ClientConfig{
 				Dial: link.Dial, KeepAlive: true, Timeout: 120 * time.Second,
-				Pipeline: pipelined, PipelineWindow: window,
+				Pipeline: pipelined, PipelineWindow: clientWindow,
 			})
 			if err != nil {
 				closeAll()

@@ -21,11 +21,14 @@ import (
 
 // gatedConn is a backend connection that holds the first write until the test
 // opens its gate, records everything written, and answers nothing: a read
-// hands the recorded request to the test and then waits for Close.
+// hands the recorded request to the test and then waits for Close. A client
+// that gave up while its write was held closes the connection instead of
+// reading, so a write and a Close, in either order, hand the request over
+// too.
 type gatedConn struct {
 	gate    chan struct{} // closed by the test
 	started chan struct{} // closed when the first write arrives
-	written chan []byte   // the request as written, at the first read
+	written chan []byte   // the request as written, at the first read or once written and closed
 	closed  chan struct{}
 
 	startOnce, readOnce, closeOnce sync.Once
@@ -52,20 +55,35 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	c.buf = append(c.buf, p...)
 	c.mu.Unlock()
+	select {
+	case <-c.closed:
+		c.deliver()
+	default:
+	}
 	return len(p), nil
 }
 
 func (c *gatedConn) Read([]byte) (int, error) {
+	c.deliver()
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *gatedConn) deliver() {
 	c.readOnce.Do(func() {
 		c.mu.Lock()
 		c.written <- bytes.Clone(c.buf)
 		c.mu.Unlock()
 	})
-	<-c.closed
-	return 0, net.ErrClosed
 }
 
 func (c *gatedConn) Close() error {
+	c.mu.Lock()
+	wrote := len(c.buf) > 0
+	c.mu.Unlock()
+	if wrote {
+		c.deliver()
+	}
 	c.closeOnce.Do(func() { close(c.closed) })
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,8 +44,13 @@ func (e *DialError) Unwrap() error { return e.Err }
 // Connection reuse is the experimental variable in the paper's baselines, so
 // it is explicit here: with KeepAlive false every request dials a fresh
 // connection and sends "Connection: close" (the behaviour of the paper's
-// per-message SOAP clients); with KeepAlive true idle connections are pooled
-// and reused.
+// per-message SOAP clients); with KeepAlive true connections are pooled and
+// reused, and a MaxPerConn above 1 pipelines them.
+//
+// There is one kind of connection and no read loop: an exchange writes its
+// request, waits for the read turn (its response is next on the wire) and
+// reads that response on its caller's goroutine. At a window of one the turn
+// is always free, so an exchange is a write and then a read.
 type Client struct {
 	// Dial is required unless DialCtx is set.
 	Dial Dialer
@@ -53,22 +60,21 @@ type Client struct {
 	DialCtx DialerCtx
 	// KeepAlive selects connection reuse.
 	KeepAlive bool
-	// MaxIdle caps the number of pooled idle connections (default 16).
+	// MaxIdle caps the pooled connections with no exchange in flight
+	// (default 16).
 	MaxIdle int
 	// MaxActive bounds concurrent exchanges (a health-check-friendly
 	// backpressure seam for pool consumers like the gateway). Zero means
 	// unbounded. Waiting for a slot honors the request context.
 	MaxActive int
-	// Timeout bounds one full request-response exchange; zero means none.
+	// Timeout bounds an exchange's request write and its response read;
+	// zero means none. An exchange that outlives it fails its connection.
 	Timeout time.Duration
-	// Pipeline enables HTTP/1.1 pipelining on keep-alive connections: up
-	// to MaxPerConn exchanges share one connection, responses matched
-	// FIFO. Ignored unless KeepAlive is set. A transport error fails every
-	// exchange in flight on that connection; the usual retry-once-on-stale
-	// logic applies per caller. See pipeclient.go.
+	// Pipeline is ignored: a MaxPerConn above 1 pipelines.
 	Pipeline bool
-	// MaxPerConn caps in-flight exchanges per pipelined connection
-	// (default 8). Only meaningful with Pipeline.
+	// MaxPerConn is the pipelining window of a keep-alive connection: how
+	// many requests it carries written and unanswered, responses matched
+	// FIFO. 0 or 1: one exchange per connection.
 	MaxPerConn int
 	// MaxBodyBytes caps response bodies; zero means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -78,43 +84,64 @@ type Client struct {
 	Tracer *trace.Tracer
 
 	mu       sync.Mutex
-	idle     []*persistConn
-	pipes    []*pipeConn // live pipelined connections (Pipeline mode)
+	conns    []*conn // pooled connections, busy and idle
+	idle     int     // pooled connections with no exchange on them
 	closed   bool
 	sem      chan struct{} // lazily sized to MaxActive
 	inflight int
 }
 
+// conn is one client connection. Requests go out in seq order and their
+// responses come back in that order.
+type conn struct {
+	nc     net.Conn
+	br     *bufio.Reader
+	host   string        // peerHost(nc), formatted once per connection
+	window int           // requests it may carry written and unanswered
+	wsem   chan struct{} // holds a token while a request is written; nil at window 1
+
+	// Guarded by Client.mu.
+	turn   sync.Cond // broadcast when the read turn may have moved
+	pooled bool
+	users  int      // exchanges on the connection that have not returned
+	gone   []uint64 // seqs whose exchange gave up before its response began
+	sent   uint64   // requests written: the next writer's seq
+	head   uint64   // responses read: the seq of the next one on the wire
+	writer uint64   // seq+1 of the request being written; 0 when none
+	reader uint64   // seq+1 of the exchange holding the read turn; 0 when none
+	err    error    // why the connection failed; set once
+}
+
+var (
+	// errClientClosed is returned by DoCtx after Close.
+	errClientClosed = errors.New("httpx: client closed")
+	errConnClosed   = errors.New("httpx: connection closed")
+	errServerClosed = errors.New("httpx: server closed the connection")
+	errAbandoned    = errors.New("httpx: connection dropped: an exchange on it gave up mid-message")
+)
+
 // PoolStats is a point-in-time view of the client's connection pool.
 type PoolStats struct {
-	// Idle is the number of pooled keep-alive connections.
+	// Idle is the number of pooled connections with no exchange in flight.
 	Idle int
 	// InFlight is the number of exchanges currently running.
 	InFlight int
 }
 
-// PoolStats reports the pool's current occupancy. Pipelined connections
-// with no exchange in flight count as idle.
+// PoolStats reports the pool's current occupancy.
 func (c *Client) PoolStats() PoolStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idle := len(c.idle)
-	for _, pc := range c.pipes {
-		if pc.inflight.Load() == 0 {
-			idle++
-		}
-	}
-	return PoolStats{Idle: idle, InFlight: c.inflight}
+	return PoolStats{Idle: c.idle, InFlight: c.inflight}
 }
 
-// acquire claims an exchange slot (when MaxActive bounds the pool) and
-// counts the exchange in flight. The returned release must be called once
-// the exchange ends.
-func (c *Client) acquire(ctx context.Context) (func(), error) {
+// enter claims an exchange slot (when MaxActive bounds the pool) and counts
+// the exchange in flight; exit undoes it.
+func (c *Client) enter(ctx context.Context) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, errClientClosed
+		return errClientClosed
 	}
 	if c.MaxActive > 0 && c.sem == nil {
 		c.sem = make(chan struct{}, c.MaxActive)
@@ -125,36 +152,31 @@ func (c *Client) acquire(ctx context.Context) (func(), error) {
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			return nil, fmt.Errorf("httpx: waiting for exchange slot: %w", ctx.Err())
+			return fmt.Errorf("httpx: waiting for exchange slot: %w", ctx.Err())
 		}
 	}
 	c.mu.Lock()
 	c.inflight++
 	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		c.inflight--
-		c.mu.Unlock()
-		if sem != nil {
-			<-sem
-		}
-	}, nil
+	return nil
 }
 
-type persistConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	host string // peerHost(conn), formatted once per connection
+func (c *Client) exit() {
+	c.mu.Lock()
+	c.inflight--
+	sem := c.sem
+	c.mu.Unlock()
+	if sem != nil {
+		<-sem
+	}
 }
 
-// errClientClosed is returned by DoCtx after Close.
-var errClientClosed = errors.New("httpx: client closed")
-
-// DoCtx sends the request and returns the response. It retries once on a
-// stale pooled connection (the server may have closed it between requests).
-// The context's deadline bounds the exchange
-// (combined with Timeout, whichever is sooner) and cancelling it closes
-// the in-flight connection, unblocking the exchange immediately. With
+// DoCtx sends the request and returns the response. A reused connection
+// that fails before any byte of the response arrives is retried once on a
+// fresh one (the server may have closed it between requests). The context
+// bounds the exchange as Timeout does, whichever ends first: an exchange
+// whose context ends before its response begins leaves its place to the
+// exchanges behind it, and a connection left with none on it closes. With
 // DialCtx set the dial itself is cancellable too; the legacy Dialer runs
 // uninterrupted (its signature predates contexts), which only matters for
 // dials that can hang — simulated and loopback dials complete in
@@ -184,32 +206,23 @@ func (c *Client) doCtx(ctx context.Context, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("httpx: %w", err)
 	}
-	if c.Pipeline && c.KeepAlive {
-		return c.doPipelined(ctx, req)
+	if err := c.enter(ctx); err != nil {
+		return nil, err
 	}
-	release, err := c.acquire(ctx)
+	defer c.exit()
+	cn, reused, err := c.getConn(ctx, false)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	reused := false
-	pc, err := c.getConn(ctx, &reused)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(ctx, pc, req)
-	if err != nil && reused && ctx.Err() == nil {
+	resp, unanswered, err := c.exchange(ctx, cn, req)
+	if err != nil && reused && unanswered && ctx.Err() == nil {
 		// Stale keep-alive connection: retry once on a fresh one.
-		pc.conn.Close()
-		reused = false
-		pc, err = c.getConn(ctx, &reused)
-		if err != nil {
+		if cn, _, err = c.getConn(ctx, true); err != nil {
 			return nil, err
 		}
-		resp, err = c.roundTrip(ctx, pc, req)
+		resp, _, err = c.exchange(ctx, cn, req)
 	}
 	if err != nil {
-		pc.conn.Close()
 		// The raw conn error after a cancel/expiry is incidental; report
 		// the context's own error so callers classify it correctly.
 		if cerr := ctx.Err(); cerr != nil {
@@ -217,94 +230,254 @@ func (c *Client) doCtx(ctx context.Context, req *Request) (*Response, error) {
 		}
 		return nil, err
 	}
-
-	if c.KeepAlive && !wantsClose(resp.Proto, &resp.Header) {
-		c.putConn(pc)
-	} else {
-		pc.conn.Close()
-	}
 	return resp, nil
 }
 
-func (c *Client) roundTrip(ctx context.Context, pc *persistConn, req *Request) (*Response, error) {
-	deadline := time.Time{}
-	if c.Timeout > 0 {
-		deadline = time.Now().Add(c.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	if !deadline.IsZero() {
-		_ = pc.conn.SetDeadline(deadline)
-	}
-	if ctx.Done() != nil {
-		// Cancellation watcher: closing the connection is the only way to
-		// unblock a Write/Read already in progress.
-		stop := make(chan struct{})
-		watcherDone := make(chan struct{})
-		go func() {
-			defer close(watcherDone)
-			select {
-			case <-ctx.Done():
-				pc.conn.Close()
-			case <-stop:
-			}
-		}()
-		defer func() {
-			close(stop)
-			<-watcherDone
-		}()
-	}
-	if err := writeRequest(pc.conn, req, !c.KeepAlive, pc.host); err != nil {
-		return nil, fmt.Errorf("httpx: write request: %w", err)
-	}
-	resp, err := ReadResponse(pc.br, c.MaxBodyBytes)
-	if err != nil {
-		return nil, fmt.Errorf("httpx: read response: %w", err)
-	}
-	return resp, nil
-}
-
-func (c *Client) getConn(ctx context.Context, reused *bool) (*persistConn, error) {
+// getConn joins the least-loaded pooled connection with room, or dials a new
+// one (always, when fresh).
+func (c *Client) getConn(ctx context.Context, fresh bool) (cn *conn, reused bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, errClientClosed
+		return nil, false, errClientClosed
 	}
-	if c.KeepAlive && len(c.idle) > 0 {
-		pc := c.idle[len(c.idle)-1]
-		c.idle = c.idle[:len(c.idle)-1]
+	for i := len(c.conns) - 1; i >= 0 && !fresh; i-- {
+		p := c.conns[i]
+		if n := p.users + len(p.gone); n < p.window && (cn == nil || n < cn.users+len(cn.gone)) {
+			cn = p
+		}
+	}
+	if cn != nil {
+		if cn.users == 0 {
+			c.idle--
+		}
+		cn.users++
 		c.mu.Unlock()
-		*reused = true
-		return pc, nil
+		return cn, true, nil
 	}
 	c.mu.Unlock()
-	var conn net.Conn
-	var err error
+	var nc net.Conn
 	if c.DialCtx != nil {
-		conn, err = c.DialCtx(ctx)
+		nc, err = c.DialCtx(ctx)
 	} else {
-		conn, err = c.Dial()
+		nc, err = c.Dial()
 	}
 	if err != nil {
-		return nil, &DialError{Err: err}
+		return nil, false, &DialError{Err: err}
 	}
-	return &persistConn{conn: conn, br: bufio.NewReaderSize(conn, 16<<10), host: peerHost(conn)}, nil
+	cn = &conn{nc: nc, br: bufio.NewReaderSize(nc, 16<<10), host: peerHost(nc), window: 1, users: 1}
+	cn.turn.L = &c.mu
+	if c.KeepAlive && c.MaxPerConn > 1 {
+		cn.window = c.MaxPerConn
+		cn.wsem = make(chan struct{}, 1)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		nc.Close()
+		return nil, false, errClientClosed
+	}
+	if c.KeepAlive {
+		cn.pooled = true
+		c.conns = append(c.conns, cn)
+	}
+	return cn, false, nil
 }
 
-func (c *Client) putConn(pc *persistConn) {
+// exchange sends req on cn, which the caller has joined, and reads its
+// response. unanswered reports that no byte of the response arrived, so the
+// request may go again on another connection.
+func (c *Client) exchange(ctx context.Context, cn *conn, req *Request) (resp *Response, unanswered bool, err error) {
+	// interrupt watches the context, so only Timeout is a deadline on the
+	// connection: when one passes, the connection has timed out.
+	var deadline time.Time
+	if c.Timeout > 0 {
+		deadline = time.Now().Add(c.Timeout)
+	}
+	if cn.wsem != nil {
+		select {
+		case cn.wsem <- struct{}{}:
+		case <-ctx.Done():
+			c.mu.Lock()
+			c.releaseLocked(cn)
+			c.mu.Unlock()
+			return nil, true, ctx.Err()
+		}
+	}
+	c.mu.Lock()
+	if err := cn.err; err != nil {
+		c.mu.Unlock()
+		if cn.wsem != nil {
+			<-cn.wsem
+		}
+		return nil, true, err
+	}
+	seq := cn.sent
+	cn.sent++
+	cn.writer = seq + 1
+	_ = cn.nc.SetWriteDeadline(deadline)
+	c.mu.Unlock()
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() { c.interrupt(cn, seq) })()
+	}
+	werr := writeRequest(cn.nc, req, !c.KeepAlive, cn.host)
+	c.mu.Lock()
+	if cn.writer = 0; cn.wsem != nil {
+		<-cn.wsem // under c.mu, so the next writer sets cn.writer after this
+	}
+	if werr != nil {
+		defer c.mu.Unlock()
+		return nil, true, c.failIOLocked(ctx, cn, "write request", werr)
+	}
+	for cn.err == nil && ctx.Err() == nil && !cn.readyLocked(seq) {
+		cn.turn.Wait()
+	}
+	if err := cn.err; err != nil {
+		c.mu.Unlock()
+		return nil, true, err
+	}
+	if ctx.Err() != nil {
+		c.leaveLocked(cn, seq)
+		c.mu.Unlock()
+		return nil, false, ctx.Err()
+	}
+	cn.reader = seq + 1
+	_ = cn.nc.SetReadDeadline(deadline)
+	skip := seq - cn.head
+	c.mu.Unlock()
+
+	// Read past the responses of exchanges that gave up, then this one's.
+	for ; skip > 0 && err == nil; skip-- {
+		if resp, err = ReadResponse(cn.br, c.MaxBodyBytes); err == nil && wantsClose(resp.Proto, &resp.Header) {
+			err = errServerClosed
+		}
+	}
+	if err != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return nil, true, c.failIOLocked(ctx, cn, "read response", err)
+	}
+	_, perr := cn.br.Peek(1)
+	if perr == nil {
+		resp, err = ReadResponse(cn.br, c.MaxBodyBytes)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cn.head = seq
+	cn.gone = slices.DeleteFunc(cn.gone, func(s uint64) bool { return s < seq })
+	switch {
+	case perr != nil && cn.err == nil && ctx.Err() != nil && errors.Is(perr, os.ErrDeadlineExceeded):
+		// Gave up before the response began: the connection is still
+		// whole for the exchanges behind this one.
+		c.leaveLocked(cn, seq)
+		return nil, false, ctx.Err()
+	case perr != nil:
+		return nil, true, c.failIOLocked(ctx, cn, "read response", perr)
+	case err != nil:
+		return nil, false, c.failIOLocked(ctx, cn, "read response", err)
+	}
+	cn.head++
+	cn.reader = 0
+	cn.turn.Broadcast()
+	if cn.pooled && wantsClose(resp.Proto, &resp.Header) {
+		c.failLocked(cn, errServerClosed)
+	}
+	c.releaseLocked(cn) // closes a connection that is not pooled
+	return resp, false, nil
+}
+
+// readyLocked reports whether seq may take the read turn: nobody holds it,
+// and every response ahead of seq is one an exchange gave up.
+func (cn *conn) readyLocked(seq uint64) bool {
+	if cn.reader != 0 {
+		return false
+	}
+	for s := cn.head; s < seq; s++ {
+		if !slices.Contains(cn.gone, s) {
+			return false
+		}
+	}
+	return true
+}
+
+// leaveLocked gives up seq's exchange before its response began: the next
+// reader reads past that response, and a connection left with no exchange
+// on it closes.
+func (c *Client) leaveLocked(cn *conn, seq uint64) {
+	cn.gone = append(cn.gone, seq)
+	if cn.reader == seq+1 {
+		cn.reader = 0
+	}
+	if cn.users--; cn.users == 0 {
+		c.failLocked(cn, errAbandoned)
+	}
+	cn.turn.Broadcast()
+}
+
+// releaseLocked ends the caller's use of cn. A pooled connection left with
+// nothing in flight turns idle, unless the client is closed or MaxIdle
+// connections are idle already.
+func (c *Client) releaseLocked(cn *conn) {
+	if cn.users--; cn.users > 0 || cn.err != nil {
+		return
+	}
 	maxIdle := c.MaxIdle
 	if maxIdle <= 0 {
 		maxIdle = 16
 	}
-	_ = pc.conn.SetDeadline(time.Time{})
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || len(c.idle) >= maxIdle {
-		pc.conn.Close()
+	if !cn.pooled || c.closed || c.idle >= maxIdle || len(cn.gone) > 0 {
+		c.failLocked(cn, errConnClosed)
 		return
 	}
-	c.idle = append(c.idle, pc)
+	c.idle++
+}
+
+// failLocked closes cn for good: it leaves the pool, and every exchange
+// waiting on it gets err.
+func (c *Client) failLocked(cn *conn, err error) {
+	if cn.err != nil {
+		return
+	}
+	cn.err = err
+	cn.nc.Close()
+	if cn.pooled {
+		c.conns = slices.DeleteFunc(c.conns, func(p *conn) bool { return p == cn })
+	}
+	cn.turn.Broadcast()
+}
+
+// failIOLocked fails cn after an exchange's write or read did, and returns
+// what that exchange reports: the connection's first failure, whoever
+// caused it.
+func (c *Client) failIOLocked(ctx context.Context, cn *conn, op string, err error) error {
+	switch {
+	case ctx.Err() != nil:
+		err = errAbandoned
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		err = fmt.Errorf("httpx: %s: exchange timed out: %w", op, err)
+	default:
+		err = fmt.Errorf("httpx: %s: %w", op, err)
+	}
+	c.failLocked(cn, err)
+	return cn.err
+}
+
+// interrupt ends seq's blocked write or read once its context has ended. A
+// write cut short leaves the connection unusable, and so does a read no
+// other exchange waits behind, so those close it; another read gets a
+// deadline in the past, and the connection carries on. An exchange waiting
+// for its turn is woken to see its context.
+func (c *Client) interrupt(cn *conn, seq uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case cn.writer == seq+1, cn.reader == seq+1 && cn.users == 1:
+		c.failLocked(cn, errAbandoned)
+	case cn.reader == seq+1:
+		_ = cn.nc.SetReadDeadline(time.Unix(1, 0))
+	default:
+		cn.turn.Broadcast()
+	}
 }
 
 // CloseIdle drops the pooled idle connections without closing the client:
@@ -314,38 +487,25 @@ func (c *Client) putConn(pc *persistConn) {
 // may later resume must use CloseIdle instead.
 func (c *Client) CloseIdle() {
 	c.mu.Lock()
-	for _, pc := range c.idle {
-		pc.conn.Close()
-	}
-	c.idle = nil
-	var idlePipes []*pipeConn
-	for _, pc := range c.pipes {
-		if pc.inflight.Load() == 0 {
-			idlePipes = append(idlePipes, pc)
-		}
-	}
-	c.mu.Unlock()
-	// fail re-locks c.mu (removePipeConn), so it runs outside the lock.
-	for _, pc := range idlePipes {
-		pc.fail(errClientClosed)
-	}
+	defer c.mu.Unlock()
+	c.closeIdleLocked()
 }
 
-// Close drops all pooled connections; in-flight exchanges are unaffected
-// (pipelined in-flight exchanges fail — their connection is shared state
-// the client owns).
+// Close drops the idle connections and refuses new exchanges; exchanges in
+// flight finish, and their connections close after them.
 func (c *Client) Close() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
-	for _, pc := range c.idle {
-		pc.conn.Close()
-	}
-	c.idle = nil
-	pipes := c.pipes
-	c.pipes = nil
-	c.mu.Unlock()
-	for _, pc := range pipes {
-		pc.fail(errClientClosed)
+	c.closeIdleLocked()
+}
+
+func (c *Client) closeIdleLocked() {
+	for i := len(c.conns) - 1; i >= 0; i-- {
+		if cn := c.conns[i]; cn.users == 0 {
+			c.failLocked(cn, errConnClosed)
+			c.idle--
+		}
 	}
 }
 

@@ -3,8 +3,10 @@ package httpx
 import (
 	"bufio"
 	"context"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -247,5 +249,83 @@ func TestShutdownTimeoutClosesStuckConn(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("read %d bytes: the stuck exchange was answered", n)
+	}
+}
+
+// TestClientWriteDeadline: the client bounds its request write as it bounds
+// the response read — by Timeout or by the context's deadline — at a window
+// of one and at a pipelined window alike. The peer accepts and never reads,
+// so a 64 MiB body fills the socket buffers and the write blocks.
+func TestClientWriteDeadline(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		l.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range held {
+			conn.Close()
+		}
+	})
+	body := make([]byte, 64<<20)
+	for _, tc := range []struct {
+		name        string
+		window      int
+		timeout     time.Duration
+		ctxDeadline time.Duration
+		want        error
+	}{
+		{"window1/Timeout", 1, 200 * time.Millisecond, 0, os.ErrDeadlineExceeded},
+		{"window1/ctx", 1, 0, 300 * time.Millisecond, context.DeadlineExceeded},
+		{"window8/Timeout", 8, 200 * time.Millisecond, 0, os.ErrDeadlineExceeded},
+		{"window8/ctx", 8, 0, 300 * time.Millisecond, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Client{
+				Dial:       func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) },
+				KeepAlive:  true,
+				MaxPerConn: tc.window,
+				Timeout:    tc.timeout,
+			}
+			defer c.Close()
+			ctx := context.Background()
+			if tc.ctxDeadline > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.ctxDeadline)
+				defer cancel()
+			}
+			start := time.Now()
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := c.PostCtx(ctx, "/x", "application/octet-stream", body)
+				errCh <- err
+			}()
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				if elapsed := time.Since(start); elapsed > time.Second {
+					t.Fatalf("write to a stalled peer returned after %v", elapsed)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("write to a stalled peer still blocked after 3s")
+			}
+		})
 	}
 }

@@ -386,7 +386,7 @@ type conn struct {
 
 // Read implements net.Conn.
 func (c *conn) Read(p []byte) (int, error) {
-	return c.in.read(p, c.readDeadline.Load())
+	return c.in.read(p, &c.readDeadline)
 }
 
 // Write implements net.Conn: it charges wire time for the bytes (shared
@@ -541,10 +541,14 @@ func (b *pipeBuf) write(p []byte, at time.Time) error {
 	return nil
 }
 
-func (b *pipeBuf) read(p []byte, deadline time.Time) (int, error) {
+// read blocks until data arrives, the peer closes or the read deadline
+// passes. The deadline is loaded on every wake, so one set while a read is
+// blocked (SetReadDeadline kicks the buffer) ends that read, as on TCP.
+func (b *pipeBuf) read(p []byte, readDeadline *atomicTime) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
+		deadline := readDeadline.Load()
 		if b.rDead {
 			return 0, fmt.Errorf("netsim: read on closed connection")
 		}

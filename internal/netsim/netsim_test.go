@@ -274,6 +274,27 @@ func TestReadDeadline(t *testing.T) {
 	client.SetReadDeadline(time.Time{})
 }
 
+// TestReadDeadlineSetDuringRead: a deadline set while a read is blocked
+// ends that read, as on TCP — the way a client gives up on a response.
+func TestReadDeadlineSetDuringRead(t *testing.T) {
+	client, _, _ := pair(t, Fast())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := client.Read(make([]byte, 1))
+		errCh <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the read block with no deadline
+	client.SetReadDeadline(time.Unix(1, 0))
+	select {
+	case err := <-errCh:
+		if err != os.ErrDeadlineExceeded {
+			t.Errorf("err = %v, want deadline exceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a deadline set during a blocked read did not end it")
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	client, server, link := pair(t, Fast())
 	go client.Write(make([]byte, 1000))
