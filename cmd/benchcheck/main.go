@@ -770,7 +770,9 @@ func main() {
 	// --- transport tier -----------------------------------------------
 	// The keep-alive row guards the pooled per-connection read buffers:
 	// allocs/op on a steady keep-alive exchange is the number the bufpool
-	// exists to hold down. The scaling rows guard the pipelined fleet path
+	// exists to hold down. Its -ctx twin runs the same exchange under a
+	// cancellable context, the shape of a gateway's backend exchange, whose
+	// context the client watches for the exchange's length. The scaling rows guard the pipelined fleet path
 	// at 1k and 10k connections — the C10k regime — where any per-exchange
 	// overhead in the pipelined reader/writer loops multiplies by the
 	// connection count.
@@ -783,11 +785,21 @@ func main() {
 		add(measure("transport/keepalive-echo", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := f.Echo(); err != nil {
+				if err := f.Echo(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}))
+		ctx, cancel := context.WithCancel(context.Background())
+		add(measure("transport/keepalive-echo-ctx", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f.Echo(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+		cancel()
 		f.Close()
 	}
 	for _, tc := range []struct {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -76,7 +77,7 @@ func RunTransport(reps int) (*AblationResult, error) {
 		for i := range fleet {
 			fleet[i], err = core.NewClient(core.ClientConfig{
 				Dial: link.Dial, KeepAlive: true, Timeout: 120 * time.Second,
-				Pipeline: pipelined, PipelineWindow: clientWindow,
+				PipelineWindow: clientWindow,
 			})
 			if err != nil {
 				closeAll()
@@ -164,7 +165,7 @@ func NewTransportFleet(conns, window int) (*TransportFleet, error) {
 	for i := range f.fleet {
 		f.fleet[i], err = core.NewClient(core.ClientConfig{
 			Dial: link.Dial, KeepAlive: true, Timeout: 120 * time.Second,
-			Pipeline: window > 0, PipelineWindow: window,
+			PipelineWindow: window,
 		})
 		if err != nil {
 			f.Close()
@@ -190,10 +191,11 @@ func (f *TransportFleet) Sweep(callsPerConn int) error {
 	return transportSweep(f.fleet, callsPerConn, true)
 }
 
-// Echo performs one serial call on the first connection — the steady-state
-// keep-alive exchange whose allocations the read-buffer pool bounds.
-func (f *TransportFleet) Echo() error {
-	_, err := f.fleet[0].Call("Echo", "echo", soapenc.F("data", "transport-tier"))
+// Echo performs one serial call under ctx on the first connection — the
+// steady-state keep-alive exchange whose allocations the read-buffer pool
+// bounds.
+func (f *TransportFleet) Echo(ctx context.Context) error {
+	_, err := f.fleet[0].CallCtx(ctx, "Echo", "echo", soapenc.F("data", "transport-tier"))
 	return err
 }
 

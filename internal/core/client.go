@@ -49,14 +49,11 @@ type ClientConfig struct {
 	// baselines dial per message (false); setting true isolates the
 	// header-overhead component in ablations.
 	KeepAlive bool
-	// Pipeline drives keep-alive connections pipelined: concurrent calls
-	// share a connection (up to PipelineWindow in flight, FIFO responses)
-	// instead of each claiming one. Requires KeepAlive and a server with
-	// pipelining enabled (core ServerConfig.PipelineWindow / httpx
-	// Server.MaxPipeline).
-	Pipeline bool
-	// PipelineWindow caps in-flight exchanges per pipelined connection
-	// (default 8).
+	// PipelineWindow is the pipelining window of a keep-alive connection:
+	// concurrent calls share a connection, up to this many in flight with
+	// FIFO responses, instead of each claiming one. It needs a server with
+	// pipelining enabled (ServerConfig.PipelineWindow / httpx
+	// Server.MaxPipeline). 0 or 1: one exchange per connection.
 	PipelineWindow int
 	// PathPrefix must match the server's (default "/services/").
 	PathPrefix string
@@ -145,7 +142,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		http: &httpx.Client{
 			Dial:         cfg.Dial,
 			KeepAlive:    cfg.KeepAlive,
-			Pipeline:     cfg.Pipeline,
 			MaxPerConn:   cfg.PipelineWindow,
 			Timeout:      cfg.Timeout,
 			MaxBodyBytes: cfg.MaxBodyBytes,
@@ -236,8 +232,9 @@ func (c *Client) Call(service, op string, params ...soapenc.Field) ([]soapenc.Fi
 
 // CallCtx is Call under a context: the deadline bounds the whole logical
 // call (every retry attempt and backoff included) and is propagated to
-// the server, and cancellation closes the in-flight connection. When ctx
-// carries no deadline, ClientConfig.CallTimeout supplies one.
+// the server, and cancellation ends the exchange in flight (see httpx
+// Client.DoCtx). When ctx carries no deadline, ClientConfig.CallTimeout
+// supplies one.
 func (c *Client) CallCtx(ctx context.Context, service, op string, params ...soapenc.Field) ([]soapenc.Field, error) {
 	c.calls.Add(1)
 	ctx = c.traceCtx(ctx)
@@ -535,9 +532,9 @@ func (b *Batch) Send() error {
 // SendCtx is Send under a context. The deadline bounds the whole packed
 // exchange and travels to the server, which degrades gracefully: entries
 // it finishes in time return real results, unfinished entries come back
-// as per-item Server.Timeout faults on their futures. Cancelling ctx
-// closes the in-flight connection and resolves every future with the
-// context's error. When ctx carries no deadline,
+// as per-item Server.Timeout faults on their futures. Cancelling ctx ends
+// the exchange in flight (see httpx Client.DoCtx) and resolves every
+// future with the context's error. When ctx carries no deadline,
 // ClientConfig.BatchTimeout supplies one.
 func (b *Batch) SendCtx(ctx context.Context) error {
 	if b.sent {

@@ -160,13 +160,12 @@ func TestPipelinedSOAPMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPipelinedClientSOAP: the core client with Pipeline on completes
+// TestPipelinedClientSOAP: the core client at a pipelining window completes
 // concurrent calls against a pipelining server, each reply matched to its
 // caller.
 func TestPipelinedClientSOAP(t *testing.T) {
 	sys := newSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
 		sc.PipelineWindow = 8
-		cc.Pipeline = true
 		cc.PipelineWindow = 8
 	})
 	const n = 32

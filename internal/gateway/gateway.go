@@ -75,11 +75,11 @@ type Config struct {
 	// ExchangeTimeout bounds one sub-batch exchange with a backend; zero
 	// means only the client's propagated deadline applies.
 	ExchangeTimeout time.Duration
-	// PipelineBackends, when > 0, drives backend connections pipelined:
-	// up to this many exchanges share one keep-alive connection, FIFO.
-	// Backend servers answer pipelined bursts in order (httpx
-	// Server.MaxPipeline), so pools shrink and sub-batch fan-out stops
-	// queueing on free connections. Zero keeps one exchange per
+	// PipelineBackends is the pipelining window of a backend connection
+	// (httpx Client.MaxPerConn): up to this many exchanges share one
+	// keep-alive connection, FIFO. Backend servers answer pipelined bursts
+	// in order (httpx Server.MaxPipeline), so pools shrink and sub-batch
+	// fan-out stops queueing on free connections. 0 or 1: one exchange per
 	// connection.
 	PipelineBackends int
 	// MaxIdlePerBackend caps each backend's keep-alive pool (default 16).
@@ -233,7 +233,6 @@ func (g *Gateway) newBackend(bc BackendConfig) (*backend, error) {
 			MaxActive:    g.cfg.MaxActivePerBackend,
 			Timeout:      g.cfg.ExchangeTimeout,
 			MaxBodyBytes: g.cfg.MaxBodyBytes,
-			Pipeline:     g.cfg.PipelineBackends > 0,
 			MaxPerConn:   g.cfg.PipelineBackends,
 		},
 	}

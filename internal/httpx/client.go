@@ -70,8 +70,6 @@ type Client struct {
 	// Timeout bounds an exchange's request write and its response read;
 	// zero means none. An exchange that outlives it fails its connection.
 	Timeout time.Duration
-	// Pipeline is ignored: a MaxPerConn above 1 pipelines.
-	Pipeline bool
 	// MaxPerConn is the pipelining window of a keep-alive connection: how
 	// many requests it carries written and unanswered, responses matched
 	// FIFO. 0 or 1: one exchange per connection.

@@ -23,7 +23,6 @@ func countingClient(addr string, window int, dials *atomic.Int32) *Client {
 			return net.Dial("tcp", addr)
 		},
 		KeepAlive:  true,
-		Pipeline:   window > 1,
 		MaxPerConn: window,
 		Timeout:    5 * time.Second,
 	}

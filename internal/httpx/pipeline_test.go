@@ -289,7 +289,6 @@ func TestClientPipelineSharesConn(t *testing.T) {
 			return net.Dial("tcp", addr)
 		},
 		KeepAlive:  true,
-		Pipeline:   true,
 		MaxPerConn: 8,
 		Timeout:    5 * time.Second,
 	}
@@ -364,10 +363,10 @@ func TestClientPipelineSurvivesConnDrop(t *testing.T) {
 	}()
 
 	c := &Client{
-		Dial:      func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) },
-		KeepAlive: true,
-		Pipeline:  true,
-		Timeout:   5 * time.Second,
+		Dial:       func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) },
+		KeepAlive:  true,
+		MaxPerConn: 8,
+		Timeout:    5 * time.Second,
 	}
 	defer c.Close()
 	for i := 0; i < 5; i++ {
@@ -395,10 +394,10 @@ func TestClientPipelineCancelAbandonsSlot(t *testing.T) {
 		return NewResponse(200, req.Body)
 	})
 	c := &Client{
-		Dial:      func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		KeepAlive: true,
-		Pipeline:  true,
-		Timeout:   5 * time.Second,
+		Dial:       func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		KeepAlive:  true,
+		MaxPerConn: 8,
+		Timeout:    5 * time.Second,
 	}
 	defer c.Close()
 
@@ -435,10 +434,10 @@ func TestClientPipelineTimeoutKillsConn(t *testing.T) {
 		return NewResponse(200, req.Body)
 	})
 	c := &Client{
-		Dial:      func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		KeepAlive: true,
-		Pipeline:  true,
-		Timeout:   50 * time.Millisecond,
+		Dial:       func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		KeepAlive:  true,
+		MaxPerConn: 8,
+		Timeout:    50 * time.Millisecond,
 	}
 	defer c.Close()
 	_, err := c.Post("/x", "text/plain", []byte("slow"))

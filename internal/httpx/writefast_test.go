@@ -288,10 +288,10 @@ func TestFastWriteKeepsWritevOnTCP(t *testing.T) {
 }
 
 // TestClientSendsHost: every request a Client writes names the peer it was
-// dialed to (RFC 9112 §3.2), on the serial and the pipelined path alike, and
-// the server reads it back as one more field.
+// dialed to (RFC 9112 §3.2), at a window of one and a pipelined window alike,
+// and the server reads it back as one more field.
 func TestClientSendsHost(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
+	for _, window := range []int{0, 8} {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -303,13 +303,13 @@ func TestClientSendsHost(t *testing.T) {
 		}}
 		go srv.Serve(l)
 		addr := l.Addr().String()
-		c := &Client{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }, KeepAlive: true, Pipeline: pipeline}
+		c := &Client{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }, KeepAlive: true, MaxPerConn: window}
 		for i := 0; i < 2; i++ {
 			if _, err := c.Post("/x", "text/plain", []byte("b")); err != nil {
 				t.Fatal(err)
 			}
 			if got := <-hosts; got != addr {
-				t.Errorf("pipeline=%v: Host = %q, want %q", pipeline, got, addr)
+				t.Errorf("window=%d: Host = %q, want %q", window, got, addr)
 			}
 		}
 		c.Close()

@@ -431,7 +431,7 @@ func TestSoakC10kPipelined(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			cl, err := core.NewClient(core.ClientConfig{
 				Dial: link.Dial, KeepAlive: true, Timeout: 120 * time.Second,
-				Pipeline: true, PipelineWindow: 8,
+				PipelineWindow: 8,
 			})
 			if err != nil {
 				t.Fatal(err)
