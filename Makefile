@@ -58,11 +58,12 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
-## shape-census: the paper's timing shapes, twenty runs each. These tests skip
-## under -race and -short, so nothing else in check runs them. Wall time on a
-## 2-vCPU box: about 2 min.
+## shape-census: the paper's timing shapes, twenty runs each, and the
+## throughput experiment, which drives the AutoBatcher over the client's
+## connections. These tests skip under -race and -short, so nothing else in
+## check runs them. Wall time on a 2-vCPU box: about 2.5 min.
 shape-census:
-	$(GO) test -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking' ./internal/bench
+	$(GO) test -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking|TestThroughputExperiment' ./internal/bench
 
 ## test-386: the short suite built for a 32-bit int, where an int conversion
 ## of a uint32 hash or size can go negative.
@@ -145,9 +146,10 @@ race-controlplane:
 
 ## race-transport: the transport tier under the race detector. internal/httpx
 ## gets a census in the style of race-stage — thirty shuffled runs on one and
-## on two Ps of the whole package: server and client pipelining state
-## machines, read, write and drain deadlines, framing and pooled buffers
-## (115 s on a 2-vCPU box). Then core's and the gateway's pipelining and
+## on two Ps of the whole package: the server's pipelining state machine,
+## the client connection's write and read turns at windows 1 and 8, read,
+## write and drain deadlines, framing and pooled buffers (about 3 min on a
+## 2-vCPU box). Then core's and the gateway's pipelining and
 ## zero-copy passthrough tests, and the C10k soak (ten thousand pipelined
 ## keep-alive connections, every response checked for
 ## loss/duplication/cross-wiring).
@@ -198,9 +200,10 @@ bench-check:
 ## tolerance vs the baseline chain, recorded on the box the gate runs on: each
 ## row is judged against the first file that records it — BENCH_pr24.json for
 ## every row but e2e/packed-echo-16-wsse, which only BENCH_pr30.json has,
-## stage/submit-run, which only BENCH_pr33.json has, and
-## client/read-packed-reply-16, which only BENCH_pr34.json has. A row recorded at
-## 0 allocs/op fails on any allocation.
+## stage/submit-run, which only BENCH_pr33.json has,
+## client/read-packed-reply-16, which only BENCH_pr34.json has, and
+## stage/fanout-16 and transport/keepalive-echo-ctx, which only
+## BENCH_pr38.json has. A row recorded at 0 allocs/op fails on any allocation.
 ## allocs/op is held to 2 % on every row whose count repeats from run to run
 ## (all but the coalesced and pipelined-fleet rows, cmd/benchcheck's
 ## timingDependent, which keep 35 %); bytes/op to 35 %. ns/op is printed
@@ -210,7 +213,7 @@ bench-check:
 ## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr24.json,BENCH_pr30.json,BENCH_pr33.json,BENCH_pr34.json -tolerance 35
+		-baseline BENCH_pr24.json,BENCH_pr30.json,BENCH_pr33.json,BENCH_pr34.json,BENCH_pr38.json -tolerance 35
 
 ## census: print the dead-surface census — every exported identifier under
 ## internal/ that no non-test code uses or sets, with its allowlist kind

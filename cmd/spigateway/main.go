@@ -72,7 +72,7 @@ func main() {
 	adminFlag := flag.Bool("admin", false, "self-host the gateway's Admin service at /services/Admin")
 	adminWeight := flag.Int("admin-weight", 1, "gateway's initial advertised weight (with -admin)")
 	passthrough := flag.Bool("passthrough", true, "splice single-call envelopes through a backend zero-copy (disabled automatically when -coalesce is set)")
-	pipelineBackends := flag.Int("pipeline-backends", 0, "pipeline up to N exchanges per backend connection (0: one exchange per connection)")
+	pipelineBackends := flag.Int("pipeline-backends", 0, "pipeline up to N exchanges per backend connection (0 or 1: one exchange per connection)")
 	flag.Parse()
 
 	if *backendList == "" {
@@ -165,7 +165,7 @@ func main() {
 	if *passthrough && !*coalesce {
 		fmt.Println("spigateway: zero-copy passthrough for single calls")
 	}
-	if *pipelineBackends > 0 {
+	if *pipelineBackends > 1 {
 		fmt.Printf("spigateway: pipelining up to %d exchanges per backend connection\n", *pipelineBackends)
 	}
 	if *coalesce {

@@ -89,8 +89,7 @@ type Client struct {
 	inflight int
 }
 
-// conn is one client connection. Requests go out in seq order and their
-// responses come back in that order.
+// conn is one client connection; responses come back in request (seq) order.
 type conn struct {
 	nc     net.Conn
 	br     *bufio.Reader
@@ -286,8 +285,9 @@ func (c *Client) getConn(ctx context.Context, fresh bool) (cn *conn, reused bool
 // response. unanswered reports that no byte of the response arrived, so the
 // request may go again on another connection.
 func (c *Client) exchange(ctx context.Context, cn *conn, req *Request) (resp *Response, unanswered bool, err error) {
-	// interrupt watches the context, so only Timeout is a deadline on the
-	// connection: when one passes, the connection has timed out.
+	// interrupt watches the context, so only Timeout is a connection
+	// deadline: when one passes, the connection has timed out. Setting one
+	// fails only on a closed connection, whose next read or write says so.
 	var deadline time.Time
 	if c.Timeout > 0 {
 		deadline = time.Now().Add(c.Timeout)
@@ -461,15 +461,18 @@ func (c *Client) failIOLocked(ctx context.Context, cn *conn, op string, err erro
 }
 
 // interrupt ends seq's blocked write or read once its context has ended. A
-// write cut short leaves the connection unusable, and so does a read no
-// other exchange waits behind, so those close it; another read gets a
-// deadline in the past, and the connection carries on. An exchange waiting
-// for its turn is woken to see its context.
+// deadline in the past ends the I/O: a write it cuts short fails the
+// connection, and a read that had not begun leaves the connection whole for
+// the exchanges behind it. A read no other exchange waits behind closes the
+// connection instead. An exchange waiting for its turn is woken to see its
+// context.
 func (c *Client) interrupt(cn *conn, seq uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch {
-	case cn.writer == seq+1, cn.reader == seq+1 && cn.users == 1:
+	case cn.writer == seq+1:
+		_ = cn.nc.SetWriteDeadline(time.Unix(1, 0))
+	case cn.reader == seq+1 && cn.users == 1:
 		c.failLocked(cn, errAbandoned)
 	case cn.reader == seq+1:
 		_ = cn.nc.SetReadDeadline(time.Unix(1, 0))
