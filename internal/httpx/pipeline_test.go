@@ -37,11 +37,18 @@ func rawRequest(target, body string) string {
 // responses in request order.
 func TestServerPipelinedInOrder(t *testing.T) {
 	const n = 6
+	arrived := make(chan int, n)
+	returned := make(chan int, n)
+	var gates [n]chan struct{}
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
 	addr, _ := startPipelinedServer(t, n, func(_ context.Context, req *Request) *Response {
-		// Request i sleeps (n-i) ms: request 0 finishes last.
 		var i int
 		fmt.Sscanf(string(req.Body), "req-%d", &i)
-		time.Sleep(time.Duration(n-i) * 5 * time.Millisecond)
+		arrived <- i
+		<-gates[i]
+		returned <- i
 		return NewResponse(200, []byte(fmt.Sprintf("resp-%d", i)))
 	})
 
@@ -56,6 +63,14 @@ func TestServerPipelinedInOrder(t *testing.T) {
 	}
 	if _, err := conn.Write(burst.Bytes()); err != nil {
 		t.Fatal(err)
+	}
+	// Every handler is running; let them finish last request first.
+	for i := 0; i < n; i++ {
+		<-arrived
+	}
+	for i := n - 1; i >= 0; i-- {
+		close(gates[i])
+		<-returned
 	}
 	br := bufio.NewReader(conn)
 	for i := 0; i < n; i++ {
@@ -75,6 +90,8 @@ func TestServerPipelineWindowBounds(t *testing.T) {
 	const window = 3
 	const n = 24
 	var cur, max atomic.Int32
+	arrived := make(chan struct{}, n)
+	gate := make(chan struct{})
 	addr, _ := startPipelinedServer(t, window, func(_ context.Context, req *Request) *Response {
 		c := cur.Add(1)
 		for {
@@ -83,7 +100,8 @@ func TestServerPipelineWindowBounds(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		arrived <- struct{}{}
+		<-gate
 		cur.Add(-1)
 		return NewResponse(200, req.Body)
 	})
@@ -100,6 +118,11 @@ func TestServerPipelineWindowBounds(t *testing.T) {
 	if _, err := conn.Write(burst.Bytes()); err != nil {
 		t.Fatal(err)
 	}
+	// Hold a full window of handlers at the gate: the peak concurrency.
+	for i := 0; i < window; i++ {
+		<-arrived
+	}
+	close(gate)
 	br := bufio.NewReader(conn)
 	for i := 0; i < n; i++ {
 		if _, err := ReadResponse(br, 0); err != nil {
@@ -117,8 +140,13 @@ func TestServerPipelineWindowBounds(t *testing.T) {
 // the malformed one draws a 400 and the connection closes — the 400 never
 // jumps the queue.
 func TestServerPipelinedProtocolError(t *testing.T) {
+	// Each handler returns only once both have arrived: the request after
+	// "two", the garbage, is read while they run.
+	var arrivals sync.WaitGroup
+	arrivals.Add(2)
 	addr, _ := startPipelinedServer(t, 8, func(_ context.Context, req *Request) *Response {
-		time.Sleep(5 * time.Millisecond) // let the reader hit the garbage first
+		arrivals.Done()
+		arrivals.Wait()
 		return NewResponse(200, req.Body)
 	})
 	conn, err := net.Dial("tcp", addr)
