@@ -77,11 +77,11 @@ type ServerConfig struct {
 	// MaxBodyBytes caps request bodies; zero means the httpx default.
 	MaxBodyBytes int64
 
-	// PipelineWindow, when > 1, enables HTTP/1.1 pipelining on the
-	// transport: a connection whose client sends back-to-back requests
-	// decodes request N+1 while N executes, with up to PipelineWindow
-	// exchanges in flight per connection and responses written strictly
-	// in request order. 0 or 1 keeps the serial per-connection loop.
+	// PipelineWindow is the transport's pipelining window (httpx
+	// Server.MaxPipeline): a connection whose client sends back-to-back
+	// requests decodes request N+1 while N executes, with up to
+	// PipelineWindow exchanges in flight and responses written strictly in
+	// request order. 0 or 1: one exchange at a time per connection.
 	PipelineWindow int
 	// ReadTimeout bounds reading one full request off a connection;
 	// WriteTimeout bounds writing one full response. Both are connection

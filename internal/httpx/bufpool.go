@@ -3,6 +3,7 @@ package httpx
 import (
 	"bufio"
 	"io"
+	"net"
 	"strings"
 	"sync"
 )
@@ -50,28 +51,37 @@ func releaseBody(bp *[]byte) {
 	bodyPool.Put(bp)
 }
 
-// connReaderPool recycles the per-connection buffered reader across
-// connections: a 16 KiB bufio.Reader is the single largest allocation a
-// short-lived connection makes, and under the C10k+ regime churned
-// connections would otherwise hammer the allocator with them. serveConn
-// acquires on accept and releases on close; Reset drops the old conn
-// reference so pooled readers never pin dead connections.
-var connReaderPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, 16<<10) },
+// serverConnPool recycles a server connection's state across connections,
+// with the 16 KiB bufio.Reader it owns: that reader is the single largest
+// allocation a short-lived connection makes, and under the C10k+ regime
+// churned connections would otherwise hammer the allocator with them.
+// serveConn acquires on accept and the connection's last goroutine releases
+// on close; Reset drops the old conn reference so pooled readers never pin
+// dead connections.
+var serverConnPool = sync.Pool{
+	New: func() any {
+		c := &serverConn{br: bufio.NewReaderSize(nil, 16<<10)}
+		c.turn.L = &c.mu
+		return c
+	},
 }
 
-// acquireConnReader returns a pooled 16 KiB reader bound to r.
-func acquireConnReader(r io.Reader) *bufio.Reader {
-	br := connReaderPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
+// acquireServerConn returns pooled connection state for nc, served by one
+// goroutine.
+func acquireServerConn(s *Server, nc net.Conn) *serverConn {
+	c := serverConnPool.Get().(*serverConn)
+	c.s, c.nc, c.live = s, nc, 1
+	c.br.Reset(nc)
+	return c
 }
 
-// releaseConnReader recycles the reader. The caller must be done with
-// every byte it buffered.
-func releaseConnReader(br *bufio.Reader) {
-	br.Reset(nil)
-	connReaderPool.Put(br)
+// releaseServerConn recycles the connection state. Every goroutine that
+// served the connection must be done with it.
+func releaseServerConn(c *serverConn) {
+	c.br.Reset(nil)
+	c.s, c.nc = nil, nil
+	c.read, c.written, c.reading, c.closing = 0, 0, false, false
+	serverConnPool.Put(c)
 }
 
 // ReadRequestPooled parses one request like ReadRequest, drawing the body

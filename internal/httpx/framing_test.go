@@ -92,8 +92,8 @@ func TestBodyFraming(t *testing.T) {
 }
 
 // TestServerRejectsAmbiguousFraming: over a socket, every shape is answered
-// 400 with the connection closed and the reject counted, on the serial loop
-// and behind a pipelined request alike, and the handler never sees them —
+// 400 with the connection closed and the reject counted, alone and behind
+// a pipelined request alike, and the handler never sees them —
 // nor the GET smuggled in the body of a request whose final coding is not
 // chunked, which a reader taking that request as body-less would run next.
 func TestServerRejectsAmbiguousFraming(t *testing.T) {

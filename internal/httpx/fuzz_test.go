@@ -50,11 +50,11 @@ func FuzzReadResponse(f *testing.F) {
 }
 
 // FuzzReadRequestStream hammers the server-side request parser with the
-// traffic shapes the pipelined read loop sees: back-to-back requests,
+// traffic shapes a pipelined connection sees: back-to-back requests,
 // CRLF/LF-split header lines, partial reads and trailing garbage. The
 // invariants are that parsing never panics, every successfully parsed
 // request re-serializes, and a parse error is terminal for the stream —
-// exactly how servePipelined treats it.
+// exactly how the server's connection loop treats it.
 func FuzzReadRequestStream(f *testing.F) {
 	seeds := []string{
 		"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
