@@ -8,6 +8,9 @@ import (
 	"time"
 
 	spi "repro"
+	"repro/internal/soap"
+	"repro/internal/soapenc"
+	"repro/internal/xmltext"
 )
 
 // startSystem deploys a Greeter service over a simulated link and returns
@@ -273,5 +276,49 @@ func TestFacadeLAN100(t *testing.T) {
 	// request/response propagation (~0.75ms).
 	if elapsed := time.Since(start); elapsed < 500*time.Microsecond {
 		t.Errorf("LAN call took only %v", elapsed)
+	}
+}
+
+// TestCallTypedBytes pins what spi.CallTyped sends for a request struct
+// whose fields carry no omitempty: zero scalars go out as their zero
+// values, a nil slice or pointer as xsi:nil, an empty slice as an empty
+// array.
+func TestCallTypedBytes(t *testing.T) {
+	type req struct {
+		Name  string   `soap:"name"`
+		N     int64    `soap:"n"`
+		OK    bool     `soap:"ok"`
+		Nil   []string `soap:"nil"`
+		Empty []string `soap:"empty"`
+		Ptr   *int64   `soap:"ptr"`
+		Plain []int64
+	}
+	var sent []spi.Field
+	err := spi.CallTyped(func(p ...spi.Field) ([]spi.Field, error) {
+		sent = p
+		return nil, nil
+	}, req{Empty: []string{}}, &struct{}{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(soap.V11, nil)
+	em := enc.Emitter()
+	em.Start(xmltext.Name{Local: "req"})
+	if err := soapenc.EncodeParamsTo(em, sent); err != nil {
+		t.Fatal(err)
+	}
+	em.End()
+	doc, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/" xmlns:SOAP-ENC="http://schemas.xmlsoap.org/soap/encoding/" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xmlns:xsd="http://www.w3.org/2001/XMLSchema"><s:Body><req>` +
+		`<name></name><n xsi:type="xsd:int">0</n><ok xsi:type="xsd:boolean">false</ok><nil xsi:nil="true"/>` +
+		`<empty xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType[0]"/><ptr xsi:nil="true"/><Plain xsi:nil="true"/>` +
+		`</req></s:Body></s:Envelope>`
+	if string(doc) != want {
+		t.Errorf("CallTyped sent\n%s\nwant\n%s", doc, want)
 	}
 }
