@@ -47,58 +47,63 @@ const (
 // OpStat is one operation's latency digest inside a Stats snapshot —
 // metrics.SummaryExport keyed by its dotted "Service.operation" name.
 type OpStat struct {
-	Op     string `json:"op"`
-	Count  int64  `json:"count"`
-	MeanUs int64  `json:"mean_us"`
-	P50Us  int64  `json:"p50_us"`
-	P90Us  int64  `json:"p90_us"`
-	P99Us  int64  `json:"p99_us"`
+	Op     string `json:"op" soap:"op"`
+	Count  int64  `json:"count" soap:"count"`
+	MeanUs int64  `json:"mean_us" soap:"mean_us"`
+	P50Us  int64  `json:"p50_us" soap:"p50_us"`
+	P90Us  int64  `json:"p90_us" soap:"p90_us"`
+	P99Us  int64  `json:"p99_us" soap:"p99_us"`
 }
 
 // Stats is the control-plane snapshot one node advertises through
 // Admin.GetStats. All counters are monotonic since process start; the
 // worker/queue fields are instantaneous.
+//
+// The soap tags are the GetStatsResponse parameters, and the field order is
+// their wire order, pinned by the admin goldens in internal/core/testdata:
+// a new field goes before Ops, never between two existing ones.
 type Stats struct {
 	// Role is "server" or "gateway".
-	Role string `json:"role"`
+	Role string `json:"role" soap:"role"`
 	// Weight is the node's advertised routing weight (>= 1); Draining
 	// reports whether it is draining (no new work should be routed).
-	Weight   int64 `json:"weight"`
-	Draining bool  `json:"draining"`
+	Weight   int64 `json:"weight" soap:"weight"`
+	Draining bool  `json:"draining" soap:"draining"`
 
 	// Workers is the application-stage pool width; Busy and Idle split it
 	// by instantaneous occupancy. Zero on nodes without an app stage
 	// (coupled servers, gateways without an exchange bound).
-	Workers int64 `json:"workers"`
-	Busy    int64 `json:"busy"`
-	Idle    int64 `json:"idle"`
+	Workers int64 `json:"workers" soap:"workers"`
+	Busy    int64 `json:"busy" soap:"busy"`
+	Idle    int64 `json:"idle" soap:"idle"`
 	// QueueDepth and QueueCap describe the application-stage queue.
-	QueueDepth int64 `json:"queue_depth"`
-	QueueCap   int64 `json:"queue_cap"`
+	QueueDepth int64 `json:"queue_depth" soap:"queue_depth"`
+	QueueCap   int64 `json:"queue_cap" soap:"queue_cap"`
 	// Inflight is the node's in-flight unit count: dispatched app tasks on
 	// a server, outstanding backend sub-batches on a gateway.
-	Inflight int64 `json:"inflight"`
+	Inflight int64 `json:"inflight" soap:"inflight"`
 
-	Envelopes  int64 `json:"envelopes"`
-	Requests   int64 `json:"requests"`
-	Packed     int64 `json:"packed"`
-	Faults     int64 `json:"faults"`
-	ItemFaults int64 `json:"item_faults"`
+	Envelopes  int64 `json:"envelopes" soap:"envelopes"`
+	Requests   int64 `json:"requests" soap:"requests"`
+	Packed     int64 `json:"packed" soap:"packed"`
+	Faults     int64 `json:"faults" soap:"faults"`
+	ItemFaults int64 `json:"item_faults" soap:"item_faults"`
 
 	// FaultCodes breaks Faults+ItemFaults down by emitted wire fault code
 	// (Server.Timeout, Server.Busy, ...). Omitted from the wire when every
 	// tally is zero, so nodes with no faults advertise the same bytes they
 	// did before the taxonomy existed.
-	FaultCodes []FaultCode `json:"fault_codes,omitempty"`
+	FaultCodes []FaultCode `json:"fault_codes,omitempty" soap:"fault_codes,omitempty"`
 
-	// Ops holds per-operation latency digests, sorted by name.
-	Ops []OpStat `json:"ops,omitempty"`
+	// Ops holds per-operation latency digests, sorted by name. It is an
+	// array on the wire even when empty.
+	Ops []OpStat `json:"ops,omitempty" soap:"ops"`
 }
 
 // FaultCode is one per-wire-code fault tally inside a Stats snapshot.
 type FaultCode struct {
-	Code  string `json:"code"`
-	Count int64  `json:"count"`
+	Code  string `json:"code" soap:"code"`
+	Count int64  `json:"count" soap:"count"`
 }
 
 // FaultCodes converts the error core's counter snapshot into the admin

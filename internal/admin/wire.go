@@ -4,212 +4,100 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/bind"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
 	"repro/internal/xmltext"
 )
 
 // StatsFields flattens a snapshot into the named RPC result parameters of
-// GetStatsResponse. The field order here is the wire order and is pinned by
-// the admin goldens in internal/core/testdata — append new fields at the
-// end (before ops) rather than reordering.
+// GetStatsResponse, as Stats' soap tags and field order say.
 func StatsFields(s Stats) []soapenc.Field {
-	ops := make(soapenc.Array, 0, len(s.Ops))
-	for _, o := range s.Ops {
-		ops = append(ops, soapenc.NewStruct(
-			soapenc.F("op", o.Op),
-			soapenc.F("count", o.Count),
-			soapenc.F("mean_us", o.MeanUs),
-			soapenc.F("p50_us", o.P50Us),
-			soapenc.F("p90_us", o.P90Us),
-			soapenc.F("p99_us", o.P99Us),
-		))
+	if s.Ops == nil {
+		s.Ops = []OpStat{}
 	}
-	fields := []soapenc.Field{
-		soapenc.F("role", s.Role),
-		soapenc.F("weight", s.Weight),
-		soapenc.F("draining", s.Draining),
-		soapenc.F("workers", s.Workers),
-		soapenc.F("busy", s.Busy),
-		soapenc.F("idle", s.Idle),
-		soapenc.F("queue_depth", s.QueueDepth),
-		soapenc.F("queue_cap", s.QueueCap),
-		soapenc.F("inflight", s.Inflight),
-		soapenc.F("envelopes", s.Envelopes),
-		soapenc.F("requests", s.Requests),
-		soapenc.F("packed", s.Packed),
-		soapenc.F("faults", s.Faults),
-		soapenc.F("item_faults", s.ItemFaults),
+	fields, err := bind.MarshalFields(s)
+	if err != nil {
+		panic(err) // every field of Stats has a type bind writes
 	}
-	// fault_codes is omitted when every tally is zero so fault-free nodes
-	// advertise exactly the pre-taxonomy bytes (admin goldens stay pinned).
-	if len(s.FaultCodes) > 0 {
-		codes := make(soapenc.Array, 0, len(s.FaultCodes))
-		for _, c := range s.FaultCodes {
-			codes = append(codes, soapenc.NewStruct(
-				soapenc.F("code", c.Code),
-				soapenc.F("count", c.Count),
-			))
-		}
-		fields = append(fields, soapenc.F("fault_codes", codes))
-	}
-	return append(fields, soapenc.F("ops", ops))
-}
-
-// statInt reads one integer stats field, rejecting wrong types and negative
-// values — a scraped snapshot with a negative worker count is garbage, and
-// an exporter must not publish it as a reading.
-func statInt(name string, v soapenc.Value, dst *int64) error {
-	n, ok := v.(int64)
-	if !ok {
-		return fmt.Errorf("admin: field %q is %T, want integer", name, v)
-	}
-	if n < 0 {
-		return fmt.Errorf("admin: field %q is negative (%d)", name, n)
-	}
-	*dst = n
-	return nil
+	return fields
 }
 
 // StatsFromFields rebuilds a snapshot from decoded GetStatsResponse
-// parameters. Unknown fields are ignored (newer nodes may advertise more);
-// known fields must carry the right type, counts must be non-negative, and
-// weight must be positive.
+// parameters. Unknown fields are ignored whatever their value (newer nodes
+// may advertise more). A known field must carry its type, never xsi:nil and
+// never a negative integer; weight must be positive, busy at most workers,
+// and every op and fault code named.
 func StatsFromFields(params []soapenc.Field) (Stats, error) {
 	var s Stats
-	for _, p := range params {
-		switch p.Name {
-		case "role":
-			r, ok := p.Value.(string)
-			if !ok {
-				return Stats{}, fmt.Errorf("admin: field \"role\" is %T, want string", p.Value)
-			}
-			s.Role = r
-		case "draining":
-			d, ok := p.Value.(bool)
-			if !ok {
-				return Stats{}, fmt.Errorf("admin: field \"draining\" is %T, want boolean", p.Value)
-			}
-			s.Draining = d
-		case "weight":
-			if err := statInt(p.Name, p.Value, &s.Weight); err != nil {
-				return Stats{}, err
-			}
-		case "workers":
-			if err := statInt(p.Name, p.Value, &s.Workers); err != nil {
-				return Stats{}, err
-			}
-		case "busy":
-			if err := statInt(p.Name, p.Value, &s.Busy); err != nil {
-				return Stats{}, err
-			}
-		case "idle":
-			if err := statInt(p.Name, p.Value, &s.Idle); err != nil {
-				return Stats{}, err
-			}
-		case "queue_depth":
-			if err := statInt(p.Name, p.Value, &s.QueueDepth); err != nil {
-				return Stats{}, err
-			}
-		case "queue_cap":
-			if err := statInt(p.Name, p.Value, &s.QueueCap); err != nil {
-				return Stats{}, err
-			}
-		case "inflight":
-			if err := statInt(p.Name, p.Value, &s.Inflight); err != nil {
-				return Stats{}, err
-			}
-		case "envelopes":
-			if err := statInt(p.Name, p.Value, &s.Envelopes); err != nil {
-				return Stats{}, err
-			}
-		case "requests":
-			if err := statInt(p.Name, p.Value, &s.Requests); err != nil {
-				return Stats{}, err
-			}
-		case "packed":
-			if err := statInt(p.Name, p.Value, &s.Packed); err != nil {
-				return Stats{}, err
-			}
-		case "faults":
-			if err := statInt(p.Name, p.Value, &s.Faults); err != nil {
-				return Stats{}, err
-			}
-		case "item_faults":
-			if err := statInt(p.Name, p.Value, &s.ItemFaults); err != nil {
-				return Stats{}, err
-			}
-		case "fault_codes":
-			arr, ok := p.Value.(soapenc.Array)
-			if !ok {
-				return Stats{}, fmt.Errorf("admin: field \"fault_codes\" is %T, want array", p.Value)
-			}
-			s.FaultCodes = make([]FaultCode, 0, len(arr))
-			for i, item := range arr {
-				st, ok := item.(*soapenc.Struct)
-				if !ok || st == nil {
-					return Stats{}, fmt.Errorf("admin: fault_codes[%d] is %T, want struct", i, item)
-				}
-				fc := FaultCode{Code: st.GetString("code")}
-				if fc.Code == "" {
-					return Stats{}, fmt.Errorf("admin: fault_codes[%d] has no code", i)
-				}
-				for _, f := range st.Fields {
-					if f.Name != "count" {
-						continue
-					}
-					if err := statInt("fault_codes.count", f.Value, &fc.Count); err != nil {
-						return Stats{}, err
-					}
-				}
-				s.FaultCodes = append(s.FaultCodes, fc)
-			}
-		case "ops":
-			arr, ok := p.Value.(soapenc.Array)
-			if !ok {
-				return Stats{}, fmt.Errorf("admin: field \"ops\" is %T, want array", p.Value)
-			}
-			s.Ops = make([]OpStat, 0, len(arr))
-			for i, item := range arr {
-				st, ok := item.(*soapenc.Struct)
-				if !ok || st == nil {
-					return Stats{}, fmt.Errorf("admin: ops[%d] is %T, want struct", i, item)
-				}
-				o := OpStat{Op: st.GetString("op")}
-				if o.Op == "" {
-					return Stats{}, fmt.Errorf("admin: ops[%d] has no op name", i)
-				}
-				for _, f := range st.Fields {
-					var dst *int64
-					switch f.Name {
-					case "count":
-						dst = &o.Count
-					case "mean_us":
-						dst = &o.MeanUs
-					case "p50_us":
-						dst = &o.P50Us
-					case "p90_us":
-						dst = &o.P90Us
-					case "p99_us":
-						dst = &o.P99Us
-					default:
-						continue
-					}
-					if err := statInt("ops."+f.Name, f.Value, dst); err != nil {
-						return Stats{}, err
-					}
-				}
-				s.Ops = append(s.Ops, o)
-			}
-		}
+	if err := bind.UnmarshalFields(markFields(params), &s); err != nil {
+		return Stats{}, fmt.Errorf("admin: %w", err)
 	}
-	if s.Weight < 1 {
-		return Stats{}, fmt.Errorf("admin: snapshot weight %d is not positive", s.Weight)
-	}
-	if s.Busy > s.Workers {
-		return Stats{}, fmt.Errorf("admin: snapshot busy %d exceeds workers %d", s.Busy, s.Workers)
+	if err := s.check(); err != nil {
+		return Stats{}, err
 	}
 	return s, nil
+}
+
+// A count that is xsi:nil was never counted, and a scraped snapshot with a
+// negative count is garbage an exporter must not publish as a reading.
+// bind would store the one as a zero and the other as read, so markFields
+// swaps both for values of these types first. bind refuses them in any
+// field it knows, and skips an unknown field without looking at its value.
+type (
+	xsiNil   struct{}
+	negative int64
+)
+
+// markFields returns a copy of fields with every nil and every negative
+// integer inside it, at any depth, replaced by an xsiNil or a negative.
+func markFields(fields []soapenc.Field) []soapenc.Field {
+	out := make([]soapenc.Field, len(fields))
+	for i, f := range fields {
+		out[i] = soapenc.Field{Name: f.Name, Value: mark(f.Value)}
+	}
+	return out
+}
+
+func mark(v soapenc.Value) soapenc.Value {
+	switch v := v.(type) {
+	case nil:
+		return xsiNil{}
+	case int64:
+		if v < 0 {
+			return negative(v)
+		}
+	case soapenc.Array:
+		out := make(soapenc.Array, len(v))
+		for i, item := range v {
+			out[i] = mark(item)
+		}
+		return out
+	case *soapenc.Struct:
+		return &soapenc.Struct{Fields: markFields(v.Fields)}
+	}
+	return v
+}
+
+// check holds a snapshot to what its readers assume of the values.
+func (s Stats) check() error {
+	if s.Weight < 1 {
+		return fmt.Errorf("admin: snapshot weight %d is not positive", s.Weight)
+	}
+	if s.Busy > s.Workers {
+		return fmt.Errorf("admin: snapshot busy %d exceeds workers %d", s.Busy, s.Workers)
+	}
+	for i, o := range s.Ops {
+		if o.Op == "" {
+			return fmt.Errorf("admin: ops[%d] has no op name", i)
+		}
+	}
+	for i, c := range s.FaultCodes {
+		if c.Code == "" {
+			return fmt.Errorf("admin: fault_codes[%d] has no code", i)
+		}
+	}
+	return nil
 }
 
 // requestDocument writes an Admin RPC single-call request in version v: the

@@ -22,6 +22,8 @@
 // above MaxInt64 are rejected), float32/64, []byte, time.Time, slices,
 // pointers (nil maps to xsi:nil), and nested structs. The `soap` tag
 // renames a field; `soap:"-"` skips it; unexported fields are skipped.
+// `soap:"name,omitempty"` leaves the field off the wire when it is empty in
+// encoding/json's sense: a zero scalar, a nil pointer, a nil or empty slice.
 package bind
 
 import (
@@ -120,8 +122,8 @@ func MarshalFields(v any) ([]soapenc.Field, error) {
 	var out []soapenc.Field
 	for i := 0; i < rt.NumField(); i++ {
 		sf := rt.Field(i)
-		name, skip := fieldName(sf)
-		if skip {
+		name, omitEmpty, skip := fieldName(sf)
+		if skip || omitEmpty && empty(rv.Field(i)) {
 			continue
 		}
 		val, err := marshalValue(rv.Field(i))
@@ -133,24 +135,30 @@ func MarshalFields(v any) ([]soapenc.Field, error) {
 	return out, nil
 }
 
-// fieldName resolves the wire name of a struct field from the `soap` tag.
-func fieldName(sf reflect.StructField) (name string, skip bool) {
-	if !sf.IsExported() {
-		return "", true
-	}
+// fieldName resolves the wire name of a struct field from the `soap` tag,
+// and whether the tag asks for omitempty.
+func fieldName(sf reflect.StructField) (name string, omitEmpty, skip bool) {
 	tag := sf.Tag.Get("soap")
-	if tag == "-" {
-		return "", true
+	if !sf.IsExported() || tag == "-" {
+		return "", false, true
 	}
-	if tag != "" {
-		if i := strings.IndexByte(tag, ','); i >= 0 {
-			tag = tag[:i]
-		}
-		if tag != "" {
-			return tag, false
-		}
+	name, opts, _ := strings.Cut(tag, ",")
+	if name == "" {
+		name = sf.Name
 	}
-	return sf.Name, false
+	return name, opts == "omitempty", false
+}
+
+// empty reports whether omitempty leaves v off the wire. A struct is never
+// empty, as in encoding/json.
+func empty(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Slice, reflect.Array:
+		return v.Len() == 0
+	case reflect.Struct:
+		return false
+	}
+	return v.IsZero()
 }
 
 func unmarshalValue(v soapenc.Value, rv reflect.Value) error {
@@ -251,7 +259,7 @@ func UnmarshalFields(fields []soapenc.Field, dst any) error {
 	rt := rv.Type()
 	byName := make(map[string]int, rt.NumField())
 	for i := 0; i < rt.NumField(); i++ {
-		name, skip := fieldName(rt.Field(i))
+		name, _, skip := fieldName(rt.Field(i))
 		if !skip {
 			byName[name] = i
 		}

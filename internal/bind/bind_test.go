@@ -105,7 +105,7 @@ func TestMarshalThroughWire(t *testing.T) {
 
 func TestFieldNameTag(t *testing.T) {
 	type tagged struct {
-		A string `soap:"renamed,omitempty"` // options after comma ignored
+		A string `soap:"renamed,omitempty"` // the option does not rename
 		B string `soap:""`
 	}
 	fields, err := MarshalFields(tagged{A: "1", B: "2"})
@@ -114,6 +114,60 @@ func TestFieldNameTag(t *testing.T) {
 	}
 	if fields[0].Name != "renamed" || fields[1].Name != "B" {
 		t.Errorf("names = %v", fields)
+	}
+}
+
+// TestOmitEmpty: an omitempty field that is empty stays off the wire, one
+// that is not goes out as without the option, and both read back into the
+// value they left as. A field without the option is written however empty
+// it is; a nil slice is still xsi:nil.
+func TestOmitEmpty(t *testing.T) {
+	type omitting struct {
+		S     string   `soap:"s,omitempty"`
+		N     int64    `soap:"n,omitempty"`
+		F     float64  `soap:"f,omitempty"`
+		B     bool     `soap:"b,omitempty"`
+		P     *inner   `soap:"p,omitempty"`
+		Nil   []string `soap:"nil,omitempty"`
+		Empty []inner  `soap:"empty,omitempty"`
+		Arr   [0]int   `soap:"arr,omitempty"`
+		Zero  inner    `soap:"zero,omitempty"` // a struct is never empty
+		Kept  []string `soap:"kept"`
+	}
+	fields, err := MarshalFields(omitting{Empty: []inner{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) != 2 || fields[0].Name != "zero" || fields[1].Name != "kept" || fields[1].Value != nil {
+		t.Fatalf("empty fields = %#v, want zero and kept (xsi:nil) only", fields)
+	}
+	var back omitting
+	if err := UnmarshalFields(fields, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, omitting{}) {
+		t.Errorf("empty round trip = %+v", back)
+	}
+
+	full := omitting{S: "s", N: -1, F: 0.5, B: true, P: &inner{Label: "p"},
+		Nil: []string{"x"}, Empty: []inner{{Score: 1}}, Kept: []string{}}
+	fields, err = MarshalFields(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range fields {
+		names = append(names, f.Name)
+	}
+	if got := strings.Join(names, ","); got != "s,n,f,b,p,nil,empty,zero,kept" {
+		t.Errorf("full fields = %s", got)
+	}
+	back = omitting{}
+	if err := UnmarshalFields(fields, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, full) {
+		t.Errorf("full round trip = %+v, want %+v", back, full)
 	}
 }
 
