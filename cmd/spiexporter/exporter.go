@@ -150,13 +150,13 @@ func (e *exporter) renderMetrics() []byte {
 
 	for _, name := range names {
 		s := scrapes[name]
-		nl := fmt.Sprintf("node=%q", name)
+		nl := label("node", name)
 		if s.Err != "" {
 			up.add(nl, 0)
 			continue
 		}
 		st := s.Stats
-		up.add(nl+fmt.Sprintf(",role=%q", st.Role), 1)
+		up.add(nl+","+label("role", st.Role), 1)
 		weight.add(nl, st.Weight)
 		draining.add(nl, boolToInt(st.Draining))
 		workers.add(nl, st.Workers)
@@ -171,10 +171,10 @@ func (e *exporter) renderMetrics() []byte {
 		faults.add(nl, st.Faults)
 		itemFaults.add(nl, st.ItemFaults)
 		for _, fc := range st.FaultCodes {
-			faultCodes.add(nl+fmt.Sprintf(",code=%q", fc.Code), fc.Count)
+			faultCodes.add(nl+","+label("code", fc.Code), fc.Count)
 		}
 		for _, op := range st.Ops {
-			ol := nl + fmt.Sprintf(",op=%q", op.Op)
+			ol := nl + "," + label("op", op.Op)
 			opCount.add(ol, op.Count)
 			opMean.add(ol, op.MeanUs)
 			opLatency.add(ol+`,quantile="0.5"`, op.P50Us)
@@ -199,6 +199,17 @@ func (e *exporter) renderMetrics() []byte {
 		}
 	}
 	return []byte(b.String())
+}
+
+// labelEscaper escapes a label value the way the Prometheus text format
+// reads one back: backslash, double quote and line feed, and nothing else.
+// Go's %q would also escape a tab or U+0085, which the format's parser
+// refuses, failing the scrape of every node.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// label renders one name="value" label pair.
+func label(name, value string) string {
+	return name + `="` + labelEscaper.Replace(value) + `"`
 }
 
 func boolToInt(b bool) int64 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admin"
 	"repro/internal/core"
 	"repro/internal/httpx"
 	"repro/internal/netsim"
@@ -129,5 +130,33 @@ func TestExporterHTTPEndpoints(t *testing.T) {
 	}
 	if resp := e.handle(context.Background(), httpx.NewRequest("POST", "/metrics", nil)); resp.StatusCode != 405 {
 		t.Errorf("POST /metrics = %d", resp.StatusCode)
+	}
+}
+
+// TestLabelEscaping: a label value is escaped as the Prometheus text
+// format allows, backslash, double quote and line feed only. A tab or a
+// U+0085 goes out as itself; an escape such as \t or \u0085 would make
+// the scraper refuse the whole exposition.
+func TestLabelEscaping(t *testing.T) {
+	e := newExporter("")
+	e.last["n\\1\"\n"] = scrape{Stats: admin.Stats{
+		Role: "ser\tver", Weight: 1,
+		FaultCodes: []admin.FaultCode{{Code: "Server.\u0085x", Count: 2}},
+		Ops:        []admin.OpStat{{Op: "Echo.\techo", Count: 3}},
+	}}
+	metrics := string(e.renderMetrics())
+	for _, want := range []string{
+		`spi_up{node="n\\1\"\n",role="ser` + "\t" + `ver"} 1`,
+		`spi_fault_code_total{node="n\\1\"\n",code="Server.` + "\u0085" + `x"} 2`,
+		`spi_op_count_total{node="n\\1\"\n",op="Echo.` + "\t" + `echo"} 3`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics output missing %q\n%s", want, metrics)
+		}
+	}
+	for _, bad := range []string{`\t`, `\u`, `\x`} {
+		if strings.Contains(metrics, bad) {
+			t.Errorf("metrics output holds the escape %s\n%s", bad, metrics)
+		}
 	}
 }
