@@ -172,7 +172,8 @@ func NewContainer() *Container { return registry.NewContainer() }
 // TypedHandler adapts a typed function — func(ctx *HandlerContext, req
 // ReqStruct) (RespStruct, error) — to the Handler signature by reflection,
 // in the style of net/rpc. Struct fields map to named SOAP parameters
-// (rename with a `soap:"name"` tag, skip with `soap:"-"`).
+// (rename with a `soap:"name"` tag, skip with `soap:"-"`, leave an empty
+// value off the wire with `soap:"name,omitempty"`, as encoding/json does).
 func TypedHandler(fn any) (Handler, error) { return bind.Handler(fn) }
 
 // MustTypedHandler is TypedHandler that panics on a bad signature.
