@@ -2,6 +2,7 @@ package xmldom
 
 import (
 	"io"
+	"strings"
 	"sync"
 
 	"repro/internal/xmltext"
@@ -200,7 +201,8 @@ func StartElementNode(a *Arena, tok *xmltext.Token, parent *Element) *Element {
 }
 
 // AppendText attaches one text run to el, merging with a preceding text
-// node (CDATA adjacent to character data arrives as separate tokens).
+// node (CDATA adjacent to character data arrives as separate tokens) in
+// amortized time linear in the merged run.
 // Short all-whitespace runs — indentation, the dominant text content of
 // pretty-printed envelopes — are interned instead of allocated. Streaming
 // consumers (soap.StreamDecoder) use it to mirror ParseInArena's text
@@ -208,7 +210,12 @@ func StartElementNode(a *Arena, tok *xmltext.Token, parent *Element) *Element {
 func AppendText(a *Arena, el *Element, raw []byte) {
 	if n := len(el.Children); n > 0 {
 		if t, ok := el.Children[n-1].(*Text); ok {
-			t.Data += string(raw)
+			if t.run == nil || t.run.String() != t.Data {
+				t.run = new(strings.Builder)
+				t.run.WriteString(t.Data)
+			}
+			t.run.Write(raw)
+			t.Data = t.run.String()
 			return
 		}
 	}

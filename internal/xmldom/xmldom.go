@@ -34,6 +34,9 @@ type Node interface {
 // Text is a character-data node.
 type Text struct {
 	Data string
+	// run holds Data's bytes while AppendText extends the node, so a run of
+	// adjacent text tokens is joined in linear time; Data is run's string.
+	run *strings.Builder
 }
 
 func (*Text) node() {}

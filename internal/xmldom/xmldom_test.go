@@ -2,6 +2,7 @@ package xmldom
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -228,6 +229,26 @@ func TestMergedTextNodes(t *testing.T) {
 	}
 	if got, want := root.String(), `<a><![CDATA[x <<y> & <z>> w]]></a>`; got != want {
 		t.Errorf("re-serialized as %s, want %s", got, want)
+	}
+}
+
+// TestMergedTextNodesAllocateLinearly: a run of adjacent text tokens is
+// joined in time and memory linear in the run. Parsing back-to-back CDATA
+// sections allocates a small multiple of the body; extending the text node
+// by one copy per section allocated the square of the run.
+func TestMergedTextNodesAllocateLinearly(t *testing.T) {
+	const sections = 20000
+	doc := "<a>" + strings.Repeat("<![CDATA[a]]>", sections) + "</a>"
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	root := mustParse(t, doc)
+	runtime.ReadMemStats(&after)
+	if root.Text() != strings.Repeat("a", sections) || len(root.Children) != 1 {
+		t.Fatalf("%d sections read as %d bytes of text in %d children", sections, len(root.Text()), len(root.Children))
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(doc)); got > limit {
+		t.Errorf("parsing %d B of CDATA sections allocated %d B, want at most %d", len(doc), got, limit)
 	}
 }
 
