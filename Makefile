@@ -58,12 +58,13 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
-## shape-census: the paper's timing shapes, twenty runs each, and the
+## shape-census: the paper's timing shapes, twenty runs each; the
 ## throughput experiment, which drives the AutoBatcher over the client's
-## connections. These tests skip under -race and -short, so nothing else in
+## connections; and the lone AutoBatcher call, which must take at most 1.25x
+## a direct call. These tests skip under -race and -short, so nothing else in
 ## check runs them. Wall time on a 2-vCPU box: about 2.5 min.
 shape-census:
-	$(GO) test -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking|TestThroughputExperiment' ./internal/bench
+	$(GO) test -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking|TestThroughputExperiment|TestAutoBatcherLoneCallIsDirect' ./internal/bench
 
 ## test-386: the short suite built for a 32-bit int, where an int conversion
 ## of a uint32 hash or size can go negative.

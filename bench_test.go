@@ -212,7 +212,7 @@ func BenchmarkAblationAutoBatch(b *testing.B) {
 	const m = 32
 	b.Run("AutoBatcher", func(b *testing.B) {
 		env := benchEnv(b, bench.EnvOptions{})
-		auto := spi.NewAutoBatcher(env.Client, 500*time.Microsecond, m)
+		auto := spi.NewAutoBatcher(env.Client, m)
 		defer auto.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -299,7 +299,7 @@ func BenchmarkThroughput(b *testing.B) {
 				env := benchEnv(b, bench.EnvOptions{})
 				var auto *spi.AutoBatcher
 				if packed {
-					auto = spi.NewAutoBatcher(env.Client, 500*time.Microsecond, 256)
+					auto = spi.NewAutoBatcher(env.Client, 256)
 					defer auto.Close()
 				}
 				arg := spi.F("data", "aaaaaaaaaa")

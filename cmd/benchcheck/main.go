@@ -721,14 +721,13 @@ func main() {
 	// --- gateway cross-client coalescing ------------------------------
 	// 16 independent single-call clients fire concurrently per iteration;
 	// the gateway pools them into packed batches. Guards the coalescer's
-	// end-to-end latency (flush window + batch round trip + split-back).
+	// end-to-end latency (settle step + batch round trip + split-back).
 	{
 		env, err := bench.NewGatewayEnv(bench.GatewayOptions{
 			Backends: 2, Network: netsim.Fast(), AppWorkers: 8,
 			Coalesce: gateway.CoalesceConfig{
-				Enabled:     true,
-				FlushWindow: 100 * time.Microsecond,
-				MaxBatch:    16,
+				Enabled:  true,
+				MaxBatch: 16,
 			},
 		})
 		if err != nil {

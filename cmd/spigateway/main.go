@@ -10,14 +10,14 @@
 //	spigateway -addr :8090 -backends host1:8080=4,host2:8080=1 -policy least-loaded
 //	spigateway -addr :8090 -backends host1:8080 -probe 2s -stats -admin
 //	spigateway -addr :8090 -backends host1:8080,host2:8080 \
-//	    -coalesce -flush-window 1ms -max-batch 64 -max-bytes 262144
+//	    -coalesce -max-batch 64 -max-bytes 262144
 //
 // With -coalesce, concurrent single-call envelopes targeting the same
 // operation are merged into synthetic packed batches toward the backends
-// (each flushed after -flush-window, or sooner when -max-batch entries or
-// -max-bytes of bodies accumulate, or when a member's SPI-Deadline is
-// tight), then split back so every client's reply is byte-identical to
-// the uncoalesced path.
+// (each sent once a yield of the processor brings it no further call, or
+// sooner when -max-batch entries or -max-bytes of bodies accumulate), then
+// split back so every client's reply is byte-identical to the uncoalesced
+// path.
 //
 // A backend may carry a routing weight after "=" (default 1), used by the
 // least-loaded policy, which also scales each weight by the backend's speed
@@ -66,7 +66,6 @@ func main() {
 	maxActive := flag.Int("max-active", 0, "concurrent exchanges per backend (0: unbounded)")
 	stats := flag.Bool("stats", false, "serve GET /spi/stats")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent single calls into packed batches")
-	flushWindow := flag.Duration("flush-window", time.Millisecond, "coalescer batch formation window (with -coalesce)")
 	maxBatch := flag.Int("max-batch", 64, "coalescer flushes a batch at this many members (with -coalesce)")
 	maxBytes := flag.Int("max-bytes", 256<<10, "coalescer flushes a batch at this many request-body bytes (with -coalesce)")
 	adminFlag := flag.Bool("admin", false, "self-host the gateway's Admin service at /services/Admin")
@@ -140,10 +139,9 @@ func main() {
 		AdminService:        *adminFlag,
 		AdminWeight:         *adminWeight,
 		Coalesce: gateway.CoalesceConfig{
-			Enabled:     *coalesce,
-			FlushWindow: *flushWindow,
-			MaxBatch:    *maxBatch,
-			MaxBytes:    *maxBytes,
+			Enabled:  *coalesce,
+			MaxBatch: *maxBatch,
+			MaxBytes: *maxBytes,
 		},
 	})
 	if err != nil {
@@ -169,8 +167,7 @@ func main() {
 		fmt.Printf("spigateway: pipelining up to %d exchanges per backend connection\n", *pipelineBackends)
 	}
 	if *coalesce {
-		fmt.Printf("spigateway: coalescing singles (window %v, max %d entries / %d bytes)\n",
-			*flushWindow, *maxBatch, *maxBytes)
+		fmt.Printf("spigateway: coalescing singles (max %d entries / %d bytes)\n", *maxBatch, *maxBytes)
 	}
 
 	done := make(chan error, 1)

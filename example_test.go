@@ -96,7 +96,7 @@ func ExampleAutoBatcher() {
 	client := newClient(addr)
 	defer client.Close()
 
-	auto := spi.NewAutoBatcher(client, 5*time.Millisecond, 8)
+	auto := spi.NewAutoBatcher(client, 8)
 	defer auto.Close()
 
 	var wg sync.WaitGroup

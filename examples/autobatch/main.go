@@ -59,7 +59,7 @@ func main() {
 
 	// Sixteen goroutines, each making an ordinary blocking call — the
 	// application code has no idea batching exists.
-	auto := spi.NewAutoBatcher(client, 2*time.Millisecond, 32)
+	auto := spi.NewAutoBatcher(client, 32)
 	defer auto.Close()
 
 	var wg sync.WaitGroup

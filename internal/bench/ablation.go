@@ -206,12 +206,13 @@ func RunAutoBatch(reps int) (*AblationResult, error) {
 		Name: "explicit Batch (pack interface)", Millis: ms,
 		Note: "caller groups the calls"})
 
-	// Auto batcher: concurrent unmodified callers coalesced by the window.
+	// Auto batcher: concurrent unmodified callers coalesced as the batch
+	// settles.
 	env, err = NewEnv(EnvOptions{})
 	if err != nil {
 		return nil, err
 	}
-	ab := core.NewAutoBatcher(env.Client, 500*time.Microsecond, m)
+	ab := core.NewAutoBatcher(env.Client, m)
 	ms, err = measure(1, reps, func() error {
 		var wg sync.WaitGroup
 		errs := make([]error, m)

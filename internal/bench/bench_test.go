@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/soapenc"
 )
 
 // skipTiming skips shape tests in modes that distort timing ratios: the
@@ -248,6 +250,47 @@ func TestThroughputExperiment(t *testing.T) {
 	r.Print(&b)
 	if !strings.Contains(b.String(), "req/s") {
 		t.Errorf("print output: %s", b.String())
+	}
+}
+
+// TestAutoBatcherLoneCallIsDirect: with one caller, a call through the
+// AutoBatcher goes out alone once its batch settles, so on LAN100 it takes at
+// most 1.25x a direct Client.Call (a fixed 1 ms flush window made it 2.5x).
+// The two kinds of call alternate in one environment, and their medians are
+// compared.
+func TestAutoBatcherLoneCallIsDirect(t *testing.T) {
+	skipTiming(t)
+	env, err := NewEnv(EnvOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	auto := core.NewAutoBatcher(env.Client, 256)
+	defer auto.Close()
+	arg := soapenc.F("data", "aaaaaaaaaa")
+	const warmup, reps = 5, 60
+	var direct, batched metrics.Recorder
+	for i := 0; i < warmup+reps; i++ {
+		start := time.Now()
+		if _, err := env.Client.Call("Echo", "echo", arg); err != nil {
+			t.Fatal(err)
+		}
+		mid := time.Now()
+		if _, err := auto.Call("Echo", "echo", arg); err != nil {
+			t.Fatal(err)
+		}
+		if i >= warmup {
+			direct.Record(mid.Sub(start))
+			batched.Record(time.Since(mid))
+		}
+	}
+	d, b := direct.Snapshot().P50, batched.Snapshot().P50
+	if float64(b) > 1.25*float64(d) {
+		t.Errorf("a lone AutoBatcher call took %v (median), %.2fx a direct call's %v; want at most 1.25x",
+			b, float64(b)/float64(d), d)
+	}
+	if st := env.Client.Stats(); st.Batches != warmup+reps {
+		t.Errorf("%d lone calls went out in %d batches, want one each", warmup+reps, st.Batches)
 	}
 }
 

@@ -172,7 +172,7 @@ func (e *GatewayEnv) Close() {
 // HTTP framing and envelope overhead. With coalescing the same calls
 // merge into a few packed batches that fit comfortably under the cap,
 // amortizing the per-message costs — so the burst completes sooner even
-// though every individual call briefly parks in the flush window.
+// though every individual call briefly parks while its batch settles.
 func RunCoalesce(reps int) (*AblationResult, error) {
 	if reps <= 0 {
 		reps = 5
@@ -182,7 +182,6 @@ func RunCoalesce(reps int) (*AblationResult, error) {
 	const work = 500 * time.Microsecond
 	const workers = 16
 	const maxActive = 8
-	const window = 300 * time.Microsecond
 	payload := strings.Repeat("a", 64)
 
 	result := &AblationResult{Title: fmt.Sprintf(
@@ -194,9 +193,8 @@ func RunCoalesce(reps int) (*AblationResult, error) {
 			Backends: 2, AppWorkers: workers, WorkTime: work,
 			MaxActivePerBackend: maxActive,
 			Coalesce: gateway.CoalesceConfig{
-				Enabled:     coalesce,
-				FlushWindow: window,
-				MaxBatch:    16,
+				Enabled:  coalesce,
+				MaxBatch: 16,
 			},
 		})
 		if err != nil {
@@ -267,7 +265,7 @@ func RunCoalesce(reps int) (*AblationResult, error) {
 		name := "coalescing off (every single proxied whole)"
 		note := fmt.Sprintf("%d backend exchanges", st.Proxied)
 		if coalesce {
-			name = fmt.Sprintf("coalescing on (%v flush window)", window)
+			name = "coalescing on (max 16 per batch)"
 			mean := 0.0
 			if st.CoalesceBatches > 0 {
 				mean = float64(st.Coalesced) / float64(st.CoalesceBatches)

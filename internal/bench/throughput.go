@@ -18,11 +18,12 @@ import (
 // callers for a fixed duration and reports completed requests per second
 // plus per-call latency, with and without automatic packing.
 //
-// The interesting result is the crossover: at low concurrency per-call
-// messages win (the batching window only adds latency), while at high
-// concurrency the per-message overhead of hundreds of concurrent small
-// messages congests the link and the server, and packing pulls ahead —
-// which is precisely the regime the paper's motivation describes.
+// The interesting result is where packing pulls ahead: at low concurrency
+// the two run close (a lone call's batch settles after one empty yield and
+// goes out alone), while at high concurrency the per-message overhead of
+// hundreds of concurrent small messages congests the link and the server,
+// and packing wins — which is precisely the regime the paper's motivation
+// describes.
 type ThroughputConfig struct {
 	// CallerCounts lists the offered concurrency levels
 	// (default 4, 16, 64, 128 — mirroring the figures' M axis).
@@ -32,8 +33,6 @@ type ThroughputConfig struct {
 	// PayloadBytes is the request payload size (default 10, the Figure 5
 	// regime).
 	PayloadBytes int
-	// Window is the AutoBatcher flush window (default 500µs).
-	Window time.Duration
 }
 
 // ThroughputPoint is one concurrency level's result for both strategies.
@@ -69,9 +68,6 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 	if cfg.PayloadBytes <= 0 {
 		cfg.PayloadBytes = 10
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 500 * time.Microsecond
-	}
 	payload := make([]byte, cfg.PayloadBytes)
 	for i := range payload {
 		payload[i] = 'a'
@@ -105,7 +101,7 @@ func runThroughputPoint(cfg ThroughputConfig, callers int, packed bool, arg soap
 	defer env.Close()
 	var auto *core.AutoBatcher
 	if packed {
-		auto = core.NewAutoBatcher(env.Client, cfg.Window, 256)
+		auto = core.NewAutoBatcher(env.Client, 256)
 		defer auto.Close()
 	}
 	call := func() error {

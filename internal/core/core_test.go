@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -424,9 +426,12 @@ type headerProviderFunc func([]byte) ([]*xmldom.Element, error)
 
 func (f headerProviderFunc) MakeHeaders(body []byte) ([]*xmldom.Element, error) { return f(body) }
 
+// TestAutoBatcherCoalesces: concurrent callers' calls share one envelope.
+// The batch is held open until all of them have joined, then flushed.
 func TestAutoBatcherCoalesces(t *testing.T) {
 	sys := newSystem(t, nil)
-	ab := NewAutoBatcher(sys.client, 20*time.Millisecond, 64)
+	ab := NewAutoBatcher(sys.client, 64)
+	ab.w.yield = holdYield(t)
 	defer ab.Close()
 
 	const n = 12
@@ -443,21 +448,47 @@ func TestAutoBatcherCoalesces(t *testing.T) {
 			errs[i] = err
 		}(i)
 	}
+	for deadline := time.Now().Add(5 * time.Second); len(ab.w.formingItems(struct{}{})) < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d calls joined the batch", len(ab.w.formingItems(struct{}{})), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ab.Flush()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("call %d: %v", i, err)
 		}
 	}
-	// All calls issued within the window must share few envelopes.
-	if st := sys.client.Stats(); st.Envelopes >= n {
-		t.Errorf("auto batcher sent %d envelopes for %d calls", st.Envelopes, n)
+	if st := sys.client.Stats(); st.Envelopes != 1 {
+		t.Errorf("auto batcher sent %d envelopes for %d calls, want 1", st.Envelopes, n)
+	}
+}
+
+// TestAutoBatcherLoneCallSealsAfterOneYield: a call with no companion goes
+// out after one yield that brings none, alone in its envelope.
+func TestAutoBatcherLoneCallSealsAfterOneYield(t *testing.T) {
+	sys := newSystem(t, nil)
+	ab := NewAutoBatcher(sys.client, 64)
+	var yields atomic.Int32
+	ab.w.yield = func() { yields.Add(1); runtime.Gosched() }
+	defer ab.Close()
+	if res, err := ab.Call("Echo", "echo", soapenc.F("m", "alone")); err != nil || !soapenc.Equal(res[0].Value, "alone") {
+		t.Fatalf("lone call = %v, %v", res, err)
+	}
+	if n := yields.Load(); n != 1 {
+		t.Errorf("sealed after %d yields, want 1", n)
+	}
+	if st := sys.client.Stats(); st.Batches != 1 || st.Calls != 1 {
+		t.Errorf("sent %d batches for %d calls, want 1 for 1", st.Batches, st.Calls)
 	}
 }
 
 func TestAutoBatcherMaxBatchFlush(t *testing.T) {
 	sys := newSystem(t, nil)
-	ab := NewAutoBatcher(sys.client, time.Hour, 4) // window never fires
+	ab := NewAutoBatcher(sys.client, 4)
+	ab.w.yield = holdYield(t) // only the cap seals the batch
 	defer ab.Close()
 	var calls []*Call
 	for i := 0; i < 4; i++ {
@@ -472,7 +503,8 @@ func TestAutoBatcherMaxBatchFlush(t *testing.T) {
 
 func TestAutoBatcherExplicitFlush(t *testing.T) {
 	sys := newSystem(t, nil)
-	ab := NewAutoBatcher(sys.client, time.Hour, 1024) // window never fires on its own
+	ab := NewAutoBatcher(sys.client, 1024)
+	ab.w.yield = holdYield(t) // the batch never settles on its own
 	defer ab.Close()
 	call := ab.Go("Echo", "echo", soapenc.F("m", "flushed"))
 	select {
@@ -496,7 +528,7 @@ func TestAutoBatcherExplicitFlush(t *testing.T) {
 
 func TestAutoBatcherClosed(t *testing.T) {
 	sys := newSystem(t, nil)
-	ab := NewAutoBatcher(sys.client, time.Millisecond, 8)
+	ab := NewAutoBatcher(sys.client, 8)
 	ab.Close()
 	if _, err := ab.Call("Echo", "echo"); err == nil {
 		t.Error("call on closed autobatcher succeeded")
@@ -507,7 +539,8 @@ func TestAutoBatcherClosed(t *testing.T) {
 // waits for it, so every call issued before Close has resolved when it returns.
 func TestAutoBatcherCloseSendsForming(t *testing.T) {
 	sys := newSystem(t, nil)
-	ab := NewAutoBatcher(sys.client, time.Hour, 1024) // window never fires on its own
+	ab := NewAutoBatcher(sys.client, 1024)
+	ab.w.yield = holdYield(t) // the batch never settles on its own
 	calls := []*Call{
 		ab.Go("Echo", "echo", soapenc.F("m", "a")),
 		ab.Go("Echo", "echo", soapenc.F("m", "b")),
@@ -525,77 +558,6 @@ func TestAutoBatcherCloseSendsForming(t *testing.T) {
 	}
 	if st := sys.client.Stats(); st.Batches != 1 || st.Calls != 2 {
 		t.Errorf("Close sent %d batches for %d calls, want 1 for 2", st.Batches, st.Calls)
-	}
-}
-
-// TestAutoBatcherStaleTimer is TestBatchWindowStaleTimer through the
-// AutoBatcher: the first batch's timer runs late, after the count cap has sent
-// that batch and a second one has formed. The second batch must still wait
-// for its own window, here an hour that only Flush cuts short.
-func TestAutoBatcherStaleTimer(t *testing.T) {
-	sys := newSystem(t, nil)
-	ab := NewAutoBatcher(sys.client, time.Hour, 2)
-	defer ab.Close()
-	first := []*Call{ab.Go("Echo", "echo", soapenc.F("m", "1"))}
-	ab.w.mu.Lock()
-	stale := ab.w.forming[struct{}{}]
-	ab.w.mu.Unlock()
-	first = append(first, ab.Go("Echo", "echo", soapenc.F("m", "2")))
-	second := ab.Go("Echo", "echo", soapenc.F("m", "3"))
-	ab.w.expire(struct{}{}, stale)
-	for i, c := range first {
-		if _, err := c.Wait(); err != nil {
-			t.Fatalf("first batch, call %d: %v", i, err)
-		}
-	}
-	if n := len(ab.w.formingItems(struct{}{})); n != 1 {
-		t.Fatalf("the first batch's timer sent the second batch early: %d calls still forming, want 1", n)
-	}
-	ab.Flush()
-	if res, err := second.Wait(); err != nil || !soapenc.Equal(res[0].Value, "3") {
-		t.Errorf("second batch = %v, %v", res, err)
-	}
-	if st := sys.client.Stats(); st.Batches != 2 {
-		t.Errorf("sent %d batches, want 2", st.Batches)
-	}
-}
-
-// TestAutoBatcherTimerAfterCapFlush drives the stale-timer interleaving from
-// outside: the first batch's window runs out while the call that fills it is
-// held up — by the client's namespace lock, which a batcher that resolves
-// namespaces while adding a call holds across its own lock — and a third call
-// is waiting to start the second batch. Whatever becomes of the first batch's
-// timer, the second batch must not go out before a window has passed since
-// its first call.
-func TestAutoBatcherTimerAfterCapFlush(t *testing.T) {
-	const window = 30 * time.Millisecond
-	sys := newSystem(t, nil)
-	ab := NewAutoBatcher(sys.client, window, 2)
-	defer ab.Close()
-	first := ab.Go("Echo", "echo", soapenc.F("m", "1"))
-	sys.client.mu.Lock()
-	go ab.Go("Echo", "echo", soapenc.F("m", "2")) // fills the first batch
-	time.Sleep(window / 6)
-	type started struct {
-		call *Call
-		at   time.Time
-	}
-	third := make(chan started, 1)
-	go func() {
-		call := ab.Go("Echo", "echo", soapenc.F("m", "3"))
-		third <- started{call, time.Now()}
-	}()
-	time.Sleep(3 * window) // the first batch's window runs out
-	sys.client.mu.Unlock()
-	s := <-third
-	if _, err := s.call.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(s.at); d < window {
-		t.Errorf("the second batch went out %v after its first call, inside its window of %v", d, window)
-	}
-	if _, err := first.Wait(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,22 +1,23 @@
 package core
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // BatchWindow forms batches of items, one batch forming per key, and hands
-// each sealed batch to its flush function on a goroutine of its own. A batch
-// is sealed a delay after its first item, or as soon as it holds maxItems
-// items or maxBytes bytes. It is the one assembler behind both automatic
-// packers: the client's AutoBatcher (one key, no byte cap) and the gateway's
-// coalescer (a key per service, operation and SOAP version).
+// each sealed batch to its flush function. The item that opens a batch starts
+// its settle step on a goroutine of its own: the step yields the processor for
+// as long as each yield brings the batch a further item, seals the batch once
+// a yield brings none, and flushes it. A batch that reaches maxItems items or
+// maxBytes bytes is sealed at once, and so are the batches Flush and Close
+// seal; each of those is flushed on a goroutine of its own. It is the one
+// assembler behind both automatic packers: the client's AutoBatcher (one key,
+// no byte cap) and the gateway's coalescer (a key per service, operation and
+// SOAP version).
 //
 // Safe for concurrent use.
 type BatchWindow[K comparable, T any] struct {
-	delay    time.Duration
 	maxItems int
-	maxBytes int // no byte cap when <= 0
+	maxBytes int    // no byte cap when <= 0
+	yield    func() // the settle step's yield: runtime.Gosched but in tests
 	flush    func(K, []T)
 
 	mu      sync.Mutex
@@ -29,22 +30,22 @@ type BatchWindow[K comparable, T any] struct {
 type formingBatch[T any] struct {
 	items []T
 	bytes int
-	timer *time.Timer
 }
 
 // NewBatchWindow builds a window that passes every sealed batch to flush,
-// with the key it formed under. maxBytes <= 0 sets no byte cap.
-func NewBatchWindow[K comparable, T any](delay time.Duration, maxItems, maxBytes int, flush func(K, []T)) *BatchWindow[K, T] {
+// with the key it formed under. maxBytes <= 0 sets no byte cap. yield is the
+// settle step's yield of the processor; both packers pass runtime.Gosched.
+func NewBatchWindow[K comparable, T any](maxItems, maxBytes int, yield func(), flush func(K, []T)) *BatchWindow[K, T] {
 	return &BatchWindow[K, T]{
-		delay:    delay,
 		maxItems: maxItems,
 		maxBytes: maxBytes,
+		yield:    yield,
 		flush:    flush,
 		forming:  make(map[K]*formingBatch[T]),
 	}
 }
 
-// Add puts item, size bytes of it, into key's forming batch, starting one if
+// Add puts item, size bytes of it, into key's forming batch, opening one if
 // there is none, and seals the batch once it reaches a cap. It reports false,
 // having kept nothing, once the window is closed.
 func (w *BatchWindow[K, T]) Add(key K, item T, size int) bool {
@@ -63,21 +64,33 @@ func (w *BatchWindow[K, T]) Add(key K, item T, size int) bool {
 	switch {
 	case len(b.items) >= w.maxItems || w.maxBytes > 0 && b.bytes >= w.maxBytes:
 		w.sealLocked(key, b)
-	case b.timer == nil:
-		b.timer = time.AfterFunc(w.delay, func() { w.expire(key, b) })
+	case len(b.items) == 1:
+		go w.settle(key, b)
 	}
 	return true
 }
 
-// expire is the timer of b, armed with its first item: it seals b if b is
-// still forming. A timer that fired while a cap or Flush was sealing b — too
-// late to be stopped — finds a later batch under key, or none, and leaves it.
-func (w *BatchWindow[K, T]) expire(key K, b *formingBatch[T]) {
+// settle is the settle step of b, the batch key's first item opened: it
+// yields until a yield brings b no further item, then seals b and flushes it
+// on this goroutine. A cap, Flush or Close that seals b first also flushes
+// it, and settle only returns.
+func (w *BatchWindow[K, T]) settle(key K, b *formingBatch[T]) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.forming[key] == b {
-		w.sealLocked(key, b)
+	for n := 0; w.forming[key] == b && len(b.items) > n; {
+		n = len(b.items)
+		w.mu.Unlock()
+		w.yield()
+		w.mu.Lock()
 	}
+	if w.forming[key] != b {
+		w.mu.Unlock()
+		return
+	}
+	delete(w.forming, key)
+	w.flushes.Add(1)
+	w.mu.Unlock()
+	defer w.flushes.Done()
+	w.flush(key, b.items)
 }
 
 // Flush seals key's forming batch now, if there is one.
@@ -105,9 +118,6 @@ func (w *BatchWindow[K, T]) Close() {
 // its own goroutine. The caller holds w.mu.
 func (w *BatchWindow[K, T]) sealLocked(key K, b *formingBatch[T]) {
 	delete(w.forming, key)
-	if b.timer != nil {
-		b.timer.Stop()
-	}
 	w.flushes.Add(1)
 	go func() {
 		defer w.flushes.Done()

@@ -1,11 +1,21 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// holdYield is a settle step's yield that returns only when the test ends, so
+// every batch it settles stays open until a cap, Flush or Close seals it.
+func holdYield(t *testing.T) func() {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	return func() { <-release }
+}
 
 // windowRecorder collects the batches a BatchWindow flushes.
 type windowRecorder struct {
@@ -54,7 +64,7 @@ func (w *BatchWindow[K, T]) formingItems(key K) []T {
 // or the byte cap, whichever comes first, and each key forms its own batch.
 func TestBatchWindowCaps(t *testing.T) {
 	r := newWindowRecorder()
-	w := NewBatchWindow(time.Hour, 3, 100, r.flush)
+	w := NewBatchWindow(3, 100, holdYield(t), r.flush)
 	defer w.Close()
 	for i := 1; i <= 3; i++ {
 		w.Add("count", i, 1)
@@ -76,7 +86,7 @@ func TestBatchWindowCaps(t *testing.T) {
 // TestBatchWindowNoByteCap: maxBytes <= 0 sets no byte cap.
 func TestBatchWindowNoByteCap(t *testing.T) {
 	r := newWindowRecorder()
-	w := NewBatchWindow(time.Hour, 2, 0, r.flush)
+	w := NewBatchWindow(2, 0, holdYield(t), r.flush)
 	w.Add("k", 1, 1<<30)
 	if got := w.formingItems("k"); !slices.Equal(got, []int{1}) {
 		t.Fatalf("forming %v, want [1]", got)
@@ -87,34 +97,58 @@ func TestBatchWindowNoByteCap(t *testing.T) {
 	}
 }
 
-// TestBatchWindowDelay: a batch is sealed a delay after its first item, not
-// after its last, and the next item starts a new batch.
-func TestBatchWindowDelay(t *testing.T) {
-	const delay = 20 * time.Millisecond
+// TestBatchWindowLoneItemSealsAfterOneYield: an item with no companion is
+// sealed after one yield that brings none, and flushed on the goroutine that
+// yielded.
+func TestBatchWindowLoneItemSealsAfterOneYield(t *testing.T) {
 	r := newWindowRecorder()
-	w := NewBatchWindow(delay, 100, 0, r.flush)
+	var yields atomic.Int32
+	w := NewBatchWindow(100, 0, func() { yields.Add(1); runtime.Gosched() }, r.flush)
 	defer w.Close()
-	start := time.Now()
 	w.Add("k", 1, 0)
+	if got := r.got(t, 1, "k"); !slices.EqualFunc(got, [][]int{{1}}, slices.Equal) {
+		t.Errorf("flushed %v, want [[1]]", got)
+	}
+	if n := yields.Load(); n != 1 {
+		t.Errorf("sealed after %d yields, want 1", n)
+	}
 	w.Add("k", 2, 0)
-	got := r.got(t, 1, "k")
-	if elapsed := time.Since(start); elapsed < delay {
-		t.Errorf("batch sealed after %v, before its delay of %v", elapsed, delay)
-	}
-	if !slices.EqualFunc(got, [][]int{{1, 2}}, slices.Equal) {
-		t.Errorf("flushed %v, want [[1 2]]", got)
-	}
-	w.Add("k", 3, 0)
-	if got := w.formingItems("k"); !slices.Equal(got, []int{3}) {
-		t.Errorf("after the seal the window holds %v, want a new batch [3]", got)
+	if got := r.got(t, 1, "k"); !slices.EqualFunc(got, [][]int{{1}, {2}}, slices.Equal) {
+		t.Errorf("the next item flushed %v, want a batch of its own", got)
 	}
 }
 
-// TestBatchWindowFlush: Flush seals one key's batch at once and leaves the
-// others forming; with nothing forming it does nothing.
+// TestBatchWindowUnpausedStreamSealsAtCap: a batch that every yield brings a
+// further item never settles; the count cap seals it, and the settle step
+// leaves it to the flush the cap started.
+func TestBatchWindowUnpausedStreamSealsAtCap(t *testing.T) {
+	const maxItems = 5
+	r := newWindowRecorder()
+	var w *BatchWindow[string, int]
+	next := 1
+	w = NewBatchWindow(maxItems, 0, func() {
+		// Only the first batch's settle step yields here: it runs alone.
+		if next < maxItems {
+			next++
+			w.Add("k", next, 0)
+		}
+	}, r.flush)
+	w.Add("k", 1, 0)
+	r.got(t, 1, "k")
+	if got := w.formingItems("k"); got != nil {
+		t.Errorf("after the cap the window holds %v, want nothing forming", got)
+	}
+	w.Close()
+	if got := r.got(t, 0, "k"); !slices.EqualFunc(got, [][]int{{1, 2, 3, 4, 5}}, slices.Equal) {
+		t.Errorf("flushed %v, want [[1 2 3 4 5]] once", got)
+	}
+}
+
+// TestBatchWindowFlush: Flush seals one key's held batch at once and leaves
+// the others forming; with nothing forming it does nothing.
 func TestBatchWindowFlush(t *testing.T) {
 	r := newWindowRecorder()
-	w := NewBatchWindow(time.Hour, 100, 0, r.flush)
+	w := NewBatchWindow(100, 0, holdYield(t), r.flush)
 	defer w.Close()
 	w.Add("a", 1, 0)
 	w.Add("b", 2, 0)
@@ -128,13 +162,13 @@ func TestBatchWindowFlush(t *testing.T) {
 	}
 }
 
-// TestBatchWindowClose: Close seals every forming batch, returns only after
+// TestBatchWindowClose: Close seals every held batch, returns only after
 // every flush has, refuses later items, and may be called again.
 func TestBatchWindowClose(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	var flushed []string
-	w := NewBatchWindow(time.Hour, 100, 0, func(key string, _ []int) {
+	w := NewBatchWindow(100, 0, holdYield(t), func(key string, _ []int) {
 		<-release
 		mu.Lock()
 		flushed = append(flushed, key)
@@ -164,29 +198,4 @@ func TestBatchWindowClose(t *testing.T) {
 		t.Error("Add after Close kept an item")
 	}
 	w.Close()
-}
-
-// TestBatchWindowStaleTimer: the timer of a batch that a cap sealed can have
-// fired already, its callback waiting for the lock the sealing Add holds, so
-// Stop cannot cancel it. When it runs, a later batch is forming under the
-// same key; it must leave that batch to its own window. The test runs the
-// late callback by hand, after the second batch has formed, so the
-// interleaving is the same on every run.
-func TestBatchWindowStaleTimer(t *testing.T) {
-	r := newWindowRecorder()
-	w := NewBatchWindow(time.Hour, 2, 0, r.flush)
-	defer w.Close()
-	w.Add("k", 1, 0)
-	w.mu.Lock()
-	first := w.forming["k"]
-	w.mu.Unlock()
-	w.Add("k", 2, 0) // the count cap seals the first batch
-	w.Add("k", 3, 0) // the second batch forms, with an hour to go
-	w.expire("k", first)
-	if got := r.got(t, 1, "k"); !slices.EqualFunc(got, [][]int{{1, 2}}, slices.Equal) {
-		t.Errorf("flushed %v, want [[1 2]]", got)
-	}
-	if got := w.formingItems("k"); !slices.Equal(got, []int{3}) {
-		t.Errorf("the first batch's timer sealed the second batch early: forming %v, want [3]", got)
-	}
 }

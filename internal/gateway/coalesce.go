@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"math/bits"
+	"runtime"
 	"sync"
 	"time"
 
@@ -30,13 +31,6 @@ type CoalesceConfig struct {
 	// whole, the PR 5 behaviour.
 	Enabled bool
 
-	// FlushWindow is how long the first call in a batch waits for
-	// companions before the batch flushes (default 1ms). A call whose
-	// SPI-Deadline budget is under ten windows never parks: it is proxied
-	// at once, so a batch never eats more than a tenth of a member's
-	// deadline.
-	FlushWindow time.Duration
-
 	// MaxBatch flushes a batch as soon as it holds this many calls
 	// (default 64), bounding both added latency and sub-batch size.
 	MaxBatch int
@@ -50,9 +44,6 @@ type CoalesceConfig struct {
 
 // withDefaults fills the zero values.
 func (c CoalesceConfig) withDefaults() CoalesceConfig {
-	if c.FlushWindow <= 0 {
-		c.FlushWindow = time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -98,12 +89,15 @@ type batchKey struct {
 	version soap.Version
 }
 
+// settleYield is the yield of every coalescer's settle step: a batch goes
+// once a yield brings it no further call. Tests swap it to hold batches open.
+var settleYield = runtime.Gosched
+
 // coalescer forms the batches, one per batchKey, in a core.BatchWindow
 // capped at MaxBatch calls and MaxBytes of request bodies. One per gateway
 // when enabled.
 type coalescer struct {
-	cfg CoalesceConfig
-	w   *core.BatchWindow[batchKey, *pendingCall]
+	w *core.BatchWindow[batchKey, *pendingCall]
 	// cancel ends the context every flush runs under: batches outlive the
 	// member requests that formed them, so they cannot run under any one
 	// member's ctx.
@@ -114,8 +108,7 @@ func newCoalescer(g *Gateway, cfg CoalesceConfig) *coalescer {
 	cfg = cfg.withDefaults()
 	baseCtx, cancel := context.WithCancel(context.Background())
 	return &coalescer{
-		cfg: cfg,
-		w: core.NewBatchWindow(cfg.FlushWindow, cfg.MaxBatch, cfg.MaxBytes, func(key batchKey, calls []*pendingCall) {
+		w: core.NewBatchWindow(cfg.MaxBatch, cfg.MaxBytes, settleYield, func(key batchKey, calls []*pendingCall) {
 			g.flushBatch(baseCtx, key.version, calls)
 		}),
 		cancel: cancel,
@@ -160,21 +153,19 @@ func (s *coalesceSink) Fail(slot int, f *soap.Fault) {
 // into a forming batch and parks until its outcome arrives. A nil return
 // means the call must be proxied instead: coalescing is off, the request is
 // not coalescible (sr.Single is nil: headers, undecodable, plan/packed body),
-// its deadline budget is too tight to park, or the gateway is shutting down.
+// or the gateway is shutting down.
 func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, sr *core.ScatterRequest) *httpx.Response {
 	co := g.coalescer
 	if co == nil {
 		return nil
 	}
-	budget := core.DeadlineBudget(req)
-	if sr.Single == nil || budget > 0 && budget < 10*co.cfg.FlushWindow {
+	if sr.Single == nil {
 		g.coalescePassthrough.Inc()
 		return nil
 	}
 	entry := sr.Single
+	budget := core.DeadlineBudget(req)
 	call := &pendingCall{entry: entry, budget: budget, done: make(chan callOutcome, 1)}
-	// Every member's budget is ten windows or more, so the first call's
-	// window is the one the whole batch keeps.
 	key := batchKey{service: entry.Service, op: entry.Op, version: sr.Version}
 	if !co.w.Add(key, call, len(req.Body)) {
 		g.coalescePassthrough.Inc()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -35,6 +36,18 @@ func coalesceFarm(tb testing.TB, k int, cc CoalesceConfig, mutate func(*Config))
 	})
 }
 
+// holdBatches makes every coalescer built until the test ends hold its
+// batches open until a cap, Flush or Close seals them: its settle step's
+// yield returns only when the test ends. Call it before building the gateway.
+func holdBatches(t *testing.T) {
+	release := make(chan struct{})
+	settleYield = func() { <-release }
+	t.Cleanup(func() {
+		settleYield = runtime.Gosched
+		close(release)
+	})
+}
+
 // postHdr is post with extra request headers (header name, value pairs).
 func postHdr(tb testing.TB, c *httpx.Client, target, ct string, doc []byte, hdr ...string) reply {
 	tb.Helper()
@@ -59,21 +72,23 @@ func postHdr(tb testing.TB, c *httpx.Client, target, ct string, doc []byte, hdr 
 // N independent single-call clients answered through a coalescing gateway
 // get byte-identical replies to the same calls answered by a direct
 // server — across SOAP versions, routing policies, and op outcomes
-// (success, empty result, application fault). The concurrent burst makes
-// real multi-member batches form; each client checks its own reply, so a
-// cross-wired spi:id (lost or duplicated slot) shows up as a body diff.
+// (success, empty result, application fault). The batches are held open
+// until the whole burst has parked, so each operation's calls share one
+// batch; each client checks its own reply, so a cross-wired spi:id (lost or
+// duplicated slot) shows up as a body diff.
 func TestDifferentialCoalescedSingles(t *testing.T) {
 	clients := 24
 	if testing.Short() {
 		clients = 8
 	}
+	ops := []string{"echo", "empty", "none", "fail"}
+	holdBatches(t)
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		for _, p := range []Policy{RoundRobin, LeastLoaded, OpAffinity} {
 			t.Run(fmt.Sprintf("%s/%s", v, p), func(t *testing.T) {
 				t.Parallel()
 				d := newDirect(t)
-				f := coalesceFarm(t, 3, CoalesceConfig{FlushWindow: 3 * time.Millisecond},
-					func(cfg *Config) { cfg.Policy = p })
+				f := coalesceFarm(t, 3, CoalesceConfig{}, func(cfg *Config) { cfg.Policy = p })
 
 				// One doc per client: mostly echo (same op key, so they pool
 				// into shared batches), plus ops with empty results and an
@@ -115,6 +130,14 @@ func TestDifferentialCoalescedSingles(t *testing.T) {
 						got[i] = post(t, gc, "/services/Echo", v.ContentType(), docs[i])
 					}(i)
 				}
+				for deadline := time.Now().Add(10 * time.Second); f.gw.Stats().Coalesced < int64(clients); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("only %d of %d calls parked", f.gw.Stats().Coalesced, clients)
+					}
+				}
+				for _, op := range ops {
+					f.gw.coalescer.w.Flush(batchKey{service: "Echo", op: op, version: v})
+				}
 				wg.Wait()
 
 				for i := range docs {
@@ -126,8 +149,8 @@ func TestDifferentialCoalescedSingles(t *testing.T) {
 					t.Errorf("Coalesced = %d, want %d (passthrough %d, proxied %d)",
 						st.Coalesced, clients, st.CoalescePassthrough, st.Proxied)
 				}
-				if st.CoalesceBatches < 1 || st.CoalesceBatches > int64(clients) {
-					t.Errorf("CoalesceBatches = %d", st.CoalesceBatches)
+				if st.CoalesceBatches != int64(len(ops)) {
+					t.Errorf("CoalesceBatches = %d, want one per operation, %d", st.CoalesceBatches, len(ops))
 				}
 			})
 		}
@@ -140,7 +163,7 @@ func TestDifferentialCoalescedSingles(t *testing.T) {
 // abandons the same call.
 func TestDifferentialCoalescedTimeout(t *testing.T) {
 	d := newDirect(t)
-	f := coalesceFarm(t, 2, CoalesceConfig{FlushWindow: time.Millisecond}, nil)
+	f := coalesceFarm(t, 2, CoalesceConfig{}, nil)
 	dc := &httpx.Client{Dial: d.link.Dial, KeepAlive: true, Timeout: 5 * time.Second}
 	gc := f.raw()
 	defer dc.Close()
@@ -165,13 +188,11 @@ func TestDifferentialCoalescedTimeout(t *testing.T) {
 }
 
 // TestCoalesceMaxBatchFlush: the size cap flushes a full batch immediately,
-// long before a (deliberately huge) flush window.
+// though the batch is held open and would never settle on its own.
 func TestCoalesceMaxBatchFlush(t *testing.T) {
 	const n = 4
-	f := coalesceFarm(t, 2, CoalesceConfig{
-		FlushWindow: 30 * time.Second, // must never be waited out
-		MaxBatch:    n,
-	}, nil)
+	holdBatches(t)
+	f := coalesceFarm(t, 2, CoalesceConfig{MaxBatch: n}, nil)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -208,10 +229,10 @@ func TestCoalesceMaxBatchFlush(t *testing.T) {
 	}
 }
 
-// TestCoalesceStragglerFlush: a lone call with no companions still flushes
-// after the window as a batch of one.
+// TestCoalesceStragglerFlush: a lone call with no companions goes out as a
+// batch of one once its batch settles.
 func TestCoalesceStragglerFlush(t *testing.T) {
-	f := coalesceFarm(t, 2, CoalesceConfig{FlushWindow: 5 * time.Millisecond}, nil)
+	f := coalesceFarm(t, 2, CoalesceConfig{}, nil)
 	gc := f.raw()
 	defer gc.Close()
 	doc := singleCallDoc(soap.V12, `<m:echo xmlns:m="urn:spi:Echo"><msg>alone</msg></m:echo>`)
@@ -225,39 +246,28 @@ func TestCoalesceStragglerFlush(t *testing.T) {
 	}
 }
 
-// TestCoalesceTightDeadlinePassthrough: a call whose SPI-Deadline budget is
-// under ten flush windows must not park — it is proxied whole instead.
-func TestCoalesceTightDeadlinePassthrough(t *testing.T) {
-	f := coalesceFarm(t, 2, CoalesceConfig{FlushWindow: 20 * time.Millisecond}, nil)
+// TestCoalesceTightDeadline: a call with a tight SPI-Deadline budget parks
+// like any other, since a batch waits for no clock, and is answered inside
+// its budget.
+func TestCoalesceTightDeadline(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	f := coalesceFarm(t, 2, CoalesceConfig{}, nil)
 	gc := f.raw()
 	defer gc.Close()
-	// Ten windows are 200ms; 50ms is under that.
 	doc := singleCallDoc(soap.V11, `<m:echo xmlns:m="urn:spi:Echo"><msg>rush</msg></m:echo>`)
-	r := postHdr(t, gc, "/services/Echo", soap.V11.ContentType(), doc, core.HeaderDeadline, "50")
+	start := time.Now()
+	r := postHdr(t, gc, "/services/Echo", soap.V11.ContentType(), doc,
+		core.HeaderDeadline, strconv.Itoa(int(budget/time.Millisecond)))
+	if elapsed := time.Since(start); elapsed >= budget {
+		t.Errorf("answered after %v, outside its budget of %v", elapsed, budget)
+	}
 	if r.status != 200 || !bytes.Contains(r.body, []byte(">rush</msg>")) {
 		t.Fatalf("tight-deadline reply: %d %s", r.status, r.body)
 	}
 	st := f.gw.Stats()
-	if st.Coalesced != 0 || st.CoalescePassthrough != 1 || st.Proxied != 1 {
-		t.Errorf("stats = coalesced %d passthrough %d proxied %d, want 0/1/1",
+	if st.Coalesced != 1 || st.CoalescePassthrough != 0 || st.Proxied != 0 {
+		t.Errorf("stats = coalesced %d passthrough %d proxied %d, want 1/0/0",
 			st.Coalesced, st.CoalescePassthrough, st.Proxied)
-	}
-}
-
-// TestCoalesceParksAtTenWindows: a budget of exactly ten flush windows is
-// enough to park, and the call is answered inside it — a batch waits out
-// one window, a tenth of the budget, before it flushes.
-func TestCoalesceParksAtTenWindows(t *testing.T) {
-	f := coalesceFarm(t, 2, CoalesceConfig{FlushWindow: 20 * time.Millisecond}, nil)
-	gc := f.raw()
-	defer gc.Close()
-	doc := singleCallDoc(soap.V11, `<m:echo xmlns:m="urn:spi:Echo"><msg>soon</msg></m:echo>`)
-	r := postHdr(t, gc, "/services/Echo", soap.V11.ContentType(), doc, core.HeaderDeadline, "200")
-	if r.status != 200 || !bytes.Contains(r.body, []byte(">soon</msg>")) {
-		t.Fatalf("reply: %d %s", r.status, r.body)
-	}
-	if st := f.gw.Stats(); st.Coalesced != 1 || st.CoalescePassthrough != 0 {
-		t.Errorf("Coalesced = %d, passthrough %d; want the call parked", st.Coalesced, st.CoalescePassthrough)
 	}
 }
 
@@ -265,7 +275,7 @@ func TestCoalesceParksAtTenWindows(t *testing.T) {
 // (header blocks, packed bodies already handled upstream) fall through to
 // the proxy and still answer correctly.
 func TestCoalesceNonCoalescibleBypass(t *testing.T) {
-	f := coalesceFarm(t, 2, CoalesceConfig{FlushWindow: 2 * time.Millisecond}, nil)
+	f := coalesceFarm(t, 2, CoalesceConfig{}, nil)
 	gc := f.raw()
 	defer gc.Close()
 	withHeader := []byte(`<?xml version="1.0" encoding="UTF-8"?>` +
@@ -293,7 +303,7 @@ func TestChaosCoalesceBackendKill(t *testing.T) {
 	if testing.Short() {
 		rounds, clients = 4, 8
 	}
-	f := coalesceFarm(t, 3, CoalesceConfig{FlushWindow: 2 * time.Millisecond}, func(cfg *Config) {
+	f := coalesceFarm(t, 3, CoalesceConfig{}, func(cfg *Config) {
 		cfg.FailureThreshold = 2
 		cfg.ReprobeAfter = 20 * time.Millisecond
 	})
@@ -398,10 +408,11 @@ func TestCoalesceShutdownReleasesParked(t *testing.T) {
 	go srv.Serve(lis)
 	defer func() { srv.Close(); link.Close() }()
 
+	holdBatches(t)
 	gw, err := New(Config{
 		Backends: []BackendConfig{{Name: "b0", Dial: link.Dial}},
 		Registry: testContainer(t),
-		Coalesce: CoalesceConfig{Enabled: true, FlushWindow: 30 * time.Second, MaxBatch: 1 << 20},
+		Coalesce: CoalesceConfig{Enabled: true, MaxBatch: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -414,8 +425,8 @@ func TestCoalesceShutdownReleasesParked(t *testing.T) {
 	go gw.Serve(glis)
 	defer gwLink.Close()
 
-	// Park two calls: the huge window and batch cap mean only shutdown can
-	// flush them.
+	// Park two calls: the held batch and the huge batch cap mean only
+	// shutdown can flush them.
 	const parked = 2
 	done := make(chan reply, parked)
 	for i := 0; i < parked; i++ {

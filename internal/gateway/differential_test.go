@@ -531,7 +531,7 @@ func TestMixedVersionBackends(t *testing.T) {
 				cfg.Backends = append(cfg.Backends, BackendConfig{Name: "new", Dial: newDirect(t).link.Dial})
 			}
 			if strings.HasSuffix(fleet, "coalescing") {
-				cfg.Coalesce = CoalesceConfig{Enabled: true, FlushWindow: time.Millisecond}
+				cfg.Coalesce = CoalesceConfig{Enabled: true}
 			}
 		})
 		gc := f.raw()

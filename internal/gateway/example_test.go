@@ -52,10 +52,10 @@ func ExampleNew() {
 
 // Cross-client coalescing: single-call envelopes from clients that never
 // adopted the pack interface are merged into synthetic packed batches.
-// Calls targeting the same operation pool for up to FlushWindow (sooner
-// when the size/byte caps fill), then ride the normal scatter path; each
-// client's reply stays byte-identical to the uncoalesced path. A call with
-// less SPI-Deadline budget than ten windows never parks.
+// Calls targeting the same operation pool until a yield of the processor
+// brings their batch no further call (sooner when the size/byte caps fill),
+// then ride the normal scatter path; each client's reply stays
+// byte-identical to the uncoalesced path. A lone call goes out at once.
 func ExampleNew_coalescing() {
 	gw, err := gateway.New(gateway.Config{
 		Backends: []gateway.BackendConfig{
@@ -63,10 +63,9 @@ func ExampleNew_coalescing() {
 		},
 		Registry: sharedContainer(),
 		Coalesce: gateway.CoalesceConfig{
-			Enabled:     true,
-			FlushWindow: time.Millisecond, // batch formation window
-			MaxBatch:    64,               // flush immediately at 64 members
-			MaxBytes:    256 << 10,        // ... or at 256 KiB of request bodies
+			Enabled:  true,
+			MaxBatch: 64,        // flush immediately at 64 members
+			MaxBytes: 256 << 10, // ... or at 256 KiB of request bodies
 		},
 	})
 	if err != nil {

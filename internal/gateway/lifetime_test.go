@@ -196,8 +196,9 @@ func TestParkedCallOutlivesRequestBody(t *testing.T) {
 		}
 
 		conn := newGatedConn(true)
+		holdBatches(t) // only the cap seals the batch
 		g := gatedGateway(t, conn, func(cfg *Config) {
-			cfg.Coalesce = CoalesceConfig{Enabled: true, FlushWindow: time.Hour, MaxBatch: 2}
+			cfg.Coalesce = CoalesceConfig{Enabled: true, MaxBatch: 2}
 		})
 		post := func(ctx context.Context, doc []byte) (*httpx.Request, <-chan int) {
 			req := httpx.NewRequest("POST", "/services/Echo", doc)

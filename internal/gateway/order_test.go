@@ -151,7 +151,8 @@ func TestReverseOrderBackend(t *testing.T) {
 	t.Run("coalesce", func(t *testing.T) {
 		// The batch cap is the only thing that flushes: n calls make one batch.
 		const n = 4
-		f := coalesceFarm(t, 1, CoalesceConfig{FlushWindow: 30 * time.Second, MaxBatch: n}, reversing)
+		holdBatches(t)
+		f := coalesceFarm(t, 1, CoalesceConfig{MaxBatch: n}, reversing)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)

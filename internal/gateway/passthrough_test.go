@@ -90,7 +90,7 @@ func TestPassthroughCountsProxied(t *testing.T) {
 func TestPassthroughGatedOffByCoalesce(t *testing.T) {
 	f := newFarm(t, 1, func(cfg *Config) {
 		cfg.Passthrough = true
-		cfg.Coalesce = CoalesceConfig{Enabled: true, FlushWindow: time.Millisecond}
+		cfg.Coalesce = CoalesceConfig{Enabled: true}
 	})
 	c := f.raw()
 	defer c.Close()

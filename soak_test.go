@@ -36,7 +36,7 @@ func TestSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	auto := spi.NewAutoBatcher(env.Client, time.Millisecond, 64)
+	auto := spi.NewAutoBatcher(env.Client, 64)
 	defer auto.Close()
 
 	const (

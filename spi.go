@@ -50,7 +50,7 @@
 //
 // Client — transparent automatic packing (the paper's future work):
 //
-//	auto := spi.NewAutoBatcher(client, time.Millisecond, 128)
+//	auto := spi.NewAutoBatcher(client, 128)
 //	results, err := auto.Call("Greeter", "Hello")  // coalesces with concurrent calls
 //
 // # Architecture
@@ -77,8 +77,6 @@
 package spi
 
 import (
-	"time"
-
 	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -251,9 +249,10 @@ func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
 // NewServer builds a server.
 func NewServer(cfg ServerConfig) (*Server, error) { return core.NewServer(cfg) }
 
-// NewAutoBatcher wraps a client with windowed automatic packing.
-func NewAutoBatcher(c *Client, window time.Duration, maxBatch int) *AutoBatcher {
-	return core.NewAutoBatcher(c, window, maxBatch)
+// NewAutoBatcher wraps a client with automatic packing: concurrent calls
+// share a message, and a lone call goes out at once.
+func NewAutoBatcher(c *Client, maxBatch int) *AutoBatcher {
+	return core.NewAutoBatcher(c, maxBatch)
 }
 
 // Observability: per-stage tracing and latency histograms. A Tracer is

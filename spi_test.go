@@ -101,7 +101,7 @@ func TestFacadeBatch(t *testing.T) {
 
 func TestFacadeAutoBatcher(t *testing.T) {
 	client, _, _ := startSystem(t, spi.LinkConfig{})
-	auto := spi.NewAutoBatcher(client, 10*time.Millisecond, 16)
+	auto := spi.NewAutoBatcher(client, 16)
 	defer auto.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
