@@ -341,7 +341,7 @@ type Stats struct {
 
 	// Coalesced counts single calls merged into synthetic batches;
 	// CoalescePassthrough counts single calls that bypassed coalescing
-	// (tight deadline, non-coalescible envelope, shutdown) and were
+	// (non-coalescible envelope, shutdown) and were
 	// proxied whole instead. CoalesceBatches counts flushed batches and
 	// CoalesceSizes is their size distribution in power-of-two buckets
 	// ("1", "2", "3-4", ..., ">64"); zero buckets are omitted.
