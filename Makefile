@@ -75,16 +75,19 @@ race:
 	$(GO) test -race ./...
 
 ## race-stage: the application-stage pool's census — thirty shuffled runs
-## under the race detector on one and on two Ps, of the package and of the
-## server tests that wait on its queue: admission shedding, a deadline that
-## ends while a request waits for queue space, and the queue-depth gauge
-## (about 55 s on a 2-vCPU box, 45 s of it the core tests). The package is one
-## queue and its tests park and wake goroutines on purpose, so a test that
-## fails once in thirty here has a cause to remove, not a run to repeat.
+## under the race detector on one and on two Ps, of the package, of the
+## server tests that wait on its queue (admission shedding, the shed at once
+## of a request with no deadline, a deadline that ends while a request waits
+## for queue space, and the queue-depth gauge) and of the deadline table,
+## every wait a request causes on the direct and the gateway path. The
+## package is one queue and its tests park and wake goroutines on purpose, so
+## a test that fails once in thirty here has a cause to remove, not a run to
+## repeat.
 race-stage:
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 ./internal/stage
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 \
-		-run 'TestQueueAdmissionShedding|TestDeadlineWhileQueuedNeverRuns|TestTraceAppQueuePeaksBehindHeldWorker' ./internal/core
+		-run 'TestQueueAdmissionShedding|TestAdmissionShedsAtOnceWithoutDeadline|TestDeadlineWhileQueuedNeverRuns|TestTraceAppQueuePeaksBehindHeldWorker' ./internal/core
+	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -run 'TestDeadlineTable' ./internal/gateway
 
 ## race-assemble: the completion collector's census, in the style of
 ## race-stage — thirty shuffled runs under the race detector on one and on two

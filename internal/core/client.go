@@ -57,7 +57,8 @@ type ClientConfig struct {
 	PipelineWindow int
 	// PathPrefix must match the server's (default "/services/").
 	PathPrefix string
-	// Timeout bounds one HTTP exchange; zero means none.
+	// Timeout bounds one HTTP exchange as a connection deadline; zero means
+	// none. It is not sent: a call's budget is its context's deadline.
 	Timeout time.Duration
 	// HeaderProviders contribute header blocks to every request.
 	HeaderProviders []HeaderProvider
@@ -75,13 +76,6 @@ type ClientConfig struct {
 	// message).
 	TemplateCache bool
 
-	// CallTimeout bounds one logical Call/Go — all retry attempts and
-	// backoffs included — when the caller's context carries no deadline
-	// of its own. Zero means none.
-	CallTimeout time.Duration
-	// BatchTimeout is CallTimeout's analogue for Batch.Send and
-	// Plan.Send. Zero means none.
-	BatchTimeout time.Duration
 	// Retry, when non-nil, retries failed exchanges with backoff. See
 	// RetryPolicy for what is eligible; mark operations idempotent with
 	// Client.MarkIdempotent to widen it.
@@ -233,16 +227,10 @@ func (c *Client) Call(service, op string, params ...soapenc.Field) ([]soapenc.Fi
 // CallCtx is Call under a context: the deadline bounds the whole logical
 // call (every retry attempt and backoff included) and is propagated to
 // the server, and cancellation ends the exchange in flight (see httpx
-// Client.DoCtx). When ctx carries no deadline, ClientConfig.CallTimeout
-// supplies one.
+// Client.DoCtx).
 func (c *Client) CallCtx(ctx context.Context, service, op string, params ...soapenc.Field) ([]soapenc.Field, error) {
 	c.calls.Add(1)
 	ctx = c.traceCtx(ctx)
-	if _, has := ctx.Deadline(); !has && c.cfg.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
-	}
 	req, err := c.newCallRequest(ctx, service, op, params)
 	if err != nil {
 		return nil, err
@@ -534,8 +522,7 @@ func (b *Batch) Send() error {
 // it finishes in time return real results, unfinished entries come back
 // as per-item Server.Timeout faults on their futures. Cancelling ctx ends
 // the exchange in flight (see httpx Client.DoCtx) and resolves every
-// future with the context's error. When ctx carries no deadline,
-// ClientConfig.BatchTimeout supplies one.
+// future with the context's error.
 func (b *Batch) SendCtx(ctx context.Context) error {
 	if b.sent {
 		return fmt.Errorf("core: batch already sent")
@@ -582,11 +569,6 @@ func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmlt
 		}
 	}()
 	ctx = c.traceCtx(ctx)
-	if _, has := ctx.Deadline(); !has && c.cfg.BatchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.BatchTimeout)
-		defer cancel()
-	}
 	req, err := c.newRequest(ctx, c.packTarget(), write)
 	if err != nil {
 		return err

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/soap"
 	"repro/internal/soapenc"
@@ -254,7 +256,9 @@ func TestInteropResponsesAreWellFormed(t *testing.T) {
 }
 
 // Large batch stress: 500 packed requests in one message (beyond the
-// paper's M=128) must execute and correlate correctly.
+// paper's M=128) must execute and correlate correctly. The message outgrows
+// the 64-slot queue, so its entries wait for space under its deadline; with
+// none, the overflow would be shed.
 func TestLargePackedMessage(t *testing.T) {
 	sys := newSystem(t, nil)
 	const m = 500
@@ -263,7 +267,9 @@ func TestLargePackedMessage(t *testing.T) {
 	for i := 0; i < m; i++ {
 		calls[i] = b.Add("Echo", "echo", soapenc.F("i", int64(i)))
 	}
-	if err := b.Send(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := b.SendCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range calls {

@@ -90,12 +90,6 @@ type ServerConfig struct {
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 
-	// AdmissionTimeout bounds how long a request waits for space in the
-	// application-stage queue before being shed with a Server.Busy fault
-	// (per item for packed messages). Zero waits without that bound. Either
-	// way the wait ends with the request's deadline, which answers with
-	// the deadline's own fault and never runs the operation.
-	AdmissionTimeout time.Duration
 	// OperationTimeout bounds each operation execution. An operation
 	// that overruns returns a Server.Timeout fault (per item in packed
 	// responses); its handler keeps running detached until it observes
@@ -744,24 +738,27 @@ func (s *Server) sampleAppQueue() {
 	}
 }
 
-// submitApp enqueues one application-stage task. While the queue is full it
-// waits for space until the admission timeout (no bound when zero) or until
-// the request's ctx is done, whichever comes first.
+// submitApp enqueues one application-stage task. On a full queue a request
+// with a deadline waits for space until that deadline; one without a
+// deadline does not wait.
 func (s *Server) submitApp(ctx context.Context, task stage.Task) error {
 	s.sampleAppQueue()
-	return s.appPool.SubmitCtx(ctx, task, s.cfg.AdmissionTimeout)
+	if _, ok := ctx.Deadline(); ok {
+		return s.appPool.SubmitCtx(ctx, task)
+	}
+	return s.appPool.TrySubmit(task)
 }
 
 // admissionFault maps req's failed submit to a fault; the operation never
-// started. A full queue past the admission timeout is shed with Server.Busy
-// (retryable); a request whose deadline passed or whose caller went away
-// while it waited is abandoned; anything else is a plain server fault.
+// started. A full queue refusing a request with no deadline sheds it with
+// Server.Busy (retryable); a request whose deadline passed or whose caller
+// went away while it waited is abandoned; anything else is a plain server
+// fault.
 func (s *Server) admissionFault(ctx context.Context, req *rpcRequest, err error) *soap.Fault {
 	switch {
 	case errors.Is(err, stage.ErrQueueFull):
 		s.resil.Shed.Inc()
-		return fault.ToSOAP(fault.Shedf(
-			"application stage queue full after %v admission wait", s.cfg.AdmissionTimeout))
+		return fault.ToSOAP(fault.Shedf("application stage queue full and the request has no deadline"))
 	case errors.Is(err, ctx.Err()):
 		return s.abandonFault(ctx, req.service, req.op)
 	}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -233,13 +234,13 @@ func TestChaosSoak(t *testing.T) {
 // the server's own timeout fault text, and never wedges the collector.
 func TestChaosDeadlineDegrade(t *testing.T) {
 	f := newFarm(t, 2, nil)
-	cli := f.client(t, func(cfg *core.ClientConfig) {
-		cfg.BatchTimeout = 400 * time.Millisecond
-	})
+	cli := f.client(t, nil)
 	batch := cli.NewBatch()
 	fast := batch.Add("Echo", "echo", soapenc.F("v", int64(1)))
 	slow := batch.Add("Echo", "nap", soapenc.F("ms", int64(5000)))
-	if err := batch.Send(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+	defer cancel()
+	if err := batch.SendCtx(ctx); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	if _, err := fast.Wait(); err != nil {

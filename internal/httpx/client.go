@@ -54,9 +54,9 @@ func (e *DialError) Unwrap() error { return e.Err }
 type Client struct {
 	// Dial is required unless DialCtx is set.
 	Dial Dialer
-	// DialCtx, when set, is preferred over Dial: connection establishment
-	// is cancelled when the request's context expires, so deadline
-	// propagation covers the dial, not just the exchange.
+	// DialCtx, when set, is preferred over Dial: the request's context
+	// ends the connection attempt itself, where a Dial it outlasts is left
+	// to finish on a goroutine of its own.
 	DialCtx DialerCtx
 	// KeepAlive selects connection reuse.
 	KeepAlive bool
@@ -173,11 +173,8 @@ func (c *Client) exit() {
 // fresh one (the server may have closed it between requests). The context
 // bounds the exchange as Timeout does, whichever ends first: an exchange
 // whose context ends before its response begins leaves its place to the
-// exchanges behind it, and a connection left with none on it closes. With
-// DialCtx set the dial itself is cancellable too; the legacy Dialer runs
-// uninterrupted (its signature predates contexts), which only matters for
-// dials that can hang — simulated and loopback dials complete in
-// microseconds.
+// exchanges behind it, and a connection left with none on it closes. The
+// context bounds the dial too (see dial).
 func (c *Client) DoCtx(ctx context.Context, req *Request) (*Response, error) {
 	if !c.Tracer.Enabled() {
 		return c.doCtx(ctx, req)
@@ -253,12 +250,7 @@ func (c *Client) getConn(ctx context.Context, fresh bool) (cn *conn, reused bool
 		return cn, true, nil
 	}
 	c.mu.Unlock()
-	var nc net.Conn
-	if c.DialCtx != nil {
-		nc, err = c.DialCtx(ctx)
-	} else {
-		nc, err = c.Dial()
-	}
+	nc, err := c.dial(ctx)
 	if err != nil {
 		return nil, false, &DialError{Err: err}
 	}
@@ -279,6 +271,38 @@ func (c *Client) getConn(ctx context.Context, fresh bool) (cn *conn, reused bool
 		c.conns = append(c.conns, cn)
 	}
 	return cn, false, nil
+}
+
+// dial opens a connection that ctx bounds: through DialCtx, or through Dial
+// on a goroutine of its own that the caller leaves when ctx ends first (the
+// connection, if one comes later, is closed).
+func (c *Client) dial(ctx context.Context) (net.Conn, error) {
+	if c.DialCtx != nil {
+		return c.DialCtx(ctx)
+	}
+	if ctx.Done() == nil {
+		return c.Dial()
+	}
+	type dialed struct {
+		nc  net.Conn
+		err error
+	}
+	done := make(chan dialed, 1)
+	go func() {
+		nc, err := c.Dial()
+		done <- dialed{nc, err}
+	}()
+	select {
+	case d := <-done:
+		return d.nc, d.err
+	case <-ctx.Done():
+		go func() {
+			if d := <-done; d.nc != nil {
+				d.nc.Close()
+			}
+		}()
+		return nil, ctx.Err()
+	}
 }
 
 // exchange sends req on cn, which the caller has joined, and reads its

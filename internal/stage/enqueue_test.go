@@ -56,8 +56,9 @@ func parkedInEnqueue() int {
 // state the queue can be in. A full queue given up on counts as Rejected; a
 // closed pool never does, whether the caller found it closed or was parked
 // when it closed, and neither does a ctx that ends while the caller is parked.
-// The SubmitTimeout entries are SubmitCtx with that much patience; the
-// SubmitCtx entry has none, so only the pool or ctx ends its wait.
+// The SubmitTimeout entries are SubmitCtx under a deadline that far off; the
+// SubmitCtx entry's ctx has none. Only the pool or ctx ends a wait, so a
+// deadline that passes on a full queue is ctx done, not a shed.
 func TestEnqueueTable(t *testing.T) {
 	type entry struct {
 		name   string
@@ -66,9 +67,16 @@ func TestEnqueueTable(t *testing.T) {
 	}
 	submit := entry{"Submit", true, func(_ context.Context, p *Pool) error { return p.Submit(func() {}) }}
 	try := entry{"TrySubmit", false, func(_ context.Context, p *Pool) error { return p.TrySubmit(func() {}) }}
-	short := entry{"SubmitTimeout-5ms", false, func(ctx context.Context, p *Pool) error { return p.SubmitCtx(ctx, func() {}, 5*time.Millisecond) }}
-	long := entry{"SubmitTimeout-1m", true, func(ctx context.Context, p *Pool) error { return p.SubmitCtx(ctx, func() {}, time.Minute) }}
-	patient := entry{"SubmitCtx", true, func(ctx context.Context, p *Pool) error { return p.SubmitCtx(ctx, func() {}, 0) }}
+	within := func(d time.Duration) func(context.Context, *Pool) error {
+		return func(ctx context.Context, p *Pool) error {
+			ctx, cancel := context.WithTimeout(ctx, d)
+			defer cancel()
+			return p.SubmitCtx(ctx, func() {})
+		}
+	}
+	short := entry{"SubmitTimeout-5ms", false, within(5 * time.Millisecond)}
+	long := entry{"SubmitTimeout-1m", true, within(time.Minute)}
+	patient := entry{"SubmitCtx", true, func(ctx context.Context, p *Pool) error { return p.SubmitCtx(ctx, func() {}) }}
 
 	rows := []struct {
 		state               string
@@ -86,7 +94,7 @@ func TestEnqueueTable(t *testing.T) {
 		{"full", long, nil, 1, 0},
 		{"full", patient, nil, 1, 0},
 		{"full", try, ErrQueueFull, 0, 1},
-		{"full", short, ErrQueueFull, 0, 1},
+		{"full", short, context.DeadlineExceeded, 0, 0},
 		{"closed before the call", submit, ErrClosed, 0, 0},
 		{"closed before the call", try, ErrClosed, 0, 0},
 		{"closed before the call", short, ErrClosed, 0, 0},

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Task is one unit of work executed by a pool worker.
@@ -32,15 +31,14 @@ type Task func()
 // ErrClosed is returned by Submit after Close has begun.
 var ErrClosed = errors.New("stage: pool closed")
 
-// ErrQueueFull is returned when a submit gives up on a full event queue:
-// TrySubmit at once, SubmitCtx once its patience has passed.
+// ErrQueueFull is returned by TrySubmit on a full event queue.
 var ErrQueueFull = errors.New("stage: queue full")
 
 // Stats is a snapshot of pool counters.
 type Stats struct {
 	Submitted int64 // tasks accepted
 	Completed int64 // tasks finished (including panicked ones)
-	Rejected  int64 // submits given up on a full queue
+	Rejected  int64 // TrySubmits refused by a full queue
 	Panics    int64 // tasks that panicked
 	Workers   int   // configured worker count
 	QueueCap  int   // configured queue capacity
@@ -139,29 +137,24 @@ func (p *Pool) run(task Task) {
 // Submit enqueues a task, blocking while the queue is full. It returns
 // ErrClosed if the pool is closed (including while blocked waiting for
 // space). A nil return guarantees the task will run.
-func (p *Pool) Submit(task Task) error { return p.enqueue(context.Background(), task, 0) }
+func (p *Pool) Submit(task Task) error { return p.enqueue(context.Background(), task, true) }
 
 // TrySubmit enqueues a task without blocking; it returns ErrQueueFull when
 // the queue is at capacity (overload shedding).
-func (p *Pool) TrySubmit(task Task) error { return p.enqueue(context.Background(), task, noWait) }
+func (p *Pool) TrySubmit(task Task) error { return p.enqueue(context.Background(), task, false) }
 
-// SubmitCtx enqueues a task, waiting while the queue is full until patience
-// has passed (no bound when patience <= 0), ctx is done, or the pool closes.
-// It returns ErrQueueFull, ctx.Err() or ErrClosed respectively — the
-// queue-admission guard of the server's resilience layer. A nil return
-// guarantees the task will run.
-func (p *Pool) SubmitCtx(ctx context.Context, task Task, patience time.Duration) error {
-	return p.enqueue(ctx, task, max(patience, 0))
-}
-
-// noWait is enqueue's patience for TrySubmit: give up on a full queue at once.
-const noWait time.Duration = -1
+// SubmitCtx enqueues a task, waiting while the queue is full until ctx is
+// done or the pool closes; it returns ctx.Err() or ErrClosed respectively.
+// The wait has no bound but ctx: a request's deadline is its admission
+// budget. A nil return guarantees the task will run.
+func (p *Pool) SubmitCtx(ctx context.Context, task Task) error { return p.enqueue(ctx, task, true) }
 
 // enqueue is the one way into the queue. A full queue is waited on only past
-// the first, non-blocking send, so a submit that finds space allocates
-// nothing and never asks ctx for its Done channel. Giving up on a full queue
-// counts as Rejected; finding the pool closed, or ctx done, does not.
-func (p *Pool) enqueue(ctx context.Context, task Task, patience time.Duration) error {
+// the first, non-blocking send, and only when wait is set, so a submit that
+// finds space allocates nothing and never asks ctx for its Done channel.
+// Refusing a full queue counts as Rejected; finding the pool closed, or ctx
+// done, does not.
+func (p *Pool) enqueue(ctx context.Context, task Task, wait bool) error {
 	if task == nil {
 		return errors.New("stage: nil task")
 	}
@@ -178,15 +171,9 @@ func (p *Pool) enqueue(ctx context.Context, task Task, patience time.Duration) e
 		return nil
 	default:
 	}
-	if patience == noWait {
+	if !wait {
 		p.rejected.Add(1)
 		return ErrQueueFull
-	}
-	var expired <-chan time.Time
-	if patience > 0 {
-		timer := time.NewTimer(patience)
-		defer timer.Stop()
-		expired = timer.C
 	}
 	select {
 	case p.queue <- task:
@@ -196,9 +183,6 @@ func (p *Pool) enqueue(ctx context.Context, task Task, patience time.Duration) e
 		return ErrClosed
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-expired:
-		p.rejected.Add(1)
-		return ErrQueueFull
 	}
 }
 

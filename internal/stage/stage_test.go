@@ -204,7 +204,7 @@ func TestCloseWakesEveryParkedSubmitter(t *testing.T) {
 	errs := make(chan error, 2*each)
 	for i := 0; i < each; i++ {
 		go func() { errs <- p.Submit(func() {}) }()
-		go func() { errs <- p.SubmitCtx(context.Background(), func() {}, 0) }()
+		go func() { errs <- p.SubmitCtx(context.Background(), func() {}) }()
 	}
 	waitFor(t, func() bool { return parkedInEnqueue() == idle+2*each })
 	closed := make(chan struct{})

@@ -7,29 +7,8 @@ import (
 	"time"
 )
 
-func TestSubmitTimeoutShedsWhenFull(t *testing.T) {
-	p, _ := NewPool("admit", 1, 1)
-	defer p.Close()
-	block := make(chan struct{})
-	defer close(block)
-	started := make(chan struct{})
-	p.Submit(func() { close(started); <-block })
-	<-started // the worker holds this task; the queue is truly empty now
-	waitFor(t, func() bool { return p.TrySubmit(func() {}) == ErrQueueFull })
-
-	start := time.Now()
-	err := p.SubmitCtx(context.Background(), func() {}, 20*time.Millisecond)
-	if err != ErrQueueFull {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond || elapsed > 2*time.Second {
-		t.Errorf("waited %v, want ~20ms of admission patience", elapsed)
-	}
-	if p.Stats().Rejected < 1 {
-		t.Error("shed admission not counted as rejected")
-	}
-}
-
+// TestSubmitTimeoutAdmitsWhenSpaceFrees parks a SubmitCtx under a deadline
+// on a full queue: space that frees before the deadline admits it.
 func TestSubmitTimeoutAdmitsWhenSpaceFrees(t *testing.T) {
 	p, _ := NewPool("admit2", 1, 1)
 	defer p.Close()
@@ -42,7 +21,9 @@ func TestSubmitTimeoutAdmitsWhenSpaceFrees(t *testing.T) {
 	var ran atomic.Bool
 	done := make(chan error, 1)
 	idle := parkedInEnqueue()
-	go func() { done <- p.SubmitCtx(context.Background(), func() { ran.Store(true) }, 2*time.Second) }()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	go func() { done <- p.SubmitCtx(ctx, func() { ran.Store(true) }) }()
 	waitFor(t, func() bool { return parkedInEnqueue() == idle+1 })
 	close(block)
 	if err := <-done; err != nil {
@@ -54,7 +35,7 @@ func TestSubmitTimeoutAdmitsWhenSpaceFrees(t *testing.T) {
 func TestSubmitTimeoutClosedPool(t *testing.T) {
 	p, _ := NewPool("admit4", 1, 1)
 	p.Close()
-	if err := p.SubmitCtx(context.Background(), func() {}, 10*time.Millisecond); err != ErrClosed {
+	if err := p.SubmitCtx(context.Background(), func() {}); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
