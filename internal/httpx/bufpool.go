@@ -35,11 +35,17 @@ var bodyPool = sync.Pool{
 	},
 }
 
-// acquireBody returns a length-n buffer backed by the pool.
+// bodyPage is the unit a body buffer grows in.
+const bodyPage = 4 << 10
+
+// acquireBody returns a length-n buffer backed by the pool. A buffer too
+// small for n is replaced by one of n bytes rounded up to a bodyPage: a
+// pooled buffer is as large as the largest body it served, and growing it
+// further would leave that much more of the heap idle between requests.
 func acquireBody(n int) *[]byte {
 	bp := bodyPool.Get().(*[]byte)
 	if cap(*bp) < n {
-		*bp = make([]byte, n, max(n, 2*cap(*bp)))
+		*bp = make([]byte, n, (n+bodyPage-1)&^(bodyPage-1))
 	}
 	*bp = (*bp)[:n]
 	return bp

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -100,5 +101,27 @@ func TestReadRequestPooledShortBodyReleases(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "short body") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestAcquireBodyGrowsToTheBody reads a 132 KB body, then one a byte longer:
+// each buffer the pool hands out is the body's size rounded up to 4 KiB, not
+// twice what it held before.
+func TestAcquireBodyGrowsToTheBody(t *testing.T) {
+	// Two collections empty the pool, so the first acquire grows a new
+	// buffer whatever earlier tests released.
+	runtime.GC()
+	runtime.GC()
+	const n = 132<<10 - 100
+	const want = 132 << 10 // n and n+1 rounded up to 4 KiB
+	bp := acquireBody(n)
+	if got := cap(*bp); got != want {
+		t.Errorf("acquire %d: cap %d, want %d", n, got, want)
+	}
+	releaseBody(bp)
+	bp = acquireBody(n + 1)
+	defer releaseBody(bp)
+	if got := cap(*bp); got != want {
+		t.Errorf("acquire %d after releasing %d: cap %d, want %d", n+1, n, got, want)
 	}
 }
