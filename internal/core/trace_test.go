@@ -401,7 +401,8 @@ func TestDebugStatsRuntime(t *testing.T) {
 		if err := json.Unmarshal(resp.Body, &snap); err != nil {
 			t.Fatalf("stats not JSON: %v\n%s", err, resp.Body)
 		}
-		for _, key := range []string{"gc_cycles", "gc_cpu_seconds", "heap_goal_bytes", "heap_live_bytes", "gc_percent"} {
+		for _, key := range []string{"gc_cycles", "gc_cpu_seconds", "heap_goal_bytes", "heap_live_bytes", "gc_percent",
+			"heap_objects_bytes", "heap_unused_bytes", "heap_free_bytes", "stacks_bytes", "metadata_bytes", "profiling_buckets_bytes"} {
 			if _, ok := snap.Runtime[key]; !ok {
 				t.Errorf("runtime.%s missing from /spi/stats: %s", key, resp.Body)
 			}
@@ -410,8 +411,14 @@ func TestDebugStatsRuntime(t *testing.T) {
 	}
 	before := read()
 	runtime.GC()
-	if after := read(); after["gc_cycles"] <= before["gc_cycles"] {
+	after := read()
+	if after["gc_cycles"] <= before["gc_cycles"] {
 		t.Errorf("runtime.gc_cycles %v -> %v across runtime.GC()", before["gc_cycles"], after["gc_cycles"])
+	}
+	for _, key := range []string{"heap_objects_bytes", "stacks_bytes", "metadata_bytes"} {
+		if after[key] <= 0 {
+			t.Errorf("runtime.%s = %v on a running server, want above zero", key, after[key])
+		}
 	}
 }
 

@@ -302,7 +302,8 @@ func TestStatsEndpointRuntime(t *testing.T) {
 		if err := json.Unmarshal(resp.Body, &snap); err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
-		for _, key := range []string{"gc_cycles", "gc_cpu_seconds", "heap_goal_bytes", "heap_live_bytes", "gc_percent"} {
+		for _, key := range []string{"gc_cycles", "gc_cpu_seconds", "heap_goal_bytes", "heap_live_bytes", "gc_percent",
+			"heap_objects_bytes", "heap_unused_bytes", "heap_free_bytes", "stacks_bytes", "metadata_bytes", "profiling_buckets_bytes"} {
 			if _, ok := snap.Runtime[key]; !ok {
 				t.Errorf("runtime.%s missing from /spi/stats: %s", key, resp.Body)
 			}
