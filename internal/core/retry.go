@@ -26,8 +26,8 @@ const (
 	// fault requirement applied to deadlines).
 	FaultCodeTimeout = fault.WireTimeout
 	// FaultCodeBusy marks a request shed at admission: the application
-	// stage queue stayed full past the admission timeout, so the
-	// operation never started. Always safe to retry.
+	// stage queue was full and the request had no deadline to wait until,
+	// so the operation never started. Always safe to retry.
 	FaultCodeBusy = fault.WireBusy
 	// FaultCodeCancelled marks work abandoned because the caller
 	// disconnected or its propagated context was cancelled before any

@@ -34,8 +34,8 @@ const (
 	// refinement (and is what Server.Busy classifies back to).
 	CodeBusy
 	// CodeAdmissionShed marks a request shed at admission: the application
-	// stage queue stayed full past the admission timeout, so the operation
-	// never started.
+	// stage queue was full and the request had no deadline to wait until,
+	// so the operation never started.
 	CodeAdmissionShed
 	// CodeUpstreamUnavailable marks a gateway that could not place work on
 	// any backend: dials refused, breakers open, failover exhausted.

@@ -17,7 +17,7 @@ import (
 // stay off the wire.
 func FuzzFaultRoundTrip(f *testing.F) {
 	f.Add(uint8(CodeTimeout), "deadline expired before Echo.park finished", "Echo.park", "3", false)
-	f.Add(uint8(CodeAdmissionShed), "application stage queue full after 5ms admission wait", "", "", false)
+	f.Add(uint8(CodeAdmissionShed), "application stage queue full and the request has no deadline", "", "", false)
 	f.Add(uint8(CodeUpstreamUnavailable), "no backend available", "Echo.echo", "b2", true)
 	f.Add(uint8(CodeProtocol), "malformed envelope", "k<&>\"'", "v]]>", true)
 	f.Add(uint8(CodeApp), "deliberate failure", "tenant", "acme", false)

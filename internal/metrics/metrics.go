@@ -44,7 +44,7 @@ type Resilience struct {
 	// before its deadline.
 	Cancellations Counter
 	// Shed counts requests rejected at admission because the application
-	// stage queue stayed full past the admission timeout.
+	// stage queue was full and they had no deadline to wait until.
 	Shed Counter
 }
 
