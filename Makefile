@@ -139,13 +139,14 @@ race-gateway:
 ## census in the style of race-stage — thirty shuffled -race runs on one and
 ## on two Ps of the Admin service and per-backend SetState, LeastLoaded's
 ## picks and its convergence on the load replies state, hostile SPI-Load
-## values and drain-under-load loss/duplication; then the Admin service's
+## values, drain-under-load loss/duplication and a drain completing with its
+## last exchange (resumed and re-drained while it is held); then the Admin service's
 ## snapshot mapping and the exporter, which scrapes nodes on concurrent
 ## goroutines, shuffled under -race; then the Admin priority lane and one
 ## run of the drain churn soak.
 race-controlplane:
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -short \
-		-run='TestGatewayAdmin|TestLoadConvergence|TestAssignTable|TestHostileLoadHeader|TestDrainUnderLoad|TestDrainReleases' \
+		-run='TestGatewayAdmin|TestLoadConvergence|TestAssignTable|TestHostileLoadHeader|TestDrainUnderLoad|TestDrainReleases|TestDrainCompletes' \
 		./internal/gateway
 	$(GO) test -race -shuffle=on ./internal/admin ./cmd/spiexporter
 	$(GO) test -race -count=2 -run='TestAdminBypassesAppStage' ./internal/core

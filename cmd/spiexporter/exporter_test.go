@@ -32,7 +32,7 @@ func startAdminServer(t *testing.T) func() (net.Conn, error) {
 		return params, nil
 	}, "identity")
 	srv, err := core.NewServer(core.ServerConfig{
-		Container: c, AppWorkers: 4, AppQueue: 16, AdminService: true, AdminWeight: 3,
+		Container: c, AppWorkers: 4, AppQueue: 16, AdminService: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,13 +40,17 @@ func startAdminServer(t *testing.T) func() (net.Conn, error) {
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close(); link.Close() })
 
-	// Execute one call so the per-op summaries have content.
+	// Execute one call so the per-op summaries have content, and advertise
+	// weight 3.
 	cli, err := core.NewClient(core.ClientConfig{Dial: link.Dial, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 	if _, err := cli.Call("Echo", "echo", soapenc.F("msg", "warm")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Call(admin.ServiceName, admin.OpSetState, soapenc.F("weight", int64(3))); err != nil {
 		t.Fatal(err)
 	}
 	return link.Dial

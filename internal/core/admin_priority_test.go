@@ -33,7 +33,7 @@ func TestAdminBypassesAppStage(t *testing.T) {
 	}
 	srv, err := NewServer(ServerConfig{
 		Container: c, AppWorkers: 1, AppQueue: 4,
-		AdminService: true, AdminWeight: 2,
+		AdminService: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +48,9 @@ func TestAdminBypassesAppStage(t *testing.T) {
 		srv.Close()
 		link.Close()
 	})
+	if _, err := cli.Call(admin.ServiceName, admin.OpSetState, soapenc.F("weight", int64(2))); err != nil {
+		t.Fatal(err)
+	}
 
 	// Wedge the app stage: the single worker parks on the gate and more
 	// calls stack in the queue behind it.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/soap"
@@ -199,6 +200,48 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	}
 	if got := sys.client.Stats().Resilience.Retries; got != 2 {
 		t.Errorf("Retries = %d, want 2 (3 attempts)", got)
+	}
+}
+
+// TestRetryBackoffCutShort ends a call's retry backoff early, as its
+// deadline or its caller does. The call's error is that ending, and it still
+// wraps the failed attempt's error.
+func TestRetryBackoffCutShort(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want error
+	}{
+		{"deadline", context.DeadlineExceeded},
+		{"cancel", context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var slept []time.Duration
+			sys, _ := newResilienceSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
+				cc.Retry = &RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond,
+					Sleep: func(ctx context.Context, d time.Duration) error {
+						slept = append(slept, d)
+						if tc.want == context.Canceled {
+							cancel()
+							return ctx.Err()
+						}
+						return context.DeadlineExceeded // the seam's stand-in for an expiry
+					}}
+			})
+			sys.link.FailDials(1)
+			_, err := sys.client.CallCtx(ctx, "Echo", "echo", soapenc.F("m", "x"))
+			if !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want one that is %v", err, tc.want)
+			}
+			var dialErr *httpx.DialError
+			if !errors.As(err, &dialErr) {
+				t.Errorf("err = %v, want one that wraps the attempt's dial error", err)
+			}
+			if len(slept) != 1 {
+				t.Errorf("backoffs = %v, want one", slept)
+			}
+		})
 	}
 }
 

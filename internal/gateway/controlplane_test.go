@@ -164,10 +164,7 @@ func setDraining(tb testing.TB, g *Gateway, name string, d bool) {
 }
 
 func TestGatewayAdminService(t *testing.T) {
-	f := newFarm(t, 2, func(cfg *Config) {
-		cfg.AdminService = true
-		cfg.AdminWeight = 2
-	})
+	f := newFarm(t, 2, func(cfg *Config) { cfg.AdminService = true })
 	c := f.raw()
 	defer c.Close()
 
@@ -175,8 +172,12 @@ func TestGatewayAdminService(t *testing.T) {
 	if st.Role != "gateway" {
 		t.Errorf("Role = %q, want gateway", st.Role)
 	}
-	if st.Weight != 2 || st.Draining {
-		t.Errorf("Weight/Draining = %d/%v, want 2/false", st.Weight, st.Draining)
+	if st.Weight != 1 || st.Draining {
+		t.Errorf("Weight/Draining = %d/%v, want 1/false", st.Weight, st.Draining)
+	}
+	adminSetState(t, c, "/services/Admin", "", 2, nil)
+	if st = adminGetStats(t, c, "/services/Admin"); st.Weight != 2 || st.Draining {
+		t.Errorf("after SetState weight=2: Weight/Draining = %d/%v, want 2/false", st.Weight, st.Draining)
 	}
 
 	// SetState changes the advertised weight and drain flag.
@@ -457,16 +458,17 @@ func TestDrainReleasesPoolAndResumeRedials(t *testing.T) {
 	}
 
 	send(8)
-	waitFor(t, 2*time.Second, "b0 to pool a keep-alive connection", func() bool {
-		return f.gw.Stats().Backends[0].Idle > 0
-	})
+	if f.gw.Stats().Backends[0].Idle == 0 {
+		t.Fatal("b0 pooled no keep-alive connection")
+	}
 
+	// Nothing is in flight, so the drain completes inside SetDraining.
 	setDraining(t, f.gw, "b0", true)
-	waitFor(t, 2*time.Second, "b0 drain to complete and release its pool", func() bool {
-		st := f.gw.Stats()
-		return st.Backends[0].Draining && st.Backends[0].InFlight == 0 &&
-			st.Backends[0].Idle == 0 && st.Drained == 1
-	})
+	if st := f.gw.Stats(); !st.Backends[0].Draining || st.Backends[0].InFlight != 0 ||
+		st.Backends[0].Idle != 0 || st.Drained != 1 {
+		t.Fatalf("after the drain: Draining %v, InFlight %d, Idle %d, Drained %d; want true, 0, 0, 1",
+			st.Backends[0].Draining, st.Backends[0].InFlight, st.Backends[0].Idle, st.Drained)
+	}
 
 	// While drained, new work goes exclusively to b1.
 	ex0 := f.gw.Stats().Backends[0].Exchanges
@@ -498,6 +500,94 @@ func TestDrainReleasesPoolAndResumeRedials(t *testing.T) {
 	if _, ok := f.gw.Backend("nope"); ok {
 		t.Error("Backend(nope) found a backend")
 	}
+}
+
+// TestDrainCompletesWithLastExchange drains the one backend of a farm while
+// one exchange is held inside it, through each of the two forwards that
+// count an exchange in flight: a relayed single call and a sub-batch. The
+// drain completes when that exchange returns, before the client has its
+// answer: a resume before then releases nothing and counts nothing, and a
+// re-drain counts once.
+func TestDrainCompletesWithLastExchange(t *testing.T) {
+	paths := []struct {
+		name string
+		send func(cli *core.Client) error
+	}{
+		{"relay", func(cli *core.Client) error {
+			_, err := cli.Call("Echo", "echo", soapenc.F("m", "x"))
+			return err
+		}},
+		{"sub-batch", func(cli *core.Client) error {
+			b := cli.NewBatch()
+			calls := []*core.Call{b.Add("Echo", "echo", soapenc.F("m", "a")), b.Add("Echo", "echo", soapenc.F("m", "b"))}
+			if err := b.Send(); err != nil {
+				return err
+			}
+			for _, c := range calls {
+				if _, err := c.Wait(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	rows := []struct {
+		name    string
+		states  []bool // SetDraining calls made while the exchange is held
+		drained int64
+		idle    int
+	}{
+		{"drain", []bool{true}, 1, 0},
+		{"resume", []bool{true, false}, 0, 1},
+		{"re-drain", []bool{true, false, true}, 1, 0},
+	}
+	for _, p := range paths {
+		for _, r := range rows {
+			t.Run(p.name+"/"+r.name, func(t *testing.T) {
+				started, gate := make(chan struct{}, 2), make(chan struct{})
+				f := newAdminFarm(t, 1, []func(){func() {
+					started <- struct{}{}
+					<-gate
+				}}, nil)
+				cli := f.client(t, nil)
+				done := make(chan error, 1)
+				go func() { done <- p.send(cli) }()
+				select {
+				case <-started:
+				case <-time.After(5 * time.Second):
+					t.Fatal("the held exchange never reached the backend")
+				}
+				for _, d := range r.states {
+					setDraining(t, f.gw, "b0", d)
+				}
+				if st := f.gw.Stats(); st.Drained != 0 || st.Backends[0].InFlight != 1 {
+					t.Fatalf("with the exchange held: Drained %d, InFlight %d; want 0, 1", st.Drained, st.Backends[0].InFlight)
+				}
+				close(gate)
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				if st := f.gw.Stats(); st.Drained != r.drained || st.Backends[0].Idle != r.idle {
+					t.Errorf("once the call returned: Drained %d, Idle %d; want %d, %d",
+						st.Drained, st.Backends[0].Idle, r.drained, r.idle)
+				}
+			})
+		}
+	}
+
+	t.Run("idle/re-drain", func(t *testing.T) {
+		f := newAdminFarm(t, 1, nil, nil)
+		if _, err := f.client(t, nil).Call("Echo", "echo", soapenc.F("m", "x")); err != nil {
+			t.Fatal(err)
+		}
+		for want := int64(1); want <= 2; want++ {
+			setDraining(t, f.gw, "b0", true)
+			if st := f.gw.Stats(); st.Drained != want || st.Backends[0].Idle != 0 {
+				t.Errorf("drain %d: Drained %d, Idle %d; want %d, 0", want, st.Drained, st.Backends[0].Idle, want)
+			}
+			setDraining(t, f.gw, "b0", false)
+		}
+	})
 }
 
 func TestDrainUnderLoadNoLossNoDup(t *testing.T) {

@@ -128,7 +128,7 @@ func deadlineCells() []deadlineCell {
 			_, err := cli.CallCtx(ctx, "Echo", "hold")
 			return deadlineAnswer(err), nil
 		}},
-		{"direct", "retry backoff", "dial", func(t *testing.T, ctx context.Context) (string, *Gateway) {
+		{"direct", "retry backoff", "deadline", func(t *testing.T, ctx context.Context) (string, *Gateway) {
 			link, _, _ := deadlineServer(t, nil)
 			link.FailDials(1)
 			cli := deadlineClient(t, func(cc *core.ClientConfig) {
@@ -192,7 +192,25 @@ func deadlineCells() []deadlineCell {
 			})
 			return sendPair(cli, ctx, "echo"), gw
 		}},
+		{"gateway", "relayed single", "timeout", func(t *testing.T, ctx context.Context) (string, *Gateway) {
+			return relayedSingle(t, ctx, false)
+		}},
+		{"gateway", "passthrough single", "timeout", func(t *testing.T, ctx context.Context) (string, *Gateway) {
+			return relayedSingle(t, ctx, true)
+		}},
 	}
+}
+
+// relayedSingle sends one single call from a keep-alive client through a
+// gateway that relays it whole — parsed, or unread when passthrough — to a
+// backend that never answers. The client keeps its connection open, so
+// only the request's own deadline can end the relayed exchange.
+func relayedSingle(t *testing.T, ctx context.Context, passthrough bool) (string, *Gateway) {
+	cli, gw := deadlineGateway(t, BackendConfig{Dial: silentBackend(t).Dial},
+		func(cfg *Config) { cfg.Passthrough = passthrough },
+		func(cc *core.ClientConfig) { cc.KeepAlive = true })
+	_, err := cli.CallCtx(ctx, "Echo", "echo", soapenc.F("m", "x"))
+	return deadlineAnswer(err), gw
 }
 
 // deadlineAnswer names what the client was answered: the taxonomy value of
@@ -308,8 +326,9 @@ func deadlineClient(t *testing.T, mutate func(*core.ClientConfig)) *core.Client 
 	return cli
 }
 
-// deadlineGateway puts a gateway with one backend in front of a client.
-func deadlineGateway(t *testing.T, backend BackendConfig, mutate func(*Config)) (*core.Client, *Gateway) {
+// deadlineGateway puts a gateway with one backend in front of a client;
+// client, when given, adjusts the client's config.
+func deadlineGateway(t *testing.T, backend BackendConfig, mutate func(*Config), client ...func(*core.ClientConfig)) (*core.Client, *Gateway) {
 	t.Helper()
 	backend.Name = "b0"
 	cfg := Config{Backends: []BackendConfig{backend}, Registry: testContainer(t)}
@@ -327,7 +346,12 @@ func deadlineGateway(t *testing.T, backend BackendConfig, mutate func(*Config)) 
 	}
 	go gw.Serve(lis)
 	t.Cleanup(func() { gw.Close(); link.Close() })
-	return deadlineClient(t, func(cc *core.ClientConfig) { cc.Dial = link.Dial }), gw
+	return deadlineClient(t, func(cc *core.ClientConfig) {
+		cc.Dial = link.Dial
+		for _, m := range client {
+			m(cc)
+		}
+	}), gw
 }
 
 // fillQueue occupies srv's one worker and one queue slot with held calls.

@@ -442,7 +442,6 @@ func TestActiveProbeRecovers(t *testing.T) {
 	f := newFarm(t, 2, func(cfg *Config) {
 		cfg.FailureThreshold = 1
 		cfg.ReprobeAfter = 20 * time.Millisecond
-		cfg.ProbeInterval = 15 * time.Millisecond
 	})
 	f.links[0].FailDials(1 << 30)
 
@@ -456,7 +455,8 @@ func TestActiveProbeRecovers(t *testing.T) {
 	}
 
 	f.links[0].FailDials(0)
-	// The probe loop should close the circuit without any client traffic.
+	// The probe at the end of the ejection window closes the circuit
+	// without any client traffic.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if f.gw.backends[0].consecutiveFails() == 0 {
@@ -543,7 +543,7 @@ func TestPolicyAssignment(t *testing.T) {
 
 	t.Run("draining-excluded", func(t *testing.T) {
 		f := newFarm(t, 3, nil)
-		f.gw.backends[1].draining.Store(true)
+		f.gw.startDrain(f.gw.backends[1])
 		shards := byIndex(f.gw.assign(entries("a", "b", "c", "d", "e", "f")))
 		if len(shards[1]) != 0 {
 			t.Errorf("draining backend got %d entries", len(shards[1]))
