@@ -8,7 +8,7 @@
 //	spigateway -addr :8090 -backends host1:8080,host2:8080
 //	spigateway -addr :8090 -backends host1:8080,host2:8080 -policy least-loaded
 //	spigateway -addr :8090 -backends host1:8080=4,host2:8080=1 -policy least-loaded
-//	spigateway -addr :8090 -backends host1:8080 -probe 2s -stats -admin
+//	spigateway -addr :8090 -backends host1:8080 -reprobe 2s -stats -admin
 //	spigateway -addr :8090 -backends host1:8080,host2:8080 \
 //	    -coalesce -max-batch 64 -max-bytes 262144
 //
@@ -59,8 +59,7 @@ func main() {
 	backendList := flag.String("backends", "", "comma-separated backend addresses (required)")
 	policy := flag.String("policy", "round-robin", "sharding policy: round-robin, least-loaded, op-affinity")
 	threshold := flag.Int("eject-after", 3, "consecutive failures that eject a backend")
-	reprobe := flag.Duration("reprobe", 500*time.Millisecond, "how long an ejected backend sits out")
-	probe := flag.Duration("probe", 0, "active health-check period (0: passive only)")
+	reprobe := flag.Duration("reprobe", 500*time.Millisecond, "how long an ejected backend sits out before it is probed")
 	exchangeTimeout := flag.Duration("exchange-timeout", 30*time.Second, "per-sub-batch exchange bound")
 	maxIdle := flag.Int("max-idle", 16, "keep-alive connections pooled per backend")
 	maxActive := flag.Int("max-active", 0, "concurrent exchanges per backend (0: unbounded)")
@@ -69,7 +68,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 64, "coalescer flushes a batch at this many members (with -coalesce)")
 	maxBytes := flag.Int("max-bytes", 256<<10, "coalescer flushes a batch at this many request-body bytes (with -coalesce)")
 	adminFlag := flag.Bool("admin", false, "self-host the gateway's Admin service at /services/Admin")
-	adminWeight := flag.Int("admin-weight", 1, "gateway's initial advertised weight (with -admin)")
 	passthrough := flag.Bool("passthrough", true, "splice single-call envelopes through a backend zero-copy (disabled automatically when -coalesce is set)")
 	pipelineBackends := flag.Int("pipeline-backends", 0, "pipeline up to N exchanges per backend connection (0 or 1: one exchange per connection)")
 	flag.Parse()
@@ -129,7 +127,6 @@ func main() {
 		Registry:            container,
 		FailureThreshold:    *threshold,
 		ReprobeAfter:        *reprobe,
-		ProbeInterval:       *probe,
 		ExchangeTimeout:     *exchangeTimeout,
 		MaxIdlePerBackend:   *maxIdle,
 		MaxActivePerBackend: *maxActive,
@@ -137,7 +134,6 @@ func main() {
 		PipelineBackends:    *pipelineBackends,
 		DebugEndpoints:      *stats,
 		AdminService:        *adminFlag,
-		AdminWeight:         *adminWeight,
 		Coalesce: gateway.CoalesceConfig{
 			Enabled:  *coalesce,
 			MaxBatch: *maxBatch,

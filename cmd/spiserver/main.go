@@ -6,7 +6,7 @@
 //	spiserver -addr :8080
 //	spiserver -addr :8080 -app-workers 64 -work 2ms
 //	spiserver -addr :8080 -wss-user alice -wss-secret s3cret
-//	spiserver -addr :8080 -admin -weight 4 -debug
+//	spiserver -addr :8080 -admin -debug
 //
 // Endpoints:
 //
@@ -42,7 +42,6 @@ func main() {
 	wssSecret := flag.String("wss-secret", "", "shared secret for -wss-user")
 	debug := flag.Bool("debug", false, "expose GET /spi/stats and /spi/pprof/* operator endpoints")
 	admin := flag.Bool("admin", false, "self-host the Admin control-plane service (GetStats/SetState) at /services/Admin")
-	weight := flag.Int("weight", 1, "initial advertised weight, reported to exporters (with -admin); gateways route by their own -backends weights")
 	pipeline := flag.Int("pipeline", 8, "per-connection HTTP/1.1 pipelining window (0 or 1: serial)")
 	readTimeout := flag.Duration("read-timeout", 0, "per-request read deadline; an idle or stalled connection is closed (0: none)")
 	writeTimeout := flag.Duration("write-timeout", 0, "per-response write deadline; a peer that stops reading is disconnected (0: none)")
@@ -65,7 +64,6 @@ func main() {
 		AppWorkers:     *appWorkers,
 		Coupled:        *coupled,
 		AdminService:   *admin,
-		AdminWeight:    *weight,
 		PipelineWindow: *pipeline,
 		ReadTimeout:    *readTimeout,
 		WriteTimeout:   *writeTimeout,

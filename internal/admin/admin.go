@@ -149,13 +149,10 @@ type State struct {
 	draining bool
 }
 
-// NewState returns a state with the given starting weight (values < 1 are
-// raised to 1) and draining off.
-func NewState(weight int64) *State {
-	if weight < 1 {
-		weight = 1
-	}
-	return &State{weight: weight}
+// NewState returns a state with weight 1 and draining off; SetState changes
+// both.
+func NewState() *State {
+	return &State{weight: 1}
 }
 
 // Snapshot returns the current weight and drain flag.

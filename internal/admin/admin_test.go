@@ -217,7 +217,10 @@ func deployTest(t *testing.T) (*registry.Container, *statsSource, *State) {
 	t.Helper()
 	c := registry.NewContainer()
 	src := &statsSource{s: sampleStats()}
-	st := NewState(4)
+	st := NewState()
+	if err := st.SetWeight(4); err != nil {
+		t.Fatal(err)
+	}
 	if err := Deploy(c, src, st); err != nil {
 		t.Fatal(err)
 	}

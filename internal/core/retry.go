@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -220,7 +221,9 @@ func (c *Client) withRetry(ctx context.Context, idempotent bool, fn func() error
 		}
 		c.resil.Retries.Inc()
 		if serr := p.Wait(ctx, attempt); serr != nil {
-			return err
+			// The deadline or the caller ended the backoff: that is the
+			// call's error, and the attempt's stays inside it.
+			return fmt.Errorf("%w during retry backoff after: %w", serr, err)
 		}
 	}
 }

@@ -115,12 +115,10 @@ type ServerConfig struct {
 	// AdminService deploys the cluster control-plane "Admin" service
 	// (GetStats/SetState) into the container, making this server scrapable
 	// by cmd/spiexporter. Off by default: the management surface is opt-in.
-	// See docs/CONTROL_PLANE.md.
+	// See docs/CONTROL_PLANE.md. The advertised weight starts at 1;
+	// Admin.SetState changes it. It informs exporters, and gateways route by
+	// their own per-backend weights.
 	AdminService bool
-	// AdminWeight is the initial advertised weight (default 1). Operators
-	// change it at runtime through Admin.SetState; it informs exporters, and
-	// gateways route by their own per-backend weights.
-	AdminWeight int
 }
 
 // ServerStats counts server-side work, for experiments.
@@ -233,7 +231,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		WriteTimeout: cfg.WriteTimeout,
 	}
 	if cfg.AdminService {
-		s.adminState = admin.NewState(int64(cfg.AdminWeight))
+		s.adminState = admin.NewState()
 		if err := admin.Deploy(cfg.Container, s, s.adminState); err != nil {
 			return nil, err
 		}

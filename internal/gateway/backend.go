@@ -78,8 +78,9 @@ type backend struct {
 	// svcUs is the execution-time EWMA, in microseconds, the backend stated
 	// in SPI-Load on its last sub-batch reply; 0 until it states one.
 	svcUs atomic.Int64
-	// draining stops new shard assignment while in-flight work finishes.
-	draining atomic.Bool
+	// drain is the drain state (drainOff, drainPending, drainDone): a
+	// draining backend takes no new work while its in-flight work finishes.
+	drain atomic.Int32
 
 	inflight metrics.Gauge // sub-batches currently in flight
 	// entriesInflight counts packed ENTRIES in flight, not sub-batches: a
@@ -96,7 +97,11 @@ type backend struct {
 	mu           sync.Mutex
 	consecFails  int
 	ejectedUntil time.Time
+	reprobe      *time.Timer // the probe at the end of the ejection window; nil until the circuit first opens
 }
+
+// draining reports whether the backend is draining or drained.
+func (b *backend) draining() bool { return b.drain.Load() != drainOff }
 
 // fastestSample is the smallest execution time any of bs has stated, 0 when
 // none has stated one.
@@ -143,9 +148,8 @@ func (b *backend) noteLoad(h *httpx.Header) {
 }
 
 // available reports whether the backend may be handed work: the circuit is
-// closed, or its re-probe timer has elapsed (half-open — one sub-batch or
-// health probe is allowed through; a failure re-ejects, a success closes
-// the circuit).
+// closed, or its ejection window has ended (half-open — one sub-batch or the
+// probe is let through; a failure re-ejects, a success closes the circuit).
 func (b *backend) available(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -168,39 +172,54 @@ func (b *backend) noteSuccess() {
 	b.mu.Unlock()
 }
 
-// noteFailure counts one failed exchange and opens (or re-opens) the
-// circuit once threshold consecutive failures accumulate. Returns whether
-// this failure newly ejected the backend.
-func (b *backend) noteFailure(threshold int, reprobe time.Duration) bool {
+// noteFailure counts one failed exchange on b and opens (or re-opens) its
+// circuit once FailureThreshold consecutive failures accumulate. Each opening
+// arms the probe at the end of the new ejection window.
+func (g *Gateway) noteFailure(b *backend) {
 	b.failures.Inc()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecFails++
-	if b.consecFails < threshold {
-		return false
-	}
-	newly := b.ejectedUntil.IsZero()
-	b.ejectedUntil = time.Now().Add(reprobe)
-	if newly {
-		b.ejections.Inc()
-	}
-	return newly
-}
-
-// probe issues one active health check: a GET of the services listing. Any
-// 200 closes the circuit; anything else counts as a failure.
-func (b *backend) probe(ctx context.Context, target string, threshold int, reprobe time.Duration) {
-	req := httpx.NewRequest("GET", target, nil)
-	resp, err := b.client.DoCtx(ctx, req)
-	if err == nil && resp.StatusCode == 200 {
-		resp.Release()
-		b.noteSuccess()
+	if b.consecFails < g.cfg.FailureThreshold {
 		return
 	}
-	if resp != nil {
-		resp.Release()
+	if b.ejectedUntil.IsZero() {
+		b.ejections.Inc()
 	}
-	b.noteFailure(threshold, reprobe)
+	b.ejectedUntil = time.Now().Add(g.cfg.ReprobeAfter)
+	switch {
+	case g.life.Err() != nil:
+		// Stopped: stop has stopped the armed probe, and arms no other.
+	case b.reprobe == nil:
+		b.reprobe = time.AfterFunc(g.cfg.ReprobeAfter, func() { g.probe(b) })
+	default:
+		b.reprobe.Reset(g.cfg.ReprobeAfter)
+	}
+}
+
+// probe is the active health check at the end of an ejection window: a GET
+// of the services listing, bounded by the window's length. A 200 closes the
+// circuit; anything else is a failure, which re-opens it and so arms the next
+// probe. A circuit that traffic closed first is left alone.
+func (g *Gateway) probe(b *backend) {
+	b.mu.Lock()
+	closed := b.ejectedUntil.IsZero()
+	b.mu.Unlock()
+	if closed || g.life.Err() != nil {
+		return
+	}
+	ctx, cancel := context.WithTimeout(g.life, g.cfg.ReprobeAfter)
+	defer cancel()
+	resp, err := b.client.DoCtx(ctx, httpx.NewRequest("GET", g.cfg.PathPrefix, nil))
+	if err == nil {
+		ok := resp.StatusCode == 200
+		resp.Release()
+		if ok {
+			b.noteSuccess()
+			return
+		}
+	}
+	g.noteFailure(b)
 }
 
 // BackendStats is the per-backend slice of Gateway.Stats.
@@ -234,7 +253,7 @@ func (b *backend) stats(now time.Time, fastest int64) BackendStats {
 	return BackendStats{
 		Name:      b.name,
 		Ejected:   b.ejectedNow(now),
-		Draining:  b.draining.Load(),
+		Draining:  b.draining(),
 		InFlight:  b.inflight.Load(),
 		Entries:   b.entriesInflight.Load(),
 		Idle:      ps.Idle,

@@ -65,9 +65,9 @@ type callOutcome struct {
 
 // pendingCall is one parked single call awaiting its batch.
 type pendingCall struct {
-	entry  *core.ScatterEntry
-	budget time.Duration // raw SPI-Deadline budget (0: none)
-	done   chan callOutcome
+	entry    *core.ScatterEntry
+	deadline time.Time // the request's deadline (zero: none)
+	done     chan callOutcome
 }
 
 // deliver hands the outcome to the parked handler. Buffered and
@@ -93,34 +93,14 @@ type batchKey struct {
 // once a yield brings it no further call. Tests swap it to hold batches open.
 var settleYield = runtime.Gosched
 
-// coalescer forms the batches, one per batchKey, in a core.BatchWindow
-// capped at MaxBatch calls and MaxBytes of request bodies. One per gateway
-// when enabled.
-type coalescer struct {
-	w *core.BatchWindow[batchKey, *pendingCall]
-	// cancel ends the context every flush runs under: batches outlive the
-	// member requests that formed them, so they cannot run under any one
-	// member's ctx.
-	cancel context.CancelFunc
-}
-
-func newCoalescer(g *Gateway, cfg CoalesceConfig) *coalescer {
+// newCoalescer forms the coalesced batches, one per batchKey, in a
+// core.BatchWindow capped at MaxBatch calls and MaxBytes of request bodies.
+// One per gateway when enabled.
+func newCoalescer(g *Gateway, cfg CoalesceConfig) *core.BatchWindow[batchKey, *pendingCall] {
 	cfg = cfg.withDefaults()
-	baseCtx, cancel := context.WithCancel(context.Background())
-	return &coalescer{
-		w: core.NewBatchWindow(cfg.MaxBatch, cfg.MaxBytes, settleYield, func(key batchKey, calls []*pendingCall) {
-			g.flushBatch(baseCtx, key.version, calls)
-		}),
-		cancel: cancel,
-	}
-}
-
-// close cancels in-flight batch exchanges, then closes the window: it stops
-// taking calls and flushes whatever is still forming (so no parked handler
-// waits forever) under the cancelled context, and drains the flushes.
-func (co *coalescer) close() {
-	co.cancel()
-	co.w.Close()
+	return core.NewBatchWindow(cfg.MaxBatch, cfg.MaxBytes, settleYield, func(key batchKey, calls []*pendingCall) {
+		g.flushBatch(key.version, calls)
+	})
 }
 
 // coalesceSink adapts sendShard's slot deliveries to parked single calls.
@@ -155,8 +135,7 @@ func (s *coalesceSink) Fail(slot int, f *soap.Fault) {
 // not coalescible (sr.Single is nil: headers, undecodable, plan/packed body),
 // or the gateway is shutting down.
 func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, sr *core.ScatterRequest) *httpx.Response {
-	co := g.coalescer
-	if co == nil {
+	if g.coalescer == nil {
 		return nil
 	}
 	if sr.Single == nil {
@@ -164,31 +143,25 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, sr *core.Sca
 		return nil
 	}
 	entry := sr.Single
-	budget := core.DeadlineBudget(req)
-	call := &pendingCall{entry: entry, budget: budget, done: make(chan callOutcome, 1)}
+	deadline, _ := ctx.Deadline()
+	call := &pendingCall{entry: entry, deadline: deadline, done: make(chan callOutcome, 1)}
 	key := batchKey{service: entry.Service, op: entry.Op, version: sr.Version}
-	if !co.w.Add(key, call, len(req.Body)) {
+	if !g.coalescer.Add(key, call, len(req.Body)) {
 		g.coalescePassthrough.Inc()
 		return nil
 	}
 	g.coalesced.Inc()
 
-	// The member's own deadline watchdog: the batch runs under the widest
-	// member budget, so a short-budget member degrades itself here with
-	// the exact fault a direct server's abandoned worker produces. Its
+	// The member's own deadline watchdog: the batch runs to the widest
+	// member deadline, so a member with a tighter one degrades itself here
+	// with the exact fault a direct server's abandoned worker produces. Its
 	// slot outcome, arriving later, is simply dropped (buffered channel).
-	memberCtx := ctx
-	if budget > 0 {
-		var cancel context.CancelFunc
-		memberCtx, cancel = context.WithTimeout(ctx, core.ShortenBudget(budget))
-		defer cancel()
-	}
 	var out callOutcome
 	select {
 	case out = <-call.done:
-	case <-memberCtx.Done():
+	case <-ctx.Done():
 		g.degraded.Inc()
-		df := core.AbandonFault(memberCtx, entry.Service, entry.Op)
+		df := core.AbandonFault(ctx, entry.Service, entry.Op)
 		g.faultCodes.NoteSOAP(df)
 		out = callOutcome{fault: df}
 	}
@@ -208,36 +181,34 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, sr *core.Sca
 // each shard goes through sendShard — the same failover, circuit and
 // retry path explicitly packed requests take — delivering straight into
 // the parked calls.
-func (g *Gateway) flushBatch(baseCtx context.Context, v soap.Version, calls []*pendingCall) {
+func (g *Gateway) flushBatch(v soap.Version, calls []*pendingCall) {
 	g.coalesceBatches.Inc()
 	g.recordBatchSize(len(calls))
 
 	entries := make([]*core.ScatterEntry, len(calls))
-	var maxBudget time.Duration
-	allBudgeted := true
+	var widest time.Time
+	unbounded := false
 	for i, c := range calls {
 		c.entry.SealID(i)
 		entries[i] = c.entry
-		if c.budget > 0 {
-			if c.budget > maxBudget {
-				maxBudget = c.budget
-			}
-		} else {
-			allBudgeted = false
+		switch {
+		case c.deadline.IsZero():
+			unbounded = true
+		case c.deadline.After(widest):
+			widest = c.deadline
 		}
 	}
-	// The batch deadline is the widest member budget: tighter members
-	// watchdog themselves, and a member without a budget leaves the batch
-	// bounded only by ExchangeTimeout, exactly like its proxied exchange
-	// would have been.
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if allBudgeted && maxBudget > 0 {
-		ctx, cancel = context.WithTimeout(baseCtx, core.ShortenBudget(maxBudget))
-	} else {
-		ctx, cancel = context.WithCancel(baseCtx)
+	// The batch deadline is the widest member deadline: tighter members
+	// watchdog themselves, and a member without one leaves the batch
+	// bounded only by ExchangeTimeout, exactly like its relayed exchange
+	// would have been. Batches outlive the requests that formed them, so
+	// they run under the gateway's life, not any member's context.
+	ctx := g.life
+	if !unbounded {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, widest)
+		defer cancel()
 	}
-	defer cancel()
 
 	sr := &core.ScatterRequest{Version: v, Packed: true, Entries: entries}
 	var wg sync.WaitGroup

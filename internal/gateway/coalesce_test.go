@@ -136,7 +136,7 @@ func TestDifferentialCoalescedSingles(t *testing.T) {
 					}
 				}
 				for _, op := range ops {
-					f.gw.coalescer.w.Flush(batchKey{service: "Echo", op: op, version: v})
+					f.gw.coalescer.Flush(batchKey{service: "Echo", op: op, version: v})
 				}
 				wg.Wait()
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,11 +65,10 @@ type Config struct {
 	// backend (default 3).
 	FailureThreshold int
 	// ReprobeAfter is how long an ejected backend sits out before the
-	// circuit half-opens (default 500ms).
+	// circuit half-opens (default 500ms). When the window ends the gateway
+	// probes the backend (a GET of the services listing), so it rejoins
+	// without waiting for traffic.
 	ReprobeAfter time.Duration
-	// ProbeInterval enables active health checks (a GET of the services
-	// listing) at the given period; zero leaves health passive.
-	ProbeInterval time.Duration
 
 	// ExchangeTimeout bounds one sub-batch exchange with a backend; zero
 	// means only the client's propagated deadline applies.
@@ -102,8 +100,6 @@ type Config struct {
 	// scrapable by exporters exactly like servers, and SetState with a
 	// backend parameter sets that backend's weight and drain state.
 	AdminService bool
-	// AdminWeight is the gateway's initial advertised weight (default 1).
-	AdminWeight int
 }
 
 // Gateway is the scatter–gather front tier. Create with New.
@@ -130,19 +126,17 @@ type Gateway struct {
 	failovers    metrics.Counter // sub-batches re-sent to another backend
 	degraded     metrics.Counter // slots degraded at the deadline
 
-	coalescer           *coalescer
-	coalesced           metrics.Counter // single calls merged into batches
-	coalesceBatches     metrics.Counter // synthetic batches flushed
-	coalescePassthrough metrics.Counter // single calls that bypassed coalescing
+	coalescer           *core.BatchWindow[batchKey, *pendingCall] // nil unless Coalesce.Enabled
+	coalesced           metrics.Counter                           // single calls merged into batches
+	coalesceBatches     metrics.Counter                           // synthetic batches flushed
+	coalescePassthrough metrics.Counter                           // single calls that bypassed coalescing
 	coalesceSizes       [len(batchSizeBuckets)]metrics.Counter
 
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
-
-	stopCh   chan struct{} // closed by stop(); bounds drain waiters
-	stopOnce sync.Once
-	drainWG  sync.WaitGroup
-	drained  metrics.Counter // backends fully drained (in-flight hit zero)
+	// life ends when the gateway stops: the coalescer's batches and the
+	// backends' probes run under it.
+	life    context.Context
+	endLife context.CancelFunc
+	drained metrics.Counter // backends fully drained (in-flight hit zero)
 }
 
 // New validates the configuration and builds the gateway with one
@@ -166,7 +160,8 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Retry == nil {
 		cfg.Retry = core.DefaultRetryPolicy()
 	}
-	g := &Gateway{cfg: cfg, stopCh: make(chan struct{})}
+	g := &Gateway{cfg: cfg}
+	g.life, g.endLife = context.WithCancel(context.Background())
 	for i, bc := range cfg.Backends {
 		if _, err := g.newBackend(bc); err != nil {
 			return nil, fmt.Errorf("gateway: backend %d: %w", i, err)
@@ -179,7 +174,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.AdminService {
 		adminC := registry.NewContainer()
-		g.adminState = admin.NewState(int64(cfg.AdminWeight))
+		g.adminState = admin.NewState()
 		if err := admin.Deploy(adminC, g, g.adminState); err != nil {
 			return nil, err
 		}
@@ -197,11 +192,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Coalesce.Enabled {
 		g.coalescer = newCoalescer(g, cfg.Coalesce)
-	}
-	if cfg.ProbeInterval > 0 {
-		g.probeStop = make(chan struct{})
-		g.probeWG.Add(1)
-		go g.probeLoop()
 	}
 	return g, nil
 }
@@ -262,57 +252,24 @@ func (g *Gateway) Shutdown(timeout time.Duration) error {
 }
 
 func (g *Gateway) stop() {
-	g.stopOnce.Do(func() { close(g.stopCh) })
-	if g.probeStop != nil {
-		close(g.probeStop)
-		g.probeWG.Wait()
-		g.probeStop = nil
+	// Ending the gateway's life fails the coalescer's batches fast and
+	// stops every armed probe. The coalescer closes before the backend
+	// pools, so its forming batches (flushed at Close, so that no parked
+	// handler waits forever) still have clients to flush through.
+	g.endLife()
+	for _, b := range g.backends {
+		b.mu.Lock()
+		if b.reprobe != nil {
+			b.reprobe.Stop()
+		}
+		b.mu.Unlock()
 	}
-	// The coalescer closes before the backend pools so forming batches
-	// still have clients to flush through (their exchanges fail fast under
-	// the coalescer's cancelled base context).
 	if g.coalescer != nil {
-		g.coalescer.close()
+		g.coalescer.Close()
 	}
-	g.drainWG.Wait()
 	for _, b := range g.backends {
 		b.client.Close()
 	}
-}
-
-// probeLoop actively re-checks backend health at the configured period.
-// Only ejected backends are probed — healthy ones prove themselves with
-// real traffic.
-func (g *Gateway) probeLoop() {
-	defer g.probeWG.Done()
-	t := time.NewTicker(g.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.probeStop:
-			return
-		case <-t.C:
-			now := time.Now()
-			for _, b := range g.backends {
-				if b.ejectedNow(now) {
-					continue // circuit open: wait out the re-probe timer
-				}
-				if b.available(now) && b.consecutiveFails() == 0 {
-					continue // demonstrably healthy
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeInterval)
-				b.probe(ctx, g.cfg.PathPrefix, g.cfg.FailureThreshold, g.cfg.ReprobeAfter)
-				cancel()
-			}
-		}
-	}
-}
-
-// consecutiveFails reads the circuit's failure count.
-func (b *backend) consecutiveFails() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.consecFails
 }
 
 // Stats is a point-in-time snapshot of the gateway's counters.

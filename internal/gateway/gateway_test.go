@@ -438,6 +438,13 @@ func TestEjectionAndRecovery(t *testing.T) {
 	}
 }
 
+// consecutiveFails reads the circuit's failure count.
+func (b *backend) consecutiveFails() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.consecFails
+}
+
 func TestActiveProbeRecovers(t *testing.T) {
 	f := newFarm(t, 2, func(cfg *Config) {
 		cfg.FailureThreshold = 1

@@ -2,44 +2,43 @@ package gateway
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/admin"
 )
 
-// startDrain flags the backend and parks one waiter that releases its idle
-// keep-alive connections once it has no sub-batch in flight, and counts the
-// drain complete. A resume ends the wait without releasing anything; gateway
-// shutdown releases at once. The waiter polls: drains are rare,
-// operator-scale events, and a poll loop stays trivially correct against
-// concurrent resume/re-drain cycles where a condition-variable handoff
-// would need careful sequencing.
+// A backend's drain states: serving, draining with work in flight, drained
+// (its idle pool released and the drain counted).
+const (
+	drainOff int32 = iota
+	drainPending
+	drainDone
+)
+
+// startDrain stops new work to b. The drain completes when b's last exchange
+// in flight returns (leave), or here at once when none is.
 func (g *Gateway) startDrain(b *backend) {
-	if b.draining.Swap(true) {
-		return // already draining; the existing waiter is parked
+	if b.drain.CompareAndSwap(drainOff, drainPending) && b.inflight.Load() == 0 {
+		g.completeDrain(b)
 	}
-	g.drainWG.Add(1)
-	go func() {
-		defer g.drainWG.Done()
-		t := time.NewTicker(5 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-g.stopCh:
-				b.client.CloseIdle()
-				return
-			case <-t.C:
-			}
-			if !b.draining.Load() {
-				return // resumed before the drain completed
-			}
-			if b.inflight.Load() == 0 {
-				b.client.CloseIdle()
-				g.drained.Inc()
-				return
-			}
-		}
-	}()
+}
+
+// leave gives back one exchange in flight on b: the last one out of a
+// draining backend completes its drain.
+func (g *Gateway) leave(b *backend) {
+	if b.inflight.Add(-1) == 0 {
+		g.completeDrain(b)
+	}
+}
+
+// completeDrain releases b's idle keep-alive pool and counts the drain, once
+// per drain: startDrain finding nothing in flight and the leave that brings
+// the count to zero may both get here, and only one wins the swap. A resume
+// first leaves no drain pending, so it releases nothing.
+func (g *Gateway) completeDrain(b *backend) {
+	if b.drain.CompareAndSwap(drainPending, drainDone) {
+		b.client.CloseIdle()
+		g.drained.Inc()
+	}
 }
 
 // Backend gives the gateway's Admin SetState the routing state of the named
@@ -60,7 +59,7 @@ type backendState struct {
 	b *backend
 }
 
-func (s backendState) Snapshot() (int64, bool) { return s.b.weight.Load(), s.b.draining.Load() }
+func (s backendState) Snapshot() (int64, bool) { return s.b.weight.Load(), s.b.draining() }
 
 func (s backendState) SetWeight(w int64) error {
 	if w > maxWeight {
@@ -78,6 +77,6 @@ func (s backendState) SetDraining(d bool) {
 	if d {
 		s.g.startDrain(s.b)
 	} else {
-		s.b.draining.Store(false)
+		s.b.drain.Store(drainOff)
 	}
 }

@@ -2,9 +2,11 @@ package gateway
 
 import (
 	"bytes"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/httpx"
+	"repro/internal/soap"
 )
 
 // Zero-copy passthrough: the single-call fast path.
@@ -32,4 +34,14 @@ var packedSniff = []byte(core.ElemParallelMethod)
 // passthroughEligible reports whether the request may take the splice path.
 func (g *Gateway) passthroughEligible(req *httpx.Request) bool {
 	return g.cfg.Passthrough && g.coalescer == nil && !bytes.Contains(req.Body, packedSniff)
+}
+
+// contentVersion is the SOAP version an unread request's Content-Type names:
+// SOAP 1.2 for application/soap+xml, else SOAP 1.1.
+func contentVersion(req *httpx.Request) soap.Version {
+	ct := strings.ToLower(strings.TrimSpace(req.Header.Get("Content-Type")))
+	if strings.HasPrefix(ct, "application/soap+xml") {
+		return soap.V12
+	}
+	return soap.V11
 }

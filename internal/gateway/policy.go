@@ -70,7 +70,7 @@ type shard struct {
 func routableCandidates(backends []*backend, now time.Time) []*backend {
 	candidates := make([]*backend, 0, len(backends))
 	for _, b := range backends {
-		if !b.draining.Load() && b.available(now) {
+		if !b.draining() && b.available(now) {
 			candidates = append(candidates, b)
 		}
 	}
@@ -78,7 +78,7 @@ func routableCandidates(backends []*backend, now time.Time) []*backend {
 		return candidates
 	}
 	for _, b := range backends {
-		if !b.draining.Load() {
+		if !b.draining() {
 			candidates = append(candidates, b)
 		}
 	}
@@ -193,7 +193,7 @@ func (g *Gateway) pickBackend(exclude *backend) *backend {
 			}
 			continue
 		}
-		if b.draining.Load() {
+		if b.draining() {
 			continue
 		}
 		if b.available(now) {

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -26,11 +27,19 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 	if g.adminSrv != nil && g.isAdminTarget(req.Target) {
 		return g.adminSrv.HandleHTTP(ctx, req)
 	}
+	// The request's one deadline: everything it is forwarded through runs
+	// under it, shortened by the server's grace rule so that the gateway's
+	// answer — a degraded one, if need be — beats the client's own deadline.
+	if budget := core.DeadlineBudget(req); budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, core.ShortenBudget(budget))
+		defer cancel()
+	}
 	if req.Method == "GET" {
 		if g.cfg.DebugEndpoints && strings.HasPrefix(req.Target, debugPathPrefix) {
 			return g.handleDebug(req)
 		}
-		return g.relay(ctx, req)
+		return g.relay(ctx, req, soap.V11)
 	}
 	if req.Method != "POST" {
 		resp := httpx.NewResponse(405, []byte("SOAP endpoint: POST only\n"))
@@ -52,7 +61,7 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 		g.envelopes.Inc()
 		g.proxied.Inc()
 		g.passthroughs.Inc()
-		return g.relay(ctx, req)
+		return g.relay(ctx, req, contentVersion(req))
 	}
 
 	// The one read of the request: a coalescing gateway's also prepares a
@@ -84,10 +93,10 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 			return resp
 		}
 		g.proxied.Inc()
-		return g.relay(ctx, req)
+		return g.relay(ctx, req, sr.Version)
 	}
 	g.packed.Inc()
-	return g.scatterGather(ctx, req, sr)
+	return g.scatterGather(ctx, sr)
 }
 
 // serviceFromPath resolves the target path against the prefix: the bare
@@ -122,16 +131,9 @@ func (g *Gateway) packTarget() string {
 }
 
 // scatterGather shards the parsed entries, fans the sub-batches out, and
-// writes each entry of the packed response as its shard's reply arrives. A
-// propagated deadline is shortened by the server's grace rule, so a degraded
-// response still beats the client's own deadline.
-func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *core.ScatterRequest) *httpx.Response {
-	if budget := core.DeadlineBudget(req); budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, core.ShortenBudget(budget))
-		defer cancel()
-	}
-
+// writes each entry of the packed response as its shard's reply arrives; the
+// entries still unanswered at the request's deadline are degraded.
+func (g *Gateway) scatterGather(ctx context.Context, sr *core.ScatterRequest) *httpx.Response {
 	col := sr.NewCollector()
 	for _, e := range sr.Entries {
 		if e.Fault != nil {
@@ -251,7 +253,7 @@ func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterReque
 				return
 			}
 		}
-		b.noteFailure(g.cfg.FailureThreshold, g.cfg.ReprobeAfter)
+		g.noteFailure(b)
 		if attempt >= attempts || ctx.Err() != nil || !core.RetryableError(err, idem) ||
 			p.Wait(ctx, attempt) != nil {
 			release()
@@ -278,18 +280,23 @@ func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterReque
 // upstream-unavailable (Server.Busy on the wire) — the work never produced
 // a response, and re-sending the entry is the client's call.
 func shardFault(ctx context.Context, e *core.ScatterEntry, err error) *soap.Fault {
-	// The exchange's connection deadline is the context's deadline, and its
-	// i/o timeout can surface a moment before the context's own timer has
-	// run: once the deadline has passed, let the context say so.
-	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-		<-ctx.Done()
-	}
-	if ctx.Err() != nil {
+	if ended(ctx) {
 		return core.AbandonFault(ctx, e.Service, e.Op)
 	}
 	return fault.ToSOAP(fault.Upstreamf(
 		"no backend available for %s.%s: %v", e.Service, e.Op, err).
 		With(fault.KeyOp, e.Service+"."+e.Op))
+}
+
+// ended reports whether ctx has ended. An exchange's connection deadline is
+// its context's deadline, and its i/o timeout can surface a moment before the
+// context's own timer has run: once the deadline has passed, the context is
+// let say so.
+func ended(ctx context.Context) bool {
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		<-ctx.Done()
+	}
+	return ctx.Err() != nil
 }
 
 // deliver splits a backend's reply to a shard into its per-entry segments and
@@ -332,7 +339,7 @@ func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.Sca
 func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc []byte) (*httpx.Response, error) {
 	b.exchanges.Inc()
 	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
+	defer g.leave(b)
 
 	extra := make([]string, 0, 6)
 	extra = append(extra, "SOAPAction", `""`)
@@ -367,8 +374,10 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 // the backend response's body and inherits its release, so the pooled buffer
 // is recycled only after the gateway's transport has written it. GETs,
 // passthrough singles and parsed singles that are not coalesced all take it;
-// the callers count which kind of forward it was.
-func (g *Gateway) relay(ctx context.Context, req *httpx.Request) *httpx.Response {
+// the callers count which kind of forward it was. An exchange the request's
+// deadline (or its caller) ended is answered as a direct server answers a
+// call it gave up on, in the request's version v.
+func (g *Gateway) relay(ctx context.Context, req *httpx.Request, v soap.Version) *httpx.Response {
 	b := g.pickBackend(nil)
 	if b == nil {
 		resp := httpx.NewResponse(503, []byte("no backend available\n"))
@@ -377,18 +386,23 @@ func (g *Gateway) relay(ctx context.Context, req *httpx.Request) *httpx.Response
 	}
 	out := httpx.NewRequest(req.Method, req.Target, req.Body)
 	for _, h := range [...]string{"Content-Type", "SOAPAction", core.HeaderDeadline, core.HeaderTrace} {
-		if v := req.Header.Get(h); v != "" {
-			out.Header.Set(h, v)
+		if hv := req.Header.Get(h); hv != "" {
+			out.Header.Set(h, hv)
 		}
 	}
 	b.exchanges.Inc()
 	b.inflight.Add(1)
 	b.entriesInflight.Add(1)
-	defer func() { b.inflight.Add(-1); b.entriesInflight.Add(-1) }()
+	defer func() { b.entriesInflight.Add(-1); g.leave(b) }()
 	resp, err := b.client.DoCtx(ctx, out)
 	if err != nil {
-		b.noteFailure(g.cfg.FailureThreshold, g.cfg.ReprobeAfter)
+		g.noteFailure(b)
 		g.faults.Inc()
+		if ended(ctx) {
+			f := relayFault(ctx, b)
+			g.faultCodes.NoteSOAP(f)
+			return core.GatewayFaultResponse(f, v)
+		}
 		resp := httpx.NewResponse(502, []byte("backend exchange failed: "+err.Error()+"\n"))
 		resp.Header.Set("Content-Type", "text/plain")
 		return resp
@@ -400,4 +414,15 @@ func (g *Gateway) relay(ctx context.Context, req *httpx.Request) *httpx.Response
 	}
 	relay.SetRelease(resp.Release)
 	return relay
+}
+
+// relayFault is the fault for a relayed exchange that ctx ended: the
+// Server.Timeout of an expired deadline, or the Server.Cancelled of a caller
+// that went away. The gateway did not read which operation the call named,
+// so the text names the backend.
+func relayFault(ctx context.Context, b *backend) *soap.Fault {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return fault.ToSOAP(fault.Timeoutf("deadline expired before backend %s answered", b.name))
+	}
+	return fault.ToSOAP(fault.Cancelledf("caller cancelled before backend %s answered", b.name))
 }
