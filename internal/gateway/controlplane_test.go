@@ -661,9 +661,8 @@ func TestDrainUnderLoadNoLossNoDup(t *testing.T) {
 			drainedBefore := f.gw.Stats().Drained
 			setDraining(t, f.gw, name, true)
 			// Wait for the drain to COMPLETE — the Drained counter ticks when
-			// the waiter has seen in-flight hit zero and released the pool —
-			// not merely for in-flight to read zero, which the waiter (on its
-			// own ticker) may not have observed yet.
+			// the backend's last exchange in flight returns and releases the
+			// pool — while the load keeps the backend's shards in flight.
 			waitFor(t, 5*time.Second, name+" drain to complete under load", func() bool {
 				st := f.gw.Stats()
 				bs := st.Backends[bi]

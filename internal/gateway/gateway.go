@@ -252,10 +252,10 @@ func (g *Gateway) Shutdown(timeout time.Duration) error {
 }
 
 func (g *Gateway) stop() {
-	// Ending the gateway's life fails the coalescer's batches fast and
-	// stops every armed probe. The coalescer closes before the backend
-	// pools, so its forming batches (flushed at Close, so that no parked
-	// handler waits forever) still have clients to flush through.
+	// Ending the gateway's life fails the coalescer's exchanges fast, and
+	// the coalescer closes before the backend pools: the batches it flushes
+	// at Close, so that no parked handler waits forever, still have clients
+	// to fail through.
 	g.endLife()
 	for _, b := range g.backends {
 		b.mu.Lock()
