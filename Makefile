@@ -121,18 +121,18 @@ race-pools:
 ## and shard goroutines may outlive it — and of core's scatter, sub-batch and
 ## coalescible-call readers and of the batching window both automatic packers
 ## form their batches in (BatchWindow, AutoBatcher). The chaos, failover, ejection and probe suites and the
-## deadline-degrade differential wait out wall-clock timeouts, so they keep
+## deadline-degrade and relayed-deadline differentials wait out wall-clock timeouts, so they keep
 ## two runs; the coalescer's shutdown test waits out a five-second shutdown
 ## and orders nothing. Wall time on a 2-vCPU box: 73 s, 25 s and 27 s for the
 ## three lines, 2 min 10 s in all.
 race-gateway:
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -short \
 		-run='Scatter|SubBatch|Coalesce|Passthrough|Differential|OneReader|OutlivesRequestBody' \
-		-skip='TestChaos|TestCoalesceShutdownReleasesParked|TestDifferentialDeadlineDegrade' \
+		-skip='TestChaos|TestCoalesceShutdownReleasesParked|TestDifferentialDeadlineDegrade|TestDifferentialRelayedDeadline' \
 		./internal/gateway
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 \
 		-run='SubBatch|ScatterRequest|Coalescible|SealID|SplitGather|BatchWindow|AutoBatcher' ./internal/core
-	$(GO) test -race -count=2 -run='Chaos|Failover|Ejection|Probe|TestDifferentialDeadlineDegrade' \
+	$(GO) test -race -count=2 -run='Chaos|Failover|Ejection|Probe|TestDifferentialDeadlineDegrade|TestDifferentialRelayedDeadline' \
 		./internal/gateway
 
 ## race-controlplane: the cluster control-plane tier. Its gateway half is a

@@ -769,14 +769,18 @@ func (s *Server) admissionFault(ctx context.Context, req *rpcRequest, err error)
 // degraded slots both answer with it, so the bytes are the same wherever
 // the wait was given up.
 func AbandonFault(ctx context.Context, service, op string) *soap.Fault {
+	return EndedFault(ctx, service+"."+op+" finished")
+}
+
+// EndedFault is the fault for a wait that ctx ended before what happened:
+// Server.Timeout ("deadline expired before <what>") when ctx's deadline
+// expired, Server.Cancelled ("caller cancelled before <what>") when the
+// caller went away.
+func EndedFault(ctx context.Context, what string) *soap.Fault {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return fault.ToSOAP(fault.Timeoutf(
-			"deadline expired before %s.%s finished", service, op).
-			With(fault.KeyOp, service+"."+op))
+		return fault.ToSOAP(fault.Timeoutf("deadline expired before %s", what))
 	}
-	return fault.ToSOAP(fault.Cancelledf(
-		"caller cancelled before %s.%s finished", service, op).
-		With(fault.KeyOp, service+"."+op))
+	return fault.ToSOAP(fault.Cancelledf("caller cancelled before %s", what))
 }
 
 // abandonFault is AbandonFault, counted.

@@ -82,12 +82,13 @@ type backend struct {
 	// draining backend takes no new work while its in-flight work finishes.
 	drain atomic.Int32
 
-	inflight metrics.Gauge // sub-batches currently in flight
+	inflight metrics.Gauge // exchanges currently in flight
 	// entriesInflight counts packed ENTRIES in flight, not sub-batches: a
 	// 1-entry shard on a slow node and a 5-entry shard on a fast one are
 	// very different amounts of outstanding work, and load-aware policies
 	// that cannot tell them apart dog-pile whichever backend's single
-	// sub-batch happens to finish first.
+	// sub-batch happens to finish first. A relayed request counts one.
+	// Reserved from assignment on, it is what a drain waits out (release).
 	entriesInflight metrics.Gauge
 	exchanges       metrics.Counter // sub-batch exchanges attempted
 	failures        metrics.Counter // exchanges that errored
@@ -187,13 +188,15 @@ func (g *Gateway) noteFailure(b *backend) {
 		b.ejections.Inc()
 	}
 	b.ejectedUntil = time.Now().Add(g.cfg.ReprobeAfter)
+	// Each arming is one probe to run or to stop: stop waits for them all.
 	switch {
 	case g.life.Err() != nil:
 		// Stopped: stop has stopped the armed probe, and arms no other.
 	case b.reprobe == nil:
-		b.reprobe = time.AfterFunc(g.cfg.ReprobeAfter, func() { g.probe(b) })
-	default:
-		b.reprobe.Reset(g.cfg.ReprobeAfter)
+		g.probes.Add(1)
+		b.reprobe = time.AfterFunc(g.cfg.ReprobeAfter, func() { defer g.probes.Done(); g.probe(b) })
+	case !b.reprobe.Reset(g.cfg.ReprobeAfter):
+		g.probes.Add(1) // it had fired: this arms another
 	}
 }
 

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -574,6 +575,31 @@ func TestDrainCompletesWithLastExchange(t *testing.T) {
 			})
 		}
 	}
+
+	// A shard assigned to the backend but not yet sent is in flight too: a
+	// drain set in between stays pending until the shard's exchange returns,
+	// and then releases the connection that exchange pooled.
+	t.Run("assigned/drain", func(t *testing.T) {
+		f := newAdminFarm(t, 1, nil, nil)
+		doc := packedDoc(soap.V11, []string{`<m:echo xmlns:m="urn:spi:Echo"><p0>a</p0></m:echo>`})
+		sr, pf := core.ParseScatterRequest(doc, "Echo")
+		if pf != nil {
+			t.Fatal(pf)
+		}
+		shards := f.gw.assign(sr.Entries)
+		setDraining(t, f.gw, "b0", true)
+		if st := f.gw.Stats(); st.Drained != 0 || st.Backends[0].Entries != 1 {
+			t.Fatalf("with the shard assigned: Drained %d, Entries %d; want 0, 1", st.Drained, st.Backends[0].Entries)
+		}
+		col := sr.NewCollector()
+		for _, sh := range f.gw.buildSubBatches(sr, shards, col) {
+			f.gw.sendShard(context.Background(), sh, sr, col)
+		}
+		if st := f.gw.Stats(); st.Drained != 1 || st.Backends[0].Idle != 0 || f.served[0].Load() != 1 {
+			t.Errorf("once the shard returned: Drained %d, Idle %d, served %d; want 1, 0, 1",
+				st.Drained, st.Backends[0].Idle, f.served[0].Load())
+		}
+	})
 
 	t.Run("idle/re-drain", func(t *testing.T) {
 		f := newAdminFarm(t, 1, nil, nil)

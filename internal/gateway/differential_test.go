@@ -639,6 +639,52 @@ func TestDifferentialDeadlineDegrade(t *testing.T) {
 	}
 }
 
+// TestDifferentialRelayedDeadline: a single call the gateway relays whole —
+// parsed, or unread on a passthrough gateway — to a live backend whose
+// operation outlasts the call's deadline. The gateway sends the backend what
+// is left of the budget, so the backend's watchdog answers before the
+// gateway's own deadline ends the exchange: the client gets the direct
+// server's fault bytes, and the backend is not counted as failing.
+func TestDifferentialRelayedDeadline(t *testing.T) {
+	d := newDirect(t)
+	dc := &httpx.Client{Dial: d.link.Dial, KeepAlive: true, Timeout: 10 * time.Second}
+	defer dc.Close()
+	nap := fmt.Sprintf(`<m:nap xmlns:m="urn:spi:Echo"><ms xmlns:xsi="%s" xmlns:xsd="%s" xsi:type="xsd:int">1000</ms></m:nap>`,
+		soap.NSXSI, soap.NSXSD)
+	for _, passthrough := range []bool{false, true} {
+		f := newFarm(t, 1, func(cfg *Config) { cfg.Passthrough = passthrough })
+		gc := f.raw()
+		defer gc.Close()
+		for _, v := range []soap.Version{soap.V11, soap.V12} {
+			label := fmt.Sprintf("passthrough=%v/%v", passthrough, v)
+			doc := singleCallDoc(v, nap)
+			deadline := func(c *httpx.Client) reply {
+				resp, err := c.Post("/services/Echo", v.ContentType(), doc, core.HeaderDeadline, "300")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Release()
+				return reply{resp.StatusCode, resp.Header.Get("Content-Type"), append([]byte(nil), resp.Body...)}
+			}
+			want := deadline(dc)
+			if !bytes.Contains(want.body, []byte("deadline expired before Echo.nap finished")) {
+				t.Fatalf("%s: direct server did not time out: %s", label, want.body)
+			}
+			diffReplies(t, label, doc, want, deadline(gc))
+			if n := f.gw.backends[0].consecutiveFails(); n != 0 {
+				t.Errorf("%s: backend counted %d consecutive failures, want 0", label, n)
+			}
+		}
+		wantSpliced := int64(0)
+		if passthrough {
+			wantSpliced = 2
+		}
+		if st := f.gw.Stats(); st.Proxied != 2 || st.Passthrough != wantSpliced {
+			t.Errorf("passthrough=%v: Proxied %d, Passthrough %d; want 2, %d", passthrough, st.Proxied, st.Passthrough, wantSpliced)
+		}
+	}
+}
+
 // TestAllShardsFailedMirrorsDefault: the response default comes from the
 // request alone, so the gateway declares it even when no backend ever
 // answered — and the client's futures all resolve, each with its own fault.

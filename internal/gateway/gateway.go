@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -136,6 +137,7 @@ type Gateway struct {
 	// backends' probes run under it.
 	life    context.Context
 	endLife context.CancelFunc
+	probes  sync.WaitGroup  // armed and running probes (noteFailure)
 	drained metrics.Counter // backends fully drained (in-flight hit zero)
 }
 
@@ -259,11 +261,12 @@ func (g *Gateway) stop() {
 	g.endLife()
 	for _, b := range g.backends {
 		b.mu.Lock()
-		if b.reprobe != nil {
-			b.reprobe.Stop()
+		if b.reprobe != nil && b.reprobe.Stop() {
+			g.probes.Done()
 		}
 		b.mu.Unlock()
 	}
+	g.probes.Wait()
 	if g.coalescer != nil {
 		g.coalescer.Close()
 	}

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,6 +475,43 @@ func TestActiveProbeRecovers(t *testing.T) {
 			t.Fatal("probe never recovered backend 0")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCloseWaitsForProbe closes the gateway while a probe is inside its
+// dial: Close ends the probe's context and returns only once the probe has
+// finished, so no probe uses a backend's client after Close.
+func TestCloseWaitsForProbe(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	var running atomic.Int32
+	gw, err := New(Config{
+		Backends: []BackendConfig{{Name: "b0", DialCtx: func(ctx context.Context) (net.Conn, error) {
+			running.Add(1)
+			defer running.Add(-1)
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			// Still running a moment after its context has ended.
+			time.Sleep(20 * time.Millisecond)
+			return nil, ctx.Err()
+		}}},
+		FailureThreshold: 1,
+		ReprobeAfter:     200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.noteFailure(gw.backends[0]) // opens the circuit: the probe comes when its window ends
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the probe never dialled")
+	}
+	gw.Close()
+	if n := running.Load(); n != 0 {
+		t.Errorf("Close returned with %d probe dials running", n)
 	}
 }
 

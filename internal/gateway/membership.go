@@ -14,30 +14,33 @@ const (
 	drainDone
 )
 
-// startDrain stops new work to b. The drain completes when b's last exchange
-// in flight returns (leave), or here at once when none is.
+// startDrain stops new work to b. The drain completes when the last entry
+// reserved on b is released (release), or here at once when none is.
 func (g *Gateway) startDrain(b *backend) {
-	if b.drain.CompareAndSwap(drainOff, drainPending) && b.inflight.Load() == 0 {
+	if b.drain.CompareAndSwap(drainOff, drainPending) && b.entriesInflight.Load() == 0 {
 		g.completeDrain(b)
 	}
 }
 
-// leave gives back one exchange in flight on b: the last one out of a
-// draining backend completes its drain.
-func (g *Gateway) leave(b *backend) {
-	if b.inflight.Add(-1) == 0 {
+// release gives back n entries reserved on b. Entries are reserved where
+// b.draining() is checked — by assign for a shard, by relay for a whole
+// request — so a shard built but not yet sent keeps a drain pending. The
+// last one out of a draining backend completes its drain.
+func (g *Gateway) release(b *backend, n int) {
+	if b.entriesInflight.Add(int64(-n)) == 0 && b.draining() {
 		g.completeDrain(b)
 	}
 }
 
-// completeDrain releases b's idle keep-alive pool and counts the drain, once
-// per drain: startDrain finding nothing in flight and the leave that brings
-// the count to zero may both get here, and only one wins the swap. A resume
-// first leaves no drain pending, so it releases nothing.
+// completeDrain counts a pending drain once (startDrain and the last release
+// may both get here; one wins the swap) and releases b's idle keep-alive
+// pool — again for work handed b as its drain began. A resumed b keeps it.
 func (g *Gateway) completeDrain(b *backend) {
 	if b.drain.CompareAndSwap(drainPending, drainDone) {
-		b.client.CloseIdle()
 		g.drained.Inc()
+	}
+	if b.drain.Load() == drainDone {
+		b.client.CloseIdle()
 	}
 }
 

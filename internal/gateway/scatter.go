@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -209,7 +208,7 @@ func (g *Gateway) buildSubBatches(sr *core.ScatterRequest, shards []shard, col r
 	for _, sh := range shards {
 		doc, err := core.BuildSubBatch(sr.Version, sr.Headers, sh.entries)
 		if err != nil {
-			sh.b.entriesInflight.Add(int64(-len(sh.entries)))
+			g.release(sh.b, len(sh.entries))
 			f := soap.ServerFault("building sub-batch: %v", err)
 			for _, e := range sh.entries {
 				g.faultCodes.NoteSOAP(f)
@@ -239,7 +238,7 @@ func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterReque
 	release := func() {
 		if reserved {
 			reserved = false
-			b.entriesInflight.Add(int64(-len(shard)))
+			g.release(b, len(shard))
 		}
 	}
 	defer release()
@@ -267,8 +266,8 @@ func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterReque
 		if next := g.pickBackend(b); next != nil && next != b {
 			b.failovers.Inc()
 			g.failovers.Inc()
-			b.entriesInflight.Add(int64(-len(shard)))
 			next.entriesInflight.Add(int64(len(shard)))
+			g.release(b, len(shard))
 			b = next
 		}
 	}
@@ -339,14 +338,12 @@ func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.Sca
 func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc []byte) (*httpx.Response, error) {
 	b.exchanges.Inc()
 	b.inflight.Add(1)
-	defer g.leave(b)
+	defer b.inflight.Add(-1)
 
 	extra := make([]string, 0, 6)
 	extra = append(extra, "SOAPAction", `""`)
-	if deadline, ok := ctx.Deadline(); ok {
-		if budget := time.Until(deadline); budget > 0 {
-			extra = append(extra, core.HeaderDeadline, strconv.FormatInt(budget.Milliseconds(), 10))
-		}
+	if budget, ok := budgetLeft(ctx); ok {
+		extra = append(extra, core.HeaderDeadline, budget)
 	}
 	// LeastLoaded routes on the execution time each backend states on its
 	// replies; no other policy asks for it.
@@ -374,9 +371,10 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 // the backend response's body and inherits its release, so the pooled buffer
 // is recycled only after the gateway's transport has written it. GETs,
 // passthrough singles and parsed singles that are not coalesced all take it;
-// the callers count which kind of forward it was. An exchange the request's
-// deadline (or its caller) ended is answered as a direct server answers a
-// call it gave up on, in the request's version v.
+// the callers count which kind of forward it was. The backend is sent the
+// budget left of the request's deadline, so a live one answers its own
+// Server.Timeout first; an exchange the deadline (or the caller) ends anyway
+// is answered with that fault, in the request's version v.
 func (g *Gateway) relay(ctx context.Context, req *httpx.Request, v soap.Version) *httpx.Response {
 	b := g.pickBackend(nil)
 	if b == nil {
@@ -385,21 +383,25 @@ func (g *Gateway) relay(ctx context.Context, req *httpx.Request, v soap.Version)
 		return resp
 	}
 	out := httpx.NewRequest(req.Method, req.Target, req.Body)
-	for _, h := range [...]string{"Content-Type", "SOAPAction", core.HeaderDeadline, core.HeaderTrace} {
+	for _, h := range [...]string{"Content-Type", "SOAPAction", core.HeaderTrace} {
 		if hv := req.Header.Get(h); hv != "" {
 			out.Header.Set(h, hv)
 		}
 	}
+	if budget, ok := budgetLeft(ctx); ok {
+		out.Header.Set(core.HeaderDeadline, budget)
+	}
 	b.exchanges.Inc()
 	b.inflight.Add(1)
 	b.entriesInflight.Add(1)
-	defer func() { b.entriesInflight.Add(-1); g.leave(b) }()
+	defer func() { b.inflight.Add(-1); g.release(b, 1) }()
 	resp, err := b.client.DoCtx(ctx, out)
 	if err != nil {
 		g.noteFailure(b)
 		g.faults.Inc()
 		if ended(ctx) {
-			f := relayFault(ctx, b)
+			// The relay never learnt the call's operation: name the backend.
+			f := core.EndedFault(ctx, "backend "+b.name+" answered")
 			g.faultCodes.NoteSOAP(f)
 			return core.GatewayFaultResponse(f, v)
 		}
@@ -416,13 +418,13 @@ func (g *Gateway) relay(ctx context.Context, req *httpx.Request, v soap.Version)
 	return relay
 }
 
-// relayFault is the fault for a relayed exchange that ctx ended: the
-// Server.Timeout of an expired deadline, or the Server.Cancelled of a caller
-// that went away. The gateway did not read which operation the call named,
-// so the text names the backend.
-func relayFault(ctx context.Context, b *backend) *soap.Fault {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return fault.ToSOAP(fault.Timeoutf("deadline expired before backend %s answered", b.name))
+// budgetLeft is the SPI-Deadline a forward under ctx carries, the
+// milliseconds left until its deadline; ok is false when none is left.
+func budgetLeft(ctx context.Context) (string, bool) {
+	if deadline, ok := ctx.Deadline(); ok {
+		if budget := time.Until(deadline); budget > 0 {
+			return strconv.FormatInt(budget.Milliseconds(), 10), true
+		}
 	}
-	return fault.ToSOAP(fault.Cancelledf("caller cancelled before backend %s answered", b.name))
+	return "", false
 }
