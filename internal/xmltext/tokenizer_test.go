@@ -237,6 +237,34 @@ func TestTokenizerPositions(t *testing.T) {
 	}
 }
 
+// TestTokenizeErrorPositions: an error is reported at the line and column of
+// the offset where reading stopped, also after a name that ends at a newline
+// (whose line the byte-at-a-time reader counted twice).
+func TestTokenizeErrorPositions(t *testing.T) {
+	cases := []struct {
+		src, want string
+		pos       Pos
+	}{
+		{"<a\n b=\"1\" b=\"2\"/>", "duplicate attribute", Pos{2, 13}},
+		{"<a>\n<b\n></c></a>", "does not match", Pos{3, 6}},
+		{"<a\n\n\n>x</b>", "does not match", Pos{4, 7}},
+		{"<a>\n  <b></c>\n</a>", "does not match", Pos{2, 10}},
+		{"<a:\n/>", "expected a name", Pos{1, 4}},
+		{"<a>\nab&bogus;</a>", "unknown entity", Pos{2, 10}},
+	}
+	for _, c := range cases {
+		tk := NewTokenizer(strings.NewReader(c.src))
+		var err error
+		for err == nil {
+			_, err = tk.Next()
+		}
+		se, ok := err.(*SyntaxError)
+		if !ok || !strings.Contains(se.Msg, c.want) || se.Pos != c.pos {
+			t.Errorf("%q: %v, want %q at %v", c.src, err, c.want, c.pos)
+		}
+	}
+}
+
 func TestTokenizeProcInst(t *testing.T) {
 	toks := drain(t, `<?pi some data?><a/>`)
 	if toks[0].Kind != KindProcInst || toks[0].Target != "pi" || toks[0].Text != "some data" {
