@@ -264,7 +264,8 @@ func CompleteSubtree(tk *xmltext.Tokenizer, a *Arena, el *Element) error {
 
 // ParseInArena reads one XML document from r, allocating the tree from the
 // arena (heap when a is nil, making this equivalent to Parse). The
-// returned tree follows the arena lifecycle contract.
+// tokenizer reads r to the end before it scans. The returned tree follows
+// the arena lifecycle contract.
 func ParseInArena(r io.Reader, a *Arena) (*Element, error) {
 	tk := xmltext.NewTokenizer(r)
 	tk.SetRawText(true)
@@ -273,8 +274,8 @@ func ParseInArena(r io.Reader, a *Arena) (*Element, error) {
 }
 
 // ParseBytesInArena is ParseInArena over an in-memory document, run on a
-// pooled tokenizer: repeated decodes reuse one read buffer instead of
-// allocating a reader and tokenizer per document. The returned tree copies
+// pooled tokenizer that scans b where it lies: repeated decodes allocate
+// no tokenizer and copy no input. The returned tree copies
 // everything it keeps (names are interned, text and attribute values are
 // materialized), so it never aliases the tokenizer or b.
 func ParseBytesInArena(b []byte, a *Arena) (*Element, error) {

@@ -20,11 +20,13 @@ func buildDoc(approxBytes int) string {
 	return b.String()
 }
 
-func benchTokenize(b *testing.B, doc string) {
+// benchTokenize drains doc through the tokenizer open returns, once an
+// iteration.
+func benchTokenize(b *testing.B, doc string, open func() (*Tokenizer, func())) {
 	b.SetBytes(int64(len(doc)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tk := NewTokenizer(strings.NewReader(doc))
+		tk, done := open()
 		for {
 			_, err := tk.Next()
 			if err == io.EOF {
@@ -34,15 +36,28 @@ func benchTokenize(b *testing.B, doc string) {
 				b.Fatal(err)
 			}
 		}
+		done()
 	}
 }
 
-// BenchmarkTokenize measures tokenizer throughput at SOAP-typical sizes.
+// BenchmarkTokenize measures tokenizer throughput at SOAP-typical sizes:
+// over a reader (NewTokenizer reads it whole first) and on the pooled
+// tokenizer in raw-text mode, the path servers run.
 func BenchmarkTokenize(b *testing.B) {
 	for _, size := range []int{1 << 10, 64 << 10, 1 << 20} {
 		doc := buildDoc(size)
+		docBytes := []byte(doc)
 		b.Run(fmt.Sprintf("%dKB", size/1024), func(b *testing.B) {
-			benchTokenize(b, doc)
+			benchTokenize(b, doc, func() (*Tokenizer, func()) {
+				return NewTokenizer(strings.NewReader(doc)), func() {}
+			})
+		})
+		b.Run(fmt.Sprintf("acquire-%dKB", size/1024), func(b *testing.B) {
+			benchTokenize(b, doc, func() (*Tokenizer, func()) {
+				tk := AcquireTokenizer(docBytes)
+				tk.SetRawText(true)
+				return tk, func() { ReleaseTokenizer(tk) }
+			})
 		})
 	}
 }

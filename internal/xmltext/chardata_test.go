@@ -191,7 +191,7 @@ func readAll(tk *Tokenizer) ([]readToken, error) {
 		if err != nil {
 			return out, err
 		}
-		rt := readToken{Tok: tok, Off: tk.InputOffset(), Pos: tk.pos}
+		rt := readToken{Tok: tok, Off: tk.InputOffset(), Pos: tk.position()}
 		if tok.Kind == KindText {
 			rt.Text = string(tk.TokenBytes())
 		}
@@ -290,7 +290,7 @@ func TestPositionAcrossRuns(t *testing.T) {
 		if _, err := tk.Next(); err != nil {
 			t.Fatal(err)
 		}
-		if got := tk.pos; got != w {
+		if got := tk.position(); got != w {
 			t.Errorf("after token %d: position %v, want %v", i, got, w)
 		}
 	}

@@ -1,7 +1,6 @@
 package xmltext
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -25,15 +24,17 @@ const (
 // UTF8BOM is the byte order mark a UTF-8 document may begin with.
 var UTF8BOM = []byte("\xEF\xBB\xBF")
 
-// Tokenizer reads a stream of XML tokens from an io.Reader.
+// Tokenizer reads the XML tokens of a document held in memory.
 //
-// The zero value is not usable; call NewTokenizer. A Tokenizer checks
-// well-formedness incrementally: tags must nest properly, attribute names
-// must be unique per element, and exactly one root element is allowed.
+// It scans the document's bytes from an offset: each token is one scan of
+// the rest of the slice, and a line and column are worked out from the
+// offset only when a SyntaxError is built. The zero value tokenizes an empty
+// document; call NewTokenizer, ResetBytes or AcquireTokenizer. A Tokenizer
+// checks well-formedness incrementally: tags must nest properly, attribute
+// names must be unique per element, and exactly one root element is allowed.
 type Tokenizer struct {
-	r    *bufio.Reader
-	pos  Pos
-	off  int64  // bytes consumed from the input
+	doc  []byte
+	off  int    // offset of the first byte not yet consumed
 	err  error  // sticky error
 	open []Name // stack of open elements
 
@@ -42,11 +43,10 @@ type Tokenizer struct {
 	pendingEnd Name
 	hasPending bool
 
-	sawRoot    bool // a root element has been opened
 	rootClosed bool // the root element has been closed
 
-	buf []byte // scratch for token assembly, reused between calls
-	val []byte // scratch for attribute values, reused between calls
+	text []byte // the last Text or ProcInst token's content (TokenBytes)
+	buf  []byte // scratch for text and attribute values with references
 
 	// rawText suppresses string materialization for Text tokens: the
 	// caller reads the content through TokenBytes instead. See SetRawText.
@@ -55,49 +55,41 @@ type Tokenizer struct {
 	// array. See SetReuseTokenAttrs.
 	reuseAttrs bool
 	attrs      []Attr // scratch for Token.Attrs when reuseAttrs is set
-
-	// src backs ResetBytes, so tokenizing an in-memory document needs no
-	// separate bytes.Reader allocation.
-	src bytes.Reader
 }
 
-// NewTokenizer returns a Tokenizer reading from r.
+// NewTokenizer returns a Tokenizer over everything r holds: it reads r to
+// the end first, into one allocation when r tells its length (as a
+// bytes.Reader or strings.Reader does). A read error is what the first call
+// to Next returns.
 func NewTokenizer(r io.Reader) *Tokenizer {
 	t := &Tokenizer{}
-	t.Reset(r)
+	if r != nil {
+		var doc bytes.Buffer
+		if sized, ok := r.(interface{ Len() int }); ok {
+			doc.Grow(sized.Len())
+		}
+		_, err := io.Copy(&doc, r)
+		t.ResetBytes(doc.Bytes())
+		t.err = err
+	}
 	return t
 }
 
-// Reset prepares t to read a new document from r, discarding all state
-// from the previous document while keeping grown scratch buffers (and the
-// 16 KB read buffer). Raw-text and attribute-reuse modes persist across
-// resets.
-func (t *Tokenizer) Reset(r io.Reader) {
-	if t.r == nil {
-		t.r = bufio.NewReaderSize(r, 16<<10)
-	} else {
-		t.r.Reset(r)
-	}
-	t.pos = Pos{Line: 1, Col: 1}
+// ResetBytes prepares t to read the document b, discarding all state from
+// the previous document while keeping grown scratch buffers. Raw-text and
+// attribute-reuse modes persist across resets.
+func (t *Tokenizer) ResetBytes(b []byte) {
+	t.doc = b
 	t.off = 0
 	t.err = nil
 	t.open = t.open[:0]
 	t.pendingEnd = Name{}
 	t.hasPending = false
-	t.sawRoot = false
 	t.rootClosed = false
-	t.buf = t.buf[:0]
-	t.val = t.val[:0]
+	t.text = nil
 }
 
-// ResetBytes is Reset over an in-memory document, reusing an internal
-// bytes.Reader so repeated decodes allocate nothing for the source.
-func (t *Tokenizer) ResetBytes(b []byte) {
-	t.src.Reset(b)
-	t.Reset(&t.src)
-}
-
-// tokenizerPool recycles Tokenizers — principally their 16 KB read
+// tokenizerPool recycles Tokenizers — their element stacks and scratch
 // buffers — across documents for the decode hot paths.
 var tokenizerPool = sync.Pool{New: func() any { return &Tokenizer{} }}
 
@@ -118,7 +110,7 @@ func AcquireTokenizer(b []byte) *Tokenizer {
 // the pool. It drops the reference to the caller's document so the pool
 // never pins request bodies.
 func ReleaseTokenizer(t *Tokenizer) {
-	t.src.Reset(nil)
+	t.ResetBytes(nil)
 	tokenizerPool.Put(t)
 }
 
@@ -139,9 +131,9 @@ func (t *Tokenizer) SetReuseTokenAttrs(on bool) { t.reuseAttrs = on }
 
 // TokenBytes returns the raw content bytes of the most recent Text token
 // (and, under SetRawText, the only way to read it). The slice aliases the
-// tokenizer's scratch buffer: it is valid only until the next call to Next
-// and must not be modified.
-func (t *Tokenizer) TokenBytes() []byte { return t.buf }
+// document or the tokenizer's scratch buffer: it is valid only until the
+// next call to Next and must not be modified.
+func (t *Tokenizer) TokenBytes() []byte { return t.text }
 
 // InputOffset returns the number of input bytes consumed so far: the byte
 // offset of the first unconsumed byte. After Next returns a token whose
@@ -150,79 +142,21 @@ func (t *Tokenizer) TokenBytes() []byte { return t.buf }
 // self-closing tags consume no input, so the offset is stable across them.
 // Combined with ResetBytes/AcquireTokenizer over an in-memory document,
 // this lets callers recover the exact raw byte span of a subtree.
-func (t *Tokenizer) InputOffset() int64 { return t.off }
+func (t *Tokenizer) InputOffset() int64 { return int64(t.off) }
 
-func (t *Tokenizer) syntaxErr(format string, args ...any) error {
-	err := &SyntaxError{Pos: t.pos, Msg: fmt.Sprintf(format, args...)}
+// syntaxErr stops the tokenizer at offset at with a sticky SyntaxError.
+func (t *Tokenizer) syntaxErr(at int, format string, args ...any) error {
+	t.off = at
+	err := &SyntaxError{Pos: t.position(), Msg: fmt.Sprintf(format, args...)}
 	t.err = err
 	return err
 }
 
-// readByte consumes one byte, tracking position.
-func (t *Tokenizer) readByte() (byte, error) {
-	c, err := t.r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return 0, io.EOF
-		}
-		t.err = err
-		return 0, err
-	}
-	if c == '\n' {
-		t.pos.Line++
-		t.pos.Col = 1
-	} else {
-		t.pos.Col++
-	}
-	t.off++
-	return c, nil
-}
-
-func (t *Tokenizer) unreadByte() {
-	// bufio guarantees one byte of unread after a successful ReadByte.
-	_ = t.r.UnreadByte()
-	if t.pos.Col > 1 {
-		t.pos.Col--
-	}
-	t.off--
-}
-
-func (t *Tokenizer) peekByte() (byte, error) {
-	b, err := t.r.Peek(1)
-	if err != nil {
-		if err == io.EOF {
-			return 0, io.EOF
-		}
-		t.err = err
-		return 0, err
-	}
-	return b[0], nil
-}
-
-// window returns the unread bytes the read buffer already holds, reading
-// more only when it holds none; io.EOF when the input is spent. Character
-// data is scanned in it a run at a time. The slice is valid until the next
-// read from t.r.
-func (t *Tokenizer) window() ([]byte, error) {
-	if t.r.Buffered() == 0 {
-		if _, err := t.peekByte(); err != nil {
-			return nil, err
-		}
-	}
-	return t.r.Peek(t.r.Buffered())
-}
-
-// consume takes run — the head of the last window or Peek — off the input,
-// moving position and offset across it as readByte would a byte at a time.
-func (t *Tokenizer) consume(run []byte) {
-	if lines := bytes.Count(run, []byte{'\n'}); lines > 0 {
-		t.pos.Line += lines
-		t.pos.Col = len(run) - bytes.LastIndexByte(run, '\n')
-	} else {
-		t.pos.Col += len(run)
-	}
-	t.off += int64(len(run))
-	_, _ = t.r.Discard(len(run)) // run is buffered: cannot fail
+// position is the line and column of the offset: 1 plus the newlines before
+// it, and 1 plus the bytes since the last of them.
+func (t *Tokenizer) position() Pos {
+	seen := t.doc[:t.off]
+	return Pos{Line: 1 + bytes.Count(seen, []byte{'\n'}), Col: t.off - bytes.LastIndexByte(seen, '\n')}
 }
 
 // Next returns the next token. At end of input it returns io.EOF. Once any
@@ -234,80 +168,69 @@ func (t *Tokenizer) Next() (Token, error) {
 	if t.hasPending {
 		t.hasPending = false
 		name := t.pendingEnd
-		t.popElement(name)
+		t.popElement()
 		return Token{Kind: KindEndElement, Name: name}, nil
 	}
-
-	c, err := t.peekByte()
-	if err == io.EOF {
-		if len(t.open) > 0 {
-			return Token{}, t.syntaxErr("unexpected EOF: element <%s> not closed", t.open[len(t.open)-1])
-		}
-		if !t.rootClosed {
-			return Token{}, t.syntaxErr("unexpected EOF: no root element")
-		}
-		t.err = io.EOF
-		return Token{}, io.EOF
+	switch {
+	case t.off < len(t.doc) && t.doc[t.off] == '<':
+		return t.readMarkup(t.off + 1)
+	case t.off < len(t.doc):
+		return t.readText()
+	case len(t.open) > 0:
+		return Token{}, t.syntaxErr(t.off, "unexpected EOF: element <%s> not closed", t.open[len(t.open)-1])
+	case !t.rootClosed:
+		return Token{}, t.syntaxErr(t.off, "unexpected EOF: no root element")
 	}
-	if err != nil {
-		return Token{}, err
-	}
-
-	if c == '<' {
-		return t.readMarkup()
-	}
-	return t.readText()
+	t.err = io.EOF
+	return Token{}, io.EOF
 }
 
-// readText consumes character data up to the next '<' (or EOF) and returns
-// it as a single text token, with entities decoded. Each run between
-// references is found with one search of the window and copied once.
+// readText consumes character data up to the next '<' (or the end) and
+// returns it as a single text token, with entities decoded. Text with no
+// reference is handed out where it lies in the document; a run between
+// references is copied once.
 func (t *Tokenizer) readText() (Token, error) {
+	d, start := t.doc, t.off
+	i, from := start, start // from: the first byte not yet copied to buf
 	t.buf = t.buf[:0]
 	for {
-		w, err := t.window()
-		if err == io.EOF {
+		k := bytes.IndexAny(d[i:], "<&")
+		if k < 0 {
+			i = len(d)
 			break
 		}
-		if err != nil {
-			return Token{}, err
-		}
-		i := bytes.IndexAny(w, "<&")
-		if i < 0 {
-			i = len(w)
-		}
-		t.buf = append(t.buf, w[:i]...)
-		if len(t.buf) > MaxTokenBytes {
-			t.consume(w[:i])
-			return Token{}, t.syntaxErr("text token exceeds %d bytes", MaxTokenBytes)
-		}
-		if i == len(w) {
-			t.consume(w)
-			continue
-		}
-		if w[i] == '<' {
-			t.consume(w[:i])
+		if i += k; d[i] == '<' {
 			break
 		}
-		t.consume(w[:i+1])
-		r, err := t.readEntity()
+		t.buf = append(t.buf, d[from:i]...)
+		r, next, err := t.readEntity(i + 1)
 		if err != nil {
 			return Token{}, err
 		}
 		t.buf = utf8.AppendRune(t.buf, r)
+		i, from = next, next
+	}
+	t.off = i
+	t.text = d[start:i:i]
+	if from != start {
+		t.buf = append(t.buf, d[from:i]...)
+		t.text = t.buf
+	}
+	if len(t.text) > MaxTokenBytes {
+		return Token{}, t.syntaxErr(i, "text token exceeds %d bytes", MaxTokenBytes)
 	}
 	if len(t.open) == 0 {
 		// Outside the root element only whitespace is allowed. Checked on
 		// the raw bytes: this run is discarded either way, so it never
 		// needs to become a string at all.
-		text := t.buf
-		if t.off == int64(len(text)) {
+		text := t.text
+		if t.off == len(text) {
 			// The document's first bytes: a UTF-8 byte order mark may lead
 			// them (the encoding declaration it stands in for is optional).
 			text = bytes.TrimPrefix(text, UTF8BOM)
 		}
 		if !IsWhitespace(text) {
-			return Token{}, t.syntaxErr("character data outside root element")
+			return Token{}, t.syntaxErr(i, "character data outside root element")
 		}
 		// Skip it and continue with the following markup or EOF.
 		return t.Next()
@@ -315,31 +238,29 @@ func (t *Tokenizer) readText() (Token, error) {
 	if t.rawText {
 		return Token{Kind: KindText}, nil
 	}
-	return Token{Kind: KindText, Text: string(t.buf)}, nil
+	return Token{Kind: KindText, Text: string(t.text)}, nil
 }
 
 // maxEntityName bounds the name between '&' and ';'.
 const maxEntityName = 32
 
-// readEntity decodes one entity reference; the leading '&' has been
-// consumed. The name is matched where it lies in the read buffer, so a
-// reference costs no allocation.
-func (t *Tokenizer) readEntity() (rune, error) {
-	ref, _ := t.r.Peek(maxEntityName + 1) // short only when the input ends first
+// readEntity decodes the entity reference whose name starts at i, just past
+// its '&', and returns the offset past its ';'. The name is matched where it
+// lies in the document, so a reference costs no allocation.
+func (t *Tokenizer) readEntity(i int) (rune, int, error) {
+	ref := t.doc[i:min(i+maxEntityName+1, len(t.doc))]
 	semi := bytes.IndexByte(ref, ';')
 	if semi < 0 {
-		t.consume(ref)
 		if len(ref) <= maxEntityName {
-			return 0, t.syntaxErr("unterminated entity reference")
+			return 0, 0, t.syntaxErr(i+len(ref), "unterminated entity reference")
 		}
-		return 0, t.syntaxErr("entity reference too long")
+		return 0, 0, t.syntaxErr(i+len(ref), "entity reference too long")
 	}
 	r, msg := decodeEntity(ref[:semi])
-	t.consume(ref[:semi+1])
 	if msg != "" {
-		return 0, t.syntaxErr("%s", msg)
+		return 0, 0, t.syntaxErr(i+semi+1, "%s", msg)
 	}
-	return r, nil
+	return r, i + semi + 1, nil
 }
 
 // decodeEntity resolves the name of a reference ("lt", "#x3C") to its
@@ -411,65 +332,56 @@ func isValidXMLChar(r rune) bool {
 	return false
 }
 
-// readMarkup handles everything that begins with '<'.
-func (t *Tokenizer) readMarkup() (Token, error) {
-	if _, err := t.readByte(); err != nil { // consume '<'
-		return Token{}, err
+// readMarkup handles everything that begins with '<'; i is just past it.
+func (t *Tokenizer) readMarkup(i int) (Token, error) {
+	if i == len(t.doc) {
+		return Token{}, t.syntaxErr(i, "unexpected EOF after '<'")
 	}
-	c, err := t.peekByte()
-	if err != nil {
-		return Token{}, t.syntaxErr("unexpected EOF after '<'")
-	}
-	switch c {
+	switch t.doc[i] {
 	case '/':
-		_, _ = t.readByte()
-		return t.readEndTag()
+		return t.readEndTag(i + 1)
 	case '!':
-		_, _ = t.readByte()
-		return t.readBang()
+		return t.readBang(i + 1)
 	case '?':
-		_, _ = t.readByte()
-		return t.readProcInst()
+		return t.readProcInst(i + 1)
 	default:
-		return t.readStartTag()
+		return t.readStartTag(i)
 	}
 }
 
-// readStartTag parses "<name attr='v' ...>" or "<name ... />"; the '<' has
-// been consumed.
-func (t *Tokenizer) readStartTag() (Token, error) {
+// readStartTag parses "<name attr='v' ...>" or "<name ... />" from the name
+// at i.
+func (t *Tokenizer) readStartTag(i int) (Token, error) {
 	if t.rootClosed {
-		return Token{}, t.syntaxErr("content after root element")
+		return Token{}, t.syntaxErr(i, "content after root element")
 	}
-	raw, err := t.readRawName()
+	end, err := t.scanName(i)
 	if err != nil {
 		return Token{}, err
 	}
-	name := InternName(raw)
+	name := InternName(t.doc[i:end])
 	tok := Token{Kind: KindStartElement, Name: name}
 	if t.reuseAttrs {
 		tok.Attrs = t.attrs[:0]
 	}
-	for {
-		if err := t.skipSpace(); err != nil {
-			return Token{}, t.syntaxErr("unexpected EOF in tag <%s>", name)
+	for i = end; ; {
+		i = t.skipSpace(i)
+		if i == len(t.doc) {
+			return Token{}, t.syntaxErr(i, "unexpected EOF in tag <%s>", name)
 		}
-		c, err := t.readByte()
-		if err != nil {
-			return Token{}, t.syntaxErr("unexpected EOF in tag <%s>", name)
-		}
-		switch c {
+		switch t.doc[i] {
 		case '>':
+			t.off = i + 1
 			t.pushElement(name)
 			if t.reuseAttrs {
 				t.attrs = tok.Attrs
 			}
 			return tok, t.err
 		case '/':
-			c2, err := t.readByte()
-			if err != nil || c2 != '>' {
-				return Token{}, t.syntaxErr("expected '>' after '/' in tag <%s>", name)
+			if i+1 == len(t.doc) || t.doc[i+1] != '>' {
+				return Token{}, t.syntaxErr(min(i+2, len(t.doc)), "expected '>' after '/' in tag <%s>", name)
 			}
+			t.off = i + 2
 			tok.SelfClosing = true
 			t.pushElement(name)
 			if t.err != nil {
@@ -481,347 +393,290 @@ func (t *Tokenizer) readStartTag() (Token, error) {
 				t.attrs = tok.Attrs
 			}
 			return tok, nil
-		default:
-			t.unreadByte()
-			attr, err := t.readAttr()
-			if err != nil {
-				return Token{}, err
-			}
-			for _, a := range tok.Attrs {
-				if a.Name == attr.Name {
-					return Token{}, t.syntaxErr("duplicate attribute %q in tag <%s>", attr.Name, name)
-				}
-			}
-			if len(tok.Attrs) >= MaxAttrs {
-				return Token{}, t.syntaxErr("too many attributes in tag <%s>", name)
-			}
-			tok.Attrs = append(tok.Attrs, attr)
 		}
+		attr, next, err := t.readAttr(i)
+		if err != nil {
+			return Token{}, err
+		}
+		for _, a := range tok.Attrs {
+			if a.Name == attr.Name {
+				return Token{}, t.syntaxErr(next, "duplicate attribute %q in tag <%s>", attr.Name, name)
+			}
+		}
+		if len(tok.Attrs) >= MaxAttrs {
+			return Token{}, t.syntaxErr(next, "too many attributes in tag <%s>", name)
+		}
+		tok.Attrs = append(tok.Attrs, attr)
+		i = next
 	}
 }
 
 func (t *Tokenizer) pushElement(name Name) {
-	if t.rootClosed {
-		t.syntaxErr("second root element <%s>", name)
-		return
-	}
 	if len(t.open) >= MaxDepth {
-		t.syntaxErr("element nesting exceeds depth %d", MaxDepth)
+		t.syntaxErr(t.off, "element nesting exceeds depth %d", MaxDepth)
 		return
 	}
-	t.sawRoot = true
 	t.open = append(t.open, name)
 }
 
-func (t *Tokenizer) popElement(name Name) {
+func (t *Tokenizer) popElement() {
 	t.open = t.open[:len(t.open)-1]
-	if len(t.open) == 0 {
-		t.rootClosed = true
-	}
-	_ = name
+	t.rootClosed = len(t.open) == 0
 }
 
-// readEndTag parses "</name>"; the "</" has been consumed.
-func (t *Tokenizer) readEndTag() (Token, error) {
-	raw, err := t.readRawName()
+// readEndTag parses "</name>" from the name at i.
+func (t *Tokenizer) readEndTag(i int) (Token, error) {
+	end, err := t.scanName(i)
 	if err != nil {
 		return Token{}, err
 	}
-	name := InternName(raw)
-	if err := t.skipSpace(); err != nil {
-		return Token{}, t.syntaxErr("unexpected EOF in end tag </%s>", name)
+	name := InternName(t.doc[i:end])
+	if i = t.skipSpace(end); i == len(t.doc) {
+		return Token{}, t.syntaxErr(i, "unexpected EOF in end tag </%s>", name)
 	}
-	c, err := t.readByte()
-	if err != nil || c != '>' {
-		return Token{}, t.syntaxErr("expected '>' in end tag </%s>", name)
+	if t.doc[i] != '>' {
+		return Token{}, t.syntaxErr(i+1, "expected '>' in end tag </%s>", name)
 	}
 	if len(t.open) == 0 {
-		return Token{}, t.syntaxErr("end tag </%s> with no open element", name)
+		return Token{}, t.syntaxErr(i+1, "end tag </%s> with no open element", name)
 	}
 	if top := t.open[len(t.open)-1]; top != name {
-		return Token{}, t.syntaxErr("end tag </%s> does not match <%s>", name, top)
+		return Token{}, t.syntaxErr(i+1, "end tag </%s> does not match <%s>", name, top)
 	}
-	t.popElement(name)
+	t.off = i + 1
+	t.popElement()
 	return Token{Kind: KindEndElement, Name: name}, nil
 }
 
-// readBang handles "<!--", "<![CDATA[" and "<!DOCTYPE"; "<!" has been consumed.
-func (t *Tokenizer) readBang() (Token, error) {
-	c, err := t.peekByte()
-	if err != nil {
-		return Token{}, t.syntaxErr("unexpected EOF after '<!'")
+// readBang handles "<!--", "<![CDATA[" and "<!DOCTYPE"; i is past "<!".
+func (t *Tokenizer) readBang(i int) (Token, error) {
+	if i == len(t.doc) {
+		return Token{}, t.syntaxErr(i, "unexpected EOF after '<!'")
 	}
-	switch c {
+	switch t.doc[i] {
 	case '-':
-		return t.readComment()
+		return t.readComment(i)
 	case '[':
-		return t.readCDATA()
+		return t.readCDATA(i)
 	default:
-		return Token{}, t.syntaxErr("DOCTYPE and other declarations are not allowed")
+		return Token{}, t.syntaxErr(i, "DOCTYPE and other declarations are not allowed")
 	}
 }
 
-// readComment parses "<!-- ... -->"; "<!" has been consumed.
-func (t *Tokenizer) readComment() (Token, error) {
-	for _, want := range []byte("--") {
-		c, err := t.readByte()
-		if err != nil || c != want {
-			return Token{}, t.syntaxErr("malformed comment open")
-		}
+// expect checks that lit is next at i and returns the offset past it. A
+// mismatch stops the tokenizer past the first byte that differs, or at the
+// end of the document.
+func (t *Tokenizer) expect(i int, lit, msg string) (int, error) {
+	n := 0
+	for n < len(lit) && i+n < len(t.doc) && t.doc[i+n] == lit[n] {
+		n++
 	}
-	t.buf = t.buf[:0]
-	dashes := 0
-	for {
-		c, err := t.readByte()
-		if err != nil {
-			return Token{}, t.syntaxErr("unterminated comment")
-		}
-		if c == '-' {
-			dashes++
-			if dashes > 2 {
-				return Token{}, t.syntaxErr("'--' not allowed inside comment")
-			}
-			continue
-		}
-		if dashes == 2 {
-			if c != '>' {
-				return Token{}, t.syntaxErr("'--' not allowed inside comment")
-			}
-			return Token{Kind: KindComment, Text: string(t.buf)}, nil
-		}
-		for ; dashes > 0; dashes-- {
-			t.buf = append(t.buf, '-')
-		}
-		t.buf = append(t.buf, c)
-		if len(t.buf) > MaxTokenBytes {
-			return Token{}, t.syntaxErr("comment exceeds %d bytes", MaxTokenBytes)
-		}
+	if n < len(lit) {
+		return 0, t.syntaxErr(min(i+n+1, len(t.doc)), "%s", msg)
 	}
+	return i + n, nil
 }
 
-// readCDATA parses "<![CDATA[ ... ]]>"; "<!" has been consumed. The content
-// is returned as a text token, copied a window at a time up to the one search
-// that finds the terminator.
-func (t *Tokenizer) readCDATA() (Token, error) {
-	for _, want := range []byte("[CDATA[") {
-		c, err := t.readByte()
-		if err != nil || c != want {
-			return Token{}, t.syntaxErr("malformed CDATA open")
-		}
+// scanSection finds the terminator of the comment, CDATA section or
+// processing instruction whose content starts at i, and returns the offset
+// where the content ends and the terminator begins.
+func (t *Tokenizer) scanSection(i int, terminator, what string) (int, error) {
+	n := bytes.Index(t.doc[i:], []byte(terminator))
+	if n > MaxTokenBytes || n < 0 && len(t.doc)-i > MaxTokenBytes {
+		return 0, t.syntaxErr(i+MaxTokenBytes+1, "%s exceeds %d bytes", what, MaxTokenBytes)
 	}
-	if len(t.open) == 0 {
-		return Token{}, t.syntaxErr("CDATA outside root element")
+	if n < 0 {
+		return 0, t.syntaxErr(len(t.doc), "unterminated %s", what)
 	}
-	t.buf = t.buf[:0]
-	for {
-		w, err := t.window()
-		if err != nil {
-			return Token{}, t.syntaxErr("unterminated CDATA section")
-		}
-		end := bytes.Index(w, []byte(cdataClose))
-		content := w
-		if end >= 0 {
-			content = w[:end]
-		} else {
-			// A terminator may straddle the refill: hold back the ']'s
-			// that could open it.
-			for held := 0; held < 2 && bytes.HasSuffix(content, []byte("]")); held++ {
-				content = content[:len(content)-1]
-			}
-		}
-		t.buf = append(t.buf, content...)
-		if len(t.buf) > MaxTokenBytes {
-			t.consume(content)
-			return Token{}, t.syntaxErr("CDATA exceeds %d bytes", MaxTokenBytes)
-		}
-		if end >= 0 {
-			t.consume(w[:end+len(cdataClose)])
-			if t.rawText {
-				return Token{Kind: KindText}, nil
-			}
-			return Token{Kind: KindText, Text: string(t.buf)}, nil
-		}
-		held := len(w) - len(content)
-		t.consume(content)
-		// Read on past what was held back; nothing more means it was the
-		// section's last input, not a terminator.
-		if rest, _ := t.r.Peek(held + 1); len(rest) <= held {
-			t.consume(rest)
-			return Token{}, t.syntaxErr("unterminated CDATA section")
-		}
-	}
+	return i + n, nil
 }
 
-// readProcInst parses "<?target data?>"; "<?" has been consumed.
-func (t *Tokenizer) readProcInst() (Token, error) {
-	target, err := t.readName()
+// readComment parses "<!-- ... -->" from the first '-' at i. The content
+// runs to the first "--", which must close the comment.
+func (t *Tokenizer) readComment(i int) (Token, error) {
+	i, err := t.expect(i, "--", "malformed comment open")
 	if err != nil {
 		return Token{}, err
 	}
-	t.buf = t.buf[:0]
-	question := false
-	first := true
-	for {
-		c, err := t.readByte()
-		if err != nil {
-			return Token{}, t.syntaxErr("unterminated processing instruction")
-		}
-		if first && !isSpaceByte(c) && c != '?' {
-			return Token{}, t.syntaxErr("malformed processing instruction")
-		}
-		first = false
-		if question && c == '>' {
-			// Trim the separator whitespace on the raw bytes, then convert
-			// once — the old code materialized the untrimmed string first
-			// and trimmed the copy, paying for the data twice.
-			b := t.buf
-			for len(b) > 0 && isSpaceByte(b[0]) {
-				b = b[1:]
-			}
-			if t.rawText {
-				// Raw mode extends to processing instructions: both hot
-				// consumers (the DOM builder and the SOAP stream decoder)
-				// discard the XML declaration, so don't materialize it.
-				t.buf = t.buf[:copy(t.buf, b)]
-				return Token{Kind: KindProcInst, Target: target}, nil
-			}
-			return Token{Kind: KindProcInst, Target: target, Text: string(b)}, nil
-		}
-		if question {
-			t.buf = append(t.buf, '?')
-			question = false
-		}
-		if c == '?' {
-			question = true
-		} else {
-			t.buf = append(t.buf, c)
-		}
-		if len(t.buf) > MaxTokenBytes {
-			return Token{}, t.syntaxErr("processing instruction exceeds %d bytes", MaxTokenBytes)
-		}
-	}
-}
-
-// readRawName reads an XML name (element, attribute or PI target) into the
-// scratch buffer. The returned slice is valid until the buffer's next use;
-// callers convert it immediately via Intern/InternName.
-func (t *Tokenizer) readRawName() ([]byte, error) {
-	t.buf = t.buf[:0]
-	for {
-		c, err := t.readByte()
-		if err != nil {
-			return nil, t.syntaxErr("unexpected EOF in name")
-		}
-		if isNameByte(c, len(t.buf) == 0) {
-			t.buf = append(t.buf, c)
-			continue
-		}
-		t.unreadByte()
-		break
-	}
-	if len(t.buf) == 0 || t.buf[len(t.buf)-1] == ':' { // a QName has a local part
-		return nil, t.syntaxErr("expected a name")
-	}
-	return t.buf, nil
-}
-
-// readName is readRawName interned to a string.
-func (t *Tokenizer) readName() (string, error) {
-	raw, err := t.readRawName()
+	end, err := t.scanSection(i, "--", "comment")
 	if err != nil {
-		return "", err
+		return Token{}, err
 	}
-	return Intern(raw), nil
+	switch {
+	case end+2 == len(t.doc):
+		return Token{}, t.syntaxErr(end+2, "unterminated comment")
+	case t.doc[end+2] != '>':
+		return Token{}, t.syntaxErr(end+3, "'--' not allowed inside comment")
+	}
+	t.off = end + 3
+	return Token{Kind: KindComment, Text: string(t.doc[i:end])}, nil
 }
 
-// readAttr parses one name="value" pair. Both the name and the value are
-// interned: attribute values on SOAP traffic are overwhelmingly namespace
-// URIs and type QNames that repeat on every message.
-func (t *Tokenizer) readAttr() (Attr, error) {
-	raw, err := t.readRawName()
+// readCDATA parses "<![CDATA[ ... ]]>" from the '[' at i and returns the
+// content as a text token.
+func (t *Tokenizer) readCDATA(i int) (Token, error) {
+	i, err := t.expect(i, "[CDATA[", "malformed CDATA open")
 	if err != nil {
-		return Attr{}, err
+		return Token{}, err
 	}
-	name := InternName(raw)
-	if err := t.skipSpace(); err != nil {
-		return Attr{}, t.syntaxErr("unexpected EOF after attribute name %q", name)
+	if len(t.open) == 0 {
+		return Token{}, t.syntaxErr(i, "CDATA outside root element")
 	}
-	c, err := t.readByte()
-	if err != nil || c != '=' {
-		return Attr{}, t.syntaxErr("expected '=' after attribute name %q", name)
+	end, err := t.scanSection(i, cdataClose, "CDATA section")
+	if err != nil {
+		return Token{}, err
 	}
-	if err := t.skipSpace(); err != nil {
-		return Attr{}, t.syntaxErr("unexpected EOF after '='")
+	t.off = end + len(cdataClose)
+	t.text = t.doc[i:end:end]
+	if t.rawText {
+		return Token{Kind: KindText}, nil
 	}
-	quote, err := t.readByte()
-	if err != nil || (quote != '"' && quote != '\'') {
-		return Attr{}, t.syntaxErr("attribute value for %q must be quoted", name)
+	return Token{Kind: KindText, Text: string(t.text)}, nil
+}
+
+// readProcInst parses "<?target data?>" from the target at i.
+func (t *Tokenizer) readProcInst(i int) (Token, error) {
+	end, err := t.scanName(i)
+	if err != nil {
+		return Token{}, err
 	}
-	t.val = t.val[:0]
-	for {
-		c, err := t.readByte()
-		if err != nil {
-			return Attr{}, t.syntaxErr("unterminated attribute value for %q", name)
+	target := Intern(t.doc[i:end])
+	// scanName stopped before the end of the document.
+	if c := t.doc[end]; !isSpaceByte(c) && c != '?' {
+		return Token{}, t.syntaxErr(end+1, "malformed processing instruction")
+	}
+	stop, err := t.scanSection(end, "?>", "processing instruction")
+	if err != nil {
+		return Token{}, err
+	}
+	t.off = stop + 2
+	t.text = t.doc[t.skipSpace(end):stop:stop]
+	if t.rawText {
+		// Raw mode extends to processing instructions: both hot consumers
+		// (the DOM builder and the SOAP stream decoder) discard the XML
+		// declaration, so don't materialize it.
+		return Token{Kind: KindProcInst, Target: target}, nil
+	}
+	return Token{Kind: KindProcInst, Target: target, Text: string(t.text)}, nil
+}
+
+// scanName returns the end of the XML name (element, attribute or PI
+// target) that starts at i.
+func (t *Tokenizer) scanName(i int) (int, error) {
+	j := i
+	if j < len(t.doc) && nameClass[t.doc[j]] == nameStart {
+		for j++; j < len(t.doc) && nameClass[t.doc[j]] != 0; j++ {
 		}
-		if c == quote {
+	}
+	switch {
+	case j == len(t.doc):
+		return 0, t.syntaxErr(j, "unexpected EOF in name")
+	case j == i || t.doc[j-1] == ':': // a QName has a local part
+		return 0, t.syntaxErr(j, "expected a name")
+	}
+	return j, nil
+}
+
+// readAttr parses the name="value" pair at i and returns the offset past
+// its closing quote. Both the name and the value are interned: attribute
+// values on SOAP traffic are overwhelmingly namespace URIs and type QNames
+// that repeat on every message.
+func (t *Tokenizer) readAttr(i int) (Attr, int, error) {
+	end, err := t.scanName(i)
+	if err != nil {
+		return Attr{}, 0, err
+	}
+	d := t.doc
+	name := InternName(d[i:end])
+	switch i = t.skipSpace(end); {
+	case i == len(d):
+		return Attr{}, 0, t.syntaxErr(i, "unexpected EOF after attribute name %q", name)
+	case d[i] != '=':
+		return Attr{}, 0, t.syntaxErr(i+1, "expected '=' after attribute name %q", name)
+	}
+	switch i = t.skipSpace(i + 1); {
+	case i == len(d):
+		return Attr{}, 0, t.syntaxErr(i, "unexpected EOF after '='")
+	case d[i] != '"' && d[i] != '\'':
+		return Attr{}, 0, t.syntaxErr(i+1, "attribute value for %q must be quoted", name)
+	}
+	quote := d[i]
+	i++
+	q := bytes.IndexByte(d[i:], quote)
+	if q < 0 {
+		q = len(d) - i
+	}
+	// The value as written, unless a reference or a byte to normalize makes
+	// it a copy. No entity can hold a quote, so every reference ends inside.
+	raw, k := d[i:i+q], 0
+	t.buf = t.buf[:0]
+	for {
+		n := bytes.IndexAny(raw[k:], "<&\t\n\r")
+		if n < 0 {
 			break
 		}
-		switch c {
-		case '&':
-			r, err := t.readEntity()
-			if err != nil {
-				return Attr{}, err
-			}
-			t.val = utf8.AppendRune(t.val, r)
+		t.buf = append(t.buf, raw[k:k+n]...)
+		switch k += n; raw[k] {
 		case '<':
-			return Attr{}, t.syntaxErr("'<' not allowed in attribute value")
-		case '\t', '\n', '\r':
-			// Attribute-value normalization per XML 1.0 3.3.3.
-			t.val = append(t.val, ' ')
+			return Attr{}, 0, t.syntaxErr(i+k+1, "'<' not allowed in attribute value")
+		case '&':
+			r, next, err := t.readEntity(i + k + 1)
+			if err != nil {
+				return Attr{}, 0, err
+			}
+			t.buf = utf8.AppendRune(t.buf, r)
+			k = next - i
 		default:
-			t.val = append(t.val, c)
-		}
-		if len(t.val) > MaxTokenBytes {
-			return Attr{}, t.syntaxErr("attribute value exceeds %d bytes", MaxTokenBytes)
+			// Attribute-value normalization per XML 1.0 3.3.3.
+			t.buf = append(t.buf, ' ')
+			k++
 		}
 	}
-	return Attr{Name: name, Value: Intern(t.val)}, nil
+	value := raw
+	if k > 0 {
+		t.buf = append(t.buf, raw[k:]...)
+		value = t.buf
+	}
+	if i+q == len(d) {
+		return Attr{}, 0, t.syntaxErr(len(d), "unterminated attribute value for %q", name)
+	}
+	if len(value) > MaxTokenBytes {
+		return Attr{}, 0, t.syntaxErr(i+q+1, "attribute value exceeds %d bytes", MaxTokenBytes)
+	}
+	return Attr{Name: name, Value: Intern(value)}, i + q + 1, nil
 }
 
-// skipSpace consumes whitespace. It returns io.EOF if input ends.
-func (t *Tokenizer) skipSpace() error {
-	for {
-		c, err := t.peekByte()
-		if err != nil {
-			return err
-		}
-		if !isSpaceByte(c) {
-			return nil
-		}
-		if _, err := t.readByte(); err != nil {
-			return err
-		}
+// skipSpace returns the offset of the first byte at or after i that is not
+// whitespace.
+func (t *Tokenizer) skipSpace(i int) int {
+	for i < len(t.doc) && isSpaceByte(t.doc[i]) {
+		i++
 	}
+	return i
 }
 
 func isSpaceByte(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\r' || c == '\n'
 }
 
-// isNameByte reports whether c may appear in an XML name. Multi-byte UTF-8
-// sequences are accepted wholesale (bytes >= 0x80), which admits all
-// non-ASCII name characters; this is deliberately permissive, matching what
-// SOAP toolkits of the era accepted.
-func isNameByte(c byte, first bool) bool {
-	switch {
-	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		return true
-	case c >= 0x80:
-		return true
-	case first:
-		return false
-	case c >= '0' && c <= '9', c == '-', c == '.':
-		return true
+// nameClass classes every byte for scanName: nameStart may begin an XML
+// name, nameChar only continue one, 0 neither. Multi-byte UTF-8 sequences
+// are accepted wholesale (bytes >= 0x80), which admits all non-ASCII name
+// characters; this is deliberately permissive, matching what SOAP toolkits
+// of the era accepted.
+var nameClass = func() (class [256]byte) {
+	for c := range class {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':', c >= 0x80:
+			class[c] = nameStart
+		case c >= '0' && c <= '9', c == '-', c == '.':
+			class[c] = nameChar
+		}
 	}
-	return false
-}
+	return class
+}()
+
+const (
+	nameChar = 1 + iota
+	nameStart
+)
