@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check test test-386 shape-census race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check census
+.PHONY: check build vet fmt-check test test-386 shape-census race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench bench-smoke figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check census
 
 ## check: the full gate — build, vet, the gofmt check, race-enabled shuffled tests, the
 ## application-stage pool's and the completion collector's 30-run censuses,
@@ -14,8 +14,8 @@ GO ?= go
 ## 30-run census (httpx) with the pipelining and C10k soak tests under -race, the
 ## dispatch-pipeline parity suite under -race, the
 ## encode-path escape audit, the fault-literal, one-writer and envelope-prefix
-## audits, the docs link audit, the timing-shape census, and the allocation
-## gate vs the recorded baseline.
+## audits, the docs link audit, the timing-shape census, one short pass of
+## every benchmark workload, and the allocation gate vs the recorded baseline.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -36,6 +36,7 @@ check:
 	$(MAKE) vet-prefix
 	$(MAKE) docs-check
 	$(MAKE) shape-census
+	$(MAKE) bench-smoke
 	$(MAKE) bench-gate
 
 build:
@@ -60,11 +61,13 @@ test:
 
 ## shape-census: the paper's timing shapes, twenty runs each; the
 ## throughput experiment, which drives the AutoBatcher over the client's
-## connections; and the lone AutoBatcher call, which must take at most 1.25x
-## a direct call. These tests skip under -race and -short, so nothing else in
-## check runs them. Wall time on a 2-vCPU box: about 2.5 min.
+## connections; the lone AutoBatcher call, which must take at most 1.25x
+## a direct call; and the fault-injection experiment, whose faulty serial
+## rounds must cost more than its clean ones. These tests skip under -race
+## and -short, so nothing else in check runs them. Wall time on a 2-vCPU
+## box: about 3 min.
 shape-census:
-	$(GO) test -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking|TestThroughputExperiment|TestAutoBatcherLoneCallIsDirect' ./internal/bench
+	$(GO) test -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking|TestThroughputExperiment|TestAutoBatcherLoneCallIsDirect|TestFaultInjectionExperiment' ./internal/bench
 
 ## test-386: the short suite built for a 32-bit int, where an int conversion
 ## of a uint32 hash or size can go negative.
@@ -191,6 +194,7 @@ figures:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenizer$$' -fuzztime=10s ./internal/xmltext
 	$(GO) test -run='^$$' -fuzz='^FuzzCharData$$' -fuzztime=10s ./internal/xmltext
+	$(GO) test -run='^$$' -fuzz='^FuzzTokenizerMatchesFrozen$$' -fuzztime=10s ./internal/xmltext
 	$(GO) test -run='^$$' -fuzz='^FuzzParseEnvelope$$' -fuzztime=10s ./internal/soap
 	$(GO) test -run='^$$' -fuzz='^FuzzStreamDecoder$$' -fuzztime=10s ./internal/soap
 	$(GO) test -run='^$$' -fuzz='^FuzzClientReply$$' -fuzztime=10s ./internal/core
@@ -198,6 +202,20 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRequestStream$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzParseStats$$' -fuzztime=10s ./internal/admin
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultRoundTrip$$' -fuzztime=10s ./internal/fault
+
+## bench-smoke: one two-second traced pass of every benchmark workload,
+## then a check that no process built into .bench_build/ is still running.
+## The harness stops and reaps its children on every return path, so a
+## child left alive means the benchmark process itself died early, in code
+## it runs in-process (the client's reply reader, the traced pass).
+bench-smoke:
+	$(GO) run ./benchmark --workload all --seconds 2 --trace 1 --seed 1
+	@left=$$(ps -eo pid=,args= | grep '$(CURDIR)/[.]bench_build/' || true); \
+	if [ -n "$$left" ]; then \
+		echo "bench-smoke: processes left running:"; \
+		echo "$$left"; exit 1; \
+	fi; \
+	echo "bench-smoke: no process from .bench_build/ left running"
 
 ## bench-check: snapshot the key benchmarks to BENCH_local.json (gitignored;
 ## pass -out BENCH_prN.json to benchcheck to record a PR's baseline).

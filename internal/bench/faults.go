@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/soapenc"
@@ -18,7 +19,7 @@ import (
 // faults: M serial messages expose the application to M dial attempts per
 // round (each a chance to fail, back off and retry), while the packed
 // message exposes it to exactly one — message reduction is also failure-
-// surface reduction.
+// surface reduction. Each row is the median of reps interleaved rounds.
 func RunFaultInjection(reps int) (*AblationResult, error) {
 	if reps <= 0 {
 		reps = 5
@@ -40,16 +41,26 @@ func RunFaultInjection(reps int) (*AblationResult, error) {
 		name   string
 		packed bool
 		faulty bool
+		env    *Env
+		times  []time.Duration
 	}
-	for _, v := range []variant{
-		{"serial, clean link", false, false},
-		{"serial, faulty link + retries", false, true},
-		{"packed, clean link", true, false},
-		{"packed, faulty link + retries", true, true},
-	} {
+	variants := []*variant{
+		{name: "serial, clean link"},
+		{name: "serial, faulty link + retries", faulty: true},
+		{name: "packed, clean link", packed: true},
+		{name: "packed, faulty link + retries", packed: true, faulty: true},
+	}
+	defer func() {
+		for _, v := range variants {
+			if v.env != nil {
+				v.env.Close()
+			}
+		}
+	}()
+	for _, v := range variants {
 		cfg := netsim.LAN100()
-		var dials atomic.Int64
 		if v.faulty {
+			var dials atomic.Int64
 			cfg.DialFault = func() error {
 				if dials.Add(1)%failEvery == 0 {
 					return netsim.ErrDialFault
@@ -61,27 +72,39 @@ func RunFaultInjection(reps int) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ms, err := measure(1, reps, func() error {
-			if v.packed {
-				return packedRun(env.Client, m, payload)
-			}
-			for i := 0; i < m; i++ {
-				if _, err := env.Client.Call("Echo", "echo", soapenc.F("data", payload)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		retries := env.Client.Stats().Resilience.Retries
-		env.Close()
-		if err != nil {
-			return nil, err
+		v.env = env
+	}
+	run := func(v *variant) error {
+		if v.packed {
+			return packedRun(v.env.Client, m, payload)
 		}
+		for i := 0; i < m; i++ {
+			if _, err := v.env.Client.Call("Echo", "echo", soapenc.F("data", payload)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// The variants take turns within each round, as RunLatency's
+	// approaches do, so a slow spell on a shared machine lands on all of
+	// them alike; the median then ignores it. The first round warms up.
+	for round := 0; round <= reps; round++ {
+		for _, v := range variants {
+			start := time.Now()
+			if err := run(v); err != nil {
+				return nil, fmt.Errorf("%s: %w", v.name, err)
+			}
+			if round > 0 {
+				v.times = append(v.times, time.Since(start))
+			}
+		}
+	}
+	for _, v := range variants {
 		note := ""
 		if v.faulty {
-			note = fmt.Sprintf("%d retries across all runs", retries)
+			note = fmt.Sprintf("%d retries across all runs", v.env.Client.Stats().Resilience.Retries)
 		}
-		result.Rows = append(result.Rows, AblationRow{Name: v.name, Millis: ms, Note: note})
+		result.Rows = append(result.Rows, AblationRow{Name: v.name, Millis: metrics.Millis(metrics.Summarize(v.times).P50), Note: note})
 	}
 	return result, nil
 }

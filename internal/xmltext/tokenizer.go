@@ -171,18 +171,26 @@ func (t *Tokenizer) Next() (Token, error) {
 		t.popElement()
 		return Token{Kind: KindEndElement, Name: name}, nil
 	}
-	switch {
-	case t.off < len(t.doc) && t.doc[t.off] == '<':
-		return t.readMarkup(t.off + 1)
-	case t.off < len(t.doc):
-		return t.readText()
-	case len(t.open) > 0:
+	switch i := t.off + 1; {
+	case t.off == len(t.doc) && len(t.open) > 0:
 		return Token{}, t.syntaxErr(t.off, "unexpected EOF: element <%s> not closed", t.open[len(t.open)-1])
-	case !t.rootClosed:
+	case t.off == len(t.doc) && !t.rootClosed:
 		return Token{}, t.syntaxErr(t.off, "unexpected EOF: no root element")
+	case t.off == len(t.doc):
+		t.err = io.EOF
+		return Token{}, io.EOF
+	case t.doc[t.off] != '<':
+		return t.readText()
+	case i == len(t.doc):
+		return Token{}, t.syntaxErr(i, "unexpected EOF after '<'")
+	case t.doc[i] == '/':
+		return t.readEndTag(i + 1)
+	case t.doc[i] == '!':
+		return t.readBang(i + 1)
+	case t.doc[i] == '?':
+		return t.readProcInst(i + 1)
 	}
-	t.err = io.EOF
-	return Token{}, io.EOF
+	return t.readStartTag(t.off + 1)
 }
 
 // readText consumes character data up to the next '<' (or the end) and
@@ -330,23 +338,6 @@ func isValidXMLChar(r rune) bool {
 		return true
 	}
 	return false
-}
-
-// readMarkup handles everything that begins with '<'; i is just past it.
-func (t *Tokenizer) readMarkup(i int) (Token, error) {
-	if i == len(t.doc) {
-		return Token{}, t.syntaxErr(i, "unexpected EOF after '<'")
-	}
-	switch t.doc[i] {
-	case '/':
-		return t.readEndTag(i + 1)
-	case '!':
-		return t.readBang(i + 1)
-	case '?':
-		return t.readProcInst(i + 1)
-	default:
-		return t.readStartTag(i)
-	}
 }
 
 // readStartTag parses "<name attr='v' ...>" or "<name ... />" from the name
