@@ -234,6 +234,7 @@ var frozenSeeds = []string{
 	`<a><![CDATA[x]]</a>`,
 	`<a>&#x00000000000000000000000000003C;</a>`,
 	"\xEF\xBB\xBF <a/>",
+	"\xEF\xBB\xBF&#9;<a/>",
 }
 
 // FuzzTokenizerMatchesFrozen is TestTokenizerMatchesFrozen's comparison on

@@ -1,10 +1,12 @@
-// Package xmltext implements a streaming XML 1.0 tokenizer and writer.
+// Package xmltext implements an XML 1.0 tokenizer and writer.
 //
 // It is the lowest layer of the SOAP stack: everything above it (DOM,
 // envelope codec, typed values) is built on the Token stream produced here.
 // The tokenizer is a pull parser in the spirit of SAX: the caller repeatedly
-// asks for the next token and decides what to do with it, so large documents
-// never need to be held in memory at this layer.
+// asks for the next token and decides what to do with it, so no tree is
+// built at this layer. It scans a document already in memory (every message
+// body is read whole before it is parsed) and hands out text and names where
+// they lie in it.
 //
 // The dialect accepted is the subset of XML 1.0 that appears on the wire in
 // SOAP exchanges: elements, attributes, character data, CDATA sections,
