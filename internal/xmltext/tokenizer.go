@@ -64,11 +64,12 @@ type Tokenizer struct {
 func NewTokenizer(r io.Reader) *Tokenizer {
 	t := &Tokenizer{}
 	if r != nil {
-		var doc bytes.Buffer
+		var size int
 		if sized, ok := r.(interface{ Len() int }); ok {
-			doc.Grow(sized.Len())
+			size = sized.Len()
 		}
-		_, err := io.Copy(&doc, r)
+		doc := bytes.NewBuffer(make([]byte, 0, size))
+		_, err := io.Copy(doc, r)
 		t.ResetBytes(doc.Bytes())
 		t.err = err
 	}
