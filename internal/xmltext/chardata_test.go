@@ -199,11 +199,11 @@ func readAll(tk *Tokenizer) ([]readToken, error) {
 	}
 }
 
-// TestCharDataWindowBoundaries: character data is scanned a read-buffer
-// window at a time, so whatever a search looks for can lie across a refill.
-// Every document reads the same — tokens, offsets, positions, error — from
-// memory in 16 KiB windows and from a reader that yields one byte at a time,
-// and to the text it spells.
+// TestCharDataWindowBoundaries: terminators, references and the end of text
+// at every offset around 16 KiB, where the tokenizer once refilled a read
+// buffer. Every document reads the same — tokens, offsets, positions, error —
+// from memory and from a reader that yields one byte at a time, and to the
+// text it spells.
 func TestCharDataWindowBoundaries(t *testing.T) {
 	const window = 16 << 10
 	type doc struct {
@@ -281,8 +281,8 @@ func TestCharDataWindowBoundaries(t *testing.T) {
 	}
 }
 
-// TestPositionAcrossRuns: consuming character data a run at a time leaves
-// line and column where consuming it a byte at a time did.
+// TestPositionAcrossRuns: the line and column worked out from the offset
+// after each token are where consuming the input a byte at a time left them.
 func TestPositionAcrossRuns(t *testing.T) {
 	tk := NewTokenizer(strings.NewReader("<a>one\ntwo &lt;\n<![CDATA[x\ny]]>z<b/>\n</a>"))
 	want := []Pos{{1, 4}, {3, 1}, {4, 5}, {4, 6}, {4, 10}, {4, 10}, {5, 1}, {5, 5}}
@@ -302,7 +302,7 @@ func TestPositionAcrossRuns(t *testing.T) {
 }
 
 // TestEntityReferencesAllocateNothing: a reference is matched where it lies
-// in the read buffer, so escaped text — what third parties and older peers
+// in the document, so escaped text — what third parties and older peers
 // send — tokenizes without a per-reference allocation.
 func TestEntityReferencesAllocateNothing(t *testing.T) {
 	doc := []byte("<a>" + strings.Repeat("some text &lt;&amp;&gt; &quot;&apos; &#65;&#x3C; ", 2000) + "</a>")
