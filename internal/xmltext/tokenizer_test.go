@@ -188,6 +188,13 @@ func TestTokenizeErrors(t *testing.T) {
 		{`<a`, "unexpected EOF"},
 		{``, "no root element"},
 		{`<a/>trailing`, "character data outside root"},
+		// Outside the root, XML 1.0 allows white space only as itself.
+		{`&#9;<a/>`, "character data outside root"},
+		{"\xEF\xBB\xBF&#9;<a/>", "character data outside root"},
+		{"\xEF\xBB\xBF \n&#x20;<a/>", "character data outside root"},
+		{`<?pi?>&#32;<a/>`, "character data outside root"},
+		{`<a/>&#10;`, "character data outside root"},
+		{"<a/><!--c--> &#xD; ", "character data outside root"},
 		{`<a><![CDATA[x]]</a>`, "unterminated CDATA"},
 		{`<>`, "expected a name"},
 		{`<:/>`, "expected a name"},
