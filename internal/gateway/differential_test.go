@@ -671,7 +671,7 @@ func TestDifferentialRelayedDeadline(t *testing.T) {
 				t.Fatalf("%s: direct server did not time out: %s", label, want.body)
 			}
 			diffReplies(t, label, doc, want, deadline(gc))
-			if n := f.gw.backends[0].consecutiveFails(); n != 0 {
+			if n := f.gw.consecutiveFails(f.gw.backends[0]); n != 0 {
 				t.Errorf("%s: backend counted %d consecutive failures, want 0", label, n)
 			}
 		}

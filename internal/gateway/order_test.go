@@ -76,7 +76,7 @@ func TestGatherWritesFastShardFirst(t *testing.T) {
 	}()
 	ctx := context.Background()
 	for _, sh := range shards {
-		sh.b.entriesInflight.Add(int64(len(sh.entries))) // what assign reserves
+		setReserved(f.gw, sh.b.index, int64(len(sh.entries))) // what assign reserves
 	}
 	built := f.gw.buildSubBatches(sr, shards, col)
 	go f.gw.sendShard(ctx, built[0], sr, col)

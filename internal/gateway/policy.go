@@ -2,9 +2,12 @@ package gateway
 
 import (
 	"hash/fnv"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpx"
 )
 
 // Policy selects how Parallel_Method entries map onto backends.
@@ -55,6 +58,64 @@ func ParsePolicy(s string) Policy {
 	}
 }
 
+// effWeightScale is the fixed-point scale of an effective weight: it carries
+// three decimal places so the speed factor keeps resolution without floating
+// point in the assignment loop.
+const effWeightScale = 1000
+
+// maxWeight bounds a backend's weight, so that load × weight × effWeightScale
+// stays far inside int64 in the assignment loop.
+const maxWeight = 1 << 20
+
+// minSpeedDiv floors a backend's speed factor at 1/minSpeedDiv: a backend ten
+// or more times slower than the fleet's fastest keeps a tenth of its weight,
+// so real traffic still samples it and it recovers without operator action.
+const minSpeedDiv = 10
+
+// fastestSample is the smallest execution time any of the backends at
+// indices has stated, 0 when none has stated one.
+func (g *Gateway) fastestSample(indices []int) int64 {
+	var fastest int64
+	for _, i := range indices {
+		if s := g.backends[i].svcUs.Load(); s > 0 && (fastest == 0 || s < fastest) {
+			fastest = s
+		}
+	}
+	return fastest
+}
+
+// effectiveWeight is the backend's weight × its speed relative to the
+// fleet's fastest sample, fastest/own, in effWeightScale fixed point and
+// floored at 1/minSpeedDiv of the weight. A backend with no sample, or a
+// fleet with none (fastest 0), keeps speed 1 — so an old build that never
+// states its load routes exactly as before.
+func (b *backend) effectiveWeight(fastest int64) int64 {
+	w := b.weight.Load() * effWeightScale
+	own := b.svcUs.Load()
+	if fastest <= 0 || own <= fastest {
+		return w
+	}
+	return max(int64(float64(w)*float64(fastest)/float64(own)), w/minSpeedDiv)
+}
+
+// noteLoad adopts the execution time a sub-batch reply states in its
+// SPI-Load header. The header is input from another process, so anything
+// but one positive base-10 integer is ignored and the previous sample stays.
+func (b *backend) noteLoad(h *httpx.Header) {
+	n, v := 0, ""
+	h.Each(func(name, value string) {
+		if strings.EqualFold(name, core.HeaderLoad) {
+			n, v = n+1, value
+		}
+	})
+	if n != 1 {
+		return
+	}
+	if us, err := strconv.ParseInt(v, 10, 64); err == nil && us > 0 {
+		b.svcUs.Store(us)
+	}
+}
+
 // shard is one backend's share of a scattered request.
 type shard struct {
 	b       *backend
@@ -62,146 +123,63 @@ type shard struct {
 	doc     []byte // the sub-batch, once built (buildSubBatches)
 }
 
-// routableCandidates filters the membership set down to the backends
-// new work may be handed: circuit closed (or half-open) and not draining.
-// When nothing qualifies the policy fails open to the non-draining set, or
-// the full set as a last resort — failing open gives re-probes a
-// chance instead of failing every entry.
-func routableCandidates(backends []*backend, now time.Time) []*backend {
-	candidates := make([]*backend, 0, len(backends))
-	for _, b := range backends {
-		if !b.draining() && b.available(now) {
-			candidates = append(candidates, b)
-		}
-	}
-	if len(candidates) > 0 {
-		return candidates
-	}
-	for _, b := range backends {
-		if !b.draining() {
-			candidates = append(candidates, b)
-		}
-	}
-	if len(candidates) > 0 {
-		return candidates
-	}
-	return backends
-}
-
-// assign shards the live (non-faulted) entries across the routable
-// backends.
+// assign shards the live (non-faulted) entries across the routable backends
+// and reserves them there, in one fleet event; sendShard releases them. So a
+// backend is not idle to concurrent assigns, nor its drain complete, before
+// a shard built but not yet sent has returned.
 func (g *Gateway) assign(entries []*core.ScatterEntry) []shard {
-	candidates := routableCandidates(g.backends, time.Now())
-	shards := make(map[*backend]*shard, len(candidates))
-	place := func(e *core.ScatterEntry, b *backend) {
-		sh := shards[b]
-		if sh == nil {
-			sh = &shard{b: b}
-			shards[b] = sh
+	var out []shard
+	g.fleet.reserve(time.Now(), func(cands []int, load []int64) {
+		// LeastLoaded places on the reserved ENTRY counts (a 1-entry and a
+		// 5-entry shard are one exchange each but not the same work) plus
+		// this batch's own placements, so a batch doesn't dog-pile whichever
+		// backend was idle at its first entry. Lowest load per effective
+		// weight wins, first-min, comparing (load+1)/eff by
+		// cross-multiplication in exact integers; with equal weights that is
+		// load[j] < load[k] (TestAssignTable).
+		var eff []int64
+		if g.cfg.Policy == LeastLoaded {
+			fastest := g.fastestSample(cands)
+			for _, i := range cands {
+				eff = append(eff, g.backends[i].effectiveWeight(fastest))
+			}
 		}
-		sh.entries = append(sh.entries, e)
-	}
-	switch g.cfg.Policy {
-	case LeastLoaded:
-		// Snapshot in-flight ENTRY counts once and add this batch's own
-		// assignments on top, so one request doesn't dog-pile the backend
-		// that merely happened to be idle at the first entry. Entries, not
-		// sub-batches: a 1-entry shard and a 5-entry shard are one exchange
-		// each but very different amounts of outstanding work.
-		//
-		// Lowest load-per-effective-weight wins, scanning first-min:
-		// compare (load+1)/eff by cross-multiplication, keeping the
-		// assignment loop in exact integer arithmetic. The +1 counts the
-		// entry being placed. With every effective weight equal the
-		// comparison reduces to load[i] < load[min] (TestAssignTable).
-		fastest := fastestSample(candidates)
-		load := make([]int64, len(candidates))
-		eff := make([]int64, len(candidates))
-		for i, b := range candidates {
-			load[i] = b.entriesInflight.Load()
-			eff[i] = b.effectiveWeight(fastest)
-		}
+		// One shard per candidate, emitted in candidate order so fan-out
+		// order is deterministic.
+		shards := make([]shard, len(cands))
 		for _, e := range entries {
 			if e.Fault != nil {
 				continue
 			}
-			min := 0
-			for i := 1; i < len(candidates); i++ {
-				if (load[i]+1)*eff[min] < (load[min]+1)*eff[i] {
-					min = i
+			k := 0
+			switch g.cfg.Policy {
+			case LeastLoaded:
+				for j := 1; j < len(cands); j++ {
+					if (load[j]+1)*eff[k] < (load[k]+1)*eff[j] {
+						k = j
+					}
 				}
+			case OpAffinity:
+				h := fnv.New32a()
+				h.Write([]byte(e.Service))
+				h.Write([]byte{'.'})
+				h.Write([]byte(e.Op))
+				// Reduce in uint32: int(h.Sum32()) is negative for half of
+				// all hashes where int is 32 bits wide.
+				k = int(h.Sum32() % uint32(len(cands)))
+			default: // RoundRobin
+				k = int((g.rr.Add(1) - 1) % uint64(len(cands)))
 			}
-			place(e, candidates[min])
-			load[min]++
+			shards[k].entries = append(shards[k].entries, e)
+			load[k]++
 		}
-	case OpAffinity:
-		for _, e := range entries {
-			if e.Fault != nil {
-				continue
+		out = shards[:0]
+		for k, sh := range shards {
+			if sh.entries != nil {
+				sh.b = g.backends[cands[k]]
+				out = append(out, sh)
 			}
-			h := fnv.New32a()
-			h.Write([]byte(e.Service))
-			h.Write([]byte{'.'})
-			h.Write([]byte(e.Op))
-			// Reduce in uint32: int(h.Sum32()) is negative for half of all
-			// hashes where int is 32 bits wide.
-			place(e, candidates[h.Sum32()%uint32(len(candidates))])
 		}
-	default: // RoundRobin
-		for _, e := range entries {
-			if e.Fault != nil {
-				continue
-			}
-			n := g.rr.Add(1) - 1
-			place(e, candidates[int(n%uint64(len(candidates)))])
-		}
-	}
-	// Reserve the placed entries on their backends immediately — sendShard
-	// releases them when the shard resolves. Counting from assignment, not
-	// dispatch, keeps concurrent assigns from all seeing a backend as idle
-	// in the window before its shards reach the wire.
-	for _, sh := range shards {
-		sh.b.entriesInflight.Add(int64(len(sh.entries)))
-	}
-	// Emit shards in candidate order so fan-out order is deterministic.
-	out := make([]shard, 0, len(shards))
-	for _, b := range candidates {
-		if sh := shards[b]; sh != nil {
-			out = append(out, *sh)
-		}
-	}
+	})
 	return out
-}
-
-// pickBackend chooses one routable backend for whole-request proxying and
-// sub-batch failover. exclude skips a backend that just failed, unless it
-// is the only one left.
-func (g *Gateway) pickBackend(exclude *backend) *backend {
-	backends := g.backends
-	if len(backends) == 0 {
-		return nil
-	}
-	now := time.Now()
-	var fallback *backend
-	n := len(backends)
-	start := int((g.rr.Add(1) - 1) % uint64(n))
-	for i := 0; i < n; i++ {
-		b := backends[(start+i)%n]
-		if b == exclude {
-			if fallback == nil {
-				fallback = b
-			}
-			continue
-		}
-		if b.draining() {
-			continue
-		}
-		if b.available(now) {
-			return b
-		}
-		if fallback == nil || fallback == exclude {
-			fallback = b
-		}
-	}
-	return fallback
 }

@@ -33,6 +33,13 @@ func assignGateway(t *testing.T, k int) *Gateway {
 	return g
 }
 
+// setReserved plants n entries reserved on backend i.
+func setReserved(g *Gateway, i int, n int64) {
+	g.fleet.mu.Lock()
+	defer g.fleet.mu.Unlock()
+	g.fleet.ms[i].reserved = n
+}
+
 // picks assigns n fresh entries and returns the backend index each landed on,
 // by slot.
 func picks(g *Gateway, n int) []int {
@@ -104,7 +111,7 @@ func TestAssignTable(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			g := assignGateway(t, len(r.load))
 			for i, b := range g.backends {
-				b.entriesInflight.Set(r.load[i])
+				setReserved(g, i, r.load[i])
 				if r.weight != nil {
 					b.weight.Store(r.weight[i])
 				}
@@ -226,8 +233,8 @@ func TestHostileLoadHeader(t *testing.T) {
 			}
 		}
 		for _, load := range [][]int64{{0, 0}, {3, 0}, {1, 4}} {
-			for i, b := range g.backends {
-				b.entriesInflight.Set(load[i])
+			for i := range g.backends {
+				setReserved(g, i, load[i])
 			}
 			if got, today := picks(g, 6), parentLeastLoaded(load, 6); !slices.Equal(got, today) {
 				t.Errorf("load %v: picks %v, the parent's LeastLoaded %v", load, got, today)

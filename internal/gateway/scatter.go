@@ -229,33 +229,24 @@ func (g *Gateway) buildSubBatches(sr *core.ScatterRequest, shards []shard, col r
 // ignore late deliveries (first write wins). Every slot is resolved — Deliver
 // or Fail — before sendShard returns.
 func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterRequest, col resultSink) {
+	// The entries are reserved on b (assign; a failover moves them) until
+	// the outcome is known, and released before the slots resolve, which
+	// lets the response go: the next request's assign must not see them.
 	b, shard := sh.b, sh.entries
-	// assign reserved these entries on b; release from whichever backend
-	// holds the reservation (failover moves it) once the shard's outcome is
-	// known and before its slots resolve: the slots resolving is what lets
-	// the response go, and the next request's assign must not still see it.
-	reserved := true
-	release := func() {
-		if reserved {
-			reserved = false
-			g.release(b, len(shard))
-		}
-	}
-	defer release()
 	idem := g.allIdempotent(shard)
 	p := g.cfg.Retry
 	attempts := p.Attempts()
 	for attempt := 1; ; attempt++ {
 		resp, err := g.exchange(ctx, b, sr.Version, sh.doc)
 		if err == nil {
-			if err = g.deliver(b, sr, shard, resp, col, release); err == nil {
+			if err = g.deliver(b, sr, shard, resp, col); err == nil {
 				return
 			}
 		}
 		g.noteFailure(b)
 		if attempt >= attempts || ctx.Err() != nil || !core.RetryableError(err, idem) ||
 			p.Wait(ctx, attempt) != nil {
-			release()
+			g.release(b, len(shard))
 			for _, e := range shard {
 				sf := shardFault(ctx, e, err)
 				g.faultCodes.NoteSOAP(sf)
@@ -263,11 +254,11 @@ func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterReque
 			}
 			return
 		}
-		if next := g.pickBackend(b); next != nil && next != b {
+		to, a := g.fleet.pick(time.Now(), g.rr.Add(1)-1, b.index, int64(len(shard)))
+		g.do(b, a)
+		if next := g.backends[to]; next != b {
 			b.failovers.Inc()
 			g.failovers.Inc()
-			next.entriesInflight.Add(int64(len(shard)))
-			g.release(b, len(shard))
 			b = next
 		}
 	}
@@ -299,9 +290,10 @@ func ended(ctx context.Context) bool {
 }
 
 // deliver splits a backend's reply to a shard into its per-entry segments and
-// hands each to its entry's slot. It runs after exchange has returned, to keep
-// the exchange's call chain within a new goroutine's first stack.
-func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.ScatterEntry, resp *httpx.Response, col resultSink, release func()) error {
+// hands each to its entry's slot, releasing the shard's reservation first. It
+// runs after exchange has returned, to keep the exchange's call chain within
+// a new goroutine's first stack.
+func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.ScatterEntry, resp *httpx.Response, col resultSink) error {
 	reply, err := sr.SplitResponse(resp.Body)
 	if g.cfg.Policy == LeastLoaded {
 		b.noteLoad(&resp.Header)
@@ -323,8 +315,8 @@ func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.Sca
 		reply.IDs[k], reply.IDs[j] = reply.IDs[j], reply.IDs[k]
 		reply.Segments[k], reply.Segments[j] = reply.Segments[j], reply.Segments[k]
 	}
-	b.noteSuccess()
-	release()
+	g.fleet.exchanged(b.index, time.Time{}, true)
+	g.release(b, len(shard))
 	col.AddHeader(b.index, reply.RawHeader)
 	col.Declare(reply)
 	for k, e := range shard {
@@ -376,12 +368,8 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 // Server.Timeout first; an exchange the deadline (or the caller) ends anyway
 // is answered with that fault, in the request's version v.
 func (g *Gateway) relay(ctx context.Context, req *httpx.Request, v soap.Version) *httpx.Response {
-	b := g.pickBackend(nil)
-	if b == nil {
-		resp := httpx.NewResponse(503, []byte("no backend available\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
-	}
+	to, _ := g.fleet.pick(time.Now(), g.rr.Add(1)-1, -1, 1)
+	b := g.backends[to]
 	out := httpx.NewRequest(req.Method, req.Target, req.Body)
 	for _, h := range [...]string{"Content-Type", "SOAPAction", core.HeaderTrace} {
 		if hv := req.Header.Get(h); hv != "" {
@@ -393,7 +381,6 @@ func (g *Gateway) relay(ctx context.Context, req *httpx.Request, v soap.Version)
 	}
 	b.exchanges.Inc()
 	b.inflight.Add(1)
-	b.entriesInflight.Add(1)
 	defer func() { b.inflight.Add(-1); g.release(b, 1) }()
 	resp, err := b.client.DoCtx(ctx, out)
 	if err != nil {
@@ -409,7 +396,7 @@ func (g *Gateway) relay(ctx context.Context, req *httpx.Request, v soap.Version)
 		resp.Header.Set("Content-Type", "text/plain")
 		return resp
 	}
-	b.noteSuccess()
+	g.fleet.exchanged(b.index, time.Time{}, true)
 	relay := httpx.NewResponse(resp.StatusCode, resp.Body)
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		relay.Header.Set("Content-Type", ct)
