@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,6 +64,9 @@ func matchFrozen(doc []byte) error {
 		ref.SetRawText(raw)
 		ref.SetReuseTokenAttrs(raw)
 		want, wantErr := tokenTrace(ref, raw)
+		if refusedReference(doc, got, want, gotErr, wantErr) {
+			continue
+		}
 
 		for i := 0; i < len(got) || i < len(want); i++ {
 			if i >= len(got) || i >= len(want) || got[i] != want[i] {
@@ -87,6 +91,29 @@ func matchFrozen(doc []byte) error {
 		}
 	}
 	return nil
+}
+
+// refusedReference reports the one class of input on which Tokenizer and
+// the frozen reference differ on purpose: a run of character data outside
+// the root element that holds a reference. XML 1.0 allows only white space
+// there, spelt as itself, so Tokenizer refuses the run with "character data
+// outside root element"; the reference, which decoded the reference first,
+// skipped the run as white space. Every token before the run must match.
+func refusedReference(doc []byte, got, want []string, gotErr, wantErr error) bool {
+	var se, we *SyntaxError
+	last := len(got) - 1
+	if !errors.As(gotErr, &se) || se.Msg != "character data outside root element" ||
+		errors.As(wantErr, &we) && *we == *se || last > len(want) || !slices.Equal(got[:last], want[:last]) {
+		return false
+	}
+	// The error step ends with the offset of the run's end; the run starts
+	// after the markup before it, or at the document's start.
+	end, err := strconv.Atoi(got[last][strings.LastIndexByte(got[last], '@')+1:])
+	if err != nil {
+		return false
+	}
+	start := bytes.LastIndexByte(doc[:end], '>') + 1
+	return bytes.IndexByte(doc[start:end], '&') >= 0
 }
 
 func at(steps []string, i int) string {
@@ -235,6 +262,10 @@ var frozenSeeds = []string{
 	`<a>&#x00000000000000000000000000003C;</a>`,
 	"\xEF\xBB\xBF <a/>",
 	"\xEF\xBB\xBF&#9;<a/>",
+	// References outside the root, which only the frozen reader accepts.
+	"&#9;<a/>",
+	"<?pi?> &#x20;\n<a/>",
+	"<a/>\n<!--c-->&#10;",
 }
 
 // FuzzTokenizerMatchesFrozen is TestTokenizerMatchesFrozen's comparison on

@@ -229,16 +229,17 @@ func (t *Tokenizer) readText() (Token, error) {
 		return Token{}, t.syntaxErr(i, "text token exceeds %d bytes", MaxTokenBytes)
 	}
 	if len(t.open) == 0 {
-		// Outside the root element only whitespace is allowed. Checked on
-		// the raw bytes: this run is discarded either way, so it never
-		// needs to become a string at all.
+		// Outside the root element XML 1.0 allows only white space, spelt
+		// as itself (Misc ::= Comment | PI | S): no reference. Checked on the
+		// raw bytes: this run is discarded either way, so it never needs to
+		// become a string at all.
 		text := t.text
-		if t.off == len(text) {
+		if start == 0 {
 			// The document's first bytes: a UTF-8 byte order mark may lead
 			// them (the encoding declaration it stands in for is optional).
 			text = bytes.TrimPrefix(text, UTF8BOM)
 		}
-		if !IsWhitespace(text) {
+		if from != start || !IsWhitespace(text) {
 			return Token{}, t.syntaxErr(i, "character data outside root element")
 		}
 		// Skip it and continue with the following markup or EOF.
