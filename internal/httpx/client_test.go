@@ -238,3 +238,79 @@ func TestClientCloseLetsExchangeFinish(t *testing.T) {
 		t.Fatalf("call after Close err = %v, want client closed", err)
 	}
 }
+
+// TestClientNoResendOfReadRequest: at window 8, B is pipelined behind A on
+// one connection, and the server reads both and then closes the connection.
+// B was read, so it is not sent again on a fresh connection: only an
+// exchange that joined an idle connection is re-sent, and B's error goes to
+// its caller, whose retry policy knows whether B may run twice.
+func TestClientNoResendOfReadRequest(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	arrived := make(chan string, 8)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			// A and B are read on one connection, which then closes; a
+			// request on any other connection is answered.
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for {
+					req, err := ReadRequest(br, 0)
+					if err != nil {
+						return
+					}
+					arrived <- string(req.Body)
+					switch string(req.Body) {
+					case "A":
+						continue
+					case "B":
+						return
+					}
+					if WriteResponse(conn, NewResponse(200, req.Body), false) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	var dials atomic.Int32
+	c := countingClient(l.Addr().String(), 8, &dials)
+	defer c.Close()
+
+	errs := make(chan error, 2)
+	post := func(body string) {
+		go func() {
+			_, err := c.Post("/x", "text/plain", []byte(body))
+			errs <- err
+		}()
+	}
+	post("A")
+	if got := <-arrived; got != "A" {
+		t.Fatalf("arrival = %q, want A", got)
+	}
+	post("B")
+	if got := <-arrived; got != "B" {
+		t.Fatalf("arrival = %q, want B", got)
+	}
+	for range 2 {
+		if err := <-errs; err == nil {
+			t.Fatal("an exchange on the closed connection succeeded")
+		}
+	}
+	select {
+	case got := <-arrived:
+		t.Fatalf("%q arrived again after the server had read it", got)
+	default:
+	}
+	if d := dials.Load(); d != 1 {
+		t.Fatalf("dialed %d connections, want 1", d)
+	}
+}

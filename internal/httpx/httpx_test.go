@@ -452,6 +452,78 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestShutdownClosesIdleKeepAlive: Shutdown closes a keep-alive connection
+// with no exchange on it at once, while another connection's exchange holds
+// the drain open. A request sent on the idle connection after the drain has
+// begun is not served.
+func TestShutdownClosesIdleKeepAlive(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	started := make(chan string, 4)
+	srv := &Server{Handler: func(_ context.Context, req *Request) *Response {
+		started <- string(req.Body)
+		if string(req.Body) == "held" {
+			<-release
+		}
+		return NewResponse(200, req.Body)
+	}}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+
+	// One connection is left idle after an exchange; another holds the
+	// drain open with an exchange in flight.
+	idle, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	idleBR := bufio.NewReader(idle)
+	if _, err := io.WriteString(idle, rawRequest("/", "first")); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := ReadResponse(idleBR, 0); err != nil || string(resp.Body) != "first" {
+		t.Fatalf("exchange on the keep-alive connection = %v, %v", resp, err)
+	}
+	<-started
+	busy, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	if _, err := io.WriteString(busy, rawRequest("/", "held")); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	shutDone := make(chan error, 1)
+	go func() { shutDone <- srv.Shutdown(5 * time.Second) }()
+	<-done // the drain has begun
+
+	io.WriteString(idle, rawRequest("/", "late"))
+	idle.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if resp, err := ReadResponse(idleBR, 0); err == nil {
+		t.Fatalf("a request on an idle connection was served during the drain: %d %q", resp.StatusCode, resp.Body)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the idle connection is still open during the drain")
+	}
+	select {
+	case body := <-started:
+		t.Fatalf("the handler ran for %q during the drain", body)
+	default:
+	}
+
+	close(release)
+	if resp, err := ReadResponse(bufio.NewReader(busy), 0); err != nil || string(resp.Body) != "held" {
+		t.Fatalf("the exchange in flight = %v, %v; want it answered", resp, err)
+	}
+	if err := <-shutDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestShutdownTimeoutForcesClose(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
