@@ -61,7 +61,7 @@ func releaseBody(bp *[]byte) {
 // with the 16 KiB bufio.Reader it owns: that reader is the single largest
 // allocation a short-lived connection makes, and under the C10k+ regime
 // churned connections would otherwise hammer the allocator with them.
-// serveConn acquires on accept and the connection's last goroutine releases
+// Serve acquires on accept and the connection's last goroutine releases
 // on close; Reset drops the old conn reference so pooled readers never pin
 // dead connections.
 var serverConnPool = sync.Pool{
@@ -76,7 +76,7 @@ var serverConnPool = sync.Pool{
 // goroutine.
 func acquireServerConn(s *Server, nc net.Conn) *serverConn {
 	c := serverConnPool.Get().(*serverConn)
-	c.s, c.nc, c.live = s, nc, 1
+	c.s, c.nc, c.t = s, nc, turns{window: s.MaxPipeline, users: 1}
 	c.br.Reset(nc)
 	return c
 }
@@ -86,7 +86,6 @@ func acquireServerConn(s *Server, nc net.Conn) *serverConn {
 func releaseServerConn(c *serverConn) {
 	c.br.Reset(nil)
 	c.s, c.nc = nil, nil
-	c.read, c.written, c.reading, c.closing = 0, 0, false, false
 	serverConnPool.Put(c)
 }
 

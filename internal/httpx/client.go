@@ -2,6 +2,7 @@ package httpx
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -72,7 +73,7 @@ type Client struct {
 	Timeout time.Duration
 	// MaxPerConn is the pipelining window of a keep-alive connection: how
 	// many requests it carries written and unanswered, responses matched
-	// FIFO. 0 or 1: one exchange per connection.
+	// FIFO, up to 64. 0 or 1: one exchange per connection.
 	MaxPerConn int
 	// MaxBodyBytes caps response bodies; zero means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -91,22 +92,16 @@ type Client struct {
 
 // conn is one client connection; responses come back in request (seq) order.
 type conn struct {
-	nc     net.Conn
-	br     *bufio.Reader
-	host   string        // peerHost(nc), formatted once per connection
-	window int           // requests it may carry written and unanswered
-	wsem   chan struct{} // holds a token while a request is written; nil at window 1
+	nc   net.Conn
+	br   *bufio.Reader
+	host string        // peerHost(nc), formatted once per connection
+	wsem chan struct{} // holds a token while a request is written; nil at window 1
 
 	// Guarded by Client.mu.
 	turn   sync.Cond // broadcast when the read turn may have moved
 	pooled bool
-	users  int      // exchanges on the connection that have not returned
-	gone   []uint64 // seqs whose exchange gave up before its response began
-	sent   uint64   // requests written: the next writer's seq
-	head   uint64   // responses read: the seq of the next one on the wire
-	writer uint64   // seq+1 of the request being written; 0 when none
-	reader uint64   // seq+1 of the exchange holding the read turn; 0 when none
-	err    error    // why the connection failed; set once
+	t      turns
+	err    error // why the connection failed; set once
 }
 
 var (
@@ -168,12 +163,14 @@ func (c *Client) exit() {
 	}
 }
 
-// DoCtx sends the request and returns the response. A reused connection
-// that fails before any byte of the response arrives is retried once on a
-// fresh one (the server may have closed it between requests). The context
-// bounds the exchange as Timeout does, whichever ends first: an exchange
-// whose context ends before its response begins leaves its place to the
-// exchanges behind it, and a connection left with none on it closes. The
+// DoCtx sends the request and returns the response. A request that joined
+// an idle pooled connection, and was the first written on it since, is sent
+// once more on a fresh connection when that one fails before any byte of the
+// response arrives: the server may have closed it between requests. Any
+// other failure is returned, for the caller's retry policy to judge. The
+// context bounds the exchange as Timeout does, whichever ends first: an
+// exchange whose context ends before its response begins leaves its place to
+// the exchanges behind it, and a connection left with none on it closes. The
 // context bounds the dial too (see dial).
 func (c *Client) DoCtx(ctx context.Context, req *Request) (*Response, error) {
 	if !c.Tracer.Enabled() {
@@ -204,17 +201,17 @@ func (c *Client) doCtx(ctx context.Context, req *Request) (*Response, error) {
 		return nil, err
 	}
 	defer c.exit()
-	cn, reused, err := c.getConn(ctx, false)
+	var x slot
+	cn, err := c.getConn(ctx, &x, false)
 	if err != nil {
 		return nil, err
 	}
-	resp, unanswered, err := c.exchange(ctx, cn, req)
-	if err != nil && reused && unanswered && ctx.Err() == nil {
-		// Stale keep-alive connection: retry once on a fresh one.
-		if cn, _, err = c.getConn(ctx, true); err != nil {
+	resp, resend, err := c.exchange(ctx, cn, &x, req)
+	if resend && ctx.Err() == nil {
+		if cn, err = c.getConn(ctx, &x, true); err != nil {
 			return nil, err
 		}
-		resp, _, err = c.exchange(ctx, cn, req)
+		resp, _, err = c.exchange(ctx, cn, &x, req)
 	}
 	if err != nil {
 		// The raw conn error after a cancel/expiry is incidental; report
@@ -227,50 +224,51 @@ func (c *Client) doCtx(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// getConn joins the least-loaded pooled connection with room, or dials a new
-// one (always, when fresh).
-func (c *Client) getConn(ctx context.Context, fresh bool) (cn *conn, reused bool, err error) {
+// getConn has x join the least-loaded pooled connection with room, or dials
+// a new one (always, when fresh).
+func (c *Client) getConn(ctx context.Context, x *slot, fresh bool) (cn *conn, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, false, errClientClosed
+		return nil, errClientClosed
 	}
 	for i := len(c.conns) - 1; i >= 0 && !fresh; i-- {
 		p := c.conns[i]
-		if n := p.users + len(p.gone); n < p.window && (cn == nil || n < cn.users+len(cn.gone)) {
+		if n := p.t.load(); n < p.t.window && (cn == nil || n < cn.t.load()) {
 			cn = p
 		}
 	}
 	if cn != nil {
-		if cn.users == 0 {
+		if cn.t.users == 0 {
 			c.idle--
 		}
-		cn.users++
+		cn.t.join(x)
 		c.mu.Unlock()
-		return cn, true, nil
+		return cn, nil
 	}
 	c.mu.Unlock()
+	*x = slot{}
 	nc, err := c.dial(ctx)
 	if err != nil {
-		return nil, false, &DialError{Err: err}
+		return nil, &DialError{Err: err}
 	}
-	cn = &conn{nc: nc, br: bufio.NewReaderSize(nc, 16<<10), host: peerHost(nc), window: 1, users: 1}
+	cn = &conn{nc: nc, br: bufio.NewReaderSize(nc, 16<<10), host: peerHost(nc), t: turns{window: 1, users: 1}}
 	cn.turn.L = &c.mu
 	if c.KeepAlive && c.MaxPerConn > 1 {
-		cn.window = c.MaxPerConn
+		cn.t.window = min(c.MaxPerConn, maxWindow)
 		cn.wsem = make(chan struct{}, 1)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		nc.Close()
-		return nil, false, errClientClosed
+		return nil, errClientClosed
 	}
 	if c.KeepAlive {
 		cn.pooled = true
 		c.conns = append(c.conns, cn)
 	}
-	return cn, false, nil
+	return cn, nil
 }
 
 // dial opens a connection that ctx bounds: through DialCtx, or through Dial
@@ -305,10 +303,10 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	}
 }
 
-// exchange sends req on cn, which the caller has joined, and reads its
-// response. unanswered reports that no byte of the response arrived, so the
-// request may go again on another connection.
-func (c *Client) exchange(ctx context.Context, cn *conn, req *Request) (resp *Response, unanswered bool, err error) {
+// exchange sends req on cn, which x has joined, and reads its response,
+// carrying out the acts of cn's turns; resend reports that the request goes
+// again on a fresh connection.
+func (c *Client) exchange(ctx context.Context, cn *conn, x *slot, req *Request) (resp *Response, resend bool, err error) {
 	// interrupt watches the context, so only Timeout is a connection
 	// deadline: when one passes, the connection has timed out. Setting one
 	// fails only on a closed connection, whose next read or write says so.
@@ -321,51 +319,40 @@ func (c *Client) exchange(ctx context.Context, cn *conn, req *Request) (resp *Re
 		case cn.wsem <- struct{}{}:
 		case <-ctx.Done():
 			c.mu.Lock()
-			c.releaseLocked(cn)
-			c.mu.Unlock()
-			return nil, true, ctx.Err()
+			defer c.mu.Unlock()
+			c.releaseLocked(cn, cn.t.release(c.keepLocked(cn)), errConnClosed)
+			return nil, false, ctx.Err()
 		}
 	}
 	c.mu.Lock()
-	if err := cn.err; err != nil {
+	defer c.mu.Unlock()
+	a := cn.t.writeBegun(x)
+	if c.actLocked(cn, a, deadline, nil); a&aWrite != 0 {
+		if ctx.Done() != nil {
+			seq := x.seq
+			defer context.AfterFunc(ctx, func() { c.interrupt(cn, seq) })()
+		}
 		c.mu.Unlock()
-		if cn.wsem != nil {
-			<-cn.wsem
-		}
-		return nil, true, err
+		err = writeRequest(cn.nc, req, !c.KeepAlive, cn.host)
+		c.mu.Lock()
+		cn.t.writeEnded()
 	}
-	seq := cn.sent
-	cn.sent++
-	cn.writer = seq + 1
-	_ = cn.nc.SetWriteDeadline(deadline)
-	c.mu.Unlock()
-	if ctx.Done() != nil {
-		defer context.AfterFunc(ctx, func() { c.interrupt(cn, seq) })()
+	if cn.wsem != nil {
+		<-cn.wsem // under c.mu, so the next writer's seq is taken after this
 	}
-	werr := writeRequest(cn.nc, req, !c.KeepAlive, cn.host)
-	c.mu.Lock()
-	if cn.writer = 0; cn.wsem != nil {
-		<-cn.wsem // under c.mu, so the next writer sets cn.writer after this
+	switch {
+	case a&aWrite == 0:
+		return nil, a&aResend != 0, cn.err
+	case err != nil:
+		return nil, c.failIOLocked(ctx, cn, x, "write request", err), cn.err
 	}
-	if werr != nil {
-		defer c.mu.Unlock()
-		return nil, true, c.failIOLocked(ctx, cn, "write request", werr)
-	}
-	for cn.err == nil && ctx.Err() == nil && !cn.readyLocked(seq) {
+	for a = cn.t.readWanted(x, ctx.Err() != nil); a == 0; a = cn.t.readWanted(x, ctx.Err() != nil) {
 		cn.turn.Wait()
 	}
-	if err := cn.err; err != nil {
-		c.mu.Unlock()
-		return nil, true, err
+	if c.actLocked(cn, a, deadline, errAbandoned); a&aRead == 0 { // the connection failed, or x gave its place up
+		return nil, a&aResend != 0, cmp.Or(cn.err, ctx.Err())
 	}
-	if ctx.Err() != nil {
-		c.leaveLocked(cn, seq)
-		c.mu.Unlock()
-		return nil, false, ctx.Err()
-	}
-	cn.reader = seq + 1
-	_ = cn.nc.SetReadDeadline(deadline)
-	skip := seq - cn.head
+	skip := x.seq - cn.t.done
 	c.mu.Unlock()
 
 	// Read past the responses of exchanges that gave up, then this one's.
@@ -374,135 +361,98 @@ func (c *Client) exchange(ctx context.Context, cn *conn, req *Request) (resp *Re
 			err = errServerClosed
 		}
 	}
-	if err != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return nil, true, c.failIOLocked(ctx, cn, "read response", err)
+	var perr error
+	if err == nil {
+		if _, perr = cn.br.Peek(1); perr == nil {
+			resp, err = ReadResponse(cn.br, c.MaxBodyBytes)
+		}
 	}
-	_, perr := cn.br.Peek(1)
-	if perr == nil {
-		resp, err = ReadResponse(cn.br, c.MaxBodyBytes)
-	}
+	cut := perr != nil && ctx.Err() != nil && errors.Is(perr, os.ErrDeadlineExceeded)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	cn.head = seq
-	cn.gone = slices.DeleteFunc(cn.gone, func(s uint64) bool { return s < seq })
-	switch {
-	case perr != nil && cn.err == nil && ctx.Err() != nil && errors.Is(perr, os.ErrDeadlineExceeded):
-		// Gave up before the response began: the connection is still
-		// whole for the exchanges behind this one.
-		c.leaveLocked(cn, seq)
-		return nil, false, ctx.Err()
-	case perr != nil:
-		return nil, true, c.failIOLocked(ctx, cn, "read response", perr)
-	case err != nil:
-		return nil, false, c.failIOLocked(ctx, cn, "read response", err)
+	switch a = cn.t.responseBegun(x, perr == nil, cut); {
+	case a&aRead == 0: // x gave its place up, or the connection failed
+		c.actLocked(cn, a, deadline, ioError(ctx, "read response", perr))
+		return nil, a&aResend != 0, cmp.Or(cn.err, ctx.Err())
+	case err != nil: // a response ahead, or this one, broke off
+		return nil, c.failIOLocked(ctx, cn, x, "read response", err), cn.err
 	}
-	cn.head++
-	cn.reader = 0
-	cn.turn.Broadcast()
-	if cn.pooled && wantsClose(resp.Proto, &resp.Header) {
-		c.failLocked(cn, errServerClosed)
+	closeErr, shut := errConnClosed, cn.pooled && wantsClose(resp.Proto, &resp.Header)
+	if shut {
+		closeErr = errServerClosed
 	}
-	c.releaseLocked(cn) // closes a connection that is not pooled
+	c.releaseLocked(cn, cn.t.responseEnded(shut, c.keepLocked(cn)), closeErr)
 	return resp, false, nil
 }
 
-// readyLocked reports whether seq may take the read turn: nobody holds it,
-// and every response ahead of seq is one an exchange gave up.
-func (cn *conn) readyLocked(seq uint64) bool {
-	if cn.reader != 0 {
-		return false
-	}
-	for s := cn.head; s < seq; s++ {
-		if !slices.Contains(cn.gone, s) {
-			return false
-		}
-	}
-	return true
-}
-
-// leaveLocked gives up seq's exchange before its response began: the next
-// reader reads past that response, and a connection left with no exchange
-// on it closes.
-func (c *Client) leaveLocked(cn *conn, seq uint64) {
-	cn.gone = append(cn.gone, seq)
-	if cn.reader == seq+1 {
-		cn.reader = 0
-	}
-	if cn.users--; cn.users == 0 {
-		c.failLocked(cn, errAbandoned)
-	}
-	cn.turn.Broadcast()
-}
-
-// releaseLocked ends the caller's use of cn. A pooled connection left with
-// nothing in flight turns idle, unless the client is closed or MaxIdle
-// connections are idle already.
-func (c *Client) releaseLocked(cn *conn) {
-	if cn.users--; cn.users > 0 || cn.err != nil {
-		return
-	}
+// keepLocked reports whether cn may turn idle once no exchange is on it: it
+// is pooled, the client is open, and fewer than MaxIdle connections are idle.
+func (c *Client) keepLocked(cn *conn) bool {
 	maxIdle := c.MaxIdle
 	if maxIdle <= 0 {
 		maxIdle = 16
 	}
-	if !cn.pooled || c.closed || c.idle >= maxIdle || len(cn.gone) > 0 {
-		c.failLocked(cn, errConnClosed)
-		return
-	}
-	c.idle++
+	return cn.pooled && !c.closed && c.idle < maxIdle
 }
 
-// failLocked closes cn for good: it leaves the pool, and every exchange
-// waiting on it gets err.
-func (c *Client) failLocked(cn *conn, err error) {
-	if cn.err != nil {
-		return
+// releaseLocked carries out a, the act of an exchange leaving cn with its
+// response read or before its write: cn closes with err, or turns idle.
+func (c *Client) releaseLocked(cn *conn, a act, err error) {
+	if c.actLocked(cn, a, time.Time{}, err); cn.t.users == 0 && cn.err == nil {
+		c.idle++
 	}
-	cn.err = err
-	cn.nc.Close()
-	if cn.pooled {
-		c.conns = slices.DeleteFunc(c.conns, func(p *conn) bool { return p == cn })
-	}
-	cn.turn.Broadcast()
 }
 
-// failIOLocked fails cn after an exchange's write or read did, and returns
-// what that exchange reports: the connection's first failure, whoever
-// caused it.
-func (c *Client) failIOLocked(ctx context.Context, cn *conn, op string, err error) error {
+// actLocked carries out act a on cn: the deadline it sets or cuts, the
+// connection's failure with err — it leaves the pool, and every exchange
+// waiting on it gets err — and the waiters' wake-up.
+func (c *Client) actLocked(cn *conn, a act, deadline time.Time, err error) {
+	switch {
+	case a&aSetWrite != 0:
+		_ = cn.nc.SetWriteDeadline(deadline)
+	case a&aSetRead != 0:
+		_ = cn.nc.SetReadDeadline(deadline)
+	case a&aCutWrite != 0:
+		_ = cn.nc.SetWriteDeadline(time.Unix(1, 0))
+	case a&aCutRead != 0:
+		_ = cn.nc.SetReadDeadline(time.Unix(1, 0))
+	}
+	if a&aClose != 0 && cn.err == nil {
+		cn.err = err
+		cn.nc.Close()
+		if cn.pooled {
+			c.conns = slices.DeleteFunc(c.conns, func(p *conn) bool { return p == cn })
+		}
+	}
+	if a&aWake != 0 {
+		cn.turn.Broadcast()
+	}
+}
+
+// failIOLocked fails cn after x's write or read did, and reports whether x
+// goes again; x reports the connection's first failure, whoever caused it.
+func (c *Client) failIOLocked(ctx context.Context, cn *conn, x *slot, op string, err error) bool {
+	a := cn.t.failed(x)
+	c.actLocked(cn, a, time.Time{}, ioError(ctx, op, err))
+	return a&aResend != 0
+}
+
+// ioError is what an exchange's failed write or read reports.
+func ioError(ctx context.Context, op string, err error) error {
 	switch {
 	case ctx.Err() != nil:
-		err = errAbandoned
+		return errAbandoned
 	case errors.Is(err, os.ErrDeadlineExceeded):
-		err = fmt.Errorf("httpx: %s: exchange timed out: %w", op, err)
-	default:
-		err = fmt.Errorf("httpx: %s: %w", op, err)
+		return fmt.Errorf("httpx: %s: exchange timed out: %w", op, err)
 	}
-	c.failLocked(cn, err)
-	return cn.err
+	return fmt.Errorf("httpx: %s: %w", op, err)
 }
 
-// interrupt ends seq's blocked write or read once its context has ended. A
-// deadline in the past ends the I/O: a write it cuts short fails the
-// connection, and a read that had not begun leaves the connection whole for
-// the exchanges behind it. A read no other exchange waits behind closes the
-// connection instead. An exchange waiting for its turn is woken to see its
-// context.
+// interrupt carries out ctxEnded for seq's exchange once its context has
+// ended.
 func (c *Client) interrupt(cn *conn, seq uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case cn.writer == seq+1:
-		_ = cn.nc.SetWriteDeadline(time.Unix(1, 0))
-	case cn.reader == seq+1 && cn.users == 1:
-		c.failLocked(cn, errAbandoned)
-	case cn.reader == seq+1:
-		_ = cn.nc.SetReadDeadline(time.Unix(1, 0))
-	default:
-		cn.turn.Broadcast()
-	}
+	c.actLocked(cn, cn.t.ctxEnded(seq), time.Time{}, errAbandoned)
 }
 
 // CloseIdle drops the pooled idle connections without closing the client:
@@ -527,8 +477,8 @@ func (c *Client) Close() {
 
 func (c *Client) closeIdleLocked() {
 	for i := len(c.conns) - 1; i >= 0; i-- {
-		if cn := c.conns[i]; cn.users == 0 {
-			c.failLocked(cn, errConnClosed)
+		if cn := c.conns[i]; cn.t.users == 0 {
+			c.actLocked(cn, cn.t.closeIdle(), time.Time{}, errConnClosed)
 			c.idle--
 		}
 	}

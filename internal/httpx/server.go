@@ -5,11 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -66,11 +64,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	listener net.Listener
-	conns    map[net.Conn]struct{}
-	active   int // exchanges currently being handled
-	idleCond *sync.Cond
+	conns    map[*serverConn]struct{}
 	closed   bool
-	draining atomic.Bool
+	draining bool
 	wg       sync.WaitGroup
 	baseCtx  context.Context // cancelled on Close; parent of handler contexts
 	baseStop context.CancelFunc
@@ -91,7 +87,7 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 	s.listener = l
 	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
+		s.conns = make(map[*serverConn]struct{})
 	}
 	if s.baseCtx == nil {
 		s.baseCtx, s.baseStop = context.WithCancel(context.Background())
@@ -99,32 +95,31 @@ func (s *Server) Serve(l net.Listener) error {
 	s.mu.Unlock()
 
 	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed || s.draining.Load()
+		nc, err := l.Accept()
+		s.mu.Lock()
+		ended := s.closed || s.draining
+		if err != nil || ended {
 			s.mu.Unlock()
-			if closed {
+			if err == nil {
+				nc.Close()
+			}
+			if ended {
 				return ErrServerClosed
 			}
 			return err
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return ErrServerClosed
-		}
-		s.conns[conn] = struct{}{}
+		c := acquireServerConn(s, nc)
+		s.conns[c] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go s.serveConn(conn)
+		go c.serve()
 	}
 }
 
 // Shutdown drains gracefully: it stops the listener, lets in-flight
 // exchanges finish (up to the timeout), then closes remaining connections.
-// Idle keep-alive connections are closed immediately.
+// Idle keep-alive connections are closed immediately, and any other after
+// the last response owed on it.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
@@ -132,33 +127,25 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		s.wg.Wait()
 		return nil
 	}
-	s.draining.Store(true)
+	s.draining = true
 	l := s.listener
-	if s.idleCond == nil {
-		s.idleCond = sync.NewCond(&s.mu)
+	for c := range s.conns {
+		c.on((*turns).shutdown)
 	}
 	s.mu.Unlock()
 	if l != nil {
 		l.Close()
 	}
-
-	// The timeout alarm only exists to wake the drain wait below; stop it
-	// the moment the wait ends (drain done or deadline hit) rather than
-	// leaving it armed through Close's own wait.
-	deadline := time.Now().Add(timeout)
-	alarm := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		if s.idleCond != nil {
-			s.idleCond.Broadcast()
-		}
-		s.mu.Unlock()
-	})
-
-	s.mu.Lock()
-	for s.active > 0 && time.Now().Before(deadline) {
-		s.idleCond.Wait()
+	drained := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(drained)
+	}()
+	alarm := time.NewTimer(timeout)
+	select {
+	case <-drained:
+	case <-alarm.C:
 	}
-	s.mu.Unlock()
 	alarm.Stop()
 	return s.Close()
 }
@@ -176,7 +163,7 @@ func (s *Server) Close() error {
 	l := s.listener
 	stop := s.baseStop
 	for c := range s.conns {
-		c.Close()
+		c.on((*turns).close)
 	}
 	s.mu.Unlock()
 	if stop != nil {
@@ -194,39 +181,29 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) removeConn(c net.Conn) {
+func (s *Server) removeConn(c *serverConn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
 }
 
-// serveConn serves one connection: its goroutine is the connection's first
-// exchange, and runs serverConn.serve.
-func (s *Server) serveConn(nc net.Conn) {
-	acquireServerConn(s, nc).serve()
-}
-
 // serverConn is one connection, shared by the goroutines of the exchanges
-// on it. The goroutine holding the read turn reads a request. It hands the
-// turn to a new goroutine only while the window (Server.MaxPipeline) has room
-// and the next request's bytes are already buffered — the peer pipelines.
-// Every exchange runs its handler on the goroutine that read it, waits for
-// its write turn (request order) and writes its own response; one that kept
-// the read turn then reads the next request. At a window of 0 or 1, or when
-// the peer does not pipeline, that is one goroutine running one exchange at
-// a time.
+// on it, and the interpreter of its turns. The goroutine holding the read
+// turn reads a request. It hands the turn to a new goroutine only while the
+// window (Server.MaxPipeline) has room and the next request's bytes are
+// already buffered — the peer pipelines. Every exchange runs its handler on
+// the goroutine that read it, waits for its write turn (request order) and
+// writes its own response; one that kept the read turn then reads the next
+// request. At a window of 0 or 1, or when the peer does not pipeline, that
+// is one goroutine running one exchange at a time.
 type serverConn struct {
 	s  *Server
 	nc net.Conn
 	br *bufio.Reader
 
-	mu      sync.Mutex
-	turn    sync.Cond // broadcast when the write turn moves or closing is set
-	read    uint64    // requests read: the seq of the next one
-	written uint64    // responses written: the seq whose write turn it is
-	reading bool      // the read-turn holder is waiting for a request
-	closing bool      // no response goes out any more; a request read after is dropped
-	live    int       // goroutines serving the connection
+	mu   sync.Mutex
+	turn sync.Cond // broadcast when the write turn moves or the connection closes
+	t    turns
 }
 
 // serve runs exchanges until the connection ends or this goroutine has
@@ -234,96 +211,79 @@ type serverConn struct {
 func (c *serverConn) serve() {
 	defer c.exit()
 	for {
-		req, release, seq, owed, err := c.readRequest()
+		buffered := c.br.Buffered() > 0
+		if c.on(func(t *turns) act { return t.readBegun(buffered) })&aClose != 0 {
+			return
+		}
+		req, release, err := ReadRequestPooled(c.br, c.s.MaxBodyBytes)
+		var seq uint64
 		if err != nil {
 			var pe *ProtocolError
-			if errors.As(err, &pe) {
-				// The 400 goes out after every response already owed.
-				c.s.Rejects.NoteReject()
-				resp := NewResponse(400, []byte(pe.Msg+"\n"))
-				resp.Header.Set("Content-Type", "text/plain")
-				c.respond(seq, resp, true)
+			if !errors.As(err, &pe) { // io.EOF: the peer closed between requests
+				c.on(func(t *turns) act { t.peerGone(); return 0 })
+				return
 			}
-			return // io.EOF: the peer closed between requests
+			// The 400 goes out after every response already owed.
+			c.on(func(t *turns) act { seq = t.malformed(); return 0 })
+			c.s.Rejects.NoteReject()
+			resp := NewResponse(400, []byte(pe.Msg+"\n"))
+			resp.Header.Set("Content-Type", "text/plain")
+			c.respond(seq, resp, true)
+			return
 		}
-		willClose := wantsClose(req.Proto, &req.Header)
-		keepTurn := willClose || owed >= c.s.MaxPipeline || c.br.Buffered() == 0
-		if !keepTurn {
-			c.mu.Lock()
-			c.live++
-			c.mu.Unlock()
+		shut, buffered := wantsClose(req.Proto, &req.Header), c.br.Buffered() > 0
+		a := c.on(func(t *turns) (a act) { seq, a = t.requestRead(shut, buffered); return a })
+		if a&aClose != 0 { // the connection ended under the read
+			release()
+			return
+		}
+		if a&aSpawn != 0 {
 			c.s.wg.Add(1)
 			go c.serve()
 		}
-		if !c.exchange(seq, req, release, willClose) || !keepTurn {
+		if !c.exchange(seq, req, release, a&aWatch != 0) || a&aSpawn != 0 {
 			return
 		}
 	}
 }
 
-// readRequest reads the next request as the read-turn holder. It returns
-// the request's seq — also on a malformed request, whose 400 takes that
-// place in the response order — and how many responses are owed with it
-// counted.
-func (c *serverConn) readRequest() (req *Request, release func(), seq uint64, owed int, err error) {
+// on carries out event e and the acts it returns: the read deadline —
+// ReadTimeout from now, or none — under the lock, so that deadlines are set
+// in the order the events ask for them; a close, unless a write comes first;
+// and the wake-up. Setting a deadline fails only on a closed connection,
+// and the read fails then too.
+func (c *serverConn) on(e func(*turns) act) act {
 	c.mu.Lock()
-	c.reading = true
-	c.armRead()
-	c.mu.Unlock()
-	req, release, err = ReadRequestPooled(c.br, c.s.MaxBodyBytes)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reading = false
-	if err == nil && c.closing { // the connection ended under the read
-		release()
-		err = io.EOF
-	}
-	if err != nil {
-		return nil, nil, c.read, 0, err
-	}
-	c.read++
-	return req, release, c.read - 1, int(c.read - c.written), nil
-}
-
-// armRead sets the read deadline of the read-turn holder. ReadTimeout bounds
-// only the wait for a request with no response owed: a reader behind owed
-// responses has none until the last of them is written. The error is
-// dropped: SetReadDeadline fails only on a closed connection, and the read
-// fails then too. c.mu is held.
-func (c *serverConn) armRead() {
-	if t := c.s.ReadTimeout; t > 0 {
+	a := e(&c.t)
+	if t := c.s.ReadTimeout; t > 0 && a&(aSetRead|aClearRead) != 0 {
 		var deadline time.Time
-		if c.read == c.written {
+		if a&aSetRead != 0 {
 			deadline = time.Now().Add(t)
 		}
 		_ = c.nc.SetReadDeadline(deadline)
 	}
+	c.mu.Unlock()
+	if a&(aClose|aWrite) == aClose {
+		c.nc.Close()
+	}
+	if a&aWake != 0 {
+		c.turn.Broadcast()
+	}
+	return a
 }
 
 // exchange runs one request's handler, waits for the write turn and writes
-// the response. It reports whether the connection stays open.
-func (c *serverConn) exchange(seq uint64, req *Request, release func(), willClose bool) bool {
-	s := c.s
-	s.mu.Lock()
-	s.active++
-	baseCtx := s.baseCtx
-	s.mu.Unlock()
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
-
-	// On a connection that closes after this exchange no further request
-	// bytes are expected, so a background read can detect the peer
-	// abandoning the exchange and cancel the handler's context — "the
-	// client gave up" propagated into the dispatcher.
-	reqCtx := baseCtx
+// the response. It reports whether the connection stays open. watch: the
+// request closes the connection, so no further request bytes are expected,
+// and a background read can detect the peer abandoning the exchange and
+// cancel the handler's context — "the client gave up" propagated into the
+// dispatcher.
+func (c *serverConn) exchange(seq uint64, req *Request, release func(), watch bool) bool {
+	reqCtx := c.s.baseCtx
 	var cancelReq context.CancelFunc
 	var watcherDone chan struct{}
-	if willClose {
-		if s.ReadTimeout > 0 {
-			_ = c.nc.SetReadDeadline(time.Time{}) // the watcher waits as long as the exchange
-		}
-		reqCtx, cancelReq = context.WithCancel(baseCtx)
+	if watch {
+		reqCtx, cancelReq = context.WithCancel(reqCtx)
 		watcherDone = make(chan struct{})
 		go func(cancel context.CancelFunc) {
 			// Peek blocks until the peer sends (unexpected) data,
@@ -338,19 +298,11 @@ func (c *serverConn) exchange(seq uint64, req *Request, release func(), willClos
 		}(cancelReq)
 	}
 
-	resp := s.callHandler(reqCtx, req)
+	resp := c.s.callHandler(reqCtx, req)
 	if resp == nil {
 		resp = NewResponse(500, []byte("nil response\n"))
 	}
-
-	open := c.respond(seq, resp, willClose)
-
-	s.mu.Lock()
-	s.active--
-	if s.idleCond != nil {
-		s.idleCond.Broadcast()
-	}
-	s.mu.Unlock()
+	open := c.respond(seq, resp, watch)
 	// The exchange is fully over (response written): recycle the request
 	// body buffer and any pooled storage backing the response.
 	release()
@@ -368,59 +320,34 @@ func (c *serverConn) exchange(seq uint64, req *Request, release func(), willClos
 }
 
 // respond waits for the write turn of request seq and writes resp, unless
-// the connection has ended. The connection closes after resp when
-// closeAfter is set, or while the server drains and seq is the last request
-// read — so every request whose handler ran is answered first. It reports
+// the connection closes first; shut: resp closes the connection. It reports
 // whether the connection stays open.
-func (c *serverConn) respond(seq uint64, resp *Response, closeAfter bool) bool {
+func (c *serverConn) respond(seq uint64, resp *Response, shut bool) bool {
 	c.mu.Lock()
-	for c.written != seq && !c.closing {
+	a := c.t.writeWanted(seq, shut)
+	for ; a == 0; a = c.t.writeWanted(seq, shut) {
 		c.turn.Wait()
 	}
-	skip := c.closing
-	closeAfter = closeAfter || c.s.draining.Load() && seq+1 == c.read
-	c.closing = skip || closeAfter
 	c.mu.Unlock()
-	var werr error
-	if !skip {
-		c.s.armWrite(c.nc)
-		werr = WriteResponse(c.nc, resp, closeAfter)
+	if a&aWrite == 0 {
+		return false
 	}
-	c.mu.Lock()
-	c.written++
-	c.closing = c.closing || werr != nil
-	if c.reading && !c.closing {
-		c.armRead()
+	if t := c.s.WriteTimeout; t > 0 && a&aSetWrite != 0 {
+		_ = c.nc.SetWriteDeadline(time.Now().Add(t))
 	}
-	open := !c.closing
-	c.turn.Broadcast()
-	c.mu.Unlock()
-	return open
+	werr := WriteResponse(c.nc, resp, a&aClose != 0)
+	return (a|c.on(func(t *turns) act { return t.written(werr == nil) }))&aClose == 0
 }
 
 // exit ends one goroutine's service of the connection; the last one closes
 // it and recycles its state.
 func (c *serverConn) exit() {
 	s := c.s
-	c.mu.Lock()
-	c.live--
-	last := c.live == 0
-	c.mu.Unlock()
-	if last {
-		c.nc.Close()
-		s.removeConn(c.nc)
+	if c.on(func(t *turns) act { return t.release(false) })&aClose != 0 {
+		s.removeConn(c)
 		releaseServerConn(c)
 	}
 	s.wg.Done()
-}
-
-// armWrite starts the WriteTimeout clock for writing one response, the 400
-// for a malformed request included: an earlier response's deadline must not
-// cut it short.
-func (s *Server) armWrite(conn net.Conn) {
-	if s.WriteTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-	}
 }
 
 // callHandler invokes the handler, converting a panic into a 500 so one bad
