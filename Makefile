@@ -160,13 +160,17 @@ race-controlplane:
 ## gets a census in the style of race-stage — thirty shuffled runs on one and
 ## on two Ps of the whole package: the server's one connection loop and its
 ## read and write turns at windows 0 and 4, the client connection's write
-## and read turns at windows 1 and 8, read, write and drain deadlines,
-## framing and pooled buffers (about 3 min on a 2-vCPU box). Then core's and
-## the gateway's pipelining and zero-copy passthrough tests, and the C10k
-## soak (ten thousand pipelined keep-alive connections, every response
+## and read turns at windows 1 and 8, the re-send and drain rows, read, write
+## and drain deadlines, framing and pooled buffers (about 3 min on a 2-vCPU
+## box). The exhaustive check of the turn machine (TestTurnsExhaustive) is
+## deterministic and runs no goroutine a census could race, so it is kept
+## out of the census and runs once under -race on its own line. Then core's
+## and the gateway's pipelining and zero-copy passthrough tests, and the
+## C10k soak (ten thousand pipelined keep-alive connections, every response
 ## checked for loss/duplication/cross-wiring).
 race-transport:
-	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 ./internal/httpx
+	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -skip='TestTurnsExhaustive' ./internal/httpx
+	$(GO) test -race -run='TestTurnsExhaustive' ./internal/httpx
 	$(GO) test -race -shuffle=on -count=2 -run='TestServerPipeline|TestClientPipeline|TestPipelined|TestPassthrough' \
 		./internal/core ./internal/gateway
 	$(GO) test -race -run='TestSoakC10kPipelined' .

@@ -30,19 +30,19 @@ type member struct {
 	until     time.Time // the ejection window's end; zero while the circuit is closed
 	probing   bool      // a probe is running
 	ejections int64     // circuit openings
+	drains    int64     // completed drains
 }
 
 const (
 	serving  uint8 = iota
 	draining       // takes no new work; waits out its reservations and its probe
-	drained        // counted, and its idle pool released
+	drained        // counted in drains, and its idle pool released
 )
 
 // act is what an event asks of the interpreter, for the event's backend.
 type act struct {
 	arm       time.Time // arm the window timer to fire then
 	probe     bool      // probe the backend
-	counted   bool      // count a completed drain
 	closeIdle bool      // release the idle keep-alive pool
 	settled   bool      // the last probe running at close has ended
 }
@@ -115,7 +115,10 @@ func (f *fleet) release(i int, n int64) act {
 func (f *fleet) put(i int, n int64) (a act) {
 	m := &f.ms[i]
 	if m.reserved -= n; m.drain != serving && m.reserved == 0 && !m.probing {
-		a.counted, a.closeIdle, m.drain = m.drain == draining, true, drained
+		if m.drain == draining {
+			m.drains++
+		}
+		a.closeIdle, m.drain = true, drained
 	}
 	return a
 }
@@ -168,8 +171,8 @@ func (f *fleet) probed(i int, now time.Time, ok bool) act {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ms[i].probing = false
-	a, d := f.note(i, now, ok), f.put(i, 0)
-	a.counted, a.closeIdle = d.counted, d.closeIdle
+	a := f.note(i, now, ok)
+	a.closeIdle = f.put(i, 0).closeIdle
 	a.settled = f.closed && !slices.ContainsFunc(f.ms, probing)
 	return a
 }

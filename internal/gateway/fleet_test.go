@@ -101,6 +101,9 @@ func TestFleetEjection(t *testing.T) {
 	if m := f.ms[0]; m.fails != 0 || !m.until.IsZero() || m.ejections != 2 {
 		t.Errorf("after a success: fails %d, until %v, ejections %d; want 0, zero, 2 (re-opening a half-open circuit is no new ejection)", m.fails, m.until, m.ejections)
 	}
+	if d := f.ms[0].drains + f.ms[1].drains; d != 0 {
+		t.Errorf("%d drains counted with no backend drained", d)
+	}
 }
 
 // TestFleetDrainAndProbe: a window that ends while its backend drains starts
@@ -111,8 +114,8 @@ func TestFleetDrainAndProbe(t *testing.T) {
 	f := testFleet(2)
 	f.exchanged(0, epoch, false)
 	f.exchanged(0, epoch, false)
-	if a := f.setDrain(0, true); a != (act{counted: true, closeIdle: true}) {
-		t.Fatalf("idle drain: %+v, want it counted and the pool released", a)
+	if a := f.setDrain(0, true); a != (act{closeIdle: true}) || f.ms[0].drains != 1 {
+		t.Fatalf("idle drain: %+v, %d drains; want it counted and the pool released", a, f.ms[0].drains)
 	}
 	end := epoch.Add(testWindow)
 	if a := f.windowEnded(0, end); a != (act{}) {
@@ -129,11 +132,11 @@ func TestFleetDrainAndProbe(t *testing.T) {
 	if a := f.windowEnded(0, next); !a.probe {
 		t.Fatalf("window end: %+v, want a probe", a)
 	}
-	if a := f.setDrain(0, true); a != (act{}) {
-		t.Fatalf("drain during the probe: %+v, want it pending", a)
+	if a := f.setDrain(0, true); a != (act{}) || f.ms[0].drains != 1 {
+		t.Fatalf("drain during the probe: %+v, %d drains; want it pending", a, f.ms[0].drains)
 	}
-	if a := f.probed(0, next, true); a != (act{counted: true, closeIdle: true}) {
-		t.Fatalf("probe end: %+v, want the drain counted and the pool released", a)
+	if a := f.probed(0, next, true); a != (act{closeIdle: true}) || f.ms[0].drains != 2 {
+		t.Fatalf("probe end: %+v, %d drains; want the drain counted and the pool released", a, f.ms[0].drains)
 	}
 
 	// Close waits for a running probe; nothing is armed or started after.
@@ -327,13 +330,15 @@ func (e event) String() string {
 type landing struct{ on, skip, n int }
 
 // step is one event applied to a state: the state after, what the fleet
-// asked of the interpreter for backend i, and the reservations it made.
+// asked of the interpreter for backend i, the reservations it made and how
+// many drains it counted.
 type step struct {
-	ev   event
-	next fleetState
-	a    act
-	i    int
-	land []landing
+	ev      event
+	next    fleetState
+	a       act
+	i       int
+	land    []landing
+	counted int64
 }
 
 // successors applies every event enabled in s, on w.
@@ -348,7 +353,8 @@ func successors(v variant, w *world, s fleetState) []step {
 		if a.settled {
 			w.waiting = false
 		}
-		out = append(out, step{ev, w.state(), a, i, land})
+		counted := w.f.ms[0].drains + w.f.ms[1].drains // load counts from 0
+		out = append(out, step{ev, w.state(), a, i, land, counted})
 	}
 	// assign reserves through the variant what place puts on the candidates.
 	assign := func(place func(c []int, load []int64) []landing) (act, []landing) {
@@ -479,8 +485,8 @@ func check(pre fleetState, st step) error {
 	if a.probe && pre.ms[st.i].drain != serving {
 		return fmt.Errorf("probe of a backend whose drain is %d", pre.ms[st.i].drain)
 	}
-	if a.counted && (pre.ms[st.i].drain == drained || post.ms[st.i].drain != drained) {
-		return fmt.Errorf("drain counted going %d -> %d", pre.ms[st.i].drain, post.ms[st.i].drain)
+	if st.counted > 1 || st.counted == 1 && (st.i < 0 || pre.ms[st.i].drain == drained || post.ms[st.i].drain != drained) {
+		return fmt.Errorf("%d drains counted", st.counted)
 	}
 	if a.closeIdle {
 		if m := post.ms[st.i]; m.drain != drained || m.reserved != 0 || m.probing {

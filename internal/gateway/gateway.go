@@ -160,8 +160,7 @@ type Gateway struct {
 	// backends' probes run under it.
 	life    context.Context
 	endLife context.CancelFunc
-	settled chan struct{}   // closed when the last probe running at stop ends
-	drained metrics.Counter // backends fully drained (in-flight hit zero)
+	settled chan struct{} // closed when the last probe running at stop ends
 }
 
 // New validates the configuration and builds the gateway with one
@@ -254,9 +253,6 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) do(b *backend, a act) {
 	if !a.arm.IsZero() {
 		b.window.Reset(time.Until(a.arm))
-	}
-	if a.counted {
-		g.drained.Inc()
 	}
 	if a.closeIdle {
 		b.client.CloseIdle()
@@ -386,7 +382,6 @@ func (g *Gateway) Stats() Stats {
 		Scattered:   g.scattered.Load(),
 		Failovers:   g.failovers.Load(),
 		Degraded:    g.degraded.Load(),
-		Drained:     g.drained.Load(),
 
 		Coalesced:           g.coalesced.Load(),
 		CoalesceBatches:     g.coalesceBatches.Load(),
@@ -420,6 +415,7 @@ func (g *Gateway) Stats() Stats {
 			Ejections: ms[i].ejections,
 			Failovers: b.failovers.Load(),
 		})
+		st.Drained += ms[i].drains
 	}
 	return st
 }

@@ -13,8 +13,8 @@ import (
 // Every POST used to allocate a fresh body buffer sized to Content-Length
 // and leave it for the collector after the exchange. SOAP traffic is a
 // steady stream of similar-sized documents, so the server instead recycles
-// body buffers through a sync.Pool: serveConn acquires the buffer with the
-// request and releases it once the response has been written and logged.
+// body buffers through a sync.Pool: the serve loop acquires the buffer with
+// the request and releases it once the response has been written and logged.
 //
 // The Handler contract this relies on: a handler must not retain
 // req.Body (or sub-slices of it) past its return. Every consumer in this

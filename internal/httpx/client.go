@@ -327,7 +327,7 @@ func (c *Client) exchange(ctx context.Context, cn *conn, x *slot, req *Request) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a := cn.t.writeBegun(x)
-	if c.actLocked(cn, a, deadline, nil); a&aWrite != 0 {
+	if c.actLocked(cn, a, deadline, errConnClosed); a&aWrite != 0 {
 		if ctx.Done() != nil {
 			seq := x.seq
 			defer context.AfterFunc(ctx, func() { c.interrupt(cn, seq) })()
@@ -344,7 +344,7 @@ func (c *Client) exchange(ctx context.Context, cn *conn, x *slot, req *Request) 
 	case a&aWrite == 0:
 		return nil, a&aResend != 0, cn.err
 	case err != nil:
-		return nil, c.failIOLocked(ctx, cn, x, "write request", err), cn.err
+		return nil, c.failLocked(ctx, cn, cn.t.failed(x), "write request", err), cn.err
 	}
 	for a = cn.t.readWanted(x, ctx.Err() != nil); a == 0; a = cn.t.readWanted(x, ctx.Err() != nil) {
 		cn.turn.Wait()
@@ -371,16 +371,13 @@ func (c *Client) exchange(ctx context.Context, cn *conn, x *slot, req *Request) 
 	c.mu.Lock()
 	switch a = cn.t.responseBegun(x, perr == nil, cut); {
 	case a&aRead == 0: // x gave its place up, or the connection failed
-		c.actLocked(cn, a, deadline, ioError(ctx, "read response", perr))
-		return nil, a&aResend != 0, cmp.Or(cn.err, ctx.Err())
+		return nil, c.failLocked(ctx, cn, a, "read response", perr), cmp.Or(cn.err, ctx.Err())
 	case err != nil: // a response ahead, or this one, broke off
-		return nil, c.failIOLocked(ctx, cn, x, "read response", err), cn.err
+		return nil, c.failLocked(ctx, cn, cn.t.failed(x), "read response", err), cn.err
 	}
-	closeErr, shut := errConnClosed, cn.pooled && wantsClose(resp.Proto, &resp.Header)
-	if shut {
-		closeErr = errServerClosed
-	}
-	c.releaseLocked(cn, cn.t.responseEnded(shut, c.keepLocked(cn)), closeErr)
+	// Only the exchanges waiting on a response that closes cn see its error.
+	shut := cn.pooled && wantsClose(resp.Proto, &resp.Header)
+	c.releaseLocked(cn, cn.t.responseEnded(shut, c.keepLocked(cn)), errServerClosed)
 	return resp, false, nil
 }
 
@@ -406,15 +403,14 @@ func (c *Client) releaseLocked(cn *conn, a act, err error) {
 // connection's failure with err — it leaves the pool, and every exchange
 // waiting on it gets err — and the waiters' wake-up.
 func (c *Client) actLocked(cn *conn, a act, deadline time.Time, err error) {
-	switch {
-	case a&aSetWrite != 0:
+	if a&(aCutWrite|aCutRead) != 0 {
+		deadline = time.Unix(1, 0)
+	}
+	if a&(aSetWrite|aCutWrite) != 0 {
 		_ = cn.nc.SetWriteDeadline(deadline)
-	case a&aSetRead != 0:
+	}
+	if a&(aSetRead|aCutRead) != 0 {
 		_ = cn.nc.SetReadDeadline(deadline)
-	case a&aCutWrite != 0:
-		_ = cn.nc.SetWriteDeadline(time.Unix(1, 0))
-	case a&aCutRead != 0:
-		_ = cn.nc.SetReadDeadline(time.Unix(1, 0))
 	}
 	if a&aClose != 0 && cn.err == nil {
 		cn.err = err
@@ -428,23 +424,20 @@ func (c *Client) actLocked(cn *conn, a act, deadline time.Time, err error) {
 	}
 }
 
-// failIOLocked fails cn after x's write or read did, and reports whether x
-// goes again; x reports the connection's first failure, whoever caused it.
-func (c *Client) failIOLocked(ctx context.Context, cn *conn, x *slot, op string, err error) bool {
-	a := cn.t.failed(x)
-	c.actLocked(cn, a, time.Time{}, ioError(ctx, op, err))
-	return a&aResend != 0
-}
-
-// ioError is what an exchange's failed write or read reports.
-func ioError(ctx context.Context, op string, err error) error {
+// failLocked carries out a, the act of an exchange's write or read failing
+// with err (or of its giving its place up), and reports whether the exchange
+// goes again. It reports the connection's first failure, whoever caused it.
+func (c *Client) failLocked(ctx context.Context, cn *conn, a act, op string, err error) bool {
 	switch {
 	case ctx.Err() != nil:
-		return errAbandoned
+		err = errAbandoned
 	case errors.Is(err, os.ErrDeadlineExceeded):
-		return fmt.Errorf("httpx: %s: exchange timed out: %w", op, err)
+		err = fmt.Errorf("httpx: %s: exchange timed out: %w", op, err)
+	default:
+		err = fmt.Errorf("httpx: %s: %w", op, err)
 	}
-	return fmt.Errorf("httpx: %s: %w", op, err)
+	c.actLocked(cn, a, time.Time{}, err)
+	return a&aResend != 0
 }
 
 // interrupt carries out ctxEnded for seq's exchange once its context has

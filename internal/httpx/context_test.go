@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -118,12 +117,12 @@ func TestHandlerCtxCancelledOnClientDisconnect(t *testing.T) {
 func TestHandlerCtxCancelledOnServerClose(t *testing.T) {
 	// Close cancels the base context, releasing parked handlers.
 	started := make(chan struct{})
-	var released atomic.Bool
+	released := make(chan struct{})
 	addr, srv := startServer(t, func(ctx context.Context, req *Request) *Response {
 		close(started)
 		select {
 		case <-ctx.Done():
-			released.Store(true)
+			close(released)
 		case <-time.After(5 * time.Second):
 		}
 		return NewResponse(200, nil)
@@ -133,12 +132,10 @@ func TestHandlerCtxCancelledOnServerClose(t *testing.T) {
 	go c.Post("/park", "text/plain", []byte("x"))
 	<-started
 	srv.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for !released.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("handler not released by server close")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-released:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler not released by server close")
 	}
 }
 

@@ -88,6 +88,7 @@ func TestMaxActiveBoundsConcurrency(t *testing.T) {
 	// A server that parks requests until released, so exchanges stay
 	// in flight as long as the test wants.
 	release := make(chan struct{})
+	arrived := make(chan struct{}, 2)
 	var wg sync.WaitGroup
 	go func() {
 		for {
@@ -103,6 +104,7 @@ func TestMaxActiveBoundsConcurrency(t *testing.T) {
 				if _, err := conn.Read(buf); err != nil {
 					return
 				}
+				arrived <- struct{}{}
 				<-release
 				_, _ = conn.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"))
 			}(conn)
@@ -117,13 +119,18 @@ func TestMaxActiveBoundsConcurrency(t *testing.T) {
 			errs <- err
 		}()
 	}
-	// Wait until both exchanges occupy their slots.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.PoolStats().InFlight < 2 {
-		if time.Now().After(deadline) {
+	// Wait until both exchanges occupy their slots: their requests have
+	// arrived.
+	timeout := time.After(2 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-timeout:
 			t.Fatalf("exchanges did not start: %+v", c.PoolStats())
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if st := c.PoolStats(); st.InFlight != 2 {
+		t.Fatalf("exchanges did not start: %+v", st)
 	}
 
 	// Third exchange: no slot free, must fail with the context error.

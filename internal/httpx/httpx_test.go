@@ -319,9 +319,9 @@ func TestServerClose(t *testing.T) {
 	}
 	srv := &Server{Handler: echoHandler}
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	// Let it start accepting.
-	time.Sleep(10 * time.Millisecond)
+	accepting := make(chan struct{})
+	go func() { done <- srv.Serve(acceptNotifyListener{l, accepting}) }()
+	<-accepting
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -332,6 +332,21 @@ func TestServerClose(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
+}
+
+// acceptNotifyListener closes accepting when Serve first calls Accept.
+type acceptNotifyListener struct {
+	net.Listener
+	accepting chan struct{}
+}
+
+func (l acceptNotifyListener) Accept() (net.Conn, error) {
+	select {
+	case <-l.accepting:
+	default:
+		close(l.accepting)
+	}
+	return l.Listener.Accept()
 }
 
 func TestClientRetryOnStaleConnection(t *testing.T) {

@@ -55,7 +55,7 @@ type Server struct {
 	// it may have read and not yet answered. When request N+1's bytes are
 	// already buffered as N is read, N+1 is read and handled while N runs;
 	// responses go out strictly in request order. 0 or 1: one exchange at
-	// a time. A client that never pipelines costs one buffered-byte check
+	// a time. A client that never pipelines costs two buffered-byte checks
 	// per exchange either way.
 	MaxPipeline int
 	// Rejects, if set, counts every request refused with a 400 before it
@@ -181,21 +181,12 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) removeConn(c *serverConn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-}
-
 // serverConn is one connection, shared by the goroutines of the exchanges
-// on it, and the interpreter of its turns. The goroutine holding the read
-// turn reads a request. It hands the turn to a new goroutine only while the
-// window (Server.MaxPipeline) has room and the next request's bytes are
-// already buffered — the peer pipelines. Every exchange runs its handler on
-// the goroutine that read it, waits for its write turn (request order) and
-// writes its own response; one that kept the read turn then reads the next
-// request. At a window of 0 or 1, or when the peer does not pipeline, that
-// is one goroutine running one exchange at a time.
+// on it, and the interpreter of its turns. Every exchange runs its handler
+// on the goroutine that read it and writes its own response in request
+// order; one that kept the read turn then reads the next request. At a
+// window of 0 or 1, or when the peer does not pipeline, that is one
+// goroutine running one exchange at a time.
 type serverConn struct {
 	s  *Server
 	nc net.Conn
@@ -344,7 +335,9 @@ func (c *serverConn) respond(seq uint64, resp *Response, shut bool) bool {
 func (c *serverConn) exit() {
 	s := c.s
 	if c.on(func(t *turns) act { return t.release(false) })&aClose != 0 {
-		s.removeConn(c)
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
 		releaseServerConn(c)
 	}
 	s.wg.Done()

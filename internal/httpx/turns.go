@@ -4,9 +4,9 @@ import "math/bits"
 
 // turns is one connection's turn bookkeeping, at either end, as one machine.
 // Each end hands one turn out first come and the other in sequence (seq)
-// order: the client writes requests first come and reads responses in seq
-// order, and the server reads requests first come and writes responses in
-// seq order. A seq that was given up is passed over. turns holds plain fields
+// order, passing over a seq that was given up: the client writes requests
+// first come and reads responses in seq order, and the server reads requests
+// first come and writes responses in seq order. turns holds plain fields
 // under its interpreter's lock (Client.mu, serverConn.mu). It does no I/O,
 // reads no clock and starts nothing: each method is an event that returns an
 // act for the interpreter, client.go or server.go, to carry out.
@@ -19,7 +19,7 @@ type turns struct {
 	writer   uint64 // client: seq+1 of the request being written; 0 when none
 	reader   uint64 // client: seq+1 of the exchange holding the read turn; 0 when none
 	reading  bool   // server: the read-turn holder waits for a request
-	idle     bool   // server: ... and no byte of it was buffered when it began
+	idle     bool   // server: ... with nothing buffered when it began
 	draining bool   // server: Shutdown has begun
 	closed   bool   // the connection failed or closes: no turn is handed out any more
 }
@@ -28,7 +28,7 @@ type turns struct {
 type act uint16
 
 const (
-	aRead      act = 1 << iota // client: read the responses given up ahead of the exchange, then its own
+	aRead      act = 1 << iota // client: read past the responses given up ahead, then its own
 	aWrite                     // write the request or the response
 	aSpawn                     // server: hand the read turn to a new goroutine
 	aSetRead                   // set the read deadline: the exchange's, or ReadTimeout from now
@@ -42,15 +42,20 @@ const (
 	aResend                    // client: send the request again on a fresh connection
 )
 
-// maxWindow bounds a client connection's window: gone has a bit for each
-// seq written and not yet answered.
+// maxWindow bounds a client connection's window: gone has a bit per seq.
 const maxWindow = 64
 
-// slot is one client exchange's place on its connection, held by the
-// exchange's goroutine and changed only by events under the lock.
+// slot is one client exchange's place on its connection, held by its
+// goroutine and changed only by events.
 type slot struct {
 	seq    uint64 // its request's place on the wire
 	resend bool   // a failure sends the request again (see join)
+}
+
+// end closes the connection, with a.
+func (t *turns) end(a act) act {
+	t.closed = true
+	return a | aClose
 }
 
 // Client events.
@@ -79,8 +84,7 @@ func (t *turns) writeBegun(x *slot) act {
 	return aWrite | aSetWrite
 }
 
-// writeEnded: x's request is written, or its write failed (then failed
-// follows).
+// writeEnded: x's request is written, or its write failed (failed follows).
 func (t *turns) writeEnded() { t.writer = 0 }
 
 // readWanted: x, its request written, wants the read turn; ended when its
@@ -122,8 +126,7 @@ func (t *turns) responseBegun(x *slot, ok, cut bool) act {
 func (t *turns) responseEnded(shut, keep bool) act {
 	t.done, t.gone, t.reader = t.done+1, t.gone>>1, 0
 	if shut {
-		t.closed = true
-		return aClose | aWake
+		return t.end(aWake)
 	}
 	return aWake | t.release(keep)
 }
@@ -136,8 +139,7 @@ func (t *turns) release(keep bool) act {
 	if t.users--; t.users > 0 || keep && !t.closed && t.gone == 0 {
 		return 0
 	}
-	t.closed = true
-	return aClose
+	return t.end(0)
 }
 
 // leave: x gives up its place before its response began; the exchange whose
@@ -149,8 +151,7 @@ func (t *turns) leave(x *slot) act {
 		t.reader = 0
 	}
 	if t.users--; t.users == 0 {
-		t.closed = true
-		return aClose | aWake
+		return t.end(aWake)
 	}
 	return aWake
 }
@@ -159,7 +160,7 @@ func (t *turns) leave(x *slot) act {
 // connection closes and its waiters wake, and x is sent again if it may be.
 func (t *turns) failed(x *slot) (a act) {
 	if !t.closed {
-		t.closed, a = true, aClose|aWake
+		a = t.end(aWake)
 	}
 	if x.resend {
 		a |= aResend
@@ -175,8 +176,7 @@ func (t *turns) ctxEnded(seq uint64) act {
 	case t.writer == seq+1:
 		return aCutWrite
 	case t.reader == seq+1 && t.users == 1:
-		t.closed = true
-		return aClose | aWake
+		return t.end(aWake)
 	case t.reader == seq+1:
 		return aCutRead
 	}
@@ -188,8 +188,7 @@ func (t *turns) closeIdle() act {
 	if t.users > 0 || t.closed {
 		return 0
 	}
-	t.closed = true
-	return aClose
+	return t.end(0)
 }
 
 // Server events.
@@ -204,8 +203,7 @@ func (t *turns) readBegun(buffered bool) act {
 	case t.closed:
 		return aClose
 	case t.draining && !owed && !buffered:
-		t.closed = true
-		return aClose
+		return t.end(0)
 	}
 	t.reading, t.idle = true, !buffered
 	if owed {
@@ -244,6 +242,10 @@ func (t *turns) malformed() (seq uint64) {
 	return t.next - 1
 }
 
+// peerGone: the reader's read ended with no request — the peer closed or
+// went quiet, or the connection closed — and the reader leaves (release).
+func (t *turns) peerGone() { t.reading = false }
+
 // writeWanted: seq's handler has returned, and its goroutine wants the write
 // turn; shut when the response closes the connection. The response goes out
 // in seq order, with its deadline, and closes the connection when it is the
@@ -256,8 +258,7 @@ func (t *turns) writeWanted(seq uint64, shut bool) act {
 	case seq != t.done:
 		return 0
 	case shut || t.draining && seq+1 == t.next:
-		t.closed = true
-		return aWrite | aSetWrite | aClose
+		return t.end(aWrite | aSetWrite)
 	}
 	return aWrite | aSetWrite
 }
@@ -268,17 +269,13 @@ func (t *turns) writeWanted(seq uint64, shut bool) act {
 func (t *turns) written(ok bool) (a act) {
 	t.done++
 	if !ok && !t.closed {
-		t.closed, a = true, aClose
+		a = t.end(0)
 	}
 	if t.reading && !t.closed && t.done == t.next {
 		a |= aSetRead
 	}
 	return a | aWake
 }
-
-// peerGone: the reader's read ended with no request — the peer closed or
-// went quiet, or the connection closed — and the reader leaves (release).
-func (t *turns) peerGone() { t.reading = false }
 
 // shutdown: Shutdown begins. A connection whose reader waits with nothing
 // owed and nothing buffered closes at once; any other closes after the last
@@ -288,13 +285,9 @@ func (t *turns) shutdown() act {
 	if t.closed || !t.reading || !t.idle || t.next != t.done {
 		return 0
 	}
-	t.closed = true
-	return aClose
+	return t.end(0)
 }
 
 // close: Close ends the connection; the goroutines waiting to write wake to
 // drop their responses.
-func (t *turns) close() act {
-	t.closed = true
-	return aClose | aWake
-}
+func (t *turns) close() act { return t.end(aWake) }
