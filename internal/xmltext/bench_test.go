@@ -42,7 +42,9 @@ func benchTokenize(b *testing.B, doc string, open func() (*Tokenizer, func())) {
 
 // BenchmarkTokenize measures tokenizer throughput at SOAP-typical sizes:
 // over a reader (NewTokenizer reads it whole first) and on the pooled
-// tokenizer in raw-text mode, the path servers run.
+// tokenizer in raw-text mode, the path servers run — by one goroutine, and by
+// as many as -cpu says at once, as a server's workers and a gateway's shards
+// tokenize, sharing the interning tables.
 func BenchmarkTokenize(b *testing.B) {
 	for _, size := range []int{1 << 10, 64 << 10, 1 << 20} {
 		doc := buildDoc(size)
@@ -52,11 +54,30 @@ func BenchmarkTokenize(b *testing.B) {
 				return NewTokenizer(strings.NewReader(doc)), func() {}
 			})
 		})
+		acquire := func() (*Tokenizer, func()) {
+			tk := AcquireTokenizer(docBytes)
+			tk.SetRawText(true)
+			return tk, func() { ReleaseTokenizer(tk) }
+		}
 		b.Run(fmt.Sprintf("acquire-%dKB", size/1024), func(b *testing.B) {
-			benchTokenize(b, doc, func() (*Tokenizer, func()) {
-				tk := AcquireTokenizer(docBytes)
-				tk.SetRawText(true)
-				return tk, func() { ReleaseTokenizer(tk) }
+			benchTokenize(b, doc, acquire)
+		})
+		b.Run(fmt.Sprintf("acquire-parallel-%dKB", size/1024), func(b *testing.B) {
+			b.SetBytes(int64(len(doc)))
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					tk, done := acquire()
+					for {
+						if _, err := tk.Next(); err == io.EOF {
+							break
+						} else if err != nil {
+							b.Error(err)
+							return
+						}
+					}
+					done()
+				}
 			})
 		})
 	}
