@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check test test-386 shape-census race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench bench-smoke figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check census
+.PHONY: check build dist vet fmt-check test test-386 shape-census race race-stage race-assemble race-metrics race-pools race-gateway race-controlplane race-transport race-streamfeatures bench bench-smoke figures fuzz-smoke bench-check bench-gate vet-escapes vet-faults vet-onewriter vet-prefix docs-check census
 
 ## check: the full gate — build, vet, the gofmt check, race-enabled shuffled tests, the
 ## application-stage pool's and the completion collector's 30-run censuses,
@@ -41,6 +41,11 @@ check:
 
 build:
 	$(GO) build ./...
+
+## dist: the servers as shipped — static binaries built with CGO_ENABLED=0, so
+## they map no libc and resolve names with Go's own resolver — into dist/.
+dist:
+	CGO_ENABLED=0 $(GO) build -o dist/ ./cmd/spiserver ./cmd/spigateway
 
 vet:
 	$(GO) vet ./...
@@ -123,18 +128,20 @@ race-pools:
 ## pooled request body that the transport reuses once the handler returns,
 ## and shard goroutines may outlive it — and of core's scatter, sub-batch and
 ## coalescible-call readers and of the batching window both automatic packers
-## form their batches in (BatchWindow, AutoBatcher). The chaos, failover, ejection and probe suites and the
+## form their batches in (BatchWindow, AutoBatcher); and of the one reply
+## reader client, gather and coalescer share (the hostile-reply table, the
+## gateway reply fuzzer's seeds, the client's reply precedence). The chaos, failover, ejection and probe suites and the
 ## deadline-degrade and relayed-deadline differentials wait out wall-clock timeouts, so they keep
 ## two runs; the coalescer's shutdown test waits out a five-second shutdown
-## and orders nothing. Wall time on a 2-vCPU box: 73 s, 25 s and 27 s for the
-## three lines, 2 min 10 s in all.
+## and orders nothing. Wall time on a 2-vCPU box: 111 s, 14 s and 32 s for the
+## three lines, 2 min 40 s in all.
 race-gateway:
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 -short \
-		-run='Scatter|SubBatch|Coalesce|Passthrough|Differential|OneReader|OutlivesRequestBody' \
+		-run='Scatter|SubBatch|Coalesce|Passthrough|Differential|OneReader|OutlivesRequestBody|Hostile|ReplyIDs|GatewayReply' \
 		-skip='TestChaos|TestCoalesceShutdownReleasesParked|TestDifferentialDeadlineDegrade|TestDifferentialRelayedDeadline' \
 		./internal/gateway
 	$(GO) test -race -shuffle=on -count=30 -cpu 1,2 \
-		-run='SubBatch|ScatterRequest|Coalescible|SealID|SplitGather|BatchWindow|AutoBatcher' ./internal/core
+		-run='SubBatch|ScatterRequest|Coalescible|SealID|SplitGather|BatchWindow|AutoBatcher|ReplyPrecedence|IsEntryFault|StripEntryID' ./internal/core
 	$(GO) test -race -count=2 -run='Chaos|Failover|Ejection|Probe|TestDifferentialDeadlineDegrade|TestDifferentialRelayedDeadline' \
 		./internal/gateway
 
@@ -195,7 +202,7 @@ figures:
 	$(GO) run ./cmd/spibench -fig faults
 
 ## fuzz-smoke: run each fuzz target briefly against the codec layer and the
-## client's reply reader.
+## reply reader, as the client and as the gateway use it.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenizer$$' -fuzztime=10s ./internal/xmltext
 	$(GO) test -run='^$$' -fuzz='^FuzzCharData$$' -fuzztime=10s ./internal/xmltext
@@ -203,6 +210,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseEnvelope$$' -fuzztime=10s ./internal/soap
 	$(GO) test -run='^$$' -fuzz='^FuzzStreamDecoder$$' -fuzztime=10s ./internal/soap
 	$(GO) test -run='^$$' -fuzz='^FuzzClientReply$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzGatewayReply$$' -fuzztime=10s ./internal/gateway
 	$(GO) test -run='^$$' -fuzz='^FuzzReadResponse$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRequestStream$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzParseStats$$' -fuzztime=10s ./internal/admin

@@ -450,7 +450,7 @@ func main() {
 		reply := append([]byte(nil), resp.Body...)
 		resp.Release()
 		env.Close()
-		split, err := sr.SplitResponse(reply)
+		split, err := sr.SplitResponse(reply, shard)
 		segs := split.Segments
 		if err != nil || len(segs) != len(shard) {
 			fatal("splitting the backend's reply", fmt.Errorf("%d segments: %v", len(segs), err))
@@ -475,7 +475,7 @@ func main() {
 		add(measure("core/gather-split-8", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sr.SplitResponse(reply); err != nil {
+				if _, err := sr.SplitResponse(reply, shard); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -134,12 +134,12 @@ func charDataAcceptance(t *testing.T, dir string) {
 		code, body = postDoc(t, sys, "/services", v, sub)
 		checkPacked(what+": scatter", code, body)
 
-		reply, err := sr.SplitResponse(response)
+		reply, err := sr.SplitResponse(response, nil)
 		if err != nil || len(reply.Segments) != len(calls) {
 			t.Fatalf("%s: SplitResponse: %d segments, %v", what, len(reply.Segments), err)
 		}
 		col := sr.NewCollector()
-		col.Declare(reply)
+		col.Gather(0, nil, &reply)
 		for slot, seg := range reply.Segments {
 			col.Deliver(slot, seg)
 		}

@@ -592,22 +592,19 @@ func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmlt
 		return err
 	}
 	defer r.release()
-	if f := r.env.Fault(); f != nil {
-		c.faults.Add(1)
-		return fault.Classify(detachFault(f))
-	}
-	if len(r.env.Body) != 1 || !isPackedResponse(r.env.Body[0]) {
-		return fmt.Errorf("core: response is not a %s", ElemParallelResponse)
-	}
-	if r.bad != nil {
-		return r.bad
+	if err := r.packedErr(); err != nil {
+		if f, ok := err.(*soap.Fault); ok {
+			c.faults.Add(1)
+			return fault.Classify(f)
+		}
+		return err
 	}
 	// Client-side dispatcher: each call takes what its slot holds.
 	for id, call := range calls {
 		s := &slots[id]
 		switch {
 		case !s.answered:
-			call.resolve(nil, fmt.Errorf("core: no response for packed call %d (%s.%s)", id, call.Service, call.Op))
+			call.resolve(nil, NoResponse(id, call.Service, call.Op))
 		case s.fault != nil:
 			c.faults.Add(1)
 			cf := fault.Classify(detachFault(s.fault))
@@ -662,12 +659,12 @@ func (c *Client) postPooled(ctx context.Context, target string, doc []byte, slot
 		return reply{}, err
 	}
 	start := c.cfg.Tracer.Now()
-	r, err := readReply(resp.Body, slots)
+	r, err := readReply(resp.Body, reply{slots: slots})
 	if err != nil {
 		if resp.StatusCode != 200 {
 			return reply{}, fmt.Errorf("core: HTTP %d: %s", resp.StatusCode, truncate(resp.Body, 200))
 		}
-		return reply{}, fmt.Errorf("core: decoding response: %w", err)
+		return reply{}, err
 	}
 	r.start = start
 	return r, nil

@@ -8,6 +8,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/xmldom"
+	"repro/internal/xmltext"
 )
 
 // Cross-client coalescing support for the gateway: the pieces that turn a
@@ -16,19 +17,14 @@ import (
 // HTTP response a direct server would have produced for the original call.
 //
 // The same byte-identity argument as the scatter path applies (see the
-// comment atop gateway.go in this package): the segment bytes are never
-// re-serialized. A packed-response entry differs from the direct server's
-// single-response body entry in exactly one way — the trailing
-// spi:id="N" attribute on its root start tag (both the DOM assembler and
-// the streaming encoder emit xmlns:m first, then spi:id) — so removing
-// that attribute and re-framing the segment in a fresh envelope reproduces
-// the direct response byte for byte. Per-item faults are the one place a
-// re-encode is unavoidable: packed responses carry them in the SOAP 1.1
-// per-item layout while a direct server answers with a whole-message
-// HTTP 500 fault in the request's version, so the fault is decoded from
-// the segment and re-rendered through the same GatewayFaultResponse the
-// scatter path uses (which serializes exactly like the server's own
-// faultResponse).
+// comment atop gateway.go in this package): only an entry's start tag is
+// written anew, here without the spi:id that is the one difference between a
+// packed-response entry and the direct server's single-response body entry.
+// A per-item fault is re-encoded: a packed response carries it in the SOAP
+// 1.1 per-item layout, a direct server answers with a whole-message HTTP 500
+// fault in the request's version, so the fault the reply reader parsed goes
+// out through GatewayFaultResponse, which serializes exactly like the
+// server's own faultResponse.
 
 // coalescibleEntry prepares el, the one entry of a single call read to its
 // end by d, for a coalesced batch. A nil return means the call must NOT be
@@ -59,7 +55,7 @@ func coalescibleEntry(d *soap.StreamDecoder, el *xmldom.Element, service string,
 	return &ScatterEntry{
 		Service: req.service, Op: req.op, name: el.Name,
 		attrs: subBatchScope(ownAttrs(el.Attrs), el.Parent, env.Version, false),
-		inner: bytes.Clone(innerSpan(d.BodySpans()[0])),
+		inner: bytes.Clone(d.Content()),
 	}
 }
 
@@ -70,120 +66,50 @@ func (e *ScatterEntry) SealID(id int) {
 	e.ID = id
 }
 
-// entryIDAttr is the serialized spi:id attribute prefix inside a start
-// tag. The emitter always double-quotes attribute values.
-var entryIDAttr = []byte(` ` + PrefixPack + `:id="`)
-
-// StripEntryID returns the segment with the spi:id attribute removed from
-// its root start tag, which is the only byte-level difference between a
-// packed-response entry and the direct server's single-response body
-// entry. A segment with no spi:id is returned unchanged.
-func StripEntryID(segment []byte) []byte {
-	at, end := idSpan(segment)
-	if at < 0 {
-		return segment
+// SpliceSingleResponse turns one packed-response segment, an operation's
+// response, back into the HTTP 200 response a direct server would have
+// produced for the same single call: its start tag written anew less the
+// spi:id, the bytes inside it spliced, framed under rawHeader (usually nil)
+// and declaring decls, as the scatter path frames a reply's segments.
+func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte, decls soap.Decls) *httpx.Response {
+	tk := xmltext.AcquireTokenizer(segment)
+	defer xmltext.ReleaseTokenizer(tk)
+	tk.SetReuseTokenAttrs(true)
+	tok, err := tk.Next()
+	if err != nil || tok.Kind != xmltext.KindStartElement {
+		return encodeFailureResponse()
 	}
-	out := make([]byte, 0, len(segment)-(end-at))
-	out = append(out, segment[:at]...)
-	return append(out, segment[end:]...)
-}
-
-// entryID is the spi:id a segment carries, -1 when it carries none.
-func entryID(segment []byte) int {
-	at, end := idSpan(segment)
-	if at < 0 {
-		return -1
-	}
-	id, err := strconv.Atoi(string(segment[at+len(entryIDAttr) : end-1]))
-	if err != nil {
-		return -1
-	}
-	return id
-}
-
-// idSpan locates the spi:id attribute, segment[at:end], on the segment's root
-// start tag; at is -1 when there is none. Segments come from the server's own
-// emitter (attribute values double-quoted, namespace URIs attribute-safe), so
-// a plain byte scan bounded by the root tag is exact.
-func idSpan(segment []byte) (at, end int) {
-	gt, _, _, err := scanTag(segment, 0)
-	if err != nil {
-		return -1, 0
-	}
-	at = bytes.Index(segment[:gt], entryIDAttr)
-	if at < 0 {
-		return -1, 0
-	}
-	q := bytes.IndexByte(segment[at+len(entryIDAttr):gt], '"')
-	if q < 0 {
-		return -1, 0
-	}
-	return at, at + len(entryIDAttr) + q + 1
-}
-
-// IsEntryFault reports whether a stripped segment is a per-item fault
-// entry, <P:Fault under any prefix P, rather than an operation response.
-func IsEntryFault(segment []byte) bool {
-	return entryFaultPrefix(segment) != nil
-}
-
-// entryFaultPrefix returns P of a segment opening <P:Fault, nil for any other.
-func entryFaultPrefix(segment []byte) []byte {
-	if end := bytes.IndexAny(segment, " />"); end > 0 {
-		p, local, _ := bytes.Cut(segment[1:end], []byte(":"))
-		if segment[0] == '<' && len(p) > 0 && string(local) == "Fault" {
-			return p
-		}
-	}
-	return nil
-}
-
-// DecodeEntryFault decodes a per-item fault segment by re-homing it in a
-// synthetic envelope that binds the segment's own prefix. Per-item faults
-// always use the SOAP 1.1 layout regardless of the batch's envelope
-// version, so the synthetic envelope is SOAP 1.1. Nil when the segment
-// does not parse as a fault.
-func DecodeEntryFault(segment []byte) *soap.Fault {
-	p := entryFaultPrefix(segment)
-	if p == nil {
-		return nil
-	}
-	doc := spell(nil, `<*:Envelope xmlns:*="`+soap.NSEnvelope+`"><*:Body>`, p)
-	doc = spell(append(doc, segment...), `</*:Body></*:Envelope>`, p)
-	env, err := soap.Decode(bytes.NewReader(doc))
-	if err != nil {
-		return nil
-	}
-	return detachFault(env.Fault())
-}
-
-// SpliceSingleResponse turns one packed-response segment back into the
-// HTTP response a direct server would have produced for the same single
-// call. Operation responses become a 200 envelope framed around the raw
-// segment bytes (rawHeader, usually nil, splices the backend's response
-// header section in, as the scatter path does). Per-item fault segments
-// become the whole-message HTTP 500 fault in the request's version —
-// rendered through the same encoder as the server's own faultResponse, so
-// the bytes match a direct server faulting the same call. The second
-// return value reports that fault case. decls is what the Envelope of the
-// reply the segment was cut from declared on demand (GatherReply.Decls), so
-// this one declares it too.
-func SpliceSingleResponse(v soap.Version, segment, rawHeader []byte, decls soap.Decls) (*httpx.Response, bool) {
-	seg := StripEntryID(segment)
-	if IsEntryFault(seg) {
-		f := DecodeEntryFault(seg)
-		if f == nil {
-			f = soap.ServerFault("gateway: undecodable fault entry from backend")
-		}
-		return GatewayFaultResponse(f, v), true
+	var content []byte
+	if inner := segment[tk.InputOffset():]; !tok.SelfClosing {
+		content = inner[:bytes.LastIndexByte(inner, '<')]
 	}
 	enc := soap.NewStreamEncoder()
 	enc.BeginRawHeader(v, rawHeader)
 	enc.Emitter().Mark(decls)
-	enc.Emitter().Raw(seg)
+	entryAnew(enc.Emitter(), tok.Name, tok.Attrs, -1, content)
 	resp, err := encodedResponse(200, v, enc)
 	if err != nil {
-		return encodeFailureResponse(), true
+		return encodeFailureResponse()
 	}
-	return resp, false
+	return resp
+}
+
+// entryAnew writes a reply entry with its start tag written anew — its
+// attributes less spi:id, then spi:id when id is not negative — and content,
+// nil for a self-closing entry, spliced.
+func entryAnew(em *xmltext.Emitter, name xmltext.Name, attrs []xmltext.Attr, id int, content []byte) {
+	em.Start(name)
+	for _, a := range attrs {
+		if a.Name != attrID {
+			em.Attr(a.Name, a.Value)
+		}
+	}
+	if id >= 0 {
+		var tmp [24]byte
+		em.AttrRaw(attrID, strconv.AppendInt(tmp[:0], int64(id), 10))
+	}
+	if content != nil {
+		em.Raw(content)
+	}
+	em.End()
 }

@@ -104,54 +104,68 @@ func TestSealIDMatchesScatterAnnotation(t *testing.T) {
 	}
 }
 
+// TestStripEntryID: a segment spliced into a single call's response keeps
+// everything but the spi:id on its own start tag, however that tag is spelled.
 func TestStripEntryID(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{`<m:echoResponse xmlns:m="urn:x" spi:id="3"><data>v</data></m:echoResponse>`,
 			`<m:echoResponse xmlns:m="urn:x"><data>v</data></m:echoResponse>`},
-		{`<SOAP-ENV:Fault spi:id="12"><faultcode>SOAP-ENV:Server</faultcode></SOAP-ENV:Fault>`,
-			`<SOAP-ENV:Fault><faultcode>SOAP-ENV:Server</faultcode></SOAP-ENV:Fault>`},
+		{`<m:r spi:id='3' xmlns:m='urn:x' a='1 > 0'/>`, `<m:r xmlns:m="urn:x" a="1 &gt; 0"/>`},
+		{`<m:r xmlns:m="urn:x" spi:id="3"></m:r>`, `<m:r xmlns:m="urn:x"></m:r>`},
 		// No spi:id: unchanged.
 		{`<m:r xmlns:m="urn:x"><a>1</a></m:r>`, `<m:r xmlns:m="urn:x"><a>1</a></m:r>`},
 		// spi:id beyond the root tag is not touched.
 		{`<m:r xmlns:m="urn:x"><a spi:id="9">1</a></m:r>`, `<m:r xmlns:m="urn:x"><a spi:id="9">1</a></m:r>`},
 	}
 	for _, tc := range cases {
-		if got := string(StripEntryID([]byte(tc.in))); got != tc.want {
-			t.Errorf("StripEntryID(%s)\n got %s\nwant %s", tc.in, got, tc.want)
+		resp := SpliceSingleResponse(soap.V11, []byte(tc.in), nil, 0)
+		if want := `<s:Body>` + tc.want + `</s:Body>`; resp.StatusCode != 200 || !bytes.Contains(resp.Body, []byte(want)) {
+			t.Errorf("%s spliced to HTTP %d\n%s\nwant it to hold %s", tc.in, resp.StatusCode, resp.Body, want)
 		}
+		resp.Release()
 	}
 }
 
-// TestIsEntryFault: a fault entry is recognised, and decoded, under whatever
-// prefix its writer bound to the envelope namespace.
+// TestIsEntryFault: the reply reader takes an entry for a per-item fault, and
+// parses it, under whatever prefix its writer bound to the envelope
+// namespace, and an entry named Fault in any other namespace for an ordinary
+// one.
 func TestIsEntryFault(t *testing.T) {
-	for _, p := range []string{"SOAP-ENV", "s", "soapenv"} {
-		seg := []byte(`<` + p + `:Fault><faultcode>` + p + `:Client</faultcode><faultstring>bad &amp; worse</faultstring></` + p + `:Fault>`)
-		if !IsEntryFault(seg) {
-			t.Errorf("%s: fault segment not recognized", p)
+	shard := []*ScatterEntry{{ID: 0}}
+	read := func(p, decl, entry string) GatherReply {
+		t.Helper()
+		doc := `<` + p + `:Envelope xmlns:` + p + `="` + soap.NSEnvelope + `"` + decl + `><` + p + `:Body>` +
+			`<spi:Parallel_Response xmlns:spi="` + NSPack + `">` + entry + `</spi:Parallel_Response></` + p + `:Body></` + p + `:Envelope>`
+		r, err := (&ScatterRequest{}).SplitResponse([]byte(doc), shard)
+		if err != nil || r.Segments[0] == nil {
+			t.Fatalf("%s: %v", doc, err)
 		}
-		if f := DecodeEntryFault(seg); f == nil || f.Code != soap.FaultClient || f.String != "bad & worse" {
-			t.Errorf("%s: fault segment decodes to %+v", p, f)
+		return r
+	}
+	for _, p := range []string{"SOAP-ENV", "s", "soapenv"} {
+		r := read(p, "", `<`+p+`:Fault><faultcode>`+p+`:Client</faultcode><faultstring>bad &amp; worse</faultstring></`+p+`:Fault>`)
+		if len(r.Faults) != 1 || r.Faults[0].Code != soap.FaultClient || r.Faults[0].String != "bad & worse" {
+			t.Errorf("%s: fault entry read as %+v", p, r.Faults)
 		}
 	}
-	for _, seg := range []string{
-		`<SOAP-ENV:Faulty xmlns:m="urn:x"/>`,
+	for _, entry := range []string{
+		`<s:Faulty/>`,
 		`<m:echoResponse xmlns:m="urn:x"></m:echoResponse>`,
 		`<m:FaultResponse xmlns:m="urn:x"></m:FaultResponse>`,
 		`<Fault/>`,
-		`<:Fault/>`,
-		`<s:Fault`,
+		`<f:Fault xmlns:f="urn:not-soap"><faultstring>no</faultstring></f:Fault>`,
 	} {
-		if IsEntryFault([]byte(seg)) || DecodeEntryFault([]byte(seg)) != nil {
-			t.Errorf("%s misclassified as a fault", seg)
+		if r := read("s", "", entry); r.Faults != nil {
+			t.Errorf("%s misclassified as a fault", entry)
 		}
 	}
 }
 
 // TestSpliceSingleResponseParity pins the splice against the server's own
 // encoders: an op segment re-frames to the exact bytes the server
-// answers a single call with, and a fault segment re-renders to the
-// exact whole-message fault bytes, in both envelope versions.
+// answers a single call with, and a fault entry, as the reply reader parses
+// it, re-renders to the exact whole-message fault bytes, in both envelope
+// versions.
 func TestSpliceSingleResponseParity(t *testing.T) {
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		t.Run(fmt.Sprint(v), func(t *testing.T) {
@@ -176,9 +190,9 @@ func TestSpliceSingleResponseParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, isFault := SpliceSingleResponse(v, seg, nil, 0)
-			if isFault || resp.StatusCode != 200 {
-				t.Fatalf("splice: fault=%v status=%d", isFault, resp.StatusCode)
+			resp := SpliceSingleResponse(v, seg, nil, 0)
+			if resp.StatusCode != 200 {
+				t.Fatalf("splice: status=%d", resp.StatusCode)
 			}
 			if !bytes.Equal(resp.Body, want) {
 				t.Errorf("success splice diverged\n got %s\nwant %s", resp.Body, want)
@@ -202,9 +216,15 @@ func TestSpliceSingleResponseParity(t *testing.T) {
 			fEnc.Release()
 
 			wantFault := GatewayFaultResponse(f, v)
-			resp, isFault = SpliceSingleResponse(v, fseg, nil, 0)
-			if !isFault || resp.StatusCode != 500 {
-				t.Fatalf("fault splice: fault=%v status=%d", isFault, resp.StatusCode)
+			doc := `<s:Envelope xmlns:s="` + soap.NSEnvelope + `"><s:Body><spi:Parallel_Response xmlns:spi="` + NSPack + `">` +
+				string(fseg) + `</spi:Parallel_Response></s:Body></s:Envelope>`
+			r, err := (&ScatterRequest{}).SplitResponse([]byte(doc), []*ScatterEntry{{ID: 5}})
+			if err != nil || len(r.Faults) != 1 {
+				t.Fatalf("fault entry: %+v, %v", r.Faults, err)
+			}
+			resp = GatewayFaultResponse(r.Faults[0], v)
+			if resp.StatusCode != 500 {
+				t.Fatalf("fault splice: status=%d", resp.StatusCode)
 			}
 			if !bytes.Equal(resp.Body, wantFault.Body) {
 				t.Errorf("fault splice diverged\n got %s\nwant %s", resp.Body, wantFault.Body)

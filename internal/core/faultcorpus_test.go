@@ -59,30 +59,47 @@ func exactGolden(t *testing.T, dir, name string, got []byte) {
 // id, so two responses that differ only in that order are one answer. A
 // document with no Parallel_Response comes back as it is.
 func byID(doc []byte) []byte {
-	open := bytes.Index(doc, []byte("<"+PrefixPack+":"+ElemParallelResponse+" "))
-	end := bytes.LastIndex(doc, []byte("</"+PrefixPack+":"+ElemParallelResponse+">"))
-	if open < 0 || end < open {
-		return doc
-	}
-	gt, _, _, err := scanTag(doc, open)
-	if err != nil {
-		return doc
-	}
-	entries, err := splitTopLevelElements(doc[gt+1 : end])
-	if err != nil {
-		return doc
-	}
-	goldenID := func(entry []byte) int {
-		gt, _, _, _ := scanTag(entry, 0)
-		_, v, _ := bytes.Cut(entry[:gt], []byte(` spi:id="`))
-		id, err := strconv.Atoi(string(v[:max(bytes.IndexByte(v, '"'), 0)]))
-		if err != nil {
-			return -1
+	type entry struct{ id, start, end int }
+	var entries []entry
+	tk := xmltext.NewTokenizer(bytes.NewReader(doc))
+	list, depth, start, id := 0, 0, 0, -1 // list: Parallel_Response's depth
+	for {
+		pos := int(tk.InputOffset())
+		tok, err := tk.Next()
+		if err != nil || list > 0 && depth < list {
+			break
 		}
-		return id
+		switch tok.Kind {
+		case xmltext.KindStartElement:
+			depth++
+			switch {
+			case list == 0 && tok.Name == (xmltext.Name{Prefix: PrefixPack, Local: ElemParallelResponse}):
+				list = depth
+			case list > 0 && depth == list+1:
+				start, id = pos, -1
+				for _, a := range tok.Attrs {
+					if n, err := strconv.Atoi(a.Value); a.Name == attrID && err == nil {
+						id = n
+					}
+				}
+			}
+		case xmltext.KindEndElement:
+			if list > 0 && depth == list+1 {
+				entries = append(entries, entry{id, start, int(tk.InputOffset())})
+			}
+			depth--
+		}
 	}
-	sort.SliceStable(entries, func(i, j int) bool { return goldenID(entries[i]) < goldenID(entries[j]) })
-	return slices.Concat(doc[:gt+1], bytes.Join(entries, nil), doc[end:])
+	if len(entries) == 0 {
+		return doc
+	}
+	head, tail := entries[0].start, entries[len(entries)-1].end
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
+	out := slices.Clone(doc[:head])
+	for _, e := range entries {
+		out = append(out, doc[e.start:e.end]...)
+	}
+	return append(out, doc[tail:]...)
 }
 
 func pinGolden(t *testing.T, dir, name string, got []byte, view func([]byte) []byte) {

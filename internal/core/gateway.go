@@ -3,10 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/httpx"
 	"repro/internal/registry"
@@ -24,18 +23,16 @@ import (
 // they complete, each carrying its spi:id.
 //
 // The gateway reads a packed request with the server's own reader
-// (readPacked), so the two agree on every entry and every whole-message
-// fault, and it never writes an entry out again in either direction. A
-// sub-batch rewrites only each entry's start tag — the pack annotations
-// differ per sub-batch — and splices the bytes inside it verbatim; a reply
-// is cut into raw segments that are spliced into the gathered response.
-// Byte identity is why: parse→serialize is not the identity on this
-// codebase's wire format (an empty element parses into a node that
-// serializes as <a/>, while the server's typed encoder deliberately emits
-// <a></a> for empty string results). The server's response framing is
-// deterministic — same attribute order, same declarations for both SOAP
-// versions, one envelope prefix read off the Envelope tag — so the gateway
-// can walk exact byte markers and never touch the entry bytes in between.
+// (readPacked), and a backend's reply with the client's (readReply), so it
+// agrees with each about every entry and every whole-message fault; and it
+// never writes an entry out again in either direction. A sub-batch rewrites
+// only each entry's start tag — the pack annotations differ per sub-batch —
+// and splices the bytes inside it verbatim; a reply's entries are stepped
+// over as tokens, not built into trees, and spliced into the gathered
+// response as the bytes they were. Byte identity is why: parse→serialize is
+// not the identity on this codebase's wire format (an empty element parses
+// into a node that serializes as <a/>, while the server's typed encoder
+// deliberately emits <a></a> for empty string results).
 //
 // Both hops the gateway writes follow appendRequestEntry's framing rule: a
 // sub-batch declares the client's own batch default, so the backends answer
@@ -157,7 +154,7 @@ func readScatterRequest(body []byte, defaultService string, coalesce bool, reg *
 			e := &ScatterEntry{Slot: slot, ID: slot, Fault: f, batch: sr}
 			if f == nil {
 				e.ID, e.Service, e.Op = req.id, req.service, req.op
-				e.name, e.attrs, e.inner = el.Name, ownAttrs(el.Attrs), innerSpan(d.ChildSpan())
+				e.name, e.attrs, e.inner = el.Name, ownAttrs(el.Attrs), d.Content()
 			}
 			sr.Entries = append(sr.Entries, e)
 		},
@@ -176,16 +173,6 @@ func ownAttrs(attrs []xmltext.Attr) []xmltext.Attr {
 		}
 	}
 	return own
-}
-
-// innerSpan is what lies between the start and end tags of the element whose
-// bytes are span; nil for a self-closing one.
-func innerSpan(span []byte) []byte {
-	gt, selfClosing, _, err := scanTag(span, 0)
-	if err != nil || selfClosing {
-		return nil
-	}
-	return span[gt+1 : bytes.LastIndexByte(span, '<')]
 }
 
 // subBatchScope appends to attrs the namespace declarations in scope at el —
@@ -278,261 +265,121 @@ func BuildSubBatch(v soap.Version, headers []*xmldom.Element, entries []*Scatter
 	return append([]byte(nil), doc...), nil
 }
 
-// Byte markers of the server's canonical packed-response serialization. A '*'
-// stands for the prefix the reply's Envelope binds to the envelope namespace,
-// whichever version and writer (spell), so these hold for both.
-var (
-	gatherXMLDecl     = []byte(`<?xml `)
-	gatherEnvelope    = []byte(`:Envelope `)
-	gatherHeaderOpen  = `<*:Header>`
-	gatherHeaderEnd   = `</*:Header>`
-	gatherBodyOpen    = `<*:Body><` + PrefixPack + `:` + ElemParallelResponse + ` xmlns:` + PrefixPack + `="` + NSPack + `"`
-	gatherDefaultOpen = []byte(` xmlns:m="`)
-	gatherCDATAOpen   = []byte(`<![CDATA[`)
-	gatherCDATAEnd    = []byte(`]]>`)
-	gatherBodyClose   = `</` + PrefixPack + `:` + ElemParallelResponse + `></*:Body></*:Envelope>`
-)
-
-// spell appends marker to buf, each '*' in it spelled as the prefix p.
-func spell(buf []byte, marker string, p []byte) []byte {
-	for {
-		before, after, found := strings.Cut(marker, "*")
-		if buf = append(buf, before...); !found {
-			return buf
-		}
-		buf, marker = append(buf, p...), after
-	}
-}
-
-var errShape = errors.New("core: backend response is not a packed response")
-
-// GatherReply is a backend's packed-response document cut for splicing.
+// GatherReply is a backend's reply to a sub-batch, read for splicing: what it
+// said to each call of the shard, as bytes cut from one copy of the reply.
 type GatherReply struct {
-	// Segments holds one byte segment per entry, cut from a copy of the
-	// reply, in the order the backend completed them; IDs the spi:id each
-	// carries (-1 for none); RawHeader the contents of the reply's Header
-	// element, nil without one.
+	// Segments holds each answered call's entry, start tag to end tag, by the
+	// call's position in the shard (nil where none answered it), or in
+	// document order for SplitGatherResponse. Faults holds each per-item
+	// fault, parsed, by the same position, up to the last; nil for none.
+	// RawHeader is the content of the reply's Header, nil without one.
 	Segments  [][]byte
-	IDs       []int
+	Faults    []*soap.Fault
 	RawHeader []byte
-	// Decls is what the reply's Envelope declared on demand — SOAP-ENC, xsi,
-	// xsd — so what frames its segments must too: a backend declares each for
-	// a reply that uses it, one older than that rule always.
+	// Decls is what the reply declared on demand — SOAP-ENC, xsi, xsd — so
+	// what frames its segments must too: a backend declares each for a reply
+	// that uses it, one older than that rule always.
 	Decls soap.Decls
 	// Prefix is what the reply's Envelope bound the envelope namespace to; its
-	// fault entries and header blocks may be spelled with it.
-	Prefix string
-	def    []byte // Parallel_Response's xmlns:m as serialized; aliases the reply
+	// fault entries and header blocks may be spelled with it, or with an alias
+	// bound as well (a gathered response's).
+	Prefix  string
+	aliases []string
+	shard   []*ScatterEntry
 }
 
-// SplitGatherResponse slices a backend's packed-response document into its
-// per-entry byte segments plus the raw contents of its Header element (nil
-// when absent).
+// SplitGatherResponse cuts a backend's packed-response document into its
+// per-entry byte segments, in document order, plus the raw contents of its
+// Header element (nil when absent).
 func SplitGatherResponse(body []byte) (segments [][]byte, rawHeader []byte, err error) {
-	r, err := splitGather(body)
+	r, err := (*ScatterRequest)(nil).SplitResponse(body, nil)
 	return r.Segments, r.RawHeader, err
 }
 
-// SplitResponse is splitGather for the reply to one of sr's sub-batches. A
-// reply that declares a default must mirror the one the sub-batch declared:
-// under any other, its segments would be spliced into the gathered response
-// under a namespace they were not written for. One that declares none (a
-// backend older than the mirrored default) is made of entries that each
-// declare their own, which splice anywhere.
-func (sr *ScatterRequest) SplitResponse(body []byte) (GatherReply, error) {
-	r, err := splitGather(body)
+// SplitResponse reads the reply to the sub-batch carrying shard, one of sr's,
+// with the client's reader: the same whole-reply precedence, the same routing
+// of each entry to its call, the same rule for what may stand between
+// entries. The segments are spliced into the gathered response as they
+// stand, so the reply may lean on no namespace binding that one does not make
+// (scope). With a nil shard the entries are taken in document order, and with
+// a nil sr under any default.
+func (sr *ScatterRequest) SplitResponse(body []byte, shard []*ScatterEntry) (GatherReply, error) {
+	r := reply{gather: GatherReply{shard: shard}, gathering: true}
+	if shard != nil {
+		r.gather.Segments = make([][]byte, len(shard))
+	}
+	r, err := readReply(bytes.Clone(body), r)
 	if err != nil {
 		return GatherReply{}, err
 	}
-	var tmp [64]byte
-	if want := xmltext.AppendEscAttr(tmp[:0], sr.DefaultNS); len(r.def) > 0 && !bytes.Equal(r.def, want) {
-		return GatherReply{}, fmt.Errorf("core: backend answered under default namespace %q, the sub-batch declared %q", r.def, want)
+	defer r.release()
+	if err = r.packedErr(); err == r.bad && err != nil {
+		err = fmt.Errorf("core: the reply's answer spi:ids do not match the sub-batch: %w", err)
 	}
-	return r, nil
-}
-
-// splitGather walks the document from its first byte — an XML declaration if
-// the backend still writes one, Envelope start tag, Header if any, then Body
-// opening directly onto Parallel_Response — so no marker is ever matched
-// inside content. Markers are spelled with the prefix the Envelope binds.
-func splitGather(body []byte) (r GatherReply, err error) {
-	rest := bytes.TrimPrefix(body, xmltext.UTF8BOM)
-	if bytes.HasPrefix(rest, gatherXMLDecl) {
-		rest = rest[bytes.IndexByte(rest, '>')+1:]
+	g := &r.gather
+	if err == nil && len(r.env.Header) > 0 {
+		err = g.scope(r.env.Header[0].Parent, sr)
 	}
-	gt, _, _, err := scanTag(rest, 0)
+	if err == nil {
+		g.RawHeader = r.dec.HeaderContent()
+		g.Prefix = r.env.Body[0].Parent.Parent.Name.Prefix // Parallel_Response, Body, Envelope
+		err = g.scope(r.env.Body[0], sr)
+	}
 	if err != nil {
-		return r, errShape
+		return GatherReply{}, err
 	}
-	var buf [96]byte
-	p := envelopePrefix(rest[:gt], buf[:0])
-	if p == nil {
-		return r, errShape
-	}
-	r.Prefix = xmltext.Intern(p)
-	r.Decls = soap.TagDecls(rest[:gt])
-	rest = rest[gt+1:]
-	if open := spell(buf[:0], gatherHeaderOpen, p); bytes.HasPrefix(rest, open) {
-		end, err := elementEnd(rest, 0)
-		if err != nil || !bytes.HasSuffix(rest[:end], spell(buf[:0], gatherHeaderEnd, p)) {
-			return r, fmt.Errorf("core: backend response header is malformed")
-		}
-		r.RawHeader = append([]byte(nil), rest[len(open):end-len(open)-1]...) // </P:Header> is one byte longer
-		rest = rest[end:]
-	}
-	open := spell(buf[:0], gatherBodyOpen, p)
-	if !bytes.HasPrefix(rest, open) {
-		return r, errShape
-	}
-	rest = rest[len(open):]
-	if bytes.HasPrefix(rest, gatherDefaultOpen) {
-		rest = rest[len(gatherDefaultOpen):]
-		q := bytes.IndexByte(rest, '"')
-		if q < 0 {
-			return r, errShape
-		}
-		r.def, rest = rest[:q], rest[q+1:]
-	}
-	if !bytes.HasPrefix(rest, []byte(">")) {
-		return r, errShape
-	}
-	end := spell(buf[:0], gatherBodyClose, p)
-	if !bytes.HasSuffix(rest, end) {
-		return r, fmt.Errorf("core: backend packed response has an unexpected tail")
-	}
-	r.Segments, err = splitTopLevelElements(rest[1 : len(rest)-len(end)])
-	r.IDs = make([]int, len(r.Segments))
-	for k, seg := range r.Segments {
-		r.IDs[k] = entryID(seg)
-	}
-	return r, err
+	return *g, nil
 }
 
-// envelopePrefix returns P of a tag <P:Envelope … xmlns:P="…"> binding P to a
-// SOAP envelope namespace, as every writer's does, or nil; buf is scratch.
-func envelopePrefix(tag, buf []byte) []byte {
-	if p, _, ok := bytes.Cut(tag, gatherEnvelope); ok && len(p) > 1 && p[0] == '<' {
-		for _, ns := range [...]string{soap.NSEnvelope, soap.NSEnvelope12} {
-			if bytes.Contains(tag, append(append(spell(buf[:0], ` xmlns:*="`, p[1:]), ns...), '"')) {
-				return p[1:]
+// scope checks every namespace declaration from el up to the Envelope
+// against what the gathered response binds around the segments it splices: m
+// to the default sr's sub-batch declared, spi to the pack namespace, SOAP-ENC,
+// xsi and xsd to theirs (into Decls), any other prefix to an envelope
+// namespace (aliased), and no default namespace.
+func (g *GatherReply) scope(el *xmldom.Element, sr *ScatterRequest) error {
+	for ; el != nil; el = el.Parent {
+		for _, a := range el.Attrs {
+			if a.Name.Prefix != "xmlns" && (a.Name != xmltext.Name{Local: "xmlns"} || a.Value == "") {
+				continue // not a declaration, or one that undeclares the default
+			}
+			p := a.Name.Local // "xmlns" for the default
+			d, ns := soap.DeclOf(p)
+			switch {
+			case p == "m":
+				if sr != nil && a.Value != sr.DefaultNS {
+					return fmt.Errorf("core: backend answered under default namespace %q, the sub-batch declared %q", a.Value, sr.DefaultNS)
+				}
+			case p == PrefixPack && a.Value == NSPack:
+			case d != 0 && a.Value == ns:
+				g.Decls |= d
+			case d == 0 && p != PrefixPack && p != "xmlns" && (a.Value == soap.NSEnvelope || a.Value == soap.NSEnvelope12):
+				if p != g.Prefix && p != soap.PrefixEnvelope && !slices.Contains(g.aliases, p) {
+					g.aliases = append(g.aliases, p)
+				}
+			default:
+				return fmt.Errorf("core: backend response binds %s to %q, which the gathered response does not", a.Name, a.Value)
 			}
 		}
 	}
 	return nil
 }
 
-// splitTopLevelElements divides a well-formed element sequence into one byte
-// segment per top-level element, each cut from one copy of b.
-func splitTopLevelElements(b []byte) ([][]byte, error) {
-	var out [][]byte
-	b = bytes.Clone(b)
-	for pos := 0; ; {
-		lt := bytes.IndexByte(b[pos:], '<')
-		if lt < 0 {
-			return out, nil
-		}
-		end, err := elementEnd(b, pos+lt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b[pos+lt:end:end])
-		pos = end
+// take keeps what the reply said to slot k: the entry's bytes, and its fault
+// when it is one.
+func (g *GatherReply) take(k int, segment []byte, f *soap.Fault) error {
+	if g.shard == nil {
+		g.Segments = append(g.Segments, nil) // document order: k is the next slot
+	} else if g.Segments[k] != nil {
+		return duplicateID(g.shard[k].ID)
 	}
-}
-
-// elementEnd returns the index just past the element whose start tag opens
-// at b[pos]. Text holds a raw '<' only inside a CDATA section (the shorter
-// spelling of a value that is mostly markup characters), which is skipped
-// whole; attribute values are double-quoted, and the only markup to skip
-// inside a tag is a quoted string. Each end tag must name the start tag it
-// closes: a backend is a peer, and one reply whose tags do not nest would
-// otherwise be spliced into the gathered response and make the whole of it
-// unreadable. The open tags' names are kept as spans of b, on the stack for
-// up to 16 levels.
-func elementEnd(b []byte, pos int) (int, error) {
-	var stack [16][2]int
-	open := stack[:0]
-	for {
-		lt := bytes.IndexByte(b[pos:], '<')
-		if lt < 0 {
-			return 0, fmt.Errorf("core: truncated packed response entry")
+	g.Segments[k] = segment
+	if f != nil {
+		if k >= len(g.Faults) {
+			g.Faults = append(g.Faults, make([]*soap.Fault, k+1-len(g.Faults))...)
 		}
-		pos += lt
-		if bytes.HasPrefix(b[pos:], gatherCDATAOpen) {
-			end := bytes.Index(b[pos:], gatherCDATAEnd)
-			if end < 0 || len(open) == 0 {
-				// Unterminated, or where an entry should start.
-				return 0, fmt.Errorf("core: truncated packed response entry")
-			}
-			pos += end + len(gatherCDATAEnd)
-			continue
-		}
-		gt, selfClosing, closing, err := scanTag(b, pos)
-		if err != nil {
-			return 0, err
-		}
-		switch {
-		case closing:
-			if len(open) == 0 {
-				return 0, fmt.Errorf("core: unbalanced packed response entry")
-			}
-			top := open[len(open)-1]
-			open = open[:len(open)-1]
-			if name := tagName(b, pos+2, gt); !bytes.Equal(name, b[top[0]:top[1]]) {
-				return 0, fmt.Errorf("core: end tag </%s> does not match <%s> in packed response entry", name, b[top[0]:top[1]])
-			}
-		case !selfClosing:
-			name := tagName(b, pos+1, gt)
-			open = append(open, [2]int{pos + 1, pos + 1 + len(name)})
-		}
-		if pos = gt + 1; len(open) == 0 {
-			return pos, nil
-		}
+		g.Faults[k] = detachFault(f)
 	}
-}
-
-// tagName is the name a tag spells from b[from], up to white space, '/' or
-// its closing '>' at b[gt].
-func tagName(b []byte, from, gt int) []byte {
-	end := from
-	for end < gt && b[end] != ' ' && b[end] != '\t' && b[end] != '\r' && b[end] != '\n' && b[end] != '/' {
-		end++
-	}
-	return b[from:end]
-}
-
-// scanTag finds the '>' ending the tag that starts at b[pos] (which is
-// '<'), honoring quoted attribute values, and classifies the tag.
-func scanTag(b []byte, pos int) (gt int, selfClosing, closing bool, err error) {
-	closing = pos+1 < len(b) && b[pos+1] == '/'
-	inQuote := byte(0)
-	for j := pos + 1; j < len(b); j++ {
-		c := b[j]
-		if inQuote != 0 {
-			if c == inQuote {
-				inQuote = 0
-			}
-			continue
-		}
-		switch c {
-		case '"', '\'':
-			inQuote = c
-		case '>':
-			return j, b[j-1] == '/', closing, nil
-		}
-	}
-	return 0, false, false, fmt.Errorf("core: unterminated tag in packed response")
-}
-
-// DecodeBackendFault extracts the fault from a backend's whole-message
-// fault document (an HTTP 500 body), detached from any arena. Nil when the
-// body is not a parseable fault envelope.
-func DecodeBackendFault(body []byte) *soap.Fault {
-	env, err := soap.Decode(bytes.NewReader(body))
-	if err != nil {
-		return nil
-	}
-	return detachFault(env.Fault())
+	return nil
 }
 
 // RetryableError exposes the client retry classification to the gateway's
@@ -616,16 +463,24 @@ func (c *GatherCollector) AddHeader(backend int, raw []byte) {
 	c.col.mu.Unlock()
 }
 
-// Declare records what the Envelope of a reply whose segments are being
-// delivered declared, on demand and as its envelope prefix (GatherReply): the
-// gathered Envelope declares the union over its replies, and nothing besides.
-func (c *GatherCollector) Declare(r GatherReply) {
+// Gather delivers each segment of a backend's reply to its call's slot, after
+// noting what framing them takes: the header bytes, by the backend's index,
+// and the declarations and envelope prefixes, whose union the gathered
+// Envelope declares. A call the reply did not answer is left to Fail.
+func (c *GatherCollector) Gather(backend int, shard []*ScatterEntry, r *GatherReply) {
+	c.AddHeader(backend, r.RawHeader)
 	c.col.mu.Lock()
 	c.decls |= r.Decls
 	if r.Prefix != soap.PrefixEnvelope { // StreamEncoder.Alias drops repeats
 		c.prefixes = append(c.prefixes, r.Prefix)
 	}
+	c.prefixes = append(c.prefixes, r.aliases...)
 	c.col.mu.Unlock()
+	for k, e := range shard {
+		if r.Segments[k] != nil {
+			c.Deliver(e.Slot, r.Segments[k])
+		}
+	}
 }
 
 // Assemble writes each slot into the packed response as it fills, until every

@@ -59,7 +59,7 @@ func TestSplitGatherResponseRoundTrip(t *testing.T) {
 			results := sampleResults()
 			direct := buildServerResponse(t, v, results, nil, def)
 
-			reply, err := (&ScatterRequest{DefaultNS: def}).SplitResponse(direct)
+			reply, err := (&ScatterRequest{DefaultNS: def}).SplitResponse(direct, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestSplitGatherResponseRoundTrip(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 20; trial++ {
 				col := collectorFor(results, def)
-				col.Declare(reply)
+				col.Gather(0, nil, &reply)
 				order := rng.Perm(len(segs))
 				if trial == 0 {
 					order = seq(len(segs))
@@ -115,7 +115,7 @@ func TestSplitGatherResponseHeader(t *testing.T) {
 	if len(rawHeader) == 0 {
 		t.Fatal("header bytes not extracted")
 	}
-	reply, _ := splitGather(direct)
+	reply, _ := (*ScatterRequest)(nil).SplitResponse(direct, nil)
 	if reply.Decls != soap.DeclXSI|soap.DeclXSD {
 		t.Fatalf("reply declares %03b on demand, want xsi and xsd", reply.Decls)
 	}
@@ -125,7 +125,7 @@ func TestSplitGatherResponseHeader(t *testing.T) {
 	}
 	col := NewGatherCollector(ids)
 	col.AddHeader(0, rawHeader)
-	col.Declare(reply)
+	col.Gather(0, nil, &reply)
 	for slot, seg := range segs {
 		col.Deliver(slot, seg)
 	}
@@ -229,14 +229,16 @@ func TestGatherCollectorNilDegrade(t *testing.T) {
 	}
 }
 
-// TestSplitGatherResponseShape: the split walks the reply from its first
-// byte and accepts exactly the server's own framing, so a marker inside a
-// header block or an entry is never taken for the real one, and a reply
-// under another default than the sub-batch declared is refused.
+// TestSplitGatherResponseShape: the gather reads a reply with the client's
+// reader, so it takes what the client takes — a declaration or not, a byte
+// order mark, markup around the envelope, attributes of its own — refuses
+// what the client refuses, and a marker inside a header block or an entry is
+// never taken for the real one; besides, a reply under another default than
+// the sub-batch declared is refused.
 func TestSplitGatherResponseShape(t *testing.T) {
 	const (
 		decl     = `<?xml version="1.0" encoding="UTF-8"?>`
-		envelope = `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + soap.NSEnvelope + `" xmlns:xsd="x>y">`
+		envelope = `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + soap.NSEnvelope + `" xmlns:xsd="` + soap.NSXSD + `" note="x>y">`
 		open     = `<SOAP-ENV:Body><spi:Parallel_Response xmlns:spi="` + NSPack + `"`
 		entry    = `<m:echoResponse spi:id="0"><v>1</v></m:echoResponse>`
 		tail     = `</spi:Parallel_Response></SOAP-ENV:Body></SOAP-ENV:Envelope>`
@@ -254,7 +256,7 @@ func TestSplitGatherResponseShape(t *testing.T) {
 		// What a backend writes now, and what one wrote before PR 16.
 		{name: "no declaration", doc: envelope + open + `>` + entry + tail, segments: 1},
 		{name: "byte order mark", doc: "\xEF\xBB\xBF" + envelope + open + `>` + entry + tail, segments: 1},
-		{name: "two declarations", doc: decl + decl + envelope + open + `>` + entry + tail, err: "not a packed response"},
+		{name: "two declarations", doc: decl + decl + envelope + open + `>` + entry + tail, segments: 1},
 		{name: "header", doc: decl + envelope + `<SOAP-ENV:Header>` + decoy + `</SOAP-ENV:Header>` + open + echo + `>` + entry + tail,
 			def: "urn:spi:Echo", segments: 1, header: decoy},
 		{name: "escaped default", doc: decl + envelope + open + ` xmlns:m="urn:a&amp;b"` + `>` + entry + tail, def: "urn:a&b", segments: 1},
@@ -265,16 +267,19 @@ func TestSplitGatherResponseShape(t *testing.T) {
 		// their own namespace, so they splice under any default.
 		{name: "default not mirrored", doc: decl + envelope + open + `><m:echoResponse xmlns:m="urn:spi:Echo" spi:id="0"/>` + tail, def: "urn:spi:Echo", segments: 1},
 		{name: "marker only inside an entry", doc: decl + envelope + `<SOAP-ENV:Body><wrap>` + open + `>` + entry + `</spi:Parallel_Response></wrap>` + tail,
-			err: "not a packed response"},
+			err: "end tag </wrap> does not match <SOAP-ENV:Body>"},
 		{name: "marker only inside the header", doc: decl + envelope + `<SOAP-ENV:Header>` + decoy + `</SOAP-ENV:Header><SOAP-ENV:Body><other/>` + tail,
-			err: "not a packed response"},
-		{name: "extra attribute", doc: decl + envelope + open + echo + ` x="1">` + entry + tail, def: "urn:spi:Echo", err: "not a packed response"},
-		{name: "fault envelope", doc: decl + envelope + `<SOAP-ENV:Body><SOAP-ENV:Fault/></SOAP-ENV:Body></SOAP-ENV:Envelope>`, err: "not a packed response"},
-		{name: "unclosed header", doc: decl + envelope + `<SOAP-ENV:Header><h>` + open + `>` + entry + tail, err: "header is malformed"},
-		{name: "trailing bytes", doc: decl + envelope + open + `>` + entry + tail + `<!-- -->`, err: "unexpected tail"},
-		{name: "truncated entry", doc: decl + envelope + open + `>` + `<m:echoResponse><v>` + tail, err: "packed response entry"},
-		{name: "not xml", doc: "HTTP/1.1 502 Bad Gateway", err: "not a packed response"},
-		{name: "empty", doc: "", err: "not a packed response"},
+			err: "does not match <SOAP-ENV:Body>"},
+		{name: "extra attribute", doc: decl + envelope + open + echo + ` x="1">` + entry + tail, def: "urn:spi:Echo", segments: 1},
+		{name: "foreign binding", doc: decl + envelope + open + ` xmlns:n="urn:n">` + entry + tail, err: `binds xmlns:n to "urn:n"`},
+		{name: "fault envelope", doc: decl + envelope + `<SOAP-ENV:Body><SOAP-ENV:Fault/></SOAP-ENV:Body></SOAP-ENV:Envelope>`, err: "soap fault"},
+		{name: "not a packed response", doc: decl + envelope + `<SOAP-ENV:Body>` + entry + `</SOAP-ENV:Body></SOAP-ENV:Envelope>`, err: "not a Parallel_Response"},
+		{name: "unclosed header", doc: decl + envelope + `<SOAP-ENV:Header><h>` + open + `>` + entry + tail, err: "does not match <h>"},
+		{name: "trailing comment", doc: decl + envelope + open + `>` + entry + tail + `<!-- -->`, segments: 1},
+		{name: "trailing bytes", doc: decl + envelope + open + `>` + entry + tail + `<x/>`, err: "content after root element"},
+		{name: "truncated entry", doc: decl + envelope + open + `>` + `<m:echoResponse><v>` + tail, err: "does not match <v>"},
+		{name: "not xml", doc: "HTTP/1.1 502 Bad Gateway", err: "character data outside root element"},
+		{name: "empty", doc: "", err: "no root element"},
 	} {
 		segs, raw, err := splitReply(&ScatterRequest{DefaultNS: tc.def}, []byte(tc.doc))
 		switch {
@@ -393,32 +398,6 @@ func TestBuildSubBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSplitTopLevelElements hits the scanner's edge cases directly.
-func TestSplitTopLevelElements(t *testing.T) {
-	in := `<a x="a>b"><b/></a><c></c><d t='>'>text &lt; more</d>`
-	segs, err := splitTopLevelElements([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{`<a x="a>b"><b/></a>`, `<c></c>`, `<d t='>'>text &lt; more</d>`}
-	if len(segs) != len(want) {
-		t.Fatalf("got %d segments: %q", len(segs), segs)
-	}
-	for i := range want {
-		if string(segs[i]) != want[i] {
-			t.Fatalf("segment %d = %q, want %q", i, segs[i], want[i])
-		}
-	}
-	// The scanner checks that tags balance and that each end tag names the
-	// start tag it closes: its input comes from a backend, a peer that may
-	// write anything.
-	for _, bad := range []string{"<a>", "</a>", "<a", "<a><b></a>", "<a><b></a></b>"} {
-		if _, err := splitTopLevelElements([]byte(bad)); err == nil {
-			t.Fatalf("no error for %q", bad)
-		}
-	}
-}
-
 // TestRetryableErrorBridge pins the exported classification against the
 // internal one for the cases the gateway keys on.
 func TestRetryableErrorBridge(t *testing.T) {
@@ -442,15 +421,15 @@ func TestRetryableErrorBridge(t *testing.T) {
 // splitInto is splitReply for tests that gather what they split: like the
 // gateway's sendShard, it declares on col what the reply's Envelope declared.
 func splitInto(col *GatherCollector, sr *ScatterRequest, body []byte) (segments [][]byte, err error) {
-	r, err := sr.SplitResponse(body)
-	col.Declare(r)
+	r, err := sr.SplitResponse(body, nil)
+	col.Gather(0, nil, &r)
 	return r.Segments, err
 }
 
 // splitReply is SplitResponse unpacked, for tests that do not look at what the
 // reply's Envelope declared.
 func splitReply(sr *ScatterRequest, body []byte) (segments [][]byte, rawHeader []byte, err error) {
-	r, err := sr.SplitResponse(body)
+	r, err := sr.SplitResponse(body, nil)
 	return r.Segments, r.RawHeader, err
 }
 
@@ -605,7 +584,7 @@ func TestSubBatchByteBudget(t *testing.T) {
 						t.Errorf("%s: sub-batch %d of %d is %d bytes, the request %d: %s", name, i, k, len(sub), len(doc), sub)
 					}
 					want := doc
-					if tag := doc[:bytes.IndexByte(doc, '>')]; soap.TagDecls(tag) != 0 {
+					if envelopeDecls(doc) != 0 {
 						want = bytes.Replace(doc, []byte(readerSchemaDecls+`><s:Body>`), []byte(`><s:Body`+readerSchemaDecls+`>`), 1)
 					}
 					if k == 1 && !strings.HasSuffix(name, "-long.xml") && !bytes.Equal(sub, want) {

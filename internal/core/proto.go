@@ -7,7 +7,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -159,18 +161,22 @@ func decodeRequestElement(el *xmldom.Element, defaultService string, id int) (*r
 }
 
 // reply is one response document, read whole off a pooled StreamDecoder into
-// a pooled arena: the client-side dispatcher of §3.5. The envelope and its
-// trees die with release. Decoded values are plain copies, but a fault's
-// Detail is arena-owned and must be detached (detachFault) before it escapes.
+// a pooled arena: the client-side dispatcher of §3.5, and the gateway's
+// reading of a backend's reply to a sub-batch. The envelope and its trees die
+// with release. Decoded values are plain copies, but a fault's Detail is
+// arena-owned and must be detached (detachFault) before it escapes.
 type reply struct {
 	dec   *soap.StreamDecoder
 	arena *xmldom.Arena
 	env   *soap.Envelope
 	start time.Time // when the read began: the client.unpack span's start
-	// slots holds what a Parallel_Response said to each call, and bad the
-	// first entry it could not route or decode, in document order.
-	slots []replySlot
-	bad   error
+	// slots holds what a Parallel_Response said to each of a client's calls,
+	// or with gathering set gather to each call of a gateway's sub-batch; bad
+	// is the first entry neither could take, in document order.
+	slots     []replySlot
+	gather    GatherReply
+	gathering bool
+	bad       error
 }
 
 // replySlot is what a Parallel_Response said to one call: its results or its
@@ -181,18 +187,16 @@ type replySlot struct {
 	fault    *soap.Fault
 }
 
-// readReply reads body whole. When the Body opens on a Parallel_Response and
-// slots is non-nil, each entry is decoded into the slot its spi:id names —
-// its position when it carries none — as the entry closes; slots are cleared
-// first, so a retried exchange starts clean. Only a malformed document is an
-// error here: the caller ranks the rest after it, in the order a whole-message
-// fault, a body that is not a Parallel_Response, then bad.
-func readReply(body []byte, slots []replySlot) (reply, error) {
-	clear(slots)
-	r := reply{arena: xmldom.AcquireArena(), slots: slots}
+// readReply reads body whole into r, routing each Parallel_Response entry as
+// it closes into slots, cleared first so a retried exchange starts clean, or
+// with gathering set into gather. Only a malformed document is an error here,
+// and then r holds nothing to release: packedErr ranks the rest.
+func readReply(body []byte, r reply) (reply, error) {
+	clear(r.slots)
+	r.arena = xmldom.AcquireArena()
 	r.dec = soap.AcquireStreamDecoder(body, r.arena)
 	err := r.dec.ReadPreamble()
-	if err == nil && slots != nil {
+	if err == nil && (r.slots != nil || r.gathering) {
 		err = r.readPacked()
 	}
 	if err == nil {
@@ -200,7 +204,7 @@ func readReply(body []byte, slots []replySlot) (reply, error) {
 	}
 	if err != nil {
 		r.release()
-		return reply{}, err
+		return reply{}, fmt.Errorf("core: decoding response: %w", err)
 	}
 	return r, nil
 }
@@ -212,7 +216,8 @@ func (r *reply) release() {
 }
 
 // readPacked reads the first body entry, routing its children when it is a
-// Parallel_Response. Any other entry is left to Finish.
+// Parallel_Response. Any other entry is left to Finish. The gateway splices
+// the entries as bytes, so it builds the tree of a fault entry alone.
 func (r *reply) readPacked() error {
 	el, err := r.dec.NextEntryStart()
 	if err != nil || el == nil {
@@ -221,8 +226,12 @@ func (r *reply) readPacked() error {
 	if !isPackedResponse(el) {
 		return r.dec.CompleteEntry(el)
 	}
+	var tree func(*xmldom.Element) bool // nil: every entry's
+	if r.gathering {
+		tree = isEntryFault
+	}
 	for pos := 0; ; pos++ {
-		entry, err := r.dec.NextChild(el)
+		entry, err := r.dec.SkimChild(el, tree)
 		if err != nil || entry == nil {
 			return err
 		}
@@ -232,35 +241,105 @@ func (r *reply) readPacked() error {
 	}
 }
 
-// route decodes entry, the pos-th of a Parallel_Response, into its slot. An
-// id that names no call of the exchange is as bad as one that is not a
-// number, and a second answer to one call as bad as either.
+// packedErr is what a reply says to a packed exchange as a whole, in the one
+// order client and gateway rank it after a malformed document: a
+// whole-message fault (detached), a body that is not one Parallel_Response,
+// then the first entry no call could take. Nil: each call takes its slot.
+func (r *reply) packedErr() error {
+	if f := r.env.Fault(); f != nil {
+		return detachFault(f)
+	}
+	if len(r.env.Body) != 1 || !isPackedResponse(r.env.Body[0]) {
+		return fmt.Errorf("core: response is not a %s", ElemParallelResponse)
+	}
+	return r.bad
+}
+
+// isEntryFault reports whether a Parallel_Response entry is a per-item fault,
+// a Fault in either envelope namespace.
+func isEntryFault(entry *xmldom.Element) bool {
+	return entry.Name.Local == "Fault" && (entry.Is(soap.NSEnvelope, "Fault") || entry.Is(soap.NSEnvelope12, "Fault"))
+}
+
+// route hands entry, the pos-th of a Parallel_Response, to the call its
+// spi:id names, or the one at its position when it has none. An id naming no
+// call of the exchange is as bad as one that is not a number, and a second
+// answer to one call as bad as either. Either end parses a per-item fault;
+// the client decodes the results of any other entry, the gateway keeps bytes.
 func (r *reply) route(entry *xmldom.Element, pos int) error {
-	id := pos
-	if v, ok := entry.Attr(attrID); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 || n >= len(r.slots) {
-			return fmt.Errorf("core: bad spi:id %q in packed response", v)
-		}
-		id = n
-	} else if id >= len(r.slots) {
+	v, named := entry.Attr(attrID)
+	k := r.slotOf(v, named, pos)
+	switch {
+	case k < 0 && named:
+		return fmt.Errorf("core: bad spi:id %q in packed response", v)
+	case k < 0:
 		return fmt.Errorf("core: packed response entry %d has no spi:id and no call at its position", pos)
 	}
-	s := &r.slots[id]
+	var f *soap.Fault
+	if isEntryFault(entry) {
+		f = soap.ParseFault(entry)
+	}
+	if r.gathering {
+		segment := r.dec.ChildSpan()
+		if !named && r.gather.shard != nil {
+			// The gathered response lists entries in another order, so each
+			// carries its spi:id there.
+			em := xmltext.AcquireEmitter()
+			entryAnew(em, entry.Name, entry.Attrs, r.gather.shard[k].ID, r.dec.Content())
+			segment = bytes.Clone(em.Bytes())
+			xmltext.ReleaseEmitter(em)
+		}
+		return r.gather.take(k, segment, f)
+	}
+	s := &r.slots[k]
 	if s.answered {
-		return fmt.Errorf("core: duplicate spi:id %d in packed response", id)
+		return duplicateID(k)
 	}
 	s.answered = true
-	// A per-item fault is written under the envelope's own prefix, so it
-	// lands in whichever envelope namespace the response uses.
-	if ns := entry.Namespace(); entry.Name.Local == "Fault" && (ns == soap.NSEnvelope || ns == soap.NSEnvelope12) {
-		s.fault = soap.ParseFault(entry)
+	if f != nil {
+		s.fault = f
 		return nil
 	}
 	fields, err := soapenc.DecodeParams(entry)
 	if err != nil {
-		return fmt.Errorf("core: packed response entry %d: %v", id, err)
+		return fmt.Errorf("core: packed response entry %d: %v", k, err)
 	}
 	s.results = fields
 	return nil
+}
+
+// slotOf is the slot of the call an entry answers: the one whose spi:id is v
+// when named, else the one at position pos; -1 for none. The client numbers
+// its calls by slot; in document order every entry takes the next slot.
+func (r *reply) slotOf(v string, named bool, pos int) int {
+	id, err := pos, error(nil)
+	if named {
+		id, err = strconv.Atoi(v)
+	}
+	n := len(r.slots)
+	switch shard := r.gather.shard; {
+	case err != nil || id < 0:
+		return -1
+	case r.gathering && shard == nil:
+		return len(r.gather.Segments)
+	case r.gathering && named:
+		return slices.IndexFunc(shard, func(e *ScatterEntry) bool { return e.ID == id })
+	case r.gathering:
+		n = len(shard)
+	}
+	if id < n {
+		return id
+	}
+	return -1
+}
+
+func duplicateID(id int) error {
+	return fmt.Errorf("core: duplicate spi:id %d in packed response", id)
+}
+
+// NoResponse is what a call of a packed exchange whose reply carries no entry
+// for it is told: the client resolves it with this error, and the gateway
+// degrades it to a per-item fault that quotes it.
+func NoResponse(id int, service, op string) error {
+	return fmt.Errorf("core: no response for packed call %d (%s.%s)", id, service, op)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -157,19 +156,13 @@ func TestSpiAttributesRequireNamespace(t *testing.T) {
 // The error is the one the exchange would return.
 func readPackedReply(body []byte, n int) (map[int]*replySlot, error) {
 	slots := make([]replySlot, n)
-	r, err := readReply(body, slots)
+	r, err := readReply(body, reply{slots: slots})
 	if err != nil {
 		return nil, err
 	}
 	defer r.release()
-	if f := r.env.Fault(); f != nil {
-		return nil, detachFault(f)
-	}
-	if len(r.env.Body) != 1 || !isPackedResponse(r.env.Body[0]) {
-		return nil, fmt.Errorf("core: response is not a %s", ElemParallelResponse)
-	}
-	if r.bad != nil {
-		return nil, r.bad
+	if err := r.packedErr(); err != nil {
+		return nil, err
 	}
 	out := make(map[int]*replySlot, n)
 	for id := range slots {

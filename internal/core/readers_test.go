@@ -367,13 +367,13 @@ func TestReaderTableGateway(t *testing.T) {
 
 			// Response side: segments cut out of a backend's reply still
 			// resolve in the envelope the gateway frames around them.
-			reply, err := (&ScatterRequest{}).SplitResponse(sh.envelope(v, "", sh.packedResponse()))
+			reply, err := (&ScatterRequest{}).SplitResponse(sh.envelope(v, "", sh.packedResponse()), nil)
 			if err != nil || len(reply.Segments) != 2 || reply.Decls != sh.decls() || reply.Prefix != sh.envPrefix() {
 				t.Fatalf("%s: SplitResponse: %d segments, declarations %03b, prefix %q, %v", what, len(reply.Segments), reply.Decls, reply.Prefix, err)
 			}
 			col := NewGatherCollector([]int{0, 1})
 			col.AddHeader(0, reply.RawHeader)
-			col.Declare(reply)
+			col.Gather(0, nil, &reply)
 			col.Deliver(0, reply.Segments[0])
 			col.Deliver(1, reply.Segments[1])
 			resp, _, err := col.Assemble(context.Background(), v, nil)
@@ -382,14 +382,11 @@ func TestReaderTableGateway(t *testing.T) {
 			}
 			sh.checkPacked(t, what+"/gather", resp.StatusCode, resp.Body, 2)
 			// The gathered Envelope declares on demand what the reply's did.
-			if got := soap.TagDecls(resp.Body[:bytes.IndexByte(resp.Body, '>')]); got != sh.decls() {
+			if got := envelopeDecls(resp.Body); got != sh.decls() {
 				t.Errorf("%s: gathered Envelope declares %03b, the reply's %03b (bits: SOAP-ENC, xsi, xsd)", what, got, sh.decls())
 			}
 			resp.Release()
-			resp, isFault := SpliceSingleResponse(v, reply.Segments[1], nil, reply.Decls)
-			if isFault {
-				t.Errorf("%s: splice reported a fault", what)
-			}
+			resp = SpliceSingleResponse(v, reply.Segments[1], nil, reply.Decls)
 			sh.checkSingle(t, what+"/splice", resp.StatusCode, resp.Body)
 			resp.Release()
 		}
@@ -629,7 +626,14 @@ func usedDecls(params []soapenc.Field) (d soap.Decls) {
 
 // envelopeDecls is what a document's Envelope start tag declares on demand.
 func envelopeDecls(doc []byte) soap.Decls {
-	return soap.TagDecls(doc[:bytes.IndexByte(doc, '>')])
+	tok, _ := xmltext.NewTokenizer(bytes.NewReader(doc)).Next()
+	var set soap.Decls
+	for _, a := range tok.Attrs {
+		if d, ns := soap.DeclOf(a.Name.Local); a.Name.Prefix == "xmlns" && a.Value == ns {
+			set |= d
+		}
+	}
+	return set
 }
 
 // TestEnvelopeDeclaresEncodingOnDemand drives the writers end to end: calls

@@ -104,25 +104,19 @@ func newCoalescer(g *Gateway, cfg CoalesceConfig) *core.BatchWindow[batchKey, *p
 }
 
 // coalesceSink adapts sendShard's slot deliveries to parked single calls.
-// One sink serves one shard goroutine, so the header recorded by AddHeader
-// belongs to the backend that answered this sink's slots.
 type coalesceSink struct {
-	calls  []*pendingCall // indexed by batch slot
-	header []byte
-	decls  soap.Decls
+	calls []*pendingCall // indexed by batch slot
 }
 
-// Declare keeps Decls only: a fault segment is written anew, prefix and all.
-func (s *coalesceSink) Declare(r core.GatherReply) { s.decls |= r.Decls }
-
-func (s *coalesceSink) AddHeader(_ int, raw []byte) {
-	if len(raw) > 0 {
-		s.header = raw
+func (s *coalesceSink) Gather(_ int, shard []*core.ScatterEntry, r *core.GatherReply) {
+	for k, e := range shard {
+		switch {
+		case k < len(r.Faults) && r.Faults[k] != nil:
+			s.calls[e.Slot].deliver(callOutcome{fault: r.Faults[k]})
+		case r.Segments[k] != nil:
+			s.calls[e.Slot].deliver(callOutcome{segment: r.Segments[k], header: r.RawHeader, decls: r.Decls})
+		}
 	}
-}
-
-func (s *coalesceSink) Deliver(slot int, segment []byte) {
-	s.calls[slot].deliver(callOutcome{segment: segment, header: s.header, decls: s.decls})
 }
 
 func (s *coalesceSink) Fail(slot int, f *soap.Fault) {
@@ -169,11 +163,7 @@ func (g *Gateway) coalesce(ctx context.Context, req *httpx.Request, sr *core.Sca
 		g.faults.Inc()
 		return core.GatewayFaultResponse(out.fault, sr.Version)
 	}
-	resp, isFault := core.SpliceSingleResponse(sr.Version, out.segment, out.header, out.decls)
-	if isFault {
-		g.faults.Inc()
-	}
-	return resp
+	return core.SpliceSingleResponse(sr.Version, out.segment, out.header, out.decls)
 }
 
 // flushBatch dispatches one sealed batch through the scatter machinery:

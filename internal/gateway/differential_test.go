@@ -20,6 +20,7 @@ import (
 	"repro/internal/services"
 	"repro/internal/soap"
 	"repro/internal/soapenc"
+	"repro/internal/xmltext"
 )
 
 // The differential suite pins the gateway's headline guarantee: a packed
@@ -348,8 +349,15 @@ func stringsOnlyDoc(v soap.Version) []byte {
 }
 
 // envelopeDecls is what a reply's Envelope start tag declares on demand.
-func envelopeDecls(body []byte) soap.Decls {
-	return soap.TagDecls(body[:bytes.IndexByte(body, '>')])
+func envelopeDecls(doc []byte) soap.Decls {
+	tok, _ := xmltext.NewTokenizer(bytes.NewReader(doc)).Next()
+	var set soap.Decls
+	for _, a := range tok.Attrs {
+		if d, ns := soap.DeclOf(a.Name.Local); a.Name.Prefix == "xmlns" && a.Value == ns {
+			set |= d
+		}
+	}
+	return set
 }
 
 const typedDecls = soap.DeclXSI | soap.DeclXSD

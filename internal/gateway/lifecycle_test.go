@@ -35,10 +35,8 @@ func endWindow(g *Gateway, b *backend) {
 // discardSink resolves slots into nothing.
 type discardSink struct{}
 
-func (discardSink) AddHeader(int, []byte)    {}
-func (discardSink) Declare(core.GatherReply) {}
-func (discardSink) Deliver(int, []byte)      {}
-func (discardSink) Fail(int, *soap.Fault)    {}
+func (discardSink) Gather(int, []*core.ScatterEntry, *core.GatherReply) {}
+func (discardSink) Fail(int, *soap.Fault)                               {}
 
 // TestDrainedBackendGetsNoReservation drains and resumes b0 of a two-backend
 // gateway over and over while four goroutines route work through one of the

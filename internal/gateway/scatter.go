@@ -2,8 +2,8 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -184,16 +184,11 @@ func (g *Gateway) allIdempotent(shard []*core.ScatterEntry) bool {
 // calls). Sinks must tolerate late or duplicate writes to a slot
 // (first write wins).
 type resultSink interface {
-	// AddHeader records the raw response-header section from the backend
-	// that answered, keyed by backend index. Called before the shard's
-	// Deliver calls.
-	AddHeader(backend int, raw []byte)
-	// Declare notes, before the shard's Deliver calls, what the reply's
-	// Envelope declared (SOAP-ENC, xsi, xsd, its envelope prefix), so
-	// whatever frames its segments declares it too.
-	Declare(r core.GatherReply)
-	// Deliver hands a slot its raw packed-response segment.
-	Deliver(slot int, segment []byte)
+	// Gather hands each call of shard what backend's reply said to it, a
+	// segment or a parsed per-item fault, along with what the reply's
+	// framing was (header bytes, declarations, envelope prefix). A call the
+	// reply did not answer is left to Fail.
+	Gather(backend int, shard []*core.ScatterEntry, r *core.GatherReply)
 	// Fail resolves a slot with a per-item fault.
 	Fail(slot int, f *soap.Fault)
 }
@@ -239,7 +234,7 @@ func (g *Gateway) sendShard(ctx context.Context, sh shard, sr *core.ScatterReque
 	for attempt := 1; ; attempt++ {
 		resp, err := g.exchange(ctx, b, sr.Version, sh.doc)
 		if err == nil {
-			if err = g.deliver(b, sr, shard, resp, col); err == nil {
+			if err = g.deliver(ctx, b, sr, shard, resp, col); err == nil {
 				return
 			}
 		}
@@ -289,12 +284,18 @@ func ended(ctx context.Context) bool {
 	return ctx.Err() != nil
 }
 
-// deliver splits a backend's reply to a shard into its per-entry segments and
-// hands each to its entry's slot, releasing the shard's reservation first. It
-// runs after exchange has returned, to keep the exchange's call chain within
-// a new goroutine's first stack.
-func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.ScatterEntry, resp *httpx.Response, col resultSink) error {
-	reply, err := sr.SplitResponse(resp.Body)
+// deliver reads a backend's reply to a shard with the client's reader and
+// hands each entry's call what it says, releasing the shard's reservation
+// first; a call the reply does not answer degrades to a per-item fault. A
+// reply the reader refuses as a whole — malformed (a non-200 one is reported
+// by its status), a whole-message fault, not a Parallel_Response, an entry no
+// call can take — fails the shard. It runs after exchange has returned, to
+// keep the exchange's call chain within a new goroutine's first stack.
+func (g *Gateway) deliver(ctx context.Context, b *backend, sr *core.ScatterRequest, shard []*core.ScatterEntry, resp *httpx.Response, col resultSink) error {
+	reply, err := sr.SplitResponse(resp.Body, shard)
+	if f := (*soap.Fault)(nil); err != nil && !errors.As(err, &f) && resp.StatusCode != 200 {
+		err = fmt.Errorf("gateway: backend %s answered HTTP %d", b.name, resp.StatusCode)
+	}
 	if g.cfg.Policy == LeastLoaded {
 		b.noteLoad(&resp.Header)
 	}
@@ -302,31 +303,21 @@ func (g *Gateway) deliver(b *backend, sr *core.ScatterRequest, shard []*core.Sca
 	if err != nil {
 		return err
 	}
-	if len(reply.IDs) != len(shard) {
-		return fmt.Errorf("gateway: backend %s returned %d entries for %d requests", b.name, len(reply.IDs), len(shard))
-	}
-	// The backend wrote its entries as they completed: put each where its
-	// spi:id says, refusing a reply that does not answer each entry once.
-	for k, e := range shard {
-		j := k + slices.Index(reply.IDs[k:], e.ID)
-		if j < k {
-			return fmt.Errorf("gateway: backend %s did not answer spi:id %d exactly once", b.name, e.ID)
-		}
-		reply.IDs[k], reply.IDs[j] = reply.IDs[j], reply.IDs[k]
-		reply.Segments[k], reply.Segments[j] = reply.Segments[j], reply.Segments[k]
-	}
 	g.fleet.exchanged(b.index, time.Time{}, true)
 	g.release(b, len(shard))
-	col.AddHeader(b.index, reply.RawHeader)
-	col.Declare(reply)
+	col.Gather(b.index, shard, &reply)
 	for k, e := range shard {
-		col.Deliver(e.Slot, reply.Segments[k])
+		if reply.Segments[k] == nil {
+			f := shardFault(ctx, e, core.NoResponse(e.ID, e.Service, e.Op))
+			g.faultCodes.NoteSOAP(f)
+			col.Fail(e.Slot, f)
+		}
 	}
 	return nil
 }
 
 // exchange performs one POST of a sub-batch in version v against a backend
-// and returns its 200 reply, which the caller releases.
+// and returns its reply, whatever its status, which the caller releases.
 func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc []byte) (*httpx.Response, error) {
 	b.exchanges.Inc()
 	b.inflight.Add(1)
@@ -342,20 +333,7 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 	if g.cfg.Policy == LeastLoaded {
 		extra = append(extra, core.HeaderLoad, "1")
 	}
-	resp, err := b.client.PostCtx(ctx, g.packTarget(), v.ContentType(), doc, extra...)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 200 {
-		defer resp.Release()
-		// A whole-message fault for a gateway-built sub-batch (the backend
-		// rejected what we sent); surface it for retry classification.
-		if f := core.DecodeBackendFault(resp.Body); f != nil {
-			return nil, f
-		}
-		return nil, fmt.Errorf("gateway: backend %s answered HTTP %d", b.name, resp.StatusCode)
-	}
-	return resp, nil
+	return b.client.PostCtx(ctx, g.packTarget(), v.ContentType(), doc, extra...)
 }
 
 // relay forwards a request whole to one backend and hands its reply back —

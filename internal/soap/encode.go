@@ -1,7 +1,6 @@
 package soap
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 
@@ -143,7 +142,7 @@ func appendElement(em *xmltext.Emitter, el *xmldom.Element) {
 
 // Decls is a set of the namespace prefixes an Envelope declares only on
 // demand. Writers pass it around as marks on their emitter; the gateway reads
-// it off a backend reply's Envelope start tag (TagDecls) and carries it to the
+// it off a backend reply's declarations (DeclOf) and carries it to the
 // envelope it frames around that reply's entries.
 type Decls = xmltext.Marks
 
@@ -213,19 +212,15 @@ func usedDecls(el *xmldom.Element) Decls {
 	return uses &^ own
 }
 
-// TagDecls returns the on-demand prefixes a serialized start tag declares.
-func TagDecls(tag []byte) (d Decls) {
-	const xmlns = ` xmlns:`
-	for {
-		i := bytes.Index(tag, []byte(xmlns))
-		if i < 0 {
-			return d
-		}
-		tag = tag[i+len(xmlns):]
-		if eq := bytes.IndexByte(tag, '='); eq > 0 {
-			d |= declOf(string(tag[:eq]))
+// DeclOf returns the bit of an on-demand prefix and the namespace every
+// writer binds it to; zero and "" for any other prefix.
+func DeclOf(prefix string) (Decls, string) {
+	for i, d := range onDemand {
+		if d.prefix == prefix {
+			return 1 << i, d.ns
 		}
 	}
+	return 0, ""
 }
 
 // Finish closes Body and Envelope and returns the document bytes. Whatever

@@ -275,7 +275,7 @@ func TestStreamEncoderParity(t *testing.T) {
 				wantDecls = DeclXSI | DeclXSD
 			}
 			tag := got[:bytes.IndexByte(got, '>')]
-			if declares := TagDecls(tag); declares != wantDecls {
+			if declares := envelopeDecls(got); declares != wantDecls {
 				t.Errorf("Envelope declares %03b, content uses unscoped %03b (bits: SOAP-ENC, xsi, xsd)\n%s", declares, wantDecls, got)
 			}
 			if !bytes.HasSuffix(tag, []byte(`"`+s.env.Version.Namespace()+`"`+declText[wantDecls])) {
@@ -414,18 +414,36 @@ func BenchmarkStreamEncodePacked16(b *testing.B) {
 	}
 }
 
-// TestTagDecls: the gateway's reading of a backend reply's Envelope tag finds
-// exactly the on-demand declarations it makes, wherever they sit among the
-// others, and allocates nothing doing so.
-func TestTagDecls(t *testing.T) {
-	const env = `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + NSEnvelope + `"`
-	for set := Decls(0); set <= allDecls; set++ {
-		tag := []byte(env + declText[set] + ` xmlns:m="urn:spi:Echo" xmlns:xsdx="urn:not-xsd"`)
-		if got := TagDecls(tag); got != set {
-			t.Errorf("%s: read %03b, want %03b", tag, got, set)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { TagDecls(tag) }); allocs != 0 {
-			t.Errorf("%s: %v allocations", tag, allocs)
+// TestDeclOf: the gateway's reading of a backend reply's declarations knows
+// exactly the on-demand prefixes and the namespace each must be bound to.
+func TestDeclOf(t *testing.T) {
+	for i, d := range onDemand {
+		if bit, ns := DeclOf(d.prefix); bit != 1<<i || ns != d.ns {
+			t.Errorf("DeclOf(%q) = %03b, %q", d.prefix, bit, ns)
 		}
 	}
+	for _, p := range []string{"m", "xsdx", "SOAP-ENV", "s", ""} {
+		if bit, ns := DeclOf(p); bit != 0 || ns != "" {
+			t.Errorf("DeclOf(%q) = %03b, %q; want none", p, bit, ns)
+		}
+	}
+	const env = `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + NSEnvelope + `"`
+	for set := Decls(0); set <= allDecls; set++ {
+		doc := []byte(env + declText[set] + ` xmlns:m="urn:spi:Echo" xmlns:xsdx="urn:not-xsd" xmlns:xsi2="` + NSXSI + `"/>`)
+		if got := envelopeDecls(doc); got != set {
+			t.Errorf("%s: read %03b, want %03b", doc, got, set)
+		}
+	}
+}
+
+// envelopeDecls is what a document's Envelope start tag declares on demand.
+func envelopeDecls(doc []byte) Decls {
+	tok, _ := xmltext.NewTokenizer(bytes.NewReader(doc)).Next()
+	var set Decls
+	for _, a := range tok.Attrs {
+		if d, ns := DeclOf(a.Name.Local); a.Name.Prefix == "xmlns" && a.Value == ns {
+			set |= d
+		}
+	}
+	return set
 }

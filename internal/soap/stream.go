@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -21,10 +22,10 @@ import (
 // resolution works on each as it is delivered. A document whose tail is
 // malformed fails at Finish, after earlier entries have already been
 // delivered. For callers that need the bytes as well as the trees, the
-// decoder tees out verbatim spans: each packed child's (ChildSpan), for
-// forwarding it unchanged, and those of all body entries for signature
-// verification (BodySpans), so neither forces a second pass over the
-// document.
+// decoder tees out verbatim spans — each packed child's (ChildSpan), what is
+// inside an element (Content, HeaderContent), every body entry's (BodySpans)
+// — so none forces a second pass over the document, and a reader that wants
+// most children as bytes alone need not build their trees (SkimChild).
 //
 // All nodes come from the arena passed to AcquireStreamDecoder and follow
 // the arena lifecycle contract; a nil arena falls back to the heap.
@@ -51,7 +52,9 @@ type StreamDecoder struct {
 	src        []byte
 	entryStart int64    // offset of the current entry's '<'
 	spans      [][]byte // raw span of each completed body entry, in order
-	child      []byte   // raw span of the child NextChild returned last
+	child      []byte   // raw span of the child NextChild or SkimChild returned last
+	open, end  int64    // where the element started or completed last ends its start tag, and ends
+	header     []byte   // the first Header's content
 }
 
 type streamState int
@@ -75,25 +78,14 @@ var streamDecoderPool = sync.Pool{New: func() any { return &StreamDecoder{} }}
 // (the nodes inside follow the arena's lifecycle as usual). Callers that
 // let the envelope outlive the exchange use Decode.
 func AcquireStreamDecoder(body []byte, a *xmldom.Arena) *StreamDecoder {
-	d := streamDecoderPool.Get().(*StreamDecoder)
-	tk := xmltext.AcquireTokenizer(body)
-	tk.SetRawText(true)
-	tk.SetReuseTokenAttrs(true)
+	d := streamDecoderPool.Get().(*StreamDecoder) // as Release left it
 	if d.env == nil {
 		d.env = New()
-	} else {
-		*d.env = Envelope{}
 	}
-	d.tk = tk
-	d.arena = a
-	d.nsEnv = ""
-	d.root, d.body = nil, nil
-	d.state = streamInit
-	d.src = body
-	d.child = nil
-	d.entryStart = 0
-	clear(d.spans)
-	d.spans = d.spans[:0]
+	d.tk = xmltext.AcquireTokenizer(body)
+	d.tk.SetRawText(true)
+	d.tk.SetReuseTokenAttrs(true)
+	d.arena, d.src = a, body
 	return d
 }
 
@@ -102,17 +94,13 @@ func AcquireStreamDecoder(body []byte, a *xmldom.Arena) *StreamDecoder {
 func (d *StreamDecoder) Release() {
 	if d.tk != nil {
 		xmltext.ReleaseTokenizer(d.tk)
-		d.tk = nil
 	}
 	if d.env != nil {
 		// Drop header/body references so the pool never pins request trees.
 		*d.env = Envelope{}
 	}
-	d.arena = nil
-	d.root, d.body = nil, nil
-	d.src, d.child = nil, nil
 	clear(d.spans)
-	d.spans = d.spans[:0]
+	*d = StreamDecoder{env: d.env, spans: d.spans[:0]} // the two kept for reuse
 	streamDecoderPool.Put(d)
 }
 
@@ -163,8 +151,12 @@ func (d *StreamDecoder) ReadPreamble() error {
 			child := xmldom.StartElementNode(d.arena, &tok, d.root)
 			switch {
 			case child.Is(d.nsEnv, "Header"):
+				open := d.tk.InputOffset()
 				if err := xmldom.CompleteSubtree(d.tk, d.arena, child); err != nil {
 					return d.wrapTokenErr(err)
+				}
+				if d.header == nil {
+					d.header = d.content(open, d.tk.InputOffset())
 				}
 				d.env.Header = append(d.env.Header, child.ChildElements()...)
 			case child.Is(d.nsEnv, "Body"):
@@ -209,7 +201,7 @@ func (d *StreamDecoder) NextEntryStart() (*xmldom.Element, error) {
 		switch tok.Kind {
 		case xmltext.KindStartElement:
 			el := xmldom.StartElementNode(d.arena, &tok, d.body)
-			d.entryStart = pos
+			d.entryStart, d.open = pos, d.tk.InputOffset()
 			d.state = streamInEntry
 			return el, nil
 		case xmltext.KindEndElement:
@@ -233,6 +225,7 @@ func (d *StreamDecoder) CompleteEntry(el *xmldom.Element) error {
 	if err := xmldom.CompleteSubtree(d.tk, d.arena, el); err != nil {
 		return d.wrapTokenErr(err)
 	}
+	d.end = d.tk.InputOffset()
 	d.pushEntrySpan()
 	d.state = streamInBody
 	return nil
@@ -245,6 +238,15 @@ func (d *StreamDecoder) CompleteEntry(el *xmldom.Element) error {
 // may be issued. This is the packed-dispatch workhorse: each
 // Parallel_Method child is delivered as its subtree closes.
 func (d *StreamDecoder) NextChild(entry *xmldom.Element) (*xmldom.Element, error) {
+	return d.SkimChild(entry, nil)
+}
+
+// SkimChild is NextChild building a child's subtree only when tree is nil or
+// tree(child), asked once its start tag is read, says so. Otherwise the
+// tokenizer steps over its content, still checking that it is well formed,
+// and the child comes back with its attributes alone, not added to entry's
+// children. ChildSpan and Content hold its bytes either way.
+func (d *StreamDecoder) SkimChild(entry *xmldom.Element, tree func(*xmldom.Element) bool) (*xmldom.Element, error) {
 	if d.state != streamInEntry {
 		return nil, fmt.Errorf("soap: NextChild in wrong state")
 	}
@@ -256,12 +258,21 @@ func (d *StreamDecoder) NextChild(entry *xmldom.Element) (*xmldom.Element, error
 		}
 		switch tok.Kind {
 		case xmltext.KindStartElement:
-			child := xmldom.StartElementNode(d.arena, &tok, entry)
-			if err := xmldom.CompleteSubtree(d.tk, d.arena, child); err != nil {
+			child := xmldom.StartElementNode(d.arena, &tok, nil)
+			child.Parent = entry // its namespaces resolve either way
+			open := d.tk.InputOffset()
+			if tree == nil || tree(child) {
+				entry.AddChild(child)
+				err = xmldom.CompleteSubtree(d.tk, d.arena, child)
+			} else {
+				err = d.skipSubtree()
+			}
+			if err != nil {
 				return nil, d.wrapTokenErr(err)
 			}
+			d.open, d.end = open, d.tk.InputOffset()
 			if d.src != nil {
-				d.child = d.src[pos:d.tk.InputOffset()]
+				d.child = d.src[pos:d.end]
 			}
 			return child, nil
 		case xmltext.KindEndElement:
@@ -276,11 +287,47 @@ func (d *StreamDecoder) NextChild(entry *xmldom.Element) (*xmldom.Element, error
 	}
 }
 
-// ChildSpan returns the verbatim bytes of the child NextChild returned last,
-// start tag to end tag, so a caller that read the tree can forward the bytes
+// skipSubtree reads up to the end tag of the element just started, building nothing.
+func (d *StreamDecoder) skipSubtree() error {
+	for depth := 1; depth > 0; {
+		tok, err := d.tk.Next()
+		if err != nil {
+			return err
+		}
+		switch tok.Kind {
+		case xmltext.KindStartElement:
+			depth++
+		case xmltext.KindEndElement:
+			depth--
+		}
+	}
+	return nil
+}
+
+// ChildSpan returns the verbatim bytes of the child NextChild or SkimChild
+// returned last, start tag to end tag, so a caller can forward the bytes
 // without writing the tree out again. The span aliases the document passed to
 // AcquireStreamDecoder; nil outside Acquire mode.
 func (d *StreamDecoder) ChildSpan() []byte { return d.child }
+
+// Content returns what lies between the start and end tags of the element
+// completed last — the child NextChild or SkimChild returned, else the entry
+// CompleteEntry finished — nil for a self-closing one. Like ChildSpan it
+// aliases the document.
+func (d *StreamDecoder) Content() []byte { return d.content(d.open, d.end) }
+
+// HeaderContent is Content for the envelope's first Header, nil without one.
+func (d *StreamDecoder) HeaderContent() []byte { return d.header }
+
+// content is what lies inside an element whose start tag ends at open and
+// whose end tag ends at end: up to the end tag's '<'.
+func (d *StreamDecoder) content(open, end int64) []byte {
+	if d.src == nil || end == open {
+		return nil // a self-closing element reads no end tag
+	}
+	span := d.src[open:end]
+	return span[:bytes.LastIndexByte(span, '<')]
+}
 
 // pushEntrySpan records the raw span of the entry that just completed.
 func (d *StreamDecoder) pushEntrySpan() {

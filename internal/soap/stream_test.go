@@ -465,3 +465,47 @@ func TestStreamDecoderPoolErrorRelease(t *testing.T) {
 		t.Fatalf("after error releases: %q, %v", got, err)
 	}
 }
+
+// TestSkimChildSpans: a child SkimChild steps over comes back childless with
+// its bytes, quoted '>' and all, in ChildSpan and what is inside them in
+// Content; the tokenizer still refuses one whose tags do not balance or whose
+// end tag names another start tag.
+func TestSkimChildSpans(t *testing.T) {
+	skim := func(children string) (spans, contents []string, err error) {
+		doc := `<s:Envelope xmlns:s="` + NSEnvelope + `"><s:Body><p>` + children + `</p></s:Body></s:Envelope>`
+		d := AcquireStreamDecoder([]byte(doc), nil)
+		defer d.Release()
+		if err := d.ReadPreamble(); err != nil {
+			return nil, nil, err
+		}
+		p, err := d.NextEntryStart()
+		if err != nil {
+			return nil, nil, err
+		}
+		for {
+			el, err := d.SkimChild(p, func(*xmldom.Element) bool { return false })
+			if err != nil || el == nil {
+				return spans, contents, err
+			}
+			if len(el.Children) != 0 {
+				t.Errorf("%s: a skimmed child has %d children", el.Name, len(el.Children))
+			}
+			spans = append(spans, string(d.ChildSpan()))
+			contents = append(contents, string(d.Content()))
+		}
+	}
+	spans, contents, err := skim(`<a x="a>b"><b/></a><c></c><d t='>'>text &lt; more</d><e/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`<a x="a>b"><b/></a>`, `<c></c>`, `<d t='>'>text &lt; more</d>`, `<e/>`}
+	wantContent := []string{`<b/>`, ``, `text &lt; more`, ``}
+	if fmt.Sprint(spans) != fmt.Sprint(want) || fmt.Sprint(contents) != fmt.Sprint(wantContent) {
+		t.Fatalf("spans %q, contents %q; want %q, %q", spans, contents, want, wantContent)
+	}
+	for _, bad := range []string{"<a>", "</a>", "<a", "<a><b></a>", "<a><b></a></b>"} {
+		if _, _, err := skim(bad); err == nil {
+			t.Errorf("no error for %q", bad)
+		}
+	}
+}

@@ -1,6 +1,11 @@
 package xmltext
 
-import "sync"
+import (
+	"hash/maphash"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
 
 // String interning for the decode hot path.
 //
@@ -9,15 +14,21 @@ import "sync"
 // same attribute names (xmlns:*, xsi:type, spi:id) and the same attribute
 // values (namespace URIs, type QNames). Materializing a fresh string for
 // each occurrence is where the tokenizer used to spend most of its
-// allocations. The table below turns those into map hits: a lookup keyed
-// by the raw bytes (which Go compiles to an allocation-free map access)
-// returns the one shared copy.
+// allocations. The tables below turn those into hits: a lookup keyed by the
+// raw bytes returns the one shared copy and allocates nothing.
 //
-// The table is global and append-only. It is capped so hostile traffic
-// full of unique names cannot grow it without bound — past the cap,
+// The tables are global and append-only. They are capped so hostile traffic
+// full of unique names cannot grow them without bound — past the cap,
 // lookups still hit for the seeded/learned vocabulary and misses simply
 // allocate as before. There is no eviction: the working set of a SOAP
 // deployment (its WSDL vocabulary) is static and small.
+//
+// Every server worker and gateway scatter looks names up at once, so a
+// lookup takes no lock and writes no shared memory: it reads an
+// open-addressed table whose slots are filled once, atomically, behind one
+// atomic pointer. Learning takes a mutex, fills an empty slot, and copies
+// the table into one twice its size when it is half full — amortised O(1)
+// copies per learned name, up to the cap.
 const (
 	// maxInternLen is the longest byte string worth interning. Namespace
 	// URIs are the longest hot strings; payload text is deliberately past
@@ -27,22 +38,91 @@ const (
 	maxInternEntries = 8192
 )
 
-type internTable struct {
-	mu      sync.RWMutex
-	strings map[string]string
-	names   map[string]Name
+// internTable is a set of values keyed by their raw spelling.
+type internTable[V any] struct {
+	slots atomic.Pointer[[]atomic.Pointer[internEntry[V]]]
+	mu    sync.Mutex   // serialises learning
+	n     atomic.Int64 // entries; written under mu
 }
 
-var interns = seedInterns()
+type internEntry[V any] struct {
+	key string
+	val V
+}
 
-// seedInterns pre-loads the SOAP vocabulary so the very first request
-// already hits, and so the cap can never evict the core protocol names.
-func seedInterns() *internTable {
-	t := &internTable{
-		strings: make(map[string]string, 256),
-		names:   make(map[string]Name, 256),
+var (
+	internSeed = maphash.MakeSeed()
+	strs       = newInternTable[string]()
+	names      = newInternTable[Name]()
+)
+
+func newInternTable[V any]() *internTable[V] {
+	t := &internTable[V]{}
+	slots := make([]atomic.Pointer[internEntry[V]], 512)
+	t.slots.Store(&slots)
+	return t
+}
+
+// get is the value learned for b, without a lock.
+func (t *internTable[V]) get(b []byte) (V, bool) {
+	slots := *t.slots.Load()
+	mask := uint64(len(slots) - 1)
+	for i := maphash.Bytes(internSeed, b) & mask; ; i = (i + 1) & mask {
+		e := slots[i].Load()
+		if e == nil {
+			var zero V
+			return zero, false
+		}
+		if e.key == string(b) {
+			return e.val, true
+		}
 	}
-	seedStrings := []string{
+}
+
+// learn stores val under key unless the table holds key already or is full,
+// and returns what the table holds for key then. A full table is seen
+// without the lock, so past the cap a miss costs what it allocates.
+func (t *internTable[V]) learn(key string, val V) V {
+	if t.n.Load() >= maxInternEntries {
+		return val
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v, ok := t.get(unsafe.Slice(unsafe.StringData(key), len(key))); ok {
+		return v // learned by another goroutine since its caller looked
+	}
+	if t.n.Load() >= maxInternEntries {
+		return val
+	}
+	slots := *t.slots.Load()
+	if 2*(int(t.n.Load())+1) > len(slots) {
+		grown := make([]atomic.Pointer[internEntry[V]], 2*len(slots))
+		for i := range slots {
+			if e := slots[i].Load(); e != nil {
+				place(grown, e)
+			}
+		}
+		t.slots.Store(&grown)
+		slots = grown
+	}
+	place(slots, &internEntry[V]{key: key, val: val})
+	t.n.Add(1)
+	return val
+}
+
+// place puts e in the first empty slot of its probe sequence.
+func place[V any](slots []atomic.Pointer[internEntry[V]], e *internEntry[V]) {
+	mask := uint64(len(slots) - 1)
+	i := maphash.String(internSeed, e.key) & mask
+	for slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	slots[i].Store(e)
+}
+
+func init() {
+	// Pre-load the SOAP vocabulary so the very first request already hits.
+	for _, s := range []string{
 		// Namespace URIs (attribute values).
 		"http://schemas.xmlsoap.org/soap/envelope/",
 		"http://schemas.xmlsoap.org/soap/encoding/",
@@ -54,8 +134,10 @@ func seedInterns() *internTable {
 		"xsd:string", "xsd:int", "xsd:long", "xsd:boolean", "xsd:double",
 		"xsd:base64Binary", "xsd:dateTime", "SOAP-ENC:Array",
 		"true", "false", "1", "0",
+	} {
+		strs.learn(s, s)
 	}
-	seedNames := []string{
+	for _, s := range []string{
 		// Envelope structure: ours, then older peers' and other toolkits'.
 		"s:Envelope", "s:Header", "s:Body", "s:Fault", "s:mustUnderstand",
 		"s:Code", "s:Value", "s:Reason", "s:Text", "s:Node", "s:Detail",
@@ -70,15 +152,10 @@ func seedInterns() *internTable {
 		"xsi:type", "xsi:nil", "SOAP-ENC:arrayType",
 		"spi:Parallel_Method", "spi:Parallel_Response", "spi:id", "spi:service",
 		"item", "xml",
+	} {
+		strs.learn(s, s)
+		names.learn(s, ParseName(s))
 	}
-	for _, s := range seedStrings {
-		t.strings[s] = s
-	}
-	for _, s := range seedNames {
-		t.strings[s] = s
-		t.names[s] = ParseName(s)
-	}
-	return t
 }
 
 // Intern returns a string equal to b, reusing the shared interned copy
@@ -91,57 +168,33 @@ func Intern(b []byte) string {
 	if len(b) > maxInternLen {
 		return string(b)
 	}
-	t := interns
-	t.mu.RLock()
-	s, ok := t.strings[string(b)] // compiler elides the []byte->string copy
-	t.mu.RUnlock()
-	if ok {
+	if s, ok := strs.get(b); ok {
 		return s
 	}
-	s = string(b)
-	t.mu.Lock()
-	if prev, ok := t.strings[s]; ok {
-		s = prev
-	} else if len(t.strings) < maxInternEntries {
-		t.strings[s] = s
-	}
-	t.mu.Unlock()
-	return s
+	s := string(b)
+	return strs.learn(s, s)
 }
 
 // InternName parses a raw (possibly prefixed) XML name and interns the
 // result: both the split and the string copies are amortized, so after the
-// first occurrence a name costs one map hit and zero allocations.
+// first occurrence a name costs one lookup and zero allocations.
 func InternName(b []byte) Name {
 	if len(b) == 0 {
 		return Name{}
 	}
-	t := interns
-	if len(b) <= maxInternLen {
-		t.mu.RLock()
-		n, ok := t.names[string(b)]
-		t.mu.RUnlock()
-		if ok {
-			return n
-		}
+	if len(b) > maxInternLen {
+		return ParseName(string(b))
+	}
+	if n, ok := names.get(b); ok {
+		return n
 	}
 	raw := Intern(b)
-	n := ParseName(raw) // Prefix/Local share raw's backing array
-	if len(raw) <= maxInternLen {
-		t.mu.Lock()
-		if len(t.names) < maxInternEntries {
-			t.names[raw] = n
-		}
-		t.mu.Unlock()
-	}
-	return n
+	return names.learn(raw, ParseName(raw)) // Prefix/Local share raw's backing array
 }
 
 // internSize reports the current table sizes (strings, names), for tests.
 func internSize() (int, int) {
-	interns.mu.RLock()
-	defer interns.mu.RUnlock()
-	return len(interns.strings), len(interns.names)
+	return int(strs.n.Load()), int(names.n.Load())
 }
 
 // IsWhitespace reports whether b is entirely XML whitespace. It is the
