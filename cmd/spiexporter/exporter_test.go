@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/netsim"
 	"repro/internal/registry"
+	"repro/internal/soap"
 	"repro/internal/soapenc"
 )
 
@@ -161,6 +163,84 @@ func TestLabelEscaping(t *testing.T) {
 	for _, bad := range []string{`\t`, `\u`, `\x`} {
 		if strings.Contains(metrics, bad) {
 			t.Errorf("metrics output holds the escape %s\n%s", bad, metrics)
+		}
+	}
+}
+
+// answering is a node that answers every request with status and body.
+func answering(t *testing.T, status int, body []byte) func() (net.Conn, error) {
+	t.Helper()
+	link := netsim.NewLink(netsim.Fast())
+	lis, err := link.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &httpx.Server{Handler: func(context.Context, *httpx.Request) *httpx.Response {
+		resp := httpx.NewResponse(status, body)
+		resp.Header.Set("Content-Type", soap.V11.ContentType())
+		return resp
+	}}
+	go srv.Serve(lis)
+	t.Cleanup(func() { srv.Close(); link.Close() })
+	return link.Dial
+}
+
+// faultReply is a node's whole-message fault document.
+func faultReply(t *testing.T, f *soap.Fault) []byte {
+	t.Helper()
+	enc := soap.NewStreamEncoder()
+	defer enc.Release()
+	enc.Begin(soap.V11, nil)
+	f.AppendElementFor(enc.Emitter(), soap.V11)
+	doc, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(doc)
+}
+
+// TestExporterHostileNodes: a node whose reply to GetStats is not a snapshot
+// is down in /metrics, and /snapshot says why; a fault the node answered with
+// shows its text there.
+func TestExporterHostileNodes(t *testing.T) {
+	rows := []struct {
+		name   string
+		status int
+		body   []byte
+		err    string // what /snapshot's error holds
+	}{
+		{"not xml", 200, []byte("not xml at all"), "xmltext"},
+		{"not an envelope", 200, []byte(`<?xml version="1.0"?><root/>`), "Envelope"},
+		{"fault", 500, faultReply(t, soap.ServerFault("stats unavailable")), "stats unavailable"},
+	}
+	e := newExporter("/services/")
+	defer e.close()
+	for _, r := range rows {
+		if err := e.addNode(r.name, answering(t, r.status, r.body), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.scrapeAll(2 * time.Second)
+
+	get := func(target string) string {
+		t.Helper()
+		resp := e.handle(context.Background(), httpx.NewRequest("GET", target, nil))
+		if resp.StatusCode != 200 {
+			t.Fatalf("GET %s = %d", target, resp.StatusCode)
+		}
+		return string(resp.Body)
+	}
+	metrics := get("/metrics")
+	var snap map[string]scrape
+	if err := json.Unmarshal([]byte(get("/snapshot")), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if want := `spi_up{node="` + r.name + `"} 0`; !strings.Contains(metrics, want) {
+			t.Errorf("%s: metrics output missing %q\n%s", r.name, want, metrics)
+		}
+		if got := snap[r.name].Err; !strings.Contains(got, r.err) {
+			t.Errorf("%s: /snapshot error %q, want it to hold %q", r.name, got, r.err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package admin
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -43,49 +42,40 @@ func sampleStats() Stats {
 	}
 }
 
-// encodeStatsResponse renders the response envelope the way the server
-// dispatcher would, so ParseStatsResponse sees realistic bytes.
-func encodeStatsResponse(t *testing.T, v soap.Version, s Stats) []byte {
-	t.Helper()
-	doc, err := requestDocument(v, OpGetStats+"Response", StatsFields(s))
-	if err != nil {
-		t.Fatalf("encode stats: %v", err)
+// fieldsWith is sampleStats' GetStatsResponse parameters with the named
+// field's value replaced by v, or with the field appended when the snapshot
+// has none.
+func fieldsWith(name string, v soapenc.Value) []soapenc.Field {
+	fields := StatsFields(sampleStats())
+	i := 0
+	for i < len(fields) && fields[i].Name != name {
+		i++
 	}
-	return doc
+	if i == len(fields) {
+		fields = append(fields, soapenc.Field{Name: name})
+	}
+	fields[i].Value = v
+	return fields
 }
 
-func TestStatsRoundTrip(t *testing.T) {
-	want := sampleStats()
-	for _, v := range []soap.Version{soap.V11, soap.V12} {
-		body := encodeStatsResponse(t, v, want)
-		got, err := ParseStatsResponse(body)
-		if err != nil {
-			t.Fatalf("%v: ParseStatsResponse: %v", v, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: stats = %+v, want %+v", v, got, want)
-		}
-	}
-}
-
-func TestParseStatsResponseRejects(t *testing.T) {
-	bad := func(name string, mutate func(*Stats)) []byte {
+// TestStatsFromFieldsRejects: a snapshot whose values its readers cannot take
+// is an error, never a reading. The bytes that do not decode at all, and a
+// node's fault, are the exporter's rows (cmd/spiexporter).
+func TestStatsFromFieldsRejects(t *testing.T) {
+	bad := func(mutate func(*Stats)) []soapenc.Field {
 		s := sampleStats()
 		mutate(&s)
-		return encodeStatsResponse(t, soap.V11, s)
+		return StatsFields(s)
 	}
-	cases := map[string][]byte{
-		"not xml":          []byte("not xml at all"),
-		"not an envelope":  []byte(`<?xml version="1.0"?><root/>`),
-		"zero weight":      bad("zero weight", func(s *Stats) { s.Weight = 0 }),
-		"negative busy":    bad("negative busy", func(s *Stats) { s.Busy = -1 }),
-		"busy over pool":   bad("busy over pool", func(s *Stats) { s.Busy = s.Workers + 1 }),
-		"negative queue":   bad("negative queue", func(s *Stats) { s.QueueDepth = -5 }),
-		"negative counter": bad("negative counter", func(s *Stats) { s.Envelopes = -1 }),
-		"negative fault code count": bad("negative fault code count",
-			func(s *Stats) { s.FaultCodes[0].Count = -3 }),
-		"nameless fault code": bad("nameless fault code",
-			func(s *Stats) { s.FaultCodes[0].Code = "" }),
+	cases := map[string][]soapenc.Field{
+		"zero weight":               bad(func(s *Stats) { s.Weight = 0 }),
+		"negative busy":             bad(func(s *Stats) { s.Busy = -1 }),
+		"busy over pool":            bad(func(s *Stats) { s.Busy = s.Workers + 1 }),
+		"negative queue":            bad(func(s *Stats) { s.QueueDepth = -5 }),
+		"negative counter":          bad(func(s *Stats) { s.Envelopes = -1 }),
+		"negative fault code count": bad(func(s *Stats) { s.FaultCodes[0].Count = -3 }),
+		"nameless fault code":       bad(func(s *Stats) { s.FaultCodes[0].Code = "" }),
+		"nameless op":               bad(func(s *Stats) { s.Ops[1].Op = "" }),
 	}
 	for name, v := range map[string]struct {
 		field string
@@ -108,37 +98,18 @@ func TestParseStatsResponseRejects(t *testing.T) {
 		"fault code with nil count": {"fault_codes",
 			soapenc.Array{soapenc.NewStruct(soapenc.F("code", "Server.Busy"), soapenc.F("count", nil))}},
 		"fault code not a struct": {"fault_codes", soapenc.Array{"Server.Busy"}},
+		"nil fault code item":     {"fault_codes", soapenc.Array{nil}},
 	} {
-		cases[name] = statsDocWith(t, v.field, v.value)
+		cases[name] = fieldsWith(v.field, v.value)
 	}
-	for name, body := range cases {
-		if _, err := ParseStatsResponse(body); err == nil {
-			t.Errorf("%s: parsed without error", name)
+	for name, fields := range cases {
+		if s, err := StatsFromFields(fields); err == nil {
+			t.Errorf("%s: read as %+v", name, s)
 		}
 	}
 }
 
-// statsDocWith encodes sampleStats with the named wire field's value
-// replaced by v, or with the field appended when the snapshot has none.
-func statsDocWith(t *testing.T, name string, v soapenc.Value) []byte {
-	t.Helper()
-	fields := StatsFields(sampleStats())
-	i := 0
-	for i < len(fields) && fields[i].Name != name {
-		i++
-	}
-	if i == len(fields) {
-		fields = append(fields, soapenc.Field{Name: name})
-	}
-	fields[i].Value = v
-	doc, err := requestDocument(soap.V11, OpGetStats+"Response", fields)
-	if err != nil {
-		t.Fatalf("encode stats with %s: %v", name, err)
-	}
-	return doc
-}
-
-// TestStatsFromFieldsIgnoresUnknown: a field the parser does not know is
+// TestStatsFromFieldsIgnoresUnknown: a field the reader does not know is
 // skipped whatever its value, at the top level and inside an op item, so a
 // newer node's snapshot reads as the fields this one knows.
 func TestStatsFromFieldsIgnoresUnknown(t *testing.T) {
@@ -157,8 +128,7 @@ func TestStatsFromFieldsIgnoresUnknown(t *testing.T) {
 		"unknown array":    {"future", soapenc.Array{nil, "x"}},
 		"unknown op field": {"ops", soapenc.Array{extraOp, ops[1]}},
 	} {
-		doc := statsDocWith(t, v.field, v.value)
-		got, err := ParseStatsResponse(doc)
+		got, err := StatsFromFields(fieldsWith(v.field, v.value))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -166,50 +136,6 @@ func TestStatsFromFieldsIgnoresUnknown(t *testing.T) {
 		if want := sampleStats(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: stats = %+v, want %+v", name, got, want)
 		}
-	}
-}
-
-// TestGatewayStatsBytes pins the snapshot a gateway without an app stage
-// advertises: no ops recorded and no faults, so ops goes out as an empty
-// array and fault_codes not at all, whether the slices are nil or empty.
-func TestGatewayStatsBytes(t *testing.T) {
-	const want = `<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/" xmlns:SOAP-ENC="http://schemas.xmlsoap.org/soap/encoding/" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xmlns:xsd="http://www.w3.org/2001/XMLSchema"><s:Body><m:GetStatsResponse xmlns:m="urn:spi:Admin"><role>gateway</role><weight xsi:type="xsd:int">1</weight><draining xsi:type="xsd:boolean">true</draining><workers xsi:type="xsd:int">0</workers><busy xsi:type="xsd:int">0</busy><idle xsi:type="xsd:int">0</idle><queue_depth xsi:type="xsd:int">0</queue_depth><queue_cap xsi:type="xsd:int">0</queue_cap><inflight xsi:type="xsd:int">2</inflight><envelopes xsi:type="xsd:int">5</envelopes><requests xsi:type="xsd:int">40</requests><packed xsi:type="xsd:int">5</packed><faults xsi:type="xsd:int">0</faults><item_faults xsi:type="xsd:int">0</item_faults><ops xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:anyType[0]"/></m:GetStatsResponse></s:Body></s:Envelope>`
-	gw := Stats{Role: "gateway", Weight: 1, Draining: true, Inflight: 2, Envelopes: 5, Requests: 40, Packed: 5}
-	empty := gw
-	empty.FaultCodes, empty.Ops = []FaultCode{}, []OpStat{}
-	parsed := gw
-	parsed.Ops = []OpStat{}
-	for name, s := range map[string]Stats{"nil slices": gw, "empty slices": empty} {
-		doc := encodeStatsResponse(t, soap.V11, s)
-		if string(doc) != want {
-			t.Errorf("%s: encoded\n%s\nwant\n%s", name, doc, want)
-		}
-		got, err := ParseStatsResponse(doc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, parsed) {
-			t.Errorf("%s: parsed %#v, want %#v", name, got, parsed)
-		}
-	}
-}
-
-func TestParseStatsResponseFault(t *testing.T) {
-	enc := soap.NewStreamEncoder()
-	defer enc.Release()
-	enc.Begin(soap.V11, nil)
-	soap.ServerFault("stats unavailable").AppendElementFor(enc.Emitter(), soap.V11)
-	doc, err := enc.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ParseStatsResponse(doc)
-	var got *soap.Fault
-	if !errors.As(err, &got) {
-		t.Fatalf("error %v (%T), want *soap.Fault", err, err)
-	}
-	if got.String != "stats unavailable" {
-		t.Errorf("fault string = %q", got.String)
 	}
 }
 

@@ -114,7 +114,7 @@ func replyAnswer(send func() error, calls []*Call) string {
 // TestReplyPrecedence is the client's answer to a damaged reply, one row per
 // rung of its precedence — a malformed document, then a whole-message fault,
 // then a body that is not a Parallel_Response, then a bad or duplicate
-// spi:id, then an undecodable entry — plus a non-200 reply that does not
+// spi:id, then an undecodable entry, which fails its own call alone — plus a non-200 reply that does not
 // parse, in both SOAP versions through Call, Batch.Send and Plan.Send. Each
 // row also carries the defects of the rungs below its own, so the row's
 // answer is its rung's. The sent counts pin the retry classification: what a
@@ -193,9 +193,11 @@ func TestReplyPrecedence(t *testing.T) {
 			doc: func(v soap.Version) []byte {
 				return replyBody(v, packedReply(echoEntry("0"), undecodableEntry("1")))
 			},
-			call:  `soapenc: attribute xsi:type on <n>: prefix "xsi" is not bound to a namespace`,
-			batch: `message: core: packed response entry 1: soapenc: attribute xsi:type on <n>: prefix "xsi" is not bound to a namespace`,
-			plan:  `message: core: packed response entry 1: soapenc: attribute xsi:type on <n>: prefix "xsi" is not bound to a namespace`,
+			call: `soapenc: attribute xsi:type on <n>: prefix "xsi" is not bound to a namespace`,
+			// The entry that does not decode fails its own call, as it
+			// fails a single call; the other call is answered.
+			batch: `[{data v0}]; soapenc: attribute xsi:type on <n>: prefix "xsi" is not bound to a namespace`,
+			plan:  `[{data v0}]; soapenc: attribute xsi:type on <n>: prefix "xsi" is not bound to a namespace`,
 			sent:  [3]int64{2, 1, 1},
 		},
 		{

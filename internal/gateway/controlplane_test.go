@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,43 +113,83 @@ func waitFor(tb testing.TB, timeout time.Duration, what string, cond func() bool
 	tb.Fatalf("timed out after %v waiting for %s", timeout, what)
 }
 
-// postEnvelope sends one single-call envelope to the Admin endpoint and
-// returns a copy of the response body.
-func postEnvelope(tb testing.TB, c *httpx.Client, target string, doc []byte) []byte {
+// adminGetStats scrapes the node behind cli as the exporter does: GetStats
+// through the client, then admin.StatsFromFields.
+func adminGetStats(tb testing.TB, cli *core.Client) admin.Stats {
 	tb.Helper()
-	resp, err := c.Post(target, soap.V11.ContentType(), doc, "SOAPAction", `""`)
+	results, err := cli.Call(admin.ServiceName, admin.OpGetStats)
 	if err != nil {
-		tb.Fatalf("POST %s: %v", target, err)
+		tb.Fatalf("GetStats: %v", err)
 	}
-	defer resp.Release()
-	return append([]byte(nil), resp.Body...)
-}
-
-// adminGetStats runs one GetStats exchange against the given endpoint.
-func adminGetStats(tb testing.TB, c *httpx.Client, target string) admin.Stats {
-	tb.Helper()
-	body := postEnvelope(tb, c, target, admin.GetStatsRequest(soap.V11))
-	st, err := admin.ParseStatsResponse(body)
+	st, err := admin.StatsFromFields(results)
 	if err != nil {
 		tb.Fatalf("GetStats: %v", err)
 	}
 	return st
 }
 
-// adminSetState runs one SetState exchange and fails the test on a fault.
-func adminSetState(tb testing.TB, c *httpx.Client, target, backend string, weight int64, drain *bool) {
-	tb.Helper()
-	doc, err := admin.SetStateRequest(soap.V11, backend, weight, drain)
-	if err != nil {
-		tb.Fatal(err)
+// setState calls SetState through cli. An empty backend leaves out the
+// backend parameter (the node's own state), weight <= 0 the weight parameter
+// and drain nil the drain parameter.
+func setState(cli *core.Client, backend string, weight int64, drain *bool) error {
+	var params []soapenc.Field
+	if backend != "" {
+		params = append(params, soapenc.F("backend", backend))
 	}
-	body := postEnvelope(tb, c, target, doc)
-	if _, err := admin.ParseStatsResponse(body); err != nil {
-		// SetState responds with SetStateResponse, not GetStatsResponse, so
-		// the parser always errors — but a *soap.Fault means the node said no.
-		if f, ok := err.(*soap.Fault); ok {
-			tb.Fatalf("SetState faulted: %v", f)
+	if weight > 0 {
+		params = append(params, soapenc.F("weight", weight))
+	}
+	if drain != nil {
+		params = append(params, soapenc.F("drain", *drain))
+	}
+	_, err := cli.Call(admin.ServiceName, admin.OpSetState, params...)
+	return err
+}
+
+// adminSetState runs one SetState exchange and fails the test on an error.
+func adminSetState(tb testing.TB, cli *core.Client, backend string, weight int64, drain *bool) {
+	tb.Helper()
+	if err := setState(cli, backend, weight, drain); err != nil {
+		tb.Fatalf("SetState: %v", err)
+	}
+}
+
+// teeConn keeps a copy of every byte read from its connection.
+type teeConn struct {
+	net.Conn
+	mu   *sync.Mutex
+	read *bytes.Buffer
+}
+
+func (c teeConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.mu.Lock()
+	c.read.Write(b[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+// recordingClient is a client of the farm's gateway speaking v, and a func
+// that returns the first reply it read.
+func recordingClient(tb testing.TB, f *farm, v soap.Version) (*core.Client, func() *httpx.Response) {
+	tb.Helper()
+	var mu sync.Mutex
+	var read bytes.Buffer
+	cli := f.client(tb, func(cfg *core.ClientConfig) {
+		cfg.SOAP12 = v == soap.V12
+		cfg.Dial = func() (net.Conn, error) {
+			conn, err := f.gwLink.Dial()
+			return teeConn{conn, &mu, &read}, err
 		}
+	})
+	return cli, func() *httpx.Response {
+		mu.Lock()
+		defer mu.Unlock()
+		resp, err := httpx.ReadResponse(bufio.NewReader(bytes.NewReader(read.Bytes())), 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return resp
 	}
 }
 
@@ -166,32 +208,30 @@ func setDraining(tb testing.TB, g *Gateway, name string, d bool) {
 
 func TestGatewayAdminService(t *testing.T) {
 	f := newFarm(t, 2, func(cfg *Config) { cfg.AdminService = true })
-	c := f.raw()
-	defer c.Close()
+	c := f.client(t, nil)
 
-	st := adminGetStats(t, c, "/services/Admin")
+	st := adminGetStats(t, c)
 	if st.Role != "gateway" {
 		t.Errorf("Role = %q, want gateway", st.Role)
 	}
 	if st.Weight != 1 || st.Draining {
 		t.Errorf("Weight/Draining = %d/%v, want 1/false", st.Weight, st.Draining)
 	}
-	adminSetState(t, c, "/services/Admin", "", 2, nil)
-	if st = adminGetStats(t, c, "/services/Admin"); st.Weight != 2 || st.Draining {
+	adminSetState(t, c, "", 2, nil)
+	if st = adminGetStats(t, c); st.Weight != 2 || st.Draining {
 		t.Errorf("after SetState weight=2: Weight/Draining = %d/%v, want 2/false", st.Weight, st.Draining)
 	}
 
 	// SetState changes the advertised weight and drain flag.
-	adminSetState(t, c, "/services/Admin", "", 5, boolPtr(true))
-	st = adminGetStats(t, c, "/services/Admin")
+	adminSetState(t, c, "", 5, boolPtr(true))
+	st = adminGetStats(t, c)
 	if st.Weight != 5 || !st.Draining {
 		t.Errorf("after SetState: Weight/Draining = %d/%v, want 5/true", st.Weight, st.Draining)
 	}
 
 	// The Admin intercept must not shadow ordinary services: a regular call
 	// still proxies through to a backend.
-	cli := f.client(t, nil)
-	results, err := cli.Call("Echo", "echo", soapenc.F("msg", "still works"))
+	results, err := c.Call("Echo", "echo", soapenc.F("msg", "still works"))
 	if err != nil {
 		t.Fatalf("Echo through admin-enabled gateway: %v", err)
 	}
@@ -200,7 +240,7 @@ func TestGatewayAdminService(t *testing.T) {
 	}
 
 	// Requests counted by the data plane show up in the admin snapshot.
-	st = adminGetStats(t, c, "/services/Admin")
+	st = adminGetStats(t, c)
 	if st.Envelopes < 1 {
 		t.Errorf("Envelopes = %d, want >= 1", st.Envelopes)
 	}
@@ -210,9 +250,7 @@ func TestGatewayWithoutAdminServiceProxiesAdminTarget(t *testing.T) {
 	// With AdminService off, POSTs to <prefix>Admin are not intercepted;
 	// the admin-enabled backends answer instead (Role "server").
 	f := newAdminFarm(t, 1, nil, nil)
-	c := f.raw()
-	defer c.Close()
-	st := adminGetStats(t, c, "/services/Admin")
+	st := adminGetStats(t, f.client(t, nil))
 	if st.Role != "server" {
 		t.Errorf("Role = %q, want server (proxied to backend)", st.Role)
 	}
@@ -226,23 +264,18 @@ func TestGatewayAdminSetStateBackend(t *testing.T) {
 		cfg.Policy = LeastLoaded
 		cfg.AdminService = true
 	})
-	c := f.raw()
-	defer c.Close()
+	c := f.client(t, nil)
 
-	adminSetState(t, c, "/services/Admin", "b0", 5, nil)
+	adminSetState(t, c, "b0", 5, nil)
 	if bs := f.gw.Stats().Backends[0]; bs.Weight != 5 || bs.EffWeight != 5 {
 		t.Errorf("b0 Weight/EffWeight = %d/%v after SetState, want 5/5", bs.Weight, bs.EffWeight)
 	}
-	if st := adminGetStats(t, c, "/services/Admin"); st.Weight != 1 || st.Draining {
+	if st := adminGetStats(t, c); st.Weight != 1 || st.Draining {
 		t.Errorf("gateway's own Weight/Draining = %d/%v, want 1/false: the backend parameter must leave them", st.Weight, st.Draining)
 	}
 	// A weight past maxWeight would overflow the assignment loop's
 	// cross-multiplication: it faults and leaves the weight alone.
-	huge, err := admin.SetStateRequest(soap.V11, "b0", maxWeight+1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := admin.ParseStatsResponse(postEnvelope(t, c, "/services/Admin", huge)); !strings.Contains(fmt.Sprint(err), "exceeds") {
+	if err := setState(c, "b0", maxWeight+1, nil); !strings.Contains(fmt.Sprint(err), "exceeds") {
 		t.Errorf("SetState weight %d answered %v, want a fault", maxWeight+1, err)
 	}
 	if w := f.gw.Stats().Backends[0].Weight; w != 5 {
@@ -250,7 +283,7 @@ func TestGatewayAdminSetStateBackend(t *testing.T) {
 	}
 
 	// A drain takes b0 out of assignment at once...
-	adminSetState(t, c, "/services/Admin", "b0", 0, boolPtr(true))
+	adminSetState(t, c, "b0", 0, boolPtr(true))
 	if !f.gw.Stats().Backends[0].Draining {
 		t.Fatal("b0 not draining after SetState drain=true")
 	}
@@ -277,7 +310,7 @@ func TestGatewayAdminSetStateBackend(t *testing.T) {
 	}
 
 	// ...and a resume brings it back.
-	adminSetState(t, c, "/services/Admin", "b0", 0, boolPtr(false))
+	adminSetState(t, c, "b0", 0, boolPtr(false))
 	if f.gw.Stats().Backends[0].Draining {
 		t.Fatal("b0 still draining after SetState drain=false")
 	}
@@ -286,44 +319,30 @@ func TestGatewayAdminSetStateBackend(t *testing.T) {
 		t.Error("resumed backend served no entries")
 	}
 
-	// The pinned documents: a SetState naming a backend, and the fault for
-	// one the gateway does not have.
+	// The pinned documents: a client's SetState naming a backend, and the
+	// fault for one the gateway does not have.
 	for _, v := range []struct {
 		tag string
 		ver soap.Version
 	}{{"11", soap.V11}, {"12", soap.V12}} {
-		golden := func(name string) []byte {
-			b, err := os.ReadFile(filepath.Join("..", "core", "testdata", name+v.tag+".xml"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-		resp, err := c.Post("/services/Admin", v.ver.ContentType(), golden("admin_setstate_backend_req"), "SOAPAction", `""`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Errorf("SOAP %s: SetState backend=b1 answered %d: %s", v.tag, resp.StatusCode, resp.Body)
-		}
-		resp.Release()
+		cli := f.client(t, func(cfg *core.ClientConfig) { cfg.SOAP12 = v.ver == soap.V12 })
+		adminSetState(t, cli, "b1", 4, boolPtr(true))
 		if bs := f.gw.Stats().Backends[1]; bs.Weight != 4 || !bs.Draining {
 			t.Errorf("SOAP %s: b1 Weight/Draining = %d/%v, want 4/true", v.tag, bs.Weight, bs.Draining)
 		}
 		setDraining(t, f.gw, "b1", false)
 
-		doc, err := admin.SetStateRequest(v.ver, "b9", 4, nil)
+		cli, reply := recordingClient(t, f.farm, v.ver)
+		if err := setState(cli, "b9", 4, nil); err == nil {
+			t.Errorf("SOAP %s: SetState backend=b9 answered no fault", v.tag)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "core", "testdata", "admin_fault_backend"+v.tag+".xml"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err = c.Post("/services/Admin", v.ver.ContentType(), doc, "SOAPAction", `""`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := golden("admin_fault_backend"); resp.StatusCode != 500 || !bytes.Equal(resp.Body, want) {
+		if resp := reply(); resp.StatusCode != 500 || !bytes.Equal(resp.Body, want) {
 			t.Errorf("SOAP %s: unknown backend answered %d\n got: %s\nwant: %s", v.tag, resp.StatusCode, resp.Body, want)
 		}
-		resp.Release()
 	}
 }
 

@@ -1,6 +1,7 @@
 package httpx
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -168,6 +169,55 @@ func TestWriteRequestFastParity(t *testing.T) {
 	}
 	if strings.Count(buf.String(), "Connection:") != 1 {
 		t.Errorf("pre-set Connection duplicated: %q", buf.String())
+	}
+}
+
+// TestWriteThenReadRoundTrip: whatever framing fields a message carries, the
+// writers frame its whole body with Content-Length alone, so the readers take
+// back what was written. A caller's Transfer-Encoding next to that
+// Content-Length would be the RFC 9112 §6.3 smuggling shape the readers
+// refuse.
+func TestWriteThenReadRoundTrip(t *testing.T) {
+	framing := [][]string{
+		{"Transfer-Encoding", "chunked"},
+		{"Transfer-Encoding", "gzip, chunked"},
+		{"Content-Length", "999"},
+		{"Connection", "keep-alive"},
+	}
+	for _, hdr := range framing {
+		name := hdr[0] + ": " + hdr[1]
+		t.Run("response/"+name, func(t *testing.T) {
+			r := NewResponse(200, []byte("hello"))
+			r.Header.Set("Content-Type", "text/plain")
+			r.Header.Set(hdr[0], hdr[1])
+			var buf bytes.Buffer
+			if err := WriteResponse(&buf, r, false); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadResponse(bufio.NewReader(bytes.NewReader(buf.Bytes())), 0)
+			if err != nil {
+				t.Fatalf("reading %q: %v", buf.String(), err)
+			}
+			if string(got.Body) != "hello" || got.Header.Get("Content-Type") != "text/plain" {
+				t.Errorf("read back body %q, Content-Type %q from %q", got.Body, got.Header.Get("Content-Type"), buf.String())
+			}
+		})
+		t.Run("request/"+name, func(t *testing.T) {
+			r := NewRequest("POST", "/services/Echo", []byte("hello"))
+			r.Header.Set("Content-Type", "text/xml")
+			r.Header.Set(hdr[0], hdr[1])
+			var buf bytes.Buffer
+			if err := WriteRequest(&buf, r, false); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadRequest(bufio.NewReader(bytes.NewReader(buf.Bytes())), 0)
+			if err != nil {
+				t.Fatalf("reading %q: %v", buf.String(), err)
+			}
+			if string(got.Body) != "hello" || got.Target != "/services/Echo" || got.Header.Get("Content-Type") != "text/xml" {
+				t.Errorf("read back %s %q, Content-Type %q from %q", got.Target, got.Body, got.Header.Get("Content-Type"), buf.String())
+			}
+		})
 	}
 }
 
