@@ -68,11 +68,13 @@ test:
 ## throughput experiment, which drives the AutoBatcher over the client's
 ## connections; the lone AutoBatcher call, which must take at most 1.25x
 ## a direct call; and the fault-injection experiment, whose faulty serial
-## rounds must cost more than its clean ones. These tests skip under -race
-## and -short, so nothing else in check runs them. Wall time on a 2-vCPU
-## box: about 3 min.
+## rounds must cost more than its clean ones. That last comparison is built
+## only with -tags shapecensus: the plain test run checks the retries and
+## exchanges the faults cause instead. These tests skip under -race and
+## -short, so nothing else in check runs them. Wall time on a 2-vCPU box:
+## about 3 min.
 shape-census:
-	$(GO) test -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking|TestThroughputExperiment|TestAutoBatcherLoneCallIsDirect|TestFaultInjectionExperiment' ./internal/bench
+	$(GO) test -tags shapecensus -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking|TestThroughputExperiment|TestAutoBatcherLoneCallIsDirect|TestFaultInjectionExperiment' ./internal/bench
 
 ## test-386: the short suite built for a 32-bit int, where an int conversion
 ## of a uint32 hash or size can go negative.
@@ -202,7 +204,7 @@ figures:
 	$(GO) run ./cmd/spibench -fig faults
 
 ## fuzz-smoke: run each fuzz target briefly against the codec layer and the
-## reply reader, as the client and as the gateway use it.
+## reply reader, as the client, the gateway and the exporter's scrape use it.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenizer$$' -fuzztime=10s ./internal/xmltext
 	$(GO) test -run='^$$' -fuzz='^FuzzCharData$$' -fuzztime=10s ./internal/xmltext
@@ -213,7 +215,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzGatewayReply$$' -fuzztime=10s ./internal/gateway
 	$(GO) test -run='^$$' -fuzz='^FuzzReadResponse$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRequestStream$$' -fuzztime=10s ./internal/httpx
-	$(GO) test -run='^$$' -fuzz='^FuzzParseStats$$' -fuzztime=10s ./internal/admin
+	$(GO) test -run='^$$' -fuzz='^FuzzScrape$$' -fuzztime=10s ./cmd/spiexporter
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultRoundTrip$$' -fuzztime=10s ./internal/fault
 
 ## bench-smoke: one two-second traced pass of every benchmark workload,

@@ -10,15 +10,15 @@ import (
 	"time"
 
 	"repro/internal/admin"
+	"repro/internal/core"
 	"repro/internal/httpx"
-	"repro/internal/soap"
 )
 
 // node is one scrape target: an SPI server or gateway whose Admin service
 // answers GetStats at <prefix>Admin.
 type node struct {
 	name   string
-	client *httpx.Client
+	client *core.Client
 }
 
 // scrape is the last result for one node. Err is empty on success.
@@ -49,16 +49,17 @@ func newExporter(prefix string) *exporter {
 }
 
 // addNode registers one target under a unique name.
-func (e *exporter) addNode(name string, dial httpx.Dialer, dialCtx httpx.DialerCtx) error {
+func (e *exporter) addNode(name string, dial httpx.Dialer) error {
 	for _, n := range e.nodes {
 		if n.name == name {
 			return fmt.Errorf("spiexporter: duplicate target %q", name)
 		}
 	}
-	e.nodes = append(e.nodes, &node{
-		name:   name,
-		client: &httpx.Client{Dial: dial, DialCtx: dialCtx, KeepAlive: true},
-	})
+	client, err := core.NewClient(core.ClientConfig{Dial: dial, KeepAlive: true, PathPrefix: e.prefix})
+	if err != nil {
+		return err
+	}
+	e.nodes = append(e.nodes, &node{name: name, client: client})
 	return nil
 }
 
@@ -87,18 +88,15 @@ func (e *exporter) scrapeAll(timeout time.Duration) {
 	wg.Wait()
 }
 
-// scrapeNode runs one GetStats exchange. The response body flows through
-// admin.ParseStatsResponse — the parser FuzzParseStats hardens, since the
-// exporter scrapes nodes it does not control.
+// scrapeNode runs one GetStats call. The reply is read by the client's
+// reader and its results by admin.StatsFromFields — the path FuzzScrape
+// hardens, since the exporter scrapes nodes it does not control.
 func (e *exporter) scrapeNode(ctx context.Context, n *node) (admin.Stats, error) {
-	resp, err := n.client.PostCtx(ctx, e.prefix+admin.ServiceName,
-		soap.V11.ContentType(), admin.GetStatsRequest(soap.V11), "SOAPAction", `""`)
+	results, err := n.client.CallCtx(ctx, admin.ServiceName, admin.OpGetStats)
 	if err != nil {
 		return admin.Stats{}, err
 	}
-	body := append([]byte(nil), resp.Body...)
-	resp.Release()
-	return admin.ParseStatsResponse(body)
+	return admin.StatsFromFields(results)
 }
 
 // snapshot copies the stored results in stable (sorted) node order.

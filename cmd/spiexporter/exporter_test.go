@@ -61,15 +61,15 @@ func startAdminServer(t *testing.T) func() (net.Conn, error) {
 func TestExporterScrapeAndRender(t *testing.T) {
 	e := newExporter("/services/")
 	defer e.close()
-	if err := e.addNode("good:8080", startAdminServer(t), nil); err != nil {
+	if err := e.addNode("good:8080", startAdminServer(t)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.addNode("dead:8080", func() (net.Conn, error) {
 		return nil, errors.New("connection refused")
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.addNode("good:8080", startAdminServer(t), nil); err == nil {
+	if err := e.addNode("good:8080", startAdminServer(t)); err == nil {
 		t.Error("duplicate target accepted")
 	}
 
@@ -114,7 +114,7 @@ func TestExporterScrapeAndRender(t *testing.T) {
 func TestExporterHTTPEndpoints(t *testing.T) {
 	e := newExporter("/services/")
 	defer e.close()
-	if err := e.addNode("n0", startAdminServer(t), nil); err != nil {
+	if err := e.addNode("n0", startAdminServer(t)); err != nil {
 		t.Fatal(err)
 	}
 	e.scrapeAll(2 * time.Second)
@@ -216,7 +216,7 @@ func TestExporterHostileNodes(t *testing.T) {
 	e := newExporter("/services/")
 	defer e.close()
 	for _, r := range rows {
-		if err := e.addNode(r.name, answering(t, r.status, r.body), nil); err != nil {
+		if err := e.addNode(r.name, answering(t, r.status, r.body)); err != nil {
 			t.Fatal(err)
 		}
 	}

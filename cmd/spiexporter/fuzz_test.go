@@ -71,7 +71,7 @@ func FuzzScrape(f *testing.F) {
 		response := []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: text/xml; charset=utf-8\r\nContent-Length: %d\r\n\r\n%s", len(doc), doc))
 		e := newExporter("")
 		defer e.close()
-		if err := e.addNode("n", func() (net.Conn, error) { return &cannedConn{response: response}, nil }, nil); err != nil {
+		if err := e.addNode("n", func() (net.Conn, error) { return &cannedConn{response: response}, nil }); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -17,7 +17,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -49,9 +48,7 @@ func main() {
 		}
 		d := &net.Dialer{Timeout: *timeout}
 		target := hostport
-		err := e.addNode(target, nil, func(ctx context.Context) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", target)
-		})
+		err := e.addNode(target, func() (net.Conn, error) { return d.Dial("tcp", target) })
 		if err != nil {
 			fatal(err)
 		}

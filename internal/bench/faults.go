@@ -100,10 +100,8 @@ func RunFaultInjection(reps int) (*AblationResult, error) {
 		}
 	}
 	for _, v := range variants {
-		note := ""
-		if v.faulty {
-			note = fmt.Sprintf("%d retries across all runs", v.env.Client.Stats().Resilience.Retries)
-		}
+		st := v.env.Client.Stats()
+		note := fmt.Sprintf("%d exchanges, %d retries across all runs", st.Envelopes, st.Resilience.Retries)
 		result.Rows = append(result.Rows, AblationRow{Name: v.name, Millis: metrics.Millis(metrics.Summarize(v.times).P50), Note: note})
 	}
 	return result, nil

@@ -612,6 +612,8 @@ func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmlt
 				c.resil.Timeouts.Inc()
 			}
 			call.resolve(nil, cf)
+		case s.err != nil:
+			call.resolve(nil, s.err)
 		default:
 			call.resolve(s.results, nil)
 		}

@@ -179,12 +179,13 @@ type reply struct {
 	bad       error
 }
 
-// replySlot is what a Parallel_Response said to one call: its results or its
-// fault.
+// replySlot is what a Parallel_Response said to one call: its results, its
+// fault, or why its entry's values do not decode.
 type replySlot struct {
 	answered bool
 	results  []soapenc.Field
 	fault    *soap.Fault
+	err      error
 }
 
 // readReply reads body whole into r, routing each Parallel_Response entry as
@@ -300,11 +301,9 @@ func (r *reply) route(entry *xmldom.Element, pos int) error {
 		s.fault = f
 		return nil
 	}
-	fields, err := soapenc.DecodeParams(entry)
-	if err != nil {
-		return fmt.Errorf("core: packed response entry %d: %v", k, err)
-	}
-	s.results = fields
+	// Values that do not decode are that call's failure, as in a single
+	// call's reply, not the message's.
+	s.results, s.err = soapenc.DecodeParams(entry)
 	return nil
 }
 

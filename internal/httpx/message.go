@@ -368,7 +368,9 @@ func peerHost(conn net.Conn) string {
 }
 
 // writeRequestFramed is the cloning reference path: it works for any
-// header set, at the cost of a header clone and a buffered copy.
+// header set, at the cost of a header clone and a buffered copy. It frames
+// the whole body with Content-Length, so a caller's Content-Length is
+// overridden and its Transfer-Encoding left out.
 func writeRequestFramed(w io.Writer, r *Request, closeConn bool, host string) error {
 	bw := bufio.NewWriterSize(w, 8<<10)
 	proto := r.Proto
@@ -385,7 +387,9 @@ func writeRequestFramed(w io.Writer, r *Request, closeConn bool, host string) er
 		h.Set("Connection", "close")
 	}
 	h.Each(func(name, value string) {
-		fmt.Fprintf(bw, "%s: %s\r\n", name, value)
+		if !strings.EqualFold(name, "Transfer-Encoding") { // the body goes out whole, under Content-Length
+			fmt.Fprintf(bw, "%s: %s\r\n", name, value)
+		}
 	})
 	bw.WriteString("\r\n")
 	bw.Write(r.Body)
@@ -536,7 +540,8 @@ func writesBuffers(w io.Writer) bool {
 }
 
 // writeResponseFramed writes with Content-Length framing through a
-// bufio.Writer, for a response that carries framing fields of its own.
+// bufio.Writer, for a response that carries framing fields of its own: its
+// Content-Length is overridden and its Transfer-Encoding left out.
 func writeResponseFramed(w io.Writer, r *Response, closeConn bool) error {
 	bw := bufio.NewWriterSize(w, 8<<10)
 	proto := r.Proto
@@ -554,7 +559,9 @@ func writeResponseFramed(w io.Writer, r *Response, closeConn bool) error {
 		h.Set("Connection", "close")
 	}
 	h.Each(func(name, value string) {
-		fmt.Fprintf(bw, "%s: %s\r\n", name, value)
+		if !strings.EqualFold(name, "Transfer-Encoding") { // the body goes out whole, under Content-Length
+			fmt.Fprintf(bw, "%s: %s\r\n", name, value)
+		}
 	})
 	bw.WriteString("\r\n")
 	bw.Write(r.Body)
