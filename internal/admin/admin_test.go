@@ -1,7 +1,6 @@
 package admin
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -223,41 +222,5 @@ func TestDeploySetState(t *testing.T) {
 	}
 	if w, _ := st.Snapshot(); w != 9 {
 		t.Errorf("weight mutated to %d by rejected updates", w)
-	}
-}
-
-func TestRequestBuilders(t *testing.T) {
-	for _, v := range []soap.Version{soap.V11, soap.V12} {
-		re, err := soap.Decode(bytes.NewReader(GetStatsRequest(v)))
-		if err != nil {
-			t.Fatalf("%v: round-trip: %v", v, err)
-		}
-		if re.Version != v || re.Body[0].Name.Local != OpGetStats || re.Body[0].Namespace() != Namespace {
-			t.Errorf("%v: %v body entry {%s}%s", v, re.Version, re.Body[0].Namespace(), re.Body[0].Name.Local)
-		}
-
-		drain := true
-		doc, err := SetStateRequest(v, "", 3, &drain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		re, err = soap.Decode(bytes.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		params, err := soapenc.DecodeParams(re.Body[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps := soapenc.NewStruct(params...)
-		w, _ := ps.Get("weight")
-		d, _ := ps.Get("drain")
-		if w != int64(3) || d != true {
-			t.Errorf("%v: SetState params = %+v", v, params)
-		}
-	}
-	// A poll allocates nothing for its request body.
-	if allocs := testing.AllocsPerRun(100, func() { GetStatsRequest(soap.V11) }); allocs != 0 {
-		t.Errorf("GetStatsRequest allocates %v times", allocs)
 	}
 }
