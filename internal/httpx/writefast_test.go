@@ -172,24 +172,17 @@ func TestWriteRequestFastParity(t *testing.T) {
 	}
 }
 
-// TestWriteThenReadRoundTrip: whatever framing fields a message carries, the
-// writers frame its whole body with Content-Length alone, so the readers take
-// back what was written. A caller's Transfer-Encoding next to that
-// Content-Length would be the RFC 9112 §6.3 smuggling shape the readers
-// refuse.
+// TestWriteThenReadRoundTrip: the writers frame a message's whole body with
+// Content-Length, so they leave out a caller's Transfer-Encoding, and the
+// readers take back what was written. Both fields on one message is the
+// RFC 9112 §6.3 smuggling shape the readers refuse.
 func TestWriteThenReadRoundTrip(t *testing.T) {
-	framing := [][]string{
-		{"Transfer-Encoding", "chunked"},
-		{"Transfer-Encoding", "gzip, chunked"},
-		{"Content-Length", "999"},
-		{"Connection", "keep-alive"},
-	}
-	for _, hdr := range framing {
-		name := hdr[0] + ": " + hdr[1]
+	for _, te := range []string{"chunked", "gzip, chunked"} {
+		name := "Transfer-Encoding: " + te
 		t.Run("response/"+name, func(t *testing.T) {
 			r := NewResponse(200, []byte("hello"))
 			r.Header.Set("Content-Type", "text/plain")
-			r.Header.Set(hdr[0], hdr[1])
+			r.Header.Set("Transfer-Encoding", te)
 			var buf bytes.Buffer
 			if err := WriteResponse(&buf, r, false); err != nil {
 				t.Fatal(err)
@@ -205,7 +198,7 @@ func TestWriteThenReadRoundTrip(t *testing.T) {
 		t.Run("request/"+name, func(t *testing.T) {
 			r := NewRequest("POST", "/services/Echo", []byte("hello"))
 			r.Header.Set("Content-Type", "text/xml")
-			r.Header.Set(hdr[0], hdr[1])
+			r.Header.Set("Transfer-Encoding", te)
 			var buf bytes.Buffer
 			if err := WriteRequest(&buf, r, false); err != nil {
 				t.Fatal(err)
