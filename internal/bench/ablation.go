@@ -15,6 +15,8 @@ type AblationRow struct {
 	Name   string
 	Millis float64
 	Note   string
+	// client is what the row's client counted, where the run reports it.
+	client core.ClientStats
 }
 
 // AblationResult is one completed ablation table.

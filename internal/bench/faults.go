@@ -102,7 +102,7 @@ func RunFaultInjection(reps int) (*AblationResult, error) {
 	for _, v := range variants {
 		st := v.env.Client.Stats()
 		note := fmt.Sprintf("%d exchanges, %d retries across all runs", st.Envelopes, st.Resilience.Retries)
-		result.Rows = append(result.Rows, AblationRow{Name: v.name, Millis: metrics.Millis(metrics.Summarize(v.times).P50), Note: note})
+		result.Rows = append(result.Rows, AblationRow{Name: v.name, Millis: metrics.Millis(metrics.Summarize(v.times).P50), Note: note, client: st})
 	}
 	return result, nil
 }

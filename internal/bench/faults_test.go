@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -22,9 +21,7 @@ func TestFaultInjectionExperiment(t *testing.T) {
 	}
 	var exchanges, retries [4]int64
 	for i, row := range r.Rows {
-		if _, err := fmt.Sscanf(row.Note, "%d exchanges, %d retries", &exchanges[i], &retries[i]); err != nil {
-			t.Fatalf("%s: note %q does not count exchanges and retries: %v", row.Name, row.Note, err)
-		}
+		exchanges[i], retries[i] = row.client.Envelopes, row.client.Resilience.Retries
 	}
 	if retries[0] != 0 || retries[2] != 0 {
 		t.Errorf("clean runs retried: serial %d, packed %d", retries[0], retries[2])

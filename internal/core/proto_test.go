@@ -153,7 +153,8 @@ func TestSpiAttributesRequireNamespace(t *testing.T) {
 
 // readPackedReply reads a packed response document as a client exchange of n
 // calls reads it, and returns what it said to each call it answered, by id.
-// The error is the one the exchange would return.
+// The error is the one the exchange would return or, failing that, the first
+// answered call's, by id, whose values do not decode.
 func readPackedReply(body []byte, n int) (map[int]*replySlot, error) {
 	slots := make([]replySlot, n)
 	r, err := readReply(body, reply{slots: slots})
@@ -167,6 +168,9 @@ func readPackedReply(body []byte, n int) (map[int]*replySlot, error) {
 	out := make(map[int]*replySlot, n)
 	for id := range slots {
 		if s := slots[id]; s.answered {
+			if s.err != nil {
+				return nil, s.err
+			}
 			s.fault = detachFault(s.fault)
 			out[id] = &s
 		}

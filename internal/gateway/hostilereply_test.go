@@ -162,8 +162,9 @@ func TestHostileReplyTable(t *testing.T) {
 
 // sameAnswer reports whether got, what a client of the gateway made of a
 // reply, is answer, what the direct client made of it: the same calls ok,
-// every refusal the Server.Busy fault that quotes its reason, and an entry
-// the gateway passed on failing its call as it does the direct client's.
+// every refusal the Server.Busy fault that quotes its reason, and a call whose
+// values do not decode ("soapenc: …") failing with that very error, since
+// the gateway passes its entry on undecoded.
 func sameAnswer(answer, got string) bool {
 	if reason, ok := strings.CutPrefix(answer, "message: "); ok {
 		return strings.HasPrefix(got, replyFault) && strings.Contains(got, reason)
@@ -173,7 +174,12 @@ func sameAnswer(answer, got string) bool {
 		return false
 	}
 	for i, w := range want {
-		if w == "ok" && have[i] != "ok" || w != "ok" && have[i] != w && !(strings.HasPrefix(have[i], busy) && strings.Contains(have[i], w)) {
+		switch {
+		case w == "ok" || strings.HasPrefix(w, "soapenc: "):
+			if have[i] != w {
+				return false
+			}
+		case !strings.HasPrefix(have[i], busy) || !strings.Contains(have[i], w):
 			return false
 		}
 	}
