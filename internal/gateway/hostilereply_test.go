@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"regexp"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpx"
+	"repro/internal/netsim"
 	"repro/internal/soapenc"
 )
 
@@ -61,11 +64,15 @@ func entryWithID(id int) *regexp.Regexp {
 // calls. The gateway reads a reply with the client's reader, so each row has
 // one answer, the direct client's: every call answered alike, or the whole
 // batch refused for one reason. Through the gateway a refusal reaches each
-// call as the Server.Busy fault that quotes the reason (sameAnswer).
+// call as the Server.Busy fault that quotes the reason (sameAnswer). A row
+// with raw set has a backend that answers every request with those bytes,
+// HTTP framing and all; its single call, relayed whole, must get relay, and
+// the gateway must go on answering after it.
 func TestHostileReplyTable(t *testing.T) {
 	rows := []struct {
 		name, answer string
 		damage       func(body string) string
+		raw, relay   string
 	}{
 		{
 			name:   "mismatched end tag",
@@ -134,23 +141,48 @@ func TestHostileReplyTable(t *testing.T) {
 			},
 			answer: "ok",
 		},
+		// A chunk size that overflows the body read so far panicked the
+		// reader, and with it the gateway.
+		{
+			name:   "chunk size overflowing the body",
+			raw:    "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nTransfer-Encoding: chunked\r\n\r\n1\r\n<\r\n7fffffffffffffff\r\nb\r\n0\r\n\r\n",
+			answer: "message: httpx: read response: httpx: chunked body exceeds limit 268435456",
+			relay:  "core: HTTP 502: backend exchange failed: httpx: read response: httpx: chunked body exceeds limit 268435456",
+		},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			direct, err := core.NewClient(core.ClientConfig{Dial: hostileBackend(t, r.damage).Dial, Timeout: 5 * time.Second})
+			backend := func() *netsim.Link {
+				if r.raw != "" {
+					return rawBackend(t, r.raw)
+				}
+				return hostileBackend(t, r.damage)
+			}
+			direct, err := core.NewClient(core.ClientConfig{Dial: backend().Dial, Timeout: 5 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer direct.Close()
 			hostile := func(cfg *Config) {
-				cfg.Backends[0] = BackendConfig{Name: "hostile", Dial: hostileBackend(t, r.damage).Dial}
+				cfg.Backends[0] = BackendConfig{Name: "hostile", Dial: backend().Dial}
 				cfg.Retry = &core.RetryPolicy{MaxAttempts: 1}
 			}
 			if got := readerAnswer(t, direct); !strings.HasPrefix(got, r.answer) {
 				t.Errorf("direct: %s\nwant prefix %s", got, r.answer)
 			}
-			if got := readerAnswer(t, newFarm(t, 1, hostile).client(t, nil)); !sameAnswer(r.answer, got) {
+			gw := newFarm(t, 1, hostile).client(t, nil)
+			if got := readerAnswer(t, gw); !sameAnswer(r.answer, got) {
 				t.Errorf("through the gateway: %s\nwant the answer %s", got, r.answer)
+			}
+			if r.relay != "" {
+				for i := range 2 {
+					if _, err := gw.Call("Echo", "echo", soapenc.F("p1", int64(0))); err == nil || !strings.HasPrefix(err.Error(), r.relay) {
+						t.Errorf("relayed call %d: %v\nwant prefix %s", i, err, r.relay)
+					}
+				}
+				if got := readerAnswer(t, gw); !sameAnswer(r.answer, got) {
+					t.Errorf("through the gateway, after the relayed calls: %s\nwant the answer %s", got, r.answer)
+				}
 			}
 			holdBatches(t)
 			if got := coalescedAnswer(t, coalesceFarm(t, 1, CoalesceConfig{MaxBatch: 4}, hostile)); !sameAnswer(r.answer, got) {
@@ -158,6 +190,41 @@ func TestHostileReplyTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rawBackend answers every request on its connections with reply, byte for
+// byte.
+func rawBackend(tb testing.TB, reply string) *netsim.Link {
+	tb.Helper()
+	link := netsim.NewLink(netsim.Fast())
+	lis, err := link.Listen()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for {
+					_, release, err := httpx.ReadRequestPooled(br, 0)
+					release()
+					if err != nil {
+						return
+					}
+					if _, err := conn.Write([]byte(reply)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	tb.Cleanup(func() { link.Close() })
+	return link
 }
 
 // sameAnswer reports whether got, what a client of the gateway made of a

@@ -3,6 +3,10 @@ package httpx
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -11,21 +15,7 @@ import (
 // never panics, never returns a response with an out-of-range status, and
 // never hands back a body larger than the configured cap.
 func FuzzReadResponse(f *testing.F) {
-	seeds := []string{
-		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
-		"HTTP/1.1 204 No Content\r\n\r\n",
-		"HTTP/1.1 500 Internal Server Error\r\nContent-Type: text/plain\r\nContent-Length: 4\r\n\r\nboom",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3;ext=1\r\nabc\r\n0\r\nTrailer: x\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nrest-until-eof",
-		"HTTP/1.0 301 Moved\r\nLocation: /x\r\n\r\n",
-		"HTTP/1.1 200\r\n\r\n",
-		"HTTP/1.1 999 Weird\r\nA:\r\nB: \t v\r\n\r\n",
-		"garbage",
-		"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n",
-	}
-	for _, s := range seeds {
+	for _, s := range responseSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -56,21 +46,7 @@ func FuzzReadResponse(f *testing.F) {
 // request re-serializes, and a parse error is terminal for the stream —
 // exactly how the server's connection loop treats it.
 func FuzzReadRequestStream(f *testing.F) {
-	seeds := []string{
-		"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
-		"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcPOST /b HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
-		"GET /x HTTP/1.1\r\n\r\nGET /y HTTP/1.1\r\n\r\nGET /z HTTP/1.1\r\n\r\n",
-		"POST /s HTTP/1.1\nContent-Length: 2\n\nhi", // bare-LF line endings
-		"POST /s HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nxyz\r\n0\r\n\r\nPOST /t HTTP/1.1\r\nContent-Length: 1\r\n\r\nq",
-		"POST /s HTTP/1.1\r\nConnection: close\r\nContent-Length: 4\r\n\r\nlast",
-		"POST /s HTTP/1.0\r\nContent-Length: 2\r\n\r\nokGARBAGE AFTER THE LAST REQUEST",
-		"POST /partial HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort",
-		"POST /s HTTP/1.1\r\nContent-Length: 1\r\n\r\naPOST incomplete",
-		"NOT A REQUEST LINE\r\n\r\n",
-		"POST /s HTTP/2\r\n\r\n",
-		"POST /s HTTP/1.1\r\n badname: v\r\n\r\n",
-	}
-	for _, s := range seeds {
+	for _, s := range requestSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -104,4 +80,124 @@ func (h *halfReader) Read(p []byte) (int, error) {
 		n = 1
 	}
 	return h.r.Read(p[:n])
+}
+
+// responseSeeds seed the fuzzers that read responses.
+var responseSeeds = []string{
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+	"HTTP/1.1 204 No Content\r\n\r\n",
+	"HTTP/1.1 500 Internal Server Error\r\nContent-Type: text/plain\r\nContent-Length: 4\r\n\r\nboom",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3;ext=1\r\nabc\r\n0\r\nTrailer: x\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nrest-until-eof",
+	"HTTP/1.0 301 Moved\r\nLocation: /x\r\n\r\n",
+	"HTTP/1.1 200\r\n\r\n",
+	"HTTP/1.1 999 Weird\r\nA:\r\nB: \t v\r\n\r\n",
+	"garbage",
+	"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n",
+}
+
+// requestSeeds seed the fuzzers that read requests.
+var requestSeeds = []string{
+	"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
+	"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcPOST /b HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+	"GET /x HTTP/1.1\r\n\r\nGET /y HTTP/1.1\r\n\r\nGET /z HTTP/1.1\r\n\r\n",
+	"POST /s HTTP/1.1\nContent-Length: 2\n\nhi", // bare-LF line endings
+	"POST /s HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nxyz\r\n0\r\n\r\nPOST /t HTTP/1.1\r\nContent-Length: 1\r\n\r\nq",
+	"POST /s HTTP/1.1\r\nConnection: close\r\nContent-Length: 4\r\n\r\nlast",
+	"POST /s HTTP/1.0\r\nContent-Length: 2\r\n\r\nokGARBAGE AFTER THE LAST REQUEST",
+	"POST /partial HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort",
+	"POST /s HTTP/1.1\r\nContent-Length: 1\r\n\r\naPOST incomplete",
+	"NOT A REQUEST LINE\r\n\r\n",
+	"POST /s HTTP/2\r\n\r\n",
+	"POST /s HTTP/1.1\r\n badname: v\r\n\r\n",
+}
+
+// FuzzReadMatchesFrozen holds the readers to the ones they replaced
+// (frozen_test.go). The same bytes go to both, a request stream message by
+// message as a pipelined connection reads it, and one response: each message
+// the frozen reader reads, the live one must read with the same method or
+// status, target, proto, fields and body, and where the frozen reader fails,
+// the live one must fail too. The exceptions are the inputs the live readers
+// bound and the frozen ones did not: a chunk size that overflows the body
+// read so far, on which the frozen readers panic, and a chunk-size line or
+// trailer section past MaxHeaderBytes, which they read whole.
+func FuzzReadMatchesFrozen(f *testing.F) {
+	for _, s := range requestSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range responseSeeds {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\n7fffffffffffffff\r\nb\r\n0\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\n7fffffffffffffff\r\nb\r\n0\r\n\r\n"))
+	f.Add([]byte("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n+5 ; a=\"b\"\r\nhello\r\n0\r\nT: 1\r\n\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxBody = 1 << 16
+		stream := func() *bufio.Reader { return bufio.NewReaderSize(&halfReader{r: bytes.NewReader(data)}, 64) }
+		frozen, live, pooled := stream(), stream(), stream()
+		for i := 0; i < 16; i++ {
+			want, werr := recovered(func() (*Request, error) { return frozenReadRequest(frozen, maxBody) })
+			got, gerr := recovered(func() (*Request, error) { return ReadRequest(live, maxBody) })
+			release := func() {}
+			gotPooled, perr := recovered(func() (req *Request, err error) {
+				req, release, err = ReadRequestPooled(pooled, maxBody)
+				return req, err
+			})
+			if !sameRead(t, "ReadRequest", werr, gerr) || !sameRead(t, "ReadRequestPooled", werr, perr) {
+				release()
+				break
+			}
+			for _, g := range []*Request{got, gotPooled} {
+				if g.Method != want.Method || g.Target != want.Target || g.Proto != want.Proto ||
+					!slices.Equal(g.Header.fields, want.Header.fields) || !bytes.Equal(g.Body, want.Body) {
+					t.Fatalf("request %d: read %+v, the frozen reader %+v", i, g, want)
+				}
+			}
+			release()
+		}
+		want, werr := recovered(func() (*Response, error) {
+			return frozenReadResponse(bufio.NewReader(bytes.NewReader(data)), maxBody)
+		})
+		got, gerr := recovered(func() (*Response, error) {
+			return ReadResponse(bufio.NewReader(bytes.NewReader(data)), maxBody)
+		})
+		if sameRead(t, "ReadResponse", werr, gerr) && (got.StatusCode != want.StatusCode || got.Status != want.Status ||
+			got.Proto != want.Proto || !slices.Equal(got.Header.fields, want.Header.fields) || !bytes.Equal(got.Body, want.Body)) {
+			t.Fatalf("read %+v, the frozen reader %+v", got, want)
+		}
+	})
+}
+
+// panicked is the error recovered makes of a panic.
+type panicked struct{ value any }
+
+func (p panicked) Error() string { return fmt.Sprintf("panic: %v", p.value) }
+
+// recovered runs read, turning a panic into an error.
+func recovered[M any](read func() (M, error)) (m M, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = panicked{p}
+		}
+	}()
+	return read()
+}
+
+// sameRead fails t unless the live reader's error err agrees with the frozen
+// reader's, werr: both nil, both set, or err one of the bounds the frozen
+// reader did not have. It reports whether both read a message.
+func sameRead(t *testing.T, reader string, werr, err error) bool {
+	t.Helper()
+	var pe *ProtocolError
+	switch {
+	case errors.As(err, new(panicked)):
+		t.Fatalf("%s: %v", reader, err)
+	case werr != nil && err == nil:
+		t.Fatalf("%s read a message the frozen reader refused (%v)", reader, werr)
+	case werr == nil && err != nil && !(errors.As(err, &pe) && strings.Contains(pe.Msg, "exceeds")):
+		t.Fatalf("%s refused a message the frozen reader read: %v", reader, err)
+	}
+	return werr == nil && err == nil
 }
