@@ -203,8 +203,9 @@ figures:
 	$(GO) run ./cmd/spibench
 	$(GO) run ./cmd/spibench -fig faults
 
-## fuzz-smoke: run each fuzz target briefly against the codec layer and the
-## reply reader, as the client, the gateway and the exporter's scrape use it.
+## fuzz-smoke: run each fuzz target briefly against the codec layer, the
+## reply reader, as the client, the gateway and the exporter's scrape use it,
+## and the HTTP message readers, against the readers they replaced too.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenizer$$' -fuzztime=10s ./internal/xmltext
 	$(GO) test -run='^$$' -fuzz='^FuzzCharData$$' -fuzztime=10s ./internal/xmltext
@@ -215,6 +216,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzGatewayReply$$' -fuzztime=10s ./internal/gateway
 	$(GO) test -run='^$$' -fuzz='^FuzzReadResponse$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRequestStream$$' -fuzztime=10s ./internal/httpx
+	$(GO) test -run='^$$' -fuzz='^FuzzReadMatchesFrozen$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzScrape$$' -fuzztime=10s ./cmd/spiexporter
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultRoundTrip$$' -fuzztime=10s ./internal/fault
 

@@ -2,9 +2,7 @@ package httpx
 
 import (
 	"bufio"
-	"io"
 	"net"
-	"strings"
 	"sync"
 )
 
@@ -35,21 +33,10 @@ var bodyPool = sync.Pool{
 	},
 }
 
-// bodyPage is the unit a body buffer grows in.
+// bodyPage is the unit a pooled body buffer grows in: a pooled buffer is as
+// large as the largest body it served, rounded up to a bodyPage, since growing
+// it further would leave that much more of the heap idle between requests.
 const bodyPage = 4 << 10
-
-// acquireBody returns a length-n buffer backed by the pool. A buffer too
-// small for n is replaced by one of n bytes rounded up to a bodyPage: a
-// pooled buffer is as large as the largest body it served, and growing it
-// further would leave that much more of the heap idle between requests.
-func acquireBody(n int) *[]byte {
-	bp := bodyPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n, (n+bodyPage-1)&^(bodyPage-1))
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
 
 // releaseBody returns a buffer to the pool.
 func releaseBody(bp *[]byte) {
@@ -89,61 +76,21 @@ func releaseServerConn(c *serverConn) {
 	serverConnPool.Put(c)
 }
 
-// ReadRequestPooled parses one request like ReadRequest, drawing the body
-// buffer from the process pool when the body is Content-Length framed and
-// at most maxPooledBody bytes. The returned release func recycles the
-// buffer; after calling it req.Body must not be touched. release is never
-// nil and is safe to call exactly once.
+// ReadRequestPooled parses one request like ReadRequest, reading a body of
+// at most maxPooledBody bytes into a buffer from the process pool. The
+// returned release func recycles the buffer; after calling it req.Body must
+// not be touched. release is never nil and is safe to call exactly once.
 func ReadRequestPooled(br *bufio.Reader, maxBody int64) (*Request, func(), error) {
-	noop := func() {}
-	budget := MaxHeaderBytes
-	line, err := readLine(br, &budget)
-	if err != nil {
-		return nil, noop, err // io.EOF here means a cleanly closed keep-alive conn
+	req, bp, err := readRequest(br, maxBody, true)
+	if bp == nil {
+		return req, func() {}, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 {
-		return nil, noop, protoErrf("malformed request line %q", line)
-	}
-	method, target, proto := parts[0], parts[1], parts[2]
-	if proto != "HTTP/1.1" && proto != "HTTP/1.0" {
-		return nil, noop, protoErrf("unsupported protocol %q", proto)
-	}
-	h, err := readHeader(br, &budget)
-	if err != nil {
-		return nil, noop, err
-	}
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
-	}
-	req := &Request{Method: method, Target: target, Proto: proto, Header: h}
-
-	chunked, n, err := bodyFraming(&h, true)
-	if err != nil {
-		return nil, noop, err
-	}
-	// Pooled fast path: Content-Length framing within the pooling cap.
-	if !chunked && n >= 0 && n <= maxPooledBody && n <= maxBody {
-		bp := acquireBody(int(n))
-		if _, err := io.ReadFull(br, *bp); err != nil {
+	released := false
+	return req, func() {
+		if !released {
+			released = true
+			req.Body = nil
 			releaseBody(bp)
-			return nil, noop, protoErrf("short body: %v", err)
 		}
-		req.Body = *bp
-		released := false
-		return req, func() {
-			if !released {
-				released = true
-				req.Body = nil
-				releaseBody(bp)
-			}
-		}, nil
-	}
-	// Chunked, oversized or absent body: the regular unpooled path.
-	body, err := readBody(br, chunked, n, maxBody, false)
-	if err != nil {
-		return nil, noop, err
-	}
-	req.Body = body
-	return req, noop, nil
+	}, nil
 }

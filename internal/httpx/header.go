@@ -83,11 +83,6 @@ func (h *Header) Each(fn func(name, value string)) {
 	}
 }
 
-// Clone returns a deep copy.
-func (h *Header) Clone() Header {
-	return Header{fields: append([]field(nil), h.fields...)}
-}
-
 // hasToken reports whether the named field contains the given
 // comma-separated token (case-insensitive), as used by Connection handling.
 func (h *Header) hasToken(name, token string) bool {
