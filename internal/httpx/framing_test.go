@@ -2,13 +2,14 @@ package httpx
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"testing"
 
 	"repro/internal/fault"
@@ -200,9 +201,10 @@ func TestServerRejectsAmbiguousFraming(t *testing.T) {
 			conn.Close()
 		}
 		if row.end != "open" {
-			// A server that stops reading a head at its budget closes with
-			// the rest unread, which the peer sees as a reset.
-			if _, err := br.ReadByte(); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+			// A server that stops reading a head at its budget half-closes
+			// and reads the rest before it closes, so the peer sees the end
+			// of the stream, not a reset.
+			if _, err := br.ReadByte(); err != io.EOF {
 				t.Errorf("case %d: connection still open: %v", i, err)
 			}
 			conn.Close()
@@ -220,3 +222,48 @@ func TestServerRejectsAmbiguousFraming(t *testing.T) {
 }
 
 func ptr(s string) *string { return &s }
+
+// TestServerRefusesDeclaredBodies sends declaredRows through a live
+// Server.Serve: each request declares 200 000 000 bytes of body, sends 11 and
+// half-closes. The server must answer 400 having allocated less than 1 MiB,
+// and the handler must never run.
+func TestServerRefusesDeclaredBodies(t *testing.T) {
+	var handled atomic.Int32
+	srv := &Server{Handler: func(_ context.Context, req *Request) *Response {
+		handled.Add(1)
+		return NewResponse(200, nil)
+	}}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	for _, row := range declaredRows("POST / HTTP/1.1\r\nHost: x\r\n") {
+		wire, _ := io.ReadAll(row.wire())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).CloseWrite()
+		resp, err := ReadResponse(bufio.NewReader(conn), 0)
+		conn.Close()
+		runtime.ReadMemStats(&after)
+		if err != nil || resp.StatusCode != 400 {
+			t.Fatalf("%s: %+v, %v; want a 400", row.name, resp, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: the exchange allocated %d bytes", row.name, n)
+		} else {
+			t.Logf("%s: %s, after allocating %d bytes", row.name, bytes.TrimSpace(resp.Body), n)
+		}
+	}
+	if n := handled.Load(); n != 0 {
+		t.Errorf("the handler ran %d times", n)
+	}
+}

@@ -5,10 +5,42 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 )
+
+// fuzzMaxBody is the body limit the fuzzers read with: large enough that a
+// reader allocating what a message only declares stands out against
+// allocBound.
+const fuzzMaxBody = 1 << 20
+
+// allocPerByte is how many heap bytes a reader may allocate per byte of its
+// input, on top of one head budget (MaxHeaderBytes). A head of bare-LF
+// two-byte fields ("a:\n") costs about 24: each field's string and its place
+// in the field slice, which doubles as it grows.
+const allocPerByte = 32
+
+// boundAllocs runs read, one call of a reader over input, and fails t when
+// the heap allocations it made pass allocPerByte times the input's length
+// plus MaxHeaderBytes: a reader allocates what arrives, never what a message
+// only declares. The count is runtime.MemStats.TotalAlloc around the call,
+// which flushes every P's cached spans first. runtime/metrics'
+// /gc/heap/allocs:bytes does not: it counts a small object when its span
+// leaves the P's cache, so a call reads 0, or what other calls allocated
+// before a collection flushed the caches during it (a 42-byte read showed
+// 347 248 bytes).
+func boundAllocs(t *testing.T, input []byte, read func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read()
+	runtime.ReadMemStats(&after)
+	if n, bound := after.TotalAlloc-before.TotalAlloc, uint64(allocPerByte*len(input)+MaxHeaderBytes); n > bound {
+		t.Fatalf("a read of %d bytes allocated %d, past its bound of %d", len(input), n, bound)
+	}
+}
 
 // FuzzReadResponse hammers the client-side response parser: status line,
 // headers, content-length and chunked bodies. The invariants are that it
@@ -19,8 +51,11 @@ func FuzzReadResponse(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxBody = 1 << 16
-		resp, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)), maxBody)
+		const maxBody = fuzzMaxBody
+		br := bufio.NewReader(bytes.NewReader(data))
+		var resp *Response
+		var err error
+		boundAllocs(t, data, func() { resp, err = ReadResponse(br, maxBody) })
 		if err != nil {
 			return
 		}
@@ -50,11 +85,14 @@ func FuzzReadRequestStream(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxBody = 1 << 16
+		const maxBody = fuzzMaxBody
 		// halfReader forces partial reads so bufio refills mid-message.
 		br := bufio.NewReaderSize(&halfReader{r: bytes.NewReader(data)}, 64)
 		for i := 0; i < 64; i++ {
-			req, release, err := ReadRequestPooled(br, maxBody)
+			var req *Request
+			var release func()
+			var err error
+			boundAllocs(t, data, func() { req, release, err = ReadRequestPooled(br, maxBody) })
 			if err != nil {
 				return // terminal: the stream is dead from here on
 			}
@@ -96,6 +134,8 @@ var responseSeeds = []string{
 	"garbage",
 	"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n",
 	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 1000000\r\n\r\nshort",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nf4240\r\nshort",
 }
 
 // requestSeeds seed the fuzzers that read requests.
@@ -112,6 +152,8 @@ var requestSeeds = []string{
 	"NOT A REQUEST LINE\r\n\r\n",
 	"POST /s HTTP/2\r\n\r\n",
 	"POST /s HTTP/1.1\r\n badname: v\r\n\r\n",
+	"POST /s HTTP/1.1\r\nContent-Length: 1000000\r\n\r\nshort",
+	"POST /s HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nf4240\r\nshort",
 }
 
 // FuzzReadMatchesFrozen holds the readers to the ones they replaced
@@ -134,16 +176,22 @@ func FuzzReadMatchesFrozen(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\n7fffffffffffffff\r\nb\r\n0\r\n\r\n"))
 	f.Add([]byte("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n+5 ; a=\"b\"\r\nhello\r\n0\r\nT: 1\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxBody = 1 << 16
+		const maxBody = fuzzMaxBody
 		stream := func() *bufio.Reader { return bufio.NewReaderSize(&halfReader{r: bytes.NewReader(data)}, 64) }
 		frozen, live, pooled := stream(), stream(), stream()
 		for i := 0; i < 16; i++ {
 			want, werr := recovered(func() (*Request, error) { return frozenReadRequest(frozen, maxBody) })
-			got, gerr := recovered(func() (*Request, error) { return ReadRequest(live, maxBody) })
+			var got, gotPooled *Request
+			var gerr, perr error
+			boundAllocs(t, data, func() {
+				got, gerr = recovered(func() (*Request, error) { return ReadRequest(live, maxBody) })
+			})
 			release := func() {}
-			gotPooled, perr := recovered(func() (req *Request, err error) {
-				req, release, err = ReadRequestPooled(pooled, maxBody)
-				return req, err
+			boundAllocs(t, data, func() {
+				gotPooled, perr = recovered(func() (req *Request, err error) {
+					req, release, err = ReadRequestPooled(pooled, maxBody)
+					return req, err
+				})
 			})
 			if !sameRead(t, "ReadRequest", werr, gerr) || !sameRead(t, "ReadRequestPooled", werr, perr) {
 				release()
@@ -160,8 +208,11 @@ func FuzzReadMatchesFrozen(f *testing.F) {
 		want, werr := recovered(func() (*Response, error) {
 			return frozenReadResponse(bufio.NewReader(bytes.NewReader(data)), maxBody)
 		})
-		got, gerr := recovered(func() (*Response, error) {
-			return ReadResponse(bufio.NewReader(bytes.NewReader(data)), maxBody)
+		br := bufio.NewReader(bytes.NewReader(data))
+		var got *Response
+		var gerr error
+		boundAllocs(t, data, func() {
+			got, gerr = recovered(func() (*Response, error) { return ReadResponse(br, maxBody) })
 		})
 		if sameRead(t, "ReadResponse", werr, gerr) && (got.StatusCode != want.StatusCode || got.Status != want.Status ||
 			got.Proto != want.Proto || !slices.Equal(got.Header.fields, want.Header.fields) || !bytes.Equal(got.Body, want.Body)) {

@@ -113,18 +113,30 @@ func longWire(head string, n int, tail string) func() io.Reader {
 }
 
 // hostileRows are the messages, after the start line start, that once
-// crashed a reader or made it allocate by the line: a chunk size that
-// overflows the body length read so far (makeslice: len out of range), and a
-// header line, a chunk-size line and a trailer of 32 MiB each. The last two
-// are well formed; a reader refuses them for their size.
+// crashed a reader or made it allocate by the line or by the declaration: a
+// chunk size that overflows the body length read so far (makeslice: len out
+// of range); a header line, a chunk-size line and a trailer of 32 MiB each,
+// which are well formed and refused for their size; and a Content-Length and
+// a chunk size of 200 000 000 bytes, each followed by 11 of them, which a
+// reader must not allocate before they arrive (declaredRows).
 func hostileRows(start string) []errorRow {
 	const huge = 32 << 20
 	const chunked = "Transfer-Encoding: chunked\r\n\r\n"
-	return []errorRow{
+	return append([]errorRow{
 		{"chunk size overflowing the body", wireOf(start + chunked + "1\r\na\r\n7fffffffffffffff\r\nb\r\n0\r\n\r\n")},
 		{"32 MiB header line", longWire(start+"X-Huge: ", huge, "\r\nContent-Length: 0\r\n\r\n")},
 		{"32 MiB chunk-size line", longWire(start+chunked+"1;", huge, "\r\na\r\n0\r\n\r\n")},
 		{"32 MiB trailer", longWire(start+chunked+"1\r\na\r\n0\r\nX-Trailer: ", huge, "\r\n\r\n")},
+	}, declaredRows(start)...)
+}
+
+// declaredRows are the messages, after the start line start, that declare a
+// body of 200 000 000 bytes and send 11: by Content-Length (57 bytes after a
+// 17-byte start line) and as one chunk (67 bytes).
+func declaredRows(start string) []errorRow {
+	return []errorRow{
+		{"declared length of 200000000", wireOf(start + "Content-Length: 200000000\r\n\r\nhello world")},
+		{"declared chunk of 200000000", wireOf(start + "Transfer-Encoding: chunked\r\n\r\nbebc200\r\nhello world")},
 	}
 }
 
