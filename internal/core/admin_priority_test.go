@@ -18,10 +18,11 @@ import (
 // backlog it is supposed to report, and an exporter would lose sight of the
 // most overloaded backend exactly when it matters most.
 func TestAdminBypassesAppStage(t *testing.T) {
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{}, 3)
 	c := registry.NewContainer()
 	svc := c.MustAddService("Block", "urn:spi:Block", "parks until released")
 	svc.MustRegister("wait", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
+		entered <- struct{}{}
 		<-gate
 		return params, nil
 	}, "blocks on a gate")
@@ -38,6 +39,7 @@ func TestAdminBypassesAppStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	submits := watchSubmits(srv)
 	go srv.Serve(lis)
 	cli, err := NewClient(ClientConfig{Dial: link.Dial, Timeout: 5 * time.Second, KeepAlive: true})
 	if err != nil {
@@ -70,17 +72,9 @@ func TestAdminBypassesAppStage(t *testing.T) {
 			}
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := srv.Stats()
-		if st.AppStage.Busy >= 1 && st.AppStage.Queued >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("app stage never saturated: %+v", st.AppStage)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Saturated: the worker holds one call and the other two are queued.
+	<-entered
+	submits.wait(t, 3, "the gated calls")
 
 	// The control-plane call must answer promptly despite the wedge, and
 	// its snapshot must show the saturation it bypassed.

@@ -54,9 +54,10 @@ func newEchoContainer(t *testing.T) *registry.Container {
 
 // system wires a client and server over an in-memory link.
 type system struct {
-	client *Client
-	server *Server
-	link   *netsim.Link
+	client  *Client
+	server  *Server
+	link    *netsim.Link
+	submits *submitWatch // set by newResilienceSystem
 }
 
 func newSystem(t *testing.T, mutate func(*ServerConfig, *ClientConfig)) *system {

@@ -23,18 +23,6 @@ func spansByStage(spans []trace.Span) map[string][]trace.Span {
 	return out
 }
 
-// spansWithApp is spansByStage of tr's snapshot once n server.app spans are in
-// it: a worker records its span after it has handed the result over, so the
-// response can reach the client before the last of them is there.
-func spansWithApp(tr *trace.Tracer, n int) map[string][]trace.Span {
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		byStage := spansByStage(tr.Snapshot())
-		if len(byStage[trace.StageApp]) >= n || time.Now().After(deadline) {
-			return byStage
-		}
-	}
-}
-
 // appQueueGauge returns tr's app.queue gauge, which exists once a submit to
 // the application stage has sampled the queue's depth.
 func appQueueGauge(tr *trace.Tracer) (trace.GaugeValue, bool) {
@@ -57,7 +45,7 @@ func TestTraceSingleCallFullPath(t *testing.T) {
 	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "hi")); err != nil {
 		t.Fatal(err)
 	}
-	byStage := spansWithApp(tr, 1)
+	byStage := spansByStage(tr.Snapshot())
 	for _, stage := range []string{trace.StageClientPack, trace.StageClientSend,
 		trace.StageProtocol, trace.StageDispatch, trace.StageApp,
 		trace.StageAssemble, trace.StageClientUnpack} {
@@ -101,7 +89,7 @@ func TestTracePackedBatchSpans(t *testing.T) {
 	if err := b.Send(); err != nil {
 		t.Fatal(err)
 	}
-	byStage := spansWithApp(tr, n)
+	byStage := spansByStage(tr.Snapshot())
 	app := byStage[trace.StageApp]
 	if len(app) != n {
 		t.Fatalf("server.app spans = %d, want %d (one per packed request)", len(app), n)
@@ -141,7 +129,8 @@ func TestTracePackedBatchSpans(t *testing.T) {
 func TestTraceAppQueuePeaksBehindHeldWorker(t *testing.T) {
 	// The app.queue gauge counts tasks waiting for a worker, sampled ahead of
 	// each submit. With the one worker held by a gated call, a 4-entry pack's
-	// entries all wait, so the samples ahead of its last three read 1, 2, 3.
+	// entries all wait, so the samples ahead of its last three read 1, 2, 3
+	// (2, 3, 4 when the gated call is still queued too).
 	tr := trace.New(256)
 	sys, release := newResilienceSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
 		sc.AppWorkers = 1
@@ -152,18 +141,10 @@ func TestTraceAppQueuePeaksBehindHeldWorker(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Add("Echo", "echo", soapenc.F("m", "x"))
 	}
-	waitApp := func(what string, cond func(st ServerStats) bool) {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); !cond(sys.server.Stats()); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never happened", what)
-			}
-		}
-	}
-	waitApp("the gated call holding the worker", func(st ServerStats) bool { return st.AppStage.Busy == 1 })
+	sys.submits.wait(t, 1, "the gated call")
 	sent := make(chan error, 1)
 	go func() { sent <- b.Send() }()
-	waitApp("the pack queueing behind it", func(st ServerStats) bool { return st.AppStage.Queued == 4 })
+	sys.submits.wait(t, 5, "the pack queueing behind it")
 	if g, _ := appQueueGauge(tr); g.Peak < 3 {
 		t.Errorf("app.queue peak = %d with four entries queued behind a held worker, want >= 3", g.Peak)
 	}
@@ -209,9 +190,9 @@ func TestTracePlanSpans(t *testing.T) {
 }
 
 func TestTracePlanStepAppSpans(t *testing.T) {
-	// A plan step goes to the application stage the way a packed entry does:
-	// through appTask, so each step leaves one server.app span with its own
-	// id and operation, and scheduling it samples the queue gauge.
+	// A plan step goes to the application stage the way a packed entry does,
+	// so each step leaves one server.app span with its own id and operation,
+	// and scheduling it samples the queue gauge.
 	tr := trace.New(256)
 	sys := newSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
 		sc.Tracer = tr
@@ -224,7 +205,7 @@ func TestTracePlanStepAppSpans(t *testing.T) {
 	if err := p.Send(); err != nil {
 		t.Fatal(err)
 	}
-	byStage := spansWithApp(tr, 3)
+	byStage := spansByStage(tr.Snapshot())
 	app := byStage[trace.StageApp]
 	if len(app) != 3 {
 		t.Fatalf("server.app spans = %d, want 3 (one per plan step)", len(app))
@@ -315,7 +296,7 @@ func TestTraceServerOnlyBeginsOwnTrace(t *testing.T) {
 	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "x")); err != nil {
 		t.Fatal(err)
 	}
-	byStage := spansWithApp(tr, 1)
+	byStage := spansByStage(tr.Snapshot())
 	if len(byStage[trace.StageClientPack]) != 0 || len(byStage[trace.StageClientSend]) != 0 {
 		t.Error("client spans recorded despite untraced client")
 	}
@@ -346,7 +327,7 @@ func TestDebugStatsEndpoint(t *testing.T) {
 	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "x")); err != nil {
 		t.Fatal(err)
 	}
-	spansWithApp(tr, 1)
+	spansByStage(tr.Snapshot())
 	hc := &httpx.Client{Dial: sys.link.Dial}
 	defer hc.Close()
 	resp, err := hc.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))

@@ -307,32 +307,46 @@ type bodyBuf struct {
 	bp *[]byte
 }
 
-// read appends n bytes from br to the body. A buffer too small for them is
-// replaced by one of twice the body's length, or of the new length when that
-// is more, so a Content-Length body gets a buffer of its own size and a
-// chunked one grows geometrically. A pooled buffer is rounded up to a
-// bodyPage, and the body leaves the pool once it outgrows maxPooledBody.
+// read appends n bytes from br to the body, growing the buffer only by what
+// has arrived: a full buffer grows by what is still to come, at most by the
+// body's length so far and at least by a bodyPage, so it stays within twice
+// the bytes received plus a page whatever a message declares. A pooled buffer
+// is rounded up to a bodyPage, and the body leaves the pool once it outgrows
+// maxPooledBody.
 func (bb *bodyBuf) read(br *bufio.Reader, n int) error {
-	need := len(bb.b) + n
-	if need > cap(bb.b) {
-		size := max(need, 2*len(bb.b))
-		pooled := bb.bp != nil && need <= maxPooledBody
-		if pooled {
-			size = (min(size, maxPooledBody) + bodyPage - 1) &^ (bodyPage - 1)
+	for want := n; n > 0; {
+		if len(bb.b) == cap(bb.b) {
+			bb.grow(len(bb.b) + min(n, max(len(bb.b), bodyPage)))
 		}
-		grown := append(make([]byte, 0, size), bb.b...)
-		switch {
-		case pooled:
-			*bb.bp = grown
-		case bb.bp != nil:
-			releaseBody(bb.bp)
-			bb.bp = nil
+		k := min(n, cap(bb.b)-len(bb.b))
+		got, err := io.ReadFull(br, bb.b[len(bb.b):len(bb.b)+k])
+		bb.b = bb.b[:len(bb.b)+got]
+		if err == io.EOF && n < want {
+			err = io.ErrUnexpectedEOF // the body broke off after a step, not before it
 		}
-		bb.b = grown
+		if err != nil {
+			return err
+		}
+		n -= k
 	}
-	_, err := io.ReadFull(br, bb.b[len(bb.b):need])
-	bb.b = bb.b[:need]
-	return err
+	return nil
+}
+
+// grow moves the body into a buffer of size bytes.
+func (bb *bodyBuf) grow(size int) {
+	pooled := bb.bp != nil && size <= maxPooledBody
+	if pooled {
+		size = (size + bodyPage - 1) &^ (bodyPage - 1)
+	}
+	grown := append(make([]byte, 0, size), bb.b...)
+	switch {
+	case pooled:
+		*bb.bp = grown
+	case bb.bp != nil:
+		releaseBody(bb.bp)
+		bb.bp = nil
+	}
+	bb.b = grown
 }
 
 // readChunked reads a chunked body: its chunks straight into the body, the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -220,6 +221,7 @@ func (c *serverConn) serve() {
 			resp := NewResponse(400, []byte(pe.Msg+"\n"))
 			resp.Header.Set("Content-Type", "text/plain")
 			c.respond(seq, resp, true)
+			c.linger()
 			return
 		}
 		shut, buffered := wantsClose(req.Proto, &req.Header), c.br.Buffered() > 0
@@ -328,6 +330,27 @@ func (c *serverConn) respond(seq uint64, resp *Response, shut bool) bool {
 	}
 	werr := WriteResponse(c.nc, resp, a&aClose != 0)
 	return (a|c.on(func(t *turns) act { return t.written(werr == nil) }))&aClose == 0
+}
+
+// Bounds on reading past a refused request (linger), before its connection
+// closes.
+const (
+	lingerTime  = 250 * time.Millisecond
+	lingerBytes = 256 << 10
+)
+
+// linger ends a connection whose request was refused with a 400, none after
+// it read: it closes the write side, so the peer reads the 400 and then the
+// end of the stream, and reads and discards what the peer still sends, for at
+// most lingerTime and lingerBytes, before exit closes it. Closing with bytes
+// unread would have the kernel reset the connection, which can discard the
+// 400 before the peer reads it. A connection already closed, or one that
+// cannot half-close, closes at once.
+func (c *serverConn) linger() {
+	if cw, ok := c.nc.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+		_ = c.nc.SetReadDeadline(time.Now().Add(lingerTime))
+		_, _ = io.CopyN(io.Discard, c.br, lingerBytes)
+	}
 }
 
 // exit ends one goroutine's service of the connection; the last one closes
