@@ -184,7 +184,7 @@ func TestGatherCollectorFaultsAndDegrade(t *testing.T) {
 // TestGatherCollectorNilDegrade: with no degrade callback — which is how
 // benchmark/trace.go calls Assemble — a collector whose context has expired
 // answers the open slots itself, with the fault a server abandoning the same
-// operation writes (abandonResult). The contexts are dead on arrival, so
+// operation writes (abandonFault). The contexts are dead on arrival, so
 // nothing here waits.
 func TestGatherCollectorNilDegrade(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
