@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -436,5 +440,87 @@ func TestDebugEndpointsOffByDefault(t *testing.T) {
 	}
 	if resp.StatusCode != 404 {
 		t.Errorf("debug endpoint reachable without DebugEndpoints: HTTP %d", resp.StatusCode)
+	}
+}
+
+// jsonKeys lists every key path of a JSON document, sorted: an object's
+// keys joined by dots, an array's elements under "[]".
+func jsonKeys(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(doc, &v); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, doc)
+	}
+	seen := map[string]bool{}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				p := path + "." + k
+				seen[p] = true
+				walk(p, e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(path+"[]", e)
+			}
+		}
+	}
+	walk("", v)
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k[1:])
+	}
+	sort.Strings(keys)
+	return []byte(strings.Join(keys, "\n") + "\n")
+}
+
+// TestDebugStatsKeys pins the key set of a traced server's /spi/stats
+// document after a call, a fault and a packed message: what a reader of
+// the document may look up.
+func TestDebugStatsKeys(t *testing.T) {
+	tr := trace.New(1024)
+	sys := newSystem(t, func(sc *ServerConfig, cc *ClientConfig) {
+		sc.Tracer = tr
+		sc.DebugEndpoints = true
+	})
+	if _, err := sys.client.Call("Echo", "echo", soapenc.F("m", "x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.client.Call("Echo", "fail"); err == nil {
+		t.Fatal("Echo.fail did not fault")
+	}
+	b := sys.client.NewBatch()
+	b.Add("Echo", "echo", soapenc.F("m", "y"))
+	if err := b.Send(); err != nil {
+		t.Fatal(err)
+	}
+	hc := &httpx.Client{Dial: sys.link.Dial}
+	defer hc.Close()
+	resp, err := hc.DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Release()
+	checkGolden(t, "stats_keys_server.txt", jsonKeys(t, resp.Body))
+}
+
+// checkGolden compares got with testdata/name; -update rewrites the file.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s diverged\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }

@@ -57,6 +57,7 @@ func TestDeadlineTable(t *testing.T) {
 			}
 			if gw != nil {
 				waitExchangesEnd(t, gw)
+				checkTally(t, gw, 0)
 			}
 			if over := time.Since(start) - deadlineBudget; over > deadlineSlack {
 				t.Errorf("ended %v after the %v deadline, want at most %v", over, deadlineBudget, deadlineSlack)
@@ -308,7 +309,12 @@ func deadlineServer(t *testing.T, mutate func(*core.ServerConfig)) (*netsim.Link
 		t.Fatal(err)
 	}
 	go srv.Serve(lis)
-	t.Cleanup(func() { hold.release(); srv.Close(); link.Close() })
+	t.Cleanup(func() {
+		hold.release()
+		srv.Shutdown(5 * time.Second)
+		checkServerTally(t, srv)
+		link.Close()
+	})
 	return link, srv, hold
 }
 

@@ -71,6 +71,7 @@ func TestFaultCorpusNoBackend(t *testing.T) {
 			t.Errorf("%s: status = %d, want 200 (degraded, not failed)", v, resp.StatusCode)
 		}
 		gwCorpusGolden(t, "gw_no_backend_"+gwCorpusSuffix(v), resp.Body)
+		checkTally(t, f.gw, 0)
 	}
 }
 
@@ -103,6 +104,7 @@ func TestFaultCorpusDuplicateID(t *testing.T) {
 		if st := f.gw.Stats(); st.Scattered != 0 {
 			t.Errorf("%s: %d sub-batches went out for a rejected message", v, st.Scattered)
 		}
+		checkTally(t, f.gw, 0)
 	}
 }
 
@@ -164,6 +166,7 @@ func TestFaultCorpusDeadlineDegrade(t *testing.T) {
 			t.Errorf("%s: status = %d, want 200 (degraded, not failed)", v, resp.StatusCode)
 		}
 		gwCorpusGolden(t, "gw_deadline_degrade_"+gwCorpusSuffix(v), resp.Body)
+		checkTally(t, gw, 0)
 	}
 }
 
@@ -205,6 +208,7 @@ func TestFaultCorpusDefaultMismatch(t *testing.T) {
 		if st := f.gw.Stats(); st.ItemFaults != 2 {
 			t.Errorf("%s: %d item faults, want 2", v, st.ItemFaults)
 		}
+		checkTally(t, f.gw, 0)
 	}
 }
 
@@ -226,6 +230,7 @@ func TestFaultCorpusProxy502(t *testing.T) {
 		t.Errorf("status = %d, want 502", resp.StatusCode)
 	}
 	gwCorpusGolden(t, "gw_proxy_502.txt", resp.Body)
+	checkTally(t, f.gw, 1)
 }
 
 func gwCorpusSuffix(v soap.Version) string {

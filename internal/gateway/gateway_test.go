@@ -1,12 +1,16 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -652,5 +656,70 @@ func TestGatewayShutdown(t *testing.T) {
 	}
 	if err := f.gw.Shutdown(time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestStatsEndpointKeys pins the key set of a coalescing gateway's
+// /spi/stats document after a packed message, a coalesced call and a fault:
+// what a reader of the document may look up.
+func TestStatsEndpointKeys(t *testing.T) {
+	f := newFarm(t, 2, func(cfg *Config) { cfg.Coalesce.Enabled = true })
+	cli := f.client(t, nil)
+	b := cli.NewBatch()
+	b.Add("Echo", "echo", soapenc.F("m", "x"))
+	b.Add("Echo", "echo", soapenc.F("m", "y"))
+	if err := b.Send(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Call("Echo", "echo", soapenc.F("m", "z")); err != nil {
+		t.Fatal(err)
+	}
+	if r := post(t, f.raw(), "/services/", soap.V11.ContentType(), []byte("not xml")); r.status != 500 {
+		t.Fatalf("status %d, want 500", r.status)
+	}
+	resp, err := f.raw().DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Release()
+	var doc any
+	if err := json.Unmarshal(resp.Body, &doc); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, resp.Body)
+	}
+	seen := map[string]bool{}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				seen[path+k] = true
+				walk(path+k+".", e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(strings.TrimSuffix(path, ".")+"[].", e)
+			}
+		}
+	}
+	walk("", doc)
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	got := []byte(strings.Join(keys, "\n") + "\n")
+	path := filepath.Join("testdata", "stats_keys_gateway.txt")
+	if *updateCorpus {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s diverged\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
