@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,9 +115,11 @@ func (e *exporter) snapshot() (names []string, scrapes map[string]scrape) {
 }
 
 // metricFamily accumulates one family's samples under a single HELP/TYPE
-// header, keeping output order deterministic.
+// header, keeping output order deterministic. field is the index of the
+// admin.Stats field a scalar family reads.
 type metricFamily struct {
 	name, help, typ string
+	field           int
 	samples         []string
 }
 
@@ -123,24 +127,30 @@ func (f *metricFamily) add(labels string, value int64) {
 	f.samples = append(f.samples, fmt.Sprintf("%s{%s} %d", f.name, labels, value))
 }
 
-// renderMetrics emits the Prometheus text exposition of the last scrape.
+// statFamilies returns a family for each field of admin.Stats whose metric
+// tag names one, "name type help", in field order: each of those fields is
+// an int64, or a bool published as 0 or 1.
+func statFamilies() []*metricFamily {
+	t := reflect.TypeFor[admin.Stats]()
+	var out []*metricFamily
+	for i := range t.NumField() {
+		if tag, ok := t.Field(i).Tag.Lookup("metric"); ok {
+			name, rest, _ := strings.Cut(tag, " ")
+			typ, help, _ := strings.Cut(rest, " ")
+			out = append(out, &metricFamily{name: name, typ: typ, help: help, field: i})
+		}
+	}
+	return out
+}
+
+// renderMetrics emits the Prometheus text exposition of the last scrape:
+// spi_up, the families of admin.Stats' fields, then the labelled ones of
+// its fault codes and operations.
 func (e *exporter) renderMetrics() []byte {
 	names, scrapes := e.snapshot()
 
 	up := &metricFamily{name: "spi_up", help: "whether the last Admin scrape of the node succeeded", typ: "gauge"}
-	weight := &metricFamily{name: "spi_weight", help: "advertised routing weight", typ: "gauge"}
-	draining := &metricFamily{name: "spi_draining", help: "whether the node advertises a drain", typ: "gauge"}
-	workers := &metricFamily{name: "spi_workers", help: "application-stage pool width", typ: "gauge"}
-	busy := &metricFamily{name: "spi_busy_workers", help: "application-stage workers currently executing", typ: "gauge"}
-	idle := &metricFamily{name: "spi_idle_workers", help: "application-stage workers currently idle", typ: "gauge"}
-	queueDepth := &metricFamily{name: "spi_queue_depth", help: "application-stage queue occupancy", typ: "gauge"}
-	queueCap := &metricFamily{name: "spi_queue_cap", help: "application-stage queue capacity", typ: "gauge"}
-	inflight := &metricFamily{name: "spi_inflight", help: "requests (or backend sub-batches) in flight", typ: "gauge"}
-	envelopes := &metricFamily{name: "spi_envelopes_total", help: "envelopes accepted", typ: "counter"}
-	requests := &metricFamily{name: "spi_requests_total", help: "requests executed (or dispatched)", typ: "counter"}
-	packed := &metricFamily{name: "spi_packed_total", help: "packed envelopes handled", typ: "counter"}
-	faults := &metricFamily{name: "spi_faults_total", help: "whole-message faults produced", typ: "counter"}
-	itemFaults := &metricFamily{name: "spi_item_faults_total", help: "per-item faults in packed responses", typ: "counter"}
+	stats := statFamilies()
 	faultCodes := &metricFamily{name: "spi_fault_code_total", help: "emitted faults by wire fault code", typ: "counter"}
 	opCount := &metricFamily{name: "spi_op_count_total", help: "operation executions", typ: "counter"}
 	opLatency := &metricFamily{name: "spi_op_latency_microseconds", help: "operation execution latency quantiles", typ: "summary"}
@@ -155,19 +165,17 @@ func (e *exporter) renderMetrics() []byte {
 		}
 		st := s.Stats
 		up.add(nl+","+label("role", st.Role), 1)
-		weight.add(nl, st.Weight)
-		draining.add(nl, boolToInt(st.Draining))
-		workers.add(nl, st.Workers)
-		busy.add(nl, st.Busy)
-		idle.add(nl, st.Idle)
-		queueDepth.add(nl, st.QueueDepth)
-		queueCap.add(nl, st.QueueCap)
-		inflight.add(nl, st.Inflight)
-		envelopes.add(nl, st.Envelopes)
-		requests.add(nl, st.Requests)
-		packed.add(nl, st.Packed)
-		faults.add(nl, st.Faults)
-		itemFaults.add(nl, st.ItemFaults)
+		v := reflect.ValueOf(st)
+		for _, f := range stats {
+			var n int64
+			switch fv := v.Field(f.field); {
+			case fv.Kind() != reflect.Bool:
+				n = fv.Int()
+			case fv.Bool():
+				n = 1
+			}
+			f.add(nl, n)
+		}
 		for _, fc := range st.FaultCodes {
 			faultCodes.add(nl+","+label("code", fc.Code), fc.Count)
 		}
@@ -182,11 +190,7 @@ func (e *exporter) renderMetrics() []byte {
 	}
 
 	var b strings.Builder
-	for _, f := range []*metricFamily{
-		up, weight, draining, workers, busy, idle, queueDepth, queueCap,
-		inflight, envelopes, requests, packed, faults, itemFaults,
-		faultCodes, opCount, opLatency, opMean,
-	} {
+	for _, f := range slices.Concat([]*metricFamily{up}, stats, []*metricFamily{faultCodes, opCount, opLatency, opMean}) {
 		if len(f.samples) == 0 {
 			continue
 		}
@@ -208,13 +212,6 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // label renders one name="value" label pair.
 func label(name, value string) string {
 	return name + `="` + labelEscaper.Replace(value) + `"`
-}
-
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // renderJSON emits the last scrape of every node as one JSON document.

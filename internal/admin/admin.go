@@ -44,8 +44,8 @@ const (
 	OpSetState = "SetState"
 )
 
-// OpStat is one operation's latency digest inside a Stats snapshot —
-// metrics.SummaryExport keyed by its dotted "Service.operation" name.
+// OpStat is one operation's latency digest inside a Stats snapshot, in
+// integer microseconds, keyed by its dotted "Service.operation" name.
 type OpStat struct {
 	Op     string `json:"op" soap:"op"`
 	Count  int64  `json:"count" soap:"count"`
@@ -61,38 +61,44 @@ type OpStat struct {
 //
 // The soap tags are the GetStatsResponse parameters, and the field order is
 // their wire order, pinned by the admin goldens in internal/core/testdata:
-// a new field goes before Ops, never between two existing ones.
+// a new field goes before Ops, never between two existing ones. The metric
+// tags are the families spiexporter publishes each number or flag as: "name
+// type help".
 type Stats struct {
 	// Role is "server" or "gateway".
 	Role string `json:"role" soap:"role"`
 	// Weight is the node's advertised routing weight (>= 1); Draining
 	// reports whether it is draining (no new work should be routed).
-	Weight   int64 `json:"weight" soap:"weight"`
-	Draining bool  `json:"draining" soap:"draining"`
+	Weight   int64 `json:"weight" soap:"weight" metric:"spi_weight gauge advertised routing weight"`
+	Draining bool  `json:"draining" soap:"draining" metric:"spi_draining gauge whether the node advertises a drain"`
 
 	// Workers is the application-stage pool width; Busy and Idle split it
 	// by instantaneous occupancy. Zero on nodes without an app stage
 	// (coupled servers, gateways without an exchange bound).
-	Workers int64 `json:"workers" soap:"workers"`
-	Busy    int64 `json:"busy" soap:"busy"`
-	Idle    int64 `json:"idle" soap:"idle"`
+	Workers int64 `json:"workers" soap:"workers" metric:"spi_workers gauge application-stage pool width"`
+	Busy    int64 `json:"busy" soap:"busy" metric:"spi_busy_workers gauge application-stage workers currently executing"`
+	Idle    int64 `json:"idle" soap:"idle" metric:"spi_idle_workers gauge application-stage workers currently idle"`
 	// QueueDepth and QueueCap describe the application-stage queue.
-	QueueDepth int64 `json:"queue_depth" soap:"queue_depth"`
-	QueueCap   int64 `json:"queue_cap" soap:"queue_cap"`
+	QueueDepth int64 `json:"queue_depth" soap:"queue_depth" metric:"spi_queue_depth gauge application-stage queue occupancy"`
+	QueueCap   int64 `json:"queue_cap" soap:"queue_cap" metric:"spi_queue_cap gauge application-stage queue capacity"`
 	// Inflight is the node's in-flight unit count: dispatched app tasks on
 	// a server, outstanding backend sub-batches on a gateway.
-	Inflight int64 `json:"inflight" soap:"inflight"`
+	Inflight int64 `json:"inflight" soap:"inflight" metric:"spi_inflight gauge requests (or backend sub-batches) in flight"`
 
-	Envelopes  int64 `json:"envelopes" soap:"envelopes"`
-	Requests   int64 `json:"requests" soap:"requests"`
-	Packed     int64 `json:"packed" soap:"packed"`
-	Faults     int64 `json:"faults" soap:"faults"`
-	ItemFaults int64 `json:"item_faults" soap:"item_faults"`
+	Envelopes  int64 `json:"envelopes" soap:"envelopes" metric:"spi_envelopes_total counter envelopes accepted"`
+	Requests   int64 `json:"requests" soap:"requests" metric:"spi_requests_total counter requests executed (or dispatched)"`
+	Packed     int64 `json:"packed" soap:"packed" metric:"spi_packed_total counter packed envelopes handled"`
+	Faults     int64 `json:"faults" soap:"faults" metric:"spi_faults_total counter whole-message faults produced"`
+	ItemFaults int64 `json:"item_faults" soap:"item_faults" metric:"spi_item_faults_total counter per-item faults in packed responses"`
 
-	// FaultCodes breaks Faults+ItemFaults down by emitted wire fault code
-	// (Server.Timeout, Server.Busy, ...). Omitted from the wire when every
-	// tally is zero, so nodes with no faults advertise the same bytes they
-	// did before the taxonomy existed.
+	// FaultCodes counts every fault the node wrote by its wire fault code
+	// (Server.Timeout, Server.Busy, ...), and the requests its transport
+	// refused with HTTP 400 as "HTTP.400". Each fault is counted once, where
+	// it is written, so the tallies less HTTP.400 sum to Faults + ItemFaults;
+	// the one fault under no code is a gateway relay's plain-text 502, which
+	// Faults counts. Omitted from the wire when every tally is zero, so nodes
+	// with no faults advertise the same bytes they did before the taxonomy
+	// existed.
 	FaultCodes []FaultCode `json:"fault_codes,omitempty" soap:"fault_codes,omitempty"`
 
 	// Ops holds per-operation latency digests, sorted by name. It is an

@@ -35,7 +35,7 @@ type packedAssembler struct {
 	defaultNS  string        // xmlns:m declared on Parallel_Response; "" for none
 	encDur     time.Duration // time spent encoding, for phase attribution
 	itemFaults int
-	faultCodes *fault.Counters // server's per-wire-code tallies; nil elsewhere
+	tally      *fault.Tally // the node's counters each fault is counted in; nil for none
 }
 
 // newPackedAssembler opens a Parallel_Response under appendRequestEntry's
@@ -108,13 +108,14 @@ func appendResponseEntry(em *xmltext.Emitter, r *rpcResult, ns, defaultNS string
 	return nil
 }
 
-// fault writes a per-item fault entry. Per-item faults use the SOAP 1.1
-// layout regardless of envelope version.
+// fault writes a per-item fault entry, and counts it as it is written.
+// Per-item faults use the SOAP 1.1 layout regardless of envelope version.
 func (a *packedAssembler) fault(id int, f *soap.Fault) {
 	start := time.Now()
 	a.itemFaults++
-	if a.faultCodes != nil {
-		a.faultCodes.NoteSOAP(f)
+	if a.tally != nil {
+		a.tally.ItemFaults.Add(1)
+		a.tally.Codes.NoteSOAP(f)
 	}
 	var tmp [24]byte
 	f.AppendElementFor(a.em, soap.V11, xmltext.Attr{Name: attrID,

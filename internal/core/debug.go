@@ -16,15 +16,23 @@ import (
 // so it can never shadow a deployed service.
 const debugPathPrefix = "/spi/"
 
-// statsSnapshot is the JSON document GET /spi/stats returns: the server
-// counters, the process's garbage collector, and, when a tracer is attached,
-// the per-stage latency summaries and gauges the trace sink has aggregated.
-type statsSnapshot struct {
-	Server ServerStats `json:"server"`
+// statsDoc is the JSON document GET /spi/stats returns on either node: its
+// counters under its role, "server" or "gateway", the process's garbage
+// collector, and on a server what its stages add (serverDoc).
+type statsDoc struct {
+	Server  *ServerStats `json:"server,omitempty"`
+	Gateway any          `json:"gateway,omitempty"`
 
 	// Runtime is the process's garbage collector at snapshot time.
 	Runtime metrics.RuntimeStats `json:"runtime"`
 
+	*serverDoc
+}
+
+// serverDoc is what a server's statsDoc adds: its application stage, and,
+// when a tracer is attached, the per-stage latency summaries and gauges the
+// trace sink has aggregated.
+type serverDoc struct {
 	// AppOccupancy is the application-stage worker occupancy in [0, 1]
 	// at snapshot time.
 	AppOccupancy float64 `json:"app_occupancy"`
@@ -37,6 +45,26 @@ type statsSnapshot struct {
 	Gauges []trace.GaugeValue `json:"gauges,omitempty"`
 	// SpansDropped counts ring-buffer overwrites since the last Reset.
 	SpansDropped int64 `json:"spans_dropped,omitempty"`
+}
+
+// GatewayStats answers GET /spi/stats on a gateway whose counters are stats.
+func GatewayStats(stats any) *httpx.Response {
+	return statsResponse(statsDoc{Gateway: stats})
+}
+
+// statsResponse writes doc, with the garbage collector read now: the one
+// writer of /spi/stats.
+func statsResponse(doc statsDoc) *httpx.Response {
+	doc.Runtime = metrics.ReadRuntime()
+	body, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		resp := httpx.NewResponse(500, []byte("stats encoding failed\n"))
+		resp.Header.Set("Content-Type", "text/plain")
+		return resp
+	}
+	resp := httpx.NewResponse(200, append(body, '\n'))
+	resp.Header.Set("Content-Type", "application/json")
+	return resp
 }
 
 // handleDebug serves the operator endpoints:
@@ -62,26 +90,18 @@ func (s *Server) handleDebug(req *httpx.Request) *httpx.Response {
 }
 
 func (s *Server) handleStats() *httpx.Response {
-	snap := statsSnapshot{Server: s.Stats(), Runtime: metrics.ReadRuntime()}
+	st := s.Stats()
+	doc := statsDoc{Server: &st, serverDoc: &serverDoc{}}
 	if s.staged() {
-		snap.AppOccupancy = snap.Server.AppStage.Occupancy()
-		snap.AppQueueLen = s.appPool.QueueLen()
+		doc.AppOccupancy = st.AppStage.Occupancy()
+		doc.AppQueueLen = s.appPool.QueueLen()
 	}
 	if tr := s.cfg.Tracer; tr.Enabled() {
-		snap.Stages = tr.Stages()
-		snap.Gauges = tr.Gauges()
-		snap.SpansDropped = tr.Dropped()
+		doc.Stages = tr.Stages()
+		doc.Gauges = tr.Gauges()
+		doc.SpansDropped = tr.Dropped()
 	}
-	body, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		resp := httpx.NewResponse(500, []byte("stats encoding failed\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
-	}
-	body = append(body, '\n')
-	resp := httpx.NewResponse(200, body)
-	resp.Header.Set("Content-Type", "application/json")
-	return resp
+	return statsResponse(doc)
 }
 
 func (s *Server) handlePprof(name string) *httpx.Response {

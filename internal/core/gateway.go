@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 
+	"repro/internal/fault"
 	"repro/internal/httpx"
 	"repro/internal/registry"
 	"repro/internal/soap"
@@ -403,6 +404,7 @@ type GatherCollector struct {
 	// entries the operations behind the slots; unset when made from bare ids.
 	defaultNS string
 	entries   []*ScatterEntry
+	tally     *fault.Tally // where Assemble counts the faults it writes; nil for nowhere
 
 	x        answers    // its mu guards the fields below too; a slot's fault is its res
 	segments [][]byte   // by slot, set as the slot is answered with a segment
@@ -430,6 +432,10 @@ func (sr *ScatterRequest) NewCollector() *GatherCollector {
 	c.defaultNS, c.entries = sr.DefaultNS, sr.Entries
 	return c
 }
+
+// Tally has Assemble count each per-item fault it writes into t, the node's
+// counters, as it writes it.
+func (c *GatherCollector) Tally(t *fault.Tally) { c.tally = t }
 
 // Deliver stores a slot's response segment. The first write wins.
 func (c *GatherCollector) Deliver(slot int, segment []byte) { c.put(slot, segment, nil) }
@@ -502,6 +508,7 @@ func (c *GatherCollector) Assemble(ctx context.Context, v soap.Version, degrade 
 		}
 	}
 	asm := newPackedAssembler(c.defaultNS)
+	asm.tally = c.tally
 	defer asm.release()
 	_ = c.x.drain(ctx, func(slot int) error { // neither write can fail
 		switch sl := &c.x.m.slots[slot]; {

@@ -118,12 +118,11 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	}
 
 	asm := newPackedAssembler(defaultNS)
-	asm.faultCodes = &s.faultCodes
+	asm.tally = &s.tally
 	defer asm.release()
 	if err := r.drain(ctx, func(i int) error { return asm.encodeEntry(s.answer(r, i), s.namespaceOf) }); err != nil {
 		return nil, dispatchTimes{decode: decode, encode: asm.encDur}, soap.ServerFault("assembling %s response: %v", kind, err)
 	}
-	s.itemFaults.Add(int64(asm.itemFaults))
 
 	resp, err := asm.finish(d.Envelope().Version, r.rctx.ResponseHeaders(), nil, nil)
 	if err != nil {

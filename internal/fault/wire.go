@@ -162,6 +162,17 @@ func (c *Counters) NoteReject() {
 	}
 }
 
+// Tally is where a node counts the faults it writes: Faults the whole
+// messages, ItemFaults the entries of packed responses, and Codes both by wire
+// code, beside the transport's HTTP 400 rejects, which answer no envelope.
+// Each fault is counted once, by the writer that emits it, so Codes less its
+// "HTTP.400" tally sums to Faults + ItemFaults. The zero value is ready.
+type Tally struct {
+	Faults     atomic.Int64
+	ItemFaults atomic.Int64
+	Codes      Counters
+}
+
 // CodeCount is one per-fault-code tally.
 type CodeCount struct {
 	Code  string
