@@ -192,9 +192,9 @@ func (c *Client) noteOutcome(err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
-		c.resil.Timeouts.Inc()
+		c.resil.Timeouts.Add(1)
 	case errors.Is(err, context.Canceled):
-		c.resil.Cancellations.Inc()
+		c.resil.Cancellations.Add(1)
 	}
 }
 
@@ -609,7 +609,7 @@ func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmlt
 			c.faults.Add(1)
 			cf := fault.Classify(detachFault(s.fault))
 			if errors.Is(cf, fault.Timeout) {
-				c.resil.Timeouts.Inc()
+				c.resil.Timeouts.Add(1)
 			}
 			call.resolve(nil, cf)
 		case s.err != nil:

@@ -219,7 +219,7 @@ func (c *Client) withRetry(ctx context.Context, idempotent bool, fn func() error
 		if err == nil || attempt >= attempts || !retryable(err, idempotent) || ctx.Err() != nil {
 			return err
 		}
-		c.resil.Retries.Inc()
+		c.resil.Retries.Add(1)
 		if serr := p.Wait(ctx, attempt); serr != nil {
 			// The deadline or the caller ended the backoff: that is the
 			// call's error, and the attempt's stays inside it.

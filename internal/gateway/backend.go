@@ -44,10 +44,10 @@ type backend struct {
 	// in SPI-Load on its last sub-batch reply; 0 until it states one.
 	svcUs atomic.Int64
 
-	inflight  metrics.Gauge   // exchanges currently in flight
-	exchanges metrics.Counter // sub-batch exchanges attempted
-	failures  metrics.Counter // exchanges that errored
-	failovers metrics.Counter // sub-batches moved away after failing here
+	inflight  metrics.Gauge // exchanges currently in flight
+	exchanges atomic.Int64  // sub-batch exchanges attempted
+	failures  atomic.Int64  // exchanges that errored
+	failovers atomic.Int64  // sub-batches moved away after failing here
 }
 
 // BackendStats is the per-backend slice of Gateway.Stats.

@@ -15,37 +15,22 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing event counter, safe for
-// concurrent use. The zero value is ready.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n to the counter.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
 // Resilience groups the failure-handling counters shared by the client
 // and server resilience layers. Embed one and count into its fields; take
 // a Snapshot for reporting. The zero value is ready.
 type Resilience struct {
 	// Retries counts retry attempts made after a failed exchange.
-	Retries Counter
+	Retries atomic.Int64
 	// Timeouts counts work abandoned because a deadline expired: expired
 	// call/batch contexts on the client, per-item or per-operation
 	// deadline faults on the server.
-	Timeouts Counter
+	Timeouts atomic.Int64
 	// Cancellations counts work abandoned because a context was cancelled
 	// before its deadline.
-	Cancellations Counter
+	Cancellations atomic.Int64
 	// Shed counts requests rejected at admission because the application
 	// stage queue was full and they had no deadline to wait until.
-	Shed Counter
+	Shed atomic.Int64
 }
 
 // ResilienceSummary is a point-in-time copy of a Resilience counter set.
@@ -251,35 +236,6 @@ func atomicMax(a *atomic.Int64, n int64) {
 		if cur >= n || a.CompareAndSwap(cur, n) {
 			return
 		}
-	}
-}
-
-// SummaryExport is the cross-process shape of a Summary: integer
-// microseconds instead of time.Duration, so a snapshot survives a trip
-// through a SOAP envelope or a JSON document without losing the unit. It
-// is the per-operation latency digest the Admin control-plane service
-// advertises and the exporter scrapes.
-type SummaryExport struct {
-	// Count is the number of samples behind the digest.
-	Count int64 `json:"count"`
-	// MeanUs, P50Us, P90Us, P99Us and MaxUs are the corresponding Summary
-	// statistics in integer microseconds.
-	MeanUs int64 `json:"mean_us"`
-	P50Us  int64 `json:"p50_us"`
-	P90Us  int64 `json:"p90_us"`
-	P99Us  int64 `json:"p99_us"`
-	MaxUs  int64 `json:"max_us"`
-}
-
-// Export converts the summary to its wire shape.
-func (s Summary) Export() SummaryExport {
-	return SummaryExport{
-		Count:  int64(s.Count),
-		MeanUs: int64(s.Mean / time.Microsecond),
-		P50Us:  int64(s.P50 / time.Microsecond),
-		P90Us:  int64(s.P90 / time.Microsecond),
-		P99Us:  int64(s.P99 / time.Microsecond),
-		MaxUs:  int64(s.Max / time.Microsecond),
 	}
 }
 
