@@ -49,11 +49,11 @@ func hasSpeedup(r *LatencyResult) bool {
 func PrintTravel(w io.Writer, r *TravelResult) {
 	fmt.Fprintf(w, "Travel agent service (§4.3) — %d runs, %d service invocations per run\n",
 		r.Config.Repetitions, 11)
-	fmt.Fprintf(w, "%-22s %12s %10s\n", "mode", "time (ms)", "messages")
+	fmt.Fprintf(w, "%-22s %12s %10s\n", "mode", "median (ms)", "messages")
 	fmt.Fprintf(w, "%-22s %12.2f %10d\n", "without optimization",
-		metrics.Millis(r.Unoptimized.Mean), r.UnoptimizedMessages)
+		metrics.Millis(r.Unoptimized.P50), r.UnoptimizedMessages)
 	fmt.Fprintf(w, "%-22s %12.2f %10d\n", "with optimization",
-		metrics.Millis(r.Optimized.Mean), r.OptimizedMessages)
+		metrics.Millis(r.Optimized.P50), r.OptimizedMessages)
 	fmt.Fprintf(w, "improvement: %.1f%% (paper: 408 ms -> 301 ms, ~26%%)\n\n", r.ImprovementPct)
 }
 
