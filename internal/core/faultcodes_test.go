@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,6 +123,16 @@ func TestTallyServer(t *testing.T) {
 			}, "returns a value with no encoding")
 		}, posts: []post{{"/services", envelope(packed(badInt + `<m:bad/>`)), nil}},
 			codes: map[string]int64{soap.FaultClient: 1, soap.FaultServer: 1}, faults: 1, itemFault: 1},
+		// A degraded slot is answered with the abandon fault; its handler's
+		// late result, a fault of its own, is dropped and is not counted.
+		{name: "late result of a degraded slot", mutate: func(sc *ServerConfig) {
+			echo, _ := sc.Container.Service("Echo")
+			echo.MustRegister("park", func(ctx *registry.Context, _ []soapenc.Field) ([]soapenc.Field, error) {
+				<-ctx.Context().Done()
+				return nil, ctx.Context().Err()
+			}, "returns the context's error once it ends")
+		}, posts: slices.Repeat([]post{{"/services", envelope(packed(`<m:park/><m:echo/>`)), []string{HeaderDeadline, "50"}}}, 3),
+			codes: map[string]int64{FaultCodeTimeout: 3}, itemFault: 3},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			sys := newSystem(t, func(sc *ServerConfig, _ *ClientConfig) {
@@ -136,6 +147,9 @@ func TestTallyServer(t *testing.T) {
 				}
 				resp.Release()
 			}
+			// Closing waits for the workers, so a handler a degraded slot left
+			// running has returned before the counters are read.
+			sys.server.Close()
 			checkServerTally(t, sys.server)
 			st := sys.server.Stats()
 			got := make(map[string]int64)
@@ -170,5 +184,20 @@ func checkServerTally(t *testing.T, srv *Server) {
 	}
 	if acodes != as.Faults+as.ItemFaults {
 		t.Errorf("AdminStats: %d faults by code %v, want Faults %d + ItemFaults %d", acodes, as.FaultCodes, as.Faults, as.ItemFaults)
+	}
+	checkResilience(t, st)
+}
+
+// checkResilience holds a server's Resilience to the faults it wrote:
+// Timeouts is its Server.Timeout tally, Cancellations its Server.Cancelled.
+func checkResilience(t *testing.T, st ServerStats) {
+	t.Helper()
+	byCode := make(map[string]int64, len(st.FaultCodes))
+	for _, c := range st.FaultCodes {
+		byCode[c.Code] = c.Count
+	}
+	if r := st.Resilience; r.Timeouts != byCode[FaultCodeTimeout] || r.Cancellations != byCode[FaultCodeCancelled] {
+		t.Errorf("Resilience Timeouts %d, Cancellations %d; want the written %s %d and %s %d",
+			r.Timeouts, r.Cancellations, FaultCodeTimeout, byCode[FaultCodeTimeout], FaultCodeCancelled, byCode[FaultCodeCancelled])
 	}
 }

@@ -869,6 +869,54 @@ func TestOneReaderFaults(t *testing.T) {
 			diffReplies(t, fmt.Sprintf("%v/%s", v, c.name), []byte(c.doc), want, answer(f.gw.Handle))
 		}
 	}
+
+	// A request target is routed on its path alone, alike by both nodes.
+	for _, m := range gatewayModes {
+		gw := newFarm(t, 2, m.mutate).gw
+		for _, target := range targetRows {
+			for _, b := range targetBodies() {
+				answer := func(handle func(context.Context, *httpx.Request) *httpx.Response) reply {
+					req := httpx.NewRequest("POST", target, b.doc)
+					req.Header.Set("Content-Type", soap.V11.ContentType())
+					resp := handle(context.Background(), req)
+					defer resp.Release()
+					return reply{resp.StatusCode, resp.Header.Get("Content-Type"), bytes.Clone(resp.Body)}
+				}
+				diffReplies(t, fmt.Sprintf("%s/%s POST %s", m.name, b.name, target), b.doc, answer(srv.HandleHTTP), answer(gw.Handle))
+			}
+		}
+	}
+}
+
+// gatewayModes are the three ways a gateway reads a request: parsed, with
+// single calls relayed unparsed (passthrough), and with single calls merged
+// into batches (coalescing).
+var gatewayModes = []struct {
+	name   string
+	mutate func(*Config)
+}{
+	{"parsed", nil},
+	{"passthrough", func(cfg *Config) { cfg.Passthrough = true }},
+	{"coalescing", func(cfg *Config) { cfg.Coalesce = CoalesceConfig{Enabled: true} }},
+}
+
+// targetRows are request targets that name a service or the pack endpoint
+// only by their path, or name none: a query string is ignored, a service is
+// one non-empty path segment. Each is POSTed a single call and a packed pair
+// whose entries name no service, so the target's default is what routes them.
+var targetRows = []string{"/services/Echo/extra", "/services/Echo/", "/services//Echo", "/services/Echo?x=1", "/services?x=1"}
+
+// targetBodies are the two requests each target row is sent.
+func targetBodies() []struct {
+	name string
+	doc  []byte
+} {
+	single := []byte(`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + soap.V11.Namespace() + `"><SOAP-ENV:Body><m:echo xmlns:m="urn:spi:Echo"><data>one</data></m:echo></SOAP-ENV:Body></SOAP-ENV:Envelope>`)
+	packed := packedDocWith(soap.V11, ` xmlns:m="urn:spi:Echo"`, []string{`<m:echo><data>a</data></m:echo>`, `<m:echo><data>b</data></m:echo>`})
+	return []struct {
+		name string
+		doc  []byte
+	}{{"single", single}, {"packed", packed}}
 }
 
 func TestDifferentialProxyPaths(t *testing.T) {
@@ -900,5 +948,19 @@ func TestDifferentialProxyPaths(t *testing.T) {
 		got := reply{gresp.StatusCode, gresp.Header.Get("Content-Type"), append([]byte(nil), gresp.Body...)}
 		gresp.Release()
 		diffReplies(t, "GET "+target, nil, want, got)
+	}
+
+	// Every target is answered as the direct server answers it, by every
+	// kind of gateway.
+	for _, m := range gatewayModes {
+		mc := newFarm(t, 2, m.mutate).raw()
+		defer mc.Close()
+		for _, target := range targetRows {
+			for _, b := range targetBodies() {
+				diffReplies(t, fmt.Sprintf("%s/%s POST %s", m.name, b.name, target), b.doc,
+					post(t, dc, target, soap.V11.ContentType(), b.doc),
+					post(t, mc, target, soap.V11.ContentType(), b.doc))
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -205,6 +206,63 @@ func FuzzGatewayReply(f *testing.F) {
 		}
 		if len(answered) != 4 || len(fuzzed) != 2 {
 			t.Fatalf("%d calls answered, %d sent to the fuzzed backend: %s", len(answered), len(fuzzed), got.body)
+		}
+	})
+}
+
+// FuzzGatewayTarget holds a gateway's routing to the server's: a request of
+// any method and target the transport can deliver, carrying a single call, a
+// packed pair or bytes that are no document, gets from a gateway in each of
+// its three modes the status, content type and body (entries by spi:id) a
+// direct server gives it.
+func FuzzGatewayTarget(f *testing.F) {
+	srv, err := core.NewServer(core.ServerConfig{Container: testContainer(f), AppWorkers: 4, AppQueue: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+	handlers := map[string]func(context.Context, *httpx.Request) *httpx.Response{}
+	for _, m := range gatewayModes {
+		handlers[m.name] = newFarm(f, 2, func(cfg *Config) {
+			cfg.DebugEndpoints = false // the direct server serves none either
+			if m.mutate != nil {
+				m.mutate(cfg)
+			}
+		}).gw.Handle
+	}
+	var bodies [][]byte
+	for _, b := range targetBodies() {
+		bodies = append(bodies, b.doc)
+	}
+	bodies = append(bodies, []byte("not a document"))
+
+	for _, target := range append([]string{"/services/Echo", "/services", "/services/", "/services/Echo?wsdl", "/spi/stats", "/", ""}, targetRows...) {
+		for _, method := range []string{"POST", "GET", "PUT"} {
+			for body := range bodies {
+				f.Add(method, target, uint8(body))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, method, target string, body uint8) {
+		req := httpx.NewRequest(method, target, bodies[int(body)%len(bodies)])
+		req.Header.Set("Content-Type", soap.V11.ContentType())
+		// Only a request the transport delivers as written: one its reader
+		// reads back with the same method and target.
+		var wire bytes.Buffer
+		if httpx.WriteRequest(&wire, req, false) != nil {
+			t.Skip()
+		}
+		if back, err := httpx.ReadRequest(bufio.NewReader(&wire), 1<<20); err != nil || back.Method != method || back.Target != target {
+			t.Skip()
+		}
+		answer := func(handle func(context.Context, *httpx.Request) *httpx.Response) reply {
+			resp := handle(context.Background(), req)
+			defer resp.Release()
+			return reply{resp.StatusCode, resp.Header.Get("Content-Type"), bytes.Clone(resp.Body)}
+		}
+		want := answer(srv.HandleHTTP)
+		for _, m := range gatewayModes {
+			diffReplies(t, fmt.Sprintf("%s: %s %q", m.name, method, target), req.Body, want, answer(handlers[m.name]))
 		}
 	})
 }

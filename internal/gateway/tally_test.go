@@ -86,6 +86,10 @@ func checkServerTally(t *testing.T, srv *core.Server) {
 	if got, want := codeTotal(acodes), as.Faults+as.ItemFaults; got != want {
 		t.Errorf("server AdminStats: %d faults by code %v, want Faults %d + ItemFaults %d", got, acodes, as.Faults, as.ItemFaults)
 	}
+	codes := codeMap(st.FaultCodes)
+	if r := st.Resilience; r.Timeouts != codes[core.FaultCodeTimeout] || r.Cancellations != codes[core.FaultCodeCancelled] {
+		t.Errorf("server Resilience Timeouts %d, Cancellations %d; want the written %v", r.Timeouts, r.Cancellations, codes)
+	}
 }
 
 // wantCodes checks the per-code tallies a row wrote.
