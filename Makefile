@@ -222,7 +222,8 @@ figures:
 
 ## fuzz-smoke: run each fuzz target briefly against the codec layer, the
 ## reply reader, as the client, the gateway and the exporter's scrape use it,
-## and the HTTP message readers, against the readers they replaced too.
+## the gateway's routing against the server's, and the HTTP message readers,
+## against the readers they replaced too.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenizer$$' -fuzztime=10s ./internal/xmltext
 	$(GO) test -run='^$$' -fuzz='^FuzzCharData$$' -fuzztime=10s ./internal/xmltext
@@ -231,6 +232,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStreamDecoder$$' -fuzztime=10s ./internal/soap
 	$(GO) test -run='^$$' -fuzz='^FuzzClientReply$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzGatewayReply$$' -fuzztime=10s ./internal/gateway
+	$(GO) test -run='^$$' -fuzz='^FuzzGatewayTarget$$' -fuzztime=10s ./internal/gateway
 	$(GO) test -run='^$$' -fuzz='^FuzzReadResponse$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRequestStream$$' -fuzztime=10s ./internal/httpx
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatchesFrozen$$' -fuzztime=10s ./internal/httpx

@@ -40,13 +40,9 @@ type exporter struct {
 	last map[string]scrape
 }
 
+// newExporter scrapes the Admin service under prefix, which each node's
+// client reads as core.NewEndpoints does.
 func newExporter(prefix string) *exporter {
-	if prefix == "" {
-		prefix = "/services/"
-	}
-	if !strings.HasSuffix(prefix, "/") {
-		prefix += "/"
-	}
 	return &exporter{prefix: prefix, last: make(map[string]scrape)}
 }
 

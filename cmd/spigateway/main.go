@@ -27,12 +27,14 @@
 // /services/Admin, so exporters can scrape the gateway like any server and
 // operators can set one backend's weight or drain it (SetState backend=...).
 //
-// Endpoints mirror the servers':
+// Endpoints are the servers' own, routed by their one endpoint map (the path
+// alone; any other target is refused as a server refuses it):
 //
 //	POST /services/<Service>    one-request envelopes (proxied)
 //	POST /services              packed envelopes (scattered)
 //	GET  /services, ?wsdl       proxied to one backend
 //	GET  /spi/stats             gateway counters (with -stats)
+//	GET  /spi/pprof/<name>      runtime profiles (with -stats)
 package main
 
 import (
@@ -63,7 +65,7 @@ func main() {
 	exchangeTimeout := flag.Duration("exchange-timeout", 30*time.Second, "per-sub-batch exchange bound")
 	maxIdle := flag.Int("max-idle", 16, "keep-alive connections pooled per backend")
 	maxActive := flag.Int("max-active", 0, "concurrent exchanges per backend (0: unbounded)")
-	stats := flag.Bool("stats", false, "serve GET /spi/stats")
+	stats := flag.Bool("stats", false, "serve GET /spi/stats and /spi/pprof/* operator endpoints")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent single calls into packed batches")
 	maxBatch := flag.Int("max-batch", 64, "coalescer flushes a batch at this many members (with -coalesce)")
 	maxBytes := flag.Int("max-bytes", 256<<10, "coalescer flushes a batch at this many request-body bytes (with -coalesce)")

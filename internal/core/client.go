@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +54,8 @@ type ClientConfig struct {
 	// pipelining enabled (ServerConfig.PipelineWindow / httpx
 	// Server.MaxPipeline). 0 or 1: one exchange per connection.
 	PipelineWindow int
-	// PathPrefix must match the server's (default "/services/").
+	// PathPrefix must match the server's (default "/services/"; see
+	// Endpoints).
 	PathPrefix string
 	// Timeout bounds one HTTP exchange as a connection deadline; zero means
 	// none. It is not sent: a call's budget is its context's deadline.
@@ -105,6 +105,7 @@ type ClientStats struct {
 // to a message (NewBatch) — the SPI pack interface.
 type Client struct {
 	cfg  ClientConfig
+	ep   Endpoints
 	http *httpx.Client
 
 	mu         sync.RWMutex
@@ -125,14 +126,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("core: ClientConfig.Dial is required")
 	}
-	if cfg.PathPrefix == "" {
-		cfg.PathPrefix = "/services/"
-	}
-	if !strings.HasSuffix(cfg.PathPrefix, "/") {
-		cfg.PathPrefix += "/"
-	}
 	c := &Client{
 		cfg: cfg,
+		ep:  NewEndpoints(cfg.PathPrefix),
 		http: &httpx.Client{
 			Dial:         cfg.Dial,
 			KeepAlive:    cfg.KeepAlive,
@@ -349,7 +345,7 @@ func (c *Client) newRequest(ctx context.Context, target string, write func(em *x
 // newCallRequest encodes a single call: the request entry with nothing to
 // inherit, or the template cache's splice of the same bytes.
 func (c *Client) newCallRequest(ctx context.Context, service, op string, params []soapenc.Field) (request, error) {
-	target := c.cfg.PathPrefix + service
+	target := c.ep.Service(service)
 	if c.templates != nil {
 		// Template-cache fast path: splice values into the cached
 		// serialized envelope, skipping the entry writer entirely.
@@ -569,7 +565,7 @@ func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmlt
 		}
 	}()
 	ctx = c.traceCtx(ctx)
-	req, err := c.newRequest(ctx, c.packTarget(), write)
+	req, err := c.newRequest(ctx, c.ep.Pack(), write)
 	if err != nil {
 		return err
 	}
@@ -623,12 +619,6 @@ func (c *Client) sendPacked(ctx context.Context, calls []*Call, write func(*xmlt
 			ID: -1, Op: fmt.Sprintf("batch[%d]", len(calls)), Start: r.start, Service: time.Since(r.start)})
 	}
 	return nil
-}
-
-// packTarget is the URL packed messages are POSTed to: the bare services
-// prefix, since one message may span services.
-func (c *Client) packTarget() string {
-	return strings.TrimSuffix(c.cfg.PathPrefix, "/")
 }
 
 // version returns the envelope version this client speaks.

@@ -50,7 +50,7 @@ func TestCollectorWritesEntriesAsTheyComplete(t *testing.T) {
 	drained := make(chan error, 1)
 	go func() {
 		drained <- r.drain(ctx, func(i int) error {
-			err := asm.encodeEntry(srv.answer(r, i), srv.namespaceOf)
+			err := asm.encodeEntry(r.answer(i), srv.namespaceOf)
 			wrote <- i
 			return err
 		})

@@ -293,7 +293,7 @@ func TestSingleRequestOnPackEndpoint(t *testing.T) {
 	// service by body namespace.
 	sys := newSystem(t, nil)
 	doc := soapRequestBody(t, soap.V11, "echo", soapenc.F("m", "x"))
-	r, err := sys.client.postPooled(context.Background(), sys.client.packTarget(), doc, nil)
+	r, err := sys.client.postPooled(context.Background(), sys.client.ep.Pack(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

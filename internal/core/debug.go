@@ -11,11 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// debugPathPrefix is the URL prefix the operator endpoints live under when
-// ServerConfig.DebugEndpoints is set. It is deliberately outside PathPrefix
-// so it can never shadow a deployed service.
-const debugPathPrefix = "/spi/"
-
 // statsDoc is the JSON document GET /spi/stats returns on either node: its
 // counters under its role, "server" or "gateway", the process's garbage
 // collector, and on a server what its stages add (serverDoc).
@@ -47,49 +42,44 @@ type serverDoc struct {
 	SpansDropped int64 `json:"spans_dropped,omitempty"`
 }
 
-// GatewayStats answers GET /spi/stats on a gateway whose counters are stats.
-func GatewayStats(stats any) *httpx.Response {
-	return statsResponse(statsDoc{Gateway: stats})
-}
-
 // statsResponse writes doc, with the garbage collector read now: the one
 // writer of /spi/stats.
 func statsResponse(doc statsDoc) *httpx.Response {
 	doc.Runtime = metrics.ReadRuntime()
 	body, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		resp := httpx.NewResponse(500, []byte("stats encoding failed\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
+		return plainText(500, "stats encoding failed\n")
 	}
 	resp := httpx.NewResponse(200, append(body, '\n'))
 	resp.Header.Set("Content-Type", "application/json")
 	return resp
 }
 
-// handleDebug serves the operator endpoints:
+// serveDebug is both nodes' answer to a GET under the operator mount:
 //
-//	GET /spi/stats          — JSON snapshot of ServerStats, the process's GC
-//	                          and trace summaries
+//	GET /spi/stats          — doc's JSON snapshot, with the process's GC
 //	GET /spi/pprof/<name>   — a runtime profile (goroutine, heap, allocs,
 //	                          block, mutex, threadcreate) in pprof format
-func (s *Server) handleDebug(req *httpx.Request) *httpx.Response {
-	target := req.Target
-	if i := strings.IndexByte(target, '?'); i >= 0 {
-		target = target[:i]
-	}
+func serveDebug(r Route, doc func() statsDoc) *httpx.Response {
+	name, pprofPath := strings.CutPrefix(r.Path, debugMount+"pprof/")
 	switch {
-	case target == debugPathPrefix+"stats":
-		return s.handleStats()
-	case strings.HasPrefix(target, debugPathPrefix+"pprof/"):
-		return s.handlePprof(strings.TrimPrefix(target, debugPathPrefix+"pprof/"))
+	case r.Path == debugMount+"stats":
+		return statsResponse(doc())
+	case pprofPath:
+		return pprofResponse(name)
 	}
-	resp := httpx.NewResponse(404, []byte("unknown debug endpoint; try /spi/stats or /spi/pprof/goroutine\n"))
-	resp.Header.Set("Content-Type", "text/plain")
-	return resp
+	return plainText(404, "unknown debug endpoint; try /spi/stats or /spi/pprof/goroutine\n")
 }
 
-func (s *Server) handleStats() *httpx.Response {
+// GatewayDebug answers a gateway's GET under the operator mount, its
+// counters read by stats when /spi/stats is asked for.
+func GatewayDebug(r Route, stats func() any) *httpx.Response {
+	return serveDebug(r, func() statsDoc { return statsDoc{Gateway: stats()} })
+}
+
+// statsDoc is a server's /spi/stats document: ServerStats, with what its
+// stages add.
+func (s *Server) statsDoc() statsDoc {
 	st := s.Stats()
 	doc := statsDoc{Server: &st, serverDoc: &serverDoc{}}
 	if s.staged() {
@@ -101,23 +91,19 @@ func (s *Server) handleStats() *httpx.Response {
 		doc.Gauges = tr.Gauges()
 		doc.SpansDropped = tr.Dropped()
 	}
-	return statsResponse(doc)
+	return doc
 }
 
-func (s *Server) handlePprof(name string) *httpx.Response {
+func pprofResponse(name string) *httpx.Response {
 	p := pprof.Lookup(name)
 	if p == nil {
-		resp := httpx.NewResponse(404, []byte("unknown profile "+name+"\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
+		return plainText(404, "unknown profile "+name+"\n")
 	}
 	var buf bytes.Buffer
 	// debug=1 renders the legible text form; these endpoints exist for a
 	// human with curl, not for the pprof binary protocol.
 	if err := p.WriteTo(&buf, 1); err != nil {
-		resp := httpx.NewResponse(500, []byte("profile write failed\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
+		return plainText(500, "profile write failed\n")
 	}
 	resp := httpx.NewResponse(200, buf.Bytes())
 	resp.Header.Set("Content-Type", "text/plain; charset=utf-8")

@@ -199,12 +199,12 @@ func TestFaultCorpusPackedDeadlineDegrade(t *testing.T) {
 func TestFaultCorpusCancelled(t *testing.T) {
 	// A caller that cancels and disconnects never reads the response, so
 	// the cancellation fault cannot be captured off the wire; drive the
-	// emission site (abandonFault) directly and answer with it as
+	// emission site (AbandonFault) directly and answer with it as
 	// faultResponse does.
 	sys, _ := newResilienceSystem(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	f := sys.server.abandonFault(ctx, "Echo", "park")
+	f := AbandonFault(ctx, "Echo", "park")
 	for _, v := range []soap.Version{soap.V11, soap.V12} {
 		resp := sys.server.faultResponse(f, v)
 		corpusGolden(t, "cancelled_"+corpusSuffix(v), resp.Body)

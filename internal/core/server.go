@@ -58,7 +58,7 @@ type ServerConfig struct {
 	Coupled bool
 
 	// PathPrefix is the URL prefix services are mounted under
-	// (default "/services/").
+	// (default "/services/"; see Endpoints).
 	PathPrefix string
 
 	// HeaderProcessors handle recognised header blocks (e.g. WS-Security).
@@ -137,8 +137,11 @@ type ServerStats struct {
 	// ItemFaults.
 	FaultCodes []fault.CodeCount
 
-	// Resilience counts timeouts, cancellations and shed admissions
-	// observed by the server's guards.
+	// Resilience is read off the faults the server wrote, by wire code:
+	// Timeouts its Server.Timeout faults, Cancellations its
+	// Server.Cancelled, Shed its Server.Busy, which the server writes only
+	// when it sheds at admission (a handler that returns one is counted
+	// with them). Retries stays 0.
 	Resilience metrics.ResilienceSummary
 
 	// Protocol-thread phase timings per envelope.
@@ -161,6 +164,7 @@ type ServerStats struct {
 // assemble responses.
 type Server struct {
 	cfg        ServerConfig
+	ep         Endpoints
 	httpSrv    *httpx.Server
 	appPool    *stage.Pool  // nil iff Coupled
 	adminState *admin.State // nil unless AdminService
@@ -169,7 +173,6 @@ type Server struct {
 	requests  atomic.Int64
 	packed    atomic.Int64
 	tally     fault.Tally // counted by faultResponse and the packed assembler
-	resil     metrics.Resilience
 
 	// Per-phase protocol-thread timings, for the overhead-breakdown
 	// experiment: SOAP parse, dispatch+execute, response encode.
@@ -212,13 +215,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.AppQueue <= 0 {
 		cfg.AppQueue = 1024
 	}
-	if cfg.PathPrefix == "" {
-		cfg.PathPrefix = "/services/"
-	}
-	if !strings.HasSuffix(cfg.PathPrefix, "/") {
-		cfg.PathPrefix += "/"
-	}
-	s := &Server{cfg: cfg}
+	s := &Server{cfg: cfg, ep: NewEndpoints(cfg.PathPrefix)}
 	s.opStats.Store(&opRecorders{})
 	if !cfg.Coupled {
 		pool, err := stage.NewPool("app", cfg.AppWorkers, cfg.AppQueue)
@@ -327,7 +324,11 @@ func (s *Server) Stats() ServerStats {
 		st.AppStage = s.appPool.Stats()
 	}
 	st.FaultCodes = s.tally.Codes.Snapshot()
-	st.Resilience = s.resil.Snapshot()
+	st.Resilience = metrics.ResilienceSummary{
+		Timeouts:      s.tally.Codes.Count(fault.WireTimeout),
+		Cancellations: s.tally.Codes.Count(fault.WireCancelled),
+		Shed:          s.tally.Codes.Count(fault.WireBusy),
+	}
 	st.ParsePhase = s.phaseParse.Snapshot()
 	st.DispatchPhase = s.phaseDispatch.Snapshot()
 	st.EncodePhase = s.phaseEncode.Snapshot()
@@ -374,23 +375,17 @@ func (s *Server) recordOp(op *registry.Operation, d time.Duration) {
 // the server shuts down, further bounded here by any SPI-Deadline budget
 // the client propagated.
 func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response {
+	route := s.ep.Route(req.Target)
 	if req.Method == "GET" {
-		if s.cfg.DebugEndpoints && strings.HasPrefix(req.Target, debugPathPrefix) {
-			return s.handleDebug(req)
+		if s.cfg.DebugEndpoints && route.Debug() {
+			return serveDebug(route, s.statsDoc)
 		}
-		return s.handleGet(req)
+		return s.handleGet(route)
 	}
-	if req.Method != "POST" {
-		resp := httpx.NewResponse(405, []byte("SOAP endpoint: POST only\n"))
-		resp.Header.Set("Content-Type", "text/plain")
+	if resp := route.Refuse(req.Method); resp != nil {
 		return resp
 	}
-	defaultService, ok := s.serviceFromPath(req.Target)
-	if !ok {
-		resp := httpx.NewResponse(404, []byte("no such endpoint\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
-	}
+	defaultService := route.Service
 
 	// Adopt the client's trace id (SPI-Trace) or start a server-local
 	// trace, so every span below correlates.
@@ -523,67 +518,36 @@ func TraceID(req *httpx.Request) uint64 {
 // handleGet serves service descriptions: "GET <prefix><Service>?wsdl"
 // returns the service's WSDL document, and a GET of the bare prefix lists
 // the deployed services, mirroring what Axis offered on its endpoints.
-func (s *Server) handleGet(req *httpx.Request) *httpx.Response {
-	target := req.Target
-	wantWSDL := false
-	if i := strings.IndexByte(target, '?'); i >= 0 {
-		wantWSDL = strings.EqualFold(target[i+1:], "wsdl")
-		target = target[:i]
+func (s *Server) handleGet(route Route) *httpx.Response {
+	if !route.Found {
+		return plainText(404, "no such endpoint\n")
 	}
-	service, ok := s.serviceFromPath(target)
-	if !ok {
-		resp := httpx.NewResponse(404, []byte("no such endpoint\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
-	}
-	if service == "" {
+	if route.Service == "" {
 		var b bytes.Buffer
 		b.WriteString("Deployed services:\n")
 		for _, svc := range s.cfg.Container.Services() {
-			fmt.Fprintf(&b, "  %s%s?wsdl — %s\n", s.cfg.PathPrefix, svc.Name, svc.Doc)
+			fmt.Fprintf(&b, "  %s?wsdl — %s\n", s.ep.Service(svc.Name), svc.Doc)
 		}
 		resp := httpx.NewResponse(200, b.Bytes())
 		resp.Header.Set("Content-Type", "text/plain; charset=utf-8")
 		return resp
 	}
-	svc, found := s.cfg.Container.Service(service)
+	svc, found := s.cfg.Container.Service(route.Service)
 	if !found {
-		resp := httpx.NewResponse(404, []byte("no such service\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
+		return plainText(404, "no such service\n")
 	}
-	if !wantWSDL {
+	if !strings.EqualFold(route.Query, "wsdl") {
 		resp := httpx.NewResponse(200, []byte(fmt.Sprintf("%s — %s\nAppend ?wsdl for the service description.\n", svc.Name, svc.Doc)))
 		resp.Header.Set("Content-Type", "text/plain; charset=utf-8")
 		return resp
 	}
 	var b bytes.Buffer
-	if err := wsdl.Describe(svc, s.cfg.PathPrefix+svc.Name).WriteDocument(&b); err != nil {
-		resp := httpx.NewResponse(500, []byte("wsdl generation failed\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
+	if err := wsdl.Describe(svc, s.ep.Service(svc.Name)).WriteDocument(&b); err != nil {
+		return plainText(500, "wsdl generation failed\n")
 	}
 	resp := httpx.NewResponse(200, b.Bytes())
 	resp.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	return resp
-}
-
-// serviceFromPath extracts the service name from the request target.
-// "/services/Echo" -> "Echo"; the bare prefix ("/services" or "/services/")
-// is the multi-service pack endpoint and yields an empty default service.
-func (s *Server) serviceFromPath(target string) (string, bool) {
-	trimmed := strings.TrimSuffix(s.cfg.PathPrefix, "/")
-	if target == trimmed || target == s.cfg.PathPrefix {
-		return "", true
-	}
-	if !strings.HasPrefix(target, s.cfg.PathPrefix) {
-		return "", false
-	}
-	name := strings.TrimPrefix(target, s.cfg.PathPrefix)
-	if name == "" || strings.Contains(name, "/") {
-		return "", false
-	}
-	return name, true
 }
 
 // verifyHeaders runs header processors over the canonical body — the
@@ -716,7 +680,7 @@ func (s *Server) dispatch(ctx context.Context, d *soap.StreamDecoder, headers []
 	r.m.verify(true)
 	s.start(r, 0, false, false, time.Time{})
 	_ = r.drain(ctx, func(int) error { return nil })
-	res := s.answer(r, 0)
+	res := r.answer(0)
 	if res.fault != nil {
 		return nil, times, res.fault
 	}
@@ -767,13 +731,12 @@ func (s *Server) submitApp(ctx context.Context, task stage.Task, wait bool) erro
 // Server.Busy (retryable); a request whose deadline passed or whose caller
 // went away while it waited is abandoned; anything else is a plain server
 // fault.
-func (s *Server) admissionFault(ctx context.Context, req *rpcRequest, err error) *soap.Fault {
+func admissionFault(ctx context.Context, req *rpcRequest, err error) *soap.Fault {
 	switch {
 	case errors.Is(err, stage.ErrQueueFull):
-		s.resil.Shed.Add(1)
 		return fault.ToSOAP(fault.Shedf("application stage queue full and the request has no deadline"))
 	case errors.Is(err, ctx.Err()):
-		return s.abandonFault(ctx, req.service, req.op)
+		return AbandonFault(ctx, req.service, req.op)
 	}
 	return soap.ServerFault("application stage unavailable: %v", err)
 }
@@ -796,16 +759,6 @@ func EndedFault(ctx context.Context, what string) *soap.Fault {
 		return fault.ToSOAP(fault.Timeoutf("deadline expired before %s", what))
 	}
 	return fault.ToSOAP(fault.Cancelledf("caller cancelled before %s", what))
-}
-
-// abandonFault is AbandonFault, counted.
-func (s *Server) abandonFault(ctx context.Context, service, op string) *soap.Fault {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		s.resil.Timeouts.Add(1)
-	} else {
-		s.resil.Cancellations.Add(1)
-	}
-	return AbandonFault(ctx, service, op)
 }
 
 // execute resolves and invokes one operation. In staged mode it is called
@@ -872,12 +825,10 @@ func (s *Server) execute(ctx context.Context, req *rpcRequest, rctx *registry.Co
 		cancel()
 		s.recordOp(op, time.Since(execStart))
 		if errors.Is(ctx.Err(), context.Canceled) {
-			s.resil.Cancellations.Add(1)
 			res.fault = fault.ToSOAP(fault.Cancelledf(
 				"caller cancelled %s.%s", req.service, req.op).
 				With(fault.KeyOp, req.service+"."+req.op))
 		} else {
-			s.resil.Timeouts.Add(1)
 			res.fault = fault.ToSOAP(fault.Timeoutf(
 				"operation %s.%s exceeded its deadline", req.service, req.op).
 				With(fault.KeyOp, req.service+"."+req.op))
@@ -895,7 +846,7 @@ func (s *Server) execute(ctx context.Context, req *rpcRequest, rctx *registry.Co
 func (s *Server) finishExecute(res *rpcResult, rctx, invCtx *registry.Context, results []soapenc.Field, sf *soap.Fault) *rpcResult {
 	if sf != nil {
 		if ictx := invCtx.Context(); sf.Code == soap.FaultServer && ictx.Err() != nil {
-			sf = s.abandonFault(ictx, res.service, res.op)
+			sf = AbandonFault(ictx, res.service, res.op)
 		}
 		res.fault = sf
 		return res
@@ -928,7 +879,5 @@ func (s *Server) faultResponse(f *soap.Fault, v soap.Version) *httpx.Response {
 // encodeFailureResponse is the plain-text 500 returned when response
 // serialization itself fails.
 func encodeFailureResponse() *httpx.Response {
-	resp := httpx.NewResponse(500, []byte("response encoding failed\n"))
-	resp.Header.Set("Content-Type", "text/plain")
-	return resp
+	return plainText(500, "response encoding failed\n")
 }

@@ -120,7 +120,7 @@ func (s *Server) dispatchPacked(ctx context.Context, d *soap.StreamDecoder, pm *
 	asm := newPackedAssembler(defaultNS)
 	asm.tally = &s.tally
 	defer asm.release()
-	if err := r.drain(ctx, func(i int) error { return asm.encodeEntry(s.answer(r, i), s.namespaceOf) }); err != nil {
+	if err := r.drain(ctx, func(i int) error { return asm.encodeEntry(r.answer(i), s.namespaceOf) }); err != nil {
 		return nil, dispatchTimes{decode: decode, encode: asm.encDur}, soap.ServerFault("assembling %s response: %v", kind, err)
 	}
 
@@ -203,12 +203,11 @@ func (s *Server) newRun(ctx context.Context, headers []*xmldom.Element, hold, he
 		ctx: ctx, rctx: registry.Context{Ctx: ctx, RequestHeaders: headers}}
 }
 
-// answer is slot i's answer to write: its own, or, degraded, the abandon fault,
-// counted.
-func (s *Server) answer(r *run, i int) *rpcResult {
+// answer is slot i's answer to write: its own, or, degraded, the abandon fault.
+func (r *run) answer(i int) *rpcResult {
 	sl := &r.m.slots[i]
 	if sl.how == fDegraded {
-		return sl.req.faulted(s.abandonFault(r.ctx, sl.req.service, sl.req.op))
+		return sl.req.faulted(AbandonFault(r.ctx, sl.req.service, sl.req.op))
 	}
 	return sl.res
 }
@@ -249,7 +248,7 @@ func (s *Server) start(r *run, i int, woken, picked bool, submitted time.Time) {
 		if err != nil {
 			r.mu.Lock()
 			if a = r.m.refused(i, errors.Is(err, stage.ErrQueueFull)); a&aFill != 0 {
-				r.m.slots[i].res = req.faulted(s.admissionFault(r.ctx, req, err))
+				r.m.slots[i].res = req.faulted(admissionFault(r.ctx, req, err))
 			}
 			r.signal(a)
 			r.mu.Unlock()

@@ -153,6 +153,9 @@ func (c *Counters) NoteSOAP(sf *soap.Fault) {
 	c.slots[slotOf(sf.Code)].Add(1)
 }
 
+// Count is the tally under one wire code.
+func (c *Counters) Count(code string) int64 { return c.slots[slotOf(code)].Load() }
+
 // NoteReject records one request the transport refused with HTTP 400 before
 // any envelope was read — a protocol reject with no SOAP fault to its name,
 // counted as "HTTP.400". A nil receiver counts nothing.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +126,7 @@ type Config struct {
 // Gateway is the scatter–gather front tier. Create with New.
 type Gateway struct {
 	cfg     Config
+	ep      core.Endpoints // the URL layout, the backends' own
 	httpSrv *httpx.Server
 	rr      atomic.Uint64 // round-robin cursor (a bare uint64 here is misaligned on 386)
 
@@ -169,12 +169,6 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
-	if cfg.PathPrefix == "" {
-		cfg.PathPrefix = "/services/"
-	}
-	if !strings.HasSuffix(cfg.PathPrefix, "/") {
-		cfg.PathPrefix += "/"
-	}
 	if cfg.FailureThreshold <= 0 {
 		cfg.FailureThreshold = 3
 	}
@@ -184,7 +178,7 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Retry == nil {
 		cfg.Retry = core.DefaultRetryPolicy()
 	}
-	g := &Gateway{cfg: cfg, settled: make(chan struct{})}
+	g := &Gateway{cfg: cfg, ep: core.NewEndpoints(cfg.PathPrefix), settled: make(chan struct{})}
 	g.life, g.endLife = context.WithCancel(context.Background())
 	for i, bc := range cfg.Backends {
 		name := bc.Name
@@ -277,7 +271,7 @@ func (g *Gateway) noteFailure(b *backend) {
 // circuit; anything else is a failure, which re-opens it.
 func (g *Gateway) probe(b *backend) {
 	ctx, cancel := context.WithTimeout(g.life, g.cfg.ReprobeAfter)
-	resp, err := b.client.DoCtx(ctx, httpx.NewRequest("GET", g.cfg.PathPrefix, nil))
+	resp, err := b.client.DoCtx(ctx, httpx.NewRequest("GET", g.ep.Prefix(), nil))
 	cancel()
 	ok := err == nil && resp.StatusCode == 200
 	if err == nil {
@@ -448,21 +442,4 @@ func (g *Gateway) AdminStats() admin.Stats {
 		out.Inflight += b.InFlight
 	}
 	return out
-}
-
-// debugPathPrefix mirrors the server's debug mount point.
-const debugPathPrefix = "/spi/"
-
-// handleDebug serves GET /spi/stats.
-func (g *Gateway) handleDebug(req *httpx.Request) *httpx.Response {
-	target := req.Target
-	if i := strings.IndexByte(target, '?'); i >= 0 {
-		target = target[:i]
-	}
-	if target != debugPathPrefix+"stats" {
-		resp := httpx.NewResponse(404, []byte("no such debug endpoint\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
-	}
-	return core.GatewayStats(g.Stats())
 }

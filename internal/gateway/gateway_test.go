@@ -288,6 +288,40 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestGatewayDebugPprof: a gateway serving /spi/stats serves the runtime
+// profiles under /spi/pprof/ too, from the server's debug handler, and
+// refuses any other debug path as a server does.
+func TestGatewayDebugPprof(t *testing.T) {
+	srv, err := core.NewServer(core.ServerConfig{Container: testContainer(t), DebugEndpoints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	gw := newFarm(t, 1, nil).gw
+	for _, c := range []struct {
+		target, ct string
+		status     int
+	}{
+		{"/spi/pprof/goroutine", "text/plain; charset=utf-8", 200},
+		{"/spi/pprof/nonsense", "text/plain", 404},
+		{"/spi/other", "text/plain", 404},
+	} {
+		resp := gw.Handle(context.Background(), httpx.NewRequest("GET", c.target, nil))
+		if resp.StatusCode != c.status || resp.Header.Get("Content-Type") != c.ct {
+			t.Errorf("GET %s: HTTP %d %q, want %d %q", c.target, resp.StatusCode, resp.Header.Get("Content-Type"), c.status, c.ct)
+		}
+		if c.status == 200 && !strings.Contains(string(resp.Body), "goroutine") {
+			t.Errorf("GET %s: the profile does not mention goroutines: %.120s", c.target, resp.Body)
+		}
+		want := srv.HandleHTTP(context.Background(), httpx.NewRequest("GET", c.target, nil))
+		if c.status != 200 && !bytes.Equal(resp.Body, want.Body) {
+			t.Errorf("GET %s: the gateway answers %q, the server %q", c.target, resp.Body, want.Body)
+		}
+		resp.Release()
+		want.Release()
+	}
+}
+
 // TestStatsEndpointRuntime checks the "runtime" object of the gateway's
 // /spi/stats: it carries the five GC fields, and its cycle count advances
 // across a collection.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -16,14 +15,17 @@ import (
 
 // Handle is the gateway's HTTP handler: packed POSTs are scattered across
 // the backend pool; everything else (single requests, WSDL GETs) is
-// proxied whole to one backend, so the gateway is a drop-in endpoint.
+// proxied whole to one backend, so the gateway is a drop-in endpoint. It
+// routes each target with the server's endpoint map, so a target no server
+// routes is refused here as a server refuses it.
 func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Response {
 	// The gateway's own management surface: single-call envelopes POSTed to
 	// <prefix>Admin are answered by the self-hosted Admin service, not
 	// proxied — the gateway's stats and drain state are its own. Packed
 	// envelopes are still scattered even if they carry Admin entries, so a
 	// monitoring client can pack GetStats across the backend fleet.
-	if g.adminSrv != nil && g.isAdminTarget(req.Target) {
+	route := g.ep.Route(req.Target)
+	if g.adminSrv != nil && route.Admin() {
 		return g.adminSrv.HandleHTTP(ctx, req)
 	}
 	// The request's one deadline: everything it is forwarded through runs
@@ -35,22 +37,15 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 		defer cancel()
 	}
 	if req.Method == "GET" {
-		if g.cfg.DebugEndpoints && strings.HasPrefix(req.Target, debugPathPrefix) {
-			return g.handleDebug(req)
+		if g.cfg.DebugEndpoints && route.Debug() {
+			return core.GatewayDebug(route, func() any { return g.Stats() })
 		}
 		return g.relay(ctx, req, soap.V11)
 	}
-	if req.Method != "POST" {
-		resp := httpx.NewResponse(405, []byte("SOAP endpoint: POST only\n"))
-		resp.Header.Set("Content-Type", "text/plain")
+	if resp := route.Refuse(req.Method); resp != nil {
 		return resp
 	}
-	defaultService, ok := g.serviceFromPath(req.Target)
-	if !ok {
-		resp := httpx.NewResponse(404, []byte("no such endpoint\n"))
-		resp.Header.Set("Content-Type", "text/plain")
-		return resp
-	}
+	defaultService := route.Service
 
 	// Zero-copy fast path: a single-call envelope headed for the proxy
 	// path anyway is spliced through a backend without being parsed here.
@@ -94,37 +89,6 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 	}
 	g.packed.Add(1)
 	return g.scatterGather(ctx, sr)
-}
-
-// serviceFromPath resolves the target path against the prefix: the bare
-// prefix is the pack endpoint (no default service), a sub-path names the
-// default service for unannotated entries — same routing as the server.
-func (g *Gateway) serviceFromPath(target string) (string, bool) {
-	if i := strings.IndexByte(target, '?'); i >= 0 {
-		target = target[:i]
-	}
-	bare := strings.TrimSuffix(g.cfg.PathPrefix, "/")
-	if target == bare || target == g.cfg.PathPrefix {
-		return "", true
-	}
-	if !strings.HasPrefix(target, g.cfg.PathPrefix) {
-		return "", false
-	}
-	return strings.TrimPrefix(target, g.cfg.PathPrefix), true
-}
-
-// isAdminTarget reports whether the target names the gateway's own Admin
-// endpoint (query string ignored, so ?wsdl still resolves to it).
-func (g *Gateway) isAdminTarget(target string) bool {
-	if i := strings.IndexByte(target, '?'); i >= 0 {
-		target = target[:i]
-	}
-	return target == g.cfg.PathPrefix+"Admin"
-}
-
-// packTarget is the URL sub-batches POST to on backends.
-func (g *Gateway) packTarget() string {
-	return strings.TrimSuffix(g.cfg.PathPrefix, "/")
 }
 
 // scatterGather shards the parsed entries, fans the sub-batches out, and
@@ -328,7 +292,7 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 	if g.cfg.Policy == LeastLoaded {
 		extra = append(extra, core.HeaderLoad, "1")
 	}
-	return b.client.PostCtx(ctx, g.packTarget(), v.ContentType(), doc, extra...)
+	return b.client.PostCtx(ctx, g.ep.Pack(), v.ContentType(), doc, extra...)
 }
 
 // relay forwards a request whole to one backend and hands its reply back —
