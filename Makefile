@@ -72,10 +72,13 @@ test:
 ## rounds must cost more than its clean ones. That last comparison is built
 ## only with -tags shapecensus: the plain test run checks the retries and
 ## exchanges the faults cause instead. These tests skip under -race and
-## -short, so nothing else in check runs them. Wall time on a 2-vCPU box:
-## about 3 min.
+## -short, so nothing else in check runs them. The second line runs the
+## transport figure's row check once: it takes about ten seconds, so it is
+## built only with -tags shapecensus and kept out of the plain test run.
+## Wall time on a 2-vCPU box: about 3 min.
 shape-census:
 	$(GO) test -tags shapecensus -count=20 -run 'TestFigure5Shape|TestFigure7Inversion|TestWSSecurityAmplifiesPacking|TestWANAmplifiesPacking|TestThroughputExperiment|TestAutoBatcherLoneCallIsDirect|TestFaultInjectionExperiment' ./internal/bench
+	$(GO) test -tags shapecensus -count=1 -run 'TestTransportRows' ./internal/bench
 
 ## test-386: the short suite built for a 32-bit int, where an int conversion
 ## of a uint32 hash or size can go negative.
