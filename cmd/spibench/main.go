@@ -10,7 +10,11 @@
 //	spibench -m 1,16,128      # restrict the M sweep
 //
 // The experiments run over the simulated 100 Mbit link (internal/netsim),
-// so results are machine-independent up to scheduler noise.
+// so results are machine-independent up to scheduler noise. Where a figure
+// sets variants against each other (the latency sweeps, travel, related,
+// ablation, faults, gateway, coalesce, transport, unified), the variants take
+// turns, warm-up rounds and then -reps measured rounds, and each row is its
+// variant's median round.
 package main
 
 import (

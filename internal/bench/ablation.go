@@ -1,12 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/soapenc"
 )
 
@@ -25,21 +25,6 @@ type AblationResult struct {
 	Rows  []AblationRow
 }
 
-// measure runs fn warmup+reps times and returns the mean milliseconds.
-func measure(warmup, reps int, fn func() error) (float64, error) {
-	var rec metrics.Recorder
-	for i := 0; i < warmup+reps; i++ {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		if i >= warmup {
-			rec.Record(time.Since(start))
-		}
-	}
-	return metrics.Millis(rec.Snapshot().Mean), nil
-}
-
 // packedRun sends one packed batch of m echo calls with the given payload.
 func packedRun(c *core.Client, m int, payload string) error {
 	b := c.NewBatch()
@@ -54,168 +39,90 @@ func packedRun(c *core.Client, m int, payload string) error {
 // whose operations each carry real work: the staged server executes them
 // concurrently, the coupled one serially.
 func RunStagedVsCoupled(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const m = 16
 	const work = 2 * time.Millisecond
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Ablation: staged pool vs coupled thread (packed M=%d, %v work/op)", m, work)}
-
-	for _, coupled := range []bool{false, true} {
-		env, err := NewEnv(EnvOptions{Coupled: coupled, WorkTime: work})
-		if err != nil {
+	var c comparison
+	defer c.close()
+	for _, v := range []struct {
+		name, note string
+		coupled    bool
+	}{
+		{"staged (two independent pools)", "operations run concurrently on the app stage", false},
+		{"coupled (single thread, Figure 1)", "operations run serially on the protocol thread", true},
+	} {
+		if _, err := c.echo(v.name, v.note, EnvOptions{Coupled: v.coupled, WorkTime: work}, OurApproach, m, "x"); err != nil {
 			return nil, err
 		}
-		ms, err := measure(1, reps, func() error { return packedRun(env.Client, m, "x") })
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		name, note := "staged (two independent pools)", "operations run concurrently on the app stage"
-		if coupled {
-			name, note = "coupled (single thread, Figure 1)", "operations run serially on the protocol thread"
-		}
-		result.Rows = append(result.Rows, AblationRow{Name: name, Millis: ms, Note: note})
 	}
-	return result, nil
+	return c.table(fmt.Sprintf(
+		"Ablation: staged pool vs coupled thread (packed M=%d, %v work/op)", m, work), 1, reps)
 }
 
 // RunConnectionReuse isolates the TCP-setup component of the per-message
 // overhead: the serial baseline with and without keep-alive, versus
 // packing, at M=64 small messages.
 func RunConnectionReuse(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const m = 64
-	payload := "aaaaaaaaaa"
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Ablation: connection reuse (serial M=%d, 10 B payloads)", m)}
-
-	type variant struct {
-		name      string
-		keepAlive bool
-		packed    bool
-		note      string
-	}
-	for _, v := range []variant{
-		{"serial, new connection per message", false, false, "the paper's No Optimization baseline"},
-		{"serial, keep-alive connection", true, false, "removes TCP setup, keeps per-message headers"},
-		{"packed (Our Approach)", false, true, "one connection, one set of headers"},
+	var c comparison
+	defer c.close()
+	for _, v := range []struct {
+		name, note string
+		keepAlive  bool
+		approach   Approach
+	}{
+		{"serial, new connection per message", "the paper's No Optimization baseline", false, NoOptimization},
+		{"serial, keep-alive connection", "removes TCP setup, keeps per-message headers", true, NoOptimization},
+		{"packed (Our Approach)", "one connection, one set of headers", false, OurApproach},
 	} {
-		env, err := NewEnv(EnvOptions{KeepAlive: v.keepAlive})
-		if err != nil {
+		if _, err := c.echo(v.name, v.note, EnvOptions{KeepAlive: v.keepAlive}, v.approach, m, "aaaaaaaaaa"); err != nil {
 			return nil, err
 		}
-		ms, err := measure(1, reps, func() error {
-			if v.packed {
-				return packedRun(env.Client, m, payload)
-			}
-			for i := 0; i < m; i++ {
-				if _, err := env.Client.Call("Echo", "echo", soapenc.F("data", payload)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		result.Rows = append(result.Rows, AblationRow{Name: v.name, Millis: ms, Note: v.note})
 	}
-	return result, nil
+	return c.table(fmt.Sprintf("Ablation: connection reuse (serial M=%d, 10 B payloads)", m), 1, reps)
 }
 
 // RunPoolWidth sweeps the application-stage width for a packed message of
 // working operations, showing where server-side concurrency saturates.
 func RunPoolWidth(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const m = 32
 	const work = 2 * time.Millisecond
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Ablation: application-stage width (packed M=%d, %v work/op)", m, work)}
-
+	var c comparison
+	defer c.close()
 	for _, workers := range []int{1, 2, 4, 8, 16, 32} {
-		env, err := NewEnv(EnvOptions{AppWorkers: workers, WorkTime: work})
-		if err != nil {
+		if _, err := c.echo(fmt.Sprintf("%d app workers", workers), "",
+			EnvOptions{AppWorkers: workers, WorkTime: work}, OurApproach, m, "x"); err != nil {
 			return nil, err
 		}
-		ms, err := measure(1, reps, func() error { return packedRun(env.Client, m, "x") })
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		result.Rows = append(result.Rows, AblationRow{
-			Name:   fmt.Sprintf("%d app workers", workers),
-			Millis: ms,
-		})
 	}
-	return result, nil
+	return c.table(fmt.Sprintf(
+		"Ablation: application-stage width (packed M=%d, %v work/op)", m, work), 1, reps)
 }
 
 // RunAutoBatch compares explicit packing against the automatic batcher
 // (the paper's future-work interface) and against plain concurrent calls,
 // for M concurrent client goroutines.
 func RunAutoBatch(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const m = 32
 	payload := "aaaaaaaaaa"
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Ablation: automatic batching (%d concurrent client calls, 10 B payloads)", m)}
-
-	// Plain concurrent calls (one message each).
-	env, err := NewEnv(EnvOptions{})
-	if err != nil {
+	var c comparison
+	defer c.close()
+	if _, err := c.echo("Multiple Threads (no batching)", "M messages, M connections",
+		EnvOptions{}, MultipleThreads, m, payload); err != nil {
 		return nil, err
 	}
-	ms, err := measure(1, reps, func() error {
-		calls := make([]*core.Call, m)
-		for i := range calls {
-			calls[i] = env.Client.Go("Echo", "echo", soapenc.F("data", payload))
-		}
-		for _, c := range calls {
-			if _, err := c.Wait(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	env.Close()
-	if err != nil {
+	if _, err := c.echo("explicit Batch (pack interface)", "caller groups the calls",
+		EnvOptions{}, OurApproach, m, payload); err != nil {
 		return nil, err
 	}
-	result.Rows = append(result.Rows, AblationRow{
-		Name: "Multiple Threads (no batching)", Millis: ms,
-		Note: "M messages, M connections"})
-
-	// Explicit batch.
-	env, err = NewEnv(EnvOptions{})
-	if err != nil {
-		return nil, err
-	}
-	ms, err = measure(1, reps, func() error { return packedRun(env.Client, m, payload) })
-	env.Close()
-	if err != nil {
-		return nil, err
-	}
-	result.Rows = append(result.Rows, AblationRow{
-		Name: "explicit Batch (pack interface)", Millis: ms,
-		Note: "caller groups the calls"})
-
 	// Auto batcher: concurrent unmodified callers coalesced as the batch
 	// settles.
-	env, err = NewEnv(EnvOptions{})
+	env, err := c.env(EnvOptions{})
 	if err != nil {
 		return nil, err
 	}
 	ab := core.NewAutoBatcher(env.Client, m)
-	ms, err = measure(1, reps, func() error {
+	c.onClose(ab.Close)
+	c.add("AutoBatcher (transparent packing)", "", func() error {
 		var wg sync.WaitGroup
 		errs := make([]error, m)
 		for i := 0; i < m; i++ {
@@ -226,21 +133,14 @@ func RunAutoBatch(reps int) (*AblationResult, error) {
 			}(i)
 		}
 		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
+		return errors.Join(errs...)
 	})
-	envelopes := env.Client.Stats().Envelopes
-	ab.Close()
-	env.Close()
+	r, err := c.table(fmt.Sprintf(
+		"Ablation: automatic batching (%d concurrent client calls, 10 B payloads)", m), 1, reps)
 	if err != nil {
 		return nil, err
 	}
-	result.Rows = append(result.Rows, AblationRow{
-		Name: "AutoBatcher (transparent packing)", Millis: ms,
-		Note: fmt.Sprintf("window 500µs; %d envelopes total across runs", envelopes)})
-	return result, nil
+	r.Rows[2].Note = fmt.Sprintf("a batch goes out once a yield brings it no further call; %d envelopes total across runs",
+		env.Client.Stats().Envelopes)
+	return r, nil
 }

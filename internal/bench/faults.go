@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/soapenc"
@@ -19,45 +18,29 @@ import (
 // faults: M serial messages expose the application to M dial attempts per
 // round (each a chance to fail, back off and retry), while the packed
 // message exposes it to exactly one — message reduction is also failure-
-// surface reduction. Each row is the median of reps interleaved rounds.
+// surface reduction.
 func RunFaultInjection(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const m = 16
 	const failEvery = 5 // every 5th dial is refused
-	payload := "aaaaaaaaaa"
 	retry := &core.RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   500 * time.Microsecond,
 		MaxDelay:    5 * time.Millisecond,
 		Multiplier:  2,
 	}
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Fault injection: serial vs packed, every %dth dial refused (M=%d, 10 B payloads, %d retry attempts)",
-		failEvery, m, retry.MaxAttempts)}
-
-	type variant struct {
-		name   string
-		packed bool
-		faulty bool
-		env    *Env
-		times  []time.Duration
-	}
-	variants := []*variant{
-		{name: "serial, clean link"},
-		{name: "serial, faulty link + retries", faulty: true},
-		{name: "packed, clean link", packed: true},
-		{name: "packed, faulty link + retries", packed: true, faulty: true},
-	}
-	defer func() {
-		for _, v := range variants {
-			if v.env != nil {
-				v.env.Close()
-			}
-		}
-	}()
-	for _, v := range variants {
+	var c comparison
+	defer c.close()
+	var envs []*Env
+	for _, v := range []struct {
+		name     string
+		approach Approach
+		faulty   bool
+	}{
+		{"serial, clean link", NoOptimization, false},
+		{"serial, faulty link + retries", NoOptimization, true},
+		{"packed, clean link", OurApproach, false},
+		{"packed, faulty link + retries", OurApproach, true},
+	} {
 		cfg := netsim.LAN100()
 		if v.faulty {
 			var dials atomic.Int64
@@ -68,43 +51,24 @@ func RunFaultInjection(reps int) (*AblationResult, error) {
 				return nil
 			}
 		}
-		env, err := NewEnv(EnvOptions{Network: cfg, Retry: retry})
+		env, err := c.echo(v.name, "", EnvOptions{Network: cfg, Retry: retry}, v.approach, m, "aaaaaaaaaa")
 		if err != nil {
 			return nil, err
 		}
-		v.env = env
+		envs = append(envs, env)
 	}
-	run := func(v *variant) error {
-		if v.packed {
-			return packedRun(v.env.Client, m, payload)
-		}
-		for i := 0; i < m; i++ {
-			if _, err := v.env.Client.Call("Echo", "echo", soapenc.F("data", payload)); err != nil {
-				return err
-			}
-		}
-		return nil
+	r, err := c.table(fmt.Sprintf(
+		"Fault injection: serial vs packed, every %dth dial refused (M=%d, 10 B payloads, %d retry attempts)",
+		failEvery, m, retry.MaxAttempts), 1, reps)
+	if err != nil {
+		return nil, err
 	}
-	// The variants take turns within each round, as RunLatency's
-	// approaches do, so a slow spell on a shared machine lands on all of
-	// them alike; the median then ignores it. The first round warms up.
-	for round := 0; round <= reps; round++ {
-		for _, v := range variants {
-			start := time.Now()
-			if err := run(v); err != nil {
-				return nil, fmt.Errorf("%s: %w", v.name, err)
-			}
-			if round > 0 {
-				v.times = append(v.times, time.Since(start))
-			}
-		}
+	for i, env := range envs {
+		st := env.Client.Stats()
+		r.Rows[i].Note = fmt.Sprintf("%d exchanges, %d retries across all runs", st.Envelopes, st.Resilience.Retries)
+		r.Rows[i].client = st
 	}
-	for _, v := range variants {
-		st := v.env.Client.Stats()
-		note := fmt.Sprintf("%d exchanges, %d retries across all runs", st.Envelopes, st.Resilience.Retries)
-		result.Rows = append(result.Rows, AblationRow{Name: v.name, Millis: metrics.Millis(metrics.Summarize(v.times).P50), Note: note, client: st})
-	}
-	return result, nil
+	return r, nil
 }
 
 // RunDeadlineDegradation measures the per-item deadline degradation path:
@@ -114,18 +78,13 @@ func RunFaultInjection(reps int) (*AblationResult, error) {
 // — the whole-message failure a deadline would otherwise cause is
 // contained to the item that earned it.
 func RunDeadlineDegradation(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const m = 8 // fast entries per message, plus one slow entry
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Deadline degradation: packed M=%d fast + 1 slow op, 40ms budget", m)}
-
-	env, err := NewEnv(EnvOptions{WorkTime: time.Millisecond})
+	var c comparison
+	defer c.close()
+	env, err := c.env(EnvOptions{WorkTime: time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	defer env.Close()
 	// The slow operation outlives the budget by an order of magnitude.
 	svc, _ := env.Container.Service("Echo")
 	svc.MustRegister("slowOp", func(ctx *registry.Context, params []soapenc.Field) ([]soapenc.Field, error) {
@@ -138,7 +97,7 @@ func RunDeadlineDegradation(reps int) (*AblationResult, error) {
 	}, "sleeps past any reasonable budget")
 
 	var degraded, fullResults int64
-	ms, err := measure(1, reps, func() error {
+	c.add("packed with 40ms budget", "", func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 		defer cancel()
 		b := env.Client.NewBatch()
@@ -150,8 +109,8 @@ func RunDeadlineDegradation(reps int) (*AblationResult, error) {
 		if err := b.SendCtx(ctx); err != nil {
 			return fmt.Errorf("degraded send failed outright: %w", err)
 		}
-		for _, c := range fast {
-			if _, err := c.Wait(); err != nil {
+		for _, call := range fast {
+			if _, err := call.Wait(); err != nil {
 				return fmt.Errorf("fast entry lost to the slow one: %w", err)
 			}
 			fullResults++
@@ -165,14 +124,11 @@ func RunDeadlineDegradation(reps int) (*AblationResult, error) {
 		}
 		return nil
 	})
+	r, err := c.table(fmt.Sprintf("Deadline degradation: packed M=%d fast + 1 slow op, 40ms budget", m), 1, reps)
 	if err != nil {
 		return nil, err
 	}
-	result.Rows = append(result.Rows, AblationRow{
-		Name:   "packed with 40ms budget",
-		Millis: ms,
-		Note: fmt.Sprintf("%d fast results delivered, %d slow entries degraded to "+core.FaultCodeTimeout,
-			fullResults, degraded),
-	})
-	return result, nil
+	r.Rows[0].Note = fmt.Sprintf("%d fast results delivered, %d slow entries degraded to "+core.FaultCodeTimeout,
+		fullResults, degraded)
+	return r, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -174,9 +175,6 @@ func (e *GatewayEnv) Close() {
 // amortizing the per-message costs — so the burst completes sooner even
 // though every individual call briefly parks while its batch settles.
 func RunCoalesce(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const clients = 64
 	const callsPerClient = 4
 	const work = 500 * time.Microsecond
@@ -184,12 +182,12 @@ func RunCoalesce(reps int) (*AblationResult, error) {
 	const maxActive = 8
 	payload := strings.Repeat("a", 64)
 
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Gateway coalescing: %d single-call clients × %d serial calls, %v ops, 2 backends, %d exchange slots per backend",
-		clients, callsPerClient, work, maxActive)}
-
-	for _, coalesce := range []bool{false, true} {
-		env, err := NewGatewayEnv(GatewayOptions{
+	var c comparison
+	defer c.close()
+	modes := []bool{false, true} // coalescing off, on
+	var envs []*GatewayEnv
+	for _, coalesce := range modes {
+		env, err := c.gateway(GatewayOptions{
 			Backends: 2, AppWorkers: workers, WorkTime: work,
 			MaxActivePerBackend: maxActive,
 			Coalesce: gateway.CoalesceConfig{
@@ -200,40 +198,32 @@ func RunCoalesce(reps int) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		envs = append(envs, env)
 		// Each simulated end user gets its own access link to the gateway —
 		// independent client machines don't share a NIC — so the contended
 		// resource is the gateway→backend hop, the one coalescing thins out.
 		fleet := make([]*core.Client, clients)
-		fleetLinks := make([]*netsim.Link, clients)
-		closeFleet := func() {
-			for _, c := range fleet {
-				if c != nil {
-					c.Close()
-				}
-			}
-			for _, l := range fleetLinks {
-				if l != nil {
-					l.Close()
-				}
-			}
-		}
 		for i := range fleet {
 			link := netsim.NewLink(netsim.LAN100())
-			fleetLinks[i] = link
+			c.onClose(func() { link.Close() })
 			lis, err := link.Listen()
-			if err == nil {
-				go env.Gateway.Serve(lis)
-				fleet[i], err = core.NewClient(core.ClientConfig{
-					Dial: link.Dial, KeepAlive: true, Timeout: 120 * time.Second,
-				})
-			}
 			if err != nil {
-				closeFleet()
-				env.Close()
 				return nil, err
 			}
+			go env.Gateway.Serve(lis)
+			fleet[i], err = core.NewClient(core.ClientConfig{
+				Dial: link.Dial, KeepAlive: true, Timeout: 120 * time.Second,
+			})
+			if err != nil {
+				return nil, err
+			}
+			c.onClose(fleet[i].Close)
 		}
-		ms, err := measure(1, reps, func() error {
+		name := "coalescing off (every single proxied whole)"
+		if coalesce {
+			name = "coalescing on (max 16 per batch)"
+		}
+		c.add(name, "", func() error {
 			var wg sync.WaitGroup
 			errs := make([]error, clients)
 			for i := range fleet {
@@ -249,23 +239,19 @@ func RunCoalesce(reps int) (*AblationResult, error) {
 				}(i)
 			}
 			wg.Wait()
-			for _, e := range errs {
-				if e != nil {
-					return e
-				}
-			}
-			return nil
+			return errors.Join(errs...)
 		})
+	}
+	r, err := c.table(fmt.Sprintf(
+		"Gateway coalescing: %d single-call clients × %d serial calls, %v ops, 2 backends, %d exchange slots per backend",
+		clients, callsPerClient, work, maxActive), 1, reps)
+	if err != nil {
+		return nil, err
+	}
+	for i, env := range envs {
 		st := env.Gateway.Stats()
-		closeFleet()
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		name := "coalescing off (every single proxied whole)"
 		note := fmt.Sprintf("%d backend exchanges", st.Proxied)
-		if coalesce {
-			name = "coalescing on (max 16 per batch)"
+		if modes[i] {
 			mean := 0.0
 			if st.CoalesceBatches > 0 {
 				mean = float64(st.Coalesced) / float64(st.CoalesceBatches)
@@ -273,11 +259,9 @@ func RunCoalesce(reps int) (*AblationResult, error) {
 			note = fmt.Sprintf("%d calls pooled into %d batches (mean size %.1f)",
 				st.Coalesced, st.CoalesceBatches, mean)
 		}
-		calls := float64(clients * callsPerClient)
-		note += fmt.Sprintf("; %.0f calls/s", calls/(ms/1000))
-		result.Rows = append(result.Rows, AblationRow{Name: name, Millis: ms, Note: note})
+		r.Rows[i].Note = note + fmt.Sprintf("; %.0f calls/s", clients*callsPerClient/(r.Rows[i].Millis/1000))
 	}
-	return result, nil
+	return r, nil
 }
 
 // RunGatewayScaling measures one packed batch against a saturated farm as
@@ -286,52 +270,34 @@ func RunCoalesce(reps int) (*AblationResult, error) {
 // bounded by farm compute and must drop as backends are added. The direct
 // row (no gateway at all) isolates the gateway's own overhead at width 1.
 func RunGatewayScaling(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const m = 32
 	const work = 2 * time.Millisecond
 	const workers = 4
 	payload := strings.Repeat("a", 128)
 
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Scale-out gateway: packed batch of %d × %v ops, %d app workers per backend", m, work, workers)}
-
-	direct, err := NewEnv(EnvOptions{
-		AppWorkers: workers, KeepAlive: true, WorkTime: work,
-	})
-	if err != nil {
+	var c comparison
+	defer c.close()
+	if _, err := c.echo("direct (no gateway)", "single server, client dials it straight",
+		EnvOptions{AppWorkers: workers, KeepAlive: true, WorkTime: work}, OurApproach, m, payload); err != nil {
 		return nil, err
 	}
-	ms, err := measure(2, reps, func() error { return packedRun(direct.Client, m, payload) })
-	direct.Close()
-	if err != nil {
-		return nil, err
-	}
-	result.Rows = append(result.Rows, AblationRow{
-		Name: "direct (no gateway)", Millis: ms,
-		Note: "single server, client dials it straight",
-	})
-
+	var envs []*GatewayEnv
 	for _, k := range []int{1, 2, 4} {
-		env, err := NewGatewayEnv(GatewayOptions{
-			Backends: k, AppWorkers: workers, WorkTime: work,
-		})
+		env, err := c.gateway(GatewayOptions{Backends: k, AppWorkers: workers, WorkTime: work})
 		if err != nil {
 			return nil, err
 		}
-		ms, err := measure(2, reps, func() error { return packedRun(env.Client, m, payload) })
-		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		st := env.Gateway.Stats()
-		env.Close()
-		result.Rows = append(result.Rows, AblationRow{
-			Name:   fmt.Sprintf("gateway, %d backend(s)", k),
-			Millis: ms,
-			Note:   fmt.Sprintf("%d sub-batches scattered over %d packed batches", st.Scattered, st.Packed),
-		})
+		envs = append(envs, env)
+		c.add(fmt.Sprintf("gateway, %d backend(s)", k), "", func() error { return packedRun(env.Client, m, payload) })
 	}
-	return result, nil
+	r, err := c.table(fmt.Sprintf(
+		"Scale-out gateway: packed batch of %d × %v ops, %d app workers per backend", m, work, workers), 2, reps)
+	if err != nil {
+		return nil, err
+	}
+	for i, env := range envs {
+		st := env.Gateway.Stats()
+		r.Rows[i+1].Note = fmt.Sprintf("%d sub-batches scattered over %d packed batches", st.Scattered, st.Packed)
+	}
+	return r, nil
 }

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/soapenc"
@@ -75,7 +75,8 @@ type LatencyResult struct {
 
 // RunLatency performs the sweep: for each M and each approach, issue M echo
 // requests of PayloadBytes each and measure the wall time until every
-// response has arrived.
+// response has arrived. At each M the approaches take turns on the one
+// environment (see comparison).
 func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 	cfg.fillDefaults()
 	env, err := NewEnv(cfg.Env)
@@ -86,82 +87,57 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 
 	payload := strings.Repeat("a", cfg.PayloadBytes)
 	result := &LatencyResult{Config: cfg}
-
-	// Global warm-up: touch every approach once so first-use costs (pool
-	// spin-up, allocator growth, page faults) do not land on the first
-	// measured point.
-	for _, approach := range cfg.Approaches {
-		if _, err := runOnce(env, approach, 2, "warmup"); err != nil {
-			return nil, fmt.Errorf("%s: warmup %s: %w", cfg.Label, approach, err)
-		}
-	}
-
 	for _, m := range cfg.MessageCounts {
+		var c comparison
+		for _, a := range cfg.Approaches {
+			c.add(a.String(), "", func() error { return runApproach(env.Client, a, m, payload) })
+		}
+		sums, err := c.run(cfg.Warmup, cfg.Repetitions)
+		if err != nil {
+			return nil, fmt.Errorf("%s: M=%d %w", cfg.Label, m, err)
+		}
 		point := &LatencyPoint{
 			M:       m,
 			Millis:  make(map[Approach]float64),
 			Samples: make(map[Approach]metrics.Summary),
 		}
-		// The approaches take turns within each repetition, so a slow spell
-		// on a shared machine lands on all of them alike instead of on
-		// whichever was measuring; the median then ignores the spell.
-		samples := make(map[Approach][]time.Duration, len(cfg.Approaches))
-		for rep := 0; rep < cfg.Warmup+cfg.Repetitions; rep++ {
-			for _, approach := range cfg.Approaches {
-				d, err := runOnce(env, approach, m, payload)
-				if err != nil {
-					return nil, fmt.Errorf("%s: M=%d %s: %w", cfg.Label, m, approach, err)
-				}
-				if rep >= cfg.Warmup {
-					samples[approach] = append(samples[approach], d)
-				}
-			}
-		}
-		for _, approach := range cfg.Approaches {
-			s := metrics.Summarize(samples[approach])
-			point.Millis[approach] = metrics.Millis(s.P50)
-			point.Samples[approach] = s
+		for i, a := range cfg.Approaches {
+			point.Millis[a] = metrics.Millis(sums[i].P50)
+			point.Samples[a] = sums[i]
 		}
 		result.Points = append(result.Points, point)
 	}
 	return result, nil
 }
 
-// runOnce measures one batch of M requests under the given approach.
-func runOnce(env *Env, approach Approach, m int, payload string) (time.Duration, error) {
+// runApproach sends m echo calls of payload on c under the given approach
+// and waits for every response.
+func runApproach(c *core.Client, approach Approach, m int, payload string) error {
 	arg := soapenc.F("data", payload)
-	start := time.Now()
 	switch approach {
 	case NoOptimization:
 		for i := 0; i < m; i++ {
-			if _, err := env.Client.Call("Echo", "echo", arg); err != nil {
-				return 0, err
+			if _, err := c.Call("Echo", "echo", arg); err != nil {
+				return err
 			}
 		}
+		return nil
 	case MultipleThreads:
-		calls := make([]interface {
-			Wait() ([]soapenc.Field, error)
-		}, m)
-		for i := 0; i < m; i++ {
-			calls[i] = env.Client.Go("Echo", "echo", arg)
+		calls := make([]*core.Call, m)
+		for i := range calls {
+			calls[i] = c.Go("Echo", "echo", arg)
 		}
-		for _, c := range calls {
-			if _, err := c.Wait(); err != nil {
-				return 0, err
+		for _, call := range calls {
+			if _, err := call.Wait(); err != nil {
+				return err
 			}
 		}
+		return nil
 	case OurApproach:
-		b := env.Client.NewBatch()
-		for i := 0; i < m; i++ {
-			b.Add("Echo", "echo", arg)
-		}
-		if err := b.Send(); err != nil {
-			return 0, err
-		}
+		return packedRun(c, m, payload)
 	default:
-		return 0, fmt.Errorf("bench: unknown approach %d", approach)
+		return fmt.Errorf("bench: unknown approach %d", approach)
 	}
-	return time.Since(start), nil
 }
 
 // Figure5 is the paper's Figure 5 configuration: 10-byte payloads.

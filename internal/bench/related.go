@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"repro/internal/soapenc"
-)
+import "fmt"
 
 // RunRelatedWork measures a §2.2 related-work optimization against the
 // paper's approach on the Figure-5 workload (M small requests). The paper
@@ -23,52 +19,29 @@ import (
 // on this server it saved nothing, and it was deleted (docs/PERFORMANCE.md,
 // "Knob ledger").
 func RunRelatedWork(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const m = 64
-	payload := "aaaaaaaaaa" // 10 B, the Figure 5 regime
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Related work (§2.2): per-message CPU optimizations vs packing (M=%d, 10 B payloads)", m)}
-
-	type variant struct {
-		name   string
-		opt    EnvOptions
-		packed bool
-		note   string
-	}
-	variants := []variant{
-		{"No Optimization", EnvOptions{}, false,
+	var c comparison
+	defer c.close()
+	for _, v := range []struct {
+		name     string
+		opt      EnvOptions
+		approach Approach
+		note     string
+	}{
+		{"No Optimization", EnvOptions{}, NoOptimization,
 			"M messages, M connections"},
-		{"+ client template cache [1,3]", EnvOptions{TemplateCache: true}, false,
+		{"+ client template cache [1,3]", EnvOptions{TemplateCache: true}, NoOptimization,
 			"serialization bypassed, M messages remain"},
-		{"Our Approach (pack interface)", EnvOptions{}, true,
+		{"Our Approach (pack interface)", EnvOptions{}, OurApproach,
 			"1 message, 1 connection"},
-		{"Ours + template cache", EnvOptions{TemplateCache: true}, true,
+		{"Ours + template cache", EnvOptions{TemplateCache: true}, OurApproach,
 			"orthogonal: packing and caching compose"},
-	}
-
-	for _, v := range variants {
-		env, err := NewEnv(v.opt)
-		if err != nil {
+	} {
+		// 10 B payloads, the Figure 5 regime.
+		if _, err := c.echo(v.name, v.note, v.opt, v.approach, m, "aaaaaaaaaa"); err != nil {
 			return nil, err
 		}
-		ms, err := measure(1, reps, func() error {
-			if v.packed {
-				return packedRun(env.Client, m, payload)
-			}
-			for i := 0; i < m; i++ {
-				if _, err := env.Client.Call("Echo", "echo", soapenc.F("data", payload)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		result.Rows = append(result.Rows, AblationRow{Name: v.name, Millis: ms, Note: v.note})
 	}
-	return result, nil
+	return c.table(fmt.Sprintf(
+		"Related work (§2.2): per-message CPU optimizations vs packing (M=%d, 10 B payloads)", m), 1, reps)
 }

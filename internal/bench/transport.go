@@ -25,9 +25,6 @@ import (
 // roughly one; the app stage is deliberately bounded so the comparison is
 // against a backend that cannot simply absorb the fleet.
 func RunTransport(reps int) (*AblationResult, error) {
-	if reps <= 0 {
-		reps = 5
-	}
 	const conns = 1024
 	const callsPerConn = 8
 	const window = 8
@@ -35,91 +32,38 @@ func RunTransport(reps int) (*AblationResult, error) {
 	const queue = 16384                // hold the full fleet burst without shedding
 	const rtt = 120 * time.Millisecond // 60ms propagation each way
 
-	result := &AblationResult{Title: fmt.Sprintf(
-		"Transport tier: %d keep-alive connections × %d calls, %v RTT, pipeline window %d, %d app workers",
-		conns, callsPerConn, rtt, window, workers)}
-
+	var c comparison
+	defer c.close()
 	for _, pipelined := range []bool{false, true} {
-		clientWindow := 0 // serial keep-alive: one exchange per connection
+		name, clientWindow := "serial keep-alive (1 exchange in flight per conn)", 0
 		if pipelined {
-			clientWindow = window
+			name, clientWindow = fmt.Sprintf("pipelined (window %d)", window), window
 		}
-		container := registry.NewContainer()
-		if err := services.DeployEcho(container, services.Options{}); err != nil {
-			return nil, err
-		}
-		link := netsim.NewLink(netsim.Config{PropagationDelay: rtt / 2})
-		lis, err := link.Listen()
-		if err != nil {
-			link.Close()
-			return nil, err
-		}
-		srv, err := core.NewServer(core.ServerConfig{
-			Container: container, AppWorkers: workers, AppQueue: queue,
-			PipelineWindow: window,
-		})
-		if err != nil {
-			link.Close()
-			return nil, err
-		}
-		go srv.Serve(lis)
-
-		fleet := make([]*core.Client, conns)
-		closeAll := func() {
-			for _, c := range fleet {
-				if c != nil {
-					c.Close()
-				}
-			}
-			srv.Close()
-			link.Close()
-		}
-		for i := range fleet {
-			fleet[i], err = core.NewClient(core.ClientConfig{
-				Dial: link.Dial, KeepAlive: true, Timeout: 120 * time.Second,
-				PipelineWindow: clientWindow,
-			})
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-		}
-		// Warm every connection with one call so both rows measure steady
-		// keep-alive traffic, not 1024 dials (and so the pipelined clients
-		// each hold exactly one connection for the burst to share). Waved:
-		// the whole fleet dialing at once would overflow the simulated
-		// accept backlog, as a real SYN flood would.
-		const wave = 64
-		for lo := 0; lo < conns; lo += wave {
-			hi := lo + wave
-			if hi > conns {
-				hi = conns
-			}
-			if err := transportSweep(fleet[lo:hi], 1, false); err != nil {
-				closeAll()
-				return nil, err
-			}
-		}
-
-		ms, err := measure(1, reps, func() error {
-			return transportSweep(fleet, callsPerConn, pipelined)
-		})
-		closeAll()
+		// The fleet's warm-up call per connection makes both rows measure
+		// steady keep-alive traffic, not 1024 dials, and has each pipelined
+		// client hold exactly one connection for the burst to share.
+		f, err := newTransportFleet(netsim.Config{PropagationDelay: rtt / 2}, core.ServerConfig{
+			AppWorkers: workers, AppQueue: queue, PipelineWindow: window,
+		}, conns, clientWindow)
 		if err != nil {
 			return nil, err
 		}
-		calls := float64(conns * callsPerConn)
-		name := "serial keep-alive (1 exchange in flight per conn)"
-		if pipelined {
-			name = fmt.Sprintf("pipelined (window %d)", window)
-		}
-		note := fmt.Sprintf("%.0f calls/s", calls/(ms/1000))
-		if pipelined && len(result.Rows) > 0 && ms > 0 {
-			note += fmt.Sprintf(" (%+.0f%% vs serial)", (result.Rows[0].Millis/ms-1)*100)
-		}
-		result.Rows = append(result.Rows, AblationRow{Name: name, Millis: ms, Note: note})
+		c.onClose(f.Close)
+		c.add(name, "", func() error { return transportSweep(f.fleet, callsPerConn, pipelined) })
 	}
-	return result, nil
+	r, err := c.table(fmt.Sprintf(
+		"Transport tier: %d keep-alive connections × %d calls, %v RTT, pipeline window %d, %d app workers",
+		conns, callsPerConn, rtt, window, workers), 1, reps)
+	if err != nil {
+		return nil, err
+	}
+	for i := range r.Rows {
+		r.Rows[i].Note = fmt.Sprintf("%.0f calls/s", conns*callsPerConn/(r.Rows[i].Millis/1000))
+	}
+	if serial, ms := r.Rows[0].Millis, r.Rows[1].Millis; ms > 0 {
+		r.Rows[1].Note += fmt.Sprintf(" (%+.0f%% vs serial)", (serial/ms-1)*100)
+	}
+	return r, nil
 }
 
 // TransportFleet is a warmed fleet of keep-alive connections against one
@@ -138,24 +82,26 @@ type TransportFleet struct {
 // conns keep-alive connections in accept-backlog-sized waves and warms each
 // with one call, so the first timed sweep sees steady-state traffic.
 func NewTransportFleet(conns, window int) (*TransportFleet, error) {
-	container := registry.NewContainer()
-	if err := services.DeployEcho(container, services.Options{}); err != nil {
+	return newTransportFleet(netsim.Fast(), core.ServerConfig{
+		AppWorkers: 16, AppQueue: max(conns*8, 1024), PipelineWindow: window,
+	}, conns, window)
+}
+
+// newTransportFleet builds a fleet over a link of the given configuration,
+// against a server of the given configuration with the echo container
+// deployed, its clients pipelining up to window exchanges each.
+func newTransportFleet(net netsim.Config, scfg core.ServerConfig, conns, window int) (*TransportFleet, error) {
+	scfg.Container = registry.NewContainer()
+	if err := services.DeployEcho(scfg.Container, services.Options{}); err != nil {
 		return nil, err
 	}
-	link := netsim.NewLink(netsim.Fast())
+	link := netsim.NewLink(net)
 	lis, err := link.Listen()
 	if err != nil {
 		link.Close()
 		return nil, err
 	}
-	queue := conns * 8
-	if queue < 1024 {
-		queue = 1024
-	}
-	srv, err := core.NewServer(core.ServerConfig{
-		Container: container, AppWorkers: 16, AppQueue: queue,
-		PipelineWindow: window,
-	})
+	srv, err := core.NewServer(scfg)
 	if err != nil {
 		link.Close()
 		return nil, err
@@ -172,13 +118,11 @@ func NewTransportFleet(conns, window int) (*TransportFleet, error) {
 			return nil, err
 		}
 	}
-	const wave = 64 // stay under the simulated accept backlog
+	// Waved: the whole fleet dialing at once would overflow the simulated
+	// accept backlog, as a real SYN flood would.
+	const wave = 64
 	for lo := 0; lo < conns; lo += wave {
-		hi := lo + wave
-		if hi > conns {
-			hi = conns
-		}
-		if err := transportSweep(f.fleet[lo:hi], 1, false); err != nil {
+		if err := transportSweep(f.fleet[lo:min(lo+wave, conns)], 1, false); err != nil {
 			f.Close()
 			return nil, err
 		}

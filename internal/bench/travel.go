@@ -39,10 +39,8 @@ type TravelResult struct {
 }
 
 // RunTravel measures the travel-agent sequence with and without packing
-// steps 1 and 3. The two modes take turns within each repetition, each on an
-// environment of its own (so the reservation books stay disjoint), so a slow
-// spell on a shared machine lands on both alike instead of on whichever was
-// measuring; the medians then ignore the spell.
+// steps 1 and 3. The two modes take turns (see comparison), each on an
+// environment of its own, so the reservation books stay disjoint.
 func RunTravel(cfg TravelConfig) (*TravelResult, error) {
 	if cfg.Repetitions <= 0 {
 		cfg.Repetitions = 10
@@ -55,34 +53,28 @@ func RunTravel(cfg TravelConfig) (*TravelResult, error) {
 		cfg.Env.WorkTime = cfg.WorkTime
 	}
 
-	var envs [2]*Env // by mode: unoptimized, optimized
-	for i := range envs {
-		env, err := NewEnv(cfg.Env)
+	result := &TravelResult{Config: cfg}
+	messages := [2]*int{&result.UnoptimizedMessages, &result.OptimizedMessages}
+	var c comparison
+	defer c.close()
+	for i, optimized := range []bool{false, true} {
+		env, err := c.env(cfg.Env)
 		if err != nil {
 			return nil, err
 		}
-		defer env.Close()
-		envs[i] = env
-	}
-	result := &TravelResult{Config: cfg}
-	var samples [2][]time.Duration
-	messages := [2]*int{&result.UnoptimizedMessages, &result.OptimizedMessages}
-	for rep := 0; rep < cfg.Warmup+cfg.Repetitions; rep++ {
-		for i, env := range envs {
-			optimized := i == 1
-			start := time.Now()
+		c.add(fmt.Sprintf("travel agent (optimized=%v)", optimized), "", func() error {
 			it, err := services.RunTravelAgent(env.Client, services.DefaultItinerary(), optimized)
-			elapsed := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("travel agent (optimized=%v): %w", optimized, err)
+			if err == nil {
+				*messages[i] = it.Messages
 			}
-			if rep >= cfg.Warmup {
-				samples[i] = append(samples[i], elapsed)
-			}
-			*messages[i] = it.Messages
-		}
+			return err
+		})
 	}
-	result.Unoptimized, result.Optimized = metrics.Summarize(samples[0]), metrics.Summarize(samples[1])
+	sums, err := c.run(cfg.Warmup, cfg.Repetitions)
+	if err != nil {
+		return nil, err
+	}
+	result.Unoptimized, result.Optimized = sums[0], sums[1]
 	u, o := metrics.Millis(result.Unoptimized.P50), metrics.Millis(result.Optimized.P50)
 	if u > 0 {
 		result.ImprovementPct = (u - o) / u * 100
