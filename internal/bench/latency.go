@@ -76,7 +76,7 @@ type LatencyResult struct {
 // RunLatency performs the sweep: for each M and each approach, issue M echo
 // requests of PayloadBytes each and measure the wall time until every
 // response has arrived. At each M the approaches take turns on the one
-// environment (see comparison).
+// environment, and each cell is the approach's median.
 func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 	cfg.fillDefaults()
 	env, err := NewEnv(cfg.Env)

@@ -39,8 +39,8 @@ type TravelResult struct {
 }
 
 // RunTravel measures the travel-agent sequence with and without packing
-// steps 1 and 3. The two modes take turns (see comparison), each on an
-// environment of its own, so the reservation books stay disjoint.
+// steps 1 and 3. The two modes take turns, each on an environment of its own
+// so the reservation books stay disjoint, and each is reported by its median.
 func RunTravel(cfg TravelConfig) (*TravelResult, error) {
 	if cfg.Repetitions <= 0 {
 		cfg.Repetitions = 10
