@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/httpx"
 	"repro/internal/soap"
+	"repro/internal/trace"
 )
 
 // Handle is the gateway's HTTP handler: packed POSTs are scattered across
@@ -35,6 +36,12 @@ func (g *Gateway) Handle(ctx context.Context, req *httpx.Request) *httpx.Respons
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, core.ShortenBudget(budget))
 		defer cancel()
+	}
+	// The client's trace id (SPI-Trace), which every sub-batch carries on, so
+	// the backends' spans correlate with the client's. The gateway records no
+	// spans and so starts no trace of its own.
+	if id := core.TraceID(req); id != 0 {
+		ctx = trace.NewContext(ctx, id)
 	}
 	if req.Method == "GET" {
 		if g.cfg.DebugEndpoints && route.Debug() {
@@ -282,7 +289,7 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 
-	extra := make([]string, 0, 6)
+	extra := make([]string, 0, 8)
 	extra = append(extra, "SOAPAction", `""`)
 	if budget, ok := budgetLeft(ctx); ok {
 		extra = append(extra, core.HeaderDeadline, budget)
@@ -291,6 +298,11 @@ func (g *Gateway) exchange(ctx context.Context, b *backend, v soap.Version, doc 
 	// replies; no other policy asks for it.
 	if g.cfg.Policy == LeastLoaded {
 		extra = append(extra, core.HeaderLoad, "1")
+	}
+	// A coalesced batch mixes callers and runs under the gateway's own
+	// context, so it carries no id.
+	if id := trace.FromContext(ctx); id != 0 {
+		extra = append(extra, core.HeaderTrace, strconv.FormatUint(id, 10))
 	}
 	return b.client.PostCtx(ctx, g.ep.Pack(), v.ContentType(), doc, extra...)
 }
