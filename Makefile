@@ -263,22 +263,19 @@ bench-check:
 
 ## bench-gate: fail if a key benchmark's allocs/op or bytes/op grew past the
 ## tolerance vs the baseline chain, recorded on the box the gate runs on: each
-## row is judged against the first file that records it — BENCH_pr24.json for
-## every row but e2e/packed-echo-16-wsse, which only BENCH_pr30.json has,
-## stage/submit-run, which only BENCH_pr33.json has,
-## client/read-packed-reply-16, which only BENCH_pr34.json has, and
-## stage/fanout-16 and transport/keepalive-echo-ctx, which only
-## BENCH_pr38.json has. A row recorded at 0 allocs/op fails on any allocation.
-## allocs/op is held to 2 % on every row whose count repeats from run to run
-## (all but the coalesced and pipelined-fleet rows, cmd/benchcheck's
-## timingDependent, which keep 35 %); bytes/op to 35 %. ns/op is printed
+## row is judged against the first file that records it, and every row a file
+## records is a row of cmd/benchcheck's table (its TestRowTable). A row
+## recorded at 0 allocs/op fails on any allocation. allocs/op is held to 2 %
+## on every row whose count repeats from run to run (all but the coalesced and
+## pipelined-fleet rows, marked timing in the table, which keep 35 %); bytes/op
+## to 35 %. ns/op is printed
 ## beside them and not judged — on the shared 2-vCPU box it moves by half
 ## between minutes with no code change, and the gate failed five runs in a row
 ## on untouched rows while it was. Timing regressions are the benchmark's job
 ## (`go run ./benchmark`, paired runs). Short benchtime keeps the gate fast.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr24.json,BENCH_pr30.json,BENCH_pr33.json,BENCH_pr34.json,BENCH_pr38.json -tolerance 35
+		-baseline BENCH_pr24.json,BENCH_pr30.json,BENCH_pr33.json,BENCH_pr34.json,BENCH_pr38.json
 
 ## census: print the dead-surface census — every exported identifier under
 ## internal/ that no non-test code uses or sets, with its allowlist kind
