@@ -11,12 +11,11 @@
 //	                           # bare run never overwrites a committed one
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
 //	benchcheck -baseline BENCH_pr24.json,BENCH_pr30.json
-//	                           # compare mode: exit non-zero when a
-//	                           # benchmark's allocs/op grew more than 2%
-//	                           # (35% on the timing-dependent rows) or its
-//	                           # bytes/op more than 35% vs the first file
-//	                           # of the chain that records it; ns/op is
-//	                           # printed, not judged
+//	                           # compare mode: exit non-zero when a row's
+//	                           # allocs/op grew more than 2% (35% on the
+//	                           # timing-dependent rows) or its bytes/op more
+//	                           # than 35% vs the chain's first file that
+//	                           # records it; ns/op is printed, not judged
 package main
 
 import (
@@ -59,8 +58,7 @@ type Result struct {
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-
-	timing bool // the row's gate class (row.timing); not written
+	timing      bool    // the row's gate class (row.timing); not written
 }
 
 // Report is the written snapshot.
@@ -94,8 +92,7 @@ func readMachine() Machine {
 	return m
 }
 
-// row is one gated benchmark: the name the report and the baselines know it
-// by, its gate class and its timed body.
+// row is one gated benchmark: its name, its gate class and its timed body.
 type row struct {
 	name string
 	// timing marks a row whose allocs/op move with scheduling: how many
@@ -235,9 +232,9 @@ func table() []group {
 		// The sixteen parameters of that request through soapenc.DecodeParams,
 		// spelled the old way and today's: an untyped leaf is a string without
 		// resolving xsi and xsd for it first.
-		paramRows("soapenc/decode-16-typed-strings", true),
-		paramRows("soapenc/decode-16-untyped-strings", false),
 		group{rows: []row{
+			paramRow("soapenc/decode-16-typed-strings", true),
+			paramRow("soapenc/decode-16-untyped-strings", false),
 			// Batch.Send against a connection that swallows the request and
 			// answers from memory with a whole-message fault, the cheapest
 			// reply there is to read: what is left is NewBatch, 16 Adds, the
@@ -253,14 +250,7 @@ func table() []group {
 			// it.
 			{name: "client/encode-batch-16-signed", bench: encodeBatch(core.ClientConfig{HeaderProviders: []core.HeaderProvider{fixedProvider{}}})},
 		}},
-		handleSingleRows(),
-		group{rows: []row{{name: "core/fault-response", bench: func(b *testing.B) {
-			f := soap.ClientFault("expected exactly one body entry, got %d", 2)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.GatewayFaultResponse(f, soap.V11).Release()
-			}
-		}}}},
+		serverAnswerRows(),
 		subBatchRows(),
 		group{rows: []row{
 			{name: "msgcache/render-to-hit", bench: func(b *testing.B) {
@@ -374,9 +364,9 @@ func table() []group {
 				}
 				wg.Wait()
 			}},
+			snapshotRow("metrics/snapshot-after-1k", 1000),
+			snapshotRow("metrics/snapshot-after-1M", 1_000_000),
 		}},
-		snapshotRows("metrics/snapshot-after-1k", 1000),
-		snapshotRows("metrics/snapshot-after-1M", 1_000_000),
 		// --- end-to-end hot paths -----------------------------------------
 		e2eRows("e2e/serial-echo", direct(bench.EnvOptions{}), func(c *core.Client) error {
 			_, err := c.Call("Echo", "echo", echoArg)
@@ -462,8 +452,7 @@ func envelopeRows() group {
 	}}
 }
 
-// decodePacked is the body of a row that walks doc, a packed request of n
-// entries, the way the server's dispatch does.
+// decodePacked walks doc, a packed request of n entries, as the dispatch does.
 func decodePacked(doc []byte, n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -534,14 +523,14 @@ func encodeDense(enc *soap.StreamEncoder, values []string, charData func(em *xml
 	return doc
 }
 
-// paramRows decodes the parameters of a 16-entry packed echo request.
-func paramRows(name string, typed bool) group {
+// paramRow decodes the parameters of a 16-entry packed echo request.
+func paramRow(name string, typed bool) row {
 	env, err := soap.Decode(bytes.NewReader(packedEchoDoc(16, false, typed)))
 	if err != nil {
 		panic(err)
 	}
 	entries := env.Body[0].ChildElements()
-	return group{rows: []row{{name: name, bench: func(b *testing.B) {
+	return row{name: name, bench: func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, el := range entries {
@@ -550,7 +539,7 @@ func paramRows(name string, typed bool) group {
 				}
 			}
 		}
-	}}}}
+	}}
 }
 
 // echoEntry is one entry of writeEchoEnvelope's document.
@@ -615,10 +604,10 @@ func readPackedReply(b *testing.B) {
 	}
 }
 
-// handleSingleRows is the server's whole-message answer to one single call
-// through HandleHTTP on the staged server: decode, one application-stage
-// hand-off, the response document.
-func handleSingleRows() group {
+// serverAnswerRows are the server's two whole-message answers: one single
+// call through HandleHTTP on the staged server (decode, one stage hand-off, the
+// response document), and a whole-message fault rendered on its own.
+func serverAnswerRows() group {
 	var env *bench.Env
 	single := envelopeAround(`<m:echo xmlns:m="urn:spi:Echo"><data>`+strings.Repeat("a", 10)+`</data></m:echo>`, 0)
 	return group{
@@ -626,18 +615,27 @@ func handleSingleRows() group {
 			env, err = bench.NewEnv(bench.EnvOptions{})
 			return func() { env.Close() }, err
 		},
-		rows: []row{{name: "core/handle-single-echo", bench: func(b *testing.B) {
-			ctx := context.Background()
-			req := httpx.NewRequest("POST", "/services/Echo", single)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				resp := env.Server.HandleHTTP(ctx, req)
-				if resp.StatusCode != 200 {
-					b.Fatalf("HTTP %d: %s", resp.StatusCode, resp.Body)
+		rows: []row{
+			{name: "core/handle-single-echo", bench: func(b *testing.B) {
+				ctx := context.Background()
+				req := httpx.NewRequest("POST", "/services/Echo", single)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					resp := env.Server.HandleHTTP(ctx, req)
+					if resp.StatusCode != 200 {
+						b.Fatalf("HTTP %d: %s", resp.StatusCode, resp.Body)
+					}
+					resp.Release()
 				}
-				resp.Release()
-			}
-		}}},
+			}},
+			{name: "core/fault-response", bench: func(b *testing.B) {
+				f := soap.ClientFault("expected exactly one body entry, got %d", 2)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					core.GatewayFaultResponse(f, soap.V11).Release()
+				}
+			}},
+		},
 	}
 }
 
@@ -714,20 +712,20 @@ func subBatchRows() group {
 	}
 }
 
-// snapshotRows snapshots a recorder that holds samples samples.
-func snapshotRows(name string, samples int) group {
+// snapshotRow snapshots a recorder that holds samples samples.
+func snapshotRow(name string, samples int) row {
 	var rec metrics.Recorder
 	for i := 0; i < samples; i++ {
 		rec.Record(time.Duration(i) * time.Microsecond)
 	}
-	return group{rows: []row{{name: name, bench: func(b *testing.B) {
+	return row{name: name, bench: func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if rec.Snapshot().Count != samples {
 				b.Fatal("snapshot lost samples")
 			}
 		}
-	}}}}
+	}}
 }
 
 // direct starts a client and a server over a simulated link.
@@ -826,9 +824,11 @@ func coalescedRows() group {
 // exchange's length.
 func keepAliveRows() group {
 	var f *bench.TransportFleet
-	ctx, cancel := context.WithCancel(context.Background())
+	var ctx context.Context
 	return group{
 		open: func() (_ func(), err error) {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithCancel(context.Background())
 			f, err = bench.NewTransportFleet(1, 0)
 			return func() { cancel(); f.Close() }, err
 		},
