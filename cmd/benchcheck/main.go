@@ -105,6 +105,9 @@ type row struct {
 	timing bool
 	bench  func(b *testing.B)
 	sweep  func() error // instead of bench: one iteration, see measure
+	// note, when set, is printed under the row's line once it has run: a
+	// figure that tells what moved its allocs/op. Never written or gated.
+	note func() string
 }
 
 // group is rows that share a fixture: open, when set, builds it before the
@@ -176,6 +179,9 @@ func (g group) run() ([]Result, error) {
 		}
 		fmt.Printf("%-32s %12d ops %14.1f ns/op %10.0f ops/s %8d allocs/op\n",
 			res.Name, res.N, res.NsPerOp, res.OpsPerSec, res.AllocsPerOp)
+		if r.note != nil {
+			fmt.Printf("%-32s %s\n", "", r.note())
+		}
 		out = append(out, res)
 	}
 	return out, nil
@@ -771,12 +777,17 @@ func e2eRows(name string, start func() (*core.Client, func(), error), send func(
 // coalescedRows is the gateway's cross-client coalescing: 16 independent
 // single-call clients fire concurrently per iteration, and the gateway pools
 // them into packed batches. Guards the coalescer's end-to-end latency (settle
-// step + batch round trip + split-back).
+// step + batch round trip + split-back). Its note is the batches the
+// coalescer flushed per burst of 16 calls in the measured run: how many
+// single calls one window caught, which is what moves the row's allocs/op
+// with scheduling, told apart from a change in what a batch costs.
 func coalescedRows() group {
 	fleet := make([]*core.Client, 16)
+	var env *bench.GatewayEnv
+	var batchesPerBurst float64
 	return group{
-		open: func() (func(), error) {
-			env, err := bench.NewGatewayEnv(bench.GatewayOptions{
+		open: func() (_ func(), err error) {
+			env, err = bench.NewGatewayEnv(bench.GatewayOptions{
 				Backends: 2, Network: netsim.Fast(), AppWorkers: 8,
 				Coalesce: gateway.CoalesceConfig{Enabled: true, MaxBatch: 16},
 			})
@@ -796,6 +807,9 @@ func coalescedRows() group {
 			}, nil
 		},
 		rows: []row{{name: "e2e/gw-coalesced-singles-16", timing: true, bench: func(b *testing.B) {
+			b.StopTimer()
+			before := env.Gateway.Stats().CoalesceBatches
+			b.StartTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
 				errs := make([]error, len(fleet))
@@ -813,6 +827,10 @@ func coalescedRows() group {
 					}
 				}
 			}
+			b.StopTimer()
+			batchesPerBurst = float64(env.Gateway.Stats().CoalesceBatches-before) / float64(b.N)
+		}, note: func() string {
+			return fmt.Sprintf("%.2f coalesced batches per burst", batchesPerBurst)
 		}}},
 	}
 }

@@ -122,8 +122,8 @@ func MarshalFields(v any) ([]soapenc.Field, error) {
 	var out []soapenc.Field
 	for i := 0; i < rt.NumField(); i++ {
 		sf := rt.Field(i)
-		name, omitEmpty, skip := fieldName(sf)
-		if skip || omitEmpty && empty(rv.Field(i)) {
+		name, omitEmpty, skip := FieldTag(sf, "soap")
+		if skip || omitEmpty && Empty(rv.Field(i)) {
 			continue
 		}
 		val, err := marshalValue(rv.Field(i))
@@ -135,10 +135,12 @@ func MarshalFields(v any) ([]soapenc.Field, error) {
 	return out, nil
 }
 
-// fieldName resolves the wire name of a struct field from the `soap` tag,
-// and whether the tag asks for omitempty.
-func fieldName(sf reflect.StructField) (name string, omitEmpty, skip bool) {
-	tag := sf.Tag.Get("soap")
+// FieldTag resolves the wire name of a struct field from its tag under key
+// ("soap" here; internal/core writes its JSON documents by "json"), and
+// whether the tag asks for omitempty: an unexported field or the tag "-" is
+// skipped, and an empty name is the field's own.
+func FieldTag(sf reflect.StructField, key string) (name string, omitEmpty, skip bool) {
+	tag := sf.Tag.Get(key)
 	if !sf.IsExported() || tag == "-" {
 		return "", false, true
 	}
@@ -149,11 +151,12 @@ func fieldName(sf reflect.StructField) (name string, omitEmpty, skip bool) {
 	return name, opts == "omitempty", false
 }
 
-// empty reports whether omitempty leaves v off the wire. A struct is never
-// empty, as in encoding/json.
-func empty(v reflect.Value) bool {
+// Empty reports whether omitempty leaves v off the wire, as in
+// encoding/json: an empty slice, array, map or string, a zero scalar, a nil
+// pointer or interface. A struct is never empty.
+func Empty(v reflect.Value) bool {
 	switch v.Kind() {
-	case reflect.Slice, reflect.Array:
+	case reflect.Slice, reflect.Array, reflect.Map:
 		return v.Len() == 0
 	case reflect.Struct:
 		return false
@@ -259,7 +262,7 @@ func UnmarshalFields(fields []soapenc.Field, dst any) error {
 	rt := rv.Type()
 	byName := make(map[string]int, rt.NumField())
 	for i := 0; i < rt.NumField(); i++ {
-		name, _, skip := fieldName(rt.Field(i))
+		name, _, skip := FieldTag(rt.Field(i), "soap")
 		if !skip {
 			byName[name] = i
 		}

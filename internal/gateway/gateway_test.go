@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/httpx"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/registry"
 	"repro/internal/services"
@@ -690,6 +691,54 @@ func TestGatewayShutdown(t *testing.T) {
 	}
 	if err := f.gw.Shutdown(time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestStatsEndpointMatchesEncodingJSON holds a gateway's served /spi/stats
+// to encoding/json byte for byte: the document read back into its types and
+// written again with json.MarshalIndent must be the bytes served, for a
+// parsing gateway of two backends and a coalescing one, after a packed
+// message, single calls and a fault.
+func TestStatsEndpointMatchesEncodingJSON(t *testing.T) {
+	for _, coalesce := range []bool{false, true} {
+		f := newFarm(t, 2, func(cfg *Config) { cfg.Coalesce.Enabled = coalesce })
+		cli := f.client(t, nil)
+		b := cli.NewBatch()
+		b.Add("Echo", "echo", soapenc.F("m", "x"))
+		b.Add("Echo", "echo", soapenc.F("m", "<&>"))
+		if err := b.Send(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 3 {
+			if _, err := cli.Call("Echo", "echo", soapenc.F("m", fmt.Sprint(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r := post(t, f.raw(), "/services/", soap.V11.ContentType(), []byte("not xml")); r.status != 500 {
+			t.Fatalf("status %d, want 500", r.status)
+		}
+		resp, err := f.raw().DoCtx(context.Background(), httpx.NewRequest("GET", "/spi/stats", nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Gateway *Stats               `json:"gateway,omitempty"`
+			Runtime metrics.RuntimeStats `json:"runtime"`
+		}
+		if err := json.Unmarshal(resp.Body, &doc); err != nil {
+			t.Fatalf("not JSON: %v\n%s", err, resp.Body)
+		}
+		if coalesce && (doc.Gateway.CoalesceSizes == nil || doc.Gateway.FaultCodes == nil) {
+			t.Fatalf("coalescing gateway without batch sizes or fault codes: %s", resp.Body)
+		}
+		want, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(resp.Body, want) {
+			t.Errorf("coalesce %v: served and encoding/json differ\n got:\n%s\nwant:\n%s", coalesce, resp.Body, want)
+		}
+		resp.Release()
 	}
 }
 

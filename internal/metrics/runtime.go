@@ -33,7 +33,9 @@ type RuntimeStats struct {
 	// structures, GC and other metadata.
 	MetadataBytes uint64 `json:"metadata_bytes"`
 	// ProfilingBucketsBytes is the memory of the profiling buckets (the
-	// heap, block and mutex profiles' stacks).
+	// heap, block and mutex profiles' stacks). Nearly all of it is the
+	// runtime's fixed hash table of 179 999 slots, 1.44 MB mapped at start,
+	// of which only the pages a profiled stack hashes to are resident.
 	ProfilingBucketsBytes uint64 `json:"profiling_buckets_bytes"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -36,6 +37,32 @@ func TestShippedCommandsNeedNoCgo(t *testing.T) {
 			if len(p.CgoFiles) > 0 && (cgo == "0" || !p.Standard) {
 				t.Errorf("CGO_ENABLED=%s: %s has cgo files %v", cgo, p.ImportPath, p.CgoFiles)
 			}
+		}
+	}
+}
+
+// unservedPackages are what the servers' operator endpoints once linked for
+// one JSON document and six text profiles (internal/core/debug.go): two
+// libraries and what they pull in, about 0.5 MB of each binary's loaded
+// sections, resident in every process whether or not anyone asks.
+var unservedPackages = []string{"encoding/json", "runtime/pprof", "compress/flate", "compress/gzip", "text/tabwriter"}
+
+// TestShippedCommandsLinkOnlyWhatTheyServe fails when either command's
+// import graph holds one of unservedPackages again.
+func TestShippedCommandsLinkOnlyWhatTheyServe(t *testing.T) {
+	cmd := exec.Command("go", append([]string{"list", "-deps"}, shippedCommands...)...)
+	cmd.Env = append(os.Environ(), "GOWORK=off")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	deps := map[string]bool{}
+	for _, p := range strings.Fields(string(out)) {
+		deps[p] = true
+	}
+	for _, p := range unservedPackages {
+		if deps[p] {
+			t.Errorf("%v link %s", shippedCommands, p)
 		}
 	}
 }
